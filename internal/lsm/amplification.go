@@ -78,16 +78,16 @@ func (d *DB) AmplificationProfile() AmplificationProfile {
 			Bytes: cur.LevelBytes(l),
 		}
 	}
-	comps := d.stats.Compactions
+	comps := d.compactions
 	if len(comps) > recentCompactionWindow {
 		comps = comps[len(comps)-recentCompactionWindow:]
 	}
 	comps = append([]CompactionInfo(nil), comps...)
 	if d.cfg.vlogEnabled() {
 		va := &VlogAmplification{
-			AppendBytes: d.stats.VlogAppendBytes,
-			GCRuns:      d.stats.VlogGCRuns,
-			GCBytes:     d.stats.VlogGCBytes,
+			AppendBytes: d.metrics.vlogAppendBytes.Value(),
+			GCRuns:      d.metrics.vlogGCRuns.Value(),
+			GCBytes:     d.metrics.vlogGCRelocated.Value(),
 		}
 		va.LiveBytes, va.DeadBytes, va.Segments = d.vlog.tab.Totals()
 		p.Vlog = va

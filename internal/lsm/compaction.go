@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"io"
 	"sort"
+	"time"
 
 	"sealdb/internal/kv"
+	"sealdb/internal/obs"
 	"sealdb/internal/sstable"
 	"sealdb/internal/storage"
 	"sealdb/internal/version"
@@ -20,21 +22,9 @@ type compaction struct {
 	trivial  bool
 }
 
-func (c *compaction) inputBytes() int64 {
-	var n int64
-	for _, f := range c.inputs0 {
-		n += f.Size
-	}
-	for _, f := range c.inputs1 {
-		n += f.Size
-	}
-	return n
-}
-
 // pickCompaction selects the neediest level and builds the compaction
-// unit: the victim SSTable(s) plus the overlapping files of the next
-// level — which in SEALDB is precisely the victim's set. It returns
-// nil when every level is within its target. Caller holds d.mu.
+// unit around its victim. It returns nil when every level is within
+// its target. Caller holds d.mu.
 func (d *DB) pickCompaction() *compaction {
 	v := d.vs.Current()
 	level, score := -1, 0.0
@@ -53,28 +43,33 @@ func (d *DB) pickCompaction() *compaction {
 		return nil
 	}
 
-	c := &compaction{level: level, outLevel: level + 1}
 	victim := d.pickVictim(v, level)
 	if victim == nil {
 		return nil
 	}
-	c.inputs0 = []*version.FileMeta{victim}
+	return d.buildCompaction(v, level, []*version.FileMeta{victim})
+}
 
+// buildCompaction grows seed files of level into the compaction unit:
+// the seeds (at level 0, every file transitively overlapping them)
+// plus the overlapping files of the next level — which in SEALDB is
+// precisely the victim's set. The picker seeds it with one victim, a
+// manual range compaction with every file in the range.
+func (d *DB) buildCompaction(v *version.Version, level int, seeds []*version.FileMeta) *compaction {
+	c := &compaction{level: level, outLevel: level + 1, inputs0: seeds}
+	lo, hi := keyRange(c.inputs0)
 	if level == 0 {
 		// Level-0 files overlap each other: pull in every L0 file
-		// whose range touches the victim's, growing to a fixpoint.
-		smallest, largest := victim.Smallest.UserKey(), victim.Largest.UserKey()
+		// whose range touches the inputs', growing to a fixpoint.
 		for {
-			files := v.Overlaps(0, smallest, largest, false)
+			files := v.Overlaps(0, lo, hi, false)
 			if len(files) == len(c.inputs0) {
 				break
 			}
 			c.inputs0 = files
-			smallest, largest = keyRange(files)
+			lo, hi = keyRange(files)
 		}
 	}
-
-	lo, hi := keyRange(c.inputs0)
 	c.inputs1 = v.Overlaps(c.outLevel, lo, hi, d.cfg.sortedLevel(c.outLevel))
 
 	// SMRDB: its single deep level overlaps, so one compaction could
@@ -87,9 +82,7 @@ func (d *DB) pickCompaction() *compaction {
 	// Trivial move: a single input with nothing to merge against
 	// moves down without I/O (LevelDB's IsTrivialMove). Legal into an
 	// overlapped level too — overlap is permitted there by design.
-	if len(c.inputs0) == 1 && len(c.inputs1) == 0 {
-		c.trivial = true
-	}
+	c.trivial = len(c.inputs0) == 1 && len(c.inputs1) == 0
 	return c
 }
 
@@ -140,19 +133,75 @@ func keyRange(files []*version.FileMeta) (lo, hi []byte) {
 	return lo, hi
 }
 
+// jobMeter brackets one background job (a flush or a compaction): the
+// device-clock, host-write and device-write baselines its per-job
+// record is measured against, and the job's journal span.
+type jobMeter struct {
+	sp              *obs.Span
+	busy, host, dev int64
+}
+
+// beginJob captures the baselines and opens the journal span. Jobs
+// serialize under d.mu, so the deltas endJob computes are exact.
+// Caller holds d.mu.
+func (d *DB) beginJob(event string) jobMeter {
+	return jobMeter{
+		busy: d.deviceNow(),
+		host: d.drive.HostBytesWritten(),
+		dev:  d.disk.Stats().BytesWritten,
+		sp:   d.journal.Begin(event, 0),
+	}
+}
+
+// endJob completes ci with the job's device time and write deltas,
+// appends it to the per-job record, observes the latency and closes
+// the span. A trivial move does no I/O of its own and records none.
+// Caller holds d.mu.
+func (d *DB) endJob(m jobMeter, ci CompactionInfo, latency *obs.Histogram) {
+	if !ci.TrivialMove {
+		ci.Latency = time.Duration(d.deviceNow() - m.busy)
+		ci.HostBytes = d.drive.HostBytesWritten() - m.host
+		ci.DeviceBytes = d.disk.Stats().BytesWritten - m.dev
+		latency.Observe(int64(ci.Latency))
+	}
+	d.compactions = append(d.compactions, ci)
+	m.sp.End()
+}
+
+// writeSet writes files as one contiguous group and, when the backend
+// placed them as a group, registers the set under id and claims its
+// extent on the storage surface. It returns a nil record when the
+// backend fell back to file-by-file placement. Caller holds d.mu.
+func (d *DB) writeSet(id uint64, nums []uint64, datas [][]byte) (*version.SetRecord, error) {
+	ext, grouped, err := d.backend.WriteGroup(nums, datas)
+	if err != nil || !grouped {
+		return nil, err
+	}
+	var dataBytes int64
+	for _, data := range datas {
+		dataBytes += int64(len(data))
+	}
+	rec := &version.SetRecord{ID: id, Off: ext.Off, Len: ext.Len, Members: len(nums)}
+	d.sets.register(*rec, nums)
+	d.surfaceClaim(ext.Off, id, dataBytes)
+	return rec, nil
+}
+
 // runCompaction executes a compaction: merge the inputs, write the
 // outputs (as one contiguous set when the mode calls for it), log the
 // edit, and reclaim input space. Caller holds d.mu.
 func (d *DB) runCompaction(c *compaction) error {
 	d.compID++
 	id := d.compID
-	startBusy := d.disk.Stats().BusyTime
-	hostStart := d.drive.HostBytesWritten()
-	devStart := d.disk.Stats().BytesWritten
-	sp := d.journal.Begin("compaction", 0)
+	job := d.beginJob("compaction")
+	sp := job.sp
 	sp.Set("id", int64(id))
 	sp.Set("from", int64(c.level))
 	sp.Set("to", int64(c.outLevel))
+	info := CompactionInfo{
+		ID: id, FromLevel: c.level, ToLevel: c.outLevel,
+		Inputs0: len(c.inputs0), Inputs1: len(c.inputs1),
+	}
 
 	if c.trivial {
 		f := c.inputs0[0]
@@ -166,14 +215,10 @@ func (d *DB) runCompaction(c *compaction) error {
 		if err := d.vs.LogAndApply(edit); err != nil {
 			return err
 		}
-		d.stats.TrivialMoves++
-		d.stats.Compactions = append(d.stats.Compactions, CompactionInfo{
-			ID: id, FromLevel: c.level, ToLevel: c.outLevel,
-			Inputs0: 1, TrivialMove: true,
-		})
 		d.metrics.trivialMoves.Inc()
 		sp.Set("trivial", 1)
-		sp.End()
+		info.TrivialMove = true
+		d.endJob(job, info, nil)
 		return nil
 	}
 
@@ -184,30 +229,30 @@ func (d *DB) runCompaction(c *compaction) error {
 	}
 
 	// Place the outputs: grouped modes write the new set in one
-	// contiguous extent; others write file by file.
-	var (
-		newSet   *version.SetRecord
-		outFiles []version.AddedFile
-	)
+	// contiguous extent; others write file by file. The edit carries
+	// the set bookkeeping: the new set here, and below any input sets
+	// emptied by this compaction.
+	edit := &version.Edit{}
 	nums := make([]uint64, len(outputs))
 	datas := make([][]byte, len(outputs))
-	var outBytes int64
 	for i, o := range outputs {
 		nums[i] = o.num
 		datas[i] = o.data
-		outBytes += int64(len(o.data))
+		info.OutputBytes += int64(len(o.data))
 	}
+	var setID uint64
 	if len(outputs) > 0 && d.cfg.groupedOutputs(c.outLevel) {
-		ext, grouped, err := d.backend.WriteGroup(nums, datas)
+		// The set id is the first output file's number, which is unique
+		// for the lifetime of the DB.
+		newSet, err := d.writeSet(nums[0], nums, datas)
 		if err != nil {
 			return err
 		}
-		if grouped {
-			rec := version.SetRecord{ID: nums[0], Off: ext.Off, Len: ext.Len, Members: len(nums)}
-			newSet = &rec
-			d.sets.register(rec, nums)
-			d.surfaceClaim(ext.Off, rec.ID, outBytes)
+		if newSet != nil {
+			setID = newSet.ID
+			edit.NewSets = []version.SetRecord{*newSet}
 			d.metrics.setsCreated.Inc()
+			sp.Set("set", int64(setID))
 		}
 	} else {
 		for i := range outputs {
@@ -217,26 +262,21 @@ func (d *DB) runCompaction(c *compaction) error {
 		}
 	}
 	d.disk.SetTag(0)
-	setID := uint64(0)
-	if newSet != nil {
-		setID = newSet.ID
-	}
 	for _, o := range outputs {
 		o.meta.SetID = setID
-		outFiles = append(outFiles, version.AddedFile{Level: c.outLevel, Meta: o.meta})
+		edit.Added = append(edit.Added, version.AddedFile{Level: c.outLevel, Meta: o.meta})
 	}
 
-	// Build and log the edit, including set bookkeeping: the new set
-	// and any input sets emptied by this compaction.
-	edit := &version.Edit{Added: outFiles}
-	if newSet != nil {
-		edit.NewSets = []version.SetRecord{*newSet}
-	}
+	// Per-level amplification accounting: bytes read out of each input
+	// level, bytes written into the output level.
+	var in0, in1 int64
 	for _, f := range c.inputs0 {
 		edit.Deleted = append(edit.Deleted, version.DeletedFile{Level: c.level, Num: f.Num})
+		in0 += f.Size
 	}
 	for _, f := range c.inputs1 {
 		edit.Deleted = append(edit.Deleted, version.DeletedFile{Level: c.outLevel, Num: f.Num})
+		in1 += f.Size
 	}
 	_, hi := keyRange(c.inputs0)
 	edit.CompactPointers = []version.CompactPointer{
@@ -253,7 +293,9 @@ func (d *DB) runCompaction(c *compaction) error {
 	// edit carries the DropSet records atomically.
 	var freedExtents []storage.Extent
 	allInputs := append(append([]*version.FileMeta(nil), c.inputs0...), c.inputs1...)
-	for _, f := range allInputs {
+	inputNums := make([]uint64, len(allInputs))
+	for i, f := range allInputs {
+		inputNums[i] = f.Num
 		// Surface accounting first, while the registry still knows the
 		// member's set: the input's bytes turn dead on its band until
 		// the extent (or its whole set) returns to the free list.
@@ -272,60 +314,28 @@ func (d *DB) runCompaction(c *compaction) error {
 	// were only forgotten, and their extents return to the free list
 	// when their whole set died. Deferred while iterators that may
 	// still read the inputs are live (see pins.go).
-	inputNums := make([]uint64, len(allInputs))
-	for i, f := range allInputs {
-		inputNums[i] = f.Num
-	}
 	if err := d.reclaim(inputNums, freedExtents); err != nil {
 		return err
 	}
 
-	placements := make([]storage.Extent, 0, len(outputs))
+	info.OutputPlacements = make([]storage.Extent, 0, len(outputs))
 	for _, o := range outputs {
 		if ext, err := d.backend.FileExtent(o.num); err == nil {
-			placements = append(placements, ext)
+			info.OutputPlacements = append(info.OutputPlacements, ext)
 		}
 	}
-	inBytes := c.inputBytes()
-	lat := d.disk.Stats().BusyTime - startBusy
-	hostBytes := d.drive.HostBytesWritten() - hostStart
-	devBytes := d.disk.Stats().BytesWritten - devStart
-	d.stats.CompactionCount++
-	d.stats.CompactionReadBytes += inBytes
-	d.stats.CompactionWriteBytes += outBytes
-	d.stats.Compactions = append(d.stats.Compactions, CompactionInfo{
-		ID: id, FromLevel: c.level, ToLevel: c.outLevel,
-		Inputs0: len(c.inputs0), Inputs1: len(c.inputs1),
-		InputBytes: inBytes, OutputBytes: outBytes,
-		OutputFiles:      len(outputs),
-		Latency:          lat,
-		HostBytes:        hostBytes,
-		DeviceBytes:      devBytes,
-		OutputPlacements: placements,
-	})
+	info.InputBytes = in0 + in1
+	info.OutputFiles = len(outputs)
 	d.metrics.compactions.Inc()
-	d.metrics.compactionReadBytes.Add(inBytes)
-	d.metrics.compactionWriteBytes.Add(outBytes)
-	d.metrics.compactionLatency.Observe(int64(lat))
-	// Per-level amplification accounting: bytes read out of each input
-	// level, bytes written into the output level.
-	var in0, in1 int64
-	for _, f := range c.inputs0 {
-		in0 += f.Size
-	}
-	for _, f := range c.inputs1 {
-		in1 += f.Size
-	}
+	d.metrics.compactionReadBytes.Add(info.InputBytes)
+	d.metrics.compactionWriteBytes.Add(info.OutputBytes)
 	d.metrics.levelReadBytes[c.level].Add(in0)
 	d.metrics.levelReadBytes[c.outLevel].Add(in1)
-	d.metrics.levelWriteBytes[c.outLevel].Add(outBytes)
-	sp.Set("input_bytes", inBytes)
-	sp.Set("output_bytes", outBytes)
+	d.metrics.levelWriteBytes[c.outLevel].Add(info.OutputBytes)
+	sp.Set("input_bytes", info.InputBytes)
+	sp.Set("output_bytes", info.OutputBytes)
 	sp.Set("output_files", int64(len(outputs)))
-	if newSet != nil {
-		sp.Set("set", int64(newSet.ID))
-	}
-	sp.End()
+	d.endJob(job, info, d.metrics.compactionLatency)
 	return nil
 }
 
@@ -366,24 +376,12 @@ func (d *DB) inputIterators(c *compaction) ([]kv.Iterator, error) {
 	all := append(append([]*version.FileMeta(nil), c.inputs0...), c.inputs1...)
 	var children []kv.Iterator
 	if d.cfg.groupedOutputs(2) {
-		// Prefetch in physical order so contiguous sets are read in
-		// one pass without seeking.
-		sorted := append([]*version.FileMeta(nil), all...)
-		sort.Slice(sorted, func(i, j int) bool {
-			ei, _ := d.backend.FileExtent(sorted[i].Num)
-			ej, _ := d.backend.FileExtent(sorted[j].Num)
-			return ei.Off < ej.Off
-		})
-		for _, f := range sorted {
-			size, err := d.backend.FileSize(f.Num)
-			if err != nil {
-				return nil, err
-			}
-			buf := make([]byte, size)
-			if _, err := d.backend.ReadFileAt(f.Num, buf, 0); err != nil && err != io.EOF {
-				return nil, err
-			}
-			t, err := sstable.Open(bytes.NewReader(buf), size, f.Num, nil)
+		files, datas, err := d.readWhole(all)
+		if err != nil {
+			return nil, err
+		}
+		for i, f := range files {
+			t, err := sstable.Open(bytes.NewReader(datas[i]), int64(len(datas[i])), f.Num, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -399,6 +397,30 @@ func (d *DB) inputIterators(c *compaction) ([]kv.Iterator, error) {
 		children = append(children, t.NewCompactionIterator(d.cfg.readahead()))
 	}
 	return children, nil
+}
+
+// readWhole reads files whole, in physical order so that a contiguous
+// set is one sequential pass without seeking, and returns them in
+// that order with their bytes. Caller holds d.mu.
+func (d *DB) readWhole(files []*version.FileMeta) ([]*version.FileMeta, [][]byte, error) {
+	sorted := append([]*version.FileMeta(nil), files...)
+	sort.Slice(sorted, func(i, j int) bool {
+		ei, _ := d.backend.FileExtent(sorted[i].Num)
+		ej, _ := d.backend.FileExtent(sorted[j].Num)
+		return ei.Off < ej.Off
+	})
+	datas := make([][]byte, len(sorted))
+	for i, f := range sorted {
+		size, err := d.backend.FileSize(f.Num)
+		if err != nil {
+			return nil, nil, err
+		}
+		datas[i] = make([]byte, size)
+		if _, err := d.backend.ReadFileAt(f.Num, datas[i], 0); err != nil && err != io.EOF {
+			return nil, nil, err
+		}
+	}
+	return sorted, datas, nil
 }
 
 // mergeInputs runs the merge loop: inputs are read in key order,
@@ -540,10 +562,7 @@ func (d *DB) CompactAll() error {
 	if err := d.writeAllowed(); err != nil {
 		return err
 	}
-	if err := d.compactUntilBalanced(); err != nil {
-		return d.failWrite(err)
-	}
-	return nil
+	return d.failWrite(d.compactUntilBalanced())
 }
 
 // FlushMemtable forces the current memtable to level 0 (test hook and
@@ -560,8 +579,5 @@ func (d *DB) FlushMemtable() error {
 	if err := d.rotateAndFlush(d.cfg.walSize()); err != nil {
 		return d.failWrite(err)
 	}
-	if err := d.compactUntilBalanced(); err != nil {
-		return d.failWrite(err)
-	}
-	return nil
+	return d.failWrite(d.compactUntilBalanced())
 }

@@ -168,10 +168,6 @@ type Config struct {
 	// device write that fails with a transient error (0 means the
 	// default of 3; negative disables retries).
 	WriteRetries int
-	// RetryBackoff is the wait before the first retry, doubling each
-	// attempt; it is charged as simulated device time (0 means the
-	// default of 200µs).
-	RetryBackoff time.Duration
 	// ValueThreshold enables key–value separation: values of at least
 	// this many bytes are appended to the value log and the tree
 	// stores a fixed-size pointer instead, so large values stop
@@ -181,10 +177,6 @@ type Config struct {
 	// VlogSegSize is the value-log segment size (0 means one SSTable,
 	// so segments ride the dynamic-band free-list class unit).
 	VlogSegSize int64
-	// VlogGCDeadRatio is the dead-byte fraction at which a sealed
-	// segment becomes a garbage-collection victim (0 means the
-	// default of 0.5; negative disables automatic collection).
-	VlogGCDeadRatio float64
 	// SurfaceSnapshotInterval is the simulated-device-time interval
 	// between periodic storage-surface snapshot journal events
 	// (space_snapshot plus one band_snapshot per allocated band) in
@@ -204,27 +196,6 @@ func (c *Config) vlogSegSize() int64 {
 	return c.SSTableSize
 }
 
-// vlogGCDeadRatio resolves the GC trigger ratio; +Inf when automatic
-// collection is disabled.
-func (c *Config) vlogGCDeadRatio() float64 {
-	switch {
-	case c.VlogGCDeadRatio < 0:
-		return 2 // unreachable ratio: never triggers
-	case c.VlogGCDeadRatio == 0:
-		return 0.5
-	}
-	return c.VlogGCDeadRatio
-}
-
-// surfaceSnapshotEvery resolves the periodic surface-snapshot
-// interval in device nanoseconds (0 = disabled).
-func (c *Config) surfaceSnapshotEvery() int64 {
-	if c.SurfaceSnapshotInterval <= 0 {
-		return 0
-	}
-	return int64(c.SurfaceSnapshotInterval)
-}
-
 // writeRetries resolves the retry budget.
 func (c *Config) writeRetries() int {
 	if c.WriteRetries < 0 {
@@ -236,13 +207,9 @@ func (c *Config) writeRetries() int {
 	return c.WriteRetries
 }
 
-// retryBackoff resolves the initial retry backoff.
-func (c *Config) retryBackoff() time.Duration {
-	if c.RetryBackoff <= 0 {
-		return 200 * time.Microsecond
-	}
-	return c.RetryBackoff
-}
+// retryBackoff is the wait before the first write retry, doubling
+// each attempt; it is charged as simulated device time.
+const retryBackoff = 200 * time.Microsecond
 
 // DefaultConfig returns a config for the given mode with the scaled
 // default geometry, applying the mode's structural parameters (SMRDB

@@ -1,10 +1,10 @@
 package lsm
 
 import (
+	"container/list"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"sealdb/internal/dband"
@@ -72,20 +72,18 @@ func NewDevice(cfg Config) *Device {
 			base = cfg.WrapDrive(base)
 		}
 		if cfg.writeRetries() > 0 {
-			base = smr.NewRetry(base, cfg.writeRetries(), cfg.retryBackoff())
+			base = smr.NewRetry(base, cfg.writeRetries(), retryBackoff)
 		}
 		return base
 	}
 	switch cfg.Mode {
-	case ModeLevelDB:
+	case ModeLevelDB, ModeLevelDBSets:
 		drive := smr.NewFixedBand(disk, cfg.BandSize)
 		dev.Drive = wrap(drive)
 		dev.ExtFS = extfs.New(drive.Capacity())
-		dev.Backend = storage.NewBackend(dev.Drive, dev.ExtFS)
-	case ModeLevelDBSets:
-		drive := smr.NewFixedBand(disk, cfg.BandSize)
-		dev.Drive = wrap(drive)
-		dev.ExtFS = extfs.New(drive.Capacity()).EnableGroups()
+		if cfg.Mode == ModeLevelDBSets {
+			dev.ExtFS.EnableGroups()
+		}
 		dev.Backend = storage.NewBackend(dev.Drive, dev.ExtFS)
 	case ModeSMRDB:
 		drive := smr.NewFixedBand(disk, cfg.BandSize)
@@ -144,21 +142,25 @@ type DB struct {
 	// lockorder: lsm_db_mu < storage_write_mu
 	// lockorder: lsm_db_mu < storage_backend_mu
 	// lockorder: lsm_db_mu < band_stats_mu
-	mu        obs.Mutex
-	tableLRU  []uint64 // open-table recency, most recent last
-	mem       *memtable.MemTable
-	walW      *wal.Writer
-	walFile   *storage.AppendFile
-	walLimit  int64
-	walNum    uint64
-	seq       kv.SeqNum
-	memSeed   int64
-	tables    map[uint64]*sstable.Table
+	mu       obs.Mutex
+	mem      *memtable.MemTable
+	walW     *wal.Writer
+	walFile  *storage.AppendFile
+	walLimit int64
+	walNum   uint64
+	seq      kv.SeqNum
+	memSeed  int64
+	// tables caches open table readers; each maps to its element of
+	// tableLRU, which orders them least recently used first.
+	tables    map[uint64]*list.Element
+	tableLRU  list.List
 	sets      *setRegistry
 	snapshots map[kv.SeqNum]int // guarded by mu
-	stats     Stats
-	compID    int
-	closed    bool
+	// compactions is the append-only per-job record behind
+	// Stats().Compactions; every scalar counter lives in metrics.
+	compactions []CompactionInfo
+	compID      int
+	closed      bool
 	// bgErr is the first permanent write-path failure; once set, the
 	// DB is read-only degraded (LevelDB's bg_error_).
 	bgErr error
@@ -209,7 +211,7 @@ func OpenDevice(cfg Config, dev *Device) (*DB, error) {
 		drive:     dev.Drive,
 		backend:   dev.Backend,
 		cache:     sstable.NewCache(cfg.BlockCacheSize),
-		tables:    map[uint64]*sstable.Table{},
+		tables:    map[uint64]*list.Element{},
 		sets:      newSetRegistry(),
 		snapshots: map[kv.SeqNum]int{},
 		iterPins:  map[uint64]int{},
@@ -219,7 +221,7 @@ func OpenDevice(cfg Config, dev *Device) (*DB, error) {
 	d.mem = memtable.New(d.nextMemSeed())
 	if dev.DBand != nil {
 		d.surface.init(cfg.BandSize)
-		d.surfaceSnapEvery = cfg.surfaceSnapshotEvery()
+		d.surfaceSnapEvery = max(0, int64(cfg.SurfaceSnapshotInterval))
 	}
 	d.initObs()
 
@@ -406,20 +408,15 @@ func (d *DB) recoverSetsAndWAL() error {
 	if logNum == 0 {
 		return nil
 	}
-	// The logical size is not trusted after a crash: scan the whole
-	// reserved extent and let the tagged strict framing find the true
-	// end of the log. A torn final append, and any stale frames a
-	// previous occupant of the extent left beyond it, fail their CRC
-	// and end the replay cleanly instead of failing Open.
-	limit, err := d.backend.ReservedSize(logNum)
+	// Let the tagged strict framing find the true end of the log: a
+	// torn final append, and any stale frames a previous occupant of
+	// the extent left beyond it, fail their CRC and end the replay
+	// cleanly instead of failing Open.
+	buf, err := d.readReserved(logNum)
 	if err != nil {
 		if errors.Is(err, storage.ErrNotFound) {
 			return nil // already flushed and removed
 		}
-		return err
-	}
-	buf := make([]byte, limit)
-	if _, err := d.backend.ReadReservedAt(logNum, buf, 0); err != nil && err != io.EOF {
 		return err
 	}
 	r := wal.NewTaggedReader(&sliceReader{b: buf}, logNum).Strict()
@@ -480,6 +477,21 @@ func (d *DB) recoverSetsAndWAL() error {
 	return nil
 }
 
+// readReserved reads the whole reserved extent of a preallocated
+// file (WAL, vlog segment). The logical size is not trusted after a
+// crash; callers scan the bytes for the last whole record.
+func (d *DB) readReserved(num uint64) ([]byte, error) {
+	limit, err := d.backend.ReservedSize(num)
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, limit)
+	if _, err := d.backend.ReadReservedAt(num, buf, 0); err != nil && err != io.EOF {
+		return nil, err
+	}
+	return buf, nil
+}
+
 func boolToInt64(b bool) int64 {
 	if b {
 		return 1
@@ -538,18 +550,7 @@ func (d *DB) reconcileExtents() error {
 	if mgr == nil {
 		return nil
 	}
-	type span struct{ off, end int64 }
-	var covered []span
-	for _, fr := range d.backend.Files() {
-		if fr.Grouped {
-			continue // inside a set extent
-		}
-		covered = append(covered, span{fr.Extent.Off, fr.Extent.End()})
-	}
-	for _, sr := range d.vs.Sets() {
-		covered = append(covered, span{sr.Off, sr.Off + sr.Len})
-	}
-	sort.Slice(covered, func(i, j int) bool { return covered[i].off < covered[j].off })
+	covered := d.ownedExtents()
 	// Walk the allocator's allocated runs and free every gap not
 	// covered by a file or set.
 	for _, band := range mgr.Bands() {
@@ -596,20 +597,31 @@ func (r *sliceReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
+// openWAL creates a fresh write-ahead log of size bytes and makes it
+// the active one, returning the number of the log it replaces (0 if
+// none). The caller records the new number in the MANIFEST before
+// removing the old log. Caller holds d.mu.
+func (d *DB) openWAL(size int64) (old uint64, err error) {
+	num := d.vs.NewFileNum()
+	f, err := d.backend.CreateAppend(num, size)
+	if err != nil {
+		return 0, err
+	}
+	old, d.walNum = d.walNum, num
+	d.walFile = f
+	d.walLimit = size
+	d.walW = wal.NewTaggedWriter(f, num)
+	return old, nil
+}
+
 // newWAL starts a fresh write-ahead log and records its number in the
 // MANIFEST (so recovery knows which log to replay).
 func (d *DB) newWAL() error {
-	num := d.vs.NewFileNum()
-	f, err := d.backend.CreateAppend(num, d.cfg.walSize())
+	old, err := d.openWAL(d.cfg.walSize())
 	if err != nil {
 		return err
 	}
-	old := d.walNum
-	d.walNum = num
-	d.walFile = f
-	d.walLimit = d.cfg.walSize()
-	d.walW = wal.NewTaggedWriter(f, num)
-	if err := d.vs.LogAndApply(&version.Edit{HasLogNum: true, LogNum: num, HasLastSeq: true, LastSeq: d.seq}); err != nil {
+	if err := d.vs.LogAndApply(&version.Edit{HasLogNum: true, LogNum: d.walNum, HasLastSeq: true, LastSeq: d.seq}); err != nil {
 		return err
 	}
 	if old != 0 {
@@ -631,7 +643,8 @@ func (d *DB) Close() error {
 	// the device holds no unreachable files.
 	d.iterPins = map[uint64]int{}
 	d.runReclaims()
-	d.tables = map[uint64]*sstable.Table{}
+	d.tables = map[uint64]*list.Element{}
+	d.tableLRU.Init()
 	return nil
 }
 
@@ -643,13 +656,19 @@ func (d *DB) maxOpenTables() int {
 	return 1000
 }
 
+// cachedTable is one entry of the table-reader cache.
+type cachedTable struct {
+	num uint64
+	t   *sstable.Table
+}
+
 // openTable returns (opening if needed) the reader for a table file,
-// tracking recency and evicting the least recently used reader when
-// the cache exceeds its bound. Caller holds d.mu.
+// marking it most recently used and evicting the least recently used
+// reader when the cache exceeds its bound. Caller holds d.mu.
 func (d *DB) openTable(f *version.FileMeta) (*sstable.Table, error) {
-	if t, ok := d.tables[f.Num]; ok {
-		d.touchTable(f.Num)
-		return t, nil
+	if el, ok := d.tables[f.Num]; ok {
+		d.tableLRU.MoveToBack(el)
+		return el.Value.(cachedTable).t, nil
 	}
 	size, err := d.backend.FileSize(f.Num)
 	if err != nil {
@@ -659,43 +678,22 @@ func (d *DB) openTable(f *version.FileMeta) (*sstable.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.tables[f.Num] = t
-	d.tableLRU = append(d.tableLRU, f.Num)
-	for len(d.tables) > d.maxOpenTables() && len(d.tableLRU) > 0 {
-		victim := d.tableLRU[0]
-		d.tableLRU = d.tableLRU[1:]
-		if victim == f.Num {
-			d.tableLRU = append(d.tableLRU, victim)
-			continue
-		}
-		delete(d.tables, victim)
+	d.tables[f.Num] = d.tableLRU.PushBack(cachedTable{f.Num, t})
+	for len(d.tables) > d.maxOpenTables() {
+		// The bound is at least one, so the front is never the reader
+		// just pushed to the back.
+		victim := d.tableLRU.Remove(d.tableLRU.Front()).(cachedTable)
+		delete(d.tables, victim.num)
 	}
 	return t, nil
-}
-
-// touchTable moves a table to the recent end of the LRU order.
-// Caller holds d.mu. Linear, but the list is bounded and short.
-func (d *DB) touchTable(num uint64) {
-	for i, n := range d.tableLRU {
-		if n == num {
-			copy(d.tableLRU[i:], d.tableLRU[i+1:])
-			d.tableLRU[len(d.tableLRU)-1] = num
-			return
-		}
-	}
 }
 
 // dropTable forgets a deleted file's reader and cached blocks.
 // Caller holds d.mu.
 func (d *DB) dropTable(num uint64) {
-	if _, ok := d.tables[num]; ok {
+	if el, ok := d.tables[num]; ok {
+		d.tableLRU.Remove(el)
 		delete(d.tables, num)
-		for i, n := range d.tableLRU {
-			if n == num {
-				d.tableLRU = append(d.tableLRU[:i], d.tableLRU[i+1:]...)
-				break
-			}
-		}
 	}
 	d.cache.EvictFile(num)
 }

@@ -13,10 +13,7 @@ func (d *DB) flushMemtable(mem *memtable.MemTable, newLogNum uint64) error {
 	if mem.Empty() {
 		return nil
 	}
-	startBusy := d.disk.Stats().BusyTime
-	hostStart := d.drive.HostBytesWritten()
-	devStart := d.disk.Stats().BytesWritten
-	sp := d.journal.Begin("flush", 0)
+	job := d.beginJob("flush")
 
 	b := sstable.NewBuilder().SetCompression(d.cfg.Compression)
 	it := mem.NewIterator()
@@ -48,27 +45,19 @@ func (d *DB) flushMemtable(mem *memtable.MemTable, newLogNum uint64) error {
 		return err
 	}
 
-	lat := d.disk.Stats().BusyTime - startBusy
 	d.compID++
-	d.stats.FlushCount++
-	d.stats.FlushBytes += meta.Size
-	d.stats.Compactions = append(d.stats.Compactions, CompactionInfo{
+	d.metrics.flushes.Inc()
+	d.metrics.flushBytes.Add(meta.Size)
+	d.metrics.levelWriteBytes[0].Add(meta.Size)
+	job.sp.Set("table", int64(num))
+	job.sp.Set("bytes", meta.Size)
+	d.endJob(job, CompactionInfo{
 		ID:          d.compID,
 		FromLevel:   -1,
 		ToLevel:     0,
 		OutputBytes: meta.Size,
 		OutputFiles: 1,
-		Latency:     lat,
-		HostBytes:   d.drive.HostBytesWritten() - hostStart,
-		DeviceBytes: d.disk.Stats().BytesWritten - devStart,
 		Flush:       true,
-	})
-	d.metrics.flushes.Inc()
-	d.metrics.flushBytes.Add(meta.Size)
-	d.metrics.flushLatency.Observe(int64(lat))
-	d.metrics.levelWriteBytes[0].Add(meta.Size)
-	sp.Set("table", int64(num))
-	sp.Set("bytes", meta.Size)
-	sp.End()
+	}, d.metrics.flushLatency)
 	return nil
 }

@@ -2,7 +2,6 @@ package lsm
 
 import (
 	"fmt"
-	"io"
 	"sort"
 
 	"sealdb/internal/storage"
@@ -50,35 +49,28 @@ func (d *DB) DefragmentBands(maxMoves int) (GCResult, error) {
 	sp := d.journal.Begin("band_gc", 0)
 	sp.Set("fragments_before", res.FragmentsBefore)
 
-	// Index live sets by their extent start, and member files by set.
-	records := d.vs.Sets()
+	// Index live sets by their extent start, member files by set, and
+	// each member's level by file number.
 	byOff := map[int64]version.SetRecord{}
-	for _, rec := range records {
+	for _, rec := range d.vs.Sets() {
 		byOff[rec.Off] = rec
 	}
 	members := map[uint64][]*version.FileMeta{}
-	levels := map[uint64]map[uint64]int{} // set -> file num -> level
+	levelOf := map[uint64]int{}
 	v := d.vs.Current()
 	for l := 0; l < d.cfg.NumLevels; l++ {
 		for _, f := range v.Files[l] {
-			if f.SetID == 0 {
-				continue
+			if f.SetID != 0 {
+				members[f.SetID] = append(members[f.SetID], f)
+				levelOf[f.Num] = l
 			}
-			members[f.SetID] = append(members[f.SetID], f)
-			if levels[f.SetID] == nil {
-				levels[f.SetID] = map[uint64]int{}
-			}
-			levels[f.SetID][f.Num] = l
 		}
 	}
 
 	// Walk the fragments in address order and relocate each one's
 	// downstream set. The free list changes as we go, so collect the
 	// victims first.
-	type victim struct {
-		rec version.SetRecord
-	}
-	var victims []victim
+	var victims []version.SetRecord
 	seen := map[uint64]bool{}
 	for _, fr := range mgr.FreeRegions() {
 		if fr.Len >= threshold {
@@ -89,15 +81,15 @@ func (d *DB) DefragmentBands(maxMoves int) (GCResult, error) {
 			continue // neighbour is an ungrouped file or already queued
 		}
 		seen[rec.ID] = true
-		victims = append(victims, victim{rec: rec})
+		victims = append(victims, rec)
 	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].rec.Off < victims[j].rec.Off })
+	sort.Slice(victims, func(i, j int) bool { return victims[i].Off < victims[j].Off })
 
-	for _, vic := range victims {
+	for _, rec := range victims {
 		if maxMoves > 0 && res.SetsMoved >= maxMoves {
 			break
 		}
-		moved, err := d.relocateSet(vic.rec, members[vic.rec.ID], levels[vic.rec.ID], sp.ID())
+		moved, err := d.relocateSet(rec, members[rec.ID], levelOf, sp.ID())
 		if err != nil {
 			return res, err
 		}
@@ -106,8 +98,6 @@ func (d *DB) DefragmentBands(maxMoves int) (GCResult, error) {
 	}
 	res.FragmentsAfter = mgr.FragmentBytes(threshold)
 	d.metrics.bandGCPasses.Inc()
-	d.metrics.bandGCMoves.Add(int64(res.SetsMoved))
-	d.metrics.bandGCBytes.Add(res.BytesMoved)
 	sp.Set("sets_moved", int64(res.SetsMoved))
 	sp.Set("bytes_moved", res.BytesMoved)
 	sp.Set("fragments_after", res.FragmentsAfter)
@@ -125,61 +115,42 @@ func (d *DB) relocateSet(rec version.SetRecord, files []*version.FileMeta, level
 	}
 	msp := d.journal.Begin("set_migration", parent)
 	msp.Set("set", int64(rec.ID))
-	// Read the members in physical order (one sequential pass over
-	// the old extent).
-	sorted := append([]*version.FileMeta(nil), files...)
-	sort.Slice(sorted, func(i, j int) bool {
-		ei, _ := d.backend.FileExtent(sorted[i].Num)
-		ej, _ := d.backend.FileExtent(sorted[j].Num)
-		return ei.Off < ej.Off
-	})
-	nums := make([]uint64, len(sorted))
-	datas := make([][]byte, len(sorted))
-	var moved int64
-	for i, f := range sorted {
-		size, err := d.backend.FileSize(f.Num)
-		if err != nil {
-			return 0, err
-		}
-		buf := make([]byte, size)
-		if _, err := d.backend.ReadFileAt(f.Num, buf, 0); err != nil && err != io.EOF {
-			return 0, err
-		}
-		nums[i] = f.Num
-		datas[i] = buf
-		moved += size
+	// One sequential pass over the old extent.
+	files, datas, err := d.readWhole(files)
+	if err != nil {
+		return 0, err
 	}
 
 	// Drop the old placements (grouped: mapping only), then write the
 	// group to fresh space and install the new set record.
-	for _, f := range sorted {
+	nums := make([]uint64, len(files))
+	var moved int64
+	for i, f := range files {
+		nums[i] = f.Num
+		moved += int64(len(datas[i]))
 		d.sets.fileInvalid(f.Num)
 		d.dropTable(f.Num)
 		if err := d.backend.Remove(f.Num); err != nil {
 			return 0, err
 		}
 	}
-	ext, grouped, err := d.backend.WriteGroup(nums, datas)
+	newRec, err := d.writeSet(d.vs.NewFileNum(), nums, datas)
 	if err != nil {
 		return 0, err
 	}
-	if !grouped {
+	if newRec == nil {
 		return 0, fmt.Errorf("lsm: relocation backend refused group placement")
 	}
-	newID := d.vs.NewFileNum()
-	newRec := version.SetRecord{ID: newID, Off: ext.Off, Len: ext.Len, Members: len(nums)}
-	d.sets.register(newRec, nums)
-	d.surfaceClaim(ext.Off, newID, moved)
 
 	// One atomic edit: retire the old set, introduce the new one, and
 	// repoint every member's SetID.
 	edit := &version.Edit{
 		DropSets: []uint64{rec.ID},
-		NewSets:  []version.SetRecord{newRec},
+		NewSets:  []version.SetRecord{*newRec},
 	}
-	for _, f := range sorted {
+	for _, f := range files {
 		nf := *f
-		nf.SetID = newID
+		nf.SetID = newRec.ID
 		lvl := levelOf[f.Num]
 		edit.Deleted = append(edit.Deleted, version.DeletedFile{Level: lvl, Num: f.Num})
 		edit.Added = append(edit.Added, version.AddedFile{Level: lvl, Meta: &nf})
@@ -190,9 +161,9 @@ func (d *DB) relocateSet(rec version.SetRecord, files []*version.FileMeta, level
 	if err := d.backend.FreeExtent(storage.Extent{Off: rec.Off, Len: rec.Len}); err != nil {
 		return 0, err
 	}
-	d.stats.GCMoves++
-	d.stats.GCBytes += moved
-	msp.Set("new_set", int64(newID))
+	d.metrics.bandGCMoves.Inc()
+	d.metrics.bandGCBytes.Add(moved)
+	msp.Set("new_set", int64(newRec.ID))
 	msp.Set("bytes", moved)
 	msp.Set("members", int64(len(nums)))
 	msp.End()

@@ -132,28 +132,7 @@ func (d *DB) CompactRange(lo, hi []byte) error {
 			if len(files) == 0 {
 				break
 			}
-			c := &compaction{level: level, outLevel: level + 1}
-			c.inputs0 = files
-			if level == 0 {
-				// Grow to the L0 overlap fixpoint as pickCompaction does.
-				smallest, largest := keyRange(c.inputs0)
-				for {
-					grown := v.Overlaps(0, smallest, largest, false)
-					if len(grown) == len(c.inputs0) {
-						break
-					}
-					c.inputs0 = grown
-					smallest, largest = keyRange(grown)
-				}
-			}
-			rlo, rhi := keyRange(c.inputs0)
-			c.inputs1 = v.Overlaps(c.outLevel, rlo, rhi, d.cfg.sortedLevel(c.outLevel))
-			if d.cfg.Mode == ModeSMRDB && len(c.inputs1) > d.cfg.MaxCompactionFiles {
-				c.inputs1 = c.inputs1[:d.cfg.MaxCompactionFiles]
-			}
-			if len(c.inputs0) == 1 && len(c.inputs1) == 0 {
-				c.trivial = true
-			}
+			c := d.buildCompaction(v, level, files)
 			if err := d.runCompaction(c); err != nil {
 				return d.failWrite(err)
 			}
@@ -163,10 +142,7 @@ func (d *DB) CompactRange(lo, hi []byte) error {
 			break
 		}
 	}
-	if err := d.compactUntilBalanced(); err != nil {
-		return d.failWrite(err)
-	}
-	return nil
+	return d.failWrite(d.compactUntilBalanced())
 }
 
 // VerifyIntegrity walks the whole store and checks every invariant it
@@ -200,7 +176,7 @@ func (d *DB) VerifyIntegrity() error {
 			return err
 		}
 	}
-	if err := d.verifyExtents(v); err != nil {
+	if err := d.verifyExtents(); err != nil {
 		return err
 	}
 	return d.verifySurfaceLocked()
@@ -245,11 +221,11 @@ func (d *DB) verifyVlog(v *version.Version) error {
 		if ik.Kind() != kv.KindSet || len(stored) == 0 || stored[0] != vlogTagPtr {
 			return nil
 		}
-		serving, _, ok, err := d.getStoredLocked(ik.UserKey())
+		serving, kind, _, found, err := d.lookup(ik.UserKey(), d.seq, nil)
 		if err != nil {
 			return err
 		}
-		if !ok || !bytes.Equal(serving, stored) {
+		if !found || kind != kv.KindSet || !bytes.Equal(serving, stored) {
 			return nil // shadowed version: its record may be collected
 		}
 		p, err := vlog.DecodePointer(stored[1:])
@@ -380,33 +356,43 @@ func (d *DB) verifySets(v *version.Version) error {
 	return nil
 }
 
-// verifyExtents checks physical space accounting: every owned extent
-// — non-grouped backend files, live set extents, and extents pending
-// deferred reclamation — must be pairwise disjoint (no double
-// allocation), and in SEALDB mode their total must equal exactly
-// what the dynamic band manager has allocated (no leak) with none of
-// them landing in its free space. Caller holds d.mu.
-func (d *DB) verifyExtents(v *version.Version) error {
-	type span struct {
-		off, end int64
-		what     string
-	}
-	var spans []span
+// ownedExtent is one extent the store owns on the device.
+type ownedExtent struct {
+	off, end int64
+	what     string
+}
+
+// ownedExtents lists, in address order, every extent the store owns:
+// non-grouped backend files, live set extents, and extents pending
+// deferred reclamation. Recovery reconciles the allocator against it;
+// fsck checks it for overlap and leaks. Caller holds d.mu.
+func (d *DB) ownedExtents() []ownedExtent {
+	var spans []ownedExtent
 	for _, fr := range d.backend.Files() {
 		if fr.Grouped {
 			continue // covered by its set extent
 		}
-		spans = append(spans, span{fr.Extent.Off, fr.Extent.End(), fmt.Sprintf("file %d", fr.Num)})
+		spans = append(spans, ownedExtent{fr.Extent.Off, fr.Extent.End(), fmt.Sprintf("file %d", fr.Num)})
 	}
 	for id, rec := range d.vs.Sets() {
-		spans = append(spans, span{rec.Off, rec.Off + rec.Len, fmt.Sprintf("set %d", id)})
+		spans = append(spans, ownedExtent{rec.Off, rec.Off + rec.Len, fmt.Sprintf("set %d", id)})
 	}
 	for _, pr := range d.reclaims {
 		for _, ext := range pr.extents {
-			spans = append(spans, span{ext.Off, ext.End(), "pending reclaim"})
+			spans = append(spans, ownedExtent{ext.Off, ext.End(), "pending reclaim"})
 		}
 	}
 	sort.Slice(spans, func(i, j int) bool { return spans[i].off < spans[j].off })
+	return spans
+}
+
+// verifyExtents checks physical space accounting: every owned extent
+// must be pairwise disjoint (no double allocation), and in SEALDB mode
+// their total must equal exactly what the dynamic band manager has
+// allocated (no leak) with none of them landing in its free space.
+// Caller holds d.mu.
+func (d *DB) verifyExtents() error {
+	spans := d.ownedExtents()
 	var total int64
 	for i, sp := range spans {
 		total += sp.end - sp.off
@@ -437,8 +423,7 @@ func (d *DB) verifyExtents(v *version.Version) error {
 
 // verifySurfaceLocked reconciles the storage-surface observatory's
 // incrementally maintained band accounting against the extent table:
-// the observatory must track exactly the owned extents (non-grouped
-// backend files, live set extents, pending reclaims), its physical
+// the observatory must track exactly the owned extents, its physical
 // total must equal the allocator's, its incremental per-band alloc
 // counters must equal a fresh recomputation from its extent map, and
 // every extent's dead bytes must fit inside the extent. Caller holds
@@ -451,19 +436,8 @@ func (d *DB) verifySurfaceLocked() error {
 
 	// The fresh scan: the same span set verifyExtents checks.
 	want := map[int64]int64{}
-	for _, fr := range d.backend.Files() {
-		if fr.Grouped {
-			continue
-		}
-		want[fr.Extent.Off] = fr.Extent.Len
-	}
-	for _, rec := range d.vs.Sets() {
-		want[rec.Off] = rec.Len
-	}
-	for _, pr := range d.reclaims {
-		for _, ext := range pr.extents {
-			want[ext.Off] = ext.Len
-		}
+	for _, sp := range d.ownedExtents() {
+		want[sp.off] = sp.end - sp.off
 	}
 
 	exts := s.extents()
@@ -480,17 +454,7 @@ func (d *DB) verifySurfaceLocked() error {
 			return fmt.Errorf("surface extent [%d,%d) has dead bytes %d outside [0,%d]", e.Off, e.Off+e.Len, e.Dead, e.Len)
 		}
 		phys += e.Len
-		end := e.Off + e.Len
-		for b := e.Off / s.stride; b*s.stride < end; b++ {
-			lo, hi := b*s.stride, (b+1)*s.stride
-			if e.Off > lo {
-				lo = e.Off
-			}
-			if end < hi {
-				hi = end
-			}
-			bands[b] += hi - lo
-		}
+		s.eachBand(e.Off, e.Len, func(b, overlap int64) { bands[b] += overlap })
 	}
 	gotPhys, gotDead := s.totals()
 	if gotPhys != phys {

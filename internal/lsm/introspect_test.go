@@ -227,8 +227,8 @@ func TestTableCacheBounded(t *testing.T) {
 	if n := len(d.tables); n > 8+1 {
 		t.Errorf("table cache holds %d readers, bound 8", n)
 	}
-	if len(d.tableLRU) != len(d.tables) {
-		t.Errorf("LRU list %d entries vs %d tables", len(d.tableLRU), len(d.tables))
+	if d.tableLRU.Len() != len(d.tables) {
+		t.Errorf("LRU list %d entries vs %d tables", d.tableLRU.Len(), len(d.tables))
 	}
 	// Everything still readable after heavy eviction (readers reopen).
 	verifyAll(t, d, ref)

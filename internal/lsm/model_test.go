@@ -5,8 +5,124 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
+
+	"sealdb/internal/kv"
 )
+
+// modelOpKind enumerates the operations of the random schedule.
+type modelOpKind int
+
+const (
+	modelNop modelOpKind = iota // a draw whose precondition did not hold
+	modelPut
+	modelDelete
+	modelBatch
+	modelGet
+	modelScan
+	modelSnapshot
+	modelSnapCheck // probe a held snapshot, then release it
+	modelCompact
+	modelGC // band defragmentation, where the mode has dynamic bands
+	modelReopen
+)
+
+// modelMut is one mutation: a put or (del) a delete.
+type modelMut struct {
+	k, v string
+	del  bool
+}
+
+// modelOp is one step of the schedule. Put, delete, get and scan use
+// k (and v); a batch carries muts; a snapshot check names which held
+// snapshot (snap) to probe with which keys.
+type modelOp struct {
+	kind modelOpKind
+	k, v string
+	muts []modelMut
+	snap int
+	keys []string
+}
+
+// modelGen generates the random schedule of puts, deletes, batches,
+// gets, scans, snapshots, reopens, manual compactions and GC passes.
+// It is a pure function of its seed — it tracks how many snapshots
+// the schedule holds itself — so the same stream can be replayed
+// against any number of stores.
+type modelGen struct {
+	rng   *rand.Rand
+	step  int
+	snaps int
+}
+
+func newModelGen(seed int64) *modelGen {
+	return &modelGen{rng: rand.New(rand.NewSource(seed))}
+}
+
+func (g *modelGen) key() string { return fmt.Sprintf("mk%06d", g.rng.Intn(3000)) }
+
+func (g *modelGen) next() modelOp {
+	step := g.step
+	g.step++
+	switch op := g.rng.Intn(100); {
+	case op < 45:
+		k := g.key()
+		return modelOp{kind: modelPut, k: k, v: fmt.Sprintf("v%d-%d", step, g.rng.Int63())}
+	case op < 55:
+		return modelOp{kind: modelDelete, k: g.key()}
+	case op < 62: // batch of mixed ops
+		var muts []modelMut
+		for i := 0; i < 1+g.rng.Intn(20); i++ {
+			k := g.key()
+			if g.rng.Intn(4) == 0 {
+				muts = append(muts, modelMut{k: k, del: true})
+			} else {
+				muts = append(muts, modelMut{k: k, v: fmt.Sprintf("b%d-%d", step, i)})
+			}
+		}
+		return modelOp{kind: modelBatch, muts: muts}
+	case op < 80:
+		return modelOp{kind: modelGet, k: g.key()}
+	case op < 85:
+		return modelOp{kind: modelScan, k: g.key()}
+	case op < 88:
+		if g.snaps < 3 {
+			g.snaps++
+			return modelOp{kind: modelSnapshot}
+		}
+	case op < 92:
+		if g.snaps > 0 {
+			o := modelOp{kind: modelSnapCheck, snap: g.rng.Intn(g.snaps)}
+			for j := 0; j < 5; j++ {
+				o.keys = append(o.keys, g.key())
+			}
+			g.snaps--
+			return o
+		}
+	case op < 94:
+		return modelOp{kind: modelCompact}
+	case op < 96:
+		return modelOp{kind: modelGC}
+	default: // drops snapshots, which do not survive restarts
+		g.snaps = 0
+		return modelOp{kind: modelReopen}
+	}
+	return modelOp{kind: modelNop}
+}
+
+// batch builds the engine batch of a modelBatch op.
+func (o modelOp) batch() *Batch {
+	b := NewBatch()
+	for _, m := range o.muts {
+		if m.del {
+			b.Delete([]byte(m.k))
+		} else {
+			b.Put([]byte(m.k), []byte(m.v))
+		}
+	}
+	return b
+}
 
 // TestModelBasedRandomOps drives a long random schedule of puts,
 // deletes, batches, gets, scans, snapshots, reopens, manual
@@ -29,61 +145,40 @@ func testModelBasedRandomOps(t *testing.T, mode Mode) {
 	}
 	defer func() { d.Close() }()
 
-	rng := rand.New(rand.NewSource(int64(mode)*977 + 5))
+	gen := newModelGen(int64(mode)*977 + 5)
 	model := map[string]string{}
 	type snap struct {
 		s     *Snapshot
 		state map[string]string
 	}
 	var snaps []snap
-	keyOf := func() string { return fmt.Sprintf("mk%06d", rng.Intn(3000)) }
 
 	const steps = 6000
 	for step := 0; step < steps; step++ {
-		switch op := rng.Intn(100); {
-		case op < 45: // put
-			k := keyOf()
-			v := fmt.Sprintf("v%d-%d", step, rng.Int63())
-			if err := d.Put([]byte(k), []byte(v)); err != nil {
+		switch op := gen.next(); op.kind {
+		case modelPut:
+			if err := d.Put([]byte(op.k), []byte(op.v)); err != nil {
 				t.Fatalf("step %d put: %v", step, err)
 			}
-			model[k] = v
-		case op < 55: // delete
-			k := keyOf()
-			if err := d.Delete([]byte(k)); err != nil {
+			model[op.k] = op.v
+		case modelDelete:
+			if err := d.Delete([]byte(op.k)); err != nil {
 				t.Fatalf("step %d delete: %v", step, err)
 			}
-			delete(model, k)
-		case op < 62: // batch of mixed ops
-			b := NewBatch()
-			type pend struct {
-				k, v string
-				del  bool
-			}
-			var pends []pend
-			for i := 0; i < 1+rng.Intn(20); i++ {
-				k := keyOf()
-				if rng.Intn(4) == 0 {
-					b.Delete([]byte(k))
-					pends = append(pends, pend{k: k, del: true})
-				} else {
-					v := fmt.Sprintf("b%d-%d", step, i)
-					b.Put([]byte(k), []byte(v))
-					pends = append(pends, pend{k: k, v: v})
-				}
-			}
-			if err := d.Apply(b); err != nil {
+			delete(model, op.k)
+		case modelBatch:
+			if err := d.Apply(op.batch()); err != nil {
 				t.Fatalf("step %d batch: %v", step, err)
 			}
-			for _, p := range pends {
-				if p.del {
-					delete(model, p.k)
+			for _, m := range op.muts {
+				if m.del {
+					delete(model, m.k)
 				} else {
-					model[p.k] = p.v
+					model[m.k] = m.v
 				}
 			}
-		case op < 80: // get
-			k := keyOf()
+		case modelGet:
+			k := op.k
 			got, err := d.Get([]byte(k))
 			want, ok := model[k]
 			if ok {
@@ -93,8 +188,8 @@ func testModelBasedRandomOps(t *testing.T, mode Mode) {
 			} else if err != ErrNotFound {
 				t.Fatalf("step %d get(%q) = (%q, %v), want ErrNotFound", step, k, got, err)
 			}
-		case op < 85: // short scan vs model
-			start := keyOf()
+		case modelScan: // short scan vs model
+			start := op.k
 			got, err := d.Scan([]byte(start), 10)
 			if err != nil {
 				t.Fatalf("step %d scan: %v", step, err)
@@ -117,43 +212,37 @@ func testModelBasedRandomOps(t *testing.T, mode Mode) {
 					t.Fatalf("step %d scan(%q)[%d] = %q, want %q", step, start, i, got[i].Key, keys[i])
 				}
 			}
-		case op < 88: // take a snapshot
-			if len(snaps) < 3 {
-				st := make(map[string]string, len(model))
-				for k, v := range model {
-					st[k] = v
-				}
-				snaps = append(snaps, snap{s: d.NewSnapshot(), state: st})
+		case modelSnapshot:
+			st := make(map[string]string, len(model))
+			for k, v := range model {
+				st[k] = v
 			}
-		case op < 92: // check + release a snapshot
-			if len(snaps) > 0 {
-				i := rng.Intn(len(snaps))
-				sn := snaps[i]
-				for j := 0; j < 5; j++ {
-					k := keyOf()
-					got, err := d.GetAt([]byte(k), sn.s)
-					want, ok := sn.state[k]
-					if ok && (err != nil || string(got) != want) {
-						t.Fatalf("step %d snapshot get(%q) = (%q, %v), want %q", step, k, got, err, want)
-					}
-					if !ok && err != ErrNotFound {
-						t.Fatalf("step %d snapshot get(%q) err = %v, want ErrNotFound", step, k, err)
-					}
+			snaps = append(snaps, snap{s: d.NewSnapshot(), state: st})
+		case modelSnapCheck:
+			sn := snaps[op.snap]
+			for _, k := range op.keys {
+				got, err := d.GetAt([]byte(k), sn.s)
+				want, ok := sn.state[k]
+				if ok && (err != nil || string(got) != want) {
+					t.Fatalf("step %d snapshot get(%q) = (%q, %v), want %q", step, k, got, err, want)
 				}
-				sn.s.Release()
-				snaps = append(snaps[:i], snaps[i+1:]...)
+				if !ok && err != ErrNotFound {
+					t.Fatalf("step %d snapshot get(%q) err = %v, want ErrNotFound", step, k, err)
+				}
 			}
-		case op < 94: // manual compaction
+			sn.s.Release()
+			snaps = append(snaps[:op.snap], snaps[op.snap+1:]...)
+		case modelCompact:
 			if err := d.CompactRange(nil, nil); err != nil {
 				t.Fatalf("step %d compact: %v", step, err)
 			}
-		case op < 96: // GC pass (sealdb only)
+		case modelGC: // sealdb only
 			if mode == ModeSEALDB {
 				if _, err := d.DefragmentBands(2); err != nil {
 					t.Fatalf("step %d gc: %v", step, err)
 				}
 			}
-		default: // reopen (drops snapshots, which do not survive restarts)
+		case modelReopen:
 			for _, sn := range snaps {
 				sn.s.Release()
 			}
@@ -244,5 +333,132 @@ func TestIteratorSnapshotStability(t *testing.T) {
 	}
 	if count != 500 {
 		t.Fatalf("iterator saw %d keys, want the original 500", count)
+	}
+}
+
+// TestCrossModeDifferential replays one random schedule through all
+// four modes, each with values stored inline and with key–value
+// separation, and requires identical visible state from every store:
+// every Get, GetAt(snapshot), Scan and ScanReverse along the way, the
+// full forward and reverse scans at the end, and a clean
+// VerifyIntegrity. The layouts differ as much as the engine allows —
+// sorted levels, SMRDB's overlapped level, sets, pointer and inline
+// values — so it exercises the one lookup and the one commit path
+// through all of them in one place.
+func TestCrossModeDifferential(t *testing.T) {
+	type store struct {
+		name  string
+		cfg   Config
+		d     *DB
+		snaps []*Snapshot
+	}
+	var stores []*store
+	for _, mode := range allModes() {
+		for _, vlog := range []bool{false, true} {
+			cfg, name := tinyConfig(mode), mode.String()
+			if mode == ModeSMRDB {
+				// Small bands (hence tables) and the tightest legal
+				// fan-in cap leave SMRDB's overlapped level holding
+				// several versions of a key across files.
+				cfg.BandSize = 16 * kv.KiB
+				cfg.MaxCompactionFiles = 2
+			}
+			if vlog {
+				// Put values ("v<step>-<int63>") separate; the short
+				// batch values stay inline.
+				cfg.ValueThreshold = 20
+				cfg.VlogSegSize = 4 * kv.KiB
+				name += "+vlog"
+			}
+			d, err := Open(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			s := &store{name: name, cfg: cfg, d: d}
+			defer func() { s.d.Close() }()
+			stores = append(stores, s)
+		}
+	}
+
+	showKVs := func(kvs []KV, err error) string {
+		var sb strings.Builder
+		fmt.Fprintf(&sb, "%v:", err)
+		for _, e := range kvs {
+			fmt.Fprintf(&sb, " %s=%s", e.Key, e.Value)
+		}
+		return sb.String()
+	}
+	// apply runs op on one store and returns what a client could see.
+	apply := func(s *store, step int, op modelOp) string {
+		var err error
+		switch op.kind {
+		case modelPut:
+			err = s.d.Put([]byte(op.k), []byte(op.v))
+		case modelDelete:
+			err = s.d.Delete([]byte(op.k))
+		case modelBatch:
+			err = s.d.Apply(op.batch())
+		case modelGet:
+			v, err := s.d.Get([]byte(op.k))
+			return fmt.Sprintf("%q %v", v, err)
+		case modelScan:
+			return showKVs(s.d.Scan([]byte(op.k), 10)) + " | " + showKVs(s.d.ScanReverse([]byte(op.k), 10))
+		case modelSnapshot:
+			s.snaps = append(s.snaps, s.d.NewSnapshot())
+		case modelSnapCheck:
+			var sb strings.Builder
+			for _, k := range op.keys {
+				v, err := s.d.GetAt([]byte(k), s.snaps[op.snap])
+				fmt.Fprintf(&sb, "%q %v;", v, err)
+			}
+			s.snaps[op.snap].Release()
+			s.snaps = append(s.snaps[:op.snap], s.snaps[op.snap+1:]...)
+			return sb.String()
+		case modelCompact:
+			// A quarter of the keyspace at a time, so the tree keeps
+			// files at several depths instead of settling into one.
+			lo := step % 4 * 750
+			err = s.d.CompactRange([]byte(fmt.Sprintf("mk%06d", lo)), []byte(fmt.Sprintf("mk%06d", lo+749)))
+		case modelGC:
+			if s.cfg.Mode == ModeSEALDB {
+				_, err = s.d.DefragmentBands(2)
+			}
+		case modelReopen:
+			for _, sn := range s.snaps {
+				sn.Release()
+			}
+			s.snaps = nil
+			dev := s.d.Device()
+			if err = s.d.Close(); err == nil {
+				s.d, err = OpenDevice(s.cfg, dev)
+			}
+		}
+		if err != nil {
+			t.Fatalf("step %d on %s: %v", step, s.name, err)
+		}
+		return ""
+	}
+	agree := func(what string, see func(s *store) string) {
+		t.Helper()
+		want := see(stores[0])
+		for _, s := range stores[1:] {
+			if got := see(s); got != want {
+				t.Fatalf("%s: %s sees\n  %s\nbut %s sees\n  %s", what, s.name, got, stores[0].name, want)
+			}
+		}
+	}
+
+	gen := newModelGen(4242)
+	const steps = 4000
+	for step := 0; step < steps; step++ {
+		op := gen.next()
+		agree(fmt.Sprintf("step %d (%+v)", step, op), func(s *store) string { return apply(s, step, op) })
+	}
+	agree("final forward scan", func(s *store) string { return showKVs(s.d.Scan(nil, 1<<20)) })
+	agree("final reverse scan", func(s *store) string { return showKVs(s.d.ScanReverse(nil, 1<<20)) })
+	for _, s := range stores {
+		if err := s.d.VerifyIntegrity(); err != nil {
+			t.Errorf("%s: VerifyIntegrity: %v", s.name, err)
+		}
 	}
 }

@@ -74,9 +74,7 @@ type dbMetrics struct {
 // OpenDevice, before recovery (so recovery flushes are journaled).
 func (d *DB) initObs() {
 	d.reg = obs.NewRegistry()
-	d.journal = obs.NewJournal(d.cfg.journalCapacity(), func() int64 {
-		return int64(d.disk.Stats().BusyTime)
-	})
+	d.journal = obs.NewJournal(d.cfg.journalCapacity(), d.deviceNow)
 
 	m := &d.metrics
 	m.writes = d.reg.Counter("sealdb_writes_total")
@@ -347,19 +345,26 @@ func (d *DB) registerGauges() {
 	}
 }
 
-// retryDrive finds the retry middleware in the drive chain, if any.
-func (d *DB) retryDrive() *smr.RetryDrive {
-	drv := d.drive
-	for {
-		if rd, ok := drv.(*smr.RetryDrive); ok {
-			return rd
+// driveLayer finds the outermost layer of the drive chain that is a T
+// (a concrete middleware type, or an interface a middleware offers).
+func driveLayer[T any](drv smr.Drive) (layer T, ok bool) {
+	for drv != nil {
+		if layer, ok = drv.(T); ok {
+			return layer, true
 		}
-		u, ok := drv.(smr.Unwrapper)
-		if !ok {
-			return nil
+		u, wraps := drv.(smr.Unwrapper)
+		if !wraps {
+			break
 		}
 		drv = u.Unwrap()
 	}
+	return layer, false
+}
+
+// retryDrive finds the retry middleware in the drive chain, if any.
+func (d *DB) retryDrive() *smr.RetryDrive {
+	rd, _ := driveLayer[*smr.RetryDrive](d.drive)
+	return rd
 }
 
 // installDeviceObservers journals the device-stack events the
@@ -394,7 +399,7 @@ func (d *DB) installDeviceObservers() {
 			case "free":
 				d.surface.free(e.Off)
 			default: // alloc_append, alloc_insert
-				d.surface.alloc(e.Off, e.Len, int64(d.disk.Stats().BusyTime))
+				d.surface.alloc(e.Off, e.Len, d.deviceNow())
 			}
 		})
 	}
@@ -454,17 +459,8 @@ func (d *DB) FaultProfile() FaultProfile {
 	}
 	// A fault injector anywhere in the drive chain exposes its
 	// counters without lsm importing the injection package.
-	drv := d.drive
-	for drv != nil {
-		if fi, ok := drv.(interface{ FaultStats() map[string]int64 }); ok {
-			p.Injected = fi.FaultStats()
-			break
-		}
-		u, ok := drv.(smr.Unwrapper)
-		if !ok {
-			break
-		}
-		drv = u.Unwrap()
+	if fi, ok := driveLayer[interface{ FaultStats() map[string]int64 }](d.drive); ok {
+		p.Injected = fi.FaultStats()
 	}
 	return p
 }

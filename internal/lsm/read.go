@@ -8,156 +8,120 @@ import (
 
 // Get returns the value of key at the latest sequence number.
 func (d *DB) Get(key []byte) ([]byte, error) {
-	return d.GetCtx(key, OpContext{})
+	return d.get(key, nil, 0)
 }
 
 // GetCtx is Get carrying a request context: when tracing is enabled,
 // the lookup's physical I/Os and per-level stage times are attributed
 // to ctx.ReqID. With tracing off it is exactly Get.
 func (d *DB) GetCtx(key []byte, ctx OpContext) ([]byte, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return nil, ErrClosed
-	}
-	ot := d.traceBegin("get", ctx.ReqID)
-	v, err := d.getObserved(key, d.seq, ot)
-	d.traceEnd(ot, err)
-	return v, err
+	return d.get(key, nil, ctx.ReqID)
 }
 
 // GetAt returns the value of key as of the given snapshot.
 func (d *DB) GetAt(key []byte, snap *Snapshot) ([]byte, error) {
+	return d.get(key, snap, 0)
+}
+
+// get is the user read, at snap or (nil) the latest sequence number:
+// the shared lookup, the one hit epilogue (resolve or copy the stored
+// value), and the read-path metrics — a count, a hit count, and the
+// simulated device time the read consumed.
+func (d *DB) get(key []byte, snap *Snapshot, reqID uint64) ([]byte, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return nil, ErrClosed
 	}
-	ot := d.traceBegin("get", 0)
-	v, err := d.getObserved(key, snap.seq, ot)
-	d.traceEnd(ot, err)
-	return v, err
-}
-
-// getObserved wraps getLocked with the read-path metrics: a count, a
-// hit count, and the simulated device time the lookup consumed.
-// Caller holds d.mu; ot may be nil (tracing off).
-func (d *DB) getObserved(key []byte, seq kv.SeqNum, ot *opTrace) ([]byte, error) {
-	startBusy := d.disk.Stats().BusyTime
-	v, err := d.getLocked(key, seq, ot)
+	seq := d.seq
+	if snap != nil {
+		seq = snap.seq
+	}
+	ot := d.traceBegin("get", reqID)
+	startBusy := d.deviceNow()
+	var v []byte
+	stored, kind, file, found, err := d.lookup(key, seq, ot)
+	switch {
+	case err != nil:
+	case !found || kind == kv.KindDelete:
+		err = ErrNotFound
+	case file != 0 && !d.cfg.vlogEnabled():
+		v = stored // a table read already handed out a private copy
+	default:
+		v, err = d.resolveValue(stored)
+	}
 	d.metrics.gets.Inc()
 	if err == nil {
 		d.metrics.getHits.Inc()
 	}
-	d.metrics.readLatency.Observe(int64(d.disk.Stats().BusyTime - startBusy))
+	d.metrics.readLatency.Observe(d.deviceNow() - startBusy)
+	d.traceEnd(ot, err)
 	return v, err
 }
 
-// getLocked is the LevelDB read path: memtable, then level 0 newest
-// to oldest, then each deeper level. Caller holds d.mu; ot may be nil.
-func (d *DB) getLocked(key []byte, seq kv.SeqNum, ot *opTrace) ([]byte, error) {
-	d.stats.Gets++
+// lookup is the engine's one point-read traversal, the LevelDB read
+// path: memtable, then level 0 newest to oldest, then each deeper
+// level. It returns the newest entry for key visible at seq as stored
+// in the tree (value-log tag byte and all), its kind, and the number
+// of the SSTable that served it (0 for a memtable hit). User reads,
+// the value-log collector and fsck all go through it, so they probe
+// the same files in the same order. Caller holds d.mu; ot may be nil.
+func (d *DB) lookup(key []byte, seq kv.SeqNum, ot *opTrace) (stored []byte, kind kv.Kind, file uint64, found bool, err error) {
 	si := ot.stageStart(stageReadMemtable, d.traceNow(ot))
-	if v, deleted, ok := d.mem.Get(key, seq); ok {
-		ot.stageEnd(si, d.traceNow(ot), d.metrics.stageReadMemNS)
-		if deleted {
-			return nil, ErrNotFound
-		}
-		d.stats.GetHits++
-		if d.cfg.vlogEnabled() {
-			return d.resolveValue(v)
-		}
-		return append([]byte(nil), v...), nil
-	}
+	v, deleted, hit := d.mem.Get(key, seq)
 	ot.stageEnd(si, d.traceNow(ot), d.metrics.stageReadMemNS)
-	v := d.vs.Current()
-
-	// Level 0: files may overlap; newest (highest number) wins.
-	// Flush order guarantees file-number order is data recency order.
-	files := v.Files[0]
-	if len(files) > 0 {
-		si = ot.stageStart(d.tracer.readStages[0], d.traceNow(ot))
+	if hit {
+		if deleted {
+			return nil, kv.KindDelete, 0, true, nil
+		}
+		return v, kv.KindSet, 0, true, nil
 	}
-	for i := len(files) - 1; i >= 0; i-- {
-		f := files[i]
-		if !fileMayContain(f, key) {
-			continue
-		}
-		val, _, kind, ok, err := d.tableGet(f, key, seq)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			ot.stageEnd(si, d.traceNow(ot), d.metrics.stageReadLevel[0])
-			if kind == kv.KindDelete {
-				return nil, ErrNotFound
+	cur := d.vs.Current()
+	for level := 0; level < d.cfg.NumLevels; level++ {
+		// Level 0 files may overlap, so every one is a candidate, and
+		// flush order makes file-number order data recency order: probe
+		// newest first and stop at the first hit. A sorted level has at
+		// most one file that can contain the key. An overlapped level
+		// (SMRDB) may hold several versions; the highest visible
+		// sequence number wins, so every candidate is probed.
+		sorted := d.cfg.sortedLevel(level)
+		files := cur.Files[0]
+		if level > 0 {
+			files = cur.Overlaps(level, key, key, sorted)
+			if sorted && len(files) > 1 {
+				files = files[:1]
 			}
-			d.stats.GetHits++
-			if d.cfg.vlogEnabled() {
-				return d.resolveValue(val)
-			}
-			return val, nil
 		}
-	}
-	if len(files) > 0 {
-		ot.stageEnd(si, d.traceNow(ot), d.metrics.stageReadLevel[0])
-	}
-
-	for level := 1; level < d.cfg.NumLevels; level++ {
-		candidates := v.Overlaps(level, key, key, d.cfg.sortedLevel(level))
-		if len(candidates) == 0 {
+		if len(files) == 0 {
 			continue
 		}
 		si = ot.stageStart(d.tracer.readStages[level], d.traceNow(ot))
-		if d.cfg.sortedLevel(level) {
-			// At most one file can contain the key.
-			val, _, kind, ok, err := d.tableGet(candidates[0], key, seq)
-			if err != nil {
-				return nil, err
-			}
-			ot.stageEnd(si, d.traceNow(ot), d.metrics.stageReadLevel[level])
-			if ok {
-				if kind == kv.KindDelete {
-					return nil, ErrNotFound
+		var bestSeq kv.SeqNum
+		for i := range files {
+			f := files[i]
+			if level == 0 {
+				f = files[len(files)-1-i]
+				if !fileMayContain(f, key) {
+					continue
 				}
-				d.stats.GetHits++
-				if d.cfg.vlogEnabled() {
-					return d.resolveValue(val)
-				}
-				return val, nil
 			}
-			continue
-		}
-		// Overlapped level (SMRDB): several files may hold versions
-		// of the key; the highest visible sequence number wins.
-		var (
-			best     []byte
-			bestSeq  kv.SeqNum
-			bestKind kv.Kind
-			found    bool
-		)
-		for _, f := range candidates {
-			val, fseq, kind, ok, err := d.tableGet(f, key, seq)
+			val, fseq, k, ok, err := d.tableGet(f, key, seq)
 			if err != nil {
-				return nil, err
+				return nil, 0, 0, false, err
 			}
 			if ok && (!found || fseq > bestSeq) {
-				best, bestSeq, bestKind, found = val, fseq, kind, true
+				stored, bestSeq, kind, file, found = val, fseq, k, f.Num, true
+			}
+			if found && level == 0 {
+				break
 			}
 		}
 		ot.stageEnd(si, d.traceNow(ot), d.metrics.stageReadLevel[level])
 		if found {
-			if bestKind == kv.KindDelete {
-				return nil, ErrNotFound
-			}
-			d.stats.GetHits++
-			if d.cfg.vlogEnabled() {
-				return d.resolveValue(best)
-			}
-			return best, nil
+			return stored, kind, file, true, nil
 		}
 	}
-	return nil, ErrNotFound
+	return nil, 0, 0, false, nil
 }
 
 // traceNow returns the device clock for stage bookkeeping, or 0 when

@@ -108,8 +108,6 @@ func (r *setRegistry) rebuild(records map[uint64]version.SetRecord, v *version.V
 			continue
 		}
 		r.register(rec, files)
-		// register assumed all members live; restore the true count.
-		// (rec.Members already reflects the original total.)
 	}
 	return orphans
 }

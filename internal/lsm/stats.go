@@ -57,7 +57,8 @@ type Stats struct {
 	Gets    int64
 	GetHits int64
 
-	// GCMoves and GCBytes count DefragmentBands set relocations.
+	// GCMoves and GCBytes count DefragmentBands set relocations, one
+	// per set actually moved.
 	GCMoves int64
 	GCBytes int64
 
@@ -93,14 +94,14 @@ type Amplification struct {
 	MWA float64 // WA * AWA
 }
 
-// Amplification computes the current amplification figures.
+// Amplification computes the current amplification figures from the
+// engine counters; it takes no engine lock.
 func (d *DB) Amplification() Amplification {
-	d.mu.Lock()
-	st := d.stats
-	d.mu.Unlock()
+	m := &d.metrics
 	a := Amplification{
-		UserBytes:   st.UserBytes,
-		StoreBytes:  st.FlushBytes + st.CompactionWriteBytes + st.VlogAppendBytes + st.VlogGCBytes,
+		UserBytes: m.writeBytes.Value(),
+		StoreBytes: m.flushBytes.Value() + m.compactionWriteBytes.Value() +
+			m.vlogAppendBytes.Value() + m.vlogGCRelocated.Value(),
 		HostBytes:   d.drive.HostBytesWritten(),
 		DeviceBytes: d.disk.Stats().BytesWritten,
 	}
@@ -112,11 +113,30 @@ func (d *DB) Amplification() Amplification {
 	return a
 }
 
-// Stats returns a snapshot of the engine counters.
+// Stats returns a snapshot of the engine counters. The scalars are a
+// view over the obs registry — the one owner of every engine counter —
+// and need no lock; d.mu is taken only to copy the per-job records.
 func (d *DB) Stats() Stats {
+	m := &d.metrics
+	st := Stats{
+		UserBytes:            m.writeBytes.Value(),
+		UserWrites:           m.writes.Value(),
+		FlushCount:           m.flushes.Value(),
+		FlushBytes:           m.flushBytes.Value(),
+		CompactionCount:      m.compactions.Value(),
+		CompactionReadBytes:  m.compactionReadBytes.Value(),
+		CompactionWriteBytes: m.compactionWriteBytes.Value(),
+		TrivialMoves:         m.trivialMoves.Value(),
+		Gets:                 m.gets.Value(),
+		GetHits:              m.getHits.Value(),
+		GCMoves:              m.bandGCMoves.Value(),
+		GCBytes:              m.bandGCBytes.Value(),
+		VlogAppendBytes:      m.vlogAppendBytes.Value(),
+		VlogGCRuns:           m.vlogGCRuns.Value(),
+		VlogGCBytes:          m.vlogGCRelocated.Value(),
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	st := d.stats
-	st.Compactions = append([]CompactionInfo(nil), d.stats.Compactions...)
+	st.Compactions = append([]CompactionInfo(nil), d.compactions...)
 	return st
 }

@@ -94,7 +94,7 @@ func (s *surface) reset() {
 }
 
 // eachBand visits every band a byte range overlaps with the overlap
-// length. Caller holds s.mu.
+// length. It reads only the immutable stride.
 func (s *surface) eachBand(off, length int64, fn func(band, overlap int64)) {
 	end := off + length
 	for b := off / s.stride; b*s.stride < end; b++ {
@@ -495,8 +495,8 @@ func (d *DB) BandProfile() BandProfile {
 	p.Frag = d.dev.DBand.FragProfile()
 	p.Bands = d.surface.rows(d.deviceNow())
 	if d.cfg.vlogEnabled() {
-		p.VlogGCDead = d.cfg.vlogGCDeadRatio()
-		if vic, ok := d.vlog.tab.Victim(p.VlogGCDead); ok {
+		p.VlogGCDead = vlogGCDeadRatio
+		if vic, ok := d.vlog.tab.Victim(vlogGCDeadRatio); ok {
 			p.VlogVictim = vic.Num
 		}
 		for _, seg := range d.vlog.tab.Segments() {
@@ -521,11 +521,9 @@ func (d *DB) SurfaceExtents() []SurfaceExtent {
 }
 
 // surfaceClaim attributes a freshly registered set's group extent and
-// journals the slack charge for the offline replay. Caller holds d.mu.
+// journals the slack charge for the offline replay (nothing is charged,
+// so nothing journaled, with the observatory off). Caller holds d.mu.
 func (d *DB) surfaceClaim(off int64, owner uint64, dataBytes int64) {
-	if !d.surface.enabled {
-		return
-	}
 	if slack := d.surface.claim(off, owner, dataBytes); slack > 0 {
 		d.journal.Record("band_dead", map[string]int64{"off": off, "bytes": slack})
 	}
@@ -534,9 +532,6 @@ func (d *DB) surfaceClaim(off int64, owner uint64, dataBytes int64) {
 // surfaceChargeDead charges dead bytes against the extent at off and
 // journals the charge for the offline replay. Caller holds d.mu.
 func (d *DB) surfaceChargeDead(off, n int64) {
-	if !d.surface.enabled {
-		return
-	}
 	if charged := d.surface.chargeDead(off, n); charged > 0 {
 		d.journal.Record("band_dead", map[string]int64{"off": off, "bytes": charged})
 	}

@@ -31,40 +31,24 @@ type TraceConfig struct {
 	// tree (0 means the default of 128; 1 journals every operation).
 	// Slow operations are always journaled regardless of sampling.
 	SampleEvery int64
-	// SlowOpNS is the slow-op log threshold: any traced operation
-	// consuming at least this much simulated device time has its span
-	// tree journaled (0 means the default of 10ms; negative disables
-	// the slow-op log).
-	SlowOpNS int64
-	// MaxIOsPerOp bounds the attributed I/O records kept per
-	// operation; accesses beyond the bound are still counted in the
-	// operation totals but drop their per-access detail (0 means the
-	// default of 32).
-	MaxIOsPerOp int
 }
+
+const (
+	// traceSlowOpNS is the slow-op log threshold: any traced operation
+	// consuming at least this much simulated device time (10ms) has
+	// its span tree journaled regardless of sampling.
+	traceSlowOpNS = 10_000_000
+	// traceMaxIOsPerOp bounds the attributed I/O records kept per
+	// operation; accesses beyond the bound are still counted in the
+	// operation totals but drop their per-access detail.
+	traceMaxIOsPerOp = 32
+)
 
 func (t *TraceConfig) sampleEvery() int64 {
 	if t.SampleEvery <= 0 {
 		return 128
 	}
 	return t.SampleEvery
-}
-
-func (t *TraceConfig) slowOpNS() int64 {
-	if t.SlowOpNS < 0 {
-		return 0 // disabled
-	}
-	if t.SlowOpNS == 0 {
-		return 10_000_000 // 10ms of device time
-	}
-	return t.SlowOpNS
-}
-
-func (t *TraceConfig) maxIOsPerOp() int {
-	if t.MaxIOsPerOp <= 0 {
-		return 32
-	}
-	return t.MaxIOsPerOp
 }
 
 // Traced-op stage names. Stage spans are journaled as
@@ -104,7 +88,7 @@ type opTrace struct {
 	startNS int64
 	cursor  int64 // reconstructed device clock (see ioRecord)
 
-	ios       []ioRecord // bounded by TraceConfig.MaxIOsPerOp
+	ios       []ioRecord // bounded by traceMaxIOsPerOp
 	truncated int64      // accesses beyond the ios bound
 
 	reads, writes         int64
@@ -159,8 +143,6 @@ type tracer struct {
 	enabled atomic.Bool
 
 	sampleEvery int64
-	slowNS      int64
-	maxIOs      int
 	// cacheStart is the raw-disk offset of the fixed-band drive's
 	// media cache (-1 when the mode's drive has none): accesses at or
 	// beyond it are classified as media-cache hits.
@@ -188,9 +170,7 @@ func (t *tracer) init(d *DB) {
 	t.db = d
 	tc := d.cfg.Trace
 	t.sampleEvery = tc.sampleEvery()
-	t.slowNS = tc.slowOpNS()
-	t.maxIOs = tc.maxIOsPerOp()
-	t.buf.ios = make([]ioRecord, 0, t.maxIOs)
+	t.buf.ios = make([]ioRecord, 0, traceMaxIOsPerOp)
 	t.buf.stages = make([]stageRecord, 0, 8)
 	t.cacheStart = -1
 	if fbd, ok := smr.Base(d.drive).(*smr.FixedBandDrive); ok {
@@ -279,7 +259,7 @@ func (d *DB) traceEnd(ot *opTrace, err error) {
 
 	t.nops++
 	sampled := (t.nops-1)%t.sampleEvery == 0
-	slow := t.slowNS > 0 && endNS-ot.startNS >= t.slowNS
+	slow := endNS-ot.startNS >= traceSlowOpNS
 	if !sampled && !slow {
 		return
 	}

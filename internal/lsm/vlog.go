@@ -28,6 +28,10 @@ const (
 	// byte plus pointer. Separation only ever shrinks tree entries
 	// because validate() requires ValueThreshold to exceed it.
 	vlogPointerLen = 1 + vlog.PointerSize
+
+	// vlogGCDeadRatio is the dead-byte fraction at which a sealed
+	// segment becomes a garbage-collection victim.
+	vlogGCDeadRatio = 0.5
 )
 
 // vlogState is the engine-side driver of the value log: the active
@@ -89,13 +93,9 @@ func (d *DB) vlogRecover() error {
 // clean record prefix, truncates anything after it, and resumes the
 // writer there. Returns the valid length and the torn bytes dropped.
 func (d *DB) vlogReopenActive(num uint64) (int64, int64, error) {
-	limit, err := d.backend.ReservedSize(num)
+	buf, err := d.readReserved(num)
 	if err != nil {
 		return 0, 0, fmt.Errorf("lsm: opening vlog segment %d: %w", num, err)
-	}
-	buf := make([]byte, limit)
-	if _, err := d.backend.ReadReservedAt(num, buf, 0); err != nil && err != io.EOF {
-		return 0, 0, err
 	}
 	s := vlog.NewScanner(num, buf)
 	for s.Next() {
@@ -313,77 +313,19 @@ func (d *DB) vlogChargeDead(dead map[uint64]int64) []version.VlogDeadRecord {
 	return recs
 }
 
-// getStoredLocked returns the latest stored tree value for key — tag
-// byte and all — along with the number of the SSTable that served it
-// (0 for a memtable hit). The collector uses it to check that a
-// segment record is still what the tree points at. Caller holds d.mu.
-func (d *DB) getStoredLocked(key []byte) (stored []byte, file uint64, ok bool, err error) {
-	if v, deleted, hit := d.mem.Get(key, d.seq); hit {
-		if deleted {
-			return nil, 0, false, nil
-		}
-		return v, 0, true, nil
+// vlogServing reports whether the tree's newest live entry for key is
+// a pointer to exactly the segment record p — the collector's test
+// that a record is still live — and the number of the SSTable serving
+// it (0 for the memtable). Caller holds d.mu.
+func (d *DB) vlogServing(key []byte, p vlog.Pointer) (file uint64, ok bool, err error) {
+	stored, kind, file, found, err := d.lookup(key, d.seq, nil)
+	if err != nil || !found || kind != kv.KindSet {
+		return 0, false, err
 	}
-	v := d.vs.Current()
-	files := v.Files[0]
-	for i := len(files) - 1; i >= 0; i-- {
-		f := files[i]
-		if !fileMayContain(f, key) {
-			continue
-		}
-		val, _, kind, hit, err := d.tableGet(f, key, d.seq)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		if hit {
-			if kind == kv.KindDelete {
-				return nil, 0, false, nil
-			}
-			return val, f.Num, true, nil
-		}
-	}
-	for level := 1; level < d.cfg.NumLevels; level++ {
-		candidates := v.Overlaps(level, key, key, d.cfg.sortedLevel(level))
-		if len(candidates) == 0 {
-			continue
-		}
-		if d.cfg.sortedLevel(level) {
-			val, _, kind, hit, err := d.tableGet(candidates[0], key, d.seq)
-			if err != nil {
-				return nil, 0, false, err
-			}
-			if hit {
-				if kind == kv.KindDelete {
-					return nil, 0, false, nil
-				}
-				return val, candidates[0].Num, true, nil
-			}
-			continue
-		}
-		var (
-			best     []byte
-			bestSeq  kv.SeqNum
-			bestKind kv.Kind
-			bestNum  uint64
-			found    bool
-		)
-		for _, f := range candidates {
-			val, fseq, kind, hit, err := d.tableGet(f, key, d.seq)
-			if err != nil {
-				return nil, 0, false, err
-			}
-			if hit && (!found || fseq > bestSeq) {
-				best, bestSeq, bestKind, bestNum, found = val, fseq, kind, f.Num, true
-			}
-		}
-		if found {
-			if bestKind == kv.KindDelete {
-				return nil, 0, false, nil
-			}
-			return best, bestNum, true, nil
-		}
-	}
-	return nil, 0, false, nil
+	var want [vlogPointerLen]byte
+	want[0] = vlogTagPtr
+	vlog.AppendPointer(want[1:1], p)
+	return file, bytes.Equal(stored, want[:]), nil
 }
 
 // VlogGCResult reports one collection pass.
@@ -403,7 +345,7 @@ type VlogGCResult struct {
 }
 
 // VlogGC runs one value-log collection pass: pick the sealed segment
-// with the highest dead ratio (at or above the configured trigger),
+// with the highest dead ratio (at or above vlogGCDeadRatio),
 // relocate its live records — grouped by the set of the SSTable that
 // references each one, so co-compacted values stay adjacent — and
 // drop the victim. Returns a zero-victim result when nothing
@@ -417,7 +359,7 @@ func (d *DB) VlogGC() (VlogGCResult, error) {
 	if !d.cfg.vlogEnabled() {
 		return VlogGCResult{}, fmt.Errorf("lsm: VlogGC requires a value threshold (mode %v)", d.cfg.Mode)
 	}
-	return d.vlogGCLocked(d.cfg.vlogGCDeadRatio())
+	return d.vlogGCLocked()
 }
 
 // maybeVlogGC opportunistically collects after a write when a victim
@@ -427,10 +369,7 @@ func (d *DB) maybeVlogGC() error {
 	if !d.cfg.vlogEnabled() || d.vlog.tab == nil {
 		return nil
 	}
-	if _, ok := d.vlog.tab.Victim(d.cfg.vlogGCDeadRatio()); !ok {
-		return nil
-	}
-	_, err := d.vlogGCLocked(d.cfg.vlogGCDeadRatio())
+	_, err := d.vlogGCLocked()
 	return err
 }
 
@@ -442,12 +381,12 @@ func (d *DB) maybeVlogGC() error {
 // refuses to run while snapshots exist (the next write retries it).
 // Live iterators are handled by routing the victim's removal through
 // the epoch-pinned reclaim queue.
-func (d *DB) vlogGCLocked(minRatio float64) (VlogGCResult, error) {
+func (d *DB) vlogGCLocked() (VlogGCResult, error) {
 	var res VlogGCResult
 	if len(d.snapshots) > 0 {
 		return res, nil
 	}
-	vic, ok := d.vlog.tab.Victim(minRatio)
+	vic, ok := d.vlog.tab.Victim(vlogGCDeadRatio)
 	if !ok {
 		return res, nil
 	}
@@ -470,11 +409,11 @@ func (d *DB) vlogGCLocked(minRatio float64) (VlogGCResult, error) {
 	var cands []candidate
 	s := vlog.NewScanner(vic.Num, buf)
 	for s.Next() {
-		stored, file, ok, err := d.getStoredLocked(s.Key())
+		file, ok, err := d.vlogServing(s.Key(), s.Pointer())
 		if err != nil {
 			return res, err
 		}
-		if !ok || !d.vlogPointsAt(stored, s.Pointer()) {
+		if !ok {
 			continue // superseded or deleted: already dead
 		}
 		cands = append(cands, candidate{
@@ -512,11 +451,11 @@ func (d *DB) vlogGCLocked(minRatio float64) (VlogGCResult, error) {
 		start = end
 		b := NewBatch()
 		for _, c := range group {
-			stored, _, ok, err := d.getStoredLocked(c.key)
+			_, ok, err := d.vlogServing(c.key, c.ptr)
 			if err != nil {
 				return res, err
 			}
-			if !ok || !d.vlogPointsAt(stored, c.ptr) {
+			if !ok {
 				res.SkippedMoved++
 				continue
 			}
@@ -545,8 +484,6 @@ func (d *DB) vlogGCLocked(minRatio float64) (VlogGCResult, error) {
 	res.ReclaimedBytes = vic.Bytes
 	d.reclaim([]uint64{vic.Num}, nil)
 
-	d.stats.VlogGCRuns++
-	d.stats.VlogGCBytes += res.RelocatedBytes
 	d.metrics.vlogGCRuns.Inc()
 	d.metrics.vlogGCRelocated.Add(res.RelocatedBytes)
 	d.metrics.vlogGCReclaimed.Add(res.ReclaimedBytes)
@@ -559,43 +496,12 @@ func (d *DB) vlogGCLocked(minRatio float64) (VlogGCResult, error) {
 	return res, nil
 }
 
-// vlogPointsAt reports whether a stored tree value is a pointer to
-// exactly this segment record.
-func (d *DB) vlogPointsAt(stored []byte, p vlog.Pointer) bool {
-	if len(stored) != vlogPointerLen || stored[0] != vlogTagPtr {
-		return false
-	}
-	var want [vlogPointerLen]byte
-	want[0] = vlogTagPtr
-	vlog.AppendPointer(want[1:1], p)
-	return bytes.Equal(stored, want[:])
-}
-
-// reputLocked commits a GC relocation batch: values separate into the
-// active segment again (that is the relocation), the rewritten batch
-// logs to the WAL for durability of the new pointers, and the
-// memtable takes the new versions. It is applyLocked minus the user
-// accounting — relocated bytes are store traffic, not user traffic —
-// with its log bytes charged to the GC counters. Caller holds d.mu.
-func (d *DB) reputLocked(b *Batch) (int64, error) {
-	if err := d.makeRoomForWrite(b.Size()); err != nil {
-		return 0, d.failWrite(err)
-	}
-	base := d.seq + 1
-	d.seq += kv.SeqNum(b.count)
-	b.setSeq(base)
-	_, appended, err := d.separateBatch(b)
-	if err != nil {
-		return appended, d.failWrite(err)
-	}
-	if err := d.walW.AddRecord(b.rep); err != nil {
-		return appended, d.failWrite(err)
-	}
-	if _, _, err := decodeBatch(b.rep, func(seq kv.SeqNum, kind kv.Kind, key, value []byte) error {
-		d.mem.Add(seq, kind, key, value)
-		return nil
-	}); err != nil {
-		return appended, err
-	}
-	return appended, nil
+// reputLocked commits a GC relocation batch through the shared commit
+// path — the values separating into the active segment again *is* the
+// relocation — and returns the log bytes it appended, which the pass
+// charges to the GC counters: relocated bytes are store traffic, not
+// user traffic. Caller holds d.mu.
+func (d *DB) reputLocked(b *Batch) (appended int64, err error) {
+	err = d.commitLocked(b, nil, func(_, n int64) { appended = n })
+	return appended, err
 }

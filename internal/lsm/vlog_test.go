@@ -117,10 +117,10 @@ func TestVlogDisabledIsByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.mu.Lock()
-	stored, _, ok, err := d.getStoredLocked([]byte("k"))
+	stored, _, _, ok, err := d.lookup([]byte("k"), d.seq, nil)
 	d.mu.Unlock()
 	if err != nil || !ok {
-		t.Fatalf("getStoredLocked: ok=%v err=%v", ok, err)
+		t.Fatalf("lookup: ok=%v err=%v", ok, err)
 	}
 	if !bytes.Equal(stored, []byte("v")) {
 		t.Fatalf("stored = %q, want untagged %q", stored, "v")

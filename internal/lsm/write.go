@@ -6,7 +6,6 @@ import (
 	"sealdb/internal/kv"
 	"sealdb/internal/memtable"
 	"sealdb/internal/version"
-	"sealdb/internal/wal"
 )
 
 // Put writes a single key/value pair.
@@ -49,10 +48,49 @@ func (d *DB) ApplyCtx(b *Batch, ctx OpContext) error {
 	return err
 }
 
-// applyLocked is the commit path body. Caller holds d.mu and has
-// passed writeAllowed; ot may be nil (tracing off).
+// applyLocked is the user commit: the shared commit path plus the
+// user-side accounting. Caller holds d.mu and has passed writeAllowed;
+// ot may be nil (tracing off).
 func (d *DB) applyLocked(b *Batch, ot *opTrace) error {
-	startBusy := d.disk.Stats().BusyTime
+	startBusy := d.deviceNow()
+	if err := d.commitLocked(b, ot, d.chargeUserVlogAppend); err != nil {
+		return err
+	}
+	d.metrics.writes.Add(int64(b.Len()))
+	d.metrics.writeBytes.Add(b.bytes)
+	// Write latency includes any rotation/compaction stall the batch
+	// absorbed in makeRoomForWrite — the user-visible cost.
+	d.metrics.writeLatency.Observe(d.deviceNow() - startBusy)
+	// Periodic storage-surface snapshot; with sampling disabled this is
+	// two field reads (see the zero-alloc test in surface_test.go).
+	d.maybeSurfaceSnapshot()
+	// Opportunistic value-log collection: at most one pass, so the
+	// stall any single Apply absorbs stays bounded.
+	return d.maybeVlogGC()
+}
+
+// chargeUserVlogAppend attributes value-log bytes a user batch's
+// separation appended. Caller holds d.mu.
+func (d *DB) chargeUserVlogAppend(records, bytes int64) {
+	if bytes == 0 {
+		return
+	}
+	d.metrics.vlogAppends.Add(records)
+	d.metrics.vlogAppendBytes.Add(bytes)
+	d.journal.Record("vlog_append", map[string]int64{
+		"records": records, "bytes": bytes,
+	})
+}
+
+// commitLocked is the engine's one commit path: make room → assign
+// sequence numbers → separate large values into the value log → WAL
+// append → memtable insert. User batches and value-log GC relocations
+// both commit through it and differ only in what they charge:
+// separated is told what the separation step appended to the log, at
+// the moment it happened, and each caller attributes it to its own
+// counters (user appends vs GC rewrites). Caller holds d.mu and has
+// passed writeAllowed; ot may be nil (untraced).
+func (d *DB) commitLocked(b *Batch, ot *opTrace, separated func(records, bytes int64)) error {
 	si := ot.stageStart(stageCompactionStall, d.traceNow(ot))
 	if err := d.makeRoomForWrite(b.Size()); err != nil {
 		return d.failWrite(err)
@@ -71,14 +109,7 @@ func (d *DB) applyLocked(b *Batch, ot *opTrace) error {
 		if err != nil {
 			return d.failWrite(err)
 		}
-		if appended > 0 {
-			d.stats.VlogAppendBytes += appended
-			d.metrics.vlogAppends.Add(records)
-			d.metrics.vlogAppendBytes.Add(appended)
-			d.journal.Record("vlog_append", map[string]int64{
-				"records": records, "bytes": appended,
-			})
-		}
+		separated(records, appended)
 	}
 	si = ot.stageStart(stageWALAppend, d.traceNow(ot))
 	if err := d.walW.AddRecord(b.rep); err != nil {
@@ -93,19 +124,7 @@ func (d *DB) applyLocked(b *Batch, ot *opTrace) error {
 		return err
 	}
 	ot.stageEnd(si, d.traceNow(ot), d.metrics.stageMemtableNS)
-	d.stats.UserBytes += b.bytes
-	d.stats.UserWrites += int64(b.Len())
-	d.metrics.writes.Add(int64(b.Len()))
-	d.metrics.writeBytes.Add(b.bytes)
-	// Write latency includes any rotation/compaction stall the batch
-	// absorbed in makeRoomForWrite — the user-visible cost.
-	d.metrics.writeLatency.Observe(int64(d.disk.Stats().BusyTime - startBusy))
-	// Periodic storage-surface snapshot; with sampling disabled this is
-	// two field reads (see the zero-alloc test in surface_test.go).
-	d.maybeSurfaceSnapshot()
-	// Opportunistic value-log collection: at most one pass, so the
-	// stall any single Apply absorbs stays bounded.
-	return d.maybeVlogGC()
+	return nil
 }
 
 // makeRoomForWrite rotates the memtable when it (or its WAL) is full,
@@ -141,16 +160,11 @@ func (d *DB) makeRoomForWrite(incoming int64) error {
 func (d *DB) rotateAndFlush(walBytes int64) error {
 	imm := d.mem
 	d.mem = memtable.New(d.nextMemSeed())
-	oldWalNum := d.walNum
-	num := d.vs.NewFileNum()
-	f, err := d.backend.CreateAppend(num, walBytes)
+	oldWalNum, err := d.openWAL(walBytes)
 	if err != nil {
 		return err
 	}
-	d.walNum = num
-	d.walFile = f
-	d.walLimit = walBytes
-	d.walW = wal.NewTaggedWriter(f, num)
+	num := d.walNum
 	if err := d.flushMemtable(imm, num); err != nil {
 		return err
 	}
