@@ -35,7 +35,7 @@ func main() {
 	burst := fs.Int("burst", 6, "writes per writer tick")
 	keys := fs.Int("keys", 8, "keys per worker shard")
 	valueSize := fs.Int("value-size", 512, "padded value size in bytes")
-	vlogMode := fs.Bool("vlog", false, "run the engine in value-separated mode (64 B threshold): faults land between vlog appends and WAL commits")
+	vlogMode := fs.Bool("vlog", false, "run the engine in value-separated mode (64 B threshold): faults land in value-log group writes, rotations and WAL commits")
 	faults := fs.String("faults", "all", "fault classes: all, none, or comma list of crash,net,disk,flip")
 	out := fs.String("out", "", "write the canonical history JSON to this file")
 	lockEdges := fs.String("lock-edges", "", "write observed lock-order edges JSON to this file (populated in -tags sealdb_invariants builds)")

@@ -121,9 +121,9 @@ type Config struct {
 	ValueSize int
 	// Vlog runs the campaign in the value-separated mode: the engine
 	// stores values of 64 bytes and up in the value log (every
-	// campaign value, at the default ValueSize), so faults land
-	// between vlog appends, rotations, and WAL commits, and recovery
-	// exercises pointer/segment reconciliation.
+	// campaign value, at the default ValueSize), so faults land in
+	// value-log group writes and rotations, and recovery exercises
+	// replay from the value log and pointer/segment reconciliation.
 	Vlog bool
 	// Faults selects the fault classes to cycle through.
 	Faults FaultSet

@@ -45,7 +45,7 @@ const (
 type Op struct {
 	Kind OpKind
 	// Keys/Vals hold one entry for Put/Delete (Vals unused for
-	// Delete) and several for Batch.
+	// Delete) and several for Batch, where a nil value is a tombstone.
 	Keys [][]byte
 	Vals [][]byte
 }
@@ -130,7 +130,11 @@ func applyModel(m map[string]string, op *Op) {
 	switch op.Kind {
 	case OpPut, OpBatch:
 		for i, k := range op.Keys {
-			m[string(k)] = string(op.Vals[i])
+			if op.Vals[i] == nil {
+				delete(m, string(k))
+			} else {
+				m[string(k)] = string(op.Vals[i])
+			}
 		}
 	case OpDelete:
 		for _, k := range op.Keys {
@@ -148,7 +152,11 @@ func applyOp(db *lsm.DB, op *Op) error {
 	case OpBatch:
 		b := lsm.NewBatch()
 		for i, k := range op.Keys {
-			b.Put(k, op.Vals[i])
+			if op.Vals[i] == nil {
+				b.Delete(k)
+			} else {
+				b.Put(k, op.Vals[i])
+			}
 		}
 		return db.Apply(b)
 	case OpFlush:

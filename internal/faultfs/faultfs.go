@@ -112,6 +112,7 @@ type Drive struct {
 	writes int64 // completed or attempted write ops
 	reads  int64
 	cutAt  int64 // power cut armed at this write count (0 = disarmed)
+	keep   int   // bytes of the torn write that land (< 0: a seeded-random prefix)
 	down   bool
 	stats  map[string]int64
 }
@@ -145,14 +146,21 @@ func (d *Drive) ClearRules() {
 // that write is torn — a seeded-random prefix reaches the platter —
 // and the device then fails everything with ErrPowerCut until
 // PowerOn. n <= 0 disarms.
-func (d *Drive) CutAtWrite(n int64) {
+func (d *Drive) CutAtWrite(n int64) { d.TearAtWrite(n, -1) }
+
+// TearAtWrite is CutAtWrite with the tear chosen by the caller:
+// exactly the first keep bytes of the n-th write reach the platter
+// (all of it when the write is shorter; keep < 0 draws a seeded-random
+// prefix). Sweeping keep over a write's length visits every state a
+// power cut can leave it in.
+func (d *Drive) TearAtWrite(n int64, keep int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if n <= 0 {
 		d.cutAt = 0
 		return
 	}
-	d.cutAt = d.writes + n
+	d.cutAt, d.keep = d.writes+n, keep
 }
 
 // PowerOn restores the device after a cut. Volatile host state is
@@ -225,7 +233,10 @@ func (d *Drive) WriteAt(p []byte, off int64) (time.Duration, error) {
 		// Tear the in-flight write: a random prefix reaches the
 		// platter (bypassing the drive's validity tracking — the
 		// drive never acked this write), the rest is lost.
-		keep := d.rng.Intn(len(p) + 1)
+		keep := min(d.keep, len(p))
+		if keep < 0 {
+			keep = d.rng.Intn(len(p) + 1)
+		}
 		d.down = true
 		d.cutAt = 0
 		d.stats["power_cuts"]++

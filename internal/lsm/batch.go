@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"sealdb/internal/kv"
+	"sealdb/internal/vlog"
 )
 
 // batchHeaderLen is 8 bytes of base sequence plus 4 bytes of count,
@@ -70,8 +71,12 @@ func (b *Batch) setSeq(seq kv.SeqNum) {
 }
 
 // decodeBatch iterates an encoded batch, calling fn for each entry
-// with its assigned sequence number. Used by WAL replay and Apply.
-func decodeBatch(rep []byte, fn func(seq kv.SeqNum, kind kv.Kind, key, value []byte) error) (kv.SeqNum, int, error) {
+// with its assigned sequence number. Used by log replay and Apply. recs
+// are the value records of the value-log group the batch was logged in
+// (nil for a WAL record): each batchKindSeparated entry stands for the
+// next of them, and decodes as a Set of the record's key to a pointer
+// at it.
+func decodeBatch(rep []byte, recs []vlog.Record, fn func(seq kv.SeqNum, kind kv.Kind, key, value []byte) error) (kv.SeqNum, int, error) {
 	if len(rep) < batchHeaderLen {
 		return 0, 0, fmt.Errorf("lsm: batch too short (%d bytes)", len(rep))
 	}
@@ -84,6 +89,19 @@ func decodeBatch(rep []byte, fn func(seq kv.SeqNum, kind kv.Kind, key, value []b
 		}
 		kind := kv.Kind(p[0])
 		p = p[1:]
+		if kind == batchKindSeparated {
+			if len(recs) == 0 {
+				return 0, 0, fmt.Errorf("lsm: separated entry %d has no value record in its group", i)
+			}
+			var stored [vlogPointerLen]byte
+			stored[0] = vlogTagPtr
+			vlog.AppendPointer(stored[1:1], recs[0].Ptr)
+			if err := fn(base+kv.SeqNum(i), kv.KindSet, recs[0].Key, stored[:]); err != nil {
+				return 0, 0, err
+			}
+			recs = recs[1:]
+			continue
+		}
 		klen, n := binary.Uvarint(p)
 		if n <= 0 || uint64(len(p)-n) < klen {
 			return 0, 0, fmt.Errorf("lsm: bad key length at entry %d", i)
@@ -107,6 +125,9 @@ func decodeBatch(rep []byte, fn func(seq kv.SeqNum, kind kv.Kind, key, value []b
 	}
 	if len(p) != 0 {
 		return 0, 0, fmt.Errorf("lsm: %d trailing bytes in batch", len(p))
+	}
+	if len(recs) != 0 {
+		return 0, 0, fmt.Errorf("lsm: %d value records in the group beyond the batch's separated entries", len(recs))
 	}
 	return base + kv.SeqNum(count) - 1, int(count), nil
 }

@@ -25,7 +25,7 @@ func TestBatchEncodeDecodeRoundTrip(t *testing.T) {
 		}
 		b.setSeq(1000)
 		var got []op
-		last, n, err := decodeBatch(b.rep, func(seq kv.SeqNum, kind kv.Kind, key, value []byte) error {
+		last, n, err := decodeBatch(b.rep, nil, func(seq kv.SeqNum, kind kv.Kind, key, value []byte) error {
 			if seq != 1000+kv.SeqNum(len(got)) {
 				t.Errorf("seq %d at index %d", seq, len(got))
 			}
@@ -77,25 +77,25 @@ func TestBatchDecodeRejectsCorruption(t *testing.T) {
 	nop := func(kv.SeqNum, kv.Kind, []byte, []byte) error { return nil }
 
 	// Too short.
-	if _, _, err := decodeBatch(rep[:batchHeaderLen-1], nop); err == nil {
+	if _, _, err := decodeBatch(rep[:batchHeaderLen-1], nil, nop); err == nil {
 		t.Error("short batch accepted")
 	}
 	// Truncated entry.
-	if _, _, err := decodeBatch(rep[:len(rep)-3], nop); err == nil {
+	if _, _, err := decodeBatch(rep[:len(rep)-3], nil, nop); err == nil {
 		t.Error("truncated batch accepted")
 	}
 	// Unknown kind byte.
 	bad := append([]byte(nil), rep...)
 	bad[batchHeaderLen] = 99
-	if _, _, err := decodeBatch(bad, nop); err == nil {
+	if _, _, err := decodeBatch(bad, nil, nop); err == nil {
 		t.Error("unknown kind accepted")
 	}
 	// Trailing garbage.
-	if _, _, err := decodeBatch(append(rep, 0xde, 0xad), nop); err == nil {
+	if _, _, err := decodeBatch(append(rep, 0xde, 0xad), nil, nop); err == nil {
 		t.Error("trailing bytes accepted")
 	}
 	// Clean decode still works.
-	if _, n, err := decodeBatch(rep, nop); err != nil || n != 2 {
+	if _, n, err := decodeBatch(rep, nil, nop); err != nil || n != 2 {
 		t.Errorf("clean decode: n=%d err=%v", n, err)
 	}
 }
@@ -115,7 +115,7 @@ func TestBatchReset(t *testing.T) {
 	b.Put([]byte("c"), []byte("2"))
 	b.setSeq(1)
 	count := 0
-	decodeBatch(b.rep, func(kv.SeqNum, kv.Kind, []byte, []byte) error {
+	decodeBatch(b.rep, nil, func(kv.SeqNum, kv.Kind, []byte, []byte) error {
 		count++
 		return nil
 	})

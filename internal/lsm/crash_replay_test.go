@@ -7,12 +7,17 @@
 package lsm_test
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"testing"
 	"time"
 
+	"sealdb/internal/faultfs"
 	"sealdb/internal/faultfs/crashtest"
 	"sealdb/internal/kv"
 	"sealdb/internal/lsm"
+	"sealdb/internal/smr"
 )
 
 // crashConfig builds a harness config on a tiny geometry: 8 KiB
@@ -51,12 +56,31 @@ func TestCrashReplay(t *testing.T) {
 	}
 }
 
+// mixedBatch builds the batch a value-log group has to carry whole: a
+// separated value, an inline one (under the tests' 64 B threshold) and
+// a tombstone, over keys of the crash workload's keyspace.
+func mixedBatch(i int) crashtest.Op {
+	key := func(j int) []byte { return []byte(fmt.Sprintf("key%06d", (7*i+j)%120)) }
+	return crashtest.Op{
+		Kind: crashtest.OpBatch,
+		Keys: [][]byte{key(0), key(1), key(2)},
+		Vals: [][]byte{
+			bytes.Repeat([]byte{'A' + byte(i%26)}, 100+i%80),
+			[]byte(fmt.Sprintf("inline-%d", i)),
+			nil,
+		},
+	}
+}
+
 // TestCrashReplayVlog sweeps the value-separated mode: the workload's
-// 60–180 B values separate at a 64 B threshold, so cuts land between
-// vlog appends, WAL appends, and segment rotations. Acked writes must
-// recover through their pointers with no dangling reference —
-// VerifyIntegrity checks pointer/segment reconciliation after every
-// reopen.
+// 60–180 B values separate at a 64 B threshold, and every eighth op is
+// a batch mixing a separated value, an inline value and a tombstone,
+// so cuts land in value-log group writes, WAL appends (the batches
+// that separate nothing), segment rotations and everything flushes do.
+// Acked writes must recover — from whichever of the two logs took them
+// — with no dangling reference, and the in-flight batch all or
+// nothing; VerifyIntegrity checks pointer/segment reconciliation after
+// every reopen.
 func TestCrashReplayVlog(t *testing.T) {
 	stride := int64(1)
 	if testing.Short() {
@@ -64,10 +88,109 @@ func TestCrashReplayVlog(t *testing.T) {
 	}
 	cfg := crashConfig(lsm.ModeSEALDB, stride)
 	cfg.DB.ValueThreshold = 64
+	var ops []crashtest.Op
+	for i, op := range cfg.Ops {
+		if ops = append(ops, op); i%8 == 7 {
+			ops = append(ops, mixedBatch(i))
+		}
+	}
+	cfg.Ops = ops
 	res := crashtest.Run(t, cfg)
 	t.Logf("crash replay (sealdb+vlog): %s", res)
 	if res.Cuts == 0 {
 		t.Fatal("harness injected no cuts")
+	}
+}
+
+// TestVlogGroupTornAtEveryPrefix tears the one device write of a
+// mixed batch's commit after every possible number of bytes. The group
+// is laid out values first, frame last, so until the last byte lands
+// the frame is incomplete and recovery must drop the batch whole —
+// separated value, inline value and tombstone alike; with every byte
+// down the batch was durable (if never acknowledged) and must apply
+// whole. Writes acknowledged before it survive either way.
+func TestVlogGroupTornAtEveryPrefix(t *testing.T) {
+	cfg := crashConfig(lsm.ModeSEALDB, 1).DB
+	cfg.ValueThreshold = 64
+	big := bytes.Repeat([]byte("v"), 150)
+	batch := func() *lsm.Batch {
+		b := lsm.NewBatch()
+		b.Put([]byte("separated"), bytes.Repeat([]byte("S"), 200))
+		b.Put([]byte("inline"), []byte("small"))
+		b.Delete([]byte("doomed"))
+		return b
+	}
+	for keep, groupLen := 0, 1; keep <= groupLen; keep++ {
+		var fd *faultfs.Drive
+		cfg.WrapDrive = func(inner smr.Drive) smr.Drive {
+			fd = faultfs.New(inner, 1)
+			return fd
+		}
+		dev := lsm.NewDevice(cfg)
+		db, err := lsm.OpenDevice(cfg, dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []string{"doomed", "bystander"} {
+			if err := db.Put([]byte(k), big); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if keep == 0 {
+			// Learn the group's length from a dry run of the same commit.
+			before := dev.Disk.Stats()
+			if err := db.Apply(batch()); err != nil {
+				t.Fatal(err)
+			}
+			after := dev.Disk.Stats()
+			if after.WriteOps != before.WriteOps+1 {
+				t.Fatalf("the commit took %d device writes, want 1", after.WriteOps-before.WriteOps)
+			}
+			groupLen = int(after.BytesWritten - before.BytesWritten)
+			continue
+		}
+		fd.TearAtWrite(1, keep)
+		if err := db.Apply(batch()); !errors.Is(err, faultfs.ErrPowerCut) {
+			t.Fatalf("keep %d: commit under a power cut returned %v", keep, err)
+		}
+		fd.PowerOn()
+		db, err = lsm.OpenDevice(cfg, dev)
+		if err != nil {
+			t.Fatalf("keep %d: reopen: %v", keep, err)
+		}
+		if err := db.VerifyIntegrity(); err != nil {
+			t.Fatalf("keep %d: %v", keep, err)
+		}
+		applied := keep == groupLen
+		for k, want := range map[string][]byte{
+			"separated": bytes.Repeat([]byte("S"), 200), "inline": []byte("small"), "doomed": nil, "bystander": big,
+		} {
+			if !applied && k == "doomed" {
+				want = big
+			} else if !applied && k != "bystander" {
+				want = nil
+			}
+			got, err := db.Get([]byte(k))
+			if want == nil && !errors.Is(err, lsm.ErrNotFound) || want != nil && (err != nil || !bytes.Equal(got, want)) {
+				t.Fatalf("keep %d of %d: Get(%q) = %d bytes, %v; batch applied must be %v", keep, groupLen, k, len(got), err, applied)
+			}
+		}
+		// Two acknowledged puts, one group each, and the batch's if whole.
+		if rec := db.Recovery(); rec.VlogGroups != 2 && !applied || rec.VlogGroups != 3 && applied || rec.WALRecords != 0 {
+			t.Fatalf("keep %d of %d: recovery replayed %d groups and %d WAL records", keep, groupLen, rec.VlogGroups, rec.WALRecords)
+		}
+		// The log keeps working where the torn group was cut away.
+		if err := db.Apply(batch()); err != nil {
+			t.Fatalf("keep %d: commit after recovery: %v", keep, err)
+		}
+		db.Close()
+		if db, err = lsm.OpenDevice(cfg, dev); err != nil {
+			t.Fatalf("keep %d: second reopen: %v", keep, err)
+		}
+		if v, err := db.Get([]byte("separated")); err != nil || len(v) != 200 {
+			t.Fatalf("keep %d: value committed after recovery: %d bytes, %v", keep, len(v), err)
+		}
+		db.Close()
 	}
 }
 

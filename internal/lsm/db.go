@@ -197,8 +197,9 @@ func Open(cfg Config) (*DB, error) {
 
 // OpenDevice opens (or reopens) a database on an existing device.
 // If the device holds a previous instance's state, it is recovered:
-// the MANIFEST replays the file layout and the WAL replays the
-// mutations that had not reached an SSTable.
+// the MANIFEST replays the file layout and the logs — the WAL and,
+// with values separated, the value log past its replay head — replay
+// the mutations that had not reached an SSTable.
 func OpenDevice(cfg Config, dev *Device) (*DB, error) {
 	cfg.applyMode()
 	if err := cfg.validate(); err != nil {
@@ -250,12 +251,13 @@ func OpenDevice(cfg Config, dev *Device) (*DB, error) {
 		// out again, so the mapping must be gone before WAL replay
 		// flushes or a new WAL is created.
 		d.sweepOrphans()
+		var groups []vlogGroup
 		if cfg.vlogEnabled() {
-			if err := d.vlogRecover(); err != nil {
+			if groups, err = d.vlogRecover(); err != nil {
 				return nil, err
 			}
 		}
-		if err := d.recoverSetsAndWAL(); err != nil {
+		if err := d.recoverSetsAndLogs(groups); err != nil {
 			return nil, err
 		}
 		if err := d.reconcileExtents(); err != nil {
@@ -315,9 +317,17 @@ type RecoveryInfo struct {
 	LeakedBytes int64 `json:"leaked_bytes"`
 	// VlogSegments counts value-log segments the manifest carried
 	// into recovery; VlogTornBytes counts active-segment bytes
-	// truncated as a torn trailing record.
+	// truncated as a torn trailing group.
 	VlogSegments  int   `json:"vlog_segments"`
 	VlogTornBytes int64 `json:"vlog_torn_bytes"`
+	// VlogGroups/VlogEntries count the batches replayed from the value
+	// log's groups and the mutations inside them. VlogReplayGap
+	// reports a whole group left unreplayed because its base sequence
+	// did not continue the recovered history (the end of the log, as
+	// for a WAL record).
+	VlogGroups    int  `json:"vlog_groups,omitempty"`
+	VlogEntries   int  `json:"vlog_entries,omitempty"`
+	VlogReplayGap bool `json:"vlog_replay_gap,omitempty"`
 }
 
 // Recovery returns what the last OpenDevice found on this device.
@@ -383,8 +393,10 @@ func (d *DB) Seq() kv.SeqNum {
 	return d.seq
 }
 
-// recoverSetsAndWAL rebuilds the set registry and replays the WAL.
-func (d *DB) recoverSetsAndWAL() error {
+// recoverSetsAndLogs rebuilds the set registry and replays the logs:
+// the WAL's records merged, by base sequence number, with the value
+// log's groups past the replay head (none with the value log off).
+func (d *DB) recoverSetsAndLogs(groups []vlogGroup) error {
 	orphans := d.sets.rebuild(d.vs.Sets(), d.vs.Current())
 	d.recovery.OrphanSets = len(orphans)
 	if len(orphans) > 0 {
@@ -415,58 +427,86 @@ func (d *DB) recoverSetsAndWAL() error {
 	buf, err := d.readReserved(logNum)
 	if err != nil {
 		if errors.Is(err, storage.ErrNotFound) {
-			return nil // already flushed and removed
+			// Already flushed and removed; the flush edit that let it go
+			// also moved the value log's replay head to the end.
+			return nil
 		}
 		return err
 	}
 	r := wal.NewTaggedReader(&sliceReader{b: buf}, logNum).Strict()
 	records, entries := 0, 0
-	torn := false
+	var walRec []byte // the WAL's next record, read but not yet applied
+	walEOF := false
+	continues := func(rep []byte) bool {
+		base, ok := batchBaseSeq(rep)
+		return ok && base == d.seq+1
+	}
 	for {
-		rec, err := r.ReadRecord()
-		if errors.Is(err, io.EOF) {
+		if walRec == nil && !walEOF {
+			walRec, err = r.ReadRecord()
+			if walEOF = errors.Is(err, io.EOF); walEOF {
+				walRec = nil
+			} else if err != nil {
+				return fmt.Errorf("lsm: WAL replay: %w", err)
+			}
+		}
+		// Sequence continuity: a commit is one write to one of the two
+		// logs, so whichever log holds the batch whose base extends the
+		// recovered history exactly is next (flushes move both logs'
+		// replay starts, so the first batch continues LastSeq). When
+		// neither does, what remains is debris — the end of the log.
+		fromWAL := continues(walRec)
+		if !fromWAL && (len(groups) == 0 || !continues(groups[0].rep)) {
 			break
 		}
-		if err != nil {
-			return fmt.Errorf("lsm: WAL replay: %w", err)
-		}
-		// Sequence continuity: every batch's base must extend the
-		// recovered history exactly (flushes rotate the log, so the
-		// first record continues LastSeq). Anything else is debris —
-		// treat it as the end of the log.
-		base, ok := batchBaseSeq(rec)
-		if !ok || base != d.seq+1 {
-			torn = true
-			break
+		next := vlogGroup{rep: walRec}
+		if !fromWAL {
+			next = groups[0]
 		}
 		// Validate the whole batch before applying any of it, so a
 		// record that frames correctly but does not decode cannot
 		// leave half a batch in the memtable.
-		if _, _, err := decodeBatch(rec, func(kv.SeqNum, kv.Kind, []byte, []byte) error { return nil }); err != nil {
-			torn = true
+		if _, _, err := decodeBatch(next.rep, next.recs, func(kv.SeqNum, kv.Kind, []byte, []byte) error { return nil }); err != nil {
 			break
 		}
-		last, n, _ := decodeBatch(rec, func(seq kv.SeqNum, kind kv.Kind, key, value []byte) error {
+		last, n, _ := decodeBatch(next.rep, next.recs, func(seq kv.SeqNum, kind kv.Kind, key, value []byte) error {
 			d.mem.Add(seq, kind, key, value)
 			return nil
 		})
-		records++
-		entries += n
+		if fromWAL {
+			walRec = nil
+			records++
+			entries += n
+		} else {
+			groups = groups[1:]
+			d.recovery.VlogGroups++
+			d.recovery.VlogEntries += n
+		}
 		if last > d.seq {
 			d.seq = last
 		}
 	}
+	// A record or group read but never applied broke continuity or did
+	// not decode: its log ended before it.
+	d.recovery.VlogReplayGap = len(groups) > 0
 	d.recovery.WALRecords = records
 	d.recovery.WALEntries = entries
 	d.recovery.WALSkippedBytes = r.Skipped()
-	d.recovery.WALTornTail = torn || r.Skipped() > 0
+	d.recovery.WALTornTail = walRec != nil || r.Skipped() > 0
 	d.metrics.walReplaySkipped.Add(r.Skipped())
 	d.journal.Record("wal_replay", map[string]int64{
 		"log": int64(logNum), "records": int64(records), "entries": int64(entries),
 		"skipped_bytes": r.Skipped(), "torn": boolToInt64(d.recovery.WALTornTail),
 	})
+	if d.cfg.vlogEnabled() {
+		d.journal.Record("vlog_replay", map[string]int64{
+			"groups": int64(d.recovery.VlogGroups), "entries": int64(d.recovery.VlogEntries),
+			"gap": boolToInt64(d.recovery.VlogReplayGap),
+		})
+	}
 	// Persist the replayed mutations as an L0 table so the old WAL
-	// can be dropped, as LevelDB recovery does.
+	// can be dropped, as LevelDB recovery does. The flush edit moves
+	// the value log's replay head past everything just replayed.
 	if !d.mem.Empty() {
 		if err := d.flushMemtable(d.mem, 0); err != nil {
 			return err
@@ -614,6 +654,26 @@ func (d *DB) openWAL(size int64) (old uint64, err error) {
 	return old, nil
 }
 
+// stampReplayStart records in e where the next recovery's log replay
+// starts: the last sequence number already durable in tables, the WAL
+// to replay (logNum; 0 keeps the recorded one) and, with values
+// separated, the value log's replay head — the writer's position,
+// since every group before it is at or below LastSeq. The three always
+// travel together: a head left behind LastSeq would make the first
+// group replay finds a sequence gap. Caller holds d.mu, with nothing
+// committed since the memtable the edit covers was frozen.
+func (d *DB) stampReplayStart(e *version.Edit, logNum uint64) *version.Edit {
+	e.HasLastSeq, e.LastSeq = true, d.seq
+	if logNum != 0 {
+		e.HasLogNum, e.LogNum = true, logNum
+	}
+	if d.cfg.vlogEnabled() {
+		e.HasVlogHead = true
+		e.VlogHead = version.VlogPos{Seg: d.vlog.w.Seg(), Off: d.vlog.w.Offset()}
+	}
+	return e
+}
+
 // newWAL starts a fresh write-ahead log and records its number in the
 // MANIFEST (so recovery knows which log to replay).
 func (d *DB) newWAL() error {
@@ -621,7 +681,7 @@ func (d *DB) newWAL() error {
 	if err != nil {
 		return err
 	}
-	if err := d.vs.LogAndApply(&version.Edit{HasLogNum: true, LogNum: d.walNum, HasLastSeq: true, LastSeq: d.seq}); err != nil {
+	if err := d.vs.LogAndApply(d.stampReplayStart(&version.Edit{}, d.walNum)); err != nil {
 		return err
 	}
 	if old != 0 {

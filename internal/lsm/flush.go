@@ -34,13 +34,9 @@ func (d *DB) flushMemtable(mem *memtable.MemTable, newLogNum uint64) error {
 		Smallest: meta.Smallest,
 		Largest:  meta.Largest,
 	}
-	edit := &version.Edit{
-		Added:      []version.AddedFile{{Level: 0, Meta: fm}},
-		HasLastSeq: true, LastSeq: d.seq,
-	}
-	if newLogNum != 0 {
-		edit.HasLogNum, edit.LogNum = true, newLogNum
-	}
+	edit := d.stampReplayStart(&version.Edit{
+		Added: []version.AddedFile{{Level: 0, Meta: fm}},
+	}, newLogNum)
 	if err := d.vs.LogAndApply(edit); err != nil {
 		return err
 	}

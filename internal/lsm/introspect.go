@@ -186,10 +186,12 @@ func (d *DB) VerifyIntegrity() error {
 // table against the manifest's segment records, and every *serving*
 // pointer — the newest visible version of its key — against the value
 // log: the pointed-at record must decode, sit inside its segment's
-// logical bytes, and carry the same user key. Shadowed versions are
-// exempt: GC repairs pointers by re-putting, so a superseded entry may
-// reference a collected segment until compaction drops it. Caller
-// holds d.mu.
+// logical bytes, and carry the same user key; and the records served
+// out of a segment must fit in the bytes its accounting still calls
+// live (header, frames and charged-dead records excluded). Shadowed
+// versions are exempt: GC repairs pointers by re-putting, so a
+// superseded entry may reference a collected segment until compaction
+// drops it. Caller holds d.mu.
 func (d *DB) verifyVlog(v *version.Version) error {
 	segs := d.vs.VlogSegs()
 	unsealed := 0
@@ -198,11 +200,11 @@ func (d *DB) verifyVlog(v *version.Version) error {
 		if !ok {
 			return fmt.Errorf("vlog segment %d in manifest but not in segment table", num)
 		}
-		if s.Sealed && info.Bytes != s.Bytes {
-			return fmt.Errorf("vlog segment %d: table holds %d bytes, manifest records %d", num, info.Bytes, s.Bytes)
+		if s.Sealed && (info.Bytes != s.Bytes || info.Overhead != s.Overhead) {
+			return fmt.Errorf("vlog segment %d: table holds %d bytes (%d overhead), manifest records %d (%d)", num, info.Bytes, info.Overhead, s.Bytes, s.Overhead)
 		}
-		if info.Dead > info.Bytes {
-			return fmt.Errorf("vlog segment %d: dead bytes %d exceed total %d", num, info.Dead, info.Bytes)
+		if info.Live() < 0 {
+			return fmt.Errorf("vlog segment %d: dead bytes %d and overhead %d exceed total %d", num, info.Dead, info.Overhead, info.Bytes)
 		}
 		if !s.Sealed {
 			unsealed++
@@ -217,15 +219,16 @@ func (d *DB) verifyVlog(v *version.Version) error {
 		}
 	}
 
+	serving := map[uint64]int64{} // segment → bytes of records the tree serves from it
 	check := func(where string, ik kv.InternalKey, stored []byte) error {
 		if ik.Kind() != kv.KindSet || len(stored) == 0 || stored[0] != vlogTagPtr {
 			return nil
 		}
-		serving, kind, _, found, err := d.lookup(ik.UserKey(), d.seq, nil)
+		newest, kind, _, found, err := d.lookup(ik.UserKey(), d.seq, nil)
 		if err != nil {
 			return err
 		}
-		if !found || kind != kv.KindSet || !bytes.Equal(serving, stored) {
+		if !found || kind != kv.KindSet || !bytes.Equal(newest, stored) {
 			return nil // shadowed version: its record may be collected
 		}
 		p, err := vlog.DecodePointer(stored[1:])
@@ -236,10 +239,11 @@ func (d *DB) verifyVlog(v *version.Version) error {
 		if !ok {
 			return fmt.Errorf("%s key %s: pointer into unknown vlog segment %d", where, ik, p.Seg)
 		}
-		if end := int64(p.Off) + int64(p.Len); end > info.Bytes {
-			return fmt.Errorf("%s key %s: pointer [%d,%d) beyond segment %d bytes %d",
-				where, ik, p.Off, end, p.Seg, info.Bytes)
+		if end := int64(p.Off) + int64(p.Len); p.Off < vlog.HeaderSize || end > info.Bytes {
+			return fmt.Errorf("%s key %s: pointer [%d,%d) outside the groups of segment %d, bytes [%d,%d)",
+				where, ik, p.Off, end, p.Seg, vlog.HeaderSize, info.Bytes)
 		}
+		serving[p.Seg] += int64(p.Len)
 		rkey, _, err := d.vlogRead(p)
 		if err != nil {
 			return fmt.Errorf("%s key %s: vlog segment %d offset %d: %w", where, ik, p.Seg, p.Off, err)
@@ -271,6 +275,12 @@ func (d *DB) verifyVlog(v *version.Version) error {
 			if err := it.Error(); err != nil {
 				return fmt.Errorf("L%d %s: %w", l, f, err)
 			}
+		}
+	}
+	for num, n := range serving {
+		if info, _ := d.vlog.tab.Info(num); n > info.Live() {
+			return fmt.Errorf("vlog segment %d: the tree serves %d record bytes but only %d are accounted live (%d bytes, %d overhead, %d dead)",
+				num, n, info.Live(), info.Bytes, info.Overhead, info.Dead)
 		}
 	}
 	return nil

@@ -62,9 +62,10 @@ type Stats struct {
 	GCMoves int64
 	GCBytes int64
 
-	// VlogAppendBytes counts value-log record bytes written on behalf
-	// of user batches; VlogGCRuns/VlogGCBytes count collection passes
-	// and the live record bytes they rewrote into fresh segments.
+	// VlogAppendBytes counts the value-log bytes user batches were
+	// logged as (their groups: value records and commit frames);
+	// VlogGCRuns/VlogGCBytes count collection passes and the bytes of
+	// the groups that rewrote live records into fresh segments.
 	VlogAppendBytes int64
 	VlogGCRuns      int64
 	VlogGCBytes     int64

@@ -410,6 +410,7 @@ func (s *surface) rebuild(exts []SurfaceExtent) {
 type VlogSegmentRow struct {
 	Num       uint64  `json:"num"`
 	Bytes     int64   `json:"bytes"`
+	Overhead  int64   `json:"overhead_bytes"`
 	Dead      int64   `json:"dead_bytes"`
 	Live      int64   `json:"live_bytes"`
 	DeadRatio float64 `json:"dead_ratio"`
@@ -496,13 +497,14 @@ func (d *DB) BandProfile() BandProfile {
 	p.Bands = d.surface.rows(d.deviceNow())
 	if d.cfg.vlogEnabled() {
 		p.VlogGCDead = vlogGCDeadRatio
-		if vic, ok := d.vlog.tab.Victim(vlogGCDeadRatio); ok {
+		if vic, ok := d.vlogVictim(); ok {
 			p.VlogVictim = vic.Num
 		}
 		for _, seg := range d.vlog.tab.Segments() {
 			p.Vlog = append(p.Vlog, VlogSegmentRow{
 				Num:       seg.Num,
 				Bytes:     seg.Bytes,
+				Overhead:  seg.Overhead,
 				Dead:      seg.Dead,
 				Live:      seg.Live(),
 				DeadRatio: seg.DeadRatio(),
@@ -591,11 +593,12 @@ func (d *DB) surfaceRebuild() {
 	d.surface.rebuild(exts)
 	if d.cfg.vlogEnabled() {
 		for _, seg := range d.vlog.tab.Segments() {
-			if seg.Dead <= 0 {
-				continue
+			dead := seg.Dead
+			if seg.Sealed {
+				dead += seg.Overhead // charged at the seal (vlogRotate)
 			}
-			if ext, err := d.backend.FileExtent(seg.Num); err == nil {
-				d.surface.chargeDead(ext.Off, seg.Dead)
+			if ext, err := d.backend.FileExtent(seg.Num); err == nil && dead > 0 {
+				d.surface.chargeDead(ext.Off, dead)
 			}
 		}
 	}

@@ -189,8 +189,8 @@ func TestSurfaceVlogOccupancy(t *testing.T) {
 		t.Fatalf("vlog GC threshold %v not exported", bp.VlogGCDead)
 	}
 	for _, seg := range bp.Vlog {
-		if seg.Live != seg.Bytes-seg.Dead {
-			t.Fatalf("segment %d: live %d != bytes %d - dead %d", seg.Num, seg.Live, seg.Bytes, seg.Dead)
+		if seg.Live != seg.Bytes-seg.Overhead-seg.Dead {
+			t.Fatalf("segment %d: live %d != bytes %d - overhead %d - dead %d", seg.Num, seg.Live, seg.Bytes, seg.Overhead, seg.Dead)
 		}
 	}
 	if err := d.VerifySurface(); err != nil {

@@ -8,7 +8,6 @@ import (
 	"sort"
 
 	"sealdb/internal/kv"
-	"sealdb/internal/storage"
 	"sealdb/internal/version"
 	"sealdb/internal/vlog"
 )
@@ -29,6 +28,12 @@ const (
 	// because validate() requires ValueThreshold to exceed it.
 	vlogPointerLen = 1 + vlog.PointerSize
 
+	// batchKindSeparated marks, in a logged batch, a Set whose key and
+	// value are the next value record of the batch's value-log group:
+	// the entry is that one byte, and replay rebuilds key and pointer
+	// from where the record sits. It never reaches the tree.
+	batchKindSeparated kv.Kind = 0x02
+
 	// vlogGCDeadRatio is the dead-byte fraction at which a sealed
 	// segment becomes a garbage-collection victim.
 	vlogGCDeadRatio = 0.5
@@ -39,9 +44,12 @@ const (
 // All fields are guarded by d.mu; the table additionally carries its
 // own lock so metric gauges can read it without the engine lock.
 type vlogState struct {
-	w    *vlog.Writer
-	file *storage.AppendFile
-	tab  *vlog.Table
+	// w appends groups to the active segment; Seg() is 0 until the
+	// first commit that separates a value rotates it onto one.
+	w   vlog.Writer
+	tab *vlog.Table
+	// rep is the reused buffer a batch is rewritten into for logging.
+	rep []byte
 	// gcHook, when set, runs between a GC pass's segment scan and its
 	// conditional re-put, receiving the candidate keys of the pass.
 	// Tests use it to move pointers mid-collection and pin the
@@ -49,16 +57,23 @@ type vlogState struct {
 	gcHook func(keys [][]byte)
 }
 
+// vlogGroup is one batch as the value log holds it: the logged batch
+// (a group's frame payload) and the value records it separated.
+type vlogGroup struct {
+	rep  []byte
+	recs []vlog.Record
+}
+
 // vlogRecover rebuilds the value-log state from the recovered
 // manifest: sealed segments are trusted at their recorded length, and
-// the single active segment is scanned for its last whole record —
-// a torn trailing append is truncated away exactly like a torn WAL
-// tail. Caller is OpenDevice; d.mu is not yet shared.
-func (d *DB) vlogRecover() error {
+// the single active segment is scanned for its last whole group — a
+// torn trailing write is truncated away exactly like a torn WAL tail.
+// Returns the replay window: every group from the manifest's replay
+// head through the active segment, in log order, for recovery to merge
+// with the WAL's records by sequence number. Caller is OpenDevice;
+// d.mu is not yet shared.
+func (d *DB) vlogRecover() ([]vlogGroup, error) {
 	d.vlog.tab = vlog.NewTable()
-	if d.vs == nil {
-		return nil
-	}
 	segs := d.vs.VlogSegs()
 	// Deterministic order, and sanity: at most one unsealed segment.
 	nums := make([]uint64, 0, len(segs))
@@ -66,167 +81,186 @@ func (d *DB) vlogRecover() error {
 		nums = append(nums, num)
 	}
 	sort.Slice(nums, func(i, j int) bool { return nums[i] < nums[j] })
+	head := d.vs.VlogHead()
+	var window []vlogGroup
 	for _, num := range nums {
 		vs := segs[num]
+		d.recovery.VlogSegments++
+		var buf []byte
+		var err error
 		if vs.Sealed {
+			d.vlog.tab.Open(num, vs.Bytes, vs.Overhead)
 			d.vlog.tab.Seal(num, vs.Bytes)
-			d.vlog.tab.AddDead(num, vs.Dead)
-			d.recovery.VlogSegments++
+			if num >= head.Seg {
+				buf, err = d.vlogReadSealed(num, vs.Bytes)
+			}
+		} else if active := d.vlog.w.Seg(); active != 0 {
+			err = fmt.Errorf("lsm: manifest lists two active vlog segments (%d and %d)", active, num)
+		} else {
+			buf, err = d.vlogReopenActive(num)
+		}
+		if err != nil {
+			return nil, err
+		}
+		d.vlog.tab.AddDead(num, vs.Dead)
+		if num < head.Seg {
 			continue
 		}
-		if d.vlog.w != nil {
-			return fmt.Errorf("lsm: manifest lists two active vlog segments (%d and %d)", d.vlog.w.Seg(), num)
+		start := int64(vlog.HeaderSize)
+		if num == head.Seg {
+			start = min(max(start, head.Off), int64(len(buf)))
 		}
-		valid, torn, err := d.vlogReopenActive(num)
-		if err != nil {
-			return err
+		s := vlog.NewScanner(num, buf[start:], start)
+		for s.Next() {
+			window = append(window, vlogGroup{s.Payload(), append([]vlog.Record(nil), s.Records()...)})
 		}
-		d.vlog.tab.Open(num, valid)
-		d.vlog.tab.AddDead(num, vs.Dead)
-		d.recovery.VlogSegments++
-		d.recovery.VlogTornBytes += torn
+		if err := s.Err(); err != nil {
+			// Only a sealed segment can end in an error — the active one
+			// was just cut to its clean prefix — and a sealed segment was
+			// whole before its seal edit: this is damage, not a torn tail.
+			return nil, fmt.Errorf("lsm: vlog segment %d does not scan clean to its sealed length: %w", num, err)
+		}
 	}
-	return nil
+	return window, nil
 }
 
 // vlogReopenActive scans the active segment's reserved extent for its
-// clean record prefix, truncates anything after it, and resumes the
-// writer there. Returns the valid length and the torn bytes dropped.
-func (d *DB) vlogReopenActive(num uint64) (int64, int64, error) {
+// clean group prefix, truncates the torn tail after it, and resumes
+// the writer there; the header and frame bytes the manifest learns of
+// only at the seal are recounted on the way. A segment without this
+// format's header is not a torn one: it is left untouched and fails
+// the open. Returns the segment's valid bytes.
+func (d *DB) vlogReopenActive(num uint64) ([]byte, error) {
 	buf, err := d.readReserved(num)
-	if err != nil {
-		return 0, 0, fmt.Errorf("lsm: opening vlog segment %d: %w", num, err)
+	if err == nil {
+		err = vlog.CheckHeader(buf)
 	}
-	s := vlog.NewScanner(num, buf)
+	if err != nil {
+		return nil, fmt.Errorf("lsm: opening vlog segment %d: %w", num, err)
+	}
+	s := vlog.NewScanner(num, buf[vlog.HeaderSize:], vlog.HeaderSize)
+	overhead := int64(vlog.HeaderSize)
 	for s.Next() {
+		overhead += s.FrameLen()
 	}
 	valid := s.ValidLen()
+	// The logical size may lag the platter (crash before the size
+	// update); the scan already found the true end.
 	logical, _ := d.backend.FileSize(num)
-	torn := logical - valid
-	if torn < 0 {
-		// The logical size lagged the platter (crash before the size
-		// update); the scan already found the true end.
-		torn = 0
-	}
+	torn := max(0, logical-valid)
 	if err := d.backend.TruncateAppend(num, valid); err != nil {
-		return 0, 0, fmt.Errorf("lsm: truncating vlog segment %d to %d: %w", num, valid, err)
+		return nil, fmt.Errorf("lsm: truncating vlog segment %d to %d: %w", num, valid, err)
 	}
 	f, err := d.backend.OpenAppend(num)
 	if err != nil {
-		return 0, 0, err
+		return nil, err
 	}
-	d.vlog.file = f
-	d.vlog.w = vlog.NewWriter(f, num, valid)
+	d.vlog.w.Reset(f, num, valid, int64(len(buf)))
+	d.vlog.tab.Open(num, valid, overhead)
+	d.recovery.VlogTornBytes += torn
 	if torn > 0 {
 		d.journal.Record("vlog_truncated", map[string]int64{
 			"segment": int64(num), "valid": valid, "torn_bytes": torn,
 		})
 	}
-	return valid, torn, nil
+	return buf[:valid], nil
+}
+
+// vlogReadSealed reads a sealed segment whole, at its recorded length,
+// and checks its header: the bytes a group scan (replay, GC) walks.
+func (d *DB) vlogReadSealed(num uint64, bytes int64) ([]byte, error) {
+	buf := make([]byte, bytes)
+	_, err := d.backend.ReadFileAt(num, buf, 0)
+	if err == nil || err == io.EOF {
+		err = vlog.CheckHeader(buf)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("lsm: reading vlog segment %d: %w", num, err)
+	}
+	return buf, nil
 }
 
 // vlogRotate seals the active segment (if any) and opens a fresh one
-// of at least minBytes, in one manifest edit so exactly one unsealed
-// segment exists at any durable point. The new segment's file is
-// created before the edit: a crash between the two leaves an orphan
-// file for the sweep, never a manifest entry without bytes to back
-// it. Caller holds d.mu.
-func (d *DB) vlogRotate(minBytes int64) error {
+// that can hold a group of groupBytes, in one manifest edit so exactly
+// one unsealed segment exists at any durable point. The seal records
+// how much of the segment is header and frames, and charges those
+// bytes dead on the storage surface. The new segment's file is created
+// and its header written before the edit: a crash between the two
+// leaves an orphan file for the sweep, never a manifest entry without
+// a readable header to back it. Caller holds d.mu.
+func (d *DB) vlogRotate(groupBytes int64) error {
 	size := d.cfg.vlogSegSize()
-	if minBytes > size {
-		// A single record larger than the segment class: give it an
+	if need := vlog.HeaderSize + groupBytes; need > size {
+		// A single group larger than the segment class: give it an
 		// extent of its own, like an oversized batch gets its own WAL.
-		size = minBytes
+		size = need
 	}
 	num := d.vs.NewFileNum()
 	f, err := d.backend.CreateAppend(num, size)
 	if err != nil {
 		return err
 	}
+	if _, err := f.Write(vlog.AppendHeader(nil)); err != nil {
+		return err
+	}
 	e := &version.Edit{NewVlogSegs: []uint64{num}}
-	var sealed uint64
-	if d.vlog.w != nil {
-		sealed = d.vlog.w.Seg()
-		e.SealVlogSegs = append(e.SealVlogSegs, version.VlogSegRecord{Num: sealed, Bytes: d.vlog.w.Offset()})
+	sealed, _ := d.vlog.tab.Info(d.vlog.w.Seg())
+	if sealed.Num != 0 {
+		e.SealVlogSegs = []version.VlogSegRecord{{Num: sealed.Num, Bytes: sealed.Bytes, Overhead: sealed.Overhead}}
 	}
 	if err := d.vs.LogAndApply(e); err != nil {
 		return err
 	}
-	if d.vlog.w != nil {
-		d.vlog.tab.Seal(sealed, d.vlog.w.Offset())
+	if sealed.Num != 0 {
+		d.vlog.tab.Seal(sealed.Num, sealed.Bytes)
+		if ext, err := d.backend.FileExtent(sealed.Num); err == nil {
+			d.surfaceChargeDead(ext.Off, sealed.Overhead)
+		}
 	}
-	d.vlog.file = f
-	d.vlog.w = vlog.NewWriter(f, num, 0)
-	d.vlog.tab.Open(num, 0)
+	d.vlog.w.Reset(f, num, vlog.HeaderSize, size)
+	d.vlog.tab.Open(num, vlog.HeaderSize, vlog.HeaderSize)
 	d.metrics.vlogRotations.Inc()
 	d.journal.Record("vlog_rotate", map[string]int64{
-		"num": int64(num), "sealed": int64(sealed),
+		"num": int64(num), "sealed": int64(sealed.Num),
 	})
 	return nil
 }
 
-// vlogAppend writes one record to the active segment, rotating first
-// when it would not fit, and returns the stored pointer. The append
-// is a synchronous device write: when it returns, the record is as
-// durable as anything the drive acknowledged, and only then may a
-// pointer to it enter the WAL. Caller holds d.mu.
-func (d *DB) vlogAppend(key, value []byte) (vlog.Pointer, error) {
-	need := int64(vlog.RecordSize(len(key), len(value)))
-	if d.vlog.w == nil || d.vlog.w.Offset()+need > d.cfg.vlogSegSize() {
-		if err := d.vlogRotate(need); err != nil {
-			return vlog.Pointer{}, err
-		}
-	}
-	p, err := d.vlog.w.Append(key, value)
-	if err != nil {
-		return vlog.Pointer{}, err
-	}
-	d.vlog.tab.Extend(p.Seg, int64(p.Len))
-	return p, nil
-}
-
-// separateBatch rewrites a batch for the value log: every value gains
-// its tag byte, and values at or above the threshold move to the log
-// with a pointer left in their place. Returns the record count and
-// bytes appended to the log; the caller attributes them (user append
-// vs GC rewrite). Must run before the batch's WAL append so the log
-// write orders ahead of the acknowledgement; a crash between the two
-// leaves dead log bytes, never a dangling pointer. Caller holds d.mu;
-// the batch's sequence header is preserved untouched.
-func (d *DB) separateBatch(b *Batch) (records, appended int64, err error) {
-	rep := make([]byte, 0, len(b.rep))
-	rep = append(rep, b.rep[:batchHeaderLen]...)
+// vlogBuildGroup rewrites a batch for logging with the value log on,
+// into reused buffers: every inline value gains its tag byte, and each
+// value at or above the threshold becomes a record of the writer's
+// open group, leaving a one-byte batchKindSeparated entry behind.
+// Returns the rewritten batch and the group's records; with no record
+// the batch is an ordinary WAL record. Caller holds d.mu; the batch
+// itself, sequence header included, is only read.
+func (d *DB) vlogBuildGroup(b *Batch) (rep []byte, recs []vlog.Record) {
+	w := &d.vlog.w
+	w.Begin()
+	rep = append(d.vlog.rep[:0], b.rep[:batchHeaderLen]...)
 	p := b.rep[batchHeaderLen:]
 	for i := uint32(0); i < b.count; i++ {
-		kind := kv.Kind(p[0])
-		klen, n := binary.Uvarint(p[1:])
-		key := p[1+n : 1+n+int(klen)]
-		rep = append(rep, p[:1+n+int(klen)]...)
-		p = p[1+n+int(klen):]
-		if kind != kv.KindSet {
+		klen, kn := binary.Uvarint(p[1:])
+		entry := p[:1+kn+int(klen)] // kind, key length, key
+		p = p[len(entry):]
+		if kv.Kind(entry[0]) != kv.KindSet {
+			rep = append(rep, entry...)
 			continue
 		}
-		vlen, n := binary.Uvarint(p)
-		value := p[n : n+int(vlen)]
-		p = p[n+int(vlen):]
+		vlen, vn := binary.Uvarint(p)
+		value := p[vn : vn+int(vlen)]
+		p = p[vn+int(vlen):]
 		if int(vlen) >= d.cfg.ValueThreshold {
-			ptr, err := d.vlogAppend(key, value)
-			if err != nil {
-				return records, appended, err
-			}
-			appended += int64(ptr.Len)
-			records++
-			rep = binary.AppendUvarint(rep, uint64(vlogPointerLen))
-			rep = append(rep, vlogTagPtr)
-			rep = vlog.AppendPointer(rep, ptr)
-		} else {
-			rep = binary.AppendUvarint(rep, uint64(vlen)+1)
-			rep = append(rep, vlogTagInline)
-			rep = append(rep, value...)
+			w.Add(entry[1+kn:], value)
+			rep = append(rep, byte(batchKindSeparated))
+			continue
 		}
+		rep = append(rep, entry...)
+		rep = binary.AppendUvarint(rep, vlen+1)
+		rep = append(rep, vlogTagInline)
+		rep = append(rep, value...)
 	}
-	b.rep = rep
-	return records, appended, nil
+	d.vlog.rep = rep
+	return rep, w.Records()
 }
 
 // resolveValue maps a stored tree value to the user value: with the
@@ -345,8 +379,8 @@ type VlogGCResult struct {
 }
 
 // VlogGC runs one value-log collection pass: pick the sealed segment
-// with the highest dead ratio (at or above vlogGCDeadRatio),
-// relocate its live records — grouped by the set of the SSTable that
+// before the replay head with the highest dead ratio (at or above
+// vlogGCDeadRatio), relocate its live records — grouped by the set of the SSTable that
 // references each one, so co-compacted values stay adjacent — and
 // drop the victim. Returns a zero-victim result when nothing
 // qualifies.
@@ -373,6 +407,15 @@ func (d *DB) maybeVlogGC() error {
 	return err
 }
 
+// vlogVictim picks the segment a collection pass would take: sealed,
+// dead enough, and wholly before the replay head. Segments from the
+// head on are the write-ahead log of the batches still in the
+// memtable; dead bytes are only ever charged at flush and compaction,
+// so waiting for the next flush costs the collector nothing.
+func (d *DB) vlogVictim() (vlog.SegmentInfo, bool) {
+	return d.vlog.tab.Victim(vlogGCDeadRatio, d.vs.VlogHead().Seg)
+}
+
 // vlogGCLocked is the collection pass body. Caller holds d.mu.
 //
 // Snapshot safety: relocation re-puts live values at fresh sequence
@@ -386,7 +429,7 @@ func (d *DB) vlogGCLocked() (VlogGCResult, error) {
 	if len(d.snapshots) > 0 {
 		return res, nil
 	}
-	vic, ok := d.vlog.tab.Victim(vlogGCDeadRatio)
+	vic, ok := d.vlogVictim()
 	if !ok {
 		return res, nil
 	}
@@ -396,10 +439,11 @@ func (d *DB) vlogGCLocked() (VlogGCResult, error) {
 	sp.Set("dead_bytes", vic.Dead)
 
 	// Scan the victim for candidate records: those the tree still
-	// points at.
-	buf := make([]byte, vic.Bytes)
-	if _, err := d.backend.ReadFileAt(vic.Num, buf, 0); err != nil && err != io.EOF {
-		return res, d.failWrite(fmt.Errorf("lsm: vlog GC scan of segment %d: %w", vic.Num, err))
+	// points at. Frames are skipped — they only matter to replay, and
+	// the victim is before the replay head.
+	buf, err := d.vlogReadSealed(vic.Num, vic.Bytes)
+	if err != nil {
+		return res, d.failWrite(err)
 	}
 	type candidate struct {
 		key, value []byte
@@ -407,21 +451,23 @@ func (d *DB) vlogGCLocked() (VlogGCResult, error) {
 		set        uint64
 	}
 	var cands []candidate
-	s := vlog.NewScanner(vic.Num, buf)
+	s := vlog.NewScanner(vic.Num, buf[vlog.HeaderSize:], vlog.HeaderSize)
 	for s.Next() {
-		file, ok, err := d.vlogServing(s.Key(), s.Pointer())
-		if err != nil {
-			return res, err
+		for _, r := range s.Records() {
+			file, ok, err := d.vlogServing(r.Key, r.Ptr)
+			if err != nil {
+				return res, err
+			}
+			if !ok {
+				continue // superseded or deleted: already dead
+			}
+			cands = append(cands, candidate{
+				key:   append([]byte(nil), r.Key...),
+				value: append([]byte(nil), r.Value...),
+				ptr:   r.Ptr,
+				set:   d.sets.setOf(file),
+			})
 		}
-		if !ok {
-			continue // superseded or deleted: already dead
-		}
-		cands = append(cands, candidate{
-			key:   append([]byte(nil), s.Key()...),
-			value: append([]byte(nil), s.Value()...),
-			ptr:   s.Pointer(),
-			set:   d.sets.setOf(file),
-		})
 	}
 	if err := s.Err(); err != nil {
 		// A sealed segment must scan clean to its recorded length.
@@ -438,44 +484,54 @@ func (d *DB) vlogGCLocked() (VlogGCResult, error) {
 
 	// Set-aware relocation: stable-sort candidates by set so records
 	// whose referents compact together land adjacent in the fresh
-	// segment, then re-put each group in one batch. The re-put is
-	// conditional — a pointer the hook (or a future concurrent write
-	// path) moved since the scan is skipped, not clobbered.
+	// segment, then re-put each set's run as one batch — one group, one
+	// device write. A batch is also cut where the active segment ends:
+	// a group never straddles segments, so one that outgrew the room
+	// left would abandon it and seal a half-empty segment. The re-put
+	// is conditional — a pointer the hook (or a future concurrent
+	// write path) moved since the scan is skipped, not clobbered.
 	sort.SliceStable(cands, func(i, j int) bool { return cands[i].set < cands[j].set })
-	for start := 0; start < len(cands); {
-		end := start
-		for end < len(cands) && cands[end].set == cands[start].set {
-			end++
-		}
-		group := cands[start:end]
-		start = end
-		b := NewBatch()
-		for _, c := range group {
-			_, ok, err := d.vlogServing(c.key, c.ptr)
-			if err != nil {
-				return res, err
-			}
-			if !ok {
-				res.SkippedMoved++
-				continue
-			}
-			b.Put(c.key, c.value)
-			res.RelocatedRecords++
-		}
+	b := NewBatch()
+	var batchSet uint64
+	recBytes := 0 // the batch's value records, as the group will hold them
+	reput := func() error {
 		if b.Len() == 0 {
-			continue
+			return nil
 		}
 		n, err := d.reputLocked(b)
+		res.RelocatedBytes += n
+		b.Reset()
+		recBytes = 0
+		return err
+	}
+	for _, c := range cands {
+		_, ok, err := d.vlogServing(c.key, c.ptr)
 		if err != nil {
 			return res, err
 		}
-		res.RelocatedBytes += n
+		if !ok {
+			res.SkippedMoved++
+			continue
+		}
+		rec := vlog.RecordSize(len(c.key), len(c.value))
+		group := int64(recBytes + rec + vlog.FrameSize(recBytes+rec, batchHeaderLen+b.Len()+1))
+		if c.set != batchSet || !d.vlog.w.Fits(group) {
+			if err := reput(); err != nil {
+				return res, err
+			}
+		}
+		b.Put(c.key, c.value)
+		batchSet = c.set
+		recBytes += rec
+		res.RelocatedRecords++
+	}
+	if err := reput(); err != nil {
+		return res, err
 	}
 
-	// Drop the victim: manifest first, then the file. The re-put WAL
-	// records are already on the device, so a crash anywhere in here
-	// recovers with every live value reachable through its new
-	// pointer. The extent itself is freed through the reclaim queue
+	// Drop the victim: manifest first, then the file. The re-put groups
+	// are already on the device, so a crash anywhere in here recovers
+	// with every live value reachable through its new pointer. The extent itself is freed through the reclaim queue
 	// so a live iterator mid-chase keeps its bytes.
 	if err := d.vs.LogAndApply(&version.Edit{DropVlogSegs: []uint64{vic.Num}}); err != nil {
 		return res, d.failWrite(err)
@@ -497,10 +553,11 @@ func (d *DB) vlogGCLocked() (VlogGCResult, error) {
 }
 
 // reputLocked commits a GC relocation batch through the shared commit
-// path — the values separating into the active segment again *is* the
-// relocation — and returns the log bytes it appended, which the pass
-// charges to the GC counters: relocated bytes are store traffic, not
-// user traffic. Caller holds d.mu.
+// path — the values separating into the active segment again, one
+// group write per batch, *is* the relocation — and returns the log
+// bytes it appended, which the pass charges to the GC counters:
+// relocated bytes are store traffic, not user traffic. Caller holds
+// d.mu.
 func (d *DB) reputLocked(b *Batch) (appended int64, err error) {
 	err = d.commitLocked(b, nil, func(_, n int64) { appended = n })
 	return appended, err

@@ -2,11 +2,16 @@ package lsm
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 
 	"sealdb/internal/kv"
+	"sealdb/internal/version"
+	"sealdb/internal/vlog"
 )
 
 // vlogConfig is the tiny SEALDB geometry with key–value separation
@@ -145,7 +150,7 @@ func TestVlogRecovery(t *testing.T) {
 	if err := d.FlushMemtable(); err != nil {
 		t.Fatal(err)
 	}
-	// A few separated writes that live only in the WAL + vlog.
+	// A few separated writes that live only in the value log.
 	for i := 0; i < 8; i++ {
 		k := fmt.Sprintf("wal-only-%d", i)
 		v := bigValue(k, 512)
@@ -385,10 +390,10 @@ func TestVlogLiveRatioAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	live, dead, _ := d.vlog.tab.Totals()
-	appended := d.Stats().VlogAppendBytes
+	live, dead, segs := d.vlog.tab.Totals()
+	appended := d.Stats().VlogAppendBytes + int64(segs)*vlog.HeaderSize
 	if live+dead > appended {
-		t.Fatalf("accounted bytes %d+%d exceed appended %d", live, dead, appended)
+		t.Fatalf("accounted bytes %d+%d exceed appended groups and headers %d", live, dead, appended)
 	}
 	// Every first-round record (40 overwrites × ~500B) should be dead.
 	if dead < 40*500 {
@@ -453,6 +458,305 @@ func TestVlogOversizedValue(t *testing.T) {
 	}
 	if err := d.VerifyIntegrity(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestVlogCommitIsOneWriteToOneLog pins the commit contract: a batch
+// that separates a value — alone or with inline entries and tombstones
+// riding along — costs exactly one device write, to the value log,
+// and leaves the WAL untouched; a batch that separates nothing is one
+// WAL record (the WAL writes a record's header and payload back to
+// back) and leaves the value log untouched.
+func TestVlogCommitIsOneWriteToOneLog(t *testing.T) {
+	cfg := vlogConfig()
+	cfg.MemtableSize = 1 * kv.MiB // no flush in the way
+	cfg.VlogSegSize = 64 * kv.KiB // no rotation either, after the first
+	d, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if err := d.Put([]byte("warm"), bigValue("warm", 300)); err != nil {
+		t.Fatal(err)
+	}
+	commit := func(b *Batch) (writes, walBytes, vlogBytes int64) {
+		t.Helper()
+		ops, wal, seg := d.disk.Stats().WriteOps, d.walFile.Size(), d.vlog.w.Offset()
+		if err := d.Apply(b); err != nil {
+			t.Fatal(err)
+		}
+		return d.disk.Stats().WriteOps - ops, d.walFile.Size() - wal, d.vlog.w.Offset() - seg
+	}
+	one := NewBatch()
+	one.Put([]byte("k1"), bigValue("k1", 1024))
+	if writes, wal, seg := commit(one); writes != 1 || wal != 0 || seg <= 1024 {
+		t.Fatalf("separated put: %d writes, WAL +%d, vlog +%d; want 1, 0, a group", writes, wal, seg)
+	}
+	mixed := NewBatch()
+	mixed.Put([]byte("k2"), bigValue("k2", 1024))
+	mixed.Put([]byte("k3"), []byte("inline"))
+	mixed.Delete([]byte("k1"))
+	mixed.Put([]byte("k4"), bigValue("k4", 300))
+	if writes, wal, seg := commit(mixed); writes != 1 || wal != 0 || seg <= 1324 {
+		t.Fatalf("mixed batch: %d writes, WAL +%d, vlog +%d; want 1, 0, a group", writes, wal, seg)
+	}
+	inline := NewBatch()
+	inline.Put([]byte("k5"), []byte("inline"))
+	inline.Delete([]byte("k3"))
+	if writes, wal, seg := commit(inline); writes != 2 || wal == 0 || seg != 0 {
+		t.Fatalf("inline batch: %d writes, WAL +%d, vlog +%d; want 2, a record, 0", writes, wal, seg)
+	}
+	for k, want := range map[string][]byte{"k2": bigValue("k2", 1024), "k4": bigValue("k4", 300), "k5": []byte("inline")} {
+		if got, err := d.Get([]byte(k)); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("Get(%q): %d bytes, %v", k, len(got), err)
+		}
+	}
+	for _, k := range []string{"k1", "k3"} {
+		if _, err := d.Get([]byte(k)); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("Get(%q) = %v, want ErrNotFound", k, err)
+		}
+	}
+}
+
+// TestVlogFrameOverhead bounds what making the group the log record
+// costs in log bytes: at 1 KiB values, everything in a segment that is
+// not a value record (commit frames, the header) stays within 5 % of
+// the record bytes.
+func TestVlogFrameOverhead(t *testing.T) {
+	cfg := vlogConfig()
+	cfg.VlogSegSize = 256 * kv.KiB
+	d, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for i := 0; i < 200; i++ {
+		k := fmt.Sprintf("user%012d", i)
+		if err := d.Put([]byte(k), bigValue(k, 1024)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seg := d.vlog.tab.Segments()[0]
+	records := seg.Bytes - seg.Overhead
+	if records < 200*1024 || seg.Overhead*20 > records {
+		t.Fatalf("segment of 1 KiB values: %d record bytes, %d overhead (%.1f%%), want <= 5%%",
+			records, seg.Overhead, 100*float64(seg.Overhead)/float64(records))
+	}
+}
+
+// TestVlogReplayAcrossSealedSegments crashes with one memtable's
+// batches spread over many value-log segments — most of them sealed —
+// and a WAL holding the batches that separated nothing in between.
+// Recovery must walk from the replay head through every later segment,
+// merge the two logs by sequence number, and bring back every
+// acknowledged write, newest version winning.
+func TestVlogReplayAcrossSealedSegments(t *testing.T) {
+	cfg := vlogConfig()
+	cfg.MemtableSize = 1 * kv.MiB
+	d, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := map[string][]byte{}
+	put := func(k string, v []byte) {
+		t.Helper()
+		if err := d.Put([]byte(k), v); err != nil {
+			t.Fatal(err)
+		}
+		ref[k] = v
+	}
+	// Flushed history first, so the head sits mid-log, not at its start.
+	for i := 0; i < 20; i++ {
+		put(fmt.Sprintf("old%03d", i), bigValue("old", 700))
+	}
+	if err := d.FlushMemtable(); err != nil {
+		t.Fatal(err)
+	}
+	head := d.vs.VlogHead()
+	if head.Seg == 0 || head != (version.VlogPos{Seg: d.vlog.w.Seg(), Off: d.vlog.w.Offset()}) {
+		t.Fatalf("flush recorded replay head %+v, writer is at segment %d offset %d", head, d.vlog.w.Seg(), d.vlog.w.Offset())
+	}
+	flushes := d.Stats().FlushCount
+	groups, walRecords := 0, 0
+	for i := 0; i < 60; i++ {
+		switch k := fmt.Sprintf("key%03d", i%40); i % 5 {
+		case 3:
+			put(k, []byte(fmt.Sprintf("inline-%d", i))) // a WAL record
+			walRecords++
+		case 4:
+			if err := d.Delete([]byte(k)); err != nil { // another
+				t.Fatal(err)
+			}
+			delete(ref, k)
+			walRecords++
+		default:
+			put(k, bigValue(fmt.Sprintf("%s-%d", k, i), 900+i))
+			groups++
+		}
+	}
+	sealedInWindow := 0
+	for _, s := range d.vlog.tab.Segments() {
+		if s.Sealed && s.Num >= head.Seg {
+			sealedInWindow++
+		}
+	}
+	if d.Stats().FlushCount != flushes || sealedInWindow < 3 {
+		t.Fatalf("want one memtable over >= 3 sealed segments: %d flushes since the head, %d sealed segments", d.Stats().FlushCount-flushes, sealedInWindow)
+	}
+
+	// Crash: the instance is dropped without Close.
+	d2, err := OpenDevice(cfg, d.Device())
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer d2.Close()
+	rec := d2.Recovery()
+	if rec.VlogGroups != groups || rec.WALRecords != walRecords || rec.VlogReplayGap || rec.WALTornTail {
+		t.Fatalf("replayed %d groups and %d WAL records (gap %v, torn WAL %v), want %d and %d", rec.VlogGroups, rec.WALRecords, rec.VlogReplayGap, rec.WALTornTail, groups, walRecords)
+	}
+	for k, want := range ref {
+		if got, err := d2.Get([]byte(k)); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("Get(%q) after the crash: %d bytes, %v", k, len(got), err)
+		}
+	}
+	for i := 4; i < 60; i += 5 {
+		k := fmt.Sprintf("key%03d", i%40)
+		if _, deleted := ref[k]; deleted {
+			continue // re-put later
+		}
+		if _, err := d2.Get([]byte(k)); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("Get(%q) after the crash = %v, want ErrNotFound", k, err)
+		}
+	}
+	if err := d2.VerifyIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+	// The recovery flush moved the head past everything it replayed.
+	if h := d2.vs.VlogHead(); h.Seg != d2.vlog.w.Seg() || h.Off != d2.vlog.w.Offset() {
+		t.Fatalf("head after recovery %+v, writer at segment %d offset %d", h, d2.vlog.w.Seg(), d2.vlog.w.Offset())
+	}
+}
+
+// TestVlogGCNeverCollectsReplayWindow: a segment at or after the
+// replay head is still the write-ahead log of batches in the memtable,
+// so however dead it looks the collector must leave it — dropping it
+// would lose acknowledged writes at the next crash. One flush later
+// the head has passed it and it is fair game.
+func TestVlogGCNeverCollectsReplayWindow(t *testing.T) {
+	cfg := vlogConfig()
+	cfg.MemtableSize = 1 * kv.MiB
+	d, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	ref := map[string][]byte{}
+	for i := 0; i < 30; i++ {
+		k := fmt.Sprintf("key%03d", i)
+		ref[k] = bigValue(k, 900)
+		if err := d.Put([]byte(k), ref[k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	head := d.vs.VlogHead().Seg
+	var window vlog.SegmentInfo
+	for _, s := range d.vlog.tab.Segments() {
+		if s.Sealed && s.Num >= head {
+			window = s
+			break
+		}
+	}
+	if window.Num == 0 {
+		t.Fatal("no sealed segment in the replay window")
+	}
+	// Force the segment past the threshold without touching its records.
+	d.vlog.tab.AddDead(window.Num, window.Bytes*6/10)
+	if s, _ := d.vlog.tab.Info(window.Num); s.DeadRatio() < vlogGCDeadRatio {
+		t.Fatalf("segment %d forced to dead ratio %.2f only", window.Num, s.DeadRatio())
+	}
+	if res, err := d.VlogGC(); err != nil || res.Victim != 0 {
+		t.Fatalf("GC inside the replay window: victim %d, %v", res.Victim, err)
+	}
+	if err := d.Put([]byte("more"), bigValue("more", 900)); err != nil { // the opportunistic pass too
+		t.Fatal(err)
+	}
+	if runs := d.Stats().VlogGCRuns; runs != 0 {
+		t.Fatalf("%d GC runs inside the replay window", runs)
+	}
+	if err := d.FlushMemtable(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := d.VlogGC()
+	if err != nil || res.Victim != window.Num {
+		t.Fatalf("GC after the flush: victim %d, %v; want segment %d", res.Victim, err, window.Num)
+	}
+	for k, want := range ref {
+		if got, err := d.Get([]byte(k)); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("Get(%q) after GC: %d bytes, %v", k, len(got), err)
+		}
+	}
+	if err := d.VerifyIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestVlogUnknownFormatFailsOpenUntouched: recovery truncates a torn
+// tail, so it must be sure what it is looking at first. A segment in
+// the headerless version-1 format (bare records, pointers in the WAL),
+// or one claiming a version this build does not know, fails OpenDevice
+// with vlog.ErrFormat — and not one byte of its extent changes.
+func TestVlogUnknownFormatFailsOpenUntouched(t *testing.T) {
+	v1Record := func(seg uint64, key, value []byte) []byte {
+		body := binary.AppendUvarint(nil, uint64(len(key)))
+		body = binary.AppendUvarint(body, uint64(len(value)))
+		body = append(append(body, key...), value...)
+		c := crc32.Checksum(append(binary.LittleEndian.AppendUint64(nil, seg), body...), crc32.MakeTable(crc32.Castagnoli))
+		return append(binary.LittleEndian.AppendUint32(nil, ((c>>15)|(c<<17))+0xa282ead8), body...)
+	}
+	cases := map[string]func(seg uint64) []byte{
+		"version-1 segment": func(seg uint64) []byte {
+			return append(v1Record(seg, []byte("k1"), bigValue("k1", 300)), v1Record(seg, []byte("k2"), bigValue("k2", 400))...)
+		},
+		"future version": func(uint64) []byte {
+			h := vlog.AppendHeader(nil)
+			h[4]++
+			return append(h, "whatever version 3 keeps here"...)
+		},
+	}
+	for name, content := range cases {
+		t.Run(name, func(t *testing.T) {
+			cfg := vlogConfig()
+			d, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Put([]byte("k"), bigValue("k", 300)); err != nil {
+				t.Fatal(err)
+			}
+			seg, dev := d.vlog.w.Seg(), d.Device()
+			ext, err := d.backend.FileExtent(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.Close()
+			// Hand-build the foreign segment in place of the active one.
+			if _, err := dev.Disk.WriteAt(content(seg), ext.Off); err != nil {
+				t.Fatal(err)
+			}
+			before := make([]byte, ext.Len)
+			dev.Disk.ReadAt(before, ext.Off)
+			size, _ := dev.Backend.FileSize(seg)
+
+			_, err = OpenDevice(cfg, dev)
+			if !errors.Is(err, vlog.ErrFormat) {
+				t.Fatalf("OpenDevice over a %s: %v, want vlog.ErrFormat", name, err)
+			}
+			after := make([]byte, ext.Len)
+			dev.Disk.ReadAt(after, ext.Off)
+			if now, _ := dev.Backend.FileSize(seg); !bytes.Equal(before, after) || now != size {
+				t.Fatalf("the refused segment changed: size %d -> %d, bytes equal %v", size, now, bytes.Equal(before, after))
+			}
+		})
 	}
 }
 

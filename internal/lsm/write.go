@@ -6,6 +6,7 @@ import (
 	"sealdb/internal/kv"
 	"sealdb/internal/memtable"
 	"sealdb/internal/version"
+	"sealdb/internal/vlog"
 )
 
 // Put writes a single key/value pair.
@@ -22,7 +23,8 @@ func (d *DB) Delete(key []byte) error {
 	return d.Apply(b)
 }
 
-// Apply atomically logs and applies a batch: WAL first, then the
+// Apply atomically logs and applies a batch: the log first (the WAL,
+// or the value log when the batch separates a value), then the
 // memtable, rotating the memtable (and compacting as needed) when it
 // is full.
 func (d *DB) Apply(b *Batch) error {
@@ -69,12 +71,9 @@ func (d *DB) applyLocked(b *Batch, ot *opTrace) error {
 	return d.maybeVlogGC()
 }
 
-// chargeUserVlogAppend attributes value-log bytes a user batch's
-// separation appended. Caller holds d.mu.
+// chargeUserVlogAppend attributes the value-log group a user batch
+// was logged as. Caller holds d.mu.
 func (d *DB) chargeUserVlogAppend(records, bytes int64) {
-	if bytes == 0 {
-		return
-	}
 	d.metrics.vlogAppends.Add(records)
 	d.metrics.vlogAppendBytes.Add(bytes)
 	d.journal.Record("vlog_append", map[string]int64{
@@ -83,13 +82,12 @@ func (d *DB) chargeUserVlogAppend(records, bytes int64) {
 }
 
 // commitLocked is the engine's one commit path: make room → assign
-// sequence numbers → separate large values into the value log → WAL
-// append → memtable insert. User batches and value-log GC relocations
-// both commit through it and differ only in what they charge:
-// separated is told what the separation step appended to the log, at
-// the moment it happened, and each caller attributes it to its own
-// counters (user appends vs GC rewrites). Caller holds d.mu and has
-// passed writeAllowed; ot may be nil (untraced).
+// sequence numbers → one log write → memtable insert. User batches and
+// value-log GC relocations both commit through it and differ only in
+// what they charge: separated is told what the batch appended to the
+// value log, at the moment it happened, and each caller attributes it
+// to its own counters (user appends vs GC rewrites). Caller holds d.mu
+// and has passed writeAllowed; ot may be nil (untraced).
 func (d *DB) commitLocked(b *Batch, ot *opTrace, separated func(records, bytes int64)) error {
 	si := ot.stageStart(stageCompactionStall, d.traceNow(ot))
 	if err := d.makeRoomForWrite(b.Size()); err != nil {
@@ -99,25 +97,14 @@ func (d *DB) commitLocked(b *Batch, ot *opTrace, separated func(records, bytes i
 	base := d.seq + 1
 	d.seq += kv.SeqNum(b.count)
 	b.setSeq(base)
-	if d.cfg.vlogEnabled() {
-		// Separate large values into the log before the WAL append:
-		// the record write is synchronous, so by the time the pointer
-		// is logged (and the batch acknowledged) its bytes are on the
-		// device. A crash in between strands dead log bytes, never a
-		// dangling pointer.
-		records, appended, err := d.separateBatch(b)
-		if err != nil {
-			return d.failWrite(err)
-		}
-		separated(records, appended)
-	}
 	si = ot.stageStart(stageWALAppend, d.traceNow(ot))
-	if err := d.walW.AddRecord(b.rep); err != nil {
+	rep, recs, err := d.logBatch(b, separated)
+	if err != nil {
 		return d.failWrite(err)
 	}
 	ot.stageEnd(si, d.traceNow(ot), d.metrics.stageWALNS)
 	si = ot.stageStart(stageMemtable, d.traceNow(ot))
-	if _, _, err := decodeBatch(b.rep, func(seq kv.SeqNum, kind kv.Kind, key, value []byte) error {
+	if _, _, err := decodeBatch(rep, recs, func(seq kv.SeqNum, kind kv.Kind, key, value []byte) error {
 		d.mem.Add(seq, kind, key, value)
 		return nil
 	}); err != nil {
@@ -125,6 +112,39 @@ func (d *DB) commitLocked(b *Batch, ot *opTrace, separated func(records, bytes i
 	}
 	ot.stageEnd(si, d.traceNow(ot), d.metrics.stageMemtableNS)
 	return nil
+}
+
+// logBatch makes a sequenced batch durable with exactly one contiguous
+// device write to exactly one log, and returns it as the tree stores
+// it (plus the value records it separated, for decodeBatch). A batch
+// that separates a value is written whole to the value log as one
+// group — value records first, then a commit frame carrying the rest
+// of the batch — so the group is the log record and the WAL is not
+// touched; any other batch is a WAL record. Caller holds d.mu.
+func (d *DB) logBatch(b *Batch, separated func(records, bytes int64)) ([]byte, []vlog.Record, error) {
+	if !d.cfg.vlogEnabled() {
+		return b.rep, nil, d.walW.AddRecord(b.rep)
+	}
+	rep, recs := d.vlogBuildGroup(b)
+	if len(recs) == 0 {
+		return rep, nil, d.walW.AddRecord(rep)
+	}
+	w := &d.vlog.w
+	if need := w.GroupSize(len(rep)); !w.Fits(need) {
+		// A group never straddles a segment: rotate first. Record
+		// checksums and pointers name the segment, so build again.
+		if err := d.vlogRotate(need); err != nil {
+			return nil, nil, err
+		}
+		rep, recs = d.vlogBuildGroup(b)
+	}
+	n, frame, err := w.Commit(rep)
+	if err != nil {
+		return nil, nil, err
+	}
+	d.vlog.tab.Extend(w.Seg(), int64(n), int64(frame))
+	separated(int64(len(recs)), int64(n))
+	return rep, recs, nil
 }
 
 // makeRoomForWrite rotates the memtable when it (or its WAL) is full,
@@ -174,8 +194,7 @@ func (d *DB) rotateAndFlush(walBytes int64) error {
 		// manifest must still learn the new log number before the old
 		// log disappears, or every write acknowledged into the new
 		// WAL would be invisible to recovery.
-		e := &version.Edit{HasLogNum: true, LogNum: num, HasLastSeq: true, LastSeq: d.seq}
-		if err := d.vs.LogAndApply(e); err != nil {
+		if err := d.vs.LogAndApply(d.stampReplayStart(&version.Edit{}, num)); err != nil {
 			return err
 		}
 	}

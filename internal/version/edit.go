@@ -32,18 +32,37 @@ type Edit struct {
 	// so recovery never finds a pointer whose segment the manifest
 	// does not know. SealVlogSegs freezes a full segment at its
 	// final length, making it a GC candidate; VlogDead carries the
-	// dead-byte deltas that compaction drops and GC re-puts charge
-	// to segments; DropVlogSegs retires a collected segment.
+	// dead-byte deltas that compaction drops charge to segments;
+	// DropVlogSegs retires a collected segment.
 	NewVlogSegs  []uint64
 	SealVlogSegs []VlogSegRecord
 	VlogDead     []VlogDeadRecord
 	DropVlogSegs []uint64
+
+	// VlogHead is the value log's replay head: where recovery starts
+	// scanning for batches the value log, not the WAL, made durable.
+	// It is to the value log what LogNum is to the WAL and travels
+	// with LastSeq — every group at or after it is newer than the
+	// edit's LastSeq.
+	HasVlogHead bool
+	VlogHead    VlogPos
 }
 
-// VlogSegRecord seals a value-log segment at its final record length.
+// VlogPos is a position in the value log: a segment and a group
+// boundary inside it. The zero value precedes every segment.
+type VlogPos struct {
+	Seg uint64
+	Off int64
+}
+
+// VlogSegRecord seals a value-log segment at its final length.
+// Overhead is the part of Bytes that is header and commit frames,
+// which no pointer references; the collector leaves it out of its
+// dead ratio.
 type VlogSegRecord struct {
-	Num   uint64
-	Bytes int64
+	Num      uint64
+	Bytes    int64
+	Overhead int64
 }
 
 // VlogDeadRecord charges dead bytes to a value-log segment. In an
@@ -97,6 +116,8 @@ const (
 	tagSealVlogSeg    = 10
 	tagVlogDead       = 11
 	tagDropVlogSeg    = 12
+	tagVlogHead       = 13
+	tagVlogOverhead   = 14
 )
 
 // Encode serializes the edit as one manifest record.
@@ -157,6 +178,11 @@ func (e *Edit) Encode() []byte {
 		putUvarint(tagSealVlogSeg)
 		putUvarint(s.Num)
 		putUvarint(uint64(s.Bytes))
+		// A record of its own, after the seal it completes: the seal
+		// record keeps the shape format-1 manifests gave it, so opening
+		// one of those still reaches the segment-header check.
+		putUvarint(tagVlogOverhead)
+		putUvarint(uint64(s.Overhead))
 	}
 	for _, d := range e.VlogDead {
 		putUvarint(tagVlogDead)
@@ -166,6 +192,11 @@ func (e *Edit) Encode() []byte {
 	for _, num := range e.DropVlogSegs {
 		putUvarint(tagDropVlogSeg)
 		putUvarint(num)
+	}
+	if e.HasVlogHead {
+		putUvarint(tagVlogHead)
+		putUvarint(e.VlogHead.Seg)
+		putUvarint(uint64(e.VlogHead.Off))
 	}
 	return b
 }
@@ -320,6 +351,25 @@ func DecodeEdit(p []byte) (*Edit, error) {
 				return nil, err
 			}
 			e.DropVlogSegs = append(e.DropVlogSegs, num)
+		case tagVlogOverhead:
+			overhead, err := getUvarint()
+			if err != nil {
+				return nil, err
+			}
+			if len(e.SealVlogSegs) == 0 {
+				return nil, fmt.Errorf("version: vlog overhead record without a seal before it")
+			}
+			e.SealVlogSegs[len(e.SealVlogSegs)-1].Overhead = int64(overhead)
+		case tagVlogHead:
+			seg, err := getUvarint()
+			if err != nil {
+				return nil, err
+			}
+			off, err := getUvarint()
+			if err != nil {
+				return nil, err
+			}
+			e.HasVlogHead, e.VlogHead = true, VlogPos{Seg: seg, Off: int64(off)}
 		default:
 			return nil, fmt.Errorf("version: unknown manifest tag %d", tag)
 		}

@@ -53,17 +53,19 @@ type Set struct {
 	compactPtr [NumLevels]kv.InternalKey // guarded by mu
 	sets       map[uint64]SetRecord      // guarded by mu
 	vsegs      map[uint64]VlogSeg        // guarded by mu
+	vlogHead   VlogPos                   // guarded by mu
 }
 
 // VlogSeg is the manifest's view of one value-log segment. Bytes is
 // authoritative once Sealed; while a segment is active its true
 // length lives on the device and recovery rediscovers it by scanning
-// for the last whole record.
+// for the last whole group.
 type VlogSeg struct {
-	Num    uint64
-	Bytes  int64
-	Dead   int64
-	Sealed bool
+	Num      uint64
+	Bytes    int64
+	Overhead int64 // header and frame bytes within Bytes (once Sealed)
+	Dead     int64 // dead record bytes
+	Sealed   bool
 }
 
 // Create initializes a brand-new database state.
@@ -231,9 +233,9 @@ func (s *Set) applyLocked(e *Edit) error {
 	}
 	for _, vr := range e.SealVlogSegs {
 		vs := s.vsegs[vr.Num]
-		vs.Num, vs.Bytes, vs.Sealed = vr.Num, vr.Bytes, true
-		if vs.Dead > vs.Bytes {
-			vs.Dead = vs.Bytes
+		vs.Num, vs.Bytes, vs.Overhead, vs.Sealed = vr.Num, vr.Bytes, vr.Overhead, true
+		if vs.Dead > vs.Bytes-vs.Overhead {
+			vs.Dead = vs.Bytes - vs.Overhead
 		}
 		s.vsegs[vr.Num] = vs
 		if vr.Num >= s.nextFile {
@@ -243,14 +245,17 @@ func (s *Set) applyLocked(e *Edit) error {
 	for _, dr := range e.VlogDead {
 		if vs, ok := s.vsegs[dr.Num]; ok {
 			vs.Dead += dr.Dead
-			if vs.Sealed && vs.Dead > vs.Bytes {
-				vs.Dead = vs.Bytes
+			if vs.Sealed && vs.Dead > vs.Bytes-vs.Overhead {
+				vs.Dead = vs.Bytes - vs.Overhead
 			}
 			s.vsegs[dr.Num] = vs
 		}
 	}
 	for _, num := range e.DropVlogSegs {
 		delete(s.vsegs, num)
+	}
+	if e.HasVlogHead {
+		s.vlogHead = e.VlogHead
 	}
 	return nil
 }
@@ -307,13 +312,16 @@ func (s *Set) snapshotEdit() *Edit {
 	}
 	for _, vs := range s.vsegs {
 		if vs.Sealed {
-			e.SealVlogSegs = append(e.SealVlogSegs, VlogSegRecord{Num: vs.Num, Bytes: vs.Bytes})
+			e.SealVlogSegs = append(e.SealVlogSegs, VlogSegRecord{Num: vs.Num, Bytes: vs.Bytes, Overhead: vs.Overhead})
 		} else {
 			e.NewVlogSegs = append(e.NewVlogSegs, vs.Num)
 		}
 		if vs.Dead > 0 {
 			e.VlogDead = append(e.VlogDead, VlogDeadRecord{Num: vs.Num, Dead: vs.Dead})
 		}
+	}
+	if s.vlogHead != (VlogPos{}) {
+		e.HasVlogHead, e.VlogHead = true, s.vlogHead
 	}
 	return e
 }
@@ -415,6 +423,14 @@ func (s *Set) VlogSegs() map[uint64]VlogSeg {
 		out[num] = vs
 	}
 	return out
+}
+
+// VlogHead returns the value log's replay head recorded in the
+// manifest (the zero position when no edit has set one).
+func (s *Set) VlogHead() VlogPos {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.vlogHead
 }
 
 // ManifestNum returns the live MANIFEST file number (for tests).

@@ -32,6 +32,11 @@ func TestEditEncodeDecodeRoundTrip(t *testing.T) {
 		Added: []AddedFile{
 			{Level: 2, Meta: &FileMeta{Num: 10, Size: 4096, SetID: 3, Smallest: ik("a", 9), Largest: ik("m", 2)}},
 		},
+		NewVlogSegs:  []uint64{21},
+		SealVlogSegs: []VlogSegRecord{{Num: 19, Bytes: 8192, Overhead: 170}, {Num: 20, Bytes: 4000}},
+		VlogDead:     []VlogDeadRecord{{Num: 19, Dead: 1234}},
+		DropVlogSegs: []uint64{17},
+		HasVlogHead:  true, VlogHead: VlogPos{Seg: 20, Off: 3210},
 	}
 	got, err := DecodeEdit(e.Encode())
 	if err != nil {
@@ -48,6 +53,9 @@ func TestDecodeEditErrors(t *testing.T) {
 	}
 	if _, err := DecodeEdit([]byte{99}); err == nil {
 		t.Error("unknown tag accepted")
+	}
+	if _, err := DecodeEdit([]byte{tagVlogOverhead, 9}); err == nil {
+		t.Error("vlog overhead record without its seal accepted")
 	}
 	// Truncated bytes field in a compact pointer.
 	bad := (&Edit{CompactPointers: []CompactPointer{{Level: 1, Key: ik("abcdef", 1)}}}).Encode()
@@ -238,6 +246,15 @@ func TestManifestRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := s.ManifestNum()
+	// Value-log state the rotation's snapshot has to carry over.
+	vlogState := &Edit{
+		NewVlogSegs: []uint64{s.NewFileNum(), s.NewFileNum()},
+		HasVlogHead: true, VlogHead: VlogPos{Seg: 3, Off: 777},
+	}
+	vlogState.SealVlogSegs = []VlogSegRecord{{Num: vlogState.NewVlogSegs[0], Bytes: 5000, Overhead: 120}}
+	if err := s.LogAndApply(vlogState); err != nil {
+		t.Fatal(err)
+	}
 	// Push enough edits to overflow a 16 KiB manifest.
 	var lastAdded uint64
 	for i := 0; i < 400; i++ {
@@ -262,6 +279,11 @@ func TestManifestRotation(t *testing.T) {
 	}
 	if r.Current().NumFiles(2) != 1 || r.Current().Files[2][0].Num != lastAdded {
 		t.Errorf("state after rotation: %v", r.Current().Files[2])
+	}
+	sealed, active := vlogState.NewVlogSegs[0], vlogState.NewVlogSegs[1]
+	if got := r.VlogSegs(); r.VlogHead() != vlogState.VlogHead || len(got) != 2 ||
+		got[sealed] != (VlogSeg{Num: sealed, Bytes: 5000, Overhead: 120, Sealed: true}) || got[active] != (VlogSeg{Num: active}) {
+		t.Errorf("vlog state after rotation: head %+v, segments %+v", r.VlogHead(), got)
 	}
 }
 

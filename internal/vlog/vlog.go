@@ -5,26 +5,38 @@
 // dynamic-band allocator — and the tree stores a fixed-size Pointer
 // in their place.
 //
-// This package owns the mechanical pieces: the record wire format
-// and its CRC, the Pointer codec, a Writer that frames appends into
-// a segment, a Scanner that walks segment bytes and finds the torn
-// tail after a crash, and the accounting Table that tracks per-
-// segment live/dead bytes for set-aware garbage collection. Policy —
-// when to separate, when to collect, how to repair pointers — lives
-// in internal/lsm, which drives these types under the engine lock.
+// The value log is also the write-ahead log of every batch that
+// separates a value: such a batch is written whole, in one device
+// write, as a group — its value records followed by a commit frame
+// carrying the rest of the batch. Recovery replays groups; a torn
+// write lacks its frame and is dropped whole.
 //
-// Record format within a segment (all integers little-endian):
+// This package owns the mechanical pieces: the segment header, the
+// record and frame wire formats and their CRCs, the Pointer codec, a
+// Writer that builds a group and appends it to a segment in one write,
+// a Scanner that walks a segment's groups and finds the torn tail
+// after a crash, and the accounting Table that tracks per-segment
+// live/dead bytes for set-aware garbage collection. Policy — when to
+// separate, what a frame's payload means, when to collect, how to
+// repair pointers — lives in internal/lsm, which drives these types
+// under the engine lock.
 //
-//	crc     uint32   masked CRC-32C over seed(segment) ‖ rest
-//	klen    uvarint  key length
-//	vlen    uvarint  value length
-//	key     klen bytes
-//	value   vlen bytes
+// Segment layout (format version 2; all integers little-endian):
 //
-// The CRC is seeded with the segment's file number, like the WAL's
-// tagged frames: a record sitting at the right offset of the wrong
-// (recycled) segment fails its checksum instead of decoding as live
-// data.
+//	segment := header group*
+//	header  := "SVLG" version:uint32
+//	group   := record* frame
+//	record  := crc:uint32 0x01 klen:uvarint vlen:uvarint key value
+//	frame   := crc:uint32 0x02 rbytes:uvarint plen:uvarint payload
+//
+// A crc is the masked CRC-32C over seed(segment) ‖ everything after
+// the crc field. Seeding with the segment's file number, like the
+// WAL's tagged frames, makes a record sitting at the right offset of
+// the wrong (recycled) segment fail its checksum instead of decoding
+// as live data. A frame's rbytes is the total length of the records
+// before it in its group, so a frame vouches for exactly the records
+// written with it; its payload is opaque here (the engine stores the
+// batch header and the entries that stayed out of the log).
 package vlog
 
 import (
@@ -38,16 +50,55 @@ import (
 	"sealdb/internal/obs"
 )
 
-// ErrCorrupt reports a record that failed structural or checksum
-// validation. During tail recovery it marks the torn point; anywhere
-// else it is real corruption.
+// ErrCorrupt reports a record, frame or group that failed structural
+// or checksum validation. During tail recovery it marks the torn
+// point; anywhere else it is real corruption.
 var ErrCorrupt = errors.New("vlog: corrupt record")
 
-// crcSize is the record header's checksum field width.
+// ErrFormat reports a segment whose header is missing or names a
+// format version this code does not read. Such a segment is never
+// scanned, truncated or appended to.
+var ErrFormat = errors.New("vlog: unsupported segment format")
+
+// FormatVersion is the segment format this package reads and writes.
+// Version 1 (headerless, bare records, pointers logged in the WAL) is
+// not readable.
+const FormatVersion = 2
+
+// HeaderSize is the length of the segment header; the first group
+// starts right after it.
+const HeaderSize = 8
+
+const headerMagic = "SVLG"
+
+// AppendHeader appends the segment header to dst.
+func AppendHeader(dst []byte) []byte {
+	dst = append(dst, headerMagic...)
+	return binary.LittleEndian.AppendUint32(dst, FormatVersion)
+}
+
+// CheckHeader validates the header at the start of a segment's bytes.
+func CheckHeader(b []byte) error {
+	if len(b) < HeaderSize || string(b[:len(headerMagic)]) != headerMagic {
+		return fmt.Errorf("%w: no version-%d segment header", ErrFormat, FormatVersion)
+	}
+	if v := binary.LittleEndian.Uint32(b[len(headerMagic):HeaderSize]); v != FormatVersion {
+		return fmt.Errorf("%w: segment is version %d, this build reads version %d", ErrFormat, v, FormatVersion)
+	}
+	return nil
+}
+
+// crcSize is the checksum field width that starts every record and
+// frame; the kind byte follows it.
 const crcSize = 4
 
-// maxLen bounds a single key or value length a decoder will accept.
-// Segments are a few MiB; anything claiming more is a torn or
+const (
+	kindRecord = 0x01
+	kindFrame  = 0x02
+)
+
+// maxLen bounds a single key, value or payload length a decoder will
+// accept. Segments are a few MiB; anything claiming more is a torn or
 // corrupt length byte, and rejecting it keeps adversarial inputs
 // from turning into huge slice bounds.
 const maxLen = 1 << 31
@@ -58,37 +109,76 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // do not collide with CRCs computed over segment bytes.
 func mask(c uint32) uint32 { return ((c >> 15) | (c << 17)) + 0xa282ead8 }
 
-// recordCRC checksums a record body (everything after the crc field)
-// seeded with the segment file number.
-func recordCRC(seg uint64, body []byte) uint32 {
-	var seed [8]byte
-	binary.LittleEndian.PutUint64(seed[:], seg)
-	c := crc32.Update(0, castagnoli, seed[:])
-	c = crc32.Update(c, castagnoli, body)
-	return mask(c)
+// bodyCRC checksums a record or frame body (everything after the crc
+// field) seeded with the segment file number.
+func bodyCRC(seg uint64, body []byte) uint32 {
+	// The seed is the segment number's eight little-endian bytes, run
+	// through the table by hand: handing crc32.Update a slice of a
+	// local array would move the array to the heap on every call.
+	c := ^uint32(0)
+	for i := 0; i < 8; i++ {
+		c = castagnoli[byte(c)^byte(seg>>(8*i))] ^ (c >> 8)
+	}
+	return mask(crc32.Update(^c, castagnoli, body))
+}
+
+// sealCRC fills the crc field of the record or frame that starts at
+// dst[start] and runs to the end of dst.
+func sealCRC(dst []byte, start int, seg uint64) {
+	binary.LittleEndian.PutUint32(dst[start:], bodyCRC(seg, dst[start+crcSize:]))
+}
+
+// uvarintLen returns the encoded size of v.
+func uvarintLen(v uint64) int {
+	var tmp [binary.MaxVarintLen64]byte
+	return binary.PutUvarint(tmp[:], v)
 }
 
 // RecordSize returns the encoded size of a record holding a key and
 // value of the given lengths.
 func RecordSize(klen, vlen int) int {
-	var tmp [2 * binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(klen))
-	n += binary.PutUvarint(tmp[n:], uint64(vlen))
-	return crcSize + n + klen + vlen
+	return crcSize + 1 + uvarintLen(uint64(klen)) + uvarintLen(uint64(vlen)) + klen + vlen
 }
 
 // AppendRecord appends the framed record for (key, value) in segment
 // seg to dst and returns the extended slice.
 func AppendRecord(dst []byte, seg uint64, key, value []byte) []byte {
 	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0) // crc placeholder
+	dst = append(dst, 0, 0, 0, 0, kindRecord) // crc placeholder, kind
 	dst = binary.AppendUvarint(dst, uint64(len(key)))
 	dst = binary.AppendUvarint(dst, uint64(len(value)))
 	dst = append(dst, key...)
 	dst = append(dst, value...)
-	crc := recordCRC(seg, dst[start+crcSize:])
-	binary.LittleEndian.PutUint32(dst[start:start+crcSize], crc)
+	sealCRC(dst, start, seg)
 	return dst
+}
+
+// decodeLens checks the kind byte at the head of a record or frame and
+// decodes the two uvarint lengths that follow it, returning them, the
+// bytes after them, and the header length consumed (crc included).
+func decodeLens(b []byte, kind byte, what string) (l1, l2 uint64, rest []byte, hdr int, err error) {
+	if len(b) <= crcSize || b[crcSize] != kind {
+		return 0, 0, nil, 0, fmt.Errorf("%w: no %s here", ErrCorrupt, what)
+	}
+	body := b[crcSize+1:]
+	l1, n1 := binary.Uvarint(body)
+	if n1 <= 0 || l1 > maxLen {
+		return 0, 0, nil, 0, fmt.Errorf("%w: bad %s length", ErrCorrupt, what)
+	}
+	l2, n2 := binary.Uvarint(body[n1:])
+	if n2 <= 0 || l2 > maxLen {
+		return 0, 0, nil, 0, fmt.Errorf("%w: bad %s length", ErrCorrupt, what)
+	}
+	return l1, l2, body[n1+n2:], crcSize + 1 + n1 + n2, nil
+}
+
+// checkCRC verifies the checksum of the n-byte record or frame at the
+// head of b.
+func checkCRC(seg uint64, b []byte, n int) error {
+	if got, want := bodyCRC(seg, b[crcSize:n]), binary.LittleEndian.Uint32(b[:crcSize]); got != want {
+		return fmt.Errorf("%w: checksum mismatch in segment %d", ErrCorrupt, seg)
+	}
+	return nil
 }
 
 // DecodeRecord decodes one record from the head of b, returning the
@@ -97,27 +187,53 @@ func AppendRecord(dst []byte, seg uint64, key, value []byte) []byte {
 // ErrCorrupt: the caller decides whether that means a torn tail
 // (clean truncation) or damage.
 func DecodeRecord(seg uint64, b []byte) (key, value []byte, n int, err error) {
-	if len(b) < crcSize {
-		return nil, nil, 0, fmt.Errorf("%w: %d bytes is shorter than a record header", ErrCorrupt, len(b))
+	klen, vlen, payload, hdr, err := decodeLens(b, kindRecord, "record")
+	if err != nil {
+		return nil, nil, 0, err
 	}
-	body := b[crcSize:]
-	klen, kn := binary.Uvarint(body)
-	if kn <= 0 || klen > maxLen {
-		return nil, nil, 0, fmt.Errorf("%w: bad key length", ErrCorrupt)
-	}
-	vlen, vn := binary.Uvarint(body[kn:])
-	if vn <= 0 || vlen > maxLen {
-		return nil, nil, 0, fmt.Errorf("%w: bad value length", ErrCorrupt)
-	}
-	payload := body[kn+vn:]
 	if uint64(len(payload)) < klen+vlen {
 		return nil, nil, 0, fmt.Errorf("%w: record claims %d payload bytes, %d remain", ErrCorrupt, klen+vlen, len(payload))
 	}
-	n = crcSize + kn + vn + int(klen) + int(vlen)
-	if got, want := recordCRC(seg, b[crcSize:n]), binary.LittleEndian.Uint32(b[:crcSize]); got != want {
-		return nil, nil, 0, fmt.Errorf("%w: checksum mismatch in segment %d", ErrCorrupt, seg)
+	n = hdr + int(klen) + int(vlen)
+	if err := checkCRC(seg, b, n); err != nil {
+		return nil, nil, 0, err
 	}
 	return payload[:klen:klen], payload[klen : klen+vlen : klen+vlen], n, nil
+}
+
+// FrameSize returns the encoded size of a commit frame that follows
+// rbytes of records and carries a plen-byte payload.
+func FrameSize(rbytes, plen int) int {
+	return crcSize + 1 + uvarintLen(uint64(rbytes)) + uvarintLen(uint64(plen)) + plen
+}
+
+// appendFrame appends the commit frame closing a group whose records
+// total rbytes.
+func appendFrame(dst []byte, seg uint64, rbytes int, payload []byte) []byte {
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, kindFrame)
+	dst = binary.AppendUvarint(dst, uint64(rbytes))
+	dst = binary.AppendUvarint(dst, uint64(len(payload)))
+	dst = append(dst, payload...)
+	sealCRC(dst, start, seg)
+	return dst
+}
+
+// decodeFrame decodes one commit frame from the head of b. The
+// returned payload aliases b.
+func decodeFrame(seg uint64, b []byte) (rbytes int, payload []byte, n int, err error) {
+	rb, plen, rest, hdr, err := decodeLens(b, kindFrame, "frame")
+	if err != nil {
+		return 0, nil, 0, err
+	}
+	if uint64(len(rest)) < plen {
+		return 0, nil, 0, fmt.Errorf("%w: frame claims %d payload bytes, %d remain", ErrCorrupt, plen, len(rest))
+	}
+	n = hdr + int(plen)
+	if err := checkCRC(seg, b, n); err != nil {
+		return 0, nil, 0, err
+	}
+	return int(rb), rest[:plen:plen], n, nil
 }
 
 // PointerSize is the fixed wire size of an encoded Pointer; the LSM
@@ -156,99 +272,195 @@ func DecodePointer(b []byte) (Pointer, error) {
 	}, nil
 }
 
-// Writer frames records into one segment. The sink is the segment's
-// append file (any io.Writer in tests); off is where this writer
-// resumes, so a reopened segment continues from its recovered valid
-// length. Writer does not lock: the engine serializes appends under
-// its own mutex.
+// Record is one value record of a group, as the Writer built it or
+// the Scanner decoded it. Key and Value alias the group's buffer and
+// are valid until the Writer's next Begin or the Scanner's next Next.
+type Record struct {
+	Key, Value []byte
+	Ptr        Pointer
+}
+
+// Writer builds groups and appends each to a segment in one write.
+// The sink is the segment's append file (any io.Writer in tests); off
+// is where this writer resumes, so a reopened segment continues from
+// its recovered valid length. The zero Writer has no segment and no
+// room: the engine's first commit rotates it onto one. Writer does
+// not lock: the engine serializes commits under its own mutex.
 type Writer struct {
-	w   io.Writer
-	seg uint64
-	off int64
-	buf []byte
+	w     io.Writer
+	seg   uint64
+	off   int64
+	limit int64
+	buf   []byte   // the open group: records, then the frame
+	recs  []Record // the open group's records
 }
 
-// NewWriter returns a Writer appending to segment seg at offset off.
+// NewWriter returns a Writer appending to segment seg at offset off,
+// bounded only by the pointer offset range.
 func NewWriter(w io.Writer, seg uint64, off int64) *Writer {
-	return &Writer{w: w, seg: seg, off: off}
+	return &Writer{w: w, seg: seg, off: off, limit: maxLen}
 }
 
-// Append frames (key, value), writes the record to the sink, and
-// returns the Pointer a tree entry should store. The sink's write is
-// the durability point: when Append returns, the record bytes have
-// been handed to the device.
-func (w *Writer) Append(key, value []byte) (Pointer, error) {
-	w.buf = AppendRecord(w.buf[:0], w.seg, key, value)
-	if w.off+int64(len(w.buf)) > maxLen {
-		return Pointer{}, fmt.Errorf("vlog: segment %d overflows pointer offset range at %d bytes", w.seg, w.off)
+// Reset points the writer at segment seg, resuming at off, with limit
+// the segment's capacity. The group buffers keep their capacity.
+func (w *Writer) Reset(sink io.Writer, seg uint64, off, limit int64) {
+	w.w, w.seg, w.off, w.limit = sink, seg, off, limit
+	w.Begin()
+}
+
+// maxRetainedGroup bounds the group buffer a Writer keeps between
+// commits: ordinary batches reuse it, while a rare huge group (a GC
+// relocation filling a segment) does not pin its size forever.
+const maxRetainedGroup = 64 << 10
+
+// Begin opens an empty group, discarding any uncommitted one.
+func (w *Writer) Begin() {
+	if cap(w.buf) > maxRetainedGroup {
+		w.buf = nil
 	}
-	p := Pointer{Seg: w.seg, Off: uint32(w.off), Len: uint32(len(w.buf))}
+	// The old records alias the old buffer, and every array it outgrew
+	// on the way: forget them, or they keep all of that alive.
+	clear(w.recs)
+	w.buf, w.recs = w.buf[:0], w.recs[:0]
+}
+
+// Add appends a value record to the open group and returns the
+// Pointer a tree entry should store once the group commits. Offsets
+// are known before the write, so pointers are too.
+func (w *Writer) Add(key, value []byte) Pointer {
+	start := len(w.buf)
+	w.buf = AppendRecord(w.buf, w.seg, key, value)
+	p := Pointer{Seg: w.seg, Off: uint32(w.off + int64(start)), Len: uint32(len(w.buf) - start)}
+	klen := len(key)
+	kv := w.buf[len(w.buf)-klen-len(value):]
+	w.recs = append(w.recs, Record{Key: kv[:klen:klen], Value: kv[klen:len(kv):len(kv)], Ptr: p})
+	return p
+}
+
+// Records returns the open group's records in Add order.
+func (w *Writer) Records() []Record { return w.recs }
+
+// GroupSize returns the bytes the open group will occupy once
+// committed with a plen-byte frame payload.
+func (w *Writer) GroupSize(plen int) int64 {
+	return int64(len(w.buf) + FrameSize(len(w.buf), plen))
+}
+
+// Fits reports whether n more bytes fit in the segment.
+func (w *Writer) Fits(n int64) bool { return w.off+n <= w.limit }
+
+// Commit closes the open group with a frame carrying payload and
+// writes the whole group — records first, frame last — to the sink
+// in one Write, which is the durability point: a torn prefix of that
+// write lacks the frame, and the scanner drops it whole. A group
+// never straddles a segment: one that does not fit is refused with
+// nothing written (the engine rotates first). Returns the group's
+// length and, of it, the frame's; the records stay readable until the
+// next Begin.
+func (w *Writer) Commit(payload []byte) (n, frame int, err error) {
+	rbytes := len(w.buf)
+	w.buf = appendFrame(w.buf, w.seg, rbytes, payload)
+	if !w.Fits(int64(len(w.buf))) {
+		return 0, 0, fmt.Errorf("vlog: %d-byte group does not fit segment %d at %d of %d bytes", len(w.buf), w.seg, w.off, w.limit)
+	}
 	if _, err := w.w.Write(w.buf); err != nil {
-		return Pointer{}, err
+		return 0, 0, err
 	}
 	w.off += int64(len(w.buf))
-	return p, nil
+	return len(w.buf), len(w.buf) - rbytes, nil
 }
 
-// Seg returns the segment file number this writer appends to.
+// Append commits a group of one record and an empty frame payload,
+// returning the record's Pointer.
+func (w *Writer) Append(key, value []byte) (Pointer, error) {
+	w.Begin()
+	p := w.Add(key, value)
+	_, _, err := w.Commit(nil)
+	return p, err
+}
+
+// Seg returns the segment file number this writer appends to (0 when
+// it has none yet).
 func (w *Writer) Seg() uint64 { return w.seg }
 
-// Offset returns the segment offset the next Append will land at —
-// equivalently, the record bytes written to the segment so far.
+// Offset returns the segment offset the next group will land at —
+// equivalently, the bytes written to the segment so far.
 func (w *Writer) Offset() int64 { return w.off }
 
-// Scanner walks the records in a segment's bytes. Next returns false
-// at the first byte range that does not decode as a whole record;
+// Scanner walks the groups in a segment's bytes. Next returns false
+// at the first byte range that does not decode as a whole group;
 // ValidLen then reports the clean prefix. On the active segment after
-// a crash that boundary is the torn tail — everything before it is
-// intact (each record carries its own CRC), everything after is an
-// interrupted append to truncate away.
+// a crash that boundary is the torn tail — every group before it is
+// intact (records and frames carry their own CRCs), everything after
+// is an interrupted write to truncate away: records without their
+// frame were never acknowledged.
 type Scanner struct {
-	seg      uint64
-	buf      []byte
-	pos      int
-	key, val []byte
-	ptr      Pointer
-	err      error
+	seg     uint64
+	buf     []byte
+	base    int64 // segment offset of buf[0]
+	pos     int   // end of the last whole group
+	recs    []Record
+	payload []byte
+	frame   int // encoded length of the current group's frame
+	err     error
 }
 
 // NewScanner returns a Scanner over buf, which holds segment seg's
-// bytes starting at offset zero.
-func NewScanner(seg uint64, buf []byte) *Scanner {
-	return &Scanner{seg: seg, buf: buf}
+// bytes starting at segment offset off — a group boundary: HeaderSize,
+// or a position a Writer reported.
+func NewScanner(seg uint64, buf []byte, off int64) *Scanner {
+	return &Scanner{seg: seg, buf: buf, base: off}
 }
 
-// Next advances to the next record, reporting whether one was
+// Next advances to the next group, reporting whether a whole one —
+// its records and the frame that vouches for exactly them — was
 // decoded.
 func (s *Scanner) Next() bool {
 	if s.err != nil || s.pos >= len(s.buf) {
 		return false
 	}
-	key, val, n, err := DecodeRecord(s.seg, s.buf[s.pos:])
+	s.recs = s.recs[:0]
+	p := s.pos
+	// Records up to the frame; the kind byte says which is next, so a
+	// decode error is damage (or the torn tail), never the loop's exit.
+	for len(s.buf)-p > crcSize && s.buf[p+crcSize] == kindRecord {
+		key, val, n, err := DecodeRecord(s.seg, s.buf[p:])
+		if err != nil {
+			s.err, s.recs = err, s.recs[:0]
+			return false
+		}
+		s.recs = append(s.recs, Record{Key: key, Value: val,
+			Ptr: Pointer{Seg: s.seg, Off: uint32(s.base + int64(p)), Len: uint32(n)}})
+		p += n
+	}
+	rbytes, payload, n, err := decodeFrame(s.seg, s.buf[p:])
+	if err == nil && rbytes != p-s.pos {
+		err = fmt.Errorf("%w: frame vouches for %d record bytes, %d precede it", ErrCorrupt, rbytes, p-s.pos)
+	}
 	if err != nil {
-		s.err = err
+		s.err, s.recs = err, s.recs[:0]
 		return false
 	}
-	s.key, s.val = key, val
-	s.ptr = Pointer{Seg: s.seg, Off: uint32(s.pos), Len: uint32(n)}
-	s.pos += n
+	s.payload, s.frame = payload, n
+	s.pos = p + n
 	return true
 }
 
-// Key returns the current record's key. Valid until the next call to
-// Next.
-func (s *Scanner) Key() []byte { return s.key }
+// Records returns the current group's value records, in log order.
+// Valid until the next call to Next.
+func (s *Scanner) Records() []Record { return s.recs }
 
-// Value returns the current record's value. Valid until the next
-// call to Next.
-func (s *Scanner) Value() []byte { return s.val }
+// Payload returns the current group's frame payload. Valid until the
+// next call to Next.
+func (s *Scanner) Payload() []byte { return s.payload }
 
-// Pointer returns the Pointer locating the current record.
-func (s *Scanner) Pointer() Pointer { return s.ptr }
+// FrameLen returns the encoded length of the current group's frame:
+// the group's bytes that no Pointer will ever reference.
+func (s *Scanner) FrameLen() int64 { return int64(s.frame) }
 
-// ValidLen returns the length of the clean record prefix: the
-// truncation point for tail recovery.
-func (s *Scanner) ValidLen() int64 { return int64(s.pos) }
+// ValidLen returns the segment offset where the clean group prefix
+// ends: the truncation point for tail recovery.
+func (s *Scanner) ValidLen() int64 { return s.base + int64(s.pos) }
 
 // Err returns the decode error that ended the scan, or nil if the
 // buffer was consumed exactly.
@@ -256,27 +468,33 @@ func (s *Scanner) Err() error { return s.err }
 
 // SegmentInfo is one segment's accounting entry.
 type SegmentInfo struct {
-	Num    uint64 // storage file number
-	Bytes  int64  // record bytes written (the segment's valid length)
-	Dead   int64  // bytes of records known superseded or deleted
-	Sealed bool   // full segments are sealed and become GC candidates
+	Num   uint64 // storage file number
+	Bytes int64  // bytes written (the segment's valid length)
+	// Overhead is the part of Bytes that is header and commit frames:
+	// bytes no Pointer ever references, garbage from the moment they
+	// are written.
+	Overhead int64
+	Dead     int64 // bytes of records known superseded or deleted
+	Sealed   bool  // full segments are sealed and become GC candidates
 }
 
 // Live returns the segment's live record bytes.
-func (s SegmentInfo) Live() int64 { return s.Bytes - s.Dead }
+func (s SegmentInfo) Live() int64 { return s.Bytes - s.Overhead - s.Dead }
 
-// DeadRatio returns the fraction of the segment's bytes known dead.
+// DeadRatio returns the fraction of the segment's record bytes known
+// dead. Overhead is left out of both sides, so the collector's
+// threshold means what it meant when the log held records only.
 func (s SegmentInfo) DeadRatio() float64 {
-	if s.Bytes <= 0 {
+	if s.Bytes <= s.Overhead {
 		return 0
 	}
-	return float64(s.Dead) / float64(s.Bytes)
+	return float64(s.Dead) / float64(s.Bytes-s.Overhead)
 }
 
 // Table tracks per-segment live-byte accounting for the garbage
-// collector. The engine feeds it from three sources: appends extend
-// the active segment, compaction drops and GC re-puts report dead
-// bytes, and recovery rebuilds the whole table from the manifest.
+// collector. The engine feeds it from three sources: commits extend
+// the active segment, compaction drops report dead bytes, and
+// recovery rebuilds the whole table from the manifest.
 // Victim selection reads it to find the segment whose reclamation
 // frees the most dead space.
 type Table struct {
@@ -297,20 +515,23 @@ func NewTable() *Table {
 }
 
 // Open registers segment num as the active (unsealed) segment with
-// the given starting length — zero for a fresh segment, the
-// recovered valid length after a crash.
-func (t *Table) Open(num uint64, bytes int64) {
+// the given starting length, overhead of it — just the header for a
+// fresh segment, the recovered valid length and its frames after a
+// crash or, followed by Seal, a sealed segment's manifest record.
+func (t *Table) Open(num uint64, bytes, overhead int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.segs[num] = &SegmentInfo{Num: num, Bytes: bytes}
+	t.segs[num] = &SegmentInfo{Num: num, Bytes: bytes, Overhead: overhead}
 }
 
-// Extend records n bytes appended to segment num.
-func (t *Table) Extend(num uint64, n int64) {
+// Extend records a group of n bytes, overhead of them its frame,
+// appended to segment num.
+func (t *Table) Extend(num uint64, n, overhead int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if s := t.segs[num]; s != nil {
 		s.Bytes += n
+		s.Overhead += overhead
 	}
 }
 
@@ -322,22 +543,17 @@ func (t *Table) Seal(num uint64, bytes int64) {
 	if s := t.segs[num]; s != nil {
 		s.Bytes = bytes
 		s.Sealed = true
-	} else {
-		t.segs[num] = &SegmentInfo{Num: num, Bytes: bytes, Sealed: true}
 	}
 }
 
-// AddDead charges n dead bytes to segment num, clamped to the
-// segment's size so replayed or duplicated drops cannot push live
-// accounting negative.
+// AddDead charges n dead record bytes to segment num, clamped to the
+// segment's record bytes so replayed or duplicated drops cannot push
+// live accounting negative.
 func (t *Table) AddDead(num uint64, n int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if s := t.segs[num]; s != nil {
-		s.Dead += n
-		if s.Dead > s.Bytes {
-			s.Dead = s.Bytes
-		}
+		s.Dead = min(s.Dead+n, s.Bytes-s.Overhead)
 	}
 }
 
@@ -371,15 +587,19 @@ func (t *Table) Segments() []SegmentInfo {
 	return out
 }
 
-// Victim returns the sealed segment with the highest dead ratio, if
-// any reaches minRatio. Ties break toward the lowest file number so
-// selection is deterministic under a fixed accounting state.
-func (t *Table) Victim(minRatio float64) (SegmentInfo, bool) {
+// Victim returns the sealed segment numbered below before with the
+// highest dead ratio, if any reaches minRatio. before is the segment
+// holding the engine's replay head: segments from there on are still
+// the write-ahead log of unflushed batches, and collecting one would
+// delete acknowledged writes recovery has yet to replay. Ties break
+// toward the lowest file number so selection is deterministic under a
+// fixed accounting state.
+func (t *Table) Victim(minRatio float64, before uint64) (SegmentInfo, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var best *SegmentInfo
 	for _, s := range t.segs {
-		if !s.Sealed || s.DeadRatio() < minRatio {
+		if !s.Sealed || s.Num >= before || s.DeadRatio() < minRatio {
 			continue
 		}
 		if best == nil || s.DeadRatio() > best.DeadRatio() ||
@@ -393,14 +613,14 @@ func (t *Table) Victim(minRatio float64) (SegmentInfo, bool) {
 	return *best, true
 }
 
-// Totals returns the table-wide live and dead byte counts and the
-// number of tracked segments.
+// Totals returns the table-wide live and dead byte counts — overhead
+// counts as dead — and the number of tracked segments.
 func (t *Table) Totals() (live, dead int64, segments int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, s := range t.segs {
 		live += s.Live()
-		dead += s.Dead
+		dead += s.Dead + s.Overhead
 	}
 	return live, dead, len(t.segs)
 }

@@ -2,7 +2,9 @@ package vlog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"testing"
 )
 
@@ -37,6 +39,22 @@ func TestRecordSegmentSeedMismatch(t *testing.T) {
 	}
 }
 
+func TestCRCSeedIsSegmentNumberPrefix(t *testing.T) {
+	// The checksum is CRC-32C over the segment number's eight
+	// little-endian bytes followed by the body, computed without a heap
+	// allocation (pointer chases checksum one record per Get).
+	body := []byte("kind, lengths, key and value")
+	for _, seg := range []uint64{0, 1, 42, 1<<40 + 17, ^uint64(0)} {
+		prefixed := append(binary.LittleEndian.AppendUint64(nil, seg), body...)
+		if got, want := bodyCRC(seg, body), mask(crc32.Checksum(prefixed, castagnoli)); got != want {
+			t.Fatalf("segment %d: crc %#x, want %#x", seg, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { bodyCRC(9, body) }); n != 0 {
+		t.Fatalf("bodyCRC allocates %v times per call", n)
+	}
+}
+
 func TestRecordCorruption(t *testing.T) {
 	rec := AppendRecord(nil, 3, []byte("key"), bytes.Repeat([]byte("v"), 100))
 	for i := range rec {
@@ -68,106 +86,246 @@ func TestPointerRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWriterScannerTornTail(t *testing.T) {
-	var sink bytes.Buffer
-	w := NewWriter(&sink, 11, 0)
-	type rec struct {
-		key, val string
-		ptr      Pointer
+func TestHeader(t *testing.T) {
+	h := AppendHeader(nil)
+	if len(h) != HeaderSize {
+		t.Fatalf("header is %d bytes, want %d", len(h), HeaderSize)
 	}
-	recs := []rec{
-		{key: "alpha", val: string(bytes.Repeat([]byte("A"), 200))},
-		{key: "beta", val: string(bytes.Repeat([]byte("B"), 90))},
-		{key: "gamma", val: string(bytes.Repeat([]byte("C"), 500))},
+	if err := CheckHeader(append(h, "trailing group bytes"...)); err != nil {
+		t.Fatalf("own header rejected: %v", err)
 	}
-	for i := range recs {
-		p, err := w.Append([]byte(recs[i].key), []byte(recs[i].val))
-		if err != nil {
-			t.Fatalf("append %d: %v", i, err)
+	future := append([]byte(nil), h...)
+	future[4]++
+	for name, b := range map[string][]byte{
+		"future version":    future,
+		"short":             h[:HeaderSize-1],
+		"empty":             nil,
+		"version-1 segment": {0xde, 0xad, 0xbe, 0xef, 3, 5, 'k', 'e', 'y', 'v', 'a', 'l', 'u', 'e'}, // headerless: crc klen vlen key value
+	} {
+		if err := CheckHeader(b); !errors.Is(err, ErrFormat) {
+			t.Fatalf("%s: %v, want ErrFormat", name, err)
 		}
-		recs[i].ptr = p
 	}
-	if w.Offset() != int64(sink.Len()) {
-		t.Fatalf("writer offset %d, sink holds %d", w.Offset(), sink.Len())
+}
+
+func TestFrameCorruption(t *testing.T) {
+	frame := appendFrame(nil, 3, 1234, []byte("the batch that stayed out of the log"))
+	if got := FrameSize(1234, 36); got != len(frame) {
+		t.Fatalf("FrameSize = %d, encoded %d", got, len(frame))
+	}
+	for i := range frame {
+		mut := append([]byte(nil), frame...)
+		mut[i] ^= 0x40
+		if _, _, _, err := decodeFrame(3, mut); err == nil {
+			t.Fatalf("flipped byte %d decoded clean", i)
+		}
+	}
+	for cut := 0; cut < len(frame); cut++ {
+		if _, _, _, err := decodeFrame(3, frame[:cut]); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("truncation at %d: %v, want ErrCorrupt", cut, err)
+		}
+	}
+	// A record is not a frame and a frame is not a record.
+	rec := AppendRecord(nil, 3, []byte("k"), []byte("v"))
+	if _, _, _, err := decodeFrame(3, rec); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("record decoded as a frame: %v", err)
+	}
+	if _, _, _, err := DecodeRecord(3, frame); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("frame decoded as a record: %v", err)
+	}
+}
+
+// countingSink counts Write calls: a group must reach the device as
+// exactly one.
+type countingSink struct {
+	bytes.Buffer
+	writes int
+}
+
+func (s *countingSink) Write(p []byte) (int, error) {
+	s.writes++
+	return s.Buffer.Write(p)
+}
+
+func TestWriterScannerTornTail(t *testing.T) {
+	var sink countingSink
+	sink.Buffer.Write(AppendHeader(nil))
+	w := NewWriter(&sink, 11, HeaderSize)
+	type group struct {
+		keys, vals []string
+		payload    string
+		ptrs       []Pointer
+		end        int64
+	}
+	groups := []group{
+		{keys: []string{"alpha"}, vals: []string{string(bytes.Repeat([]byte("A"), 200))}, payload: "first"},
+		{keys: []string{"beta", "gamma", ""}, vals: []string{string(bytes.Repeat([]byte("B"), 90)), "", "empty key"}, payload: ""},
+		{keys: []string{"delta"}, vals: []string{string(bytes.Repeat([]byte("C"), 500))}, payload: "third frame payload"},
+	}
+	for i := range groups {
+		g := &groups[i]
+		w.Begin()
+		for j := range g.keys {
+			g.ptrs = append(g.ptrs, w.Add([]byte(g.keys[j]), []byte(g.vals[j])))
+		}
+		if want := w.GroupSize(len(g.payload)); !w.Fits(want) {
+			t.Fatalf("group %d does not fit an unbounded writer", i)
+		}
+		before := w.Offset()
+		n, frame, err := w.Commit([]byte(g.payload))
+		if err != nil {
+			t.Fatalf("commit %d: %v", i, err)
+		}
+		if w.Offset() != before+int64(n) || w.Offset() != int64(sink.Len()) || frame != FrameSize(n-frame, len(g.payload)) {
+			t.Fatalf("group %d: offset %d after %d+%d (frame %d), sink holds %d", i, w.Offset(), before, n, frame, sink.Len())
+		}
+		g.end = w.Offset()
+	}
+	if sink.writes != len(groups) {
+		t.Fatalf("%d groups took %d writes, want one each", len(groups), sink.writes)
+	}
+	full := sink.Bytes()
+	if err := CheckHeader(full); err != nil {
+		t.Fatal(err)
 	}
 
-	// Clean scan: every record, pointers matching what Append issued.
-	s := NewScanner(11, sink.Bytes())
-	for i := range recs {
+	// Clean scan: every group, records and pointers matching what Add
+	// issued, frames carrying their payloads.
+	s := NewScanner(11, full[HeaderSize:], HeaderSize)
+	for i, g := range groups {
 		if !s.Next() {
-			t.Fatalf("scan stopped at record %d: %v", i, s.Err())
+			t.Fatalf("scan stopped at group %d: %v", i, s.Err())
 		}
-		if string(s.Key()) != recs[i].key || string(s.Value()) != recs[i].val || s.Pointer() != recs[i].ptr {
-			t.Fatalf("record %d: key %q value len %d ptr %+v, want %q/%d/%+v",
-				i, s.Key(), len(s.Value()), s.Pointer(), recs[i].key, len(recs[i].val), recs[i].ptr)
+		recs := s.Records()
+		if len(recs) != len(g.keys) || string(s.Payload()) != g.payload || s.ValidLen() != g.end {
+			t.Fatalf("group %d: %d records, payload %q, end %d; want %d, %q, %d",
+				i, len(recs), s.Payload(), s.ValidLen(), len(g.keys), g.payload, g.end)
 		}
-		// Pointer-addressed slice must decode back to the same record.
-		off, end := s.Pointer().Off, s.Pointer().Off+s.Pointer().Len
-		k, v, _, err := DecodeRecord(11, sink.Bytes()[off:end])
-		if err != nil || string(k) != recs[i].key || string(v) != recs[i].val {
-			t.Fatalf("pointer chase of record %d: %q, %v", i, k, err)
+		var recBytes int64
+		for j, r := range recs {
+			if string(r.Key) != g.keys[j] || string(r.Value) != g.vals[j] || r.Ptr != g.ptrs[j] {
+				t.Fatalf("group %d record %d: key %q value len %d ptr %+v, want %q/%d/%+v",
+					i, j, r.Key, len(r.Value), r.Ptr, g.keys[j], len(g.vals[j]), g.ptrs[j])
+			}
+			// Pointer-addressed slice must decode back to the same record.
+			k, v, _, err := DecodeRecord(11, full[r.Ptr.Off:r.Ptr.Off+r.Ptr.Len])
+			if err != nil || string(k) != g.keys[j] || string(v) != g.vals[j] {
+				t.Fatalf("pointer chase of group %d record %d: %q, %v", i, j, k, err)
+			}
+			recBytes += int64(r.Ptr.Len)
+		}
+		if want := int64(FrameSize(int(recBytes), len(g.payload))); s.FrameLen() != want {
+			t.Fatalf("group %d: FrameLen %d, want %d", i, s.FrameLen(), want)
 		}
 	}
 	if s.Next() || s.Err() != nil {
-		t.Fatalf("clean scan did not end cleanly: next=%v err=%v", s.Next(), s.Err())
-	}
-	if s.ValidLen() != int64(sink.Len()) {
-		t.Fatalf("clean ValidLen %d, want %d", s.ValidLen(), sink.Len())
+		t.Fatalf("clean scan did not end cleanly: err=%v", s.Err())
 	}
 
-	// Torn tail: cut the last record mid-write; ValidLen must land on
-	// the boundary before it, for every cut position.
-	full := sink.Bytes()
-	lastStart := int64(recs[2].ptr.Off)
+	// Torn tail: cut the last group's write at every byte. Whether the
+	// cut lands in a record or in the frame, the whole group is dropped
+	// — records without their frame were never acknowledged — and
+	// ValidLen lands on the boundary before it.
+	lastStart := groups[1].end
 	for cut := lastStart + 1; cut < int64(len(full)); cut++ {
-		ts := NewScanner(11, full[:cut])
+		ts := NewScanner(11, full[HeaderSize:cut], HeaderSize)
 		n := 0
 		for ts.Next() {
 			n++
 		}
-		if n != 2 || ts.ValidLen() != lastStart || !errors.Is(ts.Err(), ErrCorrupt) {
-			t.Fatalf("cut %d: %d records, ValidLen %d, err %v; want 2 records at %d", cut, n, ts.ValidLen(), ts.Err(), lastStart)
+		if n != 2 || ts.ValidLen() != lastStart || !errors.Is(ts.Err(), ErrCorrupt) || len(ts.Records()) != 0 {
+			t.Fatalf("cut %d: %d groups, ValidLen %d, err %v; want 2 groups at %d", cut, n, ts.ValidLen(), ts.Err(), lastStart)
 		}
+	}
+	// A frame that vouches for a different record run than the one in
+	// front of it (a group missing its first record) is refused.
+	g1 := groups[0].end
+	spliced := append(append([]byte(nil), full[:g1]...), full[g1+int64(groups[1].ptrs[0].Len):groups[1].end]...)
+	ss := NewScanner(11, spliced[g1:], g1)
+	if ss.Next() || !errors.Is(ss.Err(), ErrCorrupt) {
+		t.Fatalf("group short of a record scanned clean: %v", ss.Err())
+	}
+
+	// A scanner started at a later group boundary (the replay head)
+	// yields the same pointers.
+	hs := NewScanner(11, full[groups[0].end:], groups[0].end)
+	if !hs.Next() || hs.Records()[0].Ptr != groups[1].ptrs[0] {
+		t.Fatalf("scan from a group boundary: %+v, %v", hs.Records(), hs.Err())
 	}
 
 	// A writer reopened at the recovered length keeps issuing correct
 	// pointers.
 	w2 := NewWriter(&sink, 11, int64(sink.Len()))
-	p, err := w2.Append([]byte("delta"), []byte("D"))
+	p, err := w2.Append([]byte("epsilon"), []byte("E"))
 	if err != nil {
 		t.Fatalf("reopened append: %v", err)
 	}
 	k, v, _, err := DecodeRecord(11, sink.Bytes()[p.Off:p.Off+p.Len])
-	if err != nil || string(k) != "delta" || string(v) != "D" {
+	if err != nil || string(k) != "epsilon" || string(v) != "E" {
 		t.Fatalf("reopened pointer chase: %q %q %v", k, v, err)
+	}
+}
+
+func TestWriterNeverStraddlesSegment(t *testing.T) {
+	var sink countingSink
+	var w Writer // the zero Writer has no segment and no room
+	if w.Seg() != 0 || w.Fits(1) {
+		t.Fatalf("zero writer: seg %d, fits a byte: %v", w.Seg(), w.Fits(1))
+	}
+	w.Reset(&sink, 5, HeaderSize, 256)
+	w.Begin()
+	w.Add([]byte("k"), bytes.Repeat([]byte("v"), 300))
+	if w.Fits(w.GroupSize(0)) {
+		t.Fatal("a 300-byte value fits a 256-byte segment")
+	}
+	if _, _, err := w.Commit(nil); err == nil {
+		t.Fatal("oversized group committed")
+	}
+	if sink.writes != 0 || w.Offset() != HeaderSize {
+		t.Fatalf("refused commit wrote %d times, offset %d", sink.writes, w.Offset())
+	}
+	// The same group fits after the engine rotates to a big enough
+	// segment; Reset kept nothing of the refused one.
+	w.Reset(&sink, 6, HeaderSize, 1024)
+	p := w.Add([]byte("k"), bytes.Repeat([]byte("v"), 300))
+	if p.Seg != 6 || p.Off != HeaderSize || len(w.Records()) != 1 {
+		t.Fatalf("after reset: pointer %+v, %d records", p, len(w.Records()))
+	}
+	if _, _, err := w.Commit(nil); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestTableAccounting(t *testing.T) {
 	tab := NewTable()
-	tab.Open(5, 0)
-	tab.Extend(5, 1000)
-	if s, ok := tab.Info(5); !ok || s.Bytes != 1000 || s.Dead != 0 || s.Sealed {
+	tab.Open(5, 8, 8) // a fresh segment: just its header
+	tab.Extend(5, 1092, 92)
+	if s, ok := tab.Info(5); !ok || s.Bytes != 1100 || s.Overhead != 100 || s.Dead != 0 || s.Sealed {
 		t.Fatalf("after extend: %+v %v", s, ok)
 	}
-	tab.Seal(5, 1000)
+	tab.Seal(5, 1100)
 	tab.AddDead(5, 600)
 	s, _ := tab.Info(5)
+	// Header and frames are nobody's live bytes, and stay out of the
+	// ratio the collector's threshold is compared with.
 	if s.Live() != 400 || s.DeadRatio() != 0.6 || !s.Sealed {
 		t.Fatalf("after seal+dead: %+v", s)
 	}
-	// Clamp: dead can never exceed size even if drops double-report.
+	// Clamp: dead can never exceed the record bytes even if drops
+	// double-report.
 	tab.AddDead(5, 10_000)
 	if s, _ := tab.Info(5); s.Dead != 1000 || s.Live() != 0 {
 		t.Fatalf("dead not clamped: %+v", s)
 	}
-	// Seal of an unknown segment (manifest replay order) registers it.
+	// A sealed segment recovered from the manifest: opened at its
+	// recorded length and overhead, then sealed.
+	tab.Open(9, 500, 0)
 	tab.Seal(9, 500)
 	if s, ok := tab.Info(9); !ok || !s.Sealed || s.Bytes != 500 {
-		t.Fatalf("seal-register: %+v %v", s, ok)
+		t.Fatalf("open+seal: %+v %v", s, ok)
 	}
 	live, dead, n := tab.Totals()
-	if live != 500 || dead != 1000 || n != 2 {
+	if live != 500 || dead != 1100 || n != 2 {
 		t.Fatalf("totals: live=%d dead=%d n=%d", live, dead, n)
 	}
 	tab.Drop(5)
@@ -182,30 +340,42 @@ func TestTableAccounting(t *testing.T) {
 func TestTableVictimSelection(t *testing.T) {
 	tab := NewTable()
 	// Active segment: never a victim regardless of dead ratio.
-	tab.Open(1, 0)
-	tab.Extend(1, 100)
+	tab.Open(1, 0, 0)
+	tab.Extend(1, 100, 0)
 	tab.AddDead(1, 100)
-	if v, ok := tab.Victim(0.1); ok {
+	if v, ok := tab.Victim(0.1, 100); ok {
 		t.Fatalf("unsealed victim selected: %+v", v)
 	}
 	// Sealed segments: highest dead ratio wins.
+	tab.Open(2, 1000, 0)
 	tab.Seal(2, 1000)
 	tab.AddDead(2, 300)
+	tab.Open(3, 1000, 0)
 	tab.Seal(3, 1000)
 	tab.AddDead(3, 700)
+	tab.Open(4, 1000, 0)
 	tab.Seal(4, 1000)
 	tab.AddDead(4, 500)
-	v, ok := tab.Victim(0.25)
+	v, ok := tab.Victim(0.25, 100)
 	if !ok || v.Num != 3 {
 		t.Fatalf("victim = %+v, %v; want segment 3", v, ok)
 	}
 	// Threshold excludes everything below it.
-	if v, ok := tab.Victim(0.75); ok {
+	if v, ok := tab.Victim(0.75, 100); ok {
 		t.Fatalf("victim above threshold: %+v", v)
 	}
 	// Deterministic tie-break: equal ratios pick the lowest number.
 	tab.AddDead(2, 400) // seg 2 now 0.7, tied with seg 3
-	if v, ok := tab.Victim(0.25); !ok || v.Num != 2 {
+	if v, ok := tab.Victim(0.25, 100); !ok || v.Num != 2 {
 		t.Fatalf("tie-break victim = %+v, %v; want segment 2", v, ok)
+	}
+	// Segments at or past the replay head are never victims, however
+	// dead.
+	if v, ok := tab.Victim(0.25, 2); ok {
+		t.Fatalf("victim at the replay head: %+v", v)
+	}
+	tab.Seal(1, 100)
+	if v, ok := tab.Victim(0.25, 2); !ok || v.Num != 1 {
+		t.Fatalf("victim before head 2 = %+v, %v; want segment 1", v, ok)
 	}
 }
