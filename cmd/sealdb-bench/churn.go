@@ -94,7 +94,6 @@ func runChurn(o churnOptions) {
 		Seed:     o.seed,
 	}
 	cfg.JournalCapacity = 1 << 17
-	cfg.SurfaceSnapshotInterval = 20 * time.Millisecond // device time
 	db, err := lsm.Open(cfg)
 	if err != nil {
 		fatal(err)

@@ -26,7 +26,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"sealdb/internal/bench"
 	"sealdb/internal/lsm"
@@ -153,9 +152,6 @@ func runDump(dir string, m lsm.Mode, o bench.Options, ops, vthresh int) {
 	cfg.ValueThreshold = vthresh
 	cfg.JournalCapacity = 1 << 16
 	cfg.Trace = lsm.TraceConfig{Enabled: true, SampleEvery: 8}
-	// Periodic observatory snapshots (device time) so the dump's event
-	// stream carries band_snapshot batches for -analyze to reconcile.
-	cfg.SurfaceSnapshotInterval = 5 * time.Millisecond
 	db, err := lsm.Open(cfg)
 	if err != nil {
 		fatalf("%v", err)

@@ -167,12 +167,6 @@ func (r *runner) runRound(round int, plan *roundPlan) (history.Round, error) {
 	if err := db2.VerifyIntegrity(); err != nil {
 		return rd, fmt.Errorf("fsck after recovery: %w", err)
 	}
-	// Rebuild-on-recovery contract: the storage-surface accounting the
-	// reopen rebuilt from the manifest must equal a fresh scan of the
-	// extent table (no-op outside dynamic-band mode).
-	if err := db2.VerifySurface(); err != nil {
-		return rd, fmt.Errorf("surface accounting after recovery: %w", err)
-	}
 	rd.Recovered, err = r.captureRecovered(db2)
 	if err != nil {
 		return rd, fmt.Errorf("recovered capture: %w", err)

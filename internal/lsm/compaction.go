@@ -169,21 +169,16 @@ func (d *DB) endJob(m jobMeter, ci CompactionInfo, latency *obs.Histogram) {
 }
 
 // writeSet writes files as one contiguous group and, when the backend
-// placed them as a group, registers the set under id and claims its
-// extent on the storage surface. It returns a nil record when the
-// backend fell back to file-by-file placement. Caller holds d.mu.
+// placed them as a group, registers the set under id. It returns a nil
+// record when the backend fell back to file-by-file placement. Caller
+// holds d.mu.
 func (d *DB) writeSet(id uint64, nums []uint64, datas [][]byte) (*version.SetRecord, error) {
 	ext, grouped, err := d.backend.WriteGroup(nums, datas)
 	if err != nil || !grouped {
 		return nil, err
 	}
-	var dataBytes int64
-	for _, data := range datas {
-		dataBytes += int64(len(data))
-	}
 	rec := &version.SetRecord{ID: id, Off: ext.Off, Len: ext.Len, Members: len(nums)}
 	d.sets.register(*rec, nums)
-	d.surfaceClaim(ext.Off, id, dataBytes)
 	return rec, nil
 }
 
@@ -296,10 +291,6 @@ func (d *DB) runCompaction(c *compaction) error {
 	inputNums := make([]uint64, len(allInputs))
 	for i, f := range allInputs {
 		inputNums[i] = f.Num
-		// Surface accounting first, while the registry still knows the
-		// member's set: the input's bytes turn dead on its band until
-		// the extent (or its whole set) returns to the free list.
-		d.surfaceChargeInput(f.Num)
 		if ext, setID, emptied := d.sets.fileInvalid(f.Num); emptied {
 			edit.DropSets = append(edit.DropSets, setID)
 			freedExtents = append(freedExtents, ext)

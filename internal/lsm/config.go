@@ -177,12 +177,6 @@ type Config struct {
 	// VlogSegSize is the value-log segment size (0 means one SSTable,
 	// so segments ride the dynamic-band free-list class unit).
 	VlogSegSize int64
-	// SurfaceSnapshotInterval is the simulated-device-time interval
-	// between periodic storage-surface snapshot journal events
-	// (space_snapshot plus one band_snapshot per allocated band) in
-	// dynamic-band mode. 0 (the default) disables periodic snapshots;
-	// DB.SurfaceSnapshot still emits one on demand.
-	SurfaceSnapshotInterval time.Duration
 }
 
 // vlogEnabled reports whether this config separates values.

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"sealdb/internal/faultfs"
 	"sealdb/internal/faultfs/crashtest"
@@ -191,57 +190,6 @@ func TestVlogGroupTornAtEveryPrefix(t *testing.T) {
 			t.Fatalf("keep %d: value committed after recovery: %d bytes, %v", keep, len(v), err)
 		}
 		db.Close()
-	}
-}
-
-// TestCrashReplaySurface sweeps with periodic storage-surface
-// snapshots armed, so power cuts land while the observatory is
-// actively journaling and charging dead bytes. After every reopen the
-// harness's VerifyIntegrity reconciles the rebuilt band accounting
-// against a fresh extent-table scan (rebuild-on-recovery contract) —
-// then one more explicit end-to-end VerifySurface documents the
-// assertion this test exists for.
-func TestCrashReplaySurface(t *testing.T) {
-	stride := int64(1)
-	if testing.Short() {
-		stride = 17
-	}
-	cfg := crashConfig(lsm.ModeSEALDB, stride)
-	cfg.DB.SurfaceSnapshotInterval = 2 * time.Millisecond // device time
-	cfg.DB.JournalCapacity = 1 << 12
-	res := crashtest.Run(t, cfg)
-	t.Logf("crash replay (sealdb+surface): %s", res)
-	if res.Cuts == 0 {
-		t.Fatal("harness injected no cuts")
-	}
-
-	dev := lsm.NewDevice(cfg.DB)
-	db, err := lsm.OpenDevice(cfg.DB, dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	for i, op := range cfg.Ops {
-		switch op.Kind {
-		case crashtest.OpPut:
-			err = db.Put(op.Keys[0], op.Vals[0])
-		case crashtest.OpDelete:
-			err = db.Delete(op.Keys[0])
-		case crashtest.OpBatch:
-			b := lsm.NewBatch()
-			for j := range op.Keys {
-				b.Put(op.Keys[j], op.Vals[j])
-			}
-			err = db.Apply(b)
-		case crashtest.OpCompact:
-			err = db.CompactRange(nil, nil)
-		}
-		if err != nil {
-			t.Fatalf("op %d: %v", i, err)
-		}
-	}
-	if err := db.VerifySurface(); err != nil {
-		t.Fatalf("surface accounting after full workload: %v", err)
 	}
 }
 

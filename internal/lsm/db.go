@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"bytes"
 	"container/list"
 	"errors"
 	"fmt"
@@ -170,14 +171,11 @@ type DB struct {
 	// Config.ValueThreshold enables key–value separation.
 	vlog vlogState
 
-	// surface is the storage-surface observatory (surface.go), active
-	// only in dynamic-band mode. Its own internal lock ("band_stats_mu",
-	// a leaf) serializes the accounting, so accesses need no other lock.
+	// surface is the storage-surface observatory's band heat
+	// (surface.go), active only in dynamic-band mode. Its own internal
+	// lock ("band_stats_mu", a leaf) serializes it, so accesses need no
+	// other lock.
 	surface surface
-	// surfaceSnapEvery is the device-ns between periodic observatory
-	// snapshots (0 disables); set once at open, then read-only.
-	surfaceSnapEvery int64
-	surfaceSnapAt    int64 // device-ns of the last snapshot; guarded by mu
 
 	// Iterator pinning (see pins.go): live iterators defer reclamation
 	// of the table files they may still read.
@@ -222,7 +220,6 @@ func OpenDevice(cfg Config, dev *Device) (*DB, error) {
 	d.mem = memtable.New(d.nextMemSeed())
 	if dev.DBand != nil {
 		d.surface.init(cfg.BandSize)
-		d.surfaceSnapEvery = max(0, int64(cfg.SurfaceSnapshotInterval))
 	}
 	d.initObs()
 
@@ -283,11 +280,11 @@ func OpenDevice(cfg Config, dev *Device) (*DB, error) {
 	if err := d.newWAL(); err != nil {
 		return nil, err
 	}
-	// Rebuild the storage-surface observatory from the recovered extent
-	// table last, discarding whatever partial picture the allocator
-	// observer accumulated during recovery traffic: after every open the
-	// incremental band accounting equals a fresh scan by construction.
-	d.surfaceRebuild()
+	// Band heat starts cold: the allocator traffic of creation and
+	// recovery is not workload.
+	if d.surface.enabled {
+		d.surface.reset()
+	}
 	return d, nil
 }
 
@@ -433,7 +430,7 @@ func (d *DB) recoverSetsAndLogs(groups []vlogGroup) error {
 		}
 		return err
 	}
-	r := wal.NewTaggedReader(&sliceReader{b: buf}, logNum).Strict()
+	r := wal.NewTaggedReader(bytes.NewReader(buf), logNum)
 	records, entries := 0, 0
 	var walRec []byte // the WAL's next record, read but not yet applied
 	walEOF := false
@@ -597,7 +594,7 @@ func (d *DB) reconcileExtents() error {
 		pos := band.Off
 		bandEnd := band.Off + band.Len
 		for _, sp := range covered {
-			if sp.end <= pos || sp.off >= bandEnd {
+			if sp.end() <= pos || sp.off >= bandEnd {
 				continue
 			}
 			if sp.off > pos {
@@ -605,8 +602,8 @@ func (d *DB) reconcileExtents() error {
 					return err
 				}
 			}
-			if sp.end > pos {
-				pos = sp.end
+			if sp.end() > pos {
+				pos = sp.end()
 			}
 		}
 		if pos < bandEnd {
@@ -624,17 +621,6 @@ func (d *DB) freeLeaked(off, length int64) error {
 		"off": off, "len": length,
 	})
 	return d.backend.FreeExtent(storage.Extent{Off: off, Len: length})
-}
-
-type sliceReader struct{ b []byte }
-
-func (r *sliceReader) Read(p []byte) (int, error) {
-	if len(r.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b)
-	r.b = r.b[n:]
-	return n, nil
 }
 
 // openWAL creates a fresh write-ahead log of size bytes and makes it

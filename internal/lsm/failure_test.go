@@ -7,6 +7,7 @@ import (
 
 	"sealdb/internal/faultfs"
 	"sealdb/internal/smr"
+	"sealdb/internal/version"
 )
 
 // newFaultDB builds a store with a faultfs injector spliced into the
@@ -213,5 +214,65 @@ func TestOpenRejectsBadGeometry(t *testing.T) {
 		if _, err := Open(cfg); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
+	}
+}
+
+// TestRelocationWriteFailureDegradesStore: a set relocation unmaps its
+// members before it rewrites them, so a permanent failure of the group
+// write leaves the current version pointing at unmapped files. The pass
+// must fail, the store must stop accepting writes, and every key no
+// moved file covers must still answer.
+func TestRelocationWriteFailureDegradesStore(t *testing.T) {
+	d, fd := newFaultDB(t, ModeSEALDB)
+	defer d.Close()
+	ref := loadRandom(t, d, 12000, 17) // churn: dead sets and fragments
+
+	// A relocation reads, unmaps, then writes: the next device write is
+	// its group write.
+	fd.Inject(faultfs.Rule{Op: faultfs.OpWrite, Count: 1})
+	_, err := d.DefragmentBands(1)
+	var fe *faultfs.Error
+	if !errors.As(err, &fe) || fe.Temporary {
+		t.Fatalf("DefragmentBands = %v, want the injected permanent write error", err)
+	}
+	if err := d.Put([]byte("after"), []byte("x")); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("Put after a failed relocation = %v, want ErrDegraded", err)
+	}
+
+	// The moved set's members are the files the version still lists but
+	// the backend no longer maps.
+	d.mu.Lock()
+	var moved []*version.FileMeta
+	v := d.vs.Current()
+	for l := 0; l < d.cfg.NumLevels; l++ {
+		for _, f := range v.Files[l] {
+			if _, err := d.backend.FileExtent(f.Num); err != nil {
+				moved = append(moved, f)
+			}
+		}
+	}
+	d.mu.Unlock()
+	if len(moved) == 0 {
+		t.Fatal("the failed relocation unmapped no file")
+	}
+	answered := 0
+	for k, want := range ref {
+		covered := false
+		for _, f := range moved {
+			if k >= string(f.Smallest.UserKey()) && k <= string(f.Largest.UserKey()) {
+				covered = true
+			}
+		}
+		if covered {
+			continue
+		}
+		got, err := d.Get([]byte(k))
+		if err != nil || string(got) != want {
+			t.Fatalf("Get(%q) outside the moved set = (%q, %v), want %q", k, got, err, want)
+		}
+		answered++
+	}
+	if answered == 0 {
+		t.Fatal("every key fell inside the moved set")
 	}
 }

@@ -122,7 +122,10 @@ func (d *DB) relocateSet(rec version.SetRecord, files []*version.FileMeta, level
 	}
 
 	// Drop the old placements (grouped: mapping only), then write the
-	// group to fresh space and install the new set record.
+	// group to fresh space and install the new set record. From the
+	// first Remove until the edit lands the current version references
+	// unmapped files, so any failure in between is permanent: the store
+	// degrades rather than go on accepting writes.
 	nums := make([]uint64, len(files))
 	var moved int64
 	for i, f := range files {
@@ -131,15 +134,15 @@ func (d *DB) relocateSet(rec version.SetRecord, files []*version.FileMeta, level
 		d.sets.fileInvalid(f.Num)
 		d.dropTable(f.Num)
 		if err := d.backend.Remove(f.Num); err != nil {
-			return 0, err
+			return 0, d.failWrite(err)
 		}
 	}
 	newRec, err := d.writeSet(d.vs.NewFileNum(), nums, datas)
 	if err != nil {
-		return 0, err
+		return 0, d.failWrite(err)
 	}
 	if newRec == nil {
-		return 0, fmt.Errorf("lsm: relocation backend refused group placement")
+		return 0, d.failWrite(fmt.Errorf("lsm: relocation backend refused group placement"))
 	}
 
 	// One atomic edit: retire the old set, introduce the new one, and
@@ -156,10 +159,10 @@ func (d *DB) relocateSet(rec version.SetRecord, files []*version.FileMeta, level
 		edit.Added = append(edit.Added, version.AddedFile{Level: lvl, Meta: &nf})
 	}
 	if err := d.vs.LogAndApply(edit); err != nil {
-		return 0, err
+		return 0, d.failWrite(err)
 	}
 	if err := d.backend.FreeExtent(storage.Extent{Off: rec.Off, Len: rec.Len}); err != nil {
-		return 0, err
+		return 0, d.failWrite(err)
 	}
 	d.metrics.bandGCMoves.Inc()
 	d.metrics.bandGCBytes.Add(moved)

@@ -176,10 +176,7 @@ func (d *DB) VerifyIntegrity() error {
 			return err
 		}
 	}
-	if err := d.verifyExtents(); err != nil {
-		return err
-	}
-	return d.verifySurfaceLocked()
+	return d.verifyExtents()
 }
 
 // verifyVlog cross-checks key–value separation state: the segment
@@ -366,30 +363,83 @@ func (d *DB) verifySets(v *version.Version) error {
 	return nil
 }
 
-// ownedExtent is one extent the store owns on the device.
+// ownedExtent is one extent the store owns on the device: an ungrouped
+// file, a live set's group, or a dead set's group parked behind a live
+// iterator. dead counts the bytes in it that are no longer logically
+// live but not yet back with the allocator.
 type ownedExtent struct {
-	off, end int64
-	what     string
+	off, len, dead int64
+	kind           ownedKind
+	id             uint64 // file number or set id; unused for a parked group
 }
 
-// ownedExtents lists, in address order, every extent the store owns:
-// non-grouped backend files, live set extents, and extents pending
-// deferred reclamation. Recovery reconciles the allocator against it;
-// fsck checks it for overlap and leaks. Caller holds d.mu.
+type ownedKind uint8
+
+const (
+	ownedFile ownedKind = iota
+	ownedSet
+	ownedParked
+)
+
+func (e ownedExtent) end() int64 { return e.off + e.len }
+
+func (e ownedExtent) String() string {
+	switch e.kind {
+	case ownedFile:
+		return fmt.Sprintf("file %d", e.id)
+	case ownedSet:
+		return fmt.Sprintf("set %d", e.id)
+	}
+	return "pending reclaim"
+}
+
+// ownedExtents lists, in address order, every extent the store owns,
+// each with the dead bytes its owner accounts for: an ungrouped backend
+// file is live unless it is a sealed value-log segment (the table's dead
+// records plus the header and frames) or parked in the reclaim queue
+// (wholly dead); a live set's group is dead but for its live members'
+// extents (invalidated members and guard slack); a dead set's group
+// awaiting deferred reclamation is wholly dead. Recovery reconciles the
+// allocator against it, fsck checks it for overlap and leaks, and the
+// storage-surface views (surface.go) bucket it into bands. Caller holds
+// d.mu.
 func (d *DB) ownedExtents() []ownedExtent {
+	parked := map[uint64]bool{}
+	for _, pr := range d.reclaims {
+		for _, num := range pr.files {
+			parked[num] = true
+		}
+	}
 	var spans []ownedExtent
+	liveIn := map[uint64]int64{} // set id -> bytes of its live members
 	for _, fr := range d.backend.Files() {
 		if fr.Grouped {
-			continue // covered by its set extent
+			// Covered by its set extent; a member the registry no longer
+			// knows is dead space inside it.
+			if id := d.sets.setOf(fr.Num); id != 0 {
+				liveIn[id] += fr.Extent.Len
+			}
+			continue
 		}
-		spans = append(spans, ownedExtent{fr.Extent.Off, fr.Extent.End(), fmt.Sprintf("file %d", fr.Num)})
+		e := ownedExtent{off: fr.Extent.Off, len: fr.Extent.Len, kind: ownedFile, id: fr.Num}
+		if parked[fr.Num] {
+			e.dead = e.len
+		} else if d.vlog.tab != nil {
+			if seg, ok := d.vlog.tab.Info(fr.Num); ok {
+				e.dead = seg.Dead
+				if seg.Sealed {
+					e.dead += seg.Overhead
+				}
+			}
+		}
+		spans = append(spans, e)
 	}
 	for id, rec := range d.vs.Sets() {
-		spans = append(spans, ownedExtent{rec.Off, rec.Off + rec.Len, fmt.Sprintf("set %d", id)})
+		spans = append(spans, ownedExtent{off: rec.Off, len: rec.Len, dead: rec.Len - liveIn[id], kind: ownedSet, id: id})
 	}
 	for _, pr := range d.reclaims {
 		for _, ext := range pr.extents {
-			spans = append(spans, ownedExtent{ext.Off, ext.End(), "pending reclaim"})
+			spans = append(spans, ownedExtent{off: ext.Off, len: ext.Len, dead: ext.Len, kind: ownedParked})
 		}
 	}
 	sort.Slice(spans, func(i, j int) bool { return spans[i].off < spans[j].off })
@@ -397,18 +447,21 @@ func (d *DB) ownedExtents() []ownedExtent {
 }
 
 // verifyExtents checks physical space accounting: every owned extent
-// must be pairwise disjoint (no double allocation), and in SEALDB mode
-// their total must equal exactly what the dynamic band manager has
-// allocated (no leak) with none of them landing in its free space.
-// Caller holds d.mu.
+// must be pairwise disjoint (no double allocation) and no more dead
+// than long, and in SEALDB mode their total must equal exactly what the
+// dynamic band manager has allocated (no leak) with none of them
+// landing in its free space. Caller holds d.mu.
 func (d *DB) verifyExtents() error {
 	spans := d.ownedExtents()
 	var total int64
 	for i, sp := range spans {
-		total += sp.end - sp.off
-		if i > 0 && spans[i-1].end > sp.off {
+		total += sp.len
+		if i > 0 && spans[i-1].end() > sp.off {
 			return fmt.Errorf("extent overlap: %s [%d,%d) vs %s [%d,%d)",
-				spans[i-1].what, spans[i-1].off, spans[i-1].end, sp.what, sp.off, sp.end)
+				spans[i-1], spans[i-1].off, spans[i-1].end(), sp, sp.off, sp.end())
+		}
+		if sp.dead < 0 || sp.dead > sp.len {
+			return fmt.Errorf("%s [%d,%d) has dead bytes %d outside [0,%d]", sp, sp.off, sp.end(), sp.dead, sp.len)
 		}
 	}
 	mgr := d.dev.DBand
@@ -422,75 +475,10 @@ func (d *DB) verifyExtents() error {
 	free := mgr.FreeRegions()
 	for _, sp := range spans {
 		for _, fr := range free {
-			if sp.off < fr.Off+fr.Len && fr.Off < sp.end {
+			if sp.off < fr.Off+fr.Len && fr.Off < sp.end() {
 				return fmt.Errorf("%s [%d,%d) overlaps allocator free region [%d,%d)",
-					sp.what, sp.off, sp.end, fr.Off, fr.Off+fr.Len)
+					sp, sp.off, sp.end(), fr.Off, fr.Off+fr.Len)
 			}
-		}
-	}
-	return nil
-}
-
-// verifySurfaceLocked reconciles the storage-surface observatory's
-// incrementally maintained band accounting against the extent table:
-// the observatory must track exactly the owned extents, its physical
-// total must equal the allocator's, its incremental per-band alloc
-// counters must equal a fresh recomputation from its extent map, and
-// every extent's dead bytes must fit inside the extent. Caller holds
-// d.mu.
-func (d *DB) verifySurfaceLocked() error {
-	s := &d.surface
-	if !s.enabled {
-		return nil
-	}
-
-	// The fresh scan: the same span set verifyExtents checks.
-	want := map[int64]int64{}
-	for _, sp := range d.ownedExtents() {
-		want[sp.off] = sp.end - sp.off
-	}
-
-	exts := s.extents()
-	if len(exts) != len(want) {
-		return fmt.Errorf("surface tracks %d extents but the extent table owns %d", len(exts), len(want))
-	}
-	var phys int64
-	bands := map[int64]int64{}
-	for _, e := range exts {
-		if l, ok := want[e.Off]; !ok || l != e.Len {
-			return fmt.Errorf("surface extent [%d,%d) not in the extent table (table has len %d)", e.Off, e.Off+e.Len, l)
-		}
-		if e.Dead < 0 || e.Dead > e.Len {
-			return fmt.Errorf("surface extent [%d,%d) has dead bytes %d outside [0,%d]", e.Off, e.Off+e.Len, e.Dead, e.Len)
-		}
-		phys += e.Len
-		s.eachBand(e.Off, e.Len, func(b, overlap int64) { bands[b] += overlap })
-	}
-	gotPhys, gotDead := s.totals()
-	if gotPhys != phys {
-		return fmt.Errorf("surface physical counter %d != extent sum %d", gotPhys, phys)
-	}
-	if alloc := d.dev.DBand.AllocatedBytes(); gotPhys != alloc {
-		return fmt.Errorf("surface physical counter %d != allocator's %d", gotPhys, alloc)
-	}
-	if gotDead < 0 || gotDead > gotPhys {
-		return fmt.Errorf("surface dead counter %d outside [0,%d]", gotDead, gotPhys)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for b, alloc := range bands {
-		st := s.bands[b]
-		if st == nil || st.alloc != alloc {
-			var got int64
-			if st != nil {
-				got = st.alloc
-			}
-			return fmt.Errorf("band %d: incremental alloc %d != recomputed %d", b, got, alloc)
-		}
-	}
-	for b, st := range s.bands {
-		if st.alloc != bands[b] {
-			return fmt.Errorf("band %d: incremental alloc %d != recomputed %d", b, st.alloc, bands[b])
 		}
 	}
 	return nil

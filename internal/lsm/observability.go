@@ -301,12 +301,11 @@ func (d *DB) registerGauges() {
 		// accounting, free-list fragmentation, and the continuous
 		// space-amplification counter next to WA/AWA above.
 		reg.GaugeFunc("sealdb_band_live_bytes", func() float64 {
-			phys, dead := d.surface.totals()
-			return float64(phys - dead)
+			sp := d.SpaceProfile()
+			return float64(sp.PhysicalBytes - sp.SurfaceDeadBytes)
 		})
 		reg.GaugeFunc("sealdb_band_dead_bytes", func() float64 {
-			_, dead := d.surface.totals()
-			return float64(dead)
+			return float64(d.SpaceProfile().SurfaceDeadBytes)
 		})
 		reg.GaugeFunc("sealdb_band_heat_max", func() float64 {
 			return d.surface.maxHeat(d.deviceNow())
@@ -320,10 +319,7 @@ func (d *DB) registerGauges() {
 		reg.GaugeFunc("sealdb_band_frag_index", func() float64 {
 			return mgr.FragProfile().Index
 		})
-		reg.GaugeFunc("sealdb_space_physical_bytes", func() float64 {
-			phys, _ := d.surface.totals()
-			return float64(phys)
-		})
+		reg.GaugeFunc("sealdb_space_physical_bytes", func() float64 { return float64(mgr.AllocatedBytes()) })
 		reg.GaugeFunc("sealdb_space_live_bytes", func() float64 {
 			return float64(d.SpaceProfile().LogicalLiveBytes)
 		})
@@ -390,16 +386,10 @@ func (d *DB) installDeviceObservers() {
 			d.journal.Record("dband_"+op, map[string]int64{
 				"off": e.Off, "len": e.Len,
 			})
-			// Feed the storage-surface observatory: the allocator
-			// observer sees the complete extent lifecycle (every
-			// grant and free flows through the dynamic band manager).
-			// Runs with dband_manager_mu held; the surface lock is a
-			// leaf below it.
-			switch op {
-			case "free":
-				d.surface.free(e.Off)
-			default: // alloc_append, alloc_insert
-				d.surface.alloc(e.Off, e.Len, d.deviceNow())
+			// Every grant heats the bands it lands in. Runs with
+			// dband_manager_mu held; the surface lock is a leaf below it.
+			if op != "free" { // alloc_append, alloc_insert
+				d.surface.wrote(e.Off, e.Len, d.deviceNow())
 			}
 		})
 	}

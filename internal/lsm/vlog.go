@@ -183,11 +183,10 @@ func (d *DB) vlogReadSealed(num uint64, bytes int64) ([]byte, error) {
 // vlogRotate seals the active segment (if any) and opens a fresh one
 // that can hold a group of groupBytes, in one manifest edit so exactly
 // one unsealed segment exists at any durable point. The seal records
-// how much of the segment is header and frames, and charges those
-// bytes dead on the storage surface. The new segment's file is created
-// and its header written before the edit: a crash between the two
-// leaves an orphan file for the sweep, never a manifest entry without
-// a readable header to back it. Caller holds d.mu.
+// how much of the segment is header and frames. The new segment's file
+// is created and its header written before the edit: a crash between
+// the two leaves an orphan file for the sweep, never a manifest entry
+// without a readable header to back it. Caller holds d.mu.
 func (d *DB) vlogRotate(groupBytes int64) error {
 	size := d.cfg.vlogSegSize()
 	if need := vlog.HeaderSize + groupBytes; need > size {
@@ -213,9 +212,6 @@ func (d *DB) vlogRotate(groupBytes int64) error {
 	}
 	if sealed.Num != 0 {
 		d.vlog.tab.Seal(sealed.Num, sealed.Bytes)
-		if ext, err := d.backend.FileExtent(sealed.Num); err == nil {
-			d.surfaceChargeDead(ext.Off, sealed.Overhead)
-		}
 	}
 	d.vlog.w.Reset(f, num, vlog.HeaderSize, size)
 	d.vlog.tab.Open(num, vlog.HeaderSize, vlog.HeaderSize)
@@ -336,12 +332,6 @@ func (d *DB) vlogChargeDead(dead map[uint64]int64) []version.VlogDeadRecord {
 		d.vlog.tab.AddDead(num, dead[num])
 		recs = append(recs, version.VlogDeadRecord{Num: num, Dead: dead[num]})
 		total += dead[num]
-		// Mirror the charge onto the storage surface: the segment's
-		// extent accrues the dead bytes so /debug/bands shows value-log
-		// garbage on the bands holding it.
-		if ext, err := d.backend.FileExtent(num); err == nil {
-			d.surfaceChargeDead(ext.Off, dead[num])
-		}
 	}
 	d.metrics.vlogDeadBytes.Add(total)
 	return recs
@@ -531,8 +521,9 @@ func (d *DB) vlogGCLocked() (VlogGCResult, error) {
 
 	// Drop the victim: manifest first, then the file. The re-put groups
 	// are already on the device, so a crash anywhere in here recovers
-	// with every live value reachable through its new pointer. The extent itself is freed through the reclaim queue
-	// so a live iterator mid-chase keeps its bytes.
+	// with every live value reachable through its new pointer. The
+	// extent itself is freed through the reclaim queue so a live
+	// iterator mid-chase keeps its bytes.
 	if err := d.vs.LogAndApply(&version.Edit{DropVlogSegs: []uint64{vic.Num}}); err != nil {
 		return res, d.failWrite(err)
 	}

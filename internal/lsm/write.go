@@ -63,9 +63,6 @@ func (d *DB) applyLocked(b *Batch, ot *opTrace) error {
 	// Write latency includes any rotation/compaction stall the batch
 	// absorbed in makeRoomForWrite — the user-visible cost.
 	d.metrics.writeLatency.Observe(d.deviceNow() - startBusy)
-	// Periodic storage-surface snapshot; with sampling disabled this is
-	// two field reads (see the zero-alloc test in surface_test.go).
-	d.maybeSurfaceSnapshot()
 	// Opportunistic value-log collection: at most one pass, so the
 	// stall any single Apply absorbs stays bounded.
 	return d.maybeVlogGC()

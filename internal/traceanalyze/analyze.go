@@ -49,12 +49,12 @@ type LevelCheck struct {
 	RecomputedWA    float64 `json:"recomputed_wa"`
 }
 
-// SurfaceBandCheck compares one band's live bytes at the window end —
-// as reported by the journal's final band_snapshot batch — against the
-// analyzer's replay of the raw allocator and dead-charge events.
+// SurfaceBandCheck compares one band's allocated bytes at the window
+// end — as the store reports them in the journal's final band_snapshot
+// batch — against the analyzer's replay of the raw allocator events.
 type SurfaceBandCheck struct {
 	Band            int64 `json:"band"`
-	LiveBytes       int64 `json:"live_bytes"`
+	AllocBytes      int64 `json:"alloc_bytes"`
 	RecomputedBytes int64 `json:"recomputed_bytes"`
 }
 
@@ -88,17 +88,16 @@ type Report struct {
 	OrphanSpans      int64   `json:"orphan_spans"`
 
 	// Storage-surface replay (dynamic-band mode only): the analyzer
-	// rebuilds the extent table from the window's raw dband_alloc_*,
-	// dband_free, and band_dead events on top of the Meta baseline and
-	// recomputes physical bytes, per-band live bytes, and space
-	// amplification independently of the live observatory counters.
+	// rebuilds the extent table from the window's raw dband_alloc_* and
+	// dband_free events on top of the Meta baseline and recomputes
+	// physical bytes, per-band allocation, and space amplification from
+	// the allocator's side, independently of the store's own scan of what
+	// it owns.
 	SurfaceChecked     bool               `json:"surface_checked,omitempty"`
 	RecomputedPhysical int64              `json:"recomputed_physical_bytes,omitempty"`
-	RecomputedDead     int64              `json:"recomputed_dead_bytes,omitempty"`
 	RecomputedLogical  int64              `json:"recomputed_logical_bytes,omitempty"`
 	RecomputedSA       float64            `json:"recomputed_sa,omitempty"`
 	SurfaceEvents      int64              `json:"surface_events,omitempty"`
-	SnapshotEvents     int64              `json:"snapshot_events,omitempty"`
 	SurfaceBands       []SurfaceBandCheck `json:"surface_bands,omitempty"`
 
 	Levels []LevelCheck `json:"levels"`
@@ -280,29 +279,27 @@ func (r *Report) analyzeEvents(d *Dump) {
 	}
 }
 
-// analyzeSurface replays the storage-surface observatory from raw
-// journal events: starting from the Meta baseline's extent table, each
-// dband_alloc_append/dband_alloc_insert inserts an extent, dband_free
-// removes one, and band_dead accumulates dead bytes against one. The
-// replayed end state yields physical bytes and per-band live bytes; the
-// logical side is recomputed from flush/compaction level-byte deltas
-// (exact only without the value log), giving an independent space
-// amplification. Per-band live bytes are checked against the window's
-// final band_snapshot batch — the events Collect journals on purpose so
-// every dump ends with a snapshot.
+// analyzeSurface replays the allocator's side of the storage surface
+// from raw journal events: starting from the Meta baseline's extent
+// table, each dband_alloc_append/dband_alloc_insert inserts an extent
+// and dband_free removes one. The replayed end state yields physical
+// bytes and per-band allocation; the logical side is recomputed from
+// flush/compaction level-byte deltas (exact only without the value
+// log), giving an independent space amplification. Per-band allocation
+// is checked against the window's final band_snapshot batch — the
+// events Collect journals on purpose so every dump ends with one.
 func (r *Report) analyzeSurface(d *Dump) {
 	sm := r.Meta.Surface
 	if sm == nil {
 		return
 	}
 	r.SurfaceChecked = true
-	type replayExt struct{ length, dead int64 }
-	exts := make(map[int64]*replayExt, len(sm.StartExtents))
+	exts := make(map[int64]int64, len(sm.StartExtents)) // offset → length
 	for _, e := range sm.StartExtents {
-		exts[e.Off] = &replayExt{length: e.Len, dead: e.Dead}
+		exts[e.Off] = e.Len
 	}
 	logical := sm.StartLogical
-	var lastBands map[int64]int64 // latest band_snapshot batch: band → live
+	var lastBands map[int64]int64 // latest band_snapshot batch: band → alloc
 
 	for i := range d.Events {
 		e := &d.Events[i]
@@ -312,18 +309,10 @@ func (r *Report) analyzeSurface(d *Dump) {
 		switch e.Type {
 		case "dband_alloc_append", "dband_alloc_insert":
 			r.SurfaceEvents++
-			exts[e.Fields["off"]] = &replayExt{length: e.Fields["len"]}
+			exts[e.Fields["off"]] = e.Fields["len"]
 		case "dband_free":
 			r.SurfaceEvents++
 			delete(exts, e.Fields["off"])
-		case "band_dead":
-			r.SurfaceEvents++
-			if x := exts[e.Fields["off"]]; x != nil {
-				x.dead += e.Fields["bytes"]
-				if x.dead > x.length {
-					x.dead = x.length
-				}
-			}
 		case "flush":
 			logical += e.Fields["bytes"]
 		case "compaction":
@@ -331,42 +320,23 @@ func (r *Report) analyzeSurface(d *Dump) {
 				logical += e.Fields["output_bytes"] - e.Fields["input_bytes"]
 			}
 		case "space_snapshot":
-			r.SnapshotEvents++
 			lastBands = map[int64]int64{}
 		case "band_snapshot":
 			if lastBands != nil {
-				lastBands[e.Fields["band"]] = e.Fields["live"]
+				lastBands[e.Fields["band"]] = e.Fields["alloc"]
 			}
 		}
 	}
 
-	// Bucket the replayed extents into bands, mirroring the live
-	// accounting: alloc by overlap, dead spread proportionally with the
-	// integer remainder on the extent's last band (surface.spreadDead).
+	// Bucket the replayed extents into bands by overlap, as the store's
+	// view does.
 	alloc := map[int64]int64{}
-	dead := map[int64]int64{}
 	stride := r.Meta.BandSize
-	for off, x := range exts {
-		r.RecomputedPhysical += x.length
-		r.RecomputedDead += x.dead
-		end := off + x.length
-		last := (end - 1) / stride
-		var assigned int64
-		for b := off / stride; b <= last; b++ {
-			lo, hi := b*stride, (b+1)*stride
-			if off > lo {
-				lo = off
-			}
-			if end < hi {
-				hi = end
-			}
-			alloc[b] += hi - lo
-			n := x.dead * (hi - lo) / x.length
-			if b == last {
-				n = x.dead - assigned
-			}
-			assigned += n
-			dead[b] += n
+	for off, length := range exts {
+		r.RecomputedPhysical += length
+		end := off + length
+		for b := off / stride; b*stride < end; b++ {
+			alloc[b] += min(end, (b+1)*stride) - max(off, b*stride)
 		}
 	}
 	if !sm.VlogEnabled {
@@ -376,28 +346,22 @@ func (r *Report) analyzeSurface(d *Dump) {
 		}
 	}
 
-	// Per-band live check against the final snapshot batch; fall back
-	// to the Meta end rows when the window carries no snapshots.
+	// Per-band check against the final snapshot batch; fall back to the
+	// Meta end rows when the window carries no snapshots.
 	if lastBands == nil {
 		lastBands = map[int64]int64{}
 		for _, row := range sm.EndBands {
 			if row.Alloc > 0 {
-				lastBands[row.Band] = row.Live
+				lastBands[row.Band] = row.Alloc
 			}
 		}
 	}
-	seen := map[int64]bool{}
-	for b, live := range lastBands {
-		r.SurfaceBands = append(r.SurfaceBands, SurfaceBandCheck{
-			Band: b, LiveBytes: live, RecomputedBytes: alloc[b] - dead[b],
-		})
-		seen[b] = true
+	for b, n := range lastBands {
+		r.SurfaceBands = append(r.SurfaceBands, SurfaceBandCheck{Band: b, AllocBytes: n, RecomputedBytes: alloc[b]})
 	}
-	for b := range alloc {
-		if !seen[b] && alloc[b]-dead[b] != 0 {
-			r.SurfaceBands = append(r.SurfaceBands, SurfaceBandCheck{
-				Band: b, RecomputedBytes: alloc[b] - dead[b],
-			})
+	for b, n := range alloc {
+		if _, seen := lastBands[b]; !seen {
+			r.SurfaceBands = append(r.SurfaceBands, SurfaceBandCheck{Band: b, RecomputedBytes: n})
 		}
 	}
 	sort.Slice(r.SurfaceBands, func(i, j int) bool { return r.SurfaceBands[i].Band < r.SurfaceBands[j].Band })
@@ -439,21 +403,14 @@ func (r *Report) Verify(tol float64) error {
 			float64(end.PhysicalBytes), float64(r.RecomputedPhysical), tol); err != nil {
 			return err
 		}
-		if err := relCheck("surface dead bytes",
-			float64(end.SurfaceDeadBytes), float64(r.RecomputedDead), tol); err != nil {
-			return err
-		}
 		if r.RecomputedLogical > 0 && end.SpaceAmplification > 0 {
 			if err := relCheck("space amplification", end.SpaceAmplification, r.RecomputedSA, tol); err != nil {
 				return err
 			}
 		}
 		for _, bc := range r.SurfaceBands {
-			if bc.LiveBytes == 0 && bc.RecomputedBytes == 0 {
-				continue
-			}
-			if err := relCheck(fmt.Sprintf("band %d live bytes", bc.Band),
-				float64(bc.LiveBytes), float64(bc.RecomputedBytes), tol); err != nil {
+			if err := relCheck(fmt.Sprintf("band %d allocated bytes", bc.Band),
+				float64(bc.AllocBytes), float64(bc.RecomputedBytes), tol); err != nil {
 				return err
 			}
 		}
@@ -504,10 +461,10 @@ func (r *Report) WriteText(w io.Writer) {
 	}
 	if r.SurfaceChecked {
 		end := r.Meta.Surface.End
-		fmt.Fprintf(w, "storage surface (replayed from %d allocator events over %d bands, %d snapshot batches):\n",
-			r.SurfaceEvents, len(r.SurfaceBands), r.SnapshotEvents)
-		fmt.Fprintf(w, "  physical live %s  recomputed %s   dead live %s  recomputed %s\n",
-			mb(end.PhysicalBytes), mb(r.RecomputedPhysical), mb(end.SurfaceDeadBytes), mb(r.RecomputedDead))
+		fmt.Fprintf(w, "storage surface (replayed from %d allocator events over %d bands):\n",
+			r.SurfaceEvents, len(r.SurfaceBands))
+		fmt.Fprintf(w, "  physical live %s  recomputed %s   dead %s\n",
+			mb(end.PhysicalBytes), mb(r.RecomputedPhysical), mb(end.SurfaceDeadBytes))
 		if r.RecomputedLogical > 0 {
 			fmt.Fprintf(w, "  SA  live %.3f  recomputed %.3f (logical live %s)\n",
 				end.SpaceAmplification, r.RecomputedSA, mb(r.RecomputedLogical))

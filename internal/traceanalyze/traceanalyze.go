@@ -87,8 +87,8 @@ type SurfaceMeta struct {
 	// with key–value separation on, logical live bytes move through
 	// vlog GC relocation paths the journal does not fully itemize.
 	VlogEnabled bool `json:"vlog_enabled,omitempty"`
-	// StartExtents is the tracked extent set at Begin — the state the
-	// allocator-event replay starts from.
+	// StartExtents is every extent the store owned at Begin — the state
+	// the allocator-event replay starts from.
 	StartExtents []lsm.SurfaceExtent `json:"start_extents"`
 	// StartLogical is the logical live bytes (tables + vlog) at Begin.
 	StartLogical int64 `json:"start_logical"`
@@ -152,9 +152,9 @@ func Collect(db *lsm.DB, base *Baseline) *Dump {
 	}
 	var surf *SurfaceMeta
 	if db.Device().DBand != nil {
-		// Close the window with a snapshot batch so the journal's last
-		// band_snapshot rows describe the end state the analyzer
-		// verifies its replay against.
+		// Close the window with a snapshot batch: the journal's last
+		// band_snapshot rows are the end state the analyzer verifies its
+		// replay against.
 		db.SurfaceSnapshot()
 		surf = &SurfaceMeta{
 			VlogEnabled:  cfg.ValueThreshold > 0,

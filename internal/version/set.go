@@ -1,6 +1,7 @@
 package version
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -124,7 +125,7 @@ func Recover(cfg Config) (*Set, *RecoveryReport, error) {
 	s := &Set{cfg: cfg, current: &Version{}, manifestNum: manifestNum, nextFile: manifestNum + 1, sets: map[uint64]SetRecord{}, vsegs: map[uint64]VlogSeg{}}
 	s.mu.Profile("version_set_mu")
 	report := &RecoveryReport{ManifestNum: manifestNum}
-	r := wal.NewTaggedReader(newBytesReader(buf), manifestNum).Strict()
+	r := wal.NewTaggedReader(bytes.NewReader(buf), manifestNum)
 	var goodEnd int64
 	for {
 		rec, err := r.ReadRecord()
@@ -177,20 +178,6 @@ func Recover(cfg Config) (*Set, *RecoveryReport, error) {
 	s.manifest = f                                          //sealvet:allow guardedby
 	s.logw = wal.NewReopenedWriter(f, manifestNum, goodEnd) //sealvet:allow guardedby
 	return s, report, nil
-}
-
-// newBytesReader avoids importing bytes in two places.
-func newBytesReader(b []byte) io.Reader { return &sliceReader{b: b} }
-
-type sliceReader struct{ b []byte }
-
-func (r *sliceReader) Read(p []byte) (int, error) {
-	if len(r.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b)
-	r.b = r.b[n:]
-	return n, nil
 }
 
 // applyLocked folds an edit into the in-memory state.

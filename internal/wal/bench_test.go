@@ -8,7 +8,7 @@ import (
 
 func BenchmarkAddRecord(b *testing.B) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := NewTaggedWriter(&buf, testTag)
 	rec := make([]byte, 1100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -21,7 +21,7 @@ func BenchmarkAddRecord(b *testing.B) {
 
 func BenchmarkReadRecord(b *testing.B) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := NewTaggedWriter(&buf, testTag)
 	rec := make([]byte, 1100)
 	for i := 0; i < 10000; i++ {
 		w.AddRecord(rec)
@@ -29,7 +29,7 @@ func BenchmarkReadRecord(b *testing.B) {
 	data := buf.Bytes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := NewReader(bytes.NewReader(data))
+		r := NewTaggedReader(bytes.NewReader(data), testTag)
 		n := 0
 		for {
 			if _, err := r.ReadRecord(); err == io.EOF {

@@ -12,7 +12,7 @@ import (
 // originals.
 func TestReopenedWriterContinuesBlockFraming(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := NewTaggedWriter(&buf, testTag)
 	var want [][]byte
 	for i := 0; i < 10; i++ {
 		rec := []byte(fmt.Sprintf("first-phase-%02d", i))
@@ -22,14 +22,14 @@ func TestReopenedWriterContinuesBlockFraming(t *testing.T) {
 	size := int64(buf.Len())
 
 	// Reopen mid-block (size is nowhere near a 32 KiB boundary).
-	w2 := NewReopenedWriter(&buf, 0, size)
+	w2 := NewReopenedWriter(&buf, testTag, size)
 	for i := 0; i < 10; i++ {
 		rec := []byte(fmt.Sprintf("second-phase-%02d", i))
 		w2.AddRecord(rec)
 		want = append(want, rec)
 	}
 
-	r := NewReader(bytes.NewReader(buf.Bytes()))
+	r := NewTaggedReader(bytes.NewReader(buf.Bytes()), testTag)
 	for i, wantRec := range want {
 		got, err := r.ReadRecord()
 		if err != nil {
@@ -52,16 +52,16 @@ func TestReopenedWriterContinuesBlockFraming(t *testing.T) {
 func TestReopenedWriterAcrossBlockBoundary(t *testing.T) {
 	for _, pad := range []int{0, 1, headerSize, BlockSize / 2} {
 		var buf bytes.Buffer
-		w := NewWriter(&buf)
+		w := NewTaggedWriter(&buf, testTag)
 		// Fill to an exact point near the boundary.
 		fill := make([]byte, BlockSize-headerSize-headerSize-pad)
 		w.AddRecord(fill)
 		size := int64(buf.Len())
 
-		w2 := NewReopenedWriter(&buf, 0, size)
+		w2 := NewReopenedWriter(&buf, testTag, size)
 		w2.AddRecord([]byte("tail-record"))
 
-		r := NewReader(bytes.NewReader(buf.Bytes()))
+		r := NewTaggedReader(bytes.NewReader(buf.Bytes()), testTag)
 		got1, err1 := r.ReadRecord()
 		if err1 != nil || len(got1) != len(fill) {
 			t.Fatalf("pad %d: first record err=%v len=%d", pad, err1, len(got1))

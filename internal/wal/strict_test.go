@@ -7,12 +7,11 @@ import (
 	"testing"
 )
 
-// TestStrictStopsAtFirstCorruption: a strict reader must end the
-// stream at the first damaged fragment even when later blocks hold
-// valid records (which a resyncing reader would recover).
-func TestStrictStopsAtFirstCorruption(t *testing.T) {
+// TestStopsAtFirstCorruption: the reader must end the stream at the
+// first damaged fragment even when later blocks hold valid records.
+func TestStopsAtFirstCorruption(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := NewTaggedWriter(&buf, testTag)
 	big := make([]byte, BlockSize) // spans two blocks
 	for i := range big {
 		big[i] = byte(i)
@@ -23,35 +22,23 @@ func TestStrictStopsAtFirstCorruption(t *testing.T) {
 	data := append([]byte(nil), buf.Bytes()...)
 	data[len("good-one")+headerSize+headerSize+3] ^= 0xff // damage the big record's first block
 
-	loose := NewReader(bytes.NewReader(data))
-	var looseRecs int
-	for {
-		if _, err := loose.ReadRecord(); err != nil {
-			break
-		}
-		looseRecs++
-	}
-	if looseRecs != 2 { // resync recovers good-two
-		t.Fatalf("resyncing reader got %d records, want 2", looseRecs)
-	}
-
-	strict := NewReader(bytes.NewReader(data)).Strict()
-	got, err := strict.ReadRecord()
+	r := NewTaggedReader(bytes.NewReader(data), testTag)
+	got, err := r.ReadRecord()
 	if err != nil || string(got) != "good-one" {
 		t.Fatalf("first record: %q, %v", got, err)
 	}
-	if _, err := strict.ReadRecord(); err != io.EOF {
-		t.Fatalf("strict reader continued past corruption: %v", err)
+	if _, err := r.ReadRecord(); err != io.EOF {
+		t.Fatalf("reader continued past corruption: %v", err)
 	}
-	if _, err := strict.ReadRecord(); err != io.EOF {
-		t.Fatalf("strict reader did not stay at EOF: %v", err)
+	if _, err := r.ReadRecord(); err != io.EOF {
+		t.Fatalf("reader did not stay at EOF: %v", err)
 	}
-	if strict.Skipped() == 0 {
-		t.Error("strict reader reported no skipped bytes")
+	if r.Skipped() == 0 {
+		t.Error("reader reported no skipped bytes")
 	}
 	wantEnd := int64(headerSize + len("good-one"))
-	if strict.LastRecordEnd() != wantEnd {
-		t.Errorf("LastRecordEnd = %d, want %d", strict.LastRecordEnd(), wantEnd)
+	if r.LastRecordEnd() != wantEnd {
+		t.Errorf("LastRecordEnd = %d, want %d", r.LastRecordEnd(), wantEnd)
 	}
 }
 
@@ -61,7 +48,7 @@ func TestStrictStopsAtFirstCorruption(t *testing.T) {
 func TestLastRecordEndResumesWriter(t *testing.T) {
 	for _, torn := range []int{1, headerSize - 1, headerSize + 5} {
 		var buf bytes.Buffer
-		w := NewWriter(&buf)
+		w := NewTaggedWriter(&buf, testTag)
 		var want [][]byte
 		for i := 0; i < 40; i++ {
 			rec := []byte(fmt.Sprintf("rec-%04d-%s", i, string(make([]byte, i*7%200))))
@@ -73,7 +60,7 @@ func TestLastRecordEndResumesWriter(t *testing.T) {
 		partial := append([]byte(nil), data...)
 		partial = append(partial, make([]byte, torn)...) // torn garbage header/payload prefix
 
-		r := NewReader(bytes.NewReader(partial)).Strict()
+		r := NewTaggedReader(bytes.NewReader(partial), testTag)
 		n := 0
 		for {
 			if _, err := r.ReadRecord(); err != nil {
@@ -87,11 +74,11 @@ func TestLastRecordEndResumesWriter(t *testing.T) {
 		end := r.LastRecordEnd()
 
 		resumed := bytes.NewBuffer(partial[:end])
-		w2 := NewReopenedWriter(resumed, 0, end)
+		w2 := NewReopenedWriter(resumed, testTag, end)
 		w2.AddRecord([]byte("after-tear"))
 		want = append(want, []byte("after-tear"))
 
-		r2 := NewReader(bytes.NewReader(resumed.Bytes()))
+		r2 := NewTaggedReader(bytes.NewReader(resumed.Bytes()), testTag)
 		for i, wantRec := range want {
 			got, err := r2.ReadRecord()
 			if err != nil || !bytes.Equal(got, wantRec) {
@@ -114,7 +101,7 @@ func TestTaggedStreamsReject(t *testing.T) {
 	}
 
 	for _, tag := range []uint64{0, 8} {
-		bad := NewTaggedReader(bytes.NewReader(buf.Bytes()), tag).Strict()
+		bad := NewTaggedReader(bytes.NewReader(buf.Bytes()), tag)
 		if _, err := bad.ReadRecord(); err != io.EOF {
 			t.Fatalf("tag %d accepted a foreign stream: %v", tag, err)
 		}

@@ -2,15 +2,15 @@
 // format: the stream is cut into 32 KiB blocks, each record is
 // written as one FULL fragment or a FIRST/MIDDLE.../LAST chain that
 // never crosses a block boundary, and every fragment carries a masked
-// CRC-32C over its type and payload. The reader resynchronizes at
-// block boundaries after corruption, reporting what it skipped.
+// CRC-32C over its type and payload. The reader ends the stream at the
+// first damaged fragment, reporting what it skipped: everything past a
+// torn append is unreliable.
 //
-// A stream may additionally be tagged with the owning file's number
-// (NewTaggedWriter / NewTaggedReader): the tag is folded into every
-// fragment CRC, so frames left behind by a previous occupant of a
-// reused extent fail the checksum instead of replaying into the wrong
-// log — the protection LevelDB's recyclable log format gets from its
-// log-number header field.
+// Every stream is tagged with the owning file's number: the tag is
+// folded into every fragment CRC, so frames left behind by a previous
+// occupant of a reused extent fail the checksum instead of replaying
+// into the wrong log — the protection LevelDB's recyclable log format
+// gets from its log-number header field.
 package wal
 
 import (
@@ -60,14 +60,9 @@ type Writer struct {
 	records     int64
 }
 
-// NewWriter creates a log writer that starts at a block boundary.
-func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: w}
-}
-
-// NewTaggedWriter creates a log writer whose fragment CRCs are bound
-// to tag (the owning file's number), so a reader with a different tag
-// rejects the frames as corrupt.
+// NewTaggedWriter creates a log writer that starts at a block boundary
+// and whose fragment CRCs are bound to tag (the owning file's number),
+// so a reader with a different tag rejects the frames as corrupt.
 func NewTaggedWriter(w io.Writer, tag uint64) *Writer {
 	return &Writer{w: w, tag: tag}
 }
@@ -75,7 +70,7 @@ func NewTaggedWriter(w io.Writer, tag uint64) *Writer {
 // NewReopenedWriter creates a writer that continues a log whose
 // first offset bytes were written by an earlier writer, so block
 // framing stays consistent across reopen (used by the MANIFEST).
-// tag must match the original writer's tag (0 for untagged logs).
+// tag must match the original writer's tag.
 func NewReopenedWriter(w io.Writer, tag uint64, offset int64) *Writer {
 	return &Writer{w: w, tag: tag, blockOffset: int(offset % BlockSize)}
 }
@@ -163,7 +158,6 @@ var ErrCorrupt = errors.New("wal: corrupt fragment")
 type Reader struct {
 	r         io.Reader
 	tag       uint64
-	strict    bool
 	block     [BlockSize]byte
 	buf       []byte // unconsumed bytes of the current block
 	eof       bool
@@ -172,41 +166,27 @@ type Reader struct {
 	recordEnd int64 // stream offset just past the last returned record
 }
 
-// NewReader creates a reader over a log stream.
-func NewReader(r io.Reader) *Reader {
-	return &Reader{r: r}
-}
-
 // NewTaggedReader creates a reader that accepts only fragments whose
-// CRC was bound to tag by NewTaggedWriter.
+// CRC was bound to tag by NewTaggedWriter. The first corrupt fragment
+// ends the stream (ReadRecord returns io.EOF): everything past a torn
+// append — including stale frames from a previous occupant of a reused
+// extent — is the end of the log.
 func NewTaggedReader(r io.Reader, tag uint64) *Reader {
 	return &Reader{r: r, tag: tag}
 }
 
-// Strict puts the reader in strict mode: the first corrupt fragment
-// ends the stream (ReadRecord returns io.EOF) instead of resyncing at
-// the next block. Recovery scans use it so that everything past a
-// torn append — including stale frames from a previous occupant of a
-// reused extent — is treated as the end of the log. Returns r.
-func (r *Reader) Strict() *Reader {
-	r.strict = true
-	return r
-}
-
-// Skipped returns the number of payload bytes dropped while
-// resynchronizing after corruption.
+// Skipped returns the number of bytes dropped as torn or corrupt.
 func (r *Reader) Skipped() int64 { return r.skipped }
 
 // LastRecordEnd returns the stream offset immediately after the final
 // fragment of the last record ReadRecord returned (0 if none). After
-// a strict-mode scan this is the tear point: the offset at which a
-// reopened writer should resume appending.
+// a scan this is the tear point: the offset at which a reopened writer
+// should resume appending.
 func (r *Reader) LastRecordEnd() int64 { return r.recordEnd }
 
 // ReadRecord returns the next record. It returns io.EOF at the clean
-// end of the log. Corrupt fragments are skipped (accounted in
-// Skipped) and reading continues at the next block — or, in strict
-// mode, end the stream.
+// end of the log and at the first corrupt fragment (accounted in
+// Skipped).
 func (r *Reader) ReadRecord() ([]byte, error) {
 	var record []byte
 	inFragmented := false
@@ -223,21 +203,12 @@ func (r *Reader) ReadRecord() ([]byte, error) {
 			return nil, io.EOF
 		}
 		if err != nil {
-			if r.strict {
-				// Strict mode: the stream ends at the first damaged
-				// fragment; everything after it is unreliable.
-				r.skipped += int64(len(record)) + int64(len(r.buf))
-				r.buf = nil
-				r.eof = true
-				return nil, io.EOF
-			}
-			// Corruption: drop any partial record plus the rest of
-			// the damaged block, and resync at the next block.
+			// The stream ends at the first damaged fragment;
+			// everything after it is unreliable.
 			r.skipped += int64(len(record)) + int64(len(r.buf))
-			record = record[:0]
-			inFragmented = false
 			r.buf = nil
-			continue
+			r.eof = true
+			return nil, io.EOF
 		}
 		switch ftype {
 		case typeFull:

