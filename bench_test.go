@@ -22,13 +22,19 @@ func benchOptions() bench.Options {
 	return bench.QuickOptions()
 }
 
+// runFigures runs the named figures of the harness.
+func runFigures(b *testing.B, o bench.Options, ids ...string) *bench.Results {
+	b.Helper()
+	res, err := bench.Run(o, ids...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
 func BenchmarkTable2DevicePerf(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.RunTable2(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
+		for _, r := range runFigures(b, benchOptions(), "table2").Table2 {
 			switch r.Metric {
 			case "Sequential read (MB/s)":
 				b.ReportMetric(r.HDD, "hdd-seqread-MB/s")
@@ -43,10 +49,7 @@ func BenchmarkTable2DevicePerf(b *testing.B) {
 
 func BenchmarkFig2LevelDBLayout(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := bench.RunLayout(benchOptions(), lsm.ModeLevelDB)
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runFigures(b, benchOptions(), "2").Stores[lsm.ModeLevelDB].Layout
 		b.ReportMetric(float64(r.Compactions), "compactions")
 		b.ReportMetric(r.MeanExtentsPerCompaction, "extents/compaction")
 		b.ReportMetric(r.SpanMB, "span-MB")
@@ -57,10 +60,7 @@ func BenchmarkFig3BandSweep(b *testing.B) {
 	o := benchOptions()
 	o.LoadMB = 8
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.RunFig3(o)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := runFigures(b, o, "3").Fig3
 		first, last := rows[0], rows[len(rows)-1]
 		b.ReportMetric(first.MWA, "mwa-smallest-band")
 		b.ReportMetric(last.MWA, "mwa-largest-band")
@@ -70,13 +70,10 @@ func BenchmarkFig3BandSweep(b *testing.B) {
 
 func BenchmarkFig8Micro(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.RunFig8(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		base := rows[0]
-		for _, r := range rows {
-			n := r.Normalized(base)
+		stores := runFigures(b, benchOptions(), "8").Stores
+		base := stores[lsm.ModeLevelDB].Micro
+		for _, r := range stores {
+			n := r.Micro.Normalized(base)
 			b.ReportMetric(n.RandWrite, r.Store+"-randwrite-x")
 		}
 	}
@@ -86,14 +83,12 @@ func BenchmarkFig9YCSB(b *testing.B) {
 	o := benchOptions()
 	o.LoadMB = 6
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.RunFig9(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		base := rows[0]
-		for _, r := range rows {
-			if base.Ops["A"] > 0 {
-				b.ReportMetric(r.Ops["A"]/base.Ops["A"], r.Store+"-ycsbA-x")
+		cells := runFigures(b, o, "9").Fig9
+		const phaseA = 1 // phases are the load, then A–F
+		base := cells[0].Phases[phaseA].OpsPerSec
+		for _, c := range cells {
+			if base > 0 {
+				b.ReportMetric(c.Phases[phaseA].OpsPerSec/base, c.Store+"-ycsbA-x")
 			}
 		}
 	}
@@ -101,23 +96,16 @@ func BenchmarkFig9YCSB(b *testing.B) {
 
 func BenchmarkFig10Compaction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		profiles, err := bench.RunFig10(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range profiles {
-			b.ReportMetric(p.TotalTime.Seconds(), p.Store+"-total-compaction-s")
-			b.ReportMetric(p.MeanBytes/(1<<20), p.Store+"-mean-compaction-MB")
+		for _, r := range runFigures(b, benchOptions(), "10").Stores {
+			b.ReportMetric(r.Compaction.TotalTime.Seconds(), r.Store+"-total-compaction-s")
+			b.ReportMetric(r.Compaction.MeanBytes/(1<<20), r.Store+"-mean-compaction-MB")
 		}
 	}
 }
 
 func BenchmarkFig11SEALDBLayout(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := bench.RunLayout(benchOptions(), lsm.ModeSEALDB)
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runFigures(b, benchOptions(), "11").Stores[lsm.ModeSEALDB].Layout
 		b.ReportMetric(float64(r.Compactions), "compactions")
 		b.ReportMetric(r.MeanExtentsPerCompaction, "extents/compaction")
 		b.ReportMetric(r.FootprintMB, "footprint-MB")
@@ -126,24 +114,17 @@ func BenchmarkFig11SEALDBLayout(b *testing.B) {
 
 func BenchmarkFig12WriteAmp(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.RunFig12(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			b.ReportMetric(r.WA, r.Store+"-WA")
-			b.ReportMetric(r.AWA, r.Store+"-AWA")
-			b.ReportMetric(r.MWA, r.Store+"-MWA")
+		for _, r := range runFigures(b, benchOptions(), "12").Stores {
+			b.ReportMetric(r.Amp.WA, r.Store+"-WA")
+			b.ReportMetric(r.Amp.AWA, r.Store+"-AWA")
+			b.ReportMetric(r.Amp.MWA, r.Store+"-MWA")
 		}
 	}
 }
 
 func BenchmarkFig13Fragments(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, _, err := bench.RunFig13(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runFigures(b, benchOptions(), "13").Stores[lsm.ModeSEALDB].Fragments
 		b.ReportMetric(float64(res.Bands), "dynamic-bands")
 		b.ReportMetric(100*res.FragmentOfUsed, "fragments-pct")
 	}
@@ -151,13 +132,10 @@ func BenchmarkFig13Fragments(b *testing.B) {
 
 func BenchmarkFig14Ablation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.RunFig14(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		base := rows[0]
-		for _, r := range rows {
-			n := r.Normalized(base)
+		stores := runFigures(b, benchOptions(), "14").Stores
+		base := stores[lsm.ModeLevelDB].Micro
+		for _, r := range stores {
+			n := r.Micro.Normalized(base)
 			b.ReportMetric(n.RandWrite, r.Store+"-randwrite-x")
 			b.ReportMetric(n.SeqRead, r.Store+"-seqread-x")
 		}

@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"time"
 
 	"sealdb/internal/kv"
@@ -223,18 +221,7 @@ func runChurn(o churnOptions) {
 		}
 		fmt.Printf("# wrote raw dump %s (analyze with: smrtrace -analyze %s)\n", o.dumpDir, o.dumpDir)
 	}
-	f, err := os.Create(o.out)
-	if err != nil {
-		fatal(err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(&rep); err != nil {
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
+	writeJSON(o.out, &rep)
 	fmt.Printf("# wrote %s (%d samples, %d ops)\n", o.out, len(rep.Samples), ops)
 
 	if !rep.Passed {

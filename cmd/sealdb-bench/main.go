@@ -16,6 +16,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
@@ -37,7 +38,7 @@ func main() {
 		table   = flag.Int("table", 0, "table number to run (2)")
 		all     = flag.Bool("all", false, "run every table and figure")
 		mb      = flag.Int64("mb", 0, "load size in MiB (default: harness default)")
-		sst     = flag.Int64("sst", 0, "SSTable size in bytes (sets the geometry scale; default 64 KiB)")
+		sst     = flag.Int64("sst", 0, "SSTable size in bytes (sets the geometry scale; default 256 KiB)")
 		paper   = flag.Bool("paperscale", false, "use the paper's full-scale geometry (4 MiB SSTables; slow)")
 		ops     = flag.Int("ops", 0, "read/YCSB operations per phase")
 		seed    = flag.Int64("seed", 1, "workload seed")
@@ -65,28 +66,36 @@ func main() {
 		churnp99  = flag.Duration("churnp99", 250*time.Millisecond, "steady-state per-op device-time p99 bound for -churn")
 	)
 	flag.Parse()
+	if *seed == 0 {
+		*seed = 1
+	}
 
 	if *churn != "" {
 		runChurn(churnOptions{
 			out: *churn, dumpDir: *churndump, minutes: *churnmins,
-			keys: *churnkeys, seed: seed1(*seed),
+			keys: *churnkeys, seed: *seed,
 			boundSA: *churnsa, boundP99: *churnp99,
 		})
 		return
 	}
+	netOps := *ops // the wall-clock sweeps default to 10,000 operations
+	if netOps <= 0 {
+		netOps = 10000
+	}
 	if *scale != "" {
-		runScale(*scale, *scalewls, *scalecl, *netrecs, *ops, 1024, seed1(*seed))
+		runScale(*scale, *scalewls, *scalecl, *netrecs, netOps, 1024, *seed)
 		return
 	}
 	if *ycsbnet != "" {
-		runYCSBNet(*ycsbnet, *netrecs, *ops, 1024, seed1(*seed), *netconns)
+		runYCSBNet(*ycsbnet, *netrecs, netOps, 1024, *seed, *netconns)
 		return
 	}
 
 	o := bench.DefaultOptions()
-	o.Seed = seed1(*seed)
+	o.Seed = *seed
 	if *sst > 0 {
-		o.Geometry = lsm.ScaledGeometry(*sst, diskFor(*sst))
+		// A disk with plenty of headroom over any load.
+		o.Geometry = lsm.ScaledGeometry(*sst, max(2048**sst, 1*kv.GiB))
 	}
 	if *paper {
 		o.Geometry = lsm.PaperGeometry()
@@ -95,8 +104,7 @@ func main() {
 		o.LoadMB = *mb
 	}
 	if *ops > 0 {
-		o.ReadOps = *ops
-		o.YCSBOps = *ops
+		o.Ops = *ops
 	}
 
 	// The harness opens a fresh store per experiment; -serve follows
@@ -120,48 +128,40 @@ func main() {
 		fmt.Printf("# serving http://%s/metrics for the store under test\n", srv.Addr)
 	}
 
-	want := map[string]bool{}
-	if *all {
-		for _, f := range []string{"2", "3", "8", "9", "10", "11", "12", "13", "14"} {
-			want[f] = true
-		}
-	}
-	for _, f := range strings.Split(*figs, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			want[f] = true
-		}
-	}
 	if *ycsbjson != "" {
-		for _, s := range strings.Split(*valsizes, ",") {
-			if s = strings.TrimSpace(s); s == "" {
-				continue
-			}
-			n, err := strconv.Atoi(s)
-			if err != nil || n <= 0 {
-				fatal(fmt.Errorf("bad -valuesizes entry %q", s))
-			}
-			o.ValueSizes = append(o.ValueSizes, n)
+		sizes, err := parseInts(*valsizes, "-valuesizes entry")
+		if err != nil {
+			fatal(err)
 		}
+		o.ValueSizes = sizes
 		rep, err := bench.RunYCSBReport(o)
 		if err != nil {
 			fatal(err)
 		}
-		f, err := os.Create(*ycsbjson)
-		if err != nil {
-			fatal(err)
-		}
-		if err := bench.WriteYCSBJSON(f, rep); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
+		writeJSON(*ycsbjson, rep)
 		fmt.Printf("# wrote %s (%d stores x %d phases)\n", *ycsbjson, len(rep.Stores), len(rep.Stores[0].Phases))
 		return
 	}
 
-	runTable2 := *all || *table == 2
-	if len(want) == 0 && !runTable2 && !*gc && !*latency {
+	if *all {
+		*table, *figs = 2, "2,3,8,9,10,11,12,13,14"
+	}
+	var ids []string
+	if *table == 2 {
+		ids = append(ids, "table2")
+	}
+	for _, f := range strings.Split(*figs, ",") {
+		if f = strings.TrimSpace(f); f != "" {
+			ids = append(ids, f)
+		}
+	}
+	if *gc {
+		ids = append(ids, "gc")
+	}
+	if *latency {
+		ids = append(ids, "latency")
+	}
+	if len(ids) == 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -179,132 +179,47 @@ func main() {
 	fmt.Printf("# sealdb-bench: SSTable %s, band %s, load %d MiB, value %d B, seed %d\n\n",
 		human(o.Geometry.SSTableSize), human(o.Geometry.BandSize), o.LoadMB, o.ValueSize, o.Seed)
 
-	if runTable2 {
-		rows, err := bench.RunTable2(o)
-		if err != nil {
-			fatal(err)
-		}
-		bench.PrintTable2(os.Stdout, rows)
-		fmt.Println()
+	res, err := bench.Run(o, ids...)
+	if err != nil {
+		fatal(err)
 	}
-	if want["2"] {
-		r, err := bench.RunLayout(o, lsm.ModeLevelDB)
-		if err != nil {
-			fatal(err)
-		}
-		bench.PrintLayout(os.Stdout, "Fig 2", r)
-		if csv != nil {
-			bench.WriteLayoutCSV(csv, r)
-		}
-		fmt.Println()
-	}
-	if want["3"] {
-		rows, err := bench.RunFig3(o)
-		if err != nil {
-			fatal(err)
-		}
-		bench.PrintFig3(os.Stdout, rows)
-		fmt.Println()
-	}
-	if want["8"] {
-		rows, err := bench.RunFig8(o)
-		if err != nil {
-			fatal(err)
-		}
-		bench.PrintMicroRows(os.Stdout, "Fig 8", rows)
-		fmt.Println()
-	}
-	if want["9"] {
-		rows, err := bench.RunFig9(o)
-		if err != nil {
-			fatal(err)
-		}
-		bench.PrintFig9(os.Stdout, rows)
-		fmt.Println()
-	}
-	if want["10"] {
-		profiles, err := bench.RunFig10(o)
-		if err != nil {
-			fatal(err)
-		}
-		bench.PrintFig10(os.Stdout, profiles)
-		if csv != nil {
-			bench.WriteFig10CSV(csv, profiles)
-		}
-		fmt.Println()
-	}
-	if want["11"] {
-		r, err := bench.RunLayout(o, lsm.ModeSEALDB)
-		if err != nil {
-			fatal(err)
-		}
-		bench.PrintLayout(os.Stdout, "Fig 11", r)
-		if csv != nil {
-			bench.WriteLayoutCSV(csv, r)
-		}
-		fmt.Println()
-	}
-	if want["12"] {
-		rows, err := bench.RunFig12(o)
-		if err != nil {
-			fatal(err)
-		}
-		bench.PrintFig12(os.Stdout, rows)
-		fmt.Println()
-	}
-	if want["13"] {
-		res, points, err := bench.RunFig13(o)
-		if err != nil {
-			fatal(err)
-		}
-		bench.PrintFig13(os.Stdout, res)
-		if csv != nil {
-			fmt.Fprintf(csv, "band,offset_mb,length_kb\n")
-			for _, p := range points {
-				fmt.Fprintf(csv, "%d,%.3f,%.3f\n", p.Compaction, p.OffsetMB, p.LengthKB)
-			}
-		}
-		fmt.Println()
-	}
-	if want["14"] {
-		rows, err := bench.RunFig14(o)
-		if err != nil {
-			fatal(err)
-		}
-		bench.PrintMicroRows(os.Stdout, "Fig 14", rows)
-		fmt.Println()
-	}
-	if *gc {
-		res, err := bench.RunGCAblation(o)
-		if err != nil {
-			fatal(err)
-		}
-		bench.PrintGCAblation(os.Stdout, res)
-		fmt.Println()
-	}
-	if *latency {
-		rows, err := bench.RunLatencyProfile(o)
-		if err != nil {
-			fatal(err)
-		}
-		bench.PrintLatencyRows(os.Stdout, rows)
-		fmt.Println()
+	res.Print(os.Stdout)
+	if csv != nil {
+		res.WriteCSV(csv)
 	}
 }
 
-func seed1(s int64) int64 {
-	if s == 0 {
-		return 1
+// writeJSON writes v to path as indented JSON, exiting on failure.
+func writeJSON(path string, v any) {
+	f, err := os.Create(path)
+	if err != nil {
+		fatal(err)
 	}
-	return s
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		fatal(err)
+	}
 }
 
-func diskFor(sst int64) int64 {
-	cap := 2048 * sst // plenty of headroom over any load
-	if cap < 1*kv.GiB {
-		cap = 1 * kv.GiB
+// parseInts parses a comma-separated list of positive integers; what
+// names an entry in the error.
+func parseInts(list, what string) ([]int, error) {
+	var out []int
+	for _, s := range strings.Split(list, ",") {
+		if s = strings.TrimSpace(s); s == "" {
+			continue
+		}
+		n, err := strconv.Atoi(s)
+		if err != nil || n <= 0 {
+			return nil, fmt.Errorf("bad %s %q (want a positive integer)", what, s)
+		}
+		out = append(out, n)
 	}
-	return cap
+	return out, nil
 }
 
 func human(n int64) string {

@@ -1,17 +1,12 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"strconv"
 	"strings"
 	"time"
 
-	"sealdb/internal/lsm"
+	"sealdb/internal/bench"
 	"sealdb/internal/obs"
-	"sealdb/internal/sealclient"
-	"sealdb/internal/server"
 	"sealdb/internal/ycsb"
 )
 
@@ -54,46 +49,17 @@ type ScalePoint struct {
 	TopLockSite   string  `json:"top_lock_site"`
 }
 
-// latStore wraps a ycsb.Store, timing every operation into a shared
-// histogram. Each client goroutine gets its own wrapper; the
-// histogram is concurrency-safe.
-type latStore struct {
-	st  ycsb.Store
-	lat *obs.Histogram
-}
-
-func (s latStore) Put(k, v []byte) error {
-	t0 := time.Now()
-	err := s.st.Put(k, v)
-	s.lat.Observe(time.Since(t0).Nanoseconds())
-	return err
-}
-
-func (s latStore) Get(k []byte) ([]byte, error) {
-	t0 := time.Now()
-	v, err := s.st.Get(k)
-	s.lat.Observe(time.Since(t0).Nanoseconds())
-	return v, err
-}
-
-func (s latStore) ScanN(start []byte, n int) (int, error) {
-	t0 := time.Now()
-	c, err := s.st.ScanN(start, n)
-	s.lat.Observe(time.Since(t0).Nanoseconds())
-	return c, err
-}
-
 // runScale sweeps client counts over TCP for each workload, writing
 // the scaling report to outPath and a summary table to stdout. Every
 // point gets a fresh store and server so the curve measures scaling,
 // not accumulated compaction debt.
 func runScale(outPath, workloads, clientList string, records int64, ops, valueSize int, seed int64) {
-	counts, err := parseClientCounts(clientList)
+	counts, err := parseInts(clientList, "client count")
+	if err == nil && len(counts) == 0 {
+		err = fmt.Errorf("no client counts in %q (want e.g. 1,2,4,8)", clientList)
+	}
 	if err != nil {
 		fatal(err)
-	}
-	if ops <= 0 {
-		ops = 10000
 	}
 	rep := ScaleReport{
 		Schema:    ScaleSchema,
@@ -128,18 +94,7 @@ func runScale(outPath, workloads, clientList string, records int64, ops, valueSi
 		fmt.Println()
 	}
 
-	f, err := os.Create(outPath)
-	if err != nil {
-		fatal(err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
+	writeJSON(outPath, rep)
 	fmt.Printf("# wrote %s (%d workloads x %d client counts)\n",
 		outPath, len(rep.Workloads), len(counts))
 }
@@ -148,33 +103,25 @@ func runScale(outPath, workloads, clientList string, records int64, ops, valueSi
 // server, N pooled connections, N runner goroutines, lock profiling
 // bracketing the measured run.
 func runScalePoint(w ycsb.Workload, records int64, ops, valueSize int, seed int64, clients int) ScalePoint {
-	db, err := lsm.Open(lsm.DefaultConfig(lsm.ModeSEALDB))
-	if err != nil {
-		fatal(err)
-	}
-	defer db.Close()
-	srv, err := server.Serve(db, "127.0.0.1:0", server.Config{})
-	if err != nil {
-		fatal(err)
-	}
-	defer srv.Close()
-	cl, err := sealclient.Dial(srv.Addr().String(), sealclient.Options{Conns: clients})
-	if err != nil {
-		fatal(err)
-	}
-	defer cl.Close()
+	sv := openServed(clients)
+	defer sv.Close()
 
 	lat := obs.NewHistogram()
-	beforeWait := map[string]int64{}
-	beforeHold := map[string]int64{}
+	before := map[string]obs.LockSiteSnapshot{}
 	for _, s := range obs.ContentionProfile() {
-		beforeWait[s.Name] = s.TotalWaitNS
-		beforeHold[s.Name] = s.TotalHoldNS
+		before[s.Name] = s
 	}
 	obs.SetLockProfiling(true)
-	n, elapsed := runYCSBParallel(w, records, ops, valueSize, seed, clients,
-		dbStore{db}, func() ycsb.Store { return latStore{st: netStore{cl}, lat: lat} })
+	wallStart := time.Now()
+	wall := func() int64 { return int64(time.Since(wallStart)) }
+	n, elapsed, err := runYCSBParallel(w, records, ops, valueSize, seed, clients,
+		bench.DBStore{DB: sv.db}, func() ycsb.Store {
+			return &bench.TimedStore{Store: netStore{sv.cl}, Clock: wall, H: lat}
+		})
 	obs.SetLockProfiling(false)
+	if err != nil {
+		fatal(err)
+	}
 
 	// Rank sites by wait accrued in the window; when nothing waited
 	// (e.g. GOMAXPROCS=1 serializes the clients), fall back to hold
@@ -182,8 +129,8 @@ func runScalePoint(w ycsb.Workload, records int64, ops, valueSize int, seed int6
 	var waitTotal, topWait, topHold int64
 	var topSite string
 	for _, s := range obs.ContentionProfile() {
-		waitDelta := s.TotalWaitNS - beforeWait[s.Name]
-		holdDelta := s.TotalHoldNS - beforeHold[s.Name]
+		waitDelta := s.TotalWaitNS - before[s.Name].TotalWaitNS
+		holdDelta := s.TotalHoldNS - before[s.Name].TotalHoldNS
 		waitTotal += waitDelta
 		if waitDelta > topWait || (topWait == 0 && holdDelta > topHold) {
 			topWait, topHold, topSite = waitDelta, holdDelta, s.Name
@@ -205,23 +152,4 @@ func runScalePoint(w ycsb.Workload, records int64, ops, valueSize int, seed int6
 		p.LockWaitShare = float64(waitTotal) / float64(budget)
 	}
 	return p
-}
-
-func parseClientCounts(s string) ([]int, error) {
-	var counts []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad client count %q (want positive integers, e.g. 1,2,4,8)", part)
-		}
-		counts = append(counts, n)
-	}
-	if len(counts) == 0 {
-		return nil, fmt.Errorf("no client counts in %q", s)
-	}
-	return counts, nil
 }

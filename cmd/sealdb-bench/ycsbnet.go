@@ -3,11 +3,11 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 	"sync"
 	"time"
 
+	"sealdb/internal/bench"
 	"sealdb/internal/lsm"
 	"sealdb/internal/sealclient"
 	"sealdb/internal/server"
@@ -24,9 +24,6 @@ func runYCSBNet(wlName string, records int64, ops, valueSize int, seed int64, cl
 	w, err := findWorkload(wlName)
 	if err != nil {
 		fatal(err)
-	}
-	if ops <= 0 {
-		ops = 10000
 	}
 	if clients <= 0 {
 		clients = 4
@@ -54,39 +51,43 @@ func runYCSBNet(wlName string, records int64, ops, valueSize int, seed int64, cl
 // goroutines, each with its own seed, returning total operations and
 // wall-clock elapsed. makeStore returns one ycsb.Store per goroutine
 // (in-process they share the DB handle; networked they share the
-// pooled client).
+// pooled client). The ops are split evenly, the remainder going to the
+// last worker; the first worker error fails the run.
 func runYCSBParallel(w ycsb.Workload, records int64, ops, valueSize int, seed int64, clients int,
-	load ycsb.Store, makeStore func() ycsb.Store) (int, time.Duration) {
+	load ycsb.Store, makeStore func() ycsb.Store) (int, time.Duration, error) {
 	loader := ycsb.NewRunner(load, valueSize, seed)
 	if err := loader.Load(records); err != nil {
-		fatal(err)
+		return 0, 0, fmt.Errorf("load: %w", err)
 	}
 
-	perClient := ops / clients
 	var wg sync.WaitGroup
-	total := 0
 	var mu sync.Mutex
+	total := 0
+	var firstErr error
 	start := time.Now()
 	for i := 0; i < clients; i++ {
 		r := ycsb.NewRunner(makeStore(), valueSize, seed+int64(i)+1)
 		// Seat the runner's record count so request keys hit the range
 		// the shared loader populated.
 		r.SetRecordCount(records)
+		n := ops / clients
+		if i == clients-1 {
+			n += ops % clients
+		}
 		wg.Add(1)
-		go func() {
+		go func(worker int) {
 			defer wg.Done()
-			res, err := r.Run(w, perClient)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "sealdb-bench: ycsbnet worker:", err)
-				return
-			}
+			res, err := r.Run(w, n)
 			mu.Lock()
+			defer mu.Unlock()
 			total += res.Ops
-			mu.Unlock()
-		}()
+			if err != nil && firstErr == nil {
+				firstErr = fmt.Errorf("worker %d: %w", worker, err)
+			}
+		}(i)
 	}
 	wg.Wait()
-	return total, time.Since(start)
+	return total, time.Since(start), firstErr
 }
 
 func runYCSBInProcess(w ycsb.Workload, records int64, ops, valueSize int, seed int64, clients int) (int, time.Duration) {
@@ -95,61 +96,68 @@ func runYCSBInProcess(w ycsb.Workload, records int64, ops, valueSize int, seed i
 		fatal(err)
 	}
 	defer db.Close()
-	st := dbStore{db}
-	return runYCSBParallel(w, records, ops, valueSize, seed, clients, st, func() ycsb.Store { return st })
+	st := bench.DBStore{DB: db}
+	n, d, err := runYCSBParallel(w, records, ops, valueSize, seed, clients, st, func() ycsb.Store { return st })
+	if err != nil {
+		fatal(err)
+	}
+	return n, d
 }
 
-// coalesceStats is the slice of the STATS payload the summary needs.
-type coalesceStats struct {
-	Groups int64
-	Writes int64
+// served is a fresh SEALDB store behind a loopback server, with a
+// pooled client connected to it.
+type served struct {
+	db  *lsm.DB
+	srv *server.Server
+	cl  *sealclient.Client
 }
 
-func runYCSBNetworked(w ycsb.Workload, records int64, ops, valueSize int, seed int64, clients int) (int, time.Duration, coalesceStats) {
+func openServed(conns int) *served {
 	db, err := lsm.Open(lsm.DefaultConfig(lsm.ModeSEALDB))
 	if err != nil {
 		fatal(err)
 	}
-	defer db.Close()
 	srv, err := server.Serve(db, "127.0.0.1:0", server.Config{})
 	if err != nil {
 		fatal(err)
 	}
-	defer srv.Close()
-	cl, err := sealclient.Dial(srv.Addr().String(), sealclient.Options{Conns: clients})
+	cl, err := sealclient.Dial(srv.Addr().String(), sealclient.Options{Conns: conns})
 	if err != nil {
 		fatal(err)
 	}
-	defer cl.Close()
-
-	// Load in-process (store setup is not what's being measured), run
-	// through the client.
-	n, d := runYCSBParallel(w, records, ops, valueSize, seed, clients,
-		dbStore{db}, func() ycsb.Store { return netStore{cl} })
-
-	var coal coalesceStats
-	if raw, err := cl.Stats(); err == nil {
-		var p struct {
-			Server struct {
-				CoalescedGroups int64 `json:"coalesced_groups"`
-				CoalescedWrites int64 `json:"coalesced_writes"`
-			} `json:"server"`
-		}
-		if json.Unmarshal(raw, &p) == nil {
-			coal = coalesceStats{Groups: p.Server.CoalescedGroups, Writes: p.Server.CoalescedWrites}
-		}
-	}
-	return n, d, coal
+	return &served{db, srv, cl}
 }
 
-// dbStore adapts *lsm.DB to ycsb.Store.
-type dbStore struct{ db *lsm.DB }
+func (s *served) Close() {
+	s.cl.Close()
+	s.srv.Close()
+	s.db.Close()
+}
 
-func (s dbStore) Put(k, v []byte) error        { return s.db.Put(k, v) }
-func (s dbStore) Get(k []byte) ([]byte, error) { return s.db.Get(k) }
-func (s dbStore) ScanN(start []byte, n int) (int, error) {
-	kvs, err := s.db.Scan(start, n)
-	return len(kvs), err
+// coalesceStats is the slice of the STATS payload the summary needs.
+type coalesceStats struct {
+	Groups int64 `json:"coalesced_groups"`
+	Writes int64 `json:"coalesced_writes"`
+}
+
+func runYCSBNetworked(w ycsb.Workload, records int64, ops, valueSize int, seed int64, clients int) (int, time.Duration, coalesceStats) {
+	s := openServed(clients)
+	defer s.Close()
+	// Load in-process (store setup is not what's being measured), run
+	// through the client.
+	n, d, err := runYCSBParallel(w, records, ops, valueSize, seed, clients,
+		bench.DBStore{DB: s.db}, func() ycsb.Store { return netStore{s.cl} })
+	if err != nil {
+		fatal(err)
+	}
+	var p struct {
+		Server coalesceStats `json:"server"`
+	}
+	raw, err := s.cl.Stats()
+	if err != nil || json.Unmarshal(raw, &p) != nil {
+		return n, d, coalesceStats{} // the summary line is left out
+	}
+	return n, d, p.Server
 }
 
 // netStore adapts a sealclient.Client to ycsb.Store, so the same

@@ -88,61 +88,31 @@ func main() {
 		return
 	}
 
-	if *bands {
-		if m != lsm.ModeSEALDB {
-			fmt.Fprintln(os.Stderr, "smrtrace: -bands requires -mode sealdb")
-			os.Exit(2)
-		}
-		res, points, err := bench.RunFig13(o)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "smrtrace:", err)
-			os.Exit(1)
-		}
-		bench.PrintFig13(os.Stderr, res)
-		if *format == "json" {
-			enc := obs.NewJSONLines(os.Stdout)
-			for _, p := range points {
-				if err := enc.Encode(p); err != nil {
-					fmt.Fprintln(os.Stderr, "smrtrace:", err)
-					os.Exit(1)
-				}
-			}
-			return
-		}
-		fmt.Println("band,offset_mb,length_kb")
-		for _, p := range points {
-			fmt.Printf("%d,%.3f,%.3f\n", p.Compaction, p.OffsetMB, p.LengthKB)
-		}
-		return
+	if *bands && m != lsm.ModeSEALDB {
+		fmt.Fprintln(os.Stderr, "smrtrace: -bands requires -mode sealdb")
+		os.Exit(2)
 	}
-
-	r, err := bench.RunLayout(o, m)
+	run, err := o.RunStore(m, false)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "smrtrace:", err)
-		os.Exit(1)
+		fatalf("%v", err)
 	}
-	bench.PrintLayout(os.Stderr, "layout", r)
+	index, points := "compaction", run.Layout.Points
+	if *bands {
+		bench.PrintFig13(os.Stderr, run.Fragments)
+		index, points = "band", run.Bands
+	} else {
+		bench.PrintLayout(os.Stderr, "layout", run)
+	}
 	if *format == "json" {
 		enc := obs.NewJSONLines(os.Stdout)
-		for _, p := range r.Points {
+		for _, p := range points {
 			if err := enc.Encode(p); err != nil {
-				fmt.Fprintln(os.Stderr, "smrtrace:", err)
-				os.Exit(1)
+				fatalf("%v", err)
 			}
 		}
 		return
 	}
-	bench.WriteLayoutCSV(os.Stdout, r)
-}
-
-// traceStore adapts *lsm.DB to ycsb.Store for the -dump workload.
-type traceStore struct{ db *lsm.DB }
-
-func (s traceStore) Put(k, v []byte) error        { return s.db.Put(k, v) }
-func (s traceStore) Get(k []byte) ([]byte, error) { return s.db.Get(k) }
-func (s traceStore) ScanN(start []byte, n int) (int, error) {
-	kvs, err := s.db.Scan(start, n)
-	return len(kvs), err
+	bench.WritePointsCSV(os.Stdout, index, points)
 }
 
 // runDump executes a traced load + YCSB-A window and writes the raw
@@ -159,8 +129,8 @@ func runDump(dir string, m lsm.Mode, o bench.Options, ops, vthresh int) {
 	defer db.Close()
 
 	base := traceanalyze.Begin(db)
-	runner := ycsb.NewRunner(traceStore{db}, o.ValueSize, o.Seed)
-	if err := runner.LoadRandom(o.Records()); err != nil {
+	runner := ycsb.NewRunner(bench.DBStore{DB: db}, o.ValueSize, o.Seed)
+	if err := runner.LoadRandom(o.RecordsFor(o.ValueSize)); err != nil {
 		fatalf("load: %v", err)
 	}
 	if _, err := runner.Run(ycsb.WorkloadA, ops); err != nil {

@@ -1,8 +1,8 @@
 // Layout example: reproduce the contrast between Figure 2 (LevelDB:
 // each compaction's SSTables scatter across the disk) and Figure 11
-// (SEALDB: each compaction writes one contiguous set) by tracing
-// device writes during a random load, then render a coarse ASCII
-// scatter of compaction number vs write offset.
+// (SEALDB: each compaction writes one contiguous set) from where each
+// compaction's output SSTables landed during a random load, rendered
+// as a coarse ASCII scatter of compaction number vs device offset.
 package main
 
 import (
@@ -32,8 +32,6 @@ func trace(mode sealdb.Mode) {
 		log.Fatal(err)
 	}
 	defer db.Close()
-	disk := db.Device().Disk
-	disk.EnableTrace()
 
 	rng := rand.New(rand.NewSource(7))
 	perm := rng.Perm(records)
@@ -44,25 +42,24 @@ func trace(mode sealdb.Mode) {
 			log.Fatal(err)
 		}
 	}
-	entries := disk.DisableTrace()
 
-	// Collect compaction-attributed writes.
+	// Collect where every merge compaction placed its outputs.
 	type pt struct{ comp, off int64 }
 	var pts []pt
 	var maxComp, maxOff int64
-	for _, e := range entries {
-		if !e.Write || e.Tag == 0 {
+	for _, ci := range db.Stats().Compactions {
+		if ci.Flush || ci.TrivialMove {
 			continue
 		}
-		pts = append(pts, pt{e.Tag, e.Offset})
-		if e.Tag > maxComp {
-			maxComp = e.Tag
+		for _, ext := range ci.OutputPlacements {
+			pts = append(pts, pt{int64(ci.ID), ext.Off})
+			if ext.Off > maxOff {
+				maxOff = ext.Off
+			}
 		}
-		if e.Offset > maxOff {
-			maxOff = e.Offset
-		}
+		maxComp = int64(ci.ID)
 	}
-	fmt.Printf("\n=== %s: %d compaction writes across %d compactions, offsets up to %.1f MiB ===\n",
+	fmt.Printf("\n=== %s: %d SSTables written by %d compactions, offsets up to %.1f MiB ===\n",
 		mode, len(pts), maxComp, float64(maxOff)/(1<<20))
 
 	// ASCII scatter: x = compaction order, y = disk offset.

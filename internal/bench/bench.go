@@ -9,11 +9,11 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"sealdb/internal/kv"
 	"sealdb/internal/lsm"
+	"sealdb/internal/obs"
 	"sealdb/internal/ycsb"
 )
 
@@ -31,16 +31,9 @@ type Options struct {
 	// runs the full workload matrix on every store. Empty means just
 	// ValueSize.
 	ValueSizes []int
-	// VlogThreshold is the key–value separation threshold of the
-	// "sealdb+vlog" store in the YCSB report (values at or above it
-	// move to the value log). Zero means 64, which separates every
-	// size on the standard 64 B → 1 MiB axis.
-	VlogThreshold int
-	// ReadOps is the number of point/sequential reads per experiment
+	// Ops is the number of operations per read, YCSB or latency phase
 	// (the paper uses 100 K).
-	ReadOps int
-	// YCSBOps is the number of operations per YCSB workload.
-	YCSBOps int
+	Ops int
 	// Seed drives every generator.
 	Seed int64
 	// Observe, when set, is called with every store the harness opens,
@@ -61,8 +54,7 @@ func DefaultOptions() Options {
 		Geometry:  lsm.ScaledGeometry(256*kv.KiB, 8*kv.GiB),
 		LoadMB:    192,
 		ValueSize: 1024,
-		ReadOps:   10000,
-		YCSBOps:   10000,
+		Ops:       10000,
 		Seed:      1,
 	}
 }
@@ -74,26 +66,15 @@ func QuickOptions() Options {
 	o := DefaultOptions()
 	o.Geometry = lsm.ScaledGeometry(32*kv.KiB, 1*kv.GiB)
 	o.LoadMB = 10
-	o.ReadOps = 800
-	o.YCSBOps = 800
+	o.Ops = 800
 	return o
-}
-
-// Records returns the number of KV records that fit LoadMB.
-func (o Options) Records() int64 {
-	return o.RecordsFor(o.ValueSize)
 }
 
 // RecordsFor returns the number of records of the given value size
 // that fit LoadMB, clamped so huge values still leave a workable
 // keyspace.
 func (o Options) RecordsFor(valueSize int) int64 {
-	rec := int64(valueSize + 16)
-	n := o.LoadMB * kv.MiB / rec
-	if n < 16 {
-		n = 16
-	}
-	return n
+	return max(o.LoadMB*kv.MiB/int64(valueSize+16), 16)
 }
 
 // OpsFor bounds a YCSB phase's op count for the given value size:
@@ -103,38 +84,88 @@ func (o Options) RecordsFor(valueSize int) int64 {
 // through an 8 GiB simulated disk. The cap depends only on the value
 // size, so every store in a cell still runs identical work.
 func (o Options) OpsFor(valueSize int) int {
-	ops := o.YCSBOps
 	if valueSize > 4*1024 {
-		ops = o.YCSBOps * 4 * 1024 / valueSize
-		if ops < 64 {
-			ops = 64
-		}
+		return max(o.Ops*4*1024/valueSize, 64)
 	}
-	return ops
+	return o.Ops
 }
 
 func (o Options) config(mode lsm.Mode) lsm.Config {
-	cfg := lsm.Config{Mode: mode, Geometry: o.Geometry, Seed: o.Seed}
-	return cfg
+	return lsm.Config{Mode: mode, Geometry: o.Geometry, Seed: o.Seed}
 }
 
-// openStore builds a fresh store of the given mode.
-func (o Options) openStore(mode lsm.Mode) (*lsm.DB, error) {
-	db, err := lsm.Open(o.config(mode))
-	if err == nil && o.Observe != nil {
+// DBStore adapts *lsm.DB to ycsb.Store.
+type DBStore struct{ DB *lsm.DB }
+
+func (s DBStore) Put(k, v []byte) error        { return s.DB.Put(k, v) }
+func (s DBStore) Get(k []byte) ([]byte, error) { return s.DB.Get(k) }
+func (s DBStore) ScanN(start []byte, n int) (int, error) {
+	kvs, err := s.DB.Scan(start, n)
+	return len(kvs), err
+}
+
+// TimedStore wraps a ycsb.Store, observing the duration of every call
+// into H. Clock returns nanoseconds on whichever clock the experiment
+// reports — the simulated device clock for the figures, wall time for
+// the networked sweeps.
+type TimedStore struct {
+	ycsb.Store
+	Clock func() int64
+	H     *obs.Histogram
+}
+
+func (s *TimedStore) observeSince(start int64) { s.H.Observe(s.Clock() - start) }
+
+func (s *TimedStore) Put(k, v []byte) error {
+	defer s.observeSince(s.Clock())
+	return s.Store.Put(k, v)
+}
+
+func (s *TimedStore) Get(k []byte) ([]byte, error) {
+	defer s.observeSince(s.Clock())
+	return s.Store.Get(k)
+}
+
+func (s *TimedStore) ScanN(from []byte, n int) (int, error) {
+	defer s.observeSince(s.Clock())
+	return s.Store.ScanN(from, n)
+}
+
+// loaded is a store after its load phase — the state every experiment
+// of §IV starts from. The caller closes db.
+type loaded struct {
+	db      *lsm.DB
+	runner  *ycsb.Runner
+	records int64
+	time    time.Duration // simulated device time the load consumed
+}
+
+// load opens a fresh store on cfg and loads it with as many records of
+// valueSize as fit LoadMB, in random or (sequential) key order, timing
+// each call into h when h is non-nil. The harness opens stores nowhere
+// else, so Observe sees every one.
+func (o Options) load(cfg lsm.Config, valueSize int, sequential bool, h *obs.Histogram) (*loaded, error) {
+	db, err := lsm.Open(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if o.Observe != nil {
 		o.Observe(db)
 	}
-	return db, err
-}
-
-// storeAdapter adapts *lsm.DB to ycsb.Store.
-type storeAdapter struct{ db *lsm.DB }
-
-func (s storeAdapter) Put(k, v []byte) error        { return s.db.Put(k, v) }
-func (s storeAdapter) Get(k []byte) ([]byte, error) { return s.db.Get(k) }
-func (s storeAdapter) ScanN(start []byte, n int) (int, error) {
-	kvs, err := s.db.Scan(start, n)
-	return len(kvs), err
+	var st ycsb.Store = DBStore{db}
+	if h != nil {
+		st = &TimedStore{Store: st, Clock: func() int64 { return int64(simTime(db)) }, H: h}
+	}
+	ld := &loaded{db: db, runner: ycsb.NewRunner(st, valueSize, o.Seed), records: o.RecordsFor(valueSize)}
+	fill := ld.runner.LoadRandom
+	if sequential {
+		fill = ld.runner.Load
+	}
+	if ld.time, err = phase(db, func() error { return fill(ld.records) }); err != nil {
+		db.Close()
+		return nil, fmt.Errorf("bench: loading %v: %w", cfg.Mode, err)
+	}
+	return ld, nil
 }
 
 // simTime returns the accumulated simulated device time of a store.
@@ -151,41 +182,39 @@ func phase(db *lsm.DB, fn func() error) (time.Duration, error) {
 
 // throughput converts an op count and simulated duration to ops/s.
 func throughput(ops int64, d time.Duration) float64 {
-	if d <= 0 {
-		return 0
-	}
-	return float64(ops) / d.Seconds()
+	return ratio(float64(ops), d.Seconds())
 }
 
-// seqRead iterates n entries from the smallest key.
-func seqRead(db *lsm.DB, n int) (int, error) {
+// ratio returns a/b, or 0 when there is no b to divide by.
+func ratio(a, b float64) float64 {
+	if b <= 0 {
+		return 0
+	}
+	return a / b
+}
+
+// seqRead iterates n entries from the smallest key; finding none at
+// all is an error.
+func seqRead(db *lsm.DB, n int) error {
 	it := db.NewIterator()
 	defer it.Close()
 	count := 0
 	for it.SeekToFirst(); it.Valid() && count < n; it.Next() {
 		count++
 	}
-	return count, it.Error()
+	if count == 0 && it.Error() == nil {
+		return fmt.Errorf("bench: sequential read saw no data")
+	}
+	return it.Error()
 }
 
 // randRead performs n uniform point reads over [0, records).
-func randRead(db *lsm.DB, records int64, n int, seed int64) (misses int, err error) {
+func randRead(db *lsm.DB, records int64, n int, seed int64) error {
 	rng := newRng(seed)
 	for i := 0; i < n; i++ {
-		if _, err := db.Get(ycsb.Key(rng.Int63n(records))); err != nil {
-			if err == lsm.ErrNotFound {
-				misses++
-				continue
-			}
-			return misses, err
+		if _, err := db.Get(ycsb.Key(rng.Int63n(records))); err != nil && err != lsm.ErrNotFound {
+			return err
 		}
 	}
-	return misses, nil
-}
-
-// fprintf writes formatted output, ignoring errors (report sinks).
-func fprintf(w io.Writer, format string, args ...any) {
-	if w != nil {
-		fmt.Fprintf(w, format, args...)
-	}
+	return nil
 }

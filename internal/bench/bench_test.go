@@ -1,11 +1,98 @@
 package bench
 
 import (
+	"bytes"
 	"io"
+	"os"
 	"testing"
 
 	"sealdb/internal/lsm"
 )
+
+// mustRun runs the named figures, failing the test on error.
+func mustRun(t *testing.T, o Options, ids ...string) *Results {
+	t.Helper()
+	res, err := Run(o, ids...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Print(io.Discard)
+	res.WriteCSV(io.Discard)
+	return res
+}
+
+// TestQuickScaleOutputMatchesGolden pins every byte `sealdb-bench -all
+// -gc -latency -sst 32768 -mb 10 -ops 800` prints: the golden was
+// recorded from the harness that re-ran each figure's loads, so the
+// views over shared loads must reproduce it exactly. A change that
+// moves a figure on purpose regenerates the golden (EXPERIMENTS.md).
+func TestQuickScaleOutputMatchesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("19 loads at smoke scale: run without -short (CI's figures job cmp's the same bytes)")
+	}
+	want, err := os.ReadFile("testdata/quick_all.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The command prints a "# sealdb-bench: ..." line and a blank one
+	// before the figures; CI compares those too, with cmp.
+	want = want[bytes.Index(want, []byte("\n\n"))+2:]
+	res, err := Run(QuickOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	res.Print(&got)
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("figure output drifted from testdata/quick_all.golden; got:\n%s", got.Bytes())
+	}
+}
+
+// TestLoadCounts pins how many stores the harness loads: each (mode,
+// geometry) a figure reads is loaded once however many figures read it.
+func TestLoadCounts(t *testing.T) {
+	for _, tc := range []struct {
+		ids             []string
+		random, ordered int
+	}{
+		// 4 shared + 4 other Fig 3 bands + 3 YCSB + 1 GC + 3 latency.
+		{nil, 15, 4},
+		{[]string{"12"}, 3, 0},
+		{[]string{"2", "3"}, 5, 0},
+		{[]string{"11", "13"}, 1, 0},
+		{[]string{"14"}, 3, 3},
+	} {
+		o := QuickOptions()
+		o.LoadMB = 2 // the smallest load at which every store still merges
+		o.Ops = 20
+		var opened []*lsm.DB
+		open := 0
+		o.Observe = func(db *lsm.DB) {
+			// One store at a time: the previous one must be closed.
+			if n := len(opened); n > 0 {
+				if _, err := opened[n-1].Get([]byte("k")); err != lsm.ErrClosed {
+					open++
+				}
+			}
+			opened = append(opened, db)
+		}
+		mustRun(t, o, tc.ids...)
+		// A key-ordered load never merges: its flushed tables do not
+		// overlap, so every compaction is a trivial move.
+		random, ordered := 0, 0
+		for _, db := range opened {
+			if len(mergeCompactions(db)) > 0 {
+				random++
+			} else {
+				ordered++
+			}
+		}
+		if random != tc.random || ordered != tc.ordered || open != 0 {
+			t.Errorf("figures %v: %d random + %d sequential loads (want %d + %d), %d stores left open",
+				tc.ids, random, ordered, tc.random, tc.ordered, open)
+		}
+	}
+}
 
 // testOptions shrinks the experiments so the whole suite runs in
 // seconds; the scale-sensitive SMRDB shapes are asserted separately
@@ -13,10 +100,7 @@ import (
 func testOptions() Options { return QuickOptions() }
 
 func TestTable2Shapes(t *testing.T) {
-	rows, err := RunTable2(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := mustRun(t, testOptions(), "table2").Table2
 	byName := map[string]DeviceRow{}
 	for _, r := range rows {
 		byName[r.Metric] = r
@@ -33,19 +117,11 @@ func TestTable2Shapes(t *testing.T) {
 	if randR.HDD < 40 || randR.HDD > 100 {
 		t.Errorf("random read IOPS %v outside Table II ballpark", randR.HDD)
 	}
-	PrintTable2(io.Discard, rows)
 }
 
 func TestFig2And11LayoutShapes(t *testing.T) {
-	o := testOptions()
-	ldb, err := RunLayout(o, lsm.ModeLevelDB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seal, err := RunLayout(o, lsm.ModeSEALDB)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, testOptions(), "2", "11")
+	ldb, seal := res.Stores[lsm.ModeLevelDB].Layout, res.Stores[lsm.ModeSEALDB].Layout
 	if ldb.Compactions == 0 || seal.Compactions == 0 {
 		t.Fatalf("no compactions traced: %d vs %d", ldb.Compactions, seal.Compactions)
 	}
@@ -64,17 +140,12 @@ func TestFig2And11LayoutShapes(t *testing.T) {
 		t.Errorf("SEALDB footprint %.1f MB not below LevelDB %.1f MB",
 			seal.FootprintMB, ldb.FootprintMB)
 	}
-	PrintLayout(io.Discard, "Fig 2", ldb)
-	WriteLayoutCSV(io.Discard, seal)
 }
 
 func TestFig3BandSweepShapes(t *testing.T) {
 	o := testOptions()
 	o.LoadMB = 8
-	rows, err := RunFig3(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := mustRun(t, o, "3").Fig3
 	if len(rows) != 5 {
 		t.Fatalf("expected 5 band sizes, got %d", len(rows))
 	}
@@ -92,20 +163,12 @@ func TestFig3BandSweepShapes(t *testing.T) {
 		t.Errorf("MWA did not grow with band size: first %.2f, last %.2f",
 			rows[0].MWA, rows[len(rows)-1].MWA)
 	}
-	PrintFig3(io.Discard, rows)
 }
 
 func TestFig8MicroShapes(t *testing.T) {
-	rows, err := RunFig8(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	byStore := map[string]MicroRow{}
-	for _, r := range rows {
-		byStore[r.Store] = r
-	}
-	ldb, smrdb, seal := byStore["leveldb"], byStore["smrdb"], byStore["sealdb"]
-	_ = smrdb // the SMRDB crossover needs full scale; see the headline test
+	res := mustRun(t, testOptions(), "8")
+	// The SMRDB crossover needs full scale; see the headline test.
+	ldb, seal := res.Stores[lsm.ModeLevelDB].Micro, res.Stores[lsm.ModeSEALDB].Micro
 	// Headline: SEALDB beats LevelDB on random load.
 	if seal.RandWrite <= ldb.RandWrite {
 		t.Errorf("random write: sealdb %.0f <= leveldb %.0f", seal.RandWrite, ldb.RandWrite)
@@ -122,7 +185,6 @@ func TestFig8MicroShapes(t *testing.T) {
 	if seal.SeqRead < ldb.SeqRead*0.8 {
 		t.Errorf("seq read: sealdb %.0f far below leveldb %.0f", seal.SeqRead, ldb.SeqRead)
 	}
-	PrintMicroRows(io.Discard, "Fig 8", rows)
 }
 
 // TestHeadlineShapesAtFullScale runs Figure 8 at the canonical
@@ -135,16 +197,9 @@ func TestHeadlineShapesAtFullScale(t *testing.T) {
 		t.Skip("full-scale headline shapes: run without -short")
 	}
 	o := DefaultOptions()
-	o.ReadOps = 2000
-	rows, err := RunFig8(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byStore := map[string]MicroRow{}
-	for _, r := range rows {
-		byStore[r.Store] = r
-	}
-	ldb, smrdb, seal := byStore["leveldb"], byStore["smrdb"], byStore["sealdb"]
+	o.Ops = 2000
+	res := mustRun(t, o, "8")
+	ldb, smrdb, seal := res.Stores[lsm.ModeLevelDB].Micro, res.Stores[lsm.ModeSMRDB].Micro, res.Stores[lsm.ModeSEALDB].Micro
 	if factor := seal.RandWrite / ldb.RandWrite; factor < 2 {
 		t.Errorf("random write: sealdb only %.2fx leveldb (paper: 3.42x)", factor)
 	}
@@ -157,46 +212,31 @@ func TestHeadlineShapesAtFullScale(t *testing.T) {
 	if factor := seal.SeqRead / ldb.SeqRead; factor < 1.2 {
 		t.Errorf("seq read: sealdb only %.2fx leveldb (paper: 3.96x)", factor)
 	}
-	PrintMicroRows(io.Discard, "Fig 8 (full scale)", rows)
 }
 
 func TestFig9YCSBShapes(t *testing.T) {
 	o := testOptions()
 	o.LoadMB = 6
-	rows, err := RunFig9(o)
-	if err != nil {
-		t.Fatal(err)
+	cells := mustRun(t, o, "9").Fig9
+	ldb, seal := cells[0], cells[2]
+	if ldb.Store != "leveldb" || seal.Store != "sealdb" {
+		t.Fatalf("unexpected store order: %s, %s", ldb.Store, seal.Store)
 	}
-	byStore := map[string]YCSBRow{}
-	for _, r := range rows {
-		byStore[r.Store] = r
-	}
-	ldb, seal := byStore["leveldb"], byStore["sealdb"]
-	if seal.Load <= ldb.Load {
-		t.Errorf("YCSB load: sealdb %.0f <= leveldb %.0f", seal.Load, ldb.Load)
-	}
-	// Update-heavy workload A: SEALDB wins.
-	if seal.Ops["A"] <= ldb.Ops["A"] {
-		t.Errorf("workload A: sealdb %.0f <= leveldb %.0f", seal.Ops["A"], ldb.Ops["A"])
-	}
-	for _, wl := range []string{"A", "B", "C", "D", "E", "F"} {
-		if seal.Ops[wl] <= 0 {
-			t.Errorf("workload %s produced no throughput", wl)
+	for i, wl := range []string{"load", "A", "B", "C", "D", "E", "F"} {
+		l, s := ldb.Phases[i], seal.Phases[i]
+		if s.Workload != wl || s.OpsPerSec <= 0 {
+			t.Errorf("phase %d: workload %s (want %s) ran at %.0f ops/s", i, s.Workload, wl, s.OpsPerSec)
+		}
+		// The load and update-heavy workload A: SEALDB wins.
+		if i < 2 && s.OpsPerSec <= l.OpsPerSec {
+			t.Errorf("%s: sealdb %.0f <= leveldb %.0f", wl, s.OpsPerSec, l.OpsPerSec)
 		}
 	}
-	PrintFig9(io.Discard, rows)
 }
 
 func TestFig10CompactionShapes(t *testing.T) {
-	rows, err := RunFig10(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	byStore := map[string]*CompactionProfile{}
-	for _, p := range rows {
-		byStore[p.Store] = p
-	}
-	ldb, smrdb, seal := byStore["leveldb"], byStore["smrdb"], byStore["sealdb"]
+	res := mustRun(t, testOptions(), "10")
+	ldb, smrdb, seal := res.Stores[lsm.ModeLevelDB].Compaction, res.Stores[lsm.ModeSMRDB].Compaction, res.Stores[lsm.ModeSEALDB].Compaction
 	// SEALDB spends less total compaction time than LevelDB (paper:
 	// 4.3x lower).
 	if seal.TotalTime >= ldb.TotalTime {
@@ -209,20 +249,11 @@ func TestFig10CompactionShapes(t *testing.T) {
 	if smrdb.MeanBytes <= 2*seal.MeanBytes {
 		t.Errorf("smrdb mean compaction %.0f not much larger than sealdb %.0f", smrdb.MeanBytes, seal.MeanBytes)
 	}
-	PrintFig10(io.Discard, rows)
-	WriteFig10CSV(io.Discard, rows)
 }
 
 func TestFig12AmplificationShapes(t *testing.T) {
-	rows, err := RunFig12(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	byStore := map[string]AmplificationRow{}
-	for _, r := range rows {
-		byStore[r.Store] = r
-	}
-	ldb, smrdb, seal := byStore["leveldb"], byStore["smrdb"], byStore["sealdb"]
+	res := mustRun(t, testOptions(), "12")
+	ldb, smrdb, seal := res.Stores[lsm.ModeLevelDB].Amp, res.Stores[lsm.ModeSMRDB].Amp, res.Stores[lsm.ModeSEALDB].Amp
 	if seal.AWA != 1.0 {
 		t.Errorf("SEALDB AWA = %v, want 1.0", seal.AWA)
 	}
@@ -235,14 +266,11 @@ func TestFig12AmplificationShapes(t *testing.T) {
 	if seal.MWA >= ldb.MWA {
 		t.Errorf("MWA: sealdb %.2f >= leveldb %.2f", seal.MWA, ldb.MWA)
 	}
-	PrintFig12(io.Discard, rows)
 }
 
 func TestFig13FragmentShapes(t *testing.T) {
-	res, points, err := RunFig13(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	run := mustRun(t, testOptions(), "13").Stores[lsm.ModeSEALDB]
+	res, points := run.Fragments, run.Bands
 	if res.Bands == 0 {
 		t.Fatal("no dynamic bands")
 	}
@@ -253,19 +281,11 @@ func TestFig13FragmentShapes(t *testing.T) {
 		t.Errorf("fragments are %.1f%% of occupied space; paper reports ~9%%",
 			100*res.FragmentOfUsed)
 	}
-	PrintFig13(io.Discard, res)
 }
 
 func TestFig14AblationShapes(t *testing.T) {
-	rows, err := RunFig14(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	byStore := map[string]MicroRow{}
-	for _, r := range rows {
-		byStore[r.Store] = r
-	}
-	ldb, sets, seal := byStore["leveldb"], byStore["leveldb+sets"], byStore["sealdb"]
+	res := mustRun(t, testOptions(), "14")
+	ldb, sets, seal := res.Stores[lsm.ModeLevelDB].Micro, res.Stores[lsm.ModeLevelDBSets].Micro, res.Stores[lsm.ModeSEALDB].Micro
 	// Sets alone already help random writes; dynamic bands complete
 	// the improvement (Figure 14's staircase).
 	if sets.RandWrite <= ldb.RandWrite {
@@ -274,5 +294,4 @@ func TestFig14AblationShapes(t *testing.T) {
 	if seal.RandWrite <= sets.RandWrite {
 		t.Errorf("rand write: sealdb %.0f <= leveldb+sets %.0f", seal.RandWrite, sets.RandWrite)
 	}
-	PrintMicroRows(io.Discard, "Fig 14", rows)
 }

@@ -3,12 +3,10 @@ package bench
 import (
 	"fmt"
 	"io"
-	"text/tabwriter"
 	"time"
 
 	"sealdb/internal/kv"
 	"sealdb/internal/lsm"
-	"sealdb/internal/ycsb"
 )
 
 // ---------------------------------------------------------------------------
@@ -24,7 +22,6 @@ type LayoutPoint struct {
 
 // LayoutResult summarizes a layout trace.
 type LayoutResult struct {
-	Store  string
 	Points []LayoutPoint
 	// Compactions is the number of set-producing merges observed.
 	Compactions int
@@ -39,26 +36,27 @@ type LayoutResult struct {
 	MeanExtentsPerCompaction float64
 }
 
-// RunLayout loads a store randomly and collects the physical address
-// of every compaction output SSTable (the paper traced these with
-// "Ext4 Magic"); mode selects Figure 2 (ModeLevelDB) or 11
-// (ModeSEALDB).
-func RunLayout(o Options, mode lsm.Mode) (*LayoutResult, error) {
-	db, err := o.openStore(mode)
-	if err != nil {
-		return nil, err
+// mergeCompactions returns the merge compactions of db's job record:
+// every job that is neither a flush nor a trivial move.
+func mergeCompactions(db *lsm.DB) []lsm.CompactionInfo {
+	var out []lsm.CompactionInfo
+	for _, ci := range db.Stats().Compactions {
+		if !ci.Flush && !ci.TrivialMove {
+			out = append(out, ci)
+		}
 	}
-	defer db.Close()
-	runner := ycsb.NewRunner(storeAdapter{db}, o.ValueSize, o.Seed)
-	if err := runner.LoadRandom(o.Records()); err != nil {
-		return nil, err
-	}
+	return out
+}
 
-	res := &LayoutResult{Store: mode.String()}
+// layoutOf collects the physical address of every compaction output
+// SSTable of a loaded store (the paper traced these with "Ext4
+// Magic"): Figure 2 on LevelDB, Figure 11 on SEALDB.
+func layoutOf(db *lsm.DB) *LayoutResult {
+	res := &LayoutResult{}
 	var minOff, maxOff int64 = 1 << 62, 0
 	var extents int
-	for _, ci := range db.Stats().Compactions {
-		if ci.Flush || ci.TrivialMove || len(ci.OutputPlacements) == 0 {
+	for _, ci := range mergeCompactions(db) {
+		if len(ci.OutputPlacements) == 0 {
 			continue
 		}
 		res.Compactions++
@@ -69,12 +67,7 @@ func RunLayout(o Options, mode lsm.Mode) (*LayoutResult, error) {
 				OffsetMB:   float64(ext.Off) / float64(kv.MiB),
 				LengthKB:   float64(ext.Len) / float64(kv.KiB),
 			})
-			if ext.Off < minOff {
-				minOff = ext.Off
-			}
-			if ext.End() > maxOff {
-				maxOff = ext.End()
-			}
+			minOff, maxOff = min(minOff, ext.Off), max(maxOff, ext.End())
 			if ext.Off != lastEnd {
 				extents++
 			}
@@ -84,29 +77,29 @@ func RunLayout(o Options, mode lsm.Mode) (*LayoutResult, error) {
 	if maxOff > minOff {
 		res.SpanMB = float64(maxOff-minOff) / float64(kv.MiB)
 	}
-	if res.Compactions > 0 {
-		res.MeanExtentsPerCompaction = float64(extents) / float64(res.Compactions)
-	}
+	res.MeanExtentsPerCompaction = ratio(float64(extents), float64(res.Compactions))
 	// Footprint: how much device address space the store occupies.
 	if dbm := db.Device().DBand; dbm != nil {
 		res.FootprintMB = float64(dbm.Frontier()) / float64(kv.MiB)
 	} else if fs := db.Device().ExtFS; fs != nil {
 		res.FootprintMB = float64(fs.HighWater()) / float64(kv.MiB)
 	}
-	return res, nil
+	return res
 }
 
-// PrintLayout renders a layout summary.
-func PrintLayout(w io.Writer, fig string, r *LayoutResult) {
-	fprintf(w, "%s (%s): %d compactions, writes span %.1f MB, footprint %.1f MB, %.2f extents/compaction\n",
-		fig, r.Store, r.Compactions, r.SpanMB, r.FootprintMB, r.MeanExtentsPerCompaction)
+// PrintLayout renders a store's layout summary.
+func PrintLayout(w io.Writer, fig string, run *StoreRun) {
+	r := run.Layout
+	fmt.Fprintf(w, "%s (%s): %d compactions, writes span %.1f MB, footprint %.1f MB, %.2f extents/compaction\n",
+		fig, run.Store, r.Compactions, r.SpanMB, r.FootprintMB, r.MeanExtentsPerCompaction)
 }
 
-// WriteLayoutCSV dumps the scatter data for plotting.
-func WriteLayoutCSV(w io.Writer, r *LayoutResult) {
-	fprintf(w, "compaction,offset_mb,length_kb\n")
-	for _, p := range r.Points {
-		fprintf(w, "%d,%.3f,%.3f\n", p.Compaction, p.OffsetMB, p.LengthKB)
+// WritePointsCSV dumps scatter data for plotting; index names the
+// first column ("compaction" for Figures 2 and 11, "band" for 13).
+func WritePointsCSV(w io.Writer, index string, points []LayoutPoint) {
+	fmt.Fprintf(w, "%s,offset_mb,length_kb\n", index)
+	for _, p := range points {
+		fmt.Fprintf(w, "%d,%.3f,%.3f\n", p.Compaction, p.OffsetMB, p.LengthKB)
 	}
 }
 
@@ -125,69 +118,67 @@ type BandSweepRow struct {
 	MWA float64
 }
 
-// RunFig3 loads LevelDB-on-SMR at several band sizes and measures how
-// many SSTables and bands one compaction touches, and the resulting
-// WA/MWA.
-func RunFig3(o Options) ([]BandSweepRow, error) {
-	sst := o.Geometry.SSTableSize
-	var rows []BandSweepRow
-	for _, units := range []float64{5, 7.5, 10, 12.5, 15} {
-		g := o.Geometry
-		g.BandSize = int64(units * float64(sst))
-		opts := o
-		opts.Geometry = g
-		db, err := lsm.Open(lsm.Config{Mode: lsm.ModeLevelDB, Geometry: g, Seed: o.Seed})
-		if err != nil {
-			return nil, err
-		}
-		runner := ycsb.NewRunner(storeAdapter{db}, o.ValueSize, o.Seed)
-		if err := runner.LoadRandom(o.Records()); err != nil {
-			return nil, err
-		}
-
-		// Per-compaction: SSTables written and distinct bands their
-		// placements touch (Figure 3(a)).
-		var sstSum, bandSum, n float64
-		for _, ci := range db.Stats().Compactions {
-			if ci.Flush || ci.TrivialMove || len(ci.OutputPlacements) == 0 {
-				continue
-			}
-			bands := map[int64]bool{}
-			for _, ext := range ci.OutputPlacements {
-				for b := ext.Off / g.BandSize; b <= (ext.End()-1)/g.BandSize; b++ {
-					bands[b] = true
-				}
-			}
-			sstSum += float64(ci.OutputFiles)
-			bandSum += float64(len(bands))
-			n++
-		}
-		amp := db.Amplification()
-		row := BandSweepRow{
-			BandSSTables: units,
-			BandMB:       float64(g.BandSize) / float64(kv.MiB),
-			WA:           amp.WA,
-			MWA:          amp.MWA,
-		}
-		if n > 0 {
-			row.SSTablesPerCompaction = sstSum / n
-			row.BandsPerCompaction = bandSum / n
-		}
-		rows = append(rows, row)
-		db.Close()
+// bandSweepRow measures how many SSTables and bands one compaction of
+// a loaded store touches, and the resulting WA/MWA.
+func bandSweepRow(db *lsm.DB) BandSweepRow {
+	g := db.Config().Geometry
+	row := BandSweepRow{
+		BandSSTables: float64(g.BandSize) / float64(g.SSTableSize),
+		BandMB:       float64(g.BandSize) / float64(kv.MiB),
 	}
-	return rows, nil
+	// Per-compaction: SSTables written and distinct bands their
+	// placements touch (Figure 3(a)).
+	var sstSum, bandSum, n float64
+	for _, ci := range mergeCompactions(db) {
+		if len(ci.OutputPlacements) == 0 {
+			continue
+		}
+		bands := map[int64]bool{}
+		for _, ext := range ci.OutputPlacements {
+			for b := ext.Off / g.BandSize; b <= (ext.End()-1)/g.BandSize; b++ {
+				bands[b] = true
+			}
+		}
+		sstSum += float64(ci.OutputFiles)
+		bandSum += float64(len(bands))
+		n++
+	}
+	amp := db.Amplification()
+	row.WA, row.MWA = amp.WA, amp.MWA
+	row.SSTablesPerCompaction = ratio(sstSum, n)
+	row.BandsPerCompaction = ratio(bandSum, n)
+	return row
 }
 
-// PrintFig3 renders the band-size sweep.
-func PrintFig3(w io.Writer, rows []BandSweepRow) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+// runFig3 sweeps LevelDB-on-SMR over several band sizes. The row at
+// the experiment's own band size is a view of the shared LevelDB
+// load; the others load a store each.
+func runFig3(o Options, r *Results) error {
+	for _, units := range []float64{5, 7.5, 10, 12.5, 15} {
+		cfg := o.config(lsm.ModeLevelDB)
+		cfg.BandSize = int64(units * float64(cfg.SSTableSize))
+		row := r.Stores[lsm.ModeLevelDB].Sweep
+		if cfg.BandSize != o.Geometry.BandSize {
+			ld, err := o.load(cfg, o.ValueSize, false, nil)
+			if err != nil {
+				return err
+			}
+			row = bandSweepRow(ld.db)
+			ld.db.Close()
+		}
+		row.BandSSTables = units
+		r.Fig3 = append(r.Fig3, row)
+	}
+	return nil
+}
+
+// printFig3 renders the band-size sweep.
+func printFig3(tw io.Writer, res *Results) {
 	fmt.Fprintf(tw, "Fig 3: band size (SSTables)\tband MB\tSSTables/compaction\tbands/compaction\tWA\tMWA\n")
-	for _, r := range rows {
+	for _, r := range res.Fig3 {
 		fmt.Fprintf(tw, "%.1f\t%.1f\t%.2f\t%.2f\t%.2f\t%.2f\n",
 			r.BandSSTables, r.BandMB, r.SSTablesPerCompaction, r.BandsPerCompaction, r.WA, r.MWA)
 	}
-	tw.Flush()
 }
 
 // ---------------------------------------------------------------------------
@@ -196,120 +187,65 @@ func PrintFig3(w io.Writer, rows []BandSweepRow) {
 // CompactionProfile is one store's compaction behaviour during a
 // random load.
 type CompactionProfile struct {
-	Store       string
 	Latencies   []time.Duration // per merge compaction, in order
 	Compactions int
 	TotalTime   time.Duration
 	MeanBytes   float64 // average input+output data per compaction
-	// MeanSetBytes is the average compaction unit (inputs from the
-	// next level) — the paper equates it with the average set size.
-	MeanSetBytes float64
+	// MeanSetFiles is the average compaction unit: the files taken
+	// from the next level, the paper's set.
 	MeanSetFiles float64
 }
 
-// RunFig10 loads each store randomly and profiles its compactions.
-func RunFig10(o Options) ([]*CompactionProfile, error) {
-	var out []*CompactionProfile
-	for _, mode := range []lsm.Mode{lsm.ModeLevelDB, lsm.ModeSMRDB, lsm.ModeSEALDB} {
-		db, err := o.openStore(mode)
-		if err != nil {
-			return nil, err
+// compactionProfileOf profiles the compactions of a loaded store.
+func compactionProfileOf(db *lsm.DB) *CompactionProfile {
+	p := &CompactionProfile{}
+	var bytesSum, setFiles, setN float64
+	for _, ci := range mergeCompactions(db) {
+		p.Compactions++
+		p.Latencies = append(p.Latencies, ci.Latency)
+		p.TotalTime += ci.Latency
+		bytesSum += float64(ci.InputBytes + ci.OutputBytes)
+		if ci.Inputs1 > 0 {
+			setFiles += float64(ci.Inputs1)
+			setN++
 		}
-		runner := ycsb.NewRunner(storeAdapter{db}, o.ValueSize, o.Seed)
-		if err := runner.LoadRandom(o.Records()); err != nil {
-			return nil, err
-		}
-		p := &CompactionProfile{Store: mode.String()}
-		var bytesSum, setBytes, setFiles float64
-		var setN float64
-		for _, ci := range db.Stats().Compactions {
-			if ci.Flush || ci.TrivialMove {
-				continue
-			}
-			p.Compactions++
-			p.Latencies = append(p.Latencies, ci.Latency)
-			p.TotalTime += ci.Latency
-			bytesSum += float64(ci.InputBytes + ci.OutputBytes)
-			if ci.Inputs1 > 0 {
-				setBytes += float64(ci.InputBytes)
-				setFiles += float64(ci.Inputs1)
-				setN++
-			}
-		}
-		if p.Compactions > 0 {
-			p.MeanBytes = bytesSum / float64(p.Compactions)
-		}
-		if setN > 0 {
-			p.MeanSetBytes = setBytes / setN
-			p.MeanSetFiles = setFiles / setN
-		}
-		out = append(out, p)
-		db.Close()
 	}
-	return out, nil
+	p.MeanBytes = ratio(bytesSum, float64(p.Compactions))
+	p.MeanSetFiles = ratio(setFiles, setN)
+	return p
 }
 
-// PrintFig10 renders the compaction profiles.
-func PrintFig10(w io.Writer, profiles []*CompactionProfile) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+// printFig10 renders the compaction profiles.
+func printFig10(tw io.Writer, res *Results) {
 	fmt.Fprintf(tw, "Fig 10: store\tcompactions\ttotal latency\tmean latency\tavg compaction MB\tavg set files\n")
-	for _, p := range profiles {
+	for _, r := range res.runs(paperStores) {
+		p := r.Compaction
 		mean := time.Duration(0)
 		if p.Compactions > 0 {
 			mean = p.TotalTime / time.Duration(p.Compactions)
 		}
 		fmt.Fprintf(tw, "%s\t%d\t%v\t%v\t%.2f\t%.2f\n",
-			p.Store, p.Compactions, p.TotalTime.Round(time.Millisecond),
+			r.Store, p.Compactions, p.TotalTime.Round(time.Millisecond),
 			mean.Round(time.Microsecond), p.MeanBytes/float64(kv.MiB), p.MeanSetFiles)
 	}
-	tw.Flush()
 }
 
-// WriteFig10CSV dumps the per-compaction latency series.
-func WriteFig10CSV(w io.Writer, profiles []*CompactionProfile) {
-	fprintf(w, "store,compaction,latency_ms\n")
-	for _, p := range profiles {
-		for i, l := range p.Latencies {
-			fprintf(w, "%s,%d,%.3f\n", p.Store, i+1, float64(l.Microseconds())/1000)
+// writeFig10CSV dumps the per-compaction latency series.
+func writeFig10CSV(w io.Writer, res *Results) {
+	fmt.Fprintf(w, "store,compaction,latency_ms\n")
+	for _, r := range res.runs(paperStores) {
+		for i, l := range r.Compaction.Latencies {
+			fmt.Fprintf(w, "%s,%d,%.3f\n", r.Store, i+1, float64(l.Microseconds())/1000)
 		}
 	}
 }
 
-// ---------------------------------------------------------------------------
-// Figure 12 — write amplification
-
-// AmplificationRow is one store's WA/AWA/MWA after a random load.
-type AmplificationRow struct {
-	Store string
-	lsm.Amplification
-}
-
-// RunFig12 measures the three stores' write amplification.
-func RunFig12(o Options) ([]AmplificationRow, error) {
-	var rows []AmplificationRow
-	for _, mode := range []lsm.Mode{lsm.ModeLevelDB, lsm.ModeSMRDB, lsm.ModeSEALDB} {
-		db, err := o.openStore(mode)
-		if err != nil {
-			return nil, err
-		}
-		runner := ycsb.NewRunner(storeAdapter{db}, o.ValueSize, o.Seed)
-		if err := runner.LoadRandom(o.Records()); err != nil {
-			return nil, err
-		}
-		rows = append(rows, AmplificationRow{Store: mode.String(), Amplification: db.Amplification()})
-		db.Close()
-	}
-	return rows, nil
-}
-
-// PrintFig12 renders the amplification table.
-func PrintFig12(w io.Writer, rows []AmplificationRow) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+// printFig12 renders the write amplification table.
+func printFig12(tw io.Writer, res *Results) {
 	fmt.Fprintf(tw, "Fig 12: store\tWA\tAWA\tMWA\n")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%.2f\t%.3f\t%.2f\n", r.Store, r.WA, r.AWA, r.MWA)
+	for _, r := range res.runs(paperStores) {
+		fmt.Fprintf(tw, "%s\t%.2f\t%.3f\t%.2f\n", r.Store, r.Amp.WA, r.Amp.AWA, r.Amp.MWA)
 	}
-	tw.Flush()
 }
 
 // ---------------------------------------------------------------------------
@@ -326,44 +262,28 @@ type FragmentResult struct {
 	AvgSetBytes    int64   // fragment threshold used
 }
 
-// RunFig13 loads SEALDB randomly and reports the dynamic band layout
-// and fragment census, using the measured average set size as the
-// fragment threshold as the paper does.
-func RunFig13(o Options) (*FragmentResult, []LayoutPoint, error) {
-	db, err := o.openStore(lsm.ModeSEALDB)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer db.Close()
-	runner := ycsb.NewRunner(storeAdapter{db}, o.ValueSize, o.Seed)
-	if err := runner.LoadRandom(o.Records()); err != nil {
-		return nil, nil, err
-	}
-
+// fragmentsOf reports the dynamic band layout and fragment census of
+// a loaded dynamic-band store, using the measured average set size as
+// the fragment threshold as the paper does.
+func fragmentsOf(db *lsm.DB) (*FragmentResult, []LayoutPoint) {
 	// Average set size from the compaction trace.
-	var setBytes float64
-	var setN float64
-	for _, ci := range db.Stats().Compactions {
-		if !ci.Flush && !ci.TrivialMove && ci.Inputs1 > 0 {
+	var setBytes, setN float64
+	for _, ci := range mergeCompactions(db) {
+		if ci.Inputs1 > 0 {
 			setBytes += float64(ci.OutputBytes)
 			setN++
 		}
 	}
-	avgSet := int64(0)
-	if setN > 0 {
-		avgSet = int64(setBytes / setN)
-	}
+	avgSet := int64(ratio(setBytes, setN))
 
 	mgr := db.Device().DBand
 	bands := mgr.Bands()
 	res := &FragmentResult{Bands: len(bands), AvgSetBytes: avgSet}
-	var total, max int64
+	var total, largest int64
 	var points []LayoutPoint
 	for i, b := range bands {
 		total += b.Len
-		if b.Len > max {
-			max = b.Len
-		}
+		largest = max(largest, b.Len)
 		points = append(points, LayoutPoint{
 			Compaction: int64(i),
 			OffsetMB:   float64(b.Off) / float64(kv.MiB),
@@ -372,19 +292,17 @@ func RunFig13(o Options) (*FragmentResult, []LayoutPoint, error) {
 	}
 	if len(bands) > 0 {
 		res.MeanBandMB = float64(total) / float64(len(bands)) / float64(kv.MiB)
-		res.MaxBandMB = float64(max) / float64(kv.MiB)
+		res.MaxBandMB = float64(largest) / float64(kv.MiB)
 	}
 	res.OccupiedMB = float64(mgr.Frontier()) / float64(kv.MiB)
 	res.FragmentMB = float64(mgr.FragmentBytes(avgSet)) / float64(kv.MiB)
-	if res.OccupiedMB > 0 {
-		res.FragmentOfUsed = res.FragmentMB / res.OccupiedMB
-	}
-	return res, points, nil
+	res.FragmentOfUsed = ratio(res.FragmentMB, res.OccupiedMB)
+	return res, points
 }
 
 // PrintFig13 renders the fragment census.
 func PrintFig13(w io.Writer, r *FragmentResult) {
-	fprintf(w, "Fig 13: %d dynamic bands (mean %.2f MB, max %.2f MB), occupied %.1f MB, fragments %.2f MB (%.2f%% of occupied, threshold = avg set %.2f MB)\n",
+	fmt.Fprintf(w, "Fig 13: %d dynamic bands (mean %.2f MB, max %.2f MB), occupied %.1f MB, fragments %.2f MB (%.2f%% of occupied, threshold = avg set %.2f MB)\n",
 		r.Bands, r.MeanBandMB, r.MaxBandMB, r.OccupiedMB, r.FragmentMB,
 		100*r.FragmentOfUsed, float64(r.AvgSetBytes)/float64(kv.MiB))
 }

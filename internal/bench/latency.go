@@ -3,10 +3,10 @@ package bench
 import (
 	"fmt"
 	"io"
-	"text/tabwriter"
 	"time"
 
 	"sealdb/internal/lsm"
+	"sealdb/internal/obs"
 	"sealdb/internal/ycsb"
 )
 
@@ -16,60 +16,71 @@ import (
 // behind band cleaning, SEALDB's do not.
 type LatencyRow struct {
 	Store  string
-	Reads  *Histogram
-	Writes *Histogram
+	Reads  obs.HistogramSnapshot
+	Writes obs.HistogramSnapshot
 }
 
-// RunLatencyProfile loads each store and runs a 50/50 read/update mix
+// runLatencyProfile loads each store and runs a 50/50 read/update mix
 // (YCSB-A) measuring each operation's simulated device time.
-func RunLatencyProfile(o Options) ([]LatencyRow, error) {
-	var rows []LatencyRow
-	for _, mode := range []lsm.Mode{lsm.ModeLevelDB, lsm.ModeSMRDB, lsm.ModeSEALDB} {
-		db, err := o.openStore(mode)
+func runLatencyProfile(o Options, r *Results) error {
+	for _, mode := range paperStores {
+		row, err := o.latencyProfile(mode)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		runner := ycsb.NewRunner(storeAdapter{db}, o.ValueSize, o.Seed)
-		records := o.Records()
-		if err := runner.LoadRandom(records); err != nil {
-			return nil, err
-		}
-
-		row := LatencyRow{Store: mode.String(), Reads: &Histogram{}, Writes: &Histogram{}}
-		rng := newRng(o.Seed + 3)
-		gen := ycsb.NewScrambledZipfian(records)
-		val := make([]byte, o.ValueSize)
-		clock := func() time.Duration { return db.Device().Disk.Stats().BusyTime }
-		for i := 0; i < o.YCSBOps; i++ {
-			key := ycsb.Key(gen.Next(rng))
-			start := clock()
-			if i%2 == 0 {
-				if _, err := db.Get(key); err != nil && err != lsm.ErrNotFound {
-					return nil, err
-				}
-				row.Reads.Add(clock() - start)
-			} else {
-				rng.Read(val)
-				if err := db.Put(key, val); err != nil {
-					return nil, err
-				}
-				row.Writes.Add(clock() - start)
-			}
-		}
-		rows = append(rows, row)
-		db.Close()
+		r.Latency = append(r.Latency, row)
 	}
-	return rows, nil
+	return nil
 }
 
-// PrintLatencyRows renders the latency profiles.
-func PrintLatencyRows(w io.Writer, rows []LatencyRow) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "Latency (simulated): store\treads\twrites\n")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%s\t%s\n", r.Store, r.Reads.Summary(), r.Writes.Summary())
+func (o Options) latencyProfile(mode lsm.Mode) (LatencyRow, error) {
+	row := LatencyRow{Store: mode.String()}
+	ld, err := o.load(o.config(mode), o.ValueSize, false, nil)
+	if err != nil {
+		return row, err
 	}
-	tw.Flush()
+	defer ld.db.Close()
+	reads, writes := obs.NewHistogram(), obs.NewHistogram()
+	rng := newRng(o.Seed + 3)
+	gen := ycsb.NewScrambledZipfian(ld.records)
+	val := make([]byte, o.ValueSize)
+	for i := 0; i < o.Ops; i++ {
+		key := ycsb.Key(gen.Next(rng))
+		start := simTime(ld.db)
+		if i%2 == 0 {
+			if _, err := ld.db.Get(key); err != nil && err != lsm.ErrNotFound {
+				return row, err
+			}
+			reads.Observe(int64(simTime(ld.db) - start))
+		} else {
+			rng.Read(val)
+			if err := ld.db.Put(key, val); err != nil {
+				return row, err
+			}
+			writes.Observe(int64(simTime(ld.db) - start))
+		}
+	}
+	row.Reads, row.Writes = reads.Snapshot(), writes.Snapshot()
+	return row, nil
+}
+
+// latencySummary renders "mean / p50 / p99 / max" of device-time
+// samples in nanoseconds.
+func latencySummary(s obs.HistogramSnapshot) string {
+	var mean int64
+	if s.Count > 0 {
+		mean = s.Sum / s.Count
+	}
+	us := func(ns int64) time.Duration { return time.Duration(ns).Round(time.Microsecond) }
+	return fmt.Sprintf("mean %v  p50 %v  p99 %v  max %v", us(mean), us(s.P50), us(s.P99), us(s.Max))
+}
+
+// printLatency renders the latency profiles.
+func printLatency(tw io.Writer, res *Results) {
+	fmt.Fprintf(tw, "Latency (simulated): store\treads\twrites\n")
+	for _, r := range res.Latency {
+		fmt.Fprintf(tw, "%s\t%s\t%s\n", r.Store, latencySummary(r.Reads), latencySummary(r.Writes))
+	}
 }
 
 // GCAblationResult compares fragment state and cost before/after a
@@ -84,42 +95,37 @@ type GCAblationResult struct {
 	FragPctAfter  float64
 }
 
-// RunGCAblation loads SEALDB, measures fragments (Fig 13 style), runs
+// runGCAblation loads SEALDB, measures fragments (Fig 13 style), runs
 // the defragmentation pass, and measures again.
-func RunGCAblation(o Options) (*GCAblationResult, error) {
-	db, err := o.openStore(lsm.ModeSEALDB)
+func runGCAblation(o Options, r *Results) error {
+	ld, err := o.load(o.config(lsm.ModeSEALDB), o.ValueSize, false, nil)
 	if err != nil {
-		return nil, err
+		return err
 	}
+	db := ld.db
 	defer db.Close()
-	runner := ycsb.NewRunner(storeAdapter{db}, o.ValueSize, o.Seed)
-	if err := runner.LoadRandom(o.Records()); err != nil {
-		return nil, err
-	}
 	mgr := db.Device().DBand
 	occBefore := float64(mgr.Frontier())
 
 	start := simTime(db)
 	gc, err := db.DefragmentBands(0)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	res := &GCAblationResult{GCResult: gc, GCTime: simTime(db) - start}
-	if occBefore > 0 {
-		res.FragPctBefore = float64(gc.FragmentsBefore) / occBefore
-	}
-	if occ := float64(mgr.Frontier()); occ > 0 {
-		res.FragPctAfter = float64(gc.FragmentsAfter) / occ
-	}
+	res.FragPctBefore = ratio(float64(gc.FragmentsBefore), occBefore)
+	res.FragPctAfter = ratio(float64(gc.FragmentsAfter), float64(mgr.Frontier()))
 	if err := db.VerifyIntegrity(); err != nil {
-		return nil, fmt.Errorf("integrity after GC: %w", err)
+		return fmt.Errorf("integrity after GC: %w", err)
 	}
-	return res, nil
+	r.GC = res
+	return nil
 }
 
-// PrintGCAblation renders the GC ablation.
-func PrintGCAblation(w io.Writer, r *GCAblationResult) {
-	fprintf(w, "GC ablation: moved %d sets (%.2f MiB) in %v simulated; fragments %.2f%% -> %.2f%% of occupied\n",
+// printGCAblation renders the GC ablation.
+func printGCAblation(w io.Writer, res *Results) {
+	r := res.GC
+	fmt.Fprintf(w, "GC ablation: moved %d sets (%.2f MiB) in %v simulated; fragments %.2f%% -> %.2f%% of occupied\n",
 		r.SetsMoved, float64(r.BytesMoved)/(1<<20), r.GCTime.Round(time.Millisecond),
 		100*r.FragPctBefore, 100*r.FragPctAfter)
 }

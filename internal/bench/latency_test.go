@@ -1,65 +1,17 @@
 package bench
 
-import (
-	"io"
-	"testing"
-	"time"
-)
-
-func TestHistogram(t *testing.T) {
-	var h Histogram
-	if h.Mean() != 0 || h.Percentile(50) != 0 || h.Max() != 0 || h.N() != 0 {
-		t.Error("empty histogram not zero-valued")
-	}
-	for i := 1; i <= 100; i++ {
-		h.Add(time.Duration(i) * time.Millisecond)
-	}
-	if h.N() != 100 {
-		t.Errorf("N = %d", h.N())
-	}
-	// Percentiles are bucketed (log-scaled, 16 sub-buckets per octave)
-	// so they may overshoot the exact value by at most 1/16.
-	approx := func(name string, got, want time.Duration) {
-		t.Helper()
-		if got < want || got > want+want/8 {
-			t.Errorf("%s = %v, want ~%v", name, got, want)
-		}
-	}
-	approx("p50", h.Percentile(50), 50*time.Millisecond)
-	approx("p99", h.Percentile(99), 99*time.Millisecond)
-	// p100 and Max clamp to the exact observed maximum.
-	if got := h.Percentile(100); got != 100*time.Millisecond {
-		t.Errorf("p100 = %v", got)
-	}
-	if got := h.Max(); got != 100*time.Millisecond {
-		t.Errorf("max = %v", got)
-	}
-	if got := h.Mean(); got != 50500*time.Microsecond {
-		t.Errorf("mean = %v", got)
-	}
-	// Adding after a percentile query is reflected immediately.
-	h.Add(200 * time.Millisecond)
-	if got := h.Max(); got != 200*time.Millisecond {
-		t.Errorf("max after add = %v", got)
-	}
-	if h.Summary() == "" {
-		t.Error("empty summary")
-	}
-}
+import "testing"
 
 func TestLatencyProfileShapes(t *testing.T) {
 	o := QuickOptions()
-	o.YCSBOps = 400
-	rows, err := RunLatencyProfile(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	o.Ops = 400
+	rows := mustRun(t, o, "latency").Latency
 	byStore := map[string]LatencyRow{}
 	for _, r := range rows {
 		byStore[r.Store] = r
 	}
 	ldb, seal := byStore["leveldb"], byStore["sealdb"]
-	if ldb.Reads.N() == 0 || ldb.Writes.N() == 0 {
+	if ldb.Reads.Count == 0 || ldb.Writes.Count == 0 {
 		t.Fatal("no samples")
 	}
 	// The paper's §II-C point: LevelDB-on-SMR writes stall behind
@@ -68,16 +20,12 @@ func TestLatencyProfileShapes(t *testing.T) {
 		t.Errorf("mean write latency: sealdb %v >= leveldb %v",
 			seal.Writes.Mean(), ldb.Writes.Mean())
 	}
-	PrintLatencyRows(io.Discard, rows)
 }
 
 func TestGCAblation(t *testing.T) {
 	o := QuickOptions()
 	o.LoadMB = 16 // more churn, more fragments
-	res, err := RunGCAblation(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, o, "gc").GC
 	if res.SetsMoved > 0 {
 		if res.FragmentsAfter >= res.FragmentsBefore {
 			t.Errorf("GC did not reduce fragments: %d -> %d",
@@ -87,5 +35,4 @@ func TestGCAblation(t *testing.T) {
 			t.Error("GC consumed no simulated time")
 		}
 	}
-	PrintGCAblation(io.Discard, res)
 }

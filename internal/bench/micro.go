@@ -4,14 +4,11 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"text/tabwriter"
 	"time"
 
 	"sealdb/internal/kv"
-	"sealdb/internal/lsm"
 	"sealdb/internal/platter"
 	"sealdb/internal/smr"
-	"sealdb/internal/ycsb"
 )
 
 func newRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
@@ -26,125 +23,91 @@ type DeviceRow struct {
 	SMR    float64
 }
 
-// RunTable2 measures the emulated devices the way the paper's Table
+// rawDevice is what Table II characterizes: the bare platter or an SMR
+// drive over one.
+type rawDevice interface {
+	ReadAt(p []byte, off int64) (time.Duration, error)
+	WriteAt(p []byte, off int64) (time.Duration, error)
+	Capacity() int64
+}
+
+// runTable2 measures the emulated devices the way the paper's Table
 // II benchmarks the real ones: streaming bandwidth and random 4 KiB
 // IOPS, on a conventional drive (bare platter) and on the fixed-band
 // SMR drive. The SMR drive uses the paper's full-scale 40 MiB bands —
 // this is a device characterization, independent of the store's
 // scaled geometry.
-func RunTable2(o Options) ([]DeviceRow, error) {
-	const streamMB = 64
-	const randomOps = 300
+func runTable2(o Options, r *Results) error {
 	const table2Band = 40 * kv.MiB
-
 	mkDisk := func() *platter.Disk {
 		return platter.New(platter.DefaultConfig(o.Geometry.DiskCapacity))
 	}
-
-	seqWrite := func(w func(p []byte, off int64) (time.Duration, error)) (float64, error) {
-		buf := make([]byte, 1<<20)
-		var total time.Duration
-		for i := int64(0); i < streamMB; i++ {
-			dt, err := w(buf, i*int64(len(buf)))
-			if err != nil {
-				return 0, err
-			}
-			total += dt
-		}
-		return float64(streamMB) * 1e6 / total.Seconds() / 1e6, nil
-	}
-	seqRead := seqWrite // same signature; caller passes the read func
-
-	randOps := func(op func(p []byte, off int64) (time.Duration, error), max int64, seed int64) (float64, error) {
-		rng := newRng(seed)
-		buf := make([]byte, 4096)
-		var total time.Duration
-		for i := 0; i < randomOps; i++ {
-			off := rng.Int63n(max/4096) * 4096
-			dt, err := op(buf, off)
-			if err != nil {
-				return 0, err
-			}
-			total += dt
-		}
-		return float64(randomOps) / total.Seconds(), nil
-	}
-
-	// Conventional drive: the bare platter.
-	hdd := mkDisk()
-	hddSeqW, err := seqWrite(hdd.WriteAt)
+	hdd, err := deviceColumn(mkDisk(), 0, 11)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	hddSeqR, err := seqRead(hdd.ReadAt)
-	if err != nil {
-		return nil, err
-	}
-	// Random accesses span the whole surface, as a device
-	// characterization benchmark does.
-	hddRandR, err := randOps(hdd.ReadAt, hdd.Capacity(), 11)
-	if err != nil {
-		return nil, err
-	}
-	hddRandW, err := randOps(hdd.WriteAt, hdd.Capacity(), 12)
-	if err != nil {
-		return nil, err
-	}
-
 	// SMR drive: fixed bands; random writes pay read-modify-write.
-	smrDrive := smr.NewFixedBand(mkDisk(), table2Band)
-	smrSeqW, err := seqWrite(smrDrive.WriteAt)
-	if err != nil {
-		return nil, err
-	}
-	smrSeqR, err := seqRead(smrDrive.ReadAt)
-	if err != nil {
-		return nil, err
-	}
-	smrRandR, err := randOps(smrDrive.ReadAt, smrDrive.Capacity(), 13)
-	if err != nil {
-		return nil, err
-	}
 	// Precondition a region so its band write pointers are high, as a
 	// sustained-random-write characterization does: on a virgin band a
 	// shingled write just streams forward, but rewriting used bands
 	// pays the full read-modify-write (the paper's 5–140 IOPS range is
 	// this bimodality; we report the sustained end).
-	precondition := int64(8) * table2Band
-	if precondition > smrDrive.Capacity() {
-		precondition = smrDrive.Capacity()
-	}
-	fill := make([]byte, 1<<20)
-	for off := int64(0); off < precondition; off += int64(len(fill)) {
-		n := precondition - off
-		if n > int64(len(fill)) {
-			n = int64(len(fill))
-		}
-		if _, err := smrDrive.WriteAt(fill[:n], off); err != nil {
-			return nil, err
-		}
-	}
-	smrRandW, err := randOps(smrDrive.WriteAt, precondition, 14)
+	smrDrive, err := deviceColumn(smr.NewFixedBand(mkDisk(), table2Band), 8*table2Band, 13)
 	if err != nil {
-		return nil, err
+		return err
 	}
-
-	return []DeviceRow{
-		{"Sequential read (MB/s)", hddSeqR, smrSeqR},
-		{"Sequential write (MB/s)", hddSeqW, smrSeqW},
-		{"Random read 4KiB (IOPS)", hddRandR, smrRandR},
-		{"Random write 4KiB (IOPS)", hddRandW, smrRandW},
-	}, nil
+	r.Table2 = []DeviceRow{
+		{Metric: "Sequential read (MB/s)"}, {Metric: "Sequential write (MB/s)"},
+		{Metric: "Random read 4KiB (IOPS)"}, {Metric: "Random write 4KiB (IOPS)"},
+	}
+	for i := range r.Table2 {
+		r.Table2[i].HDD, r.Table2[i].SMR = hdd[i], smrDrive[i]
+	}
+	return nil
 }
 
-// PrintTable2 renders Table II.
-func PrintTable2(w io.Writer, rows []DeviceRow) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+// deviceColumn measures one device's Table II column, in row order,
+// streaming writes before reads so the reads find data. Random
+// accesses span the whole surface, as a device characterization does,
+// except that a non-zero precondition first rewrites that many leading
+// bytes and confines the random writes (seed+1) to them.
+func deviceColumn(dev rawDevice, precondition, seed int64) (col [4]float64, err error) {
+	const streamMB = 64
+	const randomOps = 300
+	// timed sums the service time of n accesses of size bytes at the
+	// offsets at yields, stopping at the first error.
+	timed := func(op func([]byte, int64) (time.Duration, error), size, n int, at func(i int) int64) time.Duration {
+		buf := make([]byte, size)
+		var total time.Duration
+		for i := 0; i < n && err == nil; i++ {
+			var dt time.Duration
+			dt, err = op(buf, at(i))
+			total += dt
+		}
+		return total
+	}
+	stream := func(i int) int64 { return int64(i) << 20 }
+	col[1] = float64(streamMB) * 1e6 / timed(dev.WriteAt, 1<<20, streamMB, stream).Seconds() / 1e6
+	col[0] = float64(streamMB) * 1e6 / timed(dev.ReadAt, 1<<20, streamMB, stream).Seconds() / 1e6
+
+	span, rng := dev.Capacity(), newRng(seed)
+	random := func(int) int64 { return rng.Int63n(span/4096) * 4096 }
+	col[2] = float64(randomOps) / timed(dev.ReadAt, 4096, randomOps, random).Seconds()
+	if precondition > 0 {
+		span = min(span, precondition)
+		timed(dev.WriteAt, 1<<20, int(span>>20), stream)
+	}
+	rng = newRng(seed + 1)
+	col[3] = float64(randomOps) / timed(dev.WriteAt, 4096, randomOps, random).Seconds()
+	return col, err
+}
+
+// printTable2 renders Table II.
+func printTable2(tw io.Writer, res *Results) {
 	fmt.Fprintf(tw, "Table II: device performance\t(emulated HDD)\t(emulated SMR)\n")
-	for _, r := range rows {
+	for _, r := range res.Table2 {
 		fmt.Fprintf(tw, "%s\t%.1f\t%.1f\n", r.Metric, r.HDD, r.SMR)
 	}
-	tw.Flush()
 }
 
 // ---------------------------------------------------------------------------
@@ -153,7 +116,6 @@ func PrintTable2(w io.Writer, rows []DeviceRow) {
 // MicroRow is one store's result across the four micro workloads
 // (throughputs in simulated ops/s).
 type MicroRow struct {
-	Store     string
 	SeqWrite  float64
 	RandWrite float64
 	SeqRead   float64
@@ -162,117 +124,37 @@ type MicroRow struct {
 
 // Normalized returns the row's throughputs normalized to base.
 func (r MicroRow) Normalized(base MicroRow) MicroRow {
-	div := func(a, b float64) float64 {
-		if b == 0 {
-			return 0
-		}
-		return a / b
-	}
 	return MicroRow{
-		Store:     r.Store,
-		SeqWrite:  div(r.SeqWrite, base.SeqWrite),
-		RandWrite: div(r.RandWrite, base.RandWrite),
-		SeqRead:   div(r.SeqRead, base.SeqRead),
-		RandRead:  div(r.RandRead, base.RandRead),
+		SeqWrite:  ratio(r.SeqWrite, base.SeqWrite),
+		RandWrite: ratio(r.RandWrite, base.RandWrite),
+		SeqRead:   ratio(r.SeqRead, base.SeqRead),
+		RandRead:  ratio(r.RandRead, base.RandRead),
 	}
 }
 
-// runMicro runs the paper's four micro-benchmarks against one mode:
-// sequential load, random load, then sequential and random reads on
-// the randomly loaded store.
-func runMicro(o Options, mode lsm.Mode) (MicroRow, error) {
-	row := MicroRow{Store: mode.String()}
-	records := o.Records()
-
-	// Sequential write: ordered load of the full dataset.
-	seqDB, err := o.openStore(mode)
+// microReads runs the paper's sequential and random read benchmarks
+// on a randomly loaded store, filling the read columns of row.
+func (o Options) microReads(ld *loaded, row *MicroRow) error {
+	d, err := phase(ld.db, func() error { return seqRead(ld.db, o.Ops) })
 	if err != nil {
-		return row, err
-	}
-	runner := ycsb.NewRunner(storeAdapter{seqDB}, o.ValueSize, o.Seed)
-	d, err := phase(seqDB, func() error { return runner.Load(records) })
-	if err != nil {
-		return row, err
-	}
-	row.SeqWrite = throughput(records, d)
-	seqDB.Close()
-
-	// Random write: uniformly random-ordered load.
-	randDB, err := o.openStore(mode)
-	if err != nil {
-		return row, err
-	}
-	runner = ycsb.NewRunner(storeAdapter{randDB}, o.ValueSize, o.Seed)
-	d, err = phase(randDB, func() error { return runner.LoadRandom(records) })
-	if err != nil {
-		return row, err
-	}
-	row.RandWrite = throughput(records, d)
-
-	// Reads run against the randomly loaded store, as in the paper.
-	d, err = phase(randDB, func() error {
-		n, err := seqRead(randDB, o.ReadOps)
-		if err != nil {
-			return err
-		}
-		if n == 0 {
-			return fmt.Errorf("bench: sequential read saw no data")
-		}
-		return nil
-	})
-	if err != nil {
-		return row, err
-	}
-	row.SeqRead = throughput(int64(o.ReadOps), d)
-
-	d, err = phase(randDB, func() error {
-		_, err := randRead(randDB, records, o.ReadOps, o.Seed+77)
 		return err
-	})
-	if err != nil {
-		return row, err
 	}
-	row.RandRead = throughput(int64(o.ReadOps), d)
-	randDB.Close()
-	return row, nil
+	row.SeqRead = throughput(int64(o.Ops), d)
+
+	d, err = phase(ld.db, func() error { return randRead(ld.db, ld.records, o.Ops, o.Seed+77) })
+	row.RandRead = throughput(int64(o.Ops), d)
+	return err
 }
 
-// RunFig8 runs the micro-benchmarks on LevelDB, SMRDB, and SEALDB.
-func RunFig8(o Options) ([]MicroRow, error) {
-	var rows []MicroRow
-	for _, mode := range []lsm.Mode{lsm.ModeLevelDB, lsm.ModeSMRDB, lsm.ModeSEALDB} {
-		r, err := runMicro(o, mode)
-		if err != nil {
-			return nil, fmt.Errorf("fig8 %v: %w", mode, err)
-		}
-		rows = append(rows, r)
-	}
-	return rows, nil
-}
-
-// RunFig14 runs the ablation: LevelDB, LevelDB+sets, SEALDB.
-func RunFig14(o Options) ([]MicroRow, error) {
-	var rows []MicroRow
-	for _, mode := range []lsm.Mode{lsm.ModeLevelDB, lsm.ModeLevelDBSets, lsm.ModeSEALDB} {
-		r, err := runMicro(o, mode)
-		if err != nil {
-			return nil, fmt.Errorf("fig14 %v: %w", mode, err)
-		}
-		rows = append(rows, r)
-	}
-	return rows, nil
-}
-
-// PrintMicroRows renders Figure 8/14 rows, normalized to the first.
-func PrintMicroRows(w io.Writer, title string, rows []MicroRow) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+// printMicroRows renders Figure 8/14 rows, normalized to the first.
+func printMicroRows(tw io.Writer, title string, runs []*StoreRun) {
 	fmt.Fprintf(tw, "%s\tseq-write\trand-write\tseq-read\trand-read\t(normalized to %s; raw ops/s in parens)\n",
-		title, rows[0].Store)
-	for _, r := range rows {
-		n := r.Normalized(rows[0])
+		title, runs[0].Store)
+	for _, run := range runs {
+		r := run.Micro
+		n := r.Normalized(runs[0].Micro)
 		fmt.Fprintf(tw, "%s\t%.2fx (%.0f)\t%.2fx (%.0f)\t%.2fx (%.0f)\t%.2fx (%.0f)\t\n",
-			r.Store, n.SeqWrite, r.SeqWrite, n.RandWrite, r.RandWrite,
+			run.Store, n.SeqWrite, r.SeqWrite, n.RandWrite, r.RandWrite,
 			n.SeqRead, r.SeqRead, n.RandRead, r.RandRead)
 	}
-	tw.Flush()
 }

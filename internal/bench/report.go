@@ -1,11 +1,12 @@
 package bench
 
 import (
-	"encoding/json"
+	"fmt"
 	"io"
 	"time"
 
 	"sealdb/internal/lsm"
+	"sealdb/internal/obs"
 	"sealdb/internal/ycsb"
 )
 
@@ -45,67 +46,11 @@ type YCSBReport struct {
 	Stores         []YCSBStoreReport `json:"stores"`
 }
 
-// ycsbStore is one store variant of the YCSB matrix. The vlog variant
-// is the SEALDB engine with key–value separation on.
-type ycsbStore struct {
-	name string
-	mode lsm.Mode
-	vlog bool
-}
-
-func ycsbStores() []ycsbStore {
-	return []ycsbStore{
-		{name: lsm.ModeLevelDB.String(), mode: lsm.ModeLevelDB},
-		{name: lsm.ModeSMRDB.String(), mode: lsm.ModeSMRDB},
-		{name: lsm.ModeSEALDB.String(), mode: lsm.ModeSEALDB},
-		{name: lsm.ModeSEALDB.String() + "+vlog", mode: lsm.ModeSEALDB, vlog: true},
-	}
-}
-
-// openYCSBStore builds a fresh store for one matrix cell.
-func (o Options) openYCSBStore(s ycsbStore) (*lsm.DB, error) {
-	cfg := o.config(s.mode)
-	if s.vlog {
-		cfg.ValueThreshold = o.VlogThreshold
-		if cfg.ValueThreshold == 0 {
-			cfg.ValueThreshold = 64
-		}
-	}
-	db, err := lsm.Open(cfg)
-	if err == nil && o.Observe != nil {
-		o.Observe(db)
-	}
-	return db, err
-}
-
-// timedStore wraps a store, measuring each call's simulated device
-// time into the current phase's histogram.
-type timedStore struct {
-	inner storeAdapter
-	clock func() time.Duration
-	h     *Histogram
-}
-
-func (s *timedStore) timed(fn func() error) error {
-	start := s.clock()
-	err := fn()
-	s.h.Add(s.clock() - start)
-	return err
-}
-
-func (s *timedStore) Put(k, v []byte) error {
-	return s.timed(func() error { return s.inner.Put(k, v) })
-}
-
-func (s *timedStore) Get(k []byte) (v []byte, err error) {
-	err = s.timed(func() error { v, err = s.inner.Get(k); return err })
-	return v, err
-}
-
-func (s *timedStore) ScanN(start []byte, n int) (seen int, err error) {
-	err = s.timed(func() error { seen, err = s.inner.ScanN(start, n); return err })
-	return seen, err
-}
+// vlogThreshold is the key–value separation threshold of the report's
+// "sealdb+vlog" store — the SEALDB engine with values at or above it
+// moved to the value log. 64 separates every size on the standard
+// 64 B → 1 MiB axis.
+const vlogThreshold = 64
 
 // RunYCSBReport runs the load phase and YCSB A–F against every
 // (store, value size) cell, producing the machine-readable report:
@@ -123,12 +68,23 @@ func RunYCSBReport(o Options) (*YCSBReport, error) {
 		LoadMB:         o.LoadMB,
 		ValueSize:      o.ValueSize,
 		ValueSizes:     sizes,
-		OpsPerWorkload: o.YCSBOps,
+		OpsPerWorkload: o.Ops,
 		Seed:           o.Seed,
 	}
+	type store struct {
+		name string
+		cfg  lsm.Config
+	}
+	var stores []store
+	for _, mode := range paperStores {
+		stores = append(stores, store{mode.String(), o.config(mode)})
+	}
+	vlog := o.config(lsm.ModeSEALDB)
+	vlog.ValueThreshold = vlogThreshold
+	stores = append(stores, store{"sealdb+vlog", vlog})
 	for _, vs := range sizes {
-		for _, st := range ycsbStores() {
-			sr, err := o.runYCSBCell(st, vs)
+		for _, st := range stores {
+			sr, err := o.runYCSBCell(st.name, st.cfg, vs)
 			if err != nil {
 				return nil, err
 			}
@@ -139,69 +95,76 @@ func RunYCSBReport(o Options) (*YCSBReport, error) {
 }
 
 // runYCSBCell runs the full phase sequence for one (store, value
-// size) cell on a fresh store.
-func (o Options) runYCSBCell(st ycsbStore, valueSize int) (YCSBStoreReport, error) {
-	sr := YCSBStoreReport{Store: st.name, ValueSize: valueSize}
-	db, err := o.openYCSBStore(st)
+// size) cell on a fresh store of configuration cfg.
+func (o Options) runYCSBCell(store string, cfg lsm.Config, valueSize int) (YCSBStoreReport, error) {
+	sr := YCSBStoreReport{Store: store, ValueSize: valueSize}
+	h := obs.NewHistogram() // per-call device time of the current phase
+	ld, err := o.load(cfg, valueSize, false, h)
 	if err != nil {
 		return sr, err
 	}
-	defer db.Close()
-	ts := &timedStore{
-		inner: storeAdapter{db},
-		clock: func() time.Duration { return simTime(db) },
-	}
-	runner := ycsb.NewRunner(ts, valueSize, o.Seed)
-
-	records := o.RecordsFor(valueSize)
-	ts.h = &Histogram{}
-	d, err := phase(db, func() error { return runner.LoadRandom(records) })
-	if err != nil {
-		return sr, err
-	}
-	sr.Phases = append(sr.Phases, phaseResult(db, "load", records, d, ts.h))
+	defer ld.db.Close()
+	sr.Phases = append(sr.Phases, phaseResult(ld.db, "load", ld.records, ld.time, h))
 
 	for _, w := range ycsb.CoreWorkloads() {
 		ops := o.OpsFor(valueSize)
 		if w.ScanProp > 0 {
 			// Workload E's scans touch MaxScanLen records per op;
 			// trim the op count to keep runtimes proportionate.
-			ops /= 10
-			if ops < 16 {
-				ops = 16
-			}
+			ops = max(ops/10, 16)
 		}
-		ts.h = &Histogram{}
+		h.Reset()
 		var res ycsb.Result
-		d, err := phase(db, func() error {
+		d, err := phase(ld.db, func() error {
 			var err error
-			res, err = runner.Run(w, ops)
+			res, err = ld.runner.Run(w, ops)
 			return err
 		})
 		if err != nil {
-			return sr, err
+			return sr, fmt.Errorf("bench: %s workload %s: %w", store, w.Name, err)
 		}
-		sr.Phases = append(sr.Phases, phaseResult(db, w.Name, int64(res.Ops), d, ts.h))
+		sr.Phases = append(sr.Phases, phaseResult(ld.db, w.Name, int64(res.Ops), d, h))
 	}
 	return sr, nil
 }
 
-func phaseResult(db *lsm.DB, name string, ops int64, d time.Duration, h *Histogram) YCSBPhase {
+func phaseResult(db *lsm.DB, name string, ops int64, d time.Duration, h *obs.Histogram) YCSBPhase {
 	amp := db.Amplification()
+	lat := h.Snapshot()
 	return YCSBPhase{
 		Workload:  name,
 		Ops:       ops,
 		OpsPerSec: throughput(ops, d),
-		P50us:     float64(h.Percentile(50)) / 1e3,
-		P99us:     float64(h.Percentile(99)) / 1e3,
+		P50us:     float64(lat.P50) / 1e3,
+		P99us:     float64(lat.P99) / 1e3,
 		WA:        amp.WA,
 		AWA:       amp.AWA,
 	}
 }
 
-// WriteYCSBJSON writes the report as indented JSON.
-func WriteYCSBJSON(w io.Writer, rep *YCSBReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+// runFig9 runs the load phase and YCSB A–F on the paper's three stores
+// at the experiment's value size: Figure 9 reads the throughput of the
+// same cells the YCSB report is made of.
+func runFig9(o Options, r *Results) error {
+	for _, mode := range paperStores {
+		cell, err := o.runYCSBCell(mode.String(), o.config(mode), o.ValueSize)
+		if err != nil {
+			return err
+		}
+		r.Fig9 = append(r.Fig9, cell)
+	}
+	return nil
+}
+
+// printFig9 renders the YCSB table, normalized to the first store.
+func printFig9(tw io.Writer, res *Results) {
+	cells := res.Fig9
+	fmt.Fprintf(tw, "Fig 9: store\tload\tA\tB\tC\tD\tE\tF\t(normalized to %s)\n", cells[0].Store)
+	for _, c := range cells {
+		fmt.Fprintf(tw, "%s", c.Store)
+		for i, p := range c.Phases {
+			fmt.Fprintf(tw, "\t%.2fx", ratio(p.OpsPerSec, cells[0].Phases[i].OpsPerSec))
+		}
+		fmt.Fprintf(tw, "\t\n")
+	}
 }

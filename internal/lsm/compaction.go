@@ -217,7 +217,6 @@ func (d *DB) runCompaction(c *compaction) error {
 		return nil
 	}
 
-	d.disk.SetTag(int64(id))
 	outputs, vlogDead, err := d.mergeInputs(c)
 	if err != nil {
 		return err
@@ -256,7 +255,6 @@ func (d *DB) runCompaction(c *compaction) error {
 			}
 		}
 	}
-	d.disk.SetTag(0)
 	for _, o := range outputs {
 		o.meta.SetID = setID
 		edit.Added = append(edit.Added, version.AddedFile{Level: c.outLevel, Meta: o.meta})

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sealdb/internal/kv"
+	"sealdb/internal/platter"
 	"sealdb/internal/smr"
 	"sealdb/internal/sstable"
 )
@@ -274,47 +275,65 @@ func TestSEALDBSetsAreContiguous(t *testing.T) {
 	}
 }
 
+// jobWrites is a platter.Sink recording every device write together
+// with the number of flush/compaction jobs completed before it: a
+// job's own writes carry its index in d.compactions. Accesses are
+// issued under d.mu, so reading d.compactions here is serialized.
+type jobWrites struct {
+	d      *DB
+	writes []jobWrite
+}
+
+type jobWrite struct {
+	job      int
+	off, end int64
+}
+
+func (j *jobWrites) ObserveAccess(ai platter.AccessInfo) {
+	if ai.Write {
+		j.writes = append(j.writes, jobWrite{len(j.d.compactions), ai.Offset, ai.Offset + int64(ai.Length)})
+	}
+}
+
 func TestCompactionWritesAreSequentialInSEALDB(t *testing.T) {
 	d, err := Open(tinyConfig(ModeSEALDB))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	d.disk.EnableTrace()
+	rec := &jobWrites{d: d}
+	d.disk.SetSink("test", rec)
 	loadRandom(t, d, 6000, 13)
-	trace := d.disk.DisableTrace()
-	// Group writes by compaction tag; within a compaction that
-	// produced a set (output level >= 2) the writes must form one
-	// ascending contiguous run.
-	grouped := map[int64]bool{}
-	for _, ci := range d.Stats().Compactions {
-		if !ci.Flush && !ci.TrivialMove && ci.ToLevel >= 2 && ci.OutputFiles > 0 {
-			grouped[int64(ci.ID)] = true
-		}
-	}
-	runs := map[int64][]int64{} // tag -> offsets in order
-	lens := map[int64]int64{}
-	for _, e := range trace {
-		if !e.Write || !grouped[e.Tag] {
+	d.disk.SetSink("test", nil)
+
+	// For every compaction that produced a set (output level >= 2),
+	// the platter writes it issued inside the set's extent must form
+	// one ascending contiguous run covering the whole extent.
+	sets := 0
+	for job, ci := range d.Stats().Compactions {
+		if ci.Flush || ci.TrivialMove || ci.ToLevel < 2 || ci.OutputFiles == 0 {
 			continue
 		}
-		runs[e.Tag] = append(runs[e.Tag], e.Offset)
-		lens[e.Tag] += int64(e.Length)
-	}
-	if len(runs) == 0 {
-		t.Fatal("no tagged set-producing compaction writes")
-	}
-	for tag, offs := range runs {
-		for i := 1; i < len(offs); i++ {
-			if offs[i] < offs[i-1] {
-				t.Fatalf("compaction %d wrote backwards: %v", tag, offs)
+		sets++
+		first, last := ci.OutputPlacements[0], ci.OutputPlacements[len(ci.OutputPlacements)-1]
+		setOff, setEnd := first.Off, last.End()
+		next := setOff
+		for _, w := range rec.writes {
+			if w.job != job || w.end <= setOff || w.off >= setEnd {
+				continue
 			}
+			if w.off != next {
+				t.Fatalf("compaction %d: write at %d, want %d: set [%d,%d) not written as one ascending run",
+					ci.ID, w.off, next, setOff, setEnd)
+			}
+			next = w.end
 		}
-		span := offs[len(offs)-1] - offs[0]
-		if span >= lens[tag]+4096 {
-			t.Fatalf("compaction %d writes span %d bytes for %d written: not contiguous",
-				tag, span, lens[tag])
+		if next < setEnd {
+			t.Fatalf("compaction %d: platter writes cover [%d,%d) of set [%d,%d)", ci.ID, setOff, next, setOff, setEnd)
 		}
+	}
+	if sets == 0 {
+		t.Fatal("no set-producing compactions")
 	}
 }
 

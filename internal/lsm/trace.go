@@ -181,7 +181,7 @@ func (t *tracer) init(d *DB) {
 		t.readStages[l] = fmt.Sprintf("read_level_%d", l)
 	}
 	t.enabled.Store(tc.Enabled)
-	d.disk.SetSink(t)
+	d.disk.SetSink("lsm", t)
 }
 
 // ObserveAccess implements platter.Sink. Called under the disk lock,

@@ -72,17 +72,6 @@ type Stats struct {
 	BusyTime time.Duration
 }
 
-// TraceEntry records one device access for layout experiments
-// (Figures 2, 11 and 13 of the paper plot these).
-type TraceEntry struct {
-	Write  bool  `json:"write,omitempty"`
-	Offset int64 `json:"offset"`
-	Length int   `json:"length"`
-	// Tag is an opaque label set via Disk.SetTag, used to attribute
-	// accesses to a compaction or flush.
-	Tag int64 `json:"tag,omitempty"`
-}
-
 // AccessInfo describes one device access as seen by a Sink: what was
 // transferred and what it cost under the service-time model.
 type AccessInfo struct {
@@ -116,10 +105,12 @@ type Disk struct {
 	chunks  map[int64][]byte
 	lastEnd int64 // offset immediately after the previous access
 	stats   Stats
-	tracing bool
-	trace   []TraceEntry
-	tag     int64
-	sink    Sink
+	sinks   []namedSink
+}
+
+type namedSink struct {
+	name string
+	sink Sink
 }
 
 // New creates a disk with the given configuration.
@@ -152,7 +143,7 @@ func (d *Disk) checkRange(off int64, n int) error {
 
 // serviceTime computes and accounts the cost of one access under the
 // lock. It updates lastEnd and the seek counter, and reports the
-// access to the attribution sink, if one is installed.
+// access to every installed sink.
 func (d *Disk) serviceTime(off int64, n int, write bool) time.Duration {
 	var t time.Duration
 	var dist int64
@@ -176,8 +167,8 @@ func (d *Disk) serviceTime(off int64, n int, write bool) time.Duration {
 	}
 	d.lastEnd = off + int64(n)
 	d.stats.BusyTime += t
-	if d.sink != nil {
-		d.sink.ObserveAccess(AccessInfo{
+	for _, ns := range d.sinks {
+		ns.sink.ObserveAccess(AccessInfo{
 			Write: write, Offset: off, Length: n,
 			SeekDistance: dist, Seek: seek, ServiceNS: int64(t),
 		})
@@ -215,9 +206,6 @@ func (d *Disk) WriteAt(p []byte, off int64) (time.Duration, error) {
 	t := d.serviceTime(off, len(p), true)
 	d.stats.WriteOps++
 	d.stats.BytesWritten += int64(len(p))
-	if d.tracing {
-		d.trace = append(d.trace, TraceEntry{Write: true, Offset: off, Length: len(p), Tag: d.tag})
-	}
 	d.copyIn(p, off)
 	return t, nil
 }
@@ -233,9 +221,6 @@ func (d *Disk) ReadAt(p []byte, off int64) (time.Duration, error) {
 	t := d.serviceTime(off, len(p), false)
 	d.stats.ReadOps++
 	d.stats.BytesRead += int64(len(p))
-	if d.tracing {
-		d.trace = append(d.trace, TraceEntry{Offset: off, Length: len(p), Tag: d.tag})
-	}
 	d.copyOut(p, off)
 	return t, nil
 }
@@ -293,45 +278,25 @@ func (d *Disk) ResetStats() {
 	d.stats = Stats{}
 }
 
-// EnableTrace starts (or clears and restarts) access tracing.
-func (d *Disk) EnableTrace() {
+// SetSink installs s as the access sink called name, replacing the
+// sink already installed under that name; a nil s removes it. Sinks
+// under different names all observe every subsequent access, each
+// called under the disk lock (see the Sink contract). A name, not a
+// handle, identifies the slot because a DB abandoned by a simulated
+// crash never uninstalls its sink: its successor on the same device
+// takes the slot over.
+func (d *Disk) SetSink(name string, s Sink) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.tracing = true
-	d.trace = nil
-}
-
-// DisableTrace stops tracing and returns the accumulated entries.
-func (d *Disk) DisableTrace() []TraceEntry {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.tracing = false
-	t := d.trace
-	d.trace = nil
-	return t
-}
-
-// Trace returns a copy of the trace accumulated so far.
-func (d *Disk) Trace() []TraceEntry {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]TraceEntry(nil), d.trace...)
-}
-
-// SetTag sets the label attached to subsequent trace entries.
-func (d *Disk) SetTag(tag int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.tag = tag
-}
-
-// SetSink installs (or, with nil, removes) the access attribution
-// sink. The sink is called under the disk lock for every subsequent
-// access; see the Sink contract.
-func (d *Disk) SetSink(s Sink) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.sink = s
+	for i := range d.sinks {
+		if d.sinks[i].name == name {
+			d.sinks = append(d.sinks[:i], d.sinks[i+1:]...)
+			break
+		}
+	}
+	if s != nil {
+		d.sinks = append(d.sinks, namedSink{name, s})
+	}
 }
 
 // MemoryFootprint returns the bytes held by the sparse backing store,

@@ -138,27 +138,41 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 }
 
-func TestTraceRecordsAccesses(t *testing.T) {
+// recordingSink keeps every access it is shown.
+type recordingSink struct{ seen []AccessInfo }
+
+func (r *recordingSink) ObserveAccess(ai AccessInfo) { r.seen = append(r.seen, ai) }
+
+func TestSinksFanOut(t *testing.T) {
 	d := testDisk(1 << 20)
-	d.EnableTrace()
-	d.SetTag(7)
+	a, b := &recordingSink{}, &recordingSink{}
+	d.SetSink("a", a)
+	d.SetSink("b", b)
 	d.WriteAt(make([]byte, 10), 512)
-	d.SetTag(8)
 	d.ReadAt(make([]byte, 5), 512)
-	tr := d.DisableTrace()
-	if len(tr) != 2 {
-		t.Fatalf("trace length %d, want 2", len(tr))
+	for name, s := range map[string]*recordingSink{"a": a, "b": b} {
+		if len(s.seen) != 2 {
+			t.Fatalf("sink %s saw %d accesses, want 2", name, len(s.seen))
+		}
+		if w := s.seen[0]; !w.Write || w.Offset != 512 || w.Length != 10 || !w.Seek || w.ServiceNS <= 0 {
+			t.Errorf("sink %s: bad write entry: %+v", name, w)
+		}
+		if r := s.seen[1]; r.Write || r.Offset != 512 || r.Length != 5 {
+			t.Errorf("sink %s: bad read entry: %+v", name, r)
+		}
 	}
-	if !tr[0].Write || tr[0].Offset != 512 || tr[0].Length != 10 || tr[0].Tag != 7 {
-		t.Errorf("bad write entry: %+v", tr[0])
-	}
-	if tr[1].Write || tr[1].Tag != 8 {
-		t.Errorf("bad read entry: %+v", tr[1])
-	}
-	// After DisableTrace no more entries accumulate.
+	// Removing one sink stops its delivery and leaves the other's.
+	d.SetSink("a", nil)
 	d.WriteAt(make([]byte, 1), 0)
-	if len(d.Trace()) != 0 {
-		t.Error("tracing continued after DisableTrace")
+	if len(a.seen) != 2 || len(b.seen) != 3 {
+		t.Errorf("after removing a: a saw %d (want 2), b saw %d (want 3)", len(a.seen), len(b.seen))
+	}
+	// Installing under a taken name replaces that sink only.
+	c := &recordingSink{}
+	d.SetSink("b", c)
+	d.WriteAt(make([]byte, 1), 0)
+	if len(b.seen) != 3 || len(c.seen) != 1 {
+		t.Errorf("after replacing b: b saw %d (want 3), c saw %d (want 1)", len(b.seen), len(c.seen))
 	}
 }
 

@@ -9,13 +9,13 @@
 // A dump is a directory of three files:
 //
 //	meta.json    — Meta: geometry, the traced window, live counters
-//	trace.jsonl  — one platter.TraceEntry per line, in device order
+//	trace.jsonl  — one Access per line, in device order
 //	events.jsonl — one obs.Event per line, oldest first
 //
 // The intended protocol is Begin → workload → Collect (→ Write):
-// Begin enables the platter trace and the engine tracer and snapshots
-// the counters, so the dump's window covers exactly the workload and
-// none of the open/recovery traffic.
+// Begin installs a platter sink, turns the engine tracer on and
+// snapshots the counters, so the dump's window covers exactly the
+// workload and none of the open/recovery traffic; Collect closes it.
 package traceanalyze
 
 import (
@@ -98,8 +98,22 @@ type SurfaceMeta struct {
 	EndBands []lsm.BandRow `json:"end_bands"`
 }
 
-// Baseline anchors a dump's window: counters captured by Begin.
+// Access is one physical device access of the traced window.
+type Access struct {
+	Write  bool  `json:"write,omitempty"`
+	Offset int64 `json:"offset"`
+	Length int   `json:"length"`
+}
+
+// sinkName is the platter sink slot the window's recorder occupies,
+// next to the engine tracer's.
+const sinkName = "traceanalyze"
+
+// Baseline anchors a dump's window: counters captured by Begin, and
+// the accesses recorded since.
 type Baseline struct {
+	trace []Access
+
 	NS             int64
 	Amp            lsm.Amplification
 	LevelWrite     []int64
@@ -111,12 +125,16 @@ type Baseline struct {
 	SurfaceLogical int64
 }
 
-// Begin starts a traced window on db: it clears and enables the
-// platter access trace, turns the engine tracer on, and snapshots the
-// counters the analyzer will later diff against. Call before the
-// workload under analysis.
+// ObserveAccess implements platter.Sink; the disk lock serializes it.
+func (b *Baseline) ObserveAccess(ai platter.AccessInfo) {
+	b.trace = append(b.trace, Access{Write: ai.Write, Offset: ai.Offset, Length: ai.Length})
+}
+
+// Begin starts a traced window on db: it records every platter access
+// from here on, turns the engine tracer on, and snapshots the counters
+// the analyzer will later diff against. Call before the workload under
+// analysis.
 func Begin(db *lsm.DB) *Baseline {
-	db.Device().Disk.EnableTrace()
 	db.SetTracing(true)
 	p := db.AmplificationProfile()
 	lw := make([]int64, len(p.Levels))
@@ -132,19 +150,21 @@ func Begin(db *lsm.DB) *Baseline {
 		b.SurfaceExtents = db.SurfaceExtents()
 		b.SurfaceLogical = db.SpaceProfile().LogicalLiveBytes
 	}
+	db.Device().Disk.SetSink(sinkName, b)
 	return b
 }
 
 // Dump is an in-memory observability dump, ready to analyze or write.
 type Dump struct {
 	Meta   Meta
-	Trace  []platter.TraceEntry
+	Trace  []Access
 	Events []obs.Event
 }
 
-// Collect snapshots db into a Dump covering the window since base.
-// The platter trace keeps accumulating; Collect copies it.
+// Collect closes the window base opened and snapshots db into a Dump
+// covering it.
 func Collect(db *lsm.DB, base *Baseline) *Dump {
+	db.Device().Disk.SetSink(sinkName, nil)
 	cfg := db.Config()
 	cacheStart := int64(-1)
 	if fbd, ok := smr.Base(db.Device().Drive).(*smr.FixedBandDrive); ok {
@@ -182,7 +202,7 @@ func Collect(db *lsm.DB, base *Baseline) *Dump {
 			JournalDropped:       db.JournalDropped(),
 			Surface:              surf,
 		},
-		Trace:  db.Device().Disk.Trace(),
+		Trace:  base.trace,
 		Events: db.Events(),
 	}
 }
@@ -235,7 +255,7 @@ func ReadDump(dir string) (*Dump, error) {
 		return nil, fmt.Errorf("traceanalyze: %s: %w", MetaFile, err)
 	}
 	if err := readJSONL(filepath.Join(dir, TraceFile), func(dec *json.Decoder) error {
-		var e platter.TraceEntry
+		var e Access
 		if err := dec.Decode(&e); err != nil {
 			return err
 		}
