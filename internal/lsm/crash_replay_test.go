@@ -149,8 +149,14 @@ func TestVlogGroupTornAtEveryPrefix(t *testing.T) {
 			continue
 		}
 		fd.TearAtWrite(1, keep)
+		cacheUsed := db.MetricsSnapshot().Gauges["sealdb_cache_used_bytes"]
 		if err := db.Apply(batch()); !errors.Is(err, faultfs.ErrPowerCut) {
 			t.Fatalf("keep %d: commit under a power cut returned %v", keep, err)
+		}
+		// Values are written through to the cache only once their group
+		// write succeeded: this one's must not be there to be served.
+		if now := db.MetricsSnapshot().Gauges["sealdb_cache_used_bytes"]; now != cacheUsed || cacheUsed == 0 {
+			t.Fatalf("keep %d: torn commit moved the cache from %v to %v bytes", keep, cacheUsed, now)
 		}
 		fd.PowerOn()
 		db, err = lsm.OpenDevice(cfg, dev)

@@ -241,7 +241,7 @@ func (d *DB) verifyVlog(v *version.Version) error {
 				where, ik, p.Off, end, p.Seg, vlog.HeaderSize, info.Bytes)
 		}
 		serving[p.Seg] += int64(p.Len)
-		rkey, _, err := d.vlogRead(p)
+		rkey, _, err := d.vlogRead(make([]byte, p.Len), p)
 		if err != nil {
 			return fmt.Errorf("%s key %s: vlog segment %d offset %d: %w", where, ik, p.Seg, p.Off, err)
 		}

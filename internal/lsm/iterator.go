@@ -521,11 +521,7 @@ func (it *Iterator) settle(prevUser []byte) {
 // GC at bay, so a pointer read here cannot race a segment drop.
 // Caller holds d.mu; returns false (with it.err set) on a chase error.
 func (it *Iterator) setValue(stored []byte) bool {
-	if !it.d.cfg.vlogEnabled() {
-		it.val = append(it.val[:0], stored...)
-		return true
-	}
-	v, err := it.d.resolveValue(stored)
+	v, err := it.d.resolveValue(it.val, stored)
 	if err != nil {
 		it.err = err
 		return false

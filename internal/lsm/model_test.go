@@ -351,10 +351,19 @@ func TestCrossModeDifferential(t *testing.T) {
 		cfg   Config
 		d     *DB
 		snaps []*Snapshot
+		// Value-cache hits and admissions, summed over reopens.
+		hits, admitted int64
+	}
+	tally := func(s *store) {
+		s.hits += s.d.metrics.vlogCacheHits.Value()
+		s.admitted += int64(s.d.cache.Stats().ValueEntries)
 	}
 	var stores []*store
 	for _, mode := range allModes() {
-		for _, vlog := range []bool{false, true} {
+		// Values inline, separated, and separated with a cache too small
+		// to admit a block or a value: every pointer chase of the third
+		// arm reads the media, every one the second can serve is cached.
+		for arm, vlog := range []bool{false, true, true} {
 			cfg, name := tinyConfig(mode), mode.String()
 			if mode == ModeSMRDB {
 				// Small bands (hence tables) and the tightest legal
@@ -369,6 +378,10 @@ func TestCrossModeDifferential(t *testing.T) {
 				cfg.ValueThreshold = 20
 				cfg.VlogSegSize = 4 * kv.KiB
 				name += "+vlog"
+			}
+			if arm == 2 {
+				cfg.BlockCacheSize = 64
+				name += "-cache"
 			}
 			d, err := Open(cfg)
 			if err != nil {
@@ -428,6 +441,7 @@ func TestCrossModeDifferential(t *testing.T) {
 				sn.Release()
 			}
 			s.snaps = nil
+			tally(s)
 			dev := s.d.Device()
 			if err = s.d.Close(); err == nil {
 				s.d, err = OpenDevice(s.cfg, dev)
@@ -459,6 +473,14 @@ func TestCrossModeDifferential(t *testing.T) {
 	for _, s := range stores {
 		if err := s.d.VerifyIntegrity(); err != nil {
 			t.Errorf("%s: VerifyIntegrity: %v", s.name, err)
+		}
+		// The cached and the uncached arm really took different paths.
+		tally(s)
+		switch uncached := s.cfg.BlockCacheSize == 64; {
+		case uncached && (s.hits != 0 || s.admitted != 0):
+			t.Errorf("%s: %d value-cache hits, %d values found admitted, want none", s.name, s.hits, s.admitted)
+		case !uncached && s.cfg.vlogEnabled() && s.hits == 0:
+			t.Errorf("%s: no read was served from the value cache", s.name)
 		}
 	}
 }

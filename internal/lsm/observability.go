@@ -34,6 +34,7 @@ type dbMetrics struct {
 	vlogAppends     *obs.Counter
 	vlogAppendBytes *obs.Counter
 	vlogReads       *obs.Counter
+	vlogCacheHits   *obs.Counter
 	vlogRotations   *obs.Counter
 	vlogDeadBytes   *obs.Counter
 	vlogGCRuns      *obs.Counter
@@ -99,6 +100,7 @@ func (d *DB) initObs() {
 	m.vlogAppends = d.reg.Counter("sealdb_vlog_appends_total")
 	m.vlogAppendBytes = d.reg.Counter("sealdb_vlog_append_bytes_total")
 	m.vlogReads = d.reg.Counter("sealdb_vlog_reads_total")
+	m.vlogCacheHits = d.reg.Counter("sealdb_vlog_cache_hits_total")
 	m.vlogRotations = d.reg.Counter("sealdb_vlog_rotations_total")
 	m.vlogDeadBytes = d.reg.Counter("sealdb_vlog_dead_bytes_total")
 	m.vlogGCRuns = d.reg.Counter("sealdb_vlog_gc_runs_total")

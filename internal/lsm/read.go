@@ -48,7 +48,7 @@ func (d *DB) get(key []byte, snap *Snapshot, reqID uint64) ([]byte, error) {
 	case file != 0 && !d.cfg.vlogEnabled():
 		v = stored // a table read already handed out a private copy
 	default:
-		v, err = d.resolveValue(stored)
+		v, err = d.resolveValue(nil, stored)
 	}
 	d.metrics.gets.Inc()
 	if err == nil {

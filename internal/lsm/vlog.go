@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"sealdb/internal/kv"
@@ -261,34 +262,47 @@ func (d *DB) vlogBuildGroup(b *Batch) (rep []byte, recs []vlog.Record) {
 
 // resolveValue maps a stored tree value to the user value: with the
 // log disabled it is the identity; otherwise it strips the inline tag
-// or chases the pointer into its segment. The returned slice is
-// always a fresh copy. Caller holds d.mu.
-func (d *DB) resolveValue(stored []byte) ([]byte, error) {
+// or follows the pointer — to the cache entry keyed by it, else into
+// its segment, filling the cache with the checked bytes. The result is
+// always a copy, built in dst's storage (nil for a fresh slice). Caller
+// holds d.mu.
+func (d *DB) resolveValue(dst, stored []byte) ([]byte, error) {
 	if !d.cfg.vlogEnabled() {
-		return append([]byte(nil), stored...), nil
+		return append(dst[:0], stored...), nil
 	}
 	if len(stored) == 0 {
-		return []byte{}, nil
+		return dst[:0], nil
 	}
 	switch stored[0] {
 	case vlogTagInline:
-		return append([]byte(nil), stored[1:]...), nil
+		return append(dst[:0], stored[1:]...), nil
 	case vlogTagPtr:
 		ptr, err := vlog.DecodePointer(stored[1:])
 		if err != nil {
 			return nil, err
 		}
-		_, v, err := d.vlogRead(ptr)
-		return v, err
+		if v, ok := d.cache.GetValue(dst, ptr.Seg, uint64(ptr.Off)); ok {
+			d.metrics.vlogCacheHits.Inc()
+			return v, nil
+		}
+		// Read the record into dst's storage, then slide the value, its
+		// tail, down to the front.
+		dst = slices.Grow(dst[:0], int(ptr.Len))[:ptr.Len]
+		_, v, err := d.vlogRead(dst, ptr)
+		if err != nil {
+			return nil, err
+		}
+		d.cache.PutValue(ptr.Seg, uint64(ptr.Off), v)
+		return dst[:copy(dst, v)], nil
 	}
 	return nil, fmt.Errorf("lsm: unknown value tag %#x", stored[0])
 }
 
-// vlogRead chases a pointer: one segment read, one record decode.
-// The record CRC (seeded with the segment number) catches both media
-// damage and a pointer into recycled space. Caller holds d.mu.
-func (d *DB) vlogRead(p vlog.Pointer) (key, value []byte, err error) {
-	buf := make([]byte, p.Len)
+// vlogRead chases a pointer on the media: one segment read into buf
+// (p.Len bytes), one record decode. The record CRC (seeded with the
+// segment number) catches both media damage and a pointer into
+// recycled space. The results alias buf. Caller holds d.mu.
+func (d *DB) vlogRead(buf []byte, p vlog.Pointer) (key, value []byte, err error) {
 	if _, err := d.backend.ReadFileAt(p.Seg, buf, int64(p.Off)); err != nil && err != io.EOF {
 		return nil, nil, fmt.Errorf("lsm: vlog read %+v: %w", p, err)
 	}
@@ -550,6 +564,6 @@ func (d *DB) vlogGCLocked() (VlogGCResult, error) {
 // relocated bytes are store traffic, not user traffic. Caller holds
 // d.mu.
 func (d *DB) reputLocked(b *Batch) (appended int64, err error) {
-	err = d.commitLocked(b, nil, func(_, n int64) { appended = n })
+	err = d.commitLocked(b, nil, func(_ []vlog.Record, n int64) { appended = n })
 	return appended, err
 }

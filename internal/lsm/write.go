@@ -1,7 +1,9 @@
 package lsm
 
 import (
+	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"sealdb/internal/kv"
 	"sealdb/internal/memtable"
@@ -9,18 +11,36 @@ import (
 	"sealdb/internal/vlog"
 )
 
+// batchPool recycles the one-entry batches behind Put and Delete. Apply
+// retains nothing of a batch and Reset keeps its buffer, so after a
+// warm-up a Put builds its batch without allocating; a batch that
+// ballooned past maxPooledBatchBytes is dropped rather than pinned.
+var batchPool = sync.Pool{New: func() any { return NewBatch() }}
+
+const maxPooledBatchBytes = 4 << 20
+
 // Put writes a single key/value pair.
 func (d *DB) Put(key, value []byte) error {
-	b := NewBatch()
+	b := batchPool.Get().(*Batch)
 	b.Put(key, value)
-	return d.Apply(b)
+	return d.applyPooled(b)
 }
 
 // Delete writes a tombstone for key.
 func (d *DB) Delete(key []byte) error {
-	b := NewBatch()
+	b := batchPool.Get().(*Batch)
 	b.Delete(key)
-	return d.Apply(b)
+	return d.applyPooled(b)
+}
+
+// applyPooled applies a batch taken from batchPool and returns it.
+func (d *DB) applyPooled(b *Batch) error {
+	err := d.Apply(b)
+	if b.Cap() <= maxPooledBatchBytes {
+		b.Reset()
+		batchPool.Put(b)
+	}
+	return err
 }
 
 // Apply atomically logs and applies a batch: the log first (the WAL,
@@ -55,7 +75,7 @@ func (d *DB) ApplyCtx(b *Batch, ctx OpContext) error {
 // ot may be nil (tracing off).
 func (d *DB) applyLocked(b *Batch, ot *opTrace) error {
 	startBusy := d.deviceNow()
-	if err := d.commitLocked(b, ot, d.chargeUserVlogAppend); err != nil {
+	if err := d.commitLocked(b, ot, d.userVlogAppend); err != nil {
 		return err
 	}
 	d.metrics.writes.Add(int64(b.Len()))
@@ -68,26 +88,33 @@ func (d *DB) applyLocked(b *Batch, ot *opTrace) error {
 	return d.maybeVlogGC()
 }
 
-// chargeUserVlogAppend attributes the value-log group a user batch
-// was logged as. Caller holds d.mu.
-func (d *DB) chargeUserVlogAppend(records, bytes int64) {
-	d.metrics.vlogAppends.Add(records)
+// userVlogAppend attributes the value-log group a user batch was
+// logged as, and writes its values through to the cache: a key just
+// written is the likeliest to be read, and the memtable holds only its
+// pointer. The group is durable by now, so a reader can never be served
+// a value the log does not hold. Caller holds d.mu.
+func (d *DB) userVlogAppend(recs []vlog.Record, bytes int64) {
+	d.metrics.vlogAppends.Add(int64(len(recs)))
 	d.metrics.vlogAppendBytes.Add(bytes)
 	d.journal.Record("vlog_append", map[string]int64{
-		"records": records, "bytes": bytes,
+		"records": int64(len(recs)), "bytes": bytes,
 	})
+	for _, r := range recs {
+		d.cache.PutValue(r.Ptr.Seg, uint64(r.Ptr.Off), r.Value)
+	}
 }
 
 // commitLocked is the engine's one commit path: make room → assign
 // sequence numbers → one log write → memtable insert. User batches and
 // value-log GC relocations both commit through it and differ only in
-// what they charge: separated is told what the batch appended to the
-// value log, at the moment it happened, and each caller attributes it
-// to its own counters (user appends vs GC rewrites). Caller holds d.mu
-// and has passed writeAllowed; ot may be nil (untraced).
-func (d *DB) commitLocked(b *Batch, ot *opTrace, separated func(records, bytes int64)) error {
+// what they do about it: separated is told what the batch appended to
+// the value log, once the write succeeded, and each caller attributes it
+// to its own counters (user appends vs GC rewrites; only the user's are
+// cached). Caller holds d.mu and has passed writeAllowed; ot may be nil
+// (untraced).
+func (d *DB) commitLocked(b *Batch, ot *opTrace, separated func(recs []vlog.Record, bytes int64)) error {
 	si := ot.stageStart(stageCompactionStall, d.traceNow(ot))
-	if err := d.makeRoomForWrite(b.Size()); err != nil {
+	if err := d.makeRoomForWrite(d.treeSize(b)); err != nil {
 		return d.failWrite(err)
 	}
 	ot.stageEnd(si, d.traceNow(ot), d.metrics.stageStallNS)
@@ -118,7 +145,7 @@ func (d *DB) commitLocked(b *Batch, ot *opTrace, separated func(records, bytes i
 // group — value records first, then a commit frame carrying the rest
 // of the batch — so the group is the log record and the WAL is not
 // touched; any other batch is a WAL record. Caller holds d.mu.
-func (d *DB) logBatch(b *Batch, separated func(records, bytes int64)) ([]byte, []vlog.Record, error) {
+func (d *DB) logBatch(b *Batch, separated func(recs []vlog.Record, bytes int64)) ([]byte, []vlog.Record, error) {
 	if !d.cfg.vlogEnabled() {
 		return b.rep, nil, d.walW.AddRecord(b.rep)
 	}
@@ -140,8 +167,37 @@ func (d *DB) logBatch(b *Batch, separated func(records, bytes int64)) ([]byte, [
 		return nil, nil, err
 	}
 	d.vlog.tab.Extend(w.Seg(), int64(n), int64(frame))
-	separated(int64(len(recs)), int64(n))
+	separated(recs, int64(n))
 	return rep, recs, nil
+}
+
+// treeSize returns the bytes a batch adds to the WAL and the memtable:
+// its encoded size, with every value headed for the value log counted
+// as the pointer that replaces it and every other value as tagged. Room
+// is made for that, not for the raw batch, or a 1 MiB Put would rotate
+// the WAL and flush a one-entry memtable for a 17-byte pointer.
+func (d *DB) treeSize(b *Batch) int64 {
+	n := b.Size()
+	if !d.cfg.vlogEnabled() {
+		return n
+	}
+	p := b.rep[batchHeaderLen:]
+	for i := uint32(0); i < b.count; i++ {
+		kind := kv.Kind(p[0])
+		klen, kn := binary.Uvarint(p[1:])
+		p = p[1+kn+int(klen):]
+		if kind != kv.KindSet {
+			continue
+		}
+		vlen, vn := binary.Uvarint(p)
+		p = p[vn+int(vlen):]
+		if int(vlen) >= d.cfg.ValueThreshold {
+			n -= int64(vlen) - vlogPointerLen
+		} else {
+			n++
+		}
+	}
+	return n
 }
 
 // makeRoomForWrite rotates the memtable when it (or its WAL) is full,

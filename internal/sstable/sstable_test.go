@@ -297,6 +297,78 @@ func TestCacheLRU(t *testing.T) {
 	}
 }
 
+// TestCacheValues covers the second kind of entry: separated values
+// share the blocks' LRU, budget and residency figures, stay out of the
+// block hit/miss counters, leave with their file, and are refused when
+// too large to be worth the room.
+func TestCacheValues(t *testing.T) {
+	c := NewCache(4096)
+	val := func(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n) }
+	c.put(1, 0, &block{data: make([]byte, 1000), restarts: []uint32{0}})
+	c.PutValue(2, 8, val(1000, 'a'))
+	c.PutValue(2, 1100, val(1000, 'b'))
+	dst := make([]byte, 0, 2000)
+	got, ok := c.GetValue(dst, 2, 8)
+	if !ok || !bytes.Equal(got, val(1000, 'a')) || &got[0] != &dst[:1][0] {
+		t.Fatalf("GetValue = %d bytes, %v; want the first value, copied into dst", len(got), ok)
+	}
+	if _, ok := c.GetValue(nil, 2, 9); ok {
+		t.Fatal("hit on a pointer never cached")
+	}
+	if _, ok := c.GetValue(nil, 1, 0); ok {
+		t.Fatal("a block entry was served as a value")
+	}
+	st := c.Stats()
+	if st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("value lookups moved the block counters: %+v", st)
+	}
+	if st.Entries != 3 || st.ValueEntries != 2 || st.ValueBytes != 2*(1000+valueOverhead) || st.UsedBytes != st.ValueBytes+1000+4+64 {
+		t.Fatalf("residency after one block and two values: %+v", st)
+	}
+
+	// A third value does not fit beside them: the coldest entry, the
+	// block, goes, and the budget holds.
+	c.PutValue(2, 2200, val(1000, 'c'))
+	if st = c.Stats(); st.Entries != 3 || st.ValueEntries != 3 || st.UsedBytes != st.ValueBytes || st.UsedBytes > 4096 {
+		t.Fatalf("residency after the block was displaced: %+v", st)
+	}
+	if c.get(1, 0) != nil {
+		t.Fatal("displaced block still cached")
+	}
+	// A fourth takes over the coldest value's entry: (2, 1100), since
+	// (2, 8) was read after it.
+	c.PutValue(3, 8, val(990, 'd'))
+	if _, ok := c.GetValue(nil, 2, 1100); ok {
+		t.Fatal("coldest value survived a full cache")
+	}
+	if got, ok := c.GetValue(nil, 3, 8); !ok || !bytes.Equal(got, val(990, 'd')) {
+		t.Fatalf("recycled entry holds %d bytes, %v", len(got), ok)
+	}
+	if st = c.Stats(); st.ValueEntries != 3 || st.ValueBytes != 3*(1000+valueOverhead) || st.UsedBytes > 4096 {
+		t.Fatalf("a 990-byte value in a recycled 1000-byte buffer is charged its buffer: %+v", st)
+	}
+
+	c.EvictFile(2)
+	if st = c.Stats(); st.Entries != 1 || st.ValueEntries != 1 || st.UsedBytes != 1000+valueOverhead || st.ValueBytes != st.UsedBytes {
+		t.Fatalf("residency after evicting file 2: %+v", st)
+	}
+
+	// Never admitted: a value over the bound, or one the whole budget
+	// could not hold.
+	big := NewCache(1 << 20)
+	big.PutValue(4, 8, make([]byte, maxCachedValue))
+	big.PutValue(4, 1<<17, make([]byte, maxCachedValue+1))
+	c.PutValue(4, 8, make([]byte, 4096))
+	if st, small := big.Stats(), c.Stats(); st.ValueEntries != 1 || small.ValueEntries != 1 {
+		t.Fatalf("admission: %+v, %+v", st, small)
+	}
+	var nc *Cache
+	nc.PutValue(1, 0, val(10, 'z'))
+	if _, ok := nc.GetValue(nil, 1, 0); ok {
+		t.Error("nil cache returned a value")
+	}
+}
+
 func TestSeparatorProperty(t *testing.T) {
 	f := func(a, b []byte, sa, sb uint16) bool {
 		ia := kv.MakeInternalKey(nil, a, kv.SeqNum(sa), kv.KindSet)
