@@ -374,7 +374,7 @@ func (d *DB) inputIterators(c *compaction) ([]kv.Iterator, error) {
 			if err != nil {
 				return nil, err
 			}
-			children = append(children, t.NewIterator())
+			children = append(children, t.NewMemIterator(datas[i]))
 		}
 		return children, nil
 	}

@@ -1,6 +1,8 @@
 package lsm
 
 import (
+	"sort"
+
 	"sealdb/internal/kv"
 	"sealdb/internal/version"
 )
@@ -169,7 +171,7 @@ func (c *concatIter) openIdx() {
 		c.err = err
 		return
 	}
-	c.cur = t.NewIterator()
+	c.cur = t.NewStreamingIterator(c.d.cfg.readahead(), c.d.metrics.sstableStreamed)
 }
 
 func (c *concatIter) Valid() bool { return c.err == nil && c.cur != nil && c.cur.Valid() }
@@ -194,15 +196,9 @@ func (c *concatIter) SeekToFirst() {
 }
 
 func (c *concatIter) Seek(target kv.InternalKey) {
-	// Binary search could be used; levels hold few files per query in
-	// the experiments, so a linear bound check keeps this simple.
-	c.idx = len(c.files)
-	for i, f := range c.files {
-		if kv.CompareInternal(target, f.Largest) <= 0 {
-			c.idx = i
-			break
-		}
-	}
+	c.idx = sort.Search(len(c.files), func(i int) bool {
+		return kv.CompareInternal(target, c.files[i].Largest) <= 0
+	})
 	c.openIdx()
 	if c.cur != nil {
 		c.cur.Seek(target)
@@ -337,7 +333,7 @@ func (l *lazyTableIter) open() bool {
 			l.err = err
 			return false
 		}
-		l.it = t.NewIterator()
+		l.it = t.NewStreamingIterator(l.d.cfg.readahead(), l.d.metrics.sstableStreamed)
 	}
 	return true
 }
@@ -569,14 +565,8 @@ type KV struct {
 func (d *DB) Scan(start []byte, limit int) ([]KV, error) {
 	it := d.NewIterator()
 	defer it.Close()
-	var out []KV
-	for it.Seek(start); it.Valid() && len(out) < limit; it.Next() {
-		out = append(out, KV{
-			Key:   append([]byte(nil), it.Key()...),
-			Value: append([]byte(nil), it.Value()...),
-		})
-	}
-	return out, it.Error()
+	it.Seek(start)
+	return it.collect(limit, it.Next)
 }
 
 // ScanReverse returns up to limit live entries with keys <= start in
@@ -596,12 +586,21 @@ func (d *DB) ScanReverse(start []byte, limit int) ([]KV, error) {
 			it.SeekToLast()
 		}
 	}
+	return it.collect(limit, it.Prev)
+}
+
+// collect copies up to limit entries from where it stands, moving by
+// step. The result is sized once (a caller's limit may be anything, so
+// only up to a point) and each record's key and value share one
+// allocation.
+func (it *Iterator) collect(limit int, step func()) ([]KV, error) {
 	var out []KV
-	for ; it.Valid() && len(out) < limit; it.Prev() {
-		out = append(out, KV{
-			Key:   append([]byte(nil), it.Key()...),
-			Value: append([]byte(nil), it.Value()...),
-		})
+	for ; it.Valid() && len(out) < limit; step() {
+		if out == nil {
+			out = make([]KV, 0, min(limit, 128))
+		}
+		k := append(append(make([]byte, 0, len(it.key)+len(it.val)), it.key...), it.val...)
+		out = append(out, KV{Key: k[:len(it.key):len(it.key)], Value: k[len(it.key):]})
 	}
 	return out, it.Error()
 }

@@ -29,6 +29,7 @@ type dbMetrics struct {
 	walReplaySkipped     *obs.Counter
 	degraded             *obs.Counter
 	sstableCorrupt       *obs.Counter
+	sstableStreamed      *obs.Counter
 
 	// Value-log (key–value separation) accounting (vlog.go).
 	vlogAppends     *obs.Counter
@@ -97,6 +98,7 @@ func (d *DB) initObs() {
 	m.walReplaySkipped = d.reg.Counter("sealdb_wal_replay_skipped_bytes_total")
 	m.degraded = d.reg.Counter("sealdb_degraded_total")
 	m.sstableCorrupt = d.reg.Counter("sealdb_sstable_corrupt_blocks_total")
+	m.sstableStreamed = d.reg.Counter("sealdb_sstable_streamed_blocks_total")
 	m.vlogAppends = d.reg.Counter("sealdb_vlog_appends_total")
 	m.vlogAppendBytes = d.reg.Counter("sealdb_vlog_append_bytes_total")
 	m.vlogReads = d.reg.Counter("sealdb_vlog_reads_total")

@@ -1,0 +1,342 @@
+package lsm
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"sealdb/internal/faultfs"
+	"sealdb/internal/invariant"
+	"sealdb/internal/kv"
+	"sealdb/internal/smr"
+	"sealdb/internal/sstable"
+)
+
+// User iterators stream (DESIGN.md §sstable.Cache, Streaming): past the
+// second block of a table they read ahead through a window of their own
+// and stop filling a full cache. These tests cover the engine's side of
+// that: walks across file boundaries, media damage met in a window, what
+// stays resident, an iterator that outlives its files' compaction, and
+// what a Scan costs the host.
+
+// streamConfig is tinyConfig with tables of 16 blocks, so that most of a
+// table is past its second block, and the given cache.
+func streamConfig(mode Mode, cache int64) Config {
+	cfg := tinyConfig(mode)
+	cfg.SSTableSize = 64 * kv.KiB
+	cfg.MemtableSize = 64 * kv.KiB
+	cfg.BandSize = 640 * kv.KiB
+	cfg.GuardSize = 64 * kv.KiB
+	cfg.BaseLevelBytes = 640 * kv.KiB
+	cfg.BlockCacheSize = cache
+	cfg.applyMode()
+	return cfg
+}
+
+// loadStream writes n keys with values near 400 bytes, ten to a block, in
+// random order and returns the reference state.
+func loadStream(t *testing.T, d *DB, n int) map[string]string {
+	t.Helper()
+	ref := make(map[string]string, n)
+	for _, i := range rand.New(rand.NewSource(int64(n))).Perm(n) {
+		k := fmt.Sprintf("sk%06d", i)
+		ref[k] = string(bigValue(k, 350+i%100))
+		if err := d.Put([]byte(k), []byte(ref[k])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ref
+}
+
+func sortedKeys(ref map[string]string) []string {
+	keys := make([]string, 0, len(ref))
+	for k := range ref {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// TestStreamingWalkAcrossFilesMatchesReference: Next-heavy random walks
+// over a store of many tables, with windows from two blocks to the whole
+// table and a cache that is full throughout, return exactly the
+// reference — sorted levels (one table after another) and SMRDB's
+// overlapped level (every table its own child) alike.
+func TestStreamingWalkAcrossFilesMatchesReference(t *testing.T) {
+	for _, mode := range []Mode{ModeSEALDB, ModeSMRDB, ModeLevelDB} {
+		for _, scale := range []float64{1.0 / 16, 1.0 / 4, 1} {
+			cfg := streamConfig(mode, 48*kv.KiB)
+			cfg.DeviceTimeScale = scale
+			d, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := loadStream(t, d, 3000)
+			keys := sortedKeys(ref)
+			it := d.NewIterator()
+			rng := rand.New(rand.NewSource(int64(mode) + 5))
+			pos := -1
+			for step := 0; step < 20000; step++ {
+				switch r := rng.Intn(200); {
+				case r < 1:
+					it.SeekToFirst()
+					pos = 0
+				case r < 2:
+					it.SeekToLast()
+					pos = len(keys) - 1
+				case r < 4:
+					target := fmt.Sprintf("sk%06d", rng.Intn(len(keys)+10))
+					it.Seek([]byte(target))
+					pos = sort.SearchStrings(keys, target)
+				case r < 10 && pos >= 0:
+					it.Prev()
+					pos--
+				case pos >= 0:
+					it.Next()
+					pos++
+				}
+				if pos < 0 || pos >= len(keys) {
+					if it.Valid() || it.Error() != nil {
+						t.Fatalf("%v scale %v step %d: valid at %q past the end, err %v", mode, scale, step, it.Key(), it.Error())
+					}
+					pos = -1
+					continue
+				}
+				if !it.Valid() || string(it.Key()) != keys[pos] || string(it.Value()) != ref[keys[pos]] {
+					t.Fatalf("%v scale %v step %d: at %q (valid %v, err %v), reference at %q", mode, scale, step, it.Key(), it.Valid(), it.Error(), keys[pos])
+				}
+			}
+			it.Close()
+			if n := d.MetricsSnapshot().Counters["sealdb_sstable_streamed_blocks_total"]; n < 100 {
+				t.Errorf("%v scale %v: only %d blocks streamed; the walk did not exercise the window", mode, scale, n)
+			}
+			d.Close()
+		}
+	}
+}
+
+// TestStreamedCorruptBlockFailsTheScan: a bit flipped on the media in a
+// block that a scan reaches through its window ends the scan with
+// ErrCorruptBlock naming that block, counted once in
+// sealdb_sstable_corrupt_blocks_total, after returning only entries that
+// are right.
+func TestStreamedCorruptBlockFailsTheScan(t *testing.T) {
+	cfg := streamConfig(ModeSEALDB, 48*kv.KiB)
+	var fd *faultfs.Drive
+	cfg.WrapDrive = func(inner smr.Drive) smr.Drive {
+		fd = faultfs.New(inner, 3)
+		return fd
+	}
+	d, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := loadStream(t, d, 2000)
+	if err := d.CompactRange(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	keys := sortedKeys(ref)
+	// The table holding the middle key, damaged three fifths of the way
+	// in: about its tenth data block of sixteen.
+	d.mu.Lock()
+	var victim uint64
+	var smallest string
+	v := d.vs.Current()
+	for level := 1; level < cfg.NumLevels; level++ {
+		for _, f := range v.Overlaps(level, []byte(keys[1000]), []byte(keys[1000]), true) {
+			victim, smallest = f.Num, string(f.Smallest.UserKey())
+		}
+	}
+	ext, err := d.backend.FileExtent(victim)
+	d.mu.Unlock()
+	if victim == 0 || err != nil {
+		t.Fatalf("no table holds %q: %v", keys[1000], err)
+	}
+	flipped := ext.Len * 3 / 5
+	if err := fd.FlipBit(ext.Off+flipped, 2); err != nil {
+		t.Fatal(err)
+	}
+
+	start := sort.SearchStrings(keys, smallest)
+	got, err := d.Scan([]byte(smallest), len(keys))
+	var cbe *sstable.CorruptBlockError
+	if !errors.Is(err, sstable.ErrCorruptBlock) || !errors.As(err, &cbe) {
+		t.Fatalf("Scan over the damaged table = %d entries, %v; want ErrCorruptBlock", len(got), err)
+	}
+	if cbe.FileNum != victim || int64(cbe.Offset) > flipped || int64(cbe.Offset)+6000 < flipped {
+		t.Errorf("error names file %d offset %d; bit flipped in file %d at %d", cbe.FileNum, cbe.Offset, victim, flipped)
+	}
+	if len(got) < 20 || start+len(got) >= len(keys) {
+		t.Fatalf("Scan returned %d entries before the error", len(got))
+	}
+	for i, e := range got {
+		if k := keys[start+i]; string(e.Key) != k || string(e.Value) != ref[k] {
+			t.Fatalf("entry %d is %q, want %q: damaged bytes were emitted", i, e.Key, k)
+		}
+	}
+	c := d.MetricsSnapshot().Counters
+	if c["sealdb_sstable_corrupt_blocks_total"] != 1 || c["sealdb_sstable_streamed_blocks_total"] == 0 {
+		t.Errorf("corrupt blocks counted %d (want 1), streamed %d (want > 0)",
+			c["sealdb_sstable_corrupt_blocks_total"], c["sealdb_sstable_streamed_blocks_total"])
+	}
+	d.Close()
+}
+
+// deviceReads runs fn and returns how many device reads it made.
+func deviceReads(d *DB, fn func()) int64 {
+	before := d.disk.Stats().ReadOps
+	fn()
+	return d.disk.Stats().ReadOps - before
+}
+
+// TestScanLeavesHotBlocksResident: keys warmed by Get are still served
+// from the cache after a scan over ten times the cache; and a store that
+// fits the cache is read from the device once, however often it is
+// scanned.
+func TestScanLeavesHotBlocksResident(t *testing.T) {
+	cfg := DefaultConfig(ModeSEALDB) // 256 KiB tables: 64 blocks each
+	cfg.BlockCacheSize = 256 * kv.KiB
+	cfg.DiskCapacity = 256 * kv.MiB
+	d, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	ref := loadStream(t, d, 6500) // 2.6 MiB
+	if err := d.CompactRange(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	keys := sortedKeys(ref)
+	getHot := func() {
+		for i := 0; i < 12; i++ {
+			k := keys[i*len(keys)/12]
+			if v, err := d.Get([]byte(k)); err != nil || string(v) != ref[k] {
+				t.Fatalf("Get(%q) = %d bytes, %v", k, len(v), err)
+			}
+		}
+	}
+	scanAll := func() {
+		if kvs, err := d.Scan(nil, len(keys)); err != nil || len(kvs) != len(keys) {
+			t.Fatalf("Scan = %d entries, %v", len(kvs), err)
+		}
+	}
+	scanAll() // a cache with room takes streamed blocks too: fill it first
+	getHot()
+	if n := deviceReads(d, getHot); n != 0 {
+		t.Fatalf("set-up: warmed Gets still make %d device reads", n)
+	}
+	if n := deviceReads(d, scanAll); n < 100 {
+		t.Fatalf("set-up: a scan of ten times the cache made only %d device reads", n)
+	}
+	if n := deviceReads(d, getHot); n != 0 {
+		t.Errorf("after a long scan the warmed Gets make %d device reads, want 0", n)
+	}
+
+	small, err := Open(streamConfig(ModeSEALDB, 1*kv.MiB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer small.Close()
+	ref = loadStream(t, small, 1200) // under 500 KiB
+	scanSmall := func() {
+		if kvs, err := small.Scan(nil, len(ref)); err != nil || len(kvs) != len(ref) {
+			t.Fatalf("Scan = %d entries, %v", len(kvs), err)
+		}
+	}
+	scanSmall()
+	if n := deviceReads(small, scanSmall); n != 0 {
+		t.Errorf("repeated scan of a store that fits the cache makes %d device reads, want 0", n)
+	}
+}
+
+// TestStreamingIteratorOutlivesCompaction: an iterator in the middle of a
+// table, its window filled, keeps returning its snapshot while every
+// file under it is compacted away and new data lands: the pin keeps the
+// files, the window is only a copy of their bytes.
+func TestStreamingIteratorOutlivesCompaction(t *testing.T) {
+	d, err := Open(streamConfig(ModeSEALDB, 48*kv.KiB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	ref := loadStream(t, d, 2500)
+	keys := sortedKeys(ref)
+	it := d.NewIterator()
+	pos := 700
+	it.Seek([]byte(keys[pos]))
+	for ; pos < 760; pos++ { // six blocks in
+		if !it.Valid() || string(it.Key()) != keys[pos] {
+			t.Fatalf("before compaction: at %q, want %q", it.Key(), keys[pos])
+		}
+		it.Next()
+	}
+	for i := 0; i < 2500; i += 2 {
+		if err := d.Put([]byte(keys[i]), []byte("overwritten")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.CompactRange(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	d.mu.Lock()
+	parked := len(d.reclaims)
+	d.mu.Unlock()
+	if parked == 0 {
+		t.Fatal("set-up: no reclamation parked behind the iterator")
+	}
+	for ; pos < len(keys); pos++ {
+		if !it.Valid() || string(it.Key()) != keys[pos] || !bytes.Equal(it.Value(), []byte(ref[keys[pos]])) {
+			t.Fatalf("after compaction: at %q (valid %v, err %v), want %q of the snapshot", it.Key(), it.Valid(), it.Error(), keys[pos])
+		}
+		it.Next()
+	}
+	if it.Valid() || it.Error() != nil {
+		t.Fatalf("iterator did not end cleanly: %v", it.Error())
+	}
+	it.Close()
+	d.mu.Lock()
+	parked = len(d.reclaims)
+	d.mu.Unlock()
+	if parked != 0 {
+		t.Errorf("%d reclamations still parked after Close", parked)
+	}
+	if err := d.VerifyIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestScanAllocatesOncePerRecord: the result is sized from the limit and
+// each record's key and value share an allocation; building the
+// iterator over a handful of tables is a few dozen more.
+func TestScanAllocatesOncePerRecord(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is unreliable under -race")
+	}
+	if invariant.Enabled {
+		t.Skip("lock-order watchdog allocates on profiled acquisitions")
+	}
+	d, err := Open(streamConfig(ModeSEALDB, 4*kv.MiB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	ref := loadStream(t, d, 1500)
+	keys := sortedKeys(ref)
+	const n = 100
+	scan := func() {
+		if kvs, err := d.Scan([]byte(keys[300]), n); err != nil || len(kvs) != n || string(kvs[n-1].Key) != keys[399] {
+			t.Fatalf("Scan = %d entries, %v", len(kvs), err)
+		}
+	}
+	scan()
+	if allocs := testing.AllocsPerRun(20, scan); allocs > n+60 {
+		t.Errorf("a Scan of %d records allocates %.0f times, want about one each", n, allocs)
+	}
+	// A limit far beyond the store must not size the result.
+	if kvs, err := d.Scan([]byte(keys[1490]), 1<<40); err != nil || len(kvs) != 10 || cap(kvs) > 1024 {
+		t.Errorf("Scan with a huge limit = %d entries (cap %d), %v", len(kvs), cap(kvs), err)
+	}
+}

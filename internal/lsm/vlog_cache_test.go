@@ -350,11 +350,11 @@ func TestVlogScanCopiesEachValueOnce(t *testing.T) {
 			t.Fatalf("Scan = %d entries, %v", len(kvs), err)
 		}
 	})
-	// Two per entry are the key and value copies Scan returns; building
-	// the iterator and growing the result are a few dozen more. A second
-	// copy per value would make it three per entry.
-	if allocs > 2.5*n {
-		t.Errorf("Scan of %d separated values allocates %.0f times, want about %d", n, allocs, 2*n)
+	// One per entry is the copy of key and value Scan returns; building
+	// the iterator is a few dozen more. A second copy per value would
+	// make it two per entry.
+	if allocs > 1.5*n {
+		t.Errorf("Scan of %d separated values allocates %.0f times, want about %d", n, allocs, n)
 	}
 }
 

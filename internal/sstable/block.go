@@ -89,23 +89,37 @@ type block struct {
 }
 
 func decodeBlock(data []byte) (*block, error) {
+	b := new(block)
+	if err := b.decode(data); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// decode points b at the entries of data, which it borrows, and parses
+// the restart array into b's own, reused when it is large enough.
+func (b *block) decode(data []byte) error {
 	if len(data) < 4 {
-		return nil, fmt.Errorf("sstable: block too short (%d bytes)", len(data))
+		return fmt.Errorf("sstable: block too short (%d bytes)", len(data))
 	}
 	n := binary.LittleEndian.Uint32(data[len(data)-4:])
 	restartsEnd := len(data) - 4
 	restartsStart := restartsEnd - int(n)*4
 	if n == 0 || restartsStart < 0 {
-		return nil, fmt.Errorf("sstable: bad restart count %d for %d-byte block", n, len(data))
+		return fmt.Errorf("sstable: bad restart count %d for %d-byte block", n, len(data))
 	}
-	restarts := make([]uint32, n)
-	for i := range restarts {
-		restarts[i] = binary.LittleEndian.Uint32(data[restartsStart+4*i:])
-		if int(restarts[i]) > restartsStart {
-			return nil, fmt.Errorf("sstable: restart %d out of range", restarts[i])
+	if cap(b.restarts) < int(n) {
+		b.restarts = make([]uint32, n)
+	}
+	b.restarts = b.restarts[:n]
+	for i := range b.restarts {
+		b.restarts[i] = binary.LittleEndian.Uint32(data[restartsStart+4*i:])
+		if int(b.restarts[i]) > restartsStart {
+			return fmt.Errorf("sstable: restart %d out of range", b.restarts[i])
 		}
 	}
-	return &block{data: data[:restartsStart], restarts: restarts}, nil
+	b.data = data[:restartsStart]
+	return nil
 }
 
 // blockIter iterates a decoded block. It implements kv.Iterator.

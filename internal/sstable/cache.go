@@ -166,11 +166,31 @@ func (c *Cache) put(file, offset uint64, b *block) {
 	if _, ok := c.items[k]; ok {
 		return
 	}
-	size := int64(len(b.data)) + int64(4*len(b.restarts)) + 64
-	e := &cacheEntry{key: k, block: b, size: size}
+	e := &cacheEntry{key: k, block: b, size: b.charge()}
 	c.items[k] = c.ll.PushFront(e)
-	c.used += size
+	c.used += e.size
 	c.evict()
+}
+
+// charge is what a cached block costs the budget.
+func (b *block) charge() int64 { return int64(len(b.data)) + int64(4*len(b.restarts)) + 64 }
+
+// admit caches a copy of b, decoded in a buffer its iterator will reuse,
+// only if that evicts nothing: a store that fits the cache still ends up
+// resident, a scan over a bigger one leaves the hot blocks where they are.
+func (c *Cache) admit(file, offset uint64, b *block) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	k, size := cacheKey{file, offset}, b.charge()
+	if _, ok := c.items[k]; ok || c.used+size > c.capacity {
+		return
+	}
+	b = &block{data: append([]byte(nil), b.data...), restarts: append([]uint32(nil), b.restarts...)}
+	c.items[k] = c.ll.PushFront(&cacheEntry{key: k, block: b, size: size})
+	c.used += size
 }
 
 // EvictFile drops every cached block or value of the given file (called

@@ -28,6 +28,8 @@ func FuzzTableRead(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seed)
+	multi, _, _ := streamTable(f, 20) // five blocks: enough to stream
+	f.Add(multi)
 	f.Add([]byte{})
 	f.Add(seed[:len(seed)/2])
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
@@ -37,12 +39,25 @@ func FuzzTableRead(f *testing.F) {
 		if err == nil && tbl != nil {
 			tbl.Get([]byte("alpha"), kv.MaxSeqNum)
 			tbl.Get([]byte("zulu"), kv.MaxSeqNum)
-			it := tbl.NewIterator()
-			n := 0
-			for it.SeekToFirst(); it.Valid() && n < 100000; it.Next() {
-				n++
+			// Every iterator kind, both ways: a damaged index can name
+			// any two numbers as a block, and the streaming iterator
+			// builds its reads from several of them.
+			for _, it := range []kv.Iterator{
+				tbl.NewIterator(), tbl.NewStreamingIterator(1, nil),
+				tbl.NewStreamingIterator(1<<20, nil), tbl.NewMemIterator(data),
+			} {
+				n := 0
+				for it.SeekToFirst(); it.Valid() && n < 100000; it.Next() {
+					n++
+				}
+				for it.SeekToLast(); it.Valid() && n < 200000; it.Prev() {
+					n++
+				}
+				it.Seek(kv.MakeInternalKey(nil, []byte("charlie"), kv.MaxSeqNum, kv.KindSet))
+				for i := 0; i < 4 && it.Valid(); i++ {
+					it.Next()
+				}
 			}
-			it.Seek(kv.MakeInternalKey(nil, []byte("charlie"), kv.MaxSeqNum, kv.KindSet))
 		}
 		if blk, err := decodeBlock(data); err == nil && blk != nil {
 			it := newBlockIter(blk)

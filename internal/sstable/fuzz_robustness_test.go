@@ -58,10 +58,14 @@ func TestBitFlipsNeverPanic(t *testing.T) {
 			for k := range entries {
 				tbl.Get([]byte(k), kv.MaxSeqNum)
 			}
-			it := tbl.NewIterator()
-			n := 0
-			for it.SeekToFirst(); it.Valid() && n < 10000; it.Next() {
-				n++
+			for _, it := range []kv.Iterator{tbl.NewIterator(), tbl.NewStreamingIterator(16<<10, nil), tbl.NewMemIterator(mut)} {
+				n := 0
+				for it.SeekToFirst(); it.Valid() && n < 10000; it.Next() {
+					n++
+				}
+				for it.SeekToLast(); it.Valid() && n < 20000; it.Prev() {
+					n++
+				}
 			}
 		}()
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 
 	"sealdb/internal/kv"
+	"sealdb/internal/obs"
 )
 
 // ErrCorruptBlock is the sentinel matched by errors.Is for any block
@@ -62,42 +63,44 @@ func Open(r io.ReaderAt, size int64, fileNum uint64, cache *Cache) (*Table, erro
 		offset: binary.LittleEndian.Uint64(footer[16:]),
 		length: binary.LittleEndian.Uint64(footer[24:]),
 	}
-	raw, err := t.readRaw(bloomHandle)
-	if err != nil {
+	var err error
+	if t.bloom, err = t.readRawFrom(t.r, bloomHandle); err != nil {
 		return nil, err
 	}
-	t.bloom = raw
-	idx, err := t.readBlock(indexHandle)
-	if err != nil {
+	if t.index, err = t.readBlock(indexHandle); err != nil {
 		return nil, err
 	}
-	t.index = idx
 	return t, nil
 }
 
-// readRaw fetches and CRC-checks a raw block (no decode).
-func (t *Table) readRaw(h blockHandle) ([]byte, error) {
-	return t.readRawFrom(t.r, h)
-}
-
+// readRawFrom fetches through r and CRC-checks a raw block (no decode).
 func (t *Table) readRawFrom(r io.ReaderAt, h blockHandle) ([]byte, error) {
-	if h.offset+h.length+blockTrailerLen > uint64(t.size) {
+	if !t.holds(h) {
 		return nil, fmt.Errorf("sstable: handle %+v outside file %d", h, t.fileNum)
 	}
 	buf := make([]byte, h.length+blockTrailerLen)
 	if _, err := r.ReadAt(buf, int64(h.offset)); err != nil {
 		return nil, fmt.Errorf("sstable: reading block of file %d: %w", t.fileNum, err)
 	}
-	contents := buf[:h.length]
-	typ := buf[h.length]
-	wantCRC := binary.LittleEndian.Uint32(buf[h.length+1:])
-	crc := crc32.Checksum(contents, castagnoliTable)
-	crc = crc32.Update(crc, castagnoliTable, []byte{typ})
-	if crc != wantCRC {
+	return t.checkRaw(buf, h)
+}
+
+// end is the file offset just past the block's trailer.
+func (h blockHandle) end() uint64 { return h.offset + h.length + blockTrailerLen }
+
+// holds reports whether the block at h and its trailer lie inside the file.
+func (t *Table) holds(h blockHandle) bool {
+	return h.length <= uint64(t.size) && h.offset <= uint64(t.size) && h.end() <= uint64(t.size)
+}
+
+// checkRaw CRC-checks buf, the block at h and its trailer as read, and
+// returns the contents: a slice of buf unless the block was compressed.
+func (t *Table) checkRaw(buf []byte, h blockHandle) ([]byte, error) {
+	if crc32.Checksum(buf[:h.length+1], castagnoliTable) != binary.LittleEndian.Uint32(buf[h.length+1:]) {
 		t.cache.noteCorrupt(t.fileNum, h.offset)
 		return nil, &CorruptBlockError{FileNum: t.fileNum, Offset: h.offset}
 	}
-	out, err := decompressBlock(typ, contents)
+	out, err := decompressBlock(buf[h.length], buf[:h.length])
 	if err != nil {
 		return nil, fmt.Errorf("sstable: file %d at %d: %w", t.fileNum, h.offset, err)
 	}
@@ -109,7 +112,7 @@ func (t *Table) readBlock(h blockHandle) (*block, error) {
 	if b := t.cache.get(t.fileNum, h.offset); b != nil {
 		return b, nil
 	}
-	raw, err := t.readRaw(h)
+	raw, err := t.readRawFrom(t.r, h)
 	if err != nil {
 		return nil, err
 	}
@@ -178,6 +181,29 @@ func (t *Table) NewIterator() kv.Iterator {
 	return &tableIter{t: t, ix: newBlockIter(t.index)}
 }
 
+// NewMemIterator iterates a table whose whole file the caller holds in
+// data and leaves alone meanwhile: every data block is checked and decoded
+// where it lies, with no cache and no copy.
+func (t *Table) NewMemIterator(data []byte) kv.Iterator {
+	return &tableIter{t: t, ix: newBlockIter(t.index), win: &window{buf: data[:t.size:t.size]}}
+}
+
+// streamAfter is how many data blocks after a positioning call go through
+// the cache (a seek nearby comes back to them), and the first window's size.
+const streamAfter = 2
+
+// NewStreamingIterator returns the iterator of the user read path. After
+// Seek, SeekToFirst, SeekToLast or Prev, streamAfter data blocks go through
+// the cache as with NewIterator. Past them, a forward step to a block that
+// neither the iterator's window nor the cache holds refills the window by
+// one device read of whole blocks: streamAfter, then twice as many per
+// refill up to readahead bytes. Blocks are checked and decoded in the
+// window, counted in streamed, and cached only while that evicts nothing.
+func (t *Table) NewStreamingIterator(readahead int, streamed *obs.Counter) kv.Iterator {
+	w := &window{after: streamAfter, max: uint64(readahead), grow: streamAfter, streamed: streamed}
+	return &tableIter{t: t, ix: newBlockIter(t.index), win: w}
+}
+
 // NewCompactionIterator returns an iterator for compaction input
 // scans: it bypasses the block cache (LevelDB's fill_cache=false)
 // and reads through a readahead window of the given size, modeling
@@ -223,14 +249,30 @@ func (ra *readaheadReader) ReadAt(p []byte, off int64) (int, error) {
 	return len(p), nil
 }
 
+// window is a run of whole blocks of one table as read: a read-ahead buffer
+// or a table held in memory. Entries are valid until the next block load.
+type window struct {
+	off      uint64 // file offset of buf[0]
+	buf      []byte
+	after    int    // block loads after positioning that go through the cache
+	max      uint64 // refill bound in bytes
+	grow     int    // blocks the next refill asks for
+	streamed *obs.Counter
+	peek     blockIter // reads the index ahead of the iterator
+	blk      block     // the block decoded last, reused block after block
+}
+
 // tableIter chains the index iterator with per-block data iterators.
 type tableIter struct {
 	t       *Table
 	ix      *blockIter
-	data    *blockIter
+	data    *blockIter // nil or &cur
+	cur     blockIter  // reused block after block, key buffer and all
 	err     error
 	nocache bool
 	src     io.ReaderAt // non-nil: read data blocks through this
+	win     *window     // non-nil: blocks may be decoded in place from it
+	run     int         // block loads since the last positioning call or Prev
 }
 
 func (it *tableIter) Valid() bool {
@@ -257,73 +299,129 @@ func (it *tableIter) loadBlock() {
 		it.err = err
 		return
 	}
+	it.run++
 	var b *block
-	if it.nocache {
+	switch {
+	case it.nocache:
 		src := it.src
 		if src == nil {
 			src = it.t.r
 		}
-		raw, err := it.t.readRawFrom(src, h)
-		if err == nil {
+		var raw []byte
+		if raw, err = it.t.readRawFrom(src, h); err == nil {
 			b, err = decodeBlock(raw)
 		}
-		if err != nil {
-			it.err = err
-			return
-		}
-	} else {
+	case it.win != nil && it.run > it.win.after:
+		b, err = it.streamBlock(h)
+	default:
 		b, err = it.t.readBlock(h)
-		if err != nil {
-			it.err = err
-			return
+	}
+	if err != nil {
+		it.err = err
+		return
+	}
+	it.cur = blockIter{b: b, key: it.cur.key[:0]}
+	it.data = &it.cur
+}
+
+// streamBlock returns the block at h from the window (no cache probe),
+// else from the cache (no device read), else from the window refilled.
+func (it *tableIter) streamBlock(h blockHandle) (*block, error) {
+	w, t := it.win, it.t
+	if !t.holds(h) {
+		return nil, fmt.Errorf("sstable: handle %+v outside file %d", h, t.fileNum)
+	}
+	if h.offset < w.off || h.end() > w.off+uint64(len(w.buf)) {
+		if b := t.cache.get(t.fileNum, h.offset); b != nil {
+			return b, nil
+		}
+		if err := it.refill(h); err != nil {
+			return nil, err
 		}
 	}
-	it.data = newBlockIter(b)
+	contents, err := t.checkRaw(w.buf[h.offset-w.off:h.end()-w.off], h)
+	if err == nil {
+		err = w.blk.decode(contents)
+	}
+	if err != nil {
+		return nil, err
+	}
+	w.streamed.Inc()
+	t.cache.admit(t.fileNum, h.offset, &w.blk)
+	return &w.blk, nil
+}
+
+// refill reads into the window the block at h, where the index iterator
+// stands, and the blocks the index puts right behind it, until it holds
+// grow blocks or (past streamAfter) the next would exceed max bytes: never
+// past the last data block, and the next refill continues without a seek.
+func (it *tableIter) refill(h blockHandle) error {
+	w, t := it.win, it.t
+	w.peek = blockIter{b: t.index, next: it.ix.next, key: append(w.peek.key[:0], it.ix.key...)}
+	n, end := 1, h.end()
+	for w.peek.parseNext(); n < w.grow && w.peek.Valid(); w.peek.parseNext() {
+		nh, _, err := decodeHandle(w.peek.Value())
+		if err != nil || nh.offset != end || !t.holds(nh) || n >= streamAfter && nh.end()-h.offset > w.max {
+			break
+		}
+		n, end = n+1, nh.end()
+	}
+	w.grow += n // doubles, until max or the table's end cuts a refill short
+	if size := int(end - h.offset); cap(w.buf) < size {
+		w.buf = make([]byte, size)
+	}
+	w.buf, w.off = w.buf[:end-h.offset], h.offset
+	if _, err := t.r.ReadAt(w.buf, int64(h.offset)); err != nil {
+		w.buf = w.buf[:0]
+		return fmt.Errorf("sstable: reading blocks of file %d: %w", t.fileNum, err)
+	}
+	return nil
 }
 
 func (it *tableIter) SeekToFirst() {
-	it.err = nil
+	it.err, it.run = nil, 0
 	it.ix.SeekToFirst()
 	it.loadBlock()
 	if it.data != nil {
 		it.data.SeekToFirst()
 	}
-	it.skipEmptyBlocks()
+	it.skipEmptyBlocks(false)
 }
 
 func (it *tableIter) Seek(target kv.InternalKey) {
-	it.err = nil
+	it.err, it.run = nil, 0
 	it.ix.Seek(target)
 	it.loadBlock()
 	if it.data != nil {
 		it.data.Seek(target)
 	}
-	it.skipEmptyBlocks()
+	it.skipEmptyBlocks(false)
 }
 
 func (it *tableIter) SeekToLast() {
-	it.err = nil
+	it.err, it.run = nil, 0
 	it.ix.SeekToLast()
 	it.loadBlock()
 	if it.data != nil {
 		it.data.SeekToLast()
 	}
-	it.skipEmptyBlocksBackward()
+	it.skipEmptyBlocks(true)
 }
 
 func (it *tableIter) Next() {
 	it.data.Next()
-	it.skipEmptyBlocks()
+	it.skipEmptyBlocks(false)
 }
 
 func (it *tableIter) Prev() {
+	it.run = 0
 	it.data.Prev()
-	it.skipEmptyBlocksBackward()
+	it.skipEmptyBlocks(true)
 }
 
-// skipEmptyBlocksBackward retreats to the previous non-exhausted
-// data block.
-func (it *tableIter) skipEmptyBlocksBackward() {
+// skipEmptyBlocks advances (back: retreats) to the nearest data block
+// that is not exhausted.
+func (it *tableIter) skipEmptyBlocks(back bool) {
 	for it.err == nil && (it.data == nil || !it.data.Valid()) {
 		if it.data != nil && it.data.Error() != nil {
 			it.err = it.data.Error()
@@ -333,28 +431,14 @@ func (it *tableIter) skipEmptyBlocksBackward() {
 			it.data = nil
 			return
 		}
-		it.ix.Prev()
-		it.loadBlock()
-		if it.data != nil {
+		if back {
+			it.ix.Prev()
+		} else {
+			it.ix.Next()
+		}
+		if it.loadBlock(); it.data != nil && back {
 			it.data.SeekToLast()
-		}
-	}
-}
-
-// skipEmptyBlocks advances to the next non-exhausted data block.
-func (it *tableIter) skipEmptyBlocks() {
-	for it.err == nil && (it.data == nil || !it.data.Valid()) {
-		if it.data != nil && it.data.Error() != nil {
-			it.err = it.data.Error()
-			return
-		}
-		if !it.ix.Valid() {
-			it.data = nil
-			return
-		}
-		it.ix.Next()
-		it.loadBlock()
-		if it.data != nil {
+		} else if it.data != nil {
 			it.data.SeekToFirst()
 		}
 	}

@@ -1,0 +1,413 @@
+package sstable
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"sealdb/internal/kv"
+	"sealdb/internal/obs"
+	"sealdb/internal/platter"
+)
+
+// The streaming iterator (DESIGN.md §sstable.Cache, Streaming) reads
+// ahead through its own window and decodes blocks in a buffer it reuses.
+// These tests cover what that newly makes possible: reads that overlap,
+// leave gaps or run past the data blocks, a window that serves stale or
+// unchecked bytes, a cache probed for what the window holds, and
+// allocations per block.
+
+// streamTable builds a table of n entries with values near 1 KiB, four to
+// a block, and returns its bytes, its sorted user keys and their values.
+func streamTable(t testing.TB, n int) ([]byte, []string, map[string]string) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(n)))
+	vals := make(map[string]string, n)
+	keys := make([]string, n)
+	b := NewBuilder()
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key%08d", 3*i)
+		v := make([]byte, 900+rng.Intn(200))
+		rng.Read(v)
+		vals[keys[i]] = string(v)
+		b.Add(kv.MakeInternalKey(nil, []byte(keys[i]), kv.SeqNum(i+1), kv.KindSet), v)
+	}
+	data, _, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data, keys, vals
+}
+
+// dataBlocks lists the table's data-block handles in index order.
+func dataBlocks(t testing.TB, tbl *Table) []blockHandle {
+	t.Helper()
+	var hs []blockHandle
+	ix := newBlockIter(tbl.index)
+	for ix.SeekToFirst(); ix.Valid(); ix.Next() {
+		h, _, err := decodeHandle(ix.Value())
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs = append(hs, h)
+	}
+	return hs
+}
+
+// readLog is an io.ReaderAt that records every read's range.
+type readLog struct {
+	r     io.ReaderAt
+	reads [][2]int64 // offset, end
+}
+
+func (l *readLog) ReadAt(p []byte, off int64) (int, error) {
+	l.reads = append(l.reads, [2]int64{off, off + int64(len(p))})
+	return l.r.ReadAt(p, off)
+}
+
+// platterFile reads a file stored at base on a modelled disk.
+type platterFile struct {
+	d    *platter.Disk
+	base int64
+}
+
+func (f platterFile) ReadAt(p []byte, off int64) (int, error) {
+	_, err := f.d.ReadAt(p, f.base+off)
+	return len(p), err
+}
+
+type accessLog []platter.AccessInfo
+
+func (l *accessLog) ObserveAccess(a platter.AccessInfo) { *l = append(*l, a) }
+
+// TestStreamingScanIsOneSequentialPass: a forward scan of one table is
+// one seek and then continuations only — every read starts where the
+// previous one ended, on a block boundary — it covers the data blocks
+// exactly and never reaches into the bloom or index blocks behind them,
+// and windows grow to the read-ahead bound, not past it.
+func TestStreamingScanIsOneSequentialPass(t *testing.T) {
+	data, keys, _ := streamTable(t, 600)
+	const base = 3 << 20
+	for _, readahead := range []int{1, 8192, 16 << 10, 128 << 10, 64 << 20} {
+		disk := platter.New(platter.DefaultConfig(64 << 20))
+		if _, err := disk.WriteAt(data, base); err != nil {
+			t.Fatal(err)
+		}
+		tbl, err := Open(platterFile{disk, base}, int64(len(data)), 1, NewCache(1<<20))
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks := dataBlocks(t, tbl)
+		boundary := map[int64]bool{}
+		for _, h := range blocks {
+			boundary[base+int64(h.offset)] = true
+			boundary[base+int64(h.end())] = true
+		}
+		var log accessLog
+		disk.ResetStats()
+		disk.SetSink("test", &log)
+		var streamed obs.Counter
+		it := tbl.NewStreamingIterator(readahead, &streamed)
+		n := 0
+		for it.SeekToFirst(); it.Valid(); it.Next() {
+			n++
+		}
+		if it.Error() != nil || n != len(keys) {
+			t.Fatalf("readahead %d: scanned %d of %d entries, err %v", readahead, n, len(keys), it.Error())
+		}
+		if s := disk.Stats(); s.Seeks != 1 || int(s.ReadOps) != len(log) {
+			t.Errorf("readahead %d: %d seeks over %d reads, want 1", readahead, s.Seeks, s.ReadOps)
+		}
+		// Two single blocks through the cache, then windows of whole
+		// blocks: 2, 4, 8, ... while they fit the bound, two regardless.
+		end := base + int64(blocks[0].offset)
+		for i, a := range log {
+			if a.Write || a.Offset != end || !boundary[a.Offset+int64(a.Length)] {
+				t.Fatalf("readahead %d: read %d is [%d,%d), previous ended at %d (block boundaries only)",
+					readahead, i, a.Offset, a.Offset+int64(a.Length), end)
+			}
+			end = a.Offset + int64(a.Length)
+			n := 0
+			for _, h := range blocks {
+				if off := base + int64(h.offset); off >= a.Offset && off < end {
+					n++
+				}
+			}
+			last := end == base+int64(blocks[len(blocks)-1].end())
+			switch {
+			case i < streamAfter && n != 1,
+				i >= streamAfter && n > streamAfter<<min(i-streamAfter, 20),
+				i >= streamAfter && n < streamAfter && !last,
+				n > streamAfter && a.Length > readahead:
+				t.Errorf("readahead %d: read %d holds %d blocks in %d bytes", readahead, i, n, a.Length)
+			}
+		}
+		if last := base + int64(blocks[len(blocks)-1].end()); end != last {
+			t.Errorf("readahead %d: reads ended at %d, the last data block at %d", readahead, end, last)
+		}
+		if readahead >= 128<<10 && len(log) > 12 {
+			t.Errorf("readahead %d: %d reads for %d blocks: windows did not grow", readahead, len(log), len(blocks))
+		}
+		if got := int(streamed.Value()); got != len(blocks)-streamAfter {
+			t.Errorf("readahead %d: %d blocks counted as streamed, want %d", readahead, got, len(blocks)-streamAfter)
+		}
+	}
+}
+
+// TestStreamingIteratorMatchesPlain: random walks across block boundaries
+// see exactly what the plain iterator sees, whatever the window, whether
+// the cache has room, is full or is absent.
+func TestStreamingIteratorMatchesPlain(t *testing.T) {
+	data, keys, _ := streamTable(t, 700)
+	plainTbl, err := Open(bytes.NewReader(data), int64(len(data)), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const blk = 4200
+	for i, readahead := range []int{0, 2 * blk, 3 * blk, 4 * blk, 8 * blk, 32 * blk} {
+		var cache *Cache
+		switch i % 3 {
+		case 0:
+			cache = NewCache(40 << 10) // fills during the walk, then admits nothing
+		case 1:
+			cache = NewCache(4 << 20) // always room
+		}
+		tbl, err := Open(bytes.NewReader(data), int64(len(data)), 1, cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		walks := []kv.Iterator{tbl.NewStreamingIterator(readahead, nil), tbl.NewMemIterator(data)}
+		for _, it := range walks {
+			plain := plainTbl.NewIterator()
+			rng := rand.New(rand.NewSource(int64(readahead)))
+			for step := 0; step < 30000; step++ {
+				switch r := rng.Intn(100); {
+				case r < 1:
+					it.SeekToFirst()
+					plain.SeekToFirst()
+				case r < 2:
+					it.SeekToLast()
+					plain.SeekToLast()
+				case r < 5:
+					target := kv.MakeSearchKey(nil, []byte(fmt.Sprintf("key%08d", rng.Intn(3*len(keys)+5))), kv.MaxSeqNum)
+					it.Seek(target)
+					plain.Seek(target)
+				case r < 15 && plain.Valid():
+					it.Prev()
+					plain.Prev()
+				case plain.Valid():
+					it.Next()
+					plain.Next()
+				}
+				if it.Valid() != plain.Valid() || it.Error() != nil {
+					t.Fatalf("readahead %d step %d: valid %v, plain %v, err %v", readahead, step, it.Valid(), plain.Valid(), it.Error())
+				}
+				if it.Valid() && (kv.CompareInternal(it.Key(), plain.Key()) != 0 || !bytes.Equal(it.Value(), plain.Value())) {
+					t.Fatalf("readahead %d step %d: at %s, plain at %s", readahead, step, it.Key(), plain.Key())
+				}
+			}
+		}
+	}
+}
+
+// TestStreamedCorruptBlockIsNeverEmitted: a bit flipped in a block that
+// arrives through the window is found when that block is reached — the
+// same error, offset and counter as on the cache path — after every entry
+// before it and none of its own.
+func TestStreamedCorruptBlockIsNeverEmitted(t *testing.T) {
+	data, keys, vals := streamTable(t, 400)
+	clean, err := Open(bytes.NewReader(data), int64(len(data)), 7, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := dataBlocks(t, clean)
+	for _, victim := range []int{2, 3, 4, 9, len(blocks) - 1} {
+		h := blocks[victim]
+		mut := append([]byte(nil), data...)
+		mut[h.offset+h.length/2] ^= 0x10
+		cache := NewCache(1 << 20)
+		var seenFile, seenOff uint64
+		cache.SetCorruptObserver(func(file, offset uint64) { seenFile, seenOff = file, offset })
+		tbl, err := Open(bytes.NewReader(mut), int64(len(mut)), 7, cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The first key of the damaged block: nothing from there on may
+		// come out.
+		first := newBlockIter(mustBlock(t, clean, h))
+		first.SeekToFirst()
+		stop := sort.SearchStrings(keys, string(first.Key().UserKey()))
+		it := tbl.NewStreamingIterator(64<<10, nil)
+		n := 0
+		for it.SeekToFirst(); it.Valid(); it.Next() {
+			if k := string(it.Key().UserKey()); n >= stop || k != keys[n] || string(it.Value()) != vals[k] {
+				t.Fatalf("victim block %d: entry %d is %q, want %q and fewer than %d entries", victim, n, k, keys[min(n, len(keys)-1)], stop)
+			}
+			n++
+		}
+		var cbe *CorruptBlockError
+		if err := it.Error(); n != stop || !errors.Is(err, ErrCorruptBlock) || !errors.As(err, &cbe) || cbe.FileNum != 7 || cbe.Offset != h.offset {
+			t.Fatalf("victim block %d at %d: %d entries (want %d), err %v", victim, h.offset, n, stop, err)
+		}
+		if s := cache.Stats(); s.CorruptBlocks != 1 || seenFile != 7 || seenOff != h.offset {
+			t.Errorf("victim block %d: %d corrupt blocks counted, observer saw file %d offset %d", victim, s.CorruptBlocks, seenFile, seenOff)
+		}
+		if cache.get(7, h.offset) != nil {
+			t.Errorf("victim block %d was cached", victim)
+		}
+	}
+}
+
+func mustBlock(t *testing.T, tbl *Table, h blockHandle) *block {
+	t.Helper()
+	b, err := tbl.readBlock(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestStreamingServesCachedBlockFromCache: past its second block the
+// iterator still asks the cache for a block its window does not hold, and
+// a hit costs no device read; a block the window does hold is not asked
+// for at all.
+func TestStreamingServesCachedBlockFromCache(t *testing.T) {
+	data, keys, _ := streamTable(t, 80)
+	cache := NewCache(1) // admits and keeps nothing on its own
+	log := &readLog{r: bytes.NewReader(data)}
+	tbl, err := Open(log, int64(len(data)), 1, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := dataBlocks(t, tbl)
+	// Two-block windows: blocks 0 and 1 go through the cache, [2,3] is the
+	// first window, so block 4 is wanted with no window holding it.
+	h := blocks[4]
+	warm := mustBlock(t, tbl, h)
+	cache.mu.Lock()
+	cache.capacity = 1 << 20
+	cache.mu.Unlock()
+	cache.put(1, h.offset, warm)
+	before := cache.Stats()
+	log.reads = nil
+
+	it := tbl.NewStreamingIterator(1, nil)
+	n := 0
+	for it.SeekToFirst(); it.Valid(); it.Next() {
+		n++
+	}
+	if it.Error() != nil || n != len(keys) {
+		t.Fatalf("scanned %d of %d entries, err %v", n, len(keys), it.Error())
+	}
+	for _, r := range log.reads {
+		if r[0] < int64(h.end()) && r[1] > int64(h.offset) {
+			t.Errorf("read [%d,%d) covers the cached block [%d,%d)", r[0], r[1], h.offset, h.end())
+		}
+	}
+	after := cache.Stats()
+	if hits := after.Hits - before.Hits; hits != 1 {
+		t.Errorf("%d cache hits during the scan, want 1", hits)
+	}
+	// Blocks 0 and 1, then one probe per refill: [2,3], block 4 hit,
+	// [5,6], [7,8], ... A probe per block would be len(blocks)-1 misses.
+	refills := 1 + (len(blocks)-5+1)/2
+	if misses := after.Misses - before.Misses; int(misses) != streamAfter+refills {
+		t.Errorf("%d cache misses during the scan of %d blocks, want %d", misses, len(blocks), streamAfter+refills)
+	}
+}
+
+// TestStreamingAdmitsOnlyIntoFreeRoom: a scan fills a cache that has
+// room, so a table that fits is read from the device once; it evicts
+// nothing from a cache that is full.
+func TestStreamingAdmitsOnlyIntoFreeRoom(t *testing.T) {
+	data, keys, _ := streamTable(t, 200)
+	scan := func(tbl *Table) {
+		t.Helper()
+		it := tbl.NewStreamingIterator(32<<10, nil)
+		n := 0
+		for it.SeekToFirst(); it.Valid(); it.Next() {
+			n++
+		}
+		if it.Error() != nil || n != len(keys) {
+			t.Fatalf("scanned %d of %d entries, err %v", n, len(keys), it.Error())
+		}
+	}
+	log := &readLog{r: bytes.NewReader(data)}
+	tbl, err := Open(log, int64(len(data)), 1, NewCache(4<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan(tbl)
+	log.reads = nil
+	scan(tbl)
+	if len(log.reads) != 0 {
+		t.Errorf("second scan of a table that fits the cache made %d device reads", len(log.reads))
+	}
+
+	// A full cache: one resident block of another file and no room for a
+	// second. The scan must leave it there.
+	small := NewCache(1 << 20)
+	other, err := Open(bytes.NewReader(data), int64(len(data)), 2, small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err = Open(bytes.NewReader(data), int64(len(data)), 1, small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small.EvictFile(1)
+	small.EvictFile(2)
+	hot := dataBlocks(t, other)[10]
+	full := mustBlock(t, other, hot).charge()
+	small.mu.Lock()
+	small.capacity = full
+	small.mu.Unlock()
+	it := tbl.NewStreamingIterator(32<<10, nil)
+	it.Seek(kv.MakeSearchKey(nil, []byte(keys[40]), kv.MaxSeqNum))
+	for i := 0; i < 12 && it.Valid(); i++ { // into the third block and beyond
+		it.Next()
+	}
+	// The two blocks read through the cache evicted as they always did;
+	// put the hot block back and stream on.
+	mustBlock(t, other, hot)
+	for it.Valid() {
+		it.Next()
+	}
+	if it.Error() != nil {
+		t.Fatal(it.Error())
+	}
+	if s := small.Stats(); small.get(2, hot.offset) == nil || s.Entries != 1 {
+		t.Errorf("streaming through a full cache: resident block kept = %v, %d entries", small.get(2, hot.offset) != nil, s.Entries)
+	}
+}
+
+// TestStreamingSteadyStateAllocatesNothingPerBlock: after the first
+// refill sized its buffer, a scan allocates for the two blocks it reads
+// through the cache path and for nothing else, however long it is.
+func TestStreamingSteadyStateAllocatesNothingPerBlock(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under the race detector")
+	}
+	allocs := func(entries int, cache *Cache) float64 {
+		data, _, _ := streamTable(t, entries)
+		tbl, err := Open(bytes.NewReader(data), int64(len(data)), 1, cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		it := tbl.NewStreamingIterator(8192, nil)
+		return testing.AllocsPerRun(5, func() {
+			for it.SeekToFirst(); it.Valid(); it.Next() {
+			}
+		})
+	}
+	for _, cache := range []*Cache{nil, NewCache(1)} {
+		short, long := allocs(100, cache), allocs(800, cache)
+		if short != long || long > 12 {
+			t.Errorf("cache %v: %v allocations per scan of 25 blocks, %v per scan of 200", cache != nil, short, long)
+		}
+	}
+}
