@@ -217,10 +217,13 @@ func (d *DB) runCompaction(c *compaction) error {
 		return nil
 	}
 
-	outputs, vlogDead, err := d.mergeInputs(c)
+	outputs, datas, vlogDead, err := d.mergeInputs(c)
 	if err != nil {
 		return err
 	}
+	// The device writes below are synchronous: once they have returned,
+	// with or without an error, nobody holds the outputs' bytes.
+	defer putBufs(datas)
 
 	// Place the outputs: grouped modes write the new set in one
 	// contiguous extent; others write file by file. The edit carries
@@ -228,11 +231,9 @@ func (d *DB) runCompaction(c *compaction) error {
 	// emptied by this compaction.
 	edit := &version.Edit{}
 	nums := make([]uint64, len(outputs))
-	datas := make([][]byte, len(outputs))
 	for i, o := range outputs {
-		nums[i] = o.num
-		datas[i] = o.data
-		info.OutputBytes += int64(len(o.data))
+		nums[i] = o.Num
+		info.OutputBytes += o.Size
 	}
 	var setID uint64
 	if len(outputs) > 0 && d.cfg.groupedOutputs(c.outLevel) {
@@ -256,8 +257,8 @@ func (d *DB) runCompaction(c *compaction) error {
 		}
 	}
 	for _, o := range outputs {
-		o.meta.SetID = setID
-		edit.Added = append(edit.Added, version.AddedFile{Level: c.outLevel, Meta: o.meta})
+		o.SetID = setID
+		edit.Added = append(edit.Added, version.AddedFile{Level: c.outLevel, Meta: o})
 	}
 
 	// Per-level amplification accounting: bytes read out of each input
@@ -309,7 +310,7 @@ func (d *DB) runCompaction(c *compaction) error {
 
 	info.OutputPlacements = make([]storage.Extent, 0, len(outputs))
 	for _, o := range outputs {
-		if ext, err := d.backend.FileExtent(o.num); err == nil {
+		if ext, err := d.backend.FileExtent(o.Num); err == nil {
 			info.OutputPlacements = append(info.OutputPlacements, ext)
 		}
 	}
@@ -328,13 +329,6 @@ func (d *DB) runCompaction(c *compaction) error {
 	return nil
 }
 
-// output is a finished compaction output table.
-type output struct {
-	num  uint64
-	data []byte
-	meta *version.FileMeta
-}
-
 // readahead models the OS readahead a streaming merge gets on each
 // input file: 128 KiB at full scale, shrunk with the device time
 // scale so the seek-to-transfer ratio of a k-way interleaved merge is
@@ -351,7 +345,8 @@ func (c *Config) readahead() int {
 	return ra
 }
 
-// inputIterators builds the merge's child iterators.
+// inputIterators builds the merge's child iterators and returns the
+// recycled buffers they read from, the caller's to release afterwards.
 //
 // This is where the paper's set advantage lives: SEALDB (and the
 // LevelDB+sets ablation) first reads every input whole — and a set is
@@ -361,36 +356,61 @@ func (c *Config) readahead() int {
 // LevelDB and SMRDB stream their inputs block by block instead, the
 // k-way interleave paying a seek whenever it switches files.
 // Both paths bypass the block cache, as LevelDB compactions do.
-func (d *DB) inputIterators(c *compaction) ([]kv.Iterator, error) {
+//
+// The files of a sorted level are disjoint and in key order, so they
+// enter the merge as one child: a victim and its set are a 2-way merge
+// however many files the set has.
+func (d *DB) inputIterators(c *compaction) (children []kv.Iterator, bufs [][]byte, err error) {
 	all := append(append([]*version.FileMeta(nil), c.inputs0...), c.inputs1...)
-	var children []kv.Iterator
+	its := make(map[uint64]kv.Iterator, len(all))
 	if d.cfg.groupedOutputs(2) {
-		files, datas, err := d.readWhole(all)
-		if err != nil {
-			return nil, err
+		var files []*version.FileMeta
+		if files, bufs, err = d.readWhole(all); err != nil {
+			return nil, nil, err
 		}
 		for i, f := range files {
-			t, err := sstable.Open(bytes.NewReader(datas[i]), int64(len(datas[i])), f.Num, nil)
+			t, err := sstable.Open(bytes.NewReader(bufs[i]), int64(len(bufs[i])), f.Num, nil)
 			if err != nil {
-				return nil, err
+				return nil, bufs, err
 			}
-			children = append(children, t.NewMemIterator(datas[i]))
+			its[f.Num] = t.NewMemIterator(bufs[i])
 		}
-		return children, nil
-	}
-	for _, f := range all {
-		t, err := d.openTable(f)
-		if err != nil {
-			return nil, err
+	} else {
+		for _, f := range all {
+			t, err := d.openTable(f)
+			if err != nil {
+				return nil, nil, err
+			}
+			its[f.Num] = t.NewCompactionIterator(d.cfg.readahead())
 		}
-		children = append(children, t.NewCompactionIterator(d.cfg.readahead()))
+		// A streaming merge reads each input's first window as it
+		// positions its children, in this order. Do that here: a file
+		// reached later through its level's concatIter is positioned
+		// again, out of the window it then still holds.
+		for _, f := range all {
+			if its[f.Num].SeekToFirst(); its[f.Num].Error() != nil {
+				return nil, nil, its[f.Num].Error()
+			}
+		}
 	}
-	return children, nil
+	for _, in := range [2]struct {
+		level int
+		files []*version.FileMeta
+	}{{c.level, c.inputs0}, {c.outLevel, c.inputs1}} {
+		if len(in.files) > 1 && d.cfg.sortedLevel(in.level) {
+			children = append(children, &concatIter{files: in.files, inputs: its})
+			continue
+		}
+		for _, f := range in.files {
+			children = append(children, its[f.Num])
+		}
+	}
+	return children, bufs, nil
 }
 
-// readWhole reads files whole, in physical order so that a contiguous
-// set is one sequential pass without seeking, and returns them in
-// that order with their bytes. Caller holds d.mu.
+// readWhole reads files whole into recycled buffers, in physical order
+// so that a contiguous set is one sequential pass without seeking, and
+// returns them in that order with their bytes (putBufs). Caller holds d.mu.
 func (d *DB) readWhole(files []*version.FileMeta) ([]*version.FileMeta, [][]byte, error) {
 	sorted := append([]*version.FileMeta(nil), files...)
 	sort.Slice(sorted, func(i, j int) bool {
@@ -404,12 +424,27 @@ func (d *DB) readWhole(files []*version.FileMeta) ([]*version.FileMeta, [][]byte
 		if err != nil {
 			return nil, nil, err
 		}
-		datas[i] = make([]byte, size)
+		// ReadFileAt overwrites all of it: old bytes need no zeroing.
+		datas[i] = d.tableBuf(size)[:size]
 		if _, err := d.backend.ReadFileAt(f.Num, datas[i], 0); err != nil && err != io.EOF {
 			return nil, nil, err
 		}
 	}
 	return sorted, datas, nil
+}
+
+// tableBuf returns an empty recycled buffer with room for one table of
+// the configured size (blocks up to the cut, the entry that crossed
+// it, index and filter), or for n bytes if that is more.
+func (d *DB) tableBuf(n int64) []byte {
+	return sstable.GetBuf(int(max(n, d.cfg.SSTableSize+d.cfg.SSTableSize/8+4096)))
+}
+
+// putBufs releases tableBuf buffers that nothing references any more.
+func putBufs(bufs [][]byte) {
+	for _, b := range bufs {
+		sstable.PutBuf(b)
+	}
 }
 
 // mergeInputs runs the merge loop: inputs are read in key order,
@@ -418,17 +453,19 @@ func (d *DB) readWhole(files []*version.FileMeta) ([]*version.FileMeta, [][]byte
 // splitting a user key across outputs. dead accumulates the
 // value-log bytes whose pointers were dropped here, per segment
 // (nil when key–value separation is off). Caller holds d.mu.
-func (d *DB) mergeInputs(c *compaction) ([]*output, map[uint64]int64, error) {
-	children, err := d.inputIterators(c)
+func (d *DB) mergeInputs(c *compaction) ([]*version.FileMeta, [][]byte, map[uint64]int64, error) {
+	children, bufs, err := d.inputIterators(c)
+	defer putBufs(bufs) // the iterators die with this call
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	merge := newMergingIter(children...)
 
 	smallestSnap := d.smallestSnapshot()
 	var (
-		outputs     []*output
-		builder     *sstable.Builder
+		outputs     []*version.FileMeta
+		datas       [][]byte         // the outputs' bytes, in tableBuf buffers
+		builder     *sstable.Builder // nil between outputs
 		curUser     []byte
 		haveCur     bool
 		lastSeq     kv.SeqNum
@@ -437,22 +474,17 @@ func (d *DB) mergeInputs(c *compaction) ([]*output, map[uint64]int64, error) {
 		dead        map[uint64]int64
 	)
 	finish := func() error {
-		if builder == nil || builder.Empty() {
-			builder = nil
+		if builder == nil {
 			return nil
 		}
 		data, meta, err := builder.Finish()
 		if err != nil {
 			return err
 		}
-		num := d.vs.NewFileNum()
-		outputs = append(outputs, &output{
-			num:  num,
-			data: append([]byte(nil), data...),
-			meta: &version.FileMeta{
-				Num: num, Size: meta.Size,
-				Smallest: meta.Smallest, Largest: meta.Largest,
-			},
+		datas = append(datas, data)
+		outputs = append(outputs, &version.FileMeta{
+			Num: d.vs.NewFileNum(), Size: meta.Size,
+			Smallest: meta.Smallest, Largest: meta.Largest,
 		})
 		builder = nil
 		wantCut = false
@@ -497,11 +529,11 @@ func (d *DB) mergeInputs(c *compaction) ([]*output, map[uint64]int64, error) {
 		// versions of one user key.
 		if wantCut && (lastOutUser == nil || kv.CompareUser(user, lastOutUser) != 0) {
 			if err := finish(); err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
 		}
 		if builder == nil {
-			builder = sstable.NewBuilder().SetCompression(d.cfg.Compression)
+			builder = d.builder.Reset(d.tableBuf(0))
 		}
 		builder.Add(ik, merge.Value())
 		lastOutUser = append(lastOutUser[:0], user...)
@@ -510,12 +542,12 @@ func (d *DB) mergeInputs(c *compaction) ([]*output, map[uint64]int64, error) {
 		}
 	}
 	if err := merge.Error(); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if err := finish(); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return outputs, dead, nil
+	return outputs, datas, dead, nil
 }
 
 // isBaseLevelForKey reports whether no level deeper than the

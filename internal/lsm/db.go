@@ -143,8 +143,10 @@ type DB struct {
 	// lockorder: lsm_db_mu < storage_write_mu
 	// lockorder: lsm_db_mu < storage_backend_mu
 	// lockorder: lsm_db_mu < band_stats_mu
-	mu       obs.Mutex
-	mem      *memtable.MemTable
+	mu  obs.Mutex
+	mem *memtable.MemTable
+	// builder builds every table the engine writes, one at a time.
+	builder  sstable.Builder
 	walW     *wal.Writer
 	walFile  *storage.AppendFile
 	walLimit int64
@@ -218,6 +220,7 @@ func OpenDevice(cfg Config, dev *Device) (*DB, error) {
 	}
 	d.mu.Profile("lsm_db_mu")
 	d.mem = memtable.New(d.nextMemSeed())
+	d.builder.SetCompression(cfg.Compression)
 	if dev.DBand != nil {
 		d.surface.init(cfg.BandSize)
 	}

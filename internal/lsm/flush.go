@@ -15,7 +15,8 @@ func (d *DB) flushMemtable(mem *memtable.MemTable, newLogNum uint64) error {
 	}
 	job := d.beginJob("flush")
 
-	b := sstable.NewBuilder().SetCompression(d.cfg.Compression)
+	// ApproximateSize charges an entry more than a block does.
+	b := d.builder.Reset(d.tableBuf(mem.ApproximateSize()))
 	it := mem.NewIterator()
 	for it.SeekToFirst(); it.Valid(); it.Next() {
 		b.Add(it.Key(), it.Value())
@@ -25,7 +26,9 @@ func (d *DB) flushMemtable(mem *memtable.MemTable, newLogNum uint64) error {
 		return err
 	}
 	num := d.vs.NewFileNum()
-	if err := d.backend.WriteFile(num, data); err != nil {
+	err = d.backend.WriteFile(num, data)
+	sstable.PutBuf(data)
+	if err != nil {
 		return err
 	}
 	fm := &version.FileMeta{

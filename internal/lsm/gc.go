@@ -120,6 +120,7 @@ func (d *DB) relocateSet(rec version.SetRecord, files []*version.FileMeta, level
 	if err != nil {
 		return 0, err
 	}
+	defer putBufs(datas)
 
 	// Drop the old placements (grouped: mapping only), then write the
 	// group to fresh space and install the new set record. From the

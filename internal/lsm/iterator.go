@@ -148,30 +148,37 @@ func (m *mergingIter) Value() []byte       { return m.children[m.cur].Value() }
 var _ kv.Iterator = (*mergingIter)(nil)
 
 // concatIter iterates the files of a sorted, disjoint level in key
-// order, opening one table at a time.
+// order, opening one table at a time: through openStreaming for a user
+// read, out of inputs, by file number, for a compaction that holds its
+// input iterators already.
 type concatIter struct {
-	d     *DB
-	files []*version.FileMeta
-	idx   int
-	cur   kv.Iterator
-	err   error
+	d      *DB
+	files  []*version.FileMeta
+	inputs map[uint64]kv.Iterator
+	idx    int
+	cur    kv.Iterator
+	err    error
 }
 
-func (d *DB) newConcatIter(files []*version.FileMeta) *concatIter {
-	return &concatIter{d: d, files: files, idx: -1}
+// openStreaming returns the iterator of the user read path over f.
+func (d *DB) openStreaming(f *version.FileMeta) (kv.Iterator, error) {
+	t, err := d.openTable(f)
+	if err != nil {
+		return nil, err
+	}
+	return t.NewStreamingIterator(d.cfg.readahead(), d.metrics.sstableStreamed), nil
 }
 
 func (c *concatIter) openIdx() {
 	c.cur = nil
-	if c.idx < 0 || c.idx >= len(c.files) {
+	if c.err != nil || c.idx < 0 || c.idx >= len(c.files) {
 		return
 	}
-	t, err := c.d.openTable(c.files[c.idx])
-	if err != nil {
-		c.err = err
-		return
+	if c.inputs != nil {
+		c.cur = c.inputs[c.files[c.idx].Num]
+	} else {
+		c.cur, c.err = c.d.openStreaming(c.files[c.idx])
 	}
-	c.cur = t.NewStreamingIterator(c.d.cfg.readahead(), c.d.metrics.sstableStreamed)
 }
 
 func (c *concatIter) Valid() bool { return c.err == nil && c.cur != nil && c.cur.Valid() }
@@ -305,7 +312,7 @@ func (d *DB) NewSnapshotIterator(snap *Snapshot) *Iterator {
 			continue
 		}
 		if d.cfg.sortedLevel(level) {
-			children = append(children, d.newConcatIter(v.Files[level]))
+			children = append(children, &concatIter{d: d, files: v.Files[level]})
 		} else {
 			for _, f := range v.Files[level] {
 				children = append(children, &lazyTableIter{d: d, f: f})
@@ -324,18 +331,10 @@ type lazyTableIter struct {
 }
 
 func (l *lazyTableIter) open() bool {
-	if l.err != nil {
-		return false
+	if l.it == nil && l.err == nil {
+		l.it, l.err = l.d.openStreaming(l.f)
 	}
-	if l.it == nil {
-		t, err := l.d.openTable(l.f)
-		if err != nil {
-			l.err = err
-			return false
-		}
-		l.it = t.NewStreamingIterator(l.d.cfg.readahead(), l.d.metrics.sstableStreamed)
-	}
-	return true
+	return l.err == nil
 }
 
 func (l *lazyTableIter) Valid() bool { return l.err == nil && l.it != nil && l.it.Valid() }

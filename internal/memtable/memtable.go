@@ -28,16 +28,61 @@ type MemTable struct {
 	height int
 	size   int64
 	count  int
+
+	// Entries are carved from slabs, not allocated one by one: bytes is
+	// what is left of the current slab of keys and values, nodes and
+	// links of the current slabs of nodes and tower links. A slab is
+	// never reused; the collector frees it with the memtable, so what
+	// Get and iterators return stays valid for as long as it is held.
+	bytes []byte
+	nodes []node
+	links []*node
 }
+
+// Slab sizes. A slab's unused end is heap that ApproximateSize does not
+// count, so they are small next to a memtable; and the largest is still
+// a small object to the runtime, cheap for the one Add in thirty that
+// takes it.
+const (
+	slabBytes = 32 << 10
+	slabNodes = 128
+	slabLinks = 256
+)
 
 // New creates an empty memtable. The seed makes skiplist tower
 // heights deterministic for reproducible experiments.
 func New(seed int64) *MemTable {
-	return &MemTable{
-		head:   &node{next: make([]*node, maxHeight)},
-		rnd:    rand.New(rand.NewSource(seed)),
-		height: 1,
+	m := &MemTable{rnd: rand.New(rand.NewSource(seed)), height: 1}
+	m.head = m.newNode(maxHeight)
+	return m
+}
+
+// alloc returns n bytes of slab. An entry that would take a quarter of
+// a slab or more gets an object of its own and wastes nothing.
+func (m *MemTable) alloc(n int) []byte {
+	if n > len(m.bytes) {
+		if n >= slabBytes/4 {
+			return make([]byte, n)
+		}
+		m.bytes = make([]byte, slabBytes)
 	}
+	b := m.bytes[:n:n]
+	m.bytes = m.bytes[n:]
+	return b
+}
+
+// newNode returns a node with a tower of h links.
+func (m *MemTable) newNode(h int) *node {
+	if len(m.nodes) == 0 {
+		m.nodes = make([]node, slabNodes)
+	}
+	if len(m.links) < h {
+		m.links = make([]*node, slabLinks)
+	}
+	n := &m.nodes[0]
+	n.next = m.links[:h:h]
+	m.nodes, m.links = m.nodes[1:], m.links[h:]
+	return n
 }
 
 func (m *MemTable) randomHeight() int {
@@ -113,10 +158,12 @@ func (m *MemTable) findGreaterOrEqual(target kv.InternalKey, prev []*node) *node
 // Add inserts a mutation. Keys are copied; the caller may reuse its
 // buffers.
 func (m *MemTable) Add(seq kv.SeqNum, kind kv.Kind, ukey, value []byte) {
-	ik := kv.MakeInternalKey(make([]byte, 0, len(ukey)+kv.TrailerLen), ukey, seq, kind)
+	buf := m.alloc(len(ukey) + kv.TrailerLen + len(value))
+	ik := kv.MakeInternalKey(buf, ukey, seq, kind)
 	var v []byte
 	if len(value) > 0 {
-		v = append([]byte(nil), value...)
+		v = buf[len(ik):]
+		copy(v, value)
 	}
 	var prev [maxHeight]*node
 	m.findGreaterOrEqual(ik, prev[:])
@@ -128,7 +175,8 @@ func (m *MemTable) Add(seq kv.SeqNum, kind kv.Kind, ukey, value []byte) {
 		}
 		m.height = h
 	}
-	n := &node{key: ik, value: v, next: make([]*node, h)}
+	n := m.newNode(h)
+	n.key, n.value = ik, v
 	for i := 0; i < h; i++ {
 		n.next[i] = prev[i].next[i]
 		prev[i].next[i] = n

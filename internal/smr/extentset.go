@@ -45,7 +45,14 @@ func (s *extentSet) insert(e Extent) {
 			e.Len = end - e.Off
 		}
 	}
-	set = append(set[:i], append([]Extent{e}, set[j:]...)...)
+	// Splice e over set[i:j] in place.
+	if i == j {
+		set = append(set, Extent{})
+		copy(set[i+1:], set[i:])
+	} else {
+		set = append(set[:i+1], set[j:]...)
+	}
+	set[i] = e
 	*s = set
 }
 

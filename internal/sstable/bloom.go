@@ -35,9 +35,9 @@ func bloomHash(key []byte) uint32 {
 	return h
 }
 
-// buildBloom creates a filter block over n keys fed through add. The
-// last byte stores the probe count.
-func buildBloom(keys [][]byte) []byte {
+// appendBloom appends to dst a filter block over the keys whose
+// bloomHash values are hashes. The last byte stores the probe count.
+func appendBloom(dst []byte, hashes []uint32) []byte {
 	k := uint8(bloomBitsPerKey * 69 / 100) // bitsPerKey * ln2
 	if k < 1 {
 		k = 1
@@ -45,16 +45,16 @@ func buildBloom(keys [][]byte) []byte {
 	if k > 30 {
 		k = 30
 	}
-	bits := len(keys) * bloomBitsPerKey
+	bits := len(hashes) * bloomBitsPerKey
 	if bits < 64 {
 		bits = 64
 	}
 	nbytes := (bits + 7) / 8
 	bits = nbytes * 8
-	filter := make([]byte, nbytes+1)
+	dst = append(dst, make([]byte, nbytes+1)...)
+	filter := dst[len(dst)-nbytes-1:]
 	filter[nbytes] = k
-	for _, key := range keys {
-		h := bloomHash(key)
+	for _, h := range hashes {
 		delta := h>>17 | h<<15
 		for i := uint8(0); i < k; i++ {
 			pos := h % uint32(bits)
@@ -62,10 +62,10 @@ func buildBloom(keys [][]byte) []byte {
 			h += delta
 		}
 	}
-	return filter
+	return dst
 }
 
-// bloomMayContain tests key against a filter produced by buildBloom.
+// bloomMayContain tests key against a filter produced by appendBloom.
 // An empty or malformed filter conservatively returns true.
 func bloomMayContain(filter, key []byte) bool {
 	if len(filter) < 2 {

@@ -1,0 +1,98 @@
+package sstable
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"runtime"
+	"testing"
+
+	"sealdb/internal/invariant"
+	"sealdb/internal/kv"
+)
+
+// buildInto builds the benchmark's table shape (240 entries of 1 KiB)
+// with b into buf.
+func buildInto(t testing.TB, b *Builder, buf []byte, keys []kv.InternalKey, value []byte) []byte {
+	b.Reset(buf)
+	for _, k := range keys {
+		b.Add(k, value)
+	}
+	data, _, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+func tableKeys(n int) []kv.InternalKey {
+	keys := make([]kv.InternalKey, n)
+	for i := range keys {
+		keys[i] = kv.MakeInternalKey(nil, fmt.Appendf(nil, "user%012d", i), kv.SeqNum(i+1), kv.KindSet)
+	}
+	return keys
+}
+
+// TestBuildIntoRecycledBufferAllocs: a table built into a recycled
+// buffer by a builder that has built one before allocates its two
+// boundary keys and little else, and no garbage of a table's size: the
+// 256 KiB it writes are written once, into the buffer it was handed.
+func TestBuildIntoRecycledBufferAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under the race detector")
+	}
+	keys, value := tableKeys(240), bytes.Repeat([]byte{'v'}, 1024)
+	b := NewBuilder()
+	const size = 300 << 10
+	PutBuf(buildInto(t, b, GetBuf(size), keys, value))
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(20, func() {
+		PutBuf(buildInto(t, b, GetBuf(size), keys, value))
+	})
+	runtime.ReadMemStats(&after)
+	t.Logf("%v allocations per table", allocs)
+	if allocs > 12 {
+		t.Errorf("%v allocations per table, want at most 12", allocs)
+	}
+	// 21 runs of 256 KiB tables; a collection that empties the pool
+	// mid-test costs one buffer.
+	if perTable := (after.TotalAlloc - before.TotalAlloc) / 21; perTable > 32<<10 {
+		t.Errorf("%d bytes allocated per table built, want none of a table's size", perTable)
+	}
+}
+
+// TestReleasedBufferIsPoisoned: under the sealdb_invariants tag a table
+// still read through a buffer that went back to the pool fails: the
+// block it stands in no longer parses, and every other fails its
+// checksum. It is never served whatever the buffer holds next. And a
+// buffer cannot go back twice.
+func TestReleasedBufferIsPoisoned(t *testing.T) {
+	if !invariant.Enabled {
+		t.Skip("released buffers are poisoned under -tags sealdb_invariants only")
+	}
+	data := buildInto(t, NewBuilder(), GetBuf(64<<10), tableKeys(40), bytes.Repeat([]byte{'v'}, 1024))
+	tbl, err := Open(bytes.NewReader(data), int64(len(data)), 9, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	it := tbl.NewMemIterator(data)
+	it.SeekToFirst()
+	if !it.Valid() {
+		t.Fatalf("iterator over a held buffer: %v", it.Error())
+	}
+	PutBuf(data)
+	if it.Next(); it.Valid() || it.Error() == nil {
+		t.Fatalf("iterator stepped inside a released block: valid %v, error %v", it.Valid(), it.Error())
+	}
+	if it.SeekToFirst(); !errors.Is(it.Error(), ErrCorruptBlock) {
+		t.Fatalf("loading a block of a released buffer: %v, want a checksum failure", it.Error())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("releasing the same buffer again did not trip the invariant")
+		}
+	}()
+	PutBuf(data)
+}

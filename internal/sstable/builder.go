@@ -34,11 +34,12 @@ type Builder struct {
 	buf           []byte
 	data          blockBuilder
 	index         blockBuilder
-	userKeys      [][]byte // for the table bloom filter
+	hashes        []uint32 // bloomHash of each user key, for the table filter
 	meta          Meta
 	lastKey       kv.InternalKey
 	pendingIx     bool   // an index entry is owed for the last finished block
-	pendingKey    []byte // separator key for the pending entry
+	pendingKey    []byte // last key of that block
+	sep           []byte // the separator built from it, reused block after block
 	pendingHandle blockHandle
 	err           error
 }
@@ -64,9 +65,28 @@ func decodeHandle(p []byte) (blockHandle, int, error) {
 	return blockHandle{off, length}, n1 + n2, nil
 }
 
-// NewBuilder returns an empty table builder storing blocks raw.
+// NewBuilder returns an empty table builder storing blocks raw. Its
+// table buffer starts empty and grows; see Reset.
 func NewBuilder() *Builder {
 	return &Builder{}
+}
+
+// Reset empties b for another table, to be built in buf[:0]: on the
+// engine's write path a GetBuf buffer with room for the whole table, so
+// that no byte of it moves again before the device write. b keeps its
+// compression setting and its scratch. Finish returns the table in buf
+// (in a larger successor, had the table outgrown it), and b is done
+// with it: the caller owns the bytes, to PutBuf once they are written.
+func (b *Builder) Reset(buf []byte) *Builder {
+	b.buf = buf[:0]
+	b.data.reset()
+	b.index.reset()
+	b.hashes = b.hashes[:0]
+	b.meta = Meta{}
+	b.lastKey = b.lastKey[:0]
+	b.pendingIx = false
+	b.err = nil
+	return b
 }
 
 // SetCompression selects the block encoding for subsequently cut
@@ -82,7 +102,7 @@ func (b *Builder) Add(ik kv.InternalKey, value []byte) {
 	if b.err != nil {
 		return
 	}
-	if b.lastKey != nil && kv.CompareInternal(ik, b.lastKey) <= 0 {
+	if b.meta.Entries > 0 && kv.CompareInternal(ik, b.lastKey) <= 0 {
 		b.err = fmt.Errorf("sstable: keys out of order: %s after %s", ik, b.lastKey)
 		return
 	}
@@ -92,7 +112,7 @@ func (b *Builder) Add(ik kv.InternalKey, value []byte) {
 	b.flushPendingIndex(ik)
 	b.data.add(ik, value)
 	b.lastKey = append(b.lastKey[:0], ik...)
-	b.userKeys = append(b.userKeys, append([]byte(nil), ik.UserKey()...))
+	b.hashes = append(b.hashes, bloomHash(ik.UserKey()))
 	b.meta.Entries++
 	if b.data.estimatedSize() >= targetBlockSize {
 		b.cutBlock()
@@ -106,15 +126,15 @@ func (b *Builder) flushPendingIndex(next kv.InternalKey) {
 	if !b.pendingIx {
 		return
 	}
-	sep := separator(b.pendingKey, next)
+	b.sep = separator(b.sep, b.pendingKey, next)
 	var hbuf [2 * binary.MaxVarintLen64]byte
-	b.index.add(sep, encodeHandle(hbuf[:0], b.pendingHandle))
+	b.index.add(b.sep, encodeHandle(hbuf[:0], b.pendingHandle))
 	b.pendingIx = false
 }
 
 // separator returns an internal key k with prev <= k < next that is
-// as short as possible on the user-key portion.
-func separator(prev kv.InternalKey, next kv.InternalKey) kv.InternalKey {
+// as short as possible on the user-key portion, built in dst's storage.
+func separator(dst []byte, prev kv.InternalKey, next kv.InternalKey) kv.InternalKey {
 	a, bkey := prev.UserKey(), next.UserKey()
 	n := len(a)
 	if len(bkey) < n {
@@ -128,11 +148,11 @@ func separator(prev kv.InternalKey, next kv.InternalKey) kv.InternalKey {
 		// a[:i+1] with its last byte incremented separates: give it
 		// the max trailer so it sorts before every real entry for
 		// that user key.
-		short := append([]byte(nil), a[:i+1]...)
-		short[i]++
-		return kv.MakeSearchKey(nil, short, kv.MaxSeqNum)
+		k := kv.MakeSearchKey(dst, a[:i+1], kv.MaxSeqNum)
+		k[i]++
+		return k
 	}
-	return prev.Clone()
+	return append(dst[:0], prev...)
 }
 
 // cutBlock finishes the current data block and records its handle.
@@ -148,22 +168,27 @@ func (b *Builder) cutBlock() {
 	b.pendingHandle = h
 }
 
-// appendRawBlock writes contents plus the type/CRC trailer to buf,
-// without compression (index, bloom).
-func (b *Builder) appendRawBlock(contents []byte) blockHandle {
-	return b.appendBlock(contents, NoCompression)
-}
-
 // appendBlock encodes contents per policy and writes it with its
 // type/CRC trailer.
 func (b *Builder) appendBlock(contents []byte, policy Compression) blockHandle {
 	payload, typ := compressBlock(policy, contents)
-	h := blockHandle{offset: uint64(len(b.buf)), length: uint64(len(payload))}
+	start := len(b.buf)
+	if need := start + len(payload) + blockTrailerLen; need > cap(b.buf) {
+		// A buffer that was not sized for the table doubles: append's
+		// steps of a quarter would copy a 256 KiB table four times over.
+		b.buf = append(make([]byte, 0, max(need, 2*cap(b.buf))), b.buf...)
+	}
 	b.buf = append(b.buf, payload...)
-	crc := crc32.Checksum(payload, castagnoliTable)
-	crc = crc32.Update(crc, castagnoliTable, []byte{typ})
+	return b.sealBlock(start, typ)
+}
+
+// sealBlock makes b.buf[start:] a block of the given type: it appends
+// the type byte and the CRC of payload and type, one pass over both as
+// checkRaw reads them back.
+func (b *Builder) sealBlock(start int, typ byte) blockHandle {
+	h := blockHandle{offset: uint64(start), length: uint64(len(b.buf) - start)}
 	b.buf = append(b.buf, typ)
-	b.buf = binary.LittleEndian.AppendUint32(b.buf, crc)
+	b.buf = binary.LittleEndian.AppendUint32(b.buf, crc32.Checksum(b.buf[start:], castagnoliTable))
 	return h
 }
 
@@ -177,11 +202,8 @@ func (b *Builder) EstimatedSize() int64 {
 // Entries returns the number of entries added so far.
 func (b *Builder) Entries() int { return b.meta.Entries }
 
-// Empty reports whether nothing has been added.
-func (b *Builder) Empty() bool { return b.meta.Entries == 0 }
-
 // Finish completes the table and returns its bytes and metadata. The
-// builder cannot be reused afterwards.
+// builder cannot be used again before Reset.
 func (b *Builder) Finish() ([]byte, Meta, error) {
 	if b.err != nil {
 		return nil, Meta{}, b.err
@@ -198,9 +220,11 @@ func (b *Builder) Finish() ([]byte, Meta, error) {
 		b.pendingIx = false
 	}
 
-	bloom := buildBloom(b.userKeys)
-	bloomHandle := b.appendRawBlock(bloom)
-	indexHandle := b.appendRawBlock(b.index.finish())
+	// The filter is built where it lies; neither block is compressed.
+	start := len(b.buf)
+	b.buf = appendBloom(b.buf, b.hashes)
+	bloomHandle := b.sealBlock(start, byte(NoCompression))
+	indexHandle := b.appendBlock(b.index.finish(), NoCompression)
 
 	var footer [footerLen]byte
 	binary.LittleEndian.PutUint64(footer[0:], indexHandle.offset)
@@ -212,5 +236,7 @@ func (b *Builder) Finish() ([]byte, Meta, error) {
 
 	b.meta.Largest = b.lastKey.Clone()
 	b.meta.Size = int64(len(b.buf))
-	return b.buf, b.meta, nil
+	data := b.buf
+	b.buf = nil // the caller's now, to release: keep no way back into it
+	return data, b.meta, nil
 }

@@ -235,15 +235,18 @@ func (ra *readaheadReader) ReadAt(p []byte, off int64) (int, error) {
 	if n < len(p) {
 		n = len(p)
 	}
-	buf := make([]byte, n)
-	m, err := ra.r.ReadAt(buf, off)
+	if cap(ra.buf) < n {
+		ra.buf = make([]byte, n)
+	}
+	m, err := ra.r.ReadAt(ra.buf[:n], off)
 	if err == io.EOF && m >= len(p) {
 		err = nil
 	}
 	if err != nil && m < len(p) {
+		ra.buf = ra.buf[:0] // the old window is overwritten
 		return 0, err
 	}
-	ra.buf = buf[:m]
+	ra.buf = ra.buf[:m]
 	ra.off = off
 	copy(p, ra.buf)
 	return len(p), nil

@@ -376,7 +376,7 @@ func TestSeparatorProperty(t *testing.T) {
 		if kv.CompareInternal(ia, ib) >= 0 {
 			return true // precondition: a < b
 		}
-		sep := separator(ia, ib)
+		sep := separator(nil, ia, ib)
 		return kv.CompareInternal(sep, ia) >= 0 && kv.CompareInternal(sep, ib) < 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {

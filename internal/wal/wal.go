@@ -42,8 +42,10 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // stream do not collide with CRCs computed over the stream.
 func mask(c uint32) uint32 { return ((c >> 15) | (c << 17)) + 0xa282ead8 }
 
-func fragmentCRC(tag uint64, ftype byte, payload []byte) uint32 {
-	var seed [9]byte
+// fragmentCRC checksums a fragment under tag. seed is scratch of the
+// caller's that lives on the heap already: it escapes into crc32, and a
+// local would be an allocation per fragment.
+func fragmentCRC(seed *[9]byte, tag uint64, ftype byte, payload []byte) uint32 {
 	binary.LittleEndian.PutUint64(seed[0:8], tag)
 	seed[8] = ftype
 	c := crc32.Update(0, castagnoli, seed[:])
@@ -58,7 +60,12 @@ type Writer struct {
 	blockOffset int // position within the current block
 	written     int64
 	records     int64
+	seed        [9]byte          // fragmentCRC's scratch
+	hdr         [headerSize]byte // the header on its way to w, which it escapes into
 }
+
+// zeros fills a block's tail too short for a header.
+var zeros [headerSize]byte
 
 // NewTaggedWriter creates a log writer that starts at a block boundary
 // and whose fragment CRCs are bound to tag (the owning file's number),
@@ -85,7 +92,7 @@ func (w *Writer) AddRecord(payload []byte) error {
 		if leftover < headerSize {
 			// Fill the block trailer with zeros.
 			if leftover > 0 {
-				if err := w.emit(make([]byte, leftover)); err != nil {
+				if err := w.emit(zeros[:leftover]); err != nil {
 					return err
 				}
 			}
@@ -122,11 +129,10 @@ func (w *Writer) AddRecord(payload []byte) error {
 }
 
 func (w *Writer) emitFragment(ftype byte, payload []byte) error {
-	var hdr [headerSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], fragmentCRC(w.tag, ftype, payload))
-	binary.LittleEndian.PutUint16(hdr[4:6], uint16(len(payload)))
-	hdr[6] = ftype
-	if err := w.emit(hdr[:]); err != nil {
+	binary.LittleEndian.PutUint32(w.hdr[0:4], fragmentCRC(&w.seed, w.tag, ftype, payload))
+	binary.LittleEndian.PutUint16(w.hdr[4:6], uint16(len(payload)))
+	w.hdr[6] = ftype
+	if err := w.emit(w.hdr[:]); err != nil {
 		return err
 	}
 	if err := w.emit(payload); err != nil {
@@ -159,7 +165,8 @@ type Reader struct {
 	r         io.Reader
 	tag       uint64
 	block     [BlockSize]byte
-	buf       []byte // unconsumed bytes of the current block
+	seed      [9]byte // fragmentCRC's scratch
+	buf       []byte  // unconsumed bytes of the current block
 	eof       bool
 	skipped   int64 // bytes dropped due to corruption
 	totalRead int64 // bytes consumed from the underlying reader
@@ -277,7 +284,7 @@ func (r *Reader) nextFragment() (byte, []byte, error) {
 		}
 		payload := r.buf[headerSize : headerSize+length]
 		wantCRC := binary.LittleEndian.Uint32(hdr[0:4])
-		if fragmentCRC(r.tag, ftype, payload) != wantCRC {
+		if fragmentCRC(&r.seed, r.tag, ftype, payload) != wantCRC {
 			return 0, nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 		}
 		r.buf = r.buf[headerSize+length:]
