@@ -161,7 +161,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("serving http://%s/metrics (and /debug/levels, /debug/sets, /debug/events); ctrl-c to stop\n", srv.Addr)
+		fmt.Printf("serving http://%s/metrics (and /debug/levels, /debug/sets, /debug/events, /debug/faults, /debug/bands, /debug/space, /debug/contention, /debug/pprof/); ctrl-c to stop\n", srv.Addr)
 		select {}
 	}
 }

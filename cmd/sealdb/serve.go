@@ -74,7 +74,7 @@ func runServe(args []string) {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("observability on http://%s/metrics (plus /debug/contention, /debug/runtime, /debug/pprof/, /debug/conns, /debug/levels, /debug/sets, /debug/events)\n", osrv.Addr)
+		fmt.Printf("observability on http://%s/metrics (plus /debug/levels, /debug/sets, /debug/events, /debug/faults, /debug/bands, /debug/space, /debug/contention, /debug/pprof/, /debug/conns)\n", osrv.Addr)
 	}
 
 	sig := make(chan os.Signal, 1)

@@ -1,11 +1,13 @@
-// Package obsreg enforces the observability registry's naming
-// contract: a metric name literal passed to a Registry constructor
-// (Counter, Gauge, Histogram, GaugeFunc) is registered at exactly
-// one call site across the whole repo, and follows the
-// prometheus-style [a-z0-9_] format. The registry itself is
-// get-or-create, so a duplicated literal does not fail at runtime —
-// it silently aliases two call sites onto one metric, which is
-// precisely why the check has to be static and repo-wide.
+// Package obsreg enforces the observability naming contract: a metric
+// name literal is bound at exactly one site across the whole repo and
+// follows the prometheus-style [a-z0-9_] format. A name is bound by
+// passing it to a Registry constructor (Counter, Histogram, GaugeFunc)
+// or by writing it, as a literal "sealdb_…" key, into a
+// map[string]float64 — a snapshot's gauge set, which the engine's one
+// collection pass fills. The registry is get-or-create and a map write
+// overwrites, so a duplicated literal does not fail at runtime — it
+// silently aliases two sites onto one metric, which is precisely why
+// the check has to be static and repo-wide.
 package obsreg
 
 import (
@@ -23,9 +25,9 @@ import (
 // checker run, so duplicates are caught across package boundaries.
 var Analyzer = &analysis.Analyzer{
 	Name: "obsreg",
-	Doc: "metric name literals passed to the obs registry must be unique across " +
-		"the repo, registered at one call site, and match ^[a-z][a-z0-9_]*$; " +
-		"counter names must additionally end in _total",
+	Doc: "metric name literals passed to the obs registry or written into a gauge " +
+		"set must be unique across the repo, bound at one site, and match " +
+		"^[a-z][a-z0-9_]*$; counter names must additionally end in _total",
 	NewSession: func() any { return &session{seen: map[string]token.Position{}} },
 	Run:        run,
 }
@@ -37,7 +39,6 @@ type session struct {
 // registryMethods are the Registry constructors that bind a name.
 var registryMethods = map[string]bool{
 	"Counter":   true,
-	"Gauge":     true,
 	"Histogram": true,
 	"GaugeFunc": true,
 }
@@ -54,45 +55,76 @@ func run(pass *analysis.Pass) error {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) == 0 {
-				return true
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if len(n.Args) == 0 {
+					return true
+				}
+				sel, ok := n.Fun.(*ast.SelectorExpr)
+				if !ok || !registryMethods[sel.Sel.Name] || !isRegistry(pass, sel.X) {
+					return true
+				}
+				// Computed names (per-level counters) are exempt.
+				sess.bind(pass, n.Args[0], sel.Sel.Name == "Counter")
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if ix, ok := lhs.(*ast.IndexExpr); ok && isGaugeWrite(pass, ix) {
+						sess.bind(pass, ix.Index, false)
+					}
+				}
 			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || !registryMethods[sel.Sel.Name] || !isRegistry(pass, sel.X) {
-				return true
-			}
-			lit, ok := call.Args[0].(*ast.BasicLit)
-			if !ok || lit.Kind != token.STRING {
-				return true // computed names (per-level gauges) are exempt
-			}
-			name, err := strconv.Unquote(lit.Value)
-			if err != nil {
-				return true
-			}
-			if !nameRe.MatchString(name) {
-				pass.Reportf(lit.Pos(), "metric name %q does not match ^[a-z][a-z0-9_]*$", name)
-				return true
-			}
-			// Monotonic series carry the prometheus counter suffix, so
-			// dashboards can tell counters from gauges by name alone —
-			// the trace/amplification series rely on this to pair each
-			// *_total counter with its recomputation.
-			if sel.Sel.Name == "Counter" && !strings.HasSuffix(name, "_total") {
-				pass.Reportf(lit.Pos(), "counter name %q must end in _total", name)
-				return true
-			}
-			if first, dup := sess.seen[name]; dup {
-				pass.Reportf(lit.Pos(),
-					"metric %q already registered at %s:%d; registry names must have exactly one call site",
-					name, first.Filename, first.Line)
-				return true
-			}
-			sess.seen[name] = pass.Fset.Position(lit.Pos())
 			return true
 		})
 	}
 	return nil
+}
+
+// bind checks one name expression and records its site; anything but a
+// string literal is ignored.
+func (sess *session) bind(pass *analysis.Pass, expr ast.Expr, counter bool) {
+	lit, ok := expr.(*ast.BasicLit)
+	if !ok || lit.Kind != token.STRING {
+		return
+	}
+	name, err := strconv.Unquote(lit.Value)
+	if err != nil {
+		return
+	}
+	if !nameRe.MatchString(name) {
+		pass.Reportf(lit.Pos(), "metric name %q does not match ^[a-z][a-z0-9_]*$", name)
+		return
+	}
+	// Monotonic series carry the prometheus counter suffix, so
+	// dashboards can tell counters from gauges by name alone.
+	if counter && !strings.HasSuffix(name, "_total") {
+		pass.Reportf(lit.Pos(), "counter name %q must end in _total", name)
+		return
+	}
+	if first, dup := sess.seen[name]; dup {
+		pass.Reportf(lit.Pos(),
+			"metric %q already registered at %s:%d; registry names must have exactly one call site",
+			name, first.Filename, first.Line)
+		return
+	}
+	sess.seen[name] = pass.Fset.Position(lit.Pos())
+}
+
+// isGaugeWrite reports whether ix indexes a map[string]float64, the
+// type of a snapshot's gauges, with a literal in the metric namespace;
+// other float maps (a benchmark's "lsm.flushes" ledger) are not metrics.
+func isGaugeWrite(pass *analysis.Pass, ix *ast.IndexExpr) bool {
+	lit, ok := ix.Index.(*ast.BasicLit)
+	t := pass.TypesInfo.TypeOf(ix.X)
+	if !ok || t == nil || !strings.HasPrefix(lit.Value, `"sealdb_`) {
+		return false
+	}
+	m, ok := t.Underlying().(*types.Map)
+	if !ok {
+		return false
+	}
+	k, kok := m.Key().(*types.Basic)
+	v, vok := m.Elem().(*types.Basic)
+	return kok && vok && k.Kind() == types.String && v.Kind() == types.Float64
 }
 
 // isRegistry reports whether expr's type is (a pointer to) a named

@@ -117,3 +117,41 @@ func BenchmarkEngineBatch100(b *testing.B) {
 	}
 	b.SetBytes(100 * 1024)
 }
+
+// BenchmarkMetricsSnapshot prices one /metrics collection on the end
+// state of the benchmark's put_random workload: 100k records of 16 B +
+// 1 KiB loaded in random order into a default SEALDB store, then 96k
+// operations, 90 % puts and 10 % deletes, over 150k keys.
+func BenchmarkMetricsSnapshot(b *testing.B) {
+	d, err := Open(DefaultConfig(ModeSEALDB))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { d.Close() })
+	const records = 100_000
+	val := make([]byte, 1024)
+	key := func(i int) []byte { return fmt.Appendf(nil, "user%012d", i) }
+	rng := rand.New(rand.NewSource(1))
+	for _, i := range rng.Perm(records) {
+		if err := d.Put(key(i), val); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 96_000; i++ {
+		k := key(rng.Intn(records * 3 / 2))
+		if rng.Intn(10) == 0 {
+			err = d.Delete(k)
+		} else {
+			err = d.Put(k, val)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(d.MetricsSnapshot().Gauges) == 0 {
+			b.Fatal("no gauges")
+		}
+	}
+}

@@ -154,15 +154,13 @@ func (d *DB) beginJob(event string) jobMeter {
 }
 
 // endJob completes ci with the job's device time and write deltas,
-// appends it to the per-job record, observes the latency and closes
-// the span. A trivial move does no I/O of its own and records none.
-// Caller holds d.mu.
-func (d *DB) endJob(m jobMeter, ci CompactionInfo, latency *obs.Histogram) {
+// appends it to the per-job record and closes the span. A trivial
+// move does no I/O of its own and records none. Caller holds d.mu.
+func (d *DB) endJob(m jobMeter, ci CompactionInfo) {
 	if !ci.TrivialMove {
 		ci.Latency = time.Duration(d.deviceNow() - m.busy)
 		ci.HostBytes = d.drive.HostBytesWritten() - m.host
 		ci.DeviceBytes = d.disk.Stats().BytesWritten - m.dev
-		latency.Observe(int64(ci.Latency))
 	}
 	d.compactions = append(d.compactions, ci)
 	m.sp.End()
@@ -213,7 +211,7 @@ func (d *DB) runCompaction(c *compaction) error {
 		d.metrics.trivialMoves.Inc()
 		sp.Set("trivial", 1)
 		info.TrivialMove = true
-		d.endJob(job, info, nil)
+		d.endJob(job, info)
 		return nil
 	}
 
@@ -319,13 +317,11 @@ func (d *DB) runCompaction(c *compaction) error {
 	d.metrics.compactions.Inc()
 	d.metrics.compactionReadBytes.Add(info.InputBytes)
 	d.metrics.compactionWriteBytes.Add(info.OutputBytes)
-	d.metrics.levelReadBytes[c.level].Add(in0)
-	d.metrics.levelReadBytes[c.outLevel].Add(in1)
 	d.metrics.levelWriteBytes[c.outLevel].Add(info.OutputBytes)
 	sp.Set("input_bytes", info.InputBytes)
 	sp.Set("output_bytes", info.OutputBytes)
 	sp.Set("output_files", int64(len(outputs)))
-	d.endJob(job, info, d.metrics.compactionLatency)
+	d.endJob(job, info)
 	return nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"sealdb/internal/kv"
 	"sealdb/internal/obs"
 )
 
@@ -93,5 +94,46 @@ func TestContentionProfileRanksBigMutexFirst(t *testing.T) {
 	}
 	if top != "lsm_db_mu" {
 		t.Errorf("top contention site = %s (%dns), want lsm_db_mu (%dns)", top, topWait, dbWait)
+	}
+}
+
+// TestMetricsSnapshotTakesEngineLockOnce: collecting every metric of a
+// loaded SEALDB store with separated values enters the engine mutex
+// exactly once, so a scrape costs a serving engine one critical section
+// however many gauges there are.
+func TestMetricsSnapshotTakesEngineLockOnce(t *testing.T) {
+	cfg := tinyConfig(ModeSEALDB)
+	cfg.ValueThreshold = 64
+	cfg.VlogSegSize = 8 * kv.KiB
+	d, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	rng := rand.New(rand.NewSource(7))
+	val := make([]byte, 200) // separated: above the threshold
+	for i := 0; i < 6000; i++ {
+		if err := d.Put([]byte(fmt.Sprintf("key%05d", rng.Intn(3000))), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	acquisitions := func() int64 {
+		for _, s := range obs.ContentionProfile() {
+			if s.Name == "lsm_db_mu" {
+				return s.Acquisitions
+			}
+		}
+		return 0
+	}
+	obs.SetLockProfiling(true)
+	defer obs.SetLockProfiling(false)
+	before := acquisitions()
+	snap := d.MetricsSnapshot()
+	if got := acquisitions() - before; got != 1 {
+		t.Errorf("MetricsSnapshot took lsm_db_mu %d times, want 1", got)
+	}
+	if snap.Gauges["sealdb_memtable_bytes"] == 0 || snap.Gauges["sealdb_vlog_segments"] == 0 {
+		t.Errorf("snapshot of a loaded store is missing engine state: %v", snap.Gauges)
 	}
 }

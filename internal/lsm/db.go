@@ -118,11 +118,10 @@ type DB struct {
 	cache   *sstable.Cache
 	vs      *version.Set
 
-	// reg, journal, runtime and metrics are internally synchronized;
-	// they are written once by initObs and safe to use without d.mu.
+	// reg, journal and metrics are internally synchronized; they are
+	// written once by initObs and safe to use without d.mu.
 	reg     *obs.Registry
 	journal *obs.Journal
-	runtime *obs.RuntimeSampler
 	metrics dbMetrics
 	// tracer is the request tracer (trace.go). Its per-operation
 	// state is serialized by mu (see the field comments there); the
@@ -363,7 +362,6 @@ func (d *DB) failWrite(err error) error {
 		return err
 	}
 	d.bgErr = err
-	d.metrics.degraded.Add(1)
 	d.journal.Record("degraded", map[string]int64{})
 	return err
 }
@@ -493,7 +491,6 @@ func (d *DB) recoverSetsAndLogs(groups []vlogGroup) error {
 	d.recovery.WALEntries = entries
 	d.recovery.WALSkippedBytes = r.Skipped()
 	d.recovery.WALTornTail = walRec != nil || r.Skipped() > 0
-	d.metrics.walReplaySkipped.Add(r.Skipped())
 	d.journal.Record("wal_replay", map[string]int64{
 		"log": int64(logNum), "records": int64(records), "entries": int64(entries),
 		"skipped_bytes": r.Skipped(), "torn": boolToInt64(d.recovery.WALTornTail),

@@ -5,12 +5,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http/httptest"
+	"os"
 	"sort"
 	"strings"
 	"testing"
 
 	"sealdb/internal/kv"
 	"sealdb/internal/obs"
+	"sealdb/internal/smr"
 )
 
 // The device-fingerprint goldens. Single-client device-clock output is
@@ -36,8 +39,12 @@ import (
 // sealdb_sstable_streamed_blocks_total=0 (same check: the stream's scans
 // return at most twelve small records and never reach a third block, so
 // streaming iterators changed no device access here; the benchmark's
-// scan_short row in BENCH_device.json is what pins theirs). When a
-// mismatch is intended, the failure message prints the new literal.
+// scan_short row in BENCH_device.json is what pins theirs), and PR 21's
+// for the Counters and Views hashes of all five: the instrument audit
+// deleted 36 counter and histogram names and the AmplificationProfile
+// view, and the parent's digests with exactly those lines dropped hash
+// to these values (CHANGES.md has the filter). When a mismatch is
+// intended, the failure message prints the new literal.
 type deviceFingerprint struct {
 	ReadOps, WriteOps       int64
 	BytesRead, BytesWritten int64
@@ -46,25 +53,16 @@ type deviceFingerprint struct {
 	Levels                  string // files per level, shallowest first
 	Journal                 string // event ids, parents, names, times, fields
 	Counters                string // registry counters + histogram count/sum
-	Views                   string // Stats, Amplification*, /debug profiles
+	Views                   string // Stats, Amplification, /debug profiles
 	Reads                   string // every Get/GetAt/Scan/ScanReverse result
 }
 
 var fingerprintGoldens = map[string]deviceFingerprint{
-	"leveldb":      {ReadOps: 12335, WriteOps: 16146, BytesRead: 56818285, BytesWritten: 56984682, Seeks: 14919, BusyNS: 170596432998, Seq: 0x226d, Levels: "3,10,8,0,0,0,17", Journal: "55f00330c40e873c", Counters: "f8f2233cb941f13d", Views: "db348c90a0310d4c", Reads: "e7b228fbb77598be"},
-	"leveldb+sets": {ReadOps: 11432, WriteOps: 16021, BytesRead: 47426073, BytesWritten: 48392966, Seeks: 13890, BusyNS: 157137890034, Seq: 0x226d, Levels: "3,10,8,0,0,0,17", Journal: "5d1a7239f6488560", Counters: "5a816de074cfba70", Views: "9fae7b03bbcd85a5", Reads: "e7b228fbb77598be"},
-	"smrdb":        {ReadOps: 522, WriteOps: 15024, BytesRead: 5663493, BytesWritten: 2775646, Seeks: 879, BusyNS: 6110865598, Seq: 0x226d, Levels: "1,3", Journal: "90b4b48675ab68e6", Counters: "0c9c0b5aa596df3f", Views: "e9b8e0cc0736a343", Reads: "e7b228fbb77598be"},
-	"sealdb":       {ReadOps: 11169, WriteOps: 15654, BytesRead: 13177680, BytesWritten: 7357206, Seeks: 12974, BusyNS: 83274893943, Seq: 0x226d, Levels: "3,10,8,0,0,0,17", Journal: "efa393a54077465c", Counters: "964c57bd02a9235d", Views: "b7aad7d475181d7c", Reads: "e7b228fbb77598be"},
-	"sealdb+vlog":  {ReadOps: 6002, WriteOps: 13402, BytesRead: 6668306, BytesWritten: 2755530, Seeks: 10344, BusyNS: 68761192146, Seq: 0x23ad, Levels: "1,5,0,0,0,0,7", Journal: "fb44bca2b8588d21", Counters: "be7c1530cf224e0f", Views: "7d015a740d5f6bcf", Reads: "e7b228fbb77598be"},
-}
-
-// metricNameGoldens pins the registered metric-name set (counters,
-// gauges and histograms together) of a fresh store: count and hash.
-var metricNameGoldens = map[string]string{
-	"sealdb":       "146:b3efd666acbf77d5",
-	"sealdb+vlog":  "149:549fbd7971816ad7",
-	"leveldb":      "133:326f3d595713ff11",
-	"leveldb+vlog": "136:b6a82e4392c05bd9",
+	"leveldb":      {ReadOps: 12335, WriteOps: 16146, BytesRead: 56818285, BytesWritten: 56984682, Seeks: 14919, BusyNS: 170596432998, Seq: 0x226d, Levels: "3,10,8,0,0,0,17", Journal: "55f00330c40e873c", Counters: "38191de8560f6e93", Views: "450bd3d20715af7b", Reads: "e7b228fbb77598be"},
+	"leveldb+sets": {ReadOps: 11432, WriteOps: 16021, BytesRead: 47426073, BytesWritten: 48392966, Seeks: 13890, BusyNS: 157137890034, Seq: 0x226d, Levels: "3,10,8,0,0,0,17", Journal: "5d1a7239f6488560", Counters: "378272adcceb292d", Views: "9bdd153140e9cfbc", Reads: "e7b228fbb77598be"},
+	"smrdb":        {ReadOps: 522, WriteOps: 15024, BytesRead: 5663493, BytesWritten: 2775646, Seeks: 879, BusyNS: 6110865598, Seq: 0x226d, Levels: "1,3", Journal: "90b4b48675ab68e6", Counters: "e676a8a873962882", Views: "f63db5f7dfb2539b", Reads: "e7b228fbb77598be"},
+	"sealdb":       {ReadOps: 11169, WriteOps: 15654, BytesRead: 13177680, BytesWritten: 7357206, Seeks: 12974, BusyNS: 83274893943, Seq: 0x226d, Levels: "3,10,8,0,0,0,17", Journal: "efa393a54077465c", Counters: "76dcbd7184034906", Views: "1f9b69497dffaeed", Reads: "e7b228fbb77598be"},
+	"sealdb+vlog":  {ReadOps: 6002, WriteOps: 13402, BytesRead: 6668306, BytesWritten: 2755530, Seeks: 10344, BusyNS: 68761192146, Seq: 0x23ad, Levels: "1,5,0,0,0,0,7", Journal: "fb44bca2b8588d21", Counters: "b866481627b066f1", Views: "49a9225fa25458a0", Reads: "e7b228fbb77598be"},
 }
 
 type fingerprintCase struct {
@@ -123,8 +121,8 @@ func journalDigest(events []obs.Event) string {
 }
 
 // counterDigest serializes the deterministic half of the registry:
-// every counter and every histogram's count and sum (gauges include
-// Go-runtime telemetry and are covered by the views instead).
+// every counter and every histogram's count and sum (each gauge is held
+// to its view by checkGaugesAgainstViews instead).
 func counterDigest(s *obs.Snapshot) string {
 	var lines []string
 	for n, v := range s.Counters {
@@ -160,7 +158,7 @@ func viewDigest(t *testing.T, d *DB) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%+v\n%+v\n", d.Stats(), d.Amplification())
 	for _, v := range []any{
-		d.AmplificationProfile(), d.LevelProfile(), d.SetProfile(),
+		d.LevelProfile(), d.SetProfile(),
 		d.BandProfile(), d.SpaceProfile(), d.Recovery(),
 	} {
 		b, err := json.Marshal(v)
@@ -171,6 +169,65 @@ func viewDigest(t *testing.T, d *DB) string {
 		sb.WriteByte('\n')
 	}
 	return sb.String()
+}
+
+// checkGaugesAgainstViews holds every gauge of a snapshot taken at a
+// quiescent instant to the view or subsystem counter it projects: the
+// collection pass may not compute anything its source does not report.
+// A gauge without a line here fails, so a new one arrives with its
+// source named.
+func checkGaugesAgainstViews(t *testing.T, d *DB, gauges map[string]float64) {
+	t.Helper()
+	want := map[string]float64{}
+	amp, sp, dev := d.Amplification(), d.SpaceProfile(), d.Device()
+	cs, bs := d.cache.Stats(), dev.Backend.Stats()
+	d.mu.Lock()
+	want["sealdb_memtable_bytes"] = float64(d.mem.ApproximateSize())
+	d.mu.Unlock()
+	want["sealdb_cache_hits"] = float64(cs.Hits)
+	want["sealdb_cache_misses"] = float64(cs.Misses)
+	want["sealdb_cache_used_bytes"] = float64(cs.UsedBytes)
+	want["sealdb_bloom_negatives"] = float64(cs.BloomNegatives)
+	want["sealdb_bloom_true_positives"] = float64(cs.BloomTruePositives)
+	want["sealdb_bloom_false_positives"] = float64(cs.BloomFalsePositives)
+	want["sealdb_host_bytes_written"] = float64(amp.HostBytes)
+	want["sealdb_awa"] = amp.AWA
+	want["sealdb_storage_files"] = float64(dev.Backend.NumFiles())
+	want["sealdb_storage_files_written"] = float64(bs.FilesWritten)
+	want["sealdb_storage_group_writes"] = float64(bs.GroupWrites)
+	want["sealdb_storage_group_bytes"] = float64(bs.GroupBytes)
+	want["sealdb_storage_removes"] = float64(bs.Removes)
+	want["sealdb_write_retries"] = float64(d.FaultProfile().Retry.Retried)
+	if d.cfg.vlogEnabled() {
+		live, dead, segs := d.vlog.tab.Totals()
+		if live != sp.VlogLiveBytes {
+			t.Errorf("vlog table reports %d live bytes, SpaceProfile %d", live, sp.VlogLiveBytes)
+		}
+		want["sealdb_vlog_live_bytes"] = float64(live)
+		want["sealdb_vlog_dead_bytes"] = float64(dead)
+		want["sealdb_vlog_segments"] = float64(segs)
+	}
+	if mgr := dev.DBand; mgr != nil {
+		ms := mgr.Stats()
+		want["sealdb_dband_frontier_bytes"] = float64(sp.Frag.Frontier)
+		want["sealdb_dband_appends"] = float64(ms.Appends)
+		want["sealdb_dband_inserts"] = float64(ms.Inserts)
+		want["sealdb_dband_frees"] = float64(ms.Frees)
+		want["sealdb_dband_coalesces"] = float64(ms.Coalesces)
+		want["sealdb_band_frag_holes"] = float64(sp.Frag.Holes)
+		want["sealdb_band_frag_index"] = sp.Frag.Index
+	} else {
+		fbd := smr.Base(dev.Drive).(*smr.FixedBandDrive)
+		want["sealdb_media_cache_cleans"] = float64(fbd.MediaCacheStats().Cleans)
+	}
+	if len(gauges) != len(want) {
+		t.Errorf("snapshot has %d gauges, %d are checked against a view", len(gauges), len(want))
+	}
+	for name, w := range want {
+		if got, ok := gauges[name]; !ok || got != w {
+			t.Errorf("gauge %s = %v (present %v), its view reports %v", name, got, ok, w)
+		}
+	}
 }
 
 // runFingerprintStream drives the fixed op stream and returns the
@@ -226,8 +283,10 @@ func runFingerprintStream(t *testing.T, cfg Config) deviceFingerprint {
 		if n := d.JournalDropped(); n != 0 {
 			t.Fatalf("journal dropped %d events; raise JournalCapacity", n)
 		}
-		counters.WriteString(counterDigest(d.MetricsSnapshot()))
+		snap := d.MetricsSnapshot()
+		counters.WriteString(counterDigest(snap))
 		views.WriteString(viewDigest(t, d))
+		checkGaugesAgainstViews(t, d, snap.Gauges)
 	}
 
 	const steps = 12000
@@ -331,10 +390,45 @@ func TestDeviceFingerprint(t *testing.T) {
 	}
 }
 
-// TestMetricNameSet pins the public metric surface: the registered
-// names of a fresh dynamic-band store and a fresh fixed-band store,
-// with and without the value log.
+// readerRow is one row of DESIGN.md's instrument table.
+type readerRow struct {
+	names               []string
+	kind, modes, reader string
+}
+
+// readerTable parses the instrument table of DESIGN.md §Observability:
+// every four-cell row whose first cell holds back-quoted names.
+func readerTable(t *testing.T) []readerRow {
+	t.Helper()
+	doc, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(doc), "\n## Observability\n")
+	section, _, _ = strings.Cut(section, "\n## ")
+	var rows []readerRow
+	for _, line := range strings.Split(section, "\n") {
+		cells := strings.Split(strings.Trim(line, "|"), " | ")
+		if len(cells) != 4 || !strings.HasPrefix(line, "| `") {
+			continue
+		}
+		r := readerRow{kind: cells[1], modes: cells[2], reader: strings.TrimSpace(cells[3])}
+		for _, n := range strings.Split(cells[0], ",") {
+			r.names = append(r.names, strings.Trim(n, " `"))
+		}
+		rows = append(rows, r)
+	}
+	return rows
+}
+
+// TestMetricNameSet holds the metric surface to the checked-in reader
+// table: in each mode, with and without the value log, a fresh store
+// registers exactly the names the table lists for it, every row names
+// a reader, and every endpoint row is served. The surface changes only
+// by an edit to that table.
 func TestMetricNameSet(t *testing.T) {
+	rows := readerTable(t)
+	kinds := map[string]string{"counter": "c:", "gauge": "g:", "histogram": "h:"}
 	for _, mode := range []Mode{ModeSEALDB, ModeLevelDB} {
 		for _, vlog := range []bool{false, true} {
 			cfg := tinyConfig(mode)
@@ -347,11 +441,44 @@ func TestMetricNameSet(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			names := metricNames(d.MetricsSnapshot())
+			applies := map[string]bool{"all": true, "dband": mode == ModeSEALDB, "fixed": mode != ModeSEALDB, "vlog": vlog}
+			var want []string
+			endpoints := 0
+			for _, r := range rows {
+				if r.reader == "" {
+					t.Errorf("%v has no reader", r.names)
+				}
+				on, known := applies[r.modes]
+				if !known {
+					t.Errorf("%v: unknown modes %q", r.names, r.modes)
+				}
+				for _, n := range r.names {
+					switch prefix, metric := kinds[r.kind]; {
+					case r.kind == "endpoint":
+						endpoints++
+						rec := httptest.NewRecorder()
+						d.ObsHandler().ServeHTTP(rec, httptest.NewRequest("GET", n, nil))
+						if rec.Code != 200 {
+							t.Errorf("%s: endpoint %s answers %d", name, n, rec.Code)
+						}
+					case !metric || !on:
+					case strings.Contains(n, "_N_"):
+						for l := 0; l < cfg.NumLevels; l++ {
+							want = append(want, prefix+strings.Replace(n, "_N_", fmt.Sprintf("_%d_", l), 1))
+						}
+					default:
+						want = append(want, prefix+n)
+					}
+				}
+			}
+			sort.Strings(want)
+			got := metricNames(d.MetricsSnapshot())
 			d.Close()
-			got := fmt.Sprintf("%d:%s", len(names), hashHex(names...))
-			if want := metricNameGoldens[name]; got != want {
-				t.Errorf("metric name set of %s = %q, want %q\n%s", name, got, want, strings.Join(names, "\n"))
+			if endpoints == 0 || len(want) == 0 {
+				t.Fatalf("reader table not found in DESIGN.md (%d rows)", len(rows))
+			}
+			if strings.Join(got, "\n") != strings.Join(want, "\n") {
+				t.Errorf("%s registers\n  %s\nbut DESIGN.md §Observability lists\n  %s", name, strings.Join(got, "\n  "), strings.Join(want, "\n  "))
 			}
 		}
 	}

@@ -57,6 +57,6 @@ func (d *DB) flushMemtable(mem *memtable.MemTable, newLogNum uint64) error {
 		OutputBytes: meta.Size,
 		OutputFiles: 1,
 		Flush:       true,
-	}, d.metrics.flushLatency)
+	})
 	return nil
 }

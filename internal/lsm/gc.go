@@ -97,7 +97,6 @@ func (d *DB) DefragmentBands(maxMoves int) (GCResult, error) {
 		res.BytesMoved += moved
 	}
 	res.FragmentsAfter = mgr.FragmentBytes(threshold)
-	d.metrics.bandGCPasses.Inc()
 	sp.Set("sets_moved", int64(res.SetsMoved))
 	sp.Set("bytes_moved", res.BytesMoved)
 	sp.Set("fragments_after", res.FragmentsAfter)

@@ -12,63 +12,34 @@ import (
 
 // dbMetrics holds the engine's hot-path metric handles so
 // instrumentation sites pay one atomic add, not a registry lookup.
+// Every name has a reader in DESIGN.md §Observability; TestMetricNameSet
+// compares that table with what is registered.
 type dbMetrics struct {
-	writes, writeBytes   *obs.Counter
-	gets, getHits        *obs.Counter
-	flushes, flushBytes  *obs.Counter
-	compactions          *obs.Counter
-	compactionReadBytes  *obs.Counter
-	compactionWriteBytes *obs.Counter
-	trivialMoves         *obs.Counter
-	setsCreated          *obs.Counter
-	setsDropped          *obs.Counter
-	bandGCPasses         *obs.Counter
-	bandGCMoves          *obs.Counter
-	bandGCBytes          *obs.Counter
-	walRotations         *obs.Counter
-	walReplaySkipped     *obs.Counter
-	degraded             *obs.Counter
-	sstableCorrupt       *obs.Counter
-	sstableStreamed      *obs.Counter
+	writes, writeBytes       *obs.Counter
+	gets, getHits            *obs.Counter
+	flushes, flushBytes      *obs.Counter
+	compactions              *obs.Counter
+	compactionReadBytes      *obs.Counter
+	compactionWriteBytes     *obs.Counter
+	trivialMoves             *obs.Counter
+	setsCreated, setsDropped *obs.Counter
+	bandGCMoves, bandGCBytes *obs.Counter
+	walRotations             *obs.Counter
+	sstableCorrupt           *obs.Counter
+	sstableStreamed          *obs.Counter
 
 	// Value-log (key–value separation) accounting (vlog.go).
-	vlogAppends     *obs.Counter
 	vlogAppendBytes *obs.Counter
 	vlogReads       *obs.Counter
 	vlogCacheHits   *obs.Counter
-	vlogRotations   *obs.Counter
-	vlogDeadBytes   *obs.Counter
 	vlogGCRuns      *obs.Counter
 	vlogGCRelocated *obs.Counter
-	vlogGCReclaimed *obs.Counter
-	vlogGCSkipped   *obs.Counter
 
-	// Tracer accounting (trace.go).
-	traceOps        *obs.Counter
-	traceSampled    *obs.Counter
-	traceSlowOps    *obs.Counter
-	traceIOs        *obs.Counter
-	traceIOBytes    *obs.Counter
-	traceCacheHits  *obs.Counter
-	traceDroppedIOs *obs.Counter
-
-	// Per-level amplification accounting: logical bytes written into
-	// and read out of each level by flushes and compactions.
+	// levelWriteBytes counts the logical bytes flushes and compactions
+	// wrote into each level.
 	levelWriteBytes []*obs.Counter
-	levelReadBytes  []*obs.Counter
 
-	writeLatency      *obs.Histogram
-	readLatency       *obs.Histogram
-	flushLatency      *obs.Histogram
-	compactionLatency *obs.Histogram
-
-	// Per-stage latency breakdown, in simulated device nanoseconds;
-	// observed only while tracing is enabled.
-	stageWALNS      *obs.Histogram
-	stageMemtableNS *obs.Histogram
-	stageStallNS    *obs.Histogram
-	stageReadMemNS  *obs.Histogram
-	stageReadLevel  []*obs.Histogram
+	writeLatency *obs.Histogram
 }
 
 // initObs builds the DB's metrics registry and event journal and
@@ -91,48 +62,20 @@ func (d *DB) initObs() {
 	m.trivialMoves = d.reg.Counter("sealdb_trivial_move_total")
 	m.setsCreated = d.reg.Counter("sealdb_sets_created_total")
 	m.setsDropped = d.reg.Counter("sealdb_sets_dropped_total")
-	m.bandGCPasses = d.reg.Counter("sealdb_band_gc_passes_total")
 	m.bandGCMoves = d.reg.Counter("sealdb_band_gc_moves_total")
 	m.bandGCBytes = d.reg.Counter("sealdb_band_gc_bytes_total")
 	m.walRotations = d.reg.Counter("sealdb_wal_rotations_total")
-	m.walReplaySkipped = d.reg.Counter("sealdb_wal_replay_skipped_bytes_total")
-	m.degraded = d.reg.Counter("sealdb_degraded_total")
 	m.sstableCorrupt = d.reg.Counter("sealdb_sstable_corrupt_blocks_total")
 	m.sstableStreamed = d.reg.Counter("sealdb_sstable_streamed_blocks_total")
-	m.vlogAppends = d.reg.Counter("sealdb_vlog_appends_total")
 	m.vlogAppendBytes = d.reg.Counter("sealdb_vlog_append_bytes_total")
 	m.vlogReads = d.reg.Counter("sealdb_vlog_reads_total")
 	m.vlogCacheHits = d.reg.Counter("sealdb_vlog_cache_hits_total")
-	m.vlogRotations = d.reg.Counter("sealdb_vlog_rotations_total")
-	m.vlogDeadBytes = d.reg.Counter("sealdb_vlog_dead_bytes_total")
 	m.vlogGCRuns = d.reg.Counter("sealdb_vlog_gc_runs_total")
 	m.vlogGCRelocated = d.reg.Counter("sealdb_vlog_gc_relocated_bytes_total")
-	m.vlogGCReclaimed = d.reg.Counter("sealdb_vlog_gc_reclaimed_bytes_total")
-	m.vlogGCSkipped = d.reg.Counter("sealdb_vlog_gc_skipped_total")
 	m.writeLatency = d.reg.Histogram("sealdb_write_latency_ns")
-	m.readLatency = d.reg.Histogram("sealdb_read_latency_ns")
-	m.flushLatency = d.reg.Histogram("sealdb_flush_latency_ns")
-	m.compactionLatency = d.reg.Histogram("sealdb_compaction_latency_ns")
-
-	m.traceOps = d.reg.Counter("sealdb_trace_ops_total")
-	m.traceSampled = d.reg.Counter("sealdb_trace_sampled_total")
-	m.traceSlowOps = d.reg.Counter("sealdb_trace_slow_ops_total")
-	m.traceIOs = d.reg.Counter("sealdb_trace_ios_total")
-	m.traceIOBytes = d.reg.Counter("sealdb_trace_io_bytes_total")
-	m.traceCacheHits = d.reg.Counter("sealdb_trace_cache_hits_total")
-	m.traceDroppedIOs = d.reg.Counter("sealdb_trace_dropped_ios_total")
-
-	m.stageWALNS = d.reg.Histogram("sealdb_stage_wal_append_ns")
-	m.stageMemtableNS = d.reg.Histogram("sealdb_stage_memtable_ns")
-	m.stageStallNS = d.reg.Histogram("sealdb_stage_compaction_stall_ns")
-	m.stageReadMemNS = d.reg.Histogram("sealdb_stage_read_memtable_ns")
-	m.stageReadLevel = make([]*obs.Histogram, d.cfg.NumLevels)
 	m.levelWriteBytes = make([]*obs.Counter, d.cfg.NumLevels)
-	m.levelReadBytes = make([]*obs.Counter, d.cfg.NumLevels)
-	for l := 0; l < d.cfg.NumLevels; l++ {
-		m.stageReadLevel[l] = d.reg.Histogram(fmt.Sprintf("sealdb_stage_read_level_%d_ns", l))
+	for l := range m.levelWriteBytes {
 		m.levelWriteBytes[l] = d.reg.Counter(fmt.Sprintf("sealdb_level_%d_write_bytes_total", l))
-		m.levelReadBytes[l] = d.reg.Counter(fmt.Sprintf("sealdb_level_%d_read_bytes_total", l))
 	}
 
 	// Media corruption detected on the read path: count it and
@@ -146,38 +89,7 @@ func (d *DB) initObs() {
 	})
 
 	d.tracer.init(d)
-	d.runtime = obs.NewRuntimeSampler()
-	d.runtime.Register(d.reg)
-	d.registerLockGauges()
-	d.registerGauges()
 	d.installDeviceObservers()
-}
-
-// registerLockGauges bridges the process-global lock-contention
-// profile (obs.Mutex sites) into the registry as aggregate gauges, so
-// /metrics shows at a glance whether lock waits matter; per-site
-// wait/hold histograms live at /debug/contention.
-func (d *DB) registerLockGauges() {
-	reg := d.reg
-	sum := func(pick func(obs.LockSiteSnapshot) int64) float64 {
-		var n int64
-		for _, s := range obs.ContentionProfile() {
-			n += pick(s)
-		}
-		return float64(n)
-	}
-	reg.GaugeFunc("sealdb_lock_acquisitions", func() float64 {
-		return sum(func(s obs.LockSiteSnapshot) int64 { return s.Acquisitions })
-	})
-	reg.GaugeFunc("sealdb_lock_contentions", func() float64 {
-		return sum(func(s obs.LockSiteSnapshot) int64 { return s.Contentions })
-	})
-	reg.GaugeFunc("sealdb_lock_wait_ns", func() float64 {
-		return sum(func(s obs.LockSiteSnapshot) int64 { return s.TotalWaitNS })
-	})
-	reg.GaugeFunc("sealdb_lock_hold_ns", func() float64 {
-		return sum(func(s obs.LockSiteSnapshot) int64 { return s.TotalHoldNS })
-	})
 }
 
 // journalCapacity returns the event-journal ring bound.
@@ -188,160 +100,59 @@ func (c *Config) journalCapacity() int {
 	return 4096
 }
 
-// registerGauges wires pull gauges over every subsystem's existing
-// counters. Gauge functions run at snapshot time and may take the
-// DB and subsystem locks; nothing calls MetricsSnapshot while holding
-// d.mu.
-func (d *DB) registerGauges() {
-	reg := d.reg
+// collectGauges is the one collection pass behind MetricsSnapshot and
+// /metrics: it enters the engine mutex once, reads each subsystem's
+// stats once, and writes every gauge from those locals. A gauge is
+// added here as one more line, never as a closure that locks again.
+// Must not be called with d.mu held.
+func (d *DB) collectGauges(g map[string]float64) {
+	d.mu.Lock()
+	memBytes := d.mem.ApproximateSize()
+	d.mu.Unlock()
+	g["sealdb_memtable_bytes"] = float64(memBytes)
 
-	// Block cache and bloom-filter effectiveness (satellite: formerly
-	// private to sstable/cache.go).
-	reg.GaugeFunc("sealdb_cache_hits", func() float64 { return float64(d.cache.Stats().Hits) })
-	reg.GaugeFunc("sealdb_cache_misses", func() float64 { return float64(d.cache.Stats().Misses) })
-	reg.GaugeFunc("sealdb_cache_hit_ratio", func() float64 { return d.cache.Stats().HitRatio })
-	reg.GaugeFunc("sealdb_cache_used_bytes", func() float64 { return float64(d.cache.Stats().UsedBytes) })
-	reg.GaugeFunc("sealdb_bloom_negatives", func() float64 { return float64(d.cache.Stats().BloomNegatives) })
-	reg.GaugeFunc("sealdb_bloom_true_positives", func() float64 { return float64(d.cache.Stats().BloomTruePositives) })
-	reg.GaugeFunc("sealdb_bloom_false_positives", func() float64 { return float64(d.cache.Stats().BloomFalsePositives) })
+	cs := d.cache.Stats()
+	g["sealdb_cache_hits"] = float64(cs.Hits)
+	g["sealdb_cache_misses"] = float64(cs.Misses)
+	g["sealdb_cache_used_bytes"] = float64(cs.UsedBytes)
+	g["sealdb_bloom_negatives"] = float64(cs.BloomNegatives)
+	g["sealdb_bloom_true_positives"] = float64(cs.BloomTruePositives)
+	g["sealdb_bloom_false_positives"] = float64(cs.BloomFalsePositives)
 
-	// Device (platter) counters.
-	reg.GaugeFunc("sealdb_device_bytes_read", func() float64 { return float64(d.disk.Stats().BytesRead) })
-	reg.GaugeFunc("sealdb_device_bytes_written", func() float64 { return float64(d.disk.Stats().BytesWritten) })
-	reg.GaugeFunc("sealdb_device_read_ops", func() float64 { return float64(d.disk.Stats().ReadOps) })
-	reg.GaugeFunc("sealdb_device_write_ops", func() float64 { return float64(d.disk.Stats().WriteOps) })
-	reg.GaugeFunc("sealdb_device_seeks", func() float64 { return float64(d.disk.Stats().Seeks) })
-	reg.GaugeFunc("sealdb_device_busy_seconds", func() float64 { return d.disk.Stats().BusyTime.Seconds() })
+	// The drive's half of the paper's Table I.
+	g["sealdb_host_bytes_written"] = float64(d.drive.HostBytesWritten())
+	g["sealdb_awa"] = smr.AWA(d.drive)
 
-	// Drive-level amplification (the paper's Table I, live).
-	reg.GaugeFunc("sealdb_host_bytes_written", func() float64 { return float64(d.drive.HostBytesWritten()) })
-	reg.GaugeFunc("sealdb_wa", func() float64 { return d.Amplification().WA })
-	reg.GaugeFunc("sealdb_awa", func() float64 { return d.Amplification().AWA })
-	reg.GaugeFunc("sealdb_mwa", func() float64 { return d.Amplification().MWA })
+	bs := d.backend.Stats()
+	g["sealdb_storage_files"] = float64(d.backend.NumFiles())
+	g["sealdb_storage_files_written"] = float64(bs.FilesWritten)
+	g["sealdb_storage_group_writes"] = float64(bs.GroupWrites)
+	g["sealdb_storage_group_bytes"] = float64(bs.GroupBytes)
+	g["sealdb_storage_removes"] = float64(bs.Removes)
 
-	// Storage backend activity.
-	reg.GaugeFunc("sealdb_storage_files", func() float64 { return float64(d.backend.NumFiles()) })
-	reg.GaugeFunc("sealdb_storage_files_written", func() float64 { return float64(d.backend.Stats().FilesWritten) })
-	reg.GaugeFunc("sealdb_storage_file_bytes", func() float64 { return float64(d.backend.Stats().FileBytes) })
-	reg.GaugeFunc("sealdb_storage_group_writes", func() float64 { return float64(d.backend.Stats().GroupWrites) })
-	reg.GaugeFunc("sealdb_storage_group_bytes", func() float64 { return float64(d.backend.Stats().GroupBytes) })
-	reg.GaugeFunc("sealdb_storage_removes", func() float64 { return float64(d.backend.Stats().Removes) })
-	reg.GaugeFunc("sealdb_storage_extent_frees", func() float64 { return float64(d.backend.Stats().ExtentFrees) })
-
-	// Engine state under d.mu: memtable, WAL, snapshots, sets, levels.
-	reg.GaugeFunc("sealdb_memtable_bytes", func() float64 {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		return float64(d.mem.ApproximateSize())
-	})
-	reg.GaugeFunc("sealdb_wal_size_bytes", func() float64 {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		if d.walW == nil {
-			return 0
-		}
-		return float64(d.walW.Size())
-	})
-	reg.GaugeFunc("sealdb_wal_records", func() float64 {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		if d.walW == nil {
-			return 0
-		}
-		return float64(d.walW.Records())
-	})
-	reg.GaugeFunc("sealdb_open_snapshots", func() float64 {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		return float64(len(d.snapshots))
-	})
-	// Value-log segment table (its own lock, ordered after d.mu, so
-	// these never take the DB mutex).
 	if d.cfg.vlogEnabled() {
-		reg.GaugeFunc("sealdb_vlog_segments", func() float64 {
-			_, _, n := d.vlog.tab.Totals()
-			return float64(n)
-		})
-		reg.GaugeFunc("sealdb_vlog_live_bytes", func() float64 {
-			live, _, _ := d.vlog.tab.Totals()
-			return float64(live)
-		})
-		reg.GaugeFunc("sealdb_vlog_dead_bytes", func() float64 {
-			_, dead, _ := d.vlog.tab.Totals()
-			return float64(dead)
-		})
-	}
-	reg.GaugeFunc("sealdb_live_sets", func() float64 { return float64(d.SetProfile().LiveSets) })
-	reg.GaugeFunc("sealdb_set_live_members", func() float64 { return float64(d.SetProfile().LiveMembers) })
-	reg.GaugeFunc("sealdb_set_invalid_members", func() float64 { return float64(d.SetProfile().InvalidMembers) })
-	for l := 0; l < d.cfg.NumLevels; l++ {
-		level := l
-		reg.GaugeFunc(fmt.Sprintf("sealdb_level_%d_files", level), func() float64 {
-			d.mu.Lock()
-			defer d.mu.Unlock()
-			return float64(d.vs.Current().NumFiles(level))
-		})
-		reg.GaugeFunc(fmt.Sprintf("sealdb_level_%d_bytes", level), func() float64 {
-			d.mu.Lock()
-			defer d.mu.Unlock()
-			return float64(d.vs.Current().LevelBytes(level))
-		})
+		live, dead, segs := d.vlog.tab.Totals()
+		g["sealdb_vlog_segments"] = float64(segs)
+		g["sealdb_vlog_live_bytes"] = float64(live)
+		g["sealdb_vlog_dead_bytes"] = float64(dead)
 	}
 
 	// Mode-specific device state.
 	if mgr := d.dev.DBand; mgr != nil {
-		reg.GaugeFunc("sealdb_dband_frontier_bytes", func() float64 { return float64(mgr.Frontier()) })
-		reg.GaugeFunc("sealdb_dband_free_bytes", func() float64 { return float64(mgr.FreeBytes()) })
-		reg.GaugeFunc("sealdb_dband_allocated_bytes", func() float64 { return float64(mgr.AllocatedBytes()) })
-		threshold := d.cfg.SSTableSize + d.cfg.GuardSize
-		reg.GaugeFunc("sealdb_dband_fragment_bytes", func() float64 { return float64(mgr.FragmentBytes(threshold)) })
-		reg.GaugeFunc("sealdb_dband_bands", func() float64 { return float64(len(mgr.Bands())) })
-		reg.GaugeFunc("sealdb_dband_appends", func() float64 { return float64(mgr.Stats().Appends) })
-		reg.GaugeFunc("sealdb_dband_inserts", func() float64 { return float64(mgr.Stats().Inserts) })
-		reg.GaugeFunc("sealdb_dband_frees", func() float64 { return float64(mgr.Stats().Frees) })
-		reg.GaugeFunc("sealdb_dband_coalesces", func() float64 { return float64(mgr.Stats().Coalesces) })
-
-		// Storage-surface observatory (surface.go): per-band live/dead
-		// accounting, free-list fragmentation, and the continuous
-		// space-amplification counter next to WA/AWA above.
-		reg.GaugeFunc("sealdb_band_live_bytes", func() float64 {
-			sp := d.SpaceProfile()
-			return float64(sp.PhysicalBytes - sp.SurfaceDeadBytes)
-		})
-		reg.GaugeFunc("sealdb_band_dead_bytes", func() float64 {
-			return float64(d.SpaceProfile().SurfaceDeadBytes)
-		})
-		reg.GaugeFunc("sealdb_band_heat_max", func() float64 {
-			return d.surface.maxHeat(d.deviceNow())
-		})
-		reg.GaugeFunc("sealdb_band_frag_holes", func() float64 {
-			return float64(mgr.FragProfile().Holes)
-		})
-		reg.GaugeFunc("sealdb_band_frag_largest_free", func() float64 {
-			return float64(mgr.FragProfile().LargestFree)
-		})
-		reg.GaugeFunc("sealdb_band_frag_index", func() float64 {
-			return mgr.FragProfile().Index
-		})
-		reg.GaugeFunc("sealdb_space_physical_bytes", func() float64 { return float64(mgr.AllocatedBytes()) })
-		reg.GaugeFunc("sealdb_space_live_bytes", func() float64 {
-			return float64(d.SpaceProfile().LogicalLiveBytes)
-		})
-		reg.GaugeFunc("sealdb_space_amplification", func() float64 {
-			return d.SpaceProfile().SpaceAmplification
-		})
+		ms, frag := mgr.Stats(), mgr.FragProfile()
+		g["sealdb_dband_frontier_bytes"] = float64(frag.Frontier)
+		g["sealdb_dband_appends"] = float64(ms.Appends)
+		g["sealdb_dband_inserts"] = float64(ms.Inserts)
+		g["sealdb_dband_frees"] = float64(ms.Frees)
+		g["sealdb_dband_coalesces"] = float64(ms.Coalesces)
+		g["sealdb_band_frag_holes"] = float64(frag.Holes)
+		g["sealdb_band_frag_index"] = frag.Index
 	}
 	if fbd, ok := smr.Base(d.drive).(*smr.FixedBandDrive); ok {
-		reg.GaugeFunc("sealdb_media_cache_cleans", func() float64 { return float64(fbd.MediaCacheStats().Cleans) })
-		reg.GaugeFunc("sealdb_media_cache_clean_bytes", func() float64 { return float64(fbd.MediaCacheStats().CleanBytes) })
-		reg.GaugeFunc("sealdb_media_cache_staged_writes", func() float64 { return float64(fbd.MediaCacheStats().StagedWrites) })
-		reg.GaugeFunc("sealdb_media_cache_staged_bytes", func() float64 { return float64(fbd.MediaCacheStats().StagedBytes) })
-		reg.GaugeFunc("sealdb_media_cache_dirty_bands", func() float64 { return float64(fbd.MediaCacheStats().DirtyBands) })
+		g["sealdb_media_cache_cleans"] = float64(fbd.MediaCacheStats().Cleans)
 	}
 	if rd := d.retryDrive(); rd != nil {
-		reg.GaugeFunc("sealdb_write_retries", func() float64 { return float64(rd.Stats().Retried) })
-		reg.GaugeFunc("sealdb_write_retry_recovered", func() float64 { return float64(rd.Stats().Recovered) })
-		reg.GaugeFunc("sealdb_write_retry_exhausted", func() float64 { return float64(rd.Stats().Exhausted) })
+		g["sealdb_write_retries"] = float64(rd.Stats().Retried)
 	}
 }
 
@@ -367,9 +178,9 @@ func (d *DB) retryDrive() *smr.RetryDrive {
 	return rd
 }
 
-// installDeviceObservers journals the device-stack events the
-// registry's gauges can only aggregate: media-cache cleaning RMWs and
-// dynamic-band allocator activity.
+// installDeviceObservers journals the device-stack events the gauges
+// can only aggregate: media-cache cleaning RMWs and dynamic-band
+// allocator activity.
 func (d *DB) installDeviceObservers() {
 	if rd := d.retryDrive(); rd != nil {
 		rd.SetObserver(func(attempt int, err error, recovered bool) {
@@ -406,12 +217,15 @@ func (d *DB) installDeviceObservers() {
 // registration site each.
 func (d *DB) ObsRegistry() *obs.Registry { return d.reg }
 
-// MetricsSnapshot captures every metric — engine counters and
-// latency histograms plus the pull gauges over the device stack — at
+// MetricsSnapshot captures every metric — the registry's counters and
+// histograms (and whatever a colocated layer registered), plus the
+// engine's gauges over the device stack, written by collectGauges — at
 // one point in time. It is the same data the /metrics endpoint
 // serves. Do not call while holding the DB's own callbacks.
 func (d *DB) MetricsSnapshot() *obs.Snapshot {
-	return d.reg.Snapshot()
+	s := d.reg.Snapshot()
+	d.collectGauges(s.Gauges)
+	return s
 }
 
 // Events returns the journaled engine events (flushes, compactions,
@@ -459,28 +273,13 @@ func (d *DB) FaultProfile() FaultProfile {
 	return p
 }
 
-// ContentionProfile reports the process-wide lock-contention profile
-// (every obs.Mutex site, ranked by total wait). Empty histograms mean
-// lock profiling is off — enable it with obs.SetLockProfiling(true)
-// or the /debug/contention?profile=on control.
-func (d *DB) ContentionProfile() []obs.LockSiteSnapshot {
-	return obs.ContentionProfile()
-}
-
-// RuntimeProfile reports Go runtime telemetry (goroutines, GC pauses,
-// scheduler latency, heap sizes), the /debug/runtime payload.
-func (d *DB) RuntimeProfile() obs.RuntimeProfile {
-	return d.runtime.Profile()
-}
-
 // ObsHandler returns the observability HTTP handler: /metrics
 // (Prometheus text, or JSON with ?format=json), /debug/levels,
-// /debug/sets, /debug/events, /debug/faults, /debug/amplification,
-// /debug/bands (per-band heat/live/dead plus vlog segment occupancy),
-// /debug/space (the space-amplification counter and its inputs),
-// /debug/contention (?profile=on|off toggles lock profiling),
-// /debug/runtime, and the /debug/pprof/* suite. The cmd drivers mount
-// it behind their -serve flag.
+// /debug/sets, /debug/events, /debug/faults, /debug/bands (per-band
+// heat/live/dead plus vlog segment occupancy), /debug/space (the
+// space-amplification counter and its inputs), /debug/contention
+// (?profile=on|off toggles lock profiling) and the /debug/pprof/*
+// suite. The cmd drivers mount it behind their -serve flag.
 func (d *DB) ObsHandler() http.Handler {
 	m := obs.NewMux()
 	m.HandleMetrics("/metrics", d.MetricsSnapshot)
@@ -488,11 +287,9 @@ func (d *DB) ObsHandler() http.Handler {
 	m.HandleJSON("/debug/sets", func() any { return d.SetProfile() })
 	m.HandleJSON("/debug/events", func() any { return d.Events() })
 	m.HandleJSON("/debug/faults", func() any { return d.FaultProfile() })
-	m.HandleJSON("/debug/amplification", func() any { return d.AmplificationProfile() })
 	m.HandleJSON("/debug/bands", func() any { return d.BandProfile() })
 	m.HandleJSON("/debug/space", func() any { return d.SpaceProfile() })
 	m.HandleContention("/debug/contention")
-	m.HandleJSON("/debug/runtime", func() any { return d.RuntimeProfile() })
 	m.HandlePprof()
 	return m
 }

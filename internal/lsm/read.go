@@ -25,8 +25,7 @@ func (d *DB) GetAt(key []byte, snap *Snapshot) ([]byte, error) {
 
 // get is the user read, at snap or (nil) the latest sequence number:
 // the shared lookup, the one hit epilogue (resolve or copy the stored
-// value), and the read-path metrics — a count, a hit count, and the
-// simulated device time the read consumed.
+// value), and the read-path counters.
 func (d *DB) get(key []byte, snap *Snapshot, reqID uint64) ([]byte, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -38,7 +37,6 @@ func (d *DB) get(key []byte, snap *Snapshot, reqID uint64) ([]byte, error) {
 		seq = snap.seq
 	}
 	ot := d.traceBegin("get", reqID)
-	startBusy := d.deviceNow()
 	var v []byte
 	stored, kind, file, found, err := d.lookup(key, seq, ot)
 	switch {
@@ -54,7 +52,6 @@ func (d *DB) get(key []byte, snap *Snapshot, reqID uint64) ([]byte, error) {
 	if err == nil {
 		d.metrics.getHits.Inc()
 	}
-	d.metrics.readLatency.Observe(d.deviceNow() - startBusy)
 	d.traceEnd(ot, err)
 	return v, err
 }
@@ -69,7 +66,7 @@ func (d *DB) get(key []byte, snap *Snapshot, reqID uint64) ([]byte, error) {
 func (d *DB) lookup(key []byte, seq kv.SeqNum, ot *opTrace) (stored []byte, kind kv.Kind, file uint64, found bool, err error) {
 	si := ot.stageStart(stageReadMemtable, d.traceNow(ot))
 	v, deleted, hit := d.mem.Get(key, seq)
-	ot.stageEnd(si, d.traceNow(ot), d.metrics.stageReadMemNS)
+	ot.stageEnd(si, d.traceNow(ot))
 	if hit {
 		if deleted {
 			return nil, kv.KindDelete, 0, true, nil
@@ -116,7 +113,7 @@ func (d *DB) lookup(key []byte, seq kv.SeqNum, ot *opTrace) (stored []byte, kind
 				break
 			}
 		}
-		ot.stageEnd(si, d.traceNow(ot), d.metrics.stageReadLevel[level])
+		ot.stageEnd(si, d.traceNow(ot))
 		if found {
 			return stored, kind, file, true, nil
 		}
@@ -125,7 +122,7 @@ func (d *DB) lookup(key []byte, seq kv.SeqNum, ot *opTrace) (stored []byte, kind
 }
 
 // traceNow returns the device clock for stage bookkeeping, or 0 when
-// the op is untraced — avoiding the disk-stats lock on the hot path.
+// the op is untraced.
 func (d *DB) traceNow(ot *opTrace) int64 {
 	if ot == nil {
 		return 0

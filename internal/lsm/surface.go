@@ -130,18 +130,6 @@ func (s *surface) decayed(now int64) map[int64]bandHeat {
 	return out
 }
 
-// maxHeat returns the hottest band's decayed heat.
-func (s *surface) maxHeat(now int64) float64 {
-	if !s.enabled {
-		return 0
-	}
-	var hottest float64
-	for _, st := range s.decayed(now) {
-		hottest = max(hottest, st.heat)
-	}
-	return hottest
-}
-
 // SurfaceExtent is the public form of one owned extent — a plain file
 // (SSTable, WAL, manifest, vlog segment) or a whole set group — and the
 // baseline the trace analyzer replays allocator events from. Dead

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"sealdb/internal/obs"
 	"sealdb/internal/platter"
 	"sealdb/internal/smr"
 )
@@ -125,19 +124,17 @@ func (c *opTrace) stageStart(name string, nowNS int64) int {
 	return len(c.stages) - 1
 }
 
-// stageEnd closes the stage and observes its device time in h.
-func (c *opTrace) stageEnd(idx int, nowNS int64, h *obs.Histogram) {
+// stageEnd closes the stage.
+func (c *opTrace) stageEnd(idx int, nowNS int64) {
 	if c == nil || idx < 0 {
 		return
 	}
-	st := &c.stages[idx]
-	st.endNS = nowNS
-	h.Observe(nowNS - st.startNS)
+	c.stages[idx].endNS = nowNS
 }
 
 // tracer is the DB's request tracer: a platter.Sink attributing every
-// physical access to the engine operation in flight, per-stage
-// latency histograms, and a sampled/slow-op span-tree journal.
+// physical access to the engine operation in flight, and a
+// sampled/slow-op span-tree journal.
 type tracer struct {
 	db      *DB
 	enabled atomic.Bool
@@ -223,7 +220,7 @@ func (t *tracer) ObserveAccess(ai platter.AccessInfo) {
 }
 
 // deviceNow returns the simulated device clock (the journal's clock).
-func (d *DB) deviceNow() int64 { return int64(d.disk.Stats().BusyTime) }
+func (d *DB) deviceNow() int64 { return d.disk.BusyNS() }
 
 // traceBegin opens a traced operation record, or returns nil when
 // tracing is disabled — the only cost then is one atomic load, and
@@ -239,9 +236,9 @@ func (d *DB) traceBegin(op string, reqID uint64) *opTrace {
 	return c
 }
 
-// traceEnd closes a traced operation: accounts the trace counters and
-// journals the span tree when the op is sampled or slow. Caller holds
-// d.mu; ot may be nil (untraced operation).
+// traceEnd closes a traced operation and journals its span tree when
+// the op is sampled or slow. Caller holds d.mu; ot may be nil
+// (untraced operation).
 func (d *DB) traceEnd(ot *opTrace, err error) {
 	if ot == nil {
 		return
@@ -249,27 +246,12 @@ func (d *DB) traceEnd(ot *opTrace, err error) {
 	t := &d.tracer
 	t.cur = nil
 	endNS := d.deviceNow()
-
-	m := &d.metrics
-	m.traceOps.Inc()
-	m.traceIOs.Add(ot.reads + ot.writes)
-	m.traceIOBytes.Add(ot.readBytes + ot.writeBytes)
-	m.traceCacheHits.Add(ot.cacheHits)
-	m.traceDroppedIOs.Add(ot.truncated)
-
 	t.nops++
 	sampled := (t.nops-1)%t.sampleEvery == 0
 	slow := endNS-ot.startNS >= traceSlowOpNS
-	if !sampled && !slow {
-		return
+	if sampled || slow {
+		t.emit(ot, endNS, err, slow)
 	}
-	if sampled {
-		m.traceSampled.Inc()
-	}
-	if slow {
-		m.traceSlowOps.Inc()
-	}
-	t.emit(ot, endNS, err, slow)
 }
 
 // emit journals a traced operation's span tree: a root "op_<name>"

@@ -216,7 +216,6 @@ func (d *DB) vlogRotate(groupBytes int64) error {
 	}
 	d.vlog.w.Reset(f, num, vlog.HeaderSize, size)
 	d.vlog.tab.Open(num, vlog.HeaderSize, vlog.HeaderSize)
-	d.metrics.vlogRotations.Inc()
 	d.journal.Record("vlog_rotate", map[string]int64{
 		"num": int64(num), "sealed": int64(sealed.Num),
 	})
@@ -341,13 +340,10 @@ func (d *DB) vlogChargeDead(dead map[uint64]int64) []version.VlogDeadRecord {
 	}
 	sort.Slice(nums, func(i, j int) bool { return nums[i] < nums[j] })
 	recs := make([]version.VlogDeadRecord, 0, len(nums))
-	var total int64
 	for _, num := range nums {
 		d.vlog.tab.AddDead(num, dead[num])
 		recs = append(recs, version.VlogDeadRecord{Num: num, Dead: dead[num]})
-		total += dead[num]
 	}
-	d.metrics.vlogDeadBytes.Add(total)
 	return recs
 }
 
@@ -547,8 +543,6 @@ func (d *DB) vlogGCLocked() (VlogGCResult, error) {
 
 	d.metrics.vlogGCRuns.Inc()
 	d.metrics.vlogGCRelocated.Add(res.RelocatedBytes)
-	d.metrics.vlogGCReclaimed.Add(res.ReclaimedBytes)
-	d.metrics.vlogGCSkipped.Add(int64(res.SkippedMoved))
 	sp.Set("relocated_records", int64(res.RelocatedRecords))
 	sp.Set("relocated_bytes", res.RelocatedBytes)
 	sp.Set("skipped_moved", int64(res.SkippedMoved))

@@ -94,7 +94,6 @@ func (d *DB) applyLocked(b *Batch, ot *opTrace) error {
 // pointer. The group is durable by now, so a reader can never be served
 // a value the log does not hold. Caller holds d.mu.
 func (d *DB) userVlogAppend(recs []vlog.Record, bytes int64) {
-	d.metrics.vlogAppends.Add(int64(len(recs)))
 	d.metrics.vlogAppendBytes.Add(bytes)
 	d.journal.Record("vlog_append", map[string]int64{
 		"records": int64(len(recs)), "bytes": bytes,
@@ -117,7 +116,7 @@ func (d *DB) commitLocked(b *Batch, ot *opTrace, separated func(recs []vlog.Reco
 	if err := d.makeRoomForWrite(d.treeSize(b)); err != nil {
 		return d.failWrite(err)
 	}
-	ot.stageEnd(si, d.traceNow(ot), d.metrics.stageStallNS)
+	ot.stageEnd(si, d.traceNow(ot))
 	base := d.seq + 1
 	d.seq += kv.SeqNum(b.count)
 	b.setSeq(base)
@@ -126,7 +125,7 @@ func (d *DB) commitLocked(b *Batch, ot *opTrace, separated func(recs []vlog.Reco
 	if err != nil {
 		return d.failWrite(err)
 	}
-	ot.stageEnd(si, d.traceNow(ot), d.metrics.stageWALNS)
+	ot.stageEnd(si, d.traceNow(ot))
 	si = ot.stageStart(stageMemtable, d.traceNow(ot))
 	if _, _, err := decodeBatch(rep, recs, func(seq kv.SeqNum, kind kv.Kind, key, value []byte) error {
 		d.mem.Add(seq, kind, key, value)
@@ -134,7 +133,7 @@ func (d *DB) commitLocked(b *Batch, ot *opTrace, separated func(recs []vlog.Reco
 	}); err != nil {
 		return err
 	}
-	ot.stageEnd(si, d.traceNow(ot), d.metrics.stageMemtableNS)
+	ot.stageEnd(si, d.traceNow(ot))
 	return nil
 }
 

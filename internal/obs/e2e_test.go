@@ -95,9 +95,8 @@ func TestMetricsScrapeE2E(t *testing.T) {
 	}
 	for _, want := range []string{
 		"sealdb_write_latency_ns_count",
-		"sealdb_flush_latency_ns_sum",
-		"sealdb_wa ",
-		"sealdb_cache_hit_ratio ",
+		"sealdb_write_latency_ns_sum",
+		"sealdb_awa 1\n",
 		"sealdb_bloom_negatives ",
 		"sealdb_dband_frontier_bytes ",
 	} {

@@ -1,8 +1,9 @@
 // Package obs is the store's observability substrate: a concurrent
-// metrics registry (atomic counters, gauges, and bounded log-scaled
-// histograms), a structured event journal with spans, and exporters
-// (Prometheus text, JSON, JSON lines) plus a small net/http server
-// serving live /metrics and /debug endpoints.
+// metrics registry (atomic counters, pull gauges, and bounded
+// log-scaled histograms), a structured event journal with spans,
+// profiled lock wrappers, and exporters (Prometheus text, JSON, JSON
+// lines) plus a small net/http server serving live /metrics and /debug
+// endpoints.
 //
 // The package has no dependencies outside the standard library and no
 // knowledge of the engine; subsystems are wired to it by the lsm
@@ -40,42 +41,12 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is an atomically settable instantaneous value.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores the value.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Add adjusts the value by delta.
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(delta)
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
 // Registry holds named metrics. Metrics are created on first use and
 // live for the registry's lifetime; Snapshot captures every value at
 // one point in time (gauge functions are evaluated then).
 type Registry struct {
 	mu         sync.RWMutex
 	counters   map[string]*Counter       // guarded by mu
-	gauges     map[string]*Gauge         // guarded by mu
 	gaugeFuncs map[string]func() float64 // guarded by mu
 	hists      map[string]*Histogram     // guarded by mu
 }
@@ -84,7 +55,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters:   map[string]*Counter{},
-		gauges:     map[string]*Gauge{},
 		gaugeFuncs: map[string]func() float64{},
 		hists:      map[string]*Histogram{},
 	}
@@ -108,26 +78,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns (creating if needed) the named settable gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // GaugeFunc registers a pull gauge: fn is evaluated at every
@@ -189,10 +139,6 @@ func (r *Registry) Snapshot() *Snapshot {
 	for n, c := range r.counters {
 		counters[n] = c
 	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for n, g := range r.gauges {
-		gauges[n] = g
-	}
 	funcs := make(map[string]func() float64, len(r.gaugeFuncs))
 	for n, f := range r.gaugeFuncs {
 		funcs[n] = f
@@ -205,9 +151,6 @@ func (r *Registry) Snapshot() *Snapshot {
 
 	for n, c := range counters {
 		s.Counters[n] = c.Value()
-	}
-	for n, g := range gauges {
-		s.Gauges[n] = float64(g.Value())
 	}
 	for n, f := range funcs {
 		s.Gauges[n] = f()

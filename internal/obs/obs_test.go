@@ -16,19 +16,13 @@ func TestCounterGaugeNilSafety(t *testing.T) {
 	if c.Value() != 0 {
 		t.Error("nil counter not zero")
 	}
-	var g *Gauge
-	g.Set(7)
-	g.Add(1)
-	if g.Value() != 0 {
-		t.Error("nil gauge not zero")
-	}
 	var h *Histogram
 	h.Observe(3)
 	if s := h.Snapshot(); s.Count != 0 {
 		t.Error("nil histogram not empty")
 	}
 	var r *Registry
-	if r.Counter("x") != nil || r.Gauge("x") != nil || r.Histogram("x") != nil {
+	if r.Counter("x") != nil || r.Histogram("x") != nil {
 		t.Error("nil registry returned live metrics")
 	}
 	r.GaugeFunc("x", func() float64 { return 1 })
@@ -51,14 +45,13 @@ func TestRegistryGetOrCreate(t *testing.T) {
 		t.Error("same name returned different counters")
 	}
 	r.Counter("a").Add(3)
-	r.Gauge("b").Set(-2)
 	r.GaugeFunc("c", func() float64 { return 1.5 })
 	r.Histogram("d").Observe(10)
 	s := r.Snapshot()
 	if s.Counters["a"] != 3 {
 		t.Errorf("counter a = %d", s.Counters["a"])
 	}
-	if s.Gauges["b"] != -2 || s.Gauges["c"] != 1.5 {
+	if s.Gauges["c"] != 1.5 {
 		t.Errorf("gauges = %v", s.Gauges)
 	}
 	if s.Histograms["d"].Count != 1 || s.Histograms["d"].Sum != 10 {
@@ -81,7 +74,6 @@ func TestRegistryConcurrent(t *testing.T) {
 			name := fmt.Sprintf("c%d", w%4) // contended get-or-create
 			for i := 0; i < perWriter; i++ {
 				r.Counter(name).Inc()
-				r.Gauge("g").Set(int64(i))
 				r.Histogram("h").Observe(int64(i))
 			}
 		}(w)
@@ -262,7 +254,7 @@ func TestJournalConcurrent(t *testing.T) {
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("x_total").Add(7)
-	r.Gauge("y").Set(3)
+	r.GaugeFunc("y", func() float64 { return 3 })
 	h := r.Histogram("lat")
 	h.Observe(1)
 	h.Observe(1)

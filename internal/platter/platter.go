@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -101,10 +102,14 @@ type Sink interface {
 type Disk struct {
 	cfg Config
 
+	// busy is the simulated clock, Stats.BusyTime's one owner: written
+	// under mu, read without it so a clock read costs one atomic load.
+	busy atomic.Int64
+
 	mu      sync.Mutex
 	chunks  map[int64][]byte
 	lastEnd int64 // offset immediately after the previous access
-	stats   Stats
+	stats   Stats // BusyTime unused; see busy
 	sinks   []namedSink
 }
 
@@ -166,7 +171,7 @@ func (d *Disk) serviceTime(off int64, n int, write bool) time.Duration {
 		t += time.Duration(float64(n) / bps * float64(time.Second))
 	}
 	d.lastEnd = off + int64(n)
-	d.stats.BusyTime += t
+	d.busy.Add(int64(t))
 	for _, ns := range d.sinks {
 		ns.sink.ObserveAccess(AccessInfo{
 			Write: write, Offset: off, Length: n,
@@ -267,8 +272,14 @@ func (d *Disk) copyOut(p []byte, off int64) {
 func (d *Disk) Stats() Stats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.stats
+	s := d.stats
+	s.BusyTime = time.Duration(d.busy.Load())
+	return s
 }
+
+// BusyNS returns the simulated clock, Stats().BusyTime in nanoseconds,
+// without taking the disk lock.
+func (d *Disk) BusyNS() int64 { return d.busy.Load() }
 
 // ResetStats zeroes the counters (the data and head position are
 // kept). Useful to measure a phase of an experiment.
@@ -276,6 +287,7 @@ func (d *Disk) ResetStats() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.stats = Stats{}
+	d.busy.Store(0)
 }
 
 // SetSink installs s as the access sink called name, replacing the

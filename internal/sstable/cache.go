@@ -3,6 +3,7 @@ package sstable
 import (
 	"container/list"
 	"sync"
+	"sync/atomic"
 )
 
 // Cache is a shared LRU cache of decoded blocks and separated values,
@@ -26,8 +27,9 @@ type Cache struct {
 	// Bloom-filter outcome counters for the tables sharing this
 	// cache: definite negatives (lookups the filter rejected), true
 	// positives (filter passed, key present) and false positives
-	// (filter passed, key absent).
-	bloomNeg, bloomTruePos, bloomFalsePos int64
+	// (filter passed, key absent). Atomics: a filter probe bumps one
+	// without taking mu.
+	bloomNeg, bloomTruePos, bloomFalsePos atomic.Int64
 
 	// corrupt counts CRC-failed block reads across the cache's
 	// tables. guarded by mu.
@@ -217,15 +219,13 @@ func (c *Cache) noteBloom(passed, found bool) {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	switch {
 	case !passed:
-		c.bloomNeg++
+		c.bloomNeg.Add(1)
 	case found:
-		c.bloomTruePos++
+		c.bloomTruePos.Add(1)
 	default:
-		c.bloomFalsePos++
+		c.bloomFalsePos.Add(1)
 	}
 }
 
@@ -257,9 +257,8 @@ func (c *Cache) noteCorrupt(file, offset uint64) {
 
 // CacheStats is a point-in-time copy of the cache and bloom counters.
 type CacheStats struct {
-	Hits     int64   `json:"hits"`
-	Misses   int64   `json:"misses"`
-	HitRatio float64 `json:"hit_ratio"`
+	Hits   int64 `json:"hits"`
+	Misses int64 `json:"misses"`
 	// UsedBytes and Entries describe the current residency, blocks and
 	// values together; ValueBytes and ValueEntries the values' share.
 	UsedBytes    int64 `json:"used_bytes"`
@@ -282,17 +281,13 @@ func (c *Cache) Stats() CacheStats {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := CacheStats{
+	return CacheStats{
 		Hits: c.hits, Misses: c.misses,
 		UsedBytes: c.used, Entries: c.ll.Len(),
 		ValueBytes: c.valueBytes, ValueEntries: c.valueEntries,
-		BloomNegatives:      c.bloomNeg,
-		BloomTruePositives:  c.bloomTruePos,
-		BloomFalsePositives: c.bloomFalsePos,
+		BloomNegatives:      c.bloomNeg.Load(),
+		BloomTruePositives:  c.bloomTruePos.Load(),
+		BloomFalsePositives: c.bloomFalsePos.Load(),
 		CorruptBlocks:       c.corrupt,
 	}
-	if total := c.hits + c.misses; total > 0 {
-		s.HitRatio = float64(c.hits) / float64(total)
-	}
-	return s
 }

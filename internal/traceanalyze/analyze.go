@@ -34,19 +34,17 @@ type OpStat struct {
 	Slow      int64  `json:"slow"`
 	IOs       int64  `json:"ios"`
 	IOBytes   int64  `json:"io_bytes"`
-	Seeks     int64  `json:"seeks"`
 	ServiceNS int64  `json:"service_ns"`
 }
 
 // LevelCheck compares one level's live write-bytes counter delta
 // against the recomputation from the journal's flush/compaction
-// events, both expressed as WA shares (write bytes / user bytes).
+// events; LiveWA is the level's share of WA (write bytes / user bytes).
 type LevelCheck struct {
 	Level           int     `json:"level"`
 	LiveBytes       int64   `json:"live_bytes"`
 	RecomputedBytes int64   `json:"recomputed_bytes"`
 	LiveWA          float64 `json:"live_wa"`
-	RecomputedWA    float64 `json:"recomputed_wa"`
 }
 
 // SurfaceBandCheck compares one band's allocated bytes at the window
@@ -73,10 +71,8 @@ type Report struct {
 	// Recomputed from the raw platter trace.
 	TraceReads       int64   `json:"trace_reads"`
 	TraceWrites      int64   `json:"trace_writes"`
-	TraceReadBytes   int64   `json:"trace_read_bytes"`
 	TraceWriteBytes  int64   `json:"trace_write_bytes"`
 	CacheWriteBytes  int64   `json:"cache_write_bytes"`
-	CacheReadBytes   int64   `json:"cache_read_bytes"`
 	RecomputedAWA    float64 `json:"recomputed_awa"`
 	RecomputedWA     float64 `json:"recomputed_wa"`
 	RecomputedStore  int64   `json:"recomputed_store_bytes"`
@@ -164,12 +160,8 @@ func (r *Report) analyzeTrace(d *Dump) {
 			}
 		} else {
 			r.TraceReads++
-			r.TraceReadBytes += n
 			b.Reads++
 			b.ReadBytes += n
-			if inCache {
-				r.CacheReadBytes += n
-			}
 		}
 	}
 	if r.HostBytes > 0 {
@@ -238,7 +230,6 @@ func (r *Report) analyzeEvents(d *Dump) {
 			op.Slow += e.Fields["slow"]
 			op.IOs += e.Fields["reads"] + e.Fields["writes"]
 			op.IOBytes += e.Fields["read_bytes"] + e.Fields["write_bytes"]
-			op.Seeks += e.Fields["seeks"]
 			op.ServiceNS += e.Fields["service_ns"]
 			r.SampledSpanTrees++
 		}
@@ -249,8 +240,8 @@ func (r *Report) analyzeEvents(d *Dump) {
 
 	for l := 0; l < r.Meta.NumLevels; l++ {
 		var live int64
-		if l < len(r.Meta.Profile.Levels) {
-			live = r.Meta.Profile.Levels[l].WriteBytes
+		if l < len(r.Meta.EndLevelWriteBytes) {
+			live = r.Meta.EndLevelWriteBytes[l]
 		}
 		if l < len(r.Meta.StartLevelWriteBytes) {
 			live -= r.Meta.StartLevelWriteBytes[l]
@@ -258,7 +249,6 @@ func (r *Report) analyzeEvents(d *Dump) {
 		lc := LevelCheck{Level: l, LiveBytes: live, RecomputedBytes: levelWrite[l]}
 		if r.UserBytes > 0 {
 			lc.LiveWA = float64(live) / float64(r.UserBytes)
-			lc.RecomputedWA = float64(levelWrite[l]) / float64(r.UserBytes)
 		}
 		r.Levels = append(r.Levels, lc)
 	}

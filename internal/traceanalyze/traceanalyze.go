@@ -3,8 +3,7 @@
 // physical access trace, the engine's event journal (span trees
 // included), and a metadata snapshot — into per-band and per-set
 // heatmaps plus an amplification report, and cross-checks the live
-// /debug/amplification counters against a recomputation from the raw
-// records.
+// amplification counters against a recomputation from the raw records.
 //
 // A dump is a directory of three files:
 //
@@ -61,14 +60,12 @@ type Meta struct {
 	Start lsm.Amplification `json:"start"`
 	End   lsm.Amplification `json:"end"`
 
-	// StartLevelWriteBytes holds the per-level write-bytes counters at
-	// the window start (indexed by level), matching Profile's counters
-	// at the end.
+	// StartLevelWriteBytes and EndLevelWriteBytes hold the per-level
+	// sealdb_level_N_write_bytes_total counters at the window edges
+	// (indexed by level) — with End-Start, the numbers the analyzer
+	// verifies.
 	StartLevelWriteBytes []int64 `json:"start_level_write_bytes"`
-
-	// Profile is the live /debug/amplification payload at Collect
-	// time — the numbers the analyzer verifies.
-	Profile lsm.AmplificationProfile `json:"profile"`
+	EndLevelWriteBytes   []int64 `json:"end_level_write_bytes"`
 
 	// JournalDropped is how many events the journal ring evicted; when
 	// nonzero the event-derived recomputations are lower bounds.
@@ -136,15 +133,10 @@ func (b *Baseline) ObserveAccess(ai platter.AccessInfo) {
 // analysis.
 func Begin(db *lsm.DB) *Baseline {
 	db.SetTracing(true)
-	p := db.AmplificationProfile()
-	lw := make([]int64, len(p.Levels))
-	for i, l := range p.Levels {
-		lw[i] = l.WriteBytes
-	}
 	b := &Baseline{
-		NS:         int64(db.Device().Disk.Stats().BusyTime),
-		Amp:        p.Overall,
-		LevelWrite: lw,
+		NS:         db.Device().Disk.BusyNS(),
+		Amp:        db.Amplification(),
+		LevelWrite: levelWriteBytes(db),
 	}
 	if db.Device().DBand != nil {
 		b.SurfaceExtents = db.SurfaceExtents()
@@ -152,6 +144,17 @@ func Begin(db *lsm.DB) *Baseline {
 	}
 	db.Device().Disk.SetSink(sinkName, b)
 	return b
+}
+
+// levelWriteBytes reads the per-level write counters by name, as any
+// scraper of /metrics would.
+func levelWriteBytes(db *lsm.DB) []int64 {
+	counters := db.MetricsSnapshot().Counters
+	out := make([]int64, db.Config().NumLevels)
+	for l := range out {
+		out[l] = counters[fmt.Sprintf("sealdb_level_%d_write_bytes_total", l)]
+	}
+	return out
 }
 
 // Dump is an in-memory observability dump, ready to analyze or write.
@@ -184,7 +187,6 @@ func Collect(db *lsm.DB, base *Baseline) *Dump {
 			EndBands:     db.BandProfile().Bands,
 		}
 	}
-	p := db.AmplificationProfile()
 	return &Dump{
 		Meta: Meta{
 			Mode:                 cfg.Mode.String(),
@@ -194,11 +196,11 @@ func Collect(db *lsm.DB, base *Baseline) *Dump {
 			CacheStart:           cacheStart,
 			NumLevels:            cfg.NumLevels,
 			StartNS:              base.NS,
-			EndNS:                int64(db.Device().Disk.Stats().BusyTime),
+			EndNS:                db.Device().Disk.BusyNS(),
 			Start:                base.Amp,
-			End:                  p.Overall,
-			StartLevelWriteBytes: append([]int64(nil), base.LevelWrite...),
-			Profile:              p,
+			End:                  db.Amplification(),
+			StartLevelWriteBytes: base.LevelWrite,
+			EndLevelWriteBytes:   levelWriteBytes(db),
 			JournalDropped:       db.JournalDropped(),
 			Surface:              surf,
 		},

@@ -46,7 +46,7 @@ func tracedRun(t *testing.T, mode lsm.Mode) *Dump {
 }
 
 // TestVerifySEALDB is the acceptance check: the live
-// /debug/amplification numbers must match a recomputation from the
+// amplification counters must match a recomputation from the
 // raw dump within 1%.
 func TestVerifySEALDB(t *testing.T) {
 	d := tracedRun(t, lsm.ModeSEALDB)
