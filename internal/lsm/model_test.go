@@ -351,19 +351,25 @@ func TestCrossModeDifferential(t *testing.T) {
 		cfg   Config
 		d     *DB
 		snaps []*Snapshot
-		// Value-cache hits and admissions, summed over reopens.
-		hits, admitted int64
+		// Value-cache hits and admissions, rows and everything found
+		// cached, summed over reopens.
+		hits, admitted, rows, resident int64
 	}
 	tally := func(s *store) {
+		st := s.d.cache.Stats()
 		s.hits += s.d.metrics.vlogCacheHits.Value()
-		s.admitted += int64(s.d.cache.Stats().ValueEntries)
+		s.admitted += int64(st.ValueEntries)
+		s.rows += int64(st.RowEntries)
+		s.resident += int64(st.Entries)
 	}
 	var stores []*store
 	for _, mode := range allModes() {
-		// Values inline, separated, and separated with a cache too small
-		// to admit a block or a value: every pointer chase of the third
-		// arm reads the media, every one the second can serve is cached.
-		for arm, vlog := range []bool{false, true, true} {
+		// Values inline and separated, each with the default cache and
+		// with one too small to admit a block, a row or a value: every
+		// read of the second and fourth arm goes to the media, the first
+		// serves large inline values from rows, the third separated ones
+		// from the value cache.
+		for arm, vlog := range []bool{false, false, true, true} {
 			cfg, name := tinyConfig(mode), mode.String()
 			if mode == ModeSMRDB {
 				// Small bands (hence tables) and the tightest legal
@@ -379,7 +385,7 @@ func TestCrossModeDifferential(t *testing.T) {
 				cfg.VlogSegSize = 4 * kv.KiB
 				name += "+vlog"
 			}
-			if arm == 2 {
+			if arm%2 == 1 {
 				cfg.BlockCacheSize = 64
 				name += "-cache"
 			}
@@ -406,7 +412,13 @@ func TestCrossModeDifferential(t *testing.T) {
 		var err error
 		switch op.kind {
 		case modelPut:
-			err = s.d.Put([]byte(op.k), []byte(op.v))
+			// Every third value is large enough to be cached as a row
+			// where it is stored inline.
+			v := []byte(op.v)
+			if step%3 == 0 {
+				v = append(v, bytes.Repeat([]byte{'.'}, 500)...)
+			}
+			err = s.d.Put([]byte(op.k), v)
 		case modelDelete:
 			err = s.d.Delete([]byte(op.k))
 		case modelBatch:
@@ -477,10 +489,12 @@ func TestCrossModeDifferential(t *testing.T) {
 		// The cached and the uncached arm really took different paths.
 		tally(s)
 		switch uncached := s.cfg.BlockCacheSize == 64; {
-		case uncached && (s.hits != 0 || s.admitted != 0):
-			t.Errorf("%s: %d value-cache hits, %d values found admitted, want none", s.name, s.hits, s.admitted)
+		case uncached && (s.hits != 0 || s.resident != 0):
+			t.Errorf("%s: %d value-cache hits, %d entries found cached, want none", s.name, s.hits, s.resident)
 		case !uncached && s.cfg.vlogEnabled() && s.hits == 0:
 			t.Errorf("%s: no read was served from the value cache", s.name)
+		case !uncached && !s.cfg.vlogEnabled() && s.rows == 0:
+			t.Errorf("%s: no large inline value was found cached as a row", s.name)
 		}
 	}
 }

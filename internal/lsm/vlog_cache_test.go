@@ -103,7 +103,7 @@ func TestVlogCacheEntriesLeaveWithTheirSegment(t *testing.T) {
 	}
 	resident := func() residency {
 		st := d.cache.Stats()
-		if st.UsedBytes < st.ValueBytes || st.UsedBytes > d.cfg.BlockCacheSize {
+		if st.UsedBytes < st.ValueBytes+st.RowBytes || st.UsedBytes > d.cfg.BlockCacheSize {
 			t.Fatalf("cache accounting out of bounds: %+v", st)
 		}
 		return residency{st.ValueBytes, st.ValueEntries}

@@ -1,26 +1,44 @@
 package sstable
 
 import (
-	"container/list"
+	"bytes"
 	"sync"
 	"sync/atomic"
+
+	"sealdb/internal/kv"
 )
 
-// Cache is a shared LRU cache of decoded blocks and separated values,
-// keyed by (file number, offset). One cache serves all tables of a DB,
-// like LevelDB's block cache, and its value log: a value entry holds the
-// value of the record at that offset of a segment. Tables and segments
-// are numbered by one never-reused counter, so the two kinds cannot
-// collide; they share one LRU and one byte budget.
+// Cache is a shared cache of three kinds of entry inside one byte budget:
+// decoded blocks and separated values, keyed by (file number, offset), and
+// rows, keyed by (table file number, user key), each holding the newest
+// entry of one key in one table. One cache serves all tables of a DB, like
+// LevelDB's block cache, and its value log: a value entry holds the value
+// of the record at that offset of a segment. Tables and segments are
+// numbered by one never-reused counter, so the kinds cannot collide.
+//
+// The budget is split into two LRU segments. Everything enters probation;
+// an entry's first hit moves it to protected, whose overflow falls back to
+// the head of probation, and eviction takes probation's tail first: what
+// was read once cannot push out what was read twice.
 type Cache struct {
 	mu       sync.Mutex
 	capacity int64
 	used     int64
-	ll       *list.List
-	items    map[cacheKey]*list.Element
-	// The value entries' share of ll.Len() and used. guarded by mu.
-	valueEntries int
-	valueBytes   int64
+	// seg[0] is probation's sentinel, seg[1] protected's: each the head
+	// of a ring, hottest entry next, coldest prev. guarded by mu.
+	seg            [2]*cacheEntry
+	protectedBytes int64
+	entries        int
+	// items indexes blocks and values by (file, offset), rows indexes rows
+	// by (file, hash of the user key); files chains every entry of a file.
+	// guarded by mu.
+	items map[cacheKey]*cacheEntry
+	rows  map[cacheKey]*cacheEntry
+	files map[uint64]*cacheEntry
+	// The separated values' and the rows' shares of entries and used.
+	// guarded by mu.
+	valueEntries, rowEntries int
+	valueBytes, rowBytes     int64
 
 	hits, misses int64
 
@@ -40,17 +58,26 @@ type Cache struct {
 	onCorrupt func(file, offset uint64)
 }
 
+// cacheKey names a block or value by its offset, a row by its key's hash.
 type cacheKey struct {
 	file   uint64
 	offset uint64
 }
 
-// cacheEntry holds a block, or (block nil) a separated value.
+// cacheEntry is a block (block set), a row (klen > 0: value holds the user
+// key, then the entry's value) or a separated value, linked into the ring
+// of its segment and the chain of its file.
 type cacheEntry struct {
-	key   cacheKey
-	block *block
-	value []byte
-	size  int64
+	prev, next         *cacheEntry
+	filePrev, fileNext *cacheEntry
+	key                cacheKey
+	block              *block
+	value              []byte
+	size               int64
+	seq                kv.SeqNum // a row's
+	klen               int32
+	kind               kv.Kind // a row's
+	protected          bool
 }
 
 const (
@@ -58,34 +85,193 @@ const (
 	// default 2 MiB budget a 64 KiB value earns its 1/32 (BENCH_ycsb.json,
 	// 64 KiB B/C); a 1 MiB one only flushes half the blocks for nothing.
 	maxCachedValue = 64 << 10
-	// valueOverhead is charged per value entry on top of its buffer: list
-	// element, entry and map slot, as measured on the heap.
+	// valueOverhead is charged per value or row on top of its buffer:
+	// entry and map slot, as measured on the heap.
 	valueOverhead = 160
+	// Protected holds at most protectedNum/protectedDen of the budget.
+	// Measured on the benchmark (seed 1, device clock, ops/s against a
+	// single LRU), segments alone, before rows:
+	//
+	//	share  get_zipf  scan_short  vlog_mixed
+	//	9/10   +22.1 %   +16.5 %     -8.0 %
+	//	4/5    +19.4 %   +16.9 %     -3.1 %
+	//	2/3    +15.9 %   +14.4 %     -0.5 %
+	//	1/2    +11.7 %   +10.4 %     +1.0 %
+	//
+	// Nothing invalidates an entry, so an overwritten hot value and the
+	// pointer block it superseded linger in protected: the larger the
+	// share, the more of the budget a write-heavy store wastes on them.
+	protectedNum, protectedDen = 2, 3
+	// A point read caches an entry as a row if rowBlockShare rows cost at
+	// least the block: the block holds only a handful. Rows for every
+	// entry regardless of size took vlog_mixed from 2,897 to 2,127 ops/s:
+	// a 40-byte pointer costs 200 bytes as a row, and every compaction
+	// re-keys them.
+	rowBlockShare = 8
 )
 
-// NewCache creates a cache bounded to capacity bytes of blocks and values.
-// A nil cache is valid and caches nothing.
+// NewCache creates a cache bounded to capacity bytes of blocks, values and
+// rows. A nil cache is valid and caches nothing.
 func NewCache(capacity int64) *Cache {
 	return &Cache{
 		capacity: capacity,
-		ll:       list.New(),
-		items:    make(map[cacheKey]*list.Element),
+		seg:      [2]*cacheEntry{newRing(), newRing()},
+		items:    make(map[cacheKey]*cacheEntry),
+		rows:     make(map[cacheKey]*cacheEntry),
+		files:    make(map[uint64]*cacheEntry),
 	}
 }
 
-func (c *Cache) get(file, offset uint64) *block {
+// newRing returns the sentinel of an empty segment.
+func newRing() *cacheEntry {
+	e := new(cacheEntry)
+	e.prev, e.next = e, e
+	return e
+}
+
+// pushFront makes e the hottest entry of a segment. Caller holds mu.
+func (c *Cache) pushFront(e *cacheEntry, protected bool) {
+	head := c.seg[0]
+	if e.protected = protected; protected {
+		head = c.seg[1]
+		c.protectedBytes += e.size
+	}
+	e.prev, e.next = head, head.next
+	head.next.prev, head.next = e, e
+}
+
+// unring takes e out of its segment. Caller holds mu.
+func (c *Cache) unring(e *cacheEntry) {
+	if e.protected {
+		c.protectedBytes -= e.size
+	}
+	e.prev.next, e.next.prev = e.next, e.prev
+}
+
+// protect makes e, which is in no segment, the hottest protected entry;
+// what protected then holds over its share becomes, coldest first, the
+// hottest of probation. Caller holds mu.
+func (c *Cache) protect(e *cacheEntry) {
+	c.pushFront(e, true)
+	for limit := c.capacity * protectedNum / protectedDen; c.protectedBytes > limit; {
+		cold := c.seg[1].prev
+		c.unring(cold)
+		c.pushFront(cold, false)
+	}
+}
+
+// touch records a hit on e. Caller holds mu.
+func (c *Cache) touch(e *cacheEntry) {
+	c.unring(e)
+	c.protect(e)
+}
+
+// coldest returns the entry eviction takes next, nil from an empty cache.
+// Caller holds mu.
+func (c *Cache) coldest() *cacheEntry {
+	for _, head := range c.seg {
+		if head.prev != head {
+			return head.prev
+		}
+	}
+	return nil
+}
+
+// insert indexes, chains and charges e, whose key, contents and size are
+// set, as the hottest entry of a segment, and evicts what no longer fits.
+// Caller holds mu.
+func (c *Cache) insert(e *cacheEntry, protected bool) {
+	if e.klen > 0 {
+		c.rows[e.key] = e
+	} else {
+		c.items[e.key] = e
+	}
+	if head := c.files[e.key.file]; head != nil {
+		e.filePrev, e.fileNext = head, head.fileNext
+		if head.fileNext = e; e.fileNext != nil {
+			e.fileNext.filePrev = e
+		}
+	} else {
+		e.filePrev, e.fileNext = nil, nil
+		c.files[e.key.file] = e
+	}
+	c.account(e, 1)
+	if protected {
+		c.protect(e)
+	} else {
+		c.pushFront(e, false)
+	}
+	for c.used > c.capacity {
+		c.remove(c.coldest())
+	}
+}
+
+// remove undoes insert. Caller holds mu.
+func (c *Cache) remove(e *cacheEntry) {
+	if e.klen > 0 {
+		delete(c.rows, e.key)
+	} else {
+		delete(c.items, e.key)
+	}
+	switch {
+	case e.filePrev != nil:
+		e.filePrev.fileNext = e.fileNext
+	case e.fileNext != nil:
+		c.files[e.key.file] = e.fileNext
+	default:
+		delete(c.files, e.key.file)
+	}
+	if e.fileNext != nil {
+		e.fileNext.filePrev = e.filePrev
+	}
+	c.account(e, -1)
+	c.unring(e)
+}
+
+// account adds e to the residency figures (sign 1) or takes it out (-1).
+// Caller holds mu.
+func (c *Cache) account(e *cacheEntry, sign int) {
+	size := int64(sign) * e.size
+	c.used += size
+	c.entries += sign
+	switch {
+	case e.klen > 0:
+		c.rowEntries += sign
+		c.rowBytes += size
+	case e.block == nil:
+		c.valueEntries += sign
+		c.valueBytes += size
+	}
+}
+
+// get returns the block at (file, offset) and counts the hit or miss. A
+// hit is recorded on the entry only if promote: a point read decides
+// between promoting the block and caching a row once it has seen the
+// entry (Table.GetEntry).
+func (c *Cache) get(file, offset uint64, promote bool) *block {
 	if c == nil {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[cacheKey{file, offset}]; ok {
-		c.ll.MoveToFront(el)
+	if e := c.items[cacheKey{file, offset}]; e != nil && e.block != nil {
+		if promote {
+			c.touch(e)
+		}
 		c.hits++
-		return el.Value.(*cacheEntry).block
+		return e.block
 	}
 	c.misses++
 	return nil
+}
+
+// promote records the hit a get without promote left out.
+func (c *Cache) promote(file, offset uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e := c.items[cacheKey{file, offset}]; e != nil {
+		c.touch(e)
+	}
 }
 
 // GetValue copies the cached value of the value-log record at (file,
@@ -97,65 +283,96 @@ func (c *Cache) GetValue(dst []byte, file, offset uint64) ([]byte, bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[cacheKey{file, offset}]
-	if !ok || el.Value.(*cacheEntry).block != nil {
+	e := c.items[cacheKey{file, offset}]
+	if e == nil || e.block != nil {
 		return nil, false
 	}
-	c.ll.MoveToFront(el)
-	return append(dst[:0], el.Value.(*cacheEntry).value...), true
+	c.touch(e)
+	return append(dst[:0], e.value...), true
 }
 
 // PutValue caches a copy of the value of the record at (file, offset),
 // which the caller knows is not cached: it was just written, or GetValue
 // just missed. That makes the insert the only map probe; a key put twice
 // would cost room and misses as the duplicates age out, never a wrong
-// value. A full cache gives up its coldest entry, and the new one takes
-// over its list element, entry and — a value's, if it fits — buffer: a
-// steady stream of like-sized values allocates nothing.
+// value.
 func (c *Cache) PutValue(file, offset uint64, value []byte) {
-	need := int64(len(value)) + valueOverhead
-	if c == nil || len(value) > maxCachedValue || need > c.capacity {
+	if c == nil || len(value) > maxCachedValue || int64(len(value))+valueOverhead > c.capacity {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	k := cacheKey{file, offset}
-	el := c.ll.Back()
-	if el != nil && c.used+need > c.capacity {
-		c.forget(el.Value.(*cacheEntry))
-		c.ll.MoveToFront(el)
+	e := c.entryFor(len(value))
+	e.key, e.value = cacheKey{file, offset}, append(e.value, value...)
+	c.insert(e, false)
+}
+
+// entryFor returns an unlinked entry with an empty buffer of n bytes, its
+// size set. A full cache gives up its coldest entry for it, and the new
+// one takes over that entry and — a value's or row's, if it fits — its
+// buffer: a steady stream of like-sized values or rows allocates nothing.
+// Caller holds mu.
+func (c *Cache) entryFor(n int) *cacheEntry {
+	e := c.coldest()
+	if e != nil && c.used+int64(n)+valueOverhead > c.capacity {
+		c.remove(e)
 	} else {
-		el = c.ll.PushFront(&cacheEntry{})
+		e = new(cacheEntry)
 	}
-	e := el.Value.(*cacheEntry)
 	// A buffer more than an eighth too large would be charged for nothing.
-	if n := cap(e.value); n < len(value) || n > len(value)+len(value)/8 {
-		e.value = make([]byte, 0, len(value))
+	if have := cap(e.value); have < n || have > n+n/8 {
+		e.value = make([]byte, 0, n)
 	}
-	e.key, e.block, e.value = k, nil, append(e.value[:0], value...)
-	e.size = int64(cap(e.value)) + valueOverhead
-	c.items[k] = el
-	c.used += e.size
-	c.valueEntries++
-	c.valueBytes += e.size
-	c.evict()
+	*e = cacheEntry{value: e.value[:0], size: int64(cap(e.value)) + valueOverhead}
+	return e
 }
 
-// forget unindexes and uncharges an entry still on the list. Caller holds mu.
-func (c *Cache) forget(ent *cacheEntry) {
-	delete(c.items, ent.key)
-	c.used -= ent.size
-	if ent.block == nil {
-		c.valueEntries--
-		c.valueBytes -= ent.size
-	}
+// rowKey names the row for ukey by the key's bloom hash. Two keys of a
+// file that collide share a slot: the second is not cached, and neither is
+// ever served for the other, since a row carries its key.
+func rowKey(file uint64, ukey []byte) cacheKey {
+	return cacheKey{file, uint64(bloomHash(ukey))}
 }
 
-// evict drops the coldest entries until the cache fits. Caller holds mu.
-func (c *Cache) evict() {
-	for c.used > c.capacity && c.ll.Len() > 0 {
-		c.forget(c.ll.Remove(c.ll.Back()).(*cacheEntry))
+// getRow returns a copy of the value of the newest entry for ukey in table
+// file, with its sequence number and kind, if that entry is cached and
+// visible at seq: the answer the table's blocks would give. A row that
+// answers counts as a hit, one that does not counts nothing (the block
+// lookup that follows does).
+func (c *Cache) getRow(file uint64, ukey []byte, seq kv.SeqNum) ([]byte, kv.SeqNum, kv.Kind, bool) {
+	if c == nil || len(ukey) == 0 {
+		return nil, 0, 0, false
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.rows[rowKey(file, ukey)]
+	if e == nil || seq < e.seq || !bytes.Equal(e.value[:e.klen], ukey) {
+		return nil, 0, 0, false
+	}
+	c.touch(e)
+	c.hits++
+	return append([]byte(nil), e.value[e.klen:]...), e.seq, e.kind, true
+}
+
+// putRow caches the entry (ukey, seq, kind, value), which the caller knows
+// is the newest for ukey in table file, straight into protected: the read
+// that forms a row is the key's second. It reports whether the row went in.
+func (c *Cache) putRow(file uint64, ukey, value []byte, seq kv.SeqNum, kind kv.Kind) bool {
+	n := len(ukey) + len(value)
+	if len(ukey) == 0 || n > maxCachedValue || int64(n)+valueOverhead > c.capacity {
+		return false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	k := rowKey(file, ukey)
+	if c.rows[k] != nil {
+		return false
+	}
+	e := c.entryFor(n)
+	e.key, e.seq, e.kind, e.klen = k, seq, kind, int32(len(ukey))
+	e.value = append(append(e.value, ukey...), value...)
+	c.insert(e, true)
+	return true
 }
 
 func (c *Cache) put(file, offset uint64, b *block) {
@@ -165,13 +382,10 @@ func (c *Cache) put(file, offset uint64, b *block) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	k := cacheKey{file, offset}
-	if _, ok := c.items[k]; ok {
+	if c.items[k] != nil {
 		return
 	}
-	e := &cacheEntry{key: k, block: b, size: b.charge()}
-	c.items[k] = c.ll.PushFront(e)
-	c.used += e.size
-	c.evict()
+	c.insert(&cacheEntry{key: k, block: b, size: b.charge()}, false)
 }
 
 // charge is what a cached block costs the budget.
@@ -187,30 +401,30 @@ func (c *Cache) admit(file, offset uint64, b *block) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	k, size := cacheKey{file, offset}, b.charge()
-	if _, ok := c.items[k]; ok || c.used+size > c.capacity {
+	if c.items[k] != nil || c.used+size > c.capacity {
 		return
 	}
 	b = &block{data: append([]byte(nil), b.data...), restarts: append([]uint32(nil), b.restarts...)}
-	c.items[k] = c.ll.PushFront(&cacheEntry{key: k, block: b, size: size})
-	c.used += size
+	c.insert(&cacheEntry{key: k, block: b, size: size}, false)
 }
 
-// EvictFile drops every cached block or value of the given file (called
-// when a table or value-log segment is deleted).
+// EvictFile drops every cached block, value or row of the given file
+// (called when a table or value-log segment is deleted), at the cost of
+// what the file has cached.
 func (c *Cache) EvictFile(file uint64) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for el := c.ll.Front(); el != nil; {
-		next := el.Next()
-		if ent := el.Value.(*cacheEntry); ent.key.file == file {
-			c.ll.Remove(el)
-			c.forget(ent)
-		}
-		el = next
+	head := c.files[file]
+	if head == nil {
+		return
 	}
+	for head.fileNext != nil {
+		c.remove(head.fileNext)
+	}
+	c.remove(head)
 }
 
 // noteBloom records one bloom-filter outcome for a table sharing this
@@ -257,14 +471,20 @@ func (c *Cache) noteCorrupt(file, offset uint64) {
 
 // CacheStats is a point-in-time copy of the cache and bloom counters.
 type CacheStats struct {
+	// Hits counts lookups a cached block or row answered, Misses blocks
+	// the cache was asked for and did not have.
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
-	// UsedBytes and Entries describe the current residency, blocks and
-	// values together; ValueBytes and ValueEntries the values' share.
+	// UsedBytes and Entries describe the current residency of both
+	// segments, blocks, rows and values together; ValueBytes and
+	// ValueEntries the separated values' share, RowBytes and RowEntries
+	// the rows'.
 	UsedBytes    int64 `json:"used_bytes"`
 	Entries      int   `json:"entries"`
 	ValueBytes   int64 `json:"value_bytes"`
 	ValueEntries int   `json:"value_entries"`
+	RowBytes     int64 `json:"row_bytes"`
+	RowEntries   int   `json:"row_entries"`
 	// Bloom-filter effectiveness across the cache's tables.
 	BloomNegatives      int64 `json:"bloom_negatives"`
 	BloomTruePositives  int64 `json:"bloom_true_positives"`
@@ -283,8 +503,9 @@ func (c *Cache) Stats() CacheStats {
 	defer c.mu.Unlock()
 	return CacheStats{
 		Hits: c.hits, Misses: c.misses,
-		UsedBytes: c.used, Entries: c.ll.Len(),
+		UsedBytes: c.used, Entries: c.entries,
 		ValueBytes: c.valueBytes, ValueEntries: c.valueEntries,
+		RowBytes: c.rowBytes, RowEntries: c.rowEntries,
 		BloomNegatives:      c.bloomNeg.Load(),
 		BloomTruePositives:  c.bloomTruePos.Load(),
 		BloomFalsePositives: c.bloomFalsePos.Load(),

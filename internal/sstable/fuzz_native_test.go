@@ -30,6 +30,7 @@ func FuzzTableRead(f *testing.F) {
 	f.Add(seed)
 	multi, _, _ := streamTable(f, 20) // five blocks: enough to stream
 	f.Add(multi)
+	f.Add(versionedTable(f)) // versions of "k" across a block boundary, a tombstone on "t"
 	f.Add([]byte{})
 	f.Add(seed[:len(seed)/2])
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
@@ -37,8 +38,26 @@ func FuzzTableRead(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tbl, err := Open(bytes.NewReader(data), int64(len(data)), 1, nil)
 		if err == nil && tbl != nil {
-			tbl.Get([]byte("alpha"), kv.MaxSeqNum)
-			tbl.Get([]byte("zulu"), kv.MaxSeqNum)
+			// Point reads, also through a shared cache and three times
+			// each — device miss, block hit that may form a row, row hit —
+			// which must agree with the cache-less read or fail with its
+			// error: a block that fails its CRC never becomes a row.
+			shared, err := Open(bytes.NewReader(data), int64(len(data)), 1, NewCache(1<<20))
+			if err != nil {
+				t.Fatalf("Open through a cache: %v", err)
+			}
+			for _, k := range []string{"alpha", "key00000006", "k", "t", "zulu"} {
+				for _, seq := range []kv.SeqNum{kv.MaxSeqNum, 8, 3, 0} {
+					v, fseq, kind, ok, err := tbl.GetEntry([]byte(k), seq)
+					for pass := 0; pass < 3; pass++ {
+						cv, cseq, ckind, cok, cerr := shared.GetEntry([]byte(k), seq)
+						if !bytes.Equal(cv, v) || cseq != fseq || ckind != kind || cok != ok || (cerr == nil) != (err == nil) || err != nil && cerr.Error() != err.Error() {
+							t.Fatalf("GetEntry(%q, %d) pass %d through the cache = %q, %d, %v, %v, %v; without = %q, %d, %v, %v, %v",
+								k, seq, pass, cv, cseq, ckind, cok, cerr, v, fseq, kind, ok, err)
+						}
+					}
+				}
+			}
 			// Every iterator kind, both ways: a damaged index can name
 			// any two numbers as a block, and the streaming iterator
 			// builds its reads from several of them.

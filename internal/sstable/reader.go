@@ -67,8 +67,14 @@ func Open(r io.ReaderAt, size int64, fileNum uint64, cache *Cache) (*Table, erro
 	if t.bloom, err = t.readRawFrom(t.r, bloomHandle); err != nil {
 		return nil, err
 	}
-	if t.index, err = t.readBlock(indexHandle); err != nil {
+	// t.index pins the index for the table's life: nothing would ever ask
+	// the cache for it, so it is not charged to the cache either.
+	raw, err := t.readRawFrom(t.r, indexHandle)
+	if err != nil {
 		return nil, err
+	}
+	if t.index, err = decodeBlock(raw); err != nil {
+		return nil, fmt.Errorf("sstable: file %d: %w", t.fileNum, err)
 	}
 	return t, nil
 }
@@ -107,21 +113,21 @@ func (t *Table) checkRaw(buf []byte, h blockHandle) ([]byte, error) {
 	return out, nil
 }
 
-// readBlock fetches a data/index block through the cache.
-func (t *Table) readBlock(h blockHandle) (*block, error) {
-	if b := t.cache.get(t.fileNum, h.offset); b != nil {
-		return b, nil
+// readBlock fetches a data block through the cache and reports whether the
+// cache had it; promote is Cache.get's.
+func (t *Table) readBlock(h blockHandle, promote bool) (b *block, hit bool, err error) {
+	if b := t.cache.get(t.fileNum, h.offset, promote); b != nil {
+		return b, true, nil
 	}
 	raw, err := t.readRawFrom(t.r, h)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	b, err := decodeBlock(raw)
-	if err != nil {
-		return nil, fmt.Errorf("sstable: file %d: %w", t.fileNum, err)
+	if b, err = decodeBlock(raw); err != nil {
+		return nil, false, fmt.Errorf("sstable: file %d: %w", t.fileNum, err)
 	}
 	t.cache.put(t.fileNum, h.offset, b)
-	return b, nil
+	return b, false, nil
 }
 
 // Get returns the entry for ukey visible at snapshot seq.
@@ -132,11 +138,20 @@ func (t *Table) Get(ukey []byte, seq kv.SeqNum) (value []byte, deleted, ok bool,
 
 // GetEntry returns the newest entry for ukey visible at snapshot seq,
 // together with its sequence number and kind; callers reading
-// overlapped levels compare sequence numbers across tables.
+// overlapped levels compare sequence numbers across tables. The value is
+// the caller's own copy.
+//
+// A cached row answers before the index is searched. Otherwise the read
+// that finds its data block already cached decides what that second touch
+// keeps: a row, if cacheRow takes the entry, else the block.
 func (t *Table) GetEntry(ukey []byte, seq kv.SeqNum) (value []byte, foundSeq kv.SeqNum, kind kv.Kind, ok bool, err error) {
 	if !bloomMayContain(t.bloom, ukey) {
 		t.cache.noteBloom(false, false)
 		return nil, 0, 0, false, nil
+	}
+	if value, foundSeq, kind, ok = t.cache.getRow(t.fileNum, ukey, seq); ok {
+		t.cache.noteBloom(true, true)
+		return value, foundSeq, kind, true, nil
 	}
 	var buf [64]byte
 	search := kv.MakeSearchKey(buf[:0], ukey, seq)
@@ -152,28 +167,52 @@ func (t *Table) GetEntry(ukey []byte, seq kv.SeqNum) (value []byte, foundSeq kv.
 	if err != nil {
 		return nil, 0, 0, false, err
 	}
-	b, err := t.readBlock(h)
+	b, hit, err := t.readBlock(h, false)
 	if err != nil {
 		return nil, 0, 0, false, err
 	}
 	it := newBlockIter(b)
 	it.Seek(search)
-	if !it.Valid() {
+	found := it.Valid() && kv.CompareUser(it.Key().UserKey(), ukey) == 0
+	if hit && !(found && t.cacheRow(ixIter, it, ukey)) {
+		t.cache.promote(t.fileNum, h.offset)
+	}
+	if !found {
 		if it.Error() == nil {
 			t.cache.noteBloom(true, false)
 		}
 		return nil, 0, 0, false, it.Error()
 	}
 	ik := it.Key()
-	if kv.CompareUser(ik.UserKey(), ukey) != 0 {
-		t.cache.noteBloom(true, false)
-		return nil, 0, 0, false, nil
-	}
 	t.cache.noteBloom(true, true)
 	if ik.Kind() == kv.KindDelete {
 		return nil, ik.Seq(), kv.KindDelete, true, nil
 	}
 	return append([]byte(nil), it.Value()...), ik.Seq(), ik.Kind(), true, nil
+}
+
+// cacheRow caches the entry for ukey that it stands on, in the block ix
+// stands on, as a row, and reports whether it did. The entry must be large
+// next to its block (rowBlockShare) and the newest version of ukey in the
+// file, so that the row answers every lookup at or above its sequence
+// number as the blocks would: its predecessor — in the block, or for the
+// block's first entry the previous index separator, which is no smaller
+// than the last key before it — must have another user key. ix is moved.
+func (t *Table) cacheRow(ix, it *blockIter, ukey []byte) bool {
+	if (int64(len(ukey)+len(it.Value()))+valueOverhead)*rowBlockShare < it.b.charge() {
+		return false
+	}
+	var buf [64]byte
+	newest := blockIter{b: it.b}
+	if newest.Seek(kv.MakeSearchKey(buf[:0], ukey, kv.MaxSeqNum)); newest.offset != it.offset {
+		return false
+	}
+	if it.offset == 0 {
+		if ix.Prev(); ix.Error() != nil || ix.Valid() && kv.CompareUser(ix.Key().UserKey(), ukey) == 0 {
+			return false
+		}
+	}
+	return t.cache.putRow(t.fileNum, ukey, it.Value(), it.Key().Seq(), it.Key().Kind())
 }
 
 // NewIterator returns a two-level iterator over the whole table.
@@ -317,7 +356,7 @@ func (it *tableIter) loadBlock() {
 	case it.win != nil && it.run > it.win.after:
 		b, err = it.streamBlock(h)
 	default:
-		b, err = it.t.readBlock(h)
+		b, _, err = it.t.readBlock(h, true)
 	}
 	if err != nil {
 		it.err = err
@@ -335,7 +374,7 @@ func (it *tableIter) streamBlock(h blockHandle) (*block, error) {
 		return nil, fmt.Errorf("sstable: handle %+v outside file %d", h, t.fileNum)
 	}
 	if h.offset < w.off || h.end() > w.off+uint64(len(w.buf)) {
-		if b := t.cache.get(t.fileNum, h.offset); b != nil {
+		if b := t.cache.get(t.fileNum, h.offset, true); b != nil {
 			return b, nil
 		}
 		if err := it.refill(h); err != nil {

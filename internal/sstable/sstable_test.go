@@ -276,23 +276,23 @@ func TestCacheLRU(t *testing.T) {
 	mk := func(n int) *block { return &block{data: make([]byte, n), restarts: []uint32{0}} }
 	c.put(1, 0, mk(100))
 	c.put(1, 1, mk(100))
-	if c.get(1, 0) == nil {
+	if c.get(1, 0, true) == nil {
 		t.Fatal("miss on cached block")
 	}
 	// Inserting a third 100-byte block (each entry ~168 bytes with
 	// overhead) evicts the LRU entry, which is (1,1).
 	c.put(1, 2, mk(100))
-	if c.get(1, 1) != nil {
+	if c.get(1, 1, true) != nil {
 		t.Error("LRU entry not evicted")
 	}
 	c.EvictFile(1)
-	if c.get(1, 0) != nil || c.get(1, 2) != nil {
+	if c.get(1, 0, true) != nil || c.get(1, 2, true) != nil {
 		t.Error("EvictFile left blocks behind")
 	}
 	// nil cache is inert.
 	var nc *Cache
 	nc.put(1, 0, mk(10))
-	if nc.get(1, 0) != nil {
+	if nc.get(1, 0, true) != nil {
 		t.Error("nil cache returned a block")
 	}
 }
@@ -332,7 +332,7 @@ func TestCacheValues(t *testing.T) {
 	if st = c.Stats(); st.Entries != 3 || st.ValueEntries != 3 || st.UsedBytes != st.ValueBytes || st.UsedBytes > 4096 {
 		t.Fatalf("residency after the block was displaced: %+v", st)
 	}
-	if c.get(1, 0) != nil {
+	if c.get(1, 0, true) != nil {
 		t.Fatal("displaced block still cached")
 	}
 	// A fourth takes over the coldest value's entry: (2, 1100), since

@@ -256,7 +256,7 @@ func TestStreamedCorruptBlockIsNeverEmitted(t *testing.T) {
 		if s := cache.Stats(); s.CorruptBlocks != 1 || seenFile != 7 || seenOff != h.offset {
 			t.Errorf("victim block %d: %d corrupt blocks counted, observer saw file %d offset %d", victim, s.CorruptBlocks, seenFile, seenOff)
 		}
-		if cache.get(7, h.offset) != nil {
+		if cache.get(7, h.offset, true) != nil {
 			t.Errorf("victim block %d was cached", victim)
 		}
 	}
@@ -264,7 +264,7 @@ func TestStreamedCorruptBlockIsNeverEmitted(t *testing.T) {
 
 func mustBlock(t *testing.T, tbl *Table, h blockHandle) *block {
 	t.Helper()
-	b, err := tbl.readBlock(h)
+	b, _, err := tbl.readBlock(h, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,8 +380,8 @@ func TestStreamingAdmitsOnlyIntoFreeRoom(t *testing.T) {
 	if it.Error() != nil {
 		t.Fatal(it.Error())
 	}
-	if s := small.Stats(); small.get(2, hot.offset) == nil || s.Entries != 1 {
-		t.Errorf("streaming through a full cache: resident block kept = %v, %d entries", small.get(2, hot.offset) != nil, s.Entries)
+	if s := small.Stats(); small.get(2, hot.offset, true) == nil || s.Entries != 1 {
+		t.Errorf("streaming through a full cache: resident block kept = %v, %d entries", small.get(2, hot.offset, true) != nil, s.Entries)
 	}
 }
 
