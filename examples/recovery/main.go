@@ -1,7 +1,7 @@
 // Recovery example: demonstrate the durability chain — WAL, MANIFEST,
 // and set records — by writing, "crashing" (closing without any
 // graceful flush), and reopening the same device. Acknowledged writes
-// survive; the set registry and dynamic-band state reconcile.
+// survive; the sets and the dynamic-band state reconcile.
 package main
 
 import (

@@ -276,7 +276,7 @@ func (p *Proxy) forget(l *link) {
 	p.mu.Unlock()
 }
 
-// noteFrame counts one forwarded frame.
+// noteFrame counts one frame about to be forwarded.
 func (p *Proxy) noteFrame(dir Direction) {
 	p.mu.Lock()
 	if dir == ToServer {
@@ -337,9 +337,12 @@ func (p *Proxy) pump(l *link, dir Direction) {
 				return
 			}
 		}
+		// Counted before it is forwarded: the stat must never lag an
+		// effect a peer can observe (the echo of this frame may reach a
+		// reader of Stats before this goroutine runs again).
+		p.noteFrame(dir)
 		if _, err := dst.Write(frame); err != nil {
 			return
 		}
-		p.noteFrame(dir)
 	}
 }

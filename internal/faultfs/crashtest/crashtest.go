@@ -39,6 +39,7 @@ const (
 	OpBatch // multi-key atomic batch (exercises batch atomicity)
 	OpFlush
 	OpCompact
+	OpDefrag // one band-GC pass: relocate the set downstream of every fragment
 )
 
 // Op is one step of the scripted workload.
@@ -116,13 +117,14 @@ type Result struct {
 	// survived whole — legal, and evidence the all-or-nothing check
 	// is exercising both sides.
 	Resurrected int
-	// Flushes and Compactions confirm the workload coverage.
-	Flushes, Compactions int64
+	// Flushes, Compactions and SetsMoved (by OpDefrag steps) confirm the
+	// workload coverage.
+	Flushes, Compactions, SetsMoved int64
 }
 
 func (r Result) String() string {
-	return fmt.Sprintf("writes=%d cuts=%d create_cuts=%d resurrected=%d flushes=%d compactions=%d",
-		r.Writes, r.Cuts, r.CreateCuts, r.Resurrected, r.Flushes, r.Compactions)
+	return fmt.Sprintf("writes=%d cuts=%d create_cuts=%d resurrected=%d flushes=%d compactions=%d sets_moved=%d",
+		r.Writes, r.Cuts, r.CreateCuts, r.Resurrected, r.Flushes, r.Compactions, r.SetsMoved)
 }
 
 // model applies an op to the reference state.
@@ -163,6 +165,9 @@ func applyOp(db *lsm.DB, op *Op) error {
 		return db.FlushMemtable()
 	case OpCompact:
 		return db.CompactRange(nil, nil)
+	case OpDefrag:
+		_, err := db.DefragmentBands(0)
+		return err
 	}
 	return fmt.Errorf("crashtest: unknown op kind %d", op.Kind)
 }
@@ -191,7 +196,7 @@ func Run(t testing.TB, cfg Config) Result {
 		applyModel(final, &cfg.Ops[i])
 	}
 	stats := db.Stats()
-	res.Flushes, res.Compactions = stats.FlushCount, stats.CompactionCount
+	res.Flushes, res.Compactions, res.SetsMoved = stats.FlushCount, stats.CompactionCount, stats.GCMoves
 	if res.Flushes == 0 || res.Compactions == 0 {
 		t.Fatalf("crashtest: workload too small: %d flushes, %d compactions (need >= 1 of each)", res.Flushes, res.Compactions)
 	}

@@ -97,11 +97,13 @@ func (d *DB) pickVictim(v *version.Version, level int) *version.FileMeta {
 	}
 	if d.cfg.Mode == ModeSEALDB && level >= 2 {
 		best, bestInvalid := -1, 0
+		var asked uint64 // a set's members are neighbours: ask once per run
 		for i, f := range files {
-			if f.SetID == 0 {
+			if f.SetID == 0 || f.SetID == asked {
 				continue
 			}
-			if inv := d.sets.invalidCount(f.SetID); inv > bestInvalid {
+			asked = f.SetID
+			if inv := d.vs.InvalidMembers(f.SetID); inv > bestInvalid {
 				best, bestInvalid = i, inv
 			}
 		}
@@ -166,18 +168,50 @@ func (d *DB) endJob(m jobMeter, ci CompactionInfo) {
 	m.sp.End()
 }
 
-// writeSet writes files as one contiguous group and, when the backend
-// placed them as a group, registers the set under id. It returns a nil
-// record when the backend fell back to file-by-file placement. Caller
-// holds d.mu.
-func (d *DB) writeSet(id uint64, nums []uint64, datas [][]byte) (*version.SetRecord, error) {
+// writeOutputs places a job's output tables: as one set in one
+// contiguous extent when grouped (and the backend groups), file by file
+// otherwise. A set takes the number of its first output, unique for the
+// lifetime of the DB, as its id, which is stamped into the outputs; its
+// record is returned for the edit (nil without a set). Caller holds d.mu.
+func (d *DB) writeOutputs(outputs []*version.FileMeta, datas [][]byte, grouped bool) (*version.SetRecord, error) {
+	if len(outputs) == 0 {
+		return nil, nil
+	}
+	if !grouped {
+		for i, o := range outputs {
+			if err := d.backend.WriteFile(o.Num, datas[i]); err != nil {
+				return nil, err
+			}
+		}
+		return nil, nil
+	}
+	nums := make([]uint64, len(outputs))
+	for i, o := range outputs {
+		nums[i] = o.Num
+	}
 	ext, grouped, err := d.backend.WriteGroup(nums, datas)
 	if err != nil || !grouped {
 		return nil, err
 	}
-	rec := &version.SetRecord{ID: id, Off: ext.Off, Len: ext.Len, Members: len(nums)}
-	d.sets.register(*rec, nums)
-	return rec, nil
+	for _, o := range outputs {
+		o.SetID = nums[0]
+	}
+	d.metrics.setsCreated.Inc()
+	return &version.SetRecord{ID: nums[0], Off: ext.Off, Len: ext.Len, Members: len(nums)}, nil
+}
+
+// install is the one way a job's result becomes the store's state:
+// what it wrote is on the device, the edit makes it current, and what
+// the edit retired — input tables, a dropped segment, the extents of
+// sets left without a member — is reclaimed, behind any iterator that
+// may still be reading it (pins.go). Caller holds d.mu.
+func (d *DB) install(edit *version.Edit) error {
+	retired, err := d.vs.LogAndApply(edit)
+	if err != nil {
+		return err
+	}
+	d.metrics.setsDropped.Add(int64(len(retired.Sets)))
+	return d.reclaim(retired)
 }
 
 // runCompaction executes a compaction: merge the inputs, write the
@@ -205,7 +239,7 @@ func (d *DB) runCompaction(c *compaction) error {
 				{Level: c.level, Key: f.Largest.Clone()},
 			},
 		}
-		if err := d.vs.LogAndApply(edit); err != nil {
+		if err := d.install(edit); err != nil {
 			return err
 		}
 		d.metrics.trivialMoves.Inc()
@@ -224,38 +258,18 @@ func (d *DB) runCompaction(c *compaction) error {
 	defer putBufs(datas)
 
 	// Place the outputs: grouped modes write the new set in one
-	// contiguous extent; others write file by file. The edit carries
-	// the set bookkeeping: the new set here, and below any input sets
-	// emptied by this compaction.
+	// contiguous extent; others write file by file.
 	edit := &version.Edit{}
-	nums := make([]uint64, len(outputs))
-	for i, o := range outputs {
-		nums[i] = o.Num
-		info.OutputBytes += o.Size
+	newSet, err := d.writeOutputs(outputs, datas, d.cfg.groupedOutputs(c.outLevel))
+	if err != nil {
+		return err
 	}
-	var setID uint64
-	if len(outputs) > 0 && d.cfg.groupedOutputs(c.outLevel) {
-		// The set id is the first output file's number, which is unique
-		// for the lifetime of the DB.
-		newSet, err := d.writeSet(nums[0], nums, datas)
-		if err != nil {
-			return err
-		}
-		if newSet != nil {
-			setID = newSet.ID
-			edit.NewSets = []version.SetRecord{*newSet}
-			d.metrics.setsCreated.Inc()
-			sp.Set("set", int64(setID))
-		}
-	} else {
-		for i := range outputs {
-			if err := d.backend.WriteFile(nums[i], datas[i]); err != nil {
-				return err
-			}
-		}
+	if newSet != nil {
+		edit.NewSets = []version.SetRecord{*newSet}
+		sp.Set("set", int64(newSet.ID))
 	}
 	for _, o := range outputs {
-		o.SetID = setID
+		info.OutputBytes += o.Size
 		edit.Added = append(edit.Added, version.AddedFile{Level: c.outLevel, Meta: o})
 	}
 
@@ -278,31 +292,14 @@ func (d *DB) runCompaction(c *compaction) error {
 	// Dropped pointer entries kill their value-log records; the
 	// deltas ride the same edit so recovery rebuilds the dead counts.
 	if len(vlogDead) > 0 {
-		edit.VlogDead = d.vlogChargeDead(vlogDead)
+		edit.VlogDead = vlogDeadRecords(vlogDead)
 	}
 
-	// Mark dead inputs in the set registry before logging so the
-	// edit carries the DropSet records atomically.
-	var freedExtents []storage.Extent
-	allInputs := append(append([]*version.FileMeta(nil), c.inputs0...), c.inputs1...)
-	inputNums := make([]uint64, len(allInputs))
-	for i, f := range allInputs {
-		inputNums[i] = f.Num
-		if ext, setID, emptied := d.sets.fileInvalid(f.Num); emptied {
-			edit.DropSets = append(edit.DropSets, setID)
-			freedExtents = append(freedExtents, ext)
-			d.metrics.setsDropped.Inc()
-		}
-	}
-	if err := d.vs.LogAndApply(edit); err != nil {
-		return err
-	}
-
-	// Reclaim space: ungrouped inputs free via Remove; grouped inputs
-	// were only forgotten, and their extents return to the free list
-	// when their whole set died. Deferred while iterators that may
-	// still read the inputs are live (see pins.go).
-	if err := d.reclaim(inputNums, freedExtents); err != nil {
+	// The edit drops the sets these deletions empty and reports them
+	// with the inputs; ungrouped inputs free via Remove, grouped ones are
+	// only forgotten and their extent returns to the free list when the
+	// whole set died.
+	if err := d.install(edit); err != nil {
 		return err
 	}
 
@@ -553,7 +550,7 @@ func (d *DB) mergeInputs(c *compaction) ([]*version.FileMeta, [][]byte, map[uint
 func (d *DB) isBaseLevelForKey(c *compaction, user []byte) bool {
 	v := d.vs.Current()
 	for l := c.outLevel + 1; l < d.cfg.NumLevels; l++ {
-		if len(v.Overlaps(l, user, user, d.cfg.sortedLevel(l))) > 0 {
+		if v.OverlapsAny(l, user, user, d.cfg.sortedLevel(l)) {
 			return false
 		}
 	}

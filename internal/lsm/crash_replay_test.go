@@ -14,6 +14,7 @@ import (
 
 	"sealdb/internal/faultfs"
 	"sealdb/internal/faultfs/crashtest"
+	"sealdb/internal/invariant"
 	"sealdb/internal/kv"
 	"sealdb/internal/lsm"
 	"sealdb/internal/smr"
@@ -52,6 +53,54 @@ func TestCrashReplay(t *testing.T) {
 	t.Logf("crash replay (sealdb): %s", res)
 	if res.Cuts == 0 {
 		t.Fatal("harness injected no cuts")
+	}
+}
+
+// longCrashConfig is the sweep over a store that has outgrown its first
+// few sets: 1,500 ops over 400 keys reach multi-member group writes,
+// set drops and free-list reuse, which the 300-op script never does.
+func longCrashConfig() crashtest.Config {
+	cfg := crashConfig(lsm.ModeSEALDB, 1)
+	switch {
+	case testing.Short():
+		cfg.Stride = 61
+	case invariant.Enabled:
+		// A cut costs seven times as much with every runtime assertion
+		// armed: 3,200 of them overrun the package's ten minutes. The
+		// plain and race runs visit every boundary.
+		cfg.Stride = 29
+	}
+	cfg.Ops = crashtest.Workload(42, 1500, 400)
+	return cfg
+}
+
+// TestCrashReplayLong cuts power at every write boundary of the long
+// script. Its cuts land inside group writes of several members: a cut
+// after the first member must leave the extent either owned or free on
+// both the allocator's and the drive's books, or the store recovers
+// unwritable.
+func TestCrashReplayLong(t *testing.T) {
+	res := crashtest.Run(t, longCrashConfig())
+	t.Logf("crash replay (sealdb, long): %s", res)
+}
+
+// TestCrashReplayRelocation is the long script with a band-GC pass after
+// ops 900 and 1,400, so cuts land at every write inside a set
+// relocation: the copy's group write, the edit that swaps it in, and
+// what follows. Either set must recover whole.
+func TestCrashReplayRelocation(t *testing.T) {
+	cfg := longCrashConfig()
+	var ops []crashtest.Op
+	for i, op := range cfg.Ops {
+		if ops = append(ops, op); i == 900 || i == 1400 {
+			ops = append(ops, crashtest.Op{Kind: crashtest.OpDefrag})
+		}
+	}
+	cfg.Ops = ops
+	res := crashtest.Run(t, cfg)
+	t.Logf("crash replay (sealdb, relocation): %s", res)
+	if res.SetsMoved == 0 {
+		t.Fatal("the clean pass relocated no set")
 	}
 }
 

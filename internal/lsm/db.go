@@ -18,7 +18,6 @@ import (
 	"sealdb/internal/sstable"
 	"sealdb/internal/storage"
 	"sealdb/internal/version"
-	"sealdb/internal/vlog"
 	"sealdb/internal/wal"
 )
 
@@ -156,7 +155,6 @@ type DB struct {
 	// tableLRU, which orders them least recently used first.
 	tables    map[uint64]*list.Element
 	tableLRU  list.List
-	sets      *setRegistry
 	snapshots map[kv.SeqNum]int // guarded by mu
 	// compactions is the append-only per-job record behind
 	// Stats().Compactions; every scalar counter lives in metrics.
@@ -212,7 +210,6 @@ func OpenDevice(cfg Config, dev *Device) (*DB, error) {
 		backend:   dev.Backend,
 		cache:     sstable.NewCache(cfg.BlockCacheSize),
 		tables:    map[uint64]*list.Element{},
-		sets:      newSetRegistry(),
 		snapshots: map[kv.SeqNum]int{},
 		iterPins:  map[uint64]int{},
 		memSeed:   cfg.Seed,
@@ -275,9 +272,6 @@ func OpenDevice(cfg Config, dev *Device) (*DB, error) {
 			return nil, err
 		}
 		d.vs = vs
-		if cfg.vlogEnabled() {
-			d.vlog.tab = vlog.NewTable()
-		}
 	}
 	if err := d.newWAL(); err != nil {
 		return nil, err
@@ -391,26 +385,26 @@ func (d *DB) Seq() kv.SeqNum {
 	return d.seq
 }
 
-// recoverSetsAndLogs rebuilds the set registry and replays the logs:
-// the WAL's records merged, by base sequence number, with the value
-// log's groups past the replay head (none with the value log off).
+// recoverSetsAndLogs drops the sets recovery found without a member and
+// replays the logs: the WAL's records merged, by base sequence number,
+// with the value log's groups past the replay head (none with the value
+// log off).
 func (d *DB) recoverSetsAndLogs(groups []vlogGroup) error {
-	orphans := d.sets.rebuild(d.vs.Sets(), d.vs.Current())
-	d.recovery.OrphanSets = len(orphans)
-	if len(orphans) > 0 {
-		// Sets that lost their last member without being dropped
-		// (crash window): log the drops, then free the extents.
-		e := &version.Edit{}
-		for _, rec := range orphans {
-			e.DropSets = append(e.DropSets, rec.ID)
+	for _, set := range d.vs.Sets() {
+		if set.Live == 0 {
+			d.recovery.OrphanSets++
 		}
-		if err := d.vs.LogAndApply(e); err != nil {
+	}
+	if d.recovery.OrphanSets > 0 {
+		// A set whose last member went without its drop (a manifest this
+		// code did not write, or one cut short): any edit drops it, and
+		// only then is its extent freed.
+		retired, err := d.vs.LogAndApply(&version.Edit{})
+		if err == nil {
+			err = d.reclaimNow(retired)
+		}
+		if err != nil {
 			return err
-		}
-		for _, rec := range orphans {
-			if err := d.backend.FreeExtent(storage.Extent{Off: rec.Off, Len: rec.Len}); err != nil {
-				return err
-			}
 		}
 	}
 
@@ -560,8 +554,8 @@ func (d *DB) sweepOrphans() {
 	// Value-log segments the manifest registered are live; a segment
 	// created whose registering edit never landed is debris like any
 	// half-written SSTable.
-	for num := range d.vs.VlogSegs() {
-		live[num] = true
+	for _, seg := range d.vs.VlogSegs() {
+		live[seg.Num] = true
 	}
 	for _, fr := range d.backend.Files() {
 		if live[fr.Num] {
@@ -667,7 +661,7 @@ func (d *DB) newWAL() error {
 	if err != nil {
 		return err
 	}
-	if err := d.vs.LogAndApply(d.stampReplayStart(&version.Edit{}, d.walNum)); err != nil {
+	if err := d.install(d.stampReplayStart(&version.Edit{}, d.walNum)); err != nil {
 		return err
 	}
 	if old != 0 {

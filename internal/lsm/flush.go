@@ -40,7 +40,7 @@ func (d *DB) flushMemtable(mem *memtable.MemTable, newLogNum uint64) error {
 	edit := d.stampReplayStart(&version.Edit{
 		Added: []version.AddedFile{{Level: 0, Meta: fm}},
 	}, newLogNum)
-	if err := d.vs.LogAndApply(edit); err != nil {
+	if err := d.install(edit); err != nil {
 		return err
 	}
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"sealdb/internal/storage"
 	"sealdb/internal/version"
 )
 
@@ -52,8 +51,8 @@ func (d *DB) DefragmentBands(maxMoves int) (GCResult, error) {
 	// Index live sets by their extent start, member files by set, and
 	// each member's level by file number.
 	byOff := map[int64]version.SetRecord{}
-	for _, rec := range d.vs.Sets() {
-		byOff[rec.Off] = rec
+	for _, set := range d.vs.Sets() {
+		byOff[set.Off] = set.SetRecord
 	}
 	members := map[uint64][]*version.FileMeta{}
 	levelOf := map[uint64]int{}
@@ -91,7 +90,7 @@ func (d *DB) DefragmentBands(maxMoves int) (GCResult, error) {
 		}
 		moved, err := d.relocateSet(rec, members[rec.ID], levelOf, sp.ID())
 		if err != nil {
-			return res, err
+			return res, d.failWrite(err)
 		}
 		res.SetsMoved++
 		res.BytesMoved += moved
@@ -104,10 +103,15 @@ func (d *DB) DefragmentBands(maxMoves int) (GCResult, error) {
 	return res, nil
 }
 
-// relocateSet rewrites a set's live members into a fresh contiguous
-// extent and frees the old one, letting the adjacent fragment
-// coalesce. parent links the migration span to its band-GC pass.
-// Caller holds d.mu.
+// relocateSet moves a set's live members to a fresh contiguous extent
+// as a compaction that does not merge: read them, write them under new
+// file numbers as a new set, and install one edit that swaps each member
+// for its copy at its own level. The edit drops the old set, and its
+// files and extent go through the reclaim queue like any compaction's
+// inputs — so nothing is unmapped before its replacement is durable, a
+// crash leaves either set whole (plus orphans the next open sweeps), and
+// a live iterator keeps reading the old files until it closes. parent
+// links the migration span to its band-GC pass. Caller holds d.mu.
 func (d *DB) relocateSet(rec version.SetRecord, files []*version.FileMeta, levelOf map[uint64]int, parent uint64) (int64, error) {
 	if len(files) == 0 {
 		return 0, fmt.Errorf("lsm: relocating set %d with no live members", rec.ID)
@@ -121,54 +125,32 @@ func (d *DB) relocateSet(rec version.SetRecord, files []*version.FileMeta, level
 	}
 	defer putBufs(datas)
 
-	// Drop the old placements (grouped: mapping only), then write the
-	// group to fresh space and install the new set record. From the
-	// first Remove until the edit lands the current version references
-	// unmapped files, so any failure in between is permanent: the store
-	// degrades rather than go on accepting writes.
-	nums := make([]uint64, len(files))
+	edit := &version.Edit{}
+	copies := make([]*version.FileMeta, len(files))
 	var moved int64
 	for i, f := range files {
-		nums[i] = f.Num
-		moved += int64(len(datas[i]))
-		d.sets.fileInvalid(f.Num)
-		d.dropTable(f.Num)
-		if err := d.backend.Remove(f.Num); err != nil {
-			return 0, d.failWrite(err)
-		}
-	}
-	newRec, err := d.writeSet(d.vs.NewFileNum(), nums, datas)
-	if err != nil {
-		return 0, d.failWrite(err)
-	}
-	if newRec == nil {
-		return 0, d.failWrite(fmt.Errorf("lsm: relocation backend refused group placement"))
-	}
-
-	// One atomic edit: retire the old set, introduce the new one, and
-	// repoint every member's SetID.
-	edit := &version.Edit{
-		DropSets: []uint64{rec.ID},
-		NewSets:  []version.SetRecord{*newRec},
-	}
-	for _, f := range files {
 		nf := *f
-		nf.SetID = newRec.ID
-		lvl := levelOf[f.Num]
-		edit.Deleted = append(edit.Deleted, version.DeletedFile{Level: lvl, Num: f.Num})
-		edit.Added = append(edit.Added, version.AddedFile{Level: lvl, Meta: &nf})
+		nf.Num = d.vs.NewFileNum()
+		copies[i] = &nf
+		moved += int64(len(datas[i]))
+		edit.Deleted = append(edit.Deleted, version.DeletedFile{Level: levelOf[f.Num], Num: f.Num})
+		edit.Added = append(edit.Added, version.AddedFile{Level: levelOf[f.Num], Meta: &nf})
 	}
-	if err := d.vs.LogAndApply(edit); err != nil {
-		return 0, d.failWrite(err)
+	newRec, err := d.writeOutputs(copies, datas, true)
+	if err != nil {
+		return 0, err
 	}
-	if err := d.backend.FreeExtent(storage.Extent{Off: rec.Off, Len: rec.Len}); err != nil {
-		return 0, d.failWrite(err)
+	if newRec != nil {
+		edit.NewSets = []version.SetRecord{*newRec}
+		msp.Set("new_set", int64(newRec.ID))
+	}
+	if err := d.install(edit); err != nil {
+		return 0, err
 	}
 	d.metrics.bandGCMoves.Inc()
 	d.metrics.bandGCBytes.Add(moved)
-	msp.Set("new_set", int64(newRec.ID))
 	msp.Set("bytes", moved)
-	msp.Set("members", int64(len(nums)))
+	msp.Set("members", int64(len(files)))
 	msp.End()
 	return moved, nil
 }

@@ -70,8 +70,8 @@ func (d *DB) TableLocations() []TableLocation {
 	return out
 }
 
-// SetProfile summarizes the set registry: live sets, their members,
-// and the invalid-member backlog the set-priority GC works through.
+// SetProfile summarizes the live sets: their members and the
+// invalid-member backlog the set-priority GC works through.
 type SetProfile struct {
 	LiveSets       int
 	LiveMembers    int
@@ -79,18 +79,17 @@ type SetProfile struct {
 	InvalidMembers int
 }
 
-// SetProfile returns the registry summary (meaningful in the grouped
-// modes; zero-valued otherwise).
+// SetProfile returns the summary (meaningful in the grouped modes;
+// zero-valued otherwise).
 func (d *DB) SetProfile() SetProfile {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	live, total := d.sets.memberStats()
-	return SetProfile{
-		LiveSets:       d.sets.liveSets(),
-		LiveMembers:    live,
-		TotalMembers:   total,
-		InvalidMembers: total - live,
+	var p SetProfile
+	for _, set := range d.vs.Sets() {
+		p.LiveSets++
+		p.LiveMembers += set.Live
+		p.TotalMembers += set.Members
 	}
+	p.InvalidMembers = p.TotalMembers - p.LiveMembers
+	return p
 }
 
 // ApproximateSize returns the table bytes whose key ranges intersect
@@ -179,10 +178,10 @@ func (d *DB) VerifyIntegrity() error {
 	return d.verifyExtents()
 }
 
-// verifyVlog cross-checks key–value separation state: the segment
-// table against the manifest's segment records, and every *serving*
-// pointer — the newest visible version of its key — against the value
-// log: the pointed-at record must decode, sit inside its segment's
+// verifyVlog cross-checks key–value separation state: the manifest's
+// segment records against each other, and every *serving* pointer — the
+// newest visible version of its key — against the value log: the
+// pointed-at record must decode, sit inside its segment's
 // logical bytes, and carry the same user key; and the records served
 // out of a segment must fit in the bytes its accounting still calls
 // live (header, frames and charged-dead records excluded). Shadowed
@@ -190,30 +189,19 @@ func (d *DB) VerifyIntegrity() error {
 // superseded entry may reference a collected segment until compaction
 // drops it. Caller holds d.mu.
 func (d *DB) verifyVlog(v *version.Version) error {
-	segs := d.vs.VlogSegs()
+	segs := map[uint64]version.VlogSeg{}
 	unsealed := 0
-	for num, s := range segs {
-		info, ok := d.vlog.tab.Info(num)
-		if !ok {
-			return fmt.Errorf("vlog segment %d in manifest but not in segment table", num)
-		}
-		if s.Sealed && (info.Bytes != s.Bytes || info.Overhead != s.Overhead) {
-			return fmt.Errorf("vlog segment %d: table holds %d bytes (%d overhead), manifest records %d (%d)", num, info.Bytes, info.Overhead, s.Bytes, s.Overhead)
-		}
-		if info.Live() < 0 {
-			return fmt.Errorf("vlog segment %d: dead bytes %d and overhead %d exceed total %d", num, info.Dead, info.Overhead, info.Bytes)
+	for _, s := range d.vlogSegs() {
+		if s.Live() < 0 {
+			return fmt.Errorf("vlog segment %d: dead bytes %d and overhead %d exceed total %d", s.Num, s.Dead, s.Overhead, s.Bytes)
 		}
 		if !s.Sealed {
 			unsealed++
 		}
+		segs[s.Num] = s
 	}
 	if unsealed > 1 {
 		return fmt.Errorf("vlog: %d unsealed segments in manifest, want at most one", unsealed)
-	}
-	for _, s := range d.vlog.tab.Segments() {
-		if _, ok := segs[s.Num]; !ok {
-			return fmt.Errorf("vlog segment %d in segment table but not in manifest", s.Num)
-		}
 	}
 
 	serving := map[uint64]int64{} // segment → bytes of records the tree serves from it
@@ -232,7 +220,7 @@ func (d *DB) verifyVlog(v *version.Version) error {
 		if err != nil {
 			return fmt.Errorf("%s key %s: %w", where, ik, err)
 		}
-		info, ok := d.vlog.tab.Info(p.Seg)
+		info, ok := segs[p.Seg]
 		if !ok {
 			return fmt.Errorf("%s key %s: pointer into unknown vlog segment %d", where, ik, p.Seg)
 		}
@@ -275,7 +263,7 @@ func (d *DB) verifyVlog(v *version.Version) error {
 		}
 	}
 	for num, n := range serving {
-		if info, _ := d.vlog.tab.Info(num); n > info.Live() {
+		if info := segs[num]; n > info.Live() {
 			return fmt.Errorf("vlog segment %d: the tree serves %d record bytes but only %d are accounted live (%d bytes, %d overhead, %d dead)",
 				num, n, info.Live(), info.Bytes, info.Overhead, info.Dead)
 		}
@@ -316,11 +304,12 @@ func (d *DB) verifyTable(level int, f *version.FileMeta) error {
 	return nil
 }
 
-// verifySets cross-checks the set registry, the manifest's set
-// records, file placements, and the device state. Caller holds d.mu.
+// verifySets cross-checks the manifest's sets — records and live
+// counts — against the version's files, their placements, and the
+// device state. Caller holds d.mu.
 func (d *DB) verifySets(v *version.Version) error {
 	records := d.vs.Sets()
-	liveBysSet := map[uint64]int{}
+	liveBysSet := map[uint64]version.SetInfo{} // recounted from the version
 	for l := 0; l < d.cfg.NumLevels; l++ {
 		for _, f := range v.Files[l] {
 			if f.SetID == 0 {
@@ -338,15 +327,21 @@ func (d *DB) verifySets(v *version.Version) error {
 				return fmt.Errorf("set %d member %s extent %v outside set extent [%d,%d)",
 					f.SetID, f, ext, rec.Off, rec.Off+rec.Len)
 			}
-			liveBysSet[f.SetID]++
+			n := liveBysSet[f.SetID]
+			n.Live, n.LiveBytes = n.Live+1, n.LiveBytes+ext.Len
+			liveBysSet[f.SetID] = n
 		}
 	}
 	for id, rec := range records {
-		if liveBysSet[id] == 0 {
+		n := liveBysSet[id]
+		if n.Live == 0 {
 			return fmt.Errorf("set %d (members %d) has a record but no live members", id, rec.Members)
 		}
-		if liveBysSet[id] > rec.Members {
-			return fmt.Errorf("set %d has %d live members > recorded total %d", id, liveBysSet[id], rec.Members)
+		if n.Live != rec.Live || n.LiveBytes != rec.LiveBytes {
+			return fmt.Errorf("set %d has %d live members in %d bytes of extents but the manifest state counts %d in %d", id, n.Live, n.LiveBytes, rec.Live, rec.LiveBytes)
+		}
+		if n.Live > rec.Members {
+			return fmt.Errorf("set %d has %d live members > recorded total %d", id, n.Live, rec.Members)
 		}
 	}
 
@@ -395,8 +390,8 @@ func (e ownedExtent) String() string {
 
 // ownedExtents lists, in address order, every extent the store owns,
 // each with the dead bytes its owner accounts for: an ungrouped backend
-// file is live unless it is a sealed value-log segment (the table's dead
-// records plus the header and frames) or parked in the reclaim queue
+// file is live unless it is a value-log segment (its dead records plus,
+// once sealed, the header and frames) or parked in the reclaim queue
 // (wholly dead); a live set's group is dead but for its live members'
 // extents (invalidated members and guard slack); a dead set's group
 // awaiting deferred reclamation is wholly dead. Recovery reconciles the
@@ -405,42 +400,29 @@ func (e ownedExtent) String() string {
 // d.mu.
 func (d *DB) ownedExtents() []ownedExtent {
 	parked := map[uint64]bool{}
+	var spans []ownedExtent
 	for _, pr := range d.reclaims {
-		for _, num := range pr.files {
+		for _, num := range pr.retired.Files {
 			parked[num] = true
 		}
+		for _, set := range pr.retired.Sets {
+			spans = append(spans, ownedExtent{off: set.Off, len: set.Len, dead: set.Len, kind: ownedParked})
+		}
 	}
-	var spans []ownedExtent
-	liveIn := map[uint64]int64{} // set id -> bytes of its live members
 	for _, fr := range d.backend.Files() {
 		if fr.Grouped {
-			// Covered by its set extent; a member the registry no longer
-			// knows is dead space inside it.
-			if id := d.sets.setOf(fr.Num); id != 0 {
-				liveIn[id] += fr.Extent.Len
-			}
-			continue
+			continue // covered by its set's extent, live or parked
 		}
 		e := ownedExtent{off: fr.Extent.Off, len: fr.Extent.Len, kind: ownedFile, id: fr.Num}
 		if parked[fr.Num] {
 			e.dead = e.len
-		} else if d.vlog.tab != nil {
-			if seg, ok := d.vlog.tab.Info(fr.Num); ok {
-				e.dead = seg.Dead
-				if seg.Sealed {
-					e.dead += seg.Overhead
-				}
-			}
+		} else if seg, ok := d.vs.VlogSeg(fr.Num); ok {
+			e.dead = seg.Dead + seg.Overhead // no overhead on record until the seal
 		}
 		spans = append(spans, e)
 	}
-	for id, rec := range d.vs.Sets() {
-		spans = append(spans, ownedExtent{off: rec.Off, len: rec.Len, dead: rec.Len - liveIn[id], kind: ownedSet, id: id})
-	}
-	for _, pr := range d.reclaims {
-		for _, ext := range pr.extents {
-			spans = append(spans, ownedExtent{off: ext.Off, len: ext.Len, dead: ext.Len, kind: ownedParked})
-		}
+	for id, set := range d.vs.Sets() {
+		spans = append(spans, ownedExtent{off: set.Off, len: set.Len, dead: set.Len - set.LiveBytes, kind: ownedSet, id: id})
 	}
 	sort.Slice(spans, func(i, j int) bool { return spans[i].off < spans[j].off })
 	return spans

@@ -628,9 +628,8 @@ func TestSetRegistryReclaimsExtents(t *testing.T) {
 	if mgr.Stats().Frees == 0 {
 		t.Error("no set extents were ever freed")
 	}
-	live, total := d.sets.memberStats()
-	if live > total {
-		t.Errorf("registry corrupt: %d live > %d total", live, total)
+	if sp := d.SetProfile(); sp.LiveMembers > sp.TotalMembers || sp.LiveSets == 0 {
+		t.Errorf("set accounting corrupt: %+v", sp)
 	}
 	// Freed space must actually be reused: inserts into reclaimed
 	// regions happen, and the free list is not growing without bound.

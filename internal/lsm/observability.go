@@ -108,6 +108,12 @@ func (c *Config) journalCapacity() int {
 func (d *DB) collectGauges(g map[string]float64) {
 	d.mu.Lock()
 	memBytes := d.mem.ApproximateSize()
+	var vlogLive, vlogDead int64
+	var vlogSegments int
+	if d.cfg.vlogEnabled() {
+		// The active segment's length is the writer's, which d.mu guards.
+		vlogLive, vlogDead, vlogSegments = d.vlogTotals()
+	}
 	d.mu.Unlock()
 	g["sealdb_memtable_bytes"] = float64(memBytes)
 
@@ -131,10 +137,9 @@ func (d *DB) collectGauges(g map[string]float64) {
 	g["sealdb_storage_removes"] = float64(bs.Removes)
 
 	if d.cfg.vlogEnabled() {
-		live, dead, segs := d.vlog.tab.Totals()
-		g["sealdb_vlog_segments"] = float64(segs)
-		g["sealdb_vlog_live_bytes"] = float64(live)
-		g["sealdb_vlog_dead_bytes"] = float64(dead)
+		g["sealdb_vlog_segments"] = float64(vlogSegments)
+		g["sealdb_vlog_live_bytes"] = float64(vlogLive)
+		g["sealdb_vlog_dead_bytes"] = float64(vlogDead)
 	}
 
 	// Mode-specific device state.

@@ -21,7 +21,7 @@ func mkMeta(num uint64, lo, hi string, size int64) *version.FileMeta {
 // installFiles force-feeds a version state through the manifest.
 func installFiles(t *testing.T, d *DB, adds []version.AddedFile) {
 	t.Helper()
-	if err := d.vs.LogAndApply(&version.Edit{Added: adds}); err != nil {
+	if _, err := d.vs.LogAndApply(&version.Edit{Added: adds}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -95,8 +95,6 @@ func TestPickVictimSetPriority(t *testing.T) {
 	fB1 := d.vs.NewFileNum()
 	recA := version.SetRecord{ID: fA1, Off: 0, Len: 4096, Members: 4}
 	recB := version.SetRecord{ID: fB1, Off: 8192, Len: 4096, Members: 1}
-	d.sets.register(recA, []uint64{fA1, fA2})
-	d.sets.register(recB, []uint64{fB1})
 	// recA claims 4 members but only 2 live -> 2 invalid.
 	mA1 := mkMeta(fA1, "a", "b", 100)
 	mA1.SetID = fA1
@@ -104,9 +102,12 @@ func TestPickVictimSetPriority(t *testing.T) {
 	mA2.SetID = fA1
 	mB1 := mkMeta(fB1, "e", "f", 100)
 	mB1.SetID = fB1
-	installFiles(t, d, []version.AddedFile{
-		{Level: 2, Meta: mB1}, {Level: 2, Meta: mA1}, {Level: 2, Meta: mA2},
-	})
+	if _, err := d.vs.LogAndApply(&version.Edit{
+		NewSets: []version.SetRecord{recA, recB},
+		Added:   []version.AddedFile{{Level: 2, Meta: mB1}, {Level: 2, Meta: mA1}, {Level: 2, Meta: mA2}},
+	}); err != nil {
+		t.Fatal(err)
+	}
 	victim := d.pickVictim(d.vs.Current(), 2)
 	if victim == nil || victim.SetID != fA1 {
 		t.Fatalf("victim %v, want a member of the high-invalid set %d", victim, fA1)

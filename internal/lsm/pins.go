@@ -1,6 +1,6 @@
 package lsm
 
-import "sealdb/internal/storage"
+import "sealdb/internal/version"
 
 // Iterators capture the file set of the version current at their
 // creation and reopen tables lazily between locked operations, so a
@@ -16,12 +16,11 @@ import "sealdb/internal/storage"
 // Iterators created after the bump were built from a version that no
 // longer references the retired files, so they never block it.
 
-// pendingReclaim is file and extent reclamation deferred past live
-// iterators.
+// pendingReclaim is what an edit retired, its reclamation deferred past
+// live iterators.
 type pendingReclaim struct {
 	epoch   uint64
-	files   []uint64
-	extents []storage.Extent
+	retired version.Retired
 }
 
 // pinIter registers a live iterator and returns the epoch it pins.
@@ -43,27 +42,29 @@ func (d *DB) unpinIter(epoch uint64) {
 	d.runReclaims()
 }
 
-// reclaim frees retired table files and dead-set extents, now if no
-// iterator can still read them, deferred otherwise. Caller holds d.mu.
-func (d *DB) reclaim(files []uint64, extents []storage.Extent) error {
-	if len(d.iterPins) == 0 {
-		return d.reclaimNow(files, extents)
+// reclaim frees what an edit retired — table and segment files, the
+// extents of dead sets — now if no iterator can still read them,
+// deferred otherwise. Caller holds d.mu.
+func (d *DB) reclaim(r version.Retired) error {
+	if len(r.Files) == 0 && len(r.Sets) == 0 {
+		return nil
 	}
-	d.reclaims = append(d.reclaims, pendingReclaim{
-		epoch: d.iterEpoch, files: files, extents: extents,
-	})
+	if len(d.iterPins) == 0 {
+		return d.reclaimNow(r)
+	}
+	d.reclaims = append(d.reclaims, pendingReclaim{epoch: d.iterEpoch, retired: r})
 	d.iterEpoch++
 	return nil
 }
 
 // reclaimNow performs the reclamation. Caller holds d.mu.
-func (d *DB) reclaimNow(files []uint64, extents []storage.Extent) error {
-	for _, num := range files {
+func (d *DB) reclaimNow(r version.Retired) error {
+	for _, num := range r.Files {
 		d.dropTable(num)
 		d.backend.Remove(num)
 	}
-	for _, ext := range extents {
-		if err := d.backend.FreeExtent(ext); err != nil {
+	for _, set := range r.Sets {
+		if err := d.backend.FreeExtent(set.Extent()); err != nil {
 			return err
 		}
 	}
@@ -82,7 +83,7 @@ func (d *DB) runReclaims() {
 	for len(d.reclaims) > 0 && d.reclaims[0].epoch < min {
 		p := d.reclaims[0]
 		d.reclaims = d.reclaims[1:]
-		if err := d.reclaimNow(p.files, p.extents); err != nil {
+		if err := d.reclaimNow(p.retired); err != nil {
 			// The space is leaked but the store is consistent; there
 			// is no caller to hand the error to.
 			d.journal.Record("reclaim_error", map[string]int64{"epoch": int64(p.epoch)})

@@ -43,7 +43,7 @@ func (d *DB) get(key []byte, snap *Snapshot, reqID uint64) ([]byte, error) {
 	case err != nil:
 	case !found || kind == kv.KindDelete:
 		err = ErrNotFound
-	case file != 0 && !d.cfg.vlogEnabled():
+	case file != nil && !d.cfg.vlogEnabled():
 		v = stored // a table read already handed out a private copy
 	default:
 		v, err = d.resolveValue(nil, stored)
@@ -59,19 +59,19 @@ func (d *DB) get(key []byte, snap *Snapshot, reqID uint64) ([]byte, error) {
 // lookup is the engine's one point-read traversal, the LevelDB read
 // path: memtable, then level 0 newest to oldest, then each deeper
 // level. It returns the newest entry for key visible at seq as stored
-// in the tree (value-log tag byte and all), its kind, and the number
-// of the SSTable that served it (0 for a memtable hit). User reads,
+// in the tree (value-log tag byte and all), its kind, and the SSTable
+// that served it (nil for a memtable hit). User reads,
 // the value-log collector and fsck all go through it, so they probe
 // the same files in the same order. Caller holds d.mu; ot may be nil.
-func (d *DB) lookup(key []byte, seq kv.SeqNum, ot *opTrace) (stored []byte, kind kv.Kind, file uint64, found bool, err error) {
+func (d *DB) lookup(key []byte, seq kv.SeqNum, ot *opTrace) (stored []byte, kind kv.Kind, file *version.FileMeta, found bool, err error) {
 	si := ot.stageStart(stageReadMemtable, d.traceNow(ot))
 	v, deleted, hit := d.mem.Get(key, seq)
 	ot.stageEnd(si, d.traceNow(ot))
 	if hit {
 		if deleted {
-			return nil, kv.KindDelete, 0, true, nil
+			return nil, kv.KindDelete, nil, true, nil
 		}
-		return v, kv.KindSet, 0, true, nil
+		return v, kv.KindSet, nil, true, nil
 	}
 	cur := d.vs.Current()
 	for level := 0; level < d.cfg.NumLevels; level++ {
@@ -104,10 +104,10 @@ func (d *DB) lookup(key []byte, seq kv.SeqNum, ot *opTrace) (stored []byte, kind
 			}
 			val, fseq, k, ok, err := d.tableGet(f, key, seq)
 			if err != nil {
-				return nil, 0, 0, false, err
+				return nil, 0, nil, false, err
 			}
 			if ok && (!found || fseq > bestSeq) {
-				stored, bestSeq, kind, file, found = val, fseq, k, f.Num, true
+				stored, bestSeq, kind, file, found = val, fseq, k, f, true
 			}
 			if found && level == 0 {
 				break
@@ -118,7 +118,7 @@ func (d *DB) lookup(key []byte, seq kv.SeqNum, ot *opTrace) (stored []byte, kind
 			return stored, kind, file, true, nil
 		}
 	}
-	return nil, 0, 0, false, nil
+	return nil, 0, nil, false, nil
 }
 
 // traceNow returns the device clock for stage bookkeeping, or 0 when

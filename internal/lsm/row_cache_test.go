@@ -76,12 +76,12 @@ func TestRowCacheDoesNotHideMediaDamage(t *testing.T) {
 	d.mu.Lock()
 	_, _, file, _, err := d.lookup(key, d.seq, nil)
 	d.mu.Unlock()
-	if err != nil || file == 0 {
-		t.Fatalf("lookup: file %d, %v", file, err)
+	if err != nil || file == nil {
+		t.Fatalf("lookup: file %v, %v", file, err)
 	}
 	// The victim is its table's first entry: its value starts within the
 	// first few bytes of the file.
-	ext, err := d.backend.FileExtent(file)
+	ext, err := d.backend.FileExtent(file.Num)
 	if err != nil {
 		t.Fatal(err)
 	}

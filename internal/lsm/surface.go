@@ -291,8 +291,7 @@ func (d *DB) spaceProfileLocked() SpaceProfile {
 	}
 	p.TableBytes = d.tableBytesLocked()
 	if d.cfg.vlogEnabled() {
-		live, _, _ := d.vlog.tab.Totals()
-		p.VlogLiveBytes = live
+		p.VlogLiveBytes, _, _ = d.vlogTotals()
 	}
 	p.LogicalLiveBytes = p.TableBytes + p.VlogLiveBytes
 	p.PhysicalBytes = d.dev.DBand.AllocatedBytes()
@@ -330,10 +329,10 @@ func (d *DB) BandProfile() BandProfile {
 	p.Bands = d.bandRowsLocked(d.deviceNow())
 	if d.cfg.vlogEnabled() {
 		p.VlogGCDead = vlogGCDeadRatio
-		if vic, ok := d.vlogVictim(); ok {
+		if vic, ok := d.vs.VlogVictim(vlogGCDeadRatio); ok {
 			p.VlogVictim = vic.Num
 		}
-		for _, seg := range d.vlog.tab.Segments() {
+		for _, seg := range d.vlogSegs() {
 			p.Vlog = append(p.Vlog, VlogSegmentRow{
 				Num:       seg.Num,
 				Bytes:     seg.Bytes,

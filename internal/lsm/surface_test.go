@@ -236,13 +236,13 @@ func TestSurfaceViewUnderDeferredReclaim(t *testing.T) {
 			}
 			var parked int64
 			for _, pr := range d.reclaims {
-				for _, num := range pr.files {
+				for _, num := range pr.retired.Files {
 					if !grouped[num] {
 						parked += extent[num]
 					}
 				}
-				for _, ext := range pr.extents {
-					parked += ext.Len
+				for _, set := range pr.retired.Sets {
+					parked += set.Len
 				}
 			}
 			d.mu.Unlock()

@@ -41,14 +41,13 @@ const (
 )
 
 // vlogState is the engine-side driver of the value log: the active
-// segment writer, the accounting table, and the rotation/GC plumbing.
-// All fields are guarded by d.mu; the table additionally carries its
-// own lock so metric gauges can read it without the engine lock.
+// segment writer and the rotation/GC plumbing. Which segments exist and
+// how dead each is the manifest state knows (d.vs). All fields are
+// guarded by d.mu.
 type vlogState struct {
 	// w appends groups to the active segment; Seg() is 0 until the
 	// first commit that separates a value rotates it onto one.
-	w   vlog.Writer
-	tab *vlog.Table
+	w vlog.Writer
 	// rep is the reused buffer a batch is rewritten into for logging.
 	rep []byte
 	// gcHook, when set, runs between a GC pass's segment scan and its
@@ -74,24 +73,14 @@ type vlogGroup struct {
 // with the WAL's records by sequence number. Caller is OpenDevice;
 // d.mu is not yet shared.
 func (d *DB) vlogRecover() ([]vlogGroup, error) {
-	d.vlog.tab = vlog.NewTable()
-	segs := d.vs.VlogSegs()
-	// Deterministic order, and sanity: at most one unsealed segment.
-	nums := make([]uint64, 0, len(segs))
-	for num := range segs {
-		nums = append(nums, num)
-	}
-	sort.Slice(nums, func(i, j int) bool { return nums[i] < nums[j] })
 	head := d.vs.VlogHead()
 	var window []vlogGroup
-	for _, num := range nums {
-		vs := segs[num]
+	for _, vs := range d.vs.VlogSegs() {
+		num := vs.Num
 		d.recovery.VlogSegments++
 		var buf []byte
 		var err error
 		if vs.Sealed {
-			d.vlog.tab.Open(num, vs.Bytes, vs.Overhead)
-			d.vlog.tab.Seal(num, vs.Bytes)
 			if num >= head.Seg {
 				buf, err = d.vlogReadSealed(num, vs.Bytes)
 			}
@@ -103,7 +92,6 @@ func (d *DB) vlogRecover() ([]vlogGroup, error) {
 		if err != nil {
 			return nil, err
 		}
-		d.vlog.tab.AddDead(num, vs.Dead)
 		if num < head.Seg {
 			continue
 		}
@@ -156,8 +144,7 @@ func (d *DB) vlogReopenActive(num uint64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.vlog.w.Reset(f, num, valid, int64(len(buf)))
-	d.vlog.tab.Open(num, valid, overhead)
+	d.vlog.w.Reset(f, num, valid, overhead, int64(len(buf)))
 	d.recovery.VlogTornBytes += torn
 	if torn > 0 {
 		d.journal.Record("vlog_truncated", map[string]int64{
@@ -204,22 +191,41 @@ func (d *DB) vlogRotate(groupBytes int64) error {
 		return err
 	}
 	e := &version.Edit{NewVlogSegs: []uint64{num}}
-	sealed, _ := d.vlog.tab.Info(d.vlog.w.Seg())
-	if sealed.Num != 0 {
-		e.SealVlogSegs = []version.VlogSegRecord{{Num: sealed.Num, Bytes: sealed.Bytes, Overhead: sealed.Overhead}}
+	w := &d.vlog.w
+	sealed := w.Seg()
+	if sealed != 0 {
+		e.SealVlogSegs = []version.VlogSegRecord{{Num: sealed, Bytes: w.Offset(), Overhead: w.Overhead()}}
 	}
-	if err := d.vs.LogAndApply(e); err != nil {
+	if err := d.install(e); err != nil {
 		return err
 	}
-	if sealed.Num != 0 {
-		d.vlog.tab.Seal(sealed.Num, sealed.Bytes)
-	}
-	d.vlog.w.Reset(f, num, vlog.HeaderSize, size)
-	d.vlog.tab.Open(num, vlog.HeaderSize, vlog.HeaderSize)
+	w.Reset(f, num, vlog.HeaderSize, vlog.HeaderSize, size)
 	d.journal.Record("vlog_rotate", map[string]int64{
-		"num": int64(num), "sealed": int64(sealed.Num),
+		"num": int64(num), "sealed": int64(sealed),
 	})
 	return nil
+}
+
+// vlogSegs returns the manifest's segment records in number order, the
+// active segment's with its length and overhead — which the manifest
+// learns at the seal — read off the writer. Caller holds d.mu.
+func (d *DB) vlogSegs() []version.VlogSeg {
+	segs := d.vs.VlogSegs()
+	for i := range segs {
+		if w := &d.vlog.w; segs[i].Num == w.Seg() {
+			segs[i].Bytes, segs[i].Overhead = w.Offset(), w.Overhead()
+		}
+	}
+	return segs
+}
+
+// vlogTotals returns the value log's live and dead byte counts —
+// overhead counts as dead — and the number of segments. Caller holds
+// d.mu.
+func (d *DB) vlogTotals() (live, dead int64, segments int) {
+	bytes, overhead, dead, segments := d.vs.VlogTotals()
+	bytes, overhead = bytes+d.vlog.w.Offset(), overhead+d.vlog.w.Overhead()
+	return bytes - overhead - dead, dead + overhead, segments
 }
 
 // vlogBuildGroup rewrites a batch for logging with the value log on,
@@ -327,34 +333,25 @@ func (d *DB) vlogDeadValue(stored []byte) (seg uint64, n int64) {
 	return ptr.Seg, int64(ptr.Len)
 }
 
-// vlogChargeDead folds compaction-drop dead bytes into the accounting
-// table and returns the manifest records carrying them. Caller holds
-// d.mu.
-func (d *DB) vlogChargeDead(dead map[uint64]int64) []version.VlogDeadRecord {
-	if len(dead) == 0 {
-		return nil
+// vlogDeadRecords turns the dead bytes a compaction's drops charge to
+// segments into the manifest records carrying them, in segment order.
+func vlogDeadRecords(dead map[uint64]int64) []version.VlogDeadRecord {
+	recs := make([]version.VlogDeadRecord, 0, len(dead))
+	for num, n := range dead {
+		recs = append(recs, version.VlogDeadRecord{Num: num, Dead: n})
 	}
-	nums := make([]uint64, 0, len(dead))
-	for num := range dead {
-		nums = append(nums, num)
-	}
-	sort.Slice(nums, func(i, j int) bool { return nums[i] < nums[j] })
-	recs := make([]version.VlogDeadRecord, 0, len(nums))
-	for _, num := range nums {
-		d.vlog.tab.AddDead(num, dead[num])
-		recs = append(recs, version.VlogDeadRecord{Num: num, Dead: dead[num]})
-	}
+	sort.Slice(recs, func(i, j int) bool { return recs[i].Num < recs[j].Num })
 	return recs
 }
 
 // vlogServing reports whether the tree's newest live entry for key is
 // a pointer to exactly the segment record p — the collector's test
-// that a record is still live — and the number of the SSTable serving
-// it (0 for the memtable). Caller holds d.mu.
-func (d *DB) vlogServing(key []byte, p vlog.Pointer) (file uint64, ok bool, err error) {
+// that a record is still live — and the SSTable serving it (nil for
+// the memtable). Caller holds d.mu.
+func (d *DB) vlogServing(key []byte, p vlog.Pointer) (file *version.FileMeta, ok bool, err error) {
 	stored, kind, file, found, err := d.lookup(key, d.seq, nil)
 	if err != nil || !found || kind != kv.KindSet {
-		return 0, false, err
+		return nil, false, err
 	}
 	var want [vlogPointerLen]byte
 	want[0] = vlogTagPtr
@@ -400,20 +397,11 @@ func (d *DB) VlogGC() (VlogGCResult, error) {
 // qualifies. One pass per call bounds the stall a single Apply can
 // absorb. Caller holds d.mu.
 func (d *DB) maybeVlogGC() error {
-	if !d.cfg.vlogEnabled() || d.vlog.tab == nil {
+	if !d.cfg.vlogEnabled() {
 		return nil
 	}
 	_, err := d.vlogGCLocked()
 	return err
-}
-
-// vlogVictim picks the segment a collection pass would take: sealed,
-// dead enough, and wholly before the replay head. Segments from the
-// head on are the write-ahead log of the batches still in the
-// memtable; dead bytes are only ever charged at flush and compaction,
-// so waiting for the next flush costs the collector nothing.
-func (d *DB) vlogVictim() (vlog.SegmentInfo, bool) {
-	return d.vlog.tab.Victim(vlogGCDeadRatio, d.vs.VlogHead().Seg)
 }
 
 // vlogGCLocked is the collection pass body. Caller holds d.mu.
@@ -429,7 +417,10 @@ func (d *DB) vlogGCLocked() (VlogGCResult, error) {
 	if len(d.snapshots) > 0 {
 		return res, nil
 	}
-	vic, ok := d.vlogVictim()
+	// Sealed, dead enough, and wholly before the replay head: dead bytes
+	// are only ever charged at flush and compaction, so waiting for the
+	// next flush to move the head costs the collector nothing.
+	vic, ok := d.vs.VlogVictim(vlogGCDeadRatio)
 	if !ok {
 		return res, nil
 	}
@@ -461,12 +452,15 @@ func (d *DB) vlogGCLocked() (VlogGCResult, error) {
 			if !ok {
 				continue // superseded or deleted: already dead
 			}
-			cands = append(cands, candidate{
+			c := candidate{
 				key:   append([]byte(nil), r.Key...),
 				value: append([]byte(nil), r.Value...),
 				ptr:   r.Ptr,
-				set:   d.sets.setOf(file),
-			})
+			}
+			if file != nil {
+				c.set = file.SetID
+			}
+			cands = append(cands, c)
 		}
 	}
 	if err := s.Err(); err != nil {
@@ -532,14 +526,12 @@ func (d *DB) vlogGCLocked() (VlogGCResult, error) {
 	// Drop the victim: manifest first, then the file. The re-put groups
 	// are already on the device, so a crash anywhere in here recovers
 	// with every live value reachable through its new pointer. The
-	// extent itself is freed through the reclaim queue so a live
+	// segment's file is freed through the reclaim queue so a live
 	// iterator mid-chase keeps its bytes.
-	if err := d.vs.LogAndApply(&version.Edit{DropVlogSegs: []uint64{vic.Num}}); err != nil {
+	if err := d.install(&version.Edit{DropVlogSegs: []uint64{vic.Num}}); err != nil {
 		return res, d.failWrite(err)
 	}
-	d.vlog.tab.Drop(vic.Num)
 	res.ReclaimedBytes = vic.Bytes
-	d.reclaim([]uint64{vic.Num}, nil)
 
 	d.metrics.vlogGCRuns.Inc()
 	d.metrics.vlogGCRelocated.Add(res.RelocatedBytes)

@@ -58,7 +58,7 @@ func TestVlogCacheEntriesLeaveWithTheirSegment(t *testing.T) {
 	// records, live or dead, that the write-through left in the cache.
 	victimEntries := func() (uint64, []vlog.Pointer) {
 		d.mu.Lock()
-		vic, ok := d.vlogVictim()
+		vic, ok := d.vs.VlogVictim(vlogGCDeadRatio)
 		if !ok {
 			d.mu.Unlock()
 			t.Fatal("no victim qualifies")
@@ -216,8 +216,8 @@ func TestVlogCacheDoesNotHideMediaDamage(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := pointerOf(t, d, "victim")
-	if info, _ := d.vlog.tab.Info(p.Seg); !info.Sealed || !cached(d, p) {
-		t.Fatalf("set-up: segment %d sealed=%v, record cached=%v", p.Seg, info.Sealed, cached(d, p))
+	if sealed := p.Seg != d.vlog.w.Seg(); !sealed || !cached(d, p) {
+		t.Fatalf("set-up: segment %d sealed=%v, record cached=%v", p.Seg, sealed, cached(d, p))
 	}
 	ext, err := d.backend.FileExtent(p.Seg)
 	if err != nil {

@@ -234,7 +234,7 @@ func TestVlogGCCollectsDeadSegments(t *testing.T) {
 	defer d.Close()
 	ref := loadVlogGarbage(t, d)
 
-	live, dead, segs := d.vlog.tab.Totals()
+	live, dead, segs := d.vlogTotals()
 	if dead == 0 {
 		t.Fatalf("no dead bytes charged (live=%d segs=%d)", live, segs)
 	}
@@ -390,7 +390,7 @@ func TestVlogLiveRatioAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	live, dead, segs := d.vlog.tab.Totals()
+	live, dead, segs := d.vlogTotals()
 	appended := d.Stats().VlogAppendBytes + int64(segs)*vlog.HeaderSize
 	if live+dead > appended {
 		t.Fatalf("accounted bytes %d+%d exceed appended groups and headers %d", live, dead, appended)
@@ -399,7 +399,7 @@ func TestVlogLiveRatioAccounting(t *testing.T) {
 	if dead < 40*500 {
 		t.Fatalf("dead=%d, want at least %d after full overwrite round", dead, 40*500)
 	}
-	for _, s := range d.vlog.tab.Segments() {
+	for _, s := range d.vlogSegs() {
 		if s.Dead > s.Bytes {
 			t.Fatalf("segment %d: dead %d > bytes %d", s.Num, s.Dead, s.Bytes)
 		}
@@ -536,7 +536,7 @@ func TestVlogFrameOverhead(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	seg := d.vlog.tab.Segments()[0]
+	seg := d.vlogSegs()[0]
 	records := seg.Bytes - seg.Overhead
 	if records < 200*1024 || seg.Overhead*20 > records {
 		t.Fatalf("segment of 1 KiB values: %d record bytes, %d overhead (%.1f%%), want <= 5%%",
@@ -595,7 +595,7 @@ func TestVlogReplayAcrossSealedSegments(t *testing.T) {
 		}
 	}
 	sealedInWindow := 0
-	for _, s := range d.vlog.tab.Segments() {
+	for _, s := range d.vs.VlogSegs() {
 		if s.Sealed && s.Num >= head.Seg {
 			sealedInWindow++
 		}
@@ -659,8 +659,8 @@ func TestVlogGCNeverCollectsReplayWindow(t *testing.T) {
 		}
 	}
 	head := d.vs.VlogHead().Seg
-	var window vlog.SegmentInfo
-	for _, s := range d.vlog.tab.Segments() {
+	var window version.VlogSeg
+	for _, s := range d.vs.VlogSegs() {
 		if s.Sealed && s.Num >= head {
 			window = s
 			break
@@ -670,9 +670,13 @@ func TestVlogGCNeverCollectsReplayWindow(t *testing.T) {
 		t.Fatal("no sealed segment in the replay window")
 	}
 	// Force the segment past the threshold without touching its records.
-	d.vlog.tab.AddDead(window.Num, window.Bytes*6/10)
-	if s, _ := d.vlog.tab.Info(window.Num); s.DeadRatio() < vlogGCDeadRatio {
-		t.Fatalf("segment %d forced to dead ratio %.2f only", window.Num, s.DeadRatio())
+	if _, err := d.vs.LogAndApply(&version.Edit{VlogDead: []version.VlogDeadRecord{{Num: window.Num, Dead: window.Bytes * 6 / 10}}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range d.vs.VlogSegs() {
+		if s.Num == window.Num && s.DeadRatio() < vlogGCDeadRatio {
+			t.Fatalf("segment %d forced to dead ratio %.2f only", window.Num, s.DeadRatio())
+		}
 	}
 	if res, err := d.VlogGC(); err != nil || res.Victim != 0 {
 		t.Fatalf("GC inside the replay window: victim %d, %v", res.Victim, err)

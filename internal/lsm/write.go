@@ -161,11 +161,10 @@ func (d *DB) logBatch(b *Batch, separated func(recs []vlog.Record, bytes int64))
 		}
 		rep, recs = d.vlogBuildGroup(b)
 	}
-	n, frame, err := w.Commit(rep)
+	n, err := w.Commit(rep)
 	if err != nil {
 		return nil, nil, err
 	}
-	d.vlog.tab.Extend(w.Seg(), int64(n), int64(frame))
 	separated(recs, int64(n))
 	return rep, recs, nil
 }
@@ -246,7 +245,7 @@ func (d *DB) rotateAndFlush(walBytes int64) error {
 		// manifest must still learn the new log number before the old
 		// log disappears, or every write acknowledged into the new
 		// WAL would be invisible to recovery.
-		if err := d.vs.LogAndApply(d.stampReplayStart(&version.Edit{}, num)); err != nil {
+		if err := d.install(d.stampReplayStart(&version.Edit{}, num)); err != nil {
 			return err
 		}
 	}

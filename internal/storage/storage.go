@@ -149,7 +149,7 @@ func (b *Backend) WriteFile(num uint64, data []byte) error {
 // WriteGroup stores the files of a set in one contiguous extent,
 // writing them back to back in a single sequential pass, and returns
 // the containing extent. The returned extent is owned by the caller's
-// set registry: removing a member file only forgets its mapping, and
+// set record: removing a member file only forgets its mapping, and
 // the space comes back via FreeExtent once the whole set is dead.
 //
 // If the allocator cannot co-locate groups, each file is placed
@@ -189,7 +189,20 @@ func (b *Backend) WriteGroup(nums []uint64, datas [][]byte) (Extent, bool, error
 	for i, d := range datas {
 		if _, err := b.drive.WriteAt(d, off); err != nil {
 			b.writeMu.Unlock()
-			b.alloc.Free(group)
+			// Unwind completely: forget the members already mapped and
+			// retire the validity of what they wrote. The extent goes back
+			// to the allocator only if the drive let go of it (valid on a
+			// raw drive but free in the allocator, every later placement
+			// there is refused); a dead drive leaves it allocated and
+			// unowned for the next open's extent reconciliation.
+			b.mu.Lock()
+			for _, num := range nums[:i] {
+				delete(b.files, num)
+			}
+			b.mu.Unlock()
+			if b.drive.Free(group.Off, off-group.Off) == nil {
+				b.alloc.Free(group)
+			}
 			return Extent{}, false, err
 		}
 		b.mu.Lock()
@@ -277,8 +290,8 @@ func (b *Backend) FileExtent(num uint64) (Extent, error) {
 
 // Remove deletes file num. For an individually allocated file the
 // space is freed immediately; for a set member only the mapping is
-// dropped (the set registry frees the group extent when the set
-// dies), implementing the paper's deferred victim reclamation.
+// dropped (the group extent is freed when the set dies), implementing
+// the paper's deferred victim reclamation.
 func (b *Backend) Remove(num uint64) error {
 	b.mu.Lock()
 	fi, ok := b.files[num]

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sealdb/internal/dband"
+	"sealdb/internal/faultfs"
 	"sealdb/internal/platter"
 	"sealdb/internal/smr"
 )
@@ -126,6 +127,56 @@ func TestWriteGroupContiguous(t *testing.T) {
 	}
 	if drive.ValidBytes() != valid-10000 {
 		t.Errorf("FreeExtent released %d bytes, want 10000", valid-drive.ValidBytes())
+	}
+}
+
+// TestWriteGroupUnwindsOnFailure: a group write that fails on its
+// second member must leave nothing behind — no mapping for the member
+// already written and no valid byte on the drive — and hand the extent
+// back to the allocator only when it could retire that validity: a raw
+// drive refuses, for ever, to write where the allocator says free and
+// it says valid. A drive that is down cannot retire anything, so there
+// the extent stays allocated for the next open's reconciliation.
+func TestWriteGroupUnwindsOnFailure(t *testing.T) {
+	nums := []uint64{10, 11, 12}
+	datas := [][]byte{make([]byte, 3000), make([]byte, 5000), make([]byte, 2000)}
+	for _, powerCut := range []bool{false, true} {
+		disk := platter.New(platter.DefaultConfig(16 << 20))
+		raw := smr.NewRaw(disk, 4096)
+		fd := faultfs.New(raw, 1)
+		mgr := dband.New(disk.Capacity(), 4096, 4096)
+		b := NewBackend(fd, NewDynamicBandAllocator(mgr))
+		if err := b.WriteFile(1, make([]byte, 4096)); err != nil {
+			t.Fatal(err)
+		}
+		valid, alloc := raw.ValidBytes(), mgr.AllocatedBytes()
+		if powerCut {
+			fd.CutAtWrite(2)
+		} else {
+			fd.Inject(faultfs.Rule{Op: faultfs.OpWrite, After: 2, Count: 1})
+		}
+		if _, _, err := b.WriteGroup(nums, datas); err == nil {
+			t.Fatalf("power cut %v: group write with a failing second member succeeded", powerCut)
+		}
+		for _, num := range nums {
+			if _, err := b.FileExtent(num); !errors.Is(err, ErrNotFound) {
+				t.Errorf("power cut %v: member %d still mapped after the failed group write (%v)", powerCut, num, err)
+			}
+		}
+		retired := raw.ValidBytes() == valid
+		if retired == powerCut {
+			t.Errorf("power cut %v: drive holds %d valid bytes, %d before the group", powerCut, raw.ValidBytes(), valid)
+		}
+		if freed := mgr.AllocatedBytes() == alloc; freed != retired {
+			t.Errorf("power cut %v: extent back with the allocator %v, validity retired %v", powerCut, freed, retired)
+		}
+		if powerCut {
+			continue
+		}
+		// The space is usable again: the same group lands where it failed.
+		if _, _, err := b.WriteGroup(nums, datas); err != nil {
+			t.Errorf("group write after the unwound one: %v", err)
+		}
 	}
 }
 

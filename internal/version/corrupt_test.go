@@ -24,7 +24,7 @@ func TestRecoverManifestCutAtEveryBoundary(t *testing.T) {
 	boundaries := []int64{size0}
 	for i := 0; i < edits; i++ {
 		num := s.NewFileNum()
-		if err := s.LogAndApply(&Edit{Added: []AddedFile{{Level: 2, Meta: meta(num, key(i*2), key(i*2+1))}}}); err != nil {
+		if _, err := s.LogAndApply(&Edit{Added: []AddedFile{{Level: 2, Meta: meta(num, key(i*2), key(i*2+1))}}}); err != nil {
 			t.Fatal(err)
 		}
 		sz, err := backend.FileSize(s.ManifestNum())
@@ -103,7 +103,7 @@ func TestRecoverResumesAfterTruncatedTail(t *testing.T) {
 	}
 	for i := 0; i < 10; i++ {
 		num := s.NewFileNum()
-		if err := s.LogAndApply(&Edit{Added: []AddedFile{{Level: 2, Meta: meta(num, key(i*2), key(i*2+1))}}}); err != nil {
+		if _, err := s.LogAndApply(&Edit{Added: []AddedFile{{Level: 2, Meta: meta(num, key(i*2), key(i*2+1))}}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -127,7 +127,7 @@ func TestRecoverResumesAfterTruncatedTail(t *testing.T) {
 	}
 	// Log a new edit over the truncated tail and recover again.
 	num := r.NewFileNum()
-	if err := r.LogAndApply(&Edit{Added: []AddedFile{{Level: 2, Meta: meta(num, key(100), key(101))}}}); err != nil {
+	if _, err := r.LogAndApply(&Edit{Added: []AddedFile{{Level: 2, Meta: meta(num, key(100), key(101))}}}); err != nil {
 		t.Fatalf("logging after truncation: %v", err)
 	}
 	r2, _, err := Recover(Config{Backend: backend, SortedLevel: allSorted})
@@ -152,7 +152,7 @@ func TestRecoverCorruptManifest(t *testing.T) {
 		num := s.NewFileNum()
 		lo := key(i * 2)
 		hi := key(i*2 + 1)
-		if err := s.LogAndApply(&Edit{Added: []AddedFile{{Level: 2, Meta: meta(num, lo, hi)}}}); err != nil {
+		if _, err := s.LogAndApply(&Edit{Added: []AddedFile{{Level: 2, Meta: meta(num, lo, hi)}}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,11 +1,13 @@
 package version
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"sealdb/internal/kv"
+	"sealdb/internal/storage"
 )
 
 // Edit is a delta applied to a Version and logged to the MANIFEST.
@@ -82,6 +84,9 @@ type SetRecord struct {
 	Len     int64
 	Members int
 }
+
+// Extent returns the set's group extent.
+func (r SetRecord) Extent() storage.Extent { return storage.Extent{Off: r.Off, Len: r.Len} }
 
 // CompactPointer remembers where round-robin victim selection left
 // off in a level.
@@ -380,40 +385,73 @@ func DecodeEdit(p []byte) (*Edit, error) {
 // Apply builds the successor version of v under this edit. Levels of
 // added files must be < NumLevels.
 func (e *Edit) Apply(v *Version) (*Version, error) {
-	nv := v.Clone()
+	return e.apply(v, nil)
+}
+
+// apply is Apply that also stores each deleted file's metadata in
+// deleted[i], for e.Deleted[i] (nil to skip). A level the edit does not
+// touch is shared with v; a touched one is rebuilt once: v's files less
+// the deleted ones, then the added ones, sorted.
+func (e *Edit) apply(v *Version, deleted []*FileMeta) (*Version, error) {
+	var dels, adds [NumLevels]int
 	for _, d := range e.Deleted {
 		if d.Level < 0 || d.Level >= NumLevels {
 			return nil, fmt.Errorf("version: delete at bad level %d", d.Level)
 		}
-		files := nv.Files[d.Level]
-		found := false
-		for i, f := range files {
-			if f.Num == d.Num {
-				nv.Files[d.Level] = append(append([]*FileMeta(nil), files[:i]...), files[i+1:]...)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("version: deleting unknown file %d at L%d", d.Num, d.Level)
-		}
+		dels[d.Level]++
 	}
 	for _, a := range e.Added {
 		if a.Level < 0 || a.Level >= NumLevels {
 			return nil, fmt.Errorf("version: add at bad level %d", a.Level)
 		}
-		nv.Files[a.Level] = append(append([]*FileMeta(nil), nv.Files[a.Level]...), a.Meta)
+		adds[a.Level]++
 	}
-	// Restore ordering.
-	for l := 0; l < NumLevels; l++ {
-		files := nv.Files[l]
-		if l == 0 {
-			sort.SliceStable(files, func(i, j int) bool { return files[i].Num < files[j].Num })
-		} else if l > 0 {
-			sort.SliceStable(files, func(i, j int) bool {
-				return kv.CompareInternal(files[i].Smallest, files[j].Smallest) < 0
-			})
+	nv := &Version{Files: v.Files}
+	for l := range nv.Files {
+		if dels[l] == 0 && adds[l] == 0 {
+			continue
 		}
+		files := make([]*FileMeta, 0, len(v.Files[l])-dels[l]+adds[l])
+		for _, f := range v.Files[l] {
+			if i := e.deletes(l, f.Num); i >= 0 {
+				if deleted != nil {
+					deleted[i] = f
+				}
+				continue
+			}
+			files = append(files, f)
+		}
+		if len(files) != len(v.Files[l])-dels[l] {
+			// A delete matched no file: name the first, or the file named twice.
+			for _, d := range e.Deleted {
+				if d.Level == l && !slices.ContainsFunc(v.Files[l], func(f *FileMeta) bool { return f.Num == d.Num }) {
+					return nil, fmt.Errorf("version: deleting unknown file %d at L%d", d.Num, l)
+				}
+			}
+			return nil, fmt.Errorf("version: edit deletes a file of L%d twice", l)
+		}
+		for _, a := range e.Added {
+			if a.Level == l {
+				files = append(files, a.Meta)
+			}
+		}
+		if l == 0 {
+			slices.SortStableFunc(files, func(a, b *FileMeta) int { return cmp.Compare(a.Num, b.Num) })
+		} else {
+			slices.SortStableFunc(files, func(a, b *FileMeta) int { return kv.CompareInternal(a.Smallest, b.Smallest) })
+		}
+		nv.Files[l] = files
 	}
 	return nv, nil
+}
+
+// deletes returns the index of the first e.Deleted entry naming file
+// num at level, or -1.
+func (e *Edit) deletes(level int, num uint64) int {
+	for i, d := range e.Deleted {
+		if d.Level == level && d.Num == num {
+			return i
+		}
+	}
+	return -1
 }

@@ -53,6 +53,9 @@ func TestOverlapsAgainstBruteForce(t *testing.T) {
 				t.Fatalf("trial %d query [%q,%q]: got %d files, want %d",
 					trial, lo, hi, len(got), len(want))
 			}
+			if any := len(want) > 0; v.OverlapsAny(2, lo, hi, true) != any || v.OverlapsAny(2, lo, hi, false) != any {
+				t.Fatalf("trial %d query [%q,%q]: OverlapsAny disagrees with the %d files found", trial, lo, hi, len(want))
+			}
 			for i := range got {
 				if got[i].Num != want[i].Num {
 					t.Fatalf("trial %d query [%q,%q]: file %d = %v, want %v",

@@ -2,10 +2,13 @@ package version
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 
 	"sealdb/internal/invariant"
 	"sealdb/internal/kv"
@@ -52,9 +55,35 @@ type Set struct {
 	lastSeq    kv.SeqNum                 // guarded by mu
 	logNum     uint64                    // guarded by mu
 	compactPtr [NumLevels]kv.InternalKey // guarded by mu
-	sets       map[uint64]SetRecord      // guarded by mu
+	sets       map[uint64]SetInfo        // guarded by mu
 	vsegs      map[uint64]VlogSeg        // guarded by mu
 	vlogHead   VlogPos                   // guarded by mu
+	// memberless lists, in id order, the sets Recover found with no live
+	// member: their drop was logged apart from the deletion that emptied
+	// them and never landed. The next edit drops them.
+	memberless []uint64 // guarded by mu
+}
+
+// SetInfo is a live set: its record, and how many of its members the
+// current version still holds and their bytes (the rest of the extent is
+// dead space).
+type SetInfo struct {
+	SetRecord
+	Live      int
+	LiveBytes int64
+}
+
+// Retired is what an edit took out of the store. Once LogAndApply has
+// returned them nothing durable references them, and their space is the
+// caller's to reclaim when no reader can still be on it.
+type Retired struct {
+	// Files are the tables the edit deleted without adding them back (a
+	// trivial move does both to one file) and the value-log segments it
+	// dropped.
+	Files []uint64
+	// Sets are the sets the edit left without a live member and so
+	// dropped, in the order their last members were deleted.
+	Sets []SetRecord
 }
 
 // VlogSeg is the manifest's view of one value-log segment. Bytes is
@@ -69,12 +98,25 @@ type VlogSeg struct {
 	Sealed   bool
 }
 
+// Live returns the segment's live record bytes.
+func (s VlogSeg) Live() int64 { return s.Bytes - s.Overhead - s.Dead }
+
+// DeadRatio returns the fraction of the segment's record bytes known
+// dead. Overhead is left out of both sides, so the collector's
+// threshold means what it meant when the log held records only.
+func (s VlogSeg) DeadRatio() float64 {
+	if s.Bytes <= s.Overhead {
+		return 0
+	}
+	return float64(s.Dead) / float64(s.Bytes-s.Overhead)
+}
+
 // Create initializes a brand-new database state.
 func Create(cfg Config) (*Set, error) {
 	if cfg.ManifestSize <= 0 {
 		cfg.ManifestSize = 4 << 20
 	}
-	s := &Set{cfg: cfg, current: &Version{}, nextFile: 1, sets: map[uint64]SetRecord{}, vsegs: map[uint64]VlogSeg{}}
+	s := &Set{cfg: cfg, current: &Version{}, nextFile: 1, sets: map[uint64]SetInfo{}, vsegs: map[uint64]VlogSeg{}}
 	s.mu.Profile("version_set_mu")
 	if err := s.newManifest(); err != nil {
 		return nil, err
@@ -122,7 +164,7 @@ func Recover(cfg Config) (*Set, *RecoveryReport, error) {
 		return nil, nil, fmt.Errorf("version: reading MANIFEST %d: %w", manifestNum, err)
 	}
 
-	s := &Set{cfg: cfg, current: &Version{}, manifestNum: manifestNum, nextFile: manifestNum + 1, sets: map[uint64]SetRecord{}, vsegs: map[uint64]VlogSeg{}}
+	s := &Set{cfg: cfg, current: &Version{}, manifestNum: manifestNum, nextFile: manifestNum + 1, sets: map[uint64]SetInfo{}, vsegs: map[uint64]VlogSeg{}}
 	s.mu.Profile("version_set_mu")
 	report := &RecoveryReport{ManifestNum: manifestNum}
 	r := wal.NewTaggedReader(bytes.NewReader(buf), manifestNum)
@@ -160,8 +202,16 @@ func Recover(cfg Config) (*Set, *RecoveryReport, error) {
 	if r.Skipped() > 0 {
 		report.TruncatedTail = true
 	}
+	var memberless []uint64
+	for id, si := range s.Sets() {
+		if si.Live == 0 {
+			memberless = append(memberless, id)
+		}
+	}
+	slices.Sort(memberless)
 	// Construction-time accesses below run before the Set escapes to
 	// any other goroutine, so they need no lock.
+	s.memberless = memberless                                          //sealvet:allow guardedby
 	if err := s.current.CheckInvariants(cfg.SortedLevel); err != nil { //sealvet:allow guardedby
 		return nil, nil, fmt.Errorf("version: recovered state invalid: %w", err)
 	}
@@ -182,10 +232,57 @@ func Recover(cfg Config) (*Set, *RecoveryReport, error) {
 
 // applyLocked folds an edit into the in-memory state.
 func (s *Set) applyLocked(e *Edit) error {
-	nv, err := e.Apply(s.current)
+	deleted := make([]*FileMeta, len(e.Deleted))
+	nv, err := e.apply(s.current, deleted)
 	if err != nil {
 		return err
 	}
+	s.install(e, nv, deleted)
+	return nil
+}
+
+// retire derives what e takes out of the store from the files it
+// deletes: it fills e.DropSets — every set whose last live member goes
+// with this edit, so a drop is always in the edit that emptied the set —
+// and returns what the caller may reclaim. Only reads the state. Caller
+// holds s.mu.
+func (s *Set) retire(e *Edit, deleted []*FileMeta) Retired {
+	var r Retired
+	e.DropSets = append([]uint64(nil), s.memberless...)
+	for i, f := range deleted {
+		if !slices.ContainsFunc(e.Added, func(a AddedFile) bool { return a.Meta.Num == f.Num }) {
+			r.Files = append(r.Files, f.Num)
+		}
+		set, ok := s.sets[f.SetID]
+		if !ok || slices.ContainsFunc(deleted[i+1:], func(g *FileMeta) bool { return g.SetID == set.ID }) {
+			continue // no set, or not its last member to go
+		}
+		// Adds count before deletes: a trivial move nets zero.
+		live := set.Live
+		for _, a := range e.Added {
+			if a.Meta.SetID == set.ID {
+				live++
+			}
+		}
+		for _, g := range deleted {
+			if g.SetID == set.ID {
+				live--
+			}
+		}
+		if live == 0 {
+			e.DropSets = append(e.DropSets, set.ID)
+		}
+	}
+	r.Files = append(r.Files, e.DropVlogSegs...)
+	for _, id := range e.DropSets {
+		r.Sets = append(r.Sets, s.sets[id].SetRecord)
+	}
+	return r
+}
+
+// install makes nv, which e.apply built from the current version, the
+// current one and folds the rest of e into the state. Caller holds s.mu.
+func (s *Set) install(e *Edit, nv *Version, deleted []*FileMeta) {
 	s.current = nv
 	if e.HasLogNum {
 		s.logNum = e.LogNum
@@ -207,7 +304,13 @@ func (s *Set) applyLocked(e *Edit) error {
 		}
 	}
 	for _, sr := range e.NewSets {
-		s.sets[sr.ID] = sr
+		s.sets[sr.ID] = SetInfo{SetRecord: sr}
+	}
+	for _, a := range e.Added {
+		s.countMember(a.Meta, 1)
+	}
+	for _, f := range deleted {
+		s.countMember(f, -1)
 	}
 	for _, id := range e.DropSets {
 		delete(s.sets, id)
@@ -244,7 +347,16 @@ func (s *Set) applyLocked(e *Edit) error {
 	if e.HasVlogHead {
 		s.vlogHead = e.VlogHead
 	}
-	return nil
+}
+
+// countMember counts f into (sign 1) or out of (-1) its set's live
+// members. Caller holds s.mu.
+func (s *Set) countMember(f *FileMeta, sign int) {
+	if si, ok := s.sets[f.SetID]; ok {
+		si.Live += sign
+		si.LiveBytes += int64(sign) * f.Size
+		s.sets[f.SetID] = si
+	}
 }
 
 // newManifest starts a fresh MANIFEST containing a snapshot of the
@@ -294,8 +406,8 @@ func (s *Set) snapshotEdit() *Edit {
 			e.Added = append(e.Added, AddedFile{Level: l, Meta: f})
 		}
 	}
-	for _, sr := range s.sets {
-		e.NewSets = append(e.NewSets, sr)
+	for _, si := range s.sets {
+		e.NewSets = append(e.NewSets, si.SetRecord)
 	}
 	for _, vs := range s.vsegs {
 		if vs.Sealed {
@@ -314,30 +426,38 @@ func (s *Set) snapshotEdit() *Edit {
 }
 
 // LogAndApply makes the edit durable in the MANIFEST and installs the
-// successor version.
-func (s *Set) LogAndApply(e *Edit) error {
+// successor version. It decides what the edit killed — e.DropSets is
+// derived here, never filled by the caller — and reports it.
+func (s *Set) LogAndApply(e *Edit) (Retired, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e.HasNextFile, e.NextFileNum = true, s.nextFile
+	deleted := make([]*FileMeta, len(e.Deleted))
+	nv, err := e.apply(s.current, deleted)
+	if err != nil {
+		return Retired{}, err
+	}
+	retired := s.retire(e, deleted)
 	rec := e.Encode()
 	// Rotate if the manifest cannot hold this record (generously
-	// accounting for WAL framing overhead).
+	// accounting for WAL framing overhead): the fresh manifest's snapshot
+	// carries the edit.
 	overhead := int64(len(rec)/wal.BlockSize+2) * 64
-	if s.manifest.Size()+int64(len(rec))+overhead > s.cfg.ManifestSize {
-		if err := s.applyLocked(e); err != nil {
-			return err
+	rotate := s.manifest.Size()+int64(len(rec))+overhead > s.cfg.ManifestSize
+	if !rotate {
+		if err := s.logw.AddRecord(rec); err != nil {
+			return Retired{}, err
 		}
-		s.checkInvariantsLocked()
-		return s.newManifest()
 	}
-	if err := s.logw.AddRecord(rec); err != nil {
-		return err
-	}
-	if err := s.applyLocked(e); err != nil {
-		return err
-	}
+	s.install(e, nv, deleted)
+	s.memberless = nil
 	s.checkInvariantsLocked()
-	return nil
+	if rotate {
+		if err := s.newManifest(); err != nil {
+			return Retired{}, err
+		}
+	}
+	return retired, nil
 }
 
 // checkInvariantsLocked re-validates the live version's level
@@ -390,26 +510,70 @@ func (s *Set) CompactPointer(level int) kv.InternalKey {
 	return s.compactPtr[level]
 }
 
-// Sets returns a copy of the live set records.
-func (s *Set) Sets() map[uint64]SetRecord {
+// Sets returns a copy of the live sets, by id.
+func (s *Set) Sets() map[uint64]SetInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[uint64]SetRecord, len(s.sets))
-	for id, sr := range s.sets {
-		out[id] = sr
-	}
-	return out
+	return maps.Clone(s.sets)
 }
 
-// VlogSegs returns a copy of the live value-log segment records.
-func (s *Set) VlogSegs() map[uint64]VlogSeg {
+// InvalidMembers returns how many of set id's members are already dead
+// (0 for an unknown set).
+func (s *Set) InvalidMembers(id uint64) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[uint64]VlogSeg, len(s.vsegs))
-	for num, vs := range s.vsegs {
-		out[num] = vs
+	si := s.sets[id]
+	return si.Members - si.Live
+}
+
+// VlogSegs returns the live value-log segment records in number order.
+func (s *Set) VlogSegs() []VlogSeg {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.SortedFunc(maps.Values(s.vsegs), func(a, b VlogSeg) int { return cmp.Compare(a.Num, b.Num) })
+}
+
+// VlogSeg returns segment num's record.
+func (s *Set) VlogSeg(num uint64) (VlogSeg, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	vs, ok := s.vsegs[num]
+	return vs, ok
+}
+
+// VlogTotals sums the segment records: bytes and overhead of the sealed
+// segments (the active one's are the writer's to add), dead bytes of all.
+func (s *Set) VlogTotals() (bytes, overhead, dead int64, segments int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, vs := range s.vsegs {
+		bytes += vs.Bytes
+		overhead += vs.Overhead
+		dead += vs.Dead
 	}
-	return out
+	return bytes, overhead, dead, len(s.vsegs)
+}
+
+// VlogVictim returns the sealed segment before the replay head with the
+// highest dead ratio, if any reaches minRatio. Segments from the head on
+// are still the write-ahead log of unflushed batches, and collecting one
+// would delete acknowledged writes recovery has yet to replay. Ties
+// break toward the lowest number, so the choice is a function of the
+// state.
+func (s *Set) VlogVictim(minRatio float64) (VlogSeg, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var best VlogSeg
+	for _, vs := range s.vsegs {
+		if !vs.Sealed || vs.Num >= s.vlogHead.Seg || vs.DeadRatio() < minRatio {
+			continue
+		}
+		if best.Num == 0 || vs.DeadRatio() > best.DeadRatio() ||
+			(vs.DeadRatio() == best.DeadRatio() && vs.Num < best.Num) {
+			best = vs
+		}
+	}
+	return best, best.Num != 0
 }
 
 // VlogHead returns the value log's replay head recorded in the

@@ -103,6 +103,29 @@ func (v *Version) Overlaps(level int, smallest, largest []byte, levelSorted bool
 	return out
 }
 
+// OverlapsAny reports whether Overlaps would return a file, without
+// building the list.
+func (v *Version) OverlapsAny(level int, smallest, largest []byte, levelSorted bool) bool {
+	files := v.Files[level]
+	if level > 0 && levelSorted {
+		// Only the first file ending at or after smallest can overlap.
+		i := 0
+		if smallest != nil {
+			i = sort.Search(len(files), func(k int) bool {
+				return kv.CompareUser(files[k].Largest.UserKey(), smallest) >= 0
+			})
+		}
+		return i < len(files) && (largest == nil || kv.CompareUser(files[i].Smallest.UserKey(), largest) <= 0)
+	}
+	for _, f := range files {
+		if (smallest == nil || kv.CompareUser(f.Largest.UserKey(), smallest) >= 0) &&
+			(largest == nil || kv.CompareUser(f.Smallest.UserKey(), largest) <= 0) {
+			return true
+		}
+	}
+	return false
+}
+
 // CheckInvariants verifies ordering (and disjointness on sorted
 // levels); used by tests and recovery.
 func (v *Version) CheckInvariants(sortedLevels func(level int) bool) error {
@@ -126,14 +149,4 @@ func (v *Version) CheckInvariants(sortedLevels func(level int) bool) error {
 		}
 	}
 	return nil
-}
-
-// Clone returns a deep copy of the level file lists (the FileMeta
-// pointers are shared; they are immutable once installed).
-func (v *Version) Clone() *Version {
-	nv := &Version{}
-	for l := range v.Files {
-		nv.Files[l] = append([]*FileMeta(nil), v.Files[l]...)
-	}
-	return nv
 }

@@ -188,7 +188,7 @@ func TestSetCreateLogRecover(t *testing.T) {
 		HasLogNum: true, LogNum: 77,
 		Added: []AddedFile{{Level: 0, Meta: meta(f1, "a", "m")}},
 	}
-	if err := s.LogAndApply(e1); err != nil {
+	if _, err := s.LogAndApply(e1); err != nil {
 		t.Fatal(err)
 	}
 	f2 := s.NewFileNum()
@@ -196,7 +196,7 @@ func TestSetCreateLogRecover(t *testing.T) {
 		Added:           []AddedFile{{Level: 1, Meta: meta(f2, "n", "z")}},
 		CompactPointers: []CompactPointer{{Level: 1, Key: ik("n", 1)}},
 	}
-	if err := s.LogAndApply(e2); err != nil {
+	if _, err := s.LogAndApply(e2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -227,7 +227,7 @@ func TestSetCreateLogRecover(t *testing.T) {
 
 	// The recovered set can continue logging and recover again.
 	f3 := r.NewFileNum()
-	if err := r.LogAndApply(&Edit{Added: []AddedFile{{Level: 2, Meta: meta(f3, "q", "r")}}}); err != nil {
+	if _, err := r.LogAndApply(&Edit{Added: []AddedFile{{Level: 2, Meta: meta(f3, "q", "r")}}}); err != nil {
 		t.Fatal(err)
 	}
 	r2, _, err := Recover(Config{Backend: backend, SortedLevel: allSorted})
@@ -252,7 +252,7 @@ func TestManifestRotation(t *testing.T) {
 		HasVlogHead: true, VlogHead: VlogPos{Seg: 3, Off: 777},
 	}
 	vlogState.SealVlogSegs = []VlogSegRecord{{Num: vlogState.NewVlogSegs[0], Bytes: 5000, Overhead: 120}}
-	if err := s.LogAndApply(vlogState); err != nil {
+	if _, err := s.LogAndApply(vlogState); err != nil {
 		t.Fatal(err)
 	}
 	// Push enough edits to overflow a 16 KiB manifest.
@@ -266,7 +266,7 @@ func TestManifestRotation(t *testing.T) {
 			e.Deleted = []DeletedFile{{Level: 2, Num: lastAdded}}
 		}
 		lastAdded = num
-		if err := s.LogAndApply(e); err != nil {
+		if _, err := s.LogAndApply(e); err != nil {
 			t.Fatalf("edit %d: %v", i, err)
 		}
 	}
@@ -282,7 +282,7 @@ func TestManifestRotation(t *testing.T) {
 	}
 	sealed, active := vlogState.NewVlogSegs[0], vlogState.NewVlogSegs[1]
 	if got := r.VlogSegs(); r.VlogHead() != vlogState.VlogHead || len(got) != 2 ||
-		got[sealed] != (VlogSeg{Num: sealed, Bytes: 5000, Overhead: 120, Sealed: true}) || got[active] != (VlogSeg{Num: active}) {
+		got[0] != (VlogSeg{Num: sealed, Bytes: 5000, Overhead: 120, Sealed: true}) || got[1] != (VlogSeg{Num: active}) {
 		t.Errorf("vlog state after rotation: head %+v, segments %+v", r.VlogHead(), got)
 	}
 }

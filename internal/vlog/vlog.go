@@ -14,12 +14,12 @@
 // This package owns the mechanical pieces: the segment header, the
 // record and frame wire formats and their CRCs, the Pointer codec, a
 // Writer that builds a group and appends it to a segment in one write,
-// a Scanner that walks a segment's groups and finds the torn tail
-// after a crash, and the accounting Table that tracks per-segment
-// live/dead bytes for set-aware garbage collection. Policy — when to
-// separate, what a frame's payload means, when to collect, how to
-// repair pointers — lives in internal/lsm, which drives these types
-// under the engine lock.
+// and a Scanner that walks a segment's groups and finds the torn tail
+// after a crash. Which segments exist and how dead each is belongs to
+// the manifest (internal/version); policy — when to separate, what a
+// frame's payload means, when to collect, how to repair pointers —
+// lives in internal/lsm, which drives these types under the engine
+// lock.
 //
 // Segment layout (format version 2; all integers little-endian):
 //
@@ -45,9 +45,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sort"
-
-	"sealdb/internal/obs"
 )
 
 // ErrCorrupt reports a record, frame or group that failed structural
@@ -291,8 +288,13 @@ type Writer struct {
 	seg   uint64
 	off   int64
 	limit int64
-	buf   []byte   // the open group: records, then the frame
-	recs  []Record // the open group's records
+	// overhead is the part of off that is header and commit frames:
+	// bytes no Pointer ever references. The manifest learns it, and off,
+	// when the segment is sealed; until then the writer is where they
+	// are read.
+	overhead int64
+	buf      []byte   // the open group: records, then the frame
+	recs     []Record // the open group's records
 }
 
 // NewWriter returns a Writer appending to segment seg at offset off,
@@ -301,10 +303,11 @@ func NewWriter(w io.Writer, seg uint64, off int64) *Writer {
 	return &Writer{w: w, seg: seg, off: off, limit: maxLen}
 }
 
-// Reset points the writer at segment seg, resuming at off, with limit
-// the segment's capacity. The group buffers keep their capacity.
-func (w *Writer) Reset(sink io.Writer, seg uint64, off, limit int64) {
-	w.w, w.seg, w.off, w.limit = sink, seg, off, limit
+// Reset points the writer at segment seg, resuming at off — overhead of
+// it header and frames — with limit the segment's capacity. The group
+// buffers keep their capacity.
+func (w *Writer) Reset(sink io.Writer, seg uint64, off, overhead, limit int64) {
+	w.w, w.seg, w.off, w.overhead, w.limit = sink, seg, off, overhead, limit
 	w.Begin()
 }
 
@@ -355,19 +358,19 @@ func (w *Writer) Fits(n int64) bool { return w.off+n <= w.limit }
 // write lacks the frame, and the scanner drops it whole. A group
 // never straddles a segment: one that does not fit is refused with
 // nothing written (the engine rotates first). Returns the group's
-// length and, of it, the frame's; the records stay readable until the
-// next Begin.
-func (w *Writer) Commit(payload []byte) (n, frame int, err error) {
+// length; the records stay readable until the next Begin.
+func (w *Writer) Commit(payload []byte) (n int, err error) {
 	rbytes := len(w.buf)
 	w.buf = appendFrame(w.buf, w.seg, rbytes, payload)
 	if !w.Fits(int64(len(w.buf))) {
-		return 0, 0, fmt.Errorf("vlog: %d-byte group does not fit segment %d at %d of %d bytes", len(w.buf), w.seg, w.off, w.limit)
+		return 0, fmt.Errorf("vlog: %d-byte group does not fit segment %d at %d of %d bytes", len(w.buf), w.seg, w.off, w.limit)
 	}
 	if _, err := w.w.Write(w.buf); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	w.off += int64(len(w.buf))
-	return len(w.buf), len(w.buf) - rbytes, nil
+	w.overhead += int64(len(w.buf) - rbytes)
+	return len(w.buf), nil
 }
 
 // Append commits a group of one record and an empty frame payload,
@@ -375,7 +378,7 @@ func (w *Writer) Commit(payload []byte) (n, frame int, err error) {
 func (w *Writer) Append(key, value []byte) (Pointer, error) {
 	w.Begin()
 	p := w.Add(key, value)
-	_, _, err := w.Commit(nil)
+	_, err := w.Commit(nil)
 	return p, err
 }
 
@@ -386,6 +389,10 @@ func (w *Writer) Seg() uint64 { return w.seg }
 // Offset returns the segment offset the next group will land at —
 // equivalently, the bytes written to the segment so far.
 func (w *Writer) Offset() int64 { return w.off }
+
+// Overhead returns how many of the segment's bytes so far are header
+// and commit frames.
+func (w *Writer) Overhead() int64 { return w.overhead }
 
 // Scanner walks the groups in a segment's bytes. Next returns false
 // at the first byte range that does not decode as a whole group;
@@ -465,162 +472,3 @@ func (s *Scanner) ValidLen() int64 { return s.base + int64(s.pos) }
 // Err returns the decode error that ended the scan, or nil if the
 // buffer was consumed exactly.
 func (s *Scanner) Err() error { return s.err }
-
-// SegmentInfo is one segment's accounting entry.
-type SegmentInfo struct {
-	Num   uint64 // storage file number
-	Bytes int64  // bytes written (the segment's valid length)
-	// Overhead is the part of Bytes that is header and commit frames:
-	// bytes no Pointer ever references, garbage from the moment they
-	// are written.
-	Overhead int64
-	Dead     int64 // bytes of records known superseded or deleted
-	Sealed   bool  // full segments are sealed and become GC candidates
-}
-
-// Live returns the segment's live record bytes.
-func (s SegmentInfo) Live() int64 { return s.Bytes - s.Overhead - s.Dead }
-
-// DeadRatio returns the fraction of the segment's record bytes known
-// dead. Overhead is left out of both sides, so the collector's
-// threshold means what it meant when the log held records only.
-func (s SegmentInfo) DeadRatio() float64 {
-	if s.Bytes <= s.Overhead {
-		return 0
-	}
-	return float64(s.Dead) / float64(s.Bytes-s.Overhead)
-}
-
-// Table tracks per-segment live-byte accounting for the garbage
-// collector. The engine feeds it from three sources: commits extend
-// the active segment, compaction drops report dead bytes, and
-// recovery rebuilds the whole table from the manifest.
-// Victim selection reads it to find the segment whose reclamation
-// frees the most dead space.
-type Table struct {
-	// mu guards the segment map. The engine mutates the table with
-	// the DB lock held; metric gauges read it without, so it carries
-	// its own lock at the bottom of the hierarchy.
-	//
-	// lockorder: lsm_db_mu < vlog_table_mu
-	mu   obs.Mutex
-	segs map[uint64]*SegmentInfo
-}
-
-// NewTable returns an empty accounting table.
-func NewTable() *Table {
-	t := &Table{segs: map[uint64]*SegmentInfo{}}
-	t.mu.Profile("vlog_table_mu")
-	return t
-}
-
-// Open registers segment num as the active (unsealed) segment with
-// the given starting length, overhead of it — just the header for a
-// fresh segment, the recovered valid length and its frames after a
-// crash or, followed by Seal, a sealed segment's manifest record.
-func (t *Table) Open(num uint64, bytes, overhead int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.segs[num] = &SegmentInfo{Num: num, Bytes: bytes, Overhead: overhead}
-}
-
-// Extend records a group of n bytes, overhead of them its frame,
-// appended to segment num.
-func (t *Table) Extend(num uint64, n, overhead int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if s := t.segs[num]; s != nil {
-		s.Bytes += n
-		s.Overhead += overhead
-	}
-}
-
-// Seal marks segment num full at the given final length, making it a
-// GC candidate.
-func (t *Table) Seal(num uint64, bytes int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if s := t.segs[num]; s != nil {
-		s.Bytes = bytes
-		s.Sealed = true
-	}
-}
-
-// AddDead charges n dead record bytes to segment num, clamped to the
-// segment's record bytes so replayed or duplicated drops cannot push
-// live accounting negative.
-func (t *Table) AddDead(num uint64, n int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if s := t.segs[num]; s != nil {
-		s.Dead = min(s.Dead+n, s.Bytes-s.Overhead)
-	}
-}
-
-// Drop forgets segment num after the collector has reclaimed it.
-func (t *Table) Drop(num uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	delete(t.segs, num)
-}
-
-// Info returns segment num's entry.
-func (t *Table) Info(num uint64) (SegmentInfo, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s, ok := t.segs[num]
-	if !ok {
-		return SegmentInfo{}, false
-	}
-	return *s, true
-}
-
-// Segments returns all entries sorted by file number.
-func (t *Table) Segments() []SegmentInfo {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]SegmentInfo, 0, len(t.segs))
-	for _, s := range t.segs {
-		out = append(out, *s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Num < out[j].Num })
-	return out
-}
-
-// Victim returns the sealed segment numbered below before with the
-// highest dead ratio, if any reaches minRatio. before is the segment
-// holding the engine's replay head: segments from there on are still
-// the write-ahead log of unflushed batches, and collecting one would
-// delete acknowledged writes recovery has yet to replay. Ties break
-// toward the lowest file number so selection is deterministic under a
-// fixed accounting state.
-func (t *Table) Victim(minRatio float64, before uint64) (SegmentInfo, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var best *SegmentInfo
-	for _, s := range t.segs {
-		if !s.Sealed || s.Num >= before || s.DeadRatio() < minRatio {
-			continue
-		}
-		if best == nil || s.DeadRatio() > best.DeadRatio() ||
-			(s.DeadRatio() == best.DeadRatio() && s.Num < best.Num) {
-			best = s
-		}
-	}
-	if best == nil {
-		return SegmentInfo{}, false
-	}
-	return *best, true
-}
-
-// Totals returns the table-wide live and dead byte counts — overhead
-// counts as dead — and the number of tracked segments.
-func (t *Table) Totals() (live, dead int64, segments int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, s := range t.segs {
-		live += s.Live()
-		dead += s.Dead + s.Overhead
-	}
-	return live, dead, len(t.segs)
-}

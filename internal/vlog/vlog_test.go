@@ -171,11 +171,13 @@ func TestWriterScannerTornTail(t *testing.T) {
 		if want := w.GroupSize(len(g.payload)); !w.Fits(want) {
 			t.Fatalf("group %d does not fit an unbounded writer", i)
 		}
-		before := w.Offset()
-		n, frame, err := w.Commit([]byte(g.payload))
+		before, overhead := w.Offset(), w.Overhead()
+		n, err := w.Commit([]byte(g.payload))
 		if err != nil {
 			t.Fatalf("commit %d: %v", i, err)
 		}
+		// The writer counts what no pointer will reference: its frames.
+		frame := int(w.Overhead() - overhead)
 		if w.Offset() != before+int64(n) || w.Offset() != int64(sink.Len()) || frame != FrameSize(n-frame, len(g.payload)) {
 			t.Fatalf("group %d: offset %d after %d+%d (frame %d), sink holds %d", i, w.Offset(), before, n, frame, sink.Len())
 		}
@@ -272,13 +274,13 @@ func TestWriterNeverStraddlesSegment(t *testing.T) {
 	if w.Seg() != 0 || w.Fits(1) {
 		t.Fatalf("zero writer: seg %d, fits a byte: %v", w.Seg(), w.Fits(1))
 	}
-	w.Reset(&sink, 5, HeaderSize, 256)
+	w.Reset(&sink, 5, HeaderSize, HeaderSize, 256)
 	w.Begin()
 	w.Add([]byte("k"), bytes.Repeat([]byte("v"), 300))
 	if w.Fits(w.GroupSize(0)) {
 		t.Fatal("a 300-byte value fits a 256-byte segment")
 	}
-	if _, _, err := w.Commit(nil); err == nil {
+	if _, err := w.Commit(nil); err == nil {
 		t.Fatal("oversized group committed")
 	}
 	if sink.writes != 0 || w.Offset() != HeaderSize {
@@ -286,96 +288,12 @@ func TestWriterNeverStraddlesSegment(t *testing.T) {
 	}
 	// The same group fits after the engine rotates to a big enough
 	// segment; Reset kept nothing of the refused one.
-	w.Reset(&sink, 6, HeaderSize, 1024)
+	w.Reset(&sink, 6, HeaderSize, HeaderSize, 1024)
 	p := w.Add([]byte("k"), bytes.Repeat([]byte("v"), 300))
 	if p.Seg != 6 || p.Off != HeaderSize || len(w.Records()) != 1 {
 		t.Fatalf("after reset: pointer %+v, %d records", p, len(w.Records()))
 	}
-	if _, _, err := w.Commit(nil); err != nil {
+	if _, err := w.Commit(nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTableAccounting(t *testing.T) {
-	tab := NewTable()
-	tab.Open(5, 8, 8) // a fresh segment: just its header
-	tab.Extend(5, 1092, 92)
-	if s, ok := tab.Info(5); !ok || s.Bytes != 1100 || s.Overhead != 100 || s.Dead != 0 || s.Sealed {
-		t.Fatalf("after extend: %+v %v", s, ok)
-	}
-	tab.Seal(5, 1100)
-	tab.AddDead(5, 600)
-	s, _ := tab.Info(5)
-	// Header and frames are nobody's live bytes, and stay out of the
-	// ratio the collector's threshold is compared with.
-	if s.Live() != 400 || s.DeadRatio() != 0.6 || !s.Sealed {
-		t.Fatalf("after seal+dead: %+v", s)
-	}
-	// Clamp: dead can never exceed the record bytes even if drops
-	// double-report.
-	tab.AddDead(5, 10_000)
-	if s, _ := tab.Info(5); s.Dead != 1000 || s.Live() != 0 {
-		t.Fatalf("dead not clamped: %+v", s)
-	}
-	// A sealed segment recovered from the manifest: opened at its
-	// recorded length and overhead, then sealed.
-	tab.Open(9, 500, 0)
-	tab.Seal(9, 500)
-	if s, ok := tab.Info(9); !ok || !s.Sealed || s.Bytes != 500 {
-		t.Fatalf("open+seal: %+v %v", s, ok)
-	}
-	live, dead, n := tab.Totals()
-	if live != 500 || dead != 1100 || n != 2 {
-		t.Fatalf("totals: live=%d dead=%d n=%d", live, dead, n)
-	}
-	tab.Drop(5)
-	if _, ok := tab.Info(5); ok {
-		t.Fatal("segment 5 survived Drop")
-	}
-	if got := tab.Segments(); len(got) != 1 || got[0].Num != 9 {
-		t.Fatalf("segments after drop: %+v", got)
-	}
-}
-
-func TestTableVictimSelection(t *testing.T) {
-	tab := NewTable()
-	// Active segment: never a victim regardless of dead ratio.
-	tab.Open(1, 0, 0)
-	tab.Extend(1, 100, 0)
-	tab.AddDead(1, 100)
-	if v, ok := tab.Victim(0.1, 100); ok {
-		t.Fatalf("unsealed victim selected: %+v", v)
-	}
-	// Sealed segments: highest dead ratio wins.
-	tab.Open(2, 1000, 0)
-	tab.Seal(2, 1000)
-	tab.AddDead(2, 300)
-	tab.Open(3, 1000, 0)
-	tab.Seal(3, 1000)
-	tab.AddDead(3, 700)
-	tab.Open(4, 1000, 0)
-	tab.Seal(4, 1000)
-	tab.AddDead(4, 500)
-	v, ok := tab.Victim(0.25, 100)
-	if !ok || v.Num != 3 {
-		t.Fatalf("victim = %+v, %v; want segment 3", v, ok)
-	}
-	// Threshold excludes everything below it.
-	if v, ok := tab.Victim(0.75, 100); ok {
-		t.Fatalf("victim above threshold: %+v", v)
-	}
-	// Deterministic tie-break: equal ratios pick the lowest number.
-	tab.AddDead(2, 400) // seg 2 now 0.7, tied with seg 3
-	if v, ok := tab.Victim(0.25, 100); !ok || v.Num != 2 {
-		t.Fatalf("tie-break victim = %+v, %v; want segment 2", v, ok)
-	}
-	// Segments at or past the replay head are never victims, however
-	// dead.
-	if v, ok := tab.Victim(0.25, 2); ok {
-		t.Fatalf("victim at the replay head: %+v", v)
-	}
-	tab.Seal(1, 100)
-	if v, ok := tab.Victim(0.25, 2); !ok || v.Num != 1 {
-		t.Fatalf("victim before head 2 = %+v, %v; want segment 1", v, ok)
 	}
 }
