@@ -459,6 +459,7 @@ func (d *DB) mergeInputs(c *compaction) ([]*version.FileMeta, [][]byte, map[uint
 		outputs     []*version.FileMeta
 		datas       [][]byte         // the outputs' bytes, in tableBuf buffers
 		builder     *sstable.Builder // nil between outputs
+		num         uint64           // the number of the output it is building
 		curUser     []byte
 		haveCur     bool
 		lastSeq     kv.SeqNum
@@ -476,7 +477,7 @@ func (d *DB) mergeInputs(c *compaction) ([]*version.FileMeta, [][]byte, map[uint
 		}
 		datas = append(datas, data)
 		outputs = append(outputs, &version.FileMeta{
-			Num: d.vs.NewFileNum(), Size: meta.Size,
+			Num: num, Size: meta.Size,
 			Smallest: meta.Smallest, Largest: meta.Largest,
 		})
 		builder = nil
@@ -526,7 +527,8 @@ func (d *DB) mergeInputs(c *compaction) ([]*version.FileMeta, [][]byte, map[uint
 			}
 		}
 		if builder == nil {
-			builder = d.builder.Reset(d.tableBuf(0))
+			num = d.vs.NewFileNum()
+			builder = d.builder.Reset(d.tableBuf(0)).Carry(d.cache, num)
 		}
 		builder.Add(ik, merge.Value())
 		lastOutUser = append(lastOutUser[:0], user...)

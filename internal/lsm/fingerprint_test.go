@@ -59,7 +59,14 @@ import (
 // -42 and -90 ns: the same writes at the same places, a few bytes more
 // MANIFEST; Journal, Counters and Views list the new numbers, a
 // relocation now counts its set as created and the old one as dropped;
-// ReadOps, WriteOps, BytesRead, Seeks, Seq, Levels and Reads held). When
+// ReadOps, WriteOps, BytesRead, Seeks, Seq, Levels and Reads held); and
+// PR 24's for the same two modes: a relocated table's cached blocks follow
+// it to its new number (Cache.RekeyFile) where they used to be evicted
+// with the old one, so reads after a DefragmentBands pass find them
+// ("sealdb" ReadOps -59, BytesRead -1.7 %, Seeks -61; "sealdb+vlog" -24,
+// -1.2 %, -25; writes, Seq, Levels and Reads held, and with that one
+// call taken out rows that follow their keys reproduce PR 23's constants
+// in all five modes: this stream's values are too small for rows). When
 // a mismatch is intended, the failure message prints the new literal.
 type deviceFingerprint struct {
 	ReadOps, WriteOps       int64
@@ -77,8 +84,8 @@ var fingerprintGoldens = map[string]deviceFingerprint{
 	"leveldb":      {ReadOps: 16923, WriteOps: 16146, BytesRead: 57209069, BytesWritten: 56984682, Seeks: 14919, BusyNS: 170598970912, Seq: 0x226d, Levels: "3,10,8,0,0,0,17", Journal: "64cce7ba90e7c8f4", Counters: "2de68ec6c02ffb3c", Views: "d03ae0a8193b7951", Reads: "e7b228fbb77598be"},
 	"leveldb+sets": {ReadOps: 15830, WriteOps: 16021, BytesRead: 47800981, BytesWritten: 48392966, Seeks: 13890, BusyNS: 157140326065, Seq: 0x226d, Levels: "3,10,8,0,0,0,17", Journal: "bf3cb8b8280ba3b9", Counters: "71488be870855d7f", Views: "b1a418e37c7392e3", Reads: "e7b228fbb77598be"},
 	"smrdb":        {ReadOps: 522, WriteOps: 15024, BytesRead: 5663493, BytesWritten: 2775646, Seeks: 879, BusyNS: 6110865598, Seq: 0x226d, Levels: "1,3", Journal: "90b4b48675ab68e6", Counters: "e676a8a873962882", Views: "f63db5f7dfb2539b", Reads: "e7b228fbb77598be"},
-	"sealdb":       {ReadOps: 15549, WriteOps: 15654, BytesRead: 13551100, BytesWritten: 7357212, Seeks: 12974, BusyNS: 83277266636, Seq: 0x226d, Levels: "3,10,8,0,0,0,17", Journal: "5f3810cda7ca2654", Counters: "6f6108c80728d34d", Views: "8c10ab431e2fc7ea", Reads: "e7b228fbb77598be"},
-	"sealdb+vlog":  {ReadOps: 7736, WriteOps: 13402, BytesRead: 6810531, BytesWritten: 2755534, Seeks: 10344, BusyNS: 68762011828, Seq: 0x23ad, Levels: "1,5,0,0,0,0,7", Journal: "130df94dfa571a7b", Counters: "c2c706e6157ae566", Views: "08951ec06d80e9fa", Reads: "e7b228fbb77598be"},
+	"sealdb":       {ReadOps: 15490, WriteOps: 15654, BytesRead: 13315558, BytesWritten: 7357212, Seeks: 12913, BusyNS: 82896978807, Seq: 0x226d, Levels: "3,10,8,0,0,0,17", Journal: "9be3d479be0c9c7f", Counters: "11fd7d7699273453", Views: "31e0bebe18ee05a4", Reads: "e7b228fbb77598be"},
+	"sealdb+vlog":  {ReadOps: 7712, WriteOps: 13402, BytesRead: 6729487, BytesWritten: 2755534, Seeks: 10319, BusyNS: 68602312126, Seq: 0x23ad, Levels: "1,5,0,0,0,0,7", Journal: "f12fc36ea1aa5e3a", Counters: "0013bcfaadeb6c79", Views: "ba77885b1c21142f", Reads: "e7b228fbb77598be"},
 }
 
 type fingerprintCase struct {

@@ -16,7 +16,8 @@ func (d *DB) flushMemtable(mem *memtable.MemTable, newLogNum uint64) error {
 	job := d.beginJob("flush")
 
 	// ApproximateSize charges an entry more than a block does.
-	b := d.builder.Reset(d.tableBuf(mem.ApproximateSize()))
+	num := d.vs.NewFileNum()
+	b := d.builder.Reset(d.tableBuf(mem.ApproximateSize())).Carry(d.cache, num)
 	it := mem.NewIterator()
 	for it.SeekToFirst(); it.Valid(); it.Next() {
 		b.Add(it.Key(), it.Value())
@@ -25,7 +26,6 @@ func (d *DB) flushMemtable(mem *memtable.MemTable, newLogNum uint64) error {
 	if err != nil {
 		return err
 	}
-	num := d.vs.NewFileNum()
 	err = d.backend.WriteFile(num, data)
 	sstable.PutBuf(data)
 	if err != nil {

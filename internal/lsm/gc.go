@@ -144,6 +144,11 @@ func (d *DB) relocateSet(rec version.SetRecord, files []*version.FileMeta, level
 		edit.NewSets = []version.SetRecord{*newRec}
 		msp.Set("new_set", int64(newRec.ID))
 	}
+	// The copies hold the members' bytes: what is cached of a member is
+	// cached of its copy, before the edit evicts the old number.
+	for i, f := range files {
+		d.cache.RekeyFile(f.Num, copies[i].Num)
+	}
 	if err := d.install(edit); err != nil {
 		return 0, err
 	}

@@ -111,6 +111,20 @@ func (g *modelGen) next() modelOp {
 	return modelOp{kind: modelNop}
 }
 
+// hotOp is the step's operation on a hot set of eight of the schedule's
+// keys, outside the generator's stream: five reads to a write, the value
+// large enough to be cached as a row where it is stored inline. The keys
+// earn rows between two flushes, and every flush and compaction that
+// carries them re-homes those rows (DESIGN.md §sstable.Cache), so a row
+// that answered for the wrong table or version would show as a wrong Get.
+func hotOp(step int) modelOp {
+	op := modelOp{kind: modelGet, k: fmt.Sprintf("mk%06d", step%8*375)}
+	if step%6 == 0 {
+		op.kind, op.v = modelPut, fmt.Sprintf("h%d%s", step, strings.Repeat(".", 600))
+	}
+	return op
+}
+
 // batch builds the engine batch of a modelBatch op.
 func (o modelOp) batch() *Batch {
 	b := NewBatch()
@@ -153,9 +167,9 @@ func testModelBasedRandomOps(t *testing.T, mode Mode) {
 	}
 	var snaps []snap
 
-	const steps = 6000
-	for step := 0; step < steps; step++ {
-		switch op := gen.next(); op.kind {
+	var rehomed int64 // rows re-homed, summed over reopens
+	run := func(step int, op modelOp) {
+		switch op.kind {
 		case modelPut:
 			if err := d.Put([]byte(op.k), []byte(op.v)); err != nil {
 				t.Fatalf("step %d put: %v", step, err)
@@ -247,6 +261,7 @@ func testModelBasedRandomOps(t *testing.T, mode Mode) {
 				sn.s.Release()
 			}
 			snaps = nil
+			rehomed += d.cache.Stats().RowsRehomed
 			dev := d.Device()
 			if err := d.Close(); err != nil {
 				t.Fatalf("step %d close: %v", step, err)
@@ -256,6 +271,14 @@ func testModelBasedRandomOps(t *testing.T, mode Mode) {
 				t.Fatalf("step %d reopen: %v", step, err)
 			}
 		}
+	}
+	const steps = 6000
+	for step := 0; step < steps; step++ {
+		run(step, hotOp(step))
+		run(step, gen.next())
+	}
+	if rehomed += d.cache.Stats().RowsRehomed; rehomed == 0 {
+		t.Error("no flush or compaction re-homed a row of the hot set")
 	}
 
 	// Final sweep: every model key readable, every absent prefix miss,
@@ -351,15 +374,16 @@ func TestCrossModeDifferential(t *testing.T) {
 		cfg   Config
 		d     *DB
 		snaps []*Snapshot
-		// Value-cache hits and admissions, rows and everything found
-		// cached, summed over reopens.
-		hits, admitted, rows, resident int64
+		// Value-cache hits and admissions, rows, rows re-homed and
+		// everything found cached, summed over reopens.
+		hits, admitted, rows, rehomed, resident int64
 	}
 	tally := func(s *store) {
 		st := s.d.cache.Stats()
 		s.hits += s.d.metrics.vlogCacheHits.Value()
 		s.admitted += int64(st.ValueEntries)
 		s.rows += int64(st.RowEntries)
+		s.rehomed += st.RowsRehomed
 		s.resident += int64(st.Entries)
 	}
 	var stores []*store
@@ -477,8 +501,9 @@ func TestCrossModeDifferential(t *testing.T) {
 	gen := newModelGen(4242)
 	const steps = 4000
 	for step := 0; step < steps; step++ {
-		op := gen.next()
-		agree(fmt.Sprintf("step %d (%+v)", step, op), func(s *store) string { return apply(s, step, op) })
+		for _, op := range [2]modelOp{hotOp(step), gen.next()} {
+			agree(fmt.Sprintf("step %d (%+v)", step, op), func(s *store) string { return apply(s, step, op) })
+		}
 	}
 	agree("final forward scan", func(s *store) string { return showKVs(s.d.Scan(nil, 1<<20)) })
 	agree("final reverse scan", func(s *store) string { return showKVs(s.d.ScanReverse(nil, 1<<20)) })
@@ -493,8 +518,8 @@ func TestCrossModeDifferential(t *testing.T) {
 			t.Errorf("%s: %d value-cache hits, %d entries found cached, want none", s.name, s.hits, s.resident)
 		case !uncached && s.cfg.vlogEnabled() && s.hits == 0:
 			t.Errorf("%s: no read was served from the value cache", s.name)
-		case !uncached && !s.cfg.vlogEnabled() && s.rows == 0:
-			t.Errorf("%s: no large inline value was found cached as a row", s.name)
+		case !uncached && !s.cfg.vlogEnabled() && (s.rows == 0 || s.rehomed == 0):
+			t.Errorf("%s: %d large inline values found cached as rows, %d rows re-homed by a table writer; want both", s.name, s.rows, s.rehomed)
 		}
 	}
 }

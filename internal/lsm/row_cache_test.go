@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sort"
 	"testing"
 
 	"sealdb/internal/faultfs"
@@ -114,10 +115,12 @@ func TestRowCacheDoesNotHideMediaDamage(t *testing.T) {
 	}
 }
 
-// TestRowsLeaveWithTheirTable: a row is keyed by its table, so the
-// compaction that rewrites the table takes the row along, the cache's row
-// residency falls to nothing, and the next two reads form the row again
-// from the new table.
+// TestRowsLeaveWithTheirTable: a row follows its key into the table that
+// rewrites it, and leaves with its old table only when the rewrite did not
+// carry the key: a tombstone drops the row at the flush that writes it, and
+// a compaction that drops a key (here the tombstone and the value under it,
+// at the base level; the engine has no range delete) re-homes nothing, so
+// the row goes when the input is evicted.
 func TestRowsLeaveWithTheirTable(t *testing.T) {
 	d, err := Open(tinyConfig(ModeSEALDB))
 	if err != nil {
@@ -133,17 +136,278 @@ func TestRowsLeaveWithTheirTable(t *testing.T) {
 	if err := d.CompactRange(nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if st := d.cache.Stats(); st.RowEntries != 0 || st.RowBytes != 0 || st.UsedBytes > d.cfg.BlockCacheSize {
-		t.Fatalf("the victim's table was rewritten, its row stayed: %+v", st)
+	before := d.cache.Stats()
+	if before.RowEntries != 1 || before.RowsRehomed == 0 {
+		t.Fatalf("the victim's table was rewritten and its row did not follow: %+v", before)
 	}
+	if got, err := d.Get(key); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("Get after the compaction = %d bytes, %v", len(got), err)
+	}
+	if st := d.cache.Stats(); st.Misses != before.Misses || st.Hits != before.Hits+1 {
+		t.Fatalf("the re-homed row did not answer: %+v -> %+v", before, st)
+	}
+
+	snap := d.NewSnapshot()
+	if err := d.Delete(key); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.FlushMemtable(); err != nil {
+		t.Fatal(err)
+	}
+	if st := d.cache.Stats(); st.RowEntries != 0 || st.RowBytes != 0 {
+		t.Fatalf("a tombstone was flushed over the row and it stayed: %+v", st)
+	}
+	if _, err := d.Get(key); err != ErrNotFound {
+		t.Fatalf("Get of the deleted key = %v, want ErrNotFound", err)
+	}
+	// Reads under the tombstone make the old version a row again, bound
+	// to the table that still holds it.
 	for i := 0; i < 3; i++ {
-		if got, err := d.Get(key); err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("Get after the compaction = %d bytes, %v", len(got), err)
+		if got, err := d.GetAt(key, snap); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("GetAt under the tombstone = %d bytes, %v", len(got), err)
 		}
 	}
 	if st := d.cache.Stats(); st.RowEntries != 1 {
-		t.Fatalf("reads of the rewritten table formed %d rows, want 1", st.RowEntries)
+		t.Fatalf("snapshot reads formed %d rows, want 1", st.RowEntries)
 	}
+	snap.Release()
+	rehomed := d.cache.Stats().RowsRehomed
+	if err := d.CompactRange(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if st := d.cache.Stats(); st.RowEntries != 0 || st.RowBytes != 0 || st.RowsRehomed != rehomed {
+		t.Fatalf("the compaction dropped the key and its row stayed: %+v", st)
+	}
+	if _, err := d.Get(key); err != ErrNotFound {
+		t.Fatalf("Get of the dropped key = %v, want ErrNotFound", err)
+	}
+	if err := d.VerifyIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// readCost runs fn and returns the device reads it made and the blocks it
+// asked the cache for in vain.
+func readCost(d *DB, fn func()) (reads, misses int64) {
+	misses = d.cache.Stats().Misses
+	reads = deviceReads(d, fn)
+	return reads, d.cache.Stats().Misses - misses
+}
+
+// compactLevel compacts every file of level into the next and reports
+// whether the tables were rewritten, not moved down as they were.
+func compactLevel(t *testing.T, d *DB, level int) (rewritten bool) {
+	t.Helper()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	v := d.vs.Current()
+	c := d.buildCompaction(v, level, v.Files[level])
+	if err := d.runCompaction(c); err != nil {
+		t.Fatal(err)
+	}
+	return !c.trivial
+}
+
+// TestHotRowsSurviveFlushAndCompaction: keys read twice keep their rows
+// through an overwrite's flush, the L0->L1 merge and the L1->L2 merge that
+// follow. After each rewrite a first pass over the hot keys is answered by
+// the rows alone (it pays only for opening the new tables, whose index is
+// read past the cache), a second costs no device read at all, a snapshot
+// from before the overwrite still sees the old values, and a key nobody
+// read gains no row by being written.
+func TestHotRowsSurviveFlushAndCompaction(t *testing.T) {
+	cfg := tinyConfig(ModeSEALDB)
+	cfg.MemtableSize = 1 * kv.MiB // flushes happen where the test asks
+	d, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	const hot = 40
+	hotKey := func(i int) []byte { return []byte(fmt.Sprintf("hot%02d", i)) }
+	put := func(k, v []byte) {
+		t.Helper()
+		if err := d.Put(k, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flush := func() {
+		t.Helper()
+		if err := d.FlushMemtable(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The old versions, a cold key and filler, two levels down.
+	for i := 0; i < hot; i++ {
+		put(hotKey(i), bigValue(fmt.Sprintf("old%02d", i), 700))
+	}
+	put([]byte("cold"), bigValue("cold-old", 700))
+	for i := 0; i < 200; i++ {
+		put([]byte(fmt.Sprintf("fill%04d", i)), bigValue("fill", 100))
+	}
+	flush()
+	compactLevel(t, d, 0)
+	compactLevel(t, d, 1)
+	if lp := d.LevelProfile(); lp[0].Files+lp[1].Files != 0 || lp[2].Files == 0 {
+		t.Fatalf("set-up: levels %+v, want everything in level 2", lp[:3])
+	}
+
+	// pass reads every hot key, at snap if there is one, and returns what
+	// that cost.
+	pass := func(tag string, snap *Snapshot) (reads, misses int64) {
+		t.Helper()
+		return readCost(d, func() {
+			for i := 0; i < hot; i++ {
+				got, err := d.GetAt(hotKey(i), snap)
+				if want := bigValue(fmt.Sprintf("%s%02d", tag, i), 700); err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("Get(%s) = %d bytes, %v; want the %q version", hotKey(i), len(got), err, tag)
+				}
+			}
+		})
+	}
+	pass("old", nil)
+	pass("old", nil)
+	if st := d.cache.Stats(); st.RowEntries != hot {
+		t.Fatalf("two reads of %d keys formed %d rows", hot, st.RowEntries)
+	}
+	if reads, _ := pass("old", nil); reads != 0 {
+		t.Fatalf("a pass over the rows cost %d device reads", reads)
+	}
+
+	snap := d.NewSnapshot()
+	defer snap.Release()
+	for i := 0; i < hot; i++ {
+		put(hotKey(i), bigValue(fmt.Sprintf("new%02d", i), 700))
+	}
+	put([]byte("cold"), bigValue("cold-new", 700))
+	// check holds the cache to the contract after the rewrite named what.
+	rewrites := int64(0)
+	check := func(what string) {
+		t.Helper()
+		rewrites++
+		if st := d.cache.Stats(); st.RowEntries != hot || st.RowsRehomed != rewrites*hot {
+			t.Fatalf("after the %s: %d rows, %d re-homed; want %d and %d", what, st.RowEntries, st.RowsRehomed, hot, rewrites*hot)
+		}
+		if _, misses := pass("new", nil); misses != 0 {
+			t.Fatalf("after the %s the hot keys missed %d blocks: their rows did not follow", what, misses)
+		}
+		if reads, _ := pass("new", nil); reads != 0 {
+			t.Fatalf("after the %s a second pass cost %d device reads", what, reads)
+		}
+		pass("old", snap)
+		if st := d.cache.Stats(); st.RowEntries != hot {
+			t.Fatalf("after the %s and its snapshot reads: %d rows", what, st.RowEntries)
+		}
+	}
+	flush()
+	check("flush")
+
+	// A second level-0 table over the same range makes the next merge real.
+	put([]byte("fill0000"), bigValue("fill", 100))
+	put([]byte("hov"), bigValue("fill", 100))
+	flush()
+	if !compactLevel(t, d, 0) {
+		t.Fatal("the L0->L1 compaction rewrote nothing")
+	}
+	check("L0->L1 compaction")
+	if !compactLevel(t, d, 1) {
+		t.Fatal("the L1->L2 compaction rewrote nothing")
+	}
+	check("L1->L2 compaction")
+	if lp := d.LevelProfile(); lp[0].Files+lp[1].Files != 0 {
+		t.Fatalf("levels %+v, want levels 0 and 1 empty", lp[:3])
+	}
+	// The cold key was written with the hot ones and read by nobody: it
+	// has no row (check counted them), and its value is the new one.
+	if got, err := d.Get([]byte("cold")); err != nil || !bytes.Equal(got, bigValue("cold-new", 700)) {
+		t.Fatalf("Get(cold) = %d bytes, %v", len(got), err)
+	}
+	if err := d.VerifyIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRelocationKeepsResidency: DefragmentBands copies tables byte for byte
+// under new numbers, and what was cached of a table is cached of its copy.
+// Reads after the pass pay for opening the copies and for nothing else,
+// while an iterator opened before it, pinned on the old numbers, reads the
+// old extents from the device and sees the same store.
+func TestRelocationKeepsResidency(t *testing.T) {
+	cfg := tinyConfig(ModeSEALDB)
+	cfg.BlockCacheSize = 8 * kv.MiB // holds the whole store
+	d, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	ref := loadRandom(t, d, 12000, 17)
+	// Every fourth key large enough to be cached as a row.
+	keys := make([]string, 0, len(ref))
+	for k := range ref {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for i := 0; i < len(keys); i += 4 {
+		ref[keys[i]] = string(bigValue(keys[i], 600))
+		if err := d.Put([]byte(keys[i]), []byte(ref[keys[i]])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.FlushMemtable(); err != nil {
+		t.Fatal(err)
+	}
+	verifyAll(t, d, ref)
+	verifyAll(t, d, ref)
+	if reads, _ := readCost(d, func() { verifyAll(t, d, ref) }); reads != 0 {
+		t.Fatalf("set-up: a third pass over the store cost %d device reads", reads)
+	}
+	resident := d.cache.Stats()
+	if resident.RowEntries == 0 {
+		t.Fatal("set-up: no rows")
+	}
+	tables := map[uint64]bool{}
+	for _, loc := range d.TableLocations() {
+		tables[loc.Num] = true
+	}
+
+	it := d.NewIterator()
+	it.SeekToFirst()
+	res, err := d.DefragmentBands(0)
+	if err != nil || res.SetsMoved == 0 {
+		t.Fatalf("DefragmentBands moved %d sets, %v", res.SetsMoved, err)
+	}
+	copies := int64(0)
+	for _, loc := range d.TableLocations() {
+		if !tables[loc.Num] {
+			copies++
+		}
+	}
+	if st := d.cache.Stats(); st.Entries != resident.Entries || st.RowEntries != resident.RowEntries || st.UsedBytes != resident.UsedBytes {
+		t.Fatalf("relocating %d tables changed the residency: %+v -> %+v", copies, resident, st)
+	}
+	// Opening a copy reads its footer, filter and index.
+	if reads, misses := readCost(d, func() { verifyAll(t, d, ref) }); misses != 0 || reads > 3*copies {
+		t.Fatalf("reads after the pass missed %d blocks and cost %d device reads for %d copies to open", misses, reads, copies)
+	}
+	if reads, _ := readCost(d, func() { verifyAll(t, d, ref) }); reads != 0 {
+		t.Fatalf("a second pass after the relocation cost %d device reads", reads)
+	}
+
+	reads, _ := readCost(d, func() {
+		for _, k := range keys {
+			if !it.Valid() || string(it.Key()) != k || string(it.Value()) != ref[k] {
+				t.Fatalf("the pinned iterator is at %q (valid %v), want %q", it.Key(), it.Valid(), k)
+			}
+			it.Next()
+		}
+	})
+	if it.Valid() || it.Error() != nil {
+		t.Fatalf("the pinned iterator ran on past the last key: %v", it.Error())
+	}
+	if reads == 0 {
+		t.Fatal("the pinned iterator read nothing from the old extents")
+	}
+	it.Close()
 	if err := d.VerifyIntegrity(); err != nil {
 		t.Fatal(err)
 	}

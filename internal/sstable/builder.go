@@ -35,6 +35,8 @@ type Builder struct {
 	data          blockBuilder
 	index         blockBuilder
 	hashes        []uint32 // bloomHash of each user key, for the table filter
+	rows          *Cache   // nil unless the keys added have rows to take along (Carry)
+	fileNum       uint64   // the table's number in rows
 	meta          Meta
 	lastKey       kv.InternalKey
 	pendingIx     bool   // an index entry is owed for the last finished block
@@ -82,10 +84,23 @@ func (b *Builder) Reset(buf []byte) *Builder {
 	b.data.reset()
 	b.index.reset()
 	b.hashes = b.hashes[:0]
+	b.rows = nil
 	b.meta = Meta{}
 	b.lastKey = b.lastKey[:0]
 	b.pendingIx = false
 	b.err = nil
+	return b
+}
+
+// Carry declares that the table being built will be file fileNum of the
+// store reading through c: from here on a key that has a row in c takes it
+// along, bound to this table with the entry added (Cache.rehome), so what
+// the store held in memory of a key survives the rewrite of the table it
+// read it from. While c holds no rows this costs the one check made here.
+func (b *Builder) Carry(c *Cache, fileNum uint64) *Builder {
+	if c.hasRows() {
+		b.rows, b.fileNum = c, fileNum
+	}
 	return b
 }
 
@@ -112,7 +127,13 @@ func (b *Builder) Add(ik kv.InternalKey, value []byte) {
 	b.flushPendingIndex(ik)
 	b.data.add(ik, value)
 	b.lastKey = append(b.lastKey[:0], ik...)
-	b.hashes = append(b.hashes, bloomHash(ik.UserKey()))
+	h := bloomHash(ik.UserKey())
+	b.hashes = append(b.hashes, h)
+	if b.rows != nil {
+		// Of a key's versions the newest comes first and takes the row;
+		// it is then bound to this table and the older ones leave it be.
+		b.rows.rehome(b.fileNum, h, ik, value)
+	}
 	b.meta.Entries++
 	if b.data.estimatedSize() >= targetBlockSize {
 		b.cutBlock()

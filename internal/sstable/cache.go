@@ -10,11 +10,18 @@ import (
 
 // Cache is a shared cache of three kinds of entry inside one byte budget:
 // decoded blocks and separated values, keyed by (file number, offset), and
-// rows, keyed by (table file number, user key), each holding the newest
-// entry of one key in one table. One cache serves all tables of a DB, like
-// LevelDB's block cache, and its value log: a value entry holds the value
-// of the record at that offset of a segment. Tables and segments are
-// numbered by one never-reused counter, so the kinds cannot collide.
+// rows, one per user key, each holding the newest entry of its key in the
+// one table it is bound to and answering for that table alone. One cache
+// serves all tables of a DB, like LevelDB's block cache, and its value log:
+// a value entry holds the value of the record at that offset of a segment.
+// Tables and segments are numbered by one never-reused counter, so the
+// kinds cannot collide.
+//
+// A row is formed by a read (Table.GetEntry) and follows its key from then
+// on: whoever writes a table that carries the key binds the row to that
+// table with the entry written (Builder.Carry). Nothing is invalidated; a
+// row bound to a table that was deleted or never installed is unreachable
+// and leaves through EvictFile or ages out.
 //
 // The budget is split into two LRU segments. Everything enters probation;
 // an entry's first hit moves it to protected, whose overflow falls back to
@@ -30,17 +37,19 @@ type Cache struct {
 	protectedBytes int64
 	entries        int
 	// items indexes blocks and values by (file, offset), rows indexes rows
-	// by (file, hash of the user key); files chains every entry of a file.
-	// guarded by mu.
+	// by the hash of the user key; files chains every entry of a file, a
+	// row under the table it is bound to. guarded by mu.
 	items map[cacheKey]*cacheEntry
-	rows  map[cacheKey]*cacheEntry
+	rows  map[uint64]*cacheEntry
 	files map[uint64]*cacheEntry
 	// The separated values' and the rows' shares of entries and used.
 	// guarded by mu.
-	valueEntries, rowEntries int
-	valueBytes, rowBytes     int64
+	valueEntries         int
+	valueBytes, rowBytes int64
+	// rowEntries changes under mu; hasRows reads it without.
+	rowEntries atomic.Int64
 
-	hits, misses int64
+	hits, misses, rehomed int64
 
 	// Bloom-filter outcome counters for the tables sharing this
 	// cache: definite negatives (lookups the filter rejected), true
@@ -58,7 +67,8 @@ type Cache struct {
 	onCorrupt func(file, offset uint64)
 }
 
-// cacheKey names a block or value by its offset, a row by its key's hash.
+// cacheKey names a block or value by its offset; a row's is the table it is
+// bound to and its key's hash.
 type cacheKey struct {
 	file   uint64
 	offset uint64
@@ -105,8 +115,8 @@ const (
 	// A point read caches an entry as a row if rowBlockShare rows cost at
 	// least the block: the block holds only a handful. Rows for every
 	// entry regardless of size took vlog_mixed from 2,897 to 2,127 ops/s:
-	// a 40-byte pointer costs 200 bytes as a row, and every compaction
-	// re-keys them.
+	// a 40-byte pointer costs 200 bytes as a row. A table writer holds the
+	// entry it re-homes a row to against a full block (rehome).
 	rowBlockShare = 8
 )
 
@@ -117,7 +127,7 @@ func NewCache(capacity int64) *Cache {
 		capacity: capacity,
 		seg:      [2]*cacheEntry{newRing(), newRing()},
 		items:    make(map[cacheKey]*cacheEntry),
-		rows:     make(map[cacheKey]*cacheEntry),
+		rows:     make(map[uint64]*cacheEntry),
 		files:    make(map[uint64]*cacheEntry),
 	}
 }
@@ -148,22 +158,27 @@ func (c *Cache) unring(e *cacheEntry) {
 	e.prev.next, e.next.prev = e.next, e.prev
 }
 
-// protect makes e, which is in no segment, the hottest protected entry;
-// what protected then holds over its share becomes, coldest first, the
-// hottest of probation. Caller holds mu.
-func (c *Cache) protect(e *cacheEntry) {
-	c.pushFront(e, true)
+// settle restores the two bounds after an entry entered a segment or grew:
+// what protected holds over its share becomes, coldest first, the hottest
+// of probation, and what the cache holds over its capacity leaves, coldest
+// of probation first. Caller holds mu.
+func (c *Cache) settle() {
 	for limit := c.capacity * protectedNum / protectedDen; c.protectedBytes > limit; {
 		cold := c.seg[1].prev
 		c.unring(cold)
 		c.pushFront(cold, false)
 	}
+	for c.used > c.capacity {
+		c.remove(c.coldest())
+	}
 }
 
-// touch records a hit on e. Caller holds mu.
+// touch records a hit on e: it becomes the hottest protected entry. Caller
+// holds mu.
 func (c *Cache) touch(e *cacheEntry) {
 	c.unring(e)
-	c.protect(e)
+	c.pushFront(e, true)
+	c.settle()
 }
 
 // coldest returns the entry eviction takes next, nil from an empty cache.
@@ -177,15 +192,8 @@ func (c *Cache) coldest() *cacheEntry {
 	return nil
 }
 
-// insert indexes, chains and charges e, whose key, contents and size are
-// set, as the hottest entry of a segment, and evicts what no longer fits.
-// Caller holds mu.
-func (c *Cache) insert(e *cacheEntry, protected bool) {
-	if e.klen > 0 {
-		c.rows[e.key] = e
-	} else {
-		c.items[e.key] = e
-	}
+// chain links e into the chain of its file. Caller holds mu.
+func (c *Cache) chain(e *cacheEntry) {
 	if head := c.files[e.key.file]; head != nil {
 		e.filePrev, e.fileNext = head, head.fileNext
 		if head.fileNext = e; e.fileNext != nil {
@@ -195,24 +203,10 @@ func (c *Cache) insert(e *cacheEntry, protected bool) {
 		e.filePrev, e.fileNext = nil, nil
 		c.files[e.key.file] = e
 	}
-	c.account(e, 1)
-	if protected {
-		c.protect(e)
-	} else {
-		c.pushFront(e, false)
-	}
-	for c.used > c.capacity {
-		c.remove(c.coldest())
-	}
 }
 
-// remove undoes insert. Caller holds mu.
-func (c *Cache) remove(e *cacheEntry) {
-	if e.klen > 0 {
-		delete(c.rows, e.key)
-	} else {
-		delete(c.items, e.key)
-	}
+// unchain undoes chain. Caller holds mu.
+func (c *Cache) unchain(e *cacheEntry) {
 	switch {
 	case e.filePrev != nil:
 		e.filePrev.fileNext = e.fileNext
@@ -224,6 +218,31 @@ func (c *Cache) remove(e *cacheEntry) {
 	if e.fileNext != nil {
 		e.fileNext.filePrev = e.filePrev
 	}
+}
+
+// insert indexes, chains and charges e, whose key, contents and size are
+// set, as the hottest entry of a segment, and evicts what no longer fits.
+// Caller holds mu.
+func (c *Cache) insert(e *cacheEntry, protected bool) {
+	if e.klen > 0 {
+		c.rows[e.key.offset] = e
+	} else {
+		c.items[e.key] = e
+	}
+	c.chain(e)
+	c.account(e, 1)
+	c.pushFront(e, protected)
+	c.settle()
+}
+
+// remove undoes insert. Caller holds mu.
+func (c *Cache) remove(e *cacheEntry) {
+	if e.klen > 0 {
+		delete(c.rows, e.key.offset)
+	} else {
+		delete(c.items, e.key)
+	}
+	c.unchain(e)
 	c.account(e, -1)
 	c.unring(e)
 }
@@ -236,7 +255,7 @@ func (c *Cache) account(e *cacheEntry, sign int) {
 	c.entries += sign
 	switch {
 	case e.klen > 0:
-		c.rowEntries += sign
+		c.rowEntries.Add(int64(sign))
 		c.rowBytes += size
 	case e.block == nil:
 		c.valueEntries += sign
@@ -319,34 +338,35 @@ func (c *Cache) entryFor(n int) *cacheEntry {
 	} else {
 		e = new(cacheEntry)
 	}
-	// A buffer more than an eighth too large would be charged for nothing.
-	if have := cap(e.value); have < n || have > n+n/8 {
+	if !roomFor(e.value, n) {
 		e.value = make([]byte, 0, n)
 	}
 	*e = cacheEntry{value: e.value[:0], size: int64(cap(e.value)) + valueOverhead}
 	return e
 }
 
-// rowKey names the row for ukey by the key's bloom hash. Two keys of a
-// file that collide share a slot: the second is not cached, and neither is
-// ever served for the other, since a row carries its key.
-func rowKey(file uint64, ukey []byte) cacheKey {
-	return cacheKey{file, uint64(bloomHash(ukey))}
-}
+// roomFor reports whether buf can be reused for n bytes: one more than an
+// eighth too large would be charged for nothing.
+func roomFor(buf []byte, n int) bool { return cap(buf) >= n && cap(buf) <= n+n/8 }
+
+// rowHash names the row for ukey by the key's bloom hash. Two keys that
+// collide share a slot: the second is not cached, and neither is ever
+// served for the other, since a row carries its key.
+func rowHash(ukey []byte) uint64 { return uint64(bloomHash(ukey)) }
 
 // getRow returns a copy of the value of the newest entry for ukey in table
-// file, with its sequence number and kind, if that entry is cached and
-// visible at seq: the answer the table's blocks would give. A row that
-// answers counts as a hit, one that does not counts nothing (the block
-// lookup that follows does).
+// file, with its sequence number and kind, if the key's row is bound to
+// that table and visible at seq: the answer the table's blocks would give.
+// A row that answers counts as a hit, one that does not counts nothing (the
+// block lookup that follows does).
 func (c *Cache) getRow(file uint64, ukey []byte, seq kv.SeqNum) ([]byte, kv.SeqNum, kv.Kind, bool) {
 	if c == nil || len(ukey) == 0 {
 		return nil, 0, 0, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := c.rows[rowKey(file, ukey)]
-	if e == nil || seq < e.seq || !bytes.Equal(e.value[:e.klen], ukey) {
+	e := c.rows[rowHash(ukey)]
+	if e == nil || e.key.file != file || seq < e.seq || !bytes.Equal(e.value[:e.klen], ukey) {
 		return nil, 0, 0, false
 	}
 	c.touch(e)
@@ -357,6 +377,9 @@ func (c *Cache) getRow(file uint64, ukey []byte, seq kv.SeqNum) ([]byte, kv.SeqN
 // putRow caches the entry (ukey, seq, kind, value), which the caller knows
 // is the newest for ukey in table file, straight into protected: the read
 // that forms a row is the key's second. It reports whether the row went in.
+// The key's row, if it has one already, gives way only if it is bound to
+// another table and no newer: it speaks for a version this one shadows, or
+// for a table that was never installed.
 func (c *Cache) putRow(file uint64, ukey, value []byte, seq kv.SeqNum, kind kv.Kind) bool {
 	n := len(ukey) + len(value)
 	if len(ukey) == 0 || n > maxCachedValue || int64(n)+valueOverhead > c.capacity {
@@ -364,15 +387,61 @@ func (c *Cache) putRow(file uint64, ukey, value []byte, seq kv.SeqNum, kind kv.K
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	k := rowKey(file, ukey)
-	if c.rows[k] != nil {
-		return false
+	h := rowHash(ukey)
+	if old := c.rows[h]; old != nil {
+		if old.key.file == file || old.seq > seq || !bytes.Equal(old.value[:old.klen], ukey) {
+			return false
+		}
+		c.remove(old)
 	}
 	e := c.entryFor(n)
-	e.key, e.seq, e.kind, e.klen = k, seq, kind, int32(len(ukey))
+	e.key, e.seq, e.kind, e.klen = cacheKey{file, h}, seq, kind, int32(len(ukey))
 	e.value = append(append(e.value, ukey...), value...)
 	c.insert(e, true)
 	return true
+}
+
+// hasRows reports whether any row is cached, without taking mu: a table
+// writer asks once per table whether its entries have rows to take along.
+func (c *Cache) hasRows() bool { return c != nil && c.rowEntries.Load() > 0 }
+
+// rehome binds the row of ik's user key, whose bloom hash is hash, to table
+// file with the entry (ik, value), which the caller is writing as the newest
+// of that key in file. Only a row that exists, is bound to another table and
+// is no newer moves: a write never creates a row, and an older version
+// rewritten beside a newer one (an overlapped level) does not take the
+// newer one's row. A re-home is not a touch — the row keeps its segment and
+// its place in it, so a key that is written and not read ages out — and an
+// entry no read would have made a row (a tombstone, a value small next to a
+// block or over maxCachedValue) drops the row instead.
+func (c *Cache) rehome(file uint64, hash uint32, ik kv.InternalKey, value []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ukey := c.rows[uint64(hash)], ik.UserKey()
+	if e == nil || e.key.file == file || e.seq > ik.Seq() || !bytes.Equal(e.value[:e.klen], ukey) {
+		return
+	}
+	n := len(ukey) + len(value)
+	if ik.Kind() == kv.KindDelete || n > maxCachedValue || (int64(n)+valueOverhead)*rowBlockShare < targetBlockSize {
+		c.remove(e)
+		return
+	}
+	c.unchain(e)
+	if !roomFor(e.value, n) {
+		e.value = append(make([]byte, 0, n), ukey...)
+	}
+	e.value = append(e.value[:e.klen], value...)
+	grown := int64(cap(e.value)) + valueOverhead - e.size
+	e.size += grown
+	c.used += grown
+	c.rowBytes += grown
+	if e.protected {
+		c.protectedBytes += grown
+	}
+	e.key.file, e.seq, e.kind = file, ik.Seq(), ik.Kind()
+	c.chain(e)
+	c.rehomed++
+	c.settle()
 }
 
 func (c *Cache) put(file, offset uint64, b *block) {
@@ -427,6 +496,33 @@ func (c *Cache) EvictFile(file uint64) {
 	c.remove(head)
 }
 
+// RekeyFile makes every cached block, value and row of file old one of file
+// fresh, a number nothing was cached under yet: the caller copied the file
+// byte for byte under that number. A reader still holding the old number
+// misses from then on and reads the old copy from the device.
+func (c *Cache) RekeyFile(old, fresh uint64) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	head := c.files[old]
+	if head == nil {
+		return
+	}
+	for e := head; e != nil; e = e.fileNext {
+		if e.klen > 0 {
+			e.key.file = fresh
+			continue
+		}
+		delete(c.items, e.key)
+		e.key.file = fresh
+		c.items[e.key] = e
+	}
+	delete(c.files, old)
+	c.files[fresh] = head
+}
+
 // noteBloom records one bloom-filter outcome for a table sharing this
 // cache. Nil-safe (compaction readers run without a cache).
 func (c *Cache) noteBloom(passed, found bool) {
@@ -478,13 +574,14 @@ type CacheStats struct {
 	// UsedBytes and Entries describe the current residency of both
 	// segments, blocks, rows and values together; ValueBytes and
 	// ValueEntries the separated values' share, RowBytes and RowEntries
-	// the rows'.
+	// the rows'. RowsRehomed counts rows a table writer bound to its table.
 	UsedBytes    int64 `json:"used_bytes"`
 	Entries      int   `json:"entries"`
 	ValueBytes   int64 `json:"value_bytes"`
 	ValueEntries int   `json:"value_entries"`
 	RowBytes     int64 `json:"row_bytes"`
 	RowEntries   int   `json:"row_entries"`
+	RowsRehomed  int64 `json:"rows_rehomed"`
 	// Bloom-filter effectiveness across the cache's tables.
 	BloomNegatives      int64 `json:"bloom_negatives"`
 	BloomTruePositives  int64 `json:"bloom_true_positives"`
@@ -505,7 +602,7 @@ func (c *Cache) Stats() CacheStats {
 		Hits: c.hits, Misses: c.misses,
 		UsedBytes: c.used, Entries: c.entries,
 		ValueBytes: c.valueBytes, ValueEntries: c.valueEntries,
-		RowBytes: c.rowBytes, RowEntries: c.rowEntries,
+		RowBytes: c.rowBytes, RowEntries: int(c.rowEntries.Load()), RowsRehomed: c.rehomed,
 		BloomNegatives:      c.bloomNeg.Load(),
 		BloomTruePositives:  c.bloomTruePos.Load(),
 		BloomFalsePositives: c.bloomFalsePos.Load(),

@@ -23,14 +23,14 @@ func checkCache(t *testing.T, c *Cache) {
 			if e.next.prev != e || e.protected != (i == 1) {
 				t.Fatalf("segment %d: entry %+v is mislinked or misfiled", i, e.key)
 			}
-			idx := c.items
+			indexed := c.items[e.key]
 			switch {
 			case e.klen > 0:
-				idx, rows, rowBytes = c.rows, rows+1, rowBytes+e.size
+				indexed, rows, rowBytes = c.rows[e.key.offset], rows+1, rowBytes+e.size
 			case e.block == nil:
 				values, valueBytes = values+1, valueBytes+e.size
 			}
-			if idx[e.key] != e {
+			if indexed != e {
 				t.Fatalf("entry %+v is not the one indexed under its key", e.key)
 			}
 			entries, used = entries+1, used+e.size
@@ -46,9 +46,9 @@ func checkCache(t *testing.T, c *Cache) {
 	if protectedBytes != c.protectedBytes || protectedBytes > c.capacity*protectedNum/protectedDen {
 		t.Fatalf("protected holds %d bytes, accounted %d, share %d", protectedBytes, c.protectedBytes, c.capacity*protectedNum/protectedDen)
 	}
-	if values != c.valueEntries || valueBytes != c.valueBytes || rows != c.rowEntries || rowBytes != c.rowBytes {
+	if values != c.valueEntries || valueBytes != c.valueBytes || int64(rows) != c.rowEntries.Load() || rowBytes != c.rowBytes {
 		t.Fatalf("values %d/%d accounted %d/%d, rows %d/%d accounted %d/%d",
-			values, valueBytes, c.valueEntries, c.valueBytes, rows, rowBytes, c.rowEntries, c.rowBytes)
+			values, valueBytes, c.valueEntries, c.valueBytes, rows, rowBytes, c.rowEntries.Load(), c.rowBytes)
 	}
 	chained := 0
 	for file, head := range c.files {
@@ -68,18 +68,26 @@ func checkCache(t *testing.T, c *Cache) {
 }
 
 // TestCacheAccountingUnderRandomOps: whatever the sequence of block, value
-// and row operations and file evictions, used is the sum of both segments'
-// charges and never exceeds capacity, and every entry is indexed, chained
-// and counted exactly once.
+// and row operations, re-homes, file re-keys and file evictions, used is
+// the sum of both segments' charges and never exceeds capacity, and every
+// entry is indexed, chained and counted exactly once.
 func TestCacheAccountingUnderRandomOps(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		c := NewCache(int64(8+rng.Intn(56)) << 10)
-		buf := make([]byte, 4096)
+		buf, huge := make([]byte, 4096), make([]byte, maxCachedValue)
+		// Twelve tables under numbers 1..12 until a re-key gives one a
+		// fresh number, as a relocation does.
+		var nums [12]uint64
+		for i := range nums {
+			nums[i] = uint64(1 + i)
+		}
+		fresh := uint64(1000)
 		for i := 0; i < 20000; i++ {
-			file, off := uint64(1+rng.Intn(12)), uint64(rng.Intn(40))
+			slot, off := rng.Intn(len(nums)), uint64(rng.Intn(40))
+			file, segment := nums[slot], uint64(101+slot)
 			ukey := []byte(fmt.Sprintf("key%03d", off))
-			switch rng.Intn(12) {
+			switch rng.Intn(15) {
 			case 0, 1:
 				c.put(file, off, &block{data: buf[:rng.Intn(len(buf))], restarts: []uint32{0}})
 			case 2:
@@ -91,16 +99,33 @@ func TestCacheAccountingUnderRandomOps(t *testing.T) {
 			case 6:
 				// Values live under files 100 and up, as segments never
 				// share a number with a table; one put per pointer.
-				c.PutValue(100+file, uint64(i), buf[:rng.Intn(2048)])
+				c.PutValue(segment, uint64(i), buf[:rng.Intn(2048)])
 			case 7:
-				c.GetValue(nil, 100+file, uint64(rng.Intn(i+1)))
+				c.GetValue(nil, segment, uint64(rng.Intn(i+1)))
 			case 8, 9:
 				c.putRow(file, ukey, buf[:rng.Intn(2048)], kv.SeqNum(rng.Intn(9)), kv.KindSet)
 			case 10:
 				c.getRow(file, ukey, kv.SeqNum(rng.Intn(9)))
 			case 11:
 				if rng.Intn(8) == 0 {
-					c.EvictFile(file + uint64(rng.Intn(2))*100)
+					c.EvictFile([2]uint64{file, segment}[rng.Intn(2)])
+				}
+			case 12, 13:
+				// Tombstones, values too small and too large for a row,
+				// and sizes that reuse, shrink and grow the buffer.
+				kind, value := kv.KindSet, buf[:rng.Intn(2048)]
+				if rng.Intn(8) == 0 {
+					kind = kv.KindDelete
+				}
+				if rng.Intn(16) == 0 {
+					value = huge
+				}
+				c.rehome(file, bloomHash(ukey), kv.MakeInternalKey(nil, ukey, kv.SeqNum(rng.Intn(9)), kind), value)
+			case 14:
+				if rng.Intn(4) == 0 {
+					fresh++
+					c.RekeyFile(file, fresh)
+					nums[slot] = fresh
 				}
 			}
 			if i%64 == 0 {
@@ -108,7 +133,13 @@ func TestCacheAccountingUnderRandomOps(t *testing.T) {
 			}
 		}
 		checkCache(t, c)
+		if st := c.Stats(); st.RowsRehomed == 0 {
+			t.Fatalf("seed %d: the op mix re-homed no row", seed)
+		}
 		for file := uint64(0); file < 120; file++ {
+			c.EvictFile(file)
+		}
+		for _, file := range nums {
 			c.EvictFile(file)
 		}
 		checkCache(t, c)
@@ -293,6 +324,260 @@ func TestRowsAnswerAsBlocksDo(t *testing.T) {
 	}
 }
 
+// rowState is what a re-home must leave alone or move: the table a row is
+// bound to, its version, its segment and its neighbours in it.
+type rowState struct {
+	file       uint64
+	seq        kv.SeqNum
+	protected  bool
+	prev, next *cacheEntry
+	size       int64
+}
+
+func stateOfRow(t *testing.T, c *Cache, ukey []byte) (rowState, bool) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.rows[rowHash(ukey)]
+	if e == nil {
+		return rowState{}, false
+	}
+	return rowState{e.key.file, e.seq, e.protected, e.prev, e.next, e.size}, true
+}
+
+// collidingKeys returns two user keys with one bloom hash.
+func collidingKeys(t *testing.T) (a, b []byte) {
+	t.Helper()
+	seen := map[uint32]int{}
+	for i := 0; i < 2_000_000; i++ {
+		k := []byte(fmt.Sprintf("user%012d", i))
+		if j, ok := seen[bloomHash(k)]; ok {
+			return []byte(fmt.Sprintf("user%012d", j)), k
+		}
+		seen[bloomHash(k)] = i
+	}
+	t.Fatal("no two keys of two million share a bloom hash")
+	return nil, nil
+}
+
+// TestRowFollowsItsKey: a key has one row, bound to one table; the writer of
+// another table that carries the key binds the row to that table with the
+// entry written, where it lies in its segment, and everything else a writer
+// can present leaves the row as it was or drops it.
+func TestRowFollowsItsKey(t *testing.T) {
+	key, value := []byte("k"), func(c byte, n int) []byte { return bytes.Repeat([]byte{c}, n) }
+	ik := func(k []byte, seq kv.SeqNum, kind kv.Kind) kv.InternalKey {
+		return kv.MakeInternalKey(nil, k, seq, kind)
+	}
+	rehome := func(c *Cache, file uint64, k kv.InternalKey, v []byte) {
+		c.rehome(file, bloomHash(k.UserKey()), k, v)
+		checkCache(t, c)
+	}
+	for _, demoted := range []bool{false, true} {
+		c := NewCache(64 << 10)
+		c.putRow(1, []byte("before"), value('b', 1000), 1, kv.KindSet)
+		if !c.putRow(1, key, value('5', 1000), 5, kv.KindSet) {
+			t.Fatal("row refused")
+		}
+		// Rows read after k; enough of them push k out of protected.
+		for i := 0; i < 3 || demoted && i < 45; i++ {
+			c.putRow(1, []byte(fmt.Sprintf("after%02d", i)), value('a', 1000), 1, kv.KindSet)
+		}
+		was, _ := stateOfRow(t, c, key)
+		if was.protected == demoted {
+			t.Fatalf("set-up: row protected %v, want %v", was.protected, !demoted)
+		}
+		before := c.Stats()
+
+		rehome(c, 2, ik(key, 9, kv.KindSet), value('9', 1000))
+		now, _ := stateOfRow(t, c, key)
+		if want := (rowState{2, 9, was.protected, was.prev, was.next, was.size}); now != want {
+			t.Fatalf("demoted %v: re-homed row is %+v, want %+v: same segment, same place, same charge", demoted, now, want)
+		}
+		if st := c.Stats(); st.RowsRehomed != 1 || st.UsedBytes != before.UsedBytes || st.RowEntries != before.RowEntries || st.Hits != before.Hits {
+			t.Fatalf("re-home moved %+v to %+v", before, st)
+		}
+		if _, _, _, ok := c.getRow(1, key, kv.MaxSeqNum); ok {
+			t.Fatal("table 1 still answers for a row bound to table 2")
+		}
+		if _, _, _, ok := c.getRow(2, key, 8); ok {
+			t.Fatal("the row answered below its sequence number")
+		}
+		if now2, _ := stateOfRow(t, c, key); now2 != now {
+			t.Fatal("a row probe that did not answer moved the row")
+		}
+
+		// A larger entry: the charge follows, the place does not change.
+		rehome(c, 3, ik(key, 10, kv.KindSet), value('x', 3000))
+		now, _ = stateOfRow(t, c, key)
+		grown := now.size - was.size
+		if want := (rowState{3, 10, was.protected, was.prev, was.next, was.size + grown}); grown < 2000 || now != want {
+			t.Fatalf("demoted %v: grown row is %+v, want %+v", demoted, now, want)
+		}
+		if st := c.Stats(); st.UsedBytes != before.UsedBytes+grown || st.RowBytes != before.RowBytes+grown || st.RowsRehomed != 2 {
+			t.Fatalf("a row grew by %d bytes: %+v to %+v", grown, before, st)
+		}
+
+		// Left alone: an older version, the table the row is bound to.
+		rehome(c, 4, ik(key, 9, kv.KindSet), value('o', 3000))
+		rehome(c, 3, ik(key, 11, kv.KindSet), value('s', 3000))
+		if same, _ := stateOfRow(t, c, key); same != now || c.Stats().RowsRehomed != 2 {
+			t.Fatalf("an older version or the row's own table moved it: %+v to %+v", now, same)
+		}
+		if v, seq, _, ok := c.getRow(3, key, 10); !ok || seq != 10 || !bytes.Equal(v, value('x', 3000)) {
+			t.Fatalf("getRow(3) = %d bytes at seq %d, %v", len(v), seq, ok)
+		}
+
+		// Dropped: what no read would have made a row.
+		c.EvictFile(3)
+		for name, e := range map[string]struct {
+			kind  kv.Kind
+			value []byte
+		}{
+			"tombstone":      {kv.KindDelete, nil},
+			"small value":    {kv.KindSet, value('v', 64)},
+			"oversize value": {kv.KindSet, value('v', maxCachedValue)},
+		} {
+			if !c.putRow(1, key, value('5', 1000), 5, kv.KindSet) {
+				t.Fatal("row refused")
+			}
+			st := c.Stats()
+			rehome(c, 5, ik(key, 20, e.kind), e.value)
+			if _, ok := stateOfRow(t, c, key); ok || c.Stats().RowEntries != st.RowEntries-1 || c.Stats().RowsRehomed != st.RowsRehomed {
+				t.Fatalf("%s: the row stayed: %+v to %+v", name, st, c.Stats())
+			}
+		}
+	}
+
+	// A colliding key has no row of its own and does not move the other's.
+	c := NewCache(64 << 10)
+	k1, k2 := collidingKeys(t)
+	c.putRow(1, k1, value('1', 1000), 5, kv.KindSet)
+	was, _ := stateOfRow(t, c, k1)
+	rehome(c, 2, ik(k2, 9, kv.KindSet), value('2', 1000))
+	if c.putRow(2, k2, value('2', 1000), 9, kv.KindSet) {
+		t.Fatal("a colliding key took the slot")
+	}
+	if now, _ := stateOfRow(t, c, k1); now != was || c.Stats().RowsRehomed != 0 {
+		t.Fatalf("a colliding key moved the row: %+v to %+v", was, now)
+	}
+	if _, _, _, ok := c.getRow(1, k2, kv.MaxSeqNum); ok {
+		t.Fatal("a row answered for a colliding key")
+	}
+
+	// A read replaces the key's row only with a version no older, from
+	// another table.
+	if c.putRow(2, k1, value('o', 1000), 4, kv.KindSet) || c.putRow(1, k1, value('n', 1000), 6, kv.KindSet) {
+		t.Fatal("an older version, or the same table, replaced the row")
+	}
+	if !c.putRow(2, k1, value('n', 1000), 6, kv.KindSet) {
+		t.Fatal("a newer version in another table did not replace the row")
+	}
+	if now, _ := stateOfRow(t, c, k1); now.file != 2 || now.seq != 6 || c.Stats().RowEntries != 1 {
+		t.Fatalf("replaced row is %+v", now)
+	}
+	checkCache(t, c)
+
+	// A cache without rows costs a writer nothing per entry.
+	empty := NewCache(64 << 10)
+	empty.put(1, 0, &block{data: value('b', 4000), restarts: []uint32{0}})
+	if b := NewBuilder().Carry(empty, 2); b.rows != nil {
+		t.Fatal("a builder carries rows for a cache that has none")
+	}
+	if b := NewBuilder().Carry(nil, 2); b.rows != nil {
+		t.Fatal("a builder carries rows for no cache")
+	}
+}
+
+// TestBuilderCarriesRows: through Builder.Add the newest version of a key
+// takes the row, the older ones of the same table leave it, and the table
+// then read answers from the row at and above that version only.
+func TestBuilderCarriesRows(t *testing.T) {
+	cache := NewCache(1 << 20)
+	big := func(c byte) []byte { return bytes.Repeat([]byte{c}, 1100) }
+	cache.putRow(1, []byte("k"), big('5'), 5, kv.KindSet)
+	cache.putRow(1, []byte("gone"), big('g'), 5, kv.KindSet)
+	b := NewBuilder().Carry(cache, 7)
+	for _, e := range []struct {
+		k   string
+		seq kv.SeqNum
+		v   []byte
+	}{{"a", 3, big('a')}, {"k", 9, big('9')}, {"k", 7, big('7')}, {"z", 4, big('z')}} {
+		b.Add(kv.MakeInternalKey(nil, []byte(e.k), e.seq, kv.KindSet), e.v)
+	}
+	data, _, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.RowsRehomed != 1 || st.RowEntries != 2 {
+		t.Fatalf("building a table with one cached key: %+v", st)
+	}
+	tbl, err := Open(bytes.NewReader(data), int64(len(data)), 7, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, seq, _, ok, err := tbl.GetEntry([]byte("k"), kv.MaxSeqNum); err != nil || !ok || seq != 9 || !bytes.Equal(v, big('9')) {
+		t.Fatalf("GetEntry(k) = %d bytes at seq %d, %v, %v", len(v), seq, ok, err)
+	}
+	if st := cache.Stats(); st.Misses != 0 || st.Hits != 1 {
+		t.Fatalf("the carried row did not answer: %+v", st)
+	}
+	if v, seq, _, ok, err := tbl.GetEntry([]byte("k"), 8); err != nil || !ok || seq != 7 || !bytes.Equal(v, big('7')) {
+		t.Fatalf("GetEntry(k, 8) = %d bytes at seq %d, %v, %v", len(v), seq, ok, err)
+	}
+	if st := cache.Stats(); st.Misses != 1 {
+		t.Fatalf("a read below the row's version did not go to the blocks: %+v", st)
+	}
+	// The row of a key the table does not carry stays bound to table 1.
+	if _, _, _, ok := cache.getRow(1, []byte("gone"), kv.MaxSeqNum); !ok {
+		t.Fatal("a row whose key was not written moved or left")
+	}
+	checkCache(t, cache)
+}
+
+// TestRekeyFile: every block, value and row of a file answers under the new
+// number and not under the old, where it lay, at no change in residency.
+func TestRekeyFile(t *testing.T) {
+	c := NewCache(64 << 10)
+	data := make([]byte, 1000)
+	c.put(1, 0, &block{data: data, restarts: []uint32{0}})
+	c.put(1, 4096, &block{data: data, restarts: []uint32{0}})
+	c.put(2, 0, &block{data: data, restarts: []uint32{0}})
+	c.PutValue(1, 77, data)
+	c.putRow(1, []byte("k"), data, 5, kv.KindSet)
+	was, _ := stateOfRow(t, c, []byte("k"))
+	before := c.Stats()
+	c.RekeyFile(1, 9)
+	c.RekeyFile(5, 10) // nothing cached: nothing to do
+	checkCache(t, c)
+	if st := c.Stats(); st != before {
+		t.Fatalf("re-key moved %+v to %+v", before, st)
+	}
+	if now, _ := stateOfRow(t, c, []byte("k")); now != (rowState{9, 5, was.protected, was.prev, was.next, was.size}) {
+		t.Fatalf("re-keyed row is %+v, was %+v", now, was)
+	}
+	if c.get(1, 0, false) != nil || c.get(1, 4096, false) != nil {
+		t.Fatal("the old number still answers")
+	}
+	if _, ok := c.GetValue(nil, 1, 77); ok {
+		t.Fatal("the old number still answers for a value")
+	}
+	if c.get(9, 0, false) == nil || c.get(9, 4096, false) == nil || c.get(2, 0, false) == nil {
+		t.Fatal("a block did not follow its file, or another file's moved")
+	}
+	if _, ok := c.GetValue(nil, 9, 77); !ok {
+		t.Fatal("the value did not follow its file")
+	}
+	if _, _, _, ok := c.getRow(9, []byte("k"), 5); !ok {
+		t.Fatal("the row did not follow its file")
+	}
+	c.EvictFile(9)
+	c.EvictFile(2)
+	if st := c.Stats(); st.Entries != 0 || st.UsedBytes != 0 {
+		t.Fatalf("evicting both files left %+v", st)
+	}
+}
+
 // TestRowSteadyStateAllocations: a row hit allocates the copy it hands
 // out and nothing else, and once the cache is full of like-sized rows a
 // new one recycles the entry and buffer of the one it evicts.
@@ -336,6 +621,17 @@ func TestRowSteadyStateAllocations(t *testing.T) {
 		}
 	}); n != 1 {
 		t.Errorf("a row hit allocates %.1f times, want 1 (the caller's copy)", n)
+	}
+	file, ik := uint64(1), kv.InternalKey(nil)
+	if n := testing.AllocsPerRun(200, func() {
+		file, next = file+1, next+1
+		ik = kv.MakeInternalKey(ik, ukey, kv.SeqNum(next), kv.KindSet)
+		c.rehome(file, bloomHash(ukey), ik, value)
+	}); n != 0 {
+		t.Errorf("re-homing a row into a full cache at its size allocates %.1f times, want 0", n)
+	}
+	if st := c.Stats(); st.RowsRehomed != 201 || st.UsedBytes != full.UsedBytes {
+		t.Fatalf("re-homes: %+v", st)
 	}
 	for i := 0; i < 8; i++ { // promotion and demotion: hits on cold rows
 		copy(ukey, fmt.Sprintf("user%012d", next-40-i))
