@@ -201,17 +201,17 @@ func (d *DB) writeOutputs(outputs []*version.FileMeta, datas [][]byte, grouped b
 }
 
 // install is the one way a job's result becomes the store's state:
-// what it wrote is on the device, the edit makes it current, and what
-// the edit retired — input tables, a dropped segment, the extents of
-// sets left without a member — is reclaimed, behind any iterator that
-// may still be reading it (pins.go). Caller holds d.mu.
+// what it wrote is on the device, the edit makes it current and is
+// published to readers, and what it retired — input tables, a dropped
+// segment, the extents of sets left without a member — is reclaimed
+// once no reader holds a state that may read it. Caller holds d.mu.
 func (d *DB) install(edit *version.Edit) error {
 	retired, err := d.vs.LogAndApply(edit)
 	if err != nil {
 		return err
 	}
 	d.metrics.setsDropped.Add(int64(len(retired.Sets)))
-	return d.reclaim(retired)
+	return d.publish(nil, retired)
 }
 
 // runCompaction executes a compaction: merge the inputs, write the

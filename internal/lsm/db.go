@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync/atomic"
 	"time"
 
 	"sealdb/internal/dband"
@@ -103,8 +104,9 @@ func NewDevice(cfg Config) *Device {
 // DB is the key-value engine. The public wrapper package sealdb
 // re-exports it; see the package comment for the modes.
 //
-// Concurrency model: one big mutex, LevelDB style, with flushes and
-// compactions running synchronously on the writer's goroutine. The
+// Concurrency model: writers serialize on one mutex, LevelDB style,
+// with flushes and compactions running synchronously on the committing
+// goroutine; readers take no engine lock (readstate.go). The
 // experiments measure simulated device time, which is unaffected by
 // host threading.
 type DB struct {
@@ -141,8 +143,16 @@ type DB struct {
 	// lockorder: lsm_db_mu < storage_write_mu
 	// lockorder: lsm_db_mu < storage_backend_mu
 	// lockorder: lsm_db_mu < band_stats_mu
+	// lockorder: lsm_db_mu < lsm_tables_mu
 	mu  obs.Mutex
 	mem *memtable.MemTable
+	// state is the published read state, visible the newest sequence
+	// number readers see; retiring queues superseded states, oldest
+	// first, until what they retired is reclaimed (readstate.go).
+	state    atomic.Pointer[readState]
+	visible  atomic.Uint64
+	retiring []*readState // guarded by mu
+	spare    *readState   // a drained state publish reuses; guarded by mu
 	// builder builds every table the engine writes, one at a time.
 	builder  sstable.Builder
 	walW     *wal.Writer
@@ -152,15 +162,17 @@ type DB struct {
 	seq      kv.SeqNum
 	memSeed  int64
 	// tables caches open table readers; each maps to its element of
-	// tableLRU, which orders them least recently used first.
-	tables    map[uint64]*list.Element
-	tableLRU  list.List
-	snapshots map[kv.SeqNum]int // guarded by mu
+	// tableLRU, which orders them least recently used first. Readers open
+	// tables: the leaf tablesMu guards both, never across a device read.
+	tablesMu  obs.Mutex
+	tables    map[uint64]*list.Element // guarded by tablesMu
+	tableLRU  list.List                // guarded by tablesMu
+	snapshots map[kv.SeqNum]int        // guarded by mu
 	// compactions is the append-only per-job record behind
 	// Stats().Compactions; every scalar counter lives in metrics.
 	compactions []CompactionInfo
 	compID      int
-	closed      bool
+	closed      atomic.Bool // set once, under mu
 	// bgErr is the first permanent write-path failure; once set, the
 	// DB is read-only degraded (LevelDB's bg_error_).
 	bgErr error
@@ -175,12 +187,6 @@ type DB struct {
 	// lock ("band_stats_mu", a leaf) serializes it, so accesses need no
 	// other lock.
 	surface surface
-
-	// Iterator pinning (see pins.go): live iterators defer reclamation
-	// of the table files they may still read.
-	iterEpoch uint64
-	iterPins  map[uint64]int
-	reclaims  []pendingReclaim
 }
 
 // Open creates a fresh database on a new emulated device.
@@ -211,10 +217,10 @@ func OpenDevice(cfg Config, dev *Device) (*DB, error) {
 		cache:     sstable.NewCache(cfg.BlockCacheSize),
 		tables:    map[uint64]*list.Element{},
 		snapshots: map[kv.SeqNum]int{},
-		iterPins:  map[uint64]int{},
 		memSeed:   cfg.Seed,
 	}
 	d.mu.Profile("lsm_db_mu")
+	d.tablesMu.Profile("lsm_tables_mu")
 	d.mem = memtable.New(d.nextMemSeed())
 	d.builder.SetCompression(cfg.Compression)
 	if dev.DBand != nil {
@@ -234,6 +240,7 @@ func OpenDevice(cfg Config, dev *Device) (*DB, error) {
 		}
 		d.vs = vs
 		d.seq = vs.LastSeq()
+		d.publish(nil, version.Retired{}) // the first state: recovery's edits retire behind it
 		d.recovery.Manifest = report
 		if report.TruncatedTail {
 			d.journal.Record("manifest_truncated", map[string]int64{
@@ -276,6 +283,7 @@ func OpenDevice(cfg Config, dev *Device) (*DB, error) {
 	if err := d.newWAL(); err != nil {
 		return nil, err
 	}
+	d.visible.Store(uint64(d.seq))
 	// Band heat starts cold: the allocator traffic of creation and
 	// recovery is not workload.
 	if d.surface.enabled {
@@ -324,11 +332,7 @@ type RecoveryInfo struct {
 }
 
 // Recovery returns what the last OpenDevice found on this device.
-func (d *DB) Recovery() RecoveryInfo {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.recovery
-}
+func (d *DB) Recovery() RecoveryInfo { return d.recovery } // written before d is shared
 
 func (d *DB) nextMemSeed() int64 {
 	d.memSeed++
@@ -338,7 +342,7 @@ func (d *DB) nextMemSeed() int64 {
 // writeAllowed rejects writes on a closed or degraded DB. Caller
 // holds d.mu.
 func (d *DB) writeAllowed() error {
-	if d.closed {
+	if d.closed.Load() {
 		return ErrClosed
 	}
 	if d.bgErr != nil {
@@ -378,12 +382,8 @@ func (d *DB) Config() Config { return d.cfg }
 // placement, amplification and timing.
 func (d *DB) Device() *Device { return d.dev }
 
-// Seq returns the last assigned sequence number.
-func (d *DB) Seq() kv.SeqNum {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.seq
-}
+// Seq returns the sequence number readers see, the last committed.
+func (d *DB) Seq() kv.SeqNum { return kv.SeqNum(d.visible.Load()) }
 
 // recoverSetsAndLogs drops the sets recovery found without a member and
 // replays the logs: the WAL's records merged, by base sequence number,
@@ -399,11 +399,7 @@ func (d *DB) recoverSetsAndLogs(groups []vlogGroup) error {
 		// A set whose last member went without its drop (a manifest this
 		// code did not write, or one cut short): any edit drops it, and
 		// only then is its extent freed.
-		retired, err := d.vs.LogAndApply(&version.Edit{})
-		if err == nil {
-			err = d.reclaimNow(retired)
-		}
-		if err != nil {
+		if err := d.install(&version.Edit{}); err != nil {
 			return err
 		}
 	}
@@ -670,21 +666,15 @@ func (d *DB) newWAL() error {
 	return nil
 }
 
-// Close shuts the database down. Buffered writes stay in the WAL on
-// the device and are recovered by the next OpenDevice.
+// Close shuts the database down. Buffered writes stay in the WAL, for
+// the next OpenDevice. A read begun before Close finishes on the files
+// its state holds; an iterator moved after Close fails with ErrClosed.
 func (d *DB) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
+	if d.closed.Swap(true) {
 		return ErrClosed
 	}
-	d.closed = true
-	// No iterator can read past Close; run anything they deferred so
-	// the device holds no unreachable files.
-	d.iterPins = map[uint64]int{}
-	d.runReclaims()
-	d.tables = map[uint64]*list.Element{}
-	d.tableLRU.Init()
 	return nil
 }
 
@@ -702,13 +692,11 @@ type cachedTable struct {
 	t   *sstable.Table
 }
 
-// openTable returns (opening if needed) the reader for a table file,
-// marking it most recently used and evicting the least recently used
-// reader when the cache exceeds its bound. Caller holds d.mu.
+// openTable returns (opening if needed) the reader for a table file the
+// caller's state (or d.mu) keeps from reclamation.
 func (d *DB) openTable(f *version.FileMeta) (*sstable.Table, error) {
-	if el, ok := d.tables[f.Num]; ok {
-		d.tableLRU.MoveToBack(el)
-		return el.Value.(cachedTable).t, nil
+	if t := d.tableReader(f.Num, nil); t != nil {
+		return t, nil
 	}
 	size, err := d.backend.FileSize(f.Num)
 	if err != nil {
@@ -718,22 +706,27 @@ func (d *DB) openTable(f *version.FileMeta) (*sstable.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.tables[f.Num] = d.tableLRU.PushBack(cachedTable{f.Num, t})
-	for len(d.tables) > d.maxOpenTables() {
-		// The bound is at least one, so the front is never the reader
-		// just pushed to the back.
-		victim := d.tableLRU.Remove(d.tableLRU.Front()).(cachedTable)
-		delete(d.tables, victim.num)
-	}
-	return t, nil
+	return d.tableReader(f.Num, t), nil
 }
 
-// dropTable forgets a deleted file's reader and cached blocks.
-// Caller holds d.mu.
-func (d *DB) dropTable(num uint64) {
+// tableReader returns the cached reader of table num, marked most
+// recently used; without one it caches t (if any; a concurrent opener's
+// wins), evicting the least recently used reader past the bound.
+func (d *DB) tableReader(num uint64, t *sstable.Table) *sstable.Table {
+	d.tablesMu.Lock()
+	defer d.tablesMu.Unlock()
 	if el, ok := d.tables[num]; ok {
-		d.tableLRU.Remove(el)
-		delete(d.tables, num)
+		d.tableLRU.MoveToBack(el)
+		return el.Value.(cachedTable).t
 	}
-	d.cache.EvictFile(num)
+	if t != nil {
+		d.tables[num] = d.tableLRU.PushBack(cachedTable{num, t})
+		for len(d.tables) > d.maxOpenTables() {
+			// The bound is at least one, so the front is never the reader
+			// just pushed to the back.
+			victim := d.tableLRU.Remove(d.tableLRU.Front()).(cachedTable)
+			delete(d.tables, victim.num)
+		}
+	}
+	return t
 }

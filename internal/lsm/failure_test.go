@@ -274,7 +274,7 @@ func TestRelocationWriteFailureDegradesStore(t *testing.T) {
 // TestRelocationUnderLiveIterator: an iterator opened before a band-GC
 // pass reads the old copies of the sets the pass moves, so they must
 // outlive the pass: the iterator returns what a scan taken before it
-// did, the old files and extents sit parked in the reclaim queue until
+// did, the old files and extents sit parked in the read-state queue until
 // it closes, and only then does the space go back.
 func TestRelocationUnderLiveIterator(t *testing.T) {
 	d, err := Open(tinyConfig(ModeSEALDB))
@@ -290,8 +290,8 @@ func TestRelocationUnderLiveIterator(t *testing.T) {
 	parked := func() (files int, extents int64) {
 		d.mu.Lock()
 		defer d.mu.Unlock()
-		for _, pr := range d.reclaims {
-			files += len(pr.retired.Files)
+		for _, s := range d.retiring {
+			files += len(s.retired.Files)
 		}
 		for _, e := range d.ownedExtents() {
 			if e.kind == ownedParked {

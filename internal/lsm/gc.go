@@ -107,7 +107,7 @@ func (d *DB) DefragmentBands(maxMoves int) (GCResult, error) {
 // as a compaction that does not merge: read them, write them under new
 // file numbers as a new set, and install one edit that swaps each member
 // for its copy at its own level. The edit drops the old set, and its
-// files and extent go through the reclaim queue like any compaction's
+// files and extent are reclaimed behind readers like any compaction's
 // inputs — so nothing is unmapped before its replacement is durable, a
 // crash leaves either set whole (plus orphans the next open sweeps), and
 // a live iterator keeps reading the old files until it closes. parent

@@ -153,7 +153,7 @@ func (d *DB) CompactRange(lo, hi []byte) error {
 func (d *DB) VerifyIntegrity() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
+	if d.closed.Load() {
 		return ErrClosed
 	}
 	v := d.vs.Current()
@@ -209,7 +209,7 @@ func (d *DB) verifyVlog(v *version.Version) error {
 		if ik.Kind() != kv.KindSet || len(stored) == 0 || stored[0] != vlogTagPtr {
 			return nil
 		}
-		newest, kind, _, found, err := d.lookup(ik.UserKey(), d.seq, nil)
+		newest, kind, _, found, err := d.lookup(d.state.Load(), ik.UserKey(), d.seq, nil)
 		if err != nil {
 			return err
 		}
@@ -359,9 +359,9 @@ func (d *DB) verifySets(v *version.Version) error {
 }
 
 // ownedExtent is one extent the store owns on the device: an ungrouped
-// file, a live set's group, or a dead set's group parked behind a live
-// iterator. dead counts the bytes in it that are no longer logically
-// live but not yet back with the allocator.
+// file, a live set's group, or a dead set's group parked behind a read
+// state. dead counts the bytes in it that are no longer logically live
+// but not yet back with the allocator.
 type ownedExtent struct {
 	off, len, dead int64
 	kind           ownedKind
@@ -391,7 +391,7 @@ func (e ownedExtent) String() string {
 // ownedExtents lists, in address order, every extent the store owns,
 // each with the dead bytes its owner accounts for: an ungrouped backend
 // file is live unless it is a value-log segment (its dead records plus,
-// once sealed, the header and frames) or parked in the reclaim queue
+// once sealed, the header and frames) or parked behind a read state
 // (wholly dead); a live set's group is dead but for its live members'
 // extents (invalidated members and guard slack); a dead set's group
 // awaiting deferred reclamation is wholly dead. Recovery reconciles the
@@ -401,11 +401,11 @@ func (e ownedExtent) String() string {
 func (d *DB) ownedExtents() []ownedExtent {
 	parked := map[uint64]bool{}
 	var spans []ownedExtent
-	for _, pr := range d.reclaims {
-		for _, num := range pr.retired.Files {
+	for _, s := range d.retiring {
+		for _, num := range s.retired.Files {
 			parked[num] = true
 		}
-		for _, set := range pr.retired.Sets {
+		for _, set := range s.retired.Sets {
 			spans = append(spans, ownedExtent{off: set.Off, len: set.Len, dead: set.Len, kind: ownedParked})
 		}
 	}

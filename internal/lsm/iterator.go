@@ -28,7 +28,9 @@ const (
 	dirBackward
 )
 
-func (m *mergingIter) findSmallest() {
+// find points cur at the child holding the next key in direction dir:
+// the smallest forward, the largest backward (the first one on a tie).
+func (m *mergingIter) find() {
 	m.cur = -1
 	for i, c := range m.children {
 		if err := c.Error(); err != nil {
@@ -39,24 +41,11 @@ func (m *mergingIter) findSmallest() {
 		if !c.Valid() {
 			continue
 		}
-		if m.cur < 0 || kv.CompareInternal(c.Key(), m.children[m.cur].Key()) < 0 {
-			m.cur = i
+		cmp := 0
+		if m.cur >= 0 {
+			cmp = kv.CompareInternal(c.Key(), m.children[m.cur].Key())
 		}
-	}
-}
-
-func (m *mergingIter) findLargest() {
-	m.cur = -1
-	for i, c := range m.children {
-		if err := c.Error(); err != nil {
-			m.err = err
-			m.cur = -1
-			return
-		}
-		if !c.Valid() {
-			continue
-		}
-		if m.cur < 0 || kv.CompareInternal(c.Key(), m.children[m.cur].Key()) > 0 {
+		if m.cur < 0 || cmp < 0 && m.dir == dirForward || cmp > 0 && m.dir == dirBackward {
 			m.cur = i
 		}
 	}
@@ -80,7 +69,7 @@ func (m *mergingIter) SeekToFirst() {
 		c.SeekToFirst()
 	}
 	m.dir = dirForward
-	m.findSmallest()
+	m.find()
 }
 
 func (m *mergingIter) SeekToLast() {
@@ -88,7 +77,7 @@ func (m *mergingIter) SeekToLast() {
 		c.SeekToLast()
 	}
 	m.dir = dirBackward
-	m.findLargest()
+	m.find()
 }
 
 func (m *mergingIter) Seek(target kv.InternalKey) {
@@ -96,7 +85,7 @@ func (m *mergingIter) Seek(target kv.InternalKey) {
 		c.Seek(target)
 	}
 	m.dir = dirForward
-	m.findSmallest()
+	m.find()
 }
 
 func (m *mergingIter) Next() {
@@ -117,7 +106,7 @@ func (m *mergingIter) Next() {
 		m.dir = dirForward
 	}
 	m.children[m.cur].Next()
-	m.findSmallest()
+	m.find()
 }
 
 func (m *mergingIter) Prev() {
@@ -139,7 +128,7 @@ func (m *mergingIter) Prev() {
 		m.dir = dirBackward
 	}
 	m.children[m.cur].Prev()
-	m.findLargest()
+	m.find()
 }
 
 func (m *mergingIter) Key() kv.InternalKey { return m.children[m.cur].Key() }
@@ -199,7 +188,7 @@ func (c *concatIter) SeekToFirst() {
 	if c.cur != nil {
 		c.cur.SeekToFirst()
 	}
-	c.skipExhausted()
+	c.skipExhausted(1)
 }
 
 func (c *concatIter) Seek(target kv.InternalKey) {
@@ -210,7 +199,7 @@ func (c *concatIter) Seek(target kv.InternalKey) {
 	if c.cur != nil {
 		c.cur.Seek(target)
 	}
-	c.skipExhausted()
+	c.skipExhausted(1)
 }
 
 func (c *concatIter) SeekToLast() {
@@ -219,50 +208,34 @@ func (c *concatIter) SeekToLast() {
 	if c.cur != nil {
 		c.cur.SeekToLast()
 	}
-	c.skipExhaustedBackward()
+	c.skipExhausted(-1)
 }
 
 func (c *concatIter) Next() {
 	c.cur.Next()
-	c.skipExhausted()
+	c.skipExhausted(1)
 }
 
 func (c *concatIter) Prev() {
 	c.cur.Prev()
-	c.skipExhaustedBackward()
+	c.skipExhausted(-1)
 }
 
-func (c *concatIter) skipExhausted() {
+// skipExhausted moves step files at a time (1 forward, -1 backward)
+// past exhausted files, entering each at its near end.
+func (c *concatIter) skipExhausted(step int) {
 	for c.err == nil && (c.cur == nil || !c.cur.Valid()) {
 		if c.cur != nil && c.cur.Error() != nil {
 			c.err = c.cur.Error()
 			return
 		}
-		c.idx++
-		if c.idx >= len(c.files) {
-			c.cur = nil
+		c.idx += step
+		if c.openIdx(); c.cur == nil {
 			return
 		}
-		c.openIdx()
-		if c.cur != nil {
+		if step > 0 {
 			c.cur.SeekToFirst()
-		}
-	}
-}
-
-func (c *concatIter) skipExhaustedBackward() {
-	for c.err == nil && (c.cur == nil || !c.cur.Valid()) {
-		if c.cur != nil && c.cur.Error() != nil {
-			c.err = c.cur.Error()
-			return
-		}
-		c.idx--
-		if c.idx < 0 {
-			c.cur = nil
-			return
-		}
-		c.openIdx()
-		if c.cur != nil {
+		} else {
 			c.cur.SeekToLast()
 		}
 	}
@@ -273,53 +246,47 @@ func (c *concatIter) Value() []byte       { return c.cur.Value() }
 
 var _ kv.Iterator = (*concatIter)(nil)
 
-// Iterator is the user-facing forward iterator: it surfaces the
-// newest visible version of each live user key at its snapshot.
+// Iterator is the user-facing iterator: it surfaces the newest visible
+// version of each live user key at its sequence number, takes no engine
+// lock, and holds its read state (every file it may read) until Close.
 type Iterator struct {
-	d     *DB
-	m     *mergingIter
-	seq   kv.SeqNum
-	epoch uint64 // reclamation epoch pinned until Close (see pins.go)
-	key   []byte
-	val   []byte
-	ok    bool
-	err   error
-	done  bool      // Close ran: the pin is released
-	snap  *Snapshot // released on Close when the iterator owns it
+	d   *DB
+	s   *readState // nil once closed
+	m   *mergingIter
+	seq kv.SeqNum
+	key []byte
+	val []byte
+	ok  bool
+	err error
 }
 
-// NewIterator returns an iterator over the current state. The
-// iterator holds an implicit snapshot until Close.
-func (d *DB) NewIterator() *Iterator {
-	snap := d.NewSnapshot()
-	it := d.NewSnapshotIterator(snap)
-	it.snap = snap
-	return it
-}
+// NewIterator returns an iterator over the current state.
+func (d *DB) NewIterator() *Iterator { return d.NewSnapshotIterator(nil) }
 
-// NewSnapshotIterator iterates the state as of snap. The caller keeps
-// ownership of the snapshot.
+// NewSnapshotIterator iterates the state as of snap (nil: the visible
+// sequence number). The caller keeps ownership of the snapshot.
 func (d *DB) NewSnapshotIterator(snap *Snapshot) *Iterator {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	children := []kv.Iterator{d.mem.NewIterator()}
-	v := d.vs.Current()
-	for _, f := range v.Files[0] {
-		children = append(children, &lazyTableIter{d: d, f: f})
+	s, seq := d.acquire()
+	if s == nil {
+		return &Iterator{d: d, err: ErrClosed}
 	}
-	for level := 1; level < d.cfg.NumLevels; level++ {
-		if len(v.Files[level]) == 0 {
-			continue
-		}
-		if d.cfg.sortedLevel(level) {
-			children = append(children, &concatIter{d: d, files: v.Files[level]})
+	if snap != nil {
+		seq = snap.seq
+	}
+	children := []kv.Iterator{s.mem.NewIterator()}
+	if s.imm != nil {
+		children = append(children, s.imm.NewIterator())
+	}
+	for level := 0; level < d.cfg.NumLevels; level++ {
+		if files := s.v.Files[level]; d.cfg.sortedLevel(level) && len(files) > 0 {
+			children = append(children, &concatIter{d: d, files: files})
 		} else {
-			for _, f := range v.Files[level] {
+			for _, f := range files {
 				children = append(children, &lazyTableIter{d: d, f: f})
 			}
 		}
 	}
-	return &Iterator{d: d, m: newMergingIter(children...), seq: snap.seq, epoch: d.pinIter()}
+	return &Iterator{d: d, s: s, m: newMergingIter(children...), seq: seq}
 }
 
 // lazyTableIter defers opening a table until first use.
@@ -367,35 +334,43 @@ func (l *lazyTableIter) Prev()               { l.it.Prev() }
 func (l *lazyTableIter) Key() kv.InternalKey { return l.it.Key() }
 func (l *lazyTableIter) Value() []byte       { return l.it.Value() }
 
+// open reports whether the iterator may move: once it or its DB is
+// closed it is left invalid with ErrClosed, touching no storage.
+func (it *Iterator) open() bool {
+	if it.s == nil || it.d.closed.Load() {
+		it.ok, it.err = false, ErrClosed
+		return false
+	}
+	return true
+}
+
 // SeekToFirst positions at the first live user key.
 func (it *Iterator) SeekToFirst() {
-	it.d.mu.Lock()
-	defer it.d.mu.Unlock()
-	it.m.SeekToFirst()
-	it.settle(nil)
+	if it.open() {
+		it.m.SeekToFirst()
+		it.settle(nil)
+	}
 }
 
 // Seek positions at the first live user key >= target.
 func (it *Iterator) Seek(target []byte) {
-	it.d.mu.Lock()
-	defer it.d.mu.Unlock()
-	it.m.Seek(kv.MakeSearchKey(nil, target, it.seq))
-	it.settle(nil)
+	if it.open() {
+		it.m.Seek(kv.MakeSearchKey(nil, target, it.seq))
+		it.settle(nil)
+	}
 }
 
 // SeekToLast positions at the largest live user key.
 func (it *Iterator) SeekToLast() {
-	it.d.mu.Lock()
-	defer it.d.mu.Unlock()
-	it.m.SeekToLast()
-	it.settleBackward(nil)
+	if it.open() {
+		it.m.SeekToLast()
+		it.settleBackward(nil)
+	}
 }
 
 // Next advances to the next live user key.
 func (it *Iterator) Next() {
-	it.d.mu.Lock()
-	defer it.d.mu.Unlock()
-	if !it.ok {
+	if !it.open() || !it.ok {
 		return
 	}
 	if !it.m.Valid() {
@@ -410,19 +385,16 @@ func (it *Iterator) Next() {
 
 // Prev retreats to the previous live user key.
 func (it *Iterator) Prev() {
-	it.d.mu.Lock()
-	defer it.d.mu.Unlock()
-	if !it.ok {
-		return
+	if it.open() && it.ok {
+		it.settleBackward(it.key)
 	}
-	it.settleBackward(it.key)
 }
 
 // settleBackward walks the merged stream backward to the newest
 // visible version of the largest live user key strictly below upper
 // (nil = unbounded). Backward order visits a user key's versions
 // oldest first, so each run is scanned to its end before being
-// resolved. Caller holds d.mu.
+// resolved.
 func (it *Iterator) settleBackward(upper []byte) {
 	it.ok = false
 	var (
@@ -479,7 +451,6 @@ func (it *Iterator) settleBackward(upper []byte) {
 
 // settle advances the merged stream to the newest visible version of
 // the next live user key after prevUser (nil = no lower bound).
-// Caller holds d.mu.
 func (it *Iterator) settle(prevUser []byte) {
 	it.ok = false
 	for it.m.Valid() {
@@ -512,9 +483,9 @@ func (it *Iterator) settle(prevUser []byte) {
 }
 
 // setValue stores the emitted value, chasing a value-log pointer when
-// key–value separation is on. The iterator's snapshot keeps value-log
-// GC at bay, so a pointer read here cannot race a segment drop.
-// Caller holds d.mu; returns false (with it.err set) on a chase error.
+// key–value separation is on. The iterator's read state keeps every
+// segment it references, so a pointer read here cannot race a value-log
+// GC drop. Returns false (with it.err set) on a chase error.
 func (it *Iterator) setValue(stored []byte) bool {
 	v, err := it.d.resolveValue(it.val, stored)
 	if err != nil {
@@ -537,19 +508,12 @@ func (it *Iterator) Value() []byte { return it.val }
 // Error reports an iteration error.
 func (it *Iterator) Error() error { return it.err }
 
-// Close releases the iterator's snapshot and its pin on the files it
-// was reading, letting deferred compaction reclamation run. Closing
-// twice is a no-op.
+// Close releases the iterator's read state, letting reclamation of
+// what later edits retired run. Closing twice is a no-op.
 func (it *Iterator) Close() {
-	if it.snap != nil {
-		it.snap.Release()
-		it.snap = nil
-	}
-	if !it.done {
-		it.done = true
-		it.d.mu.Lock()
-		it.d.unpinIter(it.epoch)
-		it.d.mu.Unlock()
+	if it.s != nil {
+		it.d.release(it.s)
+		it.s = nil
 	}
 }
 

@@ -23,22 +23,34 @@ func (d *DB) GetAt(key []byte, snap *Snapshot) ([]byte, error) {
 	return d.get(key, snap, 0)
 }
 
-// get is the user read, at snap or (nil) the latest sequence number:
-// the shared lookup, the one hit epilogue (resolve or copy the stored
-// value), and the read-path counters.
+// get is the user read, lock-free unless traced: the tracer's one record
+// serializes traced reads on d.mu (under which getAt's state stays current).
 func (d *DB) get(key []byte, snap *Snapshot, reqID uint64) ([]byte, error) {
+	if !d.tracer.enabled.Load() {
+		return d.getAt(key, snap, nil)
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
+	ot := d.traceBegin("get", reqID)
+	v, err := d.getAt(key, snap, ot)
+	d.traceEnd(ot, err)
+	return v, err
+}
+
+// getAt reads key in the current read state, at snap or (nil) the
+// visible sequence number: the shared lookup, the one hit epilogue
+// (resolve or copy the stored value), and the read-path counters.
+func (d *DB) getAt(key []byte, snap *Snapshot, ot *opTrace) ([]byte, error) {
+	s, seq := d.acquire()
+	if s == nil {
 		return nil, ErrClosed
 	}
-	seq := d.seq
+	defer d.release(s)
 	if snap != nil {
 		seq = snap.seq
 	}
-	ot := d.traceBegin("get", reqID)
 	var v []byte
-	stored, kind, file, found, err := d.lookup(key, seq, ot)
+	stored, kind, file, found, err := d.lookup(s, key, seq, ot)
 	switch {
 	case err != nil:
 	case !found || kind == kv.KindDelete:
@@ -52,20 +64,22 @@ func (d *DB) get(key []byte, snap *Snapshot, reqID uint64) ([]byte, error) {
 	if err == nil {
 		d.metrics.getHits.Inc()
 	}
-	d.traceEnd(ot, err)
 	return v, err
 }
 
-// lookup is the engine's one point-read traversal, the LevelDB read
-// path: memtable, then level 0 newest to oldest, then each deeper
-// level. It returns the newest entry for key visible at seq as stored
-// in the tree (value-log tag byte and all), its kind, and the SSTable
-// that served it (nil for a memtable hit). User reads,
-// the value-log collector and fsck all go through it, so they probe
-// the same files in the same order. Caller holds d.mu; ot may be nil.
-func (d *DB) lookup(key []byte, seq kv.SeqNum, ot *opTrace) (stored []byte, kind kv.Kind, file *version.FileMeta, found bool, err error) {
+// lookup is the engine's one point-read traversal of state s, the
+// LevelDB read path: memtables, then level 0 newest to oldest, then
+// each deeper level. It returns the newest entry for key visible at seq
+// as stored in the tree (value-log tag byte and all), its kind, and the
+// SSTable that served it (nil for a memtable hit). User reads, the
+// value-log collector and fsck all go through it, so they probe the
+// same files in the same order. ot may be nil.
+func (d *DB) lookup(s *readState, key []byte, seq kv.SeqNum, ot *opTrace) (stored []byte, kind kv.Kind, file *version.FileMeta, found bool, err error) {
 	si := ot.stageStart(stageReadMemtable, d.traceNow(ot))
-	v, deleted, hit := d.mem.Get(key, seq)
+	v, deleted, hit := s.mem.Get(key, seq)
+	if !hit && s.imm != nil {
+		v, deleted, hit = s.imm.Get(key, seq)
+	}
 	ot.stageEnd(si, d.traceNow(ot))
 	if hit {
 		if deleted {
@@ -73,7 +87,7 @@ func (d *DB) lookup(key []byte, seq kv.SeqNum, ot *opTrace) (stored []byte, kind
 		}
 		return v, kv.KindSet, nil, true, nil
 	}
-	cur := d.vs.Current()
+	cur := s.v
 	for level := 0; level < d.cfg.NumLevels; level++ {
 		// Level 0 files may overlap, so every one is a candidate, and
 		// flush order makes file-number order data recency order: probe
@@ -136,7 +150,7 @@ func fileMayContain(f *version.FileMeta, key []byte) bool {
 		kv.CompareUser(key, f.Largest.UserKey()) <= 0
 }
 
-// tableGet looks key up in one table file. Caller holds d.mu.
+// tableGet looks key up in one table file.
 func (d *DB) tableGet(f *version.FileMeta, key []byte, seq kv.SeqNum) ([]byte, kv.SeqNum, kv.Kind, bool, error) {
 	t, err := d.openTable(f)
 	if err != nil {

@@ -75,7 +75,7 @@ func TestRowCacheDoesNotHideMediaDamage(t *testing.T) {
 		}
 	}
 	d.mu.Lock()
-	_, _, file, _, err := d.lookup(key, d.seq, nil)
+	_, _, file, _, err := d.lookup(d.state.Load(), key, d.seq, nil)
 	d.mu.Unlock()
 	if err != nil || file == nil {
 		t.Fatalf("lookup: file %v, %v", file, err)

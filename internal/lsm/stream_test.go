@@ -282,7 +282,7 @@ func TestStreamingIteratorOutlivesCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.mu.Lock()
-	parked := len(d.reclaims)
+	parked := len(d.retiring)
 	d.mu.Unlock()
 	if parked == 0 {
 		t.Fatal("set-up: no reclamation parked behind the iterator")
@@ -298,7 +298,7 @@ func TestStreamingIteratorOutlivesCompaction(t *testing.T) {
 	}
 	it.Close()
 	d.mu.Lock()
-	parked = len(d.reclaims)
+	parked = len(d.retiring)
 	d.mu.Unlock()
 	if parked != 0 {
 		t.Errorf("%d reclamations still parked after Close", parked)

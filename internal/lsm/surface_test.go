@@ -199,8 +199,8 @@ func TestSurfaceViewUnderDeferredReclaim(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// The iterator pins its epoch; releasing the snapshot it was
-			// built from lets the collector run while the pin is held.
+			// The iterator holds its read state; releasing the snapshot it
+			// was built from lets the collector run while it is held.
 			snap := d.NewSnapshot()
 			it := d.NewSnapshotIterator(snap)
 			snap.Release()
@@ -235,13 +235,13 @@ func TestSurfaceViewUnderDeferredReclaim(t *testing.T) {
 				grouped[fr.Num], extent[fr.Num] = fr.Grouped, fr.Extent.Len
 			}
 			var parked int64
-			for _, pr := range d.reclaims {
-				for _, num := range pr.retired.Files {
+			for _, s := range d.retiring {
+				for _, num := range s.retired.Files {
 					if !grouped[num] {
 						parked += extent[num]
 					}
 				}
-				for _, set := range pr.retired.Sets {
+				for _, set := range s.retired.Sets {
 					parked += set.Len
 				}
 			}

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"sealdb/internal/platter"
@@ -67,9 +68,8 @@ type ioRecord struct {
 	seekDistance int64
 	seek         bool
 	cacheHit     bool
-	// startNS/endNS are reconstructed device timestamps: under the
-	// one-big-mutex execution model all device time consumed during
-	// an op belongs to that op, so accesses tile the op's interval.
+	// startNS/endNS are reconstructed device timestamps: traced ops
+	// serialize on d.mu, so accesses tile the op's interval.
 	startNS, endNS int64
 }
 
@@ -80,7 +80,7 @@ type stageRecord struct {
 }
 
 // opTrace accumulates one traced operation. The tracer owns a single
-// reusable record, since engine operations serialize on d.mu.
+// reusable record, since traced operations serialize on d.mu.
 type opTrace struct {
 	op      string
 	reqID   uint64
@@ -149,13 +149,14 @@ type tracer struct {
 	// the read path never formats strings.
 	readStages []string
 
-	// cur is the operation being traced, nil between operations;
-	// guarded by mu (d.mu): every engine operation — and therefore
-	// every device access — runs under it, and the platter invokes the
-	// sink synchronously on the operation's own goroutine.
-	cur  *opTrace
-	buf  opTrace // the single reusable record; guarded by mu
-	nops int64   // traced-op count, drives sampling; guarded by mu
+	// cur is the operation being traced, nil between operations, set
+	// under d.mu. A lock-free reader's accesses reach the sink too (and
+	// count in the op they overlap), so cur is atomic and the record is
+	// updated under sinkMu, which traceEnd takes to detach it.
+	cur    atomic.Pointer[opTrace]
+	sinkMu sync.Mutex
+	buf    opTrace // the single reusable record; guarded by mu
+	nops   int64   // traced-op count, drives sampling; guarded by mu
 }
 
 // init wires the tracer. Called once from initObs, before the DB is
@@ -181,12 +182,15 @@ func (t *tracer) init(d *DB) {
 	d.disk.SetSink("lsm", t)
 }
 
-// ObserveAccess implements platter.Sink. Called under the disk lock,
-// on the goroutine of the engine operation that issued the access; it
-// must not call back into the disk. That caller holds d.mu whenever
-// cur is non-nil, so the record mutation is serialized.
+// ObserveAccess implements platter.Sink, under the disk lock (it must
+// not call back into the disk); with nothing traced, one atomic load.
 func (t *tracer) ObserveAccess(ai platter.AccessInfo) {
-	c := t.cur
+	if t.cur.Load() == nil {
+		return
+	}
+	t.sinkMu.Lock()
+	defer t.sinkMu.Unlock()
+	c := t.cur.Load()
 	if c == nil {
 		return
 	}
@@ -232,7 +236,7 @@ func (d *DB) traceBegin(op string, reqID uint64) *opTrace {
 	}
 	c := &t.buf
 	c.reset(op, reqID, d.deviceNow())
-	t.cur = c
+	t.cur.Store(c)
 	return c
 }
 
@@ -244,7 +248,9 @@ func (d *DB) traceEnd(ot *opTrace, err error) {
 		return
 	}
 	t := &d.tracer
-	t.cur = nil
+	t.sinkMu.Lock()
+	t.cur.Store(nil)
+	t.sinkMu.Unlock()
 	endNS := d.deviceNow()
 	t.nops++
 	sampled := (t.nops-1)%t.sampleEvery == 0

@@ -269,8 +269,8 @@ func (d *DB) vlogBuildGroup(b *Batch) (rep []byte, recs []vlog.Record) {
 // log disabled it is the identity; otherwise it strips the inline tag
 // or follows the pointer — to the cache entry keyed by it, else into
 // its segment, filling the cache with the checked bytes. The result is
-// always a copy, built in dst's storage (nil for a fresh slice). Caller
-// holds d.mu.
+// always a copy, built in dst's storage (nil for a fresh slice). The
+// caller holds a state that references the pointer's segment.
 func (d *DB) resolveValue(dst, stored []byte) ([]byte, error) {
 	if !d.cfg.vlogEnabled() {
 		return append(dst[:0], stored...), nil
@@ -306,7 +306,7 @@ func (d *DB) resolveValue(dst, stored []byte) ([]byte, error) {
 // vlogRead chases a pointer on the media: one segment read into buf
 // (p.Len bytes), one record decode. The record CRC (seeded with the
 // segment number) catches both media damage and a pointer into
-// recycled space. The results alias buf. Caller holds d.mu.
+// recycled space. The results alias buf.
 func (d *DB) vlogRead(buf []byte, p vlog.Pointer) (key, value []byte, err error) {
 	if _, err := d.backend.ReadFileAt(p.Seg, buf, int64(p.Off)); err != nil && err != io.EOF {
 		return nil, nil, fmt.Errorf("lsm: vlog read %+v: %w", p, err)
@@ -349,7 +349,7 @@ func vlogDeadRecords(dead map[uint64]int64) []version.VlogDeadRecord {
 // that a record is still live — and the SSTable serving it (nil for
 // the memtable). Caller holds d.mu.
 func (d *DB) vlogServing(key []byte, p vlog.Pointer) (file *version.FileMeta, ok bool, err error) {
-	stored, kind, file, found, err := d.lookup(key, d.seq, nil)
+	stored, kind, file, found, err := d.lookup(d.state.Load(), key, d.seq, nil)
 	if err != nil || !found || kind != kv.KindSet {
 		return nil, false, err
 	}
@@ -406,12 +406,9 @@ func (d *DB) maybeVlogGC() error {
 
 // vlogGCLocked is the collection pass body. Caller holds d.mu.
 //
-// Snapshot safety: relocation re-puts live values at fresh sequence
-// numbers and then deletes the victim segment, which would tear the
-// old pointers out from under a pinned snapshot — so the pass simply
-// refuses to run while snapshots exist (the next write retries it).
-// Live iterators are handled by routing the victim's removal through
-// the epoch-pinned reclaim queue.
+// Relocation re-puts live values at fresh sequence numbers, so the pass
+// refuses to run while a snapshot is registered (the next write retries
+// it); a reader's state keeps the victim's file until it lets go.
 func (d *DB) vlogGCLocked() (VlogGCResult, error) {
 	var res VlogGCResult
 	if len(d.snapshots) > 0 {
@@ -525,9 +522,8 @@ func (d *DB) vlogGCLocked() (VlogGCResult, error) {
 
 	// Drop the victim: manifest first, then the file. The re-put groups
 	// are already on the device, so a crash anywhere in here recovers
-	// with every live value reachable through its new pointer. The
-	// segment's file is freed through the reclaim queue so a live
-	// iterator mid-chase keeps its bytes.
+	// with every live value reachable through its new pointer; a reader
+	// mid-chase keeps the file until it releases its state.
 	if err := d.install(&version.Edit{DropVlogSegs: []uint64{vic.Num}}); err != nil {
 		return res, d.failWrite(err)
 	}

@@ -26,7 +26,7 @@ func pointerOf(t *testing.T, d *DB, key string) vlog.Pointer {
 	t.Helper()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	stored, kind, _, found, err := d.lookup([]byte(key), d.seq, nil)
+	stored, kind, _, found, err := d.lookup(d.state.Load(), []byte(key), d.seq, nil)
 	if err != nil || !found || kind != kv.KindSet || len(stored) != vlogPointerLen || stored[0] != vlogTagPtr {
 		t.Fatalf("key %q is not served by a pointer: found=%v kind=%v stored=%x err=%v", key, found, kind, stored, err)
 	}

@@ -122,7 +122,7 @@ func TestVlogDisabledIsByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.mu.Lock()
-	stored, _, _, ok, err := d.lookup([]byte("k"), d.seq, nil)
+	stored, _, _, ok, err := d.lookup(d.state.Load(), []byte("k"), d.seq, nil)
 	d.mu.Unlock()
 	if err != nil || !ok {
 		t.Fatalf("lookup: ok=%v err=%v", ok, err)

@@ -133,6 +133,7 @@ func (d *DB) commitLocked(b *Batch, ot *opTrace, separated func(recs []vlog.Reco
 	}); err != nil {
 		return err
 	}
+	d.visible.Store(uint64(d.seq)) // the batch is whole in the memtable
 	ot.stageEnd(si, d.traceNow(ot))
 	return nil
 }
@@ -224,13 +225,16 @@ func (d *DB) makeRoomForWrite(incoming int64) error {
 }
 
 // rotateAndFlush freezes the memtable, starts a fresh WAL of at
-// least walBytes, and flushes the frozen table to level 0. The new
-// WAL is created first so its number rides in the flush edit:
-// recovery then replays only mutations newer than the flush. Caller
-// holds d.mu.
+// least walBytes, and flushes the frozen table (readable as imm until
+// the flush edit lands) to level 0. The new WAL is created first so its
+// number rides in the flush edit: recovery then replays only mutations
+// newer than the flush. Caller holds d.mu.
 func (d *DB) rotateAndFlush(walBytes int64) error {
 	imm := d.mem
 	d.mem = memtable.New(d.nextMemSeed())
+	if err := d.publish(imm, version.Retired{}); err != nil {
+		return err
+	}
 	oldWalNum, err := d.openWAL(walBytes)
 	if err != nil {
 		return err

@@ -1,10 +1,16 @@
 // Package memtable implements the in-memory write buffer of the LSM
 // tree: a skiplist ordered by internal key, as in LevelDB. Mutations
-// are applied by a single writer; readers are synchronized by the DB.
+// are applied by a single writer (the DB serializes Adds); readers —
+// Get and iterators — take no lock and may run concurrently with the
+// writer, LevelDB's discipline: a node is filled in before the atomic
+// store that links it, so a reader that loads a link sees the whole
+// node, and a tower is linked bottom-up, so a reader never reaches a
+// node at a level it is not yet linked at below.
 package memtable
 
 import (
 	"math/rand"
+	"sync/atomic"
 
 	"sealdb/internal/kv"
 )
@@ -17,15 +23,17 @@ const (
 type node struct {
 	key   kv.InternalKey
 	value []byte
-	next  []*node
+	next  []atomic.Pointer[node]
 }
 
 // MemTable is a skiplist of internal keys. The zero value is not
 // usable; call New.
 type MemTable struct {
-	head   *node
-	rnd    *rand.Rand
-	height int
+	head *node
+	rnd  *rand.Rand
+	// height is the tallest tower linked; readers load it, the writer
+	// raises it. size and count are the writer's.
+	height atomic.Int32
 	size   int64
 	count  int
 
@@ -36,7 +44,7 @@ type MemTable struct {
 	// Get and iterators return stays valid for as long as it is held.
 	bytes []byte
 	nodes []node
-	links []*node
+	links []atomic.Pointer[node]
 }
 
 // Slab sizes. A slab's unused end is heap that ApproximateSize does not
@@ -52,7 +60,8 @@ const (
 // New creates an empty memtable. The seed makes skiplist tower
 // heights deterministic for reproducible experiments.
 func New(seed int64) *MemTable {
-	m := &MemTable{rnd: rand.New(rand.NewSource(seed)), height: 1}
+	m := &MemTable{rnd: rand.New(rand.NewSource(seed))}
+	m.height.Store(1)
 	m.head = m.newNode(maxHeight)
 	return m
 }
@@ -77,7 +86,7 @@ func (m *MemTable) newNode(h int) *node {
 		m.nodes = make([]node, slabNodes)
 	}
 	if len(m.links) < h {
-		m.links = make([]*node, slabLinks)
+		m.links = make([]atomic.Pointer[node], slabLinks)
 	}
 	n := &m.nodes[0]
 	n.next = m.links[:h:h]
@@ -97,9 +106,9 @@ func (m *MemTable) randomHeight() int {
 // nil when no such node exists.
 func (m *MemTable) findLessThan(target kv.InternalKey) *node {
 	x := m.head
-	level := m.height - 1
+	level := int(m.height.Load()) - 1
 	for {
-		next := x.next[level]
+		next := x.next[level].Load()
 		if next != nil && kv.CompareInternal(next.key, target) < 0 {
 			x = next
 			continue
@@ -117,9 +126,9 @@ func (m *MemTable) findLessThan(target kv.InternalKey) *node {
 // findLast returns the final node of the list, or nil when empty.
 func (m *MemTable) findLast() *node {
 	x := m.head
-	level := m.height - 1
+	level := int(m.height.Load()) - 1
 	for {
-		if next := x.next[level]; next != nil {
+		if next := x.next[level].Load(); next != nil {
 			x = next
 			continue
 		}
@@ -138,9 +147,9 @@ func (m *MemTable) findLast() *node {
 // every level.
 func (m *MemTable) findGreaterOrEqual(target kv.InternalKey, prev []*node) *node {
 	x := m.head
-	level := m.height - 1
+	level := int(m.height.Load()) - 1
 	for {
-		next := x.next[level]
+		next := x.next[level].Load()
 		if next != nil && kv.CompareInternal(next.key, target) < 0 {
 			x = next
 			continue
@@ -156,7 +165,8 @@ func (m *MemTable) findGreaterOrEqual(target kv.InternalKey, prev []*node) *node
 }
 
 // Add inserts a mutation. Keys are copied; the caller may reuse its
-// buffers.
+// buffers. Adds must not run concurrently with each other; Get and
+// iterators may run alongside.
 func (m *MemTable) Add(seq kv.SeqNum, kind kv.Kind, ukey, value []byte) {
 	buf := m.alloc(len(ukey) + kv.TrailerLen + len(value))
 	ik := kv.MakeInternalKey(buf, ukey, seq, kind)
@@ -169,17 +179,19 @@ func (m *MemTable) Add(seq kv.SeqNum, kind kv.Kind, ukey, value []byte) {
 	m.findGreaterOrEqual(ik, prev[:])
 
 	h := m.randomHeight()
-	if h > m.height {
-		for i := m.height; i < h; i++ {
+	if height := int(m.height.Load()); h > height {
+		for i := height; i < h; i++ {
 			prev[i] = m.head
 		}
-		m.height = h
+		// A reader that sees the new height before the head links at it
+		// finds nil there and drops a level: harmless.
+		m.height.Store(int32(h))
 	}
 	n := m.newNode(h)
 	n.key, n.value = ik, v
 	for i := 0; i < h; i++ {
-		n.next[i] = prev[i].next[i]
-		prev[i].next[i] = n
+		n.next[i].Store(prev[i].next[i].Load())
+		prev[i].next[i].Store(n) // publishes n to readers at level i
 	}
 	m.count++
 	m.size += int64(len(ik)) + int64(len(v)) + int64(h)*8 + 48
@@ -211,9 +223,9 @@ func (m *MemTable) Len() int { return m.count }
 // Empty reports whether the memtable holds no entries.
 func (m *MemTable) Empty() bool { return m.count == 0 }
 
-// NewIterator returns a forward iterator over the skiplist. The
-// iterator observes entries added after its creation (single-writer
-// discipline makes this benign, matching LevelDB's memtable).
+// NewIterator returns an iterator over the skiplist. The iterator
+// observes entries added after its creation (readers filter them by
+// sequence number, as with LevelDB's memtable).
 func (m *MemTable) NewIterator() kv.Iterator {
 	return &iterator{m: m}
 }
@@ -225,7 +237,7 @@ type iterator struct {
 
 func (it *iterator) Valid() bool { return it.n != nil }
 
-func (it *iterator) SeekToFirst() { it.n = it.m.head.next[0] }
+func (it *iterator) SeekToFirst() { it.n = it.m.head.next[0].Load() }
 
 func (it *iterator) Seek(target kv.InternalKey) {
 	it.n = it.m.findGreaterOrEqual(target, nil)
@@ -233,7 +245,7 @@ func (it *iterator) Seek(target kv.InternalKey) {
 
 func (it *iterator) SeekToLast() { it.n = it.m.findLast() }
 
-func (it *iterator) Next() { it.n = it.n.next[0] }
+func (it *iterator) Next() { it.n = it.n.next[0].Load() }
 
 // Prev steps back by searching for the predecessor of the current
 // key — O(log n) per step, the standard cost of a singly linked

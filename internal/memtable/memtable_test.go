@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -250,5 +252,81 @@ func TestIteratorBackward(t *testing.T) {
 	eit.SeekToLast()
 	if eit.Valid() {
 		t.Fatal("SeekToLast on empty memtable valid")
+	}
+}
+
+// TestOneWriterConcurrentReaders: Gets and iterators run without a lock
+// beside the one writer. Every entry added before a read began is seen
+// by it, whole, and iteration stays in order both ways. Run under -race.
+func TestOneWriterConcurrentReaders(t *testing.T) {
+	m := New(11)
+	const n = 20000 // 7919 is prime: entry i has a key of its own
+	key := func(i int) []byte { return fmt.Appendf(nil, "key%06d", (i*7919)%n) }
+	var added atomic.Int64 // entries 1..added are in
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 1; i <= n; i++ {
+			m.Add(kv.SeqNum(i), kv.KindSet, key(i), fmt.Appendf(nil, "v%d", i))
+			added.Store(int64(i))
+		}
+	}()
+	errs := make(chan error, 4)
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			for done := false; !done; {
+				seen := int(added.Load())
+				done = seen == n
+				if seen == 0 {
+					continue
+				}
+				if r%2 == 0 {
+					for j := 0; j < 200; j++ {
+						i := 1 + rng.Intn(seen)
+						if v, del, ok := m.Get(key(i), kv.SeqNum(seen)); !ok || del || string(v) != fmt.Sprintf("v%d", i) {
+							errs <- fmt.Errorf("Get of entry %d at %d = %q, deleted %v, ok %v", i, seen, v, del, ok)
+							return
+						}
+					}
+					continue
+				}
+				it := m.NewIterator()
+				count := 0
+				var prev kv.InternalKey
+				for it.SeekToFirst(); it.Valid(); it.Next() {
+					if prev != nil && kv.CompareInternal(prev, it.Key()) >= 0 {
+						errs <- fmt.Errorf("forward order broken at %s", it.Key())
+						return
+					}
+					prev = it.Key() // aliases the slab: stable
+					if it.Key().Seq() <= kv.SeqNum(seen) {
+						count++
+					}
+				}
+				if count != seen {
+					errs <- fmt.Errorf("iterator saw %d of the %d entries added before it began", count, seen)
+					return
+				}
+				prev = nil
+				it.SeekToLast()
+				for j := 0; it.Valid() && j < 50; j++ {
+					if prev != nil && kv.CompareInternal(it.Key(), prev) >= 0 {
+						errs <- fmt.Errorf("backward order broken at %s", it.Key())
+						return
+					}
+					prev = it.Key()
+					it.Prev()
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }

@@ -218,21 +218,27 @@ func (b *Backend) WriteGroup(nums []uint64, datas [][]byte) (Extent, bool, error
 	return group, true, nil
 }
 
-// ReadFileAt implements random reads within file num.
+// ReadFileAt implements random reads within file num. It may run
+// beside appends to the same file (a reader chasing a value-log
+// pointer into the active segment), so the size is read under mu.
 func (b *Backend) ReadFileAt(num uint64, p []byte, off int64) (int, error) {
 	b.mu.Lock()
 	fi, ok := b.files[num]
+	var size int64
+	if ok {
+		size = fi.size
+	}
 	b.mu.Unlock()
 	if !ok {
 		return 0, ErrNotFound
 	}
-	if off < 0 || off > fi.size {
-		return 0, fmt.Errorf("storage: read at %d outside file %d (size %d)", off, num, fi.size)
+	if off < 0 || off > size {
+		return 0, fmt.Errorf("storage: read at %d outside file %d (size %d)", off, num, size)
 	}
 	n := len(p)
 	var eof error
-	if int64(n) > fi.size-off {
-		n = int(fi.size - off)
+	if int64(n) > size-off {
+		n = int(size - off)
 		eof = io.EOF
 	}
 	if n == 0 {
