@@ -62,7 +62,7 @@ func main() {
 		churnmins = flag.Float64("churnminutes", 2, "simulated device minutes of sustained churn for -churn")
 		churnkeys = flag.Int("churnkeys", 4000, "working-set key count for -churn")
 		churndump = flag.String("churndump", "", "also write a raw smrtrace dump of the churn run to this directory (for smrtrace -analyze)")
-		churnsa   = flag.Float64("churnsa", 6, "steady-state space-amplification bound for -churn; exceeding it fails the run")
+		churnsa   = flag.Float64("churnsa", 3, "steady-state space-amplification bound for -churn; exceeding it fails the run")
 		churnp99  = flag.Duration("churnp99", 250*time.Millisecond, "steady-state per-op device-time p99 bound for -churn")
 	)
 	flag.Parse()

@@ -146,7 +146,7 @@ func TestWritePathAllocsScaleWithTables(t *testing.T) {
 	}
 
 	c := widestCompaction(d, 1, d.cfg.NumLevels)
-	if c == nil || len(c.inputs1) < 8 {
+	if c == nil || len(c.inputs1) < 6 {
 		t.Fatalf("no wide compaction to measure: %+v", c)
 	}
 	tables := len(c.inputs0) + len(c.inputs1)

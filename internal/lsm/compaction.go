@@ -3,6 +3,7 @@ package lsm
 import (
 	"bytes"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
@@ -22,21 +23,27 @@ type compaction struct {
 	trivial  bool
 }
 
-// pickCompaction selects the neediest level and builds the compaction
-// unit around its victim. It returns nil when every level is within
-// its target. Caller holds d.mu.
-func (d *DB) pickCompaction() *compaction {
+// debtBound is the score at which a level falls due. Compaction
+// tolerates debt as LevelDB 1.19 does (L0 compaction starts at 4 files,
+// writers stall only at 8): a level runs overweight to 1.5x its target,
+// then drains below 1.0x in one sweep, and the victims taken from a fat
+// level overlap less of the level below.
+const debtBound = 1.5
+
+// pickCompaction selects the draining level with the highest score and
+// builds the compaction unit around its victim. A level starts draining
+// when its score reaches due (debtBound, or 1 to settle the tree) and
+// stops once it is below 1.0; nil means no level is draining. Caller
+// holds d.mu.
+func (d *DB) pickCompaction(due float64) *compaction {
 	v := d.vs.Current()
-	level, score := -1, 0.0
-	// Level 0 pressure: file count.
-	if s := float64(v.NumFiles(0)) / float64(d.cfg.L0CompactTrigger); s >= 1 && s > score {
-		level, score = 0, s
-	}
-	// Deeper levels: bytes against target. The last level has no
-	// target (nowhere to push data down to).
-	for l := 1; l < d.cfg.NumLevels-1; l++ {
-		if s := float64(v.LevelBytes(l)) / float64(d.cfg.maxBytesForLevel(l)); s >= 1 && s > score {
-			level, score = l, s
+	level, best := -1, 0.0
+	// The last level has no target (nowhere to push data down to).
+	for l := 0; l < d.cfg.NumLevels-1; l++ {
+		s := d.cfg.score(v, l)
+		d.draining[l] = s >= due || d.draining[l] && s >= 1
+		if d.draining[l] && s > best {
+			level, best = l, s
 		}
 	}
 	if level < 0 {
@@ -48,6 +55,15 @@ func (d *DB) pickCompaction() *compaction {
 		return nil
 	}
 	return d.buildCompaction(v, level, []*version.FileMeta{victim})
+}
+
+// score is a level's fill against its target: L0's file count against
+// L0CompactTrigger, a deeper level's bytes against maxBytesForLevel.
+func (c *Config) score(v *version.Version, level int) float64 {
+	if level == 0 {
+		return float64(v.NumFiles(0)) / float64(c.L0CompactTrigger)
+	}
+	return float64(v.LevelBytes(level)) / float64(c.maxBytesForLevel(level))
 }
 
 // buildCompaction grows seed files of level into the compaction unit:
@@ -557,12 +573,10 @@ func (d *DB) isBaseLevelForKey(c *compaction, user []byte) bool {
 		}
 	}
 	if !d.cfg.sortedLevel(c.outLevel) {
-		in := make(map[uint64]bool, len(c.inputs1))
-		for _, f := range c.inputs1 {
-			in[f.Num] = true
-		}
-		for _, f := range v.Overlaps(c.outLevel, user, user, false) {
-			if !in[f.Num] {
+		// inputs1 is capped at MaxCompactionFiles: a scan, not a set.
+		for _, f := range v.Files[c.outLevel] {
+			if kv.CompareUser(f.Smallest.UserKey(), user) <= 0 && kv.CompareUser(f.Largest.UserKey(), user) >= 0 &&
+				!slices.Contains(c.inputs1, f) {
 				return false
 			}
 		}
@@ -570,15 +584,15 @@ func (d *DB) isBaseLevelForKey(c *compaction, user []byte) bool {
 	return true
 }
 
-// CompactAll drives compactions until the tree is balanced; useful
-// for tests and to settle a freshly loaded database.
+// CompactAll drives compactions until every level is below its target;
+// useful for tests and to settle a freshly loaded database.
 func (d *DB) CompactAll() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if err := d.writeAllowed(); err != nil {
 		return err
 	}
-	return d.failWrite(d.compactUntilBalanced())
+	return d.failWrite(d.compactUntilBalanced(1))
 }
 
 // FlushMemtable forces the current memtable to level 0 (test hook and
@@ -595,5 +609,5 @@ func (d *DB) FlushMemtable() error {
 	if err := d.rotateAndFlush(d.cfg.walSize()); err != nil {
 		return d.failWrite(err)
 	}
-	return d.failWrite(d.compactUntilBalanced())
+	return d.failWrite(d.compactUntilBalanced(debtBound))
 }

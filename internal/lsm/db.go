@@ -173,6 +173,9 @@ type DB struct {
 	compactions []CompactionInfo
 	compID      int
 	closed      atomic.Bool // set once, under mu
+	// draining marks the levels pickCompaction drains; not persisted,
+	// so a reopened level waits for debtBound again. guarded by mu
+	draining [version.NumLevels]bool
 	// bgErr is the first permanent write-path failure; once set, the
 	// DB is read-only degraded (LevelDB's bg_error_).
 	bgErr error

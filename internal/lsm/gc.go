@@ -2,7 +2,6 @@ package lsm
 
 import (
 	"fmt"
-	"sort"
 
 	"sealdb/internal/version"
 )
@@ -67,22 +66,15 @@ func (d *DB) DefragmentBands(maxMoves int) (GCResult, error) {
 	}
 
 	// Walk the fragments in address order and relocate each one's
-	// downstream set. The free list changes as we go, so collect the
-	// victims first.
+	// downstream set (if its neighbour is not an ungrouped file). The free
+	// list changes as we go, so collect the victims first. Free regions
+	// are disjoint, so the victims are distinct and in address order too.
 	var victims []version.SetRecord
-	seen := map[uint64]bool{}
 	for _, fr := range mgr.FreeRegions() {
-		if fr.Len >= threshold {
-			continue
+		if rec, ok := byOff[fr.End()]; ok && fr.Len < threshold {
+			victims = append(victims, rec)
 		}
-		rec, ok := byOff[fr.End()]
-		if !ok || seen[rec.ID] {
-			continue // neighbour is an ungrouped file or already queued
-		}
-		seen[rec.ID] = true
-		victims = append(victims, rec)
 	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].Off < victims[j].Off })
 
 	for _, rec := range victims {
 		if maxMoves > 0 && res.SetsMoved >= maxMoves {

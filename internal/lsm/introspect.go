@@ -141,7 +141,7 @@ func (d *DB) CompactRange(lo, hi []byte) error {
 			break
 		}
 	}
-	return d.failWrite(d.compactUntilBalanced())
+	return d.failWrite(d.compactUntilBalanced(1))
 }
 
 // VerifyIntegrity walks the whole store and checks every invariant it

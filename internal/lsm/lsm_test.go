@@ -175,7 +175,7 @@ func TestSMRDBUsesTwoLevels(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	ref := loadRandom(t, d, 6000, 3)
+	ref := loadRandom(t, d, 12000, 3) // L0 falls due at its sixth band-sized table
 	v := d.vs.Current()
 	for l := 2; l < 7; l++ {
 		if v.NumFiles(l) != 0 {
@@ -303,7 +303,7 @@ func TestCompactionWritesAreSequentialInSEALDB(t *testing.T) {
 	defer d.Close()
 	rec := &jobWrites{d: d}
 	d.disk.SetSink("test", rec)
-	loadRandom(t, d, 6000, 13)
+	loadRandom(t, d, 10000, 13)
 	d.disk.SetSink("test", nil)
 
 	// For every compaction that produced a set (output level >= 2),

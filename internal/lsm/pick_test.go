@@ -2,8 +2,10 @@ package lsm
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
+	"sealdb/internal/invariant"
 	"sealdb/internal/kv"
 	"sealdb/internal/version"
 )
@@ -29,16 +31,16 @@ func installFiles(t *testing.T, d *DB, adds []version.AddedFile) {
 func TestPickCompactionIdleWhenBalanced(t *testing.T) {
 	d, _ := Open(tinyConfig(ModeSEALDB))
 	defer d.Close()
-	if c := d.pickCompaction(); c != nil {
+	if c := d.pickCompaction(debtBound); c != nil {
 		t.Fatalf("empty store picked a compaction: %+v", c)
 	}
-	// Below every trigger: three L0 files (trigger is 4).
+	// Below every trigger: three L0 files (due at 6, 1.5x the trigger of 4).
 	installFiles(t, d, []version.AddedFile{
 		{Level: 0, Meta: mkMeta(d.vs.NewFileNum(), "a", "c", 1000)},
 		{Level: 0, Meta: mkMeta(d.vs.NewFileNum(), "b", "d", 1000)},
 		{Level: 0, Meta: mkMeta(d.vs.NewFileNum(), "c", "e", 1000)},
 	})
-	if c := d.pickCompaction(); c != nil {
+	if c := d.pickCompaction(debtBound); c != nil {
 		t.Fatalf("under-trigger store picked a compaction: %+v", c)
 	}
 }
@@ -46,20 +48,21 @@ func TestPickCompactionIdleWhenBalanced(t *testing.T) {
 func TestPickCompactionL0Fixpoint(t *testing.T) {
 	d, _ := Open(tinyConfig(ModeSEALDB))
 	defer d.Close()
-	// Four overlapping-chain L0 files: a-c, c-e, e-g, g-i. Picking
-	// any victim must transitively pull in the whole chain.
-	installFiles(t, d, []version.AddedFile{
-		{Level: 0, Meta: mkMeta(d.vs.NewFileNum(), "a", "c", 1000)},
-		{Level: 0, Meta: mkMeta(d.vs.NewFileNum(), "c", "e", 1000)},
-		{Level: 0, Meta: mkMeta(d.vs.NewFileNum(), "e", "g", 1000)},
-		{Level: 0, Meta: mkMeta(d.vs.NewFileNum(), "g", "i", 1000)},
-	})
-	c := d.pickCompaction()
-	if c == nil {
-		t.Fatal("no compaction at L0 trigger")
+	// Six overlapping-chain L0 files (L0 falls due at 1.5x the trigger
+	// of 4): a-c, c-e, ..., k-m. Picking any victim must transitively
+	// pull in the whole chain.
+	var adds []version.AddedFile
+	for i := 0; i < 6; i++ {
+		lo, hi := string(rune('a'+2*i)), string(rune('c'+2*i))
+		adds = append(adds, version.AddedFile{Level: 0, Meta: mkMeta(d.vs.NewFileNum(), lo, hi, 1000)})
 	}
-	if c.level != 0 || len(c.inputs0) != 4 {
-		t.Fatalf("L0 fixpoint: level %d inputs %d, want level 0 with 4", c.level, len(c.inputs0))
+	installFiles(t, d, adds)
+	c := d.pickCompaction(debtBound)
+	if c == nil {
+		t.Fatal("no compaction with L0 due")
+	}
+	if c.level != 0 || len(c.inputs0) != 6 {
+		t.Fatalf("L0 fixpoint: level %d inputs %d, want level 0 with 6", c.level, len(c.inputs0))
 	}
 }
 
@@ -67,7 +70,7 @@ func TestPickCompactionChoosesWorstLevel(t *testing.T) {
 	cfg := tinyConfig(ModeSEALDB)
 	d, _ := Open(cfg)
 	defer d.Close()
-	// L1 at 2x its target, L2 barely over: L1 must win.
+	// L1 at 2x its target, L2 at 1.6x: both due, L1 must win.
 	var adds []version.AddedFile
 	perFile := cfg.SSTableSize
 	filesL1 := int(2 * cfg.BaseLevelBytes / perFile)
@@ -77,10 +80,10 @@ func TestPickCompactionChoosesWorstLevel(t *testing.T) {
 		adds = append(adds, version.AddedFile{Level: 1, Meta: mkMeta(d.vs.NewFileNum(), lo, hi, perFile)})
 	}
 	adds = append(adds, version.AddedFile{
-		Level: 2, Meta: mkMeta(d.vs.NewFileNum(), "zz", "zzz", 10*cfg.BaseLevelBytes+1),
+		Level: 2, Meta: mkMeta(d.vs.NewFileNum(), "zz", "zzz", 16*cfg.BaseLevelBytes),
 	})
 	installFiles(t, d, adds)
-	c := d.pickCompaction()
+	c := d.pickCompaction(debtBound)
 	if c == nil || c.level != 1 {
 		t.Fatalf("picked %+v, want level 1", c)
 	}
@@ -148,7 +151,7 @@ func TestTrivialMoveDetection(t *testing.T) {
 	// A lone oversize L1 file with no L2 overlap: trivial move.
 	big := mkMeta(d.vs.NewFileNum(), "a", "b", 100*d.cfg.BaseLevelBytes)
 	installFiles(t, d, []version.AddedFile{{Level: 1, Meta: big}})
-	c := d.pickCompaction()
+	c := d.pickCompaction(debtBound)
 	if c == nil || !c.trivial {
 		t.Fatalf("expected trivial move, got %+v", c)
 	}
@@ -172,20 +175,189 @@ func TestSMRDBFanInCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	// Many overlapping L1 files and a full-range L0 victim chain.
+	// Many overlapping L1 files and a full-range L0 victim chain, as
+	// long as it takes L0 to fall due.
 	var adds []version.AddedFile
 	for i := 0; i < 10; i++ {
 		adds = append(adds, version.AddedFile{Level: 1, Meta: mkMeta(d.vs.NewFileNum(), "a", "z", 1000)})
 	}
-	for i := 0; i < cfg.L0CompactTrigger; i++ {
+	for i := 0; i < cfg.L0CompactTrigger*3/2; i++ {
 		adds = append(adds, version.AddedFile{Level: 0, Meta: mkMeta(d.vs.NewFileNum(), "a", "z", 1000)})
 	}
 	installFiles(t, d, adds)
-	c := d.pickCompaction()
+	c := d.pickCompaction(debtBound)
 	if c == nil {
 		t.Fatal("no compaction")
 	}
 	if len(c.inputs1) != 3 {
 		t.Fatalf("fan-in %d, want cap 3", len(c.inputs1))
+	}
+}
+
+// TestDebtTolerantTrigger: a level falls due at debtBound, not at its
+// target, and a due level drains below 1.0 in the writer call that
+// found it due; a reopened store does not remember a drain, and
+// CompactAll settles every level below 1.0.
+func TestDebtTolerantTrigger(t *testing.T) {
+	t.Run("L0 due at 6 files", func(t *testing.T) {
+		d, _ := Open(tinyConfig(ModeSEALDB))
+		defer d.Close()
+		for i := 1; i <= 6; i++ {
+			for k := 0; k < 50; k++ {
+				if err := d.Put([]byte(fmt.Sprintf("k%03d", k)), []byte(fmt.Sprintf("v%d", i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := d.FlushMemtable(); err != nil {
+				t.Fatal(err)
+			}
+			want := i
+			if i == 6 {
+				want = 0
+			}
+			if n := d.vs.Current().NumFiles(0); n != want {
+				t.Fatalf("after %d flushes L0 holds %d files, want %d", i, n, want)
+			}
+			if c := d.pickCompaction(debtBound); i == 5 && c != nil {
+				t.Fatalf("5 L0 files picked a compaction: %+v", c)
+			}
+		}
+	})
+
+	t.Run("a due level drains in one writer call", func(t *testing.T) {
+		d, _ := Open(tinyConfig(ModeSEALDB))
+		defer d.Close()
+		rng := rand.New(rand.NewSource(5))
+		tolerated, drained := false, false
+		for i := 0; i < 30000 && !(tolerated && drained); i++ {
+			jobs := len(d.compactions)
+			if err := d.Put([]byte(fmt.Sprintf("key%07d", rng.Intn(20000))), []byte(fmt.Sprintf("value-%040d", i))); err != nil {
+				t.Fatal(err)
+			}
+			v := d.vs.Current()
+			for l := 0; l < d.cfg.NumLevels-1; l++ {
+				if s := d.cfg.score(v, l); s >= debtBound || d.draining[l] {
+					t.Fatalf("put %d left L%d at %.2fx (draining %v)", i, l, s, d.draining[l])
+				}
+			}
+			s1 := d.cfg.score(v, 1)
+			tolerated = tolerated || s1 >= 1
+			for _, ci := range d.compactions[jobs:] {
+				if ci.FromLevel == 1 {
+					// L1 entered the call under debtBound, so the L0
+					// compaction of this call pushed it over.
+					if s1 >= 1 {
+						t.Fatalf("put %d drained L1 to %.2fx, not below 1.0", i, s1)
+					}
+					drained = true
+				}
+			}
+		}
+		if !tolerated || !drained {
+			t.Fatalf("L1 never ran overweight (%v) or never drained (%v)", tolerated, drained)
+		}
+	})
+
+	t.Run("a reopened level at 1.2x waits", func(t *testing.T) {
+		cfg := tinyConfig(ModeSEALDB)
+		d, _ := Open(cfg)
+		rng := rand.New(rand.NewSource(6))
+		for i := 0; ; i++ {
+			if i == 30000 {
+				t.Fatal("L1 never rested between 1.15x and 1.3x")
+			}
+			if err := d.Put([]byte(fmt.Sprintf("key%07d", rng.Intn(20000))), []byte(fmt.Sprintf("value-%040d", i))); err != nil {
+				t.Fatal(err)
+			}
+			// Recovery flushes the replayed log to one more L0 file.
+			v := d.vs.Current()
+			if s := d.cfg.score(v, 1); s >= 1.15 && s < 1.3 && v.NumFiles(0) < 5 {
+				break
+			}
+		}
+		d.Close()
+		d, err := OpenDevice(cfg, d.Device())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		if s := d.cfg.score(d.vs.Current(), 1); s < 1.15 || s >= 1.3 {
+			t.Fatalf("reopened L1 at %.2fx", s)
+		}
+		if c := d.pickCompaction(debtBound); c != nil {
+			t.Fatalf("reopened store picked a compaction from L%d", c.level)
+		}
+	})
+
+	t.Run("CompactAll settles below 1.0", func(t *testing.T) {
+		d, _ := Open(tinyConfig(ModeSEALDB))
+		defer d.Close()
+		loadRandom(t, d, 8000, 8)
+		if err := d.CompactAll(); err != nil {
+			t.Fatal(err)
+		}
+		v := d.vs.Current()
+		for l := 0; l < d.cfg.NumLevels-1; l++ {
+			if s := d.cfg.score(v, l); s >= 1 {
+				t.Fatalf("CompactAll left L%d at %.2fx", l, s)
+			}
+		}
+	})
+}
+
+// TestIsBaseLevelForKeyAllocatesOnce: on an overlapped output level the
+// tombstone check knows the compaction's inputs by number, a set built
+// once per compaction, so a tombstone costs no allocation.
+func TestIsBaseLevelForKeyAllocatesOnce(t *testing.T) {
+	if raceEnabled || invariant.Enabled {
+		t.Skip("the race detector and the invariant build's lock watchdog allocate on their own")
+	}
+	cfg := tinyConfig(ModeSMRDB)
+	cfg.MaxCompactionFiles = 2
+	d, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	// Three disjoint L1 files under a full-range L0 file: the fan-in cap
+	// leaves one of them out, and a key only it holds is not at its base.
+	l1 := []*version.FileMeta{
+		mkMeta(d.vs.NewFileNum(), "a", "f", 1000),
+		mkMeta(d.vs.NewFileNum(), "g", "m", 1000),
+		mkMeta(d.vs.NewFileNum(), "n", "z", 1000),
+	}
+	seed := mkMeta(d.vs.NewFileNum(), "a", "z", 1000)
+	adds := []version.AddedFile{{Level: 0, Meta: seed}}
+	for _, f := range l1 {
+		adds = append(adds, version.AddedFile{Level: 1, Meta: f})
+	}
+	installFiles(t, d, adds)
+	c := d.buildCompaction(d.vs.Current(), 0, []*version.FileMeta{seed})
+	if len(c.inputs1) != 2 {
+		t.Fatalf("fan-in %d, want the cap of 2", len(c.inputs1))
+	}
+	keys := [][]byte{[]byte("c"), []byte("j"), []byte("q")}
+	notBase := 0
+	for i, k := range keys {
+		in := false
+		for _, f := range c.inputs1 {
+			in = in || f.Num == l1[i].Num
+		}
+		if base := d.isBaseLevelForKey(c, k); base != in {
+			t.Fatalf("key %q: base %v, but its file is an input: %v", k, base, in)
+		}
+		if !in {
+			notBase++
+		}
+	}
+	if notBase != 1 {
+		t.Fatalf("%d keys held outside the inputs, want 1", notBase)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		for _, k := range keys {
+			d.isBaseLevelForKey(c, k)
+		}
+	}); n != 0 {
+		t.Fatalf("isBaseLevelForKey allocated %.1f objects per three tombstones", n)
 	}
 }

@@ -78,14 +78,7 @@ func (s *surface) reset() {
 func eachBand(stride, off, length int64, fn func(band, overlap int64)) {
 	end := off + length
 	for b := off / stride; b*stride < end; b++ {
-		lo, hi := b*stride, (b+1)*stride
-		if off > lo {
-			lo = off
-		}
-		if end < hi {
-			hi = end
-		}
-		fn(b, hi-lo)
+		fn(b, min(end, (b+1)*stride)-max(off, b*stride))
 	}
 }
 
@@ -271,17 +264,6 @@ type SpaceProfile struct {
 	Frag               dband.FragProfile `json:"frag"`
 }
 
-// tableBytesLocked sums the current version's per-level table bytes —
-// the logical footprint of the LSM tree. Caller holds d.mu.
-func (d *DB) tableBytesLocked() int64 {
-	var t int64
-	cur := d.vs.Current()
-	for l := 0; l < d.cfg.NumLevels; l++ {
-		t += cur.LevelBytes(l)
-	}
-	return t
-}
-
 // spaceProfileLocked computes the space-amplification profile.
 // Caller holds d.mu.
 func (d *DB) spaceProfileLocked() SpaceProfile {
@@ -289,7 +271,10 @@ func (d *DB) spaceProfileLocked() SpaceProfile {
 	if !d.surface.enabled {
 		return p
 	}
-	p.TableBytes = d.tableBytesLocked()
+	cur := d.vs.Current()
+	for l := 0; l < d.cfg.NumLevels; l++ {
+		p.TableBytes += cur.LevelBytes(l) // the LSM tree's logical footprint
+	}
 	if d.cfg.vlogEnabled() {
 		p.VlogLiveBytes, _, _ = d.vlogTotals()
 	}

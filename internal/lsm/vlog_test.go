@@ -465,8 +465,8 @@ func TestVlogOversizedValue(t *testing.T) {
 // that separates a value — alone or with inline entries and tombstones
 // riding along — costs exactly one device write, to the value log,
 // and leaves the WAL untouched; a batch that separates nothing is one
-// WAL record (the WAL writes a record's header and payload back to
-// back) and leaves the value log untouched.
+// WAL record, also one device write (header and payload leave the WAL
+// writer as one fragment), and leaves the value log untouched.
 func TestVlogCommitIsOneWriteToOneLog(t *testing.T) {
 	cfg := vlogConfig()
 	cfg.MemtableSize = 1 * kv.MiB // no flush in the way
@@ -503,8 +503,8 @@ func TestVlogCommitIsOneWriteToOneLog(t *testing.T) {
 	inline := NewBatch()
 	inline.Put([]byte("k5"), []byte("inline"))
 	inline.Delete([]byte("k3"))
-	if writes, wal, seg := commit(inline); writes != 2 || wal == 0 || seg != 0 {
-		t.Fatalf("inline batch: %d writes, WAL +%d, vlog +%d; want 2, a record, 0", writes, wal, seg)
+	if writes, wal, seg := commit(inline); writes != 1 || wal == 0 || seg != 0 {
+		t.Fatalf("inline batch: %d writes, WAL +%d, vlog +%d; want 1, a record, 0", writes, wal, seg)
 	}
 	for k, want := range map[string][]byte{"k2": bigValue("k2", 1024), "k4": bigValue("k4", 300), "k5": []byte("inline")} {
 		if got, err := d.Get([]byte(k)); err != nil || !bytes.Equal(got, want) {

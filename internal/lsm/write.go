@@ -221,7 +221,7 @@ func (d *DB) makeRoomForWrite(incoming int64) error {
 	if err := d.rotateAndFlush(need); err != nil {
 		return err
 	}
-	return d.compactUntilBalanced()
+	return d.compactUntilBalanced(debtBound)
 }
 
 // rotateAndFlush freezes the memtable, starts a fresh WAL of at
@@ -261,13 +261,15 @@ func (d *DB) rotateAndFlush(walBytes int64) error {
 	return nil
 }
 
-// compactUntilBalanced runs compactions while any level exceeds its
-// target. With the synchronous execution model this is the paper's
-// steady-state behaviour: writes stall while compaction debt drains,
-// which is exactly when the disk is the bottleneck.
-func (d *DB) compactUntilBalanced() error {
+// compactUntilBalanced runs compactions while any level is draining,
+// levels falling due at score due (pickCompaction): debtBound on the
+// write path, 1 where every level must end below its target. With the
+// synchronous execution model this is the paper's steady-state
+// behaviour: writes stall while compaction debt drains, which is
+// exactly when the disk is the bottleneck. Caller holds d.mu.
+func (d *DB) compactUntilBalanced(due float64) error {
 	for i := 0; ; i++ {
-		c := d.pickCompaction()
+		c := d.pickCompaction(due)
 		if c == nil {
 			return nil
 		}

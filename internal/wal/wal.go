@@ -60,8 +60,8 @@ type Writer struct {
 	blockOffset int // position within the current block
 	written     int64
 	records     int64
-	seed        [9]byte          // fragmentCRC's scratch
-	hdr         [headerSize]byte // the header on its way to w, which it escapes into
+	seed        [9]byte // fragmentCRC's scratch
+	frame       []byte  // the fragment on its way to w, reused
 }
 
 // zeros fills a block's tail too short for a header.
@@ -128,17 +128,18 @@ func (w *Writer) AddRecord(payload []byte) error {
 	}
 }
 
+// emitFragment writes one fragment, header and payload, as one write:
+// both are assembled in the writer's reused frame buffer, which never
+// outgrows a block.
 func (w *Writer) emitFragment(ftype byte, payload []byte) error {
-	binary.LittleEndian.PutUint32(w.hdr[0:4], fragmentCRC(&w.seed, w.tag, ftype, payload))
-	binary.LittleEndian.PutUint16(w.hdr[4:6], uint16(len(payload)))
-	w.hdr[6] = ftype
-	if err := w.emit(w.hdr[:]); err != nil {
+	w.frame = append(w.frame[:0], 0, 0, 0, 0, 0, 0, ftype)
+	binary.LittleEndian.PutUint32(w.frame[0:4], fragmentCRC(&w.seed, w.tag, ftype, payload))
+	binary.LittleEndian.PutUint16(w.frame[4:6], uint16(len(payload)))
+	w.frame = append(w.frame, payload...)
+	if err := w.emit(w.frame); err != nil {
 		return err
 	}
-	if err := w.emit(payload); err != nil {
-		return err
-	}
-	w.blockOffset += headerSize + len(payload)
+	w.blockOffset += len(w.frame)
 	return nil
 }
 

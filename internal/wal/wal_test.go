@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math/rand"
 	"testing"
@@ -149,5 +150,96 @@ func TestWriterSize(t *testing.T) {
 	w.AddRecord([]byte("abc"))
 	if w.Size() != int64(buf.Len()) {
 		t.Errorf("Size %d != buffer %d", w.Size(), buf.Len())
+	}
+}
+
+// countingWriter counts the writes it is handed.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.writes++
+	return c.Buffer.Write(p)
+}
+
+// twoWriteLog frames records as a writer that hands each fragment's
+// header and payload to the stream in two writes, and returns the bytes
+// and the number of one-write fragments and trailers they make.
+func twoWriteLog(records [][]byte) ([]byte, int) {
+	var out bytes.Buffer
+	var seed [9]byte
+	off, units := 0, 0
+	for _, rec := range records {
+		for begin := true; ; begin = false {
+			if left := BlockSize - off; left < headerSize {
+				if left > 0 {
+					out.Write(make([]byte, left))
+					units++
+				}
+				off = 0
+			}
+			frag := rec[:min(len(rec), BlockSize-off-headerSize)]
+			end := len(frag) == len(rec)
+			ftype := byte(typeMiddle)
+			switch {
+			case begin && end:
+				ftype = typeFull
+			case begin:
+				ftype = typeFirst
+			case end:
+				ftype = typeLast
+			}
+			var hdr [headerSize]byte
+			binary.LittleEndian.PutUint32(hdr[0:4], fragmentCRC(&seed, testTag, ftype, frag))
+			binary.LittleEndian.PutUint16(hdr[4:6], uint16(len(frag)))
+			hdr[6] = ftype
+			out.Write(hdr[:])
+			out.Write(frag)
+			off += headerSize + len(frag)
+			units++
+			rec = rec[len(frag):]
+			if end {
+				break
+			}
+		}
+	}
+	return out.Bytes(), units
+}
+
+// TestOneWritePerFragmentIsByteIdentical checks that assembling a
+// fragment in the writer's buffer changes only the number of writes: the
+// stream equals the two-write framing byte for byte, on records that
+// span blocks and leave trailers, and each fragment is one write.
+func TestOneWritePerFragmentIsByteIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var records [][]byte
+	for _, size := range []int{
+		100, 3*BlockSize + 17, BlockSize - 2*headerSize - 3, 0, 50000,
+		BlockSize - headerSize, 1, 2 * BlockSize,
+	} {
+		b := make([]byte, size)
+		rng.Read(b)
+		records = append(records, b)
+	}
+	for i := 0; i < 200; i++ {
+		b := make([]byte, rng.Intn(3000))
+		rng.Read(b)
+		records = append(records, b)
+	}
+	var got countingWriter
+	w := NewTaggedWriter(&got, testTag)
+	for _, rec := range records {
+		if err := w.AddRecord(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, units := twoWriteLog(records)
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("stream differs from the two-write framing (%d vs %d bytes)", got.Len(), len(want))
+	}
+	if got.writes != units {
+		t.Fatalf("%d writes for %d fragments and trailers", got.writes, units)
 	}
 }
