@@ -22,14 +22,13 @@ import (
 func runServe(args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	var (
-		addr     = fs.String("addr", ":7070", "TCP listen address for the wire protocol")
-		mode     = fs.String("mode", "sealdb", "engine mode: leveldb, leveldb+sets, smrdb, sealdb")
-		load     = fs.Int64("load", 0, "records to load (random order) before serving")
-		vsize    = fs.Int("value", 1024, "value size in bytes for -load")
-		seed     = fs.Int64("seed", 1, "load seed")
-		obsAddr  = fs.String("obs", "", "also serve /metrics and /debug endpoints on this HTTP address")
-		conns    = fs.Int("conns", 0, "max concurrent connections (0 = default)")
-		inflight = fs.Int("inflight", 0, "max unanswered requests per connection (0 = default)")
+		addr    = fs.String("addr", ":7070", "TCP listen address for the wire protocol")
+		mode    = fs.String("mode", "sealdb", "engine mode: leveldb, leveldb+sets, smrdb, sealdb")
+		load    = fs.Int64("load", 0, "records to load (random order) before serving")
+		vsize   = fs.Int("value", 1024, "value size in bytes for -load")
+		seed    = fs.Int64("seed", 1, "load seed")
+		obsAddr = fs.String("obs", "", "also serve /metrics and /debug endpoints on this HTTP address")
+		conns   = fs.Int("conns", 0, "max concurrent connections (0 = default)")
 
 		lockprof  = fs.Bool("lockprofile", false, "start with lock-contention profiling on (also togglable via /debug/contention?profile=on)")
 		mutexfrac = fs.Int("mutexfrac", -1, "runtime mutex profile fraction for /debug/pprof/mutex (-1 = leave default)")
@@ -60,10 +59,7 @@ func runServe(args []string) {
 		fmt.Printf("loaded %d records\n", *load)
 	}
 
-	srv, err := server.Serve(db, *addr, server.Config{
-		MaxConns:    *conns,
-		MaxInflight: *inflight,
-	})
+	srv, err := server.Serve(db, *addr, server.Config{MaxConns: *conns})
 	if err != nil {
 		fatal(err)
 	}

@@ -122,12 +122,9 @@ func (r *runner) runRound(round int, plan *roundPlan) (history.Round, error) {
 	if plan.flip {
 		flip = r.applyFlip(db, plan)
 	}
-	srv, err := server.Serve(db, "127.0.0.1:0", server.Config{
-		// One request per commit group: the device write sequence
-		// follows the writer's op order exactly.
-		CoalesceMaxRequests: 1,
-		DrainTimeout:        2 * time.Second,
-	})
+	// A tick has one sequential writer, so every engine group commit has
+	// one member: the device write sequence follows its op order exactly.
+	srv, err := server.Serve(db, "127.0.0.1:0", server.Config{DrainTimeout: 2 * time.Second})
 	if err != nil {
 		db.Close()
 		return rd, fmt.Errorf("serve: %w", err)

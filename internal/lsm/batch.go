@@ -17,6 +17,10 @@ type Batch struct {
 	rep   []byte
 	count uint32
 	bytes int64 // key+value payload, for stats
+	// Commit-queue state (ApplyCtx), written under the DB's mu.
+	done  bool
+	err   error
+	group *GroupCommit
 }
 
 // NewBatch returns an empty batch.
@@ -51,9 +55,9 @@ func (b *Batch) Len() int { return int(b.count) }
 func (b *Batch) Size() int64 { return int64(len(b.rep)) }
 
 // Reset clears the batch for reuse, keeping the backing buffer's
-// capacity. The server's group-commit hot path cycles batches through
-// a pool on the strength of this guarantee: after a warm-up period a
-// pooled batch serves steady-state traffic without reallocating.
+// capacity. Put and Delete's pool and each server connection's batch
+// rely on it: after a warm-up a reused batch serves steady-state
+// traffic without reallocating.
 func (b *Batch) Reset() {
 	b.rep = b.rep[:batchHeaderLen]
 	b.count = 0

@@ -104,10 +104,10 @@ func NewDevice(cfg Config) *Device {
 // DB is the key-value engine. The public wrapper package sealdb
 // re-exports it; see the package comment for the modes.
 //
-// Concurrency model: writers serialize on one mutex, LevelDB style,
-// with flushes and compactions running synchronously on the committing
-// goroutine; readers take no engine lock (readstate.go). The
-// experiments measure simulated device time, which is unaffected by
+// Concurrency model: writers commit in groups under one mutex (ApplyCtx,
+// LevelDB style), with flushes and compactions running synchronously on
+// the committing goroutine; readers take no engine lock (readstate.go).
+// The experiments measure simulated device time, which is unaffected by
 // host threading.
 type DB struct {
 	cfg Config
@@ -144,8 +144,14 @@ type DB struct {
 	// lockorder: lsm_db_mu < storage_backend_mu
 	// lockorder: lsm_db_mu < band_stats_mu
 	// lockorder: lsm_db_mu < lsm_tables_mu
+	// lockorder: lsm_db_mu < lsm_commit_queue_mu
 	mu  obs.Mutex
 	mem *memtable.MemTable
+	// queue holds the batches awaiting a group commit (ApplyCtx), oldest
+	// first; scratch concatenates a group of more than one.
+	queueMu obs.Mutex
+	queue   []*Batch // guarded by queueMu
+	scratch Batch    // guarded by mu
 	// state is the published read state, visible the newest sequence
 	// number readers see; retiring queues superseded states, oldest
 	// first, until what they retired is reclaimed (readstate.go).
@@ -224,6 +230,7 @@ func OpenDevice(cfg Config, dev *Device) (*DB, error) {
 	}
 	d.mu.Profile("lsm_db_mu")
 	d.tablesMu.Profile("lsm_tables_mu")
+	d.queueMu.Profile("lsm_commit_queue_mu")
 	d.mem = memtable.New(d.nextMemSeed())
 	d.builder.SetCompression(cfg.Compression)
 	if dev.DBand != nil {

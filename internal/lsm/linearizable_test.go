@@ -65,6 +65,9 @@ func recordHistory(t *testing.T, cfg Config) []history.RegOp {
 		ops = append(ops, local...)
 		mu.Unlock()
 	}
+	// The writers' first batches queue behind a held d.mu and commit as
+	// one group, so every arm checks a grouped commit.
+	d.mu.Lock()
 	for w := 0; w < linearWriters; w++ {
 		writers.Add(1)
 		go func(w int) {
@@ -96,6 +99,8 @@ func recordHistory(t *testing.T, cfg Config) []history.RegOp {
 			}
 		}(w)
 	}
+	awaitQueued(d, linearWriters)
+	d.mu.Unlock()
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func(r int) {
@@ -217,10 +222,16 @@ func recordHistory(t *testing.T, cfg Config) []history.RegOp {
 		t.Error(err)
 	}
 	st := d.Stats()
-	t.Logf("%d ops recorded; %d flushes, %d compactions, %d set moves, %d vlog GC passes",
-		len(ops), st.FlushCount, st.CompactionCount, st.GCMoves, st.VlogGCRuns)
+	// Every Put and Delete is a one-entry batch, so fewer group commits
+	// than entries means a group carried several writers' batches.
+	groups, batches := d.metrics.writeLatency.Snapshot().Count, d.metrics.writes.Value()
+	t.Logf("%d ops recorded; %d batches in %d group commits; %d flushes, %d compactions, %d set moves, %d vlog GC passes",
+		len(ops), batches, groups, st.FlushCount, st.CompactionCount, st.GCMoves, st.VlogGCRuns)
 	if st.FlushCount == 0 || st.CompactionCount == 0 || cfg.vlogEnabled() && st.VlogGCRuns == 0 {
 		t.Errorf("maintenance did not run beside the clients: %+v", st)
+	}
+	if groups >= batches {
+		t.Errorf("%d group commits for %d batches: no group carried two, so no grouped commit was checked", groups, batches)
 	}
 	return ops
 }

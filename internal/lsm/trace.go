@@ -17,6 +17,9 @@ type OpContext struct {
 	// ReqID is the originating wire request id (0 when the operation
 	// did not arrive over the network).
 	ReqID uint64
+	// Group, if set, receives the facts of the batch's group commit
+	// (ApplyCtx); only then does the engine read the wall clock.
+	Group *GroupCommit
 }
 
 // TraceConfig configures the request tracer. The tracer is cheap

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"time"
 
 	"sealdb/internal/kv"
 	"sealdb/internal/memtable"
@@ -18,6 +19,8 @@ import (
 var batchPool = sync.Pool{New: func() any { return NewBatch() }}
 
 const maxPooledBatchBytes = 4 << 20
+
+const maxGroupBytes = 1 << 20 // a group commit's batches, LevelDB's bound
 
 // Put writes a single key/value pair.
 func (d *DB) Put(key, value []byte) error {
@@ -51,23 +54,82 @@ func (d *DB) Apply(b *Batch) error {
 	return d.ApplyCtx(b, OpContext{})
 }
 
+// GroupCommit describes a group commit: when it began, whether the
+// batch was its first, and its batch and entry counts.
+type GroupCommit struct {
+	Began            time.Time
+	Head             bool
+	Batches, Entries int
+}
+
 // ApplyCtx is Apply carrying a request context: when tracing is
 // enabled, the commit's physical I/Os — WAL append, and any flush or
 // compaction stall the batch absorbed — are attributed to ctx.ReqID.
-// With tracing off it is exactly Apply.
+// Writers queue their batches and wait on d.mu, whose holder commits the
+// queue's head as one group under its own ReqID (LevelDB's writer
+// queue); a batch an earlier holder committed just returns its outcome.
 func (d *DB) ApplyCtx(b *Batch, ctx OpContext) error {
 	if b.Len() == 0 {
 		return nil
 	}
+	b.group = ctx.Group
+	d.queueMu.Lock()
+	d.queue = append(d.queue, b)
+	d.queueMu.Unlock()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.writeAllowed(); err != nil {
-		return err
+	for !b.done {
+		d.commitGroupLocked(ctx.ReqID)
 	}
-	ot := d.traceBegin("apply", ctx.ReqID)
-	err := d.applyLocked(b, ot)
-	d.traceEnd(ot, err)
-	return err
+	b.done = false
+	return b.err
+}
+
+// commitGroupLocked commits the queue's first batch and those following
+// it within maxGroupBytes with one log write and one memtable pass: a
+// group of one as is, more concatenated into d.scratch. Caller holds d.mu.
+func (d *DB) commitGroupLocked(reqID uint64) {
+	d.queueMu.Lock()
+	n, size := 1, d.queue[0].Size()
+	for ; n < len(d.queue) && size+d.queue[n].Size() <= maxGroupBytes; n++ {
+		size += d.queue[n].Size()
+	}
+	group := d.queue[:n:n] // appends land past n; only d.mu's holder dequeues
+	d.queueMu.Unlock()
+	b := group[0]
+	if n > 1 {
+		b = &d.scratch
+		*b = Batch{rep: append(b.rep[:0], make([]byte, batchHeaderLen)...)}
+		for _, m := range group {
+			b.rep = append(b.rep, m.rep[batchHeaderLen:]...)
+			b.count, b.bytes = b.count+m.count, b.bytes+m.bytes
+		}
+	}
+	var began time.Time
+	for i, m := range group {
+		if m.group != nil {
+			if began.IsZero() {
+				began = time.Now()
+			}
+			*m.group = GroupCommit{Began: began, Head: i == 0, Batches: n, Entries: b.Len()}
+		}
+	}
+	err := d.writeAllowed()
+	if err == nil {
+		ot := d.traceBegin("apply", reqID)
+		err = d.applyLocked(b, ot)
+		d.traceEnd(ot, err)
+	}
+	for _, m := range group {
+		m.done, m.err = true, err
+	}
+	if d.scratch.Cap() > maxPooledBatchBytes {
+		d.scratch.rep = nil
+	}
+	d.queueMu.Lock()
+	d.queue = append(d.queue[:0], d.queue[n:]...)
+	clear(d.queue[len(d.queue) : len(d.queue)+n]) // the committed batches' slots
+	d.queueMu.Unlock()
 }
 
 // applyLocked is the user commit: the shared commit path plus the

@@ -13,23 +13,28 @@ import (
 	"sealdb/internal/wire"
 )
 
-// conn is one served connection: a reader goroutine decoding
-// pipelined requests and a writer goroutine flushing responses, tied
-// together by the out channel. Responses enter out in completion
-// order, not request order.
+const (
+	// maxQueuedReplies is how many responses may await a connection's
+	// writer before its reader blocks: room for a pipelining client's
+	// burst while the writer flushes.
+	maxQueuedReplies = 128
+	// maxBatchBytes bounds the capacity a connection's batch keeps
+	// between requests; one grown past it is replaced, not pinned.
+	maxBatchBytes = 4 << 20
+)
+
+// conn is one served connection: a reader goroutine decoding and
+// executing pipelined requests and a writer goroutine flushing
+// responses, tied together by the out channel.
 type conn struct {
 	id  uint64
 	srv *Server
 	nc  net.Conn
 	br  *bufio.Reader
 
-	// out carries completed responses to the writer; its capacity is
-	// 2*MaxInflight so a send never blocks while the writer lives.
+	// out carries responses to the writer; when maxQueuedReplies wait
+	// the reader blocks, and TCP flow control pushes back on the client.
 	out chan wire.Frame
-	// inflight is the pipelining semaphore: one slot per unanswered
-	// request. The reader blocks acquiring a slot, which stops frame
-	// consumption and lets TCP flow control push back on the client.
-	inflight chan struct{}
 	// dead is closed when the writer is gone (write error or force
 	// close); senders then drop their responses.
 	dead      chan struct{}
@@ -41,6 +46,11 @@ type conn struct {
 	// into the engine tracer. Written before any dispatch, read only
 	// by the reader goroutine.
 	traced bool
+	// batch is the reader's one write batch, decoded into and Reset per
+	// write request; group receives the engine's facts about the group
+	// commit it landed in. Both belong to the reader goroutine.
+	batch *lsm.Batch
+	group lsm.GroupCommit
 
 	// Connection stats, read by /debug/conns without locks.
 	opened    time.Time
@@ -54,15 +64,15 @@ type conn struct {
 
 func newConn(s *Server, id uint64, nc net.Conn) *conn {
 	return &conn{
-		id:       id,
-		srv:      s,
-		nc:       nc,
-		br:       bufio.NewReaderSize(nc, 64<<10),
-		out:      make(chan wire.Frame, 2*s.cfg.maxInflight()),
-		inflight: make(chan struct{}, s.cfg.maxInflight()),
-		dead:     make(chan struct{}),
-		opened:   time.Now(),
-		remote:   nc.RemoteAddr().String(),
+		id:     id,
+		srv:    s,
+		nc:     nc,
+		br:     bufio.NewReaderSize(nc, 64<<10),
+		out:    make(chan wire.Frame, maxQueuedReplies),
+		dead:   make(chan struct{}),
+		batch:  lsm.NewBatch(),
+		opened: time.Now(),
+		remote: nc.RemoteAddr().String(),
 	}
 }
 
@@ -87,7 +97,7 @@ func (c *conn) markDead() {
 }
 
 // send hands a response to the writer, dropping it if the writer is
-// gone. Called from the reader goroutine and from commit callbacks.
+// gone. Called from the reader goroutine.
 func (c *conn) send(f wire.Frame) {
 	select {
 	case c.out <- f:
@@ -120,46 +130,29 @@ func (c *conn) readLoop() {
 		c.srv.m.bytesIn.Add(n)
 		c.requests.Add(1)
 		c.srv.m.requests.Inc()
-
-		// Acquire a pipeline slot; blocking here is the backpressure.
-		c.inflight <- struct{}{}
 		c.pending.Add(1)
 		c.dispatch(&f)
+		c.pending.Add(-1)
 	}
 }
 
-// release returns a pipeline slot.
-func (c *conn) release() {
-	c.pending.Add(-1)
-	<-c.inflight
-}
-
-// dispatch routes one request frame. Reads run inline; writes go to
-// the group committer with a callback that acks when the commit
-// lands. The inflight slot is released when the response is enqueued.
+// dispatch executes one request frame and enqueues its response.
 func (c *conn) dispatch(f *wire.Frame) {
 	switch f.Op {
 	case wire.OpGet:
 		c.doGet(f)
-		c.release()
 	case wire.OpScan:
 		c.doScan(f)
-		c.release()
 	case wire.OpStats:
 		c.doStats(f)
-		c.release()
 	case wire.OpPut, wire.OpDelete, wire.OpWriteBatch:
-		if !c.enqueueWrite(f) {
-			c.release()
-		}
+		c.doWrite(f)
 	case wire.OpHello:
 		// A second hello is a protocol error, but a harmless one.
 		c.send(wire.Reply(f.ReqID, wire.StatusBadRequest, []byte("server: duplicate handshake")))
-		c.release()
 	default:
 		c.srv.m.badRequests.Inc()
 		c.send(wire.Reply(f.ReqID, wire.StatusBadRequest, []byte("server: unknown opcode")))
-		c.release()
 	}
 }
 
@@ -214,64 +207,84 @@ func (c *conn) doStats(f *wire.Frame) {
 	c.send(wire.Reply(f.ReqID, wire.StatusOK, body))
 }
 
-// enqueueWrite validates a write request and hands it to the group
-// committer. Returns false when the request was rejected inline (the
-// caller then releases the slot); on success the commit callback owns
-// the slot.
-func (c *conn) enqueueWrite(f *wire.Frame) bool {
+// doWrite decodes a write request into the connection's batch, applies
+// it inline and replies with its group commit's outcome.
+func (c *conn) doWrite(f *wire.Frame) {
+	defer c.resetBatch()
+	if err := c.decodeWrite(f); err != nil {
+		c.srv.m.badRequests.Inc()
+		c.send(wire.Reply(f.ReqID, wire.StatusBadRequest, []byte(err.Error())))
+	} else if mutationAckBeforeCommit {
+		// Intentional bug for the chaos harness's mutation self-test
+		// (build tag sealdb_chaos_mutation): the OK leaves before the
+		// engine logs the write, so a power cut mid-apply loses it.
+		c.send(wire.Reply(f.ReqID, wire.StatusOK, nil))
+		c.commit(f.ReqID) // the outcome is dropped: that is the bug
+	} else if err := c.commit(f.ReqID); err != nil {
+		c.send(errReply(f.ReqID, err))
+	} else {
+		c.send(wire.Reply(f.ReqID, wire.StatusOK, nil))
+	}
+}
+
+// decodeWrite fills the connection's batch from a PUT, DELETE or
+// WRITEBATCH payload.
+func (c *conn) decodeWrite(f *wire.Frame) (err error) {
+	var key, value []byte
 	var entries []wire.BatchEntry
 	switch f.Op {
 	case wire.OpPut:
-		key, value, err := wire.DecodePut(f.Payload)
-		if err != nil {
-			c.srv.m.badRequests.Inc()
-			c.send(wire.Reply(f.ReqID, wire.StatusBadRequest, []byte(err.Error())))
-			return false
+		if key, value, err = wire.DecodePut(f.Payload); err == nil {
+			c.batch.Put(key, value)
 		}
-		entries = []wire.BatchEntry{{Key: key, Value: value}}
 	case wire.OpDelete:
-		key, err := wire.DecodeDelete(f.Payload)
-		if err != nil {
-			c.srv.m.badRequests.Inc()
-			c.send(wire.Reply(f.ReqID, wire.StatusBadRequest, []byte(err.Error())))
-			return false
+		if key, err = wire.DecodeDelete(f.Payload); err == nil {
+			c.batch.Delete(key)
 		}
-		entries = []wire.BatchEntry{{Delete: true, Key: key}}
 	case wire.OpWriteBatch:
-		var err error
 		entries, err = wire.DecodeWriteBatch(f.Payload)
-		if err != nil {
-			c.srv.m.badRequests.Inc()
-			c.send(wire.Reply(f.ReqID, wire.StatusBadRequest, []byte(err.Error())))
-			return false
-		}
-		if len(entries) == 0 {
-			c.send(wire.Reply(f.ReqID, wire.StatusOK, nil))
-			return false
-		}
-	}
-	reqID := f.ReqID
-	req := &commitReq{
-		entries: entries,
-		start:   time.Now(),
-		traced:  c.traced,
-		reqID:   reqID,
-		done: func(err error) {
-			if err != nil {
-				c.send(errReply(reqID, err))
+		for _, e := range entries {
+			if e.Delete {
+				c.batch.Delete(e.Key)
 			} else {
-				c.send(wire.Reply(reqID, wire.StatusOK, nil))
+				c.batch.Put(e.Key, e.Value)
 			}
-			c.release()
-		},
+		}
 	}
-	select {
-	case c.srv.commitCh <- req:
-		return true
-	case <-c.srv.commitStop:
-		c.send(wire.Reply(reqID, wire.StatusUnavailable, []byte("server: shutting down")))
-		return false
+	return err
+}
+
+// commit applies the connection's batch (an empty WRITEBATCH commits
+// nothing) and feeds the group-commit series from what the engine
+// reports about the batch's group; the group's head counts the group.
+func (c *conn) commit(reqID uint64) error {
+	if c.batch.Len() == 0 {
+		return nil
 	}
+	ctx := lsm.OpContext{Group: &c.group}
+	if c.traced {
+		ctx.ReqID = reqID
+	}
+	start := time.Now()
+	err := c.srv.db.ApplyCtx(c.batch, ctx)
+	m, g := c.srv.m, &c.group
+	m.writeLatency.Observe(time.Since(start).Nanoseconds())
+	m.coalesceWait.Observe(g.Began.Sub(start).Nanoseconds())
+	if g.Head {
+		m.coalescedCommits.Inc()
+		m.coalescedReqs.Observe(int64(g.Batches))
+		m.coalescedEntries.Observe(int64(g.Entries))
+	}
+	return err
+}
+
+// resetBatch readies the connection's batch for the next request.
+func (c *conn) resetBatch() {
+	if c.batch.Cap() > maxBatchBytes {
+		c.batch = lsm.NewBatch()
+		return
+	}
+	c.batch.Reset()
 }
 
 // handshake performs the version/feature exchange. The client's first
@@ -323,16 +336,10 @@ func (c *conn) handshake() bool {
 	return true
 }
 
-// teardown runs when the reader exits: it waits for every outstanding
-// request to complete (their acks flow through the writer), then
-// closes the response channel so the writer flushes and exits, and
-// finally closes the socket.
+// teardown runs when the reader exits, every request it read answered:
+// it closes the response channel so the writer flushes and exits, and
+// the writer closes the socket.
 func (c *conn) teardown() {
-	// Draining the semaphore to capacity means no commit callback can
-	// still be pending.
-	for i := 0; i < cap(c.inflight); i++ {
-		c.inflight <- struct{}{}
-	}
 	close(c.out)
 	c.srv.removeConn(c)
 }

@@ -19,7 +19,6 @@ type metrics struct {
 	badRequests    *obs.Counter
 	bytesIn        *obs.Counter
 	bytesOut       *obs.Counter
-	commitErrors   *obs.Counter
 
 	coalescedCommits *obs.Counter
 	coalescedReqs    *obs.Histogram
@@ -33,9 +32,9 @@ type metrics struct {
 
 // newMetrics registers the serving-layer series. Counter semantics:
 // requests counts decoded frames, bytes are whole-frame wire sizes,
-// write latency spans enqueue → group-commit ack (queueing included),
-// and the coalesced histograms record per-group request and entry
-// counts — the live view of how well cross-connection batching works.
+// write latency spans ApplyCtx (group-commit queueing included), and the
+// coalesced series count the engine group commits a request headed, from
+// the facts ApplyCtx reports — the live view of how well batching works.
 func newMetrics(reg *obs.Registry, s *Server) *metrics {
 	m := &metrics{
 		connsAccepted:    reg.Counter("sealdb_server_conns_accepted_total"),
@@ -46,7 +45,6 @@ func newMetrics(reg *obs.Registry, s *Server) *metrics {
 		badRequests:      reg.Counter("sealdb_server_bad_requests_total"),
 		bytesIn:          reg.Counter("sealdb_server_bytes_in_total"),
 		bytesOut:         reg.Counter("sealdb_server_bytes_out_total"),
-		commitErrors:     reg.Counter("sealdb_server_commit_errors_total"),
 		coalescedCommits: reg.Counter("sealdb_server_coalesced_commits_total"),
 		coalescedReqs:    reg.Histogram("sealdb_server_coalesced_group_requests"),
 		coalescedEntries: reg.Histogram("sealdb_server_coalesced_group_entries"),

@@ -3,5 +3,5 @@
 package server
 
 // raceEnabled reports whether the race detector is instrumenting this
-// build; sync.Pool and allocation accounting behave differently there.
+// build; allocation accounting behaves differently there.
 const raceEnabled = true

@@ -4,17 +4,17 @@
 // Architecture (see DESIGN.md, "Serving layer"):
 //
 //   - Each accepted connection gets a read/write goroutine pair. The
-//     reader decodes pipelined request frames; the writer serializes
-//     response frames from a channel, so responses may leave in any
-//     order — a read never waits behind an earlier write's commit.
-//   - Reads (GET/SCAN/STATS) execute inline on the reader goroutine.
-//     Writes (PUT/DELETE/WRITEBATCH) are handed to a single committer
-//     goroutine that coalesces requests from every connection into one
-//     shared lsm.Batch and applies it as a group commit; each request
-//     is acknowledged individually once its group lands.
-//   - Backpressure is structural: a per-connection inflight semaphore
-//     stops the reader (and therefore TCP flow control stops the
-//     client) when too many requests are unanswered, and a connection
+//     reader decodes pipelined request frames and executes each inline;
+//     the writer serializes response frames from a channel.
+//   - Reads (GET/SCAN/STATS) run on the reader goroutine. So do writes
+//     (PUT/DELETE/WRITEBATCH): the request is decoded into the
+//     connection's one lsm.Batch and applied with DB.ApplyCtx, whose
+//     writer queue commits concurrent connections' batches as one group.
+//     A read therefore waits behind its own connection's earlier write,
+//     never another connection's.
+//   - Backpressure is structural: the reader executes one request at a
+//     time and blocks once maxQueuedReplies wait for the writer (and
+//     therefore TCP flow control stops the client), and a connection
 //     limit bounds the goroutine population. Slow clients are bounded
 //     by a write deadline on every response flush.
 //   - Close drains gracefully: the listener stops, readers are kicked
@@ -43,9 +43,6 @@ type Config struct {
 	// accepts are answered with StatusUnavailable and closed.
 	// 0 means 256.
 	MaxConns int
-	// MaxInflight bounds unanswered requests per connection; the
-	// reader stops consuming frames when the bound is hit. 0 means 128.
-	MaxInflight int
 	// WriteTimeout is the slow-client deadline for flushing responses;
 	// a connection that cannot absorb its responses in time is closed.
 	// 0 means 10s.
@@ -56,12 +53,6 @@ type Config struct {
 	// MaxFrame bounds accepted request frames. 0 means
 	// wire.DefaultMaxFrame.
 	MaxFrame int
-	// CoalesceMaxRequests bounds how many write requests one group
-	// commit absorbs. 0 means 64.
-	CoalesceMaxRequests int
-	// CoalesceMaxBytes bounds a group commit's encoded batch size.
-	// 0 means 1 MiB.
-	CoalesceMaxBytes int64
 	// HandshakeTimeout bounds the wait for the client hello. 0 means 5s.
 	HandshakeTimeout time.Duration
 }
@@ -71,13 +62,6 @@ func (c *Config) maxConns() int {
 		return c.MaxConns
 	}
 	return 256
-}
-
-func (c *Config) maxInflight() int {
-	if c.MaxInflight > 0 {
-		return c.MaxInflight
-	}
-	return 128
 }
 
 func (c *Config) writeTimeout() time.Duration {
@@ -101,20 +85,6 @@ func (c *Config) maxFrame() int {
 	return wire.DefaultMaxFrame
 }
 
-func (c *Config) coalesceMaxRequests() int {
-	if c.CoalesceMaxRequests > 0 {
-		return c.CoalesceMaxRequests
-	}
-	return 64
-}
-
-func (c *Config) coalesceMaxBytes() int64 {
-	if c.CoalesceMaxBytes > 0 {
-		return c.CoalesceMaxBytes
-	}
-	return 1 << 20
-}
-
 func (c *Config) handshakeTimeout() time.Duration {
 	if c.HandshakeTimeout > 0 {
 		return c.HandshakeTimeout
@@ -129,13 +99,9 @@ type Server struct {
 	ln  net.Listener
 	m   *metrics
 
-	commitCh   chan *commitReq
-	commitStop chan struct{}
-	commitWG   sync.WaitGroup
-
 	// mu guards server state shared between the accept loop, the
-	// committer's stats path, and every connection's teardown;
-	// profiled as the "server_mu" contention site.
+	// stats path, and every connection's teardown; profiled as the
+	// "server_mu" contention site.
 	mu     obs.Mutex
 	conns  map[*conn]struct{} // guarded by mu
 	nextID uint64             // guarded by mu
@@ -152,17 +118,13 @@ func Serve(db *lsm.DB, addr string, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		db:         db,
-		cfg:        cfg,
-		ln:         ln,
-		commitCh:   make(chan *commitReq, 4*cfg.coalesceMaxRequests()),
-		commitStop: make(chan struct{}),
-		conns:      map[*conn]struct{}{},
+		db:    db,
+		cfg:   cfg,
+		ln:    ln,
+		conns: map[*conn]struct{}{},
 	}
 	s.mu.Profile("server_mu")
 	s.m = newMetrics(db.ObsRegistry(), s)
-	s.commitWG.Add(1)
-	go s.committer()
 	s.connWG.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -265,8 +227,6 @@ func (s *Server) Close() error {
 		}
 		<-done
 	}
-	close(s.commitStop)
-	s.commitWG.Wait()
 	return err
 }
 
@@ -313,9 +273,9 @@ type serverStats struct {
 	OpenConns     int   `json:"open_conns"`
 	AcceptedConns int64 `json:"accepted_conns"`
 	Requests      int64 `json:"requests"`
-	// CoalescedGroups is how many group commits ran; CoalescedWrites is
-	// how many write requests they absorbed in total, so writes/groups
-	// is the average batching factor.
+	// CoalescedGroups is how many engine group commits a request of this
+	// server headed; CoalescedWrites is how many batches those groups
+	// absorbed in total, so writes/groups is the average batching factor.
 	CoalescedGroups int64 `json:"coalesced_groups"`
 	CoalescedWrites int64 `json:"coalesced_writes"`
 }

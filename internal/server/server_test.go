@@ -44,7 +44,7 @@ func newTestServer(t *testing.T, cfg Config) (*lsm.DB, *Server) {
 // the server's full contents are compared against an in-process
 // oracle DB that replayed the same acknowledged mutations.
 func TestServerE2E(t *testing.T) {
-	_, srv := newTestServer(t, Config{CoalesceMaxRequests: 8})
+	_, srv := newTestServer(t, Config{})
 
 	oracle, err := lsm.Open(lsm.DefaultConfig(lsm.ModeSEALDB))
 	if err != nil {

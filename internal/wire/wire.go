@@ -41,8 +41,10 @@ const (
 const (
 	// FeaturePipeline: the peer accepts out-of-order responses.
 	FeaturePipeline uint32 = 1 << 0
-	// FeatureCoalesce: the server may group-commit writes from many
-	// connections into one engine batch (acks are unaffected).
+	// FeatureCoalesce: the peer's writes may share a group commit with
+	// other connections' writes. The engine groups concurrent writers
+	// whatever the bit says; it is kept for handshake compatibility, and
+	// acks are unaffected.
 	FeatureCoalesce uint32 = 1 << 1
 	// FeatureTrace: the client asks the server to enable request
 	// tracing — its request ids are threaded into the engine so
