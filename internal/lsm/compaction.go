@@ -491,6 +491,7 @@ func (d *DB) mergeInputs(c *compaction) ([]*version.FileMeta, [][]byte, map[uint
 		if err != nil {
 			return err
 		}
+		d.noteBuilt(meta)
 		datas = append(datas, data)
 		outputs = append(outputs, &version.FileMeta{
 			Num: num, Size: meta.Size,

@@ -179,6 +179,8 @@ type DB struct {
 	compactions []CompactionInfo
 	compID      int
 	closed      atomic.Bool // set once, under mu
+	// builtBytes/builtEntries sum the Meta of every table built (spanFor).
+	builtBytes, builtEntries atomic.Int64
 	// draining marks the levels pickCompaction drains; not persisted,
 	// so a reopened level waits for debtBound again. guarded by mu
 	draining [version.NumLevels]bool

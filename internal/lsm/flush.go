@@ -26,6 +26,7 @@ func (d *DB) flushMemtable(mem *memtable.MemTable, newLogNum uint64) error {
 	if err != nil {
 		return err
 	}
+	d.noteBuilt(meta)
 	err = d.backend.WriteFile(num, data)
 	sstable.PutBuf(data)
 	if err != nil {

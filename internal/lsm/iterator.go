@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"sealdb/internal/kv"
+	"sealdb/internal/sstable"
 	"sealdb/internal/version"
 )
 
@@ -144,21 +145,33 @@ type concatIter struct {
 	d      *DB
 	files  []*version.FileMeta
 	inputs map[uint64]kv.Iterator
+	span   int // openStreaming's
 	idx    int
 	cur    kv.Iterator
 	err    error
 }
 
-// openStreaming returns the iterator of the user read path over f.
-func (d *DB) openStreaming(f *version.FileMeta) (kv.Iterator, error) {
+// openStreaming returns the user read path's iterator over f (spanFor).
+func (d *DB) openStreaming(f *version.FileMeta, span int) (kv.Iterator, error) {
 	t, err := d.openTable(f)
 	if err != nil {
 		return nil, err
 	}
-	return t.NewStreamingIterator(d.cfg.readahead(), d.metrics.sstableStreamed), nil
+	return t.NewSpanIterator(d.cfg.readahead(), span, d.metrics.sstableStreamed), nil
 }
 
+// closeTable hands back a table iterator's window, if it has one (compaction inputs have none).
+func closeTable(it kv.Iterator) {
+	if c, ok := it.(interface{ Close() }); ok {
+		c.Close()
+	}
+}
+
+func (c *concatIter) Close()    { closeTable(c.cur) }
+func (l *lazyTableIter) Close() { closeTable(l.it) }
+
 func (c *concatIter) openIdx() {
+	c.Close()
 	c.cur = nil
 	if c.err != nil || c.idx < 0 || c.idx >= len(c.files) {
 		return
@@ -166,7 +179,7 @@ func (c *concatIter) openIdx() {
 	if c.inputs != nil {
 		c.cur = c.inputs[c.files[c.idx].Num]
 	} else {
-		c.cur, c.err = c.d.openStreaming(c.files[c.idx])
+		c.cur, c.err = c.d.openStreaming(c.files[c.idx], c.span)
 	}
 }
 
@@ -265,7 +278,10 @@ func (d *DB) NewIterator() *Iterator { return d.NewSnapshotIterator(nil) }
 
 // NewSnapshotIterator iterates the state as of snap (nil: the visible
 // sequence number). The caller keeps ownership of the snapshot.
-func (d *DB) NewSnapshotIterator(snap *Snapshot) *Iterator {
+func (d *DB) NewSnapshotIterator(snap *Snapshot) *Iterator { return d.newIterator(snap, 0) }
+
+// newIterator is NewSnapshotIterator with spanFor's spans for limit records.
+func (d *DB) newIterator(snap *Snapshot, limit int) *Iterator {
 	s, seq := d.acquire()
 	if s == nil {
 		return &Iterator{d: d, err: ErrClosed}
@@ -277,29 +293,54 @@ func (d *DB) NewSnapshotIterator(snap *Snapshot) *Iterator {
 	if s.imm != nil {
 		children = append(children, s.imm.NewIterator())
 	}
+	var total int64
+	for level := range s.v.Files {
+		total += s.v.LevelBytes(level)
+	}
 	for level := 0; level < d.cfg.NumLevels; level++ {
 		if files := s.v.Files[level]; d.cfg.sortedLevel(level) && len(files) > 0 {
-			children = append(children, &concatIter{d: d, files: files})
+			children = append(children, &concatIter{d: d, files: files, span: d.spanFor(limit, s.v.LevelBytes(level), total)})
 		} else {
 			for _, f := range files {
-				children = append(children, &lazyTableIter{d: d, f: f})
+				children = append(children, &lazyTableIter{d: d, f: f, span: d.spanFor(limit, f.Size, total)})
 			}
 		}
 	}
 	return &Iterator{d: d, s: s, m: newMergingIter(children...), seq: seq}
 }
 
+// spanFor is the span of a scan of limit records in a level (an L0 or
+// overlapped table: a table) of bytes in a tree of total: the block a seek
+// lands in, which may hold nothing at or past the target, its successor,
+// and the level's share of limit in blocks of the mean entry built so far
+// (a block holds one entry at least, however large).
+func (d *DB) spanFor(limit int, bytes, total int64) int {
+	entries := d.builtEntries.Load()
+	if limit <= 0 || entries == 0 {
+		return 2 * min(limit, 1) // none without a limit, two before any table
+	}
+	blocks := float64(limit) * float64(bytes) / float64(total) * min(float64(d.builtBytes.Load())/float64(entries)/sstable.TargetBlockSize, 1)
+	return 2 + int(min(blocks, 1<<30))
+}
+
+// noteBuilt adds a table the engine built to spanFor's mean entry.
+func (d *DB) noteBuilt(m sstable.Meta) {
+	d.builtBytes.Add(m.Size)
+	d.builtEntries.Add(int64(m.Entries))
+}
+
 // lazyTableIter defers opening a table until first use.
 type lazyTableIter struct {
-	d   *DB
-	f   *version.FileMeta
-	it  kv.Iterator
-	err error
+	d    *DB
+	f    *version.FileMeta
+	span int
+	it   kv.Iterator
+	err  error
 }
 
 func (l *lazyTableIter) open() bool {
 	if l.it == nil && l.err == nil {
-		l.it, l.err = l.d.openStreaming(l.f)
+		l.it, l.err = l.d.openStreaming(l.f, l.span)
 	}
 	return l.err == nil
 }
@@ -512,6 +553,9 @@ func (it *Iterator) Error() error { return it.err }
 // what later edits retired run. Closing twice is a no-op.
 func (it *Iterator) Close() {
 	if it.s != nil {
+		for _, c := range it.m.children {
+			closeTable(c)
+		}
 		it.d.release(it.s)
 		it.s = nil
 	}
@@ -526,7 +570,7 @@ type KV struct {
 // Scan returns up to limit live entries with keys >= start, the range
 // query used by YCSB workload E.
 func (d *DB) Scan(start []byte, limit int) ([]KV, error) {
-	it := d.NewIterator()
+	it := d.newIterator(nil, limit)
 	defer it.Close()
 	it.Seek(start)
 	return it.collect(limit, it.Next)
@@ -553,9 +597,9 @@ func (d *DB) ScanReverse(start []byte, limit int) ([]KV, error) {
 }
 
 // collect copies up to limit entries from where it stands, moving by
-// step. The result is sized once (a caller's limit may be anything, so
-// only up to a point) and each record's key and value share one
-// allocation.
+// step, and not past the last one: a step may load a block. The result
+// is sized once (a caller's limit may be anything, so only up to a
+// point) and each record's key and value share one allocation.
 func (it *Iterator) collect(limit int, step func()) ([]KV, error) {
 	var out []KV
 	for ; it.Valid() && len(out) < limit; step() {
@@ -563,7 +607,9 @@ func (it *Iterator) collect(limit int, step func()) ([]KV, error) {
 			out = make([]KV, 0, min(limit, 128))
 		}
 		k := append(append(make([]byte, 0, len(it.key)+len(it.val)), it.key...), it.val...)
-		out = append(out, KV{Key: k[:len(it.key):len(it.key)], Value: k[len(it.key):]})
+		if out = append(out, KV{Key: k[:len(it.key):len(it.key)], Value: k[len(it.key):]}); len(out) == limit {
+			break
+		}
 	}
 	return out, it.Error()
 }

@@ -6,21 +6,26 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"sealdb/internal/faultfs"
 	"sealdb/internal/invariant"
 	"sealdb/internal/kv"
+	"sealdb/internal/platter"
 	"sealdb/internal/smr"
 	"sealdb/internal/sstable"
+	"sealdb/internal/version"
 )
 
 // User iterators stream (DESIGN.md §sstable.Cache, Streaming): past the
 // second block of a table they read ahead through a window of their own
-// and stop filling a full cache. These tests cover the engine's side of
-// that: walks across file boundaries, media damage met in a window, what
-// stays resident, an iterator that outlives its files' compaction, and
-// what a Scan costs the host.
+// and stop filling a full cache, and a Scan reads each level's share of
+// its range in one device read (its span). These tests cover the engine's
+// side of that: walks across file boundaries, media damage met in a
+// window, what stays resident, an iterator that outlives its files'
+// compaction, what a Scan reads and costs the host, and windows going
+// back to their pool while other scans run.
 
 // streamConfig is tinyConfig with tables of 16 blocks, so that most of a
 // table is past its second block, and the given cache.
@@ -228,8 +233,9 @@ func TestScanLeavesHotBlocksResident(t *testing.T) {
 	if n := deviceReads(d, getHot); n != 0 {
 		t.Fatalf("set-up: warmed Gets still make %d device reads", n)
 	}
-	if n := deviceReads(d, scanAll); n < 100 {
-		t.Fatalf("set-up: a scan of ten times the cache made only %d device reads", n)
+	before := d.disk.Stats().BytesRead
+	if scanAll(); d.disk.Stats().BytesRead-before < 10*cfg.BlockCacheSize {
+		t.Fatalf("set-up: a scan of ten times the cache read only %d bytes", d.disk.Stats().BytesRead-before)
 	}
 	if n := deviceReads(d, getHot); n != 0 {
 		t.Errorf("after a long scan the warmed Gets make %d device reads, want 0", n)
@@ -338,5 +344,281 @@ func TestScanAllocatesOncePerRecord(t *testing.T) {
 	// A limit far beyond the store must not size the result.
 	if kvs, err := d.Scan([]byte(keys[1490]), 1<<40); err != nil || len(kvs) != 10 || cap(kvs) > 1024 {
 		t.Errorf("Scan with a huge limit = %d entries (cap %d), %v", len(kvs), cap(kvs), err)
+	}
+}
+
+// readSink records the offset of every device read.
+type readSink struct{ offs []int64 }
+
+func (s *readSink) ObserveAccess(a platter.AccessInfo) {
+	if !a.Write {
+		s.offs = append(s.offs, a.Offset)
+	}
+}
+
+// fileAt returns the table whose extent holds device offset off, and its
+// level, or level -1.
+func fileAt(t *testing.T, d *DB, v *version.Version, off int64) (uint64, int) {
+	t.Helper()
+	for level, files := range v.Files {
+		for _, f := range files {
+			ext, err := d.backend.FileExtent(f.Num)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if off >= ext.Off && off < ext.Off+ext.Len {
+				return f.Num, level
+			}
+		}
+	}
+	return 0, -1
+}
+
+// TestScanPositionsEachLevelOnce: with L0 to L3 populated, a Scan whose
+// share of each level fits its span reads every L0 table and every sorted
+// level it stays in one table of in one device read; and a Scan returns
+// the reference state whatever its limit.
+func TestScanPositionsEachLevelOnce(t *testing.T) {
+	cfg := streamConfig(ModeSEALDB, 4*kv.MiB)
+	cfg.BaseLevelBytes = 192 * kv.KiB
+	d, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	ref := loadStream(t, d, 9000)
+	keys := sortedKeys(ref)
+	d.mu.Lock()
+	v := d.vs.Current()
+	d.mu.Unlock()
+	for level := 0; level <= 3; level++ {
+		if len(v.Files[level]) == 0 {
+			t.Fatalf("set-up: level %d is empty", level)
+		}
+	}
+	for _, limit := range []int{1, 7, 100, 1 << 40} {
+		for _, i := range []int{0, 1, 2345, 4500, 8990, len(keys) - 1} {
+			got, err := d.Scan([]byte(keys[i]), limit)
+			if err != nil || len(got) != min(limit, len(keys)-i) {
+				t.Fatalf("Scan(%q, %d) = %d entries, %v", keys[i], limit, len(got), err)
+			}
+			for j, e := range got {
+				if k := keys[i+j]; string(e.Key) != k || string(e.Value) != ref[k] {
+					t.Fatalf("Scan(%q, %d) entry %d is %q, want %q", keys[i], limit, j, e.Key, k)
+				}
+			}
+		}
+	}
+
+	// The table a sorted level's seek enters must hold a key past the
+	// scan's last: then the level never moves on to its next table.
+	const limit = 7
+	staysInOneTable := func(i int) bool {
+		last := []byte(keys[i+limit-1])
+		for level := 1; level < cfg.NumLevels; level++ {
+			files := v.Files[level]
+			j := sort.Search(len(files), func(j int) bool { return string(files[j].Largest.UserKey()) >= keys[i] })
+			if j < len(files) && kv.CompareUser(files[j].Largest.UserKey(), last) <= 0 {
+				return false
+			}
+		}
+		return true
+	}
+	rng := rand.New(rand.NewSource(3))
+	for scans := 0; scans < 25; {
+		i := rng.Intn(len(keys) - limit)
+		if !staysInOneTable(i) {
+			continue
+		}
+		scans++
+		start := []byte(keys[i])
+		if _, err := d.Scan(start, limit); err != nil { // opens the tables
+			t.Fatal(err)
+		}
+		for _, files := range v.Files {
+			for _, f := range files {
+				d.cache.EvictFile(f.Num)
+			}
+		}
+		var sink readSink
+		d.disk.SetSink("test", &sink)
+		_, err := d.Scan(start, limit)
+		d.disk.SetSink("test", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perTable, perLevel := map[uint64]int{}, map[int]int{}
+		for _, off := range sink.offs {
+			num, level := fileAt(t, d, v, off)
+			if level < 0 {
+				t.Fatalf("Scan(%q) read device offset %d outside every table", start, off)
+			}
+			perTable[num]++
+			perLevel[level]++
+		}
+		for num, n := range perTable {
+			if n > 1 {
+				t.Errorf("Scan(%q, %d) read table %d %d times", start, limit, num, n)
+			}
+		}
+		for level := 1; level < cfg.NumLevels; level++ {
+			if perLevel[level] > 1 {
+				t.Errorf("Scan(%q, %d) read level %d %d times", start, limit, level, perLevel[level])
+			}
+		}
+	}
+}
+
+// TestScanStopsAtItsLastRecord: a Scan whose limit ends on the last record
+// of a table does not step on into the next table of its level: nothing
+// of that table is read.
+func TestScanStopsAtItsLastRecord(t *testing.T) {
+	d, err := Open(streamConfig(ModeSEALDB, 4*kv.MiB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	ref := loadStream(t, d, 3000)
+	if err := d.CompactRange(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	keys := sortedKeys(ref)
+	d.mu.Lock()
+	v := d.vs.Current()
+	d.mu.Unlock()
+	level := len(v.Files) - 1
+	for len(v.Files[level]) < 2 {
+		level--
+	}
+	a, b := v.Files[level][0], v.Files[level][1]
+	first := sort.SearchStrings(keys, string(a.Smallest.UserKey()))
+	limit := sort.SearchStrings(keys, string(a.Largest.UserKey())) + 1 - first
+	var sink readSink
+	d.disk.SetSink("test", &sink)
+	got, err := d.Scan([]byte(keys[first]), limit)
+	d.disk.SetSink("test", nil)
+	if err != nil || len(got) != limit || string(got[limit-1].Key) != string(a.Largest.UserKey()) {
+		t.Fatalf("Scan = %d entries, %v; want %d ending at %q", len(got), err, limit, a.Largest.UserKey())
+	}
+	for _, off := range sink.offs {
+		if num, _ := fileAt(t, d, v, off); num == b.Num {
+			t.Fatalf("a Scan ending on table %d's last record read table %d at %d", a.Num, b.Num, off)
+		}
+	}
+}
+
+// TestConcurrentScansNeverShareAWindow: Scans and iterators closed at any
+// point, beside Puts and CompactRange, return only records that are right.
+// Under -tags sealdb_invariants a window goes back to its pool poisoned,
+// so two iterators reading through one would fail a block checksum.
+func TestConcurrentScansNeverShareAWindow(t *testing.T) {
+	d, err := Open(streamConfig(ModeSEALDB, 256*kv.KiB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	ref := loadStream(t, d, 2000)
+	keys := sortedKeys(ref)
+	check := func(k, v []byte) error {
+		if !bytes.Equal(v, bigValue(string(k), len(v))) {
+			return fmt.Errorf("key %q carries a %d-byte value that is not its own", k, len(v))
+		}
+		return nil
+	}
+	rounds := 300
+	if testing.Short() {
+		rounds = 100
+	}
+	errs := make(chan error, 8)
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for r := 0; r < rounds; r++ {
+				start := []byte(keys[rng.Intn(len(keys))])
+				if r%3 == 0 { // an iterator closed part way
+					it := d.NewIterator()
+					it.Seek(start)
+					for n := rng.Intn(40); n > 0 && it.Valid(); n-- {
+						if err := check(it.Key(), it.Value()); err != nil {
+							errs <- err
+							return
+						}
+						it.Next()
+					}
+					err := it.Error()
+					it.Close()
+					if err != nil {
+						errs <- err
+						return
+					}
+					continue
+				}
+				limit := 1 + rng.Intn(150)
+				if r%7 == 0 {
+					limit = 1 << 40
+				}
+				got, err := d.Scan(start, limit)
+				if err != nil {
+					errs <- err
+					return
+				}
+				for i, e := range got {
+					if err := check(e.Key, e.Value); err != nil || i > 0 && bytes.Compare(got[i-1].Key, e.Key) >= 0 {
+						errs <- fmt.Errorf("Scan(%q) entry %d: %v (order %q, %q)", start, i, err, got[max(i-1, 0)].Key, e.Key)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(9))
+		for r := 0; r < rounds*3; r++ {
+			k := keys[rng.Intn(len(keys))]
+			if err := d.Put([]byte(k), bigValue(k, 300+rng.Intn(200))); err != nil {
+				errs <- err
+				return
+			}
+			if r%(rounds/2) == 0 {
+				if err := d.CompactRange(nil, nil); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestSpanFor: no span without a limit, the two-block floor before the DB
+// has built a table, then the level's share of the limit in blocks of the
+// mean entry built, one block per entry at most.
+func TestSpanFor(t *testing.T) {
+	d := &DB{}
+	if got := d.spanFor(100, 1, 2); got != 2 {
+		t.Errorf("before any table: span %d, want 2", got)
+	}
+	d.noteBuilt(sstable.Meta{Size: 1 << 20, Entries: 1 << 11}) // 512-byte entries
+	for _, c := range []struct {
+		limit        int
+		bytes, total int64
+		want         int
+	}{{0, 1, 2, 0}, {100, 1, 2, 2 + 6}, {100, 2, 2, 2 + 12}, {1 << 40, 1, 1, 2 + 1<<30}} {
+		if got := d.spanFor(c.limit, c.bytes, c.total); got != c.want {
+			t.Errorf("spanFor(%d, %d, %d) = %d, want %d", c.limit, c.bytes, c.total, got, c.want)
+		}
+	}
+	d.noteBuilt(sstable.Meta{Size: 1 << 30, Entries: 1 << 11}) // now ~256 KiB entries
+	if got := d.spanFor(100, 1, 2); got != 2+50 {
+		t.Errorf("entries larger than a block: span %d, want one block per entry, 52", got)
 	}
 }

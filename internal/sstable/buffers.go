@@ -1,6 +1,7 @@
 package sstable
 
 import (
+	"math/bits"
 	"sync"
 
 	"sealdb/internal/invariant"
@@ -12,6 +13,11 @@ import (
 // list so that the collector can empty it: a store that stops writing
 // retains none of them.
 var tableBufs sync.Pool
+
+// windowBufs recycles the read-ahead windows of streaming iterators, in
+// the boxes they travel in, so that a scan allocates none once the pool
+// holds windows as large as it needs.
+var windowBufs sync.Pool
 
 // poison is what a released buffer is filled with under the
 // sealdb_invariants tag: whoever still reads a table through it fails
@@ -37,10 +43,30 @@ func PutBuf(buf []byte) {
 	if invariant.Enabled {
 		// No table begins with the poison: a first entry shares no prefix.
 		invariant.Assert(len(buf) == 0 || buf[0] != poison, "sstable: table buffer released twice")
-		buf = buf[:cap(buf)]
+	}
+	release(&tableBufs, &buf)
+}
+
+// getWindow returns a box whose buffer has room for n bytes: a recycled
+// one if the pool's next is that large, else a new one rounded up to a
+// power of two, so that the windows in use grow to the largest a scan
+// asks for instead of being replaced back and forth.
+func getWindow(n int) *[]byte {
+	if p, _ := windowBufs.Get().(*[]byte); p != nil && cap(*p) >= n {
+		return p
+	}
+	buf := make([]byte, 0, 1<<bits.Len(uint(n-1)))
+	return &buf
+}
+
+// release puts the buffer in p back into pool, poisoned first under the
+// sealdb_invariants tag.
+func release(pool *sync.Pool, p *[]byte) {
+	if invariant.Enabled {
+		buf := (*p)[:cap(*p)]
 		for i := range buf {
 			buf[i] = poison
 		}
 	}
-	tableBufs.Put(&buf)
+	pool.Put(p)
 }

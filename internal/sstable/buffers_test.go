@@ -96,3 +96,40 @@ func TestReleasedBufferIsPoisoned(t *testing.T) {
 	}()
 	PutBuf(data)
 }
+
+// TestClosedWindowIsPoisoned: under the sealdb_invariants tag the window
+// a streaming iterator hands back on Close is overwritten first, so a
+// block still decoded in it fails instead of serving the bytes of
+// whichever table reads into the window next; the iterator itself is left
+// unpositioned, and positioned again reads into a window of its own.
+func TestClosedWindowIsPoisoned(t *testing.T) {
+	if !invariant.Enabled {
+		t.Skip("released buffers are poisoned under -tags sealdb_invariants only")
+	}
+	data := buildInto(t, NewBuilder(), GetBuf(64<<10), tableKeys(40), bytes.Repeat([]byte{'v'}, 1024))
+	tbl, err := Open(bytes.NewReader(data), int64(len(data)), 9, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	it := tbl.NewSpanIterator(8192, 4, nil).(*tableIter)
+	it.SeekToFirst()
+	for i := 0; i < 6; i++ { // into the second block, decoded in the window
+		it.Next()
+	}
+	if !it.Valid() || it.data.b != &it.win.blk {
+		t.Fatalf("set-up: not in a block decoded in the window: valid %v, err %v", it.Valid(), it.Error())
+	}
+	window := (*it.win.box)[:cap(*it.win.box)]
+	it.Close()
+	if it.Valid() {
+		t.Error("a closed iterator is still positioned")
+	}
+	for i, c := range window {
+		if c != poison {
+			t.Fatalf("byte %d of the closed window is %#x, want the poison", i, c)
+		}
+	}
+	if it.SeekToFirst(); !it.Valid() || it.Error() != nil || string(it.Key().UserKey()) != "user000000000000" {
+		t.Fatalf("iterator positioned after Close: valid %v, err %v", it.Valid(), it.Error())
+	}
+}

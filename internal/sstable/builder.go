@@ -9,8 +9,8 @@ import (
 )
 
 const (
-	// targetBlockSize is the uncompressed data-block cut threshold.
-	targetBlockSize = 4096
+	// TargetBlockSize is the uncompressed data-block cut threshold.
+	TargetBlockSize = 4096
 	// blockTrailerLen is 1 type byte (always 0: no compression) plus
 	// a CRC-32C of the block contents.
 	blockTrailerLen = 5
@@ -135,7 +135,7 @@ func (b *Builder) Add(ik kv.InternalKey, value []byte) {
 		b.rows.rehome(b.fileNum, h, ik, value)
 	}
 	b.meta.Entries++
-	if b.data.estimatedSize() >= targetBlockSize {
+	if b.data.estimatedSize() >= TargetBlockSize {
 		b.cutBlock()
 	}
 }

@@ -422,7 +422,7 @@ func (c *Cache) rehome(file uint64, hash uint32, ik kv.InternalKey, value []byte
 		return
 	}
 	n := len(ukey) + len(value)
-	if ik.Kind() == kv.KindDelete || n > maxCachedValue || (int64(n)+valueOverhead)*rowBlockShare < targetBlockSize {
+	if ik.Kind() == kv.KindDelete || n > maxCachedValue || (int64(n)+valueOverhead)*rowBlockShare < TargetBlockSize {
 		c.remove(e)
 		return
 	}
@@ -461,16 +461,17 @@ func (c *Cache) put(file, offset uint64, b *block) {
 func (b *block) charge() int64 { return int64(len(b.data)) + int64(4*len(b.restarts)) + 64 }
 
 // admit caches a copy of b, decoded in a buffer its iterator will reuse,
-// only if that evicts nothing: a store that fits the cache still ends up
-// resident, a scan over a bigger one leaves the hot blocks where they are.
-func (c *Cache) admit(file, offset uint64, b *block) {
+// unless evict only if that evicts nothing: a store that fits the cache
+// still ends up resident, a scan over a bigger one leaves the hot blocks
+// where they are.
+func (c *Cache) admit(file, offset uint64, b *block, evict bool) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	k, size := cacheKey{file, offset}, b.charge()
-	if c.items[k] != nil || c.used+size > c.capacity {
+	if c.items[k] != nil || !evict && c.used+size > c.capacity {
 		return
 	}
 	b = &block{data: append([]byte(nil), b.data...), restarts: append([]uint32(nil), b.restarts...)}

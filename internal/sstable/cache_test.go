@@ -91,7 +91,7 @@ func TestCacheAccountingUnderRandomOps(t *testing.T) {
 			case 0, 1:
 				c.put(file, off, &block{data: buf[:rng.Intn(len(buf))], restarts: []uint32{0}})
 			case 2:
-				c.admit(file, off, &block{data: buf[:rng.Intn(len(buf))], restarts: []uint32{0}})
+				c.admit(file, off, &block{data: buf[:rng.Intn(len(buf))], restarts: []uint32{0}}, false)
 			case 3, 4:
 				c.get(file, off, rng.Intn(2) == 0)
 			case 5:

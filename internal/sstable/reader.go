@@ -231,15 +231,28 @@ func (t *Table) NewMemIterator(data []byte) kv.Iterator {
 // the cache (a seek nearby comes back to them), and the first window's size.
 const streamAfter = 2
 
-// NewStreamingIterator returns the iterator of the user read path. After
-// Seek, SeekToFirst, SeekToLast or Prev, streamAfter data blocks go through
-// the cache as with NewIterator. Past them, a forward step to a block that
+// NewStreamingIterator is NewSpanIterator without a span.
+func (t *Table) NewStreamingIterator(readahead int, streamed *obs.Counter) kv.Iterator {
+	return t.NewSpanIterator(readahead, 0, streamed)
+}
+
+// NewSpanIterator returns the iterator of the user read path. After Seek,
+// SeekToFirst, SeekToLast or Prev, streamAfter data blocks go through the
+// cache as with NewIterator. Past them, a forward step to a block that
 // neither the iterator's window nor the cache holds refills the window by
 // one device read of whole blocks: streamAfter, then twice as many per
 // refill up to readahead bytes. Blocks are checked and decoded in the
 // window, counted in streamed, and cached only while that evicts nothing.
-func (t *Table) NewStreamingIterator(readahead int, streamed *obs.Counter) kv.Iterator {
-	w := &window{after: streamAfter, max: uint64(readahead), grow: streamAfter, streamed: streamed}
+//
+// A span over 1 is a forward scan's guess of how many blocks it needs
+// from the table: only the block a positioning call lands in goes through
+// the cache (probed, and kept on a miss as readBlock keeps it), and the
+// first device read after positioning reads span blocks at once, past any
+// readahead bound; the windows after it grow from there as above.
+//
+// The window's buffer comes from a pool; Close hands it back.
+func (t *Table) NewSpanIterator(readahead, span int, streamed *obs.Counter) kv.Iterator {
+	w := &window{after: streamAfter, max: uint64(readahead), grow: streamAfter, span: span, streamed: streamed}
 	return &tableIter{t: t, ix: newBlockIter(t.index), win: w}
 }
 
@@ -296,9 +309,12 @@ func (ra *readaheadReader) ReadAt(p []byte, off int64) (int, error) {
 type window struct {
 	off      uint64 // file offset of buf[0]
 	buf      []byte
-	after    int    // block loads after positioning that go through the cache
-	max      uint64 // refill bound in bytes
-	grow     int    // blocks the next refill asks for
+	box      *[]byte // the windowBufs box buf is in; nil for a table held in memory
+	after    int     // block loads after positioning that go through readBlock (span ≤ 1)
+	max      uint64  // refill bound in bytes
+	grow     int     // blocks the next refill asks for
+	span     int     // if over 1, blocks the first refill after positioning asks for
+	pending  bool    // that refill is still to come: no byte bound
 	streamed *obs.Counter
 	peek     blockIter // reads the index ahead of the iterator
 	blk      block     // the block decoded last, reused block after block
@@ -353,7 +369,7 @@ func (it *tableIter) loadBlock() {
 		if raw, err = it.t.readRawFrom(src, h); err == nil {
 			b, err = decodeBlock(raw)
 		}
-	case it.win != nil && it.run > it.win.after:
+	case it.win != nil && (it.run > it.win.after || it.win.span > 1):
 		b, err = it.streamBlock(h)
 	default:
 		b, _, err = it.t.readBlock(h, true)
@@ -368,15 +384,24 @@ func (it *tableIter) loadBlock() {
 
 // streamBlock returns the block at h from the window (no cache probe),
 // else from the cache (no device read), else from the window refilled.
+// The block a span's positioning call lands in is asked of the cache
+// first, and on a miss cached as readBlock caches it.
 func (it *tableIter) streamBlock(h blockHandle) (*block, error) {
 	w, t := it.win, it.t
 	if !t.holds(h) {
 		return nil, fmt.Errorf("sstable: handle %+v outside file %d", h, t.fileNum)
 	}
-	if h.offset < w.off || h.end() > w.off+uint64(len(w.buf)) {
+	landing := it.run == 1 && w.span > 1
+	if landing {
+		w.grow, w.pending = w.span, true
+	}
+	inWindow := h.offset >= w.off && h.end() <= w.off+uint64(len(w.buf))
+	if landing || !inWindow {
 		if b := t.cache.get(t.fileNum, h.offset, true); b != nil {
 			return b, nil
 		}
+	}
+	if !inWindow {
 		if err := it.refill(h); err != nil {
 			return nil, err
 		}
@@ -388,36 +413,52 @@ func (it *tableIter) streamBlock(h blockHandle) (*block, error) {
 	if err != nil {
 		return nil, err
 	}
-	w.streamed.Inc()
-	t.cache.admit(t.fileNum, h.offset, &w.blk)
+	if !landing {
+		w.streamed.Inc()
+	}
+	t.cache.admit(t.fileNum, h.offset, &w.blk, landing)
 	return &w.blk, nil
 }
 
 // refill reads into the window the block at h, where the index iterator
 // stands, and the blocks the index puts right behind it, until it holds
-// grow blocks or (past streamAfter) the next would exceed max bytes: never
-// past the last data block, and the next refill continues without a seek.
+// grow blocks or (past streamAfter, unless a span read is pending) the
+// next would exceed max bytes: never past the last data block, and the
+// next refill continues without a seek.
 func (it *tableIter) refill(h blockHandle) error {
 	w, t := it.win, it.t
 	w.peek = blockIter{b: t.index, next: it.ix.next, key: append(w.peek.key[:0], it.ix.key...)}
 	n, end := 1, h.end()
 	for w.peek.parseNext(); n < w.grow && w.peek.Valid(); w.peek.parseNext() {
 		nh, _, err := decodeHandle(w.peek.Value())
-		if err != nil || nh.offset != end || !t.holds(nh) || n >= streamAfter && nh.end()-h.offset > w.max {
+		if err != nil || nh.offset != end || !t.holds(nh) || !w.pending && n >= streamAfter && nh.end()-h.offset > w.max {
 			break
 		}
 		n, end = n+1, nh.end()
 	}
 	w.grow += n // doubles, until max or the table's end cuts a refill short
-	if size := int(end - h.offset); cap(w.buf) < size {
-		w.buf = make([]byte, size)
+	w.pending = false
+	if size := int(end - h.offset); w.box == nil || cap(*w.box) < size {
+		box := getWindow(size) // before the old box goes back: the pool would offer it
+		it.Close()
+		w.box = box
 	}
-	w.buf, w.off = w.buf[:end-h.offset], h.offset
+	w.buf, w.off = (*w.box)[:end-h.offset], h.offset
 	if _, err := t.r.ReadAt(w.buf, int64(h.offset)); err != nil {
 		w.buf = w.buf[:0]
 		return fmt.Errorf("sstable: reading blocks of file %d: %w", t.fileNum, err)
 	}
 	return nil
+}
+
+// Close hands a streaming iterator's window back to the pool, leaving the
+// iterator unpositioned: nothing it returned may be used after. It may
+// be positioned again, with a window from the pool.
+func (it *tableIter) Close() {
+	if w := it.win; w != nil && w.box != nil {
+		release(&windowBufs, w.box)
+		w.box, w.buf, it.data = nil, nil, nil
+	}
 }
 
 func (it *tableIter) SeekToFirst() {

@@ -19,7 +19,8 @@ import (
 // These tests cover what that newly makes possible: reads that overlap,
 // leave gaps or run past the data blocks, a window that serves stale or
 // unchecked bytes, a cache probed for what the window holds, and
-// allocations per block.
+// allocations per block; and, for a scan's span, the one read a seek
+// makes and what of it the cache keeps.
 
 // streamTable builds a table of n entries with values near 1 KiB, four to
 // a block, and returns its bytes, its sorted user keys and their values.
@@ -411,3 +412,224 @@ func TestStreamingSteadyStateAllocatesNothingPerBlock(t *testing.T) {
 		}
 	}
 }
+
+// blockKeys decodes the user keys of every data block, in order, through
+// a table with no cache.
+func blockKeys(t *testing.T, data []byte) [][]string {
+	t.Helper()
+	tbl, err := Open(bytes.NewReader(data), int64(len(data)), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out [][]string
+	for _, h := range dataBlocks(t, tbl) {
+		var ks []string
+		it := newBlockIter(mustBlock(t, tbl, h))
+		for it.SeekToFirst(); it.Valid(); it.Next() {
+			ks = append(ks, string(it.Key().UserKey()))
+		}
+		out = append(out, ks)
+	}
+	return out
+}
+
+// TestSpanPositioningIsOneRead: a seek that misses the cache reads span
+// blocks, or the rest of the data blocks if fewer, in one block-aligned
+// device read whatever the read-ahead bound, and the scan through them
+// reads nothing more; a seek whose block is cached reads nothing. A
+// target past a block's last key (the index may land on that block) is
+// covered by the same read.
+func TestSpanPositioningIsOneRead(t *testing.T) {
+	data, _, _ := streamTable(t, 600)
+	bk := blockKeys(t, data)
+	for _, span := range []int{2, 3, 8, 40} {
+		for _, readahead := range []int{1, 8192} {
+			log := &readLog{r: bytes.NewReader(data)}
+			tbl, err := Open(log, int64(len(data)), 1, NewCache(4<<20))
+			if err != nil {
+				t.Fatal(err)
+			}
+			blocks := dataBlocks(t, tbl)
+			for _, b := range []int{0, 7, len(blocks) - 5, len(blocks) - 1} {
+				n := min(span, len(blocks)-b)
+				seek := func() kv.Iterator {
+					log.reads = nil
+					it := tbl.NewSpanIterator(readahead, span, nil)
+					it.Seek(kv.MakeSearchKey(nil, []byte(bk[b][0]), kv.MaxSeqNum))
+					if !it.Valid() || string(it.Key().UserKey()) != bk[b][0] {
+						t.Fatalf("span %d: seek to block %d: valid %v, err %v", span, b, it.Valid(), it.Error())
+					}
+					return it
+				}
+				tbl.cache.EvictFile(1)
+				it := seek()
+				if want := [2]int64{int64(blocks[b].offset), int64(blocks[b+n-1].end())}; len(log.reads) != 1 || log.reads[0] != want {
+					t.Fatalf("span %d readahead %d: seek to block %d of %d read %v, want one read %v", span, readahead, b, len(blocks), log.reads, want)
+				}
+				for i := b; i < b+n; i++ {
+					for j, k := range bk[i] {
+						if !it.Valid() || string(it.Key().UserKey()) != k {
+							t.Fatalf("span %d: at %q (err %v), want %q", span, it.Key(), it.Error(), k)
+						}
+						if i < b+n-1 || j < len(bk[i])-1 { // not into the block after
+							it.Next()
+						}
+					}
+				}
+				if len(log.reads) != 1 {
+					t.Errorf("span %d: the scan through the span's %d blocks read %v", span, n, log.reads)
+				}
+				if seek(); len(log.reads) != 0 {
+					t.Errorf("span %d: a seek to the cached block %d read %v", span, b, log.reads)
+				}
+			}
+			// Between two blocks: key 3i+1 follows block 6's last key 3i.
+			var i int
+			fmt.Sscanf(bk[6][len(bk[6])-1], "key%08d", &i)
+			log.reads = nil
+			tbl.cache.EvictFile(1)
+			it := tbl.NewSpanIterator(readahead, span, nil)
+			if it.Seek(kv.MakeSearchKey(nil, []byte(fmt.Sprintf("key%08d", i+1)), kv.MaxSeqNum)); !it.Valid() || string(it.Key().UserKey()) != bk[7][0] {
+				t.Fatalf("span %d: seek between blocks 6 and 7 is at %q (err %v), want %q", span, it.Key(), it.Error(), bk[7][0])
+			}
+			if len(log.reads) != 1 || log.reads[0][0] != int64(blocks[6].offset) && log.reads[0][0] != int64(blocks[7].offset) {
+				t.Errorf("span %d: seek between blocks 6 and 7 read %v", span, log.reads)
+			}
+		}
+	}
+}
+
+// TestSpanCachesOnlyTheLandingBlock: the block a span's seek lands in is
+// cached as readBlock caches it, evicting if it must; the other blocks of
+// the span enter only free room.
+func TestSpanCachesOnlyTheLandingBlock(t *testing.T) {
+	data, _, _ := streamTable(t, 200)
+	bk := blockKeys(t, data)
+	small := NewCache(1 << 20)
+	other, err := Open(bytes.NewReader(data), int64(len(data)), 2, small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := Open(bytes.NewReader(data), int64(len(data)), 1, small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small.EvictFile(1)
+	small.EvictFile(2)
+	blocks := dataBlocks(t, tbl)
+	land, hot := blocks[20], blocks[10]
+	full := max(mustBlock(t, other, hot).charge(), mustBlock(t, tbl, land).charge())
+	small.EvictFile(1)
+	small.mu.Lock()
+	small.capacity = full
+	small.mu.Unlock()
+
+	it := tbl.NewSpanIterator(32<<10, 6, nil)
+	it.Seek(kv.MakeSearchKey(nil, []byte(bk[20][0]), kv.MaxSeqNum))
+	for i := 0; i < 6*4 && it.Valid(); i++ { // through the span's six blocks
+		it.Next()
+	}
+	if it.Error() != nil {
+		t.Fatal(it.Error())
+	}
+	if s := small.Stats(); small.get(1, land.offset, false) == nil || small.get(2, hot.offset, false) != nil || s.Entries != 1 {
+		t.Errorf("landing block cached %v, hot block kept %v, %d entries; want the landing block alone",
+			small.get(1, land.offset, false) != nil, small.get(2, hot.offset, false) != nil, s.Entries)
+	}
+}
+
+// TestSpanOfOneIsStreaming: span 0 and span 1 make exactly the device
+// reads and cache probes NewStreamingIterator makes, on any walk.
+func TestSpanOfOneIsStreaming(t *testing.T) {
+	data, keys, _ := streamTable(t, 400)
+	for _, readahead := range []int{0, 8192, 64 << 10} {
+		var logs [3]readLog
+		var stats [3]CacheStats
+		for v := range logs {
+			logs[v].r = bytes.NewReader(data)
+			tbl, err := Open(&logs[v], int64(len(data)), 1, NewCache(40<<10))
+			if err != nil {
+				t.Fatal(err)
+			}
+			it := tbl.NewStreamingIterator(readahead, nil)
+			if v > 0 {
+				it = tbl.NewSpanIterator(readahead, v-1, nil)
+			}
+			rng := rand.New(rand.NewSource(int64(readahead)))
+			for step := 0; step < 5000; step++ {
+				switch r := rng.Intn(100); {
+				case r < 3:
+					it.Seek(kv.MakeSearchKey(nil, []byte(keys[rng.Intn(len(keys))]), kv.MaxSeqNum))
+				case r < 10 && it.Valid():
+					it.Prev()
+				case it.Valid():
+					it.Next()
+				default:
+					it.SeekToFirst()
+				}
+			}
+			stats[v] = tbl.cache.Stats()
+		}
+		for v := 1; v < len(logs); v++ {
+			if fmt.Sprint(logs[v].reads) != fmt.Sprint(logs[0].reads) || stats[v] != stats[0] {
+				t.Errorf("readahead %d: span %d made %d reads (cache %+v), the streaming iterator %d (cache %+v)",
+					readahead, v-1, len(logs[v].reads), stats[v], len(logs[0].reads), stats[0])
+			}
+		}
+	}
+}
+
+// TestSpanIteratorMatchesPlain: random walks with spans from two blocks to
+// the whole table see exactly what the plain iterator sees, whether the
+// cache has room, is full or is absent, and an iterator closed part way
+// and positioned again goes on with a window from the pool.
+func TestSpanIteratorMatchesPlain(t *testing.T) {
+	data, keys, _ := streamTable(t, 700)
+	plainTbl, err := Open(bytes.NewReader(data), int64(len(data)), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, span := range []int{2, 3, 5, 17, 1 << 20} {
+		var cache *Cache
+		switch i % 3 {
+		case 0:
+			cache = NewCache(40 << 10)
+		case 1:
+			cache = NewCache(4 << 20)
+		}
+		tbl, err := Open(bytes.NewReader(data), int64(len(data)), 1, cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		it, plain := tbl.NewSpanIterator(8192, span, nil), plainTbl.NewIterator()
+		rng := rand.New(rand.NewSource(int64(span)))
+		for step := 0; step < 20000; step++ {
+			switch r := rng.Intn(200); {
+			case r < 1:
+				closeTable(it)
+				fallthrough
+			case r < 8:
+				target := kv.MakeSearchKey(nil, []byte(fmt.Sprintf("key%08d", rng.Intn(3*len(keys)+5))), kv.MaxSeqNum)
+				it.Seek(target)
+				plain.Seek(target)
+			case r < 10:
+				it.SeekToFirst()
+				plain.SeekToFirst()
+			case r < 20 && plain.Valid():
+				it.Prev()
+				plain.Prev()
+			case plain.Valid():
+				it.Next()
+				plain.Next()
+			}
+			if it.Valid() != plain.Valid() || it.Error() != nil {
+				t.Fatalf("span %d step %d: valid %v, plain %v, err %v", span, step, it.Valid(), plain.Valid(), it.Error())
+			}
+			if it.Valid() && (kv.CompareInternal(it.Key(), plain.Key()) != 0 || !bytes.Equal(it.Value(), plain.Value())) {
+				t.Fatalf("span %d step %d: at %s, plain at %s", span, step, it.Key(), plain.Key())
+			}
+		}
+	}
+}
+
+func closeTable(it kv.Iterator) { it.(*tableIter).Close() }
