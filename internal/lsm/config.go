@@ -85,9 +85,6 @@ type Geometry struct {
 	ManifestSize int64
 	// BlockCacheSize bounds the shared block cache.
 	BlockCacheSize int64
-	// MaxOpenTables bounds the table-reader cache (LevelDB's
-	// max_open_files). 0 means the default of 1000, LevelDB 1.19's.
-	MaxOpenTables int
 	// DeviceTimeScale multiplies the emulated drive's seek and
 	// rotational latency. A geometry scaled to 1/k of the paper's
 	// sizes sets this to 1/k so the seek-to-transfer cost ratio *per

@@ -14,13 +14,12 @@ import (
 // TestContentionProfileRanksBigMutexFirst runs a concurrent
 // YCSB-A-style mix (50/50 read/update, zipf-ish key reuse) against
 // one DB with lock profiling on and checks the lsm.DB big mutex
-// accumulates more wait than any other site. Gets no longer take it
-// (their one engine-side lock is the table-reader leaf, lsm_tables_mu):
-// the wait is the writers', serialized behind each other's inline
-// flushes and compactions — the measurement that motivates taking
-// those jobs off the committing goroutine. Deltas against the
-// process-global profile keep the test immune to wait accrued by
-// other tests in this binary.
+// accumulates more wait than any other site. Gets take no engine lock
+// (TestReadsTakeNoEngineLock): the wait is the writers', serialized
+// behind each other's inline flushes and compactions — the measurement
+// that motivates taking those jobs off the committing goroutine. Deltas
+// against the process-global profile keep the test immune to wait
+// accrued by other tests in this binary.
 func TestContentionProfileRanksBigMutexFirst(t *testing.T) {
 	d, err := Open(tinyConfig(ModeSEALDB))
 	if err != nil {

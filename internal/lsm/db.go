@@ -2,7 +2,6 @@ package lsm
 
 import (
 	"bytes"
-	"container/list"
 	"errors"
 	"fmt"
 	"io"
@@ -143,7 +142,6 @@ type DB struct {
 	// lockorder: lsm_db_mu < storage_write_mu
 	// lockorder: lsm_db_mu < storage_backend_mu
 	// lockorder: lsm_db_mu < band_stats_mu
-	// lockorder: lsm_db_mu < lsm_tables_mu
 	// lockorder: lsm_db_mu < lsm_commit_queue_mu
 	mu  obs.Mutex
 	mem *memtable.MemTable
@@ -160,20 +158,14 @@ type DB struct {
 	retiring []*readState // guarded by mu
 	spare    *readState   // a drained state publish reuses; guarded by mu
 	// builder builds every table the engine writes, one at a time.
-	builder  sstable.Builder
-	walW     *wal.Writer
-	walFile  *storage.AppendFile
-	walLimit int64
-	walNum   uint64
-	seq      kv.SeqNum
-	memSeed  int64
-	// tables caches open table readers; each maps to its element of
-	// tableLRU, which orders them least recently used first. Readers open
-	// tables: the leaf tablesMu guards both, never across a device read.
-	tablesMu  obs.Mutex
-	tables    map[uint64]*list.Element // guarded by tablesMu
-	tableLRU  list.List                // guarded by tablesMu
-	snapshots map[kv.SeqNum]int        // guarded by mu
+	builder   sstable.Builder
+	walW      *wal.Writer
+	walFile   *storage.AppendFile
+	walLimit  int64
+	walNum    uint64
+	seq       kv.SeqNum
+	memSeed   int64
+	snapshots map[kv.SeqNum]int // guarded by mu
 	// compactions is the append-only per-job record behind
 	// Stats().Compactions; every scalar counter lives in metrics.
 	compactions []CompactionInfo
@@ -226,12 +218,10 @@ func OpenDevice(cfg Config, dev *Device) (*DB, error) {
 		drive:     dev.Drive,
 		backend:   dev.Backend,
 		cache:     sstable.NewCache(cfg.BlockCacheSize),
-		tables:    map[uint64]*list.Element{},
 		snapshots: map[kv.SeqNum]int{},
 		memSeed:   cfg.Seed,
 	}
 	d.mu.Profile("lsm_db_mu")
-	d.tablesMu.Profile("lsm_tables_mu")
 	d.queueMu.Profile("lsm_commit_queue_mu")
 	d.mem = memtable.New(d.nextMemSeed())
 	d.builder.SetCompression(cfg.Compression)
@@ -690,24 +680,11 @@ func (d *DB) Close() error {
 	return nil
 }
 
-// maxOpenTables returns the table-reader cache bound.
-func (d *DB) maxOpenTables() int {
-	if n := d.cfg.MaxOpenTables; n > 0 {
-		return n
-	}
-	return 1000
-}
-
-// cachedTable is one entry of the table-reader cache.
-type cachedTable struct {
-	num uint64
-	t   *sstable.Table
-}
-
-// openTable returns (opening if needed) the reader for a table file the
-// caller's state (or d.mu) keeps from reclamation.
+// openTable returns the reader for a table file the caller's state (or
+// d.mu) keeps from reclamation, opening it on first use; of two
+// concurrent openers, the first to publish on f wins.
 func (d *DB) openTable(f *version.FileMeta) (*sstable.Table, error) {
-	if t := d.tableReader(f.Num, nil); t != nil {
+	if t := f.Reader.Load(); t != nil {
 		return t, nil
 	}
 	size, err := d.backend.FileSize(f.Num)
@@ -718,27 +695,8 @@ func (d *DB) openTable(f *version.FileMeta) (*sstable.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return d.tableReader(f.Num, t), nil
-}
-
-// tableReader returns the cached reader of table num, marked most
-// recently used; without one it caches t (if any; a concurrent opener's
-// wins), evicting the least recently used reader past the bound.
-func (d *DB) tableReader(num uint64, t *sstable.Table) *sstable.Table {
-	d.tablesMu.Lock()
-	defer d.tablesMu.Unlock()
-	if el, ok := d.tables[num]; ok {
-		d.tableLRU.MoveToBack(el)
-		return el.Value.(cachedTable).t
+	if !f.Reader.CompareAndSwap(nil, t) {
+		return f.Reader.Load(), nil
 	}
-	if t != nil {
-		d.tables[num] = d.tableLRU.PushBack(cachedTable{num, t})
-		for len(d.tables) > d.maxOpenTables() {
-			// The bound is at least one, so the front is never the reader
-			// just pushed to the back.
-			victim := d.tableLRU.Remove(d.tableLRU.Front()).(cachedTable)
-			delete(d.tables, victim.num)
-		}
-	}
-	return t
+	return t, nil
 }

@@ -121,12 +121,13 @@ func (d *DB) relocateSet(rec version.SetRecord, files []*version.FileMeta, level
 	copies := make([]*version.FileMeta, len(files))
 	var moved int64
 	for i, f := range files {
-		nf := *f
-		nf.Num = d.vs.NewFileNum()
-		copies[i] = &nf
+		// Field by field: the copy must not inherit f's reader, whose
+		// handle names the number about to be removed.
+		nf := &version.FileMeta{Num: d.vs.NewFileNum(), Size: f.Size, Smallest: f.Smallest, Largest: f.Largest, SetID: f.SetID}
+		copies[i] = nf
 		moved += int64(len(datas[i]))
 		edit.Deleted = append(edit.Deleted, version.DeletedFile{Level: levelOf[f.Num], Num: f.Num})
-		edit.Added = append(edit.Added, version.AddedFile{Level: levelOf[f.Num], Meta: &nf})
+		edit.Added = append(edit.Added, version.AddedFile{Level: levelOf[f.Num], Meta: nf})
 	}
 	newRec, err := d.writeOutputs(copies, datas, true)
 	if err != nil {

@@ -2,7 +2,11 @@ package lsm
 
 import (
 	"fmt"
+	"sync"
 	"testing"
+
+	"sealdb/internal/sstable"
+	"sealdb/internal/version"
 )
 
 func TestLevelProfile(t *testing.T) {
@@ -213,24 +217,97 @@ func ExampleDB_LevelProfile() {
 	// Output: 7 levels
 }
 
-func TestTableCacheBounded(t *testing.T) {
-	cfg := tinyConfig(ModeSEALDB)
-	cfg.MaxOpenTables = 8
-	d, err := Open(cfg)
+// TestTableReaderLivesWithItsFile: a table's reader is opened once per
+// FileMeta and goes where the FileMeta goes. Concurrent first reads of a
+// cold table all get the one reader published; a trivial move keeps it; a
+// relocated copy starts without one (the old reader names the number the
+// edit removes) and opens its own.
+func TestTableReaderLivesWithItsFile(t *testing.T) {
+	d, err := Open(tinyConfig(ModeSEALDB))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	ref := loadRandom(t, d, 6000, 303)
-	// Reads across the whole keyspace churn the table cache.
+	for i := 0; i < 100; i++ { // one table, flushed where the test asks
+		if err := d.Put([]byte(fmt.Sprintf("key%03d", i)), []byte(fmt.Sprint("v", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.FlushMemtable(); err != nil {
+		t.Fatal(err)
+	}
+	f := d.vs.Current().Files[0][0]
+	if f.Reader.Load() != nil {
+		t.Fatal("set-up: the flushed table is already open")
+	}
+	const readers = 8
+	var (
+		wg     sync.WaitGroup
+		start  = make(chan struct{})
+		tables [readers]*sstable.Table
+	)
+	for g := range tables {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			var err error
+			if tables[g], err = d.openTable(f); err != nil {
+				t.Error(err)
+			}
+			if v, err := d.Get([]byte(fmt.Sprintf("key%03d", g))); err != nil || string(v) != fmt.Sprint("v", g) {
+				t.Errorf("Get(key%03d) = %q, %v", g, v, err)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	opened := f.Reader.Load()
+	for g, tbl := range tables {
+		if opened == nil || tbl != opened {
+			t.Fatalf("reader %d got table %p, the FileMeta holds %p", g, tbl, opened)
+		}
+	}
+
+	if compactLevel(t, d, 0) {
+		t.Fatal("set-up: a lone L0 table was rewritten, not moved")
+	}
+	if moved := d.vs.Current().Files[1][0]; moved != f || moved.Reader.Load() != opened {
+		t.Errorf("the trivial move left L1 with %v holding %p, want %v holding %p", moved, moved.Reader.Load(), f, opened)
+	}
+
+	ref := loadRandom(t, d, 12000, 17)
 	verifyAll(t, d, ref)
-	if n := len(d.tables); n > 8+1 {
-		t.Errorf("table cache holds %d readers, bound 8", n)
+	before := map[*version.FileMeta]bool{}
+	v := d.vs.Current()
+	for l := range v.Files {
+		for _, f := range v.Files[l] {
+			if _, err := d.openTable(f); err != nil { // the tables no Get reached
+				t.Fatal(err)
+			}
+			before[f] = true
+		}
 	}
-	if d.tableLRU.Len() != len(d.tables) {
-		t.Errorf("LRU list %d entries vs %d tables", d.tableLRU.Len(), len(d.tables))
+	held, _ := d.acquire()
+	res, err := d.DefragmentBands(0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Everything still readable after heavy eviction (readers reopen).
+	if res.SetsMoved == 0 {
+		t.Fatal("set-up: DefragmentBands relocated nothing")
+	}
+	v = d.vs.Current()
+	for l := range v.Files {
+		for _, f := range v.Files[l] {
+			if !before[f] && f.Reader.Load() != nil {
+				t.Errorf("relocated copy %v starts with a reader", f)
+			}
+		}
+	}
+	d.release(held)
+	if len(d.retiring) != 0 {
+		t.Fatalf("%d states still queued after the last reader left", len(d.retiring))
+	}
 	verifyAll(t, d, ref)
 	if err := d.VerifyIntegrity(); err != nil {
 		t.Fatal(err)

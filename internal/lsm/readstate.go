@@ -85,12 +85,6 @@ func (d *DB) reclaimReleased() error {
 	for ; !d.closed.Load() && n < len(d.retiring) && d.retiring[n].refs.Load() == 0; n++ {
 		r := d.retiring[n].retired
 		for _, num := range r.Files {
-			d.tablesMu.Lock()
-			if el, ok := d.tables[num]; ok {
-				d.tableLRU.Remove(el)
-				delete(d.tables, num)
-			}
-			d.tablesMu.Unlock()
 			d.cache.EvictFile(num)
 			d.backend.Remove(num)
 		}

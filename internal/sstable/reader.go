@@ -231,11 +231,6 @@ func (t *Table) NewMemIterator(data []byte) kv.Iterator {
 // the cache (a seek nearby comes back to them), and the first window's size.
 const streamAfter = 2
 
-// NewStreamingIterator is NewSpanIterator without a span.
-func (t *Table) NewStreamingIterator(readahead int, streamed *obs.Counter) kv.Iterator {
-	return t.NewSpanIterator(readahead, 0, streamed)
-}
-
 // NewSpanIterator returns the iterator of the user read path. After Seek,
 // SeekToFirst, SeekToLast or Prev, streamAfter data blocks go through the
 // cache as with NewIterator. Past them, a forward step to a block that

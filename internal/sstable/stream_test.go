@@ -112,7 +112,7 @@ func TestStreamingScanIsOneSequentialPass(t *testing.T) {
 		disk.ResetStats()
 		disk.SetSink("test", &log)
 		var streamed obs.Counter
-		it := tbl.NewStreamingIterator(readahead, &streamed)
+		it := tbl.NewSpanIterator(readahead, 0, &streamed)
 		n := 0
 		for it.SeekToFirst(); it.Valid(); it.Next() {
 			n++
@@ -181,7 +181,7 @@ func TestStreamingIteratorMatchesPlain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		walks := []kv.Iterator{tbl.NewStreamingIterator(readahead, nil), tbl.NewMemIterator(data)}
+		walks := []kv.Iterator{tbl.NewSpanIterator(readahead, 0, nil), tbl.NewMemIterator(data)}
 		for _, it := range walks {
 			plain := plainTbl.NewIterator()
 			rng := rand.New(rand.NewSource(int64(readahead)))
@@ -242,7 +242,7 @@ func TestStreamedCorruptBlockIsNeverEmitted(t *testing.T) {
 		first := newBlockIter(mustBlock(t, clean, h))
 		first.SeekToFirst()
 		stop := sort.SearchStrings(keys, string(first.Key().UserKey()))
-		it := tbl.NewStreamingIterator(64<<10, nil)
+		it := tbl.NewSpanIterator(64<<10, 0, nil)
 		n := 0
 		for it.SeekToFirst(); it.Valid(); it.Next() {
 			if k := string(it.Key().UserKey()); n >= stop || k != keys[n] || string(it.Value()) != vals[k] {
@@ -296,7 +296,7 @@ func TestStreamingServesCachedBlockFromCache(t *testing.T) {
 	before := cache.Stats()
 	log.reads = nil
 
-	it := tbl.NewStreamingIterator(1, nil)
+	it := tbl.NewSpanIterator(1, 0, nil)
 	n := 0
 	for it.SeekToFirst(); it.Valid(); it.Next() {
 		n++
@@ -328,7 +328,7 @@ func TestStreamingAdmitsOnlyIntoFreeRoom(t *testing.T) {
 	data, keys, _ := streamTable(t, 200)
 	scan := func(tbl *Table) {
 		t.Helper()
-		it := tbl.NewStreamingIterator(32<<10, nil)
+		it := tbl.NewSpanIterator(32<<10, 0, nil)
 		n := 0
 		for it.SeekToFirst(); it.Valid(); it.Next() {
 			n++
@@ -367,7 +367,7 @@ func TestStreamingAdmitsOnlyIntoFreeRoom(t *testing.T) {
 	small.mu.Lock()
 	small.capacity = full
 	small.mu.Unlock()
-	it := tbl.NewStreamingIterator(32<<10, nil)
+	it := tbl.NewSpanIterator(32<<10, 0, nil)
 	it.Seek(kv.MakeSearchKey(nil, []byte(keys[40]), kv.MaxSeqNum))
 	for i := 0; i < 12 && it.Valid(); i++ { // into the third block and beyond
 		it.Next()
@@ -399,7 +399,7 @@ func TestStreamingSteadyStateAllocatesNothingPerBlock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		it := tbl.NewStreamingIterator(8192, nil)
+		it := tbl.NewSpanIterator(8192, 0, nil)
 		return testing.AllocsPerRun(5, func() {
 			for it.SeekToFirst(); it.Valid(); it.Next() {
 			}
@@ -538,23 +538,20 @@ func TestSpanCachesOnlyTheLandingBlock(t *testing.T) {
 	}
 }
 
-// TestSpanOfOneIsStreaming: span 0 and span 1 make exactly the device
-// reads and cache probes NewStreamingIterator makes, on any walk.
+// TestSpanOfOneIsStreaming: span 1 makes exactly the device reads and
+// cache probes span 0 (no span) makes, on any walk.
 func TestSpanOfOneIsStreaming(t *testing.T) {
 	data, keys, _ := streamTable(t, 400)
 	for _, readahead := range []int{0, 8192, 64 << 10} {
-		var logs [3]readLog
-		var stats [3]CacheStats
-		for v := range logs {
-			logs[v].r = bytes.NewReader(data)
-			tbl, err := Open(&logs[v], int64(len(data)), 1, NewCache(40<<10))
+		var logs [2]readLog
+		var stats [2]CacheStats
+		for span := range logs {
+			logs[span].r = bytes.NewReader(data)
+			tbl, err := Open(&logs[span], int64(len(data)), 1, NewCache(40<<10))
 			if err != nil {
 				t.Fatal(err)
 			}
-			it := tbl.NewStreamingIterator(readahead, nil)
-			if v > 0 {
-				it = tbl.NewSpanIterator(readahead, v-1, nil)
-			}
+			it := tbl.NewSpanIterator(readahead, span, nil)
 			rng := rand.New(rand.NewSource(int64(readahead)))
 			for step := 0; step < 5000; step++ {
 				switch r := rng.Intn(100); {
@@ -568,13 +565,11 @@ func TestSpanOfOneIsStreaming(t *testing.T) {
 					it.SeekToFirst()
 				}
 			}
-			stats[v] = tbl.cache.Stats()
+			stats[span] = tbl.cache.Stats()
 		}
-		for v := 1; v < len(logs); v++ {
-			if fmt.Sprint(logs[v].reads) != fmt.Sprint(logs[0].reads) || stats[v] != stats[0] {
-				t.Errorf("readahead %d: span %d made %d reads (cache %+v), the streaming iterator %d (cache %+v)",
-					readahead, v-1, len(logs[v].reads), stats[v], len(logs[0].reads), stats[0])
-			}
+		if fmt.Sprint(logs[1].reads) != fmt.Sprint(logs[0].reads) || stats[1] != stats[0] {
+			t.Errorf("readahead %d: span 1 made %d reads (cache %+v), span 0 %d (cache %+v)",
+				readahead, len(logs[1].reads), stats[1], len(logs[0].reads), stats[0])
 		}
 	}
 }

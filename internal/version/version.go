@@ -9,8 +9,10 @@ package version
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"sealdb/internal/kv"
+	"sealdb/internal/sstable"
 )
 
 // NumLevels is the depth of the tree. The SMRDB baseline only uses
@@ -26,6 +28,9 @@ type FileMeta struct {
 	// SetID links the file to the set (contiguously stored
 	// compaction output group) it belongs to; 0 means none.
 	SetID uint64
+	// Reader is the table's reader, set by the first read that opens it;
+	// it lives as long as some version holds the file.
+	Reader atomic.Pointer[sstable.Table]
 }
 
 func (f *FileMeta) String() string {
