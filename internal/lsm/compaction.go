@@ -1,7 +1,6 @@
 package lsm
 
 import (
-	"bytes"
 	"io"
 	"slices"
 	"sort"
@@ -378,7 +377,7 @@ func (d *DB) inputIterators(c *compaction) (children []kv.Iterator, bufs [][]byt
 			return nil, nil, err
 		}
 		for i, f := range files {
-			t, err := sstable.Open(bytes.NewReader(bufs[i]), int64(len(bufs[i])), f.Num, nil)
+			t, err := sstable.OpenBuilt(bufs[i], nil, f.Num, nil)
 			if err != nil {
 				return nil, bufs, err
 			}
@@ -499,7 +498,7 @@ func (d *DB) mergeInputs(c *compaction) ([]*version.FileMeta, [][]byte, map[uint
 		})
 		builder = nil
 		wantCut = false
-		return nil
+		return d.openBuilt(outputs[len(outputs)-1], data, meta.Rows > 0)
 	}
 
 	for merge.SeekToFirst(); merge.Valid(); merge.Next() {

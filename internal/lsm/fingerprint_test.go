@@ -98,8 +98,18 @@ import (
 // "sealdb" ReadOps 17,883 -> 2,109. WriteOps moved only on the two
 // fixed-band modes (8,426 -> 8,416 and 8,327 -> 8,320): fewer reads
 // force fewer media-cache band cleanings. Seq, Levels and Reads held in
-// all five, and "smrdb" is unchanged. When a mismatch is intended, the
-// failure message prints the new literal.
+// all five, and "smrdb" is unchanged. Re-recorded for all five when a
+// flush or compaction output that takes a cached row along began to be
+// opened from its builder's bytes, and a relocated copy of an open table
+// from the bytes the relocation read: the first read of either reads no
+// footer, filter or index. The rows rule alone moved ReadOps on "leveldb"
+// 2,778 -> 2,553, "leveldb+sets" 2,319 -> 2,139, "smrdb" 517 -> 502 and
+// "sealdb" 2,109 -> 1,929, and left "sealdb+vlog" bit-identical (its
+// tables hold pointers, too small for rows); the relocation rule then
+// moved "sealdb" 1,929 -> 1,854 and "sealdb+vlog" 2,409 -> 2,385. BytesRead,
+// Seeks, BusyNS and the Journal, Counters and Views hashes move with those
+// reads; WriteOps, BytesWritten, Seq, Levels and Reads held in all five.
+// When a mismatch is intended, the failure message prints the new literal.
 type deviceFingerprint struct {
 	ReadOps, WriteOps       int64
 	BytesRead, BytesWritten int64
@@ -113,11 +123,11 @@ type deviceFingerprint struct {
 }
 
 var fingerprintGoldens = map[string]deviceFingerprint{
-	"leveldb":      {ReadOps: 2778, WriteOps: 8416, BytesRead: 50524532, BytesWritten: 51304743, Seeks: 4034, BusyNS: 51318680032, Seq: 0x226d, Levels: "3,11,7,0,0,0,17", Journal: "9298ed01b2833702", Counters: "95c9ce696d3563d6", Views: "a738fd681e0374ce", Reads: "e7b228fbb77598be"},
-	"leveldb+sets": {ReadOps: 2319, WriteOps: 8320, BytesRead: 41044300, BytesWritten: 42449620, Seeks: 3448, BusyNS: 43807272423, Seq: 0x226d, Levels: "3,11,7,0,0,0,17", Journal: "7074c9c3ad73a50a", Counters: "cdcaa7f69a17207a", Views: "ff3b357e4d368601", Reads: "e7b228fbb77598be"},
-	"smrdb":        {ReadOps: 517, WriteOps: 7525, BytesRead: 6253550, BytesWritten: 2775646, Seeks: 879, BusyNS: 6119572309, Seq: 0x226d, Levels: "1,3", Journal: "b38810952a41a336", Counters: "845c7e85e5f19878", Views: "d3dcd0aa924219ea", Reads: "e7b228fbb77598be"},
-	"sealdb":       {ReadOps: 2109, WriteOps: 8003, BytesRead: 11788475, BytesWritten: 6845743, Seeks: 2673, BusyNS: 17656747759, Seq: 0x226d, Levels: "3,11,7,0,0,0,17", Journal: "7a6a902e42dc1194", Counters: "354fa4d8abc3b592", Views: "37af777273f2f4cd", Reads: "e7b228fbb77598be"},
-	"sealdb+vlog":  {ReadOps: 2409, WriteOps: 8021, BytesRead: 5315040, BytesWritten: 2590496, Seeks: 6361, BusyNS: 42819598960, Seq: 0x2394, Levels: "3,5,0,0,0,0,7", Journal: "12366716d4189c84", Counters: "e0a75c2f59c79481", Views: "f3d94f04827b6b62", Reads: "e7b228fbb77598be"},
+	"leveldb":      {ReadOps: 2553, WriteOps: 8416, BytesRead: 50499475, BytesWritten: 51304743, Seeks: 3871, BusyNS: 50041765517, Seq: 0x226d, Levels: "3,11,7,0,0,0,17", Journal: "2ad4f07f149a7969", Counters: "2a0617aa235ef63d", Views: "abee641f076f82a2", Reads: "e7b228fbb77598be"},
+	"leveldb+sets": {ReadOps: 2139, WriteOps: 8320, BytesRead: 41024323, BytesWritten: 42449620, Seeks: 3317, BusyNS: 42772195697, Seq: 0x226d, Levels: "3,11,7,0,0,0,17", Journal: "c908eb3a064c12d3", Counters: "2ab19afbb289534a", Views: "8e30f521e5c47716", Reads: "e7b228fbb77598be"},
+	"smrdb":        {ReadOps: 502, WriteOps: 7525, BytesRead: 6242940, BytesWritten: 2775646, Seeks: 868, BusyNS: 6050008625, Seq: 0x226d, Levels: "1,3", Journal: "c80234fe599dc6d9", Counters: "f1a3f4a2fffa90ee", Views: "d3dcd0aa924219ea", Reads: "e7b228fbb77598be"},
+	"sealdb":       {ReadOps: 1854, WriteOps: 8003, BytesRead: 11760942, BytesWritten: 6845743, Seeks: 2479, BusyNS: 16446036370, Seq: 0x226d, Levels: "3,11,7,0,0,0,17", Journal: "915995309e6e9640", Counters: "077a90f613764908", Views: "0c51e8dc9304641c", Reads: "e7b228fbb77598be"},
+	"sealdb+vlog":  {ReadOps: 2385, WriteOps: 8021, BytesRead: 5311514, BytesWritten: 2590496, Seeks: 6338, BusyNS: 42669308333, Seq: 0x2394, Levels: "3,5,0,0,0,0,7", Journal: "da5cc4f5fe5b0b14", Counters: "a9429b70057eb3d8", Views: "b8e9fe7a72ca7181", Reads: "e7b228fbb77598be"},
 }
 
 type fingerprintCase struct {

@@ -27,16 +27,18 @@ func (d *DB) flushMemtable(mem *memtable.MemTable, newLogNum uint64) error {
 		return err
 	}
 	d.noteBuilt(meta)
-	err = d.backend.WriteFile(num, data)
-	sstable.PutBuf(data)
-	if err != nil {
-		return err
-	}
 	fm := &version.FileMeta{
 		Num:      num,
 		Size:     meta.Size,
 		Smallest: meta.Smallest,
 		Largest:  meta.Largest,
+	}
+	if err = d.openBuilt(fm, data, meta.Rows > 0); err == nil {
+		err = d.backend.WriteFile(num, data)
+	}
+	sstable.PutBuf(data)
+	if err != nil {
+		return err
 	}
 	edit := d.stampReplayStart(&version.Edit{
 		Added: []version.AddedFile{{Level: 0, Meta: fm}},

@@ -121,9 +121,12 @@ func (d *DB) relocateSet(rec version.SetRecord, files []*version.FileMeta, level
 	copies := make([]*version.FileMeta, len(files))
 	var moved int64
 	for i, f := range files {
-		// Field by field: the copy must not inherit f's reader, whose
-		// handle names the number about to be removed.
+		// Field by field: the copy must not inherit f's reader, whose handle
+		// names the number about to be removed. An open member's copy opens
+		// from the bytes read; bytes that do not open (media damage) leave
+		// it to its first read to report, as an unopened member's would.
 		nf := &version.FileMeta{Num: d.vs.NewFileNum(), Size: f.Size, Smallest: f.Smallest, Largest: f.Largest, SetID: f.SetID}
+		_ = d.openBuilt(nf, datas[i], f.Reader.Load() != nil)
 		copies[i] = nf
 		moved += int64(len(datas[i]))
 		edit.Deleted = append(edit.Deleted, version.DeletedFile{Level: levelOf[f.Num], Num: f.Num})

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"sealdb/internal/kv"
 	"sealdb/internal/sstable"
 	"sealdb/internal/version"
 )
@@ -219,9 +220,11 @@ func ExampleDB_LevelProfile() {
 
 // TestTableReaderLivesWithItsFile: a table's reader is opened once per
 // FileMeta and goes where the FileMeta goes. Concurrent first reads of a
-// cold table all get the one reader published; a trivial move keeps it; a
-// relocated copy starts without one (the old reader names the number the
-// edit removes) and opens its own.
+// cold table all get the one reader published; a trivial move keeps it. A
+// relocated copy never inherits the member's reader, which names the number
+// the edit removes: the copy of an open member starts with a reader of its
+// own, opened from the bytes the relocation read, and that of a member no
+// read opened starts without one.
 func TestTableReaderLivesWithItsFile(t *testing.T) {
 	d, err := Open(tinyConfig(ModeSEALDB))
 	if err != nil {
@@ -278,14 +281,21 @@ func TestTableReaderLivesWithItsFile(t *testing.T) {
 
 	ref := loadRandom(t, d, 12000, 17)
 	verifyAll(t, d, ref)
-	before := map[*version.FileMeta]bool{}
+	// Every other table is open, the rest are as if no read reached them;
+	// a member's copy is found by its smallest key.
+	readerOf, before := map[string]*sstable.Table{}, map[*version.FileMeta]bool{}
 	v := d.vs.Current()
 	for l := range v.Files {
-		for _, f := range v.Files[l] {
-			if _, err := d.openTable(f); err != nil { // the tables no Get reached
+		for i, f := range v.Files[l] {
+			tbl, err := d.openTable(f)
+			if err != nil {
 				t.Fatal(err)
 			}
-			before[f] = true
+			if i%2 == 1 {
+				tbl = nil
+				f.Reader.Store(nil)
+			}
+			readerOf[string(f.Smallest)], before[f] = tbl, true
 		}
 	}
 	held, _ := d.acquire()
@@ -296,17 +306,44 @@ func TestTableReaderLivesWithItsFile(t *testing.T) {
 	if res.SetsMoved == 0 {
 		t.Fatal("set-up: DefragmentBands relocated nothing")
 	}
-	v = d.vs.Current()
-	for l := range v.Files {
-		for _, f := range v.Files[l] {
-			if !before[f] && f.Reader.Load() != nil {
-				t.Errorf("relocated copy %v starts with a reader", f)
+	var copies []*version.FileMeta
+	for _, files := range d.vs.Current().Files {
+		for _, f := range files {
+			if !before[f] {
+				copies = append(copies, f)
 			}
 		}
+	}
+	var open []*version.FileMeta
+	for _, f := range copies {
+		old, got := readerOf[string(f.Smallest)], f.Reader.Load()
+		switch {
+		case old == nil && got != nil:
+			t.Errorf("copy %v of a table never opened starts with a reader", f)
+		case old != nil && (got == nil || got == old):
+			t.Errorf("copy %v of an open table holds %p, want a reader of its own (the member's was %p)", f, got, old)
+		case old != nil:
+			open = append(open, f)
+		}
+	}
+	if len(open) == 0 || len(open) == len(copies) {
+		t.Fatalf("set-up: %d of %d relocated members were open, want some of them", len(open), len(copies))
 	}
 	d.release(held)
 	if len(d.retiring) != 0 {
 		t.Fatalf("%d states still queued after the last reader left", len(d.retiring))
+	}
+	// The members' files are gone: a copy's reader reads its own file,
+	// under its own number.
+	for _, f := range open {
+		d.cache.EvictFile(f.Num)
+		if _, _, ok, err := f.Reader.Load().Get(f.Smallest.UserKey(), kv.MaxSeqNum); !ok || err != nil {
+			t.Fatalf("Get(%q) from the reader of copy %v: ok %v, %v", f.Smallest.UserKey(), f, ok, err)
+		}
+		used := d.cache.Stats().UsedBytes
+		if d.cache.EvictFile(f.Num); d.cache.Stats().UsedBytes >= used {
+			t.Errorf("the reader of copy %v cached its block under another number", f)
+		}
 	}
 	verifyAll(t, d, ref)
 	if err := d.VerifyIntegrity(); err != nil {

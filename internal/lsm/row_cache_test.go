@@ -211,10 +211,10 @@ func compactLevel(t *testing.T, d *DB, level int) (rewritten bool) {
 // TestHotRowsSurviveFlushAndCompaction: keys read twice keep their rows
 // through an overwrite's flush, the L0->L1 merge and the L1->L2 merge that
 // follow. After each rewrite a first pass over the hot keys is answered by
-// the rows alone (it pays only for opening the new tables, whose index is
-// read past the cache), a second costs no device read at all, a snapshot
-// from before the overwrite still sees the old values, and a key nobody
-// read gains no row by being written.
+// the rows alone, with no device read (the new tables took rows along, so
+// they were opened from their builder's bytes), a snapshot from before the
+// overwrite still sees the old values, and a key nobody read gains no row by
+// being written.
 func TestHotRowsSurviveFlushAndCompaction(t *testing.T) {
 	cfg := tinyConfig(ModeSEALDB)
 	cfg.MemtableSize = 1 * kv.MiB // flushes happen where the test asks
@@ -288,11 +288,8 @@ func TestHotRowsSurviveFlushAndCompaction(t *testing.T) {
 		if st := d.cache.Stats(); st.RowEntries != hot || st.RowsRehomed != rewrites*hot {
 			t.Fatalf("after the %s: %d rows, %d re-homed; want %d and %d", what, st.RowEntries, st.RowsRehomed, hot, rewrites*hot)
 		}
-		if _, misses := pass("new", nil); misses != 0 {
-			t.Fatalf("after the %s the hot keys missed %d blocks: their rows did not follow", what, misses)
-		}
-		if reads, _ := pass("new", nil); reads != 0 {
-			t.Fatalf("after the %s a second pass cost %d device reads", what, reads)
+		if reads, misses := pass("new", nil); reads != 0 || misses != 0 {
+			t.Fatalf("after the %s the hot keys missed %d blocks and cost %d device reads: their rows did not follow", what, misses, reads)
 		}
 		pass("old", snap)
 		if st := d.cache.Stats(); st.RowEntries != hot {
@@ -327,9 +324,106 @@ func TestHotRowsSurviveFlushAndCompaction(t *testing.T) {
 	}
 }
 
+// TestJustWrittenTableOpensWithItsRows: a flush or compaction output that
+// takes a cached row along is opened from its builder's bytes before it is
+// installed, so the Get that follows reads nothing from the device, not even
+// the new table's footer, filter and index. An output that takes no row
+// stays unopened, so a store nobody reads keeps no table open.
+func TestJustWrittenTableOpensWithItsRows(t *testing.T) {
+	cfg := tinyConfig(ModeSEALDB)
+	cfg.MemtableSize = 1 * kv.MiB // flushes happen where the test asks
+	d, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	put := func(d *DB, k, v []byte) {
+		t.Helper()
+		if err := d.Put(k, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key, _ := loadRowVictim(t, d)
+	want := bigValue("victim-new", 700)
+	put(d, key, want)
+	if err := d.FlushMemtable(); err != nil {
+		t.Fatal(err)
+	}
+	l0 := d.vs.Current().Files[0]
+	if f := l0[len(l0)-1]; f.Reader.Load() == nil {
+		t.Fatalf("the flushed table %v took the row along and is not open", f)
+	}
+	get := func() int64 {
+		t.Helper()
+		return deviceReads(d, func() {
+			if got, err := d.Get(key); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("Get = %d bytes, %v", len(got), err)
+			}
+		})
+	}
+	if reads := get(); reads != 0 {
+		t.Fatalf("the first Get from the flushed table cost %d device reads", reads)
+	}
+
+	// Two more level-0 tables, written and never read, make the level due.
+	for i := 0; i < 2; i++ {
+		for j := 0; j < 200; j++ {
+			put(d, []byte(fmt.Sprintf("fill%04d", j)), bigValue(fmt.Sprint("fill", i), 100))
+		}
+		if err := d.FlushMemtable(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	v := d.vs.Current()
+	if v.NumFiles(0) != 0 {
+		t.Fatalf("set-up: CompactAll left %d level-0 tables", v.NumFiles(0))
+	}
+	carried := 0
+	for l := range v.Files {
+		for _, f := range v.Files[l] {
+			carries := kv.CompareUser(f.Smallest.UserKey(), key) <= 0 && kv.CompareUser(key, f.Largest.UserKey()) <= 0
+			if open := f.Reader.Load() != nil; open != carries {
+				t.Errorf("L%d %v: open %v, took the row along %v", l, f, open, carries)
+			}
+			if carries {
+				carried++
+			}
+		}
+	}
+	if carried != 1 || v.TotalFiles() < 2 {
+		t.Fatalf("set-up: %d of %d tables hold the key, want 1 of several", carried, v.TotalFiles())
+	}
+	if reads := get(); reads != 0 {
+		t.Fatalf("the first Get after CompactAll cost %d device reads", reads)
+	}
+
+	w, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	for i := 0; i < 3000; i++ {
+		put(w, []byte(fmt.Sprintf("key%04d", i*7919%3000)), bigValue(fmt.Sprint("v", i), 700))
+	}
+	if err := w.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	v = w.vs.Current()
+	for l := range v.Files {
+		for _, f := range v.Files[l] {
+			if f.Reader.Load() != nil {
+				t.Errorf("a write-only load left L%d %v open", l, f)
+			}
+		}
+	}
+}
+
 // TestRelocationKeepsResidency: DefragmentBands copies tables byte for byte
 // under new numbers, and what was cached of a table is cached of its copy.
-// Reads after the pass pay for opening the copies and for nothing else,
+// The copies of open tables are open, so reads after the pass cost nothing,
 // while an iterator opened before it, pinned on the old numbers, reads the
 // old extents from the device and sees the same store.
 func TestRelocationKeepsResidency(t *testing.T) {
@@ -385,12 +479,9 @@ func TestRelocationKeepsResidency(t *testing.T) {
 	if st := d.cache.Stats(); st.Entries != resident.Entries || st.RowEntries != resident.RowEntries || st.UsedBytes != resident.UsedBytes {
 		t.Fatalf("relocating %d tables changed the residency: %+v -> %+v", copies, resident, st)
 	}
-	// Opening a copy reads its footer, filter and index.
-	if reads, misses := readCost(d, func() { verifyAll(t, d, ref) }); misses != 0 || reads > 3*copies {
-		t.Fatalf("reads after the pass missed %d blocks and cost %d device reads for %d copies to open", misses, reads, copies)
-	}
-	if reads, _ := readCost(d, func() { verifyAll(t, d, ref) }); reads != 0 {
-		t.Fatalf("a second pass after the relocation cost %d device reads", reads)
+	// Every table was open, so every copy opened from the bytes relocation read.
+	if reads, misses := readCost(d, func() { verifyAll(t, d, ref) }); misses != 0 || reads != 0 {
+		t.Fatalf("reads after relocating %d tables missed %d blocks and cost %d device reads", copies, misses, reads)
 	}
 
 	reads, _ := readCost(d, func() {

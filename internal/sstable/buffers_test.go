@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"sealdb/internal/invariant"
@@ -95,6 +96,41 @@ func TestReleasedBufferIsPoisoned(t *testing.T) {
 		}
 	}()
 	PutBuf(data)
+}
+
+// TestOpenBuiltOutlivesItsBuffer: a table opened from the bytes Finish
+// returned reads nothing through its handle to open, holds the filter and
+// index one opened by reading the file holds, and keeps answering Gets,
+// through the handle, once its buffer has gone back to the pool (poisoned
+// under -tags sealdb_invariants).
+func TestOpenBuiltOutlivesItsBuffer(t *testing.T) {
+	keys := tableKeys(40)
+	data := buildInto(t, NewBuilder(), GetBuf(64<<10), keys, bytes.Repeat([]byte{'v'}, 1024))
+	file := &trackingReader{r: bytes.NewReader(append([]byte(nil), data...))}
+	read, err := Open(file, int64(len(data)), 9, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file.calls = 0
+	built, err := OpenBuilt(data, file, 9, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if file.calls != 0 {
+		t.Errorf("opening from the built bytes read the file %d times", file.calls)
+	}
+	if !bytes.Equal(built.bloom, read.bloom) || !bytes.Equal(built.index.data, read.index.data) || !slices.Equal(built.index.restarts, read.index.restarts) {
+		t.Fatal("the filter or index opened from the built bytes differs from the file's")
+	}
+	PutBuf(data)
+	for _, k := range keys {
+		if v, deleted, ok, err := built.Get(k.UserKey(), kv.MaxSeqNum); err != nil || !ok || deleted || len(v) != 1024 {
+			t.Fatalf("Get(%s) after the buffer went back: %d bytes, ok %v, deleted %v, %v", k.UserKey(), len(v), ok, deleted, err)
+		}
+	}
+	if file.calls == 0 {
+		t.Error("Gets were not read through the handle")
+	}
 }
 
 // TestClosedWindowIsPoisoned: under the sealdb_invariants tag the window

@@ -25,6 +25,7 @@ type Meta struct {
 	Largest  kv.InternalKey
 	Entries  int
 	Size     int64
+	Rows     int // cached rows the table took along (Builder.Carry)
 }
 
 // Builder accumulates sorted entries and produces the table bytes.
@@ -132,7 +133,9 @@ func (b *Builder) Add(ik kv.InternalKey, value []byte) {
 	if b.rows != nil {
 		// Of a key's versions the newest comes first and takes the row;
 		// it is then bound to this table and the older ones leave it be.
-		b.rows.rehome(b.fileNum, h, ik, value)
+		if b.rows.rehome(b.fileNum, h, ik, value) {
+			b.meta.Rows++
+		}
 	}
 	b.meta.Entries++
 	if b.data.estimatedSize() >= TargetBlockSize {

@@ -413,18 +413,19 @@ func (c *Cache) hasRows() bool { return c != nil && c.rowEntries.Load() > 0 }
 // newer one's row. A re-home is not a touch — the row keeps its segment and
 // its place in it, so a key that is written and not read ages out — and an
 // entry no read would have made a row (a tombstone, a value small next to a
-// block or over maxCachedValue) drops the row instead.
-func (c *Cache) rehome(file uint64, hash uint32, ik kv.InternalKey, value []byte) {
+// block or over maxCachedValue) drops the row instead. It reports whether
+// the row moved.
+func (c *Cache) rehome(file uint64, hash uint32, ik kv.InternalKey, value []byte) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ukey := c.rows[uint64(hash)], ik.UserKey()
 	if e == nil || e.key.file == file || e.seq > ik.Seq() || !bytes.Equal(e.value[:e.klen], ukey) {
-		return
+		return false
 	}
 	n := len(ukey) + len(value)
 	if ik.Kind() == kv.KindDelete || n > maxCachedValue || (int64(n)+valueOverhead)*rowBlockShare < TargetBlockSize {
 		c.remove(e)
-		return
+		return false
 	}
 	c.unchain(e)
 	if !roomFor(e.value, n) {
@@ -442,6 +443,7 @@ func (c *Cache) rehome(file uint64, hash uint32, ik kv.InternalKey, value []byte
 	c.chain(e)
 	c.rehomed++
 	c.settle()
+	return true
 }
 
 func (c *Cache) put(file, offset uint64, b *block) {

@@ -1,6 +1,7 @@
 package sstable
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -76,6 +77,20 @@ func Open(r io.ReaderAt, size int64, fileNum uint64, cache *Cache) (*Table, erro
 	if t.index, err = decodeBlock(raw); err != nil {
 		return nil, fmt.Errorf("sstable: file %d: %w", t.fileNum, err)
 	}
+	return t, nil
+}
+
+// OpenBuilt opens file fileNum, to be read through r, from data, the whole
+// table as Finish returned it or as read whole: footer, filter and index
+// come from data, CRC-checked and copied, so nothing is read through r and
+// data may be released once this returns. r may be nil for a table only
+// iterated over data (NewMemIterator).
+func OpenBuilt(data []byte, r io.ReaderAt, fileNum uint64, cache *Cache) (*Table, error) {
+	t, err := Open(bytes.NewReader(data), int64(len(data)), fileNum, cache)
+	if err != nil {
+		return nil, err
+	}
+	t.r = r
 	return t, nil
 }
 
