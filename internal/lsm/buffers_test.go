@@ -154,7 +154,7 @@ func TestWritePathAllocsScaleWithTables(t *testing.T) {
 	for _, f := range append(append([]*version.FileMeta(nil), c.inputs0...), c.inputs1...) {
 		inBytes += f.Size
 	}
-	compact := mallocsDuring(func() { err = d.runCompaction(c) })
+	compact := mallocsDuring(func() { _, err = d.run(job{c: c}) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,11 +185,11 @@ func TestCompactionWriteFailureReleasesOnce(t *testing.T) {
 	// A compaction reads, merges, then writes: its first device write is
 	// the group write of the new set.
 	fd.Inject(faultfs.Rule{Op: faultfs.OpWrite, Count: 1})
-	err := d.failWrite(d.runCompaction(c))
+	_, err := d.run(job{c: c})
 	d.mu.Unlock()
 	var fe *faultfs.Error
 	if !errors.As(err, &fe) || fe.Temporary {
-		t.Fatalf("runCompaction = %v, want the injected permanent write error", err)
+		t.Fatalf("compaction job = %v, want the injected permanent write error", err)
 	}
 	if err := d.Put([]byte("after"), []byte("x")); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("Put after a failed set write = %v, want ErrDegraded", err)

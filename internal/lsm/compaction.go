@@ -4,7 +4,6 @@ import (
 	"io"
 	"slices"
 	"sort"
-	"time"
 
 	"sealdb/internal/kv"
 	"sealdb/internal/obs"
@@ -150,39 +149,6 @@ func keyRange(files []*version.FileMeta) (lo, hi []byte) {
 	return lo, hi
 }
 
-// jobMeter brackets one background job (a flush or a compaction): the
-// device-clock, host-write and device-write baselines its per-job
-// record is measured against, and the job's journal span.
-type jobMeter struct {
-	sp              *obs.Span
-	busy, host, dev int64
-}
-
-// beginJob captures the baselines and opens the journal span. Jobs
-// serialize under d.mu, so the deltas endJob computes are exact.
-// Caller holds d.mu.
-func (d *DB) beginJob(event string) jobMeter {
-	return jobMeter{
-		busy: d.deviceNow(),
-		host: d.drive.HostBytesWritten(),
-		dev:  d.disk.Stats().BytesWritten,
-		sp:   d.journal.Begin(event, 0),
-	}
-}
-
-// endJob completes ci with the job's device time and write deltas,
-// appends it to the per-job record and closes the span. A trivial
-// move does no I/O of its own and records none. Caller holds d.mu.
-func (d *DB) endJob(m jobMeter, ci CompactionInfo) {
-	if !ci.TrivialMove {
-		ci.Latency = time.Duration(d.deviceNow() - m.busy)
-		ci.HostBytes = d.drive.HostBytesWritten() - m.host
-		ci.DeviceBytes = d.disk.Stats().BytesWritten - m.dev
-	}
-	d.compactions = append(d.compactions, ci)
-	m.sp.End()
-}
-
 // writeOutputs places a job's output tables: as one set in one
 // contiguous extent when grouped (and the backend groups), file by file
 // otherwise. A set takes the number of its first output, unique for the
@@ -229,19 +195,14 @@ func (d *DB) install(edit *version.Edit) error {
 	return d.publish(nil, retired)
 }
 
-// runCompaction executes a compaction: merge the inputs, write the
-// outputs (as one contiguous set when the mode calls for it), log the
-// edit, and reclaim input space. Caller holds d.mu.
-func (d *DB) runCompaction(c *compaction) error {
-	d.compID++
-	id := d.compID
-	job := d.beginJob("compaction")
-	sp := job.sp
-	sp.Set("id", int64(id))
+// compact executes a compaction: merge the inputs, write the outputs
+// (as one contiguous set when the mode calls for it), log the edit, and
+// reclaim input space. Caller holds d.mu.
+func (d *DB) compact(c *compaction, sp *obs.Span) (CompactionInfo, error) {
 	sp.Set("from", int64(c.level))
 	sp.Set("to", int64(c.outLevel))
 	info := CompactionInfo{
-		ID: id, FromLevel: c.level, ToLevel: c.outLevel,
+		FromLevel: c.level, ToLevel: c.outLevel,
 		Inputs0: len(c.inputs0), Inputs1: len(c.inputs1),
 	}
 
@@ -255,18 +216,17 @@ func (d *DB) runCompaction(c *compaction) error {
 			},
 		}
 		if err := d.install(edit); err != nil {
-			return err
+			return info, err
 		}
 		d.metrics.trivialMoves.Inc()
 		sp.Set("trivial", 1)
 		info.TrivialMove = true
-		d.endJob(job, info)
-		return nil
+		return info, nil
 	}
 
 	outputs, datas, vlogDead, err := d.mergeInputs(c)
 	if err != nil {
-		return err
+		return info, err
 	}
 	// The device writes below are synchronous: once they have returned,
 	// with or without an error, nobody holds the outputs' bytes.
@@ -277,7 +237,7 @@ func (d *DB) runCompaction(c *compaction) error {
 	edit := &version.Edit{}
 	newSet, err := d.writeOutputs(outputs, datas, d.cfg.groupedOutputs(c.outLevel))
 	if err != nil {
-		return err
+		return info, err
 	}
 	if newSet != nil {
 		edit.NewSets = []version.SetRecord{*newSet}
@@ -315,7 +275,7 @@ func (d *DB) runCompaction(c *compaction) error {
 	// only forgotten and their extent returns to the free list when the
 	// whole set died.
 	if err := d.install(edit); err != nil {
-		return err
+		return info, err
 	}
 
 	info.OutputPlacements = make([]storage.Extent, 0, len(outputs))
@@ -333,8 +293,7 @@ func (d *DB) runCompaction(c *compaction) error {
 	sp.Set("input_bytes", info.InputBytes)
 	sp.Set("output_bytes", info.OutputBytes)
 	sp.Set("output_files", int64(len(outputs)))
-	d.endJob(job, info)
-	return nil
+	return info, nil
 }
 
 // readahead models the OS readahead a streaming merge gets on each
@@ -587,27 +546,19 @@ func (d *DB) isBaseLevelForKey(c *compaction, user []byte) bool {
 // CompactAll drives compactions until every level is below its target;
 // useful for tests and to settle a freshly loaded database.
 func (d *DB) CompactAll() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.writeAllowed(); err != nil {
-		return err
-	}
-	return d.failWrite(d.compactUntilBalanced(1))
+	return d.maintain(func() error { return d.drainJobs(1) })
 }
 
 // FlushMemtable forces the current memtable to level 0 (test hook and
 // benchmark phase boundary).
 func (d *DB) FlushMemtable() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.writeAllowed(); err != nil {
-		return err
-	}
-	if d.mem.Empty() {
-		return nil
-	}
-	if err := d.rotateAndFlush(d.cfg.walSize()); err != nil {
-		return d.failWrite(err)
-	}
-	return d.failWrite(d.compactUntilBalanced(debtBound))
+	return d.maintain(func() error {
+		if d.mem.Empty() {
+			return nil
+		}
+		if err := d.rotateAndFlush(d.cfg.walSize()); err != nil {
+			return err
+		}
+		return d.drainJobs(debtBound)
+	})
 }

@@ -29,70 +29,67 @@ type GCResult struct {
 // relocation costs one sequential read and one sequential write of
 // the set's live members. maxMoves bounds the pass; <= 0 means no
 // bound. Only meaningful in ModeSEALDB.
-func (d *DB) DefragmentBands(maxMoves int) (GCResult, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var res GCResult
-	if err := d.writeAllowed(); err != nil {
-		return res, err
-	}
+func (d *DB) DefragmentBands(maxMoves int) (res GCResult, err error) {
 	mgr := d.dev.DBand
 	if mgr == nil {
 		return res, fmt.Errorf("lsm: DefragmentBands requires dynamic bands (mode %v)", d.cfg.Mode)
 	}
-	// A fragment is a free region that cannot serve the smallest
-	// useful insert: one SSTable plus its guard (Equation 1).
-	threshold := d.cfg.SSTableSize + d.cfg.GuardSize
-	res.FragmentsBefore = mgr.FragmentBytes(threshold)
-	sp := d.journal.Begin("band_gc", 0)
-	sp.Set("fragments_before", res.FragmentsBefore)
+	err = d.maintain(func() error {
+		// A fragment is a free region that cannot serve the smallest
+		// useful insert: one SSTable plus its guard (Equation 1).
+		threshold := d.cfg.SSTableSize + d.cfg.GuardSize
+		res.FragmentsBefore = mgr.FragmentBytes(threshold)
+		sp := d.journal.Begin("band_gc", 0)
+		sp.Set("fragments_before", res.FragmentsBefore)
 
-	// Index live sets by their extent start, member files by set, and
-	// each member's level by file number.
-	byOff := map[int64]version.SetRecord{}
-	for _, set := range d.vs.Sets() {
-		byOff[set.Off] = set.SetRecord
-	}
-	members := map[uint64][]*version.FileMeta{}
-	levelOf := map[uint64]int{}
-	v := d.vs.Current()
-	for l := 0; l < d.cfg.NumLevels; l++ {
-		for _, f := range v.Files[l] {
-			if f.SetID != 0 {
-				members[f.SetID] = append(members[f.SetID], f)
-				levelOf[f.Num] = l
+		// Index live sets by their extent start, member files by set, and
+		// each member's level by file number.
+		byOff := map[int64]version.SetRecord{}
+		for _, set := range d.vs.Sets() {
+			byOff[set.Off] = set.SetRecord
+		}
+		members := map[uint64][]*version.FileMeta{}
+		levelOf := map[uint64]int{}
+		v := d.vs.Current()
+		for l := 0; l < d.cfg.NumLevels; l++ {
+			for _, f := range v.Files[l] {
+				if f.SetID != 0 {
+					members[f.SetID] = append(members[f.SetID], f)
+					levelOf[f.Num] = l
+				}
 			}
 		}
-	}
 
-	// Walk the fragments in address order and relocate each one's
-	// downstream set (if its neighbour is not an ungrouped file). The free
-	// list changes as we go, so collect the victims first. Free regions
-	// are disjoint, so the victims are distinct and in address order too.
-	var victims []version.SetRecord
-	for _, fr := range mgr.FreeRegions() {
-		if rec, ok := byOff[fr.End()]; ok && fr.Len < threshold {
-			victims = append(victims, rec)
+		// Walk the fragments in address order and relocate each one's
+		// downstream set (if its neighbour is not an ungrouped file). The free
+		// list changes as we go, so collect the victims first. Free regions
+		// are disjoint, so the victims are distinct and in address order too.
+		var victims []version.SetRecord
+		for _, fr := range mgr.FreeRegions() {
+			if rec, ok := byOff[fr.End()]; ok && fr.Len < threshold {
+				victims = append(victims, rec)
+			}
 		}
-	}
 
-	for _, rec := range victims {
-		if maxMoves > 0 && res.SetsMoved >= maxMoves {
-			break
+		for _, rec := range victims {
+			if maxMoves > 0 && res.SetsMoved >= maxMoves {
+				break
+			}
+			moved, err := d.relocateSet(rec, members[rec.ID], levelOf, sp.ID())
+			if err != nil {
+				return err
+			}
+			res.SetsMoved++
+			res.BytesMoved += moved
 		}
-		moved, err := d.relocateSet(rec, members[rec.ID], levelOf, sp.ID())
-		if err != nil {
-			return res, d.failWrite(err)
-		}
-		res.SetsMoved++
-		res.BytesMoved += moved
-	}
-	res.FragmentsAfter = mgr.FragmentBytes(threshold)
-	sp.Set("sets_moved", int64(res.SetsMoved))
-	sp.Set("bytes_moved", res.BytesMoved)
-	sp.Set("fragments_after", res.FragmentsAfter)
-	sp.End()
-	return res, nil
+		res.FragmentsAfter = mgr.FragmentBytes(threshold)
+		sp.Set("sets_moved", int64(res.SetsMoved))
+		sp.Set("bytes_moved", res.BytesMoved)
+		sp.Set("fragments_after", res.FragmentsAfter)
+		sp.End()
+		return nil
+	})
+	return res, err
 }
 
 // relocateSet moves a set's live members to a fresh contiguous extent

@@ -114,34 +114,31 @@ func (d *DB) ApproximateSize(lo, hi []byte) int64 {
 // Nil bounds mean unbounded. This is LevelDB's manual compaction,
 // useful to settle a store before read benchmarks.
 func (d *DB) CompactRange(lo, hi []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.writeAllowed(); err != nil {
-		return err
-	}
-	if !d.mem.Empty() {
-		if err := d.rotateAndFlush(d.cfg.walSize()); err != nil {
-			return d.failWrite(err)
+	return d.maintain(func() error {
+		if !d.mem.Empty() {
+			if err := d.rotateAndFlush(d.cfg.walSize()); err != nil {
+				return err
+			}
 		}
-	}
-	for level := 0; level < d.cfg.NumLevels-1; level++ {
-		for {
-			v := d.vs.Current()
-			files := v.Overlaps(level, lo, hi, d.cfg.sortedLevel(level))
-			if len(files) == 0 {
+		for level := 0; level < d.cfg.NumLevels-1; level++ {
+			for {
+				v := d.vs.Current()
+				files := v.Overlaps(level, lo, hi, d.cfg.sortedLevel(level))
+				if len(files) == 0 {
+					break
+				}
+				c := d.buildCompaction(v, level, files)
+				if _, err := d.run(job{c: c}); err != nil {
+					return err
+				}
+				if c.trivial {
+					continue // the file moved down; the next loop sees it there
+				}
 				break
 			}
-			c := d.buildCompaction(v, level, files)
-			if err := d.runCompaction(c); err != nil {
-				return d.failWrite(err)
-			}
-			if c.trivial {
-				continue // the file moved down; the next loop sees it there
-			}
-			break
 		}
-	}
-	return d.failWrite(d.compactUntilBalanced(1))
+		return d.drainJobs(1)
+	})
 }
 
 // VerifyIntegrity walks the whole store and checks every invariant it

@@ -23,9 +23,9 @@ type CompactionInfo struct {
 	Latency time.Duration
 	// HostBytes and DeviceBytes are the host-issued and physical
 	// device write bytes this compaction (or flush) caused, captured
-	// as exact deltas around its execution (compactions serialize
-	// under the DB lock). DeviceBytes/HostBytes is the compaction's
-	// own auxiliary write amplification.
+	// by the job executor (run) as exact deltas around it: jobs
+	// serialize under the DB lock. DeviceBytes/HostBytes is the
+	// compaction's own auxiliary write amplification.
 	HostBytes   int64
 	DeviceBytes int64
 	// TrivialMove marks a compaction that moved a file without I/O.

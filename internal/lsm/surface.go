@@ -228,8 +228,8 @@ func (d *DB) bandRowsLocked(now int64) []BandRow {
 // The payloads and the snapshot events.
 
 // VlogSegmentRow is one value-log segment's occupancy in the
-// /debug/bands payload — the per-segment accounting maybeVlogGC's
-// dead-ratio victim selection reads, surfaced.
+// /debug/bands payload — the per-segment accounting the GC pass's
+// dead-ratio victim selection (nextJob) reads, surfaced.
 type VlogSegmentRow struct {
 	Num       uint64  `json:"num"`
 	Bytes     int64   `json:"bytes"`

@@ -312,7 +312,7 @@ func TestSurfaceSnapshotEvents(t *testing.T) {
 }
 
 // TestSurfaceVlogOccupancy checks the satellite fix: the per-segment
-// occupancy maybeVlogGC's victim selection reads is exported through
+// occupancy the GC pass's victim selection (nextJob) reads is exported through
 // the /debug/bands payload, threshold included.
 func TestSurfaceVlogOccupancy(t *testing.T) {
 	cfg := tinyConfig(ModeSEALDB)

@@ -9,6 +9,7 @@ import (
 	"sort"
 
 	"sealdb/internal/kv"
+	"sealdb/internal/obs"
 	"sealdb/internal/version"
 	"sealdb/internal/vlog"
 )
@@ -380,49 +381,25 @@ type VlogGCResult struct {
 // vlogGCDeadRatio), relocate its live records — grouped by the set of the SSTable that
 // references each one, so co-compacted values stay adjacent — and
 // drop the victim. Returns a zero-victim result when nothing
-// qualifies.
-func (d *DB) VlogGC() (VlogGCResult, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.writeAllowed(); err != nil {
-		return VlogGCResult{}, err
-	}
+// qualifies, or while a snapshot is registered (nextJob).
+func (d *DB) VlogGC() (res VlogGCResult, err error) {
 	if !d.cfg.vlogEnabled() {
-		return VlogGCResult{}, fmt.Errorf("lsm: VlogGC requires a value threshold (mode %v)", d.cfg.Mode)
+		return res, fmt.Errorf("lsm: VlogGC requires a value threshold (mode %v)", d.cfg.Mode)
 	}
-	return d.vlogGCLocked()
+	err = d.maintain(func() (err error) {
+		if j, ok := d.nextJob(gcDue); ok {
+			res, err = d.run(j)
+		}
+		return err
+	})
+	return res, err
 }
 
-// maybeVlogGC opportunistically collects after a write when a victim
-// qualifies. One pass per call bounds the stall a single Apply can
-// absorb. Caller holds d.mu.
-func (d *DB) maybeVlogGC() error {
-	if !d.cfg.vlogEnabled() {
-		return nil
-	}
-	_, err := d.vlogGCLocked()
-	return err
-}
-
-// vlogGCLocked is the collection pass body. Caller holds d.mu.
-//
-// Relocation re-puts live values at fresh sequence numbers, so the pass
-// refuses to run while a snapshot is registered (the next write retries
-// it); a reader's state keeps the victim's file until it lets go.
-func (d *DB) vlogGCLocked() (VlogGCResult, error) {
-	var res VlogGCResult
-	if len(d.snapshots) > 0 {
-		return res, nil
-	}
-	// Sealed, dead enough, and wholly before the replay head: dead bytes
-	// are only ever charged at flush and compaction, so waiting for the
-	// next flush to move the head costs the collector nothing.
-	vic, ok := d.vs.VlogVictim(vlogGCDeadRatio)
-	if !ok {
-		return res, nil
-	}
-	res.Victim = vic.Num
-	sp := d.journal.Begin("vlog_gc", 0)
+// collect is the collection pass body: relocate the victim's live
+// records and drop it. A reader's state keeps the victim's file until it
+// lets go. Caller holds d.mu.
+func (d *DB) collect(vic version.VlogSeg, sp *obs.Span) (VlogGCResult, error) {
+	res := VlogGCResult{Victim: vic.Num}
 	sp.Set("segment", int64(vic.Num))
 	sp.Set("dead_bytes", vic.Dead)
 
@@ -431,7 +408,7 @@ func (d *DB) vlogGCLocked() (VlogGCResult, error) {
 	// the victim is before the replay head.
 	buf, err := d.vlogReadSealed(vic.Num, vic.Bytes)
 	if err != nil {
-		return res, d.failWrite(err)
+		return res, err
 	}
 	type candidate struct {
 		key, value []byte
@@ -462,7 +439,7 @@ func (d *DB) vlogGCLocked() (VlogGCResult, error) {
 	}
 	if err := s.Err(); err != nil {
 		// A sealed segment must scan clean to its recorded length.
-		return res, d.failWrite(fmt.Errorf("lsm: vlog GC scan of segment %d: %w", vic.Num, err))
+		return res, fmt.Errorf("lsm: vlog GC scan of segment %d: %w", vic.Num, err)
 	}
 
 	if d.vlog.gcHook != nil {
@@ -525,7 +502,7 @@ func (d *DB) vlogGCLocked() (VlogGCResult, error) {
 	// with every live value reachable through its new pointer; a reader
 	// mid-chase keeps the file until it releases its state.
 	if err := d.install(&version.Edit{DropVlogSegs: []uint64{vic.Num}}); err != nil {
-		return res, d.failWrite(err)
+		return res, err
 	}
 	res.ReclaimedBytes = vic.Bytes
 
@@ -535,7 +512,6 @@ func (d *DB) vlogGCLocked() (VlogGCResult, error) {
 	sp.Set("relocated_bytes", res.RelocatedBytes)
 	sp.Set("skipped_moved", int64(res.SkippedMoved))
 	sp.Set("reclaimed_bytes", res.ReclaimedBytes)
-	sp.End()
 	return res, nil
 }
 

@@ -2,7 +2,6 @@ package lsm
 
 import (
 	"encoding/binary"
-	"fmt"
 	"sync"
 	"time"
 
@@ -145,9 +144,11 @@ func (d *DB) applyLocked(b *Batch, ot *opTrace) error {
 	// Write latency includes any rotation/compaction stall the batch
 	// absorbed in makeRoomForWrite — the user-visible cost.
 	d.metrics.writeLatency.Observe(d.deviceNow() - startBusy)
-	// Opportunistic value-log collection: at most one pass, so the
-	// stall any single Apply absorbs stays bounded.
-	return d.maybeVlogGC()
+	// Opportunistic value-log collection. The batch is durable and
+	// visible by now, so a failed pass is not its failure: the executor
+	// degrades the store, and the next write reports it.
+	_ = d.drainJobs(gcDue)
+	return nil
 }
 
 // userVlogAppend attributes the value-log group a user batch was
@@ -283,7 +284,7 @@ func (d *DB) makeRoomForWrite(incoming int64) error {
 	if err := d.rotateAndFlush(need); err != nil {
 		return err
 	}
-	return d.compactUntilBalanced(debtBound)
+	return d.drainJobs(debtBound)
 }
 
 // rotateAndFlush freezes the memtable, starts a fresh WAL of at
@@ -302,18 +303,17 @@ func (d *DB) rotateAndFlush(walBytes int64) error {
 		return err
 	}
 	num := d.walNum
-	if err := d.flushMemtable(imm, num); err != nil {
-		return err
-	}
-	if imm.Empty() {
+	if !imm.Empty() {
+		_, err = d.run(job{mem: imm, logNum: num})
+	} else {
 		// Nothing to flush (a batch larger than the WAL arrived at an
-		// empty memtable), so flushMemtable logged no edit — but the
-		// manifest must still learn the new log number before the old
-		// log disappears, or every write acknowledged into the new
-		// WAL would be invisible to recovery.
-		if err := d.install(d.stampReplayStart(&version.Edit{}, num)); err != nil {
-			return err
-		}
+		// empty memtable) — but the manifest must still learn the new
+		// log number before the old log disappears, or every write
+		// acknowledged into the new WAL would be invisible to recovery.
+		err = d.install(d.stampReplayStart(&version.Edit{}, num))
+	}
+	if err != nil {
+		return err
 	}
 	d.backend.Remove(oldWalNum)
 	d.metrics.walRotations.Inc()
@@ -321,25 +321,4 @@ func (d *DB) rotateAndFlush(walBytes int64) error {
 		"num": int64(num), "old": int64(oldWalNum),
 	})
 	return nil
-}
-
-// compactUntilBalanced runs compactions while any level is draining,
-// levels falling due at score due (pickCompaction): debtBound on the
-// write path, 1 where every level must end below its target. With the
-// synchronous execution model this is the paper's steady-state
-// behaviour: writes stall while compaction debt drains, which is
-// exactly when the disk is the bottleneck. Caller holds d.mu.
-func (d *DB) compactUntilBalanced(due float64) error {
-	for i := 0; ; i++ {
-		c := d.pickCompaction(due)
-		if c == nil {
-			return nil
-		}
-		if err := d.runCompaction(c); err != nil {
-			return err
-		}
-		if i > 10000 {
-			return fmt.Errorf("lsm: compaction loop did not converge")
-		}
-	}
 }
