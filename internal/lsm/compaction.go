@@ -267,7 +267,7 @@ func (d *DB) compact(c *compaction, sp *obs.Span) (CompactionInfo, error) {
 	// Dropped pointer entries kill their value-log records; the
 	// deltas ride the same edit so recovery rebuilds the dead counts.
 	if len(vlogDead) > 0 {
-		edit.VlogDead = vlogDeadRecords(vlogDead)
+		edit.VlogDead = vlogDead.Records()
 	}
 
 	// The edit drops the sets these deletions empty and reports them
@@ -418,9 +418,9 @@ func putBufs(bufs [][]byte) {
 // shadowed versions and dead tombstones are dropped (respecting
 // snapshots), and outputs are cut at the SSTable target size, never
 // splitting a user key across outputs. dead accumulates the
-// value-log bytes whose pointers were dropped here, per segment
+// value-log records whose pointers were dropped here, per segment
 // (nil when key–value separation is off). Caller holds d.mu.
-func (d *DB) mergeInputs(c *compaction) ([]*version.FileMeta, [][]byte, map[uint64]int64, error) {
+func (d *DB) mergeInputs(c *compaction) ([]*version.FileMeta, [][]byte, version.VlogDrops, error) {
 	children, bufs, err := d.inputIterators(c)
 	defer putBufs(bufs) // the iterators die with this call
 	if err != nil {
@@ -439,7 +439,7 @@ func (d *DB) mergeInputs(c *compaction) ([]*version.FileMeta, [][]byte, map[uint
 		lastSeq     kv.SeqNum
 		wantCut     bool
 		lastOutUser []byte
-		dead        map[uint64]int64
+		dead        version.VlogDrops
 	)
 	finish := func() error {
 		if builder == nil {
@@ -483,13 +483,8 @@ func (d *DB) mergeInputs(c *compaction) ([]*version.FileMeta, [][]byte, map[uint
 		if drop {
 			// A dropped version is the last reference to its value-log
 			// record: its bytes become dead in the record's segment.
-			if d.cfg.vlogEnabled() && ik.Kind() == kv.KindSet {
-				if seg, n := d.vlogDeadValue(merge.Value()); n > 0 {
-					if dead == nil {
-						dead = map[uint64]int64{}
-					}
-					dead[seg] += n
-				}
+			if p, ok := d.vlogDeadValue(ik.Kind(), merge.Value()); ok {
+				dead.Add(p.Seg, d.vlogBit(p), int64(p.Len))
 			}
 			continue
 		}

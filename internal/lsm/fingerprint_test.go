@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"sealdb/internal/invariant"
 	"sealdb/internal/kv"
 	"sealdb/internal/obs"
 	"sealdb/internal/smr"
@@ -109,6 +110,15 @@ import (
 // moved "sealdb" 1,929 -> 1,854 and "sealdb+vlog" 2,409 -> 2,385. BytesRead,
 // Seeks, BusyNS and the Journal, Counters and Views hashes move with those
 // reads; WriteOps, BytesWritten, Seq, Levels and Reads held in all five.
+// Re-recorded for "sealdb+vlog" when a vlog GC pass stopped looking up
+// the records whose tree entries a compaction had already dropped: the
+// blocks those lookups fetched are fetched by later reads instead, at
+// other times (ReadOps, BytesRead, Seeks, WriteOps, BytesWritten, Seq,
+// Levels, Counters and Reads held; BusyNS +140,530 ns, and the Journal and
+// Views hashes move with the device times). Value entries that moved from
+// pointer keys to key slots in the same change leave all five
+// bit-identical: 1 MiB of cache holds this stream's values, stranded ones
+// included, so nothing was ever evicted.
 // When a mismatch is intended, the failure message prints the new literal.
 type deviceFingerprint struct {
 	ReadOps, WriteOps       int64
@@ -127,7 +137,16 @@ var fingerprintGoldens = map[string]deviceFingerprint{
 	"leveldb+sets": {ReadOps: 2139, WriteOps: 8320, BytesRead: 41024323, BytesWritten: 42449620, Seeks: 3317, BusyNS: 42772195697, Seq: 0x226d, Levels: "3,11,7,0,0,0,17", Journal: "c908eb3a064c12d3", Counters: "2ab19afbb289534a", Views: "8e30f521e5c47716", Reads: "e7b228fbb77598be"},
 	"smrdb":        {ReadOps: 502, WriteOps: 7525, BytesRead: 6242940, BytesWritten: 2775646, Seeks: 868, BusyNS: 6050008625, Seq: 0x226d, Levels: "1,3", Journal: "c80234fe599dc6d9", Counters: "f1a3f4a2fffa90ee", Views: "d3dcd0aa924219ea", Reads: "e7b228fbb77598be"},
 	"sealdb":       {ReadOps: 1854, WriteOps: 8003, BytesRead: 11760942, BytesWritten: 6845743, Seeks: 2479, BusyNS: 16446036370, Seq: 0x226d, Levels: "3,11,7,0,0,0,17", Journal: "915995309e6e9640", Counters: "077a90f613764908", Views: "0c51e8dc9304641c", Reads: "e7b228fbb77598be"},
-	"sealdb+vlog":  {ReadOps: 2385, WriteOps: 8021, BytesRead: 5311514, BytesWritten: 2590496, Seeks: 6338, BusyNS: 42669308333, Seq: 0x2394, Levels: "3,5,0,0,0,0,7", Journal: "da5cc4f5fe5b0b14", Counters: "a9429b70057eb3d8", Views: "b8e9fe7a72ca7181", Reads: "e7b228fbb77598be"},
+	"sealdb+vlog":  {ReadOps: 2385, WriteOps: 8021, BytesRead: 5311514, BytesWritten: 2590496, Seeks: 6338, BusyNS: 42669448863, Seq: 0x2394, Levels: "3,5,0,0,0,0,7", Journal: "f2a698d7f682e265", Counters: "a9429b70057eb3d8", Views: "ce87f3d59b214a8c", Reads: "e7b228fbb77598be"},
+}
+
+// invariantGoldens replaces a mode's constant under -tags
+// sealdb_invariants where the tag's checks read the device: there a vlog
+// GC pass also looks up every record it skips as dropped by a compaction,
+// the very lookups the pass made before it skipped them, so "sealdb+vlog"
+// reproduces the constant recorded before the skip.
+var invariantGoldens = map[string]deviceFingerprint{
+	"sealdb+vlog": {ReadOps: 2385, WriteOps: 8021, BytesRead: 5311514, BytesWritten: 2590496, Seeks: 6338, BusyNS: 42669308333, Seq: 0x2394, Levels: "3,5,0,0,0,0,7", Journal: "da5cc4f5fe5b0b14", Counters: "a9429b70057eb3d8", Views: "b8e9fe7a72ca7181", Reads: "e7b228fbb77598be"},
 }
 
 type fingerprintCase struct {
@@ -448,7 +467,11 @@ func TestDeviceFingerprint(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			got := runFingerprintStream(t, c.cfg)
-			if want := fingerprintGoldens[c.name]; got != want {
+			want := fingerprintGoldens[c.name]
+			if g, ok := invariantGoldens[c.name]; ok && invariant.Enabled {
+				want = g
+			}
+			if got != want {
 				t.Errorf("device fingerprint drifted\n got: %q: %#v,\nwant: %q: %#v,", c.name, got, c.name, want)
 			}
 		})

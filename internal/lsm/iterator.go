@@ -528,7 +528,7 @@ func (it *Iterator) settle(prevUser []byte) {
 // segment it references, so a pointer read here cannot race a value-log
 // GC drop. Returns false (with it.err set) on a chase error.
 func (it *Iterator) setValue(stored []byte) bool {
-	v, err := it.d.resolveValue(it.val, stored)
+	v, err := it.d.resolveValue(it.val, it.key, stored)
 	if err != nil {
 		it.err = err
 		return false

@@ -58,7 +58,7 @@ func (d *DB) getAt(key []byte, snap *Snapshot, ot *opTrace) ([]byte, error) {
 	case file != nil && !d.cfg.vlogEnabled():
 		v = stored // a table read already handed out a private copy
 	default:
-		v, err = d.resolveValue(nil, stored)
+		v, err = d.resolveValue(nil, key, stored)
 	}
 	d.metrics.gets.Inc()
 	if err == nil {

@@ -8,8 +8,10 @@ import (
 	"slices"
 	"sort"
 
+	"sealdb/internal/invariant"
 	"sealdb/internal/kv"
 	"sealdb/internal/obs"
+	"sealdb/internal/sstable"
 	"sealdb/internal/version"
 	"sealdb/internal/vlog"
 )
@@ -83,7 +85,7 @@ func (d *DB) vlogRecover() ([]vlogGroup, error) {
 		var err error
 		if vs.Sealed {
 			if num >= head.Seg {
-				buf, err = d.vlogReadSealed(num, vs.Bytes)
+				buf, err = d.vlogReadSealed(num, make([]byte, vs.Bytes))
 			}
 		} else if active := d.vlog.w.Seg(); active != 0 {
 			err = fmt.Errorf("lsm: manifest lists two active vlog segments (%d and %d)", active, num)
@@ -155,10 +157,10 @@ func (d *DB) vlogReopenActive(num uint64) ([]byte, error) {
 	return buf[:valid], nil
 }
 
-// vlogReadSealed reads a sealed segment whole, at its recorded length,
-// and checks its header: the bytes a group scan (replay, GC) walks.
-func (d *DB) vlogReadSealed(num uint64, bytes int64) ([]byte, error) {
-	buf := make([]byte, bytes)
+// vlogReadSealed reads a sealed segment whole into buf, sized to its
+// recorded length, checks its header and returns buf: the bytes a group
+// scan (replay, GC) walks.
+func (d *DB) vlogReadSealed(num uint64, buf []byte) ([]byte, error) {
 	_, err := d.backend.ReadFileAt(num, buf, 0)
 	if err == nil || err == io.EOF {
 		err = vlog.CheckHeader(buf)
@@ -266,13 +268,14 @@ func (d *DB) vlogBuildGroup(b *Batch) (rep []byte, recs []vlog.Record) {
 	return rep, w.Records()
 }
 
-// resolveValue maps a stored tree value to the user value: with the
+// resolveValue maps key's stored tree value to the user value: with the
 // log disabled it is the identity; otherwise it strips the inline tag
-// or follows the pointer — to the cache entry keyed by it, else into
-// its segment, filling the cache with the checked bytes. The result is
-// always a copy, built in dst's storage (nil for a fresh slice). The
-// caller holds a state that references the pointer's segment.
-func (d *DB) resolveValue(dst, stored []byte) ([]byte, error) {
+// or follows the pointer — to key's cache entry if it was filled from
+// that very record, else into its segment, filling the cache with the
+// checked bytes. The result is always a copy, built in dst's storage
+// (nil for a fresh slice). The caller holds a state that references
+// the pointer's segment.
+func (d *DB) resolveValue(dst, key, stored []byte) ([]byte, error) {
 	if !d.cfg.vlogEnabled() {
 		return append(dst[:0], stored...), nil
 	}
@@ -287,7 +290,7 @@ func (d *DB) resolveValue(dst, stored []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		if v, ok := d.cache.GetValue(dst, ptr.Seg, uint64(ptr.Off)); ok {
+		if v, ok := d.cache.GetValue(dst, key, ptr.Seg, uint64(ptr.Off)); ok {
 			d.metrics.vlogCacheHits.Inc()
 			return v, nil
 		}
@@ -298,7 +301,7 @@ func (d *DB) resolveValue(dst, stored []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		d.cache.PutValue(ptr.Seg, uint64(ptr.Off), v)
+		d.cache.PutValue(key, ptr.Seg, uint64(ptr.Off), v)
 		return dst[:copy(dst, v)], nil
 	}
 	return nil, fmt.Errorf("lsm: unknown value tag %#x", stored[0])
@@ -320,30 +323,21 @@ func (d *DB) vlogRead(buf []byte, p vlog.Pointer) (key, value []byte, err error)
 	return k, v, nil
 }
 
-// vlogDeadValue inspects a stored tree value being dropped by
-// compaction and returns the segment and record bytes it releases
-// (0, 0 for inline values or when the log is off).
-func (d *DB) vlogDeadValue(stored []byte) (seg uint64, n int64) {
-	if !d.cfg.vlogEnabled() || len(stored) != vlogPointerLen || stored[0] != vlogTagPtr {
-		return 0, 0
+// vlogDeadValue inspects an entry of kind being dropped by compaction
+// and returns the record its stored value was the last reference to (ok
+// false for tombstones, inline values or when the log is off).
+func (d *DB) vlogDeadValue(kind kv.Kind, stored []byte) (p vlog.Pointer, ok bool) {
+	if !d.cfg.vlogEnabled() || kind != kv.KindSet || len(stored) != vlogPointerLen || stored[0] != vlogTagPtr {
+		return p, false
 	}
-	ptr, err := vlog.DecodePointer(stored[1:])
-	if err != nil {
-		return 0, 0
-	}
-	return ptr.Seg, int64(ptr.Len)
+	p, err := vlog.DecodePointer(stored[1:])
+	return p, err == nil
 }
 
-// vlogDeadRecords turns the dead bytes a compaction's drops charge to
-// segments into the manifest records carrying them, in segment order.
-func vlogDeadRecords(dead map[uint64]int64) []version.VlogDeadRecord {
-	recs := make([]version.VlogDeadRecord, 0, len(dead))
-	for num, n := range dead {
-		recs = append(recs, version.VlogDeadRecord{Num: num, Dead: n})
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Num < recs[j].Num })
-	return recs
-}
+// vlogBit names record p in its segment's dropped-record bitmap
+// (version.VlogBits): every record is at least ValueThreshold long, so
+// no two share a bit.
+func (d *DB) vlogBit(p vlog.Pointer) uint64 { return uint64(p.Off) / uint64(d.cfg.ValueThreshold) }
 
 // vlogServing reports whether the tree's newest live entry for key is
 // a pointer to exactly the segment record p — the collector's test
@@ -371,6 +365,9 @@ type VlogGCResult struct {
 	// SkippedMoved counts records whose tree pointer no longer named
 	// the victim record when the conditional re-put re-checked it.
 	SkippedMoved int
+	// SkippedDropped counts records a compaction had dropped the last
+	// tree entry of: dead without a lookup.
+	SkippedDropped int
 	// ReclaimedBytes is the victim segment's size returned to the
 	// allocator.
 	ReclaimedBytes int64
@@ -404,21 +401,32 @@ func (d *DB) collect(vic version.VlogSeg, sp *obs.Span) (VlogGCResult, error) {
 	sp.Set("dead_bytes", vic.Dead)
 
 	// Scan the victim for candidate records: those the tree still
-	// points at. Frames are skipped — they only matter to replay, and
-	// the victim is before the replay head.
-	buf, err := d.vlogReadSealed(vic.Num, vic.Bytes)
+	// points at, looked up unless a compaction already dropped their one
+	// tree entry. Frames are skipped — they only matter to replay, and
+	// the victim is before the replay head. Candidates alias buf.
+	buf, err := d.vlogReadSealed(vic.Num, d.tableBuf(vic.Bytes)[:vic.Bytes])
 	if err != nil {
 		return res, err
 	}
+	defer sstable.PutBuf(buf)
 	type candidate struct {
 		key, value []byte
 		ptr        vlog.Pointer
 		set        uint64
 	}
 	var cands []candidate
+	dropped := d.vs.VlogDropped(vic.Num)
 	s := vlog.NewScanner(vic.Num, buf[vlog.HeaderSize:], vlog.HeaderSize)
 	for s.Next() {
 		for _, r := range s.Records() {
+			if dropped.Has(d.vlogBit(r.Ptr)) {
+				res.SkippedDropped++
+				if invariant.Enabled {
+					_, ok, err := d.vlogServing(r.Key, r.Ptr)
+					invariant.Assert(err != nil || !ok, "lsm: vlog GC skipped record %+v, which the tree serves", r.Ptr)
+				}
+				continue
+			}
 			file, ok, err := d.vlogServing(r.Key, r.Ptr)
 			if err != nil {
 				return res, err
@@ -426,11 +434,7 @@ func (d *DB) collect(vic version.VlogSeg, sp *obs.Span) (VlogGCResult, error) {
 			if !ok {
 				continue // superseded or deleted: already dead
 			}
-			c := candidate{
-				key:   append([]byte(nil), r.Key...),
-				value: append([]byte(nil), r.Value...),
-				ptr:   r.Ptr,
-			}
+			c := candidate{key: r.Key, value: r.Value, ptr: r.Ptr}
 			if file != nil {
 				c.set = file.SetID
 			}

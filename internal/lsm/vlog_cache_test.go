@@ -14,12 +14,12 @@ import (
 	"sealdb/internal/vlog"
 )
 
-// The value log's point reads go through the block cache, keyed by
-// pointer (DESIGN.md §Key–value separation, Reads). These tests cover
-// what that newly makes possible: entries outliving their segment, the
-// shared budget overrun, damage hidden from fsck, a value cached that
-// the log never held, and the allocations the write-through may not
-// cost.
+// The value log's point reads go through the block cache, one entry per
+// user key, answering only for the pointer it was filled from (DESIGN.md
+// §Key–value separation, Reads). These tests cover what that newly makes
+// possible: entries outliving their segment, the shared budget overrun,
+// damage hidden from fsck, a value cached that the log never held, and the
+// allocations the write-through may not cost.
 
 // pointerOf returns the value-log pointer the tree serves for key.
 func pointerOf(t *testing.T, d *DB, key string) vlog.Pointer {
@@ -37,76 +37,125 @@ func pointerOf(t *testing.T, d *DB, key string) vlog.Pointer {
 	return p
 }
 
-func cached(d *DB, p vlog.Pointer) bool {
-	_, ok := d.cache.GetValue(nil, p.Seg, uint64(p.Off))
+// cached reports whether key's value entry answers for record p.
+func cached(d *DB, key []byte, p vlog.Pointer) bool {
+	_, ok := d.cache.GetValue(nil, key, p.Seg, uint64(p.Off))
 	return ok
 }
 
-// TestVlogCacheEntriesLeaveWithTheirSegment: a collected segment takes
-// its cache entries with it — at once, or, when an iterator still pins
-// the segment, when the parked drop is released — and the cache's value
-// residency falls by exactly what those entries were charged.
+// TestVlogCacheEntriesLeaveWithTheirSegment: a key has one value entry, so
+// overwriting it never grows value residency; and a collected segment takes
+// the entries still filled from it along — at once, or, when an iterator
+// still pins the segment, when the parked drop is released — and the
+// cache's value residency falls by exactly what those entries were charged.
 func TestVlogCacheEntriesLeaveWithTheirSegment(t *testing.T) {
-	d, err := Open(vlogConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	loadVlogGarbage(t, d) // every value 400 bytes, so every entry is charged alike
-
-	// victimEntries returns the next victim and the pointers of its
-	// records, live or dead, that the write-through left in the cache.
-	victimEntries := func() (uint64, []vlog.Pointer) {
-		d.mu.Lock()
-		vic, ok := d.vs.VlogVictim(vlogGCDeadRatio)
-		if !ok {
-			d.mu.Unlock()
-			t.Fatal("no victim qualifies")
-		}
-		buf, err := d.vlogReadSealed(vic.Num, vic.Bytes)
-		d.mu.Unlock()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var in []vlog.Pointer
-		s := vlog.NewScanner(vic.Num, buf[vlog.HeaderSize:], vlog.HeaderSize)
-		for s.Next() {
-			for _, r := range s.Records() {
-				if cached(d, r.Ptr) {
-					in = append(in, r.Ptr)
-				}
-			}
-		}
-		if len(in) == 0 {
-			t.Fatalf("victim %d has no cached record", vic.Num)
-		}
-		return vic.Num, in
-	}
 	// residency is the value entries' share of the cache.
 	type residency struct {
 		bytes   int64
 		entries int
 	}
-	// gone checks the victim's entries left and took exactly their
-	// charge along; the pass itself adds blocks but never a value.
-	gone := func(before, after residency, in []vlog.Pointer) {
-		t.Helper()
-		for _, p := range in {
-			if cached(d, p) {
-				t.Fatalf("record %+v of a dropped segment is still cached", p)
-			}
-		}
-		per := before.bytes / int64(before.entries)
-		if after.entries != before.entries-len(in) || after.bytes != before.bytes-int64(len(in))*per {
-			t.Fatalf("value residency %+v -> %+v, want %d entries of %d bytes gone", before, after, len(in), per)
-		}
-	}
+	var d *DB
 	resident := func() residency {
 		st := d.cache.Stats()
 		if st.UsedBytes < st.ValueBytes+st.RowBytes || st.UsedBytes > d.cfg.BlockCacheSize {
 			t.Fatalf("cache accounting out of bounds: %+v", st)
 		}
 		return residency{st.ValueBytes, st.ValueEntries}
+	}
+
+	// Every overwrite of one key replaces its entry: across segment
+	// rotations, flushes, compactions and GC passes, one 400-byte value
+	// stays resident, the newest.
+	d, err := Open(vlogConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot := []byte("hot")
+	var one residency
+	for i := 0; i < 200; i++ {
+		if err := d.Put(hot, bigValue(fmt.Sprintf("hot-%d", i), 400)); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			one = resident()
+		}
+		if r := resident(); r != one || r.entries != 1 {
+			t.Fatalf("overwrite %d: value residency %+v, want %+v", i, r, one)
+		}
+		if i%40 == 39 { // drop the overwritten pointers, so GC has victims
+			if err := d.FlushMemtable(); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.CompactRange(nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if !cached(d, hot, pointerOf(t, d, "hot")) {
+		t.Fatal("the newest value of an overwritten key is not cached")
+	}
+	if d.metrics.vlogGCRuns.Value() == 0 {
+		t.Fatal("the overwrites collected no segment")
+	}
+	d.Close()
+
+	d, err = Open(vlogConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	loadVlogGarbage(t, d) // every value 400 bytes, so every entry is charged alike
+	// victimEntries returns the next victim that holds a record some key's
+	// entry was filled from, with those records. A victim every record of
+	// which was overwritten holds none any more: its pass, run on the
+	// way, moves no value.
+	victimEntries := func() (uint64, []vlog.Record) {
+		for {
+			d.mu.Lock()
+			vic, ok := d.vs.VlogVictim(vlogGCDeadRatio)
+			if !ok {
+				d.mu.Unlock()
+				t.Fatal("no victim holds a cached record")
+			}
+			buf, err := d.vlogReadSealed(vic.Num, make([]byte, vic.Bytes))
+			d.mu.Unlock()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var in []vlog.Record
+			s := vlog.NewScanner(vic.Num, buf[vlog.HeaderSize:], vlog.HeaderSize)
+			for s.Next() {
+				for _, r := range s.Records() {
+					if cached(d, r.Key, r.Ptr) {
+						in = append(in, r)
+					}
+				}
+			}
+			if len(in) > 0 {
+				return vic.Num, in
+			}
+			before := resident()
+			if res, err := d.VlogGC(); err != nil || res.Victim != vic.Num {
+				t.Fatalf("VlogGC = %+v, %v; want victim %d", res, err, vic.Num)
+			}
+			if after := resident(); after != before {
+				t.Fatalf("a pass over victim %d, which holds no entry, moved value residency %+v -> %+v", vic.Num, before, after)
+			}
+		}
+	}
+	// gone checks the victim's entries left and took exactly their
+	// charge along; the pass itself adds blocks but never a value.
+	gone := func(before, after residency, in []vlog.Record) {
+		t.Helper()
+		for _, r := range in {
+			if cached(d, r.Key, r.Ptr) {
+				t.Fatalf("record %+v of a dropped segment is still cached", r.Ptr)
+			}
+		}
+		per := before.bytes / int64(before.entries)
+		if after.entries != before.entries-len(in) || after.bytes != before.bytes-int64(len(in))*per {
+			t.Fatalf("value residency %+v -> %+v, want %d entries of %d bytes gone", before, after, len(in), per)
+		}
 	}
 
 	vic, in := victimEntries()
@@ -176,7 +225,7 @@ func TestVlogCacheStaysWithinBudget(t *testing.T) {
 			t.Fatalf("op %d: cache holds %d bytes (%d of values), budget %d", i, st.UsedBytes, st.ValueBytes, cfg.BlockCacheSize)
 		}
 		sawValues = sawValues || st.ValueEntries > 0
-		if v := ref[k]; len(v) > 64<<10 && cached(d, pointerOf(t, d, k)) {
+		if v := ref[k]; len(v) > 64<<10 && cached(d, []byte(k), pointerOf(t, d, k)) {
 			t.Fatalf("op %d: %d-byte value of %q was admitted", i, len(v), k)
 		}
 	}
@@ -216,8 +265,8 @@ func TestVlogCacheDoesNotHideMediaDamage(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := pointerOf(t, d, "victim")
-	if sealed := p.Seg != d.vlog.w.Seg(); !sealed || !cached(d, p) {
-		t.Fatalf("set-up: segment %d sealed=%v, record cached=%v", p.Seg, sealed, cached(d, p))
+	if sealed := p.Seg != d.vlog.w.Seg(); !sealed || !cached(d, []byte("victim"), p) {
+		t.Fatalf("set-up: segment %d sealed=%v, record cached=%v", p.Seg, sealed, cached(d, []byte("victim"), p))
 	}
 	ext, err := d.backend.FileExtent(p.Seg)
 	if err != nil {
@@ -243,7 +292,7 @@ func TestVlogCacheDoesNotHideMediaDamage(t *testing.T) {
 	if got, err := d.Get([]byte("victim")); !errors.Is(err, vlog.ErrCorrupt) {
 		t.Fatalf("Get after reopen = %d bytes, %v; want vlog.ErrCorrupt", len(got), err)
 	}
-	if cached(d, p) {
+	if cached(d, []byte("victim"), p) {
 		t.Fatal("a record that failed its CRC was cached")
 	}
 }
@@ -277,7 +326,7 @@ func TestVlogFailedCommitCachesNothing(t *testing.T) {
 	if err := d.Put([]byte("refused"), bigValue("refused", 500)); err == nil || d.Degraded() == nil {
 		t.Fatalf("Put under a permanent write error = %v, degraded = %v", err, d.Degraded())
 	}
-	if _, ok := d.cache.GetValue(nil, seg, uint64(off)); ok {
+	if _, ok := d.cache.GetValue(nil, []byte("refused"), seg, uint64(off)); ok {
 		t.Fatal("the refused group's record is in the cache")
 	}
 	if after := d.cache.Stats(); after.ValueEntries != before.ValueEntries || after.UsedBytes != before.UsedBytes {
@@ -289,8 +338,9 @@ func TestVlogFailedCommitCachesNothing(t *testing.T) {
 }
 
 // TestVlogWriteThroughSteadyStateAllocsNothing: once the cache is full
-// of like-sized values, caching one more recycles the entry it evicts —
-// list element, entry and buffer — instead of allocating.
+// of like-sized values, caching one more, of a key not cached yet,
+// recycles the entry it evicts — entry and buffer — instead of
+// allocating.
 func TestVlogWriteThroughSteadyStateAllocsNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is unreliable under -race")
@@ -303,10 +353,15 @@ func TestVlogWriteThroughSteadyStateAllocsNothing(t *testing.T) {
 	}
 	defer d.Close()
 	v := bigValue("steady", 1<<10)
-	next := uint64(vlog.HeaderSize)
+	keys := make([][]byte, 1024) // distinct, allocated before the count
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key%05d", i))
+	}
+	next, i := uint64(vlog.HeaderSize), 0
 	put := func() {
-		d.cache.PutValue(9, next, v)
+		d.cache.PutValue(keys[i], 9, next, v)
 		next += uint64(len(v))
+		i++
 	}
 	for d.cache.Stats().UsedBytes+2*int64(len(v)) < cfg.BlockCacheSize {
 		put()

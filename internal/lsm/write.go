@@ -162,7 +162,7 @@ func (d *DB) userVlogAppend(recs []vlog.Record, bytes int64) {
 		"records": int64(len(recs)), "bytes": bytes,
 	})
 	for _, r := range recs {
-		d.cache.PutValue(r.Ptr.Seg, uint64(r.Ptr.Off), r.Value)
+		d.cache.PutValue(r.Key, r.Ptr.Seg, uint64(r.Ptr.Off), r.Value)
 	}
 }
 

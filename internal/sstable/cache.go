@@ -9,19 +9,23 @@ import (
 )
 
 // Cache is a shared cache of three kinds of entry inside one byte budget:
-// decoded blocks and separated values, keyed by (file number, offset), and
-// rows, one per user key, each holding the newest entry of its key in the
-// one table it is bound to and answering for that table alone. One cache
-// serves all tables of a DB, like LevelDB's block cache, and its value log:
-// a value entry holds the value of the record at that offset of a segment.
-// Tables and segments are numbered by one never-reused counter, so the
-// kinds cannot collide.
+// decoded blocks, keyed by (file number, offset); rows, one per user key,
+// each holding the newest entry of its key in the one table it is bound to
+// and answering for that table alone; and separated values, one per user
+// key, each holding the value of one value-log record and answering only
+// for the pointer to it, (segment number, offset). One cache serves all
+// tables of a DB, like LevelDB's block cache, and its value log. Tables
+// and segments are numbered by one never-reused counter, so a file's
+// chain never mixes the two.
 //
 // A row is formed by a read (Table.GetEntry) and follows its key from then
 // on: whoever writes a table that carries the key binds the row to that
-// table with the entry written (Builder.Carry). Nothing is invalidated; a
-// row bound to a table that was deleted or never installed is unreachable
-// and leaves through EvictFile or ages out.
+// table with the entry written (Builder.Carry). A value entry follows its
+// key forward in the log: a newer record of the key, written through at
+// commit or filled by a read, takes the entry over (PutValue). Nothing is
+// invalidated; a row bound to a table that was deleted or never installed,
+// or a value whose record no tree entry names any more, is unreachable and
+// leaves through EvictFile, a newer record or ageing out.
 //
 // The budget is split into two LRU segments. Everything enters probation;
 // an entry's first hit moves it to protected, whose overflow falls back to
@@ -36,12 +40,14 @@ type Cache struct {
 	seg            [2]*cacheEntry
 	protectedBytes int64
 	entries        int
-	// items indexes blocks and values by (file, offset), rows indexes rows
-	// by the hash of the user key; files chains every entry of a file, a
-	// row under the table it is bound to. guarded by mu.
-	items map[cacheKey]*cacheEntry
-	rows  map[uint64]*cacheEntry
-	files map[uint64]*cacheEntry
+	// items indexes blocks by (file, offset), rows and values index rows
+	// and separated values by the hash of the user key; files chains every
+	// entry of a file, a row under the table it is bound to, a value under
+	// its segment. guarded by mu.
+	items  map[cacheKey]*cacheEntry
+	rows   map[uint64]*cacheEntry
+	values map[uint64]*cacheEntry
+	files  map[uint64]*cacheEntry
 	// The separated values' and the rows' shares of entries and used.
 	// guarded by mu.
 	valueEntries         int
@@ -67,16 +73,16 @@ type Cache struct {
 	onCorrupt func(file, offset uint64)
 }
 
-// cacheKey names a block or value by its offset; a row's is the table it is
-// bound to and its key's hash.
+// cacheKey names a block by its offset and a value by the pointer to its
+// record; a row's is the table it is bound to and its key's hash.
 type cacheKey struct {
 	file   uint64
 	offset uint64
 }
 
 // cacheEntry is a block (block set), a row (klen > 0: value holds the user
-// key, then the entry's value) or a separated value, linked into the ring
-// of its segment and the chain of its file.
+// key, then the entry's value) or a separated value (slot is its key's
+// hash), linked into the ring of its segment and the chain of its file.
 type cacheEntry struct {
 	prev, next         *cacheEntry
 	filePrev, fileNext *cacheEntry
@@ -84,6 +90,7 @@ type cacheEntry struct {
 	block              *block
 	value              []byte
 	size               int64
+	slot               uint64    // a value's
 	seq                kv.SeqNum // a row's
 	klen               int32
 	kind               kv.Kind // a row's
@@ -108,9 +115,18 @@ const (
 	//	2/3    +15.9 %   +14.4 %     -0.5 %
 	//	1/2    +11.7 %   +10.4 %     +1.0 %
 	//
-	// Nothing invalidates an entry, so an overwritten hot value and the
-	// pointer block it superseded linger in protected: the larger the
-	// share, the more of the budget a write-heavy store wastes on them.
+	// Again with rows and with separated values in key slots, against 2/3
+	// (3,267.9 ops/s on vlog_mixed):
+	//
+	//	share  get_zipf  scan_short  vlog_mixed
+	//	9/10   +5.0 %    +4.7 %      -3.4 %
+	//	4/5    +3.6 %    +3.1 %      -0.9 %
+	//	1/2    -5.4 %    -4.1 %      -0.6 %
+	//
+	// An overwrite replaces its key's value entry, but nothing invalidates
+	// the pointer blocks it supersedes, and they linger in protected: the
+	// larger the share, the more of the budget a write-heavy store wastes
+	// on them. No other share costs no workload anything.
 	protectedNum, protectedDen = 2, 3
 	// A point read caches an entry as a row if rowBlockShare rows cost at
 	// least the block: the block holds only a handful. Rows for every
@@ -128,6 +144,7 @@ func NewCache(capacity int64) *Cache {
 		seg:      [2]*cacheEntry{newRing(), newRing()},
 		items:    make(map[cacheKey]*cacheEntry),
 		rows:     make(map[uint64]*cacheEntry),
+		values:   make(map[uint64]*cacheEntry),
 		files:    make(map[uint64]*cacheEntry),
 	}
 }
@@ -224,9 +241,12 @@ func (c *Cache) unchain(e *cacheEntry) {
 // set, as the hottest entry of a segment, and evicts what no longer fits.
 // Caller holds mu.
 func (c *Cache) insert(e *cacheEntry, protected bool) {
-	if e.klen > 0 {
+	switch {
+	case e.klen > 0:
 		c.rows[e.key.offset] = e
-	} else {
+	case e.block == nil:
+		c.values[e.slot] = e
+	default:
 		c.items[e.key] = e
 	}
 	c.chain(e)
@@ -237,9 +257,12 @@ func (c *Cache) insert(e *cacheEntry, protected bool) {
 
 // remove undoes insert. Caller holds mu.
 func (c *Cache) remove(e *cacheEntry) {
-	if e.klen > 0 {
+	switch {
+	case e.klen > 0:
 		delete(c.rows, e.key.offset)
-	} else {
+	case e.block == nil:
+		delete(c.values, e.slot)
+	default:
 		delete(c.items, e.key)
 	}
 	c.unchain(e)
@@ -273,7 +296,7 @@ func (c *Cache) get(file, offset uint64, promote bool) *block {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e := c.items[cacheKey{file, offset}]; e != nil && e.block != nil {
+	if e := c.items[cacheKey{file, offset}]; e != nil {
 		if promote {
 			c.touch(e)
 		}
@@ -293,37 +316,60 @@ func (c *Cache) promote(file, offset uint64) {
 	}
 }
 
-// GetValue copies the cached value of the value-log record at (file,
-// offset) into dst's storage and reports whether there was one. Value
-// lookups stay out of the hit and miss counters, which describe blocks.
-func (c *Cache) GetValue(dst []byte, file, offset uint64) ([]byte, bool) {
+// GetValue copies ukey's cached value into dst's storage and reports
+// whether there was one from the value-log record at (file, offset), the
+// pointer the tree serves: an entry filled from any other record (an older
+// version of the key, or another key with its hash) answers nothing.
+// Value lookups stay out of the hit and miss counters, which describe
+// blocks.
+func (c *Cache) GetValue(dst, ukey []byte, file, offset uint64) ([]byte, bool) {
 	if c == nil {
 		return nil, false
 	}
+	h := rowHash(ukey)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := c.items[cacheKey{file, offset}]
-	if e == nil || e.block != nil {
+	e := c.values[h]
+	if e == nil || e.key != (cacheKey{file, offset}) {
 		return nil, false
 	}
 	c.touch(e)
 	return append(dst[:0], e.value...), true
 }
 
-// PutValue caches a copy of the value of the record at (file, offset),
-// which the caller knows is not cached: it was just written, or GetValue
-// just missed. That makes the insert the only map probe; a key put twice
-// would cost room and misses as the duplicates age out, never a wrong
-// value.
-func (c *Cache) PutValue(file, offset uint64, value []byte) {
-	if c == nil || len(value) > maxCachedValue || int64(len(value))+valueOverhead > c.capacity {
+// PutValue caches a copy of value as ukey's, from the value-log record at
+// (file, offset): just written, or read after GetValue missed. The key's
+// hash has one slot, and the entry in it moves forward in the log only.
+// One from an older record takes the new pointer and bytes where it lies —
+// a re-home, not a touch — so an overwrite replaces the value it
+// supersedes instead of stranding it; one from the same or a newer record
+// stays, since a read that looked at the tree before a commit may fill
+// after the commit wrote through. A key with no entry enters probation;
+// a value too large to admit takes an older entry out.
+func (c *Cache) PutValue(ukey []byte, file, offset uint64, value []byte) {
+	if c == nil {
 		return
 	}
+	h := rowHash(ukey)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := c.entryFor(len(value))
-	e.key, e.value = cacheKey{file, offset}, append(e.value, value...)
-	c.insert(e, false)
+	e := c.values[h]
+	switch {
+	case e != nil && (e.key.file > file || e.key.file == file && e.key.offset >= offset):
+		// From the same or a newer record: it stays.
+	case len(value) > maxCachedValue || int64(len(value))+valueOverhead > c.capacity:
+		if e != nil {
+			c.remove(e)
+		}
+	case e != nil:
+		e.key.offset = offset
+		c.rebind(e, file, value)
+		c.settle()
+	default:
+		e = c.entryFor(len(value))
+		e.key, e.slot, e.value = cacheKey{file, offset}, h, append(e.value, value...)
+		c.insert(e, false)
+	}
 }
 
 // entryFor returns an unlinked entry with an empty buffer of n bytes, its
@@ -349,9 +395,11 @@ func (c *Cache) entryFor(n int) *cacheEntry {
 // eighth too large would be charged for nothing.
 func roomFor(buf []byte, n int) bool { return cap(buf) >= n && cap(buf) <= n+n/8 }
 
-// rowHash names the row for ukey by the key's bloom hash. Two keys that
-// collide share a slot: the second is not cached, and neither is ever
-// served for the other, since a row carries its key.
+// rowHash names the row and the value slot of ukey by the key's bloom
+// hash. Two keys that collide share a slot, a row's with the first (the
+// second is not cached), a value's with the newer record; neither is ever
+// served for the other, since a row carries its key and a value answers
+// for one pointer.
 func rowHash(ukey []byte) uint64 { return uint64(bloomHash(ukey)) }
 
 // getRow returns a copy of the value of the newest entry for ukey in table
@@ -427,23 +475,35 @@ func (c *Cache) rehome(file uint64, hash uint32, ik kv.InternalKey, value []byte
 		c.remove(e)
 		return false
 	}
+	c.rebind(e, file, value)
+	e.seq, e.kind = ik.Seq(), ik.Kind()
+	c.rehomed++
+	c.settle()
+	return true
+}
+
+// rebind binds e, a row or a value, to file with value after the key a row
+// keeps, where e lies in its segment, and charges what its buffer grew by.
+// Caller holds mu and settles after.
+func (c *Cache) rebind(e *cacheEntry, file uint64, value []byte) {
 	c.unchain(e)
-	if !roomFor(e.value, n) {
-		e.value = append(make([]byte, 0, n), ukey...)
+	if n := int(e.klen) + len(value); !roomFor(e.value, n) {
+		e.value = append(make([]byte, 0, n), e.value[:e.klen]...)
 	}
 	e.value = append(e.value[:e.klen], value...)
 	grown := int64(cap(e.value)) + valueOverhead - e.size
 	e.size += grown
 	c.used += grown
-	c.rowBytes += grown
+	if e.klen > 0 {
+		c.rowBytes += grown
+	} else {
+		c.valueBytes += grown
+	}
 	if e.protected {
 		c.protectedBytes += grown
 	}
-	e.key.file, e.seq, e.kind = file, ik.Seq(), ik.Kind()
+	e.key.file = file
 	c.chain(e)
-	c.rehomed++
-	c.settle()
-	return true
 }
 
 func (c *Cache) put(file, offset uint64, b *block) {
@@ -514,7 +574,7 @@ func (c *Cache) RekeyFile(old, fresh uint64) {
 		return
 	}
 	for e := head; e != nil; e = e.fileNext {
-		if e.klen > 0 {
+		if e.block == nil { // a row or value: indexed by its key's hash
 			e.key.file = fresh
 			continue
 		}

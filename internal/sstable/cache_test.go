@@ -28,7 +28,7 @@ func checkCache(t *testing.T, c *Cache) {
 			case e.klen > 0:
 				indexed, rows, rowBytes = c.rows[e.key.offset], rows+1, rowBytes+e.size
 			case e.block == nil:
-				values, valueBytes = values+1, valueBytes+e.size
+				indexed, values, valueBytes = c.values[e.slot], values+1, valueBytes+e.size
 			}
 			if indexed != e {
 				t.Fatalf("entry %+v is not the one indexed under its key", e.key)
@@ -39,9 +39,9 @@ func checkCache(t *testing.T, c *Cache) {
 			}
 		}
 	}
-	if used != c.used || used > c.capacity || entries != c.entries || entries != len(c.items)+len(c.rows) {
-		t.Fatalf("segments hold %d bytes in %d entries; used %d of %d, entries %d, indexed %d+%d",
-			used, entries, c.used, c.capacity, c.entries, len(c.items), len(c.rows))
+	if used != c.used || used > c.capacity || entries != c.entries || entries != len(c.items)+len(c.rows)+len(c.values) {
+		t.Fatalf("segments hold %d bytes in %d entries; used %d of %d, entries %d, indexed %d+%d+%d",
+			used, entries, c.used, c.capacity, c.entries, len(c.items), len(c.rows), len(c.values))
 	}
 	if protectedBytes != c.protectedBytes || protectedBytes > c.capacity*protectedNum/protectedDen {
 		t.Fatalf("protected holds %d bytes, accounted %d, share %d", protectedBytes, c.protectedBytes, c.capacity*protectedNum/protectedDen)
@@ -98,10 +98,11 @@ func TestCacheAccountingUnderRandomOps(t *testing.T) {
 				c.promote(file, off)
 			case 6:
 				// Values live under files 100 and up, as segments never
-				// share a number with a table; one put per pointer.
-				c.PutValue(segment, uint64(i), buf[:rng.Intn(2048)])
+				// share a number with a table; a key's next put is to a
+				// newer pointer, or an older one in a lower segment.
+				c.PutValue(ukey, segment, uint64(i), buf[:rng.Intn(2048)])
 			case 7:
-				c.GetValue(nil, segment, uint64(rng.Intn(i+1)))
+				c.GetValue(nil, ukey, segment, uint64(rng.Intn(i+1)))
 			case 8, 9:
 				c.putRow(file, ukey, buf[:rng.Intn(2048)], kv.SeqNum(rng.Intn(9)), kv.KindSet)
 			case 10:
@@ -489,6 +490,152 @@ func TestRowFollowsItsKey(t *testing.T) {
 	}
 }
 
+// valueState is where a key's value entry lies and what it is charged.
+type valueState struct {
+	key        cacheKey
+	protected  bool
+	prev, next *cacheEntry
+	size       int64
+}
+
+func stateOfValue(c *Cache, ukey []byte) (valueState, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.values[rowHash(ukey)]
+	if e == nil {
+		return valueState{}, false
+	}
+	return valueState{e.key, e.protected, e.prev, e.next, e.size}, true
+}
+
+// TestValueFollowsItsKey: a key's separated value has one entry, and it
+// answers only for the pointer it was filled from. A newer record of the
+// key takes the entry over where it lies in its segment, charged exactly;
+// an older record — a read that looked at the tree before a commit wrote
+// through — leaves it alone.
+func TestValueFollowsItsKey(t *testing.T) {
+	key, value := []byte("k"), func(c byte, n int) []byte { return bytes.Repeat([]byte{c}, n) }
+	for _, protected := range []bool{false, true} {
+		c := NewCache(64 << 10)
+		c.PutValue([]byte("before"), 10, 8, value('b', 1000))
+		c.PutValue(key, 10, 100, value('1', 1000))
+		c.PutValue([]byte("after"), 10, 2000, value('a', 1000))
+		if protected { // a hit moves each to protected, in the same order
+			c.GetValue(nil, []byte("before"), 10, 8)
+			c.GetValue(nil, key, 10, 100)
+			c.GetValue(nil, []byte("after"), 10, 2000)
+		}
+		checkCache(t, c)
+		was, _ := stateOfValue(c, key)
+		if was.protected != protected || was.prev == c.seg[0] || was.next == c.seg[0] {
+			t.Fatalf("set-up: entry %+v, want protected %v between two others", was, protected)
+		}
+		c.mu.Lock()
+		prot := c.protectedBytes
+		c.mu.Unlock()
+		before := c.Stats()
+
+		// An overwrite of the same size: new pointer, new bytes, same place,
+		// same charge, and the old pointer answers nothing.
+		c.PutValue(key, 11, 8, value('2', 1000))
+		checkCache(t, c)
+		now, _ := stateOfValue(c, key)
+		if want := (valueState{cacheKey{11, 8}, protected, was.prev, was.next, was.size}); now != want {
+			t.Fatalf("protected %v: replaced entry is %+v, want %+v", protected, now, want)
+		}
+		c.mu.Lock()
+		protNow := c.protectedBytes
+		c.mu.Unlock()
+		if st := c.Stats(); st.UsedBytes != before.UsedBytes || st.ValueBytes != before.ValueBytes || st.ValueEntries != before.ValueEntries || protNow != prot {
+			t.Fatalf("an in-place replace moved %+v (protected %d) to %+v (protected %d)", before, prot, st, protNow)
+		}
+		if _, ok := c.GetValue(nil, key, 10, 100); ok {
+			t.Fatal("the superseded pointer still answers")
+		}
+
+		// A larger value: the charge follows, the place does not change,
+		// and the entry leaves with its new segment, not its old one.
+		c.PutValue(key, 11, 3000, value('3', 3000))
+		checkCache(t, c)
+		now, _ = stateOfValue(c, key)
+		grown := now.size - was.size
+		if want := (valueState{cacheKey{11, 3000}, protected, was.prev, was.next, was.size + grown}); grown < 2000 || now != want {
+			t.Fatalf("protected %v: grown entry is %+v, want %+v", protected, now, want)
+		}
+		c.mu.Lock()
+		protNow = c.protectedBytes
+		c.mu.Unlock()
+		wantProt := prot
+		if protected {
+			wantProt += grown
+		}
+		if st := c.Stats(); st.ValueBytes != before.ValueBytes+grown || st.UsedBytes != before.UsedBytes+grown || protNow != wantProt {
+			t.Fatalf("an entry grew by %d bytes: %+v (protected %d) to %+v (protected %d)", grown, before, prot, st, protNow)
+		}
+		c.EvictFile(10)
+		if got, ok := c.GetValue(nil, key, 11, 3000); !ok || !bytes.Equal(got, value('3', 3000)) {
+			t.Fatalf("the entry left with the segment it was filled from before: %d bytes, %v", len(got), ok)
+		}
+
+		// Fills move forward only: an older pointer, in an older segment or
+		// earlier in the same one, and the same pointer again leave the
+		// entry as it was.
+		now, _ = stateOfValue(c, key)
+		st := c.Stats()
+		for _, p := range []cacheKey{{10, 100}, {11, 8}, {11, 3000}, {3, 1 << 20}} {
+			c.PutValue(key, p.file, p.offset, value('o', 1000))
+			if same, _ := stateOfValue(c, key); same != now || c.Stats() != st {
+				t.Fatalf("a fill from %+v displaced the entry from %+v: %+v to %+v", p, now.key, now, same)
+			}
+		}
+		if got, ok := c.GetValue(nil, key, 11, 3000); !ok || !bytes.Equal(got, value('3', 3000)) {
+			t.Fatalf("the newest value is %d bytes, %v", len(got), ok)
+		}
+
+		// A newer value too large to admit takes the stale entry out.
+		c.PutValue(key, 12, 8, value('x', maxCachedValue+1))
+		checkCache(t, c)
+		if _, ok := stateOfValue(c, key); ok || c.Stats().ValueEntries != st.ValueEntries-1 {
+			t.Fatalf("an oversize overwrite left the stale entry: %+v", c.Stats())
+		}
+	}
+}
+
+// TestCollidingKeysNeverShareAValue: two keys with one hash share a value
+// slot, and whichever holds it never answers for the other, whose pointer
+// names another record. A newer record of either takes the slot over.
+func TestCollidingKeysNeverShareAValue(t *testing.T) {
+	c := NewCache(64 << 10)
+	k1, k2 := collidingKeys(t)
+	v1, v2 := bytes.Repeat([]byte{'1'}, 500), bytes.Repeat([]byte{'2'}, 500)
+	c.PutValue(k1, 10, 8, v1)
+	if _, ok := c.GetValue(nil, k2, 10, 600); ok {
+		t.Fatal("a colliding key was answered from the other's entry")
+	}
+	c.PutValue(k2, 10, 600, v2) // newer: takes the slot
+	checkCache(t, c)
+	if _, ok := c.GetValue(nil, k1, 10, 8); ok {
+		t.Fatal("the displaced key still answers")
+	}
+	if got, ok := c.GetValue(nil, k2, 10, 600); !ok || !bytes.Equal(got, v2) {
+		t.Fatalf("the key in the slot = %q, %v", got, ok)
+	}
+	c.PutValue(k1, 10, 8, v1) // older: refused
+	if got, ok := c.GetValue(nil, k2, 10, 600); !ok || !bytes.Equal(got, v2) {
+		t.Fatalf("an older fill of a colliding key displaced the slot: %q, %v", got, ok)
+	}
+	c.PutValue(k1, 11, 8, v1) // k1 overwritten: newer again
+	if _, ok := c.GetValue(nil, k2, 10, 600); ok {
+		t.Fatal("the displaced key still answers")
+	}
+	if got, ok := c.GetValue(nil, k1, 11, 8); !ok || !bytes.Equal(got, v1) {
+		t.Fatalf("the key in the slot = %q, %v", got, ok)
+	}
+	if st := c.Stats(); st.ValueEntries != 1 {
+		t.Fatalf("two colliding keys hold %d value entries, want 1", st.ValueEntries)
+	}
+}
+
 // TestBuilderCarriesRows: through Builder.Add the newest version of a key
 // takes the row, the older ones of the same table leave it, and the table
 // then read answers from the row at and above that version only.
@@ -543,7 +690,7 @@ func TestRekeyFile(t *testing.T) {
 	c.put(1, 0, &block{data: data, restarts: []uint32{0}})
 	c.put(1, 4096, &block{data: data, restarts: []uint32{0}})
 	c.put(2, 0, &block{data: data, restarts: []uint32{0}})
-	c.PutValue(1, 77, data)
+	c.PutValue([]byte("v"), 1, 77, data)
 	c.putRow(1, []byte("k"), data, 5, kv.KindSet)
 	was, _ := stateOfRow(t, c, []byte("k"))
 	before := c.Stats()
@@ -559,13 +706,13 @@ func TestRekeyFile(t *testing.T) {
 	if c.get(1, 0, false) != nil || c.get(1, 4096, false) != nil {
 		t.Fatal("the old number still answers")
 	}
-	if _, ok := c.GetValue(nil, 1, 77); ok {
+	if _, ok := c.GetValue(nil, []byte("v"), 1, 77); ok {
 		t.Fatal("the old number still answers for a value")
 	}
 	if c.get(9, 0, false) == nil || c.get(9, 4096, false) == nil || c.get(2, 0, false) == nil {
 		t.Fatal("a block did not follow its file, or another file's moved")
 	}
-	if _, ok := c.GetValue(nil, 9, 77); !ok {
+	if _, ok := c.GetValue(nil, []byte("v"), 9, 77); !ok {
 		t.Fatal("the value did not follow its file")
 	}
 	if _, _, _, ok := c.getRow(9, []byte("k"), 5); !ok {

@@ -305,17 +305,21 @@ func TestCacheValues(t *testing.T) {
 	c := NewCache(4096)
 	val := func(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n) }
 	c.put(1, 0, &block{data: make([]byte, 1000), restarts: []uint32{0}})
-	c.PutValue(2, 8, val(1000, 'a'))
-	c.PutValue(2, 1100, val(1000, 'b'))
+	key := func(b byte) []byte { return []byte{'k', b} }
+	c.PutValue(key('a'), 2, 8, val(1000, 'a'))
+	c.PutValue(key('b'), 2, 1100, val(1000, 'b'))
 	dst := make([]byte, 0, 2000)
-	got, ok := c.GetValue(dst, 2, 8)
+	got, ok := c.GetValue(dst, key('a'), 2, 8)
 	if !ok || !bytes.Equal(got, val(1000, 'a')) || &got[0] != &dst[:1][0] {
 		t.Fatalf("GetValue = %d bytes, %v; want the first value, copied into dst", len(got), ok)
 	}
-	if _, ok := c.GetValue(nil, 2, 9); ok {
+	if _, ok := c.GetValue(nil, key('a'), 2, 9); ok {
 		t.Fatal("hit on a pointer never cached")
 	}
-	if _, ok := c.GetValue(nil, 1, 0); ok {
+	if _, ok := c.GetValue(nil, key('b'), 2, 8); ok {
+		t.Fatal("a key was served the value of another key's pointer")
+	}
+	if _, ok := c.GetValue(nil, key('a'), 1, 0); ok {
 		t.Fatal("a block entry was served as a value")
 	}
 	st := c.Stats()
@@ -328,7 +332,7 @@ func TestCacheValues(t *testing.T) {
 
 	// A third value does not fit beside them: the coldest entry, the
 	// block, goes, and the budget holds.
-	c.PutValue(2, 2200, val(1000, 'c'))
+	c.PutValue(key('c'), 2, 2200, val(1000, 'c'))
 	if st = c.Stats(); st.Entries != 3 || st.ValueEntries != 3 || st.UsedBytes != st.ValueBytes || st.UsedBytes > 4096 {
 		t.Fatalf("residency after the block was displaced: %+v", st)
 	}
@@ -337,11 +341,11 @@ func TestCacheValues(t *testing.T) {
 	}
 	// A fourth takes over the coldest value's entry: (2, 1100), since
 	// (2, 8) was read after it.
-	c.PutValue(3, 8, val(990, 'd'))
-	if _, ok := c.GetValue(nil, 2, 1100); ok {
+	c.PutValue(key('d'), 3, 8, val(990, 'd'))
+	if _, ok := c.GetValue(nil, key('b'), 2, 1100); ok {
 		t.Fatal("coldest value survived a full cache")
 	}
-	if got, ok := c.GetValue(nil, 3, 8); !ok || !bytes.Equal(got, val(990, 'd')) {
+	if got, ok := c.GetValue(nil, key('d'), 3, 8); !ok || !bytes.Equal(got, val(990, 'd')) {
 		t.Fatalf("recycled entry holds %d bytes, %v", len(got), ok)
 	}
 	if st = c.Stats(); st.ValueEntries != 3 || st.ValueBytes != 3*(1000+valueOverhead) || st.UsedBytes > 4096 {
@@ -356,15 +360,15 @@ func TestCacheValues(t *testing.T) {
 	// Never admitted: a value over the bound, or one the whole budget
 	// could not hold.
 	big := NewCache(1 << 20)
-	big.PutValue(4, 8, make([]byte, maxCachedValue))
-	big.PutValue(4, 1<<17, make([]byte, maxCachedValue+1))
-	c.PutValue(4, 8, make([]byte, 4096))
+	big.PutValue(key('e'), 4, 8, make([]byte, maxCachedValue))
+	big.PutValue(key('f'), 4, 1<<17, make([]byte, maxCachedValue+1))
+	c.PutValue(key('e'), 4, 8, make([]byte, 4096))
 	if st, small := big.Stats(), c.Stats(); st.ValueEntries != 1 || small.ValueEntries != 1 {
 		t.Fatalf("admission: %+v, %+v", st, small)
 	}
 	var nc *Cache
-	nc.PutValue(1, 0, val(10, 'z'))
-	if _, ok := nc.GetValue(nil, 1, 0); ok {
+	nc.PutValue(key('z'), 1, 0, val(10, 'z'))
+	if _, ok := nc.GetValue(nil, key('z'), 1, 0); ok {
 		t.Error("nil cache returned a value")
 	}
 }

@@ -69,10 +69,43 @@ type VlogSegRecord struct {
 
 // VlogDeadRecord charges dead bytes to a value-log segment. In an
 // incremental edit Dead is a delta; in a manifest snapshot it is the
-// absolute count (a delta applied to a fresh version).
+// absolute count (a delta applied to a fresh version). Dropped names the
+// records whose last tree entry a compaction dropped, by their bits in
+// the segment's bitmap (Set.VlogDropped): it is never encoded, so the
+// bitmap lives only as long as the Set.
 type VlogDeadRecord struct {
-	Num  uint64
-	Dead int64
+	Num     uint64
+	Dead    int64
+	Dropped []uint64
+}
+
+// VlogDrops gathers what a compaction's drops kill in the value log, per
+// segment: the dropped records' bytes and bits.
+type VlogDrops map[uint64]*VlogDeadRecord
+
+// Add charges a dropped record of n bytes, whose bit is bit, to segment
+// num.
+func (d *VlogDrops) Add(num, bit uint64, n int64) {
+	if *d == nil {
+		*d = VlogDrops{}
+	}
+	r := (*d)[num]
+	if r == nil {
+		r = &VlogDeadRecord{Num: num}
+		(*d)[num] = r
+	}
+	r.Dead += n
+	r.Dropped = append(r.Dropped, bit)
+}
+
+// Records returns the edit records carrying the drops, in segment order.
+func (d VlogDrops) Records() []VlogDeadRecord {
+	recs := make([]VlogDeadRecord, 0, len(d))
+	for _, r := range d {
+		recs = append(recs, *r)
+	}
+	slices.SortFunc(recs, func(a, b VlogDeadRecord) int { return cmp.Compare(a.Num, b.Num) })
+	return recs
 }
 
 // SetRecord describes a set: a group of SSTables written back to back

@@ -58,6 +58,12 @@ type Set struct {
 	sets       map[uint64]SetInfo        // guarded by mu
 	vsegs      map[uint64]VlogSeg        // guarded by mu
 	vlogHead   VlogPos                   // guarded by mu
+	// dropped holds, for each value-log segment this Set registered, the
+	// bits of the records whose last tree entry a compaction dropped
+	// (VlogDeadRecord.Dropped). It is never persisted, and a recovered
+	// segment has no entry: it may hold records written under another
+	// threshold, whose bits could collide.
+	dropped map[uint64]VlogBits // guarded by mu
 	// memberless lists, in id order, the sets Recover found with no live
 	// member: their drop was logged apart from the deletion that emptied
 	// them and never landed. The next edit drops them.
@@ -111,12 +117,36 @@ func (s VlogSeg) DeadRatio() float64 {
 	return float64(s.Dead) / float64(s.Bytes-s.Overhead)
 }
 
+// VlogBits is a segment's dropped-record bitmap (Set.VlogDropped). It is
+// copied on write, so one a caller holds never changes.
+type VlogBits []uint64
+
+// Has reports whether bit is set.
+func (b VlogBits) Has(bit uint64) bool {
+	w := bit / 64
+	return w < uint64(len(b)) && b[w]&(1<<(bit%64)) != 0
+}
+
+// with returns a copy of b, grown as needed, with every bit of bits set.
+func (b VlogBits) with(bits []uint64) VlogBits {
+	n := len(b)
+	for _, bit := range bits {
+		n = max(n, int(bit/64)+1)
+	}
+	out := make(VlogBits, n)
+	copy(out, b)
+	for _, bit := range bits {
+		out[bit/64] |= 1 << (bit % 64)
+	}
+	return out
+}
+
 // Create initializes a brand-new database state.
 func Create(cfg Config) (*Set, error) {
 	if cfg.ManifestSize <= 0 {
 		cfg.ManifestSize = 4 << 20
 	}
-	s := &Set{cfg: cfg, current: &Version{}, nextFile: 1, sets: map[uint64]SetInfo{}, vsegs: map[uint64]VlogSeg{}}
+	s := &Set{cfg: cfg, current: &Version{}, nextFile: 1, sets: map[uint64]SetInfo{}, vsegs: map[uint64]VlogSeg{}, dropped: map[uint64]VlogBits{}}
 	s.mu.Profile("version_set_mu")
 	if err := s.newManifest(); err != nil {
 		return nil, err
@@ -164,7 +194,7 @@ func Recover(cfg Config) (*Set, *RecoveryReport, error) {
 		return nil, nil, fmt.Errorf("version: reading MANIFEST %d: %w", manifestNum, err)
 	}
 
-	s := &Set{cfg: cfg, current: &Version{}, manifestNum: manifestNum, nextFile: manifestNum + 1, sets: map[uint64]SetInfo{}, vsegs: map[uint64]VlogSeg{}}
+	s := &Set{cfg: cfg, current: &Version{}, manifestNum: manifestNum, nextFile: manifestNum + 1, sets: map[uint64]SetInfo{}, vsegs: map[uint64]VlogSeg{}, dropped: map[uint64]VlogBits{}}
 	s.mu.Profile("version_set_mu")
 	report := &RecoveryReport{ManifestNum: manifestNum}
 	r := wal.NewTaggedReader(bytes.NewReader(buf), manifestNum)
@@ -340,9 +370,13 @@ func (s *Set) install(e *Edit, nv *Version, deleted []*FileMeta) {
 			}
 			s.vsegs[dr.Num] = vs
 		}
+		if b, ok := s.dropped[dr.Num]; ok && len(dr.Dropped) > 0 {
+			s.dropped[dr.Num] = b.with(dr.Dropped)
+		}
 	}
 	for _, num := range e.DropVlogSegs {
 		delete(s.vsegs, num)
+		delete(s.dropped, num)
 	}
 	if e.HasVlogHead {
 		s.vlogHead = e.VlogHead
@@ -449,6 +483,9 @@ func (s *Set) LogAndApply(e *Edit) (Retired, error) {
 			return Retired{}, err
 		}
 	}
+	for _, num := range e.NewVlogSegs {
+		s.dropped[num] = nil // registered here: every record in it is its owner's
+	}
 	s.install(e, nv, deleted)
 	s.memberless = nil
 	s.checkInvariantsLocked()
@@ -539,6 +576,14 @@ func (s *Set) VlogSeg(num uint64) (VlogSeg, bool) {
 	defer s.mu.Unlock()
 	vs, ok := s.vsegs[num]
 	return vs, ok
+}
+
+// VlogDropped returns segment num's dropped-record bitmap: empty for a
+// segment recovered from the manifest or one no compaction charged.
+func (s *Set) VlogDropped(num uint64) VlogBits {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.dropped[num]
 }
 
 // VlogTotals sums the segment records: bytes and overhead of the sealed

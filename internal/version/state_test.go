@@ -75,6 +75,61 @@ func TestVlogSegAccounting(t *testing.T) {
 	}
 }
 
+// TestVlogDroppedRecords: the records a compaction edit names dropped set
+// their bits in the segment's bitmap, which VlogDrops gathers per segment
+// in segment order. A bitmap a caller holds never changes, the bits are
+// never persisted, a segment recovered from the manifest keeps none, and
+// one dies with its segment.
+func TestVlogDroppedRecords(t *testing.T) {
+	s, cfg := newTestSet(t, 0)
+	mustApply(t, s, &Edit{NewVlogSegs: []uint64{5}})
+	mustApply(t, s, &Edit{NewVlogSegs: []uint64{9}, SealVlogSegs: []VlogSegRecord{{Num: 5, Bytes: 1 << 20}}})
+	var drops VlogDrops
+	drops.Add(9, 3, 600)
+	drops.Add(5, 1, 500)
+	drops.Add(5, 130, 700)
+	recs := drops.Records()
+	if len(recs) != 2 || recs[0].Num != 5 || recs[0].Dead != 1200 || !slices.Equal(recs[0].Dropped, []uint64{1, 130}) || recs[1].Num != 9 {
+		t.Fatalf("drops gathered as %+v", recs)
+	}
+	held := s.VlogDropped(5)
+	mustApply(t, s, &Edit{VlogDead: recs})
+	if held.Has(1) {
+		t.Fatal("an edit changed a bitmap a caller held")
+	}
+	b := s.VlogDropped(5)
+	for bit := uint64(0); bit < 200; bit++ {
+		if want := bit == 1 || bit == 130; b.Has(bit) != want {
+			t.Fatalf("segment 5 bit %d = %v, want %v", bit, b.Has(bit), want)
+		}
+	}
+	if !s.VlogDropped(9).Has(3) {
+		t.Fatal("segment 9's dropped record has no bit")
+	}
+	if vs, _ := s.VlogSeg(5); vs.Dead != 1200 {
+		t.Fatalf("segment 5 charged %d dead bytes, want 1200", vs.Dead)
+	}
+	// Dropped with its segment; a late charge to it is ignored.
+	mustApply(t, s, &Edit{DropVlogSegs: []uint64{5}})
+	mustApply(t, s, &Edit{VlogDead: []VlogDeadRecord{{Num: 5, Dead: 10, Dropped: []uint64{2}}}})
+	if s.VlogDropped(5) != nil {
+		t.Fatal("a dropped segment kept its bitmap")
+	}
+	// Not persisted: a recovered segment has no bitmap and takes no bits,
+	// though its dead bytes are charged.
+	r, _, err := Recover(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustApply(t, r, &Edit{VlogDead: []VlogDeadRecord{{Num: 9, Dead: 100, Dropped: []uint64{7}}}})
+	if r.VlogDropped(9) != nil {
+		t.Fatalf("recovered segment 9 has dropped-record bits %v", r.VlogDropped(9))
+	}
+	if vs, _ := r.VlogSeg(9); vs.Dead != 700 {
+		t.Fatalf("recovered segment 9 charged %d dead bytes, want 700", vs.Dead)
+	}
+}
+
 // TestVlogVictimSelection: the collector's choice is the sealed segment
 // before the replay head with the highest dead ratio at or above the
 // threshold, lowest number on a tie.
