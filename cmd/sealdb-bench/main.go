@@ -51,12 +51,8 @@ func main() {
 		valsizes = flag.String("valuesizes", "", "comma-separated value sizes in bytes for -ycsbjson (e.g. 64,1024,65536,1048576); every store runs the full workload matrix per size")
 
 		ycsbnet  = flag.String("ycsbnet", "", "run this YCSB workload (A-F) both in-process and through a sealdb server over TCP, comparing throughput")
-		netrecs  = flag.Int64("netrecords", 20000, "records to load for -ycsbnet and -scale")
+		netrecs  = flag.Int64("netrecords", 20000, "records to load for -ycsbnet")
 		netconns = flag.Int("netclients", 4, "client goroutines (and pooled connections) for -ycsbnet")
-
-		scale    = flag.String("scale", "", "sweep client counts over TCP per workload and write the scaling report (ops/s, p50/p99, lock-wait share) to this JSON file")
-		scalecl  = flag.String("scaleclients", "1,2,4,8", "comma-separated client counts for -scale")
-		scalewls = flag.String("scaleworkloads", "A,C", "comma-separated YCSB workloads for -scale")
 
 		churn     = flag.String("churn", "", "run the sustained-churn scenario (seeded overwrite+delete+scan on simulated device time, sampling the storage-surface observatory) and write the timeline to this JSON file")
 		churnmins = flag.Float64("churnminutes", 2, "simulated device minutes of sustained churn for -churn")
@@ -78,15 +74,11 @@ func main() {
 		})
 		return
 	}
-	netOps := *ops // the wall-clock sweeps default to 10,000 operations
-	if netOps <= 0 {
-		netOps = 10000
-	}
-	if *scale != "" {
-		runScale(*scale, *scalewls, *scalecl, *netrecs, netOps, 1024, *seed)
-		return
-	}
 	if *ycsbnet != "" {
+		netOps := *ops // the wall-clock comparison defaults to 10,000 operations
+		if netOps <= 0 {
+			netOps = 10000
+		}
 		runYCSBNet(*ycsbnet, *netrecs, netOps, 1024, *seed, *netconns)
 		return
 	}
@@ -129,7 +121,7 @@ func main() {
 	}
 
 	if *ycsbjson != "" {
-		sizes, err := parseInts(*valsizes, "-valuesizes entry")
+		sizes, err := parseValueSizes(*valsizes)
 		if err != nil {
 			fatal(err)
 		}
@@ -205,9 +197,9 @@ func writeJSON(path string, v any) {
 	}
 }
 
-// parseInts parses a comma-separated list of positive integers; what
-// names an entry in the error.
-func parseInts(list, what string) ([]int, error) {
+// parseValueSizes parses -valuesizes, a comma-separated list of
+// positive integers.
+func parseValueSizes(list string) ([]int, error) {
 	var out []int
 	for _, s := range strings.Split(list, ",") {
 		if s = strings.TrimSpace(s); s == "" {
@@ -215,7 +207,7 @@ func parseInts(list, what string) ([]int, error) {
 		}
 		n, err := strconv.Atoi(s)
 		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad %s %q (want a positive integer)", what, s)
+			return nil, fmt.Errorf("bad -valuesizes entry %q (want a positive integer)", s)
 		}
 		out = append(out, n)
 	}

@@ -2,8 +2,8 @@
 // a struct field whose comment says "guarded by <mu>" may only be
 // accessed while that mutex is held. The guard's type is irrelevant —
 // matching is by receiver name, so sync.Mutex, sync.RWMutex, and the
-// contention-profiled obs.Mutex / obs.RWMutex wrappers all satisfy a
-// guard through their Lock/RLock methods.
+// contention-profiled obs.Mutex wrapper all satisfy a guard through
+// their Lock/RLock methods.
 //
 // v2 is flow-sensitive within a function (via the lockflow walker):
 // the lock must actually be held *at* the access, so a read after an

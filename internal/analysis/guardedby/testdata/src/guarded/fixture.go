@@ -64,14 +64,14 @@ func (d *drive) snapshotUnsafe() int64 {
 }
 
 // instrumented is the post-migration shape: hot locks are
-// contention-profiled obs wrappers, and their Lock/RLock calls must
-// satisfy guards exactly like sync mutexes do.
+// contention-profiled obs wrappers, and their Lock calls must satisfy
+// guards exactly like sync mutexes do.
 type instrumented struct {
 	mu    obs.Mutex
 	queue []int64 // guarded by mu
 
-	rwmu obs.RWMutex
-	idx  int64 // guarded by rwmu
+	idxmu obs.Mutex
+	idx   int64 // guarded by idxmu
 }
 
 // Good: obs.Mutex Lock satisfies the guard.
@@ -87,10 +87,10 @@ func (s *instrumented) Pop() int64 {
 	return v
 }
 
-// Good: obs.RWMutex RLock satisfies the guard.
+// Good: the second wrapper guards its own field.
 func (s *instrumented) Index() int64 {
-	s.rwmu.RLock()
-	defer s.rwmu.RUnlock()
+	s.idxmu.Lock()
+	defer s.idxmu.Unlock()
 	return s.idx
 }
 
@@ -103,7 +103,7 @@ func (s *instrumented) racyQueue() int {
 func (s *instrumented) crossLock() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.idx // want "field idx is guarded by rwmu"
+	return s.idx // want "field idx is guarded by idxmu"
 }
 
 // Good (v2): the early-exit unlock strips the lock only from the
@@ -142,9 +142,9 @@ func (r *rw) bumpExclusive() {
 	r.rwmu.Unlock()
 }
 
-// Bad (v2): compound assignment through RLock on an obs wrapper.
-func (s *instrumented) resetShared() {
-	s.rwmu.RLock()
-	defer s.rwmu.RUnlock()
-	s.idx = 0 // want "holds only the read lock"
+// Bad (v2): a plain assignment under only the read lock.
+func (r *rw) resetShared() {
+	r.rwmu.RLock()
+	defer r.rwmu.RUnlock()
+	r.state = 0 // want "holds only the read lock"
 }

@@ -2,9 +2,9 @@
 // repo's named mutexes and checks every observed nested acquisition
 // against the declared lock hierarchy.
 //
-// A lock participates when it has a name: an obs.Mutex / obs.RWMutex
-// struct field registered via m.Profile("site_name") anywhere in its
-// package. The allowed hierarchy is declared in comments:
+// A lock participates when it has a name: an obs.Mutex struct field
+// registered via m.Profile("site_name") anywhere in its package. The
+// allowed hierarchy is declared in comments:
 //
 //	// lockorder: lsm_db_mu < version_set_mu
 //
@@ -125,12 +125,8 @@ func run(pass *analysis.Pass) error {
 		switch sel.Sel.Name {
 		case "Lock":
 			op = lockflow.Acquire
-		case "RLock":
-			op = lockflow.AcquireR
 		case "Unlock":
 			op = lockflow.Release
-		case "RUnlock":
-			op = lockflow.ReleaseR
 		default:
 			return "", lockflow.None
 		}
@@ -323,7 +319,7 @@ func siteOf(pass *analysis.Pass, sites map[*types.Var]string, recv ast.Expr) str
 	return sites[field]
 }
 
-// isObsLock reports whether t is obs.Mutex or obs.RWMutex.
+// isObsLock reports whether t is obs.Mutex.
 func isObsLock(t types.Type) bool {
 	named, ok := t.(*types.Named)
 	if !ok {
@@ -333,7 +329,7 @@ func isObsLock(t types.Type) bool {
 	if obj.Pkg() == nil || !strings.HasSuffix(obj.Pkg().Path(), "internal/obs") {
 		return false
 	}
-	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
+	return obj.Name() == "Mutex"
 }
 
 // collectDeclarations parses "// lockorder: a < b [< c ...]" comments.
@@ -507,8 +503,8 @@ func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 }
 
 // heldNames flattens a held map to a sorted name list, excluding the
-// site being acquired (reentrant RLock->Lock upgrades are the
-// watchdog's concern, not an ordering edge).
+// site being acquired (reacquiring a held site is the watchdog's
+// concern, not an ordering edge).
 func heldNames(held map[string]lockflow.Mode, exclude string) []string {
 	out := make([]string, 0, len(held))
 	for name := range held {

@@ -13,7 +13,7 @@ import "sealdb/internal/obs"
 type sys struct {
 	alpha obs.Mutex
 	beta  obs.Mutex
-	gamma obs.RWMutex
+	gamma obs.Mutex
 	delta obs.Mutex
 }
 
@@ -34,12 +34,11 @@ func (s *sys) inOrder() {
 	s.alpha.Unlock()
 }
 
-// Good: transitive closure covers alpha < beta < gamma, and RLock is
-// an acquisition like any other.
+// Good: transitive closure covers alpha < beta < gamma.
 func (s *sys) transitive() {
 	s.alpha.Lock()
-	s.gamma.RLock()
-	s.gamma.RUnlock()
+	s.gamma.Lock()
+	s.gamma.Unlock()
 	s.alpha.Unlock()
 }
 
@@ -135,6 +134,6 @@ func (s *sys) earlyRelease(skip bool) {
 		return
 	}
 	s.delta.Unlock()
-	s.gamma.RLock()
-	s.gamma.RUnlock()
+	s.gamma.Lock()
+	s.gamma.Unlock()
 }

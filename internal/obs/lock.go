@@ -1,7 +1,7 @@
 package obs
 
-// Lock-contention profiling: drop-in mutex wrappers that, when the
-// package-wide profile switch is on, record per-site wait-time and
+// Lock-contention profiling: a drop-in mutex wrapper that, when the
+// package-wide profile switch is on, records per-site wait-time and
 // hold-time histograms plus contention counters into a process-global
 // site table (the same shape as Go's runtime mutex profile, which is
 // also process-global). When the switch is off — the default — Lock
@@ -246,152 +246,6 @@ func (m *Mutex) Unlock() {
 	m.mu.Unlock()
 }
 
-// TryLock tries to lock the mutex without blocking. Profiled
-// successful acquisitions record a zero wait.
-func (m *Mutex) TryLock() bool {
-	if !m.mu.TryLock() {
-		return false
-	}
-	if invariant.Enabled {
-		m.watchAcquire()
-	}
-	if lockProfiling.Load() {
-		if s := m.site.Load(); s != nil {
-			s.acquire(0, false)
-			m.acquiredNS = lockNow()
-		}
-	}
-	return true
-}
-
-// RWMutex is a drop-in sync.RWMutex with optional contention
-// profiling. Writer acquisitions record wait and hold; reader
-// acquisitions record wait and contention only (readers overlap, so a
-// single hold timestamp cannot attribute their hold times).
-type RWMutex struct {
-	mu   sync.RWMutex
-	site atomic.Pointer[lockSite]
-	// acquiredNS is the profiled writer acquisition timestamp; written
-	// and read under the write lock.
-	acquiredNS int64
-}
-
-// Profile attaches the mutex to the named contention site.
-func (m *RWMutex) Profile(name string) { m.site.Store(siteFor(name)) }
-
-// Lock write-locks the mutex, recording wait time when profiling is on.
-func (m *RWMutex) Lock() {
-	if invariant.Enabled {
-		m.watchAcquire()
-	}
-	if !lockProfiling.Load() {
-		m.mu.Lock()
-		return
-	}
-	m.lockProfiled()
-}
-
-func (m *RWMutex) lockProfiled() {
-	s := m.site.Load()
-	if s == nil {
-		m.mu.Lock()
-		return
-	}
-	start := lockNow()
-	if m.mu.TryLock() {
-		s.acquire(0, false)
-		m.acquiredNS = start
-		return
-	}
-	m.mu.Lock()
-	now := lockNow()
-	s.acquire(now-start, true)
-	m.acquiredNS = now
-}
-
-// Unlock write-unlocks the mutex, recording hold time when the
-// acquisition was profiled.
-func (m *RWMutex) Unlock() {
-	if invariant.Enabled {
-		m.watchRelease()
-	}
-	if t := m.acquiredNS; t != 0 {
-		m.acquiredNS = 0
-		if s := m.site.Load(); s != nil {
-			s.release(lockNow() - t)
-		}
-	}
-	m.mu.Unlock()
-}
-
-// RLock read-locks the mutex, recording wait time when profiling is on.
-func (m *RWMutex) RLock() {
-	if invariant.Enabled {
-		m.watchAcquire()
-	}
-	if !lockProfiling.Load() {
-		m.mu.RLock()
-		return
-	}
-	m.rlockProfiled()
-}
-
-func (m *RWMutex) rlockProfiled() {
-	s := m.site.Load()
-	if s == nil {
-		m.mu.RLock()
-		return
-	}
-	start := lockNow()
-	if m.mu.TryRLock() {
-		s.acquire(0, false)
-		return
-	}
-	m.mu.RLock()
-	s.acquire(lockNow()-start, true)
-}
-
-// RUnlock read-unlocks the mutex.
-func (m *RWMutex) RUnlock() {
-	if invariant.Enabled {
-		m.watchRelease()
-	}
-	m.mu.RUnlock()
-}
-
-// TryLock tries to write-lock the mutex without blocking.
-func (m *RWMutex) TryLock() bool {
-	if !m.mu.TryLock() {
-		return false
-	}
-	if invariant.Enabled {
-		m.watchAcquire()
-	}
-	if lockProfiling.Load() {
-		if s := m.site.Load(); s != nil {
-			s.acquire(0, false)
-			m.acquiredNS = lockNow()
-		}
-	}
-	return true
-}
-
-// TryRLock tries to read-lock the mutex without blocking.
-func (m *RWMutex) TryRLock() bool {
-	if !m.mu.TryRLock() {
-		return false
-	}
-	if invariant.Enabled {
-		m.watchAcquire()
-	}
-	if lockProfiling.Load() {
-		if s := m.site.Load(); s != nil {
-			s.acquire(0, false)
-		}
-	}
-	return true
-}
-
 // watchAcquire and watchRelease report profiled acquisitions and
 // releases to the invariant lock-order watchdog. Call sites gate on
 // invariant.Enabled (a constant), so in default builds the calls —
@@ -404,18 +258,6 @@ func (m *Mutex) watchAcquire() {
 }
 
 func (m *Mutex) watchRelease() {
-	if s := m.site.Load(); s != nil {
-		invariant.LockReleased(s.name)
-	}
-}
-
-func (m *RWMutex) watchAcquire() {
-	if s := m.site.Load(); s != nil {
-		invariant.LockAcquired(s.name)
-	}
-}
-
-func (m *RWMutex) watchRelease() {
 	if s := m.site.Load(); s != nil {
 		invariant.LockReleased(s.name)
 	}

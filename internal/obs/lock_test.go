@@ -51,17 +51,6 @@ func TestLockProfilingOffAllocs(t *testing.T) {
 		t.Errorf("profiling-off Lock counted acquisitions: %d -> %d",
 			before.Acquisitions, after.Acquisitions)
 	}
-
-	var rw RWMutex
-	rw.Profile("test_allocs_off_rwmu")
-	if n := testing.AllocsPerRun(1000, func() {
-		rw.RLock()
-		rw.RUnlock()
-		rw.Lock()
-		rw.Unlock() //nolint:staticcheck // empty section on purpose
-	}); n != 0 {
-		t.Errorf("profiling-off RWMutex cycle allocates %.1f times per op, want 0", n)
-	}
 }
 
 // TestLockProfilingRecordsWaitAndHold drives real contention through
@@ -194,33 +183,5 @@ func TestResetLockProfile(t *testing.T) {
 	SetLockProfiling(false)
 	if s := findSite(t, "test_reset_mu"); s.Acquisitions != 1 {
 		t.Errorf("post-reset acquisitions = %d, want 1", s.Acquisitions)
-	}
-}
-
-// TestRWMutexReaderWait checks reader acquisitions record contention
-// against a writer.
-func TestRWMutexReaderWait(t *testing.T) {
-	SetLockProfiling(true)
-	defer SetLockProfiling(false)
-	var rw RWMutex
-	rw.Profile("test_rw_reader_mu")
-
-	rw.Lock()
-	done := make(chan struct{})
-	go func() {
-		rw.RLock() // blocks until the writer releases
-		rw.RUnlock()
-		close(done)
-	}()
-	time.Sleep(2 * time.Millisecond)
-	rw.Unlock()
-	<-done
-
-	s := findSite(t, "test_rw_reader_mu")
-	if s.Contentions == 0 {
-		t.Error("reader blocked behind writer recorded no contention")
-	}
-	if s.TotalWaitNS <= 0 {
-		t.Errorf("reader wait = %dns, want > 0", s.TotalWaitNS)
 	}
 }

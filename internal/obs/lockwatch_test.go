@@ -45,28 +45,3 @@ func TestWatchdogCatchesInvertedAcquisition(t *testing.T) {
 	inner.Lock()
 	outer.Lock() // inversion: watchdog must panic here, pre-block
 }
-
-// TestWatchdogTracksRWMutex checks reader acquisitions participate in
-// ordering like writer ones.
-func TestWatchdogTracksRWMutex(t *testing.T) {
-	if !invariant.Enabled {
-		t.Skip("watchdog requires -tags sealdb_invariants")
-	}
-	invariant.ResetLockOrder()
-	defer invariant.ResetLockOrder()
-
-	var a Mutex
-	var b RWMutex
-	a.Profile("test_wd_rw_a_mu")
-	b.Profile("test_wd_rw_b_mu")
-
-	a.Lock()
-	b.RLock()
-	b.RUnlock()
-	a.Unlock()
-
-	edges := invariant.LockOrderEdges()
-	if len(edges) != 1 || edges[0] != [2]string{"test_wd_rw_a_mu", "test_wd_rw_b_mu"} {
-		t.Fatalf("edges = %v, want the single a->b edge from an RLock", edges)
-	}
-}

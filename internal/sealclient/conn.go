@@ -71,8 +71,8 @@ type clientConn struct {
 
 	// mu guards the request-ID/waiter state every in-flight request
 	// touches twice; profiled as the "sealclient_conn_mu" contention
-	// site so the -scale sweep can tell client-side from server-side
-	// lock waits.
+	// site so /debug/contention, and the benchmark's per-site lock
+	// snapshot, tell client-side lock waits from the engine's.
 	mu      obs.Mutex
 	nextID  uint64                // guarded by mu
 	waiters map[uint64]chan reply // guarded by mu
