@@ -133,11 +133,11 @@ type deviceFingerprint struct {
 }
 
 var fingerprintGoldens = map[string]deviceFingerprint{
-	"leveldb":      {ReadOps: 2553, WriteOps: 8416, BytesRead: 50499475, BytesWritten: 51304743, Seeks: 3871, BusyNS: 50041765517, Seq: 0x226d, Levels: "3,11,7,0,0,0,17", Journal: "2ad4f07f149a7969", Counters: "2a0617aa235ef63d", Views: "abee641f076f82a2", Reads: "e7b228fbb77598be"},
-	"leveldb+sets": {ReadOps: 2139, WriteOps: 8320, BytesRead: 41024323, BytesWritten: 42449620, Seeks: 3317, BusyNS: 42772195697, Seq: 0x226d, Levels: "3,11,7,0,0,0,17", Journal: "c908eb3a064c12d3", Counters: "2ab19afbb289534a", Views: "8e30f521e5c47716", Reads: "e7b228fbb77598be"},
-	"smrdb":        {ReadOps: 502, WriteOps: 7525, BytesRead: 6242940, BytesWritten: 2775646, Seeks: 868, BusyNS: 6050008625, Seq: 0x226d, Levels: "1,3", Journal: "c80234fe599dc6d9", Counters: "f1a3f4a2fffa90ee", Views: "d3dcd0aa924219ea", Reads: "e7b228fbb77598be"},
-	"sealdb":       {ReadOps: 1854, WriteOps: 8003, BytesRead: 11760942, BytesWritten: 6845743, Seeks: 2479, BusyNS: 16446036370, Seq: 0x226d, Levels: "3,11,7,0,0,0,17", Journal: "915995309e6e9640", Counters: "077a90f613764908", Views: "0c51e8dc9304641c", Reads: "e7b228fbb77598be"},
-	"sealdb+vlog":  {ReadOps: 2385, WriteOps: 8021, BytesRead: 5311514, BytesWritten: 2590496, Seeks: 6338, BusyNS: 42669448863, Seq: 0x2394, Levels: "3,5,0,0,0,0,7", Journal: "f2a698d7f682e265", Counters: "a9429b70057eb3d8", Views: "ce87f3d59b214a8c", Reads: "e7b228fbb77598be"},
+	"leveldb":      {ReadOps: 2508, WriteOps: 8416, BytesRead: 50598870, BytesWritten: 51304743, Seeks: 3862, BusyNS: 50307424070, Seq: 0x226d, Levels: "3,11,7,0,0,0,17", Journal: "3f045b7a9a0550a4", Counters: "3b4a9a6cb5255b39", Views: "6c4e4c6a1f9d8d90", Reads: "e7b228fbb77598be"},
+	"leveldb+sets": {ReadOps: 2121, WriteOps: 8320, BytesRead: 41126819, BytesWritten: 42449620, Seeks: 3327, BusyNS: 43163168733, Seq: 0x226d, Levels: "3,11,7,0,0,0,17", Journal: "c9dd6b7ebbd8b719", Counters: "43b0a67470f21791", Views: "2553d08c42fe45bc", Reads: "e7b228fbb77598be"},
+	"smrdb":        {ReadOps: 511, WriteOps: 7525, BytesRead: 6300510, BytesWritten: 2775646, Seeks: 889, BusyNS: 6192697982, Seq: 0x226d, Levels: "1,3", Journal: "2aa0f3d69a063941", Counters: "dfc690c8ea14942e", Views: "d3dcd0aa924219ea", Reads: "e7b228fbb77598be"},
+	"sealdb":       {ReadOps: 1836, WriteOps: 8003, BytesRead: 11863438, BytesWritten: 6845743, Seeks: 2488, BusyNS: 16515706126, Seq: 0x226d, Levels: "3,11,7,0,0,0,17", Journal: "65e40253b97ed634", Counters: "5ab2132ed1417cde", Views: "01d046784f6e6697", Reads: "e7b228fbb77598be"},
+	"sealdb+vlog":  {ReadOps: 2394, WriteOps: 8021, BytesRead: 5320960, BytesWritten: 2590496, Seeks: 6350, BusyNS: 42755650919, Seq: 0x2394, Levels: "3,5,0,0,0,0,7", Journal: "31a73adfea94cca0", Counters: "39ce10e0c5429f41", Views: "aae747f89835e6a8", Reads: "e7b228fbb77598be"},
 }
 
 // invariantGoldens replaces a mode's constant under -tags
@@ -146,7 +146,7 @@ var fingerprintGoldens = map[string]deviceFingerprint{
 // the very lookups the pass made before it skipped them, so "sealdb+vlog"
 // reproduces the constant recorded before the skip.
 var invariantGoldens = map[string]deviceFingerprint{
-	"sealdb+vlog": {ReadOps: 2385, WriteOps: 8021, BytesRead: 5311514, BytesWritten: 2590496, Seeks: 6338, BusyNS: 42669308333, Seq: 0x2394, Levels: "3,5,0,0,0,0,7", Journal: "da5cc4f5fe5b0b14", Counters: "a9429b70057eb3d8", Views: "b8e9fe7a72ca7181", Reads: "e7b228fbb77598be"},
+	"sealdb+vlog": {ReadOps: 2394, WriteOps: 8021, BytesRead: 5320960, BytesWritten: 2590496, Seeks: 6350, BusyNS: 42755510389, Seq: 0x2394, Levels: "3,5,0,0,0,0,7", Journal: "459b77706d9ec692", Counters: "39ce10e0c5429f41", Views: "f0a9e019dbe700e7", Reads: "e7b228fbb77598be"},
 }
 
 type fingerprintCase struct {

@@ -97,11 +97,11 @@ func (d *DB) lookup(s *readState, key []byte, seq kv.SeqNum, ot *opTrace) (store
 		// sequence number wins, so every candidate is probed.
 		sorted := d.cfg.sortedLevel(level)
 		files := cur.Files[0]
-		if level > 0 {
-			files = cur.Overlaps(level, key, key, sorted)
-			if sorted && len(files) > 1 {
-				files = files[:1]
-			}
+		switch {
+		case level > 0 && sorted:
+			files = cur.Candidate(level, key)
+		case level > 0:
+			files = cur.Overlaps(level, key, key, false)
 		}
 		if len(files) == 0 {
 			continue

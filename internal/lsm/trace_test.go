@@ -42,6 +42,65 @@ func TestGetHotPathAllocsTracingOff(t *testing.T) {
 	}
 }
 
+// TestTableGetAllocsTracingOff: a Get that a cached row or a cached block
+// of an SSTable answers allocates at most the value it returns. The level
+// lookup takes the one candidate of a sorted level without building a
+// list, and the block iterators parse keys into stack buffers.
+func TestTableGetAllocsTracingOff(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is unreliable under -race")
+	}
+	if invariant.Enabled {
+		t.Skip("lock-order watchdog allocates on profiled acquisitions")
+	}
+	d, err := Open(tinyConfig(ModeSEALDB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%05d", i)) }
+	for i := 0; i < 2000; i++ {
+		value := make([]byte, 32)
+		if i%50 == 0 {
+			value = bigValue(string(key(i)), 1000)
+		}
+		if err := d.Put(key(i), value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.FlushMemtable(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		key  []byte
+	}{{"row", key(1000)}, {"block", key(1001)}} {
+		rows := d.cache.Stats().RowEntries
+		for i := 0; i < 2; i++ {
+			if _, err := d.Get(tc.key); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if formed := d.cache.Stats().RowEntries - rows; formed != map[string]int{"row": 1, "block": 0}[tc.name] {
+			t.Fatalf("%s: set-up: two reads formed %d rows", tc.name, formed)
+		}
+		var n float64
+		reads, misses := readCost(d, func() {
+			n = testing.AllocsPerRun(500, func() {
+				if _, err := d.Get(tc.key); err != nil {
+					t.Fatal(err)
+				}
+			})
+		})
+		if reads != 0 || misses != 0 {
+			t.Fatalf("%s: set-up: the Gets missed %d blocks and read the device %d times", tc.name, misses, reads)
+		}
+		if n > 1 {
+			t.Errorf("a Get served by a cached %s allocates %.1f times per op, want <= 1 (value copy)", tc.name, n)
+		}
+	}
+}
+
 // TestTraceSpanTreeAttribution drives a table-reading Get with tracing
 // on and every operation sampled, then checks the journal holds the
 // full causal chain: an op_get root carrying the caller's request id

@@ -130,13 +130,44 @@ type blockIter struct {
 	key    []byte
 	value  []byte
 	valid  bool
-	err    error
+	// bad is the check the entry at badAt failed, 0 if none did. The
+	// iterator keeps no error value: nothing read out of it may point
+	// into memory, or a caller's stack buffer for key would move to the
+	// heap (escape analysis tells no field of a struct from another).
+	bad   entryCheck
+	badAt int
+}
+
+// entryCheck names a check an entry of a block can fail.
+type entryCheck uint8
+
+const (
+	badShared entryCheck = iota + 1
+	badUnshared
+	badValueLen
+	overrun
+)
+
+var entryChecks = [...]string{
+	badShared:   "bad shared varint",
+	badUnshared: "bad unshared varint",
+	badValueLen: "bad value-length varint",
+	overrun:     "entry overruns block",
 }
 
 func newBlockIter(b *block) *blockIter { return &blockIter{b: b} }
 
-func (it *blockIter) Valid() bool         { return it.valid && it.err == nil }
-func (it *blockIter) Error() error        { return it.err }
+func (it *blockIter) Valid() bool { return it.valid && it.bad == 0 }
+
+// Error returns a new error for the entry that failed to parse, if one
+// did.
+func (it *blockIter) Error() error {
+	if it.bad == 0 {
+		return nil
+	}
+	return fmt.Errorf("sstable: corrupt block entry at %d: %s", it.badAt, entryChecks[it.bad])
+}
+
 func (it *blockIter) Key() kv.InternalKey { return it.key }
 func (it *blockIter) Value() []byte       { return it.value }
 
@@ -152,7 +183,7 @@ func (it *blockIter) Next() {
 
 // parseNext decodes the entry at it.next.
 func (it *blockIter) parseNext() {
-	if it.err != nil {
+	if it.bad != 0 {
 		it.valid = false
 		return
 	}
@@ -164,32 +195,41 @@ func (it *blockIter) parseNext() {
 	p := it.b.data[it.next:]
 	shared, n1 := binary.Uvarint(p)
 	if n1 <= 0 {
-		it.corrupt("bad shared varint")
+		it.corrupt(badShared)
 		return
 	}
 	unshared, n2 := binary.Uvarint(p[n1:])
 	if n2 <= 0 {
-		it.corrupt("bad unshared varint")
+		it.corrupt(badUnshared)
 		return
 	}
 	vlen, n3 := binary.Uvarint(p[n1+n2:])
 	if n3 <= 0 {
-		it.corrupt("bad value-length varint")
+		it.corrupt(badValueLen)
 		return
 	}
 	h := n1 + n2 + n3
 	if int(shared) > len(it.key) || h+int(unshared)+int(vlen) > len(p) {
-		it.corrupt("entry overruns block")
+		it.corrupt(overrun)
 		return
 	}
-	it.key = append(it.key[:shared], p[h:h+int(unshared)]...)
+	if n := int(shared + unshared); cap(it.key) >= n {
+		// Resliced and copied into, not appended to: storing it.key's own
+		// storage back into it would move a caller's key buffer to the heap.
+		it.key = it.key[:n]
+	} else {
+		key := make([]byte, n, 2*n)
+		copy(key, it.key[:shared])
+		it.key = key
+	}
+	copy(it.key[shared:], p[h:h+int(unshared)])
 	it.value = p[h+int(unshared) : h+int(unshared)+int(vlen)]
 	it.next += h + int(unshared) + int(vlen)
 	it.valid = true
 }
 
-func (it *blockIter) corrupt(msg string) {
-	it.err = fmt.Errorf("sstable: corrupt block entry at %d: %s", it.next, msg)
+func (it *blockIter) corrupt(check entryCheck) {
+	it.bad, it.badAt = check, it.next
 	it.valid = false
 }
 

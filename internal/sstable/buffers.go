@@ -19,6 +19,26 @@ var tableBufs sync.Pool
 // holds windows as large as it needs.
 var windowBufs sync.Pool
 
+// blockScratches recycles the scratch a point read that misses checks and
+// decodes its block in (Table.GetEntry), so that a miss allocates no block
+// buffer unless the block is cached.
+var blockScratches = sync.Pool{New: func() any { return new(blockScratch) }}
+
+// blockScratch is a block as read, trailer and all, and the block decoded
+// over it.
+type blockScratch struct {
+	buf []byte
+	blk block
+}
+
+// putScratch hands s back to the pool, its bytes poisoned first under the
+// sealdb_invariants tag: nothing decoded in it may be used after.
+func putScratch(s *blockScratch) {
+	poisonBuf(s.buf)
+	s.blk = block{restarts: s.blk.restarts}
+	blockScratches.Put(s)
+}
+
 // poison is what a released buffer is filled with under the
 // sealdb_invariants tag: whoever still reads a table through it fails
 // a block checksum instead of being served the next table's bytes.
@@ -62,11 +82,17 @@ func getWindow(n int) *[]byte {
 // release puts the buffer in p back into pool, poisoned first under the
 // sealdb_invariants tag.
 func release(pool *sync.Pool, p *[]byte) {
+	poisonBuf(*p)
+	pool.Put(p)
+}
+
+// poisonBuf fills buf to its capacity with the poison under the
+// sealdb_invariants tag.
+func poisonBuf(buf []byte) {
 	if invariant.Enabled {
-		buf := (*p)[:cap(*p)]
+		buf = buf[:cap(buf)]
 		for i := range buf {
 			buf[i] = poison
 		}
 	}
-	pool.Put(p)
 }

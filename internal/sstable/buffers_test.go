@@ -98,6 +98,35 @@ func TestReleasedBufferIsPoisoned(t *testing.T) {
 	PutBuf(data)
 }
 
+// TestPointReadScratchIsPoisoned: under the sealdb_invariants tag the
+// scratch a point read decoded a block in is overwritten when it goes back
+// to the pool, so the block no longer parses.
+func TestPointReadScratchIsPoisoned(t *testing.T) {
+	if !invariant.Enabled {
+		t.Skip("released buffers are poisoned under -tags sealdb_invariants only")
+	}
+	data := buildInto(t, NewBuilder(), nil, tableKeys(40), bytes.Repeat([]byte{'v'}, 1024))
+	tbl, err := Open(bytes.NewReader(data), int64(len(data)), 9, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := tbl.readScratch(dataBlocks(t, tbl)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	it := blockIter{b: &s.blk}
+	if it.SeekToFirst(); !it.Valid() {
+		t.Fatalf("set-up: the scratch block does not parse: %v", it.Error())
+	}
+	buf := s.buf[:cap(s.buf)]
+	putScratch(s)
+	for i, c := range buf {
+		if c != poison {
+			t.Fatalf("byte %d of the released scratch is %#x, want the poison", i, c)
+		}
+	}
+}
+
 // TestOpenBuiltOutlivesItsBuffer: a table opened from the bytes Finish
 // returned reads nothing through its handle to open, holds the filter and
 // index one opened by reading the file holds, and keeps answering Gets,

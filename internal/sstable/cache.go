@@ -18,19 +18,24 @@ import (
 // and segments are numbered by one never-reused counter, so a file's
 // chain never mixes the two.
 //
-// A row is formed by a read (Table.GetEntry) and follows its key from then
-// on: whoever writes a table that carries the key binds the row to that
-// table with the entry written (Builder.Carry). A value entry follows its
-// key forward in the log: a newer record of the key, written through at
-// commit or filled by a read, takes the entry over (PutValue). Nothing is
-// invalidated; a row bound to a table that was deleted or never installed,
-// or a value whose record no tree entry names any more, is unreachable and
-// leaves through EvictFile, a newer record or ageing out.
+// A row is formed by a point read (Table.GetEntry) of an entry large next
+// to its block, in place of the block: a read that misses caches the row
+// and not the block, and one that finds the block cached (a read of a
+// smaller neighbour left it) caches the row and leaves the block where it
+// lies. The row follows its key from then on: whoever writes a table that
+// carries the key binds the row to that table with the entry written
+// (Builder.Carry). A value entry follows its key forward in the log: a
+// newer record of the key, written through at commit or filled by a read,
+// takes the entry over (PutValue). Nothing is invalidated; a row bound to a
+// table that was deleted or never installed, or a value whose record no
+// tree entry names any more, is unreachable and leaves through EvictFile, a
+// newer record or ageing out.
 //
-// The budget is split into two LRU segments. Everything enters probation;
-// an entry's first hit moves it to protected, whose overflow falls back to
-// the head of probation, and eviction takes probation's tail first: what
-// was read once cannot push out what was read twice.
+// The budget is split into two LRU segments. Everything enters probation,
+// but for a row formed from a cached block, its key's second read; an
+// entry's first hit moves it to protected, whose overflow falls back to the
+// head of probation, and eviction takes probation's tail first: what was
+// read once cannot push out what was read twice.
 type Cache struct {
 	mu       sync.Mutex
 	capacity int64
@@ -423,12 +428,13 @@ func (c *Cache) getRow(file uint64, ukey []byte, seq kv.SeqNum) ([]byte, kv.SeqN
 }
 
 // putRow caches the entry (ukey, seq, kind, value), which the caller knows
-// is the newest for ukey in table file, straight into protected: the read
-// that forms a row is the key's second. It reports whether the row went in.
-// The key's row, if it has one already, gives way only if it is bound to
-// another table and no newer: it speaks for a version this one shadows, or
-// for a table that was never installed.
-func (c *Cache) putRow(file uint64, ukey, value []byte, seq kv.SeqNum, kind kv.Kind) bool {
+// is the newest for ukey in table file, into protected if the read that
+// forms the row found its block cached, else into probation: a row, like a
+// block, reaches protected on its key's second read. It reports whether
+// the row went in. The key's row, if it has one already, gives way only if
+// it is bound to another table and no newer: it speaks for a version this
+// one shadows, or for a table that was never installed.
+func (c *Cache) putRow(file uint64, ukey, value []byte, seq kv.SeqNum, kind kv.Kind, protected bool) bool {
 	n := len(ukey) + len(value)
 	if len(ukey) == 0 || n > maxCachedValue || int64(n)+valueOverhead > c.capacity {
 		return false
@@ -445,7 +451,7 @@ func (c *Cache) putRow(file uint64, ukey, value []byte, seq kv.SeqNum, kind kv.K
 	e := c.entryFor(n)
 	e.key, e.seq, e.kind, e.klen = cacheKey{file, h}, seq, kind, int32(len(ukey))
 	e.value = append(append(e.value, ukey...), value...)
-	c.insert(e, true)
+	c.insert(e, protected)
 	return true
 }
 
@@ -522,10 +528,10 @@ func (c *Cache) put(file, offset uint64, b *block) {
 // charge is what a cached block costs the budget.
 func (b *block) charge() int64 { return int64(len(b.data)) + int64(4*len(b.restarts)) + 64 }
 
-// admit caches a copy of b, decoded in a buffer its iterator will reuse,
-// unless evict only if that evicts nothing: a store that fits the cache
-// still ends up resident, a scan over a bigger one leaves the hot blocks
-// where they are.
+// admit caches a copy of b, decoded in a buffer that will be reused (a
+// streaming iterator's window, a point read's scratch) — unless evict, only
+// if that evicts nothing: a store that fits the cache still ends up
+// resident, a scan over a bigger one leaves the hot blocks where they are.
 func (c *Cache) admit(file, offset uint64, b *block, evict bool) {
 	if c == nil {
 		return

@@ -104,7 +104,7 @@ func TestCacheAccountingUnderRandomOps(t *testing.T) {
 			case 7:
 				c.GetValue(nil, ukey, segment, uint64(rng.Intn(i+1)))
 			case 8, 9:
-				c.putRow(file, ukey, buf[:rng.Intn(2048)], kv.SeqNum(rng.Intn(9)), kv.KindSet)
+				c.putRow(file, ukey, buf[:rng.Intn(2048)], kv.SeqNum(rng.Intn(9)), kv.KindSet, true)
 			case 10:
 				c.getRow(file, ukey, kv.SeqNum(rng.Intn(9)))
 			case 11:
@@ -203,10 +203,13 @@ func zipfMissRatio(rows bool) float64 {
 		off := k / perBlock
 		switch b := c.get(1, off, !rows); {
 		case b == nil:
-			if c.put(1, off, blk); i >= warm {
+			if !rows || !c.putRow(1, ukey, value, 1, kv.KindSet, false) {
+				c.put(1, off, blk)
+			}
+			if i >= warm {
 				misses++
 			}
-		case rows && !c.putRow(1, ukey, value, 1, kv.KindSet):
+		case rows && !c.putRow(1, ukey, value, 1, kv.KindSet, true):
 			c.promote(1, off)
 		}
 	}
@@ -325,6 +328,77 @@ func TestRowsAnswerAsBlocksDo(t *testing.T) {
 	}
 }
 
+// TestPointReadAdmission: a point read that misses caches the row it came
+// for, in probation, and not its block; the key's second read is a row hit
+// that moves the row to protected and reads nothing through the file. An
+// entry too small to be a row, and a key the table does not hold, leave
+// the block cached instead, and the next read in the block hits it.
+func TestPointReadAdmission(t *testing.T) {
+	keys := tableKeys(40)
+	open := func(value []byte) (*Table, *trackingReader, *Cache) {
+		t.Helper()
+		data := buildInto(t, NewBuilder(), nil, keys, value)
+		file := &trackingReader{r: bytes.NewReader(data)}
+		cache := NewCache(1 << 20)
+		tbl, err := Open(file, int64(len(data)), 1, cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		file.calls = 0
+		return tbl, file, cache
+	}
+	get := func(tbl *Table, ukey []byte) bool {
+		t.Helper()
+		_, _, _, ok, err := tbl.GetEntry(ukey, kv.MaxSeqNum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ok
+	}
+	ukey := keys[5].UserKey()
+
+	tbl, file, cache := open(bytes.Repeat([]byte{'v'}, 1024))
+	if !get(tbl, ukey) {
+		t.Fatal("first read: not found")
+	}
+	row, ok := stateOfRow(t, cache, ukey)
+	if st := cache.Stats(); !ok || row.protected || st.Misses != 1 || st.Hits != 0 || st.Entries != 1 || st.RowEntries != 1 || file.calls != 1 {
+		t.Fatalf("first read of a large entry: row %v (protected %v), %+v, %d reads; want one miss, one row in probation, no block, one read",
+			ok, row.protected, st, file.calls)
+	}
+	if !get(tbl, ukey) {
+		t.Fatal("second read: not found")
+	}
+	row, _ = stateOfRow(t, cache, ukey)
+	if st := cache.Stats(); !row.protected || st.Misses != 1 || st.Hits != 1 || st.Entries != 1 || file.calls != 1 {
+		t.Fatalf("second read: row protected %v, %+v, %d reads; want a row hit into protected and no read", row.protected, st, file.calls)
+	}
+	checkCache(t, cache)
+
+	for _, tc := range []struct {
+		name  string
+		value []byte
+		ukey  []byte
+	}{
+		{"a small entry", make([]byte, 64), ukey},
+		{"an absent key", make([]byte, 1024), []byte("user000000000005x")},
+	} {
+		tbl, file, cache := open(tc.value)
+		tbl.bloom = nil // every key gets past the filter
+		get(tbl, tc.ukey)
+		if st := cache.Stats(); st.Misses != 1 || st.Entries != 1 || st.RowEntries != 0 || file.calls != 1 {
+			t.Fatalf("%s: %+v, %d reads; want one miss, the block cached, no row", tc.name, st, file.calls)
+		}
+		if !get(tbl, keys[6].UserKey()) {
+			t.Fatalf("%s: a key in the same block not found", tc.name)
+		}
+		if st := cache.Stats(); st.Hits != 1 || st.Misses != 1 || file.calls != 1 {
+			t.Fatalf("%s: the next read in the block: %+v, %d reads; want a block hit", tc.name, st, file.calls)
+		}
+		checkCache(t, cache)
+	}
+}
+
 // rowState is what a re-home must leave alone or move: the table a row is
 // bound to, its version, its segment and its neighbours in it.
 type rowState struct {
@@ -376,13 +450,13 @@ func TestRowFollowsItsKey(t *testing.T) {
 	}
 	for _, demoted := range []bool{false, true} {
 		c := NewCache(64 << 10)
-		c.putRow(1, []byte("before"), value('b', 1000), 1, kv.KindSet)
-		if !c.putRow(1, key, value('5', 1000), 5, kv.KindSet) {
+		c.putRow(1, []byte("before"), value('b', 1000), 1, kv.KindSet, true)
+		if !c.putRow(1, key, value('5', 1000), 5, kv.KindSet, true) {
 			t.Fatal("row refused")
 		}
 		// Rows read after k; enough of them push k out of protected.
 		for i := 0; i < 3 || demoted && i < 45; i++ {
-			c.putRow(1, []byte(fmt.Sprintf("after%02d", i)), value('a', 1000), 1, kv.KindSet)
+			c.putRow(1, []byte(fmt.Sprintf("after%02d", i)), value('a', 1000), 1, kv.KindSet, true)
 		}
 		was, _ := stateOfRow(t, c, key)
 		if was.protected == demoted {
@@ -439,7 +513,7 @@ func TestRowFollowsItsKey(t *testing.T) {
 			"small value":    {kv.KindSet, value('v', 64)},
 			"oversize value": {kv.KindSet, value('v', maxCachedValue)},
 		} {
-			if !c.putRow(1, key, value('5', 1000), 5, kv.KindSet) {
+			if !c.putRow(1, key, value('5', 1000), 5, kv.KindSet, true) {
 				t.Fatal("row refused")
 			}
 			st := c.Stats()
@@ -453,10 +527,10 @@ func TestRowFollowsItsKey(t *testing.T) {
 	// A colliding key has no row of its own and does not move the other's.
 	c := NewCache(64 << 10)
 	k1, k2 := collidingKeys(t)
-	c.putRow(1, k1, value('1', 1000), 5, kv.KindSet)
+	c.putRow(1, k1, value('1', 1000), 5, kv.KindSet, true)
 	was, _ := stateOfRow(t, c, k1)
 	rehome(c, 2, ik(k2, 9, kv.KindSet), value('2', 1000))
-	if c.putRow(2, k2, value('2', 1000), 9, kv.KindSet) {
+	if c.putRow(2, k2, value('2', 1000), 9, kv.KindSet, true) {
 		t.Fatal("a colliding key took the slot")
 	}
 	if now, _ := stateOfRow(t, c, k1); now != was || c.Stats().RowsRehomed != 0 {
@@ -468,10 +542,10 @@ func TestRowFollowsItsKey(t *testing.T) {
 
 	// A read replaces the key's row only with a version no older, from
 	// another table.
-	if c.putRow(2, k1, value('o', 1000), 4, kv.KindSet) || c.putRow(1, k1, value('n', 1000), 6, kv.KindSet) {
+	if c.putRow(2, k1, value('o', 1000), 4, kv.KindSet, true) || c.putRow(1, k1, value('n', 1000), 6, kv.KindSet, true) {
 		t.Fatal("an older version, or the same table, replaced the row")
 	}
-	if !c.putRow(2, k1, value('n', 1000), 6, kv.KindSet) {
+	if !c.putRow(2, k1, value('n', 1000), 6, kv.KindSet, true) {
 		t.Fatal("a newer version in another table did not replace the row")
 	}
 	if now, _ := stateOfRow(t, c, k1); now.file != 2 || now.seq != 6 || c.Stats().RowEntries != 1 {
@@ -642,8 +716,8 @@ func TestCollidingKeysNeverShareAValue(t *testing.T) {
 func TestBuilderCarriesRows(t *testing.T) {
 	cache := NewCache(1 << 20)
 	big := func(c byte) []byte { return bytes.Repeat([]byte{c}, 1100) }
-	cache.putRow(1, []byte("k"), big('5'), 5, kv.KindSet)
-	cache.putRow(1, []byte("gone"), big('g'), 5, kv.KindSet)
+	cache.putRow(1, []byte("k"), big('5'), 5, kv.KindSet, true)
+	cache.putRow(1, []byte("gone"), big('g'), 5, kv.KindSet, true)
 	b := NewBuilder().Carry(cache, 7)
 	for _, e := range []struct {
 		k   string
@@ -691,7 +765,7 @@ func TestRekeyFile(t *testing.T) {
 	c.put(1, 4096, &block{data: data, restarts: []uint32{0}})
 	c.put(2, 0, &block{data: data, restarts: []uint32{0}})
 	c.PutValue([]byte("v"), 1, 77, data)
-	c.putRow(1, []byte("k"), data, 5, kv.KindSet)
+	c.putRow(1, []byte("k"), data, 5, kv.KindSet, true)
 	was, _ := stateOfRow(t, c, []byte("k"))
 	before := c.Stats()
 	c.RekeyFile(1, 9)
@@ -738,7 +812,7 @@ func TestRowSteadyStateAllocations(t *testing.T) {
 	put := func() {
 		next++
 		copy(ukey, fmt.Sprintf("user%012d", next))
-		if !c.putRow(1, ukey, value, kv.SeqNum(next), kv.KindSet) {
+		if !c.putRow(1, ukey, value, kv.SeqNum(next), kv.KindSet, true) {
 			t.Fatal("row refused")
 		}
 	}
@@ -752,7 +826,7 @@ func TestRowSteadyStateAllocations(t *testing.T) {
 		for i, v := len(ukey)-1, next; i >= 4; i, v = i-1, v/10 {
 			ukey[i] = byte('0' + v%10)
 		}
-		if !c.putRow(1, ukey, value, kv.SeqNum(next), kv.KindSet) {
+		if !c.putRow(1, ukey, value, kv.SeqNum(next), kv.KindSet, true) {
 			t.Fatal("row refused")
 		}
 	}); n != 0 {

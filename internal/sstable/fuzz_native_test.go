@@ -39,8 +39,8 @@ func FuzzTableRead(f *testing.F) {
 		tbl, err := Open(bytes.NewReader(data), int64(len(data)), 1, nil)
 		if err == nil && tbl != nil {
 			// Point reads, also through a shared cache and three times
-			// each — device miss, block hit that may form a row, row hit —
-			// which must agree with the cache-less read or fail with its
+			// each — device miss that leaves a row or the block, block hit
+			// that may form a row, row hit — which must agree with the cache-less read or fail with its
 			// error: a block that fails its CRC never becomes a row.
 			shared, err := Open(bytes.NewReader(data), int64(len(data)), 1, NewCache(1<<20))
 			if err != nil {

@@ -99,11 +99,42 @@ func (t *Table) readRawFrom(r io.ReaderAt, h blockHandle) ([]byte, error) {
 	if !t.holds(h) {
 		return nil, fmt.Errorf("sstable: handle %+v outside file %d", h, t.fileNum)
 	}
-	buf := make([]byte, h.length+blockTrailerLen)
+	return t.readRawInto(make([]byte, h.length+blockTrailerLen), r, h)
+}
+
+// readRawInto reads the block at h and its trailer through r into buf,
+// exactly that long, and CRC-checks it.
+func (t *Table) readRawInto(buf []byte, r io.ReaderAt, h blockHandle) ([]byte, error) {
 	if _, err := r.ReadAt(buf, int64(h.offset)); err != nil {
 		return nil, fmt.Errorf("sstable: reading block of file %d: %w", t.fileNum, err)
 	}
 	return t.checkRaw(buf, h)
+}
+
+// readScratch reads, CRC-checks and decodes the data block at h in a
+// scratch from the pool. The caller hands it back with putScratch once
+// done with the block.
+func (t *Table) readScratch(h blockHandle) (*blockScratch, error) {
+	if !t.holds(h) {
+		return nil, fmt.Errorf("sstable: handle %+v outside file %d", h, t.fileNum)
+	}
+	s := blockScratches.Get().(*blockScratch)
+	if n := int(h.length + blockTrailerLen); cap(s.buf) >= n {
+		s.buf = s.buf[:n]
+	} else {
+		s.buf = make([]byte, n)
+	}
+	contents, err := t.readRawInto(s.buf, t.r, h)
+	if err == nil {
+		if err = s.blk.decode(contents); err != nil {
+			err = fmt.Errorf("sstable: file %d: %w", t.fileNum, err)
+		}
+	}
+	if err != nil {
+		putScratch(s)
+		return nil, err
+	}
+	return s, nil
 }
 
 // end is the file offset just past the block's trailer.
@@ -128,21 +159,22 @@ func (t *Table) checkRaw(buf []byte, h blockHandle) ([]byte, error) {
 	return out, nil
 }
 
-// readBlock fetches a data block through the cache and reports whether the
-// cache had it; promote is Cache.get's.
-func (t *Table) readBlock(h blockHandle, promote bool) (b *block, hit bool, err error) {
-	if b := t.cache.get(t.fileNum, h.offset, promote); b != nil {
-		return b, true, nil
+// readBlock fetches a data block through the cache, a hit counting as a
+// touch, and caches it on a miss.
+func (t *Table) readBlock(h blockHandle) (*block, error) {
+	if b := t.cache.get(t.fileNum, h.offset, true); b != nil {
+		return b, nil
 	}
 	raw, err := t.readRawFrom(t.r, h)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	if b, err = decodeBlock(raw); err != nil {
-		return nil, false, fmt.Errorf("sstable: file %d: %w", t.fileNum, err)
+	b, err := decodeBlock(raw)
+	if err != nil {
+		return nil, fmt.Errorf("sstable: file %d: %w", t.fileNum, err)
 	}
 	t.cache.put(t.fileNum, h.offset, b)
-	return b, false, nil
+	return b, nil
 }
 
 // Get returns the entry for ukey visible at snapshot seq.
@@ -157,8 +189,11 @@ func (t *Table) Get(ukey []byte, seq kv.SeqNum) (value []byte, deleted, ok bool,
 // the caller's own copy.
 //
 // A cached row answers before the index is searched. Otherwise the read
-// that finds its data block already cached decides what that second touch
-// keeps: a row, if cacheRow takes the entry, else the block.
+// decides what its data block leaves in the cache once it has seen the
+// entry: a row, if cacheRow takes the entry — into probation if the block
+// was read from the device, decoded in a pooled scratch, and into protected
+// if the block was cached, as a touch would have moved it — else the block,
+// copied from the scratch or touched.
 func (t *Table) GetEntry(ukey []byte, seq kv.SeqNum) (value []byte, foundSeq kv.SeqNum, kind kv.Kind, ok bool, err error) {
 	if !bloomMayContain(t.bloom, ukey) {
 		t.cache.noteBloom(false, false)
@@ -168,29 +203,39 @@ func (t *Table) GetEntry(ukey []byte, seq kv.SeqNum) (value []byte, foundSeq kv.
 		t.cache.noteBloom(true, true)
 		return value, foundSeq, kind, true, nil
 	}
-	var buf [64]byte
+	var buf, ixKey, key [64]byte
 	search := kv.MakeSearchKey(buf[:0], ukey, seq)
-	ixIter := newBlockIter(t.index)
-	ixIter.Seek(search)
-	if !ixIter.Valid() {
-		if ixIter.Error() == nil {
+	ix := blockIter{b: t.index, key: ixKey[:0]}
+	ix.Seek(search)
+	if !ix.Valid() {
+		if ix.Error() == nil {
 			t.cache.noteBloom(true, false)
 		}
-		return nil, 0, 0, false, ixIter.Error()
+		return nil, 0, 0, false, ix.Error()
 	}
-	h, _, err := decodeHandle(ixIter.Value())
+	h, _, err := decodeHandle(ix.Value())
 	if err != nil {
 		return nil, 0, 0, false, err
 	}
-	b, hit, err := t.readBlock(h, false)
-	if err != nil {
-		return nil, 0, 0, false, err
+	b := t.cache.get(t.fileNum, h.offset, false)
+	hit := b != nil
+	if !hit {
+		s, err := t.readScratch(h)
+		if err != nil {
+			return nil, 0, 0, false, err
+		}
+		defer putScratch(s)
+		b = &s.blk
 	}
-	it := newBlockIter(b)
+	it := blockIter{b: b, key: key[:0]}
 	it.Seek(search)
 	found := it.Valid() && kv.CompareUser(it.Key().UserKey(), ukey) == 0
-	if hit && !(found && t.cacheRow(ixIter, it, ukey)) {
+	switch {
+	case found && t.cacheRow(&ix, &it, ukey, hit):
+	case hit:
 		t.cache.promote(t.fileNum, h.offset)
+	default:
+		t.cache.admit(t.fileNum, h.offset, b, true)
 	}
 	if !found {
 		if it.Error() == nil {
@@ -207,18 +252,19 @@ func (t *Table) GetEntry(ukey []byte, seq kv.SeqNum) (value []byte, foundSeq kv.
 }
 
 // cacheRow caches the entry for ukey that it stands on, in the block ix
-// stands on, as a row, and reports whether it did. The entry must be large
-// next to its block (rowBlockShare) and the newest version of ukey in the
-// file, so that the row answers every lookup at or above its sequence
-// number as the blocks would: its predecessor — in the block, or for the
-// block's first entry the previous index separator, which is no smaller
-// than the last key before it — must have another user key. ix is moved.
-func (t *Table) cacheRow(ix, it *blockIter, ukey []byte) bool {
-	if (int64(len(ukey)+len(it.Value()))+valueOverhead)*rowBlockShare < it.b.charge() {
+// stands on, as a row, protected if it says so, and reports whether it
+// did. The entry must be large next to its block (rowBlockShare) and the
+// newest version of ukey in the file, so that the row answers every lookup
+// at or above its sequence number as the blocks would: its predecessor —
+// in the block, or for the block's first entry the previous index
+// separator, which is no smaller than the last key before it — must have
+// another user key. ix is moved.
+func (t *Table) cacheRow(ix, it *blockIter, ukey []byte, protected bool) bool {
+	if t.cache == nil || (int64(len(ukey)+len(it.Value()))+valueOverhead)*rowBlockShare < it.b.charge() {
 		return false
 	}
-	var buf [64]byte
-	newest := blockIter{b: it.b}
+	var buf, key [64]byte
+	newest := blockIter{b: it.b, key: key[:0]}
 	if newest.Seek(kv.MakeSearchKey(buf[:0], ukey, kv.MaxSeqNum)); newest.offset != it.offset {
 		return false
 	}
@@ -227,7 +273,7 @@ func (t *Table) cacheRow(ix, it *blockIter, ukey []byte) bool {
 			return false
 		}
 	}
-	return t.cache.putRow(t.fileNum, ukey, it.Value(), it.Key().Seq(), it.Key().Kind())
+	return t.cache.putRow(t.fileNum, ukey, it.Value(), it.Key().Seq(), it.Key().Kind(), protected)
 }
 
 // NewIterator returns a two-level iterator over the whole table.
@@ -382,7 +428,7 @@ func (it *tableIter) loadBlock() {
 	case it.win != nil && (it.run > it.win.after || it.win.span > 1):
 		b, err = it.streamBlock(h)
 	default:
-		b, _, err = it.t.readBlock(h, true)
+		b, err = it.t.readBlock(h)
 	}
 	if err != nil {
 		it.err = err

@@ -265,7 +265,7 @@ func TestStreamedCorruptBlockIsNeverEmitted(t *testing.T) {
 
 func mustBlock(t *testing.T, tbl *Table, h blockHandle) *block {
 	t.Helper()
-	b, _, err := tbl.readBlock(h, true)
+	b, err := tbl.readBlock(h)
 	if err != nil {
 		t.Fatal(err)
 	}

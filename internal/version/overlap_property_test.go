@@ -8,8 +8,9 @@ import (
 	"sealdb/internal/kv"
 )
 
-// TestOverlapsAgainstBruteForce drives the binary-search overlap query
-// against a brute-force scan over randomly generated disjoint levels.
+// TestOverlapsAgainstBruteForce drives the binary-search overlap query,
+// and the point read's Candidate, against a brute-force scan over randomly
+// generated disjoint levels.
 func TestOverlapsAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 200; trial++ {
@@ -55,6 +56,12 @@ func TestOverlapsAgainstBruteForce(t *testing.T) {
 			}
 			if any := len(want) > 0; v.OverlapsAny(2, lo, hi, true) != any || v.OverlapsAny(2, lo, hi, false) != any {
 				t.Fatalf("trial %d query [%q,%q]: OverlapsAny disagrees with the %d files found", trial, lo, hi, len(want))
+			}
+			// The point read's query at lo: the first overlapping file, if
+			// it starts at or before lo.
+			holds := lo != nil && len(want) > 0 && kv.CompareUser(want[0].Smallest.UserKey(), lo) <= 0
+			if c := v.Candidate(2, lo); lo != nil && (len(c) != 0) != holds || holds && c[0] != want[0] {
+				t.Fatalf("trial %d point %q: Candidate = %v, want the first of %v if it holds the key", trial, lo, c, want)
 			}
 			for i := range got {
 				if got[i].Num != want[i].Num {

@@ -94,9 +94,7 @@ func (v *Version) Overlaps(level int, smallest, largest []byte, levelSorted bool
 	// is >= smallest, then take files until one starts past largest.
 	i := 0
 	if smallest != nil {
-		i = sort.Search(len(files), func(k int) bool {
-			return kv.CompareUser(files[k].Largest.UserKey(), smallest) >= 0
-		})
+		i = searchLargest(files, smallest)
 	}
 	var out []*FileMeta
 	for ; i < len(files); i++ {
@@ -108,6 +106,27 @@ func (v *Version) Overlaps(level int, smallest, largest []byte, levelSorted bool
 	return out
 }
 
+// Candidate returns the one file of sorted level (level > 0) whose
+// user-key range may hold ukey, as a slice of v.Files[level] one file long
+// or empty: a point read's binary search, allocating nothing.
+func (v *Version) Candidate(level int, ukey []byte) []*FileMeta {
+	files := v.Files[level]
+	i := searchLargest(files, ukey)
+	if i == len(files) || kv.CompareUser(files[i].Smallest.UserKey(), ukey) > 0 {
+		return nil
+	}
+	return files[i : i+1]
+}
+
+// searchLargest returns the index of the first of files, a sorted level's,
+// whose largest user key is at or after ukey: the one file that may hold
+// ukey, if any does.
+func searchLargest(files []*FileMeta, ukey []byte) int {
+	return sort.Search(len(files), func(k int) bool {
+		return kv.CompareUser(files[k].Largest.UserKey(), ukey) >= 0
+	})
+}
+
 // OverlapsAny reports whether Overlaps would return a file, without
 // building the list.
 func (v *Version) OverlapsAny(level int, smallest, largest []byte, levelSorted bool) bool {
@@ -116,9 +135,7 @@ func (v *Version) OverlapsAny(level int, smallest, largest []byte, levelSorted b
 		// Only the first file ending at or after smallest can overlap.
 		i := 0
 		if smallest != nil {
-			i = sort.Search(len(files), func(k int) bool {
-				return kv.CompareUser(files[k].Largest.UserKey(), smallest) >= 0
-			})
+			i = searchLargest(files, smallest)
 		}
 		return i < len(files) && (largest == nil || kv.CompareUser(files[i].Smallest.UserKey(), largest) <= 0)
 	}
