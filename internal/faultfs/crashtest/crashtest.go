@@ -117,14 +117,14 @@ type Result struct {
 	// survived whole — legal, and evidence the all-or-nothing check
 	// is exercising both sides.
 	Resurrected int
-	// Flushes, Compactions and SetsMoved (by OpDefrag steps) confirm the
-	// workload coverage.
-	Flushes, Compactions, SetsMoved int64
+	// Flushes, Compactions, SetsMoved (by OpDefrag steps) and VlogGCRuns
+	// (value-log GC passes after commits) confirm the workload coverage.
+	Flushes, Compactions, SetsMoved, VlogGCRuns int64
 }
 
 func (r Result) String() string {
-	return fmt.Sprintf("writes=%d cuts=%d create_cuts=%d resurrected=%d flushes=%d compactions=%d sets_moved=%d",
-		r.Writes, r.Cuts, r.CreateCuts, r.Resurrected, r.Flushes, r.Compactions, r.SetsMoved)
+	return fmt.Sprintf("writes=%d cuts=%d create_cuts=%d resurrected=%d flushes=%d compactions=%d sets_moved=%d vlog_gc_runs=%d",
+		r.Writes, r.Cuts, r.CreateCuts, r.Resurrected, r.Flushes, r.Compactions, r.SetsMoved, r.VlogGCRuns)
 }
 
 // model applies an op to the reference state.
@@ -196,7 +196,7 @@ func Run(t testing.TB, cfg Config) Result {
 		applyModel(final, &cfg.Ops[i])
 	}
 	stats := db.Stats()
-	res.Flushes, res.Compactions, res.SetsMoved = stats.FlushCount, stats.CompactionCount, stats.GCMoves
+	res.Flushes, res.Compactions, res.SetsMoved, res.VlogGCRuns = stats.FlushCount, stats.CompactionCount, stats.GCMoves, stats.VlogGCRuns
 	if res.Flushes == 0 || res.Compactions == 0 {
 		t.Fatalf("crashtest: workload too small: %d flushes, %d compactions (need >= 1 of each)", res.Flushes, res.Compactions)
 	}

@@ -46,12 +46,13 @@ func (d *DB) drainJobs(due float64) error {
 }
 
 // nextJob returns the job due at score due: the compaction pickCompaction
-// builds or, at gcDue, a GC pass of the segment VlogVictim names — sealed,
-// dead enough, and wholly before the replay head (dead bytes are only
-// charged at flush and compaction, so waiting for the next flush to move
-// the head costs the collector nothing). Relocation re-puts live values at
-// fresh sequence numbers, so no pass is due while a snapshot is registered
-// (the next commit retries). Caller holds d.mu.
+// builds or, at gcDue, a GC pass of the segment VlogVictim names while the
+// sealed log is over its dead budget — the deadest sealed segment wholly
+// before the replay head (dead bytes are only charged at flush and
+// compaction, so waiting for the next flush to move the head costs the
+// collector nothing). Relocation re-puts live values at fresh sequence
+// numbers, so no pass is due while a snapshot is registered (the next
+// commit retries). Caller holds d.mu.
 func (d *DB) nextJob(due float64) (job, bool) {
 	if due != gcDue {
 		c := d.pickCompaction(due)
@@ -60,7 +61,7 @@ func (d *DB) nextJob(due float64) (job, bool) {
 	if !d.cfg.vlogEnabled() || len(d.snapshots) > 0 {
 		return job{}, false
 	}
-	vic, ok := d.vs.VlogVictim(vlogGCDeadRatio)
+	vic, ok := d.vs.VlogVictim(vlogGCDeadBudget)
 	return job{victim: vic}, ok
 }
 

@@ -229,7 +229,7 @@ func (d *DB) bandRowsLocked(now int64) []BandRow {
 
 // VlogSegmentRow is one value-log segment's occupancy in the
 // /debug/bands payload — the per-segment accounting the GC pass's
-// dead-ratio victim selection (nextJob) reads, surfaced.
+// victim choice (nextJob) reads, surfaced.
 type VlogSegmentRow struct {
 	Num       uint64  `json:"num"`
 	Bytes     int64   `json:"bytes"`
@@ -242,14 +242,14 @@ type VlogSegmentRow struct {
 
 // BandProfile is the /debug/bands payload: the fragmentation profile,
 // every band sorted by heat then live ratio, and (in vlog mode) the
-// per-segment occupancy with the GC threshold and its current victim.
+// per-segment occupancy with the GC's dead budget and its next victim.
 type BandProfile struct {
 	BandSize   int64             `json:"band_size"`
 	Frag       dband.FragProfile `json:"frag"`
 	Bands      []BandRow         `json:"bands"`
 	Vlog       []VlogSegmentRow  `json:"vlog,omitempty"`
-	VlogGCDead float64           `json:"vlog_gc_dead_ratio,omitempty"`
-	VlogVictim uint64            `json:"vlog_gc_victim,omitempty"`
+	VlogGCDead float64           `json:"vlog_gc_dead_ratio,omitempty"` // the share of the sealed log's record bytes that may be dead before a pass runs
+	VlogVictim uint64            `json:"vlog_gc_victim,omitempty"`     // the segment the next pass takes: 0 while the log is within budget
 }
 
 // SpaceProfile is the /debug/space payload: the continuous
@@ -313,10 +313,9 @@ func (d *DB) BandProfile() BandProfile {
 	p.Frag = d.dev.DBand.FragProfile()
 	p.Bands = d.bandRowsLocked(d.deviceNow())
 	if d.cfg.vlogEnabled() {
-		p.VlogGCDead = vlogGCDeadRatio
-		if vic, ok := d.vs.VlogVictim(vlogGCDeadRatio); ok {
-			p.VlogVictim = vic.Num
-		}
+		p.VlogGCDead = vlogGCDeadBudget
+		vic, _ := d.vs.VlogVictim(vlogGCDeadBudget) // the zero segment when none is due
+		p.VlogVictim = vic.Num
 		for _, seg := range d.vlogSegs() {
 			p.Vlog = append(p.Vlog, VlogSegmentRow{
 				Num:       seg.Num,

@@ -313,7 +313,7 @@ func TestSurfaceSnapshotEvents(t *testing.T) {
 
 // TestSurfaceVlogOccupancy checks the satellite fix: the per-segment
 // occupancy the GC pass's victim selection (nextJob) reads is exported through
-// the /debug/bands payload, threshold included.
+// the /debug/bands payload, the log-wide dead budget included.
 func TestSurfaceVlogOccupancy(t *testing.T) {
 	cfg := tinyConfig(ModeSEALDB)
 	cfg.ValueThreshold = 64
@@ -328,8 +328,8 @@ func TestSurfaceVlogOccupancy(t *testing.T) {
 	if len(bp.Vlog) == 0 {
 		t.Fatal("no vlog segment rows in the band profile")
 	}
-	if bp.VlogGCDead <= 0 {
-		t.Fatalf("vlog GC threshold %v not exported", bp.VlogGCDead)
+	if bp.VlogGCDead != vlogGCDeadBudget {
+		t.Fatalf("vlog GC dead budget %v exported as %v", vlogGCDeadBudget, bp.VlogGCDead)
 	}
 	for _, seg := range bp.Vlog {
 		if seg.Live != seg.Bytes-seg.Overhead-seg.Dead {

@@ -38,9 +38,10 @@ const (
 	// from where the record sits. It never reaches the tree.
 	batchKindSeparated kv.Kind = 0x02
 
-	// vlogGCDeadRatio is the dead-byte fraction at which a sealed
-	// segment becomes a garbage-collection victim.
-	vlogGCDeadRatio = 0.5
+	// vlogGCDeadBudget is the share of the sealed log's record bytes that
+	// may be dead before the collector runs (version.Set.VlogVictim): 0.25
+	// is the knee of the space/throughput trade on vlog_mixed (DESIGN.md).
+	vlogGCDeadBudget = 0.25
 )
 
 // vlogState is the engine-side driver of the value log: the active
@@ -203,10 +204,11 @@ func (d *DB) vlogRotate(groupBytes int64) error {
 		return err
 	}
 	w.Reset(f, num, vlog.HeaderSize, vlog.HeaderSize, size)
-	d.journal.Record("vlog_rotate", map[string]int64{
-		"num": int64(num), "sealed": int64(sealed),
-	})
-	return nil
+	d.journal.Record("vlog_rotate", map[string]int64{"num": int64(num), "sealed": int64(sealed)})
+	if sealed == 0 {
+		return nil
+	}
+	return d.backend.SealAppend(sealed) // its seal edit ended all writes to it
 }
 
 // vlogSegs returns the manifest's segment records in number order, the
@@ -373,12 +375,11 @@ type VlogGCResult struct {
 	ReclaimedBytes int64
 }
 
-// VlogGC runs one value-log collection pass: pick the sealed segment
-// before the replay head with the highest dead ratio (at or above
-// vlogGCDeadRatio), relocate its live records — grouped by the set of the SSTable that
-// references each one, so co-compacted values stay adjacent — and
-// drop the victim. Returns a zero-victim result when nothing
-// qualifies, or while a snapshot is registered (nextJob).
+// VlogGC runs one value-log collection pass while the sealed log is over
+// vlogGCDeadBudget: relocate the live records of the deadest sealed segment
+// before the replay head — grouped by the set of the SSTable that references
+// each, so co-compacted values stay adjacent — and drop it. Returns a
+// zero-victim result when nothing qualifies or a snapshot is registered.
 func (d *DB) VlogGC() (res VlogGCResult, err error) {
 	if !d.cfg.vlogEnabled() {
 		return res, fmt.Errorf("lsm: VlogGC requires a value threshold (mode %v)", d.cfg.Mode)

@@ -112,7 +112,7 @@ func TestVlogCacheEntriesLeaveWithTheirSegment(t *testing.T) {
 	victimEntries := func() (uint64, []vlog.Record) {
 		for {
 			d.mu.Lock()
-			vic, ok := d.vs.VlogVictim(vlogGCDeadRatio)
+			vic, ok := d.vs.VlogVictim(vlogGCDeadBudget)
 			if !ok {
 				d.mu.Unlock()
 				t.Fatal("no victim holds a cached record")

@@ -12,6 +12,7 @@ import (
 
 	"sealdb/internal/invariant"
 	"sealdb/internal/kv"
+	"sealdb/internal/smr"
 	"sealdb/internal/version"
 	"sealdb/internal/vlog"
 )
@@ -375,7 +376,7 @@ func victimVerdict(t *testing.T, d *DB) (vic uint64, served map[string]vlog.Poin
 	t.Helper()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	vs, ok := d.vs.VlogVictim(vlogGCDeadRatio)
+	vs, ok := d.vs.VlogVictim(vlogGCDeadBudget)
 	if !ok {
 		return 0, nil, 0, 0
 	}
@@ -610,7 +611,7 @@ func TestVlogLiveRatioAccounting(t *testing.T) {
 
 func TestVlogMaybeGCOpportunistic(t *testing.T) {
 	// Without explicit VlogGC calls, ordinary writes trigger collection
-	// once a segment crosses the dead-ratio threshold.
+	// once the sealed log is over its dead budget.
 	d, err := Open(vlogConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -637,6 +638,116 @@ func TestVlogMaybeGCOpportunistic(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("Get(%q): wrong value", k)
 		}
+	}
+}
+
+// sealedLog sums the sealed segment records: the log the collector's
+// dead budget is a share of.
+func sealedLog(d *DB) (sum version.VlogSeg) {
+	for _, vs := range d.vs.VlogSegs() {
+		if vs.Sealed {
+			sum.Bytes, sum.Overhead, sum.Dead = sum.Bytes+vs.Bytes, sum.Overhead+vs.Overhead, sum.Dead+vs.Dead
+		}
+	}
+	return sum
+}
+
+// TestVlogChurnStaysWithinDeadBudget: under sustained overwrite churn
+// a compaction can charge many segments' worth of dead records at once,
+// and the commits after it collect one segment each until the log is
+// back within budget. So a commit that ran no pass leaves the sealed
+// log's dead record bytes at most the budget plus one segment.
+func TestVlogChurnStaysWithinDeadBudget(t *testing.T) {
+	cfg := vlogConfig()
+	d, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	ref := map[string][]byte{}
+	peak := 0.0
+	for i := 0; i < 8000; i++ {
+		k := fmt.Sprintf("key%05d", i*7919%300)
+		ref[k] = bigValue(fmt.Sprintf("%s-%d", k, i), 400)
+		runs := d.Stats().VlogGCRuns
+		if err := d.Put([]byte(k), ref[k]); err != nil {
+			t.Fatal(err)
+		}
+		sealed := sealedLog(d)
+		peak = max(peak, sealed.DeadRatio())
+		slack := float64(sealed.Dead) - vlogGCDeadBudget*float64(sealed.Bytes-sealed.Overhead)
+		if d.Stats().VlogGCRuns == runs && slack > float64(cfg.VlogSegSize) {
+			t.Fatalf("op %d: sealed log %.0f bytes over its dead budget (share %.3f) and the commit ran no pass", i, slack, sealed.DeadRatio())
+		}
+	}
+	runs := d.Stats().VlogGCRuns
+	t.Logf("%d GC passes, peak dead share %.3f", runs, peak)
+	if runs == 0 || peak <= vlogGCDeadBudget {
+		t.Fatalf("%d GC passes, peak dead share %.3f: the churn never tested the budget", runs, peak)
+	}
+	for k, want := range ref {
+		if got, err := d.Get([]byte(k)); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("Get(%q) after the churn = %d bytes, %v", k, len(got), err)
+		}
+	}
+	if err := d.VerifyIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestVlogSealedSegmentHandsItsGuardBack: once a rotation seals a
+// segment, its extent on a raw drive is its bytes — the unused
+// reservation and the guard went back to the allocator — while tables
+// flushed and compacted after it land around it without damaging it: every
+// sealed segment scans clean on reopen, fsck finds no leak or overlap,
+// and AWA stays 1. SMRDB's bands have no guard, and freeing part of one
+// would reset the whole band, so there a sealed segment keeps its
+// reservation.
+func TestVlogSealedSegmentHandsItsGuardBack(t *testing.T) {
+	for _, mode := range []Mode{ModeSEALDB, ModeSMRDB} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := vlogConfig()
+			cfg.Mode = mode
+			d, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := loadVlogGarbage(t, d)
+			sealed := 0
+			for _, seg := range d.vlogSegs() {
+				ext, err := d.backend.FileExtent(seg.Num)
+				if err != nil || !seg.Sealed {
+					continue
+				}
+				sealed++
+				want := seg.Bytes
+				if mode != ModeSEALDB {
+					want = cfg.vlogSegSize()
+				}
+				if ext.Len != want {
+					t.Fatalf("sealed segment %d of %d bytes holds a %d-byte extent, want %d", seg.Num, seg.Bytes, ext.Len, want)
+				}
+			}
+			if sealed < 2 {
+				t.Fatalf("%d sealed segments", sealed)
+			}
+			if awa := smr.AWA(d.drive); mode == ModeSEALDB && awa != 1.0 {
+				t.Fatalf("AWA = %v, want exactly 1.0", awa)
+			}
+			d.Close()
+			if d, err = OpenDevice(cfg, d.Device()); err != nil {
+				t.Fatal(err) // a damaged sealed segment fails the open
+			}
+			defer d.Close()
+			for k, want := range ref {
+				if got, err := d.Get([]byte(k)); err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("Get(%q) after reopen = %d bytes, %v", k, len(got), err)
+				}
+			}
+			if err := d.VerifyIntegrity(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -841,9 +952,10 @@ func TestVlogReplayAcrossSealedSegments(t *testing.T) {
 
 // TestVlogGCNeverCollectsReplayWindow: a segment at or after the
 // replay head is still the write-ahead log of batches in the memtable,
-// so however dead it looks the collector must leave it — dropping it
-// would lose acknowledged writes at the next crash. One flush later
-// the head has passed it and it is fair game.
+// so however far over its dead budget the log is the collector must
+// leave it — dropping it would lose acknowledged writes at the next
+// crash. One flush later the head has passed them, and the first pass
+// takes the deadest.
 func TestVlogGCNeverCollectsReplayWindow(t *testing.T) {
 	cfg := vlogConfig()
 	cfg.MemtableSize = 1 * kv.MiB
@@ -853,32 +965,43 @@ func TestVlogGCNeverCollectsReplayWindow(t *testing.T) {
 	}
 	defer d.Close()
 	ref := map[string][]byte{}
-	for i := 0; i < 30; i++ {
-		k := fmt.Sprintf("key%03d", i)
-		ref[k] = bigValue(k, 900)
-		if err := d.Put([]byte(k), ref[k]); err != nil {
-			t.Fatal(err)
+	put := func(n int) {
+		for i := 0; i < 30; i++ {
+			k := fmt.Sprintf("key%03d", i)
+			ref[k] = bigValue(fmt.Sprintf("%s-%d", k, n), n)
+			if err := d.Put([]byte(k), ref[k]); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
+	put(900)
 	head := d.vs.VlogHead().Seg
-	var window version.VlogSeg
+	var window []version.VlogSeg
 	for _, s := range d.vs.VlogSegs() {
 		if s.Sealed && s.Num >= head {
-			window = s
-			break
+			window = append(window, s)
 		}
 	}
-	if window.Num == 0 {
-		t.Fatal("no sealed segment in the replay window")
+	if len(window) < 2 {
+		t.Fatalf("%d sealed segments in the replay window, want 2 or more", len(window))
 	}
-	// Force the segment past the threshold without touching its records.
-	if _, err := d.vs.LogAndApply(&version.Edit{VlogDead: []version.VlogDeadRecord{{Num: window.Num, Dead: window.Bytes * 6 / 10}}}); err != nil {
+	// Overwrite every key: the window's records are dead, but only a
+	// flush and compaction would charge them. Charge them now, the second
+	// segment deadest, to put the log far over its budget.
+	put(300)
+	e := &version.Edit{}
+	for i, s := range window {
+		tenths := int64(6)
+		if i == 1 {
+			tenths = 9
+		}
+		e.VlogDead = append(e.VlogDead, version.VlogDeadRecord{Num: s.Num, Dead: (s.Bytes - s.Overhead) * tenths / 10})
+	}
+	if _, err := d.vs.LogAndApply(e); err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range d.vs.VlogSegs() {
-		if s.Num == window.Num && s.DeadRatio() < vlogGCDeadRatio {
-			t.Fatalf("segment %d forced to dead ratio %.2f only", window.Num, s.DeadRatio())
-		}
+	if share := sealedLog(d).DeadRatio(); share <= vlogGCDeadBudget {
+		t.Fatalf("sealed log forced to dead share %.2f only", share)
 	}
 	if res, err := d.VlogGC(); err != nil || res.Victim != 0 {
 		t.Fatalf("GC inside the replay window: victim %d, %v", res.Victim, err)
@@ -893,8 +1016,8 @@ func TestVlogGCNeverCollectsReplayWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := d.VlogGC()
-	if err != nil || res.Victim != window.Num {
-		t.Fatalf("GC after the flush: victim %d, %v; want segment %d", res.Victim, err, window.Num)
+	if err != nil || res.Victim != window[1].Num {
+		t.Fatalf("GC after the flush: victim %d, %v; want the deadest segment %d", res.Victim, err, window[1].Num)
 	}
 	for k, want := range ref {
 		if got, err := d.Get([]byte(k)); err != nil || !bytes.Equal(got, want) {

@@ -455,6 +455,33 @@ func (f *AppendFile) Size() int64 {
 	return f.pos
 }
 
+// SealAppend ends all writes to append file num and returns everything
+// of its extent past the last written byte — the unused reservation and
+// the guard padding — to the allocator and the drive's validity map. A
+// write placed there later damages only what lies downstream of it, so
+// the file's bytes stay intact. Only a write-anywhere drive pads a
+// reservation with a guard: on a banded drive the allocator frees whole
+// bands, the file's live bytes included, so there the reservation stays.
+func (b *Backend) SealAppend(num uint64) error {
+	if b.drive.Guard() <= 0 {
+		return nil
+	}
+	b.mu.Lock()
+	fi, ok := b.files[num]
+	if !ok {
+		b.mu.Unlock()
+		return ErrNotFound
+	}
+	tail := Extent{Off: fi.ext.Off + fi.size, Len: fi.ext.Len - fi.size}
+	fi.ext.Len, fi.limit = fi.size, fi.size
+	b.mu.Unlock()
+	if tail.Len <= 0 {
+		return nil
+	}
+	b.alloc.Free(tail)
+	return b.drive.Free(tail.Off, tail.Len)
+}
+
 // OpenAppend reopens an existing append file for further appends
 // (MANIFEST continuation after recovery).
 func (b *Backend) OpenAppend(num uint64) (*AppendFile, error) {

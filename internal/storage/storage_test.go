@@ -351,3 +351,98 @@ func TestDynamicAllocatorSetsAWAOne(t *testing.T) {
 		t.Errorf("AWA = %v, want exactly 1.0", awa)
 	}
 }
+
+// TestSealAppendReleasesTheTailOnARawDrive: sealing an append file on a
+// write-anywhere drive gives its unused reservation and its guard back,
+// a table inserted there lands right after the file's last byte, and
+// the file still reads back whole with AWA exactly 1.
+func TestSealAppendReleasesTheTailOnARawDrive(t *testing.T) {
+	b, mgr, drive := newRawBackend(t)
+	f, err := b.CreateAppend(1, 1<<16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Repeat([]byte("segment!"), 375) // 3,000 bytes
+	if _, err := f.Write(want); err != nil {
+		t.Fatal(err)
+	}
+	// A neighbour after the reservation keeps the released tail a hole
+	// instead of folding it into the frontier.
+	if err := b.WriteFile(2, make([]byte, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	ext, _ := b.FileExtent(1)
+	before := mgr.AllocatedBytes()
+	if err := b.SealAppend(1); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := b.FileExtent(1); got != (Extent{Off: ext.Off, Len: int64(len(want))}) {
+		t.Fatalf("sealed extent %v, want [%d,+%d)", got, ext.Off, len(want))
+	}
+	if lim, _ := b.ReservedSize(1); lim != int64(len(want)) {
+		t.Fatalf("sealed reservation %d, want %d", lim, len(want))
+	}
+	if freed := before - mgr.AllocatedBytes(); freed != ext.Len-int64(len(want)) {
+		t.Fatalf("seal freed %d bytes, want %d", freed, ext.Len-int64(len(want)))
+	}
+	table := bytes.Repeat([]byte{0xAB}, 1<<15)
+	if err := b.WriteFile(3, table); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := b.FileExtent(3); got.Off != ext.Off+int64(len(want)) {
+		t.Fatalf("table placed at %v, want it at the sealed file's end %d", got, ext.Off+int64(len(want)))
+	}
+	got := make([]byte, len(want))
+	if _, err := b.ReadFileAt(1, got, 0); err != nil && err != io.EOF {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("sealed file damaged by the table in its released tail")
+	}
+	if awa := smr.AWA(drive); awa != 1.0 {
+		t.Fatalf("AWA = %v, want exactly 1.0", awa)
+	}
+	if err := b.Remove(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.SealAppend(1); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("sealing a removed file: %v, want ErrNotFound", err)
+	}
+}
+
+// TestSealAppendKeepsABandedReservation: a banded drive has no guard,
+// and freeing part of a band resets all of it, so sealing there changes
+// nothing and the file's bytes survive the next allocation.
+func TestSealAppendKeepsABandedReservation(t *testing.T) {
+	disk := platter.New(platter.DefaultConfig(16 << 20))
+	drive := smr.NewFixedBand(disk, 1<<20)
+	b := NewBackend(drive, NewBandAllocator(drive))
+	f, err := b.CreateAppend(1, 1<<16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Repeat([]byte("segment!"), 375)
+	if _, err := f.Write(want); err != nil {
+		t.Fatal(err)
+	}
+	ext, _ := b.FileExtent(1)
+	if err := b.SealAppend(1); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := b.FileExtent(1); got != ext {
+		t.Fatalf("sealed extent %v, want the reservation %v", got, ext)
+	}
+	if lim, _ := b.ReservedSize(1); lim != 1<<16 {
+		t.Fatalf("sealed reservation %d, want %d", lim, 1<<16)
+	}
+	if err := b.WriteFile(2, make([]byte, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(want))
+	if _, err := b.ReadFileAt(1, got, 0); err != nil && err != io.EOF {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("sealed file damaged on a banded drive")
+	}
+}

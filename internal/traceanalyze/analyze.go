@@ -269,11 +269,29 @@ func (r *Report) analyzeEvents(d *Dump) {
 	}
 }
 
+// freeExtent removes a freed range from the replayed extent table. A
+// free names a whole extent, or the tail past a sealed value-log
+// segment's last byte (storage.Backend.SealAppend), which shortens the
+// extent it ends.
+func freeExtent(exts map[int64]int64, off int64) {
+	if _, ok := exts[off]; ok {
+		delete(exts, off)
+		return
+	}
+	for o, l := range exts {
+		if o < off && off < o+l {
+			exts[o] = off - o
+			return
+		}
+	}
+}
+
 // analyzeSurface replays the allocator's side of the storage surface
 // from raw journal events: starting from the Meta baseline's extent
 // table, each dband_alloc_append/dband_alloc_insert inserts an extent
-// and dband_free removes one. The replayed end state yields physical
-// bytes and per-band allocation; the logical side is recomputed from
+// and dband_free removes one (or cuts a sealed segment's tail off it).
+// The replayed end state yields physical bytes and per-band
+// allocation; the logical side is recomputed from
 // flush/compaction level-byte deltas (exact only without the value
 // log), giving an independent space amplification. Per-band allocation
 // is checked against the window's final band_snapshot batch — the
@@ -302,7 +320,7 @@ func (r *Report) analyzeSurface(d *Dump) {
 			exts[e.Fields["off"]] = e.Fields["len"]
 		case "dband_free":
 			r.SurfaceEvents++
-			delete(exts, e.Fields["off"])
+			freeExtent(exts, e.Fields["off"])
 		case "flush":
 			logical += e.Fields["bytes"]
 		case "compaction":

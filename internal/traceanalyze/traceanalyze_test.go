@@ -117,10 +117,11 @@ func TestVerifyVlog(t *testing.T) {
 	if err := r.LoadRandom(3000); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Run(ycsb.WorkloadA, 600); err != nil {
+	if _, err := r.Run(ycsb.WorkloadA, 6000); err != nil {
 		t.Fatal(err)
 	}
-	// Drain every GC victim so relocation traffic is in the window too.
+	// 6,000 YCSB-A operations put the sealed log over its dead budget; drain every
+	// GC victim so relocation traffic is in the window too.
 	for {
 		res, err := db.VlogGC()
 		if err != nil {
@@ -129,6 +130,9 @@ func TestVerifyVlog(t *testing.T) {
 		if res.Victim == 0 {
 			break
 		}
+	}
+	if db.Stats().VlogGCRuns == 0 {
+		t.Fatal("no vlog GC pass ran in the window")
 	}
 	d := Collect(db, base)
 

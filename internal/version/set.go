@@ -58,6 +58,11 @@ type Set struct {
 	sets       map[uint64]SetInfo        // guarded by mu
 	vsegs      map[uint64]VlogSeg        // guarded by mu
 	vlogHead   VlogPos                   // guarded by mu
+	// sealed sums the Bytes, Overhead and Dead of the sealed segments in
+	// vsegs, and dead the Dead of all of them: running totals putVseg
+	// keeps, so the collector's budget check walks no segment.
+	sealed VlogSeg // guarded by mu
+	dead   int64   // guarded by mu
 	// dropped holds, for each value-log segment this Set registered, the
 	// bits of the records whose last tree entry a compaction dropped
 	// (VlogDeadRecord.Dropped). It is never persisted, and a recovered
@@ -346,7 +351,7 @@ func (s *Set) install(e *Edit, nv *Version, deleted []*FileMeta) {
 		delete(s.sets, id)
 	}
 	for _, num := range e.NewVlogSegs {
-		s.vsegs[num] = VlogSeg{Num: num}
+		s.putVseg(VlogSeg{Num: num})
 		if num >= s.nextFile {
 			s.nextFile = num + 1
 		}
@@ -357,7 +362,7 @@ func (s *Set) install(e *Edit, nv *Version, deleted []*FileMeta) {
 		if vs.Dead > vs.Bytes-vs.Overhead {
 			vs.Dead = vs.Bytes - vs.Overhead
 		}
-		s.vsegs[vr.Num] = vs
+		s.putVseg(vs)
 		if vr.Num >= s.nextFile {
 			s.nextFile = vr.Num + 1
 		}
@@ -368,18 +373,38 @@ func (s *Set) install(e *Edit, nv *Version, deleted []*FileMeta) {
 			if vs.Sealed && vs.Dead > vs.Bytes-vs.Overhead {
 				vs.Dead = vs.Bytes - vs.Overhead
 			}
-			s.vsegs[dr.Num] = vs
+			s.putVseg(vs)
 		}
 		if b, ok := s.dropped[dr.Num]; ok && len(dr.Dropped) > 0 {
 			s.dropped[dr.Num] = b.with(dr.Dropped)
 		}
 	}
 	for _, num := range e.DropVlogSegs {
+		s.tallyVseg(s.vsegs[num], -1)
 		delete(s.vsegs, num)
 		delete(s.dropped, num)
 	}
 	if e.HasVlogHead {
 		s.vlogHead = e.VlogHead
+	}
+}
+
+// putVseg makes vs its segment's record and keeps the running totals in
+// step. Caller holds s.mu.
+func (s *Set) putVseg(vs VlogSeg) {
+	s.tallyVseg(s.vsegs[vs.Num], -1)
+	s.tallyVseg(vs, 1)
+	s.vsegs[vs.Num] = vs
+}
+
+// tallyVseg adds vs into (sign 1) or takes it out of (-1) the running
+// totals. Caller holds s.mu.
+func (s *Set) tallyVseg(vs VlogSeg, sign int64) {
+	s.dead += sign * vs.Dead
+	if vs.Sealed {
+		s.sealed.Bytes += sign * vs.Bytes
+		s.sealed.Overhead += sign * vs.Overhead
+		s.sealed.Dead += sign * vs.Dead
 	}
 }
 
@@ -508,6 +533,12 @@ func (s *Set) checkInvariantsLocked() {
 	if err := s.current.CheckInvariants(s.cfg.SortedLevel); err != nil {
 		invariant.Assert(false, "version state invalid after edit: %v", err)
 	}
+	recount := &Set{vsegs: map[uint64]VlogSeg{}}
+	for _, vs := range s.vsegs {
+		recount.putVseg(vs)
+	}
+	invariant.Assert(recount.sealed == s.sealed && recount.dead == s.dead,
+		"vlog totals %+v/%d drifted from their recount %+v/%d", s.sealed, s.dead, recount.sealed, recount.dead)
 }
 
 // Current returns the live version. The returned value is immutable.
@@ -586,31 +617,33 @@ func (s *Set) VlogDropped(num uint64) VlogBits {
 	return s.dropped[num]
 }
 
-// VlogTotals sums the segment records: bytes and overhead of the sealed
-// segments (the active one's are the writer's to add), dead bytes of all.
+// VlogTotals returns the running sums of the segment records: bytes and
+// overhead of the sealed segments (the active one's are the writer's to
+// add), dead bytes of all.
 func (s *Set) VlogTotals() (bytes, overhead, dead int64, segments int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, vs := range s.vsegs {
-		bytes += vs.Bytes
-		overhead += vs.Overhead
-		dead += vs.Dead
-	}
-	return bytes, overhead, dead, len(s.vsegs)
+	return s.sealed.Bytes, s.sealed.Overhead, s.dead, len(s.vsegs)
 }
 
-// VlogVictim returns the sealed segment before the replay head with the
-// highest dead ratio, if any reaches minRatio. Segments from the head on
-// are still the write-ahead log of unflushed batches, and collecting one
-// would delete acknowledged writes recovery has yet to replay. Ties
-// break toward the lowest number, so the choice is a function of the
-// state.
-func (s *Set) VlogVictim(minRatio float64) (VlogSeg, bool) {
+// VlogVictim returns the collector's next victim while the sealed log is
+// over its dead budget — its dead record bytes above budget of its record
+// bytes, a check on the running sums: the sealed segment before the
+// replay head with the highest dead ratio, if that ratio is over the
+// budget too (collecting one less dead would raise the log's dead share).
+// Segments from the head on are still the write-ahead
+// log of unflushed batches, and collecting one would delete acknowledged
+// writes recovery has yet to replay. Ties break toward the lowest number,
+// so the choice is a function of the state.
+func (s *Set) VlogVictim(budget float64) (VlogSeg, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var best VlogSeg
+	if s.sealed.DeadRatio() <= budget {
+		return best, false
+	}
 	for _, vs := range s.vsegs {
-		if !vs.Sealed || vs.Num >= s.vlogHead.Seg || vs.DeadRatio() < minRatio {
+		if !vs.Sealed || vs.Num >= s.vlogHead.Seg || vs.DeadRatio() <= budget {
 			continue
 		}
 		if best.Num == 0 || vs.DeadRatio() > best.DeadRatio() ||

@@ -130,44 +130,71 @@ func TestVlogDroppedRecords(t *testing.T) {
 	}
 }
 
-// TestVlogVictimSelection: the collector's choice is the sealed segment
-// before the replay head with the highest dead ratio at or above the
-// threshold, lowest number on a tie.
+// TestVlogVictimSelection: the collector runs only while the sealed
+// log's dead record bytes are over the budget's share of its record
+// bytes, and then takes the sealed segment before the replay head with
+// the highest dead ratio — itself over the budget — lowest number on a
+// tie. The sealed totals the budget is checked on are running sums that
+// always equal a recount.
 func TestVlogVictimSelection(t *testing.T) {
 	s, _ := newTestSet(t, 0)
+	apply := func(e *Edit) {
+		t.Helper()
+		mustApply(t, s, e)
+		var bytes, overhead, dead int64
+		for _, vs := range s.VlogSegs() {
+			if dead += vs.Dead; vs.Sealed {
+				bytes, overhead = bytes+vs.Bytes, overhead+vs.Overhead
+			}
+		}
+		if b, o, d, n := s.VlogTotals(); b != bytes || o != overhead || d != dead || n != len(s.VlogSegs()) {
+			t.Fatalf("totals %d/%d/%d over %d segments, recount %d/%d/%d", b, o, d, n, bytes, overhead, dead)
+		}
+	}
 	head := func(seg uint64) *Edit { return &Edit{HasVlogHead: true, VlogHead: VlogPos{Seg: seg, Off: 8}} }
-	mustApply(t, s, head(100))
-	// Active segment: never a victim regardless of dead ratio.
-	mustApply(t, s, &Edit{NewVlogSegs: []uint64{1}, VlogDead: []VlogDeadRecord{{Num: 1, Dead: 100}}})
+	apply(head(100))
+	// Active segment: never a victim, and its dead bytes are not the
+	// sealed log's.
+	apply(&Edit{NewVlogSegs: []uint64{1}, VlogDead: []VlogDeadRecord{{Num: 1, Dead: 100}}})
 	if v, ok := s.VlogVictim(0.1); ok {
 		t.Fatalf("unsealed victim selected: %+v", v)
 	}
-	// Sealed segments: highest dead ratio wins.
-	mustApply(t, s, &Edit{
-		SealVlogSegs: []VlogSegRecord{{Num: 2, Bytes: 1000}, {Num: 3, Bytes: 1000}, {Num: 4, Bytes: 1000}},
-		VlogDead:     []VlogDeadRecord{{Num: 2, Dead: 300}, {Num: 3, Dead: 700}, {Num: 4, Dead: 500}},
+	// Sealed segments of 900 record bytes each at dead ratios 0.2, 0.7
+	// and 0.5: the log's dead share is 1260/2700 = 0.467.
+	apply(&Edit{
+		SealVlogSegs: []VlogSegRecord{{Num: 2, Bytes: 1000, Overhead: 100}, {Num: 3, Bytes: 1000, Overhead: 100}, {Num: 4, Bytes: 1000, Overhead: 100}},
+		VlogDead:     []VlogDeadRecord{{Num: 2, Dead: 180}, {Num: 3, Dead: 630}, {Num: 4, Dead: 450}},
 	})
 	if v, ok := s.VlogVictim(0.25); !ok || v.Num != 3 {
-		t.Fatalf("victim = %+v, %v; want segment 3", v, ok)
+		t.Fatalf("victim = %+v, %v; want the deadest segment 3", v, ok)
 	}
-	// Threshold excludes everything below it.
-	if v, ok := s.VlogVictim(0.75); ok {
-		t.Fatalf("victim above threshold: %+v", v)
+	// Under budget nothing is collected, however dead one segment is.
+	if v, ok := s.VlogVictim(0.5); ok {
+		t.Fatalf("victim with the log under budget: %+v", v)
 	}
 	// Deterministic tie-break: equal ratios pick the lowest number.
-	mustApply(t, s, &Edit{VlogDead: []VlogDeadRecord{{Num: 2, Dead: 400}}}) // seg 2 now 0.7, tied with seg 3
-	if v, ok := s.VlogVictim(0.25); !ok || v.Num != 2 {
-		t.Fatalf("tie-break victim = %+v, %v; want segment 2", v, ok)
+	apply(&Edit{VlogDead: []VlogDeadRecord{{Num: 4, Dead: 180}}}) // 3 and 4 at 0.7
+	if v, ok := s.VlogVictim(0.25); !ok || v.Num != 3 {
+		t.Fatalf("tie-break victim = %+v, %v; want segment 3", v, ok)
 	}
-	// Segments at or past the replay head are never victims, however
-	// dead.
-	mustApply(t, s, head(2))
+	// Segments at or past the replay head are never victims, however far
+	// over budget the log is; nor is one no deader than the budget, whose
+	// collection would raise the log's dead share.
+	apply(head(3))
 	if v, ok := s.VlogVictim(0.25); ok {
-		t.Fatalf("victim at the replay head: %+v", v)
+		t.Fatalf("victim at the replay head or under budget: %+v", v)
 	}
-	mustApply(t, s, &Edit{SealVlogSegs: []VlogSegRecord{{Num: 1, Bytes: 100}}})
+	apply(&Edit{VlogDead: []VlogDeadRecord{{Num: 2, Dead: 180}}}) // 2 at 0.4
+	if v, ok := s.VlogVictim(0.25); !ok || v.Num != 2 {
+		t.Fatalf("victim before head 3 = %+v, %v; want segment 2", v, ok)
+	}
+	apply(&Edit{SealVlogSegs: []VlogSegRecord{{Num: 1, Bytes: 100}}})
 	if v, ok := s.VlogVictim(0.25); !ok || v.Num != 1 {
-		t.Fatalf("victim before head 2 = %+v, %v; want segment 1", v, ok)
+		t.Fatalf("victim before head 3 = %+v, %v; want the wholly dead segment 1", v, ok)
+	}
+	apply(&Edit{DropVlogSegs: []uint64{1, 2}})
+	if bytes, overhead, dead, segs := s.VlogTotals(); bytes != 2000 || overhead != 200 || dead != 1260 || segs != 2 {
+		t.Fatalf("totals after the drops: %d bytes, %d overhead, %d dead, %d segments", bytes, overhead, dead, segs)
 	}
 }
 
