@@ -64,7 +64,7 @@ func TestLoadCounts(t *testing.T) {
 		{[]string{"14"}, 3, 3},
 	} {
 		o := QuickOptions()
-		o.LoadMB = 2 // the smallest load at which every store still merges
+		o.LoadMB = 4 // the smallest load at which every store still merges
 		o.Ops = 20
 		var opened []*lsm.DB
 		open := 0

@@ -41,7 +41,7 @@ func TestCompactionMergesLevelsNotFiles(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer d.Close()
-			loadRandom(t, d, 12000, 5)
+			loadRandom(t, d, 16000, 5)
 			d.mu.Lock()
 			defer d.mu.Unlock()
 			// Level 0 included, and not empty: its files stay a child each.

@@ -4,6 +4,7 @@ import (
 	"io"
 	"slices"
 	"sort"
+	"time"
 
 	"sealdb/internal/kv"
 	"sealdb/internal/obs"
@@ -19,27 +20,42 @@ type compaction struct {
 	inputs0  []*version.FileMeta // from level
 	inputs1  []*version.FileMeta // from outLevel (the victim's set)
 	trivial  bool
+	// An L0 unit's rent is the device time reads of L0's tables have
+	// taken, its price that of reading and writing the unit sequentially.
+	rent, price time.Duration
 }
 
 // debtBound is the score at which a level falls due. Compaction
 // tolerates debt as LevelDB 1.19 does (L0 compaction starts at 4 files,
-// writers stall only at 8): a level runs overweight to 1.5x its target,
-// then drains below 1.0x in one sweep, and the victims taken from a fat
-// level overlap less of the level below.
+// writers slow at 8 and stop at 12): a level runs overweight to 1.5x its
+// target, then drains below 1.0x in one sweep, and the victims taken
+// from a fat level overlap less of the level below.
 const debtBound = 1.5
+
+// l0StopBound is L0's due score while reads have not paid for a drain:
+// LevelDB's stop trigger, 12 files with a trigger of 4.
+const l0StopBound = 3
 
 // pickCompaction selects the draining level with the highest score and
 // builds the compaction unit around its victim. A level starts draining
 // when its score reaches due (debtBound, or 1 to settle the tree) and
-// stops once it is below 1.0; nil means no level is draining. Caller
-// holds d.mu.
+// stops once it is below 1.0; nil means no level is draining. At
+// debtBound, L0 starts at 1.5x only once its rent has reached the price
+// of the unit that would drain it (ski rental: a write-only load never
+// pays, so its L0 drains at l0StopBound, half as often). Caller holds d.mu.
 func (d *DB) pickCompaction(due float64) *compaction {
 	v := d.vs.Current()
 	level, best := -1, 0.0
+	var c *compaction // L0's unit, once priced
 	// The last level has no target (nowhere to push data down to).
 	for l := 0; l < d.cfg.NumLevels-1; l++ {
 		s := d.cfg.score(v, l)
-		d.draining[l] = s >= due || d.draining[l] && s >= 1
+		start := s >= due
+		if l == 0 && start && due == debtBound && s < l0StopBound && !d.draining[0] {
+			c = d.buildCompaction(v, 0, []*version.FileMeta{d.pickVictim(v, 0)})
+			start = c.rent >= c.price
+		}
+		d.draining[l] = start || d.draining[l] && s >= 1
 		if d.draining[l] && s > best {
 			level, best = l, s
 		}
@@ -47,7 +63,9 @@ func (d *DB) pickCompaction(due float64) *compaction {
 	if level < 0 {
 		return nil
 	}
-
+	if level == 0 && c != nil {
+		return c
+	}
 	victim := d.pickVictim(v, level)
 	if victim == nil {
 		return nil
@@ -97,6 +115,19 @@ func (d *DB) buildCompaction(v *version.Version, level int, seeds []*version.Fil
 	// moves down without I/O (LevelDB's IsTrivialMove). Legal into an
 	// overlapped level too — overlap is permitted there by design.
 	c.trivial = len(c.inputs0) == 1 && len(c.inputs1) == 0
+	if level == 0 {
+		for _, f := range v.Files[0] {
+			if t := f.Reader.Load(); t != nil {
+				c.rent += t.Source().(*storage.Handle).ReadTime()
+			}
+		}
+		var n int64
+		for _, f := range slices.Concat(c.inputs0, c.inputs1) {
+			n += f.Size
+		}
+		pc := d.disk.Config()
+		c.price = time.Duration(float64(n) * (1/pc.SeqReadBps + 1/pc.SeqWriteBps) * float64(time.Second))
+	}
 	return c
 }
 
@@ -201,6 +232,10 @@ func (d *DB) install(edit *version.Edit) error {
 func (d *DB) compact(c *compaction, sp *obs.Span) (CompactionInfo, error) {
 	sp.Set("from", int64(c.level))
 	sp.Set("to", int64(c.outLevel))
+	if c.level == 0 {
+		sp.Set("rent_ns", int64(c.rent))
+		sp.Set("price_ns", int64(c.price))
+	}
 	info := CompactionInfo{
 		FromLevel: c.level, ToLevel: c.outLevel,
 		Inputs0: len(c.inputs0), Inputs1: len(c.inputs1),

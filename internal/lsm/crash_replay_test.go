@@ -87,12 +87,14 @@ func TestCrashReplayLong(t *testing.T) {
 // TestCrashReplayRelocation is a long script with a band-GC pass after
 // ops 875 and 1,300, so cuts land at every write inside a set
 // relocation: the copy's group write, the edit that swaps it in, and
-// what follows. Either set must recover whole. The script is seed 43's:
-// seed 42's 1,500 ops leave no fragment in front of a set at any op.
+// what follows. Either set must recover whole. The script is seed 43's,
+// 1,650 ops long: seed 42's 1,500 ops leave no fragment in front of a
+// set at any op, and nor do seed 43's 1,500 since a level 0 that nothing
+// reads drains at 12 files.
 func TestCrashReplayRelocation(t *testing.T) {
 	cfg := longCrashConfig()
 	var ops []crashtest.Op
-	for i, op := range crashtest.Workload(43, 1500, 400) {
+	for i, op := range crashtest.Workload(43, 1650, 400) {
 		if ops = append(ops, op); i == 875 || i == 1300 {
 			ops = append(ops, crashtest.Op{Kind: crashtest.OpDefrag})
 		}

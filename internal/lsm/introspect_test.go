@@ -39,7 +39,7 @@ func TestLevelProfile(t *testing.T) {
 func TestSetProfile(t *testing.T) {
 	d, _ := Open(tinyConfig(ModeSEALDB))
 	defer d.Close()
-	loadRandom(t, d, 8000, 5)
+	loadRandom(t, d, 10000, 5)
 	sp := d.SetProfile()
 	if sp.LiveSets == 0 || sp.LiveMembers == 0 {
 		t.Fatalf("no sets after deep load: %+v", sp)
@@ -128,7 +128,7 @@ func TestDefragmentBands(t *testing.T) {
 	}
 	defer d.Close()
 	// Heavy churn produces dead sets and fragments.
-	ref := loadRandom(t, d, 12000, 17)
+	ref := loadRandom(t, d, 14000, 17)
 
 	before := d.Device().DBand.FragmentBytes(cfg.SSTableSize + cfg.GuardSize)
 	res, err := d.DefragmentBands(0)
@@ -279,7 +279,7 @@ func TestTableReaderLivesWithItsFile(t *testing.T) {
 		t.Errorf("the trivial move left L1 with %v holding %p, want %v holding %p", moved, moved.Reader.Load(), f, opened)
 	}
 
-	ref := loadRandom(t, d, 12000, 17)
+	ref := loadRandom(t, d, 14000, 17)
 	verifyAll(t, d, ref)
 	// Every other table is open, the rest are as if no read reached them;
 	// a member's copy is found by its smallest key.

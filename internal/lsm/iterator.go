@@ -137,10 +137,10 @@ func (m *mergingIter) Value() []byte       { return m.children[m.cur].Value() }
 
 var _ kv.Iterator = (*mergingIter)(nil)
 
-// concatIter iterates the files of a sorted, disjoint level in key
-// order, opening one table at a time: through openStreaming for a user
-// read, out of inputs, by file number, for a compaction that holds its
-// input iterators already.
+// concatIter iterates the files of a sorted, disjoint level (or a
+// single table) in key order, opening one table at a time: through
+// openStreaming for a user read, out of inputs, by file number, for a
+// compaction that holds its input iterators already.
 type concatIter struct {
 	d      *DB
 	files  []*version.FileMeta
@@ -167,8 +167,7 @@ func closeTable(it kv.Iterator) {
 	}
 }
 
-func (c *concatIter) Close()    { closeTable(c.cur) }
-func (l *lazyTableIter) Close() { closeTable(l.it) }
+func (c *concatIter) Close() { closeTable(c.cur) }
 
 func (c *concatIter) openIdx() {
 	c.Close()
@@ -289,7 +288,7 @@ func (d *DB) newIterator(snap *Snapshot, limit int) *Iterator {
 	if snap != nil {
 		seq = snap.seq
 	}
-	children := []kv.Iterator{s.mem.NewIterator()}
+	children := append(make([]kv.Iterator, 0, 2+len(s.v.Files)+len(s.v.Files[0])), s.mem.NewIterator())
 	if s.imm != nil {
 		children = append(children, s.imm.NewIterator())
 	}
@@ -297,13 +296,18 @@ func (d *DB) newIterator(snap *Snapshot, limit int) *Iterator {
 	for level := range s.v.Files {
 		total += s.v.LevelBytes(level)
 	}
-	for level := 0; level < d.cfg.NumLevels; level++ {
-		if files := s.v.Files[level]; d.cfg.sortedLevel(level) && len(files) > 0 {
+	// A sorted level is one child; an overlapped level's tables (L0's)
+	// are one child each, allocated together. Either opens a table on
+	// the first move that needs it.
+	for level, files := range s.v.Files {
+		if d.cfg.sortedLevel(level) && len(files) > 0 {
 			children = append(children, &concatIter{d: d, files: files, span: d.spanFor(limit, s.v.LevelBytes(level), total)})
-		} else {
-			for _, f := range files {
-				children = append(children, &lazyTableIter{d: d, f: f, span: d.spanFor(limit, f.Size, total)})
-			}
+			continue
+		}
+		tables := make([]concatIter, len(files))
+		for i, f := range files {
+			tables[i] = concatIter{d: d, files: files[i : i+1], span: d.spanFor(limit, f.Size, total)}
+			children = append(children, &tables[i])
 		}
 	}
 	return &Iterator{d: d, s: s, m: newMergingIter(children...), seq: seq}
@@ -328,52 +332,6 @@ func (d *DB) noteBuilt(m sstable.Meta) {
 	d.builtBytes.Add(m.Size)
 	d.builtEntries.Add(int64(m.Entries))
 }
-
-// lazyTableIter defers opening a table until first use.
-type lazyTableIter struct {
-	d    *DB
-	f    *version.FileMeta
-	span int
-	it   kv.Iterator
-	err  error
-}
-
-func (l *lazyTableIter) open() bool {
-	if l.it == nil && l.err == nil {
-		l.it, l.err = l.d.openStreaming(l.f, l.span)
-	}
-	return l.err == nil
-}
-
-func (l *lazyTableIter) Valid() bool { return l.err == nil && l.it != nil && l.it.Valid() }
-func (l *lazyTableIter) Error() error {
-	if l.err != nil {
-		return l.err
-	}
-	if l.it != nil {
-		return l.it.Error()
-	}
-	return nil
-}
-func (l *lazyTableIter) SeekToFirst() {
-	if l.open() {
-		l.it.SeekToFirst()
-	}
-}
-func (l *lazyTableIter) Seek(t kv.InternalKey) {
-	if l.open() {
-		l.it.Seek(t)
-	}
-}
-func (l *lazyTableIter) SeekToLast() {
-	if l.open() {
-		l.it.SeekToLast()
-	}
-}
-func (l *lazyTableIter) Next()               { l.it.Next() }
-func (l *lazyTableIter) Prev()               { l.it.Prev() }
-func (l *lazyTableIter) Key() kv.InternalKey { return l.it.Key() }
-func (l *lazyTableIter) Value() []byte       { return l.it.Value() }
 
 // open reports whether the iterator may move: once it or its DB is
 // closed it is left invalid with ErrClosed, touching no storage.

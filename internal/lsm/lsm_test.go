@@ -175,7 +175,7 @@ func TestSMRDBUsesTwoLevels(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	ref := loadRandom(t, d, 12000, 3) // L0 falls due at its sixth band-sized table
+	ref := loadRandom(t, d, 16000, 3) // L0, never read, falls due at its twelfth band-sized table
 	v := d.vs.Current()
 	for l := 2; l < 7; l++ {
 		if v.NumFiles(l) != 0 {
@@ -225,7 +225,7 @@ func TestSEALDBSetsAreContiguous(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	loadRandom(t, d, 8000, 11)
+	loadRandom(t, d, 10000, 11)
 	// Every file at level >= 2 belongs to a set, and the files of a
 	// set occupy one contiguous extent in file order.
 	v := d.vs.Current()

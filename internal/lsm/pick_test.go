@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"sealdb/internal/invariant"
 	"sealdb/internal/kv"
@@ -48,21 +49,27 @@ func TestPickCompactionIdleWhenBalanced(t *testing.T) {
 func TestPickCompactionL0Fixpoint(t *testing.T) {
 	d, _ := Open(tinyConfig(ModeSEALDB))
 	defer d.Close()
-	// Six overlapping-chain L0 files (L0 falls due at 1.5x the trigger
-	// of 4): a-c, c-e, ..., k-m. Picking any victim must transitively
-	// pull in the whole chain.
-	var adds []version.AddedFile
-	for i := 0; i < 6; i++ {
+	// An overlapping chain of L0 files that nothing has read: a-c, c-e,
+	// ... L0 falls due only at LevelDB's stop trigger, 3x the trigger of
+	// 4, and picking any victim must transitively pull in the whole chain.
+	stop := d.cfg.L0CompactTrigger * l0StopBound
+	for i := 0; i < stop; i++ {
 		lo, hi := string(rune('a'+2*i)), string(rune('c'+2*i))
-		adds = append(adds, version.AddedFile{Level: 0, Meta: mkMeta(d.vs.NewFileNum(), lo, hi, 1000)})
-	}
-	installFiles(t, d, adds)
-	c := d.pickCompaction(debtBound)
-	if c == nil {
-		t.Fatal("no compaction with L0 due")
-	}
-	if c.level != 0 || len(c.inputs0) != 6 {
-		t.Fatalf("L0 fixpoint: level %d inputs %d, want level 0 with 6", c.level, len(c.inputs0))
+		installFiles(t, d, []version.AddedFile{{Level: 0, Meta: mkMeta(d.vs.NewFileNum(), lo, hi, 1000)}})
+		c := d.pickCompaction(debtBound)
+		if i < stop-1 {
+			if c != nil {
+				t.Fatalf("%d unread L0 files picked a compaction: %+v", i+1, c)
+			}
+			continue
+		}
+		if c == nil {
+			t.Fatal("no compaction with L0 due")
+		}
+		if c.level != 0 || len(c.inputs0) != stop || c.rent != 0 || c.price <= 0 {
+			t.Fatalf("L0 fixpoint: level %d inputs %d rent %v price %v, want level 0 with %d, no rent and a price",
+				c.level, len(c.inputs0), c.rent, c.price, stop)
+		}
 	}
 }
 
@@ -181,7 +188,7 @@ func TestSMRDBFanInCap(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		adds = append(adds, version.AddedFile{Level: 1, Meta: mkMeta(d.vs.NewFileNum(), "a", "z", 1000)})
 	}
-	for i := 0; i < cfg.L0CompactTrigger*3/2; i++ {
+	for i := 0; i < cfg.L0CompactTrigger*l0StopBound; i++ {
 		adds = append(adds, version.AddedFile{Level: 0, Meta: mkMeta(d.vs.NewFileNum(), "a", "z", 1000)})
 	}
 	installFiles(t, d, adds)
@@ -194,33 +201,150 @@ func TestSMRDBFanInCap(t *testing.T) {
 	}
 }
 
+// flushL0 writes one version of 50 keys and flushes it to an L0 table,
+// through the writer call that runs whatever falls due.
+func flushL0(t *testing.T, d *DB, version int) {
+	t.Helper()
+	for k := 0; k < 50; k++ {
+		if err := d.Put([]byte(fmt.Sprintf("k%03d", k)), []byte(fmt.Sprintf("v%d", version))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.FlushMemtable(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// readL0 reads every key with a Get and the whole store with a Scan.
+func readL0(t *testing.T, d *DB) {
+	t.Helper()
+	for k := 0; k < 50; k++ {
+		if _, err := d.Get([]byte(fmt.Sprintf("k%03d", k))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if kvs, err := d.Scan(nil, 100); err != nil || len(kvs) != 50 {
+		t.Fatalf("Scan = %d entries, %v", len(kvs), err)
+	}
+}
+
+// l0Rent is what reads of L0's current tables have cost the device.
+func l0Rent(d *DB) time.Duration {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	v := d.vs.Current()
+	return d.buildCompaction(v, 0, v.Files[0][:1]).rent
+}
+
+// lastL0Drain returns the rent_ns and price_ns of the last L0 compaction's
+// journal span.
+func lastL0Drain(t *testing.T, d *DB) (rent, price int64) {
+	t.Helper()
+	evs := d.Events()
+	for i := len(evs) - 1; i >= 0; i-- {
+		if e := evs[i]; e.Type == "compaction" && e.Fields["from"] == 0 {
+			if _, ok := e.Fields["price_ns"]; !ok {
+				t.Fatalf("L0 compaction span without a price: %v", e.Fields)
+			}
+			return e.Fields["rent_ns"], e.Fields["price_ns"]
+		}
+	}
+	t.Fatal("no L0 compaction in the journal")
+	return 0, 0
+}
+
 // TestDebtTolerantTrigger: a level falls due at debtBound, not at its
-// target, and a due level drains below 1.0 in the writer call that
-// found it due; a reopened store does not remember a drain, and
-// CompactAll settles every level below 1.0.
+// target — L0 only once reads of its tables have paid the device time
+// its drain costs, else at l0StopBound — and a due level drains below
+// 1.0 in the writer call that found it due; a reopened store does not
+// remember a drain or L0's rent, and CompactAll settles every level
+// below 1.0.
 func TestDebtTolerantTrigger(t *testing.T) {
-	t.Run("L0 due at 6 files", func(t *testing.T) {
+	stop := tinyConfig(ModeSEALDB).L0CompactTrigger * l0StopBound
+	t.Run("a write-only L0 holds 11 files and drains at the 12th", func(t *testing.T) {
 		d, _ := Open(tinyConfig(ModeSEALDB))
 		defer d.Close()
-		for i := 1; i <= 6; i++ {
-			for k := 0; k < 50; k++ {
-				if err := d.Put([]byte(fmt.Sprintf("k%03d", k)), []byte(fmt.Sprintf("v%d", i))); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := d.FlushMemtable(); err != nil {
-				t.Fatal(err)
-			}
+		for i := 1; i <= stop; i++ {
+			flushL0(t, d, i)
 			want := i
-			if i == 6 {
+			if i == stop {
 				want = 0
 			}
 			if n := d.vs.Current().NumFiles(0); n != want {
 				t.Fatalf("after %d flushes L0 holds %d files, want %d", i, n, want)
 			}
-			if c := d.pickCompaction(debtBound); i == 5 && c != nil {
-				t.Fatalf("5 L0 files picked a compaction: %+v", c)
+		}
+		if rent, price := lastL0Drain(t, d); rent != 0 || price <= 0 {
+			t.Fatalf("the drain was charged rent %d ns at price %d ns, want none at a price", rent, price)
+		}
+	})
+
+	// Reads that pay the drain bring L0 due at its 6th file.
+	t.Run("L0 due at 6 files", func(t *testing.T) {
+		d, _ := Open(tinyConfig(ModeSEALDB))
+		defer d.Close()
+		for i := 1; i <= 6; i++ {
+			flushL0(t, d, i)
+			if i < 6 {
+				readL0(t, d)
+				if c := d.pickCompaction(debtBound); i == 5 && c != nil {
+					t.Fatalf("5 L0 files picked a compaction: %+v", c)
+				}
+				continue
 			}
+			if n := d.vs.Current().NumFiles(0); n != 0 {
+				t.Fatalf("after 6 read flushes L0 holds %d files, want 0", n)
+			}
+		}
+		if rent, price := lastL0Drain(t, d); rent < price || price <= 0 {
+			t.Fatalf("the drain was charged rent %d ns at price %d ns, want the price paid", rent, price)
+		}
+	})
+
+	t.Run("reads that hit the cache charge nothing", func(t *testing.T) {
+		d, _ := Open(tinyConfig(ModeSEALDB))
+		defer d.Close()
+		for i := 1; i <= 5; i++ {
+			flushL0(t, d, i)
+		}
+		readL0(t, d)
+		rent, hits := l0Rent(d), d.cache.Stats().Hits
+		if rent <= 0 {
+			t.Fatal("reads of uncached L0 tables charged no rent")
+		}
+		readL0(t, d)
+		if got := l0Rent(d); got != rent || d.cache.Stats().Hits == hits {
+			t.Fatalf("cached reads moved the rent from %v to %v (cache hits %d -> %d)", rent, got, hits, d.cache.Stats().Hits)
+		}
+	})
+
+	t.Run("a reopened store's L0 rent starts at zero", func(t *testing.T) {
+		cfg := tinyConfig(ModeSEALDB)
+		d, _ := Open(cfg)
+		for i := 1; i <= 5; i++ {
+			flushL0(t, d, i)
+		}
+		readL0(t, d)
+		if l0Rent(d) <= 0 {
+			t.Fatal("reads of uncached L0 tables charged no rent")
+		}
+		d.Close()
+		d, err := OpenDevice(cfg, d.Device())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		if rent := l0Rent(d); rent != 0 {
+			t.Fatalf("reopened L0 starts at rent %v", rent)
+		}
+		for i := 6; i <= stop; i++ {
+			flushL0(t, d, i)
+			if n := d.vs.Current().NumFiles(0); i < stop && n != i {
+				t.Fatalf("reopened after 5 read flushes, %d flushes leave L0 at %d files", i, n)
+			}
+		}
+		if rent, _ := lastL0Drain(t, d); rent != 0 {
+			t.Fatalf("reopened L0 drained at rent %d ns, want none", rent)
 		}
 	})
 
@@ -236,7 +360,11 @@ func TestDebtTolerantTrigger(t *testing.T) {
 			}
 			v := d.vs.Current()
 			for l := 0; l < d.cfg.NumLevels-1; l++ {
-				if s := d.cfg.score(v, l); s >= debtBound || d.draining[l] {
+				bound := debtBound
+				if l == 0 {
+					bound = l0StopBound // nothing reads it
+				}
+				if s := d.cfg.score(v, l); s >= bound || d.draining[l] {
 					t.Fatalf("put %d left L%d at %.2fx (draining %v)", i, l, s, d.draining[l])
 				}
 			}
@@ -269,9 +397,17 @@ func TestDebtTolerantTrigger(t *testing.T) {
 			if err := d.Put([]byte(fmt.Sprintf("key%07d", rng.Intn(20000))), []byte(fmt.Sprintf("value-%040d", i))); err != nil {
 				t.Fatal(err)
 			}
-			// Recovery flushes the replayed log to one more L0 file.
+			// A short scan now and then pays L0's rent, so L0 drains at
+			// 6 files, in steps small enough for L1 to rest under 1.5x.
+			if i%100 == 0 {
+				if _, err := d.Scan([]byte(fmt.Sprintf("key%07d", rng.Intn(20000))), 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Recovery flushes the replayed log to one more L0 file, and
+			// the reopened L0 falls due at 12 whatever it held.
 			v := d.vs.Current()
-			if s := d.cfg.score(v, 1); s >= 1.15 && s < 1.3 && v.NumFiles(0) < 5 {
+			if s := d.cfg.score(v, 1); s >= 1.15 && s < 1.3 && v.NumFiles(0) < stop-1 {
 				break
 			}
 		}

@@ -38,10 +38,7 @@ func (b *blockBuilder) reset() {
 func (b *blockBuilder) add(key, value []byte) {
 	shared := 0
 	if b.counter < restartInterval {
-		n := len(b.lastKey)
-		if len(key) < n {
-			n = len(key)
-		}
+		n := min(len(b.lastKey), len(key))
 		for shared < n && b.lastKey[shared] == key[shared] {
 			shared++
 		}

@@ -38,17 +38,8 @@ func bloomHash(key []byte) uint32 {
 // appendBloom appends to dst a filter block over the keys whose
 // bloomHash values are hashes. The last byte stores the probe count.
 func appendBloom(dst []byte, hashes []uint32) []byte {
-	k := uint8(bloomBitsPerKey * 69 / 100) // bitsPerKey * ln2
-	if k < 1 {
-		k = 1
-	}
-	if k > 30 {
-		k = 30
-	}
-	bits := len(hashes) * bloomBitsPerKey
-	if bits < 64 {
-		bits = 64
-	}
+	k := min(max(uint8(bloomBitsPerKey*69/100), 1), 30) // bitsPerKey * ln2
+	bits := max(len(hashes)*bloomBitsPerKey, 64)
 	nbytes := (bits + 7) / 8
 	bits = nbytes * 8
 	dst = append(dst, make([]byte, nbytes+1)...)

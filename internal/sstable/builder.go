@@ -160,10 +160,7 @@ func (b *Builder) flushPendingIndex(next kv.InternalKey) {
 // as short as possible on the user-key portion, built in dst's storage.
 func separator(dst []byte, prev kv.InternalKey, next kv.InternalKey) kv.InternalKey {
 	a, bkey := prev.UserKey(), next.UserKey()
-	n := len(a)
-	if len(bkey) < n {
-		n = len(bkey)
-	}
+	n := min(len(a), len(bkey))
 	i := 0
 	for i < n && a[i] == bkey[i] {
 		i++

@@ -94,6 +94,9 @@ func OpenBuilt(data []byte, r io.ReaderAt, fileNum uint64, cache *Cache) (*Table
 	return t, nil
 }
 
+// Source returns the ReaderAt the table reads its blocks through.
+func (t *Table) Source() io.ReaderAt { return t.r }
+
 // readRawFrom fetches through r and CRC-checks a raw block (no decode).
 func (t *Table) readRawFrom(r io.ReaderAt, h blockHandle) ([]byte, error) {
 	if !t.holds(h) {
@@ -278,14 +281,14 @@ func (t *Table) cacheRow(ix, it *blockIter, ukey []byte, protected bool) bool {
 
 // NewIterator returns a two-level iterator over the whole table.
 func (t *Table) NewIterator() kv.Iterator {
-	return &tableIter{t: t, ix: newBlockIter(t.index)}
+	return &tableIter{t: t, ix: blockIter{b: t.index}}
 }
 
 // NewMemIterator iterates a table whose whole file the caller holds in
 // data and leaves alone meanwhile: every data block is checked and decoded
 // where it lies, with no cache and no copy.
 func (t *Table) NewMemIterator(data []byte) kv.Iterator {
-	return &tableIter{t: t, ix: newBlockIter(t.index), win: &window{buf: data[:t.size:t.size]}}
+	return &tableIter{t: t, ix: blockIter{b: t.index}, win: &window{buf: data[:t.size:t.size]}}
 }
 
 // streamAfter is how many data blocks after a positioning call go through
@@ -306,10 +309,20 @@ const streamAfter = 2
 // first device read after positioning reads span blocks at once, past any
 // readahead bound; the windows after it grow from there as above.
 //
-// The window's buffer comes from a pool; Close hands it back.
+// The iterator, its window and the first room of its index and data keys
+// are one allocation; the window's buffer comes from a pool, and Close
+// hands it back.
 func (t *Table) NewSpanIterator(readahead, span int, streamed *obs.Counter) kv.Iterator {
-	w := &window{after: streamAfter, max: uint64(readahead), grow: streamAfter, span: span, streamed: streamed}
-	return &tableIter{t: t, ix: newBlockIter(t.index), win: w}
+	s := &spanIter{win: window{after: streamAfter, max: uint64(readahead), grow: streamAfter, span: span, streamed: streamed}}
+	s.tableIter = tableIter{t: t, ix: blockIter{b: t.index, key: s.keys[0][:0]}, cur: blockIter{key: s.keys[1][:0]}, win: &s.win}
+	return &s.tableIter
+}
+
+// spanIter is the storage of a NewSpanIterator.
+type spanIter struct {
+	tableIter
+	win  window
+	keys [2][48]byte
 }
 
 // NewCompactionIterator returns an iterator for compaction input
@@ -317,7 +330,7 @@ func (t *Table) NewSpanIterator(readahead, span int, streamed *obs.Counter) kv.I
 // and reads through a readahead window of the given size, modeling
 // the OS readahead a streaming merge enjoys on each input file.
 func (t *Table) NewCompactionIterator(readahead int) kv.Iterator {
-	it := &tableIter{t: t, ix: newBlockIter(t.index), nocache: true}
+	it := &tableIter{t: t, ix: blockIter{b: t.index}, nocache: true}
 	if readahead > 0 {
 		it.src = &readaheadReader{r: t.r, window: readahead}
 	}
@@ -339,10 +352,7 @@ func (ra *readaheadReader) ReadAt(p []byte, off int64) (int, error) {
 		copy(p, ra.buf[off-ra.off:])
 		return len(p), nil
 	}
-	n := ra.window
-	if n < len(p) {
-		n = len(p)
-	}
+	n := max(ra.window, len(p))
 	if cap(ra.buf) < n {
 		ra.buf = make([]byte, n)
 	}
@@ -379,7 +389,7 @@ type window struct {
 // tableIter chains the index iterator with per-block data iterators.
 type tableIter struct {
 	t       *Table
-	ix      *blockIter
+	ix      blockIter
 	data    *blockIter // nil or &cur
 	cur     blockIter  // reused block after block, key buffer and all
 	err     error

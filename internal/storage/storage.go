@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"sealdb/internal/obs"
 	"sealdb/internal/smr"
@@ -222,6 +224,12 @@ func (b *Backend) WriteGroup(nums []uint64, datas [][]byte) (Extent, bool, error
 // beside appends to the same file (a reader chasing a value-log
 // pointer into the active segment), so the size is read under mu.
 func (b *Backend) ReadFileAt(num uint64, p []byte, off int64) (int, error) {
+	n, _, err := b.readFileAt(num, p, off)
+	return n, err
+}
+
+// readFileAt is ReadFileAt that also returns the device time the read took.
+func (b *Backend) readFileAt(num uint64, p []byte, off int64) (int, time.Duration, error) {
 	b.mu.Lock()
 	fi, ok := b.files[num]
 	var size int64
@@ -230,10 +238,10 @@ func (b *Backend) ReadFileAt(num uint64, p []byte, off int64) (int, error) {
 	}
 	b.mu.Unlock()
 	if !ok {
-		return 0, ErrNotFound
+		return 0, 0, ErrNotFound
 	}
 	if off < 0 || off > size {
-		return 0, fmt.Errorf("storage: read at %d outside file %d (size %d)", off, num, size)
+		return 0, 0, fmt.Errorf("storage: read at %d outside file %d (size %d)", off, num, size)
 	}
 	n := len(p)
 	var eof error
@@ -242,12 +250,13 @@ func (b *Backend) ReadFileAt(num uint64, p []byte, off int64) (int, error) {
 		eof = io.EOF
 	}
 	if n == 0 {
-		return 0, eof
+		return 0, 0, eof
 	}
-	if _, err := b.drive.ReadAt(p[:n], fi.ext.Off+off); err != nil {
-		return 0, err
+	dt, err := b.drive.ReadAt(p[:n], fi.ext.Off+off)
+	if err != nil {
+		return 0, dt, err
 	}
-	return n, eof
+	return n, dt, eof
 }
 
 // FileRecord is a snapshot of one file's mapping-table entry.
@@ -378,16 +387,26 @@ func (b *Backend) Handle(num uint64) *Handle {
 	return &Handle{b: b, num: num}
 }
 
-// Handle adapts a backend file to io.ReaderAt.
+// Handle adapts a backend file to io.ReaderAt and is the file's read
+// clock: it adds up the device time of the reads made through it. The
+// clock is in memory only and starts at zero with each handle, so a
+// table reopened after a restart has read nothing.
 type Handle struct {
-	b   *Backend
-	num uint64
+	b      *Backend
+	num    uint64
+	readNS atomic.Int64
 }
 
 // ReadAt implements io.ReaderAt.
 func (h *Handle) ReadAt(p []byte, off int64) (int, error) {
-	return h.b.ReadFileAt(h.num, p, off)
+	n, dt, err := h.b.readFileAt(h.num, p, off)
+	h.readNS.Add(int64(dt))
+	return n, err
 }
+
+// ReadTime returns the device time of every read made through h so far;
+// one atomic load, no lock.
+func (h *Handle) ReadTime() time.Duration { return time.Duration(h.readNS.Load()) }
 
 // ---------------------------------------------------------------------------
 // Append files (write-ahead logs)

@@ -55,6 +55,37 @@ func TestWriteReadRemove(t *testing.T) {
 	}
 }
 
+// TestHandleReadClock: a handle adds up the device time of the reads made
+// through it, exactly what the platter charged them, and a new handle on
+// the same file starts at zero.
+func TestHandleReadClock(t *testing.T) {
+	disk := platter.New(platter.DefaultConfig(16 << 20))
+	b := NewBackend(smr.NewRaw(disk, 4096), NewDynamicBandAllocator(dband.New(disk.Capacity(), 4096, 4096)))
+	if err := b.WriteFile(1, make([]byte, 10000)); err != nil {
+		t.Fatal(err)
+	}
+	h := b.Handle(1)
+	buf := make([]byte, 4096)
+	busy := disk.Stats().BusyTime
+	for _, off := range []int64{0, 5000, 100} {
+		if _, err := h.ReadAt(buf[:100], off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := h.ReadAt(buf, 9000); err != io.EOF {
+		t.Fatalf("read past the end: %v, want io.EOF", err)
+	}
+	if got, want := h.ReadTime(), disk.Stats().BusyTime-busy; got <= 0 || got != want {
+		t.Fatalf("handle clock %v, the platter charged %v", got, want)
+	}
+	if _, err := b.ReadFileAt(1, buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.Handle(1).ReadTime(); got != 0 {
+		t.Fatalf("a new handle starts at %v", got)
+	}
+}
+
 func TestDuplicateFileRejected(t *testing.T) {
 	b, _, _ := newRawBackend(t)
 	if err := b.WriteFile(7, []byte("x")); err != nil {

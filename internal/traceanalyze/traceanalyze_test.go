@@ -117,10 +117,10 @@ func TestVerifyVlog(t *testing.T) {
 	if err := r.LoadRandom(3000); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Run(ycsb.WorkloadA, 6000); err != nil {
+	if _, err := r.Run(ycsb.WorkloadA, 7000); err != nil {
 		t.Fatal(err)
 	}
-	// 6,000 YCSB-A operations put the sealed log over its dead budget; drain every
+	// 7,000 YCSB-A operations put the sealed log over its dead budget; drain every
 	// GC victim so relocation traffic is in the window too.
 	for {
 		res, err := db.VlogGC()
