@@ -23,7 +23,6 @@ import (
 
 	"sealdb/internal/kv"
 	"sealdb/internal/smr"
-	"sealdb/internal/sstable"
 )
 
 // Mode selects which of the paper's systems the engine behaves as.
@@ -145,9 +144,6 @@ func clampInt64(v, lo, hi int64) int64 {
 type Config struct {
 	Mode Mode
 	Geometry
-	// Compression selects the SSTable block encoding (default: none,
-	// like the paper's LevelDB 1.19 configuration without snappy).
-	Compression sstable.Compression
 	// Seed makes skiplist heights (and nothing else) deterministic.
 	Seed int64
 	// JournalCapacity bounds the observability event journal ring
@@ -161,10 +157,6 @@ type Config struct {
 	// engine and the media. Allocators and drive-introspection paths
 	// see through the wrapper via smr.Base.
 	WrapDrive func(smr.Drive) smr.Drive
-	// WriteRetries is the number of extra attempts granted to a
-	// device write that fails with a transient error (0 means the
-	// default of 3; negative disables retries).
-	WriteRetries int
 	// ValueThreshold enables key–value separation: values of at least
 	// this many bytes are appended to the value log and the tree
 	// stores a fixed-size pointer instead, so large values stop
@@ -187,20 +179,13 @@ func (c *Config) vlogSegSize() int64 {
 	return c.SSTableSize
 }
 
-// writeRetries resolves the retry budget.
-func (c *Config) writeRetries() int {
-	if c.WriteRetries < 0 {
-		return 0
-	}
-	if c.WriteRetries == 0 {
-		return 3
-	}
-	return c.WriteRetries
-}
-
-// retryBackoff is the wait before the first write retry, doubling
-// each attempt; it is charged as simulated device time.
-const retryBackoff = 200 * time.Microsecond
+// A device write that fails with a transient error is retried up to
+// writeRetries times, after retryBackoff, doubling each attempt; the
+// wait is charged as simulated device time.
+const (
+	writeRetries = 3
+	retryBackoff = 200 * time.Microsecond
+)
 
 // DefaultConfig returns a config for the given mode with the scaled
 // default geometry, applying the mode's structural parameters (SMRDB

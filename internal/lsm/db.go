@@ -71,10 +71,7 @@ func NewDevice(cfg Config) *Device {
 		if cfg.WrapDrive != nil {
 			base = cfg.WrapDrive(base)
 		}
-		if cfg.writeRetries() > 0 {
-			base = smr.NewRetry(base, cfg.writeRetries(), retryBackoff)
-		}
-		return base
+		return smr.NewRetry(base, writeRetries, retryBackoff)
 	}
 	switch cfg.Mode {
 	case ModeLevelDB, ModeLevelDBSets:
@@ -150,6 +147,9 @@ type DB struct {
 	queueMu obs.Mutex
 	queue   []*Batch // guarded by queueMu
 	scratch Batch    // guarded by mu
+	// oneBatch is the spare one-entry batch Put and Delete build in,
+	// taken by swapping nil in (oneEntry) and stored back after Apply.
+	oneBatch atomic.Pointer[Batch]
 	// state is the published read state, visible the newest sequence
 	// number readers see; retiring queues superseded states, oldest
 	// first, until what they retired is reclaimed (readstate.go).
@@ -224,7 +224,6 @@ func OpenDevice(cfg Config, dev *Device) (*DB, error) {
 	d.mu.Profile("lsm_db_mu")
 	d.queueMu.Profile("lsm_commit_queue_mu")
 	d.mem = memtable.New(d.nextMemSeed())
-	d.builder.SetCompression(cfg.Compression)
 	if dev.DBand != nil {
 		d.surface.init(cfg.BandSize)
 	}

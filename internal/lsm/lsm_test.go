@@ -10,7 +10,6 @@ import (
 	"sealdb/internal/kv"
 	"sealdb/internal/platter"
 	"sealdb/internal/smr"
-	"sealdb/internal/sstable"
 )
 
 // tinyConfig returns a geometry small enough that a few thousand keys
@@ -638,48 +637,5 @@ func TestSetRegistryReclaimsExtents(t *testing.T) {
 	}
 	if free, frontier := mgr.FreeBytes(), mgr.Frontier(); frontier > 0 && free > frontier*9/10 {
 		t.Errorf("free list holds %d of %d frontier bytes: space never reused", free, frontier)
-	}
-}
-
-func TestCompressedStoreEndToEnd(t *testing.T) {
-	cfg := tinyConfig(ModeSEALDB)
-	cfg.Compression = sstable.FlateCompression
-	d, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	// Compressible values (the loadRandom values are fairly regular).
-	ref := loadRandom(t, d, 5000, 101)
-	verifyAll(t, d, ref)
-	if err := d.VerifyIntegrity(); err != nil {
-		t.Fatal(err)
-	}
-	// Recovery with compressed tables.
-	dev := d.Device()
-	d.Close()
-	d2, err := OpenDevice(cfg, dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	verifyAll(t, d2, ref)
-
-	// A same-load uncompressed store must use more table space.
-	plain, err := Open(tinyConfig(ModeSEALDB))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plain.Close()
-	loadRandom(t, plain, 5000, 101)
-	var compBytes, plainBytes int64
-	for _, li := range d2.LevelProfile() {
-		compBytes += li.Bytes
-	}
-	for _, li := range plain.LevelProfile() {
-		plainBytes += li.Bytes
-	}
-	if compBytes >= plainBytes {
-		t.Errorf("compressed store %d bytes >= plain %d", compBytes, plainBytes)
 	}
 }

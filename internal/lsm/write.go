@@ -2,7 +2,6 @@ package lsm
 
 import (
 	"encoding/binary"
-	"sync"
 	"time"
 
 	"sealdb/internal/kv"
@@ -11,36 +10,43 @@ import (
 	"sealdb/internal/vlog"
 )
 
-// batchPool recycles the one-entry batches behind Put and Delete. Apply
-// retains nothing of a batch and Reset keeps its buffer, so after a
-// warm-up a Put builds its batch without allocating; a batch that
-// ballooned past maxPooledBatchBytes is dropped rather than pinned.
-var batchPool = sync.Pool{New: func() any { return NewBatch() }}
-
+// maxPooledBatchBytes bounds the batches the DB keeps for reuse: one
+// that ballooned past it is dropped rather than pinned.
 const maxPooledBatchBytes = 4 << 20
 
 const maxGroupBytes = 1 << 20 // a group commit's batches, LevelDB's bound
 
 // Put writes a single key/value pair.
 func (d *DB) Put(key, value []byte) error {
-	b := batchPool.Get().(*Batch)
+	b := d.oneEntry()
 	b.Put(key, value)
-	return d.applyPooled(b)
+	return d.applyOne(b)
 }
 
 // Delete writes a tombstone for key.
 func (d *DB) Delete(key []byte) error {
-	b := batchPool.Get().(*Batch)
+	b := d.oneEntry()
 	b.Delete(key)
-	return d.applyPooled(b)
+	return d.applyOne(b)
 }
 
-// applyPooled applies a batch taken from batchPool and returns it.
-func (d *DB) applyPooled(b *Batch) error {
+// oneEntry returns the DB's spare batch, or a new one while another Put
+// or Delete holds it.
+func (d *DB) oneEntry() *Batch {
+	if b := d.oneBatch.Swap(nil); b != nil {
+		return b
+	}
+	return NewBatch()
+}
+
+// applyOne applies b, a batch from oneEntry, and makes it the spare.
+// Apply retains nothing of a batch and Reset keeps its buffer, so after
+// the first a single writer's Put builds its batch without allocating.
+func (d *DB) applyOne(b *Batch) error {
 	err := d.Apply(b)
 	if b.Cap() <= maxPooledBatchBytes {
 		b.Reset()
-		batchPool.Put(b)
+		d.oneBatch.Store(b)
 	}
 	return err
 }

@@ -290,7 +290,7 @@ func (c *conn) resetBatch() {
 // handshake performs the version/feature exchange. The client's first
 // frame must be a valid hello within the handshake timeout.
 func (c *conn) handshake() bool {
-	if err := c.nc.SetReadDeadline(time.Now().Add(c.srv.cfg.handshakeTimeout())); err != nil {
+	if err := c.nc.SetReadDeadline(time.Now().Add(handshakeTimeout)); err != nil {
 		return false
 	}
 	f, err := wire.ReadFrame(c.br, 1024)
@@ -354,9 +354,8 @@ func (c *conn) writeLoop() {
 		c.closeOnce.Do(func() { c.nc.Close() })
 	}()
 	bw := bufio.NewWriterSize(c.nc, 64<<10)
-	timeout := c.srv.cfg.writeTimeout()
 	for f := range c.out {
-		if err := c.nc.SetWriteDeadline(time.Now().Add(timeout)); err != nil {
+		if err := c.nc.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
 			return
 		}
 		if err := c.writeFrame(bw, &f); err != nil {

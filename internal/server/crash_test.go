@@ -150,12 +150,10 @@ func TestServerPowerCutMidPipeline(t *testing.T) {
 }
 
 // TestServerTransientWriteFaults serves through a device that fails a
-// fraction of writes transiently: with the engine's write retries on,
-// every client request must still succeed, end to end.
+// fraction of writes transiently: the engine's write retries absorb
+// them, and every client request must still succeed, end to end.
 func TestServerTransientWriteFaults(t *testing.T) {
-	fd, _, db, _ := openInjected(t, func(cfg *lsm.Config) {
-		cfg.WriteRetries = 4
-	})
+	fd, _, db, _ := openInjected(t, nil)
 	defer db.Close()
 	srv, err := Serve(db, "127.0.0.1:0", Config{})
 	if err != nil {

@@ -43,32 +43,27 @@ type Config struct {
 	// accepts are answered with StatusUnavailable and closed.
 	// 0 means 256.
 	MaxConns int
-	// WriteTimeout is the slow-client deadline for flushing responses;
-	// a connection that cannot absorb its responses in time is closed.
-	// 0 means 10s.
-	WriteTimeout time.Duration
 	// DrainTimeout bounds graceful shutdown; connections still open
 	// after it are force-closed. 0 means 5s.
 	DrainTimeout time.Duration
 	// MaxFrame bounds accepted request frames. 0 means
 	// wire.DefaultMaxFrame.
 	MaxFrame int
-	// HandshakeTimeout bounds the wait for the client hello. 0 means 5s.
-	HandshakeTimeout time.Duration
 }
+
+const (
+	// writeTimeout is the slow-client deadline for flushing responses:
+	// a connection that cannot absorb its responses in time is closed.
+	writeTimeout = 10 * time.Second
+	// handshakeTimeout bounds the wait for the client hello.
+	handshakeTimeout = 5 * time.Second
+)
 
 func (c *Config) maxConns() int {
 	if c.MaxConns > 0 {
 		return c.MaxConns
 	}
 	return 256
-}
-
-func (c *Config) writeTimeout() time.Duration {
-	if c.WriteTimeout > 0 {
-		return c.WriteTimeout
-	}
-	return 10 * time.Second
 }
 
 func (c *Config) drainTimeout() time.Duration {
@@ -83,13 +78,6 @@ func (c *Config) maxFrame() int {
 		return c.MaxFrame
 	}
 	return wire.DefaultMaxFrame
-}
-
-func (c *Config) handshakeTimeout() time.Duration {
-	if c.HandshakeTimeout > 0 {
-		return c.HandshakeTimeout
-	}
-	return 5 * time.Second
 }
 
 // Server is a running network front end over one DB.
@@ -170,7 +158,7 @@ func (s *Server) acceptLoop() {
 // closes it.
 func (s *Server) rejectConn(nc net.Conn) {
 	f := wire.Reply(0, wire.StatusUnavailable, []byte("server: connection limit reached"))
-	if err := nc.SetWriteDeadline(time.Now().Add(s.cfg.writeTimeout())); err == nil {
+	if err := nc.SetWriteDeadline(time.Now().Add(writeTimeout)); err == nil {
 		if err := wire.WriteFrame(nc, &f); err != nil {
 			s.m.connErrors.Inc()
 		}

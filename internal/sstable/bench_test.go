@@ -44,21 +44,6 @@ func BenchmarkBuild(b *testing.B) {
 	b.SetBytes(1000 * 1024)
 }
 
-func BenchmarkBuildCompressed(b *testing.B) {
-	val := bytes.Repeat([]byte("pad8"), 256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bl := NewBuilder().SetCompression(FlateCompression)
-		for j := 0; j < 1000; j++ {
-			bl.Add(kv.MakeInternalKey(nil, fmt.Appendf(nil, "key%09d", j), kv.SeqNum(j+1), kv.KindSet), val)
-		}
-		if _, _, err := bl.Finish(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(1000 * 1024)
-}
-
 func BenchmarkTableGet(b *testing.B) {
 	t, keys := benchTable(b, 10000)
 	rng := rand.New(rand.NewSource(1))

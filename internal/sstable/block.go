@@ -18,24 +18,29 @@ import (
 const restartInterval = 16
 
 // blockBuilder encodes a sequence of key/value entries with shared
-// key-prefix compression.
+// key-prefix compression at the tail of a buffer it is handed, the block
+// starting at offset start: a data block is built in the table buffer,
+// where it stays, and the index block in a buffer of its own.
 type blockBuilder struct {
-	buf      []byte
-	restarts []uint32
+	start    int
+	restarts []uint32 // offsets from start
 	counter  int
 	lastKey  []byte
 	entries  int
 }
 
-func (b *blockBuilder) reset() {
-	b.buf = b.buf[:0]
+// reset starts an empty block at offset start.
+func (b *blockBuilder) reset(start int) {
+	b.start = start
 	b.restarts = b.restarts[:0]
 	b.counter = 0
 	b.lastKey = b.lastKey[:0]
 	b.entries = 0
 }
 
-func (b *blockBuilder) add(key, value []byte) {
+// add appends the entry to dst, which holds the block from b.start on,
+// and returns the extended dst.
+func (b *blockBuilder) add(dst, key, value []byte) []byte {
 	shared := 0
 	if b.counter < restartInterval {
 		n := min(len(b.lastKey), len(key))
@@ -43,40 +48,41 @@ func (b *blockBuilder) add(key, value []byte) {
 			shared++
 		}
 	} else {
-		b.restarts = append(b.restarts, uint32(len(b.buf)))
+		b.restarts = append(b.restarts, uint32(len(dst)-b.start))
 		b.counter = 0
 	}
 	if len(b.restarts) == 0 {
 		b.restarts = append(b.restarts, 0)
 	}
-	b.buf = binary.AppendUvarint(b.buf, uint64(shared))
-	b.buf = binary.AppendUvarint(b.buf, uint64(len(key)-shared))
-	b.buf = binary.AppendUvarint(b.buf, uint64(len(value)))
-	b.buf = append(b.buf, key[shared:]...)
-	b.buf = append(b.buf, value...)
+	dst = binary.AppendUvarint(dst, uint64(shared))
+	dst = binary.AppendUvarint(dst, uint64(len(key)-shared))
+	dst = binary.AppendUvarint(dst, uint64(len(value)))
+	dst = append(dst, key[shared:]...)
+	dst = append(dst, value...)
 	b.lastKey = append(b.lastKey[:0], key...)
 	b.counter++
 	b.entries++
+	return dst
 }
 
 func (b *blockBuilder) empty() bool { return b.entries == 0 }
 
-// estimatedSize returns the finished size of the block so far.
-func (b *blockBuilder) estimatedSize() int {
-	return len(b.buf) + 4*len(b.restarts) + 4
+// estimatedSize returns the finished size of the block so far, built in
+// dst.
+func (b *blockBuilder) estimatedSize(dst []byte) int {
+	return len(dst) - b.start + 4*len(b.restarts) + 4
 }
 
-// finish appends the restart array and count and returns the block
-// contents (valid until the next reset).
-func (b *blockBuilder) finish() []byte {
+// finish appends the restart array and count to dst, making dst[b.start:]
+// the block contents.
+func (b *blockBuilder) finish(dst []byte) []byte {
 	if len(b.restarts) == 0 {
 		b.restarts = append(b.restarts, 0)
 	}
 	for _, r := range b.restarts {
-		b.buf = binary.LittleEndian.AppendUint32(b.buf, r)
+		dst = binary.LittleEndian.AppendUint32(dst, r)
 	}
-	b.buf = binary.LittleEndian.AppendUint32(b.buf, uint32(len(b.restarts)))
-	return b.buf
+	return binary.LittleEndian.AppendUint32(dst, uint32(len(b.restarts)))
 }
 
 // block is a decoded (raw) block ready for iteration.

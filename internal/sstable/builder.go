@@ -9,11 +9,13 @@ import (
 )
 
 const (
-	// TargetBlockSize is the uncompressed data-block cut threshold.
+	// TargetBlockSize is the data-block cut threshold.
 	TargetBlockSize = 4096
-	// blockTrailerLen is 1 type byte (always 0: no compression) plus
-	// a CRC-32C of the block contents.
+	// blockTrailerLen is the type byte, always rawBlock, plus a CRC-32C
+	// of the block contents and type.
 	blockTrailerLen = 5
+	// rawBlock is the one block type: the contents stored as built.
+	rawBlock = 0
 	// footerLen holds four fixed 8-byte handle fields plus the magic.
 	footerLen  = 40
 	tableMagic = 0x5ea1db0000000001
@@ -31,10 +33,10 @@ type Meta struct {
 // Builder accumulates sorted entries and produces the table bytes.
 // Keys must be added in strictly increasing internal-key order.
 type Builder struct {
-	compression   Compression
-	buf           []byte
-	data          blockBuilder
+	buf           []byte       // the table: finished blocks, then the data block being built
+	data          blockBuilder // the data block at the tail of buf
 	index         blockBuilder
+	ixBuf         []byte   // the index block, copied into buf once, at Finish
 	hashes        []uint32 // bloomHash of each user key, for the table filter
 	rows          *Cache   // nil unless the keys added have rows to take along (Carry)
 	fileNum       uint64   // the table's number in rows
@@ -68,8 +70,8 @@ func decodeHandle(p []byte) (blockHandle, int, error) {
 	return blockHandle{off, length}, n1 + n2, nil
 }
 
-// NewBuilder returns an empty table builder storing blocks raw. Its
-// table buffer starts empty and grows; see Reset.
+// NewBuilder returns an empty table builder. Its table buffer starts
+// empty and grows; see Reset.
 func NewBuilder() *Builder {
 	return &Builder{}
 }
@@ -77,13 +79,14 @@ func NewBuilder() *Builder {
 // Reset empties b for another table, to be built in buf[:0]: on the
 // engine's write path a GetBuf buffer with room for the whole table, so
 // that no byte of it moves again before the device write. b keeps its
-// compression setting and its scratch. Finish returns the table in buf
-// (in a larger successor, had the table outgrown it), and b is done
-// with it: the caller owns the bytes, to PutBuf once they are written.
+// scratch. Finish returns the table in buf (in a larger successor, had
+// the table outgrown it), and b is done with it: the caller owns the
+// bytes, to PutBuf once they are written.
 func (b *Builder) Reset(buf []byte) *Builder {
 	b.buf = buf[:0]
-	b.data.reset()
-	b.index.reset()
+	b.data.reset(0)
+	b.index.reset(0)
+	b.ixBuf = b.ixBuf[:0]
 	b.hashes = b.hashes[:0]
 	b.rows = nil
 	b.meta = Meta{}
@@ -105,13 +108,6 @@ func (b *Builder) Carry(c *Cache, fileNum uint64) *Builder {
 	return b
 }
 
-// SetCompression selects the block encoding for subsequently cut
-// blocks (call before the first Add for uniform tables).
-func (b *Builder) SetCompression(c Compression) *Builder {
-	b.compression = c
-	return b
-}
-
 // Add appends an entry. Keys must arrive in strictly increasing
 // order; violations put the builder in an error state.
 func (b *Builder) Add(ik kv.InternalKey, value []byte) {
@@ -125,20 +121,21 @@ func (b *Builder) Add(ik kv.InternalKey, value []byte) {
 	if b.meta.Entries == 0 {
 		b.meta.Smallest = ik.Clone()
 	}
+	// Of a key's versions the newest comes first, and only it may take
+	// the row: a read that fills the row after the newest was added, from
+	// a table this one replaces, must not hand it to an older version.
+	newest := b.meta.Entries == 0 || kv.CompareUser(ik.UserKey(), b.lastKey.UserKey()) != 0
 	b.flushPendingIndex(ik)
-	b.data.add(ik, value)
+	b.grow(3*binary.MaxVarintLen64 + len(ik) + len(value))
+	b.buf = b.data.add(b.buf, ik, value)
 	b.lastKey = append(b.lastKey[:0], ik...)
 	h := bloomHash(ik.UserKey())
 	b.hashes = append(b.hashes, h)
-	if b.rows != nil {
-		// Of a key's versions the newest comes first and takes the row;
-		// it is then bound to this table and the older ones leave it be.
-		if b.rows.rehome(b.fileNum, h, ik, value) {
-			b.meta.Rows++
-		}
+	if b.rows != nil && newest && b.rows.rehome(b.fileNum, h, ik, value) {
+		b.meta.Rows++
 	}
 	b.meta.Entries++
-	if b.data.estimatedSize() >= TargetBlockSize {
+	if b.data.estimatedSize(b.buf) >= TargetBlockSize {
 		b.cutBlock()
 	}
 }
@@ -152,7 +149,7 @@ func (b *Builder) flushPendingIndex(next kv.InternalKey) {
 	}
 	b.sep = separator(b.sep, b.pendingKey, next)
 	var hbuf [2 * binary.MaxVarintLen64]byte
-	b.index.add(b.sep, encodeHandle(hbuf[:0], b.pendingHandle))
+	b.ixBuf = b.index.add(b.ixBuf, b.sep, encodeHandle(hbuf[:0], b.pendingHandle))
 	b.pendingIx = false
 }
 
@@ -176,39 +173,36 @@ func separator(dst []byte, prev kv.InternalKey, next kv.InternalKey) kv.Internal
 	return append(dst[:0], prev...)
 }
 
-// cutBlock finishes the current data block and records its handle.
+// cutBlock finishes the data block at the tail of b.buf where it lies,
+// records its handle and starts the next block behind it.
 func (b *Builder) cutBlock() {
 	if b.data.empty() {
 		return
 	}
-	contents := b.data.finish()
-	h := b.appendBlock(contents, b.compression)
-	b.data.reset()
+	b.grow(4*len(b.data.restarts) + 4 + blockTrailerLen)
+	b.buf = b.data.finish(b.buf)
+	h := b.sealBlock(b.data.start)
+	b.data.reset(len(b.buf))
 	b.pendingIx = true
 	b.pendingKey = append(b.pendingKey[:0], b.lastKey...)
 	b.pendingHandle = h
 }
 
-// appendBlock encodes contents per policy and writes it with its
-// type/CRC trailer.
-func (b *Builder) appendBlock(contents []byte, policy Compression) blockHandle {
-	payload, typ := compressBlock(policy, contents)
-	start := len(b.buf)
-	if need := start + len(payload) + blockTrailerLen; need > cap(b.buf) {
-		// A buffer that was not sized for the table doubles: append's
-		// steps of a quarter would copy a 256 KiB table four times over.
+// grow makes room for n more bytes in b.buf. A buffer that was not sized
+// for the table doubles: append's steps of a quarter would copy a 256 KiB
+// table four times over.
+func (b *Builder) grow(n int) {
+	if need := len(b.buf) + n; need > cap(b.buf) {
 		b.buf = append(make([]byte, 0, max(need, 2*cap(b.buf))), b.buf...)
 	}
-	b.buf = append(b.buf, payload...)
-	return b.sealBlock(start, typ)
 }
 
-// sealBlock makes b.buf[start:] a block of the given type: it appends
-// the type byte and the CRC of payload and type, one pass over both as
-// checkRaw reads them back.
-func (b *Builder) sealBlock(start int, typ byte) blockHandle {
+// sealBlock makes b.buf[start:] a raw block: it appends the type byte and
+// the CRC of contents and type, one pass over both as checkRaw reads them
+// back.
+func (b *Builder) sealBlock(start int) blockHandle {
 	h := blockHandle{offset: uint64(start), length: uint64(len(b.buf) - start)}
-	b.buf = append(b.buf, typ)
+	b.buf = append(b.buf, rawBlock)
 	b.buf = binary.LittleEndian.AppendUint32(b.buf, crc32.Checksum(b.buf[start:], castagnoliTable))
 	return h
 }
@@ -217,7 +211,7 @@ var castagnoliTable = crc32.MakeTable(crc32.Castagnoli)
 
 // EstimatedSize returns the table size if Finish were called now.
 func (b *Builder) EstimatedSize() int64 {
-	return int64(len(b.buf)) + int64(b.data.estimatedSize()) + int64(b.index.estimatedSize()) + footerLen
+	return int64(b.data.start) + int64(b.data.estimatedSize(b.buf)) + int64(b.index.estimatedSize(b.ixBuf)) + footerLen
 }
 
 // Entries returns the number of entries added so far.
@@ -237,15 +231,19 @@ func (b *Builder) Finish() ([]byte, Meta, error) {
 	// separator at end of table.
 	if b.pendingIx {
 		var hbuf [2 * binary.MaxVarintLen64]byte
-		b.index.add(b.pendingKey, encodeHandle(hbuf[:0], b.pendingHandle))
+		b.ixBuf = b.index.add(b.ixBuf, b.pendingKey, encodeHandle(hbuf[:0], b.pendingHandle))
 		b.pendingIx = false
 	}
 
-	// The filter is built where it lies; neither block is compressed.
+	// The filter is built where it lies; the index is copied in once.
 	start := len(b.buf)
 	b.buf = appendBloom(b.buf, b.hashes)
-	bloomHandle := b.sealBlock(start, byte(NoCompression))
-	indexHandle := b.appendBlock(b.index.finish(), NoCompression)
+	bloomHandle := b.sealBlock(start)
+	b.ixBuf = b.index.finish(b.ixBuf)
+	b.grow(len(b.ixBuf) + blockTrailerLen + footerLen)
+	start = len(b.buf)
+	b.buf = append(b.buf, b.ixBuf...)
+	indexHandle := b.sealBlock(start)
 
 	var footer [footerLen]byte
 	binary.LittleEndian.PutUint64(footer[0:], indexHandle.offset)

@@ -756,6 +756,41 @@ func TestBuilderCarriesRows(t *testing.T) {
 	checkCache(t, cache)
 }
 
+// TestOlderVersionNeverTakesARow: a row a concurrent read fills while a
+// table is being built, after the newest version of its key was added, stays
+// where it is: only the newest version of a key may take its row, or the
+// table would answer with an older value (or a deleted one) from its row.
+func TestOlderVersionNeverTakesARow(t *testing.T) {
+	big := func(c byte) []byte { return bytes.Repeat([]byte{c}, 1100) }
+	for _, newest := range []kv.Kind{kv.KindSet, kv.KindDelete} {
+		cache := NewCache(1 << 20)
+		cache.putRow(1, []byte("other"), big('o'), 5, kv.KindSet, true)
+		v9 := big('9')
+		if newest == kv.KindDelete {
+			v9 = nil
+		}
+		b := NewBuilder().Carry(cache, 7)
+		b.Add(kv.MakeInternalKey(nil, []byte("k"), 9, newest), v9)
+		cache.putRow(1, []byte("k"), big('5'), 5, kv.KindSet, true) // a read of table 1 meanwhile
+		b.Add(kv.MakeInternalKey(nil, []byte("k"), 7, kv.KindSet), big('7'))
+		data, meta, err := b.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, ok := cache.getRow(1, []byte("k"), kv.MaxSeqNum); !ok || meta.Rows != 0 {
+			t.Errorf("newest %v: the row filled from table 1 moved (%d rows carried)", newest, meta.Rows)
+		}
+		tbl, err := Open(bytes.NewReader(data), int64(len(data)), 7, cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, seq, kind, ok, err := tbl.GetEntry([]byte("k"), kv.MaxSeqNum); err != nil || !ok || seq != 9 || kind != newest {
+			t.Errorf("newest %v: GetEntry(k) = seq %d kind %v, %v, %v; want seq 9", newest, seq, kind, ok, err)
+		}
+		checkCache(t, cache)
+	}
+}
+
 // TestRekeyFile: every block, value and row of a file answers under the new
 // number and not under the old, where it lay, at no change in residency.
 func TestRekeyFile(t *testing.T) {

@@ -15,28 +15,24 @@ import (
 // buffer (PR 19's). Whatever the builder does about memory, what it
 // writes does not change.
 var identityCorpus = []struct {
-	name        string
-	entries     int
-	valueLen    func(i int) int
-	compression Compression
-	golden      string
+	name     string
+	entries  int
+	valueLen func(i int) int
+	golden   string
 }{
-	{"1KiB", 240, func(int) int { return 1024 }, NoCompression, "d188f303230b2459"},
-	{"1KiB-flate", 240, func(int) int { return 1024 }, FlateCompression, "9998eecb3d7f9e5a"},
-	{"64B", 3000, func(int) int { return 64 }, NoCompression, "5c9f2fcea6a6eb8e"},
-	{"64B-flate", 3000, func(int) int { return 64 }, FlateCompression, "74382f2cff71acee"},
-	{"one-entry", 1, func(int) int { return 100 }, NoCompression, "c891b25edd7a80f3"},
+	{"1KiB", 240, func(int) int { return 1024 }, "d188f303230b2459"},
+	{"64B", 3000, func(int) int { return 64 }, "5c9f2fcea6a6eb8e"},
+	{"one-entry", 1, func(int) int { return 100 }, "c891b25edd7a80f3"},
 	// 4 varint bytes + a 19-byte internal key + 4065 + one restart +
 	// the count is 4096: every even entry lands exactly on the block
 	// cut, every odd one a byte short of it.
-	{"at-cut", 64, func(i int) int { return 4065 - i%2 }, NoCompression, "a39e8cea1aa02fff"},
-	{"tombstones", 500, func(i int) int { return (i % 3) * 40 }, NoCompression, "bc3d1f80b6186b31"},
+	{"at-cut", 64, func(i int) int { return 4065 - i%2 }, "a39e8cea1aa02fff"},
+	{"tombstones", 500, func(i int) int { return (i % 3) * 40 }, "bc3d1f80b6186b31"},
 }
 
 // identityFill adds the corpus entries to b: 11-byte user keys in
-// order, values from a seeded generator (half random, half a run, so
-// flate has something to do), every third entry of a zero-length
-// value a tombstone.
+// order, values from a seeded generator (half random, half a run of
+// zeros), every third entry of a zero-length value a tombstone.
 func identityFill(b *Builder, entries int, valueLen func(int) int) {
 	rng := rand.New(rand.NewSource(20))
 	for i := 0; i < entries; i++ {
@@ -77,15 +73,15 @@ func TestBuilderBytesIdentical(t *testing.T) {
 		return buf[:0]
 	}
 	for _, c := range identityCorpus {
-		reused := NewBuilder().SetCompression(c.compression)
+		reused := NewBuilder()
 		identityFill(reused.Reset(dirty(1<<10)), 77, func(i int) int { return i })
 		if _, _, err := reused.Finish(); err != nil {
 			t.Fatal(err)
 		}
 		for how, b := range map[string]*Builder{
-			"grown from nil": NewBuilder().SetCompression(c.compression),
-			"presized":       NewBuilder().SetCompression(c.compression).Reset(dirty(512 << 10)),
-			"too small":      NewBuilder().SetCompression(c.compression).Reset(dirty(16)),
+			"grown from nil": NewBuilder(),
+			"presized":       NewBuilder().Reset(dirty(512 << 10)),
+			"too small":      NewBuilder().Reset(dirty(16)),
 			"reset":          reused.Reset(dirty(300 << 10)),
 		} {
 			identityFill(b, c.entries, c.valueLen)

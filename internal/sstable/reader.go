@@ -149,17 +149,16 @@ func (t *Table) holds(h blockHandle) bool {
 }
 
 // checkRaw CRC-checks buf, the block at h and its trailer as read, and
-// returns the contents: a slice of buf unless the block was compressed.
+// returns the contents, a slice of buf.
 func (t *Table) checkRaw(buf []byte, h blockHandle) ([]byte, error) {
 	if crc32.Checksum(buf[:h.length+1], castagnoliTable) != binary.LittleEndian.Uint32(buf[h.length+1:]) {
 		t.cache.noteCorrupt(t.fileNum, h.offset)
 		return nil, &CorruptBlockError{FileNum: t.fileNum, Offset: h.offset}
 	}
-	out, err := decompressBlock(buf[h.length], buf[:h.length])
-	if err != nil {
-		return nil, fmt.Errorf("sstable: file %d at %d: %w", t.fileNum, h.offset, err)
+	if typ := buf[h.length]; typ != rawBlock {
+		return nil, fmt.Errorf("sstable: file %d at %d: unknown block type %d", t.fileNum, h.offset, typ)
 	}
-	return out, nil
+	return buf[:h.length], nil
 }
 
 // readBlock fetches a data block through the cache, a hit counting as a

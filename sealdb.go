@@ -35,7 +35,6 @@ package sealdb
 import (
 	"sealdb/internal/lsm"
 	"sealdb/internal/obs"
-	"sealdb/internal/sstable"
 )
 
 // Mode selects which of the paper's systems the engine behaves as.
@@ -66,16 +65,6 @@ func DefaultGeometry() Geometry { return lsm.DefaultGeometry() }
 // PaperGeometry returns the paper's full-scale geometry (4 MiB
 // SSTables, 40 MiB bands).
 func PaperGeometry() Geometry { return lsm.PaperGeometry() }
-
-// Compression selects the SSTable block encoding.
-type Compression = sstable.Compression
-
-// Block encodings: raw (the default, matching the paper's LevelDB
-// configuration) or DEFLATE at the fastest setting.
-const (
-	NoCompression    = sstable.NoCompression
-	FlateCompression = sstable.FlateCompression
-)
 
 // DB is a key-value store instance.
 type DB = lsm.DB

@@ -124,10 +124,8 @@ func TestPublicAPIIteratorBidirectional(t *testing.T) {
 	}
 }
 
-func TestPublicAPICompressionAndGC(t *testing.T) {
-	cfg := sealdb.DefaultConfig(sealdb.ModeSEALDB)
-	cfg.Compression = sealdb.FlateCompression
-	db, err := sealdb.Open(cfg)
+func TestPublicAPIMaintenance(t *testing.T) {
+	db, err := sealdb.Open(sealdb.DefaultConfig(sealdb.ModeSEALDB))
 	if err != nil {
 		t.Fatal(err)
 	}
