@@ -187,10 +187,9 @@ func (r *runner) dialWorkers(round int, target string) error {
 		src := rand.New(rand.NewSource(r.cfg.Seed + int64(round)*7919 + int64(w)*31))
 		var mu sync.Mutex
 		c, err := sealclient.Dial(p.Addr(), sealclient.Options{
-			Conns:       1,
-			Timeout:     10 * time.Second,
-			ReadRetries: 2,
-			Sleep:       func(time.Duration) {},
+			Conns:   1,
+			Timeout: 10 * time.Second,
+			Sleep:   func(time.Duration) {},
 			Rand: func(n int64) int64 {
 				mu.Lock()
 				defer mu.Unlock()

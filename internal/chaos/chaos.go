@@ -16,9 +16,9 @@
 //     barriers; faults are armed only at barriers, when nothing is in
 //     flight.
 //   - One writer per tick, issuing its burst sequentially on a single
-//     connection with server-side coalescing disabled, so the device
-//     write sequence is a pure function of the schedule. Other
-//     workers are concurrent readers.
+//     connection, so every engine group commit holds just its one
+//     batch and the device write sequence is a pure function of the
+//     schedule. Other workers are concurrent readers.
 //   - Single-writer-per-key sharding, and readers never target the
 //     current tick's writer, so no read races a write to the same key.
 //   - Power cuts and device-error rules fire on write counts inside

@@ -47,15 +47,13 @@ func wantSleeps(t *testing.T, rec *sleepRecorder, want []time.Duration) {
 }
 
 func TestBackoffDoublesWithFullJitter(t *testing.T) {
-	// Every request kills the connection: each retry must sleep under
-	// a cap that doubles from RetryBaseDelay, and with the jitter
-	// pinned to its maximum the exact sequence is 2ms-1, 4ms-1, 8ms-1.
+	// Every request kills the connection: each of the 2 retries must
+	// sleep under a cap that doubles from 2ms, and with the jitter
+	// pinned to its maximum the exact sequence is 2ms-1, 4ms-1.
 	s := newStubServer(t, func(nc net.Conn, f wire.Frame) bool { return false })
 	rec := &sleepRecorder{}
 	c, err := Dial(s.ln.Addr().String(), Options{
-		Timeout: time.Second, ReadRetries: 3,
-		RetryBaseDelay: 2 * time.Millisecond,
-		Sleep:          rec.sleep, Rand: maxJitter,
+		Timeout: time.Second, Sleep: rec.sleep, Rand: maxJitter,
 	})
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -66,9 +64,9 @@ func TestBackoffDoublesWithFullJitter(t *testing.T) {
 		t.Fatalf("Get err = %v, want ErrConn", err)
 	}
 	ms := time.Millisecond
-	wantSleeps(t, rec, []time.Duration{2*ms - 1, 4*ms - 1, 8*ms - 1})
-	if got := s.dials.Load(); got != 4 {
-		t.Fatalf("server saw %d dials, want 4 (initial + 3 retries)", got)
+	wantSleeps(t, rec, []time.Duration{2*ms - 1, 4*ms - 1})
+	if got := s.dials.Load(); got != 3 {
+		t.Fatalf("server saw %d dials, want 3 (initial + 2 retries)", got)
 	}
 }
 
@@ -79,9 +77,7 @@ func TestBackoffJitterReachesZero(t *testing.T) {
 	s := newStubServer(t, func(nc net.Conn, f wire.Frame) bool { return false })
 	rec := &sleepRecorder{}
 	c, err := Dial(s.ln.Addr().String(), Options{
-		Timeout: time.Second, ReadRetries: 3,
-		RetryBaseDelay: 2 * time.Millisecond,
-		Sleep:          rec.sleep, Rand: func(n int64) int64 { return 0 },
+		Timeout: time.Second, Sleep: rec.sleep, Rand: func(n int64) int64 { return 0 },
 	})
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -91,53 +87,7 @@ func TestBackoffJitterReachesZero(t *testing.T) {
 	if _, err := c.Get([]byte("k")); !errors.Is(err, ErrConn) {
 		t.Fatalf("Get err = %v, want ErrConn", err)
 	}
-	wantSleeps(t, rec, []time.Duration{0, 0, 0})
-}
-
-func TestBackoffHonorsMaxDelay(t *testing.T) {
-	// The doubling cap clamps at RetryMaxDelay: 2ms, then 3ms, 3ms.
-	s := newStubServer(t, func(nc net.Conn, f wire.Frame) bool { return false })
-	rec := &sleepRecorder{}
-	c, err := Dial(s.ln.Addr().String(), Options{
-		Timeout: time.Second, ReadRetries: 3,
-		RetryBaseDelay: 2 * time.Millisecond, RetryMaxDelay: 3 * time.Millisecond,
-		Sleep: rec.sleep, Rand: maxJitter,
-	})
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer c.Close()
-
-	if _, err := c.Get([]byte("k")); !errors.Is(err, ErrConn) {
-		t.Fatalf("Get err = %v, want ErrConn", err)
-	}
-	ms := time.Millisecond
-	wantSleeps(t, rec, []time.Duration{2*ms - 1, 3*ms - 1, 3*ms - 1})
-}
-
-func TestBackoffBudgetStopsRetries(t *testing.T) {
-	// The per-call budget bounds total sleep: after one 2ms-1 sleep
-	// the next 4ms-1 delay would overrun the 5ms budget, so the call
-	// gives up with the connection error even though attempts remain.
-	s := newStubServer(t, func(nc net.Conn, f wire.Frame) bool { return false })
-	rec := &sleepRecorder{}
-	c, err := Dial(s.ln.Addr().String(), Options{
-		Timeout: time.Second, ReadRetries: 5,
-		RetryBaseDelay: 2 * time.Millisecond, RetryBudget: 5 * time.Millisecond,
-		Sleep: rec.sleep, Rand: maxJitter,
-	})
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer c.Close()
-
-	if _, err := c.Get([]byte("k")); !errors.Is(err, ErrConn) {
-		t.Fatalf("Get err = %v, want ErrConn", err)
-	}
-	wantSleeps(t, rec, []time.Duration{2*time.Millisecond - 1})
-	if got := s.dials.Load(); got != 2 {
-		t.Fatalf("server saw %d dials, want 2 (budget cut the rest)", got)
-	}
+	wantSleeps(t, rec, []time.Duration{0, 0})
 }
 
 func TestDegradedQuadruplesBackoffAndClears(t *testing.T) {
@@ -158,9 +108,7 @@ func TestDegradedQuadruplesBackoffAndClears(t *testing.T) {
 	})
 	rec := &sleepRecorder{}
 	c, err := Dial(s.ln.Addr().String(), Options{
-		Timeout: time.Second, ReadRetries: 2,
-		RetryBaseDelay: 2 * time.Millisecond,
-		Sleep:          rec.sleep, Rand: maxJitter,
+		Timeout: time.Second, Sleep: rec.sleep, Rand: maxJitter,
 	})
 	if err != nil {
 		t.Fatalf("dial: %v", err)

@@ -2,8 +2,8 @@
 // (internal/server): a connection pool where every connection
 // pipelines requests — many may be outstanding at once, responses are
 // matched to waiters by request ID in whatever order the server sends
-// them — with per-request timeouts and bounded retries of idempotent
-// reads over redialed connections.
+// them — with per-request timeouts and a fixed schedule of retries of
+// idempotent reads over redialed connections.
 //
 // The client speaks only internal/wire; it has no dependency on the
 // engine, so it is exactly what an external consumer of the protocol
@@ -48,6 +48,20 @@ var (
 	ErrCorrupt = errors.New("sealclient: store detected media corruption")
 )
 
+// Read retries. An idempotent read (GET, SCAN, STATS) that fails at
+// the connection level is retried up to readRetries times, each on a
+// freshly dialed connection after a sleep drawn uniformly from
+// [0, cap) (full jitter), where cap is retryBaseDelay doubled per
+// retry: 2 and 4 ms. While the server reports DEGRADED the caps are
+// multiplied by 4: the store will not heal by hammering it. Writes are
+// never retried, not on failures and not while the server reports
+// DEGRADED, because a timed-out or broken write may still have
+// committed.
+const (
+	readRetries    = 2
+	retryBaseDelay = 2 * time.Millisecond
+)
+
 // Options tunes a client. The zero value dials with the defaults.
 type Options struct {
 	// Conns is the connection pool size. 0 means 1.
@@ -57,27 +71,6 @@ type Options struct {
 	// DialTimeout bounds connection establishment (including the
 	// handshake). 0 means 5s.
 	DialTimeout time.Duration
-	// ReadRetries is how many extra attempts an idempotent read (GET,
-	// SCAN, STATS) gets after a connection-level failure, each on a
-	// freshly dialed connection after an exponential-backoff sleep
-	// with full jitter. Writes are never retried — not on failures
-	// and not while the server reports DEGRADED — because a timed-out
-	// or broken write may still have committed. 0 means 2; negative
-	// disables retries.
-	ReadRetries int
-	// RetryBaseDelay is the backoff cap for the first retry; each
-	// further retry doubles the cap and the actual sleep is uniform
-	// in [0, cap) (full jitter). While the server reports DEGRADED
-	// the caps are multiplied by 4: the store will not heal by
-	// hammering it. 0 means 2ms.
-	RetryBaseDelay time.Duration
-	// RetryMaxDelay caps the per-retry backoff regardless of attempt
-	// count. 0 means 100ms.
-	RetryMaxDelay time.Duration
-	// RetryBudget bounds the total backoff sleep one call may spend;
-	// a retry whose delay would exceed the remaining budget is not
-	// attempted. 0 means 1s.
-	RetryBudget time.Duration
 	// Sleep replaces time.Sleep for backoff waits; tests and the
 	// chaos harness inject recorders or no-ops here. Nil means
 	// time.Sleep. It is called once per retry, including zero
@@ -88,9 +81,6 @@ type Options struct {
 	// from the clock at Dial. Called concurrently; the default is
 	// mutex-guarded, injected sources must be safe themselves.
 	Rand func(n int64) int64
-	// MaxFrame bounds accepted response frames. 0 means
-	// wire.DefaultMaxFrame.
-	MaxFrame int
 	// Trace requests wire.FeatureTrace in the handshake: the server
 	// then threads this client's request ids into the engine tracer,
 	// so sampled operations journal span trees attributing physical
@@ -118,44 +108,6 @@ func (o *Options) dialTimeout() time.Duration {
 		return o.DialTimeout
 	}
 	return 5 * time.Second
-}
-
-func (o *Options) readRetries() int {
-	if o.ReadRetries < 0 {
-		return 0
-	}
-	if o.ReadRetries == 0 {
-		return 2
-	}
-	return o.ReadRetries
-}
-
-func (o *Options) maxFrame() int {
-	if o.MaxFrame > 0 {
-		return o.MaxFrame
-	}
-	return wire.DefaultMaxFrame
-}
-
-func (o *Options) retryBaseDelay() time.Duration {
-	if o.RetryBaseDelay > 0 {
-		return o.RetryBaseDelay
-	}
-	return 2 * time.Millisecond
-}
-
-func (o *Options) retryMaxDelay() time.Duration {
-	if o.RetryMaxDelay > 0 {
-		return o.RetryMaxDelay
-	}
-	return 100 * time.Millisecond
-}
-
-func (o *Options) retryBudget() time.Duration {
-	if o.RetryBudget > 0 {
-		return o.RetryBudget
-	}
-	return time.Second
 }
 
 // Client is a pooled, pipelining SEALDB client. Safe for concurrent
@@ -245,23 +197,15 @@ func (c *Client) roundTrip(op wire.Op, payload []byte) (wire.Status, []byte, err
 	return cc.do(op, payload, c.o.timeout())
 }
 
-// readRoundTrip is roundTrip plus the bounded idempotent-read retry
-// loop: connection-level failures redial and retry after an
-// exponential-backoff sleep with full jitter, until the attempt bound
-// or the per-call sleep budget runs out. Status errors and timeouts
-// are never retried (a timeout's fate at the server is unknown).
+// readRoundTrip is roundTrip plus the idempotent-read retry loop:
+// connection-level failures redial and retry after a backoff sleep.
+// Status errors and timeouts are never retried (a timeout's fate at
+// the server is unknown).
 func (c *Client) readRoundTrip(op wire.Op, payload []byte) (wire.Status, []byte, error) {
 	var lastErr error
-	var slept time.Duration
-	budget := c.o.retryBudget()
-	for attempt := 0; attempt <= c.o.readRetries(); attempt++ {
+	for attempt := 0; attempt <= readRetries; attempt++ {
 		if attempt > 0 {
-			d := c.backoffDelay(attempt - 1)
-			if slept+d > budget {
-				break // retry budget exhausted; report the last failure
-			}
-			slept += d
-			c.sleep(d)
+			c.sleep(c.backoffDelay(attempt - 1))
 		}
 		st, body, err := c.roundTrip(op, payload)
 		if err == nil {
@@ -276,26 +220,12 @@ func (c *Client) readRoundTrip(op wire.Op, payload []byte) (wire.Status, []byte,
 }
 
 // backoffDelay computes the sleep before retry number attempt+1:
-// uniform in [0, cap) where cap doubles per attempt from
-// RetryBaseDelay up to RetryMaxDelay (full jitter, per the AWS
-// architecture blog's taxonomy). A client that last saw the server
-// DEGRADED quadruples both cap and ceiling: the store is read-only
-// after a permanent device failure and will not heal under pressure.
+// uniform in [0, retryBaseDelay<<attempt), four times that while the
+// client last saw the server DEGRADED.
 func (c *Client) backoffDelay(attempt int) time.Duration {
-	if attempt > 30 {
-		attempt = 30 // avoid shift overflow; the cap clamps anyway
-	}
-	capDelay := c.o.retryBaseDelay() << uint(attempt)
-	maxDelay := c.o.retryMaxDelay()
+	capDelay := retryBaseDelay << uint(attempt)
 	if c.degraded.Load() {
 		capDelay *= 4
-		maxDelay *= 4
-	}
-	if capDelay > maxDelay {
-		capDelay = maxDelay
-	}
-	if capDelay <= 0 {
-		return 0
 	}
 	return time.Duration(c.rnd(int64(capDelay)))
 }

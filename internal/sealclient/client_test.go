@@ -76,7 +76,7 @@ func TestRequestTimeout(t *testing.T) {
 	// A server that swallows every request forever: the client's
 	// per-request timeout must fire, and the connection must survive.
 	s := newStubServer(t, func(nc net.Conn, f wire.Frame) bool { return true })
-	c, err := Dial(s.ln.Addr().String(), Options{Timeout: 100 * time.Millisecond, ReadRetries: -1})
+	c, err := Dial(s.ln.Addr().String(), Options{Timeout: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -104,7 +104,7 @@ func TestLateReplyAfterTimeoutIsDiscarded(t *testing.T) {
 		r := wire.Reply(f.ReqID, wire.StatusOK, []byte("v2"))
 		return wire.WriteFrame(nc, &r) == nil
 	})
-	c, err := Dial(s.ln.Addr().String(), Options{Timeout: 100 * time.Millisecond, ReadRetries: -1})
+	c, err := Dial(s.ln.Addr().String(), Options{Timeout: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -121,7 +121,7 @@ func TestLateReplyAfterTimeoutIsDiscarded(t *testing.T) {
 
 func TestBoundedReadRetry(t *testing.T) {
 	// Drop the connection on the first two requests, answer the third:
-	// a Get with ReadRetries=2 must succeed after redialing, and the
+	// a Get with its 2 retries must succeed after redialing, and the
 	// dial count proves the retries happened over fresh connections.
 	var n atomic.Int64
 	s := newStubServer(t, func(nc net.Conn, f wire.Frame) bool {
@@ -131,7 +131,7 @@ func TestBoundedReadRetry(t *testing.T) {
 		r := wire.Reply(f.ReqID, wire.StatusOK, []byte("ok"))
 		return wire.WriteFrame(nc, &r) == nil
 	})
-	c, err := Dial(s.ln.Addr().String(), Options{Timeout: time.Second, ReadRetries: 2})
+	c, err := Dial(s.ln.Addr().String(), Options{Timeout: time.Second})
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -149,9 +149,9 @@ func TestBoundedReadRetry(t *testing.T) {
 func TestRetryExhaustionSurfacesConnError(t *testing.T) {
 	// A server that always drops the connection: after the retry budget
 	// is spent the client must report a connection error, and the dial
-	// count must equal 1 + ReadRetries.
+	// count must equal 1 + readRetries.
 	s := newStubServer(t, func(nc net.Conn, f wire.Frame) bool { return false })
-	c, err := Dial(s.ln.Addr().String(), Options{Timeout: time.Second, ReadRetries: 2})
+	c, err := Dial(s.ln.Addr().String(), Options{Timeout: time.Second})
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -171,7 +171,7 @@ func TestWritesAreNotRetried(t *testing.T) {
 		n.Add(1)
 		return false
 	})
-	c, err := Dial(s.ln.Addr().String(), Options{Timeout: time.Second, ReadRetries: 2})
+	c, err := Dial(s.ln.Addr().String(), Options{Timeout: time.Second})
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -257,5 +257,78 @@ func TestClosedClient(t *testing.T) {
 	}
 	if _, err := c.Get([]byte("k")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Get after Close err = %v, want ErrClosed", err)
+	}
+}
+
+// TestWriteBlockedPastDeadline stalls a connection's writes: the stub
+// takes one request and then stops reading, and both ends' socket
+// buffers are shrunk so a 4 MiB frame cannot fit. The caller holding
+// the write lock gets ErrTimeout at its deadline and fails the
+// connection, since its frame is cut short; a second caller that
+// waited on the lock past its own, earlier deadline gets ErrTimeout
+// without touching the stream, so the connection outlives it; the
+// next call redials.
+func TestWriteBlockedPastDeadline(t *testing.T) {
+	release := make(chan struct{})
+	t.Cleanup(func() { close(release) })
+	var n atomic.Int64
+	s := newStubServer(t, func(nc net.Conn, f wire.Frame) bool {
+		if n.Add(1) == 1 {
+			if tc, ok := nc.(*net.TCPConn); ok {
+				if err := tc.SetReadBuffer(4 << 10); err != nil {
+					return false
+				}
+			}
+			<-release // stop reading this connection
+			return false
+		}
+		r := wire.Reply(f.ReqID, wire.StatusOK, []byte("ok"))
+		return wire.WriteFrame(nc, &r) == nil
+	})
+	c, err := Dial(s.ln.Addr().String(), Options{Timeout: time.Second})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	cc, err := c.pick()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cc.nc.(*net.TCPConn).SetWriteBuffer(4 << 10); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := cc.do(wire.OpGet, wire.AppendGet(nil, []byte("k")), 50*time.Millisecond); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("unanswered Get err = %v, want ErrTimeout", err)
+	}
+
+	held := make(chan error, 1)
+	go func() {
+		_, _, err := cc.do(wire.OpPut, wire.AppendPut(nil, []byte("k"), make([]byte, 4<<20)), time.Second)
+		held <- err
+	}()
+	for len(cc.wlock) == 0 { // wait until the Put holds the write lock
+		time.Sleep(time.Millisecond)
+	}
+	start := time.Now()
+	if _, _, err := cc.do(wire.OpGet, wire.AppendGet(nil, []byte("k")), 50*time.Millisecond); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("Get waiting on the write lock: err = %v, want ErrTimeout", err)
+	}
+	if d := time.Since(start); d > 500*time.Millisecond {
+		t.Fatalf("lock waiter gave up after %v, want ~50ms", d)
+	}
+	if cc.isDead() {
+		t.Fatal("a lock waiter's timeout failed the connection")
+	}
+	if err := <-held; !errors.Is(err, ErrTimeout) {
+		t.Fatalf("blocked Put err = %v, want ErrTimeout", err)
+	}
+	if !cc.isDead() {
+		t.Fatal("a frame cut off mid-write left the connection alive")
+	}
+	if v, err := c.Get([]byte("k")); err != nil || string(v) != "ok" {
+		t.Fatalf("Get after the failed write = %q, %v; want ok on a new connection", v, err)
+	}
+	if got := s.dials.Load(); got != 2 {
+		t.Fatalf("server saw %d dials, want 2 (one redial)", got)
 	}
 }

@@ -2,8 +2,10 @@ package sealclient
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"time"
 
@@ -57,17 +59,19 @@ type reply struct {
 	err    error
 }
 
-// clientConn is one pipelined connection: a writer goroutine draining
-// a request channel into a buffered socket writer (flushing whenever
-// the channel runs dry), and a reader goroutine matching response
-// frames to waiters by request ID. Either goroutine failing fails
-// every pending request and marks the connection dead; the pool then
-// redials.
+// clientConn is one pipelined connection. A caller writes its own
+// request frame under the write lock, then waits for the reply that
+// the connection's one goroutine, its reader, matches to it by request
+// ID. A failed read or a write cut off mid-frame fails every pending
+// request and marks the connection dead; the pool then redials.
 type clientConn struct {
 	nc       net.Conn
 	features uint32
 
-	sendCh chan outFrame
+	// wlock is the write lock, a one-slot semaphore so that a caller
+	// whose deadline passes while it waits can give up without
+	// touching the stream.
+	wlock chan struct{}
 
 	// mu guards the request-ID/waiter state every in-flight request
 	// touches twice; profiled as the "sealclient_conn_mu" contention
@@ -78,21 +82,10 @@ type clientConn struct {
 	waiters map[uint64]chan reply // guarded by mu
 	dead    bool                  // guarded by mu
 	deadErr error                 // guarded by mu
-
-	done chan struct{} // closed once the connection is dead
-	once sync.Once
-}
-
-type outFrame struct {
-	f wire.Frame
-	// errTo receives a send-side failure so the waiter is not left
-	// hanging on a request that never reached the socket.
-	errTo chan reply
-	reqID uint64
 }
 
 // dialConn establishes and handshakes one connection synchronously,
-// then starts its goroutine pair.
+// then starts its reader.
 func dialConn(addr string, o *Options) (*clientConn, error) {
 	nc, err := net.DialTimeout("tcp", addr, o.dialTimeout())
 	if err != nil {
@@ -100,17 +93,15 @@ func dialConn(addr string, o *Options) (*clientConn, error) {
 	}
 	cc := &clientConn{
 		nc:      nc,
-		sendCh:  make(chan outFrame, 64),
+		wlock:   make(chan struct{}, 1),
 		waiters: make(map[uint64]chan reply),
-		done:    make(chan struct{}),
 	}
 	cc.mu.Profile("sealclient_conn_mu")
 	if err := cc.handshake(o); err != nil {
 		nc.Close()
 		return nil, err
 	}
-	go cc.writeLoop()
-	go cc.readLoop(o.maxFrame())
+	go cc.readLoop()
 	return cc, nil
 }
 
@@ -120,7 +111,7 @@ func (cc *clientConn) handshake(o *Options) error {
 	if err := cc.nc.SetDeadline(time.Now().Add(o.dialTimeout())); err != nil {
 		return fmt.Errorf("%w: %v", ErrConn, err)
 	}
-	features := wire.FeaturePipeline | wire.FeatureCoalesce
+	features := wire.FeaturePipeline
 	if o.Trace {
 		features |= wire.FeatureTrace
 	}
@@ -187,7 +178,6 @@ func (cc *clientConn) fail(err error) {
 	waiters := cc.waiters
 	cc.waiters = nil
 	cc.mu.Unlock()
-	cc.once.Do(func() { close(cc.done) })
 	cc.nc.Close()
 	for _, ch := range waiters {
 		ch <- reply{err: err}
@@ -216,23 +206,34 @@ func (cc *clientConn) unregister(id uint64) {
 	cc.mu.Unlock()
 }
 
-// do sends one request and waits for its matched reply or the timeout.
+// do writes one request and waits for its matched reply, both within
+// the timeout.
 func (cc *clientConn) do(op wire.Op, payload []byte, timeout time.Duration) (wire.Status, []byte, error) {
+	deadline := time.Now().Add(timeout)
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	id, ch, err := cc.register()
 	if err != nil {
 		return 0, nil, err
 	}
-	of := outFrame{f: wire.Frame{Op: op, ReqID: id, Payload: payload}, errTo: ch, reqID: id}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
 	select {
-	case cc.sendCh <- of:
-	case <-cc.done:
-		cc.unregister(id)
-		return 0, nil, cc.deadError()
+	case cc.wlock <- struct{}{}:
 	case <-timer.C:
 		cc.unregister(id)
 		return 0, nil, ErrTimeout
+	}
+	err = cc.nc.SetWriteDeadline(deadline)
+	if err == nil {
+		err = wire.WriteFrame(cc.nc, &wire.Frame{Op: op, ReqID: id, Payload: payload})
+	}
+	<-cc.wlock
+	if err != nil {
+		// The frame may be cut short, so the stream is lost; fail
+		// hands this request the connection's error.
+		cc.fail(fmt.Errorf("%w: write: %v", ErrConn, err))
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			return 0, nil, ErrTimeout
+		}
 	}
 	select {
 	case r := <-ch:
@@ -246,61 +247,12 @@ func (cc *clientConn) do(op wire.Op, payload []byte, timeout time.Duration) (wir
 	}
 }
 
-func (cc *clientConn) deadError() error {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if cc.deadErr != nil {
-		return cc.deadErr
-	}
-	return ErrConn
-}
-
-// writeLoop drains the request channel into a buffered writer,
-// flushing whenever no more requests are immediately queued.
-func (cc *clientConn) writeLoop() {
-	bw := bufio.NewWriterSize(cc.nc, 64<<10)
-	for {
-		select {
-		case of := <-cc.sendCh:
-			if err := cc.writeOne(bw, of); err != nil {
-				cc.fail(err)
-				return
-			}
-		drain:
-			for {
-				select {
-				case of2 := <-cc.sendCh:
-					if err := cc.writeOne(bw, of2); err != nil {
-						cc.fail(err)
-						return
-					}
-				default:
-					break drain
-				}
-			}
-			if err := bw.Flush(); err != nil {
-				cc.fail(fmt.Errorf("%w: flush: %v", ErrConn, err))
-				return
-			}
-		case <-cc.done:
-			return
-		}
-	}
-}
-
-func (cc *clientConn) writeOne(bw *bufio.Writer, of outFrame) error {
-	if err := wire.WriteFrame(bw, &of.f); err != nil {
-		return fmt.Errorf("%w: write: %v", ErrConn, err)
-	}
-	return nil
-}
-
 // readLoop matches response frames to waiters until the connection
 // fails or closes.
-func (cc *clientConn) readLoop(maxFrame int) {
+func (cc *clientConn) readLoop() {
 	br := bufio.NewReaderSize(cc.nc, 64<<10)
 	for {
-		f, err := wire.ReadFrame(br, maxFrame)
+		f, err := wire.ReadFrame(br, wire.DefaultMaxFrame)
 		if err != nil {
 			cc.fail(fmt.Errorf("%w: read: %v", ErrConn, err))
 			return

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -13,33 +12,22 @@ import (
 	"sealdb/internal/wire"
 )
 
-const (
-	// maxQueuedReplies is how many responses may await a connection's
-	// writer before its reader blocks: room for a pipelining client's
-	// burst while the writer flushes.
-	maxQueuedReplies = 128
-	// maxBatchBytes bounds the capacity a connection's batch keeps
-	// between requests; one grown past it is replaced, not pinned.
-	maxBatchBytes = 4 << 20
-)
+// maxBatchBytes bounds the capacity a connection's batch keeps between
+// requests; one grown past it is replaced, not pinned.
+const maxBatchBytes = 4 << 20
 
-// conn is one served connection: a reader goroutine decoding and
-// executing pipelined requests and a writer goroutine flushing
-// responses, tied together by the out channel.
+// conn is one served connection, run by one goroutine: it reads each
+// pipelined request, executes it and writes the reply into a buffered
+// writer it flushes whenever no further whole request is buffered.
 type conn struct {
 	id  uint64
 	srv *Server
 	nc  net.Conn
 	br  *bufio.Reader
-
-	// out carries responses to the writer; when maxQueuedReplies wait
-	// the reader blocks, and TCP flow control pushes back on the client.
-	out chan wire.Frame
-	// dead is closed when the writer is gone (write error or force
-	// close); senders then drop their responses.
-	dead      chan struct{}
-	deadOnce  sync.Once
-	closeOnce sync.Once
+	bw  *bufio.Writer
+	// werr is the first failed reply write; the reader stops at it,
+	// since every later reply would be lost.
+	werr error
 
 	// traced is set by the handshake when the client negotiated
 	// wire.FeatureTrace: this connection's request ids are threaded
@@ -68,8 +56,7 @@ func newConn(s *Server, id uint64, nc net.Conn) *conn {
 		srv:    s,
 		nc:     nc,
 		br:     bufio.NewReaderSize(nc, 64<<10),
-		out:    make(chan wire.Frame, maxQueuedReplies),
-		dead:   make(chan struct{}),
+		bw:     bufio.NewWriterSize(nc, 64<<10),
 		batch:  lsm.NewBatch(),
 		opened: time.Now(),
 		remote: nc.RemoteAddr().String(),
@@ -80,32 +67,39 @@ func newConn(s *Server, id uint64, nc net.Conn) *conn {
 // connection winds down; inflight requests still complete and flush.
 func (c *conn) beginDrain() {
 	if err := c.nc.SetReadDeadline(time.Now()); err != nil {
-		c.forceClose()
+		c.nc.Close()
 	}
 }
 
-// forceClose abandons the connection immediately, dropping unflushed
-// responses.
-func (c *conn) forceClose() {
-	c.markDead()
-	c.closeOnce.Do(func() { c.nc.Close() })
-}
-
-// markDead records that the writer can no longer deliver responses.
-func (c *conn) markDead() {
-	c.deadOnce.Do(func() { close(c.dead) })
-}
-
-// send hands a response to the writer, dropping it if the writer is
-// gone. Called from the reader goroutine.
+// send writes one reply into the connection's buffer, first arming the
+// slow-client deadline if the write may reach the socket. The first
+// failed write is kept in werr and every later reply is dropped.
+// Called from the reader goroutine.
 func (c *conn) send(f wire.Frame) {
-	select {
-	case c.out <- f:
-	case <-c.dead:
+	n := frameWireSize(&f)
+	if c.werr == nil && n > c.bw.Available() {
+		c.werr = c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
+	}
+	if c.werr == nil {
+		if c.werr = wire.WriteFrame(c.bw, &f); c.werr == nil {
+			c.bytesOut.Add(int64(n))
+			c.srv.m.bytesOut.Add(int64(n))
+		}
 	}
 }
 
-// readLoop is the connection's reader half.
+// flush pushes the buffered replies to the socket under the
+// slow-client deadline and reports whether the connection can go on.
+func (c *conn) flush() bool {
+	if c.werr == nil && c.bw.Buffered() > 0 {
+		if c.werr = c.nc.SetWriteDeadline(time.Now().Add(writeTimeout)); c.werr == nil {
+			c.werr = c.bw.Flush()
+		}
+	}
+	return c.werr == nil
+}
+
+// readLoop is the connection's goroutine.
 func (c *conn) readLoop() {
 	defer c.srv.connWG.Done()
 	defer c.teardown()
@@ -113,9 +107,13 @@ func (c *conn) readLoop() {
 	if !c.handshake() {
 		return
 	}
-	maxFrame := c.srv.cfg.maxFrame()
 	for {
-		f, err := wire.ReadFrame(c.br, maxFrame)
+		// Reply before a read that could block; a pipelined burst
+		// already buffered is answered in one flush.
+		if !wire.FrameBuffered(c.br) && !c.flush() {
+			return
+		}
+		f, err := wire.ReadFrame(c.br, wire.DefaultMaxFrame)
 		if err != nil {
 			// Oversized frames earn an explicit refusal before the
 			// connection dies; everything else (EOF, deadline, reset)
@@ -133,10 +131,13 @@ func (c *conn) readLoop() {
 		c.pending.Add(1)
 		c.dispatch(&f)
 		c.pending.Add(-1)
+		if c.werr != nil {
+			return
+		}
 	}
 }
 
-// dispatch executes one request frame and enqueues its response.
+// dispatch executes one request frame and writes its reply.
 func (c *conn) dispatch(f *wire.Frame) {
 	switch f.Op {
 	case wire.OpGet:
@@ -219,6 +220,7 @@ func (c *conn) doWrite(f *wire.Frame) {
 		// (build tag sealdb_chaos_mutation): the OK leaves before the
 		// engine logs the write, so a power cut mid-apply loses it.
 		c.send(wire.Reply(f.ReqID, wire.StatusOK, nil))
+		c.flush()
 		c.commit(f.ReqID) // the outcome is dropped: that is the bug
 	} else if err := c.commit(f.ReqID); err != nil {
 		c.send(errReply(f.ReqID, err))
@@ -322,7 +324,7 @@ func (c *conn) handshake() bool {
 	reply := wire.Hello{
 		Magic:    wire.Magic,
 		Version:  wire.Version,
-		Features: h.Features & (wire.FeaturePipeline | wire.FeatureCoalesce | wire.FeatureTrace),
+		Features: h.Features & (wire.FeaturePipeline | wire.FeatureTrace),
 	}
 	if reply.Features&wire.FeatureTrace != 0 {
 		// Tracing is engine-global and sticky for the server's
@@ -337,66 +339,13 @@ func (c *conn) handshake() bool {
 }
 
 // teardown runs when the reader exits, every request it read answered:
-// it closes the response channel so the writer flushes and exits, and
-// the writer closes the socket.
+// it flushes what replies it can and closes the socket.
 func (c *conn) teardown() {
-	close(c.out)
-	c.srv.removeConn(c)
-}
-
-// writeLoop is the connection's writer half: it serializes response
-// frames, batching flushes, each flush bounded by the slow-client
-// write deadline.
-func (c *conn) writeLoop() {
-	defer c.srv.connWG.Done()
-	defer func() {
-		c.markDead()
-		c.closeOnce.Do(func() { c.nc.Close() })
-	}()
-	bw := bufio.NewWriterSize(c.nc, 64<<10)
-	for f := range c.out {
-		if err := c.nc.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
-			return
-		}
-		if err := c.writeFrame(bw, &f); err != nil {
-			c.srv.m.connErrors.Inc()
-			return
-		}
-		// Opportunistically coalesce queued responses into one flush.
-	drain:
-		for {
-			select {
-			case f2, ok := <-c.out:
-				if !ok {
-					break drain
-				}
-				if err := c.writeFrame(bw, &f2); err != nil {
-					c.srv.m.connErrors.Inc()
-					return
-				}
-			default:
-				break drain
-			}
-		}
-		if err := bw.Flush(); err != nil {
-			c.srv.m.connErrors.Inc()
-			return
-		}
-	}
-	if err := bw.Flush(); err != nil {
+	if !c.flush() {
 		c.srv.m.connErrors.Inc()
 	}
-}
-
-// writeFrame encodes one response and accounts its bytes.
-func (c *conn) writeFrame(bw *bufio.Writer, f *wire.Frame) error {
-	if err := wire.WriteFrame(bw, f); err != nil {
-		return err
-	}
-	n := int64(frameWireSize(f))
-	c.bytesOut.Add(n)
-	c.srv.m.bytesOut.Add(n)
-	return nil
+	c.nc.Close()
+	c.srv.removeConn(c)
 }
 
 // frameWireSize is the on-wire size of a frame.

@@ -48,7 +48,7 @@ func TestServerPowerCutMidPipeline(t *testing.T) {
 	}
 
 	c, err := sealclient.Dial(srv.Addr().String(), sealclient.Options{
-		Timeout: 10 * time.Second, ReadRetries: -1,
+		Timeout: 10 * time.Second,
 	})
 	if err != nil {
 		t.Fatalf("dial: %v", err)

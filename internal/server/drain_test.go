@@ -3,11 +3,14 @@ package server
 import (
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"sealdb/internal/lsm"
 	"sealdb/internal/sealclient"
+	"sealdb/internal/wire"
 )
 
 // cleanShutdownErr reports whether err is an acceptable way for an
@@ -165,5 +168,84 @@ func TestDrainIdleConnectionsIsFast(t *testing.T) {
 		if _, err := c.Get([]byte("idle0")); err == nil || !cleanShutdownErr(err) {
 			t.Fatalf("client %d post-drain get: err = %v, want clean shutdown sentinel", i, err)
 		}
+	}
+}
+
+// stallReplies pipelines n GETs of a 256 KiB value on a raw connection
+// and never reads a reply, then waits until the server's reader stops
+// making progress: it is blocked in a reply write the client will not
+// absorb.
+func stallReplies(t *testing.T, db *lsm.DB, srv *Server, n int) *net.TCPConn {
+	t.Helper()
+	if err := db.Put([]byte("big"), make([]byte, 256<<10)); err != nil {
+		t.Fatal(err)
+	}
+	nc, _, _ := rawConn(t, srv.Addr().String(),
+		wire.Hello{Magic: wire.Magic, Version: wire.Version, Features: wire.FeaturePipeline})
+	var buf []byte
+	for id := uint64(1); id <= uint64(n); id++ {
+		buf = wire.AppendFrame(buf, &wire.Frame{Op: wire.OpGet, ReqID: id, Payload: wire.AppendGet(nil, []byte("big"))})
+	}
+	if _, err := nc.Write(buf); err != nil {
+		t.Fatalf("write pipeline: %v", err)
+	}
+	last := int64(-1)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Millisecond) {
+		got := srv.m.requests.Value()
+		if got > 0 && got == last {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("server reader never stalled (%d requests executed)", got)
+		}
+		last = got
+	}
+	if got := srv.m.requests.Value(); got >= int64(n) {
+		t.Fatalf("server executed all %d requests; replies were absorbed, nothing stalled", got)
+	}
+	return nc.(*net.TCPConn)
+}
+
+// TestDrainReleasesReaderBlockedInReplyWrite checks that Close returns
+// within DrainTimeout plus slack, well before the 10 s write deadline,
+// while a connection's reader is blocked writing replies to a client
+// that never reads: force-closing the socket fails that write.
+func TestDrainReleasesReaderBlockedInReplyWrite(t *testing.T) {
+	db, srv := newTestServer(t, Config{DrainTimeout: 200 * time.Millisecond})
+	stallReplies(t, db, srv, 200)
+	t0 := time.Now()
+	if err := srv.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if took := time.Since(t0); took > 3*time.Second {
+		t.Fatalf("Close took %v with a reader blocked in its reply write", took)
+	}
+	if n := len(srv.openConns()); n != 0 {
+		t.Fatalf("%d connections still open after Close", n)
+	}
+}
+
+// TestFailedReplyWriteClosesConnection resets a connection whose
+// reader is blocked in a reply write: the failed write must end the
+// connection at once, not after the reader has executed every
+// request still buffered, whose replies could only be dropped.
+func TestFailedReplyWriteClosesConnection(t *testing.T) {
+	const n = 200
+	db, srv := newTestServer(t, Config{})
+	nc := stallReplies(t, db, srv, n)
+	if err := nc.SetLinger(0); err != nil {
+		t.Fatal(err)
+	}
+	nc.Close() // with linger 0: a reset, failing the server's write
+	for deadline := time.Now().Add(5 * time.Second); len(srv.openConns()) > 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("connection still open 5s after its client reset it")
+		}
+	}
+	if got := srv.m.requests.Value(); got >= n {
+		t.Fatalf("server executed %d of %d requests after their replies could no longer be written", got, n)
+	}
+	if srv.m.connErrors.Value() == 0 {
+		t.Fatal("failed reply write not counted as a connection error")
 	}
 }

@@ -3,20 +3,23 @@
 //
 // Architecture (see DESIGN.md, "Serving layer"):
 //
-//   - Each accepted connection gets a read/write goroutine pair. The
-//     reader decodes pipelined request frames and executes each inline;
-//     the writer serializes response frames from a channel.
-//   - Reads (GET/SCAN/STATS) run on the reader goroutine. So do writes
+//   - Each accepted connection gets one goroutine. It decodes the
+//     pipelined request frames in arrival order, executes each inline
+//     and writes its reply into a buffered writer, flushed whenever no
+//     further whole request is buffered.
+//   - Reads (GET/SCAN/STATS) run on that goroutine. So do writes
 //     (PUT/DELETE/WRITEBATCH): the request is decoded into the
 //     connection's one lsm.Batch and applied with DB.ApplyCtx, whose
 //     writer queue commits concurrent connections' batches as one group.
 //     A read therefore waits behind its own connection's earlier write,
 //     never another connection's.
-//   - Backpressure is structural: the reader executes one request at a
-//     time and blocks once maxQueuedReplies wait for the writer (and
-//     therefore TCP flow control stops the client), and a connection
-//     limit bounds the goroutine population. Slow clients are bounded
-//     by a write deadline on every response flush.
+//   - Backpressure is structural: the goroutine executes one request at
+//     a time and blocks in its reply write once the client stops
+//     reading (and then stops reading the socket, so TCP flow control
+//     stops the client), and a connection limit bounds the goroutine
+//     population. Slow clients are bounded by a write deadline on every
+//     reply write that may reach the socket; one that fails closes the
+//     connection.
 //   - Close drains gracefully: the listener stops, readers are kicked
 //     out of their blocking reads, inflight requests finish and their
 //     acks flush, then connections close.
@@ -46,14 +49,11 @@ type Config struct {
 	// DrainTimeout bounds graceful shutdown; connections still open
 	// after it are force-closed. 0 means 5s.
 	DrainTimeout time.Duration
-	// MaxFrame bounds accepted request frames. 0 means
-	// wire.DefaultMaxFrame.
-	MaxFrame int
 }
 
 const (
-	// writeTimeout is the slow-client deadline for flushing responses:
-	// a connection that cannot absorb its responses in time is closed.
+	// writeTimeout is the slow-client deadline for writing replies: a
+	// connection that cannot absorb its replies in time is closed.
 	writeTimeout = 10 * time.Second
 	// handshakeTimeout bounds the wait for the client hello.
 	handshakeTimeout = 5 * time.Second
@@ -71,13 +71,6 @@ func (c *Config) drainTimeout() time.Duration {
 		return c.DrainTimeout
 	}
 	return 5 * time.Second
-}
-
-func (c *Config) maxFrame() int {
-	if c.MaxFrame > 0 {
-		return c.MaxFrame
-	}
-	return wire.DefaultMaxFrame
 }
 
 // Server is a running network front end over one DB.
@@ -148,9 +141,8 @@ func (s *Server) acceptLoop() {
 		s.conns[c] = struct{}{}
 		s.mu.Unlock()
 		s.m.connsAccepted.Inc()
-		s.connWG.Add(2)
+		s.connWG.Add(1)
 		go c.readLoop()
-		go c.writeLoop()
 	}
 }
 
@@ -210,8 +202,10 @@ func (s *Server) Close() error {
 	select {
 	case <-done:
 	case <-time.After(s.cfg.drainTimeout()):
+		// Force-close: unflushed replies are dropped, and a reader
+		// blocked in a reply write fails out of it.
 		for _, c := range s.openConns() {
-			c.forceClose()
+			c.nc.Close()
 		}
 		<-done
 	}
@@ -247,6 +241,8 @@ func errReply(reqID uint64, err error) wire.Frame {
 
 // statsPayload is the STATS reply body (JSON). Degraded-mode state
 // rides along so a remote client can see why its writes are rejected.
+// Stats carries the engine's scalar counters only: the per-job records
+// grow by one per flush or compaction, so they stay out of the reply.
 type statsPayload struct {
 	Stats         lsm.Stats   `json:"stats"`
 	Mode          string      `json:"mode"`
@@ -269,8 +265,10 @@ type serverStats struct {
 }
 
 func (s *Server) stats() statsPayload {
+	st := s.db.Stats()
+	st.Compactions = nil
 	p := statsPayload{
-		Stats: s.db.Stats(),
+		Stats: st,
 		Mode:  s.db.Mode().String(),
 		Seq:   uint64(s.db.Seq()),
 		Server: serverStats{

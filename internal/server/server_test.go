@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -453,17 +454,18 @@ func TestGracefulDrain(t *testing.T) {
 	}
 }
 
-// TestOversizedFrameRefused checks the explicit TooLarge refusal.
+// TestOversizedFrameRefused checks the explicit TooLarge refusal: a
+// header declaring one byte past wire.DefaultMaxFrame is refused before
+// any of its body is read.
 func TestOversizedFrameRefused(t *testing.T) {
-	_, srv := newTestServer(t, Config{MaxFrame: 4096})
+	_, srv := newTestServer(t, Config{})
 	nc, br, hr := rawConn(t, srv.Addr().String(),
 		wire.Hello{Magic: wire.Magic, Version: wire.Version})
 	if st, _, err := wire.ParseReply(hr.Payload); err != nil || st != wire.StatusOK {
 		t.Fatalf("handshake: %v %v", st, err)
 	}
-	f := wire.Frame{Op: wire.OpPut, ReqID: 7,
-		Payload: wire.AppendPut(nil, []byte("k"), make([]byte, 64<<10))}
-	if err := wire.WriteFrame(nc, &f); err != nil {
+	hdr := binary.LittleEndian.AppendUint32(nil, wire.DefaultMaxFrame+1)
+	if _, err := nc.Write(hdr); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	rf, err := wire.ReadFrame(br, wire.DefaultMaxFrame)
@@ -476,5 +478,43 @@ func TestOversizedFrameRefused(t *testing.T) {
 	}
 	if st != wire.StatusTooLarge {
 		t.Fatalf("status = %v, want StatusTooLarge", st)
+	}
+}
+
+// TestStatsBodyDoesNotGrowWithCompactions checks that the STATS reply
+// carries counters, not the engine's per-job records: after dozens of
+// flushes and compactions the body is as long as before them, give or
+// take the digits its counters gained.
+func TestStatsBodyDoesNotGrowWithCompactions(t *testing.T) {
+	db, srv := newTestServer(t, Config{})
+	c, err := sealclient.Dial(srv.Addr().String(), sealclient.Options{Timeout: 10 * time.Second})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	before, err := c.Stats()
+	if err != nil {
+		t.Fatalf("stats: %v", err)
+	}
+	val := make([]byte, 1024)
+	rng := rand.New(rand.NewSource(1))
+	for len(db.Stats().Compactions) < 40 {
+		rng.Read(val)
+		if err := db.Put([]byte(fmt.Sprintf("key%08d", rng.Intn(1<<20))), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after, err := c.Stats()
+	if err != nil {
+		t.Fatalf("stats: %v", err)
+	}
+	if grew := len(after) - len(before); grew > 256 {
+		t.Fatalf("STATS body grew %d bytes (%d → %d) over 40 jobs:\n%s", grew, len(before), len(after), after)
+	}
+	var p struct {
+		Stats struct{ FlushCount int64 } `json:"stats"`
+	}
+	if err := json.Unmarshal(after, &p); err != nil || p.Stats.FlushCount == 0 {
+		t.Fatalf("STATS lost its counters: flushes %d, err %v\n%s", p.Stats.FlushCount, err, after)
 	}
 }

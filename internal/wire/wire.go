@@ -22,6 +22,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -41,11 +42,9 @@ const (
 const (
 	// FeaturePipeline: the peer accepts out-of-order responses.
 	FeaturePipeline uint32 = 1 << 0
-	// FeatureCoalesce: the peer's writes may share a group commit with
-	// other connections' writes. The engine groups concurrent writers
-	// whatever the bit says; it is kept for handshake compatibility, and
-	// acks are unaffected.
-	FeatureCoalesce uint32 = 1 << 1
+	// Bit 1 is retired: a server drops it from its reply like any
+	// unknown bit.
+
 	// FeatureTrace: the client asks the server to enable request
 	// tracing — its request ids are threaded into the engine so
 	// sampled operations journal span trees attributing physical I/O
@@ -183,6 +182,20 @@ func WriteFrame(w io.Writer, f *Frame) error {
 	buf := AppendFrame(make([]byte, 0, 4+headerLen+len(f.Payload)), f)
 	_, err := w.Write(buf)
 	return err
+}
+
+// FrameBuffered reports whether br already holds one whole frame, so
+// that reading it will not wait on the underlying reader.
+func FrameBuffered(br *bufio.Reader) bool {
+	n := br.Buffered()
+	if n < 4 {
+		return false
+	}
+	hdr, err := br.Peek(4)
+	if err != nil {
+		return false
+	}
+	return int64(n-4) >= int64(binary.LittleEndian.Uint32(hdr))
 }
 
 // ReadFrame reads one frame from r, rejecting frames whose declared

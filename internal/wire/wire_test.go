@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -49,6 +50,28 @@ func TestReadFrameLimits(t *testing.T) {
 	torn := buf[:len(buf)-10]
 	if _, err := ReadFrame(bytes.NewReader(torn), 0); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("torn frame: %v, want ErrUnexpectedEOF", err)
+	}
+}
+
+// TestFrameBuffered checks the whole-frame test a server uses to decide
+// whether to flush before its next read: true only once every byte of
+// the next frame is buffered, and never by reading on.
+func TestFrameBuffered(t *testing.T) {
+	frame := AppendFrame(nil, &Frame{Op: OpPut, ReqID: 1, Payload: AppendPut(nil, []byte("k"), []byte("v"))})
+	two := append(append([]byte(nil), frame...), frame...)
+	for n := 0; n <= len(two); n++ {
+		br := bufio.NewReader(bytes.NewReader(two[:n]))
+		if n > 0 {
+			if _, err := br.Peek(n); err != nil {
+				t.Fatalf("prefix %d: %v", n, err)
+			}
+		}
+		if got, want := FrameBuffered(br), n >= len(frame); got != want {
+			t.Fatalf("%d of %d bytes buffered: FrameBuffered = %v, want %v", n, len(frame), got, want)
+		}
+		if br.Buffered() != n {
+			t.Fatalf("FrameBuffered read on: %d bytes buffered, want %d", br.Buffered(), n)
+		}
 	}
 }
 
