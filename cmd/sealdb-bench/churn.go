@@ -13,7 +13,7 @@ import (
 
 // ChurnSchema identifies the BENCH_churn.json layout so CI can
 // validate artifacts across revisions.
-const ChurnSchema = "sealdb-bench-churn/v1"
+const ChurnSchema = "sealdb-bench-churn/v2"
 
 // ChurnReport is the -churn output: a timeline of storage-surface
 // samples under sustained overwrite/delete/scan load, plus the bounds
@@ -62,12 +62,8 @@ type ChurnSample struct {
 	P50NS int64 `json:"p50_ns"`
 	P99NS int64 `json:"p99_ns"`
 
-	// Heat distribution: bands carrying allocation, the hottest band's
-	// EWMA heat, and its share of the total heat (1.0 = all writes
-	// landing in one band; 1/bands = perfectly spread).
-	HeatBands    int     `json:"heat_bands"`
-	HeatMax      float64 `json:"heat_max"`
-	HeatTopShare float64 `json:"heat_top_share"`
+	// AllocBands counts the bands that hold allocation.
+	AllocBands int `json:"alloc_bands"`
 }
 
 type churnOptions struct {
@@ -135,7 +131,6 @@ func runChurn(o churnOptions) {
 		snap := lat.Snapshot()
 		lat = obs.NewHistogram() // per-window quantiles
 		sp := db.SpaceProfile()
-		bp := db.BandProfile()
 		s := ChurnSample{
 			DeviceSeconds:    float64(now-startNS) / 1e9,
 			Ops:              ops,
@@ -149,19 +144,7 @@ func runChurn(o churnOptions) {
 			LargestFree:      sp.Frag.LargestFree,
 			P50NS:            snap.P50,
 			P99NS:            snap.P99,
-		}
-		var heatSum float64
-		for _, b := range bp.Bands {
-			if b.Alloc > 0 {
-				s.HeatBands++
-			}
-			heatSum += b.Heat
-			if b.Heat > s.HeatMax {
-				s.HeatMax = b.Heat
-			}
-		}
-		if heatSum > 0 {
-			s.HeatTopShare = s.HeatMax / heatSum
+			AllocBands:       len(db.BandProfile().Bands),
 		}
 		rep.Samples = append(rep.Samples, s)
 		if !s.Warmup {
@@ -174,7 +157,7 @@ func runChurn(o churnOptions) {
 		}
 		fmt.Printf("%10.3f %10d %8.3f %8.3f %8d %10v %10s %6d\n",
 			s.DeviceSeconds, s.Ops, s.SA, s.FragIndex, s.FragHoles,
-			time.Duration(s.P99NS).Round(time.Microsecond), human(s.PhysicalBytes), s.HeatBands)
+			time.Duration(s.P99NS).Round(time.Microsecond), human(s.PhysicalBytes), s.AllocBands)
 	}
 
 	// The op mix: mostly overwrites of a zipf-less uniform working set

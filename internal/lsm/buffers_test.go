@@ -67,7 +67,7 @@ func checkLevelMerge(t *testing.T, d *DB, c *compaction) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer putBufs(bufs)
+	defer d.putBufs(bufs)
 	want := len(c.inputs0) + len(c.inputs1)
 	if d.cfg.sortedLevel(c.outLevel) {
 		want = len(c.inputs0) + 1 // level 0 stays a child per file

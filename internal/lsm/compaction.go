@@ -265,7 +265,7 @@ func (d *DB) compact(c *compaction, sp *obs.Span) (CompactionInfo, error) {
 	}
 	// The device writes below are synchronous: once they have returned,
 	// with or without an error, nobody holds the outputs' bytes.
-	defer putBufs(datas)
+	defer d.putBufs(datas)
 
 	// Place the outputs: grouped modes write the new set in one
 	// contiguous extent; others write file by file.
@@ -439,13 +439,13 @@ func (d *DB) readWhole(files []*version.FileMeta) ([]*version.FileMeta, [][]byte
 // the configured size (blocks up to the cut, the entry that crossed
 // it, index and filter), or for n bytes if that is more.
 func (d *DB) tableBuf(n int64) []byte {
-	return sstable.GetBuf(int(max(n, d.cfg.SSTableSize+d.cfg.SSTableSize/8+4096)))
+	return d.cache.GetBuf(int(max(n, d.cfg.SSTableSize+d.cfg.SSTableSize/8+4096)))
 }
 
 // putBufs releases tableBuf buffers that nothing references any more.
-func putBufs(bufs [][]byte) {
+func (d *DB) putBufs(bufs [][]byte) {
 	for _, b := range bufs {
-		sstable.PutBuf(b)
+		d.cache.PutBuf(b)
 	}
 }
 
@@ -457,7 +457,7 @@ func putBufs(bufs [][]byte) {
 // (nil when key–value separation is off). Caller holds d.mu.
 func (d *DB) mergeInputs(c *compaction) ([]*version.FileMeta, [][]byte, version.VlogDrops, error) {
 	children, bufs, err := d.inputIterators(c)
-	defer putBufs(bufs) // the iterators die with this call
+	defer d.putBufs(bufs) // the iterators die with this call
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -138,7 +138,6 @@ type DB struct {
 	// lockorder: lsm_db_mu < dband_manager_mu
 	// lockorder: lsm_db_mu < storage_write_mu
 	// lockorder: lsm_db_mu < storage_backend_mu
-	// lockorder: lsm_db_mu < band_stats_mu
 	// lockorder: lsm_db_mu < lsm_commit_queue_mu
 	mu  obs.Mutex
 	mem *memtable.MemTable
@@ -184,12 +183,6 @@ type DB struct {
 	// vlog is the value-log driver (vlog.go); populated only when
 	// Config.ValueThreshold enables key–value separation.
 	vlog vlogState
-
-	// surface is the storage-surface observatory's band heat
-	// (surface.go), active only in dynamic-band mode. Its own internal
-	// lock ("band_stats_mu", a leaf) serializes it, so accesses need no
-	// other lock.
-	surface surface
 }
 
 // Open creates a fresh database on a new emulated device.
@@ -224,9 +217,6 @@ func OpenDevice(cfg Config, dev *Device) (*DB, error) {
 	d.mu.Profile("lsm_db_mu")
 	d.queueMu.Profile("lsm_commit_queue_mu")
 	d.mem = memtable.New(d.nextMemSeed())
-	if dev.DBand != nil {
-		d.surface.init(cfg.BandSize)
-	}
 	d.initObs()
 
 	vcfg := version.Config{
@@ -285,11 +275,6 @@ func OpenDevice(cfg Config, dev *Device) (*DB, error) {
 		return nil, err
 	}
 	d.visible.Store(uint64(d.seq))
-	// Band heat starts cold: the allocator traffic of creation and
-	// recovery is not workload.
-	if d.surface.enabled {
-		d.surface.reset()
-	}
 	return d, nil
 }
 

@@ -112,7 +112,7 @@ func (d *DB) relocateSet(rec version.SetRecord, files []*version.FileMeta, level
 	if err != nil {
 		return 0, err
 	}
-	defer putBufs(datas)
+	defer d.putBufs(datas)
 
 	edit := &version.Edit{}
 	copies := make([]*version.FileMeta, len(files))

@@ -6,7 +6,6 @@ import (
 
 	"sealdb/internal/memtable"
 	"sealdb/internal/obs"
-	"sealdb/internal/sstable"
 	"sealdb/internal/version"
 )
 
@@ -142,7 +141,7 @@ func (d *DB) flush(mem *memtable.MemTable, logNum uint64, sp *obs.Span) (Compact
 	if err = d.openBuilt(fm, data, meta.Rows > 0); err == nil {
 		err = d.backend.WriteFile(num, data)
 	}
-	sstable.PutBuf(data)
+	d.cache.PutBuf(data)
 	if err != nil {
 		return CompactionInfo{}, err
 	}

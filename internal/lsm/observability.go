@@ -206,11 +206,6 @@ func (d *DB) installDeviceObservers() {
 			d.journal.Record("dband_"+op, map[string]int64{
 				"off": e.Off, "len": e.Len,
 			})
-			// Every grant heats the bands it lands in. Runs with
-			// dband_manager_mu held; the surface lock is a leaf below it.
-			if op != "free" { // alloc_append, alloc_insert
-				d.surface.wrote(e.Off, e.Len, d.deviceNow())
-			}
 		})
 	}
 }
@@ -281,7 +276,7 @@ func (d *DB) FaultProfile() FaultProfile {
 // ObsHandler returns the observability HTTP handler: /metrics
 // (Prometheus text, or JSON with ?format=json), /debug/levels,
 // /debug/sets, /debug/events, /debug/faults, /debug/bands (per-band
-// heat/live/dead plus vlog segment occupancy), /debug/space (the
+// live/dead plus vlog segment occupancy), /debug/space (the
 // space-amplification counter and its inputs), /debug/contention
 // (?profile=on|off toggles lock profiling) and the /debug/pprof/*
 // suite. The cmd drivers mount it behind their -serve flag.

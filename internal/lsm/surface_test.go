@@ -1,8 +1,8 @@
 // Storage-surface observatory tests: the per-band view must stay
 // consistent with the allocator at any point in a live workload,
 // count space parked behind a live iterator as dead, come out the same
-// after close/reopen with nothing to rebuild, journal a snapshot on
-// demand, and fold vlog segment occupancy into /debug/bands.
+// after close/reopen with nothing to rebuild, and fold vlog segment
+// occupancy into /debug/bands.
 package lsm
 
 import (
@@ -35,8 +35,9 @@ func churnSurface(t *testing.T, d *DB, n int) {
 
 // TestSurfaceAccountingMatchesScanMidRun checks the view on a live
 // store: after real flush/compaction traffic the owned extents still
-// reconcile with the allocator (VerifyIntegrity), and the profile
-// totals are internally consistent.
+// reconcile with the allocator (VerifyIntegrity), the profile totals
+// are internally consistent, and the bands come deadest first: by live
+// ratio ascending, then by band.
 func TestSurfaceAccountingMatchesScanMidRun(t *testing.T) {
 	d, err := Open(tinyConfig(ModeSEALDB))
 	if err != nil {
@@ -76,8 +77,15 @@ func TestSurfaceAccountingMatchesScanMidRun(t *testing.T) {
 		if r.Dead < 0 || r.Dead > r.Alloc {
 			t.Fatalf("band %d: dead %d outside [0,%d]", r.Band, r.Dead, r.Alloc)
 		}
-		if i > 0 && bp.Bands[i-1].Heat < r.Heat {
-			t.Fatalf("bands not sorted by heat: row %d (%.0f) after %.0f", i, r.Heat, bp.Bands[i-1].Heat)
+		if r.Alloc <= 0 {
+			t.Fatalf("band %d listed with no allocation", r.Band)
+		}
+		if i > 0 {
+			prev := bp.Bands[i-1]
+			if prev.LiveRatio > r.LiveRatio || prev.LiveRatio == r.LiveRatio && prev.Band >= r.Band {
+				t.Fatalf("bands not sorted by live ratio, then band: row %d (band %d, %.4f) after band %d (%.4f)",
+					i, r.Band, r.LiveRatio, prev.Band, prev.LiveRatio)
+			}
 		}
 		alloc += r.Alloc
 		dead += r.Dead
@@ -91,9 +99,8 @@ func TestSurfaceAccountingMatchesScanMidRun(t *testing.T) {
 }
 
 // TestSurfaceViewSurvivesReopen closes and reopens a populated device:
-// the view holds no per-extent state of its own, so with nothing to
-// rebuild every band comes out as it was, heat and write counters cold,
-// and stays consistent through further traffic. The one thing a reopen
+// the view holds no state of its own, so with nothing to rebuild every
+// band comes out as it was, and stays consistent through further traffic. The one thing a reopen
 // moves is the WAL (the new one is allocated before the old is freed),
 // so per-band allocation is compared after taking ungrouped files out.
 func TestSurfaceViewSurvivesReopen(t *testing.T) {
@@ -148,11 +155,6 @@ func TestSurfaceViewSurvivesReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	for _, r := range d2.BandProfile().Bands {
-		if r.Heat != 0 || r.WriteBytes != 0 {
-			t.Fatalf("band %d reopened warm: heat %v, write bytes %d", r.Band, r.Heat, r.WriteBytes)
-		}
-	}
 	gotBands, gotSets := view(d2)
 	if !reflect.DeepEqual(gotSets, wantSets) {
 		t.Fatalf("set extents changed across reopen:\n got %+v\nwant %+v", gotSets, wantSets)
@@ -272,42 +274,6 @@ func TestSurfaceViewUnderDeferredReclaim(t *testing.T) {
 				t.Fatalf("after the iterator closed: %v", err)
 			}
 		})
-	}
-}
-
-// TestSurfaceSnapshotEvents checks the on-demand snapshot: one
-// space_snapshot event followed by the band rows that sum to it.
-func TestSurfaceSnapshotEvents(t *testing.T) {
-	cfg := tinyConfig(ModeSEALDB)
-	cfg.JournalCapacity = 1 << 14
-	d, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	churnSurface(t, d, 1500)
-	d.SurfaceSnapshot()
-
-	var spaces, bands int
-	var physical, bandSum int64
-	for _, e := range d.Events() {
-		switch e.Type {
-		case "space_snapshot":
-			spaces++
-			physical = e.Fields["physical"]
-		case "band_snapshot":
-			bands++
-			bandSum += e.Fields["alloc"]
-		}
-	}
-	if spaces != 1 {
-		t.Fatalf("want exactly the one on-demand space_snapshot event, got %d", spaces)
-	}
-	if bands == 0 {
-		t.Fatal("no band_snapshot events")
-	}
-	if bandSum != physical {
-		t.Fatalf("snapshot: band alloc sum %d != physical %d", bandSum, physical)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"sealdb/internal/invariant"
 	"sealdb/internal/kv"
 	"sealdb/internal/obs"
-	"sealdb/internal/sstable"
 	"sealdb/internal/version"
 	"sealdb/internal/vlog"
 )
@@ -409,7 +408,7 @@ func (d *DB) collect(vic version.VlogSeg, sp *obs.Span) (VlogGCResult, error) {
 	if err != nil {
 		return res, err
 	}
-	defer sstable.PutBuf(buf)
+	defer d.cache.PutBuf(buf)
 	type candidate struct {
 		key, value []byte
 		ptr        vlog.Pointer

@@ -7,13 +7,6 @@ import (
 	"sealdb/internal/invariant"
 )
 
-// tableBufs recycles the table-sized buffers of the write path: the
-// one a Builder builds a table into and the ones a compaction or a set
-// relocation reads whole tables into. It is a sync.Pool and not a free
-// list so that the collector can empty it: a store that stops writing
-// retains none of them.
-var tableBufs sync.Pool
-
 // windowBufs recycles the read-ahead windows of streaming iterators, in
 // the boxes they travel in, so that a scan allocates none once the pool
 // holds windows as large as it needs.
@@ -44,11 +37,13 @@ func putScratch(s *blockScratch) {
 // a block checksum instead of being served the next table's bytes.
 const poison = 0xdb
 
-// GetBuf returns an empty buffer with room for n bytes, recycled if
-// the pool has one that large. Its spare capacity holds old bytes, not
-// zeros. Hand it back with PutBuf.
-func GetBuf(n int) []byte {
-	if p, _ := tableBufs.Get().(*[]byte); p != nil && cap(*p) >= n {
+// GetBuf returns an empty table-sized buffer with room for n bytes: the
+// one a Builder builds a table into, or one a compaction or a set
+// relocation reads whole tables into. It is recycled if the cache's pool
+// has one that large, so its spare capacity holds old bytes, not zeros.
+// Hand it back with PutBuf.
+func (c *Cache) GetBuf(n int) []byte {
+	if p, _ := c.tables.Get().(*[]byte); p != nil && cap(*p) >= n {
 		return (*p)[:0]
 	}
 	return make([]byte, 0, n)
@@ -56,7 +51,7 @@ func GetBuf(n int) []byte {
 
 // PutBuf releases buf for reuse. The caller has dropped every
 // reference into it: tables opened over it, iterators, pending writes.
-func PutBuf(buf []byte) {
+func (c *Cache) PutBuf(buf []byte) {
 	if cap(buf) == 0 {
 		return
 	}
@@ -64,7 +59,7 @@ func PutBuf(buf []byte) {
 		// No table begins with the poison: a first entry shares no prefix.
 		invariant.Assert(len(buf) == 0 || buf[0] != poison, "sstable: table buffer released twice")
 	}
-	release(&tableBufs, &buf)
+	release(&c.tables, &buf)
 }
 
 // getWindow returns a box whose buffer has room for n bytes: a recycled

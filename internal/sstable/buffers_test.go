@@ -43,14 +43,14 @@ func TestBuildIntoRecycledBufferAllocs(t *testing.T) {
 		t.Skip("allocation counts are unreliable under the race detector")
 	}
 	keys, value := tableKeys(240), bytes.Repeat([]byte{'v'}, 1024)
-	b := NewBuilder()
+	b, bufs := NewBuilder(), NewCache(0)
 	const size = 300 << 10
-	PutBuf(buildInto(t, b, GetBuf(size), keys, value))
+	bufs.PutBuf(buildInto(t, b, bufs.GetBuf(size), keys, value))
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	allocs := testing.AllocsPerRun(20, func() {
-		PutBuf(buildInto(t, b, GetBuf(size), keys, value))
+		bufs.PutBuf(buildInto(t, b, bufs.GetBuf(size), keys, value))
 	})
 	runtime.ReadMemStats(&after)
 	t.Logf("%v allocations per table", allocs)
@@ -73,7 +73,8 @@ func TestReleasedBufferIsPoisoned(t *testing.T) {
 	if !invariant.Enabled {
 		t.Skip("released buffers are poisoned under -tags sealdb_invariants only")
 	}
-	data := buildInto(t, NewBuilder(), GetBuf(64<<10), tableKeys(40), bytes.Repeat([]byte{'v'}, 1024))
+	bufs := NewCache(0)
+	data := buildInto(t, NewBuilder(), bufs.GetBuf(64<<10), tableKeys(40), bytes.Repeat([]byte{'v'}, 1024))
 	tbl, err := Open(bytes.NewReader(data), int64(len(data)), 9, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +84,7 @@ func TestReleasedBufferIsPoisoned(t *testing.T) {
 	if !it.Valid() {
 		t.Fatalf("iterator over a held buffer: %v", it.Error())
 	}
-	PutBuf(data)
+	bufs.PutBuf(data)
 	if it.Next(); it.Valid() || it.Error() == nil {
 		t.Fatalf("iterator stepped inside a released block: valid %v, error %v", it.Valid(), it.Error())
 	}
@@ -95,7 +96,7 @@ func TestReleasedBufferIsPoisoned(t *testing.T) {
 			t.Error("releasing the same buffer again did not trip the invariant")
 		}
 	}()
-	PutBuf(data)
+	bufs.PutBuf(data)
 }
 
 // TestPointReadScratchIsPoisoned: under the sealdb_invariants tag the
@@ -133,8 +134,9 @@ func TestPointReadScratchIsPoisoned(t *testing.T) {
 // through the handle, once its buffer has gone back to the pool (poisoned
 // under -tags sealdb_invariants).
 func TestOpenBuiltOutlivesItsBuffer(t *testing.T) {
+	bufs := NewCache(0)
 	keys := tableKeys(40)
-	data := buildInto(t, NewBuilder(), GetBuf(64<<10), keys, bytes.Repeat([]byte{'v'}, 1024))
+	data := buildInto(t, NewBuilder(), bufs.GetBuf(64<<10), keys, bytes.Repeat([]byte{'v'}, 1024))
 	file := &trackingReader{r: bytes.NewReader(append([]byte(nil), data...))}
 	read, err := Open(file, int64(len(data)), 9, nil)
 	if err != nil {
@@ -151,7 +153,7 @@ func TestOpenBuiltOutlivesItsBuffer(t *testing.T) {
 	if !bytes.Equal(built.bloom, read.bloom) || !bytes.Equal(built.index.data, read.index.data) || !slices.Equal(built.index.restarts, read.index.restarts) {
 		t.Fatal("the filter or index opened from the built bytes differs from the file's")
 	}
-	PutBuf(data)
+	bufs.PutBuf(data)
 	for _, k := range keys {
 		if v, deleted, ok, err := built.Get(k.UserKey(), kv.MaxSeqNum); err != nil || !ok || deleted || len(v) != 1024 {
 			t.Fatalf("Get(%s) after the buffer went back: %d bytes, ok %v, deleted %v, %v", k.UserKey(), len(v), ok, deleted, err)
@@ -171,7 +173,8 @@ func TestClosedWindowIsPoisoned(t *testing.T) {
 	if !invariant.Enabled {
 		t.Skip("released buffers are poisoned under -tags sealdb_invariants only")
 	}
-	data := buildInto(t, NewBuilder(), GetBuf(64<<10), tableKeys(40), bytes.Repeat([]byte{'v'}, 1024))
+	bufs := NewCache(0)
+	data := buildInto(t, NewBuilder(), bufs.GetBuf(64<<10), tableKeys(40), bytes.Repeat([]byte{'v'}, 1024))
 	tbl, err := Open(bytes.NewReader(data), int64(len(data)), 9, nil)
 	if err != nil {
 		t.Fatal(err)

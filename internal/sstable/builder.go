@@ -77,11 +77,11 @@ func NewBuilder() *Builder {
 }
 
 // Reset empties b for another table, to be built in buf[:0]: on the
-// engine's write path a GetBuf buffer with room for the whole table, so
-// that no byte of it moves again before the device write. b keeps its
-// scratch. Finish returns the table in buf (in a larger successor, had
-// the table outgrown it), and b is done with it: the caller owns the
-// bytes, to PutBuf once they are written.
+// engine's write path a Cache.GetBuf buffer with room for the whole
+// table, so that no byte of it moves again before the device write. b
+// keeps its scratch. Finish returns the table in buf (in a larger
+// successor, had the table outgrown it), and b is done with it: the
+// caller owns the bytes, to PutBuf once they are written.
 func (b *Builder) Reset(buf []byte) *Builder {
 	b.buf = buf[:0]
 	b.data.reset(0)

@@ -69,13 +69,16 @@ type Cache struct {
 	// without taking mu.
 	bloomNeg, bloomTruePos, bloomFalsePos atomic.Int64
 
-	// corrupt counts CRC-failed block reads across the cache's
-	// tables. guarded by mu.
-	corrupt int64
 	// onCorrupt, if set, is invoked (outside mu) once per CRC
 	// failure with the damaged block's file number and offset.
 	// guarded by mu.
 	onCorrupt func(file, offset uint64)
+
+	// tables recycles the table-sized buffers of the DB's write path
+	// (GetBuf). It is a sync.Pool and not a free list so that the
+	// collector can empty it: a store that stops writing retains none of
+	// them.
+	tables sync.Pool
 }
 
 // cacheKey names a block by its offset and a value by the pointer to its
@@ -619,14 +622,13 @@ func (c *Cache) SetCorruptObserver(fn func(file, offset uint64)) {
 	c.onCorrupt = fn
 }
 
-// noteCorrupt records one CRC-failed block read and notifies the
-// observer. Nil-safe (compaction readers run without a cache).
+// noteCorrupt notifies the observer of one CRC-failed block read.
+// Nil-safe (compaction readers run without a cache).
 func (c *Cache) noteCorrupt(file, offset uint64) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	c.corrupt++
 	fn := c.onCorrupt
 	c.mu.Unlock()
 	if fn != nil {
@@ -655,8 +657,6 @@ type CacheStats struct {
 	BloomNegatives      int64 `json:"bloom_negatives"`
 	BloomTruePositives  int64 `json:"bloom_true_positives"`
 	BloomFalsePositives int64 `json:"bloom_false_positives"`
-	// CorruptBlocks counts block reads that failed their CRC.
-	CorruptBlocks int64 `json:"corrupt_blocks"`
 }
 
 // Stats returns the cache and bloom counters. A nil cache reports
@@ -675,6 +675,5 @@ func (c *Cache) Stats() CacheStats {
 		BloomNegatives:      c.bloomNeg.Load(),
 		BloomTruePositives:  c.bloomTruePos.Load(),
 		BloomFalsePositives: c.bloomFalsePos.Load(),
-		CorruptBlocks:       c.corrupt,
 	}
 }

@@ -231,8 +231,9 @@ func TestStreamedCorruptBlockIsNeverEmitted(t *testing.T) {
 		mut := append([]byte(nil), data...)
 		mut[h.offset+h.length/2] ^= 0x10
 		cache := NewCache(1 << 20)
+		var seen int
 		var seenFile, seenOff uint64
-		cache.SetCorruptObserver(func(file, offset uint64) { seenFile, seenOff = file, offset })
+		cache.SetCorruptObserver(func(file, offset uint64) { seen, seenFile, seenOff = seen+1, file, offset })
 		tbl, err := Open(bytes.NewReader(mut), int64(len(mut)), 7, cache)
 		if err != nil {
 			t.Fatal(err)
@@ -254,8 +255,8 @@ func TestStreamedCorruptBlockIsNeverEmitted(t *testing.T) {
 		if err := it.Error(); n != stop || !errors.Is(err, ErrCorruptBlock) || !errors.As(err, &cbe) || cbe.FileNum != 7 || cbe.Offset != h.offset {
 			t.Fatalf("victim block %d at %d: %d entries (want %d), err %v", victim, h.offset, n, stop, err)
 		}
-		if s := cache.Stats(); s.CorruptBlocks != 1 || seenFile != 7 || seenOff != h.offset {
-			t.Errorf("victim block %d: %d corrupt blocks counted, observer saw file %d offset %d", victim, s.CorruptBlocks, seenFile, seenOff)
+		if seen != 1 || seenFile != 7 || seenOff != h.offset {
+			t.Errorf("victim block %d: observer called %d times, last with file %d offset %d", victim, seen, seenFile, seenOff)
 		}
 		if cache.get(7, h.offset, true) != nil {
 			t.Errorf("victim block %d was cached", victim)

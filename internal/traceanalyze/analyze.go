@@ -48,8 +48,8 @@ type LevelCheck struct {
 }
 
 // SurfaceBandCheck compares one band's allocated bytes at the window
-// end — as the store reports them in the journal's final band_snapshot
-// batch — against the analyzer's replay of the raw allocator events.
+// end — as the store reports them in Meta's end rows — against the
+// analyzer's replay of the raw allocator events.
 type SurfaceBandCheck struct {
 	Band            int64 `json:"band"`
 	AllocBytes      int64 `json:"alloc_bytes"`
@@ -294,8 +294,8 @@ func freeExtent(exts map[int64]int64, off int64) {
 // allocation; the logical side is recomputed from
 // flush/compaction level-byte deltas (exact only without the value
 // log), giving an independent space amplification. Per-band allocation
-// is checked against the window's final band_snapshot batch — the
-// events Collect journals on purpose so every dump ends with one.
+// is checked against the end rows Collect takes when it closes the
+// window (SurfaceMeta.EndBands).
 func (r *Report) analyzeSurface(d *Dump) {
 	sm := r.Meta.Surface
 	if sm == nil {
@@ -307,7 +307,6 @@ func (r *Report) analyzeSurface(d *Dump) {
 		exts[e.Off] = e.Len
 	}
 	logical := sm.StartLogical
-	var lastBands map[int64]int64 // latest band_snapshot batch: band → alloc
 
 	for i := range d.Events {
 		e := &d.Events[i]
@@ -326,12 +325,6 @@ func (r *Report) analyzeSurface(d *Dump) {
 		case "compaction":
 			if e.Fields["trivial"] == 0 {
 				logical += e.Fields["output_bytes"] - e.Fields["input_bytes"]
-			}
-		case "space_snapshot":
-			lastBands = map[int64]int64{}
-		case "band_snapshot":
-			if lastBands != nil {
-				lastBands[e.Fields["band"]] = e.Fields["alloc"]
 			}
 		}
 	}
@@ -354,23 +347,14 @@ func (r *Report) analyzeSurface(d *Dump) {
 		}
 	}
 
-	// Per-band check against the final snapshot batch; fall back to the
-	// Meta end rows when the window carries no snapshots.
-	if lastBands == nil {
-		lastBands = map[int64]int64{}
-		for _, row := range sm.EndBands {
-			if row.Alloc > 0 {
-				lastBands[row.Band] = row.Alloc
-			}
-		}
-	}
-	for b, n := range lastBands {
-		r.SurfaceBands = append(r.SurfaceBands, SurfaceBandCheck{Band: b, AllocBytes: n, RecomputedBytes: alloc[b]})
+	// Per-band check against the end rows; a replayed band they lack is
+	// checked against zero.
+	for _, row := range sm.EndBands {
+		r.SurfaceBands = append(r.SurfaceBands, SurfaceBandCheck{Band: row.Band, AllocBytes: row.Alloc, RecomputedBytes: alloc[row.Band]})
+		delete(alloc, row.Band)
 	}
 	for b, n := range alloc {
-		if _, seen := lastBands[b]; !seen {
-			r.SurfaceBands = append(r.SurfaceBands, SurfaceBandCheck{Band: b, RecomputedBytes: n})
-		}
+		r.SurfaceBands = append(r.SurfaceBands, SurfaceBandCheck{Band: b, RecomputedBytes: n})
 	}
 	sort.Slice(r.SurfaceBands, func(i, j int) bool { return r.SurfaceBands[i].Band < r.SurfaceBands[j].Band })
 }

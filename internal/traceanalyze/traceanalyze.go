@@ -91,7 +91,8 @@ type SurfaceMeta struct {
 	StartLogical int64 `json:"start_logical"`
 	// End is the live space profile at Collect time.
 	End lsm.SpaceProfile `json:"end"`
-	// EndBands is the live per-band view at Collect time.
+	// EndBands is the live per-band view at Collect time: the end state
+	// the analyzer checks its allocator-event replay against.
 	EndBands []lsm.BandRow `json:"end_bands"`
 }
 
@@ -175,10 +176,6 @@ func Collect(db *lsm.DB, base *Baseline) *Dump {
 	}
 	var surf *SurfaceMeta
 	if db.Device().DBand != nil {
-		// Close the window with a snapshot batch: the journal's last
-		// band_snapshot rows are the end state the analyzer verifies its
-		// replay against.
-		db.SurfaceSnapshot()
 		surf = &SurfaceMeta{
 			VlogEnabled:  cfg.ValueThreshold > 0,
 			StartExtents: base.SurfaceExtents,

@@ -2,6 +2,7 @@ package traceanalyze
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -203,5 +204,24 @@ func TestDumpRoundTrip(t *testing.T) {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("report text missing %q:\n%s", want, buf.String())
 		}
+	}
+}
+
+// TestVerifyCatchesBandMismatch checks that the per-band check bites
+// through the one end state a dump carries, Meta's end rows: a band
+// whose reported allocation is 10 % off the replay fails Verify.
+func TestVerifyCatchesBandMismatch(t *testing.T) {
+	d := tracedRun(t, lsm.ModeSEALDB)
+	rows := d.Meta.Surface.EndBands
+	if len(rows) == 0 {
+		t.Fatal("the dump carries no end rows")
+	}
+	if err := Analyze(d).Verify(0.01); err != nil {
+		t.Fatalf("untouched dump: %v", err)
+	}
+	rows[0].Alloc += rows[0].Alloc / 10
+	err := Analyze(d).Verify(0.01)
+	if want := fmt.Sprintf("band %d allocated bytes", rows[0].Band); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Verify after raising band %d's allocation by 10%%: %v, want a %q mismatch", rows[0].Band, err, want)
 	}
 }
