@@ -28,7 +28,9 @@ import (
 var lw = struct {
 	mu    sync.Mutex
 	held  map[int64][]string         // goroutine id -> stack of held sites
+	spare [][]string                 // emptied stacks, for the next goroutine to hold a site
 	edges map[string]map[string]bool // observed: held -> acquired
+	stack [64]byte                   // goid's buffer
 }{
 	held:  map[int64][]string{},
 	edges: map[string]map[string]bool{},
@@ -38,11 +40,15 @@ var lw = struct {
 // named site. It panics if the acquisition closes a cycle in the
 // observed edge graph. Call before blocking on the underlying mutex.
 func LockAcquired(site string) {
-	gid := goid()
 	lw.mu.Lock()
+	gid := goidLocked()
 	held := lw.held[gid]
+	if held == nil && len(lw.spare) > 0 {
+		held, lw.spare = lw.spare[len(lw.spare)-1], lw.spare[:len(lw.spare)-1]
+	}
 	for _, h := range held {
-		if h == site {
+		// An observed edge closes no cycle: the graph stays acyclic.
+		if h == site || lw.edges[h][site] {
 			continue
 		}
 		if reachesLocked(site, h) {
@@ -70,8 +76,8 @@ func LockAcquired(site string) {
 // site (the most recent matching hold; releases may be out of
 // acquisition order for hand-over-hand locking).
 func LockReleased(site string) {
-	gid := goid()
 	lw.mu.Lock()
+	gid := goidLocked()
 	held := lw.held[gid]
 	for i := len(held) - 1; i >= 0; i-- {
 		if held[i] == site {
@@ -81,6 +87,9 @@ func LockReleased(site string) {
 	}
 	if len(held) == 0 {
 		delete(lw.held, gid)
+		if held != nil {
+			lw.spare = append(lw.spare, held)
+		}
 	} else {
 		lw.held[gid] = held
 	}
@@ -100,6 +109,7 @@ func LockOrderEdges() [][2]string {
 func ResetLockOrder() {
 	lw.mu.Lock()
 	lw.held = map[int64][]string{}
+	lw.spare = nil
 	lw.edges = map[string]map[string]bool{}
 	lw.mu.Unlock()
 }
@@ -145,15 +155,15 @@ func edgeListLocked() [][2]string {
 	return out
 }
 
-// goid extracts the current goroutine's id from the stack header
-// ("goroutine 123 [running]: ..."). Slow, but the watchdog only
-// exists in invariant builds.
-func goid() int64 {
-	var buf [64]byte
-	n := runtime.Stack(buf[:], false)
+// goidLocked extracts the current goroutine's id from the stack header
+// ("goroutine 123 [running]: ..."), read into lw.stack so that a lock
+// acquisition allocates nothing. Slow, but the watchdog only exists in
+// invariant builds. Caller holds lw.mu.
+func goidLocked() int64 {
+	n := runtime.Stack(lw.stack[:], false)
 	const prefix = len("goroutine ")
 	var id int64
-	for _, c := range buf[prefix:n] {
+	for _, c := range lw.stack[prefix:n] {
 		if c < '0' || c > '9' {
 			break
 		}

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"io"
+	"math"
 	"slices"
 	"sort"
 	"time"
@@ -442,6 +443,32 @@ func (d *DB) tableBuf(n int64) []byte {
 	return d.cache.GetBuf(int(max(n, d.cfg.SSTableSize+d.cfg.SSTableSize/8+4096)))
 }
 
+// filterBits is the bloom width, in bits per key, of a table for level:
+// LevelDB's 10 at the deepest non-empty level and ln T / ln²2 more per level
+// above it, so a level T times smaller passes T times fewer absent keys (Monkey).
+func (d *DB) filterBits(level int) int {
+	deepest := level
+	for l, files := range d.vs.Current().Files[level:d.cfg.NumLevels] {
+		if len(files) > 0 {
+			deepest = level + l
+		}
+	}
+	return 10 + int(math.Round(float64(deepest-level)*math.Log(float64(d.cfg.LevelMultiplier))/(math.Ln2*math.Ln2)))
+}
+
+// finishTable finishes table num in d.builder, opened from its bytes if it
+// took a row along (openBuilt); the caller releases them. Caller holds d.mu.
+func (d *DB) finishTable(num uint64) (*version.FileMeta, []byte, error) {
+	data, meta, err := d.builder.Finish()
+	if err != nil {
+		return nil, nil, err
+	}
+	d.builtBytes.Add(meta.Size) // spanFor's mean entry
+	d.builtEntries.Add(int64(meta.Entries))
+	f := &version.FileMeta{Num: num, Size: meta.Size, Smallest: meta.Smallest, Largest: meta.Largest}
+	return f, data, d.openBuilt(f, data, meta.Rows > 0)
+}
+
 // putBufs releases tableBuf buffers that nothing references any more.
 func (d *DB) putBufs(bufs [][]byte) {
 	for _, b := range bufs {
@@ -480,19 +507,10 @@ func (d *DB) mergeInputs(c *compaction) ([]*version.FileMeta, [][]byte, version.
 		if builder == nil {
 			return nil
 		}
-		data, meta, err := builder.Finish()
-		if err != nil {
-			return err
-		}
-		d.noteBuilt(meta)
-		datas = append(datas, data)
-		outputs = append(outputs, &version.FileMeta{
-			Num: num, Size: meta.Size,
-			Smallest: meta.Smallest, Largest: meta.Largest,
-		})
-		builder = nil
-		wantCut = false
-		return d.openBuilt(outputs[len(outputs)-1], data, meta.Rows > 0)
+		f, data, err := d.finishTable(num)
+		datas, outputs = append(datas, data), append(outputs, f)
+		builder, wantCut = nil, false
+		return err
 	}
 
 	for merge.SeekToFirst(); merge.Valid(); merge.Next() {
@@ -533,7 +551,7 @@ func (d *DB) mergeInputs(c *compaction) ([]*version.FileMeta, [][]byte, version.
 		}
 		if builder == nil {
 			num = d.vs.NewFileNum()
-			builder = d.builder.Reset(d.tableBuf(0)).Carry(d.cache, num)
+			builder = d.builder.Reset(d.tableBuf(0), d.filterBits(c.outLevel)).Carry(d.cache, num)
 		}
 		builder.Add(ik, merge.Value())
 		lastOutUser = append(lastOutUser[:0], user...)

@@ -327,12 +327,6 @@ func (d *DB) spanFor(limit int, bytes, total int64) int {
 	return 2 + int(min(blocks, 1<<30))
 }
 
-// noteBuilt adds a table the engine built to spanFor's mean entry.
-func (d *DB) noteBuilt(m sstable.Meta) {
-	d.builtBytes.Add(m.Size)
-	d.builtEntries.Add(int64(m.Entries))
-}
-
 // open reports whether the iterator may move: once it or its DB is
 // closed it is left invalid with ErrClosed, touching no storage.
 func (it *Iterator) open() bool {

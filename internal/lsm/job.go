@@ -122,23 +122,13 @@ func (d *DB) maintain(fn func() error) error {
 func (d *DB) flush(mem *memtable.MemTable, logNum uint64, sp *obs.Span) (CompactionInfo, error) {
 	// ApproximateSize charges an entry more than a block does.
 	num := d.vs.NewFileNum()
-	b := d.builder.Reset(d.tableBuf(mem.ApproximateSize())).Carry(d.cache, num)
+	b := d.builder.Reset(d.tableBuf(mem.ApproximateSize()), d.filterBits(0)).Carry(d.cache, num)
 	it := mem.NewIterator()
 	for it.SeekToFirst(); it.Valid(); it.Next() {
 		b.Add(it.Key(), it.Value())
 	}
-	data, meta, err := b.Finish()
-	if err != nil {
-		return CompactionInfo{}, err
-	}
-	d.noteBuilt(meta)
-	fm := &version.FileMeta{
-		Num:      num,
-		Size:     meta.Size,
-		Smallest: meta.Smallest,
-		Largest:  meta.Largest,
-	}
-	if err = d.openBuilt(fm, data, meta.Rows > 0); err == nil {
+	fm, data, err := d.finishTable(num)
+	if err == nil {
 		err = d.backend.WriteFile(num, data)
 	}
 	d.cache.PutBuf(data)
@@ -152,9 +142,9 @@ func (d *DB) flush(mem *memtable.MemTable, logNum uint64, sp *obs.Span) (Compact
 		return CompactionInfo{}, err
 	}
 	d.metrics.flushes.Inc()
-	d.metrics.flushBytes.Add(meta.Size)
-	d.metrics.levelWriteBytes[0].Add(meta.Size)
+	d.metrics.flushBytes.Add(fm.Size)
+	d.metrics.levelWriteBytes[0].Add(fm.Size)
 	sp.Set("table", int64(num))
-	sp.Set("bytes", meta.Size)
-	return CompactionInfo{FromLevel: -1, ToLevel: 0, OutputBytes: meta.Size, OutputFiles: 1, Flush: true}, nil
+	sp.Set("bytes", fm.Size)
+	return CompactionInfo{FromLevel: -1, ToLevel: 0, OutputBytes: fm.Size, OutputFiles: 1, Flush: true}, nil
 }

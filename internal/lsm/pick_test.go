@@ -1,6 +1,8 @@
 package lsm
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -8,6 +10,7 @@ import (
 
 	"sealdb/internal/invariant"
 	"sealdb/internal/kv"
+	"sealdb/internal/sstable"
 	"sealdb/internal/version"
 )
 
@@ -496,4 +499,80 @@ func TestIsBaseLevelForKeyAllocatesOnce(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("isBaseLevelForKey allocated %.1f objects per three tombstones", n)
 	}
+}
+
+// tableFilter reads table f back from the device and returns its filter's
+// width in bits per key and the probe count stored in its last byte.
+func tableFilter(t *testing.T, d *DB, f *version.FileMeta) (bitsPerKey, probes int) {
+	t.Helper()
+	data := make([]byte, f.Size)
+	if _, err := d.backend.ReadFileAt(f.Num, data, 0); err != nil {
+		t.Fatal(err)
+	}
+	footer := data[len(data)-40:]
+	off, n := binary.LittleEndian.Uint64(footer[16:]), binary.LittleEndian.Uint64(footer[24:])
+	filter := data[off : off+n]
+	tbl, err := sstable.Open(bytes.NewReader(data), f.Size, f.Num, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	it, entries := tbl.NewIterator(), 0
+	for it.SeekToFirst(); it.Valid(); it.Next() {
+		entries++
+	}
+	return (len(filter) - 1) * 8 / entries, int(filter[len(filter)-1])
+}
+
+// TestFilterWidthFollowsTheDeepestLevel checks three builds: a flush into
+// an empty tree gets LevelDB's 10 bits per key; a flush over three
+// populated levels gets ln 10 / ln²2 = 4.8 more per level, 24 bits; and a
+// compaction output in the deepest level gets 10 again, with a level above
+// it (L0, its input) that got 10 + 6 × 4.8 = 39.
+func TestFilterWidthFollowsTheDeepestLevel(t *testing.T) {
+	put := func(d *DB, round int) *version.FileMeta {
+		for i := 0; i < 100; i++ {
+			if err := d.Put([]byte(fmt.Sprintf("key%04d", i)), []byte(fmt.Sprintf("v%d-%d", round, i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.FlushMemtable(); err != nil {
+			t.Fatal(err)
+		}
+		l0 := d.vs.Current().Files[0]
+		return l0[len(l0)-1]
+	}
+	check := func(d *DB, what string, f *version.FileMeta, want int) {
+		t.Helper()
+		if bits, probes := tableFilter(t, d, f); bits != want || probes != want*69/100 {
+			t.Errorf("%s: %d bits per key and %d probes, want %d and %d", what, bits, probes, want, want*69/100)
+		}
+	}
+
+	d, _ := Open(tinyConfig(ModeSEALDB))
+	defer d.Close()
+	check(d, "flush into an empty tree", put(d, 0), 10)
+	// Down to L6 by trivial moves; the next flush lands six levels above
+	// it, and the range compaction merges the two tables in L6.
+	if err := d.CompactRange(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	check(d, "flush over L6", put(d, 1), 39)
+	if err := d.CompactRange(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	v := d.vs.Current()
+	if v.TotalFiles() != 1 || v.NumFiles(6) != 1 {
+		t.Fatalf("range compaction left %d files, %d in L6; want the one merged table in L6", v.TotalFiles(), v.NumFiles(6))
+	}
+	check(d, "compaction output in the deepest level", v.Files[6][0], 10)
+
+	// Three populated levels under L0 (placeholders: nothing reads them).
+	d3, _ := Open(tinyConfig(ModeSEALDB))
+	defer d3.Close()
+	installFiles(t, d3, []version.AddedFile{
+		{Level: 1, Meta: mkMeta(d3.vs.NewFileNum(), "a", "b", 1000)},
+		{Level: 2, Meta: mkMeta(d3.vs.NewFileNum(), "a", "b", 1000)},
+		{Level: 3, Meta: mkMeta(d3.vs.NewFileNum(), "a", "b", 1000)},
+	})
+	check(d3, "flush over L1-L3", put(d3, 0), 24)
 }

@@ -607,7 +607,8 @@ func TestSpanFor(t *testing.T) {
 	if got := d.spanFor(100, 1, 2); got != 2 {
 		t.Errorf("before any table: span %d, want 2", got)
 	}
-	d.noteBuilt(sstable.Meta{Size: 1 << 20, Entries: 1 << 11}) // 512-byte entries
+	d.builtBytes.Add(1 << 20) // 512-byte entries
+	d.builtEntries.Add(1 << 11)
 	for _, c := range []struct {
 		limit        int
 		bytes, total int64
@@ -617,7 +618,8 @@ func TestSpanFor(t *testing.T) {
 			t.Errorf("spanFor(%d, %d, %d) = %d, want %d", c.limit, c.bytes, c.total, got, c.want)
 		}
 	}
-	d.noteBuilt(sstable.Meta{Size: 1 << 30, Entries: 1 << 11}) // now ~256 KiB entries
+	d.builtBytes.Add(1 << 30) // now ~256 KiB entries
+	d.builtEntries.Add(1 << 11)
 	if got := d.spanFor(100, 1, 2); got != 2+50 {
 		t.Errorf("entries larger than a block: span %d, want one block per entry, 52", got)
 	}

@@ -319,6 +319,3 @@ func (t *tracer) emit(ot *opTrace, endNS int64, err error, slow bool) {
 // serving layer turns tracing on when a client negotiates
 // wire.FeatureTrace.
 func (d *DB) SetTracing(on bool) { d.tracer.enabled.Store(on) }
-
-// TracingEnabled reports whether the request tracer is on.
-func (d *DB) TracingEnabled() bool { return d.tracer.enabled.Load() }

@@ -30,7 +30,7 @@ func TestGetHotPathAllocsTracingOff(t *testing.T) {
 	if err := d.Put(key, val); err != nil {
 		t.Fatal(err)
 	}
-	if d.TracingEnabled() {
+	if d.tracer.enabled.Load() {
 		t.Fatal("tracing unexpectedly on")
 	}
 	if n := testing.AllocsPerRun(500, func() {

@@ -2,10 +2,6 @@ package sstable
 
 import "encoding/binary"
 
-// bloomBitsPerKey matches LevelDB's default filter policy (10 bits
-// per key, ~1% false positives).
-const bloomBitsPerKey = 10
-
 // bloomHash is the hash LevelDB's bloom filter uses (a Murmur-like
 // mixing of the key).
 func bloomHash(key []byte) uint32 {
@@ -35,11 +31,12 @@ func bloomHash(key []byte) uint32 {
 	return h
 }
 
-// appendBloom appends to dst a filter block over the keys whose
-// bloomHash values are hashes. The last byte stores the probe count.
-func appendBloom(dst []byte, hashes []uint32) []byte {
-	k := min(max(uint8(bloomBitsPerKey*69/100), 1), 30) // bitsPerKey * ln2
-	bits := max(len(hashes)*bloomBitsPerKey, 64)
+// appendBloom appends to dst a filter block of bitsPerKey bits per key
+// over the keys whose bloomHash values are hashes. The last byte stores
+// the probe count, so filters of any width read alike.
+func appendBloom(dst []byte, hashes []uint32, bitsPerKey int) []byte {
+	k := uint8(min(max(bitsPerKey*69/100, 1), 30)) // bitsPerKey * ln2
+	bits := max(len(hashes)*bitsPerKey, 64)
 	nbytes := (bits + 7) / 8
 	bits = nbytes * 8
 	dst = append(dst, make([]byte, nbytes+1)...)

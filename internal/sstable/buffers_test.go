@@ -15,7 +15,7 @@ import (
 // buildInto builds the benchmark's table shape (240 entries of 1 KiB)
 // with b into buf.
 func buildInto(t testing.TB, b *Builder, buf []byte, keys []kv.InternalKey, value []byte) []byte {
-	b.Reset(buf)
+	b.Reset(buf, 10)
 	for _, k := range keys {
 		b.Add(k, value)
 	}

@@ -38,6 +38,7 @@ type Builder struct {
 	index         blockBuilder
 	ixBuf         []byte   // the index block, copied into buf once, at Finish
 	hashes        []uint32 // bloomHash of each user key, for the table filter
+	bitsPerKey    int      // the filter's width
 	rows          *Cache   // nil unless the keys added have rows to take along (Carry)
 	fileNum       uint64   // the table's number in rows
 	meta          Meta
@@ -70,20 +71,21 @@ func decodeHandle(p []byte) (blockHandle, int, error) {
 	return blockHandle{off, length}, n1 + n2, nil
 }
 
-// NewBuilder returns an empty table builder. Its table buffer starts
-// empty and grows; see Reset.
+// NewBuilder returns an empty table builder with LevelDB's filter of 10
+// bits per key (~1 % false positives). Its table buffer starts empty and
+// grows; see Reset.
 func NewBuilder() *Builder {
-	return &Builder{}
+	return &Builder{bitsPerKey: 10}
 }
 
-// Reset empties b for another table, to be built in buf[:0]: on the
-// engine's write path a Cache.GetBuf buffer with room for the whole
-// table, so that no byte of it moves again before the device write. b
-// keeps its scratch. Finish returns the table in buf (in a larger
-// successor, had the table outgrown it), and b is done with it: the
-// caller owns the bytes, to PutBuf once they are written.
-func (b *Builder) Reset(buf []byte) *Builder {
-	b.buf = buf[:0]
+// Reset empties b for another table with a filter of bitsPerKey bits per
+// key, to be built in buf[:0]: on the engine's write path a Cache.GetBuf
+// buffer with room for the whole table, so that no byte of it moves again
+// before the device write. b keeps its scratch. Finish returns the table
+// in buf (in a larger successor, had the table outgrown it), and b is done
+// with it: the caller owns the bytes, to PutBuf once they are written.
+func (b *Builder) Reset(buf []byte, bitsPerKey int) *Builder {
+	b.buf, b.bitsPerKey = buf[:0], bitsPerKey
 	b.data.reset(0)
 	b.index.reset(0)
 	b.ixBuf = b.ixBuf[:0]
@@ -237,7 +239,7 @@ func (b *Builder) Finish() ([]byte, Meta, error) {
 
 	// The filter is built where it lies; the index is copied in once.
 	start := len(b.buf)
-	b.buf = appendBloom(b.buf, b.hashes)
+	b.buf = appendBloom(b.buf, b.hashes, b.bitsPerKey)
 	bloomHandle := b.sealBlock(start)
 	b.ixBuf = b.index.finish(b.ixBuf)
 	b.grow(len(b.ixBuf) + blockTrailerLen + footerLen)

@@ -74,15 +74,15 @@ func TestBuilderBytesIdentical(t *testing.T) {
 	}
 	for _, c := range identityCorpus {
 		reused := NewBuilder()
-		identityFill(reused.Reset(dirty(1<<10)), 77, func(i int) int { return i })
+		identityFill(reused.Reset(dirty(1<<10), 10), 77, func(i int) int { return i })
 		if _, _, err := reused.Finish(); err != nil {
 			t.Fatal(err)
 		}
 		for how, b := range map[string]*Builder{
 			"grown from nil": NewBuilder(),
-			"presized":       NewBuilder().Reset(dirty(512 << 10)),
-			"too small":      NewBuilder().Reset(dirty(16)),
-			"reset":          reused.Reset(dirty(300 << 10)),
+			"presized":       NewBuilder().Reset(dirty(512<<10), 10),
+			"too small":      NewBuilder().Reset(dirty(16), 10),
+			"reset":          reused.Reset(dirty(300<<10), 10),
 		} {
 			identityFill(b, c.entries, c.valueLen)
 			if got := tableHash(t, b); got != c.golden {
@@ -99,5 +99,5 @@ func buildBloom(keys [][]byte) []byte {
 	for i, k := range keys {
 		hashes[i] = bloomHash(k)
 	}
-	return appendBloom(nil, hashes)
+	return appendBloom(nil, hashes, 10)
 }

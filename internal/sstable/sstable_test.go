@@ -2,7 +2,9 @@ package sstable
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -268,6 +270,78 @@ func TestBloomProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBloomRateAtEveryWidth measures each filter width a level can get
+// against the theoretical rate at the best probe count, 0.6185^bits: a
+// filter over 10,000 keys must let at most 1.5 times that through. The
+// 32-bit hash and its double-hashed probes are where a wide filter would
+// fall short of its width. Each width is measured on at least 100,000
+// absent keys, and on enough for about 200 false positives (33 million at
+// 25 bits), since 100,000 would expect under one there.
+func TestBloomRateAtEveryWidth(t *testing.T) {
+	key := make([]byte, 9)
+	keyAt := func(prefix byte, i int) []byte {
+		key[0] = prefix
+		binary.BigEndian.PutUint64(key[1:], uint64(i))
+		return key
+	}
+	hashes := make([]uint32, 10000)
+	for i := range hashes {
+		hashes[i] = bloomHash(keyAt('p', i))
+	}
+	for _, bits := range []int{10, 15, 20, 25} {
+		filter := appendBloom(nil, hashes, bits)
+		theory := math.Pow(0.6185, float64(bits))
+		trials, fp := max(100000, int(200/theory)), 0
+		for i := 0; i < trials; i++ {
+			if bloomMayContain(filter, keyAt('a', i)) {
+				fp++
+			}
+		}
+		if rate := float64(fp) / float64(trials); rate > 1.5*theory {
+			t.Errorf("%d bits per key: false-positive rate %.3g over %d absent keys, theory %.3g", bits, rate, trials, theory)
+		}
+	}
+}
+
+// TestOneReaderReadsEveryFilterWidth opens tables of two filter widths
+// through one cache. Every key of each is found, which a reader probing a
+// narrow filter with a wide filter's count would miss, and each table's
+// false positives stay at its own width's rate, which a reader probing a
+// wide filter with a narrow filter's count would exceed many times over.
+func TestOneReaderReadsEveryFilterWidth(t *testing.T) {
+	cache := NewCache(1 << 20)
+	const n, trials = 2000, 50000
+	for i, bits := range []int{25, 10} {
+		b := NewBuilder().Reset(nil, bits)
+		for j := 0; j < n; j++ {
+			b.Add(kv.MakeInternalKey(nil, []byte(fmt.Sprintf("t%d-%06d", i, j)), 1, kv.KindSet), []byte("v"))
+		}
+		data, _, err := b.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl, err := Open(bytes.NewReader(data), int64(len(data)), uint64(i+1), cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < n; j++ {
+			if _, _, ok, err := tbl.Get([]byte(fmt.Sprintf("t%d-%06d", i, j)), kv.MaxSeqNum); !ok || err != nil {
+				t.Fatalf("%d-bit table: key %d not found (%v)", bits, j, err)
+			}
+		}
+		before := cache.Stats().BloomFalsePositives
+		for j := 0; j < trials; j++ {
+			if _, _, ok, _ := tbl.Get([]byte(fmt.Sprintf("t%d-absent-%06d", i, j)), kv.MaxSeqNum); ok {
+				t.Fatalf("%d-bit table: absent key %d found", bits, j)
+			}
+		}
+		fp := cache.Stats().BloomFalsePositives - before
+		if limit := 1.5*math.Pow(0.6185, float64(bits)) + 1e-3; float64(fp)/trials > limit {
+			t.Errorf("%d-bit table: %d false positives in %d absent keys, over %.3g of them", bits, fp, trials, limit)
+		}
 	}
 }
 
