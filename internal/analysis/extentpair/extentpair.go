@@ -1,5 +1,5 @@
 // Package extentpair enforces the allocator ownership contract:
-// every extent obtained from an Alloc/AllocAppend/AllocGroup/Reserve
+// every extent obtained from an Alloc/AllocAppend/Reserve
 // call must, somewhere in the same function, be released (passed to
 // a Free/Release-style call), committed (passed to a Commit/Apply/
 // Install/Record-style call), returned to the caller, or stored into
@@ -35,7 +35,6 @@ var Analyzer = &analysis.Analyzer{
 var allocVerbs = map[string]bool{
 	"Alloc":       true,
 	"AllocAppend": true,
-	"AllocGroup":  true,
 	"Reserve":     true,
 }
 

@@ -37,7 +37,6 @@ type Allocator struct {
 	frontiers []int64          // per-group frontier offset (absolute)
 	holes     []storage.Extent // sorted by offset, disjoint, merged
 	rr        int              // next group for fresh allocations
-	groups    bool
 
 	allocs, reuses int64
 }
@@ -122,30 +121,6 @@ func (a *Allocator) AllocAppend(size int64) (storage.Extent, error) {
 	defer a.mu.Unlock()
 	a.allocs++
 	return a.allocFreshLocked(roundUp(size))
-}
-
-// AllocGroup implements storage.Allocator. A plain file system gives
-// no contiguity guarantee across files, so group placement is
-// refused and the backend falls back to per-file allocation — which
-// is exactly the scattering behaviour of the baseline. With
-// EnableGroups (the paper's "LevelDB with sets" ablation, which
-// preallocates one region per set) a group becomes a single
-// contiguous first-fit allocation.
-func (a *Allocator) AllocGroup(sizes []int64) (storage.Extent, error) {
-	if !a.groups {
-		return storage.Extent{}, storage.ErrNoGroupAlloc
-	}
-	var total int64
-	for _, s := range sizes {
-		total += s
-	}
-	return a.Alloc(total)
-}
-
-// EnableGroups turns on contiguous group allocation (see AllocGroup).
-func (a *Allocator) EnableGroups() *Allocator {
-	a.groups = true
-	return a
 }
 
 // Free implements storage.Allocator, merging the hole with adjacent

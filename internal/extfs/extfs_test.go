@@ -91,13 +91,6 @@ func TestAppendAllocatesFreshSpace(t *testing.T) {
 	}
 }
 
-func TestGroupAllocRefused(t *testing.T) {
-	a := New(1 << 20)
-	if _, err := a.AllocGroup([]int64{100, 200}); err != storage.ErrNoGroupAlloc {
-		t.Errorf("err = %v, want ErrNoGroupAlloc", err)
-	}
-}
-
 func TestFrontierFoldback(t *testing.T) {
 	a := New(240 * 1024)
 	// Both allocations in group 0: the second must fold back into the

@@ -182,10 +182,10 @@ func keyRange(files []*version.FileMeta) (lo, hi []byte) {
 }
 
 // writeOutputs places a job's output tables: as one set in one
-// contiguous extent when grouped (and the backend groups), file by file
-// otherwise. A set takes the number of its first output, unique for the
-// lifetime of the DB, as its id, which is stamped into the outputs; its
-// record is returned for the edit (nil without a set). Caller holds d.mu.
+// contiguous extent when grouped, file by file otherwise. A set takes the
+// number of its first output, unique for the lifetime of the DB, as its
+// id, which is stamped into the outputs; its record is returned for the
+// edit (nil without a set). Caller holds d.mu.
 func (d *DB) writeOutputs(outputs []*version.FileMeta, datas [][]byte, grouped bool) (*version.SetRecord, error) {
 	if len(outputs) == 0 {
 		return nil, nil
@@ -202,8 +202,8 @@ func (d *DB) writeOutputs(outputs []*version.FileMeta, datas [][]byte, grouped b
 	for i, o := range outputs {
 		nums[i] = o.Num
 	}
-	ext, grouped, err := d.backend.WriteGroup(nums, datas)
-	if err != nil || !grouped {
+	ext, err := d.backend.WriteGroup(nums, datas)
+	if err != nil {
 		return nil, err
 	}
 	for _, o := range outputs {

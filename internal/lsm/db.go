@@ -53,7 +53,7 @@ type Device struct {
 	ExtFS *extfs.Allocator
 }
 
-// NewDevice builds the per-mode drive stack described in DESIGN.md.
+// NewDevice builds a mode's drive stack (DESIGN.md); leveldb+sets runs on leveldb's.
 func NewDevice(cfg Config) *Device {
 	pcfg := platter.DefaultConfig(cfg.DiskCapacity)
 	if s := cfg.DeviceTimeScale; s > 0 {
@@ -78,9 +78,6 @@ func NewDevice(cfg Config) *Device {
 		drive := smr.NewFixedBand(disk, cfg.BandSize)
 		dev.Drive = wrap(drive)
 		dev.ExtFS = extfs.New(drive.Capacity())
-		if cfg.Mode == ModeLevelDBSets {
-			dev.ExtFS.EnableGroups()
-		}
 		dev.Backend = storage.NewBackend(dev.Drive, dev.ExtFS)
 	case ModeSMRDB:
 		drive := smr.NewFixedBand(disk, cfg.BandSize)

@@ -333,7 +333,7 @@ func checkGaugesAgainstViews(t *testing.T, d *DB, gauges map[string]float64) {
 		want["sealdb_band_frag_index"] = sp.Frag.Index
 	} else {
 		fbd := smr.Base(dev.Drive).(*smr.FixedBandDrive)
-		want["sealdb_media_cache_cleans"] = float64(fbd.MediaCacheStats().Cleans)
+		want["sealdb_media_cache_cleans"] = float64(fbd.RMWCount())
 	}
 	if len(gauges) != len(want) {
 		t.Errorf("snapshot has %d gauges, %d are checked against a view", len(gauges), len(want))

@@ -218,59 +218,106 @@ func TestLevelDBOnSMRHasAuxiliaryAmplification(t *testing.T) {
 	}
 }
 
+// TestSEALDBSetsAreContiguous: in both modes whose engine groups its
+// outputs, every file at level >= 2 that a compaction wrote belongs to a
+// set, the files of a set lie inside its one extent in file order, and a
+// set that lost no member tiles its extent from the start, back to back.
 func TestSEALDBSetsAreContiguous(t *testing.T) {
-	d, err := Open(tinyConfig(ModeSEALDB))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	loadRandom(t, d, 10000, 11)
-	// Every file at level >= 2 belongs to a set, and the files of a
-	// set occupy one contiguous extent in file order.
-	v := d.vs.Current()
-	setFiles := map[uint64][]uint64{}
-	deepFiles := 0
-	for l := 2; l < 7; l++ {
-		for _, f := range v.Files[l] {
-			deepFiles++
-			if f.SetID == 0 {
-				continue // trivially moved files keep no set
-			}
-			setFiles[f.SetID] = append(setFiles[f.SetID], f.Num)
-		}
-	}
-	if deepFiles == 0 {
-		t.Fatal("no deep files; load too small")
-	}
-	if len(setFiles) == 0 {
-		t.Fatal("no sets formed")
-	}
-	for id, files := range setFiles {
-		type ext struct{ off, end int64 }
-		var exts []ext
-		for _, num := range files {
-			e, err := d.backend.FileExtent(num)
+	for _, mode := range []Mode{ModeSEALDB, ModeLevelDBSets} {
+		t.Run(mode.String(), func(t *testing.T) {
+			d, err := Open(tinyConfig(mode))
 			if err != nil {
-				t.Fatalf("set %d file %d: %v", id, num, err)
+				t.Fatal(err)
 			}
-			exts = append(exts, ext{e.Off, e.End()})
-		}
-		sort.Slice(exts, func(i, j int) bool { return exts[i].off < exts[j].off })
-		for i := 1; i < len(exts); i++ {
-			// Members may have gaps where dead members lived, but
-			// all must fall inside the registered set extent.
-			_ = i
-		}
-		rec, ok := d.vs.Sets()[id]
-		if !ok {
-			t.Fatalf("set %d not in manifest records", id)
-		}
-		for _, e := range exts {
-			if e.off < rec.Off || e.end > rec.Off+rec.Len {
-				t.Fatalf("set %d member extent [%d,%d) outside set extent [%d,%d)",
-					id, e.off, e.end, rec.Off, rec.Off+rec.Len)
+			defer d.Close()
+			loadRandom(t, d, 10000, 11)
+			v := d.vs.Current()
+			setFiles := map[uint64][]uint64{}
+			deepFiles := 0
+			for l := 2; l < 7; l++ {
+				for _, f := range v.Files[l] {
+					deepFiles++
+					if f.SetID == 0 {
+						continue // trivially moved files keep no set
+					}
+					setFiles[f.SetID] = append(setFiles[f.SetID], f.Num)
+				}
 			}
-		}
+			if deepFiles == 0 {
+				t.Fatal("no deep files; load too small")
+			}
+			whole := 0
+			for id, files := range setFiles {
+				rec, ok := d.vs.Sets()[id]
+				if !ok {
+					t.Fatalf("set %d not in manifest records", id)
+				}
+				sort.Slice(files, func(i, j int) bool { return files[i] < files[j] })
+				end := rec.Off
+				for i, num := range files {
+					e, err := d.backend.FileExtent(num)
+					if err != nil {
+						t.Fatalf("set %d file %d: %v", id, num, err)
+					}
+					if e.Off < end || e.End() > rec.Off+rec.Len {
+						t.Fatalf("set %d member %d at %v, not past %d inside set extent [%d,%d)",
+							id, num, e, end, rec.Off, rec.Off+rec.Len)
+					}
+					// Members lie in file order; gaps are where dead members lived.
+					if len(files) == rec.Members && e.Off != end {
+						t.Fatalf("set %d lost no member, yet member %d of %d starts at %d, not %d",
+							id, i, len(files), e.Off, end)
+					}
+					end = e.End()
+				}
+				if len(files) == rec.Members && len(files) > 1 {
+					whole++
+				}
+			}
+			if whole == 0 {
+				t.Fatalf("no set of several members kept all of them (%d sets)", len(setFiles))
+			}
+		})
+	}
+}
+
+// TestBaselinesFormNoSets is the converse: LevelDB and SMRDB write every
+// compaction output as a file of its own, so no file carries a set.
+func TestBaselinesFormNoSets(t *testing.T) {
+	for _, mode := range []Mode{ModeLevelDB, ModeSMRDB} {
+		t.Run(mode.String(), func(t *testing.T) {
+			d, err := Open(tinyConfig(mode))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			loadRandom(t, d, 10000, 11)
+			if err := d.CompactAll(); err != nil {
+				t.Fatal(err)
+			}
+			v := d.vs.Current()
+			deep := min(2, d.cfg.NumLevels-1) // L2, or SMRDB's last level
+			deepFiles := 0
+			for l := range v.Files {
+				for _, f := range v.Files[l] {
+					if f.SetID != 0 {
+						t.Fatalf("L%d file %d carries set %d", l, f.Num, f.SetID)
+					}
+					if l >= deep {
+						deepFiles++
+					}
+				}
+			}
+			if deepFiles == 0 {
+				t.Fatalf("no file at L%d or deeper; load too small", deep)
+			}
+			if n := len(d.vs.Sets()); n != 0 {
+				t.Errorf("%d set records", n)
+			}
+			if n := d.MetricsSnapshot().Counters["sealdb_sets_created_total"]; n != 0 {
+				t.Errorf("sealdb_sets_created_total = %d", n)
+			}
+		})
 	}
 }
 

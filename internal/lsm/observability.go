@@ -154,7 +154,7 @@ func (d *DB) collectGauges(g map[string]float64) {
 		g["sealdb_band_frag_index"] = frag.Index
 	}
 	if fbd, ok := smr.Base(d.drive).(*smr.FixedBandDrive); ok {
-		g["sealdb_media_cache_cleans"] = float64(fbd.MediaCacheStats().Cleans)
+		g["sealdb_media_cache_cleans"] = float64(fbd.RMWCount())
 	}
 	if rd := d.retryDrive(); rd != nil {
 		g["sealdb_write_retries"] = float64(rd.Stats().Retried)

@@ -87,10 +87,6 @@ type FixedBandDrive struct {
 	rmws     int64   // number of band cleaning (read-modify-write) episodes; guarded by mu
 	cachePos int64   // append cursor within the media cache region; guarded by mu
 
-	staged      int64 // writes staged into the media cache; guarded by mu
-	stagedBytes int64 // guarded by mu
-	cleanBytes  int64 // bytes rewritten by cleaning passes; guarded by mu
-
 	// onClean, when set, observes every cleaning episode: the band,
 	// the bytes rewritten, and the device time consumed. Called with
 	// the drive lock held; the observer must not call back into the
@@ -170,30 +166,6 @@ func (d *FixedBandDrive) RMWCount() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.rmws
-}
-
-// MediaCacheStats describes the drive's persistent-cache activity:
-// how many writes were staged into the media cache, and what the
-// cleaning passes rewrote to apply them.
-type MediaCacheStats struct {
-	StagedWrites int64 `json:"staged_writes"`
-	StagedBytes  int64 `json:"staged_bytes"`
-	Cleans       int64 `json:"cleans"`
-	CleanBytes   int64 `json:"clean_bytes"`
-	DirtyBands   int   `json:"dirty_bands"`
-}
-
-// MediaCacheStats returns the media-cache counters.
-func (d *FixedBandDrive) MediaCacheStats() MediaCacheStats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return MediaCacheStats{
-		StagedWrites: d.staged,
-		StagedBytes:  d.stagedBytes,
-		Cleans:       d.rmws,
-		CleanBytes:   d.cleanBytes,
-		DirtyBands:   len(d.buffered),
-	}
 }
 
 // SetCleanObserver installs fn to observe every cleaning episode.
@@ -308,8 +280,6 @@ func (d *FixedBandDrive) writeSegment(band, bandStart, inBand int64, p []byte) (
 	if err != nil {
 		return total, err
 	}
-	d.staged++
-	d.stagedBytes += n
 	if _, dirty := d.buffered[band]; !dirty {
 		d.dirtyOrder = append(d.dirtyOrder, band)
 	}
@@ -384,7 +354,6 @@ func (d *FixedBandDrive) cleanBand(band int64) (time.Duration, error) {
 			"band %d clean shrank or overflowed the band: %d not in [%d,%d]", band, newLen, wp, d.bandSize)
 	}
 	d.wp[band] = newLen
-	d.cleanBytes += newLen
 	if d.onClean != nil {
 		d.onClean(band, newLen, total)
 	}

@@ -2,20 +2,9 @@ package sstable
 
 import (
 	"math/bits"
-	"sync"
 
 	"sealdb/internal/invariant"
 )
-
-// windowBufs recycles the read-ahead windows of streaming iterators, in
-// the boxes they travel in, so that a scan allocates none once the pool
-// holds windows as large as it needs.
-var windowBufs sync.Pool
-
-// blockScratches recycles the scratch a point read that misses checks and
-// decodes its block in (Table.GetEntry), so that a miss allocates no block
-// buffer unless the block is cached.
-var blockScratches = sync.Pool{New: func() any { return new(blockScratch) }}
 
 // blockScratch is a block as read, trailer and all, and the block decoded
 // over it.
@@ -24,12 +13,25 @@ type blockScratch struct {
 	blk block
 }
 
-// putScratch hands s back to the pool, its bytes poisoned first under the
+// getScratch returns a scratch from c's pool, or a new one for a table
+// with no cache.
+func (c *Cache) getScratch() *blockScratch {
+	if c != nil {
+		if s, _ := c.scratches.Get().(*blockScratch); s != nil {
+			return s
+		}
+	}
+	return new(blockScratch)
+}
+
+// putScratch hands s back to c's pool, its bytes poisoned first under the
 // sealdb_invariants tag: nothing decoded in it may be used after.
-func putScratch(s *blockScratch) {
+func (c *Cache) putScratch(s *blockScratch) {
 	poisonBuf(s.buf)
-	s.blk = block{restarts: s.blk.restarts}
-	blockScratches.Put(s)
+	if c != nil {
+		s.blk = block{restarts: s.blk.restarts}
+		c.scratches.Put(s)
+	}
 }
 
 // poison is what a released buffer is filled with under the
@@ -59,26 +61,22 @@ func (c *Cache) PutBuf(buf []byte) {
 		// No table begins with the poison: a first entry shares no prefix.
 		invariant.Assert(len(buf) == 0 || buf[0] != poison, "sstable: table buffer released twice")
 	}
-	release(&c.tables, &buf)
+	poisonBuf(buf)
+	c.tables.Put(&buf)
 }
 
 // getWindow returns a box whose buffer has room for n bytes: a recycled
-// one if the pool's next is that large, else a new one rounded up to a
+// one if c's pool's next is that large, else a new one rounded up to a
 // power of two, so that the windows in use grow to the largest a scan
 // asks for instead of being replaced back and forth.
-func getWindow(n int) *[]byte {
-	if p, _ := windowBufs.Get().(*[]byte); p != nil && cap(*p) >= n {
-		return p
+func (c *Cache) getWindow(n int) *[]byte {
+	if c != nil {
+		if p, _ := c.windows.Get().(*[]byte); p != nil && cap(*p) >= n {
+			return p
+		}
 	}
 	buf := make([]byte, 0, 1<<bits.Len(uint(n-1)))
 	return &buf
-}
-
-// release puts the buffer in p back into pool, poisoned first under the
-// sealdb_invariants tag.
-func release(pool *sync.Pool, p *[]byte) {
-	poisonBuf(*p)
-	pool.Put(p)
 }
 
 // poisonBuf fills buf to its capacity with the poison under the

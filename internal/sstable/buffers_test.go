@@ -120,7 +120,7 @@ func TestPointReadScratchIsPoisoned(t *testing.T) {
 		t.Fatalf("set-up: the scratch block does not parse: %v", it.Error())
 	}
 	buf := s.buf[:cap(s.buf)]
-	putScratch(s)
+	tbl.cache.putScratch(s)
 	for i, c := range buf {
 		if c != poison {
 			t.Fatalf("byte %d of the released scratch is %#x, want the poison", i, c)

@@ -75,10 +75,13 @@ type Cache struct {
 	onCorrupt func(file, offset uint64)
 
 	// tables recycles the table-sized buffers of the DB's write path
-	// (GetBuf). It is a sync.Pool and not a free list so that the
-	// collector can empty it: a store that stops writing retains none of
-	// them.
-	tables sync.Pool
+	// (GetBuf), windows the read-ahead windows of its streaming iterators
+	// in the boxes they travel in, and scratches the blocks its point reads
+	// that miss check and decode in (Table.GetEntry), so that no such path
+	// allocates once its pool holds what it needs. Each is a sync.Pool and
+	// not a free list so that the collector can empty it: a store that
+	// stops writing or reading retains none of them.
+	tables, windows, scratches sync.Pool
 }
 
 // cacheKey names a block by its offset and a value by the pointer to its

@@ -115,13 +115,13 @@ func (t *Table) readRawInto(buf []byte, r io.ReaderAt, h blockHandle) ([]byte, e
 }
 
 // readScratch reads, CRC-checks and decodes the data block at h in a
-// scratch from the pool. The caller hands it back with putScratch once
-// done with the block.
+// scratch from the cache's pool. The caller hands it back with putScratch
+// once done with the block.
 func (t *Table) readScratch(h blockHandle) (*blockScratch, error) {
 	if !t.holds(h) {
 		return nil, fmt.Errorf("sstable: handle %+v outside file %d", h, t.fileNum)
 	}
-	s := blockScratches.Get().(*blockScratch)
+	s := t.cache.getScratch()
 	if n := int(h.length + blockTrailerLen); cap(s.buf) >= n {
 		s.buf = s.buf[:n]
 	} else {
@@ -134,7 +134,7 @@ func (t *Table) readScratch(h blockHandle) (*blockScratch, error) {
 		}
 	}
 	if err != nil {
-		putScratch(s)
+		t.cache.putScratch(s)
 		return nil, err
 	}
 	return s, nil
@@ -226,7 +226,7 @@ func (t *Table) GetEntry(ukey []byte, seq kv.SeqNum) (value []byte, foundSeq kv.
 		if err != nil {
 			return nil, 0, 0, false, err
 		}
-		defer putScratch(s)
+		defer t.cache.putScratch(s)
 		b = &s.blk
 	}
 	it := blockIter{b: b, key: key[:0]}
@@ -374,7 +374,7 @@ func (ra *readaheadReader) ReadAt(p []byte, off int64) (int, error) {
 type window struct {
 	off      uint64 // file offset of buf[0]
 	buf      []byte
-	box      *[]byte // the windowBufs box buf is in; nil for a table held in memory
+	box      *[]byte // the pooled box buf is in; nil for a table held in memory
 	after    int     // block loads after positioning that go through readBlock (span ≤ 1)
 	max      uint64  // refill bound in bytes
 	grow     int     // blocks the next refill asks for
@@ -504,7 +504,7 @@ func (it *tableIter) refill(h blockHandle) error {
 	w.grow += n // doubles, until max or the table's end cuts a refill short
 	w.pending = false
 	if size := int(end - h.offset); w.box == nil || cap(*w.box) < size {
-		box := getWindow(size) // before the old box goes back: the pool would offer it
+		box := t.cache.getWindow(size) // before the old box goes back: the pool would offer it
 		it.Close()
 		w.box = box
 	}
@@ -516,12 +516,16 @@ func (it *tableIter) refill(h blockHandle) error {
 	return nil
 }
 
-// Close hands a streaming iterator's window back to the pool, leaving the
-// iterator unpositioned: nothing it returned may be used after. It may
-// be positioned again, with a window from the pool.
+// Close hands a streaming iterator's window back to the cache's pool,
+// poisoned first under the sealdb_invariants tag, leaving the iterator
+// unpositioned: nothing it returned may be used after. It may be
+// positioned again, with a window from the pool.
 func (it *tableIter) Close() {
 	if w := it.win; w != nil && w.box != nil {
-		release(&windowBufs, w.box)
+		poisonBuf(*w.box)
+		if c := it.t.cache; c != nil {
+			c.windows.Put(w.box)
+		}
 		w.box, w.buf, it.data = nil, nil, nil
 	}
 }

@@ -70,12 +70,6 @@ func (a *BandAllocator) AllocAppend(size int64) (Extent, error) {
 	return a.Alloc(size)
 }
 
-// AllocGroup implements Allocator. SMRDB has no set concept; groups
-// are refused so files fall back to per-band placement.
-func (a *BandAllocator) AllocGroup(sizes []int64) (Extent, error) {
-	return Extent{}, ErrNoGroupAlloc
-}
-
 // Free implements Allocator: every covered band is reset (a
 // ZBC-style zone reset rewinding the write pointer) and recycled.
 func (a *BandAllocator) Free(e Extent) {
@@ -98,8 +92,7 @@ var _ Allocator = (*BandAllocator)(nil)
 // Dynamic-band allocator (SEALDB's placement policy)
 
 // DynamicBandAllocator adapts dband.Manager to the storage.Allocator
-// interface. Group allocations reserve one contiguous extent for a
-// whole set; frees feed the manager's free-space list and the drive's
+// interface. Frees feed the manager's free-space list and the drive's
 // validity map through the backend.
 type DynamicBandAllocator struct {
 	m *dband.Manager
@@ -109,9 +102,6 @@ type DynamicBandAllocator struct {
 func NewDynamicBandAllocator(m *dband.Manager) *DynamicBandAllocator {
 	return &DynamicBandAllocator{m: m}
 }
-
-// Manager exposes the underlying dband.Manager for layout censuses.
-func (a *DynamicBandAllocator) Manager() *dband.Manager { return a.m }
 
 // Alloc implements Allocator.
 func (a *DynamicBandAllocator) Alloc(size int64) (Extent, error) {
@@ -125,15 +115,6 @@ func (a *DynamicBandAllocator) Alloc(size int64) (Extent, error) {
 // AllocAppend implements Allocator.
 func (a *DynamicBandAllocator) AllocAppend(size int64) (Extent, error) {
 	return a.Alloc(size)
-}
-
-// AllocGroup implements Allocator: one contiguous extent for the set.
-func (a *DynamicBandAllocator) AllocGroup(sizes []int64) (Extent, error) {
-	var total int64
-	for _, s := range sizes {
-		total += s
-	}
-	return a.Alloc(total)
 }
 
 // Free implements Allocator.

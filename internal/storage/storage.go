@@ -42,23 +42,12 @@ type Allocator interface {
 	//
 	// lockorder: acquires dband_manager_mu
 	AllocAppend(size int64) (Extent, error)
-	// AllocGroup reserves one contiguous extent to hold a group of
-	// blobs of the given sizes (a set). Policies that cannot
-	// co-locate may return ErrNoGroupAlloc to make the backend fall
-	// back to per-blob allocation.
-	//
-	// lockorder: acquires dband_manager_mu
-	AllocGroup(sizes []int64) (Extent, error)
 	// Free returns an extent to the policy. The dynamic-band policy
 	// takes its manager lock, so Free nests like the Alloc calls.
 	//
 	// lockorder: acquires dband_manager_mu
 	Free(e Extent)
 }
-
-// ErrNoGroupAlloc is returned by allocators that do not support
-// contiguous group placement.
-var ErrNoGroupAlloc = errors.New("storage: allocator does not support group allocation")
 
 // ErrNotFound is returned when a file number is unknown.
 var ErrNotFound = errors.New("storage: file not found")
@@ -96,15 +85,12 @@ type Backend struct {
 }
 
 // BackendStats counts backend activity: whole-blob writes, grouped
-// (set) writes, append-file creations, removals, and extent frees.
+// (set) writes and removals.
 type BackendStats struct {
-	FilesWritten  int64 `json:"files_written"`
-	FileBytes     int64 `json:"file_bytes"`
-	GroupWrites   int64 `json:"group_writes"`
-	GroupBytes    int64 `json:"group_bytes"`
-	AppendCreates int64 `json:"append_creates"`
-	Removes       int64 `json:"removes"`
-	ExtentFrees   int64 `json:"extent_frees"`
+	FilesWritten int64 `json:"files_written"`
+	GroupWrites  int64 `json:"group_writes"`
+	GroupBytes   int64 `json:"group_bytes"`
+	Removes      int64 `json:"removes"`
 }
 
 // NewBackend creates a backend over the given drive and policy.
@@ -143,7 +129,6 @@ func (b *Backend) WriteFile(num uint64, data []byte) error {
 	b.mu.Lock()
 	b.files[num] = &fileInfo{ext: ext, size: int64(len(data)), limit: ext.Len}
 	b.stats.FilesWritten++
-	b.stats.FileBytes += int64(len(data))
 	b.mu.Unlock()
 	return nil
 }
@@ -153,38 +138,19 @@ func (b *Backend) WriteFile(num uint64, data []byte) error {
 // the containing extent. The returned extent is owned by the caller's
 // set record: removing a member file only forgets its mapping, and
 // the space comes back via FreeExtent once the whole set is dead.
-//
-// If the allocator cannot co-locate groups, each file is placed
-// individually and the zero Extent is returned with grouped=false.
-func (b *Backend) WriteGroup(nums []uint64, datas [][]byte) (Extent, bool, error) {
+func (b *Backend) WriteGroup(nums []uint64, datas [][]byte) (Extent, error) {
 	if len(nums) != len(datas) {
-		return Extent{}, false, fmt.Errorf("storage: %d nums vs %d blobs", len(nums), len(datas))
+		return Extent{}, fmt.Errorf("storage: %d nums vs %d blobs", len(nums), len(datas))
 	}
-	sizes := make([]int64, len(datas))
 	var total int64
-	for i, d := range datas {
-		sizes[i] = int64(len(d))
-		total += sizes[i]
+	for _, d := range datas {
+		total += int64(len(d))
 	}
 	b.writeMu.Lock()
-	group, err := b.alloc.AllocGroup(sizes)
-	if errors.Is(err, ErrNoGroupAlloc) {
-		b.writeMu.Unlock()
-		for i := range nums {
-			if err := b.WriteFile(nums[i], datas[i]); err != nil {
-				return Extent{}, false, err
-			}
-		}
-		return Extent{}, false, nil
-	}
+	group, err := b.alloc.Alloc(total)
 	if err != nil {
 		b.writeMu.Unlock()
-		return Extent{}, false, err
-	}
-	if group.Len < total {
-		b.writeMu.Unlock()
-		b.alloc.Free(group)
-		return Extent{}, false, fmt.Errorf("storage: group extent %v smaller than total size %d", group, total)
+		return Extent{}, err
 	}
 
 	off := group.Off
@@ -205,19 +171,20 @@ func (b *Backend) WriteGroup(nums []uint64, datas [][]byte) (Extent, bool, error
 			if b.drive.Free(group.Off, off-group.Off) == nil {
 				b.alloc.Free(group)
 			}
-			return Extent{}, false, err
+			return Extent{}, err
 		}
+		n := int64(len(d))
 		b.mu.Lock()
-		b.files[nums[i]] = &fileInfo{ext: Extent{Off: off, Len: sizes[i]}, size: sizes[i], limit: sizes[i], grouped: true}
+		b.files[nums[i]] = &fileInfo{ext: Extent{Off: off, Len: n}, size: n, limit: n, grouped: true}
 		b.mu.Unlock()
-		off += sizes[i]
+		off += n
 	}
 	b.writeMu.Unlock()
 	b.mu.Lock()
 	b.stats.GroupWrites++
 	b.stats.GroupBytes += total
 	b.mu.Unlock()
-	return group, true, nil
+	return group, nil
 }
 
 // ReadFileAt implements random reads within file num. It may run
@@ -264,7 +231,6 @@ type FileRecord struct {
 	Num     uint64
 	Extent  Extent
 	Size    int64
-	Limit   int64
 	Grouped bool
 }
 
@@ -276,7 +242,7 @@ func (b *Backend) Files() []FileRecord {
 	defer b.mu.Unlock()
 	out := make([]FileRecord, 0, len(b.files))
 	for num, fi := range b.files {
-		out = append(out, FileRecord{Num: num, Extent: fi.ext, Size: fi.size, Limit: fi.limit, Grouped: fi.grouped})
+		out = append(out, FileRecord{Num: num, Extent: fi.ext, Size: fi.size, Grouped: fi.grouped})
 	}
 	return out
 }
@@ -348,7 +314,6 @@ func (b *Backend) ReplaceFile(num uint64, data []byte) error {
 	old := b.files[num]
 	b.files[num] = &fileInfo{ext: ext, size: int64(len(data)), limit: ext.Len}
 	b.stats.FilesWritten++
-	b.stats.FileBytes += int64(len(data))
 	b.mu.Unlock()
 	if old != nil && !old.grouped {
 		b.alloc.Free(old.ext)
@@ -360,9 +325,6 @@ func (b *Backend) ReplaceFile(num uint64, data []byte) error {
 // FreeExtent returns raw space (a dead set's group extent) to the
 // allocator and the drive.
 func (b *Backend) FreeExtent(e Extent) error {
-	b.mu.Lock()
-	b.stats.ExtentFrees++
-	b.mu.Unlock()
 	b.alloc.Free(e)
 	return b.drive.Free(e.Off, e.Len)
 }
@@ -443,7 +405,6 @@ func (b *Backend) CreateAppend(num uint64, maxSize int64) (*AppendFile, error) {
 	fi := &fileInfo{ext: ext, limit: maxSize}
 	b.mu.Lock()
 	b.files[num] = fi
-	b.stats.AppendCreates++
 	b.mu.Unlock()
 	return &AppendFile{b: b, num: num, ext: ext, limit: maxSize}, nil
 }

@@ -122,12 +122,9 @@ func TestWriteGroupContiguous(t *testing.T) {
 		bytes.Repeat([]byte("b"), 5000),
 		bytes.Repeat([]byte("c"), 2000),
 	}
-	ext, grouped, err := b.WriteGroup(nums, datas)
+	ext, err := b.WriteGroup(nums, datas)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !grouped {
-		t.Fatal("dynamic band allocator should group")
 	}
 	if ext.Len != 10000 {
 		t.Errorf("group extent %v, want len 10000", ext)
@@ -186,7 +183,7 @@ func TestWriteGroupUnwindsOnFailure(t *testing.T) {
 		} else {
 			fd.Inject(faultfs.Rule{Op: faultfs.OpWrite, After: 2, Count: 1})
 		}
-		if _, _, err := b.WriteGroup(nums, datas); err == nil {
+		if _, err := b.WriteGroup(nums, datas); err == nil {
 			t.Fatalf("power cut %v: group write with a failing second member succeeded", powerCut)
 		}
 		for _, num := range nums {
@@ -205,45 +202,11 @@ func TestWriteGroupUnwindsOnFailure(t *testing.T) {
 			continue
 		}
 		// The space is usable again: the same group lands where it failed.
-		if _, _, err := b.WriteGroup(nums, datas); err != nil {
+		if _, err := b.WriteGroup(nums, datas); err != nil {
 			t.Errorf("group write after the unwound one: %v", err)
 		}
 	}
 }
-
-func TestWriteGroupFallbackOnExtfsStylePolicy(t *testing.T) {
-	disk := platter.New(platter.DefaultConfig(16 << 20))
-	drive := smr.NewFixedBand(disk, 1<<20)
-	b := NewBackend(drive, refusingAlloc{})
-	_, grouped, err := b.WriteGroup([]uint64{1, 2}, [][]byte{[]byte("xx"), []byte("yy")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if grouped {
-		t.Error("grouping reported for a policy that refuses groups")
-	}
-	got := make([]byte, 2)
-	b.ReadFileAt(2, got, 0)
-	if string(got) != "yy" {
-		t.Errorf("fallback file content %q", got)
-	}
-}
-
-// refusingAlloc allocates sequentially but refuses groups.
-type refusingAlloc struct{}
-
-var refusingNext int64
-
-func (refusingAlloc) Alloc(size int64) (Extent, error) {
-	e := Extent{Off: refusingNext, Len: size}
-	refusingNext += size
-	return e, nil
-}
-func (r refusingAlloc) AllocAppend(size int64) (Extent, error) { return r.Alloc(size) }
-func (refusingAlloc) AllocGroup(sizes []int64) (Extent, error) {
-	return Extent{}, ErrNoGroupAlloc
-}
-func (refusingAlloc) Free(e Extent) {}
 
 func TestAppendFile(t *testing.T) {
 	b, _, _ := newRawBackend(t)
