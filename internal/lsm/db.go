@@ -117,10 +117,9 @@ type DB struct {
 	reg     *obs.Registry
 	journal *obs.Journal
 	metrics dbMetrics
-	// tracer is the request tracer (trace.go). Its per-operation
-	// state is serialized by mu (see the field comments there); the
-	// enable flag is atomic, so SetTracing and the traced-path check
-	// need no lock.
+	// tracer is the request tracer (trace.go). Each traced operation
+	// owns its record and the tracer's own state is atomic or written
+	// once by initObs, so tracing needs no lock.
 	tracer tracer
 
 	// mu is the engine's big mutex (ROADMAP's top refactor target);

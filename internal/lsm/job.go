@@ -66,12 +66,12 @@ func (d *DB) nextJob(due float64) (job, bool) {
 
 // run executes a job and owns what every kind shares: its journal span
 // and, for a flush or compaction, its id and the CompactionInfo appended
-// to d.compactions, completed with the device time and host and device
-// write bytes the job took — exact deltas, since jobs serialize under d.mu
-// (a trivial move does no I/O of its own and records none). A job that
-// fails degrades the store and journals no span. Caller holds d.mu.
+// to d.compactions, completed with the device time the job took — an
+// exact delta, since jobs serialize under d.mu (a trivial move does no
+// I/O of its own and records none). A job that fails degrades the store
+// and journals no span. Caller holds d.mu.
 func (d *DB) run(j job) (res VlogGCResult, err error) {
-	busy, host, dev := d.deviceNow(), d.drive.HostBytesWritten(), d.disk.Stats().BytesWritten
+	busy := d.deviceNow()
 	var info CompactionInfo
 	var sp *obs.Span
 	switch {
@@ -96,8 +96,6 @@ func (d *DB) run(j job) (res VlogGCResult, err error) {
 		}
 		if !info.TrivialMove {
 			info.Latency = time.Duration(d.deviceNow() - busy)
-			info.HostBytes = d.drive.HostBytesWritten() - host
-			info.DeviceBytes = d.disk.Stats().BytesWritten - dev
 		}
 		d.compactions = append(d.compactions, info)
 	}

@@ -348,9 +348,9 @@ func TestCompactionWritesAreSequentialInSEALDB(t *testing.T) {
 	}
 	defer d.Close()
 	rec := &jobWrites{d: d}
-	d.disk.SetSink("test", rec)
+	d.disk.SetSink(rec)
 	loadRandom(t, d, 10000, 13)
-	d.disk.SetSink("test", nil)
+	d.disk.SetSink(nil)
 
 	// For every compaction that produced a set (output level >= 2),
 	// the platter writes it issued inside the set's extent must form

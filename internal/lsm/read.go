@@ -23,14 +23,12 @@ func (d *DB) GetAt(key []byte, snap *Snapshot) ([]byte, error) {
 	return d.get(key, snap, 0)
 }
 
-// get is the user read, lock-free unless traced: the tracer's one record
-// serializes traced reads on d.mu (under which getAt's state stays current).
+// get is the user read, lock-free whether traced or not; untraced, the
+// tracer costs it one atomic load.
 func (d *DB) get(key []byte, snap *Snapshot, reqID uint64) ([]byte, error) {
 	if !d.tracer.enabled.Load() {
 		return d.getAt(key, snap, nil)
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	ot := d.traceBegin("get", reqID)
 	v, err := d.getAt(key, snap, ot)
 	d.traceEnd(ot, err)
@@ -75,12 +73,12 @@ func (d *DB) getAt(key []byte, snap *Snapshot, ot *opTrace) ([]byte, error) {
 // value-log collector and fsck all go through it, so they probe the
 // same files in the same order. ot may be nil.
 func (d *DB) lookup(s *readState, key []byte, seq kv.SeqNum, ot *opTrace) (stored []byte, kind kv.Kind, file *version.FileMeta, found bool, err error) {
-	si := ot.stageStart(stageReadMemtable, d.traceNow(ot))
+	si := ot.stageStart(stageReadMemtable)
 	v, deleted, hit := s.mem.Get(key, seq)
 	if !hit && s.imm != nil {
 		v, deleted, hit = s.imm.Get(key, seq)
 	}
-	ot.stageEnd(si, d.traceNow(ot))
+	ot.stageEnd(si)
 	if hit {
 		if deleted {
 			return nil, kv.KindDelete, nil, true, nil
@@ -106,7 +104,7 @@ func (d *DB) lookup(s *readState, key []byte, seq kv.SeqNum, ot *opTrace) (store
 		if len(files) == 0 {
 			continue
 		}
-		si = ot.stageStart(d.tracer.readStages[level], d.traceNow(ot))
+		si = ot.stageStart(d.tracer.readStages[level])
 		var bestSeq kv.SeqNum
 		for i := range files {
 			f := files[i]
@@ -127,21 +125,12 @@ func (d *DB) lookup(s *readState, key []byte, seq kv.SeqNum, ot *opTrace) (store
 				break
 			}
 		}
-		ot.stageEnd(si, d.traceNow(ot))
+		ot.stageEnd(si)
 		if found {
 			return stored, kind, file, true, nil
 		}
 	}
 	return nil, 0, nil, false, nil
-}
-
-// traceNow returns the device clock for stage bookkeeping, or 0 when
-// the op is untraced.
-func (d *DB) traceNow(ot *opTrace) int64 {
-	if ot == nil {
-		return 0
-	}
-	return d.deviceNow()
 }
 
 // fileMayContain is the cheap user-key range test.

@@ -21,13 +21,6 @@ type CompactionInfo struct {
 	OutputFiles int
 	// Latency is the simulated device time the compaction consumed.
 	Latency time.Duration
-	// HostBytes and DeviceBytes are the host-issued and physical
-	// device write bytes this compaction (or flush) caused, captured
-	// by the job executor (run) as exact deltas around it: jobs
-	// serialize under the DB lock. DeviceBytes/HostBytes is the
-	// compaction's own auxiliary write amplification.
-	HostBytes   int64
-	DeviceBytes int64
 	// TrivialMove marks a compaction that moved a file without I/O.
 	TrivialMove bool
 	// Flush marks a memtable flush rather than a merge.

@@ -441,9 +441,9 @@ func TestScanPositionsEachLevelOnce(t *testing.T) {
 			}
 		}
 		var sink readSink
-		d.disk.SetSink("test", &sink)
+		d.disk.SetSink(&sink)
 		_, err := d.Scan(start, limit)
-		d.disk.SetSink("test", nil)
+		d.disk.SetSink(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -494,9 +494,9 @@ func TestScanStopsAtItsLastRecord(t *testing.T) {
 	first := sort.SearchStrings(keys, string(a.Smallest.UserKey()))
 	limit := sort.SearchStrings(keys, string(a.Largest.UserKey())) + 1 - first
 	var sink readSink
-	d.disk.SetSink("test", &sink)
+	d.disk.SetSink(&sink)
 	got, err := d.Scan([]byte(keys[first]), limit)
-	d.disk.SetSink("test", nil)
+	d.disk.SetSink(nil)
 	if err != nil || len(got) != limit || string(got[limit-1].Key) != string(a.Largest.UserKey()) {
 		t.Fatalf("Scan = %d entries, %v; want %d ending at %q", len(got), err, limit, a.Largest.UserKey())
 	}

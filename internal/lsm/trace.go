@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"sealdb/internal/platter"
-	"sealdb/internal/smr"
 )
 
 // OpContext carries request-scoped identity into an engine operation.
@@ -36,16 +35,10 @@ type TraceConfig struct {
 	SampleEvery int64
 }
 
-const (
-	// traceSlowOpNS is the slow-op log threshold: any traced operation
-	// consuming at least this much simulated device time (10ms) has
-	// its span tree journaled regardless of sampling.
-	traceSlowOpNS = 10_000_000
-	// traceMaxIOsPerOp bounds the attributed I/O records kept per
-	// operation; accesses beyond the bound are still counted in the
-	// operation totals but drop their per-access detail.
-	traceMaxIOsPerOp = 32
-)
+// traceSlowOpNS is the slow-op log threshold: any traced operation
+// consuming at least this much simulated device time (10ms) has its
+// span tree journaled regardless of sampling.
+const traceSlowOpNS = 10_000_000
 
 func (t *TraceConfig) sampleEvery() int64 {
 	if t.SampleEvery <= 0 {
@@ -63,167 +56,68 @@ const (
 	stageReadMemtable    = "read_memtable"
 )
 
-// ioRecord is one attributed physical access inside a traced op.
-type ioRecord struct {
-	write        bool
-	offset       int64
-	length       int
-	seekDistance int64
-	seek         bool
-	cacheHit     bool
-	// startNS/endNS are reconstructed device timestamps: traced ops
-	// serialize on d.mu, so accesses tile the op's interval.
-	startNS, endNS int64
-}
-
 // stageRecord is one completed stage inside a traced op.
 type stageRecord struct {
 	name           string
 	startNS, endNS int64
 }
 
-// opTrace accumulates one traced operation. The tracer owns a single
-// reusable record, since traced operations serialize on d.mu.
+// opTrace is one traced operation: the device counters when it began
+// and the stages it has passed through. Each operation owns its
+// record, so traced operations share nothing but the journal.
 type opTrace struct {
-	op      string
-	reqID   uint64
-	startNS int64
-	cursor  int64 // reconstructed device clock (see ioRecord)
-
-	ios       []ioRecord // bounded by traceMaxIOsPerOp
-	truncated int64      // accesses beyond the ios bound
-
-	reads, writes         int64
-	readBytes, writeBytes int64
-	seeks, seekDistance   int64
-	cacheHits             int64
-	serviceNS             int64
-
+	op     string
+	reqID  uint64
+	disk   *platter.Disk
+	start  platter.Stats
 	stages []stageRecord
 }
 
-func (c *opTrace) reset(op string, reqID uint64, nowNS int64) {
-	c.op = op
-	c.reqID = reqID
-	c.startNS = nowNS
-	c.cursor = nowNS
-	c.ios = c.ios[:0]
-	c.truncated = 0
-	c.reads, c.writes = 0, 0
-	c.readBytes, c.writeBytes = 0, 0
-	c.seeks, c.seekDistance = 0, 0
-	c.cacheHits = 0
-	c.serviceNS = 0
-	c.stages = c.stages[:0]
-}
+// opTracePool recycles records, so tracing on allocates only for the
+// operations it journals.
+var opTracePool = sync.Pool{New: func() any { return new(opTrace) }}
 
-// stageStart opens a stage and returns its index. Safe on a nil
-// receiver (returns -1), so call sites need no tracing guard.
-func (c *opTrace) stageStart(name string, nowNS int64) int {
+// stageStart opens a stage at the device clock and returns its index.
+// Safe on a nil receiver (returns -1), so call sites need no tracing
+// guard.
+func (c *opTrace) stageStart(name string) int {
 	if c == nil {
 		return -1
 	}
-	c.stages = append(c.stages, stageRecord{name: name, startNS: nowNS})
+	c.stages = append(c.stages, stageRecord{name: name, startNS: c.disk.BusyNS()})
 	return len(c.stages) - 1
 }
 
 // stageEnd closes the stage.
-func (c *opTrace) stageEnd(idx int, nowNS int64) {
+func (c *opTrace) stageEnd(idx int) {
 	if c == nil || idx < 0 {
 		return
 	}
-	c.stages[idx].endNS = nowNS
+	c.stages[idx].endNS = c.disk.BusyNS()
 }
 
-// tracer is the DB's request tracer: a platter.Sink attributing every
-// physical access to the engine operation in flight, and a
-// sampled/slow-op span-tree journal.
+// tracer is the DB's request tracer: an enable flag, the per-level read
+// stage names and the sampling counter. A traced operation's device
+// work is the delta of the platter's own counters across it.
 type tracer struct {
-	db      *DB
-	enabled atomic.Bool
-
+	enabled     atomic.Bool
 	sampleEvery int64
-	// cacheStart is the raw-disk offset of the fixed-band drive's
-	// media cache (-1 when the mode's drive has none): accesses at or
-	// beyond it are classified as media-cache hits.
-	cacheStart int64
-
 	// readStages holds the per-level read stage names, precomputed so
 	// the read path never formats strings.
 	readStages []string
-
-	// cur is the operation being traced, nil between operations, set
-	// under d.mu. A lock-free reader's accesses reach the sink too (and
-	// count in the op they overlap), so cur is atomic and the record is
-	// updated under sinkMu, which traceEnd takes to detach it.
-	cur    atomic.Pointer[opTrace]
-	sinkMu sync.Mutex
-	buf    opTrace // the single reusable record; guarded by mu
-	nops   int64   // traced-op count, drives sampling; guarded by mu
+	nops       atomic.Int64 // traced-op count, drives sampling
 }
 
 // init wires the tracer. Called once from initObs, before the DB is
-// shared; it takes d.mu anyway so the buf/nops writes obey the same
-// discipline as the trace paths.
+// shared.
 func (t *tracer) init(d *DB) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	t.db = d
 	tc := d.cfg.Trace
 	t.sampleEvery = tc.sampleEvery()
-	t.buf.ios = make([]ioRecord, 0, traceMaxIOsPerOp)
-	t.buf.stages = make([]stageRecord, 0, 8)
-	t.cacheStart = -1
-	if fbd, ok := smr.Base(d.drive).(*smr.FixedBandDrive); ok {
-		t.cacheStart = fbd.CacheStart()
-	}
 	t.readStages = make([]string, d.cfg.NumLevels)
 	for l := range t.readStages {
 		t.readStages[l] = fmt.Sprintf("read_level_%d", l)
 	}
 	t.enabled.Store(tc.Enabled)
-	d.disk.SetSink("lsm", t)
-}
-
-// ObserveAccess implements platter.Sink, under the disk lock (it must
-// not call back into the disk); with nothing traced, one atomic load.
-func (t *tracer) ObserveAccess(ai platter.AccessInfo) {
-	if t.cur.Load() == nil {
-		return
-	}
-	t.sinkMu.Lock()
-	defer t.sinkMu.Unlock()
-	c := t.cur.Load()
-	if c == nil {
-		return
-	}
-	if ai.Write {
-		c.writes++
-		c.writeBytes += int64(ai.Length)
-	} else {
-		c.reads++
-		c.readBytes += int64(ai.Length)
-	}
-	if ai.Seek {
-		c.seeks++
-		c.seekDistance += ai.SeekDistance
-	}
-	hit := t.cacheStart >= 0 && ai.Offset >= t.cacheStart
-	if hit {
-		c.cacheHits++
-	}
-	c.serviceNS += ai.ServiceNS
-	start := c.cursor
-	c.cursor += ai.ServiceNS
-	if len(c.ios) < cap(c.ios) {
-		c.ios = append(c.ios, ioRecord{
-			write: ai.Write, offset: ai.Offset, length: ai.Length,
-			seekDistance: ai.SeekDistance, seek: ai.Seek, cacheHit: hit,
-			startNS: start, endNS: c.cursor,
-		})
-	} else {
-		c.truncated++
-	}
 }
 
 // deviceNow returns the simulated device clock (the journal's clock).
@@ -231,58 +125,39 @@ func (d *DB) deviceNow() int64 { return d.disk.BusyNS() }
 
 // traceBegin opens a traced operation record, or returns nil when
 // tracing is disabled — the only cost then is one atomic load, and
-// nothing allocates on either path. Caller holds d.mu.
+// nothing allocates.
 func (d *DB) traceBegin(op string, reqID uint64) *opTrace {
-	t := &d.tracer
-	if !t.enabled.Load() {
+	if !d.tracer.enabled.Load() {
 		return nil
 	}
-	c := &t.buf
-	c.reset(op, reqID, d.deviceNow())
-	t.cur.Store(c)
-	return c
+	ot := opTracePool.Get().(*opTrace)
+	*ot = opTrace{op: op, reqID: reqID, disk: d.disk, start: d.disk.Stats(), stages: ot.stages[:0]}
+	return ot
 }
 
-// traceEnd closes a traced operation and journals its span tree when
-// the op is sampled or slow. Caller holds d.mu; ot may be nil
-// (untraced operation).
+// traceEnd closes a traced operation and, when it is sampled or slow,
+// journals its span tree: a root "op_<name>" span whose totals are the
+// device counters' deltas across the operation, and one
+// "stage_<name>" child per stage. Operations that overlap share the
+// device work done while both ran. ot may be nil (untraced operation).
 func (d *DB) traceEnd(ot *opTrace, err error) {
 	if ot == nil {
 		return
 	}
-	t := &d.tracer
-	t.sinkMu.Lock()
-	t.cur.Store(nil)
-	t.sinkMu.Unlock()
-	endNS := d.deviceNow()
-	t.nops++
-	sampled := (t.nops-1)%t.sampleEvery == 0
-	slow := endNS-ot.startNS >= traceSlowOpNS
-	if sampled || slow {
-		t.emit(ot, endNS, err, slow)
+	defer opTracePool.Put(ot)
+	s, e := ot.start, d.disk.Stats()
+	startNS, endNS := int64(s.BusyTime), int64(e.BusyTime)
+	slow := endNS-startNS >= traceSlowOpNS
+	if (d.tracer.nops.Add(1)-1)%d.tracer.sampleEvery != 0 && !slow {
+		return
 	}
-}
-
-// emit journals a traced operation's span tree: a root "op_<name>"
-// span carrying the totals, one "stage_<name>" child per stage, and
-// one "io" child per retained attributed access.
-func (t *tracer) emit(ot *opTrace, endNS int64, err error, slow bool) {
-	j := t.db.journal
 	fields := map[string]int64{
-		"req_id":        int64(ot.reqID),
-		"reads":         ot.reads,
-		"writes":        ot.writes,
-		"read_bytes":    ot.readBytes,
-		"write_bytes":   ot.writeBytes,
-		"seeks":         ot.seeks,
-		"seek_distance": ot.seekDistance,
-		"service_ns":    ot.serviceNS,
-	}
-	if ot.cacheHits > 0 {
-		fields["cache_hits"] = ot.cacheHits
-	}
-	if ot.truncated > 0 {
-		fields["dropped_ios"] = ot.truncated
+		"req_id":      int64(ot.reqID),
+		"reads":       e.ReadOps - s.ReadOps,
+		"writes":      e.WriteOps - s.WriteOps,
+		"read_bytes":  e.BytesRead - s.BytesRead,
+		"write_bytes": e.BytesWritten - s.BytesWritten,
+		"seeks":       e.Seeks - s.Seeks,
 	}
 	if err != nil {
 		fields["err"] = 1
@@ -290,28 +165,9 @@ func (t *tracer) emit(ot *opTrace, endNS int64, err error, slow bool) {
 	if slow {
 		fields["slow"] = 1
 	}
-	root := j.RecordSpan("op_"+ot.op, 0, ot.startNS, endNS, fields)
-	for i := range ot.stages {
-		st := &ot.stages[i]
-		j.RecordSpan("stage_"+st.name, root, st.startNS, st.endNS, nil)
-	}
-	for i := range ot.ios {
-		io := &ot.ios[i]
-		f := map[string]int64{
-			"offset": io.offset,
-			"length": int64(io.length),
-		}
-		if io.write {
-			f["write"] = 1
-		}
-		if io.seek {
-			f["seek"] = 1
-			f["seek_distance"] = io.seekDistance
-		}
-		if io.cacheHit {
-			f["cache_hit"] = 1
-		}
-		j.RecordSpan("io", root, io.startNS, io.endNS, f)
+	root := d.journal.RecordSpan("op_"+ot.op, 0, startNS, endNS, fields)
+	for _, st := range ot.stages {
+		d.journal.RecordSpan("stage_"+st.name, root, st.startNS, st.endNS, nil)
 	}
 }
 

@@ -181,21 +181,21 @@ func (d *DB) userVlogAppend(recs []vlog.Record, bytes int64) {
 // cached). Caller holds d.mu and has passed writeAllowed; ot may be nil
 // (untraced).
 func (d *DB) commitLocked(b *Batch, ot *opTrace, separated func(recs []vlog.Record, bytes int64)) error {
-	si := ot.stageStart(stageCompactionStall, d.traceNow(ot))
+	si := ot.stageStart(stageCompactionStall)
 	if err := d.makeRoomForWrite(d.treeSize(b)); err != nil {
 		return d.failWrite(err)
 	}
-	ot.stageEnd(si, d.traceNow(ot))
+	ot.stageEnd(si)
 	base := d.seq + 1
 	d.seq += kv.SeqNum(b.count)
 	b.setSeq(base)
-	si = ot.stageStart(stageWALAppend, d.traceNow(ot))
+	si = ot.stageStart(stageWALAppend)
 	rep, recs, err := d.logBatch(b, separated)
 	if err != nil {
 		return d.failWrite(err)
 	}
-	ot.stageEnd(si, d.traceNow(ot))
-	si = ot.stageStart(stageMemtable, d.traceNow(ot))
+	ot.stageEnd(si)
+	si = ot.stageStart(stageMemtable)
 	if _, _, err := decodeBatch(rep, recs, func(seq kv.SeqNum, kind kv.Kind, key, value []byte) error {
 		d.mem.Add(seq, kind, key, value)
 		return nil
@@ -203,7 +203,7 @@ func (d *DB) commitLocked(b *Batch, ot *opTrace, separated func(recs []vlog.Reco
 		return err
 	}
 	d.visible.Store(uint64(d.seq)) // the batch is whole in the memtable
-	ot.stageEnd(si, d.traceNow(ot))
+	ot.stageEnd(si)
 	return nil
 }
 

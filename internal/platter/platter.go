@@ -79,12 +79,9 @@ type AccessInfo struct {
 	Write  bool
 	Offset int64
 	Length int
-	// SeekDistance is the absolute head travel in bytes from the end
-	// of the previous access; 0 for a sequential continuation (Seek
-	// false). The first access after power-on pays an average seek and
-	// reports distance 0 with Seek true.
-	SeekDistance int64
-	Seek         bool
+	// Seek is false for a sequential continuation of the previous
+	// access.
+	Seek bool
 	// ServiceNS is the modeled service time of this access in
 	// nanoseconds (seek + rotational + transfer).
 	ServiceNS int64
@@ -110,12 +107,7 @@ type Disk struct {
 	chunks  map[int64][]byte
 	lastEnd int64 // offset immediately after the previous access
 	stats   Stats // BusyTime unused; see busy
-	sinks   []namedSink
-}
-
-type namedSink struct {
-	name string
-	sink Sink
+	sink    Sink
 }
 
 // New creates a disk with the given configuration.
@@ -148,18 +140,11 @@ func (d *Disk) checkRange(off int64, n int) error {
 
 // serviceTime computes and accounts the cost of one access under the
 // lock. It updates lastEnd and the seek counter, and reports the
-// access to every installed sink.
+// access to the installed sink.
 func (d *Disk) serviceTime(off int64, n int, write bool) time.Duration {
 	var t time.Duration
-	var dist int64
 	seek := off != d.lastEnd
 	if seek {
-		if d.lastEnd >= 0 {
-			dist = off - d.lastEnd
-			if dist < 0 {
-				dist = -dist
-			}
-		}
 		t += d.seekCost(off) + d.cfg.RotationalLatency
 		d.stats.Seeks++
 	}
@@ -172,10 +157,9 @@ func (d *Disk) serviceTime(off int64, n int, write bool) time.Duration {
 	}
 	d.lastEnd = off + int64(n)
 	d.busy.Add(int64(t))
-	for _, ns := range d.sinks {
-		ns.sink.ObserveAccess(AccessInfo{
-			Write: write, Offset: off, Length: n,
-			SeekDistance: dist, Seek: seek, ServiceNS: int64(t),
+	if d.sink != nil {
+		d.sink.ObserveAccess(AccessInfo{
+			Write: write, Offset: off, Length: n, Seek: seek, ServiceNS: int64(t),
 		})
 	}
 	return t
@@ -290,25 +274,14 @@ func (d *Disk) ResetStats() {
 	d.busy.Store(0)
 }
 
-// SetSink installs s as the access sink called name, replacing the
-// sink already installed under that name; a nil s removes it. Sinks
-// under different names all observe every subsequent access, each
-// called under the disk lock (see the Sink contract). A name, not a
-// handle, identifies the slot because a DB abandoned by a simulated
-// crash never uninstalls its sink: its successor on the same device
-// takes the slot over.
-func (d *Disk) SetSink(name string, s Sink) {
+// SetSink installs s as the disk's one access sink, replacing any
+// sink installed before; a nil s removes it. The sink observes every
+// subsequent access, called under the disk lock (see the Sink
+// contract).
+func (d *Disk) SetSink(s Sink) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for i := range d.sinks {
-		if d.sinks[i].name == name {
-			d.sinks = append(d.sinks[:i], d.sinks[i+1:]...)
-			break
-		}
-	}
-	if s != nil {
-		d.sinks = append(d.sinks, namedSink{name, s})
-	}
+	d.sink = s
 }
 
 // MemoryFootprint returns the bytes held by the sparse backing store,

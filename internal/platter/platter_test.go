@@ -143,36 +143,34 @@ type recordingSink struct{ seen []AccessInfo }
 
 func (r *recordingSink) ObserveAccess(ai AccessInfo) { r.seen = append(r.seen, ai) }
 
-func TestSinksFanOut(t *testing.T) {
+// TestSinkSlot: the disk has one sink slot. An installed sink sees
+// every access, a second SetSink replaces it, and a nil one removes it.
+func TestSinkSlot(t *testing.T) {
 	d := testDisk(1 << 20)
 	a, b := &recordingSink{}, &recordingSink{}
-	d.SetSink("a", a)
-	d.SetSink("b", b)
+	d.SetSink(a)
 	d.WriteAt(make([]byte, 10), 512)
 	d.ReadAt(make([]byte, 5), 512)
-	for name, s := range map[string]*recordingSink{"a": a, "b": b} {
-		if len(s.seen) != 2 {
-			t.Fatalf("sink %s saw %d accesses, want 2", name, len(s.seen))
-		}
-		if w := s.seen[0]; !w.Write || w.Offset != 512 || w.Length != 10 || !w.Seek || w.ServiceNS <= 0 {
-			t.Errorf("sink %s: bad write entry: %+v", name, w)
-		}
-		if r := s.seen[1]; r.Write || r.Offset != 512 || r.Length != 5 {
-			t.Errorf("sink %s: bad read entry: %+v", name, r)
-		}
+	if len(a.seen) != 2 {
+		t.Fatalf("sink saw %d accesses, want 2", len(a.seen))
 	}
-	// Removing one sink stops its delivery and leaves the other's.
-	d.SetSink("a", nil)
-	d.WriteAt(make([]byte, 1), 0)
-	if len(a.seen) != 2 || len(b.seen) != 3 {
-		t.Errorf("after removing a: a saw %d (want 2), b saw %d (want 3)", len(a.seen), len(b.seen))
+	if w := a.seen[0]; !w.Write || w.Offset != 512 || w.Length != 10 || !w.Seek || w.ServiceNS <= 0 {
+		t.Errorf("bad write entry: %+v", w)
 	}
-	// Installing under a taken name replaces that sink only.
-	c := &recordingSink{}
-	d.SetSink("b", c)
+	if r := a.seen[1]; r.Write || r.Offset != 512 || r.Length != 5 {
+		t.Errorf("bad read entry: %+v", r)
+	}
+	// Installing another sink replaces the first.
+	d.SetSink(b)
 	d.WriteAt(make([]byte, 1), 0)
-	if len(b.seen) != 3 || len(c.seen) != 1 {
-		t.Errorf("after replacing b: b saw %d (want 3), c saw %d (want 1)", len(b.seen), len(c.seen))
+	if len(a.seen) != 2 || len(b.seen) != 1 {
+		t.Errorf("after replacing: a saw %d (want 2), b saw %d (want 1)", len(a.seen), len(b.seen))
+	}
+	// A nil sink empties the slot.
+	d.SetSink(nil)
+	d.WriteAt(make([]byte, 1), 0)
+	if len(b.seen) != 1 {
+		t.Errorf("after removing: b saw %d (want 1)", len(b.seen))
 	}
 }
 

@@ -110,7 +110,7 @@ func TestStreamingScanIsOneSequentialPass(t *testing.T) {
 		}
 		var log accessLog
 		disk.ResetStats()
-		disk.SetSink("test", &log)
+		disk.SetSink(&log)
 		var streamed obs.Counter
 		it := tbl.NewSpanIterator(readahead, 0, &streamed)
 		n := 0

@@ -34,7 +34,7 @@ type OpStat struct {
 	Slow      int64  `json:"slow"`
 	IOs       int64  `json:"ios"`
 	IOBytes   int64  `json:"io_bytes"`
-	ServiceNS int64  `json:"service_ns"`
+	ServiceNS int64  `json:"service_ns"` // device time the spans lasted
 }
 
 // LevelCheck compares one level's live write-bytes counter delta
@@ -230,7 +230,7 @@ func (r *Report) analyzeEvents(d *Dump) {
 			op.Slow += e.Fields["slow"]
 			op.IOs += e.Fields["reads"] + e.Fields["writes"]
 			op.IOBytes += e.Fields["read_bytes"] + e.Fields["write_bytes"]
-			op.ServiceNS += e.Fields["service_ns"]
+			op.ServiceNS += e.EndNS - e.StartNS
 			r.SampledSpanTrees++
 		}
 	}

@@ -103,10 +103,6 @@ type Access struct {
 	Length int   `json:"length"`
 }
 
-// sinkName is the platter sink slot the window's recorder occupies,
-// next to the engine tracer's.
-const sinkName = "traceanalyze"
-
 // Baseline anchors a dump's window: counters captured by Begin, and
 // the accesses recorded since.
 type Baseline struct {
@@ -143,7 +139,7 @@ func Begin(db *lsm.DB) *Baseline {
 		b.SurfaceExtents = db.SurfaceExtents()
 		b.SurfaceLogical = db.SpaceProfile().LogicalLiveBytes
 	}
-	db.Device().Disk.SetSink(sinkName, b)
+	db.Device().Disk.SetSink(b)
 	return b
 }
 
@@ -168,7 +164,7 @@ type Dump struct {
 // Collect closes the window base opened and snapshots db into a Dump
 // covering it.
 func Collect(db *lsm.DB, base *Baseline) *Dump {
-	db.Device().Disk.SetSink(sinkName, nil)
+	db.Device().Disk.SetSink(nil)
 	cfg := db.Config()
 	cacheStart := int64(-1)
 	if fbd, ok := smr.Base(db.Device().Drive).(*smr.FixedBandDrive); ok {

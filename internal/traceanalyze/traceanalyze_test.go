@@ -155,26 +155,27 @@ func TestVerifyVlog(t *testing.T) {
 }
 
 // TestSpanTreesInDump asserts the dump's journal carries complete
-// span trees: an op root with io children that have bytes and seek
-// distances attributed.
+// span trees: op roots with device totals and stage children, and no
+// per-access children.
 func TestSpanTreesInDump(t *testing.T) {
 	d := tracedRun(t, lsm.ModeSEALDB)
-	var foundIO bool
+	var foundIO, foundStage bool
 	for _, root := range obs.SpanTrees(d.Events) {
 		if !strings.HasPrefix(root.Type, "op_") {
 			continue
 		}
-		if _, ok := root.Fields["seek_distance"]; !ok {
-			t.Fatalf("op span %q missing seek_distance", root.Type)
+		if root.Fields["read_bytes"]+root.Fields["write_bytes"] > 0 {
+			foundIO = true
 		}
 		for _, c := range root.Children {
-			if c.Type == "io" && c.Fields["length"] > 0 {
-				foundIO = true
+			if !strings.HasPrefix(c.Type, "stage_") {
+				t.Fatalf("op span %q has a %q child", root.Type, c.Type)
 			}
+			foundStage = true
 		}
 	}
-	if !foundIO {
-		t.Fatal("no op span tree with an attributed io child")
+	if !foundIO || !foundStage {
+		t.Fatalf("no op span tree with device bytes (%v) or a stage child (%v)", foundIO, foundStage)
 	}
 }
 
