@@ -29,17 +29,10 @@ func runServe(args []string) {
 		seed    = fs.Int64("seed", 1, "load seed")
 		obsAddr = fs.String("obs", "", "also serve /metrics and /debug endpoints on this HTTP address")
 		conns   = fs.Int("conns", 0, "max concurrent connections (0 = default)")
-
-		lockprof  = fs.Bool("lockprofile", false, "start with lock-contention profiling on (also togglable via /debug/contention?profile=on)")
-		mutexfrac = fs.Int("mutexfrac", -1, "runtime mutex profile fraction for /debug/pprof/mutex (-1 = leave default)")
-		blockrate = fs.Int("blockrate", -1, "runtime block profile rate in ns for /debug/pprof/block (-1 = leave default)")
 	)
 	if err := fs.Parse(args); err != nil {
 		fatal(err)
 	}
-
-	obs.SetLockProfiling(*lockprof)
-	obs.SetProfileRates(*mutexfrac, *blockrate)
 
 	m, err := parseMode(*mode)
 	if err != nil {

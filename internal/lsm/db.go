@@ -394,7 +394,7 @@ func (d *DB) recoverSetsAndLogs(groups []vlogGroup) error {
 	// torn final append, and any stale frames a previous occupant of
 	// the extent left beyond it, fail their CRC and end the replay
 	// cleanly instead of failing Open.
-	buf, err := d.readReserved(logNum)
+	buf, err := d.backend.ReadReserved(logNum)
 	if err != nil {
 		if errors.Is(err, storage.ErrNotFound) {
 			// Already flushed and removed; the flush edit that let it go
@@ -484,21 +484,6 @@ func (d *DB) recoverSetsAndLogs(groups []vlogGroup) error {
 	}
 	d.backend.Remove(logNum)
 	return nil
-}
-
-// readReserved reads the whole reserved extent of a preallocated
-// file (WAL, vlog segment). The logical size is not trusted after a
-// crash; callers scan the bytes for the last whole record.
-func (d *DB) readReserved(num uint64) ([]byte, error) {
-	limit, err := d.backend.ReservedSize(num)
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, limit)
-	if _, err := d.backend.ReadReservedAt(num, buf, 0); err != nil && err != io.EOF {
-		return nil, err
-	}
-	return buf, nil
 }
 
 func boolToInt64(b bool) int64 {

@@ -50,10 +50,9 @@ type Stats struct {
 	Gets    int64
 	GetHits int64
 
-	// GCMoves and GCBytes count DefragmentBands set relocations, one
-	// per set actually moved.
+	// GCMoves counts DefragmentBands set relocations, one per set
+	// actually moved.
 	GCMoves int64
-	GCBytes int64
 
 	// VlogAppendBytes counts the value-log bytes user batches were
 	// logged as (their groups: value records and commit frames);
@@ -124,7 +123,6 @@ func (d *DB) Stats() Stats {
 		Gets:                 m.gets.Value(),
 		GetHits:              m.getHits.Value(),
 		GCMoves:              m.bandGCMoves.Value(),
-		GCBytes:              m.bandGCBytes.Value(),
 		VlogAppendBytes:      m.vlogAppendBytes.Value(),
 		VlogGCRuns:           m.vlogGCRuns.Value(),
 		VlogGCBytes:          m.vlogGCRelocated.Value(),

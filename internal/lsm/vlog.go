@@ -123,7 +123,7 @@ func (d *DB) vlogRecover() ([]vlogGroup, error) {
 // format's header is not a torn one: it is left untouched and fails
 // the open. Returns the segment's valid bytes.
 func (d *DB) vlogReopenActive(num uint64) ([]byte, error) {
-	buf, err := d.readReserved(num)
+	buf, err := d.backend.ReadReserved(num)
 	if err == nil {
 		err = vlog.CheckHeader(buf)
 	}
@@ -140,12 +140,9 @@ func (d *DB) vlogReopenActive(num uint64) ([]byte, error) {
 	// update); the scan already found the true end.
 	logical, _ := d.backend.FileSize(num)
 	torn := max(0, logical-valid)
-	if err := d.backend.TruncateAppend(num, valid); err != nil {
-		return nil, fmt.Errorf("lsm: truncating vlog segment %d to %d: %w", num, valid, err)
-	}
-	f, err := d.backend.OpenAppend(num)
+	f, err := d.backend.ReopenAppend(num, valid)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("lsm: truncating vlog segment %d to %d: %w", num, valid, err)
 	}
 	d.vlog.w.Reset(f, num, valid, overhead, int64(len(buf)))
 	d.recovery.VlogTornBytes += torn

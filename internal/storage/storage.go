@@ -462,79 +462,53 @@ func (b *Backend) SealAppend(num uint64) error {
 	return b.drive.Free(tail.Off, tail.Len)
 }
 
-// OpenAppend reopens an existing append file for further appends
-// (MANIFEST continuation after recovery).
-func (b *Backend) OpenAppend(num uint64) (*AppendFile, error) {
+// ReadReserved reads append file num's whole reservation, ignoring its
+// logical size: after a crash that size cannot be trusted, so recovery
+// scans everything that may have reached the platter and lets record
+// framing find the true end. An empty reservation is returned without
+// touching the drive.
+func (b *Backend) ReadReserved(num uint64) ([]byte, error) {
 	b.mu.Lock()
 	fi, ok := b.files[num]
+	var off, limit int64
+	if ok {
+		off, limit = fi.ext.Off, fi.limit
+	}
 	b.mu.Unlock()
 	if !ok {
 		return nil, ErrNotFound
 	}
-	return &AppendFile{b: b, num: num, ext: fi.ext, limit: fi.limit, pos: fi.size}, nil
+	buf := make([]byte, limit)
+	if limit == 0 {
+		return buf, nil
+	}
+	if _, err := b.drive.ReadAt(buf, off); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }
 
-// ReservedSize returns the writable capacity reserved for append
-// file num (its limit), as opposed to its logical size. After a
-// crash the logical size cannot be trusted, so recovery scans the
-// whole reservation and lets record framing find the true end.
-func (b *Backend) ReservedSize(num uint64) (int64, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	fi, ok := b.files[num]
-	if !ok {
-		return 0, ErrNotFound
-	}
-	return fi.limit, nil
-}
-
-// ReadReservedAt reads from file num's reserved extent, ignoring the
-// logical size (capped at the reservation limit). Recovery scans use
-// it to see past a stale size to whatever actually hit the platter.
-func (b *Backend) ReadReservedAt(num uint64, p []byte, off int64) (int, error) {
-	b.mu.Lock()
-	fi, ok := b.files[num]
-	b.mu.Unlock()
-	if !ok {
-		return 0, ErrNotFound
-	}
-	if off < 0 || off > fi.limit {
-		return 0, fmt.Errorf("storage: reserved read at %d outside file %d (limit %d)", off, num, fi.limit)
-	}
-	n := len(p)
-	var eof error
-	if int64(n) > fi.limit-off {
-		n = int(fi.limit - off)
-		eof = io.EOF
-	}
-	if n == 0 {
-		return 0, eof
-	}
-	if _, err := b.drive.ReadAt(p[:n], fi.ext.Off+off); err != nil {
-		return 0, err
-	}
-	return n, eof
-}
-
-// TruncateAppend cuts append file num's logical size back to size
-// and retires the drive validity of the dropped tail, so a reopened
-// writer can append over it without tripping the raw drive's
-// overlap check. Recovery uses it to discard a torn MANIFEST tail.
-func (b *Backend) TruncateAppend(num uint64, size int64) error {
+// ReopenAppend resumes appends to file num at size, the end of its
+// last whole record: it cuts the logical size back to size and retires
+// the drive validity of everything past it, the guard padding included
+// (freeing never-valid space is a no-op), so the writer can append over
+// a torn tail without tripping the raw drive's overlap check.
+func (b *Backend) ReopenAppend(num uint64, size int64) (*AppendFile, error) {
 	b.mu.Lock()
 	fi, ok := b.files[num]
 	if !ok {
 		b.mu.Unlock()
-		return ErrNotFound
+		return nil, ErrNotFound
 	}
 	if size < 0 || size > fi.limit {
 		b.mu.Unlock()
-		return fmt.Errorf("storage: truncate of file %d to %d outside [0, %d]", num, size, fi.limit)
+		return nil, fmt.Errorf("storage: reopen of file %d at %d outside [0, %d]", num, size, fi.limit)
 	}
 	fi.size = size
-	ext := fi.ext
+	f := &AppendFile{b: b, num: num, ext: fi.ext, limit: fi.limit, pos: size}
 	b.mu.Unlock()
-	// Retire validity for everything past the new end, including the
-	// guard padding (freeing never-valid space is a no-op).
-	return b.drive.Free(ext.Off+size, ext.Len-size)
+	if err := b.drive.Free(f.ext.Off+size, f.ext.Len-size); err != nil {
+		return nil, err
+	}
+	return f, nil
 }

@@ -234,7 +234,7 @@ func TestAppendFile(t *testing.T) {
 	}
 
 	// Reopen and continue appending.
-	f2, err := b.OpenAppend(99)
+	f2, err := b.ReopenAppend(99, f.Size())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,6 +245,49 @@ func TestAppendFile(t *testing.T) {
 	b.ReadFileAt(99, got2, 0)
 	if string(got2[len(want):]) != "tail" {
 		t.Error("continued append lost")
+	}
+}
+
+// TestReopenAppendOverACutTail: on a raw drive, reopening an append
+// file below its logical size retires the tail's validity, so a write
+// over the cut tail passes the drive's overlap check, reads back, and
+// costs no extra media write.
+func TestReopenAppendOverACutTail(t *testing.T) {
+	b, _, drive := newRawBackend(t)
+	f, err := b.CreateAppend(1, 1<<16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := bytes.Repeat([]byte("whole!"), 500)
+	if _, err := f.Write(append(head, bytes.Repeat([]byte("torn"), 250)...)); err != nil {
+		t.Fatal(err)
+	}
+	f2, err := b.ReopenAppend(1, int64(len(head)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if size, _ := b.FileSize(1); size != int64(len(head)) {
+		t.Fatalf("logical size %d after reopen, want %d", size, len(head))
+	}
+	tail := bytes.Repeat([]byte("new!"), 300)
+	if _, err := f2.Write(tail); err != nil {
+		t.Fatalf("write over the cut tail: %v", err)
+	}
+	res, err := b.ReadReserved(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := append(head, tail...); !bytes.Equal(res[:len(want)], want) {
+		t.Fatal("reopened file does not read back as head + new tail")
+	}
+	if awa := smr.AWA(drive); awa != 1.0 {
+		t.Fatalf("AWA = %v, want exactly 1.0", awa)
+	}
+	if _, err := b.ReopenAppend(1, 1<<16+1); err == nil {
+		t.Fatal("reopen past the reservation accepted")
+	}
+	if _, err := b.ReopenAppend(2, 0); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("reopening an unknown file: %v, want ErrNotFound", err)
 	}
 }
 
@@ -373,8 +416,8 @@ func TestSealAppendReleasesTheTailOnARawDrive(t *testing.T) {
 	if got, _ := b.FileExtent(1); got != (Extent{Off: ext.Off, Len: int64(len(want))}) {
 		t.Fatalf("sealed extent %v, want [%d,+%d)", got, ext.Off, len(want))
 	}
-	if lim, _ := b.ReservedSize(1); lim != int64(len(want)) {
-		t.Fatalf("sealed reservation %d, want %d", lim, len(want))
+	if res, _ := b.ReadReserved(1); len(res) != len(want) {
+		t.Fatalf("sealed reservation %d, want %d", len(res), len(want))
 	}
 	if freed := before - mgr.AllocatedBytes(); freed != ext.Len-int64(len(want)) {
 		t.Fatalf("seal freed %d bytes, want %d", freed, ext.Len-int64(len(want)))
@@ -426,8 +469,8 @@ func TestSealAppendKeepsABandedReservation(t *testing.T) {
 	if got, _ := b.FileExtent(1); got != ext {
 		t.Fatalf("sealed extent %v, want the reservation %v", got, ext)
 	}
-	if lim, _ := b.ReservedSize(1); lim != 1<<16 {
-		t.Fatalf("sealed reservation %d, want %d", lim, 1<<16)
+	if res, _ := b.ReadReserved(1); len(res) != 1<<16 {
+		t.Fatalf("sealed reservation %d, want %d", len(res), 1<<16)
 	}
 	if err := b.WriteFile(2, make([]byte, 4096)); err != nil {
 		t.Fatal(err)

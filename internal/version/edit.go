@@ -242,177 +242,97 @@ func (e *Edit) Encode() []byte {
 // DecodeEdit parses a manifest record.
 func DecodeEdit(p []byte) (*Edit, error) {
 	e := &Edit{}
-	pos := 0
-	getUvarint := func() (uint64, error) {
-		v, n := binary.Uvarint(p[pos:])
-		if n <= 0 {
-			return 0, fmt.Errorf("version: truncated varint at %d", pos)
-		}
-		pos += n
-		return v, nil
-	}
-	getBytes := func() ([]byte, error) {
-		n, err := getUvarint()
-		if err != nil {
-			return nil, err
-		}
-		if pos+int(n) > len(p) {
-			return nil, fmt.Errorf("version: truncated bytes at %d", pos)
-		}
-		out := append([]byte(nil), p[pos:pos+int(n)]...)
-		pos += int(n)
-		return out, nil
-	}
-	for pos < len(p) {
-		tag, err := getUvarint()
-		if err != nil {
-			return nil, err
-		}
-		switch tag {
+	d := &decoder{p: p}
+	for d.err == nil && d.pos < len(p) {
+		switch tag := d.uvarint(); tag {
 		case tagLogNum:
-			v, err := getUvarint()
-			if err != nil {
-				return nil, err
-			}
-			e.HasLogNum, e.LogNum = true, v
+			e.HasLogNum, e.LogNum = true, d.uvarint()
 		case tagNextFileNum:
-			v, err := getUvarint()
-			if err != nil {
-				return nil, err
-			}
-			e.HasNextFile, e.NextFileNum = true, v
+			e.HasNextFile, e.NextFileNum = true, d.uvarint()
 		case tagLastSeq:
-			v, err := getUvarint()
-			if err != nil {
-				return nil, err
-			}
-			e.HasLastSeq, e.LastSeq = true, kv.SeqNum(v)
+			e.HasLastSeq, e.LastSeq = true, kv.SeqNum(d.uvarint())
 		case tagCompactPointer:
-			lvl, err := getUvarint()
-			if err != nil {
-				return nil, err
-			}
-			key, err := getBytes()
-			if err != nil {
-				return nil, err
-			}
-			e.CompactPointers = append(e.CompactPointers, CompactPointer{Level: int(lvl), Key: key})
+			e.CompactPointers = append(e.CompactPointers, CompactPointer{Level: int(d.uvarint()), Key: d.bytes()})
 		case tagDeletedFile:
-			lvl, err := getUvarint()
-			if err != nil {
-				return nil, err
-			}
-			num, err := getUvarint()
-			if err != nil {
-				return nil, err
-			}
-			e.Deleted = append(e.Deleted, DeletedFile{Level: int(lvl), Num: num})
+			e.Deleted = append(e.Deleted, DeletedFile{Level: int(d.uvarint()), Num: d.uvarint()})
 		case tagAddedFile:
-			lvl, err := getUvarint()
-			if err != nil {
-				return nil, err
-			}
-			num, err := getUvarint()
-			if err != nil {
-				return nil, err
-			}
-			size, err := getUvarint()
-			if err != nil {
-				return nil, err
-			}
-			setID, err := getUvarint()
-			if err != nil {
-				return nil, err
-			}
-			smallest, err := getBytes()
-			if err != nil {
-				return nil, err
-			}
-			largest, err := getBytes()
-			if err != nil {
-				return nil, err
-			}
-			e.Added = append(e.Added, AddedFile{
-				Level: int(lvl),
-				Meta: &FileMeta{
-					Num: num, Size: int64(size), SetID: setID,
-					Smallest: smallest, Largest: largest,
-				},
-			})
+			e.Added = append(e.Added, AddedFile{Level: int(d.uvarint()), Meta: &FileMeta{
+				Num: d.uvarint(), Size: d.int64(), SetID: d.uvarint(), Smallest: d.bytes(), Largest: d.bytes(),
+			}})
 		case tagNewSet:
-			var vals [4]uint64
-			for i := range vals {
-				v, err := getUvarint()
-				if err != nil {
-					return nil, err
-				}
-				vals[i] = v
-			}
-			e.NewSets = append(e.NewSets, SetRecord{
-				ID: vals[0], Off: int64(vals[1]), Len: int64(vals[2]), Members: int(vals[3]),
-			})
+			e.NewSets = append(e.NewSets, SetRecord{ID: d.uvarint(), Off: d.int64(), Len: d.int64(), Members: int(d.uvarint())})
 		case tagDropSet:
-			id, err := getUvarint()
-			if err != nil {
-				return nil, err
-			}
-			e.DropSets = append(e.DropSets, id)
+			e.DropSets = append(e.DropSets, d.uvarint())
 		case tagNewVlogSeg:
-			num, err := getUvarint()
-			if err != nil {
-				return nil, err
-			}
-			e.NewVlogSegs = append(e.NewVlogSegs, num)
+			e.NewVlogSegs = append(e.NewVlogSegs, d.uvarint())
 		case tagSealVlogSeg:
-			num, err := getUvarint()
-			if err != nil {
-				return nil, err
-			}
-			bytes, err := getUvarint()
-			if err != nil {
-				return nil, err
-			}
-			e.SealVlogSegs = append(e.SealVlogSegs, VlogSegRecord{Num: num, Bytes: int64(bytes)})
+			e.SealVlogSegs = append(e.SealVlogSegs, VlogSegRecord{Num: d.uvarint(), Bytes: d.int64()})
 		case tagVlogDead:
-			num, err := getUvarint()
-			if err != nil {
-				return nil, err
-			}
-			dead, err := getUvarint()
-			if err != nil {
-				return nil, err
-			}
-			e.VlogDead = append(e.VlogDead, VlogDeadRecord{Num: num, Dead: int64(dead)})
+			e.VlogDead = append(e.VlogDead, VlogDeadRecord{Num: d.uvarint(), Dead: d.int64()})
 		case tagDropVlogSeg:
-			num, err := getUvarint()
-			if err != nil {
-				return nil, err
-			}
-			e.DropVlogSegs = append(e.DropVlogSegs, num)
+			e.DropVlogSegs = append(e.DropVlogSegs, d.uvarint())
 		case tagVlogOverhead:
-			overhead, err := getUvarint()
-			if err != nil {
-				return nil, err
-			}
+			overhead := d.int64()
 			if len(e.SealVlogSegs) == 0 {
-				return nil, fmt.Errorf("version: vlog overhead record without a seal before it")
+				d.fail(fmt.Errorf("version: vlog overhead record without a seal before it"))
+			} else {
+				e.SealVlogSegs[len(e.SealVlogSegs)-1].Overhead = overhead
 			}
-			e.SealVlogSegs[len(e.SealVlogSegs)-1].Overhead = int64(overhead)
 		case tagVlogHead:
-			seg, err := getUvarint()
-			if err != nil {
-				return nil, err
-			}
-			off, err := getUvarint()
-			if err != nil {
-				return nil, err
-			}
-			e.HasVlogHead, e.VlogHead = true, VlogPos{Seg: seg, Off: int64(off)}
+			e.HasVlogHead, e.VlogHead = true, VlogPos{Seg: d.uvarint(), Off: d.int64()}
 		default:
-			return nil, fmt.Errorf("version: unknown manifest tag %d", tag)
+			d.fail(fmt.Errorf("version: unknown manifest tag %d", tag))
 		}
+	}
+	if d.err != nil {
+		return nil, d.err
 	}
 	return e, nil
+}
+
+// decoder reads the fields of a manifest record. It keeps the first
+// error: after it every read returns zero and consumes nothing, so a
+// record is checked once, at its end. Fields of one composite literal
+// are read in the order written (Go evaluates its calls left to right).
+type decoder struct {
+	p   []byte
+	pos int
+	err error
+}
+
+func (d *decoder) fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+}
+
+func (d *decoder) uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.p[d.pos:])
+	if n <= 0 {
+		d.err = fmt.Errorf("version: truncated varint at %d", d.pos)
+		return 0
+	}
+	d.pos += n
+	return v
+}
+
+func (d *decoder) int64() int64 { return int64(d.uvarint()) }
+
+func (d *decoder) bytes() []byte {
+	n := d.uvarint()
+	if d.err != nil {
+		return nil
+	}
+	if n > uint64(len(d.p)-d.pos) {
+		d.err = fmt.Errorf("version: truncated bytes at %d", d.pos)
+		return nil
+	}
+	out := append([]byte(nil), d.p[d.pos:d.pos+int(n)]...)
+	d.pos += int(n)
+	return out
 }
 
 // Apply builds the successor version of v under this edit. Levels of

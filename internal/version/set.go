@@ -190,12 +190,8 @@ func Recover(cfg Config) (*Set, *RecoveryReport, error) {
 		return nil, nil, fmt.Errorf("version: reading CURRENT: %w", err)
 	}
 	manifestNum := binary.LittleEndian.Uint64(cur[:])
-	size, err := cfg.Backend.ReservedSize(manifestNum)
+	buf, err := cfg.Backend.ReadReserved(manifestNum)
 	if err != nil {
-		return nil, nil, fmt.Errorf("version: opening MANIFEST %d: %w", manifestNum, err)
-	}
-	buf := make([]byte, size)
-	if _, err := cfg.Backend.ReadReservedAt(manifestNum, buf, 0); err != nil && err != io.EOF {
 		return nil, nil, fmt.Errorf("version: reading MANIFEST %d: %w", manifestNum, err)
 	}
 
@@ -253,12 +249,9 @@ func Recover(cfg Config) (*Set, *RecoveryReport, error) {
 	// Cut the damaged tail out of the manifest (also retiring its
 	// drive validity, so resumed appends cannot overlap it) and
 	// continue appending after the last complete edit.
-	if err := cfg.Backend.TruncateAppend(manifestNum, goodEnd); err != nil {
-		return nil, nil, fmt.Errorf("version: truncating MANIFEST %d to %d: %w", manifestNum, goodEnd, err)
-	}
-	f, err := cfg.Backend.OpenAppend(manifestNum)
+	f, err := cfg.Backend.ReopenAppend(manifestNum, goodEnd)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("version: truncating MANIFEST %d to %d: %w", manifestNum, goodEnd, err)
 	}
 	s.manifest = f                                          //sealvet:allow guardedby
 	s.logw = wal.NewReopenedWriter(f, manifestNum, goodEnd) //sealvet:allow guardedby

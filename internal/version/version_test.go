@@ -1,6 +1,8 @@
 package version
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"testing"
@@ -22,8 +24,9 @@ func meta(num uint64, lo, hi string) *FileMeta {
 
 func allSorted(int) bool { return true }
 
-func TestEditEncodeDecodeRoundTrip(t *testing.T) {
-	e := &Edit{
+// fullEdit sets every field Encode writes.
+func fullEdit() *Edit {
+	return &Edit{
 		HasLogNum: true, LogNum: 42,
 		HasNextFile: true, NextFileNum: 99,
 		HasLastSeq: true, LastSeq: 12345,
@@ -38,6 +41,10 @@ func TestEditEncodeDecodeRoundTrip(t *testing.T) {
 		DropVlogSegs: []uint64{17},
 		HasVlogHead:  true, VlogHead: VlogPos{Seg: 20, Off: 3210},
 	}
+}
+
+func TestEditEncodeDecodeRoundTrip(t *testing.T) {
+	e := fullEdit()
 	got, err := DecodeEdit(e.Encode())
 	if err != nil {
 		t.Fatal(err)
@@ -62,6 +69,47 @@ func TestDecodeEditErrors(t *testing.T) {
 	if _, err := DecodeEdit(bad[:len(bad)-3]); err == nil {
 		t.Error("truncated key accepted")
 	}
+	// A bytes field claiming 1<<63 bytes: the length must not wrap the
+	// bounds check negative and panic.
+	huge := binary.AppendUvarint([]byte{tagCompactPointer, 1}, 1<<63)
+	if _, err := DecodeEdit(append(huge, "abcdef"...)); err == nil {
+		t.Error("key of 1<<63 bytes accepted")
+	}
+}
+
+// FuzzDecodeEdit: no record panics the decoder, and an edit it accepts
+// re-encodes to bytes that decode back to the same encoding.
+func FuzzDecodeEdit(f *testing.F) {
+	m := meta(7, "a", "b")
+	m.SetID = 7
+	for _, e := range []*Edit{
+		fullEdit(),
+		{CompactPointers: []CompactPointer{{Level: 1, Key: ik("abcdef", 1)}}},
+		{HasLastSeq: true, LastSeq: 500, HasLogNum: true, LogNum: 77, Added: []AddedFile{{Level: 0, Meta: meta(3, "a", "m")}}},
+		{NewSets: []SetRecord{{ID: 7, Off: 4096, Len: 8192, Members: 2}}, Added: []AddedFile{{Level: 3, Meta: m}}},
+		{Deleted: []DeletedFile{{Level: 3, Num: 7}}, DropSets: []uint64{7}},
+		{NewVlogSegs: []uint64{5, 6}, SealVlogSegs: []VlogSegRecord{{Num: 5, Bytes: 5000, Overhead: 120}}, HasVlogHead: true, VlogHead: VlogPos{Seg: 3, Off: 777}},
+		{VlogDead: []VlogDeadRecord{{Num: 5, Dead: 600}}, DropVlogSegs: []uint64{5}},
+	} {
+		f.Add(e.Encode())
+	}
+	f.Add([]byte{0xff})
+	f.Add([]byte{99})
+	f.Add([]byte{tagVlogOverhead, 9})
+	f.Fuzz(func(t *testing.T, p []byte) {
+		e, err := DecodeEdit(p)
+		if err != nil {
+			return
+		}
+		enc := e.Encode()
+		again, err := DecodeEdit(enc)
+		if err != nil {
+			t.Fatalf("re-encoded edit does not decode: %v", err)
+		}
+		if !bytes.Equal(again.Encode(), enc) {
+			t.Fatalf("re-encoding changed the bytes:\n got %x\nwant %x", again.Encode(), enc)
+		}
+	})
 }
 
 func TestApplyAddDelete(t *testing.T) {
