@@ -168,7 +168,7 @@ type SpanNode struct {
 	// parent event is not in the snapshot — evicted by the ring bound
 	// (or journaled after the snapshot was taken). Such nodes are
 	// surfaced as roots rather than silently orphaned.
-	ParentDropped bool `json:"parent_dropped,omitempty"`
+	ParentDropped bool        `json:"parent_dropped,omitempty"`
 	Children      []*SpanNode `json:"children,omitempty"`
 }
 

@@ -187,9 +187,9 @@ func (c *Client) pick() (*clientConn, error) {
 	return c.slots[int(n)%len(c.slots)].get(c)
 }
 
-// roundTrip sends one request on one connection and waits for its
-// reply.
-func (c *Client) roundTrip(op wire.Op, payload []byte) (wire.Status, []byte, error) {
+// roundTrip sends one request, its payload appended by payload, on one
+// connection and waits for its reply.
+func (c *Client) roundTrip(op wire.Op, payload func([]byte) []byte) (wire.Status, []byte, error) {
 	cc, err := c.pick()
 	if err != nil {
 		return 0, nil, err
@@ -197,26 +197,41 @@ func (c *Client) roundTrip(op wire.Op, payload []byte) (wire.Status, []byte, err
 	return cc.do(op, payload, c.o.timeout())
 }
 
-// readRoundTrip is roundTrip plus the idempotent-read retry loop:
+// read is roundTrip for an idempotent request plus the retry loop:
 // connection-level failures redial and retry after a backoff sleep.
 // Status errors and timeouts are never retried (a timeout's fate at
-// the server is unknown).
-func (c *Client) readRoundTrip(op wire.Op, payload []byte) (wire.Status, []byte, error) {
-	var lastErr error
-	for attempt := 0; attempt <= readRetries; attempt++ {
-		if attempt > 0 {
-			c.sleep(c.backoffDelay(attempt - 1))
-		}
+// the server is unknown). A non-OK status returns as its error.
+func (c *Client) read(op wire.Op, payload func([]byte) []byte) ([]byte, error) {
+	for attempt := 0; ; attempt++ {
 		st, body, err := c.roundTrip(op, payload)
-		if err == nil {
-			return st, body, nil
+		switch {
+		case err == nil && st != wire.StatusOK:
+			return nil, statusErr(st, body)
+		case err == nil:
+			return body, nil
+		case attempt == readRetries || !errors.Is(err, ErrConn):
+			return nil, err
 		}
-		lastErr = err
-		if !errors.Is(err, ErrConn) {
-			break
-		}
+		c.sleep(c.backoffDelay(attempt))
 	}
-	return 0, nil, lastErr
+}
+
+// write is roundTrip for a mutation, which is never retried, and
+// updates the client's degraded view from its reply status. A non-OK
+// status returns as its error.
+func (c *Client) write(op wire.Op, payload func([]byte) []byte) error {
+	st, body, err := c.roundTrip(op, payload)
+	if err != nil {
+		return err
+	}
+	switch st {
+	case wire.StatusOK:
+		c.degraded.Store(false)
+		return nil
+	case wire.StatusDegraded:
+		c.degraded.Store(true)
+	}
+	return statusErr(st, body)
 }
 
 // backoffDelay computes the sleep before retry number attempt+1:
@@ -228,17 +243,6 @@ func (c *Client) backoffDelay(attempt int) time.Duration {
 		capDelay *= 4
 	}
 	return time.Duration(c.rnd(int64(capDelay)))
-}
-
-// noteWriteStatus updates the client's degraded view from a write's
-// reply status.
-func (c *Client) noteWriteStatus(st wire.Status) {
-	switch st {
-	case wire.StatusOK:
-		c.degraded.Store(false)
-	case wire.StatusDegraded:
-		c.degraded.Store(true)
-	}
 }
 
 // Degraded reports whether the most recent write observed the server
@@ -267,40 +271,17 @@ func statusErr(st wire.Status, body []byte) error {
 // Get returns the value of key. Idempotent: retried on connection
 // failures up to the configured bound.
 func (c *Client) Get(key []byte) ([]byte, error) {
-	st, body, err := c.readRoundTrip(wire.OpGet, wire.AppendGet(nil, key))
-	if err != nil {
-		return nil, err
-	}
-	if st != wire.StatusOK {
-		return nil, statusErr(st, body)
-	}
-	return body, nil
+	return c.read(wire.OpGet, func(b []byte) []byte { return wire.AppendGet(b, key) })
 }
 
 // Put writes a key/value pair. Not retried.
 func (c *Client) Put(key, value []byte) error {
-	st, body, err := c.roundTrip(wire.OpPut, wire.AppendPut(nil, key, value))
-	if err != nil {
-		return err
-	}
-	c.noteWriteStatus(st)
-	if st != wire.StatusOK {
-		return statusErr(st, body)
-	}
-	return nil
+	return c.write(wire.OpPut, func(b []byte) []byte { return wire.AppendPut(b, key, value) })
 }
 
 // Delete writes a tombstone for key. Not retried.
 func (c *Client) Delete(key []byte) error {
-	st, body, err := c.roundTrip(wire.OpDelete, wire.AppendDelete(nil, key))
-	if err != nil {
-		return err
-	}
-	c.noteWriteStatus(st)
-	if st != wire.StatusOK {
-		return statusErr(st, body)
-	}
-	return nil
+	return c.write(wire.OpDelete, func(b []byte) []byte { return wire.AppendDelete(b, key) })
 }
 
 // Batch collects mutations for one atomic WRITEBATCH request.
@@ -329,15 +310,7 @@ func (c *Client) Apply(b *Batch) error {
 	if b.Len() == 0 {
 		return nil
 	}
-	st, body, err := c.roundTrip(wire.OpWriteBatch, wire.AppendWriteBatch(nil, b.entries))
-	if err != nil {
-		return err
-	}
-	c.noteWriteStatus(st)
-	if st != wire.StatusOK {
-		return statusErr(st, body)
-	}
-	return nil
+	return c.write(wire.OpWriteBatch, func(p []byte) []byte { return wire.AppendWriteBatch(p, b.entries) })
 }
 
 // KV is one scan result entry.
@@ -352,12 +325,9 @@ func (c *Client) Scan(start []byte, limit int) ([]KV, error) {
 	if limit < 0 {
 		limit = 0
 	}
-	st, body, err := c.readRoundTrip(wire.OpScan, wire.AppendScan(nil, start, uint32(limit)))
+	body, err := c.read(wire.OpScan, func(b []byte) []byte { return wire.AppendScan(b, start, uint32(limit)) })
 	if err != nil {
 		return nil, err
-	}
-	if st != wire.StatusOK {
-		return nil, statusErr(st, body)
 	}
 	wkvs, err := wire.DecodeScanReply(body)
 	if err != nil {
@@ -374,12 +344,6 @@ func (c *Client) Scan(start []byte, limit int) ([]KV, error) {
 // degraded state, serving-layer counters) as raw JSON. Idempotent:
 // retried on connection failures.
 func (c *Client) Stats() (json.RawMessage, error) {
-	st, body, err := c.readRoundTrip(wire.OpStats, nil)
-	if err != nil {
-		return nil, err
-	}
-	if st != wire.StatusOK {
-		return nil, statusErr(st, body)
-	}
-	return json.RawMessage(body), nil
+	body, err := c.read(wire.OpStats, func(b []byte) []byte { return b })
+	return json.RawMessage(body), err
 }

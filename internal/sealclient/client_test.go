@@ -2,8 +2,12 @@ package sealclient
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
+	"fmt"
+	"math/rand"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -297,20 +301,21 @@ func TestWriteBlockedPastDeadline(t *testing.T) {
 	if err := cc.nc.(*net.TCPConn).SetWriteBuffer(4 << 10); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := cc.do(wire.OpGet, wire.AppendGet(nil, []byte("k")), 50*time.Millisecond); !errors.Is(err, ErrTimeout) {
+	getK := func(b []byte) []byte { return wire.AppendGet(b, []byte("k")) }
+	if _, _, err := cc.do(wire.OpGet, getK, 50*time.Millisecond); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("unanswered Get err = %v, want ErrTimeout", err)
 	}
 
 	held := make(chan error, 1)
 	go func() {
-		_, _, err := cc.do(wire.OpPut, wire.AppendPut(nil, []byte("k"), make([]byte, 4<<20)), time.Second)
+		_, _, err := cc.do(wire.OpPut, func(b []byte) []byte { return wire.AppendPut(b, []byte("k"), make([]byte, 4<<20)) }, time.Second)
 		held <- err
 	}()
 	for len(cc.wlock) == 0 { // wait until the Put holds the write lock
 		time.Sleep(time.Millisecond)
 	}
 	start := time.Now()
-	if _, _, err := cc.do(wire.OpGet, wire.AppendGet(nil, []byte("k")), 50*time.Millisecond); !errors.Is(err, ErrTimeout) {
+	if _, _, err := cc.do(wire.OpGet, getK, 50*time.Millisecond); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("Get waiting on the write lock: err = %v, want ErrTimeout", err)
 	}
 	if d := time.Since(start); d > 500*time.Millisecond {
@@ -330,5 +335,65 @@ func TestWriteBlockedPastDeadline(t *testing.T) {
 	}
 	if got := s.dials.Load(); got != 2 {
 		t.Fatalf("server saw %d dials, want 2 (one redial)", got)
+	}
+}
+
+// TestTimedOutWaiterIsNotReusedUnderItsLateReply races replies against
+// their requests' timeouts on one connection. Each round sends a
+// request the stub answers after about its timeout, then one it
+// answers at once, and every answer is the request's own key. A
+// timed-out request's reply channel and timer are recycled only when
+// its ID was still registered; were one recycled after the reader had
+// taken its channel, the late reply would land there and be returned
+// to the next request on the connection.
+func TestTimedOutWaiterIsNotReusedUnderItsLateReply(t *testing.T) {
+	var wmu sync.Mutex
+	answer := func(nc net.Conn, f wire.Frame) {
+		key, _ := wire.DecodeGet(f.Payload)
+		r := wire.Reply(f.ReqID, wire.StatusOK, key)
+		wmu.Lock()
+		defer wmu.Unlock()
+		_ = wire.WriteFrame(nc, &r)
+	}
+	const timeout = time.Millisecond
+	s := newStubServer(t, func(nc net.Conn, f wire.Frame) bool {
+		if key, _ := wire.DecodeGet(f.Payload); bytes.HasPrefix(key, []byte("slow")) {
+			delay := timeout/2 + time.Duration(rand.Int63n(int64(timeout)))
+			time.AfterFunc(delay, func() { answer(nc, f) })
+		} else {
+			answer(nc, f)
+		}
+		return true
+	})
+	c, err := Dial(s.ln.Addr().String(), Options{})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	// A slow request's write is bound by its 1 ms deadline too, and a
+	// write that misses it kills the connection: pick redials.
+	get := func(key string, timeout time.Duration) ([]byte, error) {
+		cc, err := c.pick()
+		if err != nil {
+			return nil, err
+		}
+		_, v, err := cc.do(wire.OpGet, func(b []byte) []byte { return wire.AppendGet(b, []byte(key)) }, timeout)
+		return v, err
+	}
+	timeouts := 0
+	for i := 0; i < 500; i++ {
+		slow := fmt.Sprintf("slow%d", i)
+		if v, err := get(slow, timeout); errors.Is(err, ErrTimeout) {
+			timeouts++
+		} else if err != nil || string(v) != slow {
+			t.Fatalf("Get(%s) = %q, %v", slow, v, err)
+		}
+		fast := fmt.Sprintf("fast%d", i)
+		if v, err := get(fast, 10*time.Second); err != nil || string(v) != fast {
+			t.Fatalf("Get(%s) after a racing timeout = %q, %v", fast, v, err)
+		}
+	}
+	if timeouts == 0 {
+		t.Fatal("no request timed out: the test raced nothing")
 	}
 }

@@ -2,6 +2,7 @@ package sealclient
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -52,12 +53,25 @@ func (s *connSlot) close() {
 }
 
 // reply is one matched response, delivered to the waiter that sent the
-// request.
+// request. A non-empty body is the waiter's own copy.
 type reply struct {
 	status wire.Status
 	body   []byte
 	err    error
 }
+
+// waiter is a request's reply channel and timeout timer, recycled
+// through waiterPool from one request to the next.
+type waiter struct {
+	ch    chan reply
+	timer *time.Timer
+}
+
+var waiterPool = sync.Pool{New: func() any { return &waiter{ch: make(chan reply, 1)} }}
+
+// maxKeptBuf bounds the capacity a connection's read or write buffer
+// keeps between frames; one grown past it is dropped, not pinned.
+const maxKeptBuf = 1 << 20
 
 // clientConn is one pipelined connection. A caller writes its own
 // request frame under the write lock, then waits for the reply that
@@ -70,8 +84,10 @@ type clientConn struct {
 
 	// wlock is the write lock, a one-slot semaphore so that a caller
 	// whose deadline passes while it waits can give up without
-	// touching the stream.
+	// touching the stream. It guards wbuf, the buffer each request
+	// frame is encoded into and written from.
 	wlock chan struct{}
+	wbuf  []byte
 
 	// mu guards the request-ID/waiter state every in-flight request
 	// touches twice; profiled as the "sealclient_conn_mu" contention
@@ -124,7 +140,9 @@ func (cc *clientConn) handshake(o *Options) error {
 	if err := wire.WriteFrame(cc.nc, &f); err != nil {
 		return fmt.Errorf("%w: handshake write: %v", ErrConn, err)
 	}
-	rf, err := wire.ReadFrame(bufio.NewReader(io1{cc.nc}), 1024)
+	// ReadFrame reads exactly one frame, so nothing past the hello
+	// reply is taken from the stream the read loop goes on with.
+	rf, err := wire.ReadFrame(cc.nc, 1024)
 	if err != nil {
 		return fmt.Errorf("%w: handshake read: %v", ErrConn, err)
 	}
@@ -144,18 +162,6 @@ func (cc *clientConn) handshake(o *Options) error {
 		return fmt.Errorf("%w: %v", ErrConn, err)
 	}
 	return nil
-}
-
-// io1 restricts reads to one byte at a time so the handshake's
-// throwaway bufio.Reader cannot buffer past the hello reply and
-// swallow bytes that belong to the steady-state read loop.
-type io1 struct{ nc net.Conn }
-
-func (r io1) Read(p []byte) (int, error) {
-	if len(p) > 1 {
-		p = p[:1]
-	}
-	return r.nc.Read(p)
 }
 
 // isDead reports whether the connection has failed.
@@ -184,47 +190,60 @@ func (cc *clientConn) fail(err error) {
 	}
 }
 
-// register allocates a request ID and a waiter channel for it.
-func (cc *clientConn) register() (uint64, chan reply, error) {
+// register allocates a request ID and files ch as its waiter.
+func (cc *clientConn) register(ch chan reply) (uint64, error) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	if cc.dead {
-		return 0, nil, cc.deadErr
+		return 0, cc.deadErr
 	}
 	cc.nextID++
-	id := cc.nextID
-	ch := make(chan reply, 1)
-	cc.waiters[id] = ch
-	return id, ch, nil
+	cc.waiters[cc.nextID] = ch
+	return cc.nextID, nil
 }
 
-// unregister drops a waiter (after a timeout); its late reply, if any,
-// is discarded by the read loop.
-func (cc *clientConn) unregister(id uint64) {
+// timedOut gives up on request id after its timer fired, and reports
+// ErrTimeout. Its waiter is recycled only if id was still registered:
+// otherwise the reader or fail has taken the channel and may yet send
+// to it, and the waiter is left to the collector.
+func (cc *clientConn) timedOut(id uint64, w *waiter) error {
 	cc.mu.Lock()
+	_, ok := cc.waiters[id]
 	delete(cc.waiters, id)
 	cc.mu.Unlock()
+	if ok {
+		waiterPool.Put(w)
+	}
+	return ErrTimeout
 }
 
-// do writes one request and waits for its matched reply, both within
-// the timeout.
-func (cc *clientConn) do(op wire.Op, payload []byte, timeout time.Duration) (wire.Status, []byte, error) {
+// do writes one request, its payload appended by payload, and waits
+// for its matched reply, both within the timeout.
+func (cc *clientConn) do(op wire.Op, payload func([]byte) []byte, timeout time.Duration) (wire.Status, []byte, error) {
 	deadline := time.Now().Add(timeout)
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	id, ch, err := cc.register()
+	w := waiterPool.Get().(*waiter)
+	id, err := cc.register(w.ch)
 	if err != nil {
+		waiterPool.Put(w)
 		return 0, nil, err
+	}
+	if w.timer == nil {
+		w.timer = time.NewTimer(timeout)
+	} else {
+		w.timer.Reset(timeout)
 	}
 	select {
 	case cc.wlock <- struct{}{}:
-	case <-timer.C:
-		cc.unregister(id)
-		return 0, nil, ErrTimeout
+	case <-w.timer.C:
+		return 0, nil, cc.timedOut(id, w)
 	}
 	err = cc.nc.SetWriteDeadline(deadline)
 	if err == nil {
-		err = wire.WriteFrame(cc.nc, &wire.Frame{Op: op, ReqID: id, Payload: payload})
+		cc.wbuf = wire.AppendRequest(cc.wbuf[:0], op, id, payload)
+		_, err = cc.nc.Write(cc.wbuf)
+		if cap(cc.wbuf) > maxKeptBuf {
+			cc.wbuf = nil
+		}
 	}
 	<-cc.wlock
 	if err != nil {
@@ -232,27 +251,27 @@ func (cc *clientConn) do(op wire.Op, payload []byte, timeout time.Duration) (wir
 		// hands this request the connection's error.
 		cc.fail(fmt.Errorf("%w: write: %v", ErrConn, err))
 		if errors.Is(err, os.ErrDeadlineExceeded) {
-			return 0, nil, ErrTimeout
+			return 0, nil, ErrTimeout // w's channel holds fail's error
 		}
 	}
 	select {
-	case r := <-ch:
-		if r.err != nil {
-			return 0, nil, r.err
-		}
-		return r.status, r.body, nil
-	case <-timer.C:
-		cc.unregister(id)
-		return 0, nil, ErrTimeout
+	case r := <-w.ch:
+		w.timer.Stop()
+		waiterPool.Put(w)
+		return r.status, r.body, r.err
+	case <-w.timer.C:
+		return 0, nil, cc.timedOut(id, w)
 	}
 }
 
 // readLoop matches response frames to waiters until the connection
-// fails or closes.
+// fails or closes. Frames are read into one reused buffer; a waiter
+// gets its own copy of a non-empty body.
 func (cc *clientConn) readLoop() {
 	br := bufio.NewReaderSize(cc.nc, 64<<10)
+	var buf []byte
 	for {
-		f, err := wire.ReadFrame(br, wire.DefaultMaxFrame)
+		f, err := wire.ReadFrameInto(br, wire.DefaultMaxFrame, &buf)
 		if err != nil {
 			cc.fail(fmt.Errorf("%w: read: %v", ErrConn, err))
 			return
@@ -270,10 +289,13 @@ func (cc *clientConn) readLoop() {
 		ch := cc.waiters[f.ReqID]
 		delete(cc.waiters, f.ReqID)
 		cc.mu.Unlock()
-		if ch != nil {
-			ch <- reply{status: st, body: body}
-		}
 		// A reply for an unknown ID is a timed-out request's late answer;
 		// drop it.
+		if ch != nil {
+			ch <- reply{status: st, body: bytes.Clone(body)}
+		}
+		if cap(buf) > maxKeptBuf {
+			buf = nil
+		}
 	}
 }

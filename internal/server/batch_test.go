@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sealdb/internal/lsm"
+	"sealdb/internal/sealclient"
 	"sealdb/internal/wire"
 )
 
@@ -83,5 +84,44 @@ func TestConnBatchDropsBalloonedBatches(t *testing.T) {
 	c.resetBatch()
 	if c.batch == ballooned || c.batch.Cap() > maxBatchBytes {
 		t.Fatalf("ballooned batch (cap %d) was retained", ballooned.Cap())
+	}
+}
+
+// TestRoundTripSteadyStateAllocations bounds what one request costs
+// the process once a connection is warm, counting both ends of a
+// loopback connection: a Put allocates at most once, and a Get hit at
+// most twice, the engine's copy of the value and the client's copy of
+// the reply body. Frames are read into and built in reused buffers,
+// and the client's reply channel and timer are recycled.
+func TestRoundTripSteadyStateAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; allocation accounting is meaningless here")
+	}
+	_, srv := newTestServer(t, Config{})
+	c, err := sealclient.Dial(srv.Addr().String(), sealclient.Options{Conns: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	key, val := []byte("key000001"), make([]byte, 1024)
+	put := func() {
+		if err := c.Put(key, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	get := func() {
+		if v, err := c.Get(key); err != nil || len(v) != len(val) {
+			t.Fatalf("Get = %d bytes, %v", len(v), err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		put()
+		get()
+	}
+	if n := testing.AllocsPerRun(200, put); n > 1 {
+		t.Errorf("a Put round trip allocates %.2f objects, want <= 1", n)
+	}
+	if n := testing.AllocsPerRun(200, get); n > 2 {
+		t.Errorf("a Get hit round trip allocates %.2f objects, want <= 2", n)
 	}
 }

@@ -12,8 +12,8 @@ import (
 	"sealdb/internal/wire"
 )
 
-// maxBatchBytes bounds the capacity a connection's batch keeps between
-// requests; one grown past it is replaced, not pinned.
+// maxBatchBytes bounds the capacity a connection's batch and request
+// buffer keep between requests; one grown past it is dropped.
 const maxBatchBytes = 4 << 20
 
 // conn is one served connection, run by one goroutine: it reads each
@@ -25,6 +25,9 @@ type conn struct {
 	nc  net.Conn
 	br  *bufio.Reader
 	bw  *bufio.Writer
+	// rbuf is what each request is read into: its payload, and every
+	// slice decoded from it, is valid until its dispatch returns.
+	rbuf []byte
 	// werr is the first failed reply write; the reader stops at it,
 	// since every later reply would be lost.
 	werr error
@@ -71,21 +74,49 @@ func (c *conn) beginDrain() {
 	}
 }
 
-// send writes one reply into the connection's buffer, first arming the
-// slow-client deadline if the write may reach the socket. The first
-// failed write is kept in werr and every later reply is dropped.
-// Called from the reader goroutine.
-func (c *conn) send(f wire.Frame) {
-	n := frameWireSize(&f)
+// reply writes one reply into the connection's buffered writer, its
+// header straight into the writer's free space and its body after it,
+// first arming the slow-client deadline if the write may reach the
+// socket. The first failed write is kept in werr and every later reply
+// is dropped. Called from the reader goroutine.
+func (c *conn) reply(reqID uint64, st wire.Status, body []byte) {
+	hdr := wire.AppendReplyHeader(c.bw.AvailableBuffer(), reqID, st, len(body))
+	n := len(hdr) + len(body)
 	if c.werr == nil && n > c.bw.Available() {
 		c.werr = c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 	}
 	if c.werr == nil {
-		if c.werr = wire.WriteFrame(c.bw, &f); c.werr == nil {
-			c.bytesOut.Add(int64(n))
-			c.srv.m.bytesOut.Add(int64(n))
-		}
+		_, c.werr = c.bw.Write(hdr)
 	}
+	if c.werr == nil {
+		_, c.werr = c.bw.Write(body)
+	}
+	if c.werr == nil {
+		c.bytesOut.Add(int64(n))
+		c.srv.m.bytesOut.Add(int64(n))
+	}
+}
+
+// replyErr answers a failed request with its error's status and text.
+func (c *conn) replyErr(reqID uint64, err error) {
+	st := wire.StatusInternal
+	switch {
+	case errors.Is(err, lsm.ErrNotFound):
+		st = wire.StatusNotFound
+	case errors.Is(err, lsm.ErrDegraded):
+		st = wire.StatusDegraded
+	case errors.Is(err, lsm.ErrClosed):
+		st = wire.StatusClosed
+	case errors.Is(err, lsm.ErrCorruptBlock):
+		st = wire.StatusCorrupt
+	}
+	c.reply(reqID, st, []byte(err.Error()))
+}
+
+// badRequest counts and refuses a request that does not decode.
+func (c *conn) badRequest(reqID uint64, msg string) {
+	c.srv.m.badRequests.Inc()
+	c.reply(reqID, wire.StatusBadRequest, []byte(msg))
 }
 
 // flush pushes the buffered replies to the socket under the
@@ -113,17 +144,17 @@ func (c *conn) readLoop() {
 		if !wire.FrameBuffered(c.br) && !c.flush() {
 			return
 		}
-		f, err := wire.ReadFrame(c.br, wire.DefaultMaxFrame)
+		f, err := wire.ReadFrameInto(c.br, wire.DefaultMaxFrame, &c.rbuf)
 		if err != nil {
 			// Oversized frames earn an explicit refusal before the
 			// connection dies; everything else (EOF, deadline, reset)
 			// ends the read loop silently.
 			if errors.Is(err, wire.ErrFrameTooLarge) {
-				c.send(wire.Reply(0, wire.StatusTooLarge, []byte(err.Error())))
+				c.reply(0, wire.StatusTooLarge, []byte(err.Error()))
 			}
 			return
 		}
-		n := int64(frameWireSize(&f))
+		n := int64(4 + len(c.rbuf)) // the length prefix and the bytes it covers
 		c.bytesIn.Add(n)
 		c.srv.m.bytesIn.Add(n)
 		c.requests.Add(1)
@@ -131,6 +162,9 @@ func (c *conn) readLoop() {
 		c.pending.Add(1)
 		c.dispatch(&f)
 		c.pending.Add(-1)
+		if cap(c.rbuf) > maxBatchBytes {
+			c.rbuf = nil
+		}
 		if c.werr != nil {
 			return
 		}
@@ -150,18 +184,16 @@ func (c *conn) dispatch(f *wire.Frame) {
 		c.doWrite(f)
 	case wire.OpHello:
 		// A second hello is a protocol error, but a harmless one.
-		c.send(wire.Reply(f.ReqID, wire.StatusBadRequest, []byte("server: duplicate handshake")))
+		c.reply(f.ReqID, wire.StatusBadRequest, []byte("server: duplicate handshake"))
 	default:
-		c.srv.m.badRequests.Inc()
-		c.send(wire.Reply(f.ReqID, wire.StatusBadRequest, []byte("server: unknown opcode")))
+		c.badRequest(f.ReqID, "server: unknown opcode")
 	}
 }
 
 func (c *conn) doGet(f *wire.Frame) {
 	key, err := wire.DecodeGet(f.Payload)
 	if err != nil {
-		c.srv.m.badRequests.Inc()
-		c.send(wire.Reply(f.ReqID, wire.StatusBadRequest, []byte(err.Error())))
+		c.badRequest(f.ReqID, err.Error())
 		return
 	}
 	start := time.Now()
@@ -172,40 +204,39 @@ func (c *conn) doGet(f *wire.Frame) {
 	v, err := c.srv.db.GetCtx(key, ctx)
 	c.srv.m.getLatency.Observe(time.Since(start).Nanoseconds())
 	if err != nil {
-		c.send(errReply(f.ReqID, err))
+		c.replyErr(f.ReqID, err)
 		return
 	}
-	c.send(wire.Reply(f.ReqID, wire.StatusOK, v))
+	c.reply(f.ReqID, wire.StatusOK, v)
 }
 
 func (c *conn) doScan(f *wire.Frame) {
 	start, limit, err := wire.DecodeScan(f.Payload)
 	if err != nil {
-		c.srv.m.badRequests.Inc()
-		c.send(wire.Reply(f.ReqID, wire.StatusBadRequest, []byte(err.Error())))
+		c.badRequest(f.ReqID, err.Error())
 		return
 	}
 	t0 := time.Now()
 	kvs, err := c.srv.db.Scan(start, int(limit))
 	c.srv.m.scanLatency.Observe(time.Since(t0).Nanoseconds())
 	if err != nil {
-		c.send(errReply(f.ReqID, err))
+		c.replyErr(f.ReqID, err)
 		return
 	}
 	out := make([]wire.KV, len(kvs))
 	for i := range kvs {
 		out[i] = wire.KV{Key: kvs[i].Key, Value: kvs[i].Value}
 	}
-	c.send(wire.Reply(f.ReqID, wire.StatusOK, wire.AppendScanReply(nil, out)))
+	c.reply(f.ReqID, wire.StatusOK, wire.AppendScanReply(nil, out))
 }
 
 func (c *conn) doStats(f *wire.Frame) {
 	body, err := json.Marshal(c.srv.stats())
 	if err != nil {
-		c.send(errReply(f.ReqID, err))
+		c.replyErr(f.ReqID, err)
 		return
 	}
-	c.send(wire.Reply(f.ReqID, wire.StatusOK, body))
+	c.reply(f.ReqID, wire.StatusOK, body)
 }
 
 // doWrite decodes a write request into the connection's batch, applies
@@ -213,19 +244,18 @@ func (c *conn) doStats(f *wire.Frame) {
 func (c *conn) doWrite(f *wire.Frame) {
 	defer c.resetBatch()
 	if err := c.decodeWrite(f); err != nil {
-		c.srv.m.badRequests.Inc()
-		c.send(wire.Reply(f.ReqID, wire.StatusBadRequest, []byte(err.Error())))
+		c.badRequest(f.ReqID, err.Error())
 	} else if mutationAckBeforeCommit {
 		// Intentional bug for the chaos harness's mutation self-test
 		// (build tag sealdb_chaos_mutation): the OK leaves before the
 		// engine logs the write, so a power cut mid-apply loses it.
-		c.send(wire.Reply(f.ReqID, wire.StatusOK, nil))
+		c.reply(f.ReqID, wire.StatusOK, nil)
 		c.flush()
 		c.commit(f.ReqID) // the outcome is dropped: that is the bug
 	} else if err := c.commit(f.ReqID); err != nil {
-		c.send(errReply(f.ReqID, err))
+		c.replyErr(f.ReqID, err)
 	} else {
-		c.send(wire.Reply(f.ReqID, wire.StatusOK, nil))
+		c.reply(f.ReqID, wire.StatusOK, nil)
 	}
 }
 
@@ -295,14 +325,14 @@ func (c *conn) handshake() bool {
 	if err := c.nc.SetReadDeadline(time.Now().Add(handshakeTimeout)); err != nil {
 		return false
 	}
-	f, err := wire.ReadFrame(c.br, 1024)
+	f, err := wire.ReadFrameInto(c.br, 1024, &c.rbuf)
 	if err != nil {
 		c.srv.m.handshakeFails.Inc()
 		return false
 	}
 	refuse := func(st wire.Status, msg string) bool {
 		c.srv.m.handshakeFails.Inc()
-		c.send(wire.Reply(f.ReqID, st, []byte(msg)))
+		c.reply(f.ReqID, st, []byte(msg))
 		return false
 	}
 	if f.Op != wire.OpHello {
@@ -333,7 +363,7 @@ func (c *conn) handshake() bool {
 		c.traced = true
 		c.srv.db.SetTracing(true)
 	}
-	c.send(wire.Reply(f.ReqID, wire.StatusOK, wire.AppendHello(nil, reply)))
+	c.reply(f.ReqID, wire.StatusOK, wire.AppendHello(nil, reply))
 	c.handshook.Store(true)
 	return true
 }
@@ -347,6 +377,3 @@ func (c *conn) teardown() {
 	c.nc.Close()
 	c.srv.removeConn(c)
 }
-
-// frameWireSize is the on-wire size of a frame.
-func frameWireSize(f *wire.Frame) int { return 4 + 1 + 8 + len(f.Payload) }

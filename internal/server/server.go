@@ -30,7 +30,6 @@
 package server
 
 import (
-	"errors"
 	"net"
 	"sync"
 	"time"
@@ -210,33 +209,6 @@ func (s *Server) Close() error {
 		<-done
 	}
 	return err
-}
-
-// errStatus maps an engine error to its wire status.
-func errStatus(err error) (wire.Status, string) {
-	switch {
-	case err == nil:
-		return wire.StatusOK, ""
-	case errors.Is(err, lsm.ErrNotFound):
-		return wire.StatusNotFound, err.Error()
-	case errors.Is(err, lsm.ErrDegraded):
-		return wire.StatusDegraded, err.Error()
-	case errors.Is(err, lsm.ErrClosed):
-		return wire.StatusClosed, err.Error()
-	case errors.Is(err, lsm.ErrCorruptBlock):
-		return wire.StatusCorrupt, err.Error()
-	default:
-		return wire.StatusInternal, err.Error()
-	}
-}
-
-// errReply builds the response frame for a failed request.
-func errReply(reqID uint64, err error) wire.Frame {
-	st, msg := errStatus(err)
-	if st == wire.StatusOK {
-		st, msg = wire.StatusInternal, "unknown error"
-	}
-	return wire.Reply(reqID, st, []byte(msg))
 }
 
 // statsPayload is the STATS reply body (JSON). Degraded-mode state

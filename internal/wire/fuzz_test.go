@@ -2,8 +2,23 @@ package wire
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"testing"
 )
+
+// errClass names which framing failure err is, "" for none.
+func errClass(err error) string {
+	for _, e := range []error{ErrBadFrame, ErrFrameTooLarge, io.ErrUnexpectedEOF, io.EOF} {
+		if errors.Is(err, e) {
+			return e.Error()
+		}
+	}
+	if err != nil {
+		return "other: " + err.Error()
+	}
+	return ""
+}
 
 // FuzzFrameDecode drives the full decode surface — framing plus every
 // payload decoder — with arbitrary bytes. The invariants: no decoder
@@ -25,8 +40,28 @@ func FuzzFrameDecode(f *testing.F) {
 	for _, s := range seed {
 		f.Add(s)
 	}
+	// long is an earlier frame longer than any input, read into the
+	// reused buffer first so its stale bytes lie past every new frame.
+	long := func(n int) []byte {
+		return AppendFrame(nil, &Frame{Op: OpPut, ReqID: 1<<64 - 1, Payload: bytes.Repeat([]byte{0xA5}, n)})
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := ReadFrame(bytes.NewReader(data), 1<<20)
+		// The buffer-reusing read agrees with ReadFrame, from an empty
+		// buffer and from one still holding a longer earlier frame.
+		var stale []byte
+		if _, err := ReadFrameInto(bytes.NewReader(long(len(data))), 0, &stale); err != nil {
+			t.Fatalf("reading the earlier frame: %v", err)
+		}
+		for _, buf := range [][]byte{nil, stale} {
+			got, gerr := ReadFrameInto(bytes.NewReader(data), 1<<20, &buf)
+			if errClass(gerr) != errClass(err) {
+				t.Fatalf("ReadFrameInto err %v, ReadFrame err %v", gerr, err)
+			}
+			if err == nil && (got.Op != fr.Op || got.ReqID != fr.ReqID || !bytes.Equal(got.Payload, fr.Payload)) {
+				t.Fatalf("ReadFrameInto %+v, ReadFrame %+v", got, fr)
+			}
+		}
 		if err != nil {
 			return
 		}

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Protocol identity.
@@ -162,8 +163,10 @@ var (
 type Frame struct {
 	Op    Op
 	ReqID uint64
-	// Payload is the opcode-specific body. Decoded payloads alias the
-	// frame's buffer; copy before retaining past the next read.
+	// Payload is the opcode-specific body. From ReadFrame it is the
+	// caller's to keep; from ReadFrameInto it aliases the reused buffer
+	// and is overwritten by the next read into it. The payload decoders
+	// return slices aliasing Payload, so the same lifetime holds for them.
 	Payload []byte
 }
 
@@ -175,6 +178,26 @@ func AppendFrame(dst []byte, f *Frame) []byte {
 	dst = append(dst, byte(f.Op))
 	dst = binary.LittleEndian.AppendUint64(dst, f.ReqID)
 	return append(dst, f.Payload...)
+}
+
+// AppendRequest appends a request frame for op and reqID whose payload
+// is what payload appends to the frame's header, so a request is
+// encoded in place with no payload buffer of its own.
+func AppendRequest(dst []byte, op Op, reqID uint64, payload func([]byte) []byte) []byte {
+	start := len(dst)
+	dst = payload(AppendFrame(dst, &Frame{Op: op, ReqID: reqID}))
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
+	return dst
+}
+
+// AppendReplyHeader appends the header of a reply frame for reqID, up
+// to and including its status byte, for a body of n bytes that the
+// caller writes right after it.
+func AppendReplyHeader(dst []byte, reqID uint64, st Status, n int) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(headerLen+1+n))
+	dst = append(dst, byte(OpReply))
+	dst = binary.LittleEndian.AppendUint64(dst, reqID)
+	return append(dst, byte(st))
 }
 
 // WriteFrame encodes and writes one frame.
@@ -202,22 +225,35 @@ func FrameBuffered(br *bufio.Reader) bool {
 // length exceeds max (0 means DefaultMaxFrame). The returned payload
 // is freshly allocated and safe to retain.
 func ReadFrame(r io.Reader, max int) (Frame, error) {
+	var buf []byte
+	return ReadFrameInto(r, max, &buf)
+}
+
+// ReadFrameInto is ReadFrame reading into *buf, which it grows when a
+// frame does not fit and leaves holding the frame's bytes after the
+// length prefix. The returned payload aliases *buf: it is valid only
+// until the next read into the same buffer.
+func ReadFrameInto(r io.Reader, max int, buf *[]byte) (Frame, error) {
 	if max <= 0 {
 		max = DefaultMaxFrame
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// The length prefix is read into the buffer too: a local array
+	// handed to r would escape to the heap on every read.
+	b := slices.Grow((*buf)[:0], 4)[:4]
+	*buf = b
+	if _, err := io.ReadFull(r, b); err != nil {
 		return Frame{}, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(b)
 	if n < headerLen {
 		return Frame{}, fmt.Errorf("%w: length %d below header size", ErrBadFrame, n)
 	}
 	if int64(n) > int64(max) {
 		return Frame{}, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, max)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	b = slices.Grow(b[:0], int(n))[:n]
+	*buf = b
+	if _, err := io.ReadFull(r, b); err != nil {
 		// A frame torn mid-body is a protocol error, not a clean EOF.
 		if errors.Is(err, io.EOF) {
 			err = io.ErrUnexpectedEOF
@@ -225,9 +261,9 @@ func ReadFrame(r io.Reader, max int) (Frame, error) {
 		return Frame{}, err
 	}
 	return Frame{
-		Op:      Op(body[0]),
-		ReqID:   binary.LittleEndian.Uint64(body[1:9]),
-		Payload: body[headerLen:],
+		Op:      Op(b[0]),
+		ReqID:   binary.LittleEndian.Uint64(b[1:9]),
+		Payload: b[headerLen:],
 	}, nil
 }
 

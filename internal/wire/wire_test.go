@@ -155,3 +155,50 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		t.Fatal("huge batch count accepted")
 	}
 }
+
+// TestInPlaceEncodingsMatchFrames pins the in-place encoders to the
+// bytes of the frames they stand in for: a request whose payload is
+// appended after its header, and a reply header followed by its body.
+func TestInPlaceEncodingsMatchFrames(t *testing.T) {
+	key, value := []byte("key"), bytes.Repeat([]byte("v"), 300)
+	req := AppendRequest([]byte("prefix"), OpPut, 7, func(b []byte) []byte { return AppendPut(b, key, value) })
+	want := AppendFrame([]byte("prefix"), &Frame{Op: OpPut, ReqID: 7, Payload: AppendPut(nil, key, value)})
+	if !bytes.Equal(req, want) {
+		t.Fatalf("AppendRequest = %x, want %x", req, want)
+	}
+	for _, body := range [][]byte{nil, value} {
+		got := append(AppendReplyHeader(nil, 9, StatusNotFound, len(body)), body...)
+		r := Reply(9, StatusNotFound, body)
+		if want := AppendFrame(nil, &r); !bytes.Equal(got, want) {
+			t.Fatalf("reply header + %d-byte body = %x, want %x", len(body), got, want)
+		}
+	}
+}
+
+// TestReadFrameIntoReusesBuffer reads a stream of frames into one
+// buffer: each payload aliases it, and once it has grown to the
+// largest frame no read allocates.
+func TestReadFrameIntoReusesBuffer(t *testing.T) {
+	var stream []byte
+	for i, n := range []int{100, 3, 0, 40} {
+		stream = AppendFrame(stream, &Frame{Op: OpGet, ReqID: uint64(i), Payload: bytes.Repeat([]byte{byte(i)}, n)})
+	}
+	r := bytes.NewReader(stream)
+	var buf []byte
+	readAll := func() {
+		r.Reset(stream)
+		for i := 0; ; i++ {
+			f, err := ReadFrameInto(r, 0, &buf)
+			if err == io.EOF {
+				return
+			}
+			if err != nil || f.ReqID != uint64(i) || len(f.Payload) > 0 && (f.Payload[0] != byte(i) || &f.Payload[0] != &buf[headerLen]) {
+				t.Fatalf("frame %d: %+v, %v", i, f, err)
+			}
+		}
+	}
+	readAll()
+	if n := testing.AllocsPerRun(100, readAll); n > 0 {
+		t.Fatalf("reading a stream into a warm buffer allocates %.1f objects, want 0", n)
+	}
+}
