@@ -16,14 +16,12 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 
 	"sealdb/internal/chaos"
 	"sealdb/internal/chaos/history"
-	"sealdb/internal/invariant"
 )
 
 func main() {
@@ -38,7 +36,6 @@ func main() {
 	vlogMode := fs.Bool("vlog", false, "run the engine in value-separated mode (64 B threshold): faults land in value-log group writes, rotations and WAL commits")
 	faults := fs.String("faults", "all", "fault classes: all, none, or comma list of crash,net,disk,flip")
 	out := fs.String("out", "", "write the canonical history JSON to this file")
-	lockEdges := fs.String("lock-edges", "", "write observed lock-order edges JSON to this file (populated in -tags sealdb_invariants builds)")
 	quiet := fs.Bool("q", false, "suppress per-round progress")
 	fs.Parse(os.Args[1:])
 
@@ -56,23 +53,6 @@ func main() {
 	}
 
 	h, runErr := chaos.Run(cfg)
-	if *lockEdges != "" {
-		// In invariant builds the obs wrappers feed the lock-order
-		// watchdog; dump what actually nested so CI can cross-check
-		// the static '// lockorder:' declarations. Default builds
-		// write an empty list.
-		edges := invariant.LockOrderEdges()
-		if edges == nil {
-			edges = [][2]string{}
-		}
-		b, err := json.MarshalIndent(edges, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*lockEdges, append(b, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-	}
 	if h != nil && *out != "" {
 		b, err := h.Canonical()
 		if err != nil {

@@ -6,7 +6,6 @@ import (
 	"os"
 	"testing"
 
-	"sealdb/internal/invariant"
 	"sealdb/internal/lsm"
 )
 
@@ -192,12 +191,10 @@ func TestFig8MicroShapes(t *testing.T) {
 // benchmark scale and asserts the paper's headline results: SEALDB
 // beats LevelDB by a factor in the 3.42x ballpark and beats SMRDB
 // (1.67x in the paper) on random load, and wins sequential reads.
-// Takes a few minutes; skipped with -short, and under -tags
-// sealdb_invariants, where it alone puts the package past go test's
-// ten-minute default (the untagged run covers it).
+// Takes a few minutes; skipped with -short.
 func TestHeadlineShapesAtFullScale(t *testing.T) {
-	if testing.Short() || invariant.Enabled {
-		t.Skip("full-scale headline shapes: run without -short and without sealdb_invariants")
+	if testing.Short() {
+		t.Skip("full-scale headline shapes: run without -short")
 	}
 	o := DefaultOptions()
 	o.Ops = 2000

@@ -19,8 +19,10 @@
 package dband
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"sealdb/internal/invariant"
@@ -76,6 +78,8 @@ type Manager struct {
 	freeByte int64             // total bytes in the free list; guarded by mu
 
 	stats Stats // guarded by mu
+
+	checkScratch []*region // checkInvariants' region list, reused; guarded by mu
 
 	// observer, when set, sees every allocator event: op is
 	// "alloc_append" (frontier), "alloc_insert" (free-list reuse) or
@@ -199,31 +203,49 @@ func (m *Manager) checkInvariants() {
 	if !invariant.Enabled {
 		return
 	}
-	var regions []*region
+	// Each Assert sits behind its own condition: its arguments would
+	// allocate on every check.
+	regions := m.checkScratch[:0]
 	var sum int64
 	for c := range m.classes {
 		for r := m.classes[c].head; r != nil; r = r.next {
-			invariant.Assert(r.length > 0, "free region [%d,%d) has non-positive length", r.off, r.off+r.length)
-			invariant.Assert(r.class == c && m.classOf(r.length) == c,
-				"region [%d,%d) filed in class %d, expected %d", r.off, r.off+r.length, c, m.classOf(r.length))
-			invariant.Assert(m.byStart[r.off] == r, "byStart[%d] does not point at its region", r.off)
-			invariant.Assert(m.byEnd[r.off+r.length] == r, "byEnd[%d] does not point at its region", r.off+r.length)
-			invariant.Assert(r.off+r.length <= m.frontier,
-				"free region [%d,%d) extends past the frontier %d", r.off, r.off+r.length, m.frontier)
+			if r.length <= 0 {
+				invariant.Assert(false, "free region [%d,%d) has non-positive length", r.off, r.off+r.length)
+			}
+			if r.class != c || m.classOf(r.length) != c {
+				invariant.Assert(false, "region [%d,%d) filed in class %d, expected %d", r.off, r.off+r.length, c, m.classOf(r.length))
+			}
+			if m.byStart[r.off] != r {
+				invariant.Assert(false, "byStart[%d] does not point at its region", r.off)
+			}
+			if m.byEnd[r.off+r.length] != r {
+				invariant.Assert(false, "byEnd[%d] does not point at its region", r.off+r.length)
+			}
+			if r.off+r.length > m.frontier {
+				invariant.Assert(false, "free region [%d,%d) extends past the frontier %d", r.off, r.off+r.length, m.frontier)
+			}
 			regions = append(regions, r)
 			sum += r.length
 		}
 	}
-	invariant.Assert(len(regions) == len(m.byStart) && len(regions) == len(m.byEnd),
-		"index sizes (byStart %d, byEnd %d) disagree with %d listed regions", len(m.byStart), len(m.byEnd), len(regions))
-	invariant.Assert(sum == m.freeByte, "free-list bytes %d != freeByte counter %d", sum, m.freeByte)
-	invariant.Assert(m.frontier >= 0 && m.frontier <= m.capacity, "frontier %d outside [0,%d]", m.frontier, m.capacity)
-	sort.Slice(regions, func(i, j int) bool { return regions[i].off < regions[j].off })
+	if len(regions) != len(m.byStart) || len(regions) != len(m.byEnd) {
+		invariant.Assert(false, "index sizes (byStart %d, byEnd %d) disagree with %d listed regions", len(m.byStart), len(m.byEnd), len(regions))
+	}
+	if sum != m.freeByte {
+		invariant.Assert(false, "free-list bytes %d != freeByte counter %d", sum, m.freeByte)
+	}
+	if m.frontier < 0 || m.frontier > m.capacity {
+		invariant.Assert(false, "frontier %d outside [0,%d]", m.frontier, m.capacity)
+	}
+	slices.SortFunc(regions, func(a, b *region) int { return cmp.Compare(a.off, b.off) })
 	for i := 1; i < len(regions); i++ {
 		prev, cur := regions[i-1], regions[i]
-		invariant.Assert(prev.off+prev.length <= cur.off,
-			"free regions [%d,%d) and [%d,%d) overlap", prev.off, prev.off+prev.length, cur.off, cur.off+cur.length)
+		if prev.off+prev.length > cur.off {
+			invariant.Assert(false, "free regions [%d,%d) and [%d,%d) overlap", prev.off, prev.off+prev.length, cur.off, cur.off+cur.length)
+		}
 	}
+	clear(regions)
+	m.checkScratch = regions[:0]
 }
 
 // Alloc reserves an extent of exactly size bytes. It first searches

@@ -4,7 +4,6 @@ package invariant
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 )
@@ -21,18 +20,24 @@ import (
 // one site name can cover many mutex instances (per-band, per-file),
 // so it is not provably reentrant acquisition of one mutex.
 //
+// A goroutine is named by its runtime g pointer (getg), one load, so
+// the tagged build costs about what the plain one does. A g is reused
+// after its goroutine exits: one that exits holding a profiled lock
+// leaves its held stack to the next goroutine on that g, but exiting
+// with the lock held is already a bug. A lock released by a goroutine
+// other than the one that acquired it is mis-attributed: the release
+// finds no matching hold, and the acquirer's stack keeps the site.
+//
 // The observed graph is cumulative for the process; LockOrderEdges
-// exposes it so a chaos campaign can dump what actually nested and
-// cross-check the static '// lockorder:' declarations.
+// exposes it to tests.
 
 var lw = struct {
 	mu    sync.Mutex
-	held  map[int64][]string         // goroutine id -> stack of held sites
+	held  map[uintptr][]string       // goroutine's g -> stack of held sites
 	spare [][]string                 // emptied stacks, for the next goroutine to hold a site
 	edges map[string]map[string]bool // observed: held -> acquired
-	stack [64]byte                   // goid's buffer
 }{
-	held:  map[int64][]string{},
+	held:  map[uintptr][]string{},
 	edges: map[string]map[string]bool{},
 }
 
@@ -41,8 +46,8 @@ var lw = struct {
 // observed edge graph. Call before blocking on the underlying mutex.
 func LockAcquired(site string) {
 	lw.mu.Lock()
-	gid := goidLocked()
-	held := lw.held[gid]
+	g := getg()
+	held := lw.held[g]
 	if held == nil && len(lw.spare) > 0 {
 		held, lw.spare = lw.spare[len(lw.spare)-1], lw.spare[:len(lw.spare)-1]
 	}
@@ -68,7 +73,7 @@ func LockAcquired(site string) {
 		}
 		lw.edges[h][site] = true
 	}
-	lw.held[gid] = append(held, site)
+	lw.held[g] = append(held, site)
 	lw.mu.Unlock()
 }
 
@@ -77,8 +82,8 @@ func LockAcquired(site string) {
 // acquisition order for hand-over-hand locking).
 func LockReleased(site string) {
 	lw.mu.Lock()
-	gid := goidLocked()
-	held := lw.held[gid]
+	g := getg()
+	held := lw.held[g]
 	for i := len(held) - 1; i >= 0; i-- {
 		if held[i] == site {
 			held = append(held[:i], held[i+1:]...)
@@ -86,12 +91,12 @@ func LockReleased(site string) {
 		}
 	}
 	if len(held) == 0 {
-		delete(lw.held, gid)
+		delete(lw.held, g)
 		if held != nil {
 			lw.spare = append(lw.spare, held)
 		}
 	} else {
-		lw.held[gid] = held
+		lw.held[g] = held
 	}
 	lw.mu.Unlock()
 }
@@ -108,7 +113,7 @@ func LockOrderEdges() [][2]string {
 // (test isolation).
 func ResetLockOrder() {
 	lw.mu.Lock()
-	lw.held = map[int64][]string{}
+	lw.held = map[uintptr][]string{}
 	lw.spare = nil
 	lw.edges = map[string]map[string]bool{}
 	lw.mu.Unlock()
@@ -153,21 +158,4 @@ func edgeListLocked() [][2]string {
 		return out[i][1] < out[j][1]
 	})
 	return out
-}
-
-// goidLocked extracts the current goroutine's id from the stack header
-// ("goroutine 123 [running]: ..."), read into lw.stack so that a lock
-// acquisition allocates nothing. Slow, but the watchdog only exists in
-// invariant builds. Caller holds lw.mu.
-func goidLocked() int64 {
-	n := runtime.Stack(lw.stack[:], false)
-	const prefix = len("goroutine ")
-	var id int64
-	for _, c := range lw.stack[prefix:n] {
-		if c < '0' || c > '9' {
-			break
-		}
-		id = id*10 + int64(c-'0')
-	}
-	return id
 }

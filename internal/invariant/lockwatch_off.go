@@ -3,8 +3,8 @@
 package invariant
 
 // The lock-order watchdog compiles away in default builds; the obs
-// lock wrappers gate their calls on Enabled, so these stubs are never
-// reached (they exist so non-gated callers like the chaos CLI link).
+// lock wrappers and the watchdog's tests gate their calls on Enabled,
+// so these stubs are never reached (they exist so those callers compile).
 
 // LockAcquired does nothing in default builds.
 func LockAcquired(string) {}

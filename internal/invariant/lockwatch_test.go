@@ -96,3 +96,33 @@ func TestLockOrderOutOfOrderRelease(t *testing.T) {
 		t.Fatalf("edges = %v, want %v", edges, want)
 	}
 }
+
+// TestLockOrderGoroutinesHoldApart checks that the watchdog keeps one
+// held stack per goroutine: two goroutines each holding a different
+// site at once record no edge between them, while one goroutine's own
+// nesting still does.
+func TestLockOrderGoroutinesHoldApart(t *testing.T) {
+	ResetLockOrder()
+	defer ResetLockOrder()
+
+	holding, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		LockAcquired("wd_g1")
+		close(holding)
+		<-release
+		LockReleased("wd_g1")
+	}()
+	<-holding
+	LockAcquired("wd_g2") // wd_g1 is held, but by the other goroutine
+	LockAcquired("wd_g3")
+	LockReleased("wd_g3")
+	LockReleased("wd_g2")
+	close(release)
+	<-done
+
+	edges := LockOrderEdges()
+	if len(edges) != 1 || edges[0] != [2]string{"wd_g2", "wd_g3"} {
+		t.Fatalf("edges = %v, want only [[wd_g2 wd_g3]]", edges)
+	}
+}

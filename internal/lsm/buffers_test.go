@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"sealdb/internal/faultfs"
-	"sealdb/internal/invariant"
 	"sealdb/internal/kv"
 	"sealdb/internal/version"
 )
@@ -114,8 +113,8 @@ func mallocsDuring(fn func()) uint64 {
 // per table they read or write — a buffer out of the pool, a reader, a
 // version edit — and nothing per entry they move.
 func TestWritePathAllocsScaleWithTables(t *testing.T) {
-	if raceEnabled || invariant.Enabled {
-		t.Skip("the race detector and the invariant build's lock watchdog allocate on their own")
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
 	}
 	cfg := tinyConfig(ModeSEALDB)
 	cfg.SSTableSize, cfg.MemtableSize = 64*kv.KiB, 64*kv.KiB

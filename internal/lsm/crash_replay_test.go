@@ -14,7 +14,6 @@ import (
 
 	"sealdb/internal/faultfs"
 	"sealdb/internal/faultfs/crashtest"
-	"sealdb/internal/invariant"
 	"sealdb/internal/kv"
 	"sealdb/internal/lsm"
 	"sealdb/internal/smr"
@@ -61,14 +60,8 @@ func TestCrashReplay(t *testing.T) {
 // set drops and free-list reuse, which the 300-op script never does.
 func longCrashConfig() crashtest.Config {
 	cfg := crashConfig(lsm.ModeSEALDB, 1)
-	switch {
-	case testing.Short():
+	if testing.Short() {
 		cfg.Stride = 61
-	case invariant.Enabled:
-		// A cut costs seven times as much with every runtime assertion
-		// armed: 3,200 of them overrun the package's ten minutes. The
-		// plain and race runs visit every boundary.
-		cfg.Stride = 29
 	}
 	cfg.Ops = crashtest.Workload(42, 1500, 400)
 	return cfg

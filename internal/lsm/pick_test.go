@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"sealdb/internal/invariant"
 	"sealdb/internal/kv"
 	"sealdb/internal/sstable"
 	"sealdb/internal/version"
@@ -448,8 +447,8 @@ func TestDebtTolerantTrigger(t *testing.T) {
 // tombstone check knows the compaction's inputs by number, a set built
 // once per compaction, so a tombstone costs no allocation.
 func TestIsBaseLevelForKeyAllocatesOnce(t *testing.T) {
-	if raceEnabled || invariant.Enabled {
-		t.Skip("the race detector and the invariant build's lock watchdog allocate on their own")
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
 	}
 	cfg := tinyConfig(ModeSMRDB)
 	cfg.MaxCompactionFiles = 2

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"sealdb/internal/faultfs"
-	"sealdb/internal/invariant"
 	"sealdb/internal/kv"
 	"sealdb/internal/platter"
 	"sealdb/internal/smr"
@@ -320,9 +319,6 @@ func TestStreamingIteratorOutlivesCompaction(t *testing.T) {
 func TestScanAllocatesOncePerRecord(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is unreliable under -race")
-	}
-	if invariant.Enabled {
-		t.Skip("lock-order watchdog allocates on profiled acquisitions")
 	}
 	d, err := Open(streamConfig(ModeSEALDB, 4*kv.MiB))
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"sealdb/internal/invariant"
 	"sealdb/internal/obs"
 )
 
@@ -20,9 +19,6 @@ import (
 func TestGetHotPathAllocsTracingOff(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is unreliable under -race")
-	}
-	if invariant.Enabled {
-		t.Skip("lock-order watchdog allocates on profiled acquisitions")
 	}
 	d, err := Open(tinyConfig(ModeSEALDB))
 	if err != nil {
@@ -52,9 +48,6 @@ func TestGetHotPathAllocsTracingOff(t *testing.T) {
 func TestTableGetAllocsTracingOff(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is unreliable under -race")
-	}
-	if invariant.Enabled {
-		t.Skip("lock-order watchdog allocates on profiled acquisitions")
 	}
 	d, err := Open(tinyConfig(ModeSEALDB))
 	if err != nil {

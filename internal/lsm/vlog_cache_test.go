@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"sealdb/internal/faultfs"
-	"sealdb/internal/invariant"
 	"sealdb/internal/kv"
 	"sealdb/internal/smr"
 	"sealdb/internal/vlog"
@@ -383,9 +382,6 @@ func TestVlogScanCopiesEachValueOnce(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is unreliable under -race")
 	}
-	if invariant.Enabled {
-		t.Skip("lock-order watchdog allocates on profiled acquisitions")
-	}
 	d, err := Open(vlogConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -443,9 +439,6 @@ func TestVlogLargePutsDoNotRotateTheWAL(t *testing.T) {
 func TestPutReusesPooledBatch(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is unreliable under -race")
-	}
-	if invariant.Enabled {
-		t.Skip("lock-order watchdog allocates on profiled acquisitions")
 	}
 	allocs := func(write func(d *DB, k, v []byte) error) float64 {
 		d, err := Open(tinyConfig(ModeSEALDB))

@@ -5,8 +5,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"sealdb/internal/invariant"
 )
 
 // findSite returns the named site's snapshot, or a zero value.
@@ -28,9 +26,6 @@ func findSite(t *testing.T, name string) LockSiteSnapshot {
 func TestLockProfilingOffAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is unreliable under -race")
-	}
-	if invariant.Enabled {
-		t.Skip("lock-order watchdog allocates on profiled acquisitions")
 	}
 	SetLockProfiling(false)
 	var mu Mutex

@@ -251,20 +251,19 @@ func (c *Client) Degraded() bool { return c.degraded.Load() }
 
 // statusErr maps a non-OK reply to a wrapped sentinel error.
 func statusErr(st wire.Status, body []byte) error {
-	msg := string(body)
 	switch st {
 	case wire.StatusNotFound:
 		return ErrNotFound
 	case wire.StatusDegraded:
-		return fmt.Errorf("%w: %s", ErrDegraded, msg)
+		return fmt.Errorf("%w: %s", ErrDegraded, body)
 	case wire.StatusClosed:
-		return fmt.Errorf("%w: %s", ErrStoreClosed, msg)
+		return fmt.Errorf("%w: %s", ErrStoreClosed, body)
 	case wire.StatusUnavailable:
-		return fmt.Errorf("%w: %s", ErrUnavailable, msg)
+		return fmt.Errorf("%w: %s", ErrUnavailable, body)
 	case wire.StatusCorrupt:
-		return fmt.Errorf("%w: %s", ErrCorrupt, msg)
+		return fmt.Errorf("%w: %s", ErrCorrupt, body)
 	default:
-		return fmt.Errorf("sealclient: %s: %s", st, msg)
+		return fmt.Errorf("sealclient: %s: %s", st, body)
 	}
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"testing"
 
 	"sealdb/internal/lsm"
@@ -123,5 +124,13 @@ func TestRoundTripSteadyStateAllocations(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, get); n > 2 {
 		t.Errorf("a Get hit round trip allocates %.2f objects, want <= 2", n)
+	}
+	miss := func() {
+		if _, err := c.Get([]byte("absent")); !errors.Is(err, sealclient.ErrNotFound) {
+			t.Fatalf("Get(absent) = %v, want ErrNotFound", err)
+		}
+	}
+	if n := testing.AllocsPerRun(200, miss); n > 1 {
+		t.Errorf("a Get miss round trip allocates %.2f objects, want <= 1", n)
 	}
 }

@@ -97,12 +97,17 @@ func (c *conn) reply(reqID uint64, st wire.Status, body []byte) {
 	}
 }
 
+// notFoundText is a miss's reply body, built once so that a Get miss
+// allocates no more than a hit.
+var notFoundText = []byte(lsm.ErrNotFound.Error())
+
 // replyErr answers a failed request with its error's status and text.
 func (c *conn) replyErr(reqID uint64, err error) {
 	st := wire.StatusInternal
 	switch {
 	case errors.Is(err, lsm.ErrNotFound):
-		st = wire.StatusNotFound
+		c.reply(reqID, wire.StatusNotFound, notFoundText)
+		return
 	case errors.Is(err, lsm.ErrDegraded):
 		st = wire.StatusDegraded
 	case errors.Is(err, lsm.ErrClosed):

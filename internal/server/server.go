@@ -58,20 +58,6 @@ const (
 	handshakeTimeout = 5 * time.Second
 )
 
-func (c *Config) maxConns() int {
-	if c.MaxConns > 0 {
-		return c.MaxConns
-	}
-	return 256
-}
-
-func (c *Config) drainTimeout() time.Duration {
-	if c.DrainTimeout > 0 {
-		return c.DrainTimeout
-	}
-	return 5 * time.Second
-}
-
 // Server is a running network front end over one DB.
 type Server struct {
 	db  *lsm.DB
@@ -96,6 +82,12 @@ func Serve(db *lsm.DB, addr string, cfg Config) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
+	}
+	if cfg.MaxConns <= 0 {
+		cfg.MaxConns = 256
+	}
+	if cfg.DrainTimeout <= 0 {
+		cfg.DrainTimeout = 5 * time.Second
 	}
 	s := &Server{
 		db:    db,
@@ -127,7 +119,7 @@ func (s *Server) acceptLoop() {
 			nc.Close()
 			return
 		}
-		if len(s.conns) >= s.cfg.maxConns() {
+		if len(s.conns) >= s.cfg.MaxConns {
 			s.mu.Unlock()
 			s.m.connsRejected.Inc()
 			// Reject politely: the refusal is a frame, not a RST, so the
@@ -200,7 +192,7 @@ func (s *Server) Close() error {
 	}()
 	select {
 	case <-done:
-	case <-time.After(s.cfg.drainTimeout()):
+	case <-time.After(s.cfg.DrainTimeout):
 		// Force-close: unflushed replies are dropped, and a reader
 		// blocked in a reply write fails out of it.
 		for _, c := range s.openConns() {
