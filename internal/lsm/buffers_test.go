@@ -83,7 +83,7 @@ func checkLevelMerge(t *testing.T, d *DB, c *compaction) {
 		}
 		perFile = append(perFile, tbl.NewIterator())
 	}
-	got, ref := newMergingIter(children...), newMergingIter(perFile...)
+	got, ref := &mergingIter{children: children, cur: -1}, &mergingIter{children: perFile, cur: -1}
 	n := 0
 	got.SeekToFirst()
 	ref.SeekToFirst()

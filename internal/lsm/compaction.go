@@ -488,7 +488,7 @@ func (d *DB) mergeInputs(c *compaction) ([]*version.FileMeta, [][]byte, version.
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	merge := newMergingIter(children...)
+	merge := &mergingIter{children: children, cur: -1}
 
 	smallestSnap := d.smallestSnapshot()
 	var (

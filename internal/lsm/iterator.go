@@ -18,10 +18,6 @@ type mergingIter struct {
 	err      error
 }
 
-func newMergingIter(children ...kv.Iterator) *mergingIter {
-	return &mergingIter{children: children, cur: -1}
-}
-
 // direction of the last movement; children are positioned at their
 // next candidate in that direction.
 const (
@@ -65,27 +61,18 @@ func (m *mergingIter) Error() error {
 	return nil
 }
 
-func (m *mergingIter) SeekToFirst() {
-	for _, c := range m.children {
-		c.SeekToFirst()
-	}
-	m.dir = dirForward
-	m.find()
-}
-
-func (m *mergingIter) SeekToLast() {
-	for _, c := range m.children {
-		c.SeekToLast()
-	}
-	m.dir = dirBackward
-	m.find()
-}
-
+func (m *mergingIter) SeekToFirst() { m.position(dirForward, kv.Iterator.SeekToFirst) }
+func (m *mergingIter) SeekToLast()  { m.position(dirBackward, kv.Iterator.SeekToLast) }
 func (m *mergingIter) Seek(target kv.InternalKey) {
+	m.position(dirForward, func(c kv.Iterator) { c.Seek(target) })
+}
+
+// position positions every child by pos and finds the next key in dir.
+func (m *mergingIter) position(dir int, pos func(kv.Iterator)) {
 	for _, c := range m.children {
-		c.Seek(target)
+		pos(c)
 	}
-	m.dir = dirForward
+	m.dir = dir
 	m.find()
 }
 
@@ -138,26 +125,18 @@ func (m *mergingIter) Value() []byte       { return m.children[m.cur].Value() }
 var _ kv.Iterator = (*mergingIter)(nil)
 
 // concatIter iterates the files of a sorted, disjoint level (or a
-// single table) in key order, opening one table at a time: through
-// openStreaming for a user read, out of inputs, by file number, for a
+// single table) in key order, opening one table at a time: into table, with
+// span (spanFor), for a user read; out of inputs, by file number, for a
 // compaction that holds its input iterators already.
 type concatIter struct {
 	d      *DB
 	files  []*version.FileMeta
 	inputs map[uint64]kv.Iterator
-	span   int // openStreaming's
+	span   int
 	idx    int
 	cur    kv.Iterator
 	err    error
-}
-
-// openStreaming returns the user read path's iterator over f (spanFor).
-func (d *DB) openStreaming(f *version.FileMeta, span int) (kv.Iterator, error) {
-	t, err := d.openTable(f)
-	if err != nil {
-		return nil, err
-	}
-	return t.NewSpanIterator(d.cfg.readahead(), span, d.metrics.sstableStreamed), nil
+	table  sstable.SpanIter // the storage of every table a user read opens
 }
 
 // closeTable hands back a table iterator's window, if it has one (compaction inputs have none).
@@ -177,8 +156,10 @@ func (c *concatIter) openIdx() {
 	}
 	if c.inputs != nil {
 		c.cur = c.inputs[c.files[c.idx].Num]
+	} else if t, err := c.d.openTable(c.files[c.idx]); err != nil {
+		c.err = err
 	} else {
-		c.cur, c.err = c.d.openStreaming(c.files[c.idx], c.span)
+		c.cur = t.NewSpanIterator(&c.table, c.d.cfg.readahead(), c.span, c.d.metrics.sstableStreamed)
 	}
 }
 
@@ -194,33 +175,22 @@ func (c *concatIter) Error() error {
 	return nil
 }
 
-func (c *concatIter) SeekToFirst() {
-	c.idx = 0
-	c.openIdx()
-	if c.cur != nil {
-		c.cur.SeekToFirst()
-	}
-	c.skipExhausted(1)
-}
-
+func (c *concatIter) SeekToFirst() { c.enter(0, 1, kv.Iterator.SeekToFirst) }
+func (c *concatIter) SeekToLast()  { c.enter(len(c.files)-1, -1, kv.Iterator.SeekToLast) }
 func (c *concatIter) Seek(target kv.InternalKey) {
-	c.idx = sort.Search(len(c.files), func(i int) bool {
+	c.enter(sort.Search(len(c.files), func(i int) bool {
 		return kv.CompareInternal(target, c.files[i].Largest) <= 0
-	})
-	c.openIdx()
-	if c.cur != nil {
-		c.cur.Seek(target)
-	}
-	c.skipExhausted(1)
+	}), 1, func(it kv.Iterator) { it.Seek(target) })
 }
 
-func (c *concatIter) SeekToLast() {
-	c.idx = len(c.files) - 1
-	c.openIdx()
-	if c.cur != nil {
-		c.cur.SeekToLast()
+// enter opens file idx, positions it by pos and moves on from it as
+// skipExhausted does.
+func (c *concatIter) enter(idx, step int, pos func(kv.Iterator)) {
+	c.idx = idx
+	if c.openIdx(); c.cur != nil {
+		pos(c.cur)
 	}
-	c.skipExhausted(-1)
+	c.skipExhausted(step)
 }
 
 func (c *concatIter) Next() {
@@ -262,14 +232,15 @@ var _ kv.Iterator = (*concatIter)(nil)
 // version of each live user key at its sequence number, takes no engine
 // lock, and holds its read state (every file it may read) until Close.
 type Iterator struct {
-	d   *DB
-	s   *readState // nil once closed
-	m   *mergingIter
-	seq kv.SeqNum
-	key []byte
-	val []byte
-	ok  bool
-	err error
+	d    *DB
+	s    *readState // nil once closed
+	m    mergingIter
+	kids [20]kv.Iterator // m's children's first room: two memtables, L0 at its stop, six levels
+	seq  kv.SeqNum
+	key  []byte
+	val  []byte
+	ok   bool
+	err  error
 }
 
 // NewIterator returns an iterator over the current state.
@@ -288,29 +259,37 @@ func (d *DB) newIterator(snap *Snapshot, limit int) *Iterator {
 	if snap != nil {
 		seq = snap.seq
 	}
-	children := append(make([]kv.Iterator, 0, 2+len(s.v.Files)+len(s.v.Files[0])), s.mem.NewIterator())
+	it := &Iterator{d: d, s: s, seq: seq}
+	children := append(it.kids[:0], s.mem.NewIterator())
 	if s.imm != nil {
 		children = append(children, s.imm.NewIterator())
 	}
 	var total int64
-	for level := range s.v.Files {
+	n := 0
+	for level, files := range s.v.Files {
 		total += s.v.LevelBytes(level)
+		if n += len(files); d.cfg.sortedLevel(level) && len(files) > 0 {
+			n -= len(files) - 1
+		}
 	}
-	// A sorted level is one child; an overlapped level's tables (L0's)
-	// are one child each, allocated together. Either opens a table on
-	// the first move that needs it.
+	// A sorted level is one child; an overlapped level's tables (L0's) are
+	// one child each. All are one allocation, filled before any pointer into
+	// it is taken, and each opens a table on the first move that needs it.
+	levels := make([]concatIter, 0, n)
 	for level, files := range s.v.Files {
 		if d.cfg.sortedLevel(level) && len(files) > 0 {
-			children = append(children, &concatIter{d: d, files: files, span: d.spanFor(limit, s.v.LevelBytes(level), total)})
+			levels = append(levels, concatIter{d: d, files: files, span: d.spanFor(limit, s.v.LevelBytes(level), total)})
 			continue
 		}
-		tables := make([]concatIter, len(files))
 		for i, f := range files {
-			tables[i] = concatIter{d: d, files: files[i : i+1], span: d.spanFor(limit, f.Size, total)}
-			children = append(children, &tables[i])
+			levels = append(levels, concatIter{d: d, files: files[i : i+1], span: d.spanFor(limit, f.Size, total)})
 		}
 	}
-	return &Iterator{d: d, s: s, m: newMergingIter(children...), seq: seq}
+	for i := range levels {
+		children = append(children, &levels[i])
+	}
+	it.m = mergingIter{children: children, cur: -1}
+	return it
 }
 
 // spanFor is the span of a scan of limit records in a level (an L0 or
@@ -348,7 +327,7 @@ func (it *Iterator) SeekToFirst() {
 // Seek positions at the first live user key >= target.
 func (it *Iterator) Seek(target []byte) {
 	if it.open() {
-		it.m.Seek(kv.MakeSearchKey(nil, target, it.seq))
+		it.m.Seek(kv.MakeSearchKey(it.key[:0], target, it.seq)) // it.key is rewritten before it is read
 		it.settle(nil)
 	}
 }
@@ -458,8 +437,9 @@ func (it *Iterator) settle(prevUser []byte) {
 			continue
 		}
 		if ik.Kind() == kv.KindDelete {
-			// Tombstone: skip every older version of this key.
-			prevUser = append([]byte(nil), u...)
+			// Tombstone: skip every older version of this key, kept in it.key (rewritten before read).
+			it.key = append(it.key[:0], u...)
+			prevUser = it.key
 			it.m.Next()
 			continue
 		}
@@ -520,7 +500,9 @@ type KV struct {
 }
 
 // Scan returns up to limit live entries with keys >= start, the range
-// query used by YCSB workload E.
+// query used by YCSB workload E. The records of one Scan share chunks of at
+// most 64 KiB, so keeping any one record keeps its chunk alive; each key
+// and value is capped to its own length, so an append to it copies it.
 func (d *DB) Scan(start []byte, limit int) ([]KV, error) {
 	it := d.newIterator(nil, limit)
 	defer it.Close()
@@ -550,16 +532,25 @@ func (d *DB) ScanReverse(start []byte, limit int) ([]KV, error) {
 
 // collect copies up to limit entries from where it stands, moving by
 // step, and not past the last one: a step may load a block. The result
-// is sized once (a caller's limit may be anything, so only up to a
-// point) and each record's key and value share one allocation.
+// is sized once (a caller's limit may be anything, so only up to a point).
+// The records share chunks of at most 64 KiB, each sized for the records
+// still to come (at most as many as the result holds) at the current
+// record's size; a larger record gets its own. Keeping any one record keeps
+// its chunk alive; each key and value is capped to its own length.
 func (it *Iterator) collect(limit int, step func()) ([]KV, error) {
 	var out []KV
+	var chunk []byte
 	for ; it.Valid() && len(out) < limit; step() {
 		if out == nil {
 			out = make([]KV, 0, min(limit, 128))
 		}
-		k := append(append(make([]byte, 0, len(it.key)+len(it.val)), it.key...), it.val...)
-		if out = append(out, KV{Key: k[:len(it.key):len(it.key)], Value: k[len(it.key):]}); len(out) == limit {
+		k, n := len(it.key), len(it.key)+len(it.val)
+		if cap(chunk)-len(chunk) < n {
+			chunk = make([]byte, 0, max(n, min(limit-len(out), cap(out), (64<<10)/max(n, 1))*n))
+		}
+		chunk = append(append(chunk, it.key...), it.val...)
+		rec := chunk[len(chunk)-n:]
+		if out = append(out, KV{Key: rec[:k:k], Value: rec[k:n:n]}); len(out) == limit {
 			break
 		}
 	}

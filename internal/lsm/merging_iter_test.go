@@ -79,7 +79,7 @@ func TestMergingIterBidirectionalAgainstReference(t *testing.T) {
 	}
 	sort.Strings(keys)
 
-	m := newMergingIter(children...)
+	m := &mergingIter{children: children, cur: -1}
 	ref := -1
 	for step := 0; step < 6000; step++ {
 		switch rng.Intn(7) {
@@ -145,11 +145,11 @@ func TestMergingIterDuplicateUserKeys(t *testing.T) {
 		}
 		return newSliceIter(m, seq)
 	}
-	m := newMergingIter(
+	m := &mergingIter{cur: -1, children: []kv.Iterator{
 		mkChild(30, "a", "b", "c"),
 		mkChild(20, "b", "c", "d"),
 		mkChild(10, "a", "c", "e"),
-	)
+	}}
 	var forward []string
 	for m.SeekToFirst(); m.Valid(); m.Next() {
 		forward = append(forward, m.Key().String())
@@ -182,11 +182,11 @@ func TestMergingIterDuplicateUserKeys(t *testing.T) {
 // TestMergingIterEmptyChildren: empty and exhausted children must not
 // disturb the merge.
 func TestMergingIterEmptyChildren(t *testing.T) {
-	m := newMergingIter(
+	m := &mergingIter{cur: -1, children: []kv.Iterator{
 		newSliceIter(map[string]string{}, 1),
 		newSliceIter(map[string]string{"x": "1"}, 2),
 		newSliceIter(map[string]string{}, 3),
-	)
+	}}
 	m.SeekToFirst()
 	if !m.Valid() || string(m.Key().UserKey()) != "x" {
 		t.Fatalf("merge over sparse children: %v", m.Valid())
@@ -204,7 +204,7 @@ func TestMergingIterEmptyChildren(t *testing.T) {
 		t.Fatal("Prev past start")
 	}
 
-	empty := newMergingIter(newSliceIter(map[string]string{}, 1))
+	empty := &mergingIter{cur: -1, children: []kv.Iterator{newSliceIter(map[string]string{}, 1)}}
 	empty.SeekToFirst()
 	empty.SeekToLast()
 	if empty.Valid() {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -313,10 +314,17 @@ func TestStreamingIteratorOutlivesCompaction(t *testing.T) {
 	}
 }
 
-// TestScanAllocatesOncePerRecord: the result is sized from the limit and
-// each record's key and value share an allocation; building the
-// iterator over a handful of tables is a few dozen more.
-func TestScanAllocatesOncePerRecord(t *testing.T) {
+// scanAllocs bounds a Scan's allocations over a handful of tables (9 to 12
+// measured for 1 to 100 records), and scanOverhead the bytes of one with a
+// huge limit past twice its records' (64 KiB measured: a chunk sized for
+// the 128 records the result holds, the result, the iterator).
+const scanAllocs, scanOverhead = 14, 72 << 10
+
+// TestScanAllocatesPerScan: a Scan allocates per scan, not per record,
+// whatever its length, since its records are cut from shared chunks; an
+// append to a returned key or value leaves the next record as it was; and
+// a limit far beyond the store sizes neither the result nor its chunks.
+func TestScanAllocatesPerScan(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is unreliable under -race")
 	}
@@ -327,19 +335,85 @@ func TestScanAllocatesOncePerRecord(t *testing.T) {
 	defer d.Close()
 	ref := loadStream(t, d, 1500)
 	keys := sortedKeys(ref)
-	const n = 100
-	scan := func() {
-		if kvs, err := d.Scan([]byte(keys[300]), n); err != nil || len(kvs) != n || string(kvs[n-1].Key) != keys[399] {
-			t.Fatalf("Scan = %d entries, %v", len(kvs), err)
+	for _, n := range []int{1, 10, 100} {
+		scan := func() {
+			if kvs, err := d.Scan([]byte(keys[300]), n); err != nil || len(kvs) != n || string(kvs[n-1].Key) != keys[299+n] {
+				t.Fatalf("Scan = %d entries, %v", len(kvs), err)
+			}
+		}
+		scan()
+		if allocs := testing.AllocsPerRun(20, scan); allocs > scanAllocs {
+			t.Errorf("a Scan of %d records allocates %.0f times, want at most %d whatever its length", n, allocs, scanAllocs)
 		}
 	}
-	scan()
-	if allocs := testing.AllocsPerRun(20, scan); allocs > n+60 {
-		t.Errorf("a Scan of %d records allocates %.0f times, want about one each", n, allocs)
+
+	kvs, err := d.Scan([]byte(keys[300]), 10)
+	if err != nil || len(kvs) != 10 {
+		t.Fatalf("Scan = %d entries, %v", len(kvs), err)
 	}
-	// A limit far beyond the store must not size the result.
-	if kvs, err := d.Scan([]byte(keys[1490]), 1<<40); err != nil || len(kvs) != 10 || cap(kvs) > 1024 {
-		t.Errorf("Scan with a huge limit = %d entries (cap %d), %v", len(kvs), cap(kvs), err)
+	for _, r := range kvs {
+		_ = append(r.Key, "overwrite"...)
+		_ = append(r.Value, "overwrite"...)
+	}
+	for i, r := range kvs {
+		if string(r.Key) != keys[300+i] || string(r.Value) != ref[keys[300+i]] {
+			t.Fatalf("record %d is %q = %.16q... after appends to every record, want %q = %.16q...", i, r.Key, r.Value, keys[300+i], ref[keys[300+i]])
+		}
+	}
+
+	// A limit far beyond the store sizes neither the result nor a chunk
+	// from it (after a first Scan has read its blocks into the cache).
+	const runs = 20
+	if _, err := d.Scan([]byte(keys[1490]), 1<<40); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	records := 0
+	for i := 0; i < runs; i++ {
+		kvs, err := d.Scan([]byte(keys[1490]), 1<<40)
+		if err != nil || len(kvs) != 10 || cap(kvs) > 1024 {
+			t.Fatalf("Scan with a huge limit = %d entries (cap %d), %v", len(kvs), cap(kvs), err)
+		}
+		for _, r := range kvs {
+			records += len(r.Key) + len(r.Value)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perScan, want := (after.TotalAlloc-before.TotalAlloc)/runs, uint64(2*records/runs+scanOverhead); perScan > want {
+		t.Errorf("a Scan of %d bytes of records with a huge limit allocates %d bytes, want at most %d", records/runs, perScan, want)
+	}
+}
+
+// TestScanSkipsTombstonesWithoutAllocating: a Scan across 100 deleted keys
+// allocates no more than one of as many records across none.
+func TestScanSkipsTombstonesWithoutAllocating(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is unreliable under -race")
+	}
+	d, err := Open(streamConfig(ModeSEALDB, 4*kv.MiB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	keys := sortedKeys(loadStream(t, d, 1500))
+	for _, k := range keys[400:500] {
+		if err := d.Delete([]byte(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := func(start, last string) float64 {
+		scan := func() {
+			if kvs, err := d.Scan([]byte(start), 100); err != nil || len(kvs) != 100 || string(kvs[99].Key) != last {
+				t.Fatalf("Scan(%s) = %d entries, %v", start, len(kvs), err)
+			}
+		}
+		scan()
+		return testing.AllocsPerRun(20, scan)
+	}
+	across, none := allocs(keys[350], keys[549]), allocs(keys[900], keys[999])
+	if across > none {
+		t.Errorf("a Scan across 100 tombstones allocates %.0f times, one across none %.0f", across, none)
 	}
 }
 

@@ -97,16 +97,13 @@ func (c *conn) reply(reqID uint64, st wire.Status, body []byte) {
 	}
 }
 
-// notFoundText is a miss's reply body, built once so that a Get miss
-// allocates no more than a hit.
-var notFoundText = []byte(lsm.ErrNotFound.Error())
-
-// replyErr answers a failed request with its error's status and text.
+// replyErr answers a failed request with its error's status and text; a
+// miss needs no text, so it allocates nothing on either end.
 func (c *conn) replyErr(reqID uint64, err error) {
 	st := wire.StatusInternal
 	switch {
 	case errors.Is(err, lsm.ErrNotFound):
-		c.reply(reqID, wire.StatusNotFound, notFoundText)
+		c.reply(reqID, wire.StatusNotFound, nil)
 		return
 	case errors.Is(err, lsm.ErrDegraded):
 		st = wire.StatusDegraded

@@ -179,7 +179,7 @@ func TestClosedWindowIsPoisoned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it := tbl.NewSpanIterator(8192, 4, nil).(*tableIter)
+	it := tbl.NewSpanIterator(new(SpanIter), 8192, 4, nil).(*tableIter)
 	it.SeekToFirst()
 	for i := 0; i < 6; i++ { // into the second block, decoded in the window
 		it.Next()

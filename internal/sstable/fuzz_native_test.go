@@ -62,8 +62,8 @@ func FuzzTableRead(f *testing.F) {
 			// any two numbers as a block, and the streaming iterator
 			// builds its reads from several of them.
 			for _, it := range []kv.Iterator{
-				tbl.NewIterator(), tbl.NewSpanIterator(1, 0, nil),
-				tbl.NewSpanIterator(1<<20, 0, nil), tbl.NewMemIterator(data),
+				tbl.NewIterator(), tbl.NewSpanIterator(new(SpanIter), 1, 0, nil),
+				tbl.NewSpanIterator(new(SpanIter), 1<<20, 0, nil), tbl.NewMemIterator(data),
 			} {
 				n := 0
 				for it.SeekToFirst(); it.Valid() && n < 100000; it.Next() {

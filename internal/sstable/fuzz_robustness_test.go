@@ -58,7 +58,7 @@ func TestBitFlipsNeverPanic(t *testing.T) {
 			for k := range entries {
 				tbl.Get([]byte(k), kv.MaxSeqNum)
 			}
-			for _, it := range []kv.Iterator{tbl.NewIterator(), tbl.NewSpanIterator(16<<10, 0, nil), tbl.NewMemIterator(mut)} {
+			for _, it := range []kv.Iterator{tbl.NewIterator(), tbl.NewSpanIterator(new(SpanIter), 16<<10, 0, nil), tbl.NewMemIterator(mut)} {
 				n := 0
 				for it.SeekToFirst(); it.Valid() && n < 10000; it.Next() {
 					n++

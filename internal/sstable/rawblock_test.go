@@ -83,7 +83,7 @@ func TestDecompressUnknownType(t *testing.T) {
 	}
 	for path, it := range map[string]kv.Iterator{
 		"iterator":            open().NewIterator(),
-		"span iterator":       open().NewSpanIterator(64<<10, 0, nil),
+		"span iterator":       open().NewSpanIterator(new(SpanIter), 64<<10, 0, nil),
 		"compaction iterator": open().NewCompactionIterator(64 << 10),
 	} {
 		n := 0

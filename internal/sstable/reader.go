@@ -308,17 +308,17 @@ const streamAfter = 2
 // first device read after positioning reads span blocks at once, past any
 // readahead bound; the windows after it grow from there as above.
 //
-// The iterator, its window and the first room of its index and data keys
-// are one allocation; the window's buffer comes from a pool, and Close
-// hands it back.
-func (t *Table) NewSpanIterator(readahead, span int, streamed *obs.Counter) kv.Iterator {
-	s := &spanIter{win: window{after: streamAfter, max: uint64(readahead), grow: streamAfter, span: span, streamed: streamed}}
+// The iterator, its window and the first room of its keys live in s, the
+// caller's storage, which keeps its decode buffers when initialised again
+// for another table once closed; Close hands the window's pooled buffer back.
+func (t *Table) NewSpanIterator(s *SpanIter, readahead, span int, streamed *obs.Counter) kv.Iterator {
+	s.win = window{after: streamAfter, max: uint64(readahead), grow: streamAfter, span: span, streamed: streamed, peek: s.win.peek, blk: s.win.blk}
 	s.tableIter = tableIter{t: t, ix: blockIter{b: t.index, key: s.keys[0][:0]}, cur: blockIter{key: s.keys[1][:0]}, win: &s.win}
 	return &s.tableIter
 }
 
-// spanIter is the storage of a NewSpanIterator.
-type spanIter struct {
+// SpanIter is the storage of a NewSpanIterator.
+type SpanIter struct {
 	tableIter
 	win  window
 	keys [2][48]byte

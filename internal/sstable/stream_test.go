@@ -112,7 +112,7 @@ func TestStreamingScanIsOneSequentialPass(t *testing.T) {
 		disk.ResetStats()
 		disk.SetSink(&log)
 		var streamed obs.Counter
-		it := tbl.NewSpanIterator(readahead, 0, &streamed)
+		it := tbl.NewSpanIterator(new(SpanIter), readahead, 0, &streamed)
 		n := 0
 		for it.SeekToFirst(); it.Valid(); it.Next() {
 			n++
@@ -181,7 +181,7 @@ func TestStreamingIteratorMatchesPlain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		walks := []kv.Iterator{tbl.NewSpanIterator(readahead, 0, nil), tbl.NewMemIterator(data)}
+		walks := []kv.Iterator{tbl.NewSpanIterator(new(SpanIter), readahead, 0, nil), tbl.NewMemIterator(data)}
 		for _, it := range walks {
 			plain := plainTbl.NewIterator()
 			rng := rand.New(rand.NewSource(int64(readahead)))
@@ -243,7 +243,7 @@ func TestStreamedCorruptBlockIsNeverEmitted(t *testing.T) {
 		first := newBlockIter(mustBlock(t, clean, h))
 		first.SeekToFirst()
 		stop := sort.SearchStrings(keys, string(first.Key().UserKey()))
-		it := tbl.NewSpanIterator(64<<10, 0, nil)
+		it := tbl.NewSpanIterator(new(SpanIter), 64<<10, 0, nil)
 		n := 0
 		for it.SeekToFirst(); it.Valid(); it.Next() {
 			if k := string(it.Key().UserKey()); n >= stop || k != keys[n] || string(it.Value()) != vals[k] {
@@ -297,7 +297,7 @@ func TestStreamingServesCachedBlockFromCache(t *testing.T) {
 	before := cache.Stats()
 	log.reads = nil
 
-	it := tbl.NewSpanIterator(1, 0, nil)
+	it := tbl.NewSpanIterator(new(SpanIter), 1, 0, nil)
 	n := 0
 	for it.SeekToFirst(); it.Valid(); it.Next() {
 		n++
@@ -329,7 +329,7 @@ func TestStreamingAdmitsOnlyIntoFreeRoom(t *testing.T) {
 	data, keys, _ := streamTable(t, 200)
 	scan := func(tbl *Table) {
 		t.Helper()
-		it := tbl.NewSpanIterator(32<<10, 0, nil)
+		it := tbl.NewSpanIterator(new(SpanIter), 32<<10, 0, nil)
 		n := 0
 		for it.SeekToFirst(); it.Valid(); it.Next() {
 			n++
@@ -368,7 +368,7 @@ func TestStreamingAdmitsOnlyIntoFreeRoom(t *testing.T) {
 	small.mu.Lock()
 	small.capacity = full
 	small.mu.Unlock()
-	it := tbl.NewSpanIterator(32<<10, 0, nil)
+	it := tbl.NewSpanIterator(new(SpanIter), 32<<10, 0, nil)
 	it.Seek(kv.MakeSearchKey(nil, []byte(keys[40]), kv.MaxSeqNum))
 	for i := 0; i < 12 && it.Valid(); i++ { // into the third block and beyond
 		it.Next()
@@ -400,7 +400,7 @@ func TestStreamingSteadyStateAllocatesNothingPerBlock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		it := tbl.NewSpanIterator(8192, 0, nil)
+		it := tbl.NewSpanIterator(new(SpanIter), 8192, 0, nil)
 		return testing.AllocsPerRun(5, func() {
 			for it.SeekToFirst(); it.Valid(); it.Next() {
 			}
@@ -455,7 +455,7 @@ func TestSpanPositioningIsOneRead(t *testing.T) {
 				n := min(span, len(blocks)-b)
 				seek := func() kv.Iterator {
 					log.reads = nil
-					it := tbl.NewSpanIterator(readahead, span, nil)
+					it := tbl.NewSpanIterator(new(SpanIter), readahead, span, nil)
 					it.Seek(kv.MakeSearchKey(nil, []byte(bk[b][0]), kv.MaxSeqNum))
 					if !it.Valid() || string(it.Key().UserKey()) != bk[b][0] {
 						t.Fatalf("span %d: seek to block %d: valid %v, err %v", span, b, it.Valid(), it.Error())
@@ -489,7 +489,7 @@ func TestSpanPositioningIsOneRead(t *testing.T) {
 			fmt.Sscanf(bk[6][len(bk[6])-1], "key%08d", &i)
 			log.reads = nil
 			tbl.cache.EvictFile(1)
-			it := tbl.NewSpanIterator(readahead, span, nil)
+			it := tbl.NewSpanIterator(new(SpanIter), readahead, span, nil)
 			if it.Seek(kv.MakeSearchKey(nil, []byte(fmt.Sprintf("key%08d", i+1)), kv.MaxSeqNum)); !it.Valid() || string(it.Key().UserKey()) != bk[7][0] {
 				t.Fatalf("span %d: seek between blocks 6 and 7 is at %q (err %v), want %q", span, it.Key(), it.Error(), bk[7][0])
 			}
@@ -525,7 +525,7 @@ func TestSpanCachesOnlyTheLandingBlock(t *testing.T) {
 	small.capacity = full
 	small.mu.Unlock()
 
-	it := tbl.NewSpanIterator(32<<10, 6, nil)
+	it := tbl.NewSpanIterator(new(SpanIter), 32<<10, 6, nil)
 	it.Seek(kv.MakeSearchKey(nil, []byte(bk[20][0]), kv.MaxSeqNum))
 	for i := 0; i < 6*4 && it.Valid(); i++ { // through the span's six blocks
 		it.Next()
@@ -552,7 +552,7 @@ func TestSpanOfOneIsStreaming(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			it := tbl.NewSpanIterator(readahead, span, nil)
+			it := tbl.NewSpanIterator(new(SpanIter), readahead, span, nil)
 			rng := rand.New(rand.NewSource(int64(readahead)))
 			for step := 0; step < 5000; step++ {
 				switch r := rng.Intn(100); {
@@ -597,7 +597,7 @@ func TestSpanIteratorMatchesPlain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		it, plain := tbl.NewSpanIterator(8192, span, nil), plainTbl.NewIterator()
+		it, plain := tbl.NewSpanIterator(new(SpanIter), 8192, span, nil), plainTbl.NewIterator()
 		rng := rand.New(rand.NewSource(int64(span)))
 		for step := 0; step < 20000; step++ {
 			switch r := rng.Intn(200); {
@@ -629,3 +629,35 @@ func TestSpanIteratorMatchesPlain(t *testing.T) {
 }
 
 func closeTable(it kv.Iterator) { it.(*tableIter).Close() }
+
+// TestSpanIterServesTableAfterTable: one SpanIter, closed and initialised
+// again for each table in turn, as a sorted level steps through its tables,
+// returns each table exactly, and keeps the restart room it grew.
+func TestSpanIterServesTableAfterTable(t *testing.T) {
+	cache := NewCache(1 << 20)
+	var s SpanIter
+	for round, n := range []int{100, 160, 100} {
+		data, keys, vals := streamTable(t, n)
+		tbl, err := Open(bytes.NewReader(data), int64(len(data)), uint64(n), cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restarts := cap(s.win.blk.restarts)
+		it, i := tbl.NewSpanIterator(&s, 8192, 3, nil), 0
+		if cap(s.win.blk.restarts) != restarts {
+			t.Fatalf("round %d: initialising dropped the restart room", round)
+		}
+		for it.Seek(kv.MakeSearchKey(nil, []byte(keys[0]), kv.MaxSeqNum)); it.Valid(); it.Next() {
+			if i >= len(keys) || string(it.Key().UserKey()) != keys[i] || string(it.Value()) != vals[keys[i]] {
+				t.Fatalf("round %d: entry %d is %q, want %q", round, i, it.Key().UserKey(), keys[min(i, len(keys)-1)])
+			}
+			i++
+		}
+		if it.Error() != nil || i != len(keys) {
+			t.Fatalf("round %d: %d of %d entries, err %v", round, i, len(keys), it.Error())
+		}
+		if closeTable(it); s.win.box != nil {
+			t.Fatalf("round %d: Close kept the window", round)
+		}
+	}
+}
