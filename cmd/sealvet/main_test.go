@@ -59,15 +59,14 @@ func TestExitCodeZeroOnCleanPackage(t *testing.T) {
 	}
 }
 
-// TestListPrintsEveryAnalyzer checks -list names the full suite,
-// including the concurrency analyzers.
+// TestListPrintsEveryAnalyzer checks -list names the full suite.
 func TestListPrintsEveryAnalyzer(t *testing.T) {
 	chdirBack(t)
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit code = %d, want 0", code)
 	}
-	for _, name := range []string{"atomicfield", "errpath", "extentpair", "guardedby", "lockorder", "noclock", "obsreg"} {
+	for _, name := range []string{"errpath", "extentpair", "guardedby", "noclock", "obsreg"} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-list output lacks %q:\n%s", name, stdout.String())
 		}

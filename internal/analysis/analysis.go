@@ -38,12 +38,6 @@ type Analyzer struct {
 	NewSession func() any
 	// Run performs the check, reporting findings via Pass.Report.
 	Run func(*Pass) error
-	// Finish, when non-nil, is called once after every package's Run
-	// with the session value. Whole-program analyzers (lockorder)
-	// accumulate facts per package and do all their reporting here,
-	// through the *Pass values they stashed in the session — a Pass
-	// stays valid for reporting until the checker run returns.
-	Finish func(session any)
 }
 
 // Pass carries one type-checked package to an analyzer.
@@ -205,11 +199,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 					Message:  fmt.Sprintf("analyzer error: %v", err),
 				})
 			}
-		}
-	}
-	for _, a := range analyzers {
-		if a.Finish != nil {
-			a.Finish(sessions[a])
 		}
 	}
 	sort.Slice(findings, func(i, j int) bool {

@@ -14,6 +14,11 @@
 // through an index/deref of the field) under only an RLock is
 // diagnosed, since RWMutex read holds do not exclude other readers.
 //
+// A sync/atomic typed field (atomic.Int64, atomic.Pointer[T], ...) may
+// not carry the annotation: the two disciplines promise different
+// things, and code holding the mutex still races with the atomic
+// writers. Such a field is diagnosed once, at its declaration.
+//
 // Escape hatches, in order of preference: a doc comment "Caller
 // holds <mu>" (the function runs with the named locks held), the
 // *Locked name suffix (every guard assumed held), and a
@@ -35,6 +40,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "guardedby",
 	Doc: "fields annotated '// guarded by <mu>' must be accessed with <mu> held at the access " +
 		"(flow-sensitive: early unlocks count), and written only under the write lock; " +
+		"a sync/atomic typed field may not carry the annotation; " +
 		"escape via 'Caller holds <mu>' docs, the Locked name suffix, or //sealvet:allow",
 	Run: run,
 }
@@ -60,9 +66,17 @@ func run(pass *analysis.Pass) error {
 				}
 				guardNames[mu] = true
 				for _, name := range field.Names {
-					if obj, ok := pass.TypesInfo.Defs[name].(*types.Var); ok {
-						annotated[obj] = mu
+					obj, ok := pass.TypesInfo.Defs[name].(*types.Var)
+					if !ok {
+						continue
 					}
+					if isTypedAtomic(obj.Type()) {
+						pass.Reportf(name.Pos(),
+							"field %s is a sync/atomic value but is annotated 'guarded by %s'; use one discipline",
+							obj.Name(), mu)
+						continue
+					}
+					annotated[obj] = mu
 				}
 			}
 			return true
@@ -225,6 +239,12 @@ func baseSelector(e ast.Expr) *ast.SelectorExpr {
 			return nil
 		}
 	}
+}
+
+// isTypedAtomic reports whether t is one of sync/atomic's types.
+func isTypedAtomic(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == "sync/atomic"
 }
 
 // fieldAnnotation extracts the mutex name from a field's doc or

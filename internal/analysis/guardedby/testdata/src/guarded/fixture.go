@@ -4,6 +4,7 @@ package guarded
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"sealdb/internal/obs"
 )
@@ -148,3 +149,172 @@ func (r *rw) resetShared() {
 	defer r.rwmu.RUnlock()
 	r.state = 0 // want "holds only the read lock"
 }
+
+// The lockflow walker's rules, each with a case that fails without it.
+
+// Good (terminating arm): a switch arm that releases and panics
+// contributes nothing to the state after the switch.
+func (d *drive) switchExit(op int) int64 {
+	d.mu.Lock()
+	switch op {
+	case 0:
+		d.mu.Unlock()
+		panic("closed")
+	case 1:
+		d.host++
+	}
+	v := d.host
+	d.mu.Unlock()
+	return v
+}
+
+// Bad (fall-through arms intersect): one arm releases and falls through,
+// so the lock is not held after the branch.
+func (d *drive) releaseOnOnePath(drop bool) int64 {
+	d.mu.Lock()
+	if drop {
+		d.mu.Unlock()
+	}
+	return d.host // want "not held at this access"
+}
+
+// Bad (fall-through arms intersect, at the weaker mode): a write lock on
+// one arm and a read lock on the other is a read hold.
+func (r *rw) eitherMode(shared bool) {
+	if shared {
+		r.rwmu.RLock()
+	} else {
+		r.rwmu.Lock()
+	}
+	r.state = 1 // want "holds only the read lock"
+}
+
+// Good (fall-through arms intersect): a switch with a default runs one of
+// its arms, so a lock every arm takes is held after it.
+func (d *drive) everyArmLocks(op int) int64 {
+	switch op {
+	case 0:
+		d.mu.Lock()
+	default:
+		d.mu.Lock()
+	}
+	v := d.host
+	d.mu.Unlock()
+	return v
+}
+
+// Good (fall-through arms intersect): a select runs one of its arms.
+func (d *drive) everyCaseLocks(a, b chan int) int64 {
+	select {
+	case <-a:
+		d.mu.Lock()
+	case <-b:
+		d.mu.Lock()
+	}
+	v := d.host
+	d.mu.Unlock()
+	return v
+}
+
+// Good (terminating arm): an arm that releases and breaks out of the loop
+// leaves the hold of the path that stays.
+func (d *drive) sumUntilNegative(xs []int) int64 {
+	var v int64
+	for _, x := range xs {
+		d.mu.Lock()
+		if x < 0 {
+			d.mu.Unlock()
+			break
+		}
+		v += d.host
+		d.mu.Unlock()
+	}
+	return v
+}
+
+// Good: any other function literal is walked where it is written, as a
+// synchronous callback under the locks held there.
+func (d *drive) visit(each func(func())) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	each(func() { d.host++ })
+}
+
+// Bad (a loop may run zero times): a lock taken in the body is not held
+// after the loop.
+func (d *drive) lockInLoop(n int) int64 {
+	for i := 0; i < n; i++ {
+		d.mu.Lock()
+	}
+	return d.host // want "not held at this access"
+}
+
+// Bad (a loop may run zero times), over a range.
+func (d *drive) lockInRange(xs []int) int64 {
+	for range xs {
+		d.mu.Lock()
+	}
+	return d.host // want "not held at this access"
+}
+
+// Good (a deferred release is sticky): locks are matched by name, so a
+// peer's release of its own mu does not end this one's hold.
+func (d *drive) withPeer(p *drive) int64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	p.mu.Lock()
+	p.wp = nil
+	p.mu.Unlock()
+	return d.host
+}
+
+// Good (a deferred release is sticky), through a deferred closure.
+func (d *drive) withPeerClosure(p *drive) int64 {
+	d.mu.Lock()
+	defer func() { d.mu.Unlock() }()
+	p.mu.Lock()
+	p.wp = nil
+	p.mu.Unlock()
+	return d.host
+}
+
+// Bad (a go body starts empty): a goroutine started under the lock does
+// not hold it.
+func (d *drive) spawn() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	go func() {
+		d.host++ // want "not held at this access"
+	}()
+}
+
+// counters pairs typed atomics with a mutex.
+type counters struct {
+	mu sync.Mutex
+	// guarded by mu
+	mixed atomic.Int64 // want "field mixed is a sync/atomic value but is annotated 'guarded by mu'"
+
+	// guarded by mu
+	okGuarded int64
+
+	typed atomic.Int64
+
+	// guarded by mu, with the fast path reading atomically.
+	exempt atomic.Int64 //sealvet:allow guardedby
+}
+
+// Good: a flagged field is not flagged again at each access.
+func (c *counters) Mixed() int64 { return c.mixed.Load() }
+
+// Good: typed atomics used through their methods.
+func (c *counters) Typed() int64 { return c.typed.Load() }
+
+// Good: the guarded field under its mutex.
+func (c *counters) OKGuarded() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.okGuarded
+}
+
+// Good: a reviewed mixed-discipline field.
+func (c *counters) Exempt() int64 { return c.exempt.Load() }

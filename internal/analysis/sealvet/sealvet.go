@@ -5,11 +5,9 @@ package sealvet
 
 import (
 	"sealdb/internal/analysis"
-	"sealdb/internal/analysis/atomicfield"
 	"sealdb/internal/analysis/errpath"
 	"sealdb/internal/analysis/extentpair"
 	"sealdb/internal/analysis/guardedby"
-	"sealdb/internal/analysis/lockorder"
 	"sealdb/internal/analysis/noclock"
 	"sealdb/internal/analysis/obsreg"
 )
@@ -17,11 +15,9 @@ import (
 // Analyzers returns the suite in stable order.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		atomicfield.Analyzer,
 		errpath.Analyzer,
 		extentpair.Analyzer,
 		guardedby.Analyzer,
-		lockorder.Analyzer,
 		noclock.Analyzer,
 		obsreg.Analyzer,
 	}

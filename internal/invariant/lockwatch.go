@@ -8,13 +8,16 @@ import (
 	"sync"
 )
 
-// The lock-order watchdog is the runtime half of the lockorder static
-// analyzer: the obs lock wrappers report every profiled acquisition
-// and release here, the watchdog maintains a per-goroutine stack of
-// held sites plus a global graph of observed acquisition edges, and
-// an acquisition that would close a cycle panics immediately —
-// before the goroutine blocks on the mutex, so the failure is a
-// stack trace naming both sites instead of a silent deadlock.
+// The lock-order watchdog is the repo's one lock-order check: the obs
+// lock wrappers report every profiled acquisition and release here,
+// the watchdog maintains a per-goroutine stack of held sites plus a
+// global graph of observed acquisition edges, and an acquisition that
+// would close a cycle panics immediately — before the goroutine
+// blocks on the mutex, so the failure is a stack trace naming both
+// sites instead of a silent deadlock. It sees every acquisition a
+// tagged run makes, through interfaces included, and none on a path
+// no tagged run takes; internal/lsm's TestObservedLockOrderIsDeclared
+// holds the observed edges to the declared hierarchy.
 //
 // A self-edge (site acquired while the same site is held) is skipped:
 // one site name can cover many mutex instances (per-band, per-file),

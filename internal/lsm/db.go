@@ -128,13 +128,8 @@ type DB struct {
 	//
 	// lsm_db_mu is the top of the lock hierarchy: it may be held
 	// while acquiring any of the subsystem locks below, never the
-	// reverse (enforced by sealvet's lockorder analyzer).
-	//
-	// lockorder: lsm_db_mu < version_set_mu
-	// lockorder: lsm_db_mu < dband_manager_mu
-	// lockorder: lsm_db_mu < storage_write_mu
-	// lockorder: lsm_db_mu < storage_backend_mu
-	// lockorder: lsm_db_mu < lsm_commit_queue_mu
+	// reverse (the declared order is TestObservedLockOrderIsDeclared's
+	// table, checked against what the invariant build observes).
 	mu  obs.Mutex
 	mem *memtable.MemTable
 	// queue holds the batches awaiting a group commit (ApplyCtx), oldest

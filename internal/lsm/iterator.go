@@ -535,8 +535,11 @@ func (d *DB) ScanReverse(start []byte, limit int) ([]KV, error) {
 // is sized once (a caller's limit may be anything, so only up to a point).
 // The records share chunks of at most 64 KiB, each sized for the records
 // still to come (at most as many as the result holds) at the current
-// record's size; a larger record gets its own. Keeping any one record keeps
-// its chunk alive; each key and value is capped to its own length.
+// record's size; a larger record gets its own. A limit past what the
+// result holds bounds nothing, so there a chunk is sized for the records
+// collected so far plus this one, and the chunks double. Keeping any one
+// record keeps its chunk alive; each key and value is capped to its own
+// length.
 func (it *Iterator) collect(limit int, step func()) ([]KV, error) {
 	var out []KV
 	var chunk []byte
@@ -546,7 +549,11 @@ func (it *Iterator) collect(limit int, step func()) ([]KV, error) {
 		}
 		k, n := len(it.key), len(it.key)+len(it.val)
 		if cap(chunk)-len(chunk) < n {
-			chunk = make([]byte, 0, max(n, min(limit-len(out), cap(out), (64<<10)/max(n, 1))*n))
+			recs := min(limit-len(out), cap(out))
+			if limit > cap(out) {
+				recs = len(out) + 1
+			}
+			chunk = make([]byte, 0, max(n, min(recs, (64<<10)/max(n, 1))*n))
 		}
 		chunk = append(append(chunk, it.key...), it.val...)
 		rec := chunk[len(chunk)-n:]

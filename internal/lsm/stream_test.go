@@ -316,9 +316,10 @@ func TestStreamingIteratorOutlivesCompaction(t *testing.T) {
 
 // scanAllocs bounds a Scan's allocations over a handful of tables (9 to 12
 // measured for 1 to 100 records), and scanOverhead the bytes of one with a
-// huge limit past twice its records' (64 KiB measured: a chunk sized for
-// the 128 records the result holds, the result, the iterator).
-const scanAllocs, scanOverhead = 14, 72 << 10
+// huge limit past twice its records' (15.7 KiB measured for 10 records of
+// ~450 B: chunks for 1, 2, 4 and 8 records, the result's 128 slots, the
+// iterator).
+const scanAllocs, scanOverhead = 14, 16 << 10
 
 // TestScanAllocatesPerScan: a Scan allocates per scan, not per record,
 // whatever its length, since its records are cut from shared chunks; an

@@ -33,19 +33,13 @@ func (e Extent) String() string { return fmt.Sprintf("[%d,%d)", e.Off, e.End()) 
 // Allocator is a placement policy over the drive's address space.
 type Allocator interface {
 	// Alloc reserves an extent of exactly size bytes.
-	//
-	// lockorder: acquires dband_manager_mu
 	Alloc(size int64) (Extent, error)
 	// AllocAppend reserves an extent for an append-only stream. A
 	// policy may place these differently (e.g. always in fresh
 	// space, as a file system places a growing log).
-	//
-	// lockorder: acquires dband_manager_mu
 	AllocAppend(size int64) (Extent, error)
 	// Free returns an extent to the policy. The dynamic-band policy
 	// takes its manager lock, so Free nests like the Alloc calls.
-	//
-	// lockorder: acquires dband_manager_mu
 	Free(e Extent)
 }
 
@@ -73,9 +67,6 @@ type Backend struct {
 	// threaded from outside this package (obs.SetLockClock), keeping
 	// storage inside the noclock determinism contract. Allocator
 	// calls and the mapping-table lock both nest under it.
-	//
-	// lockorder: storage_write_mu < storage_backend_mu
-	// lockorder: storage_write_mu < dband_manager_mu
 	writeMu obs.Mutex
 
 	// mu guards the mapping table; profiled as "storage_backend_mu".

@@ -40,9 +40,6 @@ type Set struct {
 	// the "version_set_mu" contention site. LogAndApply holds it
 	// across the manifest write, so it sits above the storage locks
 	// in the hierarchy.
-	//
-	// lockorder: version_set_mu < storage_write_mu
-	// lockorder: version_set_mu < storage_backend_mu
 	mu  obs.Mutex
 	cfg Config
 
