@@ -199,7 +199,12 @@ func runChurn(o churnOptions) {
 	rep.Passed = rep.MaxSA <= rep.BoundSA && rep.MaxP99NS <= rep.BoundP99NS
 
 	if o.dumpDir != "" {
-		if err := traceanalyze.Collect(db, base).Write(o.dumpDir); err != nil {
+		// After rep is final: Collect's fsck reads the device.
+		d, err := traceanalyze.Collect(db, base)
+		if err != nil {
+			fatal(err)
+		}
+		if err := d.Write(o.dumpDir); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("# wrote raw dump %s (analyze with: smrtrace -analyze %s)\n", o.dumpDir, o.dumpDir)

@@ -17,9 +17,10 @@
 //
 // A dump directory holds meta.json (geometry and live counters),
 // trace.jsonl (every physical access) and events.jsonl (the event
-// journal, sampled span trees included); -analyze recomputes the
-// amplification from the raw records and fails loudly if it disagrees
-// with the live counters by more than 1%.
+// journal, sampled span trees included). -dump closes the window with
+// VerifyIntegrity and exits nonzero if the store fails it; -analyze
+// recomputes the amplification from the raw records and fails loudly
+// if it disagrees with the live counters by more than 1%.
 package main
 
 import (
@@ -136,7 +137,10 @@ func runDump(dir string, m lsm.Mode, o bench.Options, ops, vthresh int) {
 	if _, err := runner.Run(ycsb.WorkloadA, ops); err != nil {
 		fatalf("workload: %v", err)
 	}
-	d := traceanalyze.Collect(db, base)
+	d, err := traceanalyze.Collect(db, base)
+	if err != nil {
+		fatalf("%v", err)
+	}
 	if err := d.Write(dir); err != nil {
 		fatalf("write dump: %v", err)
 	}

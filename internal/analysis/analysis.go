@@ -14,12 +14,13 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"regexp"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -67,9 +68,10 @@ type Diagnostic struct {
 func (p *Pass) IsTestFile(f *ast.File) bool { return p.testFiles[f] }
 
 // Reportf reports a finding at pos unless a //sealvet:allow comment
-// for this analyzer covers the position's line.
+// naming this analyzer covers the position's line (same line or the
+// line above).
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	if p.SuppressedAt(pos, p.Analyzer.Name) {
+	if p.directiveAt(pos, "allow", p.Analyzer.Name) {
 		return
 	}
 	p.report(Diagnostic{Pos: pos, Category: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)})
@@ -103,12 +105,6 @@ func collectDirectives(fset *token.FileSet, f *ast.File) []directive {
 		}
 	}
 	return out
-}
-
-// SuppressedAt reports whether a //sealvet:allow directive naming the
-// analyzer covers pos (same line or the line above).
-func (p *Pass) SuppressedAt(pos token.Pos, analyzer string) bool {
-	return p.directiveAt(pos, "allow", analyzer)
 }
 
 // MarkedAt reports whether a //sealvet:<verb> directive (with no
@@ -201,18 +197,9 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 			}
 		}
 	}
-	sort.Slice(findings, func(i, j int) bool {
-		a, b := findings[i], findings[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Analyzer < b.Analyzer
+	slices.SortFunc(findings, func(a, b Finding) int {
+		return cmp.Or(strings.Compare(a.Pos.Filename, b.Pos.Filename), cmp.Compare(a.Pos.Line, b.Pos.Line),
+			cmp.Compare(a.Pos.Column, b.Pos.Column), strings.Compare(a.Analyzer, b.Analyzer))
 	})
 	return findings
 }

@@ -16,6 +16,7 @@ package extentpair
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 
@@ -62,19 +63,30 @@ func run(pass *analysis.Pass) error {
 }
 
 // checkFunc finds allocations in fn and verifies each has a
-// disposal story.
+// disposal story. An extent dropped where it is allocated — assigned
+// to _ or left in a bare call statement — has none.
 func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl) {
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		if stmt, ok := n.(*ast.ExprStmt); ok {
+			if call, ok := stmt.X.(*ast.CallExpr); ok && extentResult(pass, call) >= 0 {
+				pass.Reportf(stmt.Pos(), "extent from %s is dropped in %s", callName(call), fn.Name.Name)
+			}
+			return true
+		}
 		assign, ok := n.(*ast.AssignStmt)
 		if !ok || len(assign.Rhs) != 1 {
 			return true
 		}
 		call, ok := assign.Rhs[0].(*ast.CallExpr)
-		if !ok || !isExtentAlloc(pass, call) {
+		if !ok || extentResult(pass, call) < 0 {
 			return true
 		}
-		ident, ok := assign.Lhs[0].(*ast.Ident)
-		if !ok || ident.Name == "_" {
+		ident, ok := assign.Lhs[extentResult(pass, call)].(*ast.Ident)
+		if !ok {
+			return true
+		}
+		if ident.Name == "_" {
+			pass.Reportf(assign.Pos(), "extent from %s is assigned to _ in %s", callName(call), fn.Name.Name)
 			return true
 		}
 		obj := pass.TypesInfo.Defs[ident]
@@ -97,31 +109,25 @@ func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl) {
 	})
 }
 
-// isExtentAlloc reports whether call is an allocator verb returning
-// an Extent-typed value.
-func isExtentAlloc(pass *analysis.Pass, call *ast.CallExpr) bool {
+// extentResult returns the index of the Extent-typed result of call
+// when call is an allocator verb, else -1.
+func extentResult(pass *analysis.Pass, call *ast.CallExpr) int {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || !allocVerbs[sel.Sel.Name] {
-		return false
-	}
-	tv, ok := pass.TypesInfo.Types[call]
-	if !ok {
-		return false
+		return -1
 	}
 	// Single Extent result or an Extent in a result tuple.
-	check := func(t types.Type) bool {
-		named, ok := t.(*types.Named)
-		return ok && named.Obj().Name() == "Extent"
+	t := pass.TypesInfo.TypeOf(call)
+	tuple, ok := t.(*types.Tuple)
+	if !ok {
+		tuple = types.NewTuple(types.NewVar(token.NoPos, nil, "", t))
 	}
-	if tuple, ok := tv.Type.(*types.Tuple); ok {
-		for i := 0; i < tuple.Len(); i++ {
-			if check(tuple.At(i).Type()) {
-				return true
-			}
+	for i := 0; i < tuple.Len(); i++ {
+		if named, ok := tuple.At(i).Type().(*types.Named); ok && named.Obj().Name() == "Extent" {
+			return i
 		}
-		return false
 	}
-	return check(tv.Type)
+	return -1
 }
 
 // consumed reports whether obj (the allocated extent variable) is

@@ -53,6 +53,17 @@ func leakReserve(a *allocator) {
 	_ = e.Off
 }
 
+// Bad: an extent discarded into _ can never be freed.
+func discarded(a *allocator) error {
+	_, err := a.Alloc(64) // want "extent from Alloc is assigned to _ in discarded"
+	return err
+}
+
+// Bad: a bare call statement drops every result, the extent included.
+func dropped(a *allocator) {
+	a.Reserve(64) // want "extent from Reserve is dropped in dropped"
+}
+
 // Good: freed on the failure path.
 func freed(a *allocator, d *device, p []byte) error {
 	e, err := a.Alloc(int64(len(p)))

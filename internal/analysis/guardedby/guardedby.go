@@ -171,6 +171,14 @@ func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl, entry map[string]lockflow.
 				if sel := baseSelector(n.X); sel != nil {
 					check(sel, true, held)
 				}
+			case *ast.CallExpr:
+				// The builtins delete and clear write the map they are given.
+				id, _ := n.Fun.(*ast.Ident)
+				if b, ok := pass.TypesInfo.Uses[id].(*types.Builtin); ok && (b.Name() == "delete" || b.Name() == "clear") {
+					if sel := baseSelector(n.Args[0]); sel != nil {
+						check(sel, true, held)
+					}
+				}
 			case *ast.SelectorExpr:
 				check(n, false, held)
 			}

@@ -29,7 +29,8 @@ func (d *drive) HostBytes() int64 {
 // Good: RLock counts as holding the mutex.
 type rw struct {
 	rwmu  sync.RWMutex
-	state int64 // guarded by rwmu
+	state int64          // guarded by rwmu
+	names map[string]int // guarded by rwmu
 }
 
 func (r *rw) State() int64 {
@@ -148,6 +149,26 @@ func (r *rw) resetShared() {
 	r.rwmu.RLock()
 	defer r.rwmu.RUnlock()
 	r.state = 0 // want "holds only the read lock"
+}
+
+// Bad (v2): delete and clear write the map they are given.
+func (r *rw) forgetShared(k string) {
+	r.rwmu.RLock()
+	defer r.rwmu.RUnlock()
+	delete(r.names, k) // want "holds only the read lock"
+}
+
+func (r *rw) clearShared() {
+	r.rwmu.RLock()
+	defer r.rwmu.RUnlock()
+	clear(r.names) // want "holds only the read lock"
+}
+
+// Good (v2): the same delete under the write lock.
+func (r *rw) forget(k string) {
+	r.rwmu.Lock()
+	delete(r.names, k)
+	r.rwmu.Unlock()
 }
 
 // The lockflow walker's rules, each with a case that fails without it.

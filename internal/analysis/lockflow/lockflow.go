@@ -56,7 +56,7 @@ const (
 	ReleaseR
 )
 
-// Hooks parameterizes one walk.
+// Hooks parameterizes one walk; both callbacks are required.
 type Hooks struct {
 	// Classify inspects a call expression and names the lock it
 	// operates on ("" + None when it is not a lock operation).
@@ -291,29 +291,25 @@ func walkClauses(body *ast.BlockStmt, st *state, h Hooks, exhaustive bool) bool 
 // releases with the same effect and then walked on a copy of the
 // current state so its own accesses are still checked.
 func walkDefer(s *ast.DeferStmt, st *state, h Hooks) {
-	if h.Classify != nil {
-		if name, op := h.Classify(s.Call); op == Release || op == ReleaseR {
-			if _, held := st.held[name]; held {
-				st.sticky[name] = true
-			}
-			return
+	if name, op := h.Classify(s.Call); op == Release || op == ReleaseR {
+		if _, held := st.held[name]; held {
+			st.sticky[name] = true
 		}
+		return
 	}
 	if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-		if h.Classify != nil {
-			ast.Inspect(lit.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if name, op := h.Classify(call); op == Release || op == ReleaseR {
-					if _, held := st.held[name]; held {
-						st.sticky[name] = true
-					}
-				}
+		ast.Inspect(lit.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
 				return true
-			})
-		}
+			}
+			if name, op := h.Classify(call); op == Release || op == ReleaseR {
+				if _, held := st.held[name]; held {
+					st.sticky[name] = true
+				}
+			}
+			return true
+		})
 		walkStmts(lit.Body.List, st.clone(), h)
 		for _, arg := range s.Call.Args {
 			inspect(arg, st, h)
@@ -350,19 +346,15 @@ func inspect(n ast.Node, st *state, h Hooks) {
 			walkStmts(n.Body.List, st.clone(), h)
 			return false
 		case *ast.CallExpr:
-			if h.Classify != nil {
-				if name, op := h.Classify(n); op != None {
-					apply(name, op, st)
-					for _, arg := range n.Args {
-						inspect(arg, st, h)
-					}
-					return false
+			if name, op := h.Classify(n); op != None {
+				apply(name, op, st)
+				for _, arg := range n.Args {
+					inspect(arg, st, h)
 				}
+				return false
 			}
 		}
-		if h.Visit != nil {
-			h.Visit(n, st.held)
-		}
+		h.Visit(n, st.held)
 		return true
 	})
 }

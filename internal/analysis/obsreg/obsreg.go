@@ -1,6 +1,7 @@
 // Package obsreg enforces the observability naming contract: a metric
-// name literal is bound at exactly one site across the whole repo and
-// follows the prometheus-style [a-z0-9_] format. A name is bound by
+// name is a string literal, so grep finds every one, is bound at exactly
+// one site across the whole repo and follows the prometheus-style
+// [a-z0-9_] format. A name is bound by
 // passing it to a Registry constructor (Counter, Histogram, GaugeFunc)
 // or by writing it, as a literal "sealdb_…" key, into a
 // map[string]float64 — a snapshot's gauge set, which the engine's one
@@ -25,9 +26,10 @@ import (
 // checker run, so duplicates are caught across package boundaries.
 var Analyzer = &analysis.Analyzer{
 	Name: "obsreg",
-	Doc: "metric name literals passed to the obs registry or written into a gauge " +
-		"set must be unique across the repo, bound at one site, and match " +
-		"^[a-z][a-z0-9_]*$; counter names must additionally end in _total",
+	Doc: "metric names passed to the obs registry must be string literals; those " +
+		"literals and the ones written into a gauge set must be unique across the " +
+		"repo, bound at one site, and match ^[a-z][a-z0-9_]*$; counter names must " +
+		"additionally end in _total",
 	NewSession: func() any { return &session{seen: map[string]token.Position{}} },
 	Run:        run,
 }
@@ -64,7 +66,6 @@ func run(pass *analysis.Pass) error {
 				if !ok || !registryMethods[sel.Sel.Name] || !isRegistry(pass, sel.X) {
 					return true
 				}
-				// Computed names (per-level counters) are exempt.
 				sess.bind(pass, n.Args[0], sel.Sel.Name == "Counter")
 			case *ast.AssignStmt:
 				for _, lhs := range n.Lhs {
@@ -79,11 +80,12 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// bind checks one name expression and records its site; anything but a
-// string literal is ignored.
+// bind checks one name expression and records its site; a name that
+// is not a string literal is a finding, as grep could not find it.
 func (sess *session) bind(pass *analysis.Pass, expr ast.Expr, counter bool) {
 	lit, ok := expr.(*ast.BasicLit)
 	if !ok || lit.Kind != token.STRING {
+		pass.Reportf(expr.Pos(), "metric name is not a string literal")
 		return
 	}
 	name, err := strconv.Unquote(lit.Value)

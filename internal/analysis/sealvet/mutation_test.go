@@ -24,6 +24,13 @@ var census = []struct {
 	{"a typed atomic is annotated with a guard", "guardedby",
 		"internal/lsm", "db.go",
 		"closed      atomic.Bool // set once, under mu", "closed      atomic.Bool // guarded by mu"},
+	{"a snapshot deletes from the registry under RLock", "guardedby",
+		"internal/obs", "obs.go",
+		"funcs[n] = f", "funcs[n] = f; delete(r.gaugeFuncs, n)"},
+	{"a guard is allocated and discarded", "extentpair",
+		"internal/storage", "storage.go",
+		"ext, err := b.alloc.AllocAppend(maxSize + b.drive.Guard())",
+		"ext, err := b.alloc.AllocAppend(maxSize + b.drive.Guard()); _, _ = b.alloc.Alloc(b.drive.Guard())"},
 	{"a guard is reserved apart from its file and never freed", "extentpair",
 		"internal/storage", "storage.go",
 		"ext, err := b.alloc.AllocAppend(maxSize + b.drive.Guard())",
@@ -34,6 +41,9 @@ var census = []struct {
 	{"a metric name is bound at a second site", "obsreg",
 		"internal/lsm", "observability.go",
 		`m.getHits = d.reg.Counter("sealdb_get_hits_total")`, `m.getHits = d.reg.Counter("sealdb_gets_total")`},
+	{"a metric name is computed", "obsreg",
+		"internal/lsm", "job.go",
+		"d.metrics.flushes.Inc()", `d.reg.Counter(fmt.Sprintf("sealdb_flush_%s_total", "l0")).Inc()`},
 }
 
 // TestMutationCensus: every analyzer still fails on real code. Each case

@@ -80,12 +80,6 @@ type Manager struct {
 	stats Stats // guarded by mu
 
 	checkScratch []*region // checkInvariants' region list, reused; guarded by mu
-
-	// observer, when set, sees every allocator event: op is
-	// "alloc_append" (frontier), "alloc_insert" (free-list reuse) or
-	// "free". Called with the manager lock held; the observer must
-	// not call back into the manager. guarded by mu.
-	observer func(op string, e Extent)
 }
 
 // list is an intrusive doubly-linked list of regions.
@@ -140,22 +134,6 @@ func New(capacity, unit, guard int64) *Manager {
 	}
 	m.mu.Profile("dband_manager_mu")
 	return m
-}
-
-// SetObserver installs fn to observe allocator events (nil removes
-// it). fn runs with the manager lock held and must not call back into
-// the manager.
-func (m *Manager) SetObserver(fn func(op string, e Extent)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.observer = fn
-}
-
-// notify reports an event to the observer. Caller holds m.mu.
-func (m *Manager) notify(op string, e Extent) {
-	if m.observer != nil {
-		m.observer(op, e)
-	}
 }
 
 // Guard returns the guard-region size.
@@ -279,7 +257,6 @@ func (m *Manager) Alloc(size int64) (Extent, bool, error) {
 		if rem > m.guard {
 			m.stats.Splits++
 		}
-		m.notify("alloc_insert", ext)
 		return ext, true, nil
 	}
 
@@ -289,7 +266,6 @@ func (m *Manager) Alloc(size int64) (Extent, bool, error) {
 	ext := Extent{Off: m.frontier, Len: size}
 	m.frontier += size
 	m.stats.Appends++
-	m.notify("alloc_append", ext)
 	return ext, false, nil
 }
 
@@ -329,7 +305,6 @@ func (m *Manager) Free(e Extent) {
 		defer m.checkInvariants()
 	}
 	m.stats.Frees++
-	m.notify("free", e)
 
 	off, end := e.Off, e.End()
 	if up := m.byEnd[off]; up != nil {

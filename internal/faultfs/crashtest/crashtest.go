@@ -92,8 +92,8 @@ func Workload(seed int64, n, keyspace int) []Op {
 
 // Config parameterizes a harness run.
 type Config struct {
-	// DB is the engine configuration; the harness installs its own
-	// WrapDrive hook over whatever mode is set.
+	// DB is the engine configuration. The harness splices its
+	// injector in above DB.WrapDrive's layer, if one is set.
 	DB lsm.Config
 	// Seed drives both the workload script and the tear randomness.
 	Seed int64
@@ -242,13 +242,17 @@ func Run(t testing.TB, cfg Config) Result {
 }
 
 // openInjected builds a device with a faultfs injector spliced into
-// the drive stack and opens a DB on it. The device is returned even
-// when the open itself dies mid-write, so the caller can power the
-// injector back on and recover from the surviving platter bytes.
+// the drive stack, over the caller's own wrapper, and opens a DB on it.
+// The device is returned even when the open itself dies mid-write, so
+// the caller can power the injector back on and recover from the
+// surviving platter bytes.
 func openInjected(cfg Config, cut int64) (*faultfs.Drive, *lsm.Device, *lsm.DB, error) {
 	var fd *faultfs.Drive
 	dbcfg := cfg.DB
 	dbcfg.WrapDrive = func(inner smr.Drive) smr.Drive {
+		if wrap := cfg.DB.WrapDrive; wrap != nil {
+			inner = wrap(inner)
+		}
 		fd = faultfs.New(inner, cfg.Seed^cut)
 		if cut > 0 {
 			fd.CutAtWrite(cut)

@@ -325,7 +325,6 @@ func (d *DB) compact(c *compaction, sp *obs.Span) (CompactionInfo, error) {
 	d.metrics.compactions.Inc()
 	d.metrics.compactionReadBytes.Add(info.InputBytes)
 	d.metrics.compactionWriteBytes.Add(info.OutputBytes)
-	d.metrics.levelWriteBytes[c.outLevel].Add(info.OutputBytes)
 	sp.Set("input_bytes", info.InputBytes)
 	sp.Set("output_bytes", info.OutputBytes)
 	sp.Set("output_files", int64(len(outputs)))

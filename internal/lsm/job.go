@@ -141,7 +141,6 @@ func (d *DB) flush(mem *memtable.MemTable, logNum uint64, sp *obs.Span) (Compact
 	}
 	d.metrics.flushes.Inc()
 	d.metrics.flushBytes.Add(fm.Size)
-	d.metrics.levelWriteBytes[0].Add(fm.Size)
 	sp.Set("table", int64(num))
 	sp.Set("bytes", fm.Size)
 	return CompactionInfo{FromLevel: -1, ToLevel: 0, OutputBytes: fm.Size, OutputFiles: 1, Flush: true}, nil

@@ -1,11 +1,8 @@
 package lsm
 
 import (
-	"fmt"
 	"net/http"
-	"time"
 
-	"sealdb/internal/dband"
 	"sealdb/internal/obs"
 	"sealdb/internal/smr"
 )
@@ -35,15 +32,11 @@ type dbMetrics struct {
 	vlogGCRuns      *obs.Counter
 	vlogGCRelocated *obs.Counter
 
-	// levelWriteBytes counts the logical bytes flushes and compactions
-	// wrote into each level.
-	levelWriteBytes []*obs.Counter
-
 	writeLatency *obs.Histogram
 }
 
 // initObs builds the DB's metrics registry and event journal and
-// wires the device stack's observers into them. Called once from
+// wires the block cache's corruption observer into them. Called once from
 // OpenDevice, before recovery (so recovery flushes are journaled).
 func (d *DB) initObs() {
 	d.reg = obs.NewRegistry()
@@ -73,10 +66,6 @@ func (d *DB) initObs() {
 	m.vlogGCRuns = d.reg.Counter("sealdb_vlog_gc_runs_total")
 	m.vlogGCRelocated = d.reg.Counter("sealdb_vlog_gc_relocated_bytes_total")
 	m.writeLatency = d.reg.Histogram("sealdb_write_latency_ns")
-	m.levelWriteBytes = make([]*obs.Counter, d.cfg.NumLevels)
-	for l := range m.levelWriteBytes {
-		m.levelWriteBytes[l] = d.reg.Counter(fmt.Sprintf("sealdb_level_%d_write_bytes_total", l))
-	}
 
 	// Media corruption detected on the read path: count it and
 	// journal the damaged block's location so operators can map it
@@ -89,7 +78,6 @@ func (d *DB) initObs() {
 	})
 
 	d.tracer.init(d)
-	d.installDeviceObservers()
 }
 
 // journalCapacity returns the event-journal ring bound.
@@ -181,33 +169,6 @@ func driveLayer[T any](drv smr.Drive) (layer T, ok bool) {
 func (d *DB) retryDrive() *smr.RetryDrive {
 	rd, _ := driveLayer[*smr.RetryDrive](d.drive)
 	return rd
-}
-
-// installDeviceObservers journals the device-stack events the gauges
-// can only aggregate: media-cache cleaning RMWs and dynamic-band
-// allocator activity.
-func (d *DB) installDeviceObservers() {
-	if rd := d.retryDrive(); rd != nil {
-		rd.SetObserver(func(attempt int, err error, recovered bool) {
-			d.journal.Record("write_retry", map[string]int64{
-				"attempt": int64(attempt), "recovered": boolToInt64(recovered),
-			})
-		})
-	}
-	if fbd, ok := smr.Base(d.drive).(*smr.FixedBandDrive); ok {
-		fbd.SetCleanObserver(func(band, bytes int64, dur time.Duration) {
-			d.journal.Record("media_cache_clean", map[string]int64{
-				"band": band, "bytes": bytes, "device_ns": int64(dur),
-			})
-		})
-	}
-	if mgr := d.dev.DBand; mgr != nil {
-		mgr.SetObserver(func(op string, e dband.Extent) {
-			d.journal.Record("dband_"+op, map[string]int64{
-				"off": e.Off, "len": e.Len,
-			})
-		})
-	}
 }
 
 // ObsRegistry returns the DB's metrics registry so colocated layers

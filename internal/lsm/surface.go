@@ -26,19 +26,6 @@ func eachBand(stride, off, length int64, fn func(band, overlap int64)) {
 	}
 }
 
-// SurfaceExtent is the public form of one owned extent — a plain file
-// (SSTable, WAL, manifest, vlog segment) or a whole set group — and the
-// baseline the trace analyzer replays allocator events from. Dead
-// counts the bytes inside it that are no longer logically live —
-// invalidated set members, group slack, vlog garbage — but not yet
-// returned to the free list.
-type SurfaceExtent struct {
-	Off  int64  `json:"off"`
-	Len  int64  `json:"len"`
-	Dead int64  `json:"dead,omitempty"`
-	Set  uint64 `json:"set,omitempty"`
-}
-
 // BandRow is one band of the /debug/bands payload: the band's share of
 // the owned extents.
 type BandRow struct {
@@ -217,24 +204,4 @@ func (d *DB) BandProfile() BandProfile {
 		}
 	}
 	return p
-}
-
-// SurfaceExtents returns every extent the store owns, sorted by offset
-// — the baseline the offline analyzer replays allocator events from.
-// Nil outside dynamic-band mode.
-func (d *DB) SurfaceExtents() []SurfaceExtent {
-	if d.dev.DBand == nil {
-		return nil
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	owned := d.ownedExtents()
-	out := make([]SurfaceExtent, len(owned))
-	for i, e := range owned {
-		out[i] = SurfaceExtent{Off: e.off, Len: e.len, Dead: e.dead}
-		if e.kind == ownedSet {
-			out[i].Set = e.id
-		}
-	}
-	return out
 }

@@ -120,20 +120,23 @@ func TestSurfaceViewSurvivesReopen(t *testing.T) {
 		Dead, SetAlloc int64
 		Sets           []uint64
 	}
-	view := func(d *DB) (map[int64]bandView, []SurfaceExtent) {
+	view := func(d *DB) (map[int64]bandView, []ownedExtent) {
 		bands := map[int64]bandView{}
 		for _, r := range d.BandProfile().Bands {
 			if r.Alloc > 0 {
 				bands[r.Band] = bandView{Dead: r.Dead, Sets: r.Sets}
 			}
 		}
-		var sets []SurfaceExtent
-		for _, e := range d.SurfaceExtents() {
-			if e.Set == 0 {
+		d.mu.Lock()
+		owned := d.ownedExtents()
+		d.mu.Unlock()
+		var sets []ownedExtent
+		for _, e := range owned {
+			if e.kind != ownedSet {
 				continue
 			}
 			sets = append(sets, e)
-			eachBand(cfg.BandSize, e.Off, e.Len, func(b, overlap int64) {
+			eachBand(cfg.BandSize, e.off, e.len, func(b, overlap int64) {
 				v := bands[b]
 				v.SetAlloc += overlap
 				bands[b] = v

@@ -170,11 +170,4 @@ func TestMetricsSnapshotDirect(t *testing.T) {
 	if s.Gauges["sealdb_awa"] <= 1 {
 		t.Errorf("leveldb-on-SMR AWA = %v, want > 1", s.Gauges["sealdb_awa"])
 	}
-	types := map[string]int{}
-	for _, e := range db.Events() {
-		types[e.Type]++
-	}
-	if types["media_cache_clean"] == 0 {
-		t.Errorf("journal missing media_cache_clean events: %v", types)
-	}
 }

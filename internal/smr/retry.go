@@ -49,9 +49,8 @@ type RetryDrive struct {
 	retries int
 	backoff time.Duration
 
-	mu       sync.Mutex
-	stats    RetryStats                                   // guarded by mu
-	observer func(attempt int, err error, recovered bool) // guarded by mu
+	mu    sync.Mutex
+	stats RetryStats // guarded by mu
 }
 
 // NewRetry wraps inner with a retry policy of up to retries extra
@@ -66,15 +65,6 @@ func NewRetry(inner Drive, retries int, backoff time.Duration) *RetryDrive {
 	return &RetryDrive{inner: inner, retries: retries, backoff: backoff}
 }
 
-// SetObserver installs a callback invoked once per retry attempt
-// (recovered reports whether that attempt succeeded). Used by the
-// observability layer to journal retry storms.
-func (d *RetryDrive) SetObserver(fn func(attempt int, err error, recovered bool)) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.observer = fn
-}
-
 // Stats returns a snapshot of the retry counters.
 func (d *RetryDrive) Stats() RetryStats {
 	d.mu.Lock()
@@ -82,14 +72,13 @@ func (d *RetryDrive) Stats() RetryStats {
 	return d.stats
 }
 
-// note updates the retry counters and fetches the observer under the
-// drive's lock, so concurrent writers (WAL appends racing a manifest
-// rotation) do not tear the counters.
-func (d *RetryDrive) note(f func(*RetryStats)) func(attempt int, err error, recovered bool) {
+// note updates the retry counters under the drive's lock, so
+// concurrent writers (WAL appends racing a manifest rotation) do not
+// tear the counters.
+func (d *RetryDrive) note(f func(*RetryStats)) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	f(&d.stats)
-	return d.observer
 }
 
 // Unwrap implements Unwrapper.
@@ -102,20 +91,15 @@ func (d *RetryDrive) WriteAt(p []byte, off int64) (time.Duration, error) {
 		return total, err
 	}
 	wait := d.backoff
-	for attempt := 1; attempt <= d.retries; attempt++ {
+	for range d.retries {
 		total += wait
 		wait *= 2
 		d.note(func(s *RetryStats) { s.Retried++ })
 		dur, retryErr := d.inner.WriteAt(p, off)
 		total += dur
 		if retryErr == nil {
-			if obs := d.note(func(s *RetryStats) { s.Recovered++ }); obs != nil {
-				obs(attempt, err, true)
-			}
+			d.note(func(s *RetryStats) { s.Recovered++ })
 			return total, nil
-		}
-		if obs := d.note(func(*RetryStats) {}); obs != nil {
-			obs(attempt, retryErr, false)
 		}
 		err = retryErr
 		if !IsTransient(err) {

@@ -87,12 +87,6 @@ type FixedBandDrive struct {
 	rmws     int64   // number of band cleaning (read-modify-write) episodes; guarded by mu
 	cachePos int64   // append cursor within the media cache region; guarded by mu
 
-	// onClean, when set, observes every cleaning episode: the band,
-	// the bytes rewritten, and the device time consumed. Called with
-	// the drive lock held; the observer must not call back into the
-	// drive. guarded by mu
-	onClean func(band, bytes int64, d time.Duration)
-
 	buffered   map[int64][]bufWrite // band -> pending cached writes; guarded by mu
 	dirtyOrder []int64              // bands in FIFO dirty order; guarded by mu
 }
@@ -166,15 +160,6 @@ func (d *FixedBandDrive) RMWCount() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.rmws
-}
-
-// SetCleanObserver installs fn to observe every cleaning episode.
-// fn runs with the drive lock held and must not call back into the
-// drive. Passing nil removes the observer.
-func (d *FixedBandDrive) SetCleanObserver(fn func(band, bytes int64, dur time.Duration)) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.onClean = fn
 }
 
 // ReadAt implements Drive. Reads have no SMR constraints, but a read
@@ -354,9 +339,6 @@ func (d *FixedBandDrive) cleanBand(band int64) (time.Duration, error) {
 			"band %d clean shrank or overflowed the band: %d not in [%d,%d]", band, newLen, wp, d.bandSize)
 	}
 	d.wp[band] = newLen
-	if d.onClean != nil {
-		d.onClean(band, newLen, total)
-	}
 	return total, nil
 }
 

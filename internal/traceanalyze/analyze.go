@@ -37,23 +37,13 @@ type OpStat struct {
 	ServiceNS int64  `json:"service_ns"` // device time the spans lasted
 }
 
-// LevelCheck compares one level's live write-bytes counter delta
-// against the recomputation from the journal's flush/compaction
-// events; LiveWA is the level's share of WA (write bytes / user bytes).
-type LevelCheck struct {
-	Level           int     `json:"level"`
-	LiveBytes       int64   `json:"live_bytes"`
-	RecomputedBytes int64   `json:"recomputed_bytes"`
-	LiveWA          float64 `json:"live_wa"`
-}
-
-// SurfaceBandCheck compares one band's allocated bytes at the window
-// end — as the store reports them in Meta's end rows — against the
-// analyzer's replay of the raw allocator events.
-type SurfaceBandCheck struct {
-	Band            int64 `json:"band"`
-	AllocBytes      int64 `json:"alloc_bytes"`
-	RecomputedBytes int64 `json:"recomputed_bytes"`
+// LevelStat is one level's write traffic, from the journal's flush
+// and compaction spans; WA is the level's share of WA (write bytes /
+// user bytes).
+type LevelStat struct {
+	Level      int     `json:"level"`
+	WriteBytes int64   `json:"write_bytes"`
+	WA         float64 `json:"wa"`
 }
 
 // Report is the analyzer's output over one dump window.
@@ -83,23 +73,10 @@ type Report struct {
 	SampledSpanTrees int64   `json:"sampled_span_trees"`
 	OrphanSpans      int64   `json:"orphan_spans"`
 
-	// Storage-surface replay (dynamic-band mode only): the analyzer
-	// rebuilds the extent table from the window's raw dband_alloc_* and
-	// dband_free events on top of the Meta baseline and recomputes
-	// physical bytes, per-band allocation, and space amplification from
-	// the allocator's side, independently of the store's own scan of what
-	// it owns.
-	SurfaceChecked     bool               `json:"surface_checked,omitempty"`
-	RecomputedPhysical int64              `json:"recomputed_physical_bytes,omitempty"`
-	RecomputedLogical  int64              `json:"recomputed_logical_bytes,omitempty"`
-	RecomputedSA       float64            `json:"recomputed_sa,omitempty"`
-	SurfaceEvents      int64              `json:"surface_events,omitempty"`
-	SurfaceBands       []SurfaceBandCheck `json:"surface_bands,omitempty"`
-
-	Levels []LevelCheck `json:"levels"`
-	Bands  []BandStat   `json:"bands"`
-	Sets   []SetStat    `json:"sets"`
-	Ops    []OpStat     `json:"ops"`
+	Levels []LevelStat `json:"levels"`
+	Bands  []BandStat  `json:"bands"`
+	Sets   []SetStat   `json:"sets"`
+	Ops    []OpStat    `json:"ops"`
 }
 
 // Analyze recomputes the window's amplification and heatmaps from the
@@ -123,7 +100,6 @@ func Analyze(d *Dump) *Report {
 
 	r.analyzeTrace(d)
 	r.analyzeEvents(d)
-	r.analyzeSurface(d)
 	return r
 }
 
@@ -174,7 +150,7 @@ func (r *Report) analyzeTrace(d *Dump) {
 }
 
 // analyzeEvents recomputes the logical side from the event journal:
-// per-level write bytes from flush/compaction events inside the
+// per-level write bytes from flush/compaction spans inside the
 // window, value-log appends and GC rewrites (store traffic that never
 // enters a level, so they feed RecomputedStore only), the per-set
 // write heatmap, and the sampled span-tree statistics.
@@ -238,19 +214,12 @@ func (r *Report) analyzeEvents(d *Dump) {
 		r.RecomputedWA = float64(r.RecomputedStore) / float64(r.UserBytes)
 	}
 
-	for l := 0; l < r.Meta.NumLevels; l++ {
-		var live int64
-		if l < len(r.Meta.EndLevelWriteBytes) {
-			live = r.Meta.EndLevelWriteBytes[l]
-		}
-		if l < len(r.Meta.StartLevelWriteBytes) {
-			live -= r.Meta.StartLevelWriteBytes[l]
-		}
-		lc := LevelCheck{Level: l, LiveBytes: live, RecomputedBytes: levelWrite[l]}
+	for l, n := range levelWrite {
+		ls := LevelStat{Level: l, WriteBytes: n}
 		if r.UserBytes > 0 {
-			lc.LiveWA = float64(live) / float64(r.UserBytes)
+			ls.WA = float64(n) / float64(r.UserBytes)
 		}
-		r.Levels = append(r.Levels, lc)
+		r.Levels = append(r.Levels, ls)
 	}
 
 	for _, s := range sets {
@@ -267,96 +236,6 @@ func (r *Report) analyzeEvents(d *Dump) {
 			r.OrphanSpans++
 		}
 	}
-}
-
-// freeExtent removes a freed range from the replayed extent table. A
-// free names a whole extent, or the tail past a sealed value-log
-// segment's last byte (storage.Backend.SealAppend), which shortens the
-// extent it ends.
-func freeExtent(exts map[int64]int64, off int64) {
-	if _, ok := exts[off]; ok {
-		delete(exts, off)
-		return
-	}
-	for o, l := range exts {
-		if o < off && off < o+l {
-			exts[o] = off - o
-			return
-		}
-	}
-}
-
-// analyzeSurface replays the allocator's side of the storage surface
-// from raw journal events: starting from the Meta baseline's extent
-// table, each dband_alloc_append/dband_alloc_insert inserts an extent
-// and dband_free removes one (or cuts a sealed segment's tail off it).
-// The replayed end state yields physical bytes and per-band
-// allocation; the logical side is recomputed from
-// flush/compaction level-byte deltas (exact only without the value
-// log), giving an independent space amplification. Per-band allocation
-// is checked against the end rows Collect takes when it closes the
-// window (SurfaceMeta.EndBands).
-func (r *Report) analyzeSurface(d *Dump) {
-	sm := r.Meta.Surface
-	if sm == nil {
-		return
-	}
-	r.SurfaceChecked = true
-	exts := make(map[int64]int64, len(sm.StartExtents)) // offset → length
-	for _, e := range sm.StartExtents {
-		exts[e.Off] = e.Len
-	}
-	logical := sm.StartLogical
-
-	for i := range d.Events {
-		e := &d.Events[i]
-		if e.StartNS < r.Meta.StartNS || e.EndNS > r.Meta.EndNS {
-			continue
-		}
-		switch e.Type {
-		case "dband_alloc_append", "dband_alloc_insert":
-			r.SurfaceEvents++
-			exts[e.Fields["off"]] = e.Fields["len"]
-		case "dband_free":
-			r.SurfaceEvents++
-			freeExtent(exts, e.Fields["off"])
-		case "flush":
-			logical += e.Fields["bytes"]
-		case "compaction":
-			if e.Fields["trivial"] == 0 {
-				logical += e.Fields["output_bytes"] - e.Fields["input_bytes"]
-			}
-		}
-	}
-
-	// Bucket the replayed extents into bands by overlap, as the store's
-	// view does.
-	alloc := map[int64]int64{}
-	stride := r.Meta.BandSize
-	for off, length := range exts {
-		r.RecomputedPhysical += length
-		end := off + length
-		for b := off / stride; b*stride < end; b++ {
-			alloc[b] += min(end, (b+1)*stride) - max(off, b*stride)
-		}
-	}
-	if !sm.VlogEnabled {
-		r.RecomputedLogical = logical
-		if logical > 0 {
-			r.RecomputedSA = float64(r.RecomputedPhysical) / float64(logical)
-		}
-	}
-
-	// Per-band check against the end rows; a replayed band they lack is
-	// checked against zero.
-	for _, row := range sm.EndBands {
-		r.SurfaceBands = append(r.SurfaceBands, SurfaceBandCheck{Band: row.Band, AllocBytes: row.Alloc, RecomputedBytes: alloc[row.Band]})
-		delete(alloc, row.Band)
-	}
-	for b, n := range alloc {
-		r.SurfaceBands = append(r.SurfaceBands, SurfaceBandCheck{Band: b, RecomputedBytes: n})
-	}
-	sort.Slice(r.SurfaceBands, func(i, j int) bool { return r.SurfaceBands[i].Band < r.SurfaceBands[j].Band })
 }
 
 // Verify cross-checks the live counters against the recomputations,
@@ -378,33 +257,6 @@ func (r *Report) Verify(tol float64) error {
 	if r.UserBytes > 0 {
 		if err := relCheck("WA", r.WA, r.RecomputedWA, tol); err != nil {
 			return err
-		}
-	}
-	for _, lc := range r.Levels {
-		if lc.LiveBytes == 0 && lc.RecomputedBytes == 0 {
-			continue
-		}
-		if err := relCheck(fmt.Sprintf("level %d write bytes", lc.Level),
-			float64(lc.LiveBytes), float64(lc.RecomputedBytes), tol); err != nil {
-			return err
-		}
-	}
-	if r.SurfaceChecked {
-		end := r.Meta.Surface.End
-		if err := relCheck("surface physical bytes",
-			float64(end.PhysicalBytes), float64(r.RecomputedPhysical), tol); err != nil {
-			return err
-		}
-		if r.RecomputedLogical > 0 && end.SpaceAmplification > 0 {
-			if err := relCheck("space amplification", end.SpaceAmplification, r.RecomputedSA, tol); err != nil {
-				return err
-			}
-		}
-		for _, bc := range r.SurfaceBands {
-			if err := relCheck(fmt.Sprintf("band %d allocated bytes", bc.Band),
-				float64(bc.AllocBytes), float64(bc.RecomputedBytes), tol); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
@@ -451,29 +303,12 @@ func (r *Report) WriteText(w io.Writer) {
 	if r.VlogAppendBytes > 0 || r.VlogGCBytes > 0 {
 		fmt.Fprintf(w, "  vlog: appends %s  gc rewrites %s\n", mb(r.VlogAppendBytes), mb(r.VlogGCBytes))
 	}
-	if r.SurfaceChecked {
-		end := r.Meta.Surface.End
-		fmt.Fprintf(w, "storage surface (replayed from %d allocator events over %d bands):\n",
-			r.SurfaceEvents, len(r.SurfaceBands))
-		fmt.Fprintf(w, "  physical live %s  recomputed %s   dead %s\n",
-			mb(end.PhysicalBytes), mb(r.RecomputedPhysical), mb(end.SurfaceDeadBytes))
-		if r.RecomputedLogical > 0 {
-			fmt.Fprintf(w, "  SA  live %.3f  recomputed %.3f (logical live %s)\n",
-				end.SpaceAmplification, r.RecomputedSA, mb(r.RecomputedLogical))
-		} else {
-			fmt.Fprintf(w, "  SA  live %.3f  (logical recompute skipped: value log enabled)\n",
-				end.SpaceAmplification)
-		}
-		fmt.Fprintf(w, "  fragmentation: %d holes, largest free %s, index %.3f\n",
-			end.Frag.Holes, mb(end.Frag.LargestFree), end.Frag.Index)
-	}
-
-	fmt.Fprintf(w, "per-level write bytes (live vs recomputed):\n")
-	for _, lc := range r.Levels {
-		if lc.LiveBytes == 0 && lc.RecomputedBytes == 0 {
+	fmt.Fprintf(w, "per-level write bytes (from flush/compaction spans):\n")
+	for _, ls := range r.Levels {
+		if ls.WriteBytes == 0 {
 			continue
 		}
-		fmt.Fprintf(w, "  L%d  %10s  %10s  WA %.3f\n", lc.Level, mb(lc.LiveBytes), mb(lc.RecomputedBytes), lc.LiveWA)
+		fmt.Fprintf(w, "  L%d  %10s  WA %.3f\n", ls.Level, mb(ls.WriteBytes), ls.WA)
 	}
 
 	hot := append([]BandStat(nil), r.Bands...)

@@ -60,40 +60,9 @@ type Meta struct {
 	Start lsm.Amplification `json:"start"`
 	End   lsm.Amplification `json:"end"`
 
-	// StartLevelWriteBytes and EndLevelWriteBytes hold the per-level
-	// sealdb_level_N_write_bytes_total counters at the window edges
-	// (indexed by level) — with End-Start, the numbers the analyzer
-	// verifies.
-	StartLevelWriteBytes []int64 `json:"start_level_write_bytes"`
-	EndLevelWriteBytes   []int64 `json:"end_level_write_bytes"`
-
 	// JournalDropped is how many events the journal ring evicted; when
 	// nonzero the event-derived recomputations are lower bounds.
 	JournalDropped int64 `json:"journal_dropped"`
-
-	// Surface captures the storage-surface observatory at the window
-	// edges in dynamic-band mode: the extent baseline the analyzer
-	// replays raw allocator events from, and the live end state it
-	// verifies the replay against. Nil outside dynamic-band mode.
-	Surface *SurfaceMeta `json:"surface,omitempty"`
-}
-
-// SurfaceMeta is the observatory's window-edge state inside Meta.
-type SurfaceMeta struct {
-	// VlogEnabled gates the logical-bytes (and hence SA) recompute:
-	// with key–value separation on, logical live bytes move through
-	// vlog GC relocation paths the journal does not fully itemize.
-	VlogEnabled bool `json:"vlog_enabled,omitempty"`
-	// StartExtents is every extent the store owned at Begin — the state
-	// the allocator-event replay starts from.
-	StartExtents []lsm.SurfaceExtent `json:"start_extents"`
-	// StartLogical is the logical live bytes (tables + vlog) at Begin.
-	StartLogical int64 `json:"start_logical"`
-	// End is the live space profile at Collect time.
-	End lsm.SpaceProfile `json:"end"`
-	// EndBands is the live per-band view at Collect time: the end state
-	// the analyzer checks its allocator-event replay against.
-	EndBands []lsm.BandRow `json:"end_bands"`
 }
 
 // Access is one physical device access of the traced window.
@@ -108,15 +77,8 @@ type Access struct {
 type Baseline struct {
 	trace []Access
 
-	NS             int64
-	Amp            lsm.Amplification
-	LevelWrite     []int64
-	JournalDropped int64
-
-	// Surface baseline (dynamic-band mode only, else nil/zero): the
-	// extent table and logical live bytes at Begin.
-	SurfaceExtents []lsm.SurfaceExtent
-	SurfaceLogical int64
+	NS  int64
+	Amp lsm.Amplification
 }
 
 // ObserveAccess implements platter.Sink; the disk lock serializes it.
@@ -131,27 +93,11 @@ func (b *Baseline) ObserveAccess(ai platter.AccessInfo) {
 func Begin(db *lsm.DB) *Baseline {
 	db.SetTracing(true)
 	b := &Baseline{
-		NS:         db.Device().Disk.BusyNS(),
-		Amp:        db.Amplification(),
-		LevelWrite: levelWriteBytes(db),
-	}
-	if db.Device().DBand != nil {
-		b.SurfaceExtents = db.SurfaceExtents()
-		b.SurfaceLogical = db.SpaceProfile().LogicalLiveBytes
+		NS:  db.Device().Disk.BusyNS(),
+		Amp: db.Amplification(),
 	}
 	db.Device().Disk.SetSink(b)
 	return b
-}
-
-// levelWriteBytes reads the per-level write counters by name, as any
-// scraper of /metrics would.
-func levelWriteBytes(db *lsm.DB) []int64 {
-	counters := db.MetricsSnapshot().Counters
-	out := make([]int64, db.Config().NumLevels)
-	for l := range out {
-		out[l] = counters[fmt.Sprintf("sealdb_level_%d_write_bytes_total", l)]
-	}
-	return out
 }
 
 // Dump is an in-memory observability dump, ready to analyze or write.
@@ -162,44 +108,37 @@ type Dump struct {
 }
 
 // Collect closes the window base opened and snapshots db into a Dump
-// covering it.
-func Collect(db *lsm.DB, base *Baseline) *Dump {
+// covering it. It takes every number of the window first, then checks
+// the store with VerifyIntegrity, whose device reads land outside the
+// window; a store that fails the check yields its error and no dump.
+func Collect(db *lsm.DB, base *Baseline) (*Dump, error) {
 	db.Device().Disk.SetSink(nil)
 	cfg := db.Config()
 	cacheStart := int64(-1)
 	if fbd, ok := smr.Base(db.Device().Drive).(*smr.FixedBandDrive); ok {
 		cacheStart = fbd.CacheStart()
 	}
-	var surf *SurfaceMeta
-	if db.Device().DBand != nil {
-		surf = &SurfaceMeta{
-			VlogEnabled:  cfg.ValueThreshold > 0,
-			StartExtents: base.SurfaceExtents,
-			StartLogical: base.SurfaceLogical,
-			End:          db.SpaceProfile(),
-			EndBands:     db.BandProfile().Bands,
-		}
-	}
-	return &Dump{
+	d := &Dump{
 		Meta: Meta{
-			Mode:                 cfg.Mode.String(),
-			BandSize:             cfg.BandSize,
-			SSTableSize:          cfg.SSTableSize,
-			DiskCapacity:         cfg.DiskCapacity,
-			CacheStart:           cacheStart,
-			NumLevels:            cfg.NumLevels,
-			StartNS:              base.NS,
-			EndNS:                db.Device().Disk.BusyNS(),
-			Start:                base.Amp,
-			End:                  db.Amplification(),
-			StartLevelWriteBytes: base.LevelWrite,
-			EndLevelWriteBytes:   levelWriteBytes(db),
-			JournalDropped:       db.JournalDropped(),
-			Surface:              surf,
+			Mode:           cfg.Mode.String(),
+			BandSize:       cfg.BandSize,
+			SSTableSize:    cfg.SSTableSize,
+			DiskCapacity:   cfg.DiskCapacity,
+			CacheStart:     cacheStart,
+			NumLevels:      cfg.NumLevels,
+			StartNS:        base.NS,
+			EndNS:          db.Device().Disk.BusyNS(),
+			Start:          base.Amp,
+			End:            db.Amplification(),
+			JournalDropped: db.JournalDropped(),
 		},
 		Trace:  base.trace,
 		Events: db.Events(),
 	}
+	if err := db.VerifyIntegrity(); err != nil {
+		return nil, fmt.Errorf("traceanalyze: fsck at window close: %w", err)
+	}
+	return d, nil
 }
 
 // Write persists the dump into dir (created if needed).

@@ -2,7 +2,6 @@ package traceanalyze
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -25,6 +24,17 @@ func (s store) ScanN(start []byte, n int) (int, error) {
 // workload A inside a Begin window, and returns the collected dump.
 func tracedRun(t *testing.T, mode lsm.Mode) *Dump {
 	t.Helper()
+	d, err := tracedRunThen(t, mode, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// tracedRunThen is tracedRun with a hook that runs on the store just
+// before Collect, returning Collect's error.
+func tracedRunThen(t *testing.T, mode lsm.Mode, before func(*lsm.DB)) (*Dump, error) {
+	t.Helper()
 	cfg := lsm.DefaultConfig(mode)
 	cfg.Geometry = lsm.ScaledGeometry(32*kv.KiB, 1*kv.GiB)
 	cfg.JournalCapacity = 1 << 16
@@ -42,6 +52,9 @@ func tracedRun(t *testing.T, mode lsm.Mode) *Dump {
 	}
 	if _, err := r.Run(ycsb.WorkloadA, 600); err != nil {
 		t.Fatal(err)
+	}
+	if before != nil {
+		before(db)
 	}
 	return Collect(db, base)
 }
@@ -135,7 +148,10 @@ func TestVerifyVlog(t *testing.T) {
 	if db.Stats().VlogGCRuns == 0 {
 		t.Fatal("no vlog GC pass ran in the window")
 	}
-	d := Collect(db, base)
+	d, err := Collect(db, base)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	rep := Analyze(d)
 	if err := rep.Verify(0.01); err != nil {
@@ -208,21 +224,43 @@ func TestDumpRoundTrip(t *testing.T) {
 	}
 }
 
-// TestVerifyCatchesBandMismatch checks that the per-band check bites
-// through the one end state a dump carries, Meta's end rows: a band
-// whose reported allocation is 10 % off the replay fails Verify.
-func TestVerifyCatchesBandMismatch(t *testing.T) {
-	d := tracedRun(t, lsm.ModeSEALDB)
-	rows := d.Meta.Surface.EndBands
-	if len(rows) == 0 {
-		t.Fatal("the dump carries no end rows")
+// TestCollectRunsFsck checks that a dump closes with VerifyIntegrity:
+// an extent the allocator holds but no file or set owns fails Collect.
+func TestCollectRunsFsck(t *testing.T) {
+	d, err := tracedRunThen(t, lsm.ModeSEALDB, func(db *lsm.DB) {
+		if _, _, err := db.Device().DBand.Alloc(64 * kv.KiB); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if err == nil || !strings.Contains(err.Error(), "extent accounting") {
+		t.Fatalf("Collect after leaking a 64 KiB extent: %v, want an extent accounting error", err)
 	}
+	if d != nil {
+		t.Fatal("Collect returned a dump for a store that failed fsck")
+	}
+}
+
+// TestVerifyCatchesMissingCompaction checks that the WA check is what
+// ties the span-derived per-level and per-set numbers to the store's
+// traffic: a dump that lost one compaction span fails Verify.
+func TestVerifyCatchesMissingCompaction(t *testing.T) {
+	d := tracedRun(t, lsm.ModeSEALDB)
 	if err := Analyze(d).Verify(0.01); err != nil {
 		t.Fatalf("untouched dump: %v", err)
 	}
-	rows[0].Alloc += rows[0].Alloc / 10
-	err := Analyze(d).Verify(0.01)
-	if want := fmt.Sprintf("band %d allocated bytes", rows[0].Band); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("Verify after raising band %d's allocation by 10%%: %v, want a %q mismatch", rows[0].Band, err, want)
+	// Drop the largest compaction, so the gap is well over 1 %.
+	victim := -1
+	for i, e := range d.Events {
+		if e.Type == "compaction" && e.Fields["trivial"] == 0 &&
+			(victim < 0 || e.Fields["output_bytes"] > d.Events[victim].Fields["output_bytes"]) {
+			victim = i
+		}
+	}
+	if victim < 0 {
+		t.Fatal("the dump carries no compaction span")
+	}
+	d.Events = append(d.Events[:victim], d.Events[victim+1:]...)
+	if err := Analyze(d).Verify(0.01); err == nil || !strings.Contains(err.Error(), "WA mismatch") {
+		t.Fatalf("Verify without one compaction span: %v, want a WA mismatch", err)
 	}
 }
