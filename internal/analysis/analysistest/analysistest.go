@@ -1,7 +1,8 @@
 // Package analysistest runs an analyzer over a fixture package and
 // checks its diagnostics against // want "regexp" comments, the same
 // convention as golang.org/x/tools/go/analysis/analysistest. A want
-// comment expects one diagnostic on its line per quoted regexp; lines
+// comment expects one diagnostic on its line per regexp, each a Go
+// string literal: "…" is unquoted, `…` taken as it stands; lines
 // without a want comment must produce no diagnostics, and every want
 // must be matched — so each fixture doubles as a false-positive and a
 // false-negative test.
@@ -11,18 +12,16 @@ import (
 	"fmt"
 	"go/parser"
 	"go/token"
-	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
-	"strings"
+	"strconv"
 	"testing"
 
 	"sealdb/internal/analysis"
 )
 
 var wantRe = regexp.MustCompile(`//\s*want\s+(.*)$`)
-var quotedRe = regexp.MustCompile(`"((?:[^"\\]|\\.)*)"`)
+var patternRe = regexp.MustCompile(`"(?:[^"\\]|\\.)*"` + "|`[^`]*`")
 
 type expectation struct {
 	file string
@@ -99,22 +98,15 @@ func Check(a *analysis.Analyzer, dir string) ([]string, error) {
 // collectWants parses every fixture file's comments for want
 // expectations.
 func collectWants(dir string) ([]*expectation, error) {
-	entries, err := os.ReadDir(dir)
+	paths, err := filepath.Glob(filepath.Join(dir, "*.go")) // in name order
 	if err != nil {
 		return nil, err
 	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-
 	var out []*expectation
 	fset := token.NewFileSet()
-	for _, name := range names {
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
+	for _, path := range paths {
+		name := filepath.Base(path)
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
@@ -125,12 +117,16 @@ func collectWants(dir string) ([]*expectation, error) {
 					continue
 				}
 				line := fset.Position(c.Pos()).Line
-				quotes := quotedRe.FindAllStringSubmatch(m[1], -1)
+				quotes := patternRe.FindAllString(m[1], -1)
 				if len(quotes) == 0 {
 					return nil, fmt.Errorf("%s:%d: malformed want comment %q", name, line, c.Text)
 				}
 				for _, q := range quotes {
-					re, err := regexp.Compile(q[1])
+					pat, err := strconv.Unquote(q)
+					if err != nil {
+						return nil, fmt.Errorf("%s:%d: bad want literal %s: %v", name, line, q, err)
+					}
+					re, err := regexp.Compile(pat)
 					if err != nil {
 						return nil, fmt.Errorf("%s:%d: bad want pattern: %v", name, line, err)
 					}

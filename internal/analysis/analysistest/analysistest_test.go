@@ -47,3 +47,26 @@ func TestUnmatchedWantFails(t *testing.T) {
 		t.Errorf("unexpected diagnostic not reported; mismatches: %v", mismatches)
 	}
 }
+
+// TestBacktickWantIsWholePattern checks that a raw-string want is one
+// pattern, as x/tools' analysistest reads it, and not the "…" quoted
+// inside it: a wrong message whose quoted part the diagnostic happens
+// to contain must still be reported.
+func TestBacktickWantIsWholePattern(t *testing.T) {
+	mismatches, err := Check(guardedby.Analyzer, "testdata/src/backtick")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stale, unexpected bool
+	for _, m := range mismatches {
+		if strings.Contains(m, "expected diagnostic matching") && strings.Contains(m, "sync/atomic value") {
+			stale = true
+		}
+		if strings.Contains(m, "unexpected diagnostic") && strings.Contains(m, "field lid is guarded by mu") {
+			unexpected = true
+		}
+	}
+	if !stale || !unexpected {
+		t.Errorf("wrong backtick want not reported (stale %v, unexpected %v); mismatches: %v", stale, unexpected, mismatches)
+	}
+}

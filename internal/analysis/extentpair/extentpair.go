@@ -123,7 +123,7 @@ func extentResult(pass *analysis.Pass, call *ast.CallExpr) int {
 		tuple = types.NewTuple(types.NewVar(token.NoPos, nil, "", t))
 	}
 	for i := 0; i < tuple.Len(); i++ {
-		if named, ok := tuple.At(i).Type().(*types.Named); ok && named.Obj().Name() == "Extent" {
+		if named, ok := types.Unalias(tuple.At(i).Type()).(*types.Named); ok && named.Obj().Name() == "Extent" {
 			return i
 		}
 	}

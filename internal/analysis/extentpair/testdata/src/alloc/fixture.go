@@ -64,6 +64,20 @@ func dropped(a *allocator) {
 	a.Reserve(64) // want "extent from Reserve is dropped in dropped"
 }
 
+// Span is another name for Extent, as storage.Extent and dband.Extent
+// are for smr.Extent.
+type Span = Extent
+
+type spanAllocator struct{}
+
+func (a *spanAllocator) Alloc(size int64) (Span, error) { return Span{Len: size}, nil }
+
+// Bad: an alias does not hide the extent.
+func discardedSpan(a *spanAllocator) error {
+	_, err := a.Alloc(64) // want "extent from Alloc is assigned to _ in discardedSpan"
+	return err
+}
+
 // Good: freed on the failure path.
 func freed(a *allocator, d *device, p []byte) error {
 	e, err := a.Alloc(int64(len(p)))

@@ -27,21 +27,15 @@ import (
 
 	"sealdb/internal/invariant"
 	"sealdb/internal/obs"
+	"sealdb/internal/smr"
 )
 
 // ErrNoSpace is returned when neither the free list nor the frontier
 // can satisfy an allocation.
 var ErrNoSpace = errors.New("dband: out of disk space")
 
-// Extent is a half-open byte range [Off, Off+Len).
-type Extent struct {
-	Off, Len int64
-}
-
-// End returns the first byte past the extent.
-func (e Extent) End() int64 { return e.Off + e.Len }
-
-func (e Extent) String() string { return fmt.Sprintf("[%d,%d)", e.Off, e.End()) }
+// Extent is the drive's half-open byte range [Off, Off+Len).
+type Extent = smr.Extent
 
 // Stats counts allocator activity.
 type Stats struct {

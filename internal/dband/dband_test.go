@@ -116,7 +116,7 @@ func TestCoalesceNeighbours(t *testing.T) {
 	}
 	m.Free(b) // bridges a and c
 	regions := m.FreeRegions()
-	if len(regions) != 1 || regions[0] != (Extent{0, 12288}) {
+	if len(regions) != 1 || regions[0] != (Extent{Off: 0, Len: 12288}) {
 		t.Fatalf("coalesce failed: %v", regions)
 	}
 	if s := m.Stats(); s.Coalesces != 2 {
@@ -162,7 +162,7 @@ func TestBandsCensus(t *testing.T) {
 	m.Free(exts[3])
 	bands := m.Bands()
 	// Allocated runs: [0], [2], [4,5] → three bands.
-	want := []Extent{{0, 2048}, {4096, 2048}, {8192, 4096}}
+	want := []Extent{{Off: 0, Len: 2048}, {Off: 4096, Len: 2048}, {Off: 8192, Len: 4096}}
 	if len(bands) != len(want) {
 		t.Fatalf("bands = %v, want %v", bands, want)
 	}

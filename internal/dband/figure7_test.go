@@ -43,7 +43,7 @@ func TestPaperFigure7Sequence(t *testing.T) {
 	if !ins || set4.Off != 0 {
 		t.Fatalf("set4: %v ins=%v", set4, ins)
 	}
-	if free := m.FreeRegions(); len(free) < 1 || free[0] != (Extent{12 * mb, 4 * mb}) {
+	if free := m.FreeRegions(); len(free) < 1 || free[0] != (Extent{Off: 12 * mb, Len: 4 * mb}) {
 		t.Fatalf("guard remainder missing: %v", free)
 	}
 
@@ -61,7 +61,7 @@ func TestPaperFigure7Sequence(t *testing.T) {
 	}
 	// Free space now: the 4 MiB gap before set 2 and set 3's old hole.
 	if free := m.FreeRegions(); len(free) != 2 ||
-		free[0] != (Extent{12 * mb, 4 * mb}) || free[1] != (Extent{40 * mb, 20 * mb}) {
+		free[0] != (Extent{Off: 12 * mb, Len: 4 * mb}) || free[1] != (Extent{Off: 40 * mb, Len: 20 * mb}) {
 		t.Fatalf("after set5, free regions: %v", free)
 	}
 
@@ -70,7 +70,7 @@ func TestPaperFigure7Sequence(t *testing.T) {
 	m.Free(set1b)
 	var found bool
 	for _, f := range m.FreeRegions() {
-		if f == (Extent{40 * mb, 36 * mb}) {
+		if f == (Extent{Off: 40 * mb, Len: 36 * mb}) {
 			found = true // set3's old 20 MiB + set1's 16 MiB coalesced
 		}
 	}
@@ -84,7 +84,7 @@ func TestPaperFigure7Sequence(t *testing.T) {
 		t.Fatalf("expected several dynamic bands, got %v", bands)
 	}
 	// Set 2 (24 MiB at 16 MiB) must be an intact band region.
-	if bands[1] != (Extent{16 * mb, 24 * mb}) {
+	if bands[1] != (Extent{Off: 16 * mb, Len: 24 * mb}) {
 		t.Fatalf("band holding set 2: %v", bands[1])
 	}
 }

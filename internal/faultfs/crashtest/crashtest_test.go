@@ -29,8 +29,6 @@ func (d *lossyDrive) WriteAt(p []byte, off int64) (time.Duration, error) {
 	return d.Drive.WriteAt(p, off)
 }
 
-func (d *lossyDrive) Unwrap() smr.Drive { return d.Drive }
-
 // fatalRecorder is a testing.TB whose Fatalf records the message and
 // ends the calling goroutine, as testing's own Fatalf does.
 type fatalRecorder struct {

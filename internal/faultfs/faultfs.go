@@ -304,6 +304,3 @@ func (d *Drive) HostBytesWritten() int64 { return d.inner.HostBytesWritten() }
 
 // Disk implements smr.Drive.
 func (d *Drive) Disk() *platter.Disk { return d.inner.Disk() }
-
-// Unwrap implements smr.Unwrapper.
-func (d *Drive) Unwrap() smr.Drive { return d.inner }

@@ -164,11 +164,3 @@ func TestFlipBitCorruptsPlatter(t *testing.T) {
 		t.Error("bit_flips counter not bumped")
 	}
 }
-
-func TestBaseReachesThroughInjector(t *testing.T) {
-	d, raw := newFaultDrive(t, 1)
-	r := smr.NewRetry(d, 2, 0)
-	if smr.Base(r) != raw {
-		t.Fatal("smr.Base did not unwrap retry+faultfs middleware")
-	}
-}

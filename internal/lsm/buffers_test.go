@@ -18,7 +18,7 @@ import (
 func widestCompaction(d *DB, from, to int) *compaction {
 	var best *compaction
 	v := d.vs.Current()
-	for level := from; level <= to && level < d.cfg.NumLevels-1; level++ {
+	for level := from; level <= to && level < d.cfg.NumLevels()-1; level++ {
 		for _, f := range v.Files[level] {
 			c := d.buildCompaction(v, level, []*version.FileMeta{f})
 			if best == nil || len(c.inputs1) > len(best.inputs1) {
@@ -48,7 +48,7 @@ func TestCompactionMergesLevelsNotFiles(t *testing.T) {
 				t.Fatal(err)
 			}
 			checked := 0
-			for level := 0; level < d.cfg.NumLevels-1; level++ {
+			for level := 0; level < d.cfg.NumLevels()-1; level++ {
 				if c := widestCompaction(d, level, level); c != nil && len(c.inputs1) >= 2 {
 					checkLevelMerge(t, d, c)
 					checked++
@@ -118,7 +118,7 @@ func TestWritePathAllocsScaleWithTables(t *testing.T) {
 	}
 	cfg := tinyConfig(ModeSEALDB)
 	cfg.SSTableSize, cfg.MemtableSize = 64*kv.KiB, 64*kv.KiB
-	cfg.BandSize, cfg.BaseLevelBytes = 640*kv.KiB, 640*kv.KiB
+	cfg.BandSize = 640 * kv.KiB
 	d, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +144,7 @@ func TestWritePathAllocsScaleWithTables(t *testing.T) {
 		t.Errorf("flushing %d entries allocated %d objects, want a constant few dozen", entries, flush)
 	}
 
-	c := widestCompaction(d, 1, d.cfg.NumLevels)
+	c := widestCompaction(d, 1, d.cfg.NumLevels())
 	if c == nil || len(c.inputs1) < 6 {
 		t.Fatalf("no wide compaction to measure: %+v", c)
 	}
@@ -176,7 +176,7 @@ func TestCompactionWriteFailureReleasesOnce(t *testing.T) {
 	ref := loadRandom(t, d, 12000, 11)
 
 	d.mu.Lock()
-	c := widestCompaction(d, 1, d.cfg.NumLevels)
+	c := widestCompaction(d, 1, d.cfg.NumLevels())
 	if c == nil || len(c.inputs1) < 2 || !d.cfg.groupedOutputs(c.outLevel) {
 		d.mu.Unlock()
 		t.Fatalf("no set compaction to fail: %+v", c)

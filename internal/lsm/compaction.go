@@ -49,7 +49,7 @@ func (d *DB) pickCompaction(due float64) *compaction {
 	level, best := -1, 0.0
 	var c *compaction // L0's unit, once priced
 	// The last level has no target (nowhere to push data down to).
-	for l := 0; l < d.cfg.NumLevels-1; l++ {
+	for l := 0; l < d.cfg.NumLevels()-1; l++ {
 		s := d.cfg.score(v, l)
 		start := s >= due
 		if l == 0 && start && due == debtBound && s < l0StopBound && !d.draining[0] {
@@ -75,10 +75,10 @@ func (d *DB) pickCompaction(due float64) *compaction {
 }
 
 // score is a level's fill against its target: L0's file count against
-// L0CompactTrigger, a deeper level's bytes against maxBytesForLevel.
+// l0CompactTrigger, a deeper level's bytes against maxBytesForLevel.
 func (c *Config) score(v *version.Version, level int) float64 {
 	if level == 0 {
-		return float64(v.NumFiles(0)) / float64(c.L0CompactTrigger)
+		return float64(v.NumFiles(0)) / l0CompactTrigger
 	}
 	return float64(v.LevelBytes(level)) / float64(c.maxBytesForLevel(level))
 }
@@ -447,12 +447,12 @@ func (d *DB) tableBuf(n int64) []byte {
 // above it, so a level T times smaller passes T times fewer absent keys (Monkey).
 func (d *DB) filterBits(level int) int {
 	deepest := level
-	for l, files := range d.vs.Current().Files[level:d.cfg.NumLevels] {
+	for l, files := range d.vs.Current().Files[level:d.cfg.NumLevels()] {
 		if len(files) > 0 {
 			deepest = level + l
 		}
 	}
-	return 10 + int(math.Round(float64(deepest-level)*math.Log(float64(d.cfg.LevelMultiplier))/(math.Ln2*math.Ln2)))
+	return 10 + int(math.Round(float64(deepest-level)*math.Log(levelMultiplier)/(math.Ln2*math.Ln2)))
 }
 
 // finishTable finishes table num in d.builder, opened from its bytes if it
@@ -573,7 +573,7 @@ func (d *DB) mergeInputs(c *compaction) ([]*version.FileMeta, [][]byte, version.
 // so a sufficiently old tombstone can be dropped.
 func (d *DB) isBaseLevelForKey(c *compaction, user []byte) bool {
 	v := d.vs.Current()
-	for l := c.outLevel + 1; l < d.cfg.NumLevels; l++ {
+	for l := c.outLevel + 1; l < d.cfg.NumLevels(); l++ {
 		if v.OverlapsAny(l, user, user, d.cfg.sortedLevel(l)) {
 			return false
 		}

@@ -205,7 +205,7 @@ func TestApproximateSize(t *testing.T) {
 	rest := d.ApproximateSize([]byte("key0002000"), nil)
 	var straddling int64
 	v := d.vs.Current()
-	for l := 0; l < d.cfg.NumLevels; l++ {
+	for l := 0; l < d.cfg.NumLevels(); l++ {
 		for _, f := range v.Overlaps(l, []byte("key0002000"), []byte("key0002000"), d.cfg.sortedLevel(l)) {
 			straddling += f.Size
 		}

@@ -23,6 +23,7 @@ import (
 
 	"sealdb/internal/kv"
 	"sealdb/internal/smr"
+	"sealdb/internal/version"
 )
 
 // Mode selects which of the paper's systems the engine behaves as.
@@ -49,10 +50,11 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
-// Geometry holds every size parameter of the system. The paper's
+// Geometry holds the size parameters an experiment varies. The paper's
 // geometry is 4 MiB SSTables, 40 MiB bands (10 SSTables), 4 MiB
 // guard regions; DefaultGeometry scales all of it by 1/16 so that
-// experiments run at laptop scale with every ratio preserved.
+// experiments run at laptop scale with every ratio preserved. The
+// tree's shape is the paper's (NumLevels, maxBytesForLevel, guard = 1 SSTable).
 type Geometry struct {
 	// SSTableSize is the compaction output target (and the dynamic
 	// band free-list class unit).
@@ -60,21 +62,8 @@ type Geometry struct {
 	// BandSize is the fixed SMR band size for the LevelDB/SMRDB
 	// drives. The paper's default is 10 SSTables.
 	BandSize int64
-	// GuardSize is the raw drive's damage window / the guard region
-	// reserved by dynamic band inserts. The paper uses one SSTable.
-	GuardSize int64
 	// MemtableSize is the write-buffer rotation threshold.
 	MemtableSize int64
-	// L0CompactTrigger is the L0 file count that starts compaction.
-	L0CompactTrigger int
-	// BaseLevelBytes is the size limit of L1; level i holds
-	// BaseLevelBytes * LevelMultiplier^(i-1).
-	BaseLevelBytes int64
-	// LevelMultiplier is the amplification factor between adjacent
-	// levels (10 in the paper).
-	LevelMultiplier int64
-	// NumLevels is the tree depth (7, or 2 for SMRDB).
-	NumLevels int
 	// MaxCompactionFiles caps the fan-in of one SMRDB compaction
 	// (its levels overlap, so the cap bounds merge width).
 	MaxCompactionFiles int
@@ -94,19 +83,14 @@ type Geometry struct {
 
 // ScaledGeometry derives a full geometry from an SSTable size,
 // preserving every ratio of the paper's setup: band = 10 SSTables,
-// guard = memtable = 1 SSTable, L1 target = 10 SSTables, AF = 10.
+// memtable = 1 SSTable.
 // The block cache is kept small relative to the data (8 SSTables),
 // mirroring LevelDB's 8 MiB default against a 100 GiB store.
 func ScaledGeometry(sst, diskCapacity int64) Geometry {
 	return Geometry{
 		SSTableSize:        sst,
 		BandSize:           10 * sst,
-		GuardSize:          sst,
 		MemtableSize:       sst,
-		L0CompactTrigger:   4,
-		BaseLevelBytes:     10 * sst,
-		LevelMultiplier:    10,
-		NumLevels:          7,
 		MaxCompactionFiles: 24,
 		DiskCapacity:       diskCapacity,
 		ManifestSize:       clampInt64(32*sst, kv.MiB, 8*kv.MiB),
@@ -154,8 +138,8 @@ type Config struct {
 	Trace TraceConfig
 	// WrapDrive, if set, wraps the mode's drive before the backend is
 	// built on it — the hook fault injectors use to sit between the
-	// engine and the media. Allocators and drive-introspection paths
-	// see through the wrapper via smr.Base.
+	// engine and the media. Allocators and drive introspection use the
+	// base drive the Device names (Device.Fixed, Device.Raw).
 	WrapDrive func(smr.Drive) smr.Drive
 	// ValueThreshold enables key–value separation: values of at least
 	// this many bytes are appended to the value log and the tree
@@ -179,6 +163,10 @@ func (c *Config) vlogSegSize() int64 {
 	return c.SSTableSize
 }
 
+// LevelDB's and the paper's tree shape: L0 falls due at 4 files, and each
+// level past L1 targets 10 times the bytes of the one above.
+const l0CompactTrigger, levelMultiplier = 4, 10
+
 // A device write that fails with a transient error is retried up to
 // writeRetries times, after retryBackoff, doubling each attempt; the
 // wait is charged as simulated device time.
@@ -201,11 +189,19 @@ func DefaultConfig(mode Mode) Config {
 func (c *Config) applyMode() {
 	if c.Mode == ModeSMRDB {
 		// "Enlarging SSTables to the band size, assigning SSTables to
-		// dedicated bands and reserving only two levels."
-		c.NumLevels = 2
+		// dedicated bands and reserving only two levels" (NumLevels).
 		c.SSTableSize = c.BandSize
 		c.MemtableSize = c.BandSize
 	}
+}
+
+// NumLevels returns the tree depth: two levels for SMRDB, seven for
+// the others.
+func (c *Config) NumLevels() int {
+	if c.Mode == ModeSMRDB {
+		return 2
+	}
+	return version.NumLevels
 }
 
 // sortedLevel reports whether files of a level must have disjoint
@@ -229,11 +225,11 @@ func (c *Config) groupedOutputs(outLevel int) bool {
 	return false
 }
 
-// maxBytesForLevel returns the target size of a level (levels 1+).
+// maxBytesForLevel returns a level's target (levels 1+): ten SSTables at L1.
 func (c *Config) maxBytesForLevel(level int) int64 {
-	bytes := c.BaseLevelBytes
+	bytes := 10 * c.SSTableSize
 	for l := 1; l < level; l++ {
-		bytes *= c.LevelMultiplier
+		bytes *= levelMultiplier
 	}
 	return bytes
 }
@@ -242,16 +238,8 @@ func (c *Config) validate() error {
 	g := c.Geometry
 	switch {
 	case g.SSTableSize <= 0, g.BandSize <= 0, g.MemtableSize <= 0,
-		g.BaseLevelBytes <= 0, g.DiskCapacity <= 0, g.ManifestSize <= 0:
+		g.DiskCapacity <= 0, g.ManifestSize <= 0:
 		return fmt.Errorf("lsm: non-positive geometry: %+v", g)
-	case g.GuardSize < 0:
-		return fmt.Errorf("lsm: negative guard size")
-	case g.L0CompactTrigger < 1:
-		return fmt.Errorf("lsm: L0 trigger %d < 1", g.L0CompactTrigger)
-	case g.LevelMultiplier < 2:
-		return fmt.Errorf("lsm: level multiplier %d < 2", g.LevelMultiplier)
-	case g.NumLevels < 2 || g.NumLevels > 7:
-		return fmt.Errorf("lsm: NumLevels %d outside [2,7]", g.NumLevels)
 	case c.Mode == ModeSMRDB && g.MaxCompactionFiles < 2:
 		return fmt.Errorf("lsm: SMRDB needs MaxCompactionFiles >= 2")
 	case g.DeviceTimeScale < 0:

@@ -44,8 +44,14 @@ var ErrCorruptBlock = sstable.ErrCorruptBlock
 // the same Device exercises MANIFEST and WAL recovery against the
 // bytes that were actually written.
 type Device struct {
-	Disk    *platter.Disk
-	Drive   smr.Drive
+	Disk *platter.Disk
+	// The mode's base drive: Fixed for LevelDB and SMRDB, Raw for SEALDB.
+	Fixed *smr.FixedBandDrive
+	Raw   *smr.RawDrive
+	// Hook is what Config.WrapDrive returned over the base (nil without
+	// one); Drive is the retry layer on top, which the engine writes through.
+	Hook    smr.Drive
+	Drive   *smr.RetryDrive
 	Backend *storage.Backend
 	// DBand is the dynamic band manager (SEALDB mode only).
 	DBand *dband.Manager
@@ -63,31 +69,27 @@ func NewDevice(cfg Config) *Device {
 	}
 	disk := platter.New(pcfg)
 	dev := &Device{Disk: disk}
-	// wrap layers the optional fault-injection hook and the transient
-	// -error retry policy over a mode's base drive. Allocators that
-	// need the concrete drive type keep the base; everything the
-	// engine writes through goes via the wrapped stack.
-	wrap := func(base smr.Drive) smr.Drive {
+	wrap := func(base smr.Drive) *smr.RetryDrive {
 		if cfg.WrapDrive != nil {
-			base = cfg.WrapDrive(base)
+			dev.Hook = cfg.WrapDrive(base)
+			base = dev.Hook
 		}
-		return smr.NewRetry(base, writeRetries, retryBackoff)
+		dev.Drive = smr.NewRetry(base, writeRetries, retryBackoff)
+		return dev.Drive
 	}
 	switch cfg.Mode {
 	case ModeLevelDB, ModeLevelDBSets:
-		drive := smr.NewFixedBand(disk, cfg.BandSize)
-		dev.Drive = wrap(drive)
-		dev.ExtFS = extfs.New(drive.Capacity())
-		dev.Backend = storage.NewBackend(dev.Drive, dev.ExtFS)
+		dev.Fixed = smr.NewFixedBand(disk, cfg.BandSize)
+		dev.ExtFS = extfs.New(dev.Fixed.Capacity())
+		dev.Backend = storage.NewBackend(wrap(dev.Fixed), dev.ExtFS)
 	case ModeSMRDB:
-		drive := smr.NewFixedBand(disk, cfg.BandSize)
-		dev.Drive = wrap(drive)
-		dev.Backend = storage.NewBackend(dev.Drive, storage.NewBandAllocator(drive))
+		dev.Fixed = smr.NewFixedBand(disk, cfg.BandSize)
+		dev.Backend = storage.NewBackend(wrap(dev.Fixed), storage.NewBandAllocator(dev.Fixed))
 	case ModeSEALDB:
-		drive := smr.NewRaw(disk, cfg.GuardSize)
-		dev.Drive = wrap(drive)
-		dev.DBand = dband.New(cfg.DiskCapacity, cfg.SSTableSize, cfg.GuardSize)
-		dev.Backend = storage.NewBackend(dev.Drive, storage.NewDynamicBandAllocator(dev.DBand))
+		// SEALDB's guard region is one SSTable, as in the paper.
+		dev.Raw = smr.NewRaw(disk, cfg.SSTableSize)
+		dev.DBand = dband.New(cfg.DiskCapacity, cfg.SSTableSize, cfg.SSTableSize)
+		dev.Backend = storage.NewBackend(wrap(dev.Raw), storage.NewDynamicBandAllocator(dev.DBand))
 	default:
 		panic(fmt.Sprintf("lsm: unknown mode %v", cfg.Mode))
 	}
@@ -107,7 +109,6 @@ type DB struct {
 	dev *Device
 
 	disk    *platter.Disk
-	drive   smr.Drive
 	backend *storage.Backend
 	cache   *sstable.Cache
 	vs      *version.Set
@@ -199,7 +200,6 @@ func OpenDevice(cfg Config, dev *Device) (*DB, error) {
 		cfg:       cfg,
 		dev:       dev,
 		disk:      dev.Disk,
-		drive:     dev.Drive,
 		backend:   dev.Backend,
 		cache:     sstable.NewCache(cfg.BlockCacheSize),
 		snapshots: map[kv.SeqNum]int{},

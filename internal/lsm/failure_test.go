@@ -200,11 +200,6 @@ func TestOpenRejectsBadGeometry(t *testing.T) {
 		func(c *Config) { c.SSTableSize = 0 },
 		func(c *Config) { c.BandSize = -1 },
 		func(c *Config) { c.MemtableSize = 0 },
-		func(c *Config) { c.GuardSize = -1 },
-		func(c *Config) { c.L0CompactTrigger = 0 },
-		func(c *Config) { c.LevelMultiplier = 1 },
-		func(c *Config) { c.NumLevels = 1 },
-		func(c *Config) { c.NumLevels = 9 },
 		func(c *Config) { c.DiskCapacity = 0 },
 		func(c *Config) { c.DeviceTimeScale = -2 },
 	}
@@ -241,7 +236,7 @@ func TestRelocationWriteFailureDegradesStore(t *testing.T) {
 		}
 		d.mu.Lock()
 		v := d.vs.Current()
-		for l := 0; l < d.cfg.NumLevels; l++ {
+		for l := 0; l < d.cfg.NumLevels(); l++ {
 			for _, f := range v.Files[l] {
 				if _, err := d.backend.FileExtent(f.Num); err != nil {
 					t.Errorf("member %d: the failed relocation left L%d %s unmapped: %v", member, l, f, err)

@@ -14,7 +14,6 @@ import (
 	"sealdb/internal/invariant"
 	"sealdb/internal/kv"
 	"sealdb/internal/obs"
-	"sealdb/internal/smr"
 )
 
 // The device-fingerprint goldens. Single-client device-clock output is
@@ -352,8 +351,7 @@ func checkGaugesAgainstViews(t *testing.T, d *DB, gauges map[string]float64) {
 		want["sealdb_band_frag_holes"] = float64(sp.Frag.Holes)
 		want["sealdb_band_frag_index"] = sp.Frag.Index
 	} else {
-		fbd := smr.Base(dev.Drive).(*smr.FixedBandDrive)
-		want["sealdb_media_cache_cleans"] = float64(fbd.RMWCount())
+		want["sealdb_media_cache_cleans"] = float64(dev.Fixed.RMWCount())
 	}
 	if len(gauges) != len(want) {
 		t.Errorf("snapshot has %d gauges, %d are checked against a view", len(gauges), len(want))

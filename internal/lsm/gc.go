@@ -36,8 +36,9 @@ func (d *DB) DefragmentBands(maxMoves int) (res GCResult, err error) {
 	}
 	err = d.maintain(func() error {
 		// A fragment is a free region that cannot serve the smallest
-		// useful insert: one SSTable plus its guard (Equation 1).
-		threshold := d.cfg.SSTableSize + d.cfg.GuardSize
+		// useful insert: one SSTable plus its one-SSTable guard
+		// (Equation 1).
+		threshold := 2 * d.cfg.SSTableSize
 		res.FragmentsBefore = mgr.FragmentBytes(threshold)
 		sp := d.journal.Begin("band_gc", 0)
 		sp.Set("fragments_before", res.FragmentsBefore)
@@ -51,7 +52,7 @@ func (d *DB) DefragmentBands(maxMoves int) (res GCResult, err error) {
 		members := map[uint64][]*version.FileMeta{}
 		levelOf := map[uint64]int{}
 		v := d.vs.Current()
-		for l := 0; l < d.cfg.NumLevels; l++ {
+		for l := 0; l < d.cfg.NumLevels(); l++ {
 			for _, f := range v.Files[l] {
 				if f.SetID != 0 {
 					members[f.SetID] = append(members[f.SetID], f)

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"sealdb/internal/kv"
-	"sealdb/internal/smr"
 	"sealdb/internal/version"
 	"sealdb/internal/vlog"
 )
@@ -27,10 +26,10 @@ func (d *DB) LevelProfile() []LevelInfo {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	v := d.vs.Current()
-	out := make([]LevelInfo, d.cfg.NumLevels)
-	for l := 0; l < d.cfg.NumLevels; l++ {
+	out := make([]LevelInfo, d.cfg.NumLevels())
+	for l := 0; l < d.cfg.NumLevels(); l++ {
 		out[l] = LevelInfo{Level: l, Files: v.NumFiles(l), Bytes: v.LevelBytes(l)}
-		if l > 0 && l < d.cfg.NumLevels-1 {
+		if l > 0 && l < d.cfg.NumLevels()-1 {
 			out[l].Target = d.cfg.maxBytesForLevel(l)
 		}
 	}
@@ -56,7 +55,7 @@ func (d *DB) TableLocations() []TableLocation {
 	defer d.mu.Unlock()
 	v := d.vs.Current()
 	var out []TableLocation
-	for l := 0; l < d.cfg.NumLevels; l++ {
+	for l := 0; l < d.cfg.NumLevels(); l++ {
 		files := append([]*version.FileMeta(nil), v.Files[l]...)
 		sort.Slice(files, func(i, j int) bool { return files[i].Num < files[j].Num })
 		for _, f := range files {
@@ -100,7 +99,7 @@ func (d *DB) ApproximateSize(lo, hi []byte) int64 {
 	defer d.mu.Unlock()
 	v := d.vs.Current()
 	var total int64
-	for l := 0; l < d.cfg.NumLevels; l++ {
+	for l := 0; l < d.cfg.NumLevels(); l++ {
 		for _, f := range v.Overlaps(l, lo, hi, d.cfg.sortedLevel(l)) {
 			total += f.Size
 		}
@@ -120,7 +119,7 @@ func (d *DB) CompactRange(lo, hi []byte) error {
 				return err
 			}
 		}
-		for level := 0; level < d.cfg.NumLevels-1; level++ {
+		for level := 0; level < d.cfg.NumLevels()-1; level++ {
 			for {
 				v := d.vs.Current()
 				files := v.Overlaps(level, lo, hi, d.cfg.sortedLevel(level))
@@ -157,7 +156,7 @@ func (d *DB) VerifyIntegrity() error {
 	if err := v.CheckInvariants(d.cfg.sortedLevel); err != nil {
 		return fmt.Errorf("version: %w", err)
 	}
-	for l := 0; l < d.cfg.NumLevels; l++ {
+	for l := 0; l < d.cfg.NumLevels(); l++ {
 		for _, f := range v.Files[l] {
 			if err := d.verifyTable(l, f); err != nil {
 				return err
@@ -242,7 +241,7 @@ func (d *DB) verifyVlog(v *version.Version) error {
 			return err
 		}
 	}
-	for l := 0; l < d.cfg.NumLevels; l++ {
+	for l := 0; l < d.cfg.NumLevels(); l++ {
 		for _, f := range v.Files[l] {
 			t, err := d.openTable(f)
 			if err != nil {
@@ -307,7 +306,7 @@ func (d *DB) verifyTable(level int, f *version.FileMeta) error {
 func (d *DB) verifySets(v *version.Version) error {
 	records := d.vs.Sets()
 	liveBysSet := map[uint64]version.SetInfo{} // recounted from the version
-	for l := 0; l < d.cfg.NumLevels; l++ {
+	for l := 0; l < d.cfg.NumLevels(); l++ {
 		for _, f := range v.Files[l] {
 			if f.SetID == 0 {
 				continue
@@ -345,11 +344,9 @@ func (d *DB) verifySets(v *version.Version) error {
 	// Dynamic-band accounting: allocator state must reconcile with
 	// the raw drive's validity map.
 	if mgr := d.dev.DBand; mgr != nil {
-		if raw, ok := smr.Base(d.drive).(interface{ ValidBytes() int64 }); ok {
-			valid := raw.ValidBytes()
-			if alloc := mgr.AllocatedBytes(); valid > alloc {
-				return fmt.Errorf("drive holds %d valid bytes but allocator accounts only %d", valid, alloc)
-			}
+		valid := d.dev.Raw.ValidBytes()
+		if alloc := mgr.AllocatedBytes(); valid > alloc {
+			return fmt.Errorf("drive holds %d valid bytes but allocator accounts only %d", valid, alloc)
 		}
 	}
 	return nil

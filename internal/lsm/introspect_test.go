@@ -18,7 +18,7 @@ func TestLevelProfile(t *testing.T) {
 	defer d.Close()
 	loadRandom(t, d, 5000, 3)
 	profile := d.LevelProfile()
-	if len(profile) != d.cfg.NumLevels {
+	if len(profile) != d.cfg.NumLevels() {
 		t.Fatalf("profile has %d levels", len(profile))
 	}
 	var files int
@@ -27,7 +27,7 @@ func TestLevelProfile(t *testing.T) {
 		if li.Files > 0 && li.Bytes == 0 {
 			t.Errorf("L%d has %d files but zero bytes", li.Level, li.Files)
 		}
-		if li.Level > 0 && li.Level < d.cfg.NumLevels-1 && li.Target == 0 {
+		if li.Level > 0 && li.Level < d.cfg.NumLevels()-1 && li.Target == 0 {
 			t.Errorf("L%d has no target", li.Level)
 		}
 	}
@@ -130,7 +130,7 @@ func TestDefragmentBands(t *testing.T) {
 	// Heavy churn produces dead sets and fragments.
 	ref := loadRandom(t, d, 14000, 17)
 
-	before := d.Device().DBand.FragmentBytes(cfg.SSTableSize + cfg.GuardSize)
+	before := d.Device().DBand.FragmentBytes(2 * cfg.SSTableSize)
 	res, err := d.DefragmentBands(0)
 	if err != nil {
 		t.Fatal(err)

@@ -19,12 +19,7 @@ func tinyConfig(mode Mode) Config {
 	cfg.Geometry = Geometry{
 		SSTableSize:        16 * kv.KiB,
 		BandSize:           160 * kv.KiB,
-		GuardSize:          16 * kv.KiB,
 		MemtableSize:       16 * kv.KiB,
-		L0CompactTrigger:   4,
-		BaseLevelBytes:     160 * kv.KiB,
-		LevelMultiplier:    10,
-		NumLevels:          7,
 		MaxCompactionFiles: 8,
 		DiskCapacity:       256 * kv.MiB,
 		ManifestSize:       2 * kv.MiB,
@@ -161,7 +156,7 @@ func TestCompactionsReachDeepLevels(t *testing.T) {
 
 func levelSizes(d *DB) []int {
 	v := d.vs.Current()
-	out := make([]int, d.cfg.NumLevels)
+	out := make([]int, d.cfg.NumLevels())
 	for l := range out {
 		out[l] = v.NumFiles(l)
 	}
@@ -194,7 +189,7 @@ func TestSEALDBZeroAuxiliaryWriteAmplification(t *testing.T) {
 	}
 	defer d.Close()
 	loadRandom(t, d, 6000, 5)
-	if awa := smr.AWA(d.drive); awa != 1.0 {
+	if awa := smr.AWA(d.dev.Drive); awa != 1.0 {
 		t.Errorf("SEALDB AWA = %v, want exactly 1.0", awa)
 	}
 	amp := d.Amplification()
@@ -213,7 +208,7 @@ func TestLevelDBOnSMRHasAuxiliaryAmplification(t *testing.T) {
 	}
 	defer d.Close()
 	loadRandom(t, d, 8000, 5)
-	if awa := smr.AWA(d.drive); awa <= 1.05 {
+	if awa := smr.AWA(d.dev.Drive); awa <= 1.05 {
 		t.Errorf("LevelDB-on-SMR AWA = %v, expected well above 1 from band RMW", awa)
 	}
 }
@@ -296,7 +291,7 @@ func TestBaselinesFormNoSets(t *testing.T) {
 				t.Fatal(err)
 			}
 			v := d.vs.Current()
-			deep := min(2, d.cfg.NumLevels-1) // L2, or SMRDB's last level
+			deep := min(2, d.cfg.NumLevels()-1) // L2, or SMRDB's last level
 			deepFiles := 0
 			for l := range v.Files {
 				for _, f := range v.Files[l] {
@@ -472,7 +467,7 @@ func TestReopenTwiceWithSets(t *testing.T) {
 	}
 	defer d3.Close()
 	verifyAll(t, d3, ref)
-	if awa := smr.AWA(d3.drive); awa != 1.0 {
+	if awa := smr.AWA(d3.dev.Drive); awa != 1.0 {
 		t.Errorf("AWA after recovery cycles = %v", awa)
 	}
 }

@@ -114,8 +114,8 @@ func (d *DB) collectGauges(g map[string]float64) {
 	g["sealdb_bloom_false_positives"] = float64(cs.BloomFalsePositives)
 
 	// The drive's half of the paper's Table I.
-	g["sealdb_host_bytes_written"] = float64(d.drive.HostBytesWritten())
-	g["sealdb_awa"] = smr.AWA(d.drive)
+	g["sealdb_host_bytes_written"] = float64(d.dev.Drive.HostBytesWritten())
+	g["sealdb_awa"] = smr.AWA(d.dev.Drive)
 
 	bs := d.backend.Stats()
 	g["sealdb_storage_files"] = float64(d.backend.NumFiles())
@@ -141,34 +141,10 @@ func (d *DB) collectGauges(g map[string]float64) {
 		g["sealdb_band_frag_holes"] = float64(frag.Holes)
 		g["sealdb_band_frag_index"] = frag.Index
 	}
-	if fbd, ok := smr.Base(d.drive).(*smr.FixedBandDrive); ok {
+	if fbd := d.dev.Fixed; fbd != nil {
 		g["sealdb_media_cache_cleans"] = float64(fbd.RMWCount())
 	}
-	if rd := d.retryDrive(); rd != nil {
-		g["sealdb_write_retries"] = float64(rd.Stats().Retried)
-	}
-}
-
-// driveLayer finds the outermost layer of the drive chain that is a T
-// (a concrete middleware type, or an interface a middleware offers).
-func driveLayer[T any](drv smr.Drive) (layer T, ok bool) {
-	for drv != nil {
-		if layer, ok = drv.(T); ok {
-			return layer, true
-		}
-		u, wraps := drv.(smr.Unwrapper)
-		if !wraps {
-			break
-		}
-		drv = u.Unwrap()
-	}
-	return layer, false
-}
-
-// retryDrive finds the retry middleware in the drive chain, if any.
-func (d *DB) retryDrive() *smr.RetryDrive {
-	rd, _ := driveLayer[*smr.RetryDrive](d.drive)
-	return rd
+	g["sealdb_write_retries"] = float64(d.dev.Drive.Stats().Retried)
 }
 
 // ObsRegistry returns the DB's metrics registry so colocated layers
@@ -222,13 +198,11 @@ func (d *DB) FaultProfile() FaultProfile {
 		p.Degraded = true
 		p.DegradedCause = err.Error()
 	}
-	if rd := d.retryDrive(); rd != nil {
-		st := rd.Stats()
-		p.Retry = &st
-	}
-	// A fault injector anywhere in the drive chain exposes its
-	// counters without lsm importing the injection package.
-	if fi, ok := driveLayer[interface{ FaultStats() map[string]int64 }](d.drive); ok {
+	st := d.dev.Drive.Stats()
+	p.Retry = &st
+	// A fault injector in the WrapDrive hook exposes its counters
+	// without lsm importing the injection package.
+	if fi, ok := d.dev.Hook.(interface{ FaultStats() map[string]int64 }); ok {
 		p.Injected = fi.FaultStats()
 	}
 	return p

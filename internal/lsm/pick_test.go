@@ -54,7 +54,7 @@ func TestPickCompactionL0Fixpoint(t *testing.T) {
 	// An overlapping chain of L0 files that nothing has read: a-c, c-e,
 	// ... L0 falls due only at LevelDB's stop trigger, 3x the trigger of
 	// 4, and picking any victim must transitively pull in the whole chain.
-	stop := d.cfg.L0CompactTrigger * l0StopBound
+	stop := l0CompactTrigger * l0StopBound
 	for i := 0; i < stop; i++ {
 		lo, hi := string(rune('a'+2*i)), string(rune('c'+2*i))
 		installFiles(t, d, []version.AddedFile{{Level: 0, Meta: mkMeta(d.vs.NewFileNum(), lo, hi, 1000)}})
@@ -82,14 +82,14 @@ func TestPickCompactionChoosesWorstLevel(t *testing.T) {
 	// L1 at 2x its target, L2 at 1.6x: both due, L1 must win.
 	var adds []version.AddedFile
 	perFile := cfg.SSTableSize
-	filesL1 := int(2 * cfg.BaseLevelBytes / perFile)
+	filesL1 := int(2 * cfg.maxBytesForLevel(1) / perFile)
 	for i := 0; i < filesL1; i++ {
 		lo := fmt.Sprintf("k%03d", i*2)
 		hi := fmt.Sprintf("k%03d", i*2+1)
 		adds = append(adds, version.AddedFile{Level: 1, Meta: mkMeta(d.vs.NewFileNum(), lo, hi, perFile)})
 	}
 	adds = append(adds, version.AddedFile{
-		Level: 2, Meta: mkMeta(d.vs.NewFileNum(), "zz", "zzz", 16*cfg.BaseLevelBytes),
+		Level: 2, Meta: mkMeta(d.vs.NewFileNum(), "zz", "zzz", 16*cfg.maxBytesForLevel(1)),
 	})
 	installFiles(t, d, adds)
 	c := d.pickCompaction(debtBound)
@@ -158,7 +158,7 @@ func TestTrivialMoveDetection(t *testing.T) {
 	d, _ := Open(tinyConfig(ModeSEALDB))
 	defer d.Close()
 	// A lone oversize L1 file with no L2 overlap: trivial move.
-	big := mkMeta(d.vs.NewFileNum(), "a", "b", 100*d.cfg.BaseLevelBytes)
+	big := mkMeta(d.vs.NewFileNum(), "a", "b", 100*d.cfg.maxBytesForLevel(1))
 	installFiles(t, d, []version.AddedFile{{Level: 1, Meta: big}})
 	c := d.pickCompaction(debtBound)
 	if c == nil || !c.trivial {
@@ -190,7 +190,7 @@ func TestSMRDBFanInCap(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		adds = append(adds, version.AddedFile{Level: 1, Meta: mkMeta(d.vs.NewFileNum(), "a", "z", 1000)})
 	}
-	for i := 0; i < cfg.L0CompactTrigger*l0StopBound; i++ {
+	for i := 0; i < l0CompactTrigger*l0StopBound; i++ {
 		adds = append(adds, version.AddedFile{Level: 0, Meta: mkMeta(d.vs.NewFileNum(), "a", "z", 1000)})
 	}
 	installFiles(t, d, adds)
@@ -262,7 +262,7 @@ func lastL0Drain(t *testing.T, d *DB) (rent, price int64) {
 // remember a drain or L0's rent, and CompactAll settles every level
 // below 1.0.
 func TestDebtTolerantTrigger(t *testing.T) {
-	stop := tinyConfig(ModeSEALDB).L0CompactTrigger * l0StopBound
+	stop := l0CompactTrigger * l0StopBound
 	t.Run("a write-only L0 holds 11 files and drains at the 12th", func(t *testing.T) {
 		d, _ := Open(tinyConfig(ModeSEALDB))
 		defer d.Close()
@@ -361,7 +361,7 @@ func TestDebtTolerantTrigger(t *testing.T) {
 				t.Fatal(err)
 			}
 			v := d.vs.Current()
-			for l := 0; l < d.cfg.NumLevels-1; l++ {
+			for l := 0; l < d.cfg.NumLevels()-1; l++ {
 				bound := debtBound
 				if l == 0 {
 					bound = l0StopBound // nothing reads it
@@ -435,7 +435,7 @@ func TestDebtTolerantTrigger(t *testing.T) {
 			t.Fatal(err)
 		}
 		v := d.vs.Current()
-		for l := 0; l < d.cfg.NumLevels-1; l++ {
+		for l := 0; l < d.cfg.NumLevels()-1; l++ {
 			if s := d.cfg.score(v, l); s >= 1 {
 				t.Fatalf("CompactAll left L%d at %.2fx", l, s)
 			}

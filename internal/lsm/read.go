@@ -86,7 +86,7 @@ func (d *DB) lookup(s *readState, key []byte, seq kv.SeqNum, ot *opTrace) (store
 		return v, kv.KindSet, nil, true, nil
 	}
 	cur := s.v
-	for level := 0; level < d.cfg.NumLevels; level++ {
+	for level := 0; level < d.cfg.NumLevels(); level++ {
 		// Level 0 files may overlap, so every one is a candidate, and
 		// flush order makes file-number order data recency order: probe
 		// newest first and stop at the first hit. A sorted level has at

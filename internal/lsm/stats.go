@@ -95,13 +95,13 @@ func (d *DB) Amplification() Amplification {
 		UserBytes: m.writeBytes.Value(),
 		StoreBytes: m.flushBytes.Value() + m.compactionWriteBytes.Value() +
 			m.vlogAppendBytes.Value() + m.vlogGCRelocated.Value(),
-		HostBytes:   d.drive.HostBytesWritten(),
+		HostBytes:   d.dev.Drive.HostBytesWritten(),
 		DeviceBytes: d.disk.Stats().BytesWritten,
 	}
 	if a.UserBytes > 0 {
 		a.WA = float64(a.StoreBytes) / float64(a.UserBytes)
 	}
-	a.AWA = smr.AWA(d.drive)
+	a.AWA = smr.AWA(d.dev.Drive)
 	a.MWA = a.WA * a.AWA
 	return a
 }

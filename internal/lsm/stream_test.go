@@ -34,8 +34,6 @@ func streamConfig(mode Mode, cache int64) Config {
 	cfg.SSTableSize = 64 * kv.KiB
 	cfg.MemtableSize = 64 * kv.KiB
 	cfg.BandSize = 640 * kv.KiB
-	cfg.GuardSize = 64 * kv.KiB
-	cfg.BaseLevelBytes = 640 * kv.KiB
 	cfg.BlockCacheSize = cache
 	cfg.applyMode()
 	return cfg
@@ -150,7 +148,7 @@ func TestStreamedCorruptBlockFailsTheScan(t *testing.T) {
 	var victim uint64
 	var smallest string
 	v := d.vs.Current()
-	for level := 1; level < cfg.NumLevels; level++ {
+	for level := 1; level < cfg.NumLevels(); level++ {
 		for _, f := range v.Overlaps(level, []byte(keys[1000]), []byte(keys[1000]), true) {
 			victim, smallest = f.Num, string(f.Smallest.UserKey())
 		}
@@ -451,13 +449,12 @@ func fileAt(t *testing.T, d *DB, v *version.Version, off int64) (uint64, int) {
 // the reference state whatever its limit.
 func TestScanPositionsEachLevelOnce(t *testing.T) {
 	cfg := streamConfig(ModeSEALDB, 4*kv.MiB)
-	cfg.BaseLevelBytes = 192 * kv.KiB
 	d, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	ref := loadStream(t, d, 9000)
+	ref := loadStream(t, d, 45000)
 	keys := sortedKeys(ref)
 	d.mu.Lock()
 	v := d.vs.Current()
@@ -486,7 +483,7 @@ func TestScanPositionsEachLevelOnce(t *testing.T) {
 	const limit = 7
 	staysInOneTable := func(i int) bool {
 		last := []byte(keys[i+limit-1])
-		for level := 1; level < cfg.NumLevels; level++ {
+		for level := 1; level < cfg.NumLevels(); level++ {
 			files := v.Files[level]
 			j := sort.Search(len(files), func(j int) bool { return string(files[j].Largest.UserKey()) >= keys[i] })
 			if j < len(files) && kv.CompareUser(files[j].Largest.UserKey(), last) <= 0 {
@@ -532,7 +529,7 @@ func TestScanPositionsEachLevelOnce(t *testing.T) {
 				t.Errorf("Scan(%q, %d) read table %d %d times", start, limit, num, n)
 			}
 		}
-		for level := 1; level < cfg.NumLevels; level++ {
+		for level := 1; level < cfg.NumLevels(); level++ {
 			if perLevel[level] > 1 {
 				t.Errorf("Scan(%q, %d) read level %d %d times", start, limit, level, perLevel[level])
 			}

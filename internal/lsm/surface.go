@@ -147,7 +147,7 @@ func (d *DB) spaceProfileLocked() SpaceProfile {
 		return p
 	}
 	cur := d.vs.Current()
-	for l := 0; l < d.cfg.NumLevels; l++ {
+	for l := 0; l < d.cfg.NumLevels(); l++ {
 		p.TableBytes += cur.LevelBytes(l) // the LSM tree's logical footprint
 	}
 	if d.cfg.vlogEnabled() {

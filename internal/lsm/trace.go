@@ -113,7 +113,7 @@ type tracer struct {
 func (t *tracer) init(d *DB) {
 	tc := d.cfg.Trace
 	t.sampleEvery = tc.sampleEvery()
-	t.readStages = make([]string, d.cfg.NumLevels)
+	t.readStages = make([]string, d.cfg.NumLevels())
 	for l := range t.readStages {
 		t.readStages[l] = fmt.Sprintf("read_level_%d", l)
 	}

@@ -731,7 +731,7 @@ func TestVlogSealedSegmentHandsItsGuardBack(t *testing.T) {
 			if sealed < 2 {
 				t.Fatalf("%d sealed segments", sealed)
 			}
-			if awa := smr.AWA(d.drive); mode == ModeSEALDB && awa != 1.0 {
+			if awa := smr.AWA(d.dev.Drive); mode == ModeSEALDB && awa != 1.0 {
 				t.Fatalf("AWA = %v, want exactly 1.0", awa)
 			}
 			d.Close()

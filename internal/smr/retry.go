@@ -81,9 +81,6 @@ func (d *RetryDrive) note(f func(*RetryStats)) {
 	f(&d.stats)
 }
 
-// Unwrap implements Unwrapper.
-func (d *RetryDrive) Unwrap() Drive { return d.inner }
-
 // WriteAt implements Drive, retrying transient failures.
 func (d *RetryDrive) WriteAt(p []byte, off int64) (time.Duration, error) {
 	total, err := d.inner.WriteAt(p, off)

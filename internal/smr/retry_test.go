@@ -34,8 +34,6 @@ func (d *scriptedDrive) WriteAt(p []byte, off int64) (time.Duration, error) {
 	return d.Drive.WriteAt(p, off)
 }
 
-func (d *scriptedDrive) Unwrap() Drive { return d.Drive }
-
 func newTestRaw(t *testing.T) *RawDrive {
 	t.Helper()
 	disk := platter.New(platter.DefaultConfig(1 << 20))
@@ -98,17 +96,5 @@ func TestRetryPassesPermanentThrough(t *testing.T) {
 	}
 	if IsTransient(err) {
 		t.Error("permanent error classified transient")
-	}
-}
-
-func TestBaseUnwrapsMiddleware(t *testing.T) {
-	inner := newTestRaw(t)
-	s := &scriptedDrive{Drive: inner}
-	r := NewRetry(s, 1, time.Millisecond)
-	if Base(r) != Drive(inner) {
-		t.Fatalf("Base did not reach the raw drive through two layers")
-	}
-	if Base(inner) != Drive(inner) {
-		t.Fatalf("Base changed an unwrapped drive")
 	}
 }

@@ -498,27 +498,3 @@ func (d *RawDrive) ValidExtents() []Extent {
 	defer d.mu.Unlock()
 	return append([]Extent(nil), d.valid...)
 }
-
-// Unwrapper is implemented by drive middleware (retry layers, fault
-// injectors) that wrap another Drive. Base follows the chain.
-type Unwrapper interface {
-	Unwrap() Drive
-}
-
-// Base returns the innermost Drive in a middleware chain: the first
-// one that does not implement Unwrapper. Use it before asserting a
-// concrete drive type (e.g. *FixedBandDrive), so observers and
-// allocators keep working when the drive is wrapped.
-func Base(d Drive) Drive {
-	for {
-		u, ok := d.(Unwrapper)
-		if !ok {
-			return d
-		}
-		inner := u.Unwrap()
-		if inner == nil {
-			return d
-		}
-		d = inner
-	}
-}

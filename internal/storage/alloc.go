@@ -106,10 +106,7 @@ func NewDynamicBandAllocator(m *dband.Manager) *DynamicBandAllocator {
 // Alloc implements Allocator.
 func (a *DynamicBandAllocator) Alloc(size int64) (Extent, error) {
 	e, _, err := a.m.Alloc(size)
-	if err != nil {
-		return Extent{}, err
-	}
-	return Extent{Off: e.Off, Len: e.Len}, nil
+	return e, err
 }
 
 // AllocAppend implements Allocator.
@@ -119,7 +116,7 @@ func (a *DynamicBandAllocator) AllocAppend(size int64) (Extent, error) {
 
 // Free implements Allocator.
 func (a *DynamicBandAllocator) Free(e Extent) {
-	a.m.Free(dband.Extent{Off: e.Off, Len: e.Len})
+	a.m.Free(e)
 }
 
 var _ Allocator = (*DynamicBandAllocator)(nil)

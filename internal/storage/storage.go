@@ -20,15 +20,8 @@ import (
 	"sealdb/internal/smr"
 )
 
-// Extent is a half-open physical byte range on the drive.
-type Extent struct {
-	Off, Len int64
-}
-
-// End returns the first byte past the extent.
-func (e Extent) End() int64 { return e.Off + e.Len }
-
-func (e Extent) String() string { return fmt.Sprintf("[%d,%d)", e.Off, e.End()) }
+// Extent is the drive's half-open physical byte range.
+type Extent = smr.Extent
 
 // Allocator is a placement policy over the drive's address space.
 type Allocator interface {

@@ -26,7 +26,6 @@ import (
 	"sealdb/internal/lsm"
 	"sealdb/internal/obs"
 	"sealdb/internal/platter"
-	"sealdb/internal/smr"
 )
 
 // Dump file names.
@@ -115,7 +114,7 @@ func Collect(db *lsm.DB, base *Baseline) (*Dump, error) {
 	db.Device().Disk.SetSink(nil)
 	cfg := db.Config()
 	cacheStart := int64(-1)
-	if fbd, ok := smr.Base(db.Device().Drive).(*smr.FixedBandDrive); ok {
+	if fbd := db.Device().Fixed; fbd != nil {
 		cacheStart = fbd.CacheStart()
 	}
 	d := &Dump{
@@ -125,7 +124,7 @@ func Collect(db *lsm.DB, base *Baseline) (*Dump, error) {
 			SSTableSize:    cfg.SSTableSize,
 			DiskCapacity:   cfg.DiskCapacity,
 			CacheStart:     cacheStart,
-			NumLevels:      cfg.NumLevels,
+			NumLevels:      cfg.NumLevels(),
 			StartNS:        base.NS,
 			EndNS:          db.Device().Disk.BusyNS(),
 			Start:          base.Amp,

@@ -51,8 +51,11 @@ const (
 // Config assembles a database: a mode plus a Geometry.
 type Config = lsm.Config
 
-// Geometry holds the size parameters (SSTable, band, guard, memtable,
-// level targets, disk capacity).
+// Geometry holds the size parameters an experiment varies (SSTable,
+// band, memtable, SMRDB fan-in, disk, manifest, block cache, device
+// time scale). The tree's shape is the paper's: a guard of one SSTable,
+// an L1 of ten, a size ratio of 10, an L0 trigger of 4, seven levels
+// (two for SMRDB).
 type Geometry = lsm.Geometry
 
 // DefaultConfig returns the scaled default geometry (1/16 of the
