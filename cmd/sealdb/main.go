@@ -139,7 +139,7 @@ func main() {
 	}
 
 	if *defrag {
-		res, err := db.DefragmentBands(0)
+		res, err := db.DefragmentBands()
 		if err != nil {
 			fatal(err)
 		}

@@ -144,7 +144,7 @@ func errResultIndex(pass *analysis.Pass, call *ast.CallExpr) int {
 		return -1
 	}
 	isErr := func(t types.Type) bool {
-		named, ok := t.(*types.Named)
+		named, ok := types.Unalias(t).(*types.Named)
 		return ok && named.Obj().Name() == "error" && named.Obj().Pkg() == nil
 	}
 	switch t := tv.Type.(type) {

@@ -21,6 +21,18 @@ func discards(d *device, p []byte) {
 	d.Free(0, 10)             // want "error from Free discarded on device write/sync path"
 }
 
+// E aliases error: a verb returning the alias still returns an error.
+type E = error
+
+type aliasDevice struct{}
+
+func (d *aliasDevice) Sync() E { return nil }
+
+// Bad: the alias hides nothing.
+func aliasDiscard(d *aliasDevice) {
+	d.Sync() // want "error from Sync discarded on device write/sync path"
+}
+
 // Good: errors handled or propagated.
 func handled(d *device, p []byte) error {
 	if _, err := d.WriteAt(p, 0); err != nil {

@@ -251,7 +251,7 @@ func baseSelector(e ast.Expr) *ast.SelectorExpr {
 
 // isTypedAtomic reports whether t is one of sync/atomic's types.
 func isTypedAtomic(t types.Type) bool {
-	named, ok := t.(*types.Named)
+	named, ok := types.Unalias(t).(*types.Named)
 	return ok && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == "sync/atomic"
 }
 

@@ -309,11 +309,17 @@ func (d *drive) spawn() {
 	}()
 }
 
+// A aliases a typed atomic: a field of the alias is still one.
+type A = atomic.Int64
+
 // counters pairs typed atomics with a mutex.
 type counters struct {
 	mu sync.Mutex
 	// guarded by mu
 	mixed atomic.Int64 // want "field mixed is a sync/atomic value but is annotated 'guarded by mu'"
+
+	// guarded by mu
+	aliased A // want "field aliased is a sync/atomic value but is annotated 'guarded by mu'"
 
 	// guarded by mu
 	okGuarded int64

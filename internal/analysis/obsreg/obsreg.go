@@ -137,9 +137,9 @@ func isRegistry(pass *analysis.Pass, expr ast.Expr) bool {
 	if !ok {
 		return false
 	}
-	t := tv.Type
+	t := types.Unalias(tv.Type)
 	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
+		t = types.Unalias(ptr.Elem())
 	}
 	named, ok := t.(*types.Named)
 	return ok && named.Obj().Name() == "Registry"

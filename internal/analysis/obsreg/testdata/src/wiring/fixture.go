@@ -65,6 +65,14 @@ func badCounterSuffix(r *Registry) {
 	_ = r.Histogram("sealdb_stage_wal_append_ns")
 }
 
+// R aliases the registry: a call through the alias is still a
+// registration.
+type R = Registry
+
+func aliasWire(r *R) {
+	_ = r.Counter("sealdb_alias_ops") // want `counter name "sealdb_alias_ops" must end in _total`
+}
+
 // Bad: a computed name cannot be found with grep.
 func computed(r *Registry) {
 	for l := 0; l < 7; l++ {

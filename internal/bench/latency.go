@@ -108,7 +108,7 @@ func runGCAblation(o Options, r *Results) error {
 	occBefore := float64(mgr.Frontier())
 
 	start := simTime(db)
-	gc, err := db.DefragmentBands(0)
+	gc, err := db.DefragmentBands()
 	if err != nil {
 		return err
 	}

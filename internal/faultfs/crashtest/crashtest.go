@@ -166,7 +166,7 @@ func applyOp(db *lsm.DB, op *Op) error {
 	case OpCompact:
 		return db.CompactRange(nil, nil)
 	case OpDefrag:
-		_, err := db.DefragmentBands(0)
+		_, err := db.DefragmentBands()
 		return err
 	}
 	return fmt.Errorf("crashtest: unknown op kind %d", op.Kind)

@@ -175,43 +175,3 @@ func awaitQueued(d *DB, n int) {
 		d.queueMu.Unlock()
 	}
 }
-
-func TestApproximateSize(t *testing.T) {
-	d, err := Open(tinyConfig(ModeSEALDB))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	loadRandom(t, d, 4000, 77)
-	d.FlushMemtable()
-
-	whole := d.ApproximateSize(nil, nil)
-	if whole <= 0 {
-		t.Fatal("whole-range size is zero after load")
-	}
-	half := d.ApproximateSize([]byte("key0000000"), []byte("key0002000"))
-	if half <= 0 || half >= whole {
-		t.Errorf("half range %d not within (0, %d)", half, whole)
-	}
-	empty := d.ApproximateSize([]byte("zzz"), []byte("zzzz"))
-	if empty != 0 {
-		t.Errorf("empty range reported %d bytes", empty)
-	}
-	// Consistency: the two halves partition the whole, except that a
-	// file partially in range counts fully, so the files holding the
-	// split key count in both: every L0 file of a random load, and one
-	// per deeper level. L0 runs to 1.5x its trigger before it drains,
-	// which makes that overlap a fifth of the whole here.
-	rest := d.ApproximateSize([]byte("key0002000"), nil)
-	var straddling int64
-	v := d.vs.Current()
-	for l := 0; l < d.cfg.NumLevels(); l++ {
-		for _, f := range v.Overlaps(l, []byte("key0002000"), []byte("key0002000"), d.cfg.sortedLevel(l)) {
-			straddling += f.Size
-		}
-	}
-	if half+rest-straddling != whole {
-		t.Errorf("halves %d + %d less the %d bytes holding the split key = %d, want the whole %d",
-			half, rest, straddling, half+rest-straddling, whole)
-	}
-}

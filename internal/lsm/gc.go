@@ -3,6 +3,7 @@ package lsm
 import (
 	"fmt"
 
+	"sealdb/internal/obs"
 	"sealdb/internal/version"
 )
 
@@ -26,10 +27,9 @@ type GCResult struct {
 // region (or folds into the append frontier).
 //
 // The pass is explicit (call it from a maintenance window); each
-// relocation costs one sequential read and one sequential write of
-// the set's live members. maxMoves bounds the pass; <= 0 means no
-// bound. Only meaningful in ModeSEALDB.
-func (d *DB) DefragmentBands(maxMoves int) (res GCResult, err error) {
+// relocation is a job that costs one sequential read and one sequential
+// write of the set's live members. Only meaningful in ModeSEALDB.
+func (d *DB) DefragmentBands() (res GCResult, err error) {
 	mgr := d.dev.DBand
 	if mgr == nil {
 		return res, fmt.Errorf("lsm: DefragmentBands requires dynamic bands (mode %v)", d.cfg.Mode)
@@ -42,47 +42,29 @@ func (d *DB) DefragmentBands(maxMoves int) (res GCResult, err error) {
 		res.FragmentsBefore = mgr.FragmentBytes(threshold)
 		sp := d.journal.Begin("band_gc", 0)
 		sp.Set("fragments_before", res.FragmentsBefore)
+		movedBefore := d.metrics.bandGCBytes.Value()
 
-		// Index live sets by their extent start, member files by set, and
-		// each member's level by file number.
-		byOff := map[int64]version.SetRecord{}
-		for _, set := range d.vs.Sets() {
-			byOff[set.Off] = set.SetRecord
-		}
-		members := map[uint64][]*version.FileMeta{}
-		levelOf := map[uint64]int{}
-		v := d.vs.Current()
-		for l := 0; l < d.cfg.NumLevels(); l++ {
-			for _, f := range v.Files[l] {
-				if f.SetID != 0 {
-					members[f.SetID] = append(members[f.SetID], f)
-					levelOf[f.Num] = l
-				}
+		// The victims are the sets that start where a fragment ends (a
+		// fragment whose neighbour is an ungrouped file stays). Relocation
+		// changes the free list, so collect them first; both lists are in
+		// address order, and so are the victims.
+		free := mgr.FreeRegions()
+		var victims []uint64
+		for _, e := range d.ownedExtents() {
+			for len(free) > 0 && free[0].End() < e.off {
+				free = free[1:]
+			}
+			if e.kind == ownedSet && len(free) > 0 && free[0].End() == e.off && free[0].Len < threshold {
+				victims = append(victims, e.id)
 			}
 		}
-
-		// Walk the fragments in address order and relocate each one's
-		// downstream set (if its neighbour is not an ungrouped file). The free
-		// list changes as we go, so collect the victims first. Free regions
-		// are disjoint, so the victims are distinct and in address order too.
-		var victims []version.SetRecord
-		for _, fr := range mgr.FreeRegions() {
-			if rec, ok := byOff[fr.End()]; ok && fr.Len < threshold {
-				victims = append(victims, rec)
-			}
-		}
-
-		for _, rec := range victims {
-			if maxMoves > 0 && res.SetsMoved >= maxMoves {
-				break
-			}
-			moved, err := d.relocateSet(rec, members[rec.ID], levelOf, sp.ID())
-			if err != nil {
+		for _, id := range victims {
+			if _, err := d.run(job{set: id}); err != nil {
 				return err
 			}
-			res.SetsMoved++
-			res.BytesMoved += moved
 		}
+		res.SetsMoved = len(victims)
+		res.BytesMoved = d.metrics.bandGCBytes.Value() - movedBefore
 		res.FragmentsAfter = mgr.FragmentBytes(threshold)
 		sp.Set("sets_moved", int64(res.SetsMoved))
 		sp.Set("bytes_moved", res.BytesMoved)
@@ -100,18 +82,28 @@ func (d *DB) DefragmentBands(maxMoves int) (res GCResult, err error) {
 // files and extent are reclaimed behind readers like any compaction's
 // inputs — so nothing is unmapped before its replacement is durable, a
 // crash leaves either set whole (plus orphans the next open sweeps), and
-// a live iterator keeps reading the old files until it closes. parent
-// links the migration span to its band-GC pass. Caller holds d.mu.
-func (d *DB) relocateSet(rec version.SetRecord, files []*version.FileMeta, levelOf map[uint64]int, parent uint64) (int64, error) {
-	if len(files) == 0 {
-		return 0, fmt.Errorf("lsm: relocating set %d with no live members", rec.ID)
+// a live iterator keeps reading the old files until it closes. Caller
+// holds d.mu.
+func (d *DB) relocateSet(id uint64, sp *obs.Span) error {
+	sp.Set("set", int64(id))
+	var files []*version.FileMeta
+	levelOf := map[uint64]int{}
+	v := d.vs.Current()
+	for l := 0; l < d.cfg.NumLevels(); l++ {
+		for _, f := range v.Files[l] {
+			if f.SetID == id {
+				files = append(files, f)
+				levelOf[f.Num] = l
+			}
+		}
 	}
-	msp := d.journal.Begin("set_migration", parent)
-	msp.Set("set", int64(rec.ID))
+	if len(files) == 0 {
+		return fmt.Errorf("lsm: relocating set %d with no live members", id)
+	}
 	// One sequential pass over the old extent.
 	files, datas, err := d.readWhole(files)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	defer d.putBufs(datas)
 
@@ -132,11 +124,11 @@ func (d *DB) relocateSet(rec version.SetRecord, files []*version.FileMeta, level
 	}
 	newRec, err := d.writeOutputs(copies, datas, true)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if newRec != nil {
 		edit.NewSets = []version.SetRecord{*newRec}
-		msp.Set("new_set", int64(newRec.ID))
+		sp.Set("new_set", int64(newRec.ID))
 	}
 	// The copies hold the members' bytes: what is cached of a member is
 	// cached of its copy, before the edit evicts the old number.
@@ -144,12 +136,11 @@ func (d *DB) relocateSet(rec version.SetRecord, files []*version.FileMeta, level
 		d.cache.RekeyFile(f.Num, copies[i].Num)
 	}
 	if err := d.install(edit); err != nil {
-		return 0, err
+		return err
 	}
 	d.metrics.bandGCMoves.Inc()
 	d.metrics.bandGCBytes.Add(moved)
-	msp.Set("bytes", moved)
-	msp.Set("members", int64(len(files)))
-	msp.End()
-	return moved, nil
+	sp.Set("bytes", moved)
+	sp.Set("members", int64(len(files)))
+	return nil
 }

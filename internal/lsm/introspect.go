@@ -91,22 +91,6 @@ func (d *DB) SetProfile() SetProfile {
 	return p
 }
 
-// ApproximateSize returns the table bytes whose key ranges intersect
-// [lo, hi] (nil = unbounded), LevelDB's GetApproximateSizes. It is an
-// upper estimate: a file partially in range counts fully.
-func (d *DB) ApproximateSize(lo, hi []byte) int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	v := d.vs.Current()
-	var total int64
-	for l := 0; l < d.cfg.NumLevels(); l++ {
-		for _, f := range v.Overlaps(l, lo, hi, d.cfg.sortedLevel(l)) {
-			total += f.Size
-		}
-	}
-	return total
-}
-
 // CompactRange compacts every file whose user-key range intersects
 // [lo, hi] down the tree until none of those levels exceed their
 // targets and the range has reached the deepest populated level.

@@ -131,7 +131,7 @@ func TestDefragmentBands(t *testing.T) {
 	ref := loadRandom(t, d, 14000, 17)
 
 	before := d.Device().DBand.FragmentBytes(2 * cfg.SSTableSize)
-	res, err := d.DefragmentBands(0)
+	res, err := d.DefragmentBands()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,21 +179,8 @@ func TestDefragmentBands(t *testing.T) {
 func TestDefragmentBandsWrongMode(t *testing.T) {
 	d, _ := Open(tinyConfig(ModeLevelDB))
 	defer d.Close()
-	if _, err := d.DefragmentBands(0); err == nil {
+	if _, err := d.DefragmentBands(); err == nil {
 		t.Error("DefragmentBands accepted on a fixed-band store")
-	}
-}
-
-func TestDefragmentBandsMaxMoves(t *testing.T) {
-	d, _ := Open(tinyConfig(ModeSEALDB))
-	defer d.Close()
-	loadRandom(t, d, 12000, 19)
-	res, err := d.DefragmentBands(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SetsMoved > 1 {
-		t.Errorf("maxMoves=1 but moved %d sets", res.SetsMoved)
 	}
 }
 
@@ -300,7 +287,7 @@ func TestTableReaderLivesWithItsFile(t *testing.T) {
 		}
 	}
 	held, _ := d.acquire()
-	res, err := d.DefragmentBands(0)
+	res, err := d.DefragmentBands()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,32 +10,27 @@ import (
 )
 
 // job is one unit of maintenance work, built only when there is work to
-// do: a flush of a frozen memtable, a compaction, or a value-log GC pass.
-// Exactly one of mem, c and victim is set; building one allocates nothing.
+// do: a flush of a frozen memtable, a compaction, a value-log GC pass or
+// a set relocation. Exactly one of mem, c, victim and set is set;
+// building one allocates nothing.
 type job struct {
 	mem    *memtable.MemTable // a flush: the memtable
 	logNum uint64             // a flush: the WAL recovery replays after it (0 keeps the recorded one)
 	c      *compaction        // a compaction
 	victim version.VlogSeg    // a vlog GC pass: the segment to collect
+	set    uint64             // a relocation: the set to move
 }
 
-// gcDue is the due score of the drain after a commit: no level is picked,
-// and one value-log GC pass runs if a victim qualifies.
-const gcDue = 0
-
-// drainJobs runs the jobs that are due until none is: compactions of the
-// levels draining at score due (debtBound before a batch is logged, 1
-// where every level must end below its target), or, at gcDue, one GC
-// pass, which bounds the stall a single Apply absorbs. A pass re-puts
-// through commitLocked, whose drain picks compactions only, so it never
-// starts another pass. Caller holds d.mu.
+// drainJobs runs the compactions of the levels draining at score due
+// (debtBound before a batch is logged, 1 where every level must end below
+// its target) until none is due. Caller holds d.mu.
 func (d *DB) drainJobs(due float64) error {
 	for i := 0; ; i++ {
-		j, ok := d.nextJob(due)
-		if !ok {
+		c := d.pickCompaction(due)
+		if c == nil {
 			return nil
 		}
-		if _, err := d.run(j); err != nil || j.c == nil {
+		if _, err := d.run(job{c: c}); err != nil {
 			return err
 		}
 		if i > 10000 {
@@ -44,19 +39,17 @@ func (d *DB) drainJobs(due float64) error {
 	}
 }
 
-// nextJob returns the job due at score due: the compaction pickCompaction
-// builds or, at gcDue, a GC pass of the segment VlogVictim names while the
-// sealed log is over its dead budget — the deadest sealed segment wholly
-// before the replay head (dead bytes are only charged at flush and
-// compaction, so waiting for the next flush to move the head costs the
-// collector nothing). Relocation re-puts live values at fresh sequence
-// numbers, so no pass is due while a snapshot is registered (the next
-// commit retries). Caller holds d.mu.
-func (d *DB) nextJob(due float64) (job, bool) {
-	if due != gcDue {
-		c := d.pickCompaction(due)
-		return job{c: c}, c != nil
-	}
+// gcJob returns the value-log GC pass due after a commit: one pass of the
+// segment VlogVictim names while the sealed log is over its dead budget —
+// the deadest sealed segment wholly before the replay head (dead bytes
+// are only charged at flush and compaction, so waiting for the next flush
+// to move the head costs the collector nothing). One pass per commit
+// bounds the stall a single Apply absorbs; a pass re-puts through
+// commitLocked, whose drain picks compactions only, so it never starts
+// another. Relocation re-puts live values at fresh sequence numbers, so
+// no pass is due while a snapshot is registered (the next commit
+// retries). Caller holds d.mu.
+func (d *DB) gcJob() (job, bool) {
 	if !d.cfg.vlogEnabled() || len(d.snapshots) > 0 {
 		return job{}, false
 	}
@@ -81,6 +74,9 @@ func (d *DB) run(j job) (res VlogGCResult, err error) {
 	case j.c != nil:
 		sp = d.journal.Begin("compaction", 0)
 		info, err = d.compact(j.c, sp)
+	case j.set != 0:
+		sp = d.journal.Begin("set_migration", 0)
+		err = d.relocateSet(j.set, sp)
 	default:
 		sp = d.journal.Begin("vlog_gc", 0)
 		res, err = d.collect(j.victim, sp)
@@ -88,7 +84,7 @@ func (d *DB) run(j job) (res VlogGCResult, err error) {
 	if err != nil {
 		return res, d.failWrite(err)
 	}
-	if j.victim.Num == 0 {
+	if j.mem != nil || j.c != nil {
 		d.compID++
 		info.ID = d.compID
 		if j.c != nil {

@@ -166,7 +166,7 @@ func TestPostCommitGCFailureIsNotTheBatchs(t *testing.T) {
 	ref := loadVlogGarbage(t, d)
 
 	d.mu.Lock()
-	j, ok := d.nextJob(gcDue)
+	j, ok := d.gcJob()
 	ext, err := d.backend.FileExtent(j.victim.Num)
 	d.mu.Unlock()
 	if !ok || err != nil {

@@ -202,7 +202,7 @@ func recordHistory(t *testing.T, cfg Config) []history.RegOp {
 				err = d.CompactRange(linearKey(lo), linearKey(lo+rng.Intn(16)))
 			case 2:
 				if cfg.Mode == ModeSEALDB {
-					_, err = d.DefragmentBands(2)
+					_, err = d.DefragmentBands()
 				}
 			case 3:
 				if cfg.vlogEnabled() {

@@ -252,7 +252,7 @@ func testModelBasedRandomOps(t *testing.T, mode Mode) {
 			}
 		case modelGC: // sealdb only
 			if mode == ModeSEALDB {
-				if _, err := d.DefragmentBands(2); err != nil {
+				if _, err := d.DefragmentBands(); err != nil {
 					t.Fatalf("step %d gc: %v", step, err)
 				}
 			}
@@ -470,7 +470,7 @@ func TestCrossModeDifferential(t *testing.T) {
 			err = s.d.CompactRange([]byte(fmt.Sprintf("mk%06d", lo)), []byte(fmt.Sprintf("mk%06d", lo+749)))
 		case modelGC:
 			if s.cfg.Mode == ModeSEALDB {
-				_, err = s.d.DefragmentBands(2)
+				_, err = s.d.DefragmentBands()
 			}
 		case modelReopen:
 			for _, sn := range s.snaps {

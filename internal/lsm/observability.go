@@ -166,8 +166,9 @@ func (d *DB) MetricsSnapshot() *obs.Snapshot {
 }
 
 // Events returns the journaled engine events (flushes, compactions,
-// set migrations, band GC, media-cache cleans, dynamic-band allocator
-// activity), oldest first. Timestamps are simulated device
+// value-log appends and GC passes, set migrations, band GC, log
+// rotations, recovery's replays and repairs, corrupt blocks, reclaim
+// errors, degradation), oldest first. Timestamps are simulated device
 // nanoseconds.
 func (d *DB) Events() []obs.Event {
 	return d.journal.Events()

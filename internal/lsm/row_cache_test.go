@@ -468,7 +468,7 @@ func TestRelocationKeepsResidency(t *testing.T) {
 	if resident.RowEntries == 0 {
 		t.Fatal("set-up: no rows")
 	}
-	res, err := d.DefragmentBands(0)
+	res, err := d.DefragmentBands()
 	if err != nil || res.SetsMoved == 0 {
 		t.Fatalf("DefragmentBands moved %d sets, %v", res.SetsMoved, err)
 	}

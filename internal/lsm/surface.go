@@ -104,7 +104,7 @@ func (d *DB) bandRowsLocked() []BandRow {
 
 // VlogSegmentRow is one value-log segment's occupancy in the
 // /debug/bands payload — the per-segment accounting the GC pass's
-// victim choice (nextJob) reads, surfaced.
+// victim choice (gcJob) reads, surfaced.
 type VlogSegmentRow struct {
 	Num       uint64  `json:"num"`
 	Bytes     int64   `json:"bytes"`

@@ -281,7 +281,7 @@ func TestSurfaceViewUnderDeferredReclaim(t *testing.T) {
 }
 
 // TestSurfaceVlogOccupancy checks the satellite fix: the per-segment
-// occupancy the GC pass's victim selection (nextJob) reads is exported through
+// occupancy the GC pass's victim selection (gcJob) reads is exported through
 // the /debug/bands payload, the log-wide dead budget included.
 func TestSurfaceVlogOccupancy(t *testing.T) {
 	cfg := tinyConfig(ModeSEALDB)

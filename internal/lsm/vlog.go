@@ -381,7 +381,7 @@ func (d *DB) VlogGC() (res VlogGCResult, err error) {
 		return res, fmt.Errorf("lsm: VlogGC requires a value threshold (mode %v)", d.cfg.Mode)
 	}
 	err = d.maintain(func() (err error) {
-		if j, ok := d.nextJob(gcDue); ok {
+		if j, ok := d.gcJob(); ok {
 			res, err = d.run(j)
 		}
 		return err

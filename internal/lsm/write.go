@@ -153,7 +153,9 @@ func (d *DB) applyLocked(b *Batch, ot *opTrace) error {
 	// Opportunistic value-log collection. The batch is durable and
 	// visible by now, so a failed pass is not its failure: the executor
 	// degrades the store, and the next write reports it.
-	_ = d.drainJobs(gcDue)
+	if j, ok := d.gcJob(); ok {
+		_, _ = d.run(j)
+	}
 	return nil
 }
 
