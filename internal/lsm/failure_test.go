@@ -71,8 +71,8 @@ func TestPermanentWriteFailureDegradesStore(t *testing.T) {
 	if err := d.FlushMemtable(); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("FlushMemtable on degraded store = %v, want ErrDegraded", err)
 	}
-	if err := d.CompactAll(); !errors.Is(err, ErrDegraded) {
-		t.Fatalf("CompactAll on degraded store = %v, want ErrDegraded", err)
+	if err := compactAll(d); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("compactAll on degraded store = %v, want ErrDegraded", err)
 	}
 
 	// Everything acknowledged before the failure is still there.

@@ -72,7 +72,7 @@ func checkJobRecords(t *testing.T, d *DB) (flushes, compactions, trivial, gcs in
 
 // TestJobExecutorContract drives a SEALDB store with a value log through
 // every way a job runs — flushes and compactions on the writer,
-// FlushMemtable, CompactAll, CompactRange, VlogGC, a GC pass after a
+// FlushMemtable, compactAll, CompactRange, VlogGC, a GC pass after a
 // commit, and the recovery flush of a reopen — and holds the journal to
 // the per-job record (checkJobRecords).
 func TestJobExecutorContract(t *testing.T) {
@@ -98,7 +98,7 @@ func TestJobExecutorContract(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := d.CompactAll(); err != nil {
+	if err := compactAll(d); err != nil {
 		t.Fatal(err)
 	}
 	// A key range past every other overlaps nothing below level 0:

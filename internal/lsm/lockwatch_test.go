@@ -51,7 +51,7 @@ func TestObservedLockOrderIsDeclared(t *testing.T) {
 	if res, err := d.VlogGC(); err != nil || res.Victim == 0 {
 		t.Fatalf("VlogGC = %+v, %v; want a pass", res, err)
 	}
-	if err := d.CompactAll(); err != nil {
+	if err := compactAll(d); err != nil {
 		t.Fatal(err)
 	}
 	d.Close()

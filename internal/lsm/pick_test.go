@@ -259,7 +259,7 @@ func lastL0Drain(t *testing.T, d *DB) (rent, price int64) {
 // target — L0 only once reads of its tables have paid the device time
 // its drain costs, else at l0StopBound — and a due level drains below
 // 1.0 in the writer call that found it due; a reopened store does not
-// remember a drain or L0's rent, and CompactAll settles every level
+// remember a drain or L0's rent, and compactAll settles every level
 // below 1.0.
 func TestDebtTolerantTrigger(t *testing.T) {
 	stop := l0CompactTrigger * l0StopBound
@@ -431,13 +431,13 @@ func TestDebtTolerantTrigger(t *testing.T) {
 		d, _ := Open(tinyConfig(ModeSEALDB))
 		defer d.Close()
 		loadRandom(t, d, 8000, 8)
-		if err := d.CompactAll(); err != nil {
+		if err := compactAll(d); err != nil {
 			t.Fatal(err)
 		}
 		v := d.vs.Current()
 		for l := 0; l < d.cfg.NumLevels()-1; l++ {
 			if s := d.cfg.score(v, l); s >= 1 {
-				t.Fatalf("CompactAll left L%d at %.2fx", l, s)
+				t.Fatalf("compactAll left L%d at %.2fx", l, s)
 			}
 		}
 	})

@@ -374,12 +374,12 @@ func TestJustWrittenTableOpensWithItsRows(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := d.CompactAll(); err != nil {
+	if err := compactAll(d); err != nil {
 		t.Fatal(err)
 	}
 	v := d.vs.Current()
 	if v.NumFiles(0) != 0 {
-		t.Fatalf("set-up: CompactAll left %d level-0 tables", v.NumFiles(0))
+		t.Fatalf("set-up: compactAll left %d level-0 tables", v.NumFiles(0))
 	}
 	carried := 0
 	for l := range v.Files {
@@ -397,7 +397,7 @@ func TestJustWrittenTableOpensWithItsRows(t *testing.T) {
 		t.Fatalf("set-up: %d of %d tables hold the key, want 1 of several", carried, v.TotalFiles())
 	}
 	if reads := get(); reads != 0 {
-		t.Fatalf("the first Get after CompactAll cost %d device reads", reads)
+		t.Fatalf("the first Get after compactAll cost %d device reads", reads)
 	}
 
 	w, err := Open(cfg)
@@ -408,7 +408,7 @@ func TestJustWrittenTableOpensWithItsRows(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		put(w, []byte(fmt.Sprintf("key%04d", i*7919%3000)), bigValue(fmt.Sprint("v", i), 700))
 	}
-	if err := w.CompactAll(); err != nil {
+	if err := compactAll(w); err != nil {
 		t.Fatal(err)
 	}
 	v = w.vs.Current()
