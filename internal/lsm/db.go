@@ -140,7 +140,8 @@ type DB struct {
 	scratch Batch    // guarded by mu
 	// oneBatch is the spare one-entry batch Put and Delete build in,
 	// taken by swapping nil in (oneEntry) and stored back after Apply.
-	oneBatch atomic.Pointer[Batch]
+	oneBatch   atomic.Pointer[Batch]
+	spareMerge atomic.Pointer[mergingIter] // likewise the last closed Iterator's merge, emptied
 	// state is the published read state, visible the newest sequence
 	// number readers see; retiring queues superseded states, oldest
 	// first, until what they retired is reclaimed (readstate.go).
@@ -150,6 +151,7 @@ type DB struct {
 	spare    *readState   // a drained state publish reuses; guarded by mu
 	// builder builds every table the engine writes, one at a time.
 	builder   sstable.Builder
+	mergeKeys []kv.InternalKey // compaction's merge's kept keys, emptied; guarded by mu
 	walW      *wal.Writer
 	walFile   *storage.AppendFile
 	walLimit  int64
