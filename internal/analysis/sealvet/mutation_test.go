@@ -17,7 +17,7 @@ var census = []struct {
 }{
 	{"a retry waits on the wall clock", "noclock",
 		"internal/smr", "retry.go",
-		"total += wait", "time.Sleep(wait)"},
+		"d.note(func(s *RetryStats) { s.Retried++ })", "time.Sleep(time.Millisecond); d.note(func(s *RetryStats) { s.Retried++ })"},
 	{"a snapshot writes the registry under RLock", "guardedby",
 		"internal/obs", "obs.go",
 		"funcs[n] = f", "r.gaugeFuncs[n] = f"},

@@ -137,7 +137,7 @@ func TestInjectedErrorsByRangeCountAndKind(t *testing.T) {
 func TestRetryLayerHealsInjectedTransients(t *testing.T) {
 	d, _ := newFaultDrive(t, 1)
 	d.Inject(Rule{Op: OpWrite, Count: 2, Temporary: true})
-	r := smr.NewRetry(d, 3, 0)
+	r := smr.NewRetry(d, 3)
 
 	if _, err := r.WriteAt([]byte("persist me"), 0); err != nil {
 		t.Fatalf("retry layer did not heal transient faults: %v", err)

@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Common byte-size units.
@@ -59,10 +60,8 @@ const TrailerLen = 8
 // MakeInternalKey appends the trailer for (seq, kind) to ukey,
 // reusing dst's storage when possible.
 func MakeInternalKey(dst []byte, ukey []byte, seq SeqNum, kind Kind) InternalKey {
-	dst = append(dst[:0], ukey...)
-	var tr [TrailerLen]byte
-	binary.LittleEndian.PutUint64(tr[:], uint64(seq)<<8|uint64(kind))
-	return append(dst, tr[:]...)
+	dst = append(slices.Grow(dst[:0], len(ukey)+TrailerLen), ukey...)
+	return binary.LittleEndian.AppendUint64(dst, uint64(seq)<<8|uint64(kind))
 }
 
 // MakeSearchKey builds the internal key that sorts immediately before

@@ -46,6 +46,20 @@ func TestInternalKeyReusesDst(t *testing.T) {
 	}
 }
 
+// TestInternalKeyAllocatesOnce checks that a key built into no storage
+// costs one allocation, the user key and trailer together.
+func TestInternalKeyAllocatesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under the race detector")
+	}
+	ukey := []byte("0123456789abcdef")
+	if n := testing.AllocsPerRun(100, func() { keySink = MakeInternalKey(nil, ukey, 7, KindSet) }); n != 1 {
+		t.Fatalf("MakeInternalKey(nil, 16-byte key) made %v allocations, want 1", n)
+	}
+}
+
+var keySink InternalKey
+
 func TestCompareInternalOrdering(t *testing.T) {
 	mk := func(u string, s SeqNum, k Kind) InternalKey {
 		return MakeInternalKey(nil, []byte(u), s, k)

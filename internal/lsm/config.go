@@ -19,7 +19,6 @@ package lsm
 
 import (
 	"fmt"
-	"time"
 
 	"sealdb/internal/kv"
 	"sealdb/internal/smr"
@@ -168,12 +167,8 @@ func (c *Config) vlogSegSize() int64 {
 const l0CompactTrigger, levelMultiplier = 4, 10
 
 // A device write that fails with a transient error is retried up to
-// writeRetries times, after retryBackoff, doubling each attempt; the
-// wait is charged as simulated device time.
-const (
-	writeRetries = 3
-	retryBackoff = 200 * time.Microsecond
-)
+// writeRetries times.
+const writeRetries = 3
 
 // DefaultConfig returns a config for the given mode with the scaled
 // default geometry, applying the mode's structural parameters (SMRDB

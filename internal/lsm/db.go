@@ -74,7 +74,7 @@ func NewDevice(cfg Config) *Device {
 			dev.Hook = cfg.WrapDrive(base)
 			base = dev.Hook
 		}
-		dev.Drive = smr.NewRetry(base, writeRetries, retryBackoff)
+		dev.Drive = smr.NewRetry(base, writeRetries)
 		return dev.Drive
 	}
 	switch cfg.Mode {
@@ -529,52 +529,28 @@ func (d *DB) sweepOrphans() {
 	}
 }
 
-// reconcileExtents compares the dynamic band manager's allocated
-// space against everything the recovered state actually owns and
-// frees the difference — extents leaked when a crash landed between
-// a manifest edit (e.g. DropSets) and the deferred FreeExtent, or
-// between a group allocation and its manifest record. SEALDB only:
-// the other modes' allocators are reconstructed per file by the
-// orphan sweep.
+// reconcileExtents frees the dynamic band manager's allocated runs that
+// nothing the recovered state owns covers — extents leaked when a crash
+// landed between a manifest edit (e.g. DropSets) and the deferred
+// FreeExtent, or between a group allocation and its manifest record.
+// SEALDB only: the other modes' allocators are reconstructed per file by
+// the orphan sweep.
 func (d *DB) reconcileExtents() error {
 	mgr := d.dev.DBand
 	if mgr == nil {
 		return nil
 	}
-	covered := d.ownedExtents()
-	// Walk the allocator's allocated runs and free every gap not
-	// covered by a file or set.
-	for _, band := range mgr.Bands() {
-		pos := band.Off
-		bandEnd := band.Off + band.Len
-		for _, sp := range covered {
-			if sp.end() <= pos || sp.off >= bandEnd {
-				continue
-			}
-			if sp.off > pos {
-				if err := d.freeLeaked(pos, sp.off-pos); err != nil {
-					return err
-				}
-			}
-			if sp.end() > pos {
-				pos = sp.end()
-			}
-		}
-		if pos < bandEnd {
-			if err := d.freeLeaked(pos, bandEnd-pos); err != nil {
-				return err
-			}
+	leaks, _ := unownedRuns(mgr.Bands(), d.ownedExtents())
+	for _, e := range leaks {
+		d.recovery.LeakedBytes += e.Len
+		d.journal.Record("leaked_extent_reclaimed", map[string]int64{
+			"off": e.Off, "len": e.Len,
+		})
+		if err := d.backend.FreeExtent(e); err != nil {
+			return err
 		}
 	}
 	return nil
-}
-
-func (d *DB) freeLeaked(off, length int64) error {
-	d.recovery.LeakedBytes += length
-	d.journal.Record("leaked_extent_reclaimed", map[string]int64{
-		"off": off, "len": length,
-	})
-	return d.backend.FreeExtent(storage.Extent{Off: off, Len: length})
 }
 
 // openWAL creates a fresh write-ahead log of size bytes and makes it

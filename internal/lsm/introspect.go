@@ -6,6 +6,8 @@ import (
 	"sort"
 
 	"sealdb/internal/kv"
+	"sealdb/internal/sstable"
+	"sealdb/internal/storage"
 	"sealdb/internal/version"
 	"sealdb/internal/vlog"
 )
@@ -124,12 +126,12 @@ func (d *DB) CompactRange(lo, hi []byte) error {
 	})
 }
 
-// VerifyIntegrity walks the whole store and checks every invariant it
-// can reach: table checksums and ordering, version metadata against
-// table contents, set records against file placements, and (in
-// SEALDB mode) dynamic-band space accounting against the drive's
-// valid-extent map. It is the repository's fsck, used by tests and
-// the CLI.
+// VerifyIntegrity, the repository's fsck, checks every invariant it can
+// reach: table checksums and ordering, version metadata against table
+// contents, set records against file placements, value-log segments
+// against the pointers the tree serves, and (SEALDB) space accounting
+// against the allocator and the drive. It reads the media, not the cache:
+// tables whole as compaction does, segments whole as the collector does.
 func (d *DB) VerifyIntegrity() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -140,146 +142,146 @@ func (d *DB) VerifyIntegrity() error {
 	if err := v.CheckInvariants(d.cfg.sortedLevel); err != nil {
 		return fmt.Errorf("version: %w", err)
 	}
+	served := map[vlog.Pointer]string{}
+	mi := d.mem.NewIterator()
+	for mi.SeekToFirst(); mi.Valid(); mi.Next() {
+		if err := d.noteServed(served, mi.Key(), mi.Value()); err != nil {
+			return fmt.Errorf("memtable key %s: %w", mi.Key(), err)
+		}
+	}
 	for l := 0; l < d.cfg.NumLevels(); l++ {
 		for _, f := range v.Files[l] {
-			if err := d.verifyTable(l, f); err != nil {
-				return err
+			if err := d.verifyTable(f, served); err != nil {
+				return fmt.Errorf("L%d %s: %w", l, f, err)
 			}
 		}
 	}
 	if err := d.verifySets(v); err != nil {
 		return err
 	}
-	if d.cfg.vlogEnabled() {
-		if err := d.verifyVlog(v); err != nil {
-			return err
-		}
+	if err := d.verifyVlog(served); err != nil {
+		return err
 	}
 	return d.verifyExtents()
 }
 
-// verifyVlog cross-checks key–value separation state: the manifest's
-// segment records against each other, and every *serving* pointer — the
-// newest visible version of its key — against the value log: the
-// pointed-at record must decode, sit inside its segment's
-// logical bytes, and carry the same user key; and the records served
-// out of a segment must fit in the bytes its accounting still calls
-// live (header, frames and charged-dead records excluded). Shadowed
-// versions are exempt: GC repairs pointers by re-putting, so a
-// superseded entry may reference a collected segment until compaction
-// drops it. Caller holds d.mu.
-func (d *DB) verifyVlog(v *version.Version) error {
-	segs := map[uint64]version.VlogSeg{}
-	unsealed := 0
-	for _, s := range d.vlogSegs() {
-		if s.Live() < 0 {
-			return fmt.Errorf("vlog segment %d: dead bytes %d and overhead %d exceed total %d", s.Num, s.Dead, s.Overhead, s.Bytes)
-		}
-		if !s.Sealed {
-			unsealed++
-		}
-		segs[s.Num] = s
-	}
-	if unsealed > 1 {
-		return fmt.Errorf("vlog: %d unsealed segments in manifest, want at most one", unsealed)
-	}
-
-	serving := map[uint64]int64{} // segment → bytes of records the tree serves from it
-	check := func(where string, ik kv.InternalKey, stored []byte) error {
-		if ik.Kind() != kv.KindSet || len(stored) == 0 || stored[0] != vlogTagPtr {
-			return nil
-		}
-		newest, kind, _, found, err := d.lookup(d.state.Load(), ik.UserKey(), d.seq, nil)
-		if err != nil {
-			return err
-		}
-		if !found || kind != kv.KindSet || !bytes.Equal(newest, stored) {
-			return nil // shadowed version: its record may be collected
-		}
-		p, err := vlog.DecodePointer(stored[1:])
-		if err != nil {
-			return fmt.Errorf("%s key %s: %w", where, ik, err)
-		}
-		info, ok := segs[p.Seg]
-		if !ok {
-			return fmt.Errorf("%s key %s: pointer into unknown vlog segment %d", where, ik, p.Seg)
-		}
-		if end := int64(p.Off) + int64(p.Len); p.Off < vlog.HeaderSize || end > info.Bytes {
-			return fmt.Errorf("%s key %s: pointer [%d,%d) outside the groups of segment %d, bytes [%d,%d)",
-				where, ik, p.Off, end, p.Seg, vlog.HeaderSize, info.Bytes)
-		}
-		serving[p.Seg] += int64(p.Len)
-		rkey, _, err := d.vlogRead(make([]byte, p.Len), p)
-		if err != nil {
-			return fmt.Errorf("%s key %s: vlog segment %d offset %d: %w", where, ik, p.Seg, p.Off, err)
-		}
-		if !bytes.Equal(rkey, ik.UserKey()) {
-			return fmt.Errorf("%s key %s: vlog record holds key %q", where, ik, rkey)
-		}
-		return nil
-	}
-
-	mi := d.mem.NewIterator()
-	for mi.SeekToFirst(); mi.Valid(); mi.Next() {
-		if err := check("memtable", mi.Key(), mi.Value()); err != nil {
-			return err
-		}
-	}
-	for l := 0; l < d.cfg.NumLevels(); l++ {
-		for _, f := range v.Files[l] {
-			t, err := d.openTable(f)
-			if err != nil {
-				return fmt.Errorf("L%d %s: %w", l, f, err)
-			}
-			it := t.NewIterator()
-			for it.SeekToFirst(); it.Valid(); it.Next() {
-				if err := check(fmt.Sprintf("L%d %s", l, f), it.Key(), it.Value()); err != nil {
-					return err
-				}
-			}
-			if err := it.Error(); err != nil {
-				return fmt.Errorf("L%d %s: %w", l, f, err)
-			}
-		}
-	}
-	for num, n := range serving {
-		if info := segs[num]; n > info.Live() {
-			return fmt.Errorf("vlog segment %d: the tree serves %d record bytes but only %d are accounted live (%d bytes, %d overhead, %d dead)",
-				num, n, info.Live(), info.Bytes, info.Overhead, info.Dead)
-		}
-	}
-	return nil
-}
-
-// verifyTable scans one table, checking block CRCs (implicitly),
-// internal ordering, and the metadata bounds. Caller holds d.mu.
-func (d *DB) verifyTable(level int, f *version.FileMeta) error {
-	t, err := d.openTable(f)
+// verifyTable reads table f whole, as compaction does, checks its block
+// CRCs, key order and metadata bounds, and notes in served each record it
+// serves. Caller holds d.mu.
+func (d *DB) verifyTable(f *version.FileMeta, served map[vlog.Pointer]string) error {
+	_, bufs, err := d.readWhole([]*version.FileMeta{f})
+	defer d.putBufs(bufs)
 	if err != nil {
-		return fmt.Errorf("L%d %s: %w", level, f, err)
+		return err
 	}
-	it := t.NewIterator()
+	t, err := sstable.OpenBuilt(bufs[0], nil, f.Num, nil)
+	if err != nil {
+		return err
+	}
+	it := t.NewMemIterator(bufs[0])
 	var prev kv.InternalKey
 	entries := 0
 	for it.SeekToFirst(); it.Valid(); it.Next() {
 		ik := it.Key()
 		if prev != nil && kv.CompareInternal(prev, ik) >= 0 {
-			return fmt.Errorf("L%d %s: keys out of order at entry %d", level, f, entries)
+			return fmt.Errorf("keys out of order at entry %d", entries)
 		}
 		if entries == 0 && kv.CompareInternal(ik, f.Smallest) != 0 {
-			return fmt.Errorf("L%d %s: first key %s != smallest %s", level, f, ik, f.Smallest)
+			return fmt.Errorf("first key %s != smallest %s", ik, f.Smallest)
+		}
+		if err := d.noteServed(served, ik, it.Value()); err != nil {
+			return fmt.Errorf("key %s: %w", ik, err)
 		}
 		prev = append(prev[:0], ik...)
 		entries++
 	}
 	if err := it.Error(); err != nil {
-		return fmt.Errorf("L%d %s: %w", level, f, err)
+		return err
 	}
-	if entries == 0 {
-		return fmt.Errorf("L%d %s: empty table", level, f)
+	if entries == 0 || kv.CompareInternal(prev, f.Largest) != 0 {
+		return fmt.Errorf("last of %d keys %s != largest %s", entries, prev, f.Largest)
 	}
-	if kv.CompareInternal(prev, f.Largest) != 0 {
-		return fmt.Errorf("L%d %s: last key %s != largest %s", level, f, prev, f.Largest)
+	return nil
+}
+
+// noteServed notes in served the value-log record stored points at, under
+// its key, if stored is the key's newest visible version: GC repairs
+// pointers by re-putting, so a shadowed one may name a collected segment
+// until compaction drops it. Caller holds d.mu.
+func (d *DB) noteServed(served map[vlog.Pointer]string, ik kv.InternalKey, stored []byte) error {
+	if !d.cfg.vlogEnabled() || ik.Kind() != kv.KindSet || len(stored) == 0 || stored[0] != vlogTagPtr {
+		return nil
+	}
+	newest, kind, _, found, err := d.lookup(d.state.Load(), ik.UserKey(), d.seq, nil)
+	if err != nil || !found || kind != kv.KindSet || !bytes.Equal(newest, stored) {
+		return err
+	}
+	p, err := vlog.DecodePointer(stored[1:])
+	if err != nil {
+		return err
+	}
+	if other, ok := served[p]; ok && other != string(ik.UserKey()) {
+		return fmt.Errorf("keys %q and %q both point at %+v", other, ik.UserKey(), p)
+	}
+	served[p] = string(ik.UserKey())
+	return nil
+}
+
+// verifyVlog checks the value log against the manifest and the tree: no
+// segment is more dead than long and at most one is unsealed; the records
+// served out of one fit in the bytes it accounts live (header, frames and
+// charged-dead records excluded); each scans clean to its length, read
+// whole as the collector reads it; and every served record is one a scan
+// found, of the same key and length. Caller holds d.mu.
+func (d *DB) verifyVlog(served map[vlog.Pointer]string) error {
+	bytesServed := map[uint64]int64{}
+	for p := range served {
+		bytesServed[p.Seg] += int64(p.Len)
+	}
+	unsealed := 0
+	for _, s := range d.vlogSegs() {
+		if s.Live() < 0 {
+			return fmt.Errorf("vlog segment %d: dead bytes %d and overhead %d exceed total %d", s.Num, s.Dead, s.Overhead, s.Bytes)
+		}
+		if n := bytesServed[s.Num]; n > s.Live() {
+			return fmt.Errorf("vlog segment %d: the tree serves %d record bytes but only %d are accounted live (%d bytes, %d overhead, %d dead)",
+				s.Num, n, s.Live(), s.Bytes, s.Overhead, s.Dead)
+		}
+		if !s.Sealed {
+			unsealed++
+		}
+		if err := d.scanServed(s, served); err != nil {
+			return fmt.Errorf("vlog segment %d: %w", s.Num, err)
+		}
+	}
+	if unsealed > 1 {
+		return fmt.Errorf("vlog: %d unsealed segments in manifest, want at most one", unsealed)
+	}
+	for p, key := range served {
+		return fmt.Errorf("vlog: key %q points at %+v, where no record of a registered segment begins", key, p)
+	}
+	return nil
+}
+
+// scanServed reads segment s whole, scans it and deletes from served
+// each record the scan finds there. Caller holds d.mu.
+func (d *DB) scanServed(s version.VlogSeg, served map[vlog.Pointer]string) error {
+	buf, err := d.vlogReadSealed(s.Num, d.tableBuf(s.Bytes)[:s.Bytes])
+	if err != nil {
+		return err
+	}
+	defer d.cache.PutBuf(buf)
+	sc := vlog.NewScanner(s.Num, buf[vlog.HeaderSize:], vlog.HeaderSize)
+	for sc.Next() {
+		for _, r := range sc.Records() {
+			if key, ok := served[r.Ptr]; ok && key != string(r.Key) {
+				return fmt.Errorf("key %q points at the record of key %q at offset %d", key, r.Key, r.Ptr.Off)
+			}
+			delete(served, r.Ptr)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("does not scan clean to its length %d: %w", s.Bytes, err)
 	}
 	return nil
 }
@@ -408,14 +410,12 @@ func (d *DB) ownedExtents() []ownedExtent {
 
 // verifyExtents checks physical space accounting: every owned extent
 // must be pairwise disjoint (no double allocation) and no more dead
-// than long, and in SEALDB mode their total must equal exactly what the
-// dynamic band manager has allocated (no leak) with none of them
-// landing in its free space. Caller holds d.mu.
+// than long, and in SEALDB mode the owned extents must cover exactly
+// what the dynamic band manager has allocated: none outside it (a
+// double free) and no allocated run unowned (a leak). Caller holds d.mu.
 func (d *DB) verifyExtents() error {
 	spans := d.ownedExtents()
-	var total int64
 	for i, sp := range spans {
-		total += sp.len
 		if i > 0 && spans[i-1].end() > sp.off {
 			return fmt.Errorf("extent overlap: %s [%d,%d) vs %s [%d,%d)",
 				spans[i-1], spans[i-1].off, spans[i-1].end(), sp, sp.off, sp.end())
@@ -428,18 +428,44 @@ func (d *DB) verifyExtents() error {
 	if mgr == nil {
 		return nil
 	}
-	if alloc := mgr.AllocatedBytes(); total != alloc {
-		return fmt.Errorf("extent accounting: %d bytes owned by files/sets but allocator holds %d (leak or double-free of %d)",
-			total, alloc, alloc-total)
+	leaks, stray := unownedRuns(mgr.Bands(), spans)
+	if stray != nil {
+		return fmt.Errorf("%s [%d,%d) lies outside the allocator's allocated space", stray, stray.off, stray.end())
 	}
-	free := mgr.FreeRegions()
-	for _, sp := range spans {
-		for _, fr := range free {
-			if sp.off < fr.Off+fr.Len && fr.Off < sp.end() {
-				return fmt.Errorf("%s [%d,%d) overlaps allocator free region [%d,%d)",
-					sp, sp.off, sp.end(), fr.Off, fr.Off+fr.Len)
-			}
-		}
+	if len(leaks) > 0 {
+		return fmt.Errorf("extent accounting: the allocator holds [%d,%d) that no file or set owns (%d unowned runs)",
+			leaks[0].Off, leaks[0].End(), len(leaks))
 	}
 	return nil
+}
+
+// unownedRuns walks bands, the allocator's maximal allocated runs, and
+// owned (ownedExtents), both in address order, in one merge. It returns
+// the allocated runs no owned extent covers, in address order, and the
+// first owned extent that does not lie inside one band (nil if none).
+// Recovery frees the runs; fsck fails on either.
+func unownedRuns(bands []storage.Extent, owned []ownedExtent) (runs []storage.Extent, stray *ownedExtent) {
+	j := 0
+	for _, b := range bands {
+		pos := b.Off
+		for ; j < len(owned) && owned[j].off < b.End(); j++ {
+			sp := &owned[j]
+			if stray == nil && sp.off < b.Off {
+				stray = sp // in free space, or reaching in from the band before
+			}
+			if sp.off > pos {
+				runs = append(runs, storage.Extent{Off: pos, Len: sp.off - pos})
+			}
+			if pos = max(pos, sp.end()); pos > b.End() {
+				break // the next band sees sp again
+			}
+		}
+		if pos < b.End() {
+			runs = append(runs, storage.Extent{Off: pos, Len: b.End() - pos})
+		}
+	}
+	if stray == nil && j < len(owned) {
+		stray = &owned[j]
+	}
+	return runs, stray
 }

@@ -49,8 +49,8 @@ func loadRowVictim(t *testing.T, d *DB) ([]byte, []byte) {
 // TestRowCacheDoesNotHideMediaDamage flips a bit in the on-media block
 // under a cached row after the block itself has left the cache. The
 // running store keeps serving the row, as it would a cached block; fsck
-// reads the table's blocks, finds this one on the media and reports it;
-// and once the cache is gone (reopen) so does the Get.
+// reads the table whole from the media, as compaction does, and reports
+// the block; and once the cache is gone (reopen) so does the Get.
 func TestRowCacheDoesNotHideMediaDamage(t *testing.T) {
 	cfg := tinyConfig(ModeSEALDB)
 	cfg.BlockCacheSize = 32 * kv.KiB

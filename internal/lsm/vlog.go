@@ -154,9 +154,9 @@ func (d *DB) vlogReopenActive(num uint64) ([]byte, error) {
 	return buf[:valid], nil
 }
 
-// vlogReadSealed reads a sealed segment whole into buf, sized to its
-// recorded length, checks its header and returns buf: the bytes a group
-// scan (replay, GC) walks.
+// vlogReadSealed reads a segment whole into buf, sized to its recorded
+// length (fsck: the writer's offset, for the active one), checks its
+// header and returns buf: the bytes a group scan (replay, GC, fsck) walks.
 func (d *DB) vlogReadSealed(num uint64, buf []byte) ([]byte, error) {
 	_, err := d.backend.ReadFileAt(num, buf, 0)
 	if err == nil || err == io.EOF {

@@ -37,32 +37,21 @@ type RetryStats struct {
 }
 
 // RetryDrive is drive middleware that retries transient WriteAt
-// failures a bounded number of times with doubling backoff. Reads are
-// not retried (the read path has its own recovery semantics), and
-// permanent errors pass straight through.
-//
-// The backoff is charged as simulated service time: each retry's wait
-// is added to the duration returned by WriteAt, so the cost model
-// stays honest without real sleeps.
+// failures a bounded number of times, at once. Reads are not retried
+// (the read path has its own recovery semantics), and permanent errors
+// pass straight through.
 type RetryDrive struct {
 	inner   Drive
 	retries int
-	backoff time.Duration
 
 	mu    sync.Mutex
 	stats RetryStats // guarded by mu
 }
 
 // NewRetry wraps inner with a retry policy of up to retries extra
-// attempts, the first after backoff, doubling each time.
-func NewRetry(inner Drive, retries int, backoff time.Duration) *RetryDrive {
-	if retries < 0 {
-		retries = 0
-	}
-	if backoff <= 0 {
-		backoff = 200 * time.Microsecond
-	}
-	return &RetryDrive{inner: inner, retries: retries, backoff: backoff}
+// attempts.
+func NewRetry(inner Drive, retries int) *RetryDrive {
+	return &RetryDrive{inner: inner, retries: retries}
 }
 
 // Stats returns a snapshot of the retry counters.
@@ -87,10 +76,7 @@ func (d *RetryDrive) WriteAt(p []byte, off int64) (time.Duration, error) {
 	if err == nil || !IsTransient(err) {
 		return total, err
 	}
-	wait := d.backoff
 	for range d.retries {
-		total += wait
-		wait *= 2
 		d.note(func(s *RetryStats) { s.Retried++ })
 		dur, retryErr := d.inner.WriteAt(p, off)
 		total += dur
