@@ -153,7 +153,7 @@ func TestWritePathAllocsScaleWithTables(t *testing.T) {
 	for _, f := range append(append([]*version.FileMeta(nil), c.inputs0...), c.inputs1...) {
 		inBytes += f.Size
 	}
-	compact := mallocsDuring(func() { _, err = d.run(job{c: c}) })
+	compact := mallocsDuring(func() { err = d.run(job{c: c}) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestCompactionWriteFailureReleasesOnce(t *testing.T) {
 	// A compaction reads, merges, then writes: its first device write is
 	// the group write of the new set.
 	fd.Inject(faultfs.Rule{Op: faultfs.OpWrite, Count: 1})
-	_, err := d.run(job{c: c})
+	err := d.run(job{c: c})
 	d.mu.Unlock()
 	var fe *faultfs.Error
 	if !errors.As(err, &fe) || fe.Temporary {

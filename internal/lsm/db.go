@@ -474,7 +474,7 @@ func (d *DB) recoverSetsAndLogs(groups []vlogGroup) error {
 	// can be dropped, as LevelDB recovery does. The flush edit moves
 	// the value log's replay head past everything just replayed.
 	if !d.mem.Empty() {
-		if _, err := d.run(job{mem: d.mem}); err != nil {
+		if err := d.run(job{mem: d.mem}); err != nil {
 			return err
 		}
 		d.mem = memtable.New(d.nextMemSeed())

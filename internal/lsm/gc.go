@@ -59,7 +59,7 @@ func (d *DB) DefragmentBands() (res GCResult, err error) {
 			}
 		}
 		for _, id := range victims {
-			if _, err := d.run(job{set: id}); err != nil {
+			if err := d.run(job{set: id}); err != nil {
 				return err
 			}
 		}

@@ -113,7 +113,7 @@ func (d *DB) CompactRange(lo, hi []byte) error {
 					break
 				}
 				c := d.buildCompaction(v, level, files)
-				if _, err := d.run(job{c: c}); err != nil {
+				if err := d.run(job{c: c}); err != nil {
 					return err
 				}
 				if c.trivial {

@@ -30,7 +30,7 @@ func (d *DB) drainJobs(due float64) error {
 		if c == nil {
 			return nil
 		}
-		if _, err := d.run(job{c: c}); err != nil {
+		if err := d.run(job{c: c}); err != nil {
 			return err
 		}
 		if i > 10000 {
@@ -63,7 +63,7 @@ func (d *DB) gcJob() (job, bool) {
 // exact delta, since jobs serialize under d.mu (a trivial move does no
 // I/O of its own and records none). A job that fails degrades the store
 // and journals no span. Caller holds d.mu.
-func (d *DB) run(j job) (res VlogGCResult, err error) {
+func (d *DB) run(j job) (err error) {
 	busy := d.deviceNow()
 	var info CompactionInfo
 	var sp *obs.Span
@@ -79,10 +79,10 @@ func (d *DB) run(j job) (res VlogGCResult, err error) {
 		err = d.relocateSet(j.set, sp)
 	default:
 		sp = d.journal.Begin("vlog_gc", 0)
-		res, err = d.collect(j.victim, sp)
+		err = d.collect(j.victim, sp)
 	}
 	if err != nil {
-		return res, d.failWrite(err)
+		return d.failWrite(err)
 	}
 	if j.mem != nil || j.c != nil {
 		d.compID++
@@ -96,7 +96,7 @@ func (d *DB) run(j job) (res VlogGCResult, err error) {
 		d.compactions = append(d.compactions, info)
 	}
 	sp.End()
-	return res, nil
+	return nil
 }
 
 // maintain is the preamble of every maintenance call: under d.mu, on a

@@ -72,7 +72,7 @@ func checkJobRecords(t *testing.T, d *DB) (flushes, compactions, trivial, gcs in
 
 // TestJobExecutorContract drives a SEALDB store with a value log through
 // every way a job runs — flushes and compactions on the writer,
-// FlushMemtable, compactAll, CompactRange, VlogGC, a GC pass after a
+// FlushMemtable, compactAll, CompactRange, vlogGC, a GC pass after a
 // commit, and the recovery flush of a reopen — and holds the journal to
 // the per-job record (checkJobRecords).
 func TestJobExecutorContract(t *testing.T) {
@@ -84,8 +84,8 @@ func TestJobExecutorContract(t *testing.T) {
 	}
 	ref := loadRandom(t, d, 3000, 5) // inline values: the writer flushes and compacts
 	garbage := loadVlogGarbage(t, d) // FlushMemtable and CompactRange
-	if res, err := d.VlogGC(); err != nil || res.Victim == 0 {
-		t.Fatalf("VlogGC = %+v, %v; want a pass", res, err)
+	if vic, _, err := vlogGC(d); err != nil || vic == 0 {
+		t.Fatalf("vlogGC = %d, %v; want a pass", vic, err)
 	}
 	explicit := d.Stats().VlogGCRuns
 	for i := 0; d.Stats().VlogGCRuns == explicit; i++ {

@@ -206,7 +206,7 @@ func recordHistory(t *testing.T, cfg Config) []history.RegOp {
 				}
 			case 3:
 				if cfg.vlogEnabled() {
-					_, err = d.VlogGC()
+					_, _, err = vlogGC(d)
 				}
 			}
 			if err != nil {

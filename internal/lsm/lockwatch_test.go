@@ -48,8 +48,8 @@ func TestObservedLockOrderIsDeclared(t *testing.T) {
 	}
 	loadRandom(t, d, 3000, 5) // the writer flushes and compacts
 	loadVlogGarbage(t, d)     // FlushMemtable and CompactRange
-	if res, err := d.VlogGC(); err != nil || res.Victim == 0 {
-		t.Fatalf("VlogGC = %+v, %v; want a pass", res, err)
+	if vic, _, err := vlogGC(d); err != nil || vic == 0 {
+		t.Fatalf("vlogGC = %d, %v; want a pass", vic, err)
 	}
 	if err := compactAll(d); err != nil {
 		t.Fatal(err)

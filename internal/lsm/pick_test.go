@@ -164,7 +164,7 @@ func TestTrivialMoveDetection(t *testing.T) {
 	if c == nil || !c.trivial {
 		t.Fatalf("expected trivial move, got %+v", c)
 	}
-	if _, err := d.run(job{c: c}); err != nil {
+	if err := d.run(job{c: c}); err != nil {
 		t.Fatal(err)
 	}
 	v := d.vs.Current()

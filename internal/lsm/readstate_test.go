@@ -233,11 +233,11 @@ func TestVlogGCRunsUnderOpenIterator(t *testing.T) {
 	}
 	runs := d.Stats().VlogGCRuns
 	for {
-		res, err := d.VlogGC()
+		vic, _, err := vlogGC(d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Victim == 0 {
+		if vic == 0 {
 			break
 		}
 	}

@@ -202,7 +202,7 @@ func compactLevel(t *testing.T, d *DB, level int) (rewritten bool) {
 	defer d.mu.Unlock()
 	v := d.vs.Current()
 	c := d.buildCompaction(v, level, v.Files[level])
-	if _, err := d.run(job{c: c}); err != nil {
+	if err := d.run(job{c: c}); err != nil {
 		t.Fatal(err)
 	}
 	return !c.trivial

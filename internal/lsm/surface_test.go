@@ -222,7 +222,7 @@ func TestSurfaceViewUnderDeferredReclaim(t *testing.T) {
 				t.Fatal(err)
 			}
 			if vlogOn {
-				if _, err := d.VlogGC(); err != nil {
+				if _, _, err := vlogGC(d); err != nil {
 					t.Fatal(err)
 				}
 				if d.Stats().VlogGCRuns == gcRuns {

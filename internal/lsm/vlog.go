@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 
 	"sealdb/internal/invariant"
 	"sealdb/internal/kv"
@@ -53,11 +52,6 @@ type vlogState struct {
 	w vlog.Writer
 	// rep is the reused buffer a batch is rewritten into for logging.
 	rep []byte
-	// gcHook, when set, runs between a GC pass's segment scan and its
-	// conditional re-put, receiving the candidate keys of the pass.
-	// Tests use it to move pointers mid-collection and pin the
-	// skip-if-moved behaviour.
-	gcHook func(keys [][]byte)
 }
 
 // vlogGroup is one batch as the value log holds it: the logged batch
@@ -339,163 +333,92 @@ func (d *DB) vlogBit(p vlog.Pointer) uint64 { return uint64(p.Off) / uint64(d.cf
 
 // vlogServing reports whether the tree's newest live entry for key is
 // a pointer to exactly the segment record p — the collector's test
-// that a record is still live — and the SSTable serving it (nil for
-// the memtable). Caller holds d.mu.
-func (d *DB) vlogServing(key []byte, p vlog.Pointer) (file *version.FileMeta, ok bool, err error) {
-	stored, kind, file, found, err := d.lookup(d.state.Load(), key, d.seq, nil)
+// that a record is still live. Caller holds d.mu.
+func (d *DB) vlogServing(key []byte, p vlog.Pointer) (bool, error) {
+	stored, kind, _, found, err := d.lookup(d.state.Load(), key, d.seq, nil)
 	if err != nil || !found || kind != kv.KindSet {
-		return nil, false, err
+		return false, err
 	}
 	var want [vlogPointerLen]byte
 	want[0] = vlogTagPtr
 	vlog.AppendPointer(want[1:1], p)
-	return file, bytes.Equal(stored, want[:]), nil
+	return bytes.Equal(stored, want[:]), nil
 }
 
-// VlogGCResult reports one collection pass.
-type VlogGCResult struct {
-	// Victim is the collected segment (0 when no segment qualified).
-	Victim uint64
-	// RelocatedRecords/RelocatedBytes count live records rewritten
-	// into fresh segments.
-	RelocatedRecords int
-	RelocatedBytes   int64
-	// SkippedMoved counts records whose tree pointer no longer named
-	// the victim record when the conditional re-put re-checked it.
-	SkippedMoved int
-	// SkippedDropped counts records a compaction had dropped the last
-	// tree entry of: dead without a lookup.
-	SkippedDropped int
-	// ReclaimedBytes is the victim segment's size returned to the
-	// allocator.
-	ReclaimedBytes int64
-}
-
-// VlogGC runs one value-log collection pass while the sealed log is over
-// vlogGCDeadBudget: relocate the live records of the deadest sealed segment
-// before the replay head — grouped by the set of the SSTable that references
-// each, so co-compacted values stay adjacent — and drop it. Returns a
-// zero-victim result when nothing qualifies or a snapshot is registered.
-func (d *DB) VlogGC() (res VlogGCResult, err error) {
-	if !d.cfg.vlogEnabled() {
-		return res, fmt.Errorf("lsm: VlogGC requires a value threshold (mode %v)", d.cfg.Mode)
-	}
-	err = d.maintain(func() (err error) {
-		if j, ok := d.gcJob(); ok {
-			res, err = d.run(j)
-		}
-		return err
-	})
-	return res, err
-}
-
-// collect is the collection pass body: relocate the victim's live
-// records and drop it. A reader's state keeps the victim's file until it
-// lets go. Caller holds d.mu.
-func (d *DB) collect(vic version.VlogSeg, sp *obs.Span) (VlogGCResult, error) {
-	res := VlogGCResult{Victim: vic.Num}
+// collect is the collection pass body: one scan of the victim that
+// re-puts, in log order, each record the tree still points at, then the
+// drop of the victim. A record whose one tree entry a compaction dropped
+// is dead without a lookup; any other is looked up once. Frames are
+// skipped — they only matter to replay, and the victim is before the
+// replay head. The pass's record is its span. A reader's state keeps the
+// victim's file until it lets go. Caller holds d.mu.
+func (d *DB) collect(vic version.VlogSeg, sp *obs.Span) error {
 	sp.Set("segment", int64(vic.Num))
 	sp.Set("dead_bytes", vic.Dead)
-
-	// Scan the victim for candidate records: those the tree still
-	// points at, looked up unless a compaction already dropped their one
-	// tree entry. Frames are skipped — they only matter to replay, and
-	// the victim is before the replay head. Candidates alias buf.
 	buf, err := d.vlogReadSealed(vic.Num, d.tableBuf(vic.Bytes)[:vic.Bytes])
 	if err != nil {
-		return res, err
+		return err
 	}
 	defer d.cache.PutBuf(buf)
-	type candidate struct {
-		key, value []byte
-		ptr        vlog.Pointer
-		set        uint64
+
+	// The relocation batch is one group, one device write: re-put
+	// through the shared commit path, the values separate into the
+	// active segment again. It is committed before a record that would
+	// not fit the room the active segment has left: a group never
+	// straddles segments, so one that outgrew the room would abandon it
+	// and seal a half-empty segment. The pass runs under d.mu and its
+	// re-puts touch each key once, so a record served at the scan is
+	// still served at its re-put. Relocated bytes are store traffic, not
+	// user traffic: they count to the GC counters.
+	b := NewBatch()
+	recBytes := 0 // the batch's value records, as the group will hold them
+	var relocated, skipped int
+	var appended int64
+	reput := func() error {
+		if b.Len() == 0 {
+			return nil
+		}
+		err := d.commitLocked(b, nil, func(_ []vlog.Record, n int64) { appended += n })
+		b.Reset()
+		recBytes = 0
+		return err
 	}
-	var cands []candidate
 	dropped := d.vs.VlogDropped(vic.Num)
 	s := vlog.NewScanner(vic.Num, buf[vlog.HeaderSize:], vlog.HeaderSize)
 	for s.Next() {
 		for _, r := range s.Records() {
 			if dropped.Has(d.vlogBit(r.Ptr)) {
-				res.SkippedDropped++
+				skipped++
 				if invariant.Enabled {
-					_, ok, err := d.vlogServing(r.Key, r.Ptr)
+					ok, err := d.vlogServing(r.Key, r.Ptr)
 					invariant.Assert(err != nil || !ok, "lsm: vlog GC skipped record %+v, which the tree serves", r.Ptr)
 				}
 				continue
 			}
-			file, ok, err := d.vlogServing(r.Key, r.Ptr)
+			ok, err := d.vlogServing(r.Key, r.Ptr)
 			if err != nil {
-				return res, err
+				return err
 			}
 			if !ok {
 				continue // superseded or deleted: already dead
 			}
-			c := candidate{key: r.Key, value: r.Value, ptr: r.Ptr}
-			if file != nil {
-				c.set = file.SetID
+			rec := vlog.RecordSize(len(r.Key), len(r.Value))
+			if !d.vlog.w.Fits(int64(recBytes + rec + vlog.FrameSize(recBytes+rec, batchHeaderLen+b.Len()+1))) {
+				if err := reput(); err != nil {
+					return err
+				}
 			}
-			cands = append(cands, c)
+			b.Put(r.Key, r.Value)
+			recBytes += rec
+			relocated++
 		}
 	}
 	if err := s.Err(); err != nil {
 		// A sealed segment must scan clean to its recorded length.
-		return res, fmt.Errorf("lsm: vlog GC scan of segment %d: %w", vic.Num, err)
-	}
-
-	if d.vlog.gcHook != nil {
-		keys := make([][]byte, len(cands))
-		for i, c := range cands {
-			keys[i] = c.key
-		}
-		d.vlog.gcHook(keys)
-	}
-
-	// Set-aware relocation: stable-sort candidates by set so records
-	// whose referents compact together land adjacent in the fresh
-	// segment, then re-put each set's run as one batch — one group, one
-	// device write. A batch is also cut where the active segment ends:
-	// a group never straddles segments, so one that outgrew the room
-	// left would abandon it and seal a half-empty segment. The re-put
-	// is conditional — a pointer the hook (or a future concurrent
-	// write path) moved since the scan is skipped, not clobbered.
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].set < cands[j].set })
-	b := NewBatch()
-	var batchSet uint64
-	recBytes := 0 // the batch's value records, as the group will hold them
-	reput := func() error {
-		if b.Len() == 0 {
-			return nil
-		}
-		n, err := d.reputLocked(b)
-		res.RelocatedBytes += n
-		b.Reset()
-		recBytes = 0
-		return err
-	}
-	for _, c := range cands {
-		_, ok, err := d.vlogServing(c.key, c.ptr)
-		if err != nil {
-			return res, err
-		}
-		if !ok {
-			res.SkippedMoved++
-			continue
-		}
-		rec := vlog.RecordSize(len(c.key), len(c.value))
-		group := int64(recBytes + rec + vlog.FrameSize(recBytes+rec, batchHeaderLen+b.Len()+1))
-		if c.set != batchSet || !d.vlog.w.Fits(group) {
-			if err := reput(); err != nil {
-				return res, err
-			}
-		}
-		b.Put(c.key, c.value)
-		batchSet = c.set
-		recBytes += rec
-		res.RelocatedRecords++
+		return fmt.Errorf("lsm: vlog GC scan of segment %d: %w", vic.Num, err)
 	}
 	if err := reput(); err != nil {
-		return res, err
+		return err
 	}
 
 	// Drop the victim: manifest first, then the file. The re-put groups
@@ -503,26 +426,13 @@ func (d *DB) collect(vic version.VlogSeg, sp *obs.Span) (VlogGCResult, error) {
 	// with every live value reachable through its new pointer; a reader
 	// mid-chase keeps the file until it releases its state.
 	if err := d.install(&version.Edit{DropVlogSegs: []uint64{vic.Num}}); err != nil {
-		return res, err
+		return err
 	}
-	res.ReclaimedBytes = vic.Bytes
-
 	d.metrics.vlogGCRuns.Inc()
-	d.metrics.vlogGCRelocated.Add(res.RelocatedBytes)
-	sp.Set("relocated_records", int64(res.RelocatedRecords))
-	sp.Set("relocated_bytes", res.RelocatedBytes)
-	sp.Set("skipped_moved", int64(res.SkippedMoved))
-	sp.Set("reclaimed_bytes", res.ReclaimedBytes)
-	return res, nil
-}
-
-// reputLocked commits a GC relocation batch through the shared commit
-// path — the values separating into the active segment again, one
-// group write per batch, *is* the relocation — and returns the log
-// bytes it appended, which the pass charges to the GC counters:
-// relocated bytes are store traffic, not user traffic. Caller holds
-// d.mu.
-func (d *DB) reputLocked(b *Batch) (appended int64, err error) {
-	err = d.commitLocked(b, nil, func(_ []vlog.Record, n int64) { appended = n })
-	return appended, err
+	d.metrics.vlogGCRelocated.Add(appended)
+	sp.Set("relocated_records", int64(relocated))
+	sp.Set("relocated_bytes", appended)
+	sp.Set("skipped_dropped", int64(skipped))
+	sp.Set("reclaimed_bytes", vic.Bytes)
+	return nil
 }

@@ -134,8 +134,8 @@ func TestVlogCacheEntriesLeaveWithTheirSegment(t *testing.T) {
 				return vic.Num, in
 			}
 			before := resident()
-			if res, err := d.VlogGC(); err != nil || res.Victim != vic.Num {
-				t.Fatalf("VlogGC = %+v, %v; want victim %d", res, err, vic.Num)
+			if got, _, err := vlogGC(d); err != nil || got != vic.Num {
+				t.Fatalf("vlogGC = %d, %v; want victim %d", got, err, vic.Num)
 			}
 			if after := resident(); after != before {
 				t.Fatalf("a pass over victim %d, which holds no entry, moved value residency %+v -> %+v", vic.Num, before, after)
@@ -159,8 +159,8 @@ func TestVlogCacheEntriesLeaveWithTheirSegment(t *testing.T) {
 
 	vic, in := victimEntries()
 	before := resident()
-	if res, err := d.VlogGC(); err != nil || res.Victim != vic {
-		t.Fatalf("VlogGC = %+v, %v; want victim %d", res, err, vic)
+	if got, _, err := vlogGC(d); err != nil || got != vic {
+		t.Fatalf("vlogGC = %d, %v; want victim %d", got, err, vic)
 	}
 	gone(before, resident(), in)
 
@@ -172,8 +172,8 @@ func TestVlogCacheEntriesLeaveWithTheirSegment(t *testing.T) {
 	snap.Release()
 	vic, in = victimEntries()
 	before = resident()
-	if res, err := d.VlogGC(); err != nil || res.Victim != vic {
-		t.Fatalf("VlogGC behind an iterator = %+v, %v; want victim %d", res, err, vic)
+	if got, _, err := vlogGC(d); err != nil || got != vic {
+		t.Fatalf("vlogGC behind an iterator = %d, %v; want victim %d", got, err, vic)
 	}
 	if parked := resident(); parked != before {
 		t.Fatalf("parked drop already moved the cache: %+v -> %+v", before, parked)

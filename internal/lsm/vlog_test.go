@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"sealdb/internal/invariant"
 	"sealdb/internal/kv"
+	"sealdb/internal/obs"
 	"sealdb/internal/smr"
 	"sealdb/internal/version"
 	"sealdb/internal/vlog"
@@ -35,6 +37,30 @@ func bigValue(tag string, n int) []byte {
 		v[i] = seed[i%len(seed)] ^ byte(i)
 	}
 	return v
+}
+
+// vlogGC runs the value-log collection pass due now as a commit does —
+// maintain, gcJob, run — and returns the victim the job named (0 when no
+// pass was due) and the pass's vlog_gc span: its record.
+func vlogGC(d *DB) (victim uint64, span obs.Event, err error) {
+	err = d.maintain(func() error {
+		j, ok := d.gcJob()
+		if !ok {
+			return nil
+		}
+		victim = j.victim.Num
+		return d.run(j)
+	})
+	if err != nil || victim == 0 {
+		return victim, span, err
+	}
+	evs := d.Events()
+	for i := len(evs) - 1; i >= 0; i-- {
+		if e := evs[i]; e.Type == "vlog_gc" && e.Fields["segment"] == int64(victim) {
+			return victim, e, nil
+		}
+	}
+	return victim, span, fmt.Errorf("no vlog_gc span for the pass over segment %d", victim)
 }
 
 func TestVlogBasicReadWrite(t *testing.T) {
@@ -245,16 +271,16 @@ func TestVlogGCCollectsDeadSegments(t *testing.T) {
 	// Drain every qualifying victim.
 	collected := 0
 	for {
-		res, err := d.VlogGC()
+		vic, sp, err := vlogGC(d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Victim == 0 {
+		if vic == 0 {
 			break
 		}
 		collected++
-		if res.ReclaimedBytes == 0 {
-			t.Fatalf("victim %d reclaimed nothing", res.Victim)
+		if sp.Fields["reclaimed_bytes"] == 0 {
+			t.Fatalf("victim %d reclaimed nothing", vic)
 		}
 	}
 	if collected == 0 {
@@ -286,85 +312,20 @@ func TestVlogGCRefusesUnderSnapshot(t *testing.T) {
 	loadVlogGarbage(t, d)
 
 	snap := d.NewSnapshot()
-	res, err := d.VlogGC()
+	vic, _, err := vlogGC(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Victim != 0 {
-		t.Fatalf("GC ran under a snapshot (victim %d)", res.Victim)
+	if vic != 0 {
+		t.Fatalf("GC ran under a snapshot (victim %d)", vic)
 	}
 	snap.Release()
-	res, err = d.VlogGC()
+	vic, _, err = vlogGC(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Victim == 0 {
+	if vic == 0 {
 		t.Fatal("GC still refused after the snapshot was released")
-	}
-}
-
-func TestVlogGCSkipsMovedPointers(t *testing.T) {
-	// The conditional re-put: a pointer that moves between the GC scan
-	// and the relocation is skipped, not clobbered with a stale value.
-	d, err := Open(vlogConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	ref := loadVlogGarbage(t, d)
-
-	movedVal := bigValue("raced", 700)
-	fired := false
-	d.mu.Lock()
-	d.vlog.gcHook = func(keys [][]byte) {
-		if fired || len(keys) == 0 {
-			return
-		}
-		fired = true
-		// Overwrite one candidate mid-pass through the internal re-put
-		// path (the public Apply would deadlock on d.mu and recurse
-		// into GC). Its old record is now stale: the collector's
-		// re-check must skip it.
-		moved := append([]byte(nil), keys[0]...)
-		b := NewBatch()
-		b.Put(moved, movedVal)
-		if _, err := d.reputLocked(b); err != nil {
-			t.Errorf("hook re-put: %v", err)
-		}
-		ref[string(moved)] = movedVal
-	}
-	d.mu.Unlock()
-
-	sawSkip := false
-	for {
-		res, err := d.VlogGC()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Victim == 0 {
-			break
-		}
-		if res.SkippedMoved > 0 {
-			sawSkip = true
-		}
-	}
-	if !fired {
-		t.Fatal("gc hook never ran (no GC pass happened)")
-	}
-	if !sawSkip {
-		t.Fatal("no pass skipped the moved pointer")
-	}
-	for k, want := range ref {
-		got, err := d.Get([]byte(k))
-		if err != nil {
-			t.Fatalf("Get(%q): %v", k, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("Get(%q) = stale value after raced GC", k)
-		}
-	}
-	if err := d.VerifyIntegrity(); err != nil {
-		t.Fatalf("VerifyIntegrity: %v", err)
 	}
 }
 
@@ -389,7 +350,7 @@ func victimVerdict(t *testing.T, d *DB) (vic uint64, served map[string]vlog.Poin
 	s := vlog.NewScanner(vs.Num, buf[vlog.HeaderSize:], vlog.HeaderSize)
 	for s.Next() {
 		for _, r := range s.Records() {
-			_, ok, err := d.vlogServing(r.Key, r.Ptr)
+			ok, err := d.vlogServing(r.Key, r.Ptr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -429,12 +390,12 @@ func TestVlogGCSkipsRecordsACompactionDropped(t *testing.T) {
 		if marked != dead {
 			t.Fatalf("victim %d: %d of its %d dead records are marked dropped", vic, marked, dead)
 		}
-		res, err := d.VlogGC()
-		if err != nil || res.Victim != vic {
-			t.Fatalf("VlogGC = %+v, %v; want victim %d", res, err, vic)
+		got, sp, err := vlogGC(d)
+		if err != nil || got != vic {
+			t.Fatalf("vlogGC = %d, %v; want victim %d", got, err, vic)
 		}
-		if res.SkippedDropped != dead || res.RelocatedRecords != len(served) || res.SkippedMoved != 0 {
-			t.Fatalf("victim %d: pass %+v, want %d skipped unlooked and %d relocated", vic, res, dead, len(served))
+		if sp.Fields["skipped_dropped"] != int64(dead) || sp.Fields["relocated_records"] != int64(len(served)) {
+			t.Fatalf("victim %d: pass %v, want %d skipped unlooked and %d relocated", vic, sp.Fields, dead, len(served))
 		}
 		for k, old := range served {
 			if p := pointerOf(t, d, k); p.Seg == vic || p == old {
@@ -446,6 +407,101 @@ func TestVlogGCSkipsRecordsACompactionDropped(t *testing.T) {
 	}
 	if passes == 0 || !mixed {
 		t.Fatalf("%d passes, one over live and dead records %v", passes, mixed)
+	}
+	for k, want := range ref {
+		if got, err := d.Get([]byte(k)); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("Get(%q) after GC = %d bytes, %v", k, len(got), err)
+		}
+	}
+	if err := d.VerifyIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestVlogGCPassRotatesMidScan: a pass re-puts as it scans, in log order,
+// committing its batch before a record the active segment has no room
+// for. A victim whose live records outgrow the room left in the active
+// segment therefore rotates the log inside the pass: its records land in
+// two segments, still in the victim's order, and every key reads its last
+// value.
+func TestVlogGCPassRotatesMidScan(t *testing.T) {
+	cfg := vlogConfig()
+	cfg.JournalCapacity = 1 << 16
+	d, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	ref := loadVlogGarbage(t, d)
+	liveBytes := func(served map[string]vlog.Pointer) (n int64) {
+		for _, p := range served {
+			n += int64(p.Len)
+		}
+		return n
+	}
+	fits := func(n int64) bool {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return d.vlog.w.Fits(n)
+	}
+	// Collect the victims that hold few live records, then fill the
+	// active segment until the next victim's live records no longer fit
+	// what it has left; the snapshot holds back the passes the fillers'
+	// commits would run.
+	_, served, _, _ := victimVerdict(t, d)
+	for len(served) < 4 {
+		if vic, _, err := vlogGC(d); err != nil || vic == 0 {
+			t.Fatalf("vlogGC = %d, %v; want a pass", vic, err)
+		}
+		_, served, _, _ = victimVerdict(t, d)
+	}
+	snap := d.NewSnapshot()
+	for i := 0; fits(liveBytes(served)); i++ {
+		k := fmt.Sprintf("fill%04d", i)
+		ref[k] = bigValue(k, 300)
+		if err := d.Put([]byte(k), ref[k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap.Release()
+	vic, served, _, _ := victimVerdict(t, d)
+	if vic == 0 || len(served) < 2 || fits(liveBytes(served)) {
+		t.Fatalf("victim %d: %d live records of %d bytes fit the active segment", vic, len(served), liveBytes(served))
+	}
+
+	got, span, err := vlogGC(d)
+	if err != nil || got != vic {
+		t.Fatalf("vlogGC = %d, %v; want victim %d", got, err, vic)
+	}
+	// Nothing journals after the pass: every later id is inside its span.
+	rotated := false
+	for _, e := range d.Events() {
+		rotated = rotated || e.Type == "vlog_rotate" && e.ID > span.ID
+	}
+	if !rotated {
+		t.Fatal("the pass re-put no group across a rotation")
+	}
+	// In the victim's order, each relocated record sits past the one
+	// before it, and they span two segments.
+	olds := make([]vlog.Pointer, 0, len(served))
+	byOld := map[vlog.Pointer]string{}
+	for k, p := range served {
+		olds = append(olds, p)
+		byOld[p] = k
+	}
+	slices.SortFunc(olds, func(a, b vlog.Pointer) int { return int(a.Off) - int(b.Off) })
+	var prev vlog.Pointer
+	segs := map[uint64]bool{}
+	for _, old := range olds {
+		p := pointerOf(t, d, byOld[old])
+		if p.Seg < prev.Seg || p.Seg == prev.Seg && p.Off <= prev.Off {
+			t.Fatalf("record %+v relocated to %+v, not past %+v", old, p, prev)
+		}
+		prev = p
+		segs[p.Seg] = true
+	}
+	if len(segs) < 2 {
+		t.Fatalf("%d live records relocated into %d segment", len(olds), len(segs))
 	}
 	for k, want := range ref {
 		if got, err := d.Get([]byte(k)); err != nil || !bytes.Equal(got, want) {
@@ -505,9 +561,9 @@ func TestVlogGCAfterReopenLooksUpEverything(t *testing.T) {
 			}
 			recoveredDead += dead
 		}
-		res, err := d.VlogGC()
-		if err != nil || res.Victim != vic || res.RelocatedRecords != len(served) || res.SkippedDropped != marked {
-			t.Fatalf("VlogGC = %+v, %v; want victim %d, %d relocated, %d of %d dead skipped", res, err, vic, len(served), marked, dead)
+		got, sp, err := vlogGC(d)
+		if err != nil || got != vic || sp.Fields["relocated_records"] != int64(len(served)) || sp.Fields["skipped_dropped"] != int64(marked) {
+			t.Fatalf("vlogGC = %d %v, %v; want victim %d, %d relocated, %d of %d dead skipped", got, sp.Fields, err, vic, len(served), marked, dead)
 		}
 		passes++
 	}
@@ -547,7 +603,7 @@ func TestVlogGCChecksWhatItSkips(t *testing.T) {
 			vic, live = v, p
 		}
 		if live.Seg == 0 {
-			if _, err := d.VlogGC(); err != nil {
+			if _, _, err := vlogGC(d); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -565,7 +621,7 @@ func TestVlogGCChecksWhatItSkips(t *testing.T) {
 			t.Fatalf("the pass skipped live record %+v with %v", live, r)
 		}
 	}()
-	d.VlogGC()
+	vlogGC(d)
 }
 
 func TestVlogLiveRatioAccounting(t *testing.T) {
@@ -610,7 +666,7 @@ func TestVlogLiveRatioAccounting(t *testing.T) {
 }
 
 func TestVlogMaybeGCOpportunistic(t *testing.T) {
-	// Without explicit VlogGC calls, ordinary writes trigger collection
+	// Without explicit passes, ordinary writes trigger collection
 	// once the sealed log is over its dead budget.
 	d, err := Open(vlogConfig())
 	if err != nil {
@@ -1003,8 +1059,8 @@ func TestVlogGCNeverCollectsReplayWindow(t *testing.T) {
 	if share := sealedLog(d).DeadRatio(); share <= vlogGCDeadBudget {
 		t.Fatalf("sealed log forced to dead share %.2f only", share)
 	}
-	if res, err := d.VlogGC(); err != nil || res.Victim != 0 {
-		t.Fatalf("GC inside the replay window: victim %d, %v", res.Victim, err)
+	if vic, _, err := vlogGC(d); err != nil || vic != 0 {
+		t.Fatalf("GC inside the replay window: victim %d, %v", vic, err)
 	}
 	if err := d.Put([]byte("more"), bigValue("more", 900)); err != nil { // the opportunistic pass too
 		t.Fatal(err)
@@ -1015,9 +1071,9 @@ func TestVlogGCNeverCollectsReplayWindow(t *testing.T) {
 	if err := d.FlushMemtable(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.VlogGC()
-	if err != nil || res.Victim != window[1].Num {
-		t.Fatalf("GC after the flush: victim %d, %v; want the deadest segment %d", res.Victim, err, window[1].Num)
+	vic, _, err := vlogGC(d)
+	if err != nil || vic != window[1].Num {
+		t.Fatalf("GC after the flush: victim %d, %v; want the deadest segment %d", vic, err, window[1].Num)
 	}
 	for k, want := range ref {
 		if got, err := d.Get([]byte(k)); err != nil || !bytes.Equal(got, want) {

@@ -154,7 +154,7 @@ func (d *DB) applyLocked(b *Batch, ot *opTrace) error {
 	// visible by now, so a failed pass is not its failure: the executor
 	// degrades the store, and the next write reports it.
 	if j, ok := d.gcJob(); ok {
-		_, _ = d.run(j)
+		_ = d.run(j)
 	}
 	return nil
 }
@@ -312,7 +312,7 @@ func (d *DB) rotateAndFlush(walBytes int64) error {
 	}
 	num := d.walNum
 	if !imm.Empty() {
-		_, err = d.run(job{mem: imm, logNum: num})
+		err = d.run(job{mem: imm, logNum: num})
 	} else {
 		// Nothing to flush (a batch larger than the WAL arrived at an
 		// empty memtable) — but the manifest must still learn the new

@@ -127,9 +127,9 @@ func (cc *clientConn) handshake(o *Options) error {
 	if err := cc.nc.SetDeadline(time.Now().Add(o.dialTimeout())); err != nil {
 		return fmt.Errorf("%w: %v", ErrConn, err)
 	}
-	features := wire.FeaturePipeline
+	var features uint32
 	if o.Trace {
-		features |= wire.FeatureTrace
+		features = wire.FeatureTrace
 	}
 	hello := wire.Hello{
 		Magic:    wire.Magic,

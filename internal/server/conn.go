@@ -356,7 +356,7 @@ func (c *conn) handshake() bool {
 	reply := wire.Hello{
 		Magic:    wire.Magic,
 		Version:  wire.Version,
-		Features: h.Features & (wire.FeaturePipeline | wire.FeatureTrace),
+		Features: h.Features & wire.FeatureTrace,
 	}
 	if reply.Features&wire.FeatureTrace != 0 {
 		// Tracing is engine-global and sticky for the server's

@@ -181,7 +181,7 @@ func stallReplies(t *testing.T, db *lsm.DB, srv *Server, n int) *net.TCPConn {
 		t.Fatal(err)
 	}
 	nc, _, _ := rawConn(t, srv.Addr().String(),
-		wire.Hello{Magic: wire.Magic, Version: wire.Version, Features: wire.FeaturePipeline})
+		wire.Hello{Magic: wire.Magic, Version: wire.Version})
 	var buf []byte
 	for id := uint64(1); id <= uint64(n); id++ {
 		buf = wire.AppendFrame(buf, &wire.Frame{Op: wire.OpGet, ReqID: id, Payload: wire.AppendGet(nil, []byte("big"))})

@@ -301,7 +301,7 @@ func TestPipelinedOutOfOrderResponses(t *testing.T) {
 	}
 
 	nc, br, hr := rawConn(t, srv.Addr().String(),
-		wire.Hello{Magic: wire.Magic, Version: wire.Version, Features: wire.FeaturePipeline})
+		wire.Hello{Magic: wire.Magic, Version: wire.Version})
 	st, _, err := wire.ParseReply(hr.Payload)
 	if err != nil || st != wire.StatusOK {
 		t.Fatalf("handshake reply: %v %v", st, err)
@@ -367,7 +367,7 @@ func TestHandshakeRefusals(t *testing.T) {
 func TestFeatureNegotiationIntersects(t *testing.T) {
 	_, srv := newTestServer(t, Config{})
 	_, _, rf := rawConn(t, srv.Addr().String(),
-		wire.Hello{Magic: wire.Magic, Version: wire.Version, Features: wire.FeaturePipeline | 1<<9})
+		wire.Hello{Magic: wire.Magic, Version: wire.Version, Features: 1<<0 | wire.FeatureTrace | 1<<9})
 	st, body, err := wire.ParseReply(rf.Payload)
 	if err != nil || st != wire.StatusOK {
 		t.Fatalf("handshake: %v %v", st, err)
@@ -376,8 +376,8 @@ func TestFeatureNegotiationIntersects(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if h.Features != wire.FeaturePipeline {
-		t.Fatalf("negotiated features = %#x, want pipeline only (unknown bits dropped)", h.Features)
+	if h.Features != wire.FeatureTrace {
+		t.Fatalf("negotiated features = %#x, want trace only (retired and unknown bits dropped)", h.Features)
 	}
 }
 

@@ -34,7 +34,7 @@ func TestTraceE2EAttribution(t *testing.T) {
 
 	nc, br, hr := rawConn(t, srv.Addr().String(),
 		wire.Hello{Magic: wire.Magic, Version: wire.Version,
-			Features: wire.FeaturePipeline | wire.FeatureTrace})
+			Features: wire.FeatureTrace})
 	st, body, err := wire.ParseReply(hr.Payload)
 	if err != nil || st != wire.StatusOK {
 		t.Fatalf("handshake reply: %v %v", st, err)

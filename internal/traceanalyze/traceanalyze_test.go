@@ -134,17 +134,8 @@ func TestVerifyVlog(t *testing.T) {
 	if _, err := r.Run(ycsb.WorkloadA, 7000); err != nil {
 		t.Fatal(err)
 	}
-	// 7,000 YCSB-A operations put the sealed log over its dead budget; drain every
-	// GC victim so relocation traffic is in the window too.
-	for {
-		res, err := db.VlogGC()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Victim == 0 {
-			break
-		}
-	}
+	// 7,000 YCSB-A operations put the sealed log over its dead budget, and
+	// the passes the commits run put relocation traffic in the window too.
 	if db.Stats().VlogGCRuns == 0 {
 		t.Fatal("no vlog GC pass ran in the window")
 	}

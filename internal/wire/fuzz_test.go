@@ -26,7 +26,7 @@ func errClass(err error) string {
 // the decoder accepts again with equal meaning (round-trip stability).
 func FuzzFrameDecode(f *testing.F) {
 	seed := [][]byte{
-		AppendFrame(nil, &Frame{Op: OpHello, Payload: AppendHello(nil, Hello{Magic: Magic, Version: Version, Features: FeaturePipeline | FeatureTrace})}),
+		AppendFrame(nil, &Frame{Op: OpHello, Payload: AppendHello(nil, Hello{Magic: Magic, Version: Version, Features: FeatureTrace})}),
 		AppendFrame(nil, &Frame{Op: OpGet, ReqID: 1, Payload: AppendGet(nil, []byte("user000001"))}),
 		AppendFrame(nil, &Frame{Op: OpPut, ReqID: 2, Payload: AppendPut(nil, []byte("k"), []byte("v"))}),
 		AppendFrame(nil, &Frame{Op: OpDelete, ReqID: 3, Payload: AppendDelete(nil, []byte("k"))}),

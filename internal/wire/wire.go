@@ -41,10 +41,10 @@ const (
 // Feature bits advertised in the handshake. The server replies with
 // the intersection of the client's mask and its own.
 const (
-	// FeaturePipeline: the peer accepts out-of-order responses.
-	FeaturePipeline uint32 = 1 << 0
-	// Bit 1 is retired: a server drops it from its reply like any
-	// unknown bit.
+	// Bits 0 and 1 are retired (pipeline, coalesce): a server drops
+	// them from its reply like any unknown bit. A connection's requests
+	// execute in arrival order and replies carry their request ids, so
+	// pipelining needs no negotiation.
 
 	// FeatureTrace: the client asks the server to enable request
 	// tracing — its request ids are threaded into the engine so

@@ -10,7 +10,7 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	frames := []Frame{
-		{Op: OpHello, ReqID: 0, Payload: AppendHello(nil, Hello{Magic: Magic, Version: Version, Features: FeaturePipeline})},
+		{Op: OpHello, ReqID: 0, Payload: AppendHello(nil, Hello{Magic: Magic, Version: Version, Features: FeatureTrace})},
 		{Op: OpGet, ReqID: 1, Payload: AppendGet(nil, []byte("k"))},
 		{Op: OpPut, ReqID: 1 << 40, Payload: AppendPut(nil, []byte("key"), bytes.Repeat([]byte("v"), 1000))},
 		{Op: OpDelete, ReqID: 3, Payload: AppendDelete(nil, nil)},
