@@ -140,8 +140,8 @@ type DB struct {
 	scratch Batch    // guarded by mu
 	// oneBatch is the spare one-entry batch Put and Delete build in,
 	// taken by swapping nil in (oneEntry) and stored back after Apply.
-	oneBatch   atomic.Pointer[Batch]
-	spareMerge atomic.Pointer[mergingIter] // likewise the last closed Iterator's merge, emptied
+	oneBatch  atomic.Pointer[Batch]
+	spareRoom atomic.Pointer[readRoom] // likewise the room the last closed Iterator read in, stripped
 	// state is the published read state, visible the newest sequence
 	// number readers see; retiring queues superseded states, oldest
 	// first, until what they retired is reclaimed (readstate.go).

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"sealdb/internal/kv"
+	"sealdb/internal/memtable"
 	"sealdb/internal/sstable"
 	"sealdb/internal/version"
 )
@@ -159,17 +160,8 @@ type concatIter struct {
 	table  sstable.SpanIter // the storage of every table a user read opens
 }
 
-// closeTable hands back a table iterator's window, if it has one (compaction inputs have none).
-func closeTable(it kv.Iterator) {
-	if c, ok := it.(interface{ Close() }); ok {
-		c.Close()
-	}
-}
-
-func (c *concatIter) Close() { closeTable(c.cur) }
-
 func (c *concatIter) openIdx() {
-	c.Close()
+	c.table.Close() // hands back the window of the table it leaves, if a user read's
 	c.cur = nil
 	if c.err != nil || c.idx < 0 || c.idx >= len(c.files) {
 		return
@@ -186,13 +178,10 @@ func (c *concatIter) openIdx() {
 func (c *concatIter) Valid() bool { return c.err == nil && c.cur != nil && c.cur.Valid() }
 
 func (c *concatIter) Error() error {
-	if c.err != nil {
-		return c.err
-	}
-	if c.cur != nil {
+	if c.err == nil && c.cur != nil {
 		return c.cur.Error()
 	}
-	return nil
+	return c.err
 }
 
 func (c *concatIter) SeekToFirst() { c.enter(0, 1, kv.Iterator.SeekToFirst) }
@@ -253,13 +242,24 @@ var _ kv.Iterator = (*concatIter)(nil)
 // lock, and holds its read state (every file it may read) until Close.
 type Iterator struct {
 	d   *DB
-	s   *readState   // nil once closed
-	m   *mergingIter // d.spareMerge when it was there, its room grown to the largest fan-in
+	s   *readState // nil once closed
+	r   *readRoom  // d.spareRoom when it was there, grown to the largest fan-in
 	seq kv.SeqNum
-	key []byte
+	key []byte // also the search key a Seek builds
 	val []byte
 	ok  bool
 	err error
+}
+
+// readRoom is what an Iterator reads in, the store's spare while none holds
+// it: the merge, its children's storage, each table's included, and a
+// Scan's Iterator with its buffers. newIterator fills it in place; Close
+// strips it of every table, block, window, memtable and read state.
+type readRoom struct {
+	m        mergingIter
+	levels   []concatIter
+	mem, imm memtable.Iter
+	it       Iterator // a Scan's own; a public Iterator is its own object and borrows the rest
 }
 
 // NewIterator returns an iterator over the current state.
@@ -267,10 +267,13 @@ func (d *DB) NewIterator() *Iterator { return d.NewSnapshotIterator(nil) }
 
 // NewSnapshotIterator iterates the state as of snap (nil: the visible
 // sequence number). The caller keeps ownership of the snapshot.
-func (d *DB) NewSnapshotIterator(snap *Snapshot) *Iterator { return d.newIterator(snap, 0) }
+func (d *DB) NewSnapshotIterator(snap *Snapshot) *Iterator {
+	return d.newIterator(new(Iterator), snap, 0)
+}
 
-// newIterator is NewSnapshotIterator with spanFor's spans for limit records.
-func (d *DB) newIterator(snap *Snapshot, limit int) *Iterator {
+// newIterator opens it (nil: the room's own, for a Scan) as
+// NewSnapshotIterator does, with spanFor's spans for limit records.
+func (d *DB) newIterator(it *Iterator, snap *Snapshot, limit int) *Iterator {
 	s, seq := d.acquire()
 	if s == nil {
 		return &Iterator{d: d, err: ErrClosed}
@@ -286,32 +289,43 @@ func (d *DB) newIterator(snap *Snapshot, limit int) *Iterator {
 			n -= len(files) - 1
 		}
 	}
-	m := d.spareMerge.Swap(nil)
-	if m == nil { // none spare, or another Iterator is open: a merge sized to this fan-in
-		m = &mergingIter{children: make([]kv.Iterator, 0, 2+n), keys: make([]kv.InternalKey, 0, 2+n)}
+	r := d.spareRoom.Swap(nil)
+	if r == nil { // none spare, or another Iterator is open: room sized to this fan-in
+		r = &readRoom{m: mergingIter{children: make([]kv.Iterator, 0, 2+n), keys: make([]kv.InternalKey, 0, 2+n)}}
 	}
-	children := append(m.children[:0], s.mem.NewIterator())
+	if cap(r.levels) < n { // levels may not move once a merge child points into it
+		r.levels = make([]concatIter, 0, n)
+	}
+	r.m.children = append(r.m.children[:0], s.mem.NewIteratorIn(&r.mem))
 	if s.imm != nil {
-		children = append(children, s.imm.NewIterator())
+		r.m.children = append(r.m.children, s.imm.NewIteratorIn(&r.imm))
 	}
 	// A sorted level is one child; an overlapped level's tables (L0's) are
-	// one child each. All are one allocation, filled before any pointer into
-	// it is taken, and each opens a table on the first move that needs it.
-	levels := make([]concatIter, 0, n)
+	// one child each, and each opens a table on the first move that needs it.
+	r.levels = r.levels[:0]
 	for level, files := range s.v.Files {
 		if d.cfg.sortedLevel(level) && len(files) > 0 {
-			levels = append(levels, concatIter{d: d, files: files, span: d.spanFor(limit, s.v.LevelBytes(level), total)})
+			r.addLevel(d, files, d.spanFor(limit, s.v.LevelBytes(level), total))
 			continue
 		}
 		for i, f := range files {
-			levels = append(levels, concatIter{d: d, files: files[i : i+1], span: d.spanFor(limit, f.Size, total)})
+			r.addLevel(d, files[i:i+1], d.spanFor(limit, f.Size, total))
 		}
 	}
-	for i := range levels {
-		children = append(children, &levels[i])
+	r.m = mergingIter{children: r.m.children, keys: r.m.keys[:0], cur: -1}
+	if it == nil {
+		it = &r.it
 	}
-	*m = mergingIter{children: children, keys: m.keys[:0], cur: -1}
-	return &Iterator{d: d, s: s, m: m, seq: seq}
+	*it = Iterator{d: d, s: s, r: r, seq: seq, key: it.key[:0], val: it.val[:0]}
+	return it
+}
+
+// addLevel places a merge child over files where Close left one stripped.
+func (r *readRoom) addLevel(d *DB, files []*version.FileMeta, span int) {
+	r.levels = r.levels[:len(r.levels)+1]
+	c := &r.levels[len(r.levels)-1]
+	c.d, c.files, c.span = d, files, span
+	r.m.children = append(r.m.children, c)
 }
 
 // spanFor is the span of a scan of limit records in a level (an L0 or
@@ -341,7 +355,7 @@ func (it *Iterator) open() bool {
 // SeekToFirst positions at the first live user key.
 func (it *Iterator) SeekToFirst() {
 	if it.open() {
-		it.m.SeekToFirst()
+		it.r.m.SeekToFirst()
 		it.settle(nil)
 	}
 }
@@ -349,7 +363,8 @@ func (it *Iterator) SeekToFirst() {
 // Seek positions at the first live user key >= target.
 func (it *Iterator) Seek(target []byte) {
 	if it.open() {
-		it.m.Seek(kv.MakeSearchKey(it.key[:0], target, it.seq)) // it.key is rewritten before it is read
+		it.key = kv.MakeSearchKey(it.key[:0], target, it.seq) // rewritten before it is read as a user key
+		it.r.m.Seek(it.key)
 		it.settle(nil)
 	}
 }
@@ -357,7 +372,7 @@ func (it *Iterator) Seek(target []byte) {
 // SeekToLast positions at the largest live user key.
 func (it *Iterator) SeekToLast() {
 	if it.open() {
-		it.m.SeekToLast()
+		it.r.m.SeekToLast()
 		it.settleBackward(nil)
 	}
 }
@@ -367,12 +382,10 @@ func (it *Iterator) Next() {
 	if !it.open() || !it.ok {
 		return
 	}
-	if !it.m.Valid() {
-		// A preceding backward pass exhausted the merged stream while
-		// resolving the current key's run; recover by seeking to the
-		// last possible entry of the current user key (everything at
-		// or before it is skipped by settle's lower bound).
-		it.m.Seek(kv.MakeInternalKey(nil, it.key, 0, kv.KindDelete))
+	if !it.r.m.Valid() {
+		// A backward pass exhausted the merged stream resolving the current
+		// key's run: seek to that key's last possible entry (settle skips it).
+		it.r.m.Seek(kv.MakeInternalKey(nil, it.key, 0, kv.KindDelete))
 	}
 	it.settle(it.key)
 }
@@ -393,8 +406,8 @@ func (it *Iterator) settleBackward(upper []byte) {
 	it.ok = false
 	var user, val []byte // the run at hand's user key and, if it lives, its newest visible value
 	live := false
-	for ; it.m.Valid(); it.m.Prev() {
-		ik := it.m.Key()
+	for ; it.r.m.Valid(); it.r.m.Prev() {
+		ik := it.r.m.Key()
 		u := ik.UserKey()
 		if ik.Seq() > it.seq || upper != nil && kv.CompareUser(u, upper) >= 0 {
 			continue
@@ -404,7 +417,7 @@ func (it *Iterator) settleBackward(upper []byte) {
 		}
 		user = append(user[:0], u...)
 		if live = ik.Kind() != kv.KindDelete; live {
-			val = append(val[:0], it.m.Value()...)
+			val = append(val[:0], it.r.m.Value()...)
 		}
 	}
 	if live {
@@ -412,7 +425,7 @@ func (it *Iterator) settleBackward(upper []byte) {
 		it.ok = it.setValue(val) // false with it.err set on a chase error
 		return
 	}
-	if err := it.m.Error(); err != nil {
+	if err := it.r.m.Error(); err != nil {
 		it.err = err
 	}
 }
@@ -421,32 +434,21 @@ func (it *Iterator) settleBackward(upper []byte) {
 // the next live user key after prevUser (nil = no lower bound).
 func (it *Iterator) settle(prevUser []byte) {
 	it.ok = false
-	for it.m.Valid() {
-		ik := it.m.Key()
-		if ik.Seq() > it.seq {
-			it.m.Next()
-			continue
-		}
+	for ; it.r.m.Valid(); it.r.m.Next() {
+		ik := it.r.m.Key()
 		u := ik.UserKey()
-		if prevUser != nil && kv.CompareUser(u, prevUser) <= 0 {
-			it.m.Next()
-			continue
-		}
-		if ik.Kind() == kv.KindDelete {
-			// Tombstone: skip every older version of this key, kept in it.key (rewritten before read).
-			it.key = append(it.key[:0], u...)
-			prevUser = it.key
-			it.m.Next()
+		if ik.Seq() > it.seq || prevUser != nil && kv.CompareUser(u, prevUser) <= 0 {
 			continue
 		}
 		it.key = append(it.key[:0], u...)
-		if !it.setValue(it.m.Value()) {
-			return
+		if ik.Kind() == kv.KindDelete { // a tombstone: every older version of its key, kept in it.key, is skipped
+			prevUser = it.key
+			continue
 		}
-		it.ok = true
+		it.ok = it.setValue(it.r.m.Value()) // false with it.err set on a chase error
 		return
 	}
-	if err := it.m.Error(); err != nil {
+	if err := it.r.m.Error(); err != nil {
 		it.err = err
 	}
 }
@@ -480,16 +482,20 @@ func (it *Iterator) Error() error { return it.err }
 // Close releases the iterator's read state, letting reclamation of
 // what later edits retired run. Closing twice is a no-op.
 func (it *Iterator) Close() {
-	if it.s != nil {
-		for _, c := range it.m.children {
-			closeTable(c)
-		}
-		clear(it.m.children) // the spare keeps no table, block or state alive
-		clear(it.m.keys)
-		it.d.spareMerge.Store(it.m)
-		it.d.release(it.s)
-		it.s, it.m = nil, nil
+	if it.s == nil {
+		return
 	}
+	d, s, r := it.d, it.s, it.r
+	it.s, it.r = nil, nil // it may be r.it: done with it before r goes back
+	for i := range r.levels {
+		r.levels[i].table.Release() // a level keeps only its table's storage
+		r.levels[i] = concatIter{table: r.levels[i].table}
+	}
+	clear(r.m.children)
+	clear(r.m.keys)
+	r.m, r.mem, r.imm = mergingIter{children: r.m.children[:0], keys: r.m.keys[:0]}, memtable.Iter{}, memtable.Iter{}
+	d.spareRoom.Store(r)
+	d.release(s)
 }
 
 // KV is a key/value pair returned by Scan.
@@ -503,7 +509,7 @@ type KV struct {
 // most 64 KiB, so keeping any one record keeps its chunk alive; each key
 // and value is capped to its own length, so an append to it copies it.
 func (d *DB) Scan(start []byte, limit int) ([]KV, error) {
-	it := d.newIterator(nil, limit)
+	it := d.newIterator(nil, nil, limit)
 	defer it.Close()
 	it.Seek(start)
 	return it.collect(limit, it.Next)
@@ -514,17 +520,13 @@ func (d *DB) Scan(start []byte, limit int) ([]KV, error) {
 func (d *DB) ScanReverse(start []byte, limit int) ([]KV, error) {
 	it := d.NewIterator()
 	defer it.Close()
-	if start == nil {
-		it.SeekToLast()
-	} else {
+	if start != nil {
 		it.Seek(start)
-		if it.Valid() {
-			if kv.CompareUser(it.Key(), start) > 0 {
-				it.Prev()
-			}
-		} else {
-			it.SeekToLast()
-		}
+	}
+	if start == nil || !it.Valid() {
+		it.SeekToLast()
+	} else if kv.CompareUser(it.Key(), start) > 0 {
+		it.Prev()
 	}
 	return it.collect(limit, it.Prev)
 }
@@ -536,9 +538,7 @@ func (d *DB) ScanReverse(start []byte, limit int) ([]KV, error) {
 // still to come (at most as many as the result holds) at the current
 // record's size; a larger record gets its own. A limit past what the
 // result holds bounds nothing, so there a chunk is sized for the records
-// collected so far plus this one, and the chunks double. Keeping any one
-// record keeps its chunk alive; each key and value is capped to its own
-// length.
+// collected so far plus this one, and the chunks double (Scan).
 func (it *Iterator) collect(limit int, step func()) ([]KV, error) {
 	var out []KV
 	var chunk []byte

@@ -4,10 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
 	"sealdb/internal/kv"
+	"sealdb/internal/memtable"
+	"sealdb/internal/sstable"
+	"sealdb/internal/version"
 )
 
 // sliceIter is a reference kv.Iterator over a sorted slice of
@@ -367,36 +371,92 @@ func TestMergingIterStepAsksOnlyTheMovedChild(t *testing.T) {
 	}
 }
 
-// TestIteratorsShareNoMerge: Close hands an Iterator's merge back emptied,
-// holding no child or key, and the next Iterator takes it; one opened while
-// that one is open builds its own.
+// TestIteratorsShareNoMerge: Close hands an Iterator's room back stripped,
+// referencing no table, block, window, memtable, file or read state, and
+// so does a Scan, which reads in the room's own Iterator; the next Iterator
+// takes the room, and one opened while that one is open builds its own.
 func TestIteratorsShareNoMerge(t *testing.T) {
 	d, err := Open(streamConfig(ModeSEALDB, 4*kv.MiB))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	loadStream(t, d, 600)
+	ref := loadStream(t, d, 600)
 	a := d.NewIterator()
-	spare := a.m
-	if a.SeekToFirst(); !a.Valid() || len(spare.children) < 3 {
-		t.Fatalf("a merge of %d children (valid %v): the store has no table", len(spare.children), a.Valid())
+	room := a.r
+	if a.SeekToFirst(); !a.Valid() || len(room.m.children) < 3 {
+		t.Fatalf("a merge of %d children (valid %v): the store has no table", len(room.m.children), a.Valid())
+	}
+	for a.Next(); a.Valid(); a.Next() {
+	}
+	if held := roomHolds(reflect.ValueOf(room), "room", "", map[uintptr]bool{}); held == "" {
+		t.Fatal("an open Iterator's room holds nothing of the store: the check sees nothing")
 	}
 	a.Close()
-	for i, c := range spare.children[:cap(spare.children)] {
-		if c != nil {
-			t.Fatalf("the closed merge keeps child %d", i)
-		}
+	if held := roomHolds(reflect.ValueOf(room), "room", "", map[uintptr]bool{}); held != "" || d.spareRoom.Load() != room {
+		t.Fatalf("the closed Iterator's room keeps %s (spare %v)", held, d.spareRoom.Load() == room)
 	}
-	for i, k := range spare.keys[:cap(spare.keys)] {
-		if k != nil {
-			t.Fatalf("the closed merge keeps child %d's key", i)
-		}
+	keys := sortedKeys(ref)
+	if kvs, err := d.Scan([]byte(keys[100]), 50); err != nil || len(kvs) != 50 {
+		t.Fatalf("Scan = %d records, %v", len(kvs), err)
+	}
+	if held := roomHolds(reflect.ValueOf(room), "room", "", map[uintptr]bool{}); held != "" || room.it.s != nil || d.spareRoom.Load() != room {
+		t.Fatalf("after a Scan the room keeps %s (read state %v, spare %v)", held, room.it.s != nil, d.spareRoom.Load() == room)
 	}
 	b, c := d.NewIterator(), d.NewIterator()
 	defer b.Close()
 	defer c.Close()
-	if b.m != spare || c.m == spare {
-		t.Fatal("the next Iterator did not take the spare merge, or the one after it took it too")
+	if b.r != room || c.r == room || b == &room.it {
+		t.Fatal("the next Iterator did not borrow the spare room, or the one after it took it too")
 	}
+}
+
+// roomHolds returns the path of the first reference v (field name field)
+// keeps to the store's data: a table, block, window, memtable, file,
+// version or read state, or a byte slice other than a key or value buffer
+// (one into a block or a window). It does not follow the DB.
+func roomHolds(v reflect.Value, path, field string, seen map[uintptr]bool) string {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() || v.Type() == reflect.TypeFor[*DB]() || seen[v.Pointer()] {
+			return ""
+		}
+		seen[v.Pointer()] = true
+		switch e := v.Type().Elem(); {
+		case e == reflect.TypeFor[sstable.Table](), e == reflect.TypeFor[memtable.MemTable](),
+			e == reflect.TypeFor[readState](), e == reflect.TypeFor[version.FileMeta](),
+			e == reflect.TypeFor[version.Version](), e == reflect.TypeFor[[]byte](),
+			e.Name() == "block" || e.Name() == "window":
+			return path + " (" + v.Type().String() + ")"
+		}
+		return roomHolds(v.Elem(), path, field, seen)
+	case reflect.Interface:
+		if v.IsNil() {
+			return ""
+		}
+		return roomHolds(v.Elem(), path, field, seen)
+	case reflect.Struct:
+		for i := range v.NumField() {
+			f := v.Type().Field(i)
+			if held := roomHolds(v.Field(i), path+"."+f.Name, f.Name, seen); held != "" {
+				return held
+			}
+		}
+	case reflect.Slice:
+		if v.Type().Elem().Kind() == reflect.Uint8 {
+			if v.IsNil() || field == "key" || field == "val" {
+				return ""
+			}
+			return path
+		}
+		v = v.Slice(0, v.Cap())
+		fallthrough
+	case reflect.Array:
+		for i := range v.Len() {
+			if held := roomHolds(v.Index(i), fmt.Sprintf("%s[%d]", path, i), field, seen); held != "" {
+				return held
+			}
+		}
+	}
+	return ""
 }

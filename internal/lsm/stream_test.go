@@ -312,12 +312,13 @@ func TestStreamingIteratorOutlivesCompaction(t *testing.T) {
 	}
 }
 
-// scanAllocs bounds a Scan's allocations over a handful of tables (9 to 12
-// measured for 1 to 100 records), and scanOverhead the bytes of one with a
-// huge limit past twice its records' (15.7 KiB measured for 10 records of
-// ~450 B: chunks for 1, 2, 4 and 8 records, the result's 128 slots, the
-// iterator).
-const scanAllocs, scanOverhead = 14, 16 << 10
+// scanAllocs bounds a Scan's allocations over a handful of tables (2 to 4
+// measured for 1 to 100 records: the result and its chunks, the iterator
+// and its merge reading in the store's spare room), and scanOverhead the
+// bytes of one with a huge limit past twice its records' (7.4 KiB measured
+// for 10 records of ~450 B: chunks for 1, 2, 4 and 8 records and the
+// result's 128 slots).
+const scanAllocs, scanOverhead = 5, 16 << 10
 
 // TestScanAllocatesPerScan: a Scan allocates per scan, not per record,
 // whatever its length, since its records are cut from shared chunks; an

@@ -226,34 +226,40 @@ func (m *MemTable) Empty() bool { return m.count == 0 }
 // NewIterator returns an iterator over the skiplist. The iterator
 // observes entries added after its creation (readers filter them by
 // sequence number, as with LevelDB's memtable).
-func (m *MemTable) NewIterator() kv.Iterator {
-	return &iterator{m: m}
+func (m *MemTable) NewIterator() kv.Iterator { return m.NewIteratorIn(new(Iter)) }
+
+// NewIteratorIn is NewIterator in it, the caller's storage. A zero Iter
+// holds no memtable.
+func (m *MemTable) NewIteratorIn(it *Iter) kv.Iterator {
+	*it = Iter{m: m}
+	return it
 }
 
-type iterator struct {
+// Iter is the storage of a memtable iterator.
+type Iter struct {
 	m *MemTable
 	n *node
 }
 
-func (it *iterator) Valid() bool { return it.n != nil }
+func (it *Iter) Valid() bool { return it.n != nil }
 
-func (it *iterator) SeekToFirst() { it.n = it.m.head.next[0].Load() }
+func (it *Iter) SeekToFirst() { it.n = it.m.head.next[0].Load() }
 
-func (it *iterator) Seek(target kv.InternalKey) {
+func (it *Iter) Seek(target kv.InternalKey) {
 	it.n = it.m.findGreaterOrEqual(target, nil)
 }
 
-func (it *iterator) SeekToLast() { it.n = it.m.findLast() }
+func (it *Iter) SeekToLast() { it.n = it.m.findLast() }
 
-func (it *iterator) Next() { it.n = it.n.next[0].Load() }
+func (it *Iter) Next() { it.n = it.n.next[0].Load() }
 
 // Prev steps back by searching for the predecessor of the current
 // key — O(log n) per step, the standard cost of a singly linked
 // skiplist, exactly as LevelDB's memtable iterator works.
-func (it *iterator) Prev() { it.n = it.m.findLessThan(it.n.key) }
+func (it *Iter) Prev() { it.n = it.m.findLessThan(it.n.key) }
 
-func (it *iterator) Key() kv.InternalKey { return it.n.key }
+func (it *Iter) Key() kv.InternalKey { return it.n.key }
 
-func (it *iterator) Value() []byte { return it.n.value }
+func (it *Iter) Value() []byte { return it.n.value }
 
-func (it *iterator) Error() error { return nil }
+func (it *Iter) Error() error { return nil }

@@ -88,7 +88,7 @@ func (b *blockBuilder) finish(dst []byte) []byte {
 // block is a decoded (raw) block ready for iteration.
 type block struct {
 	data     []byte // entries only
-	restarts []uint32
+	restarts []byte // the restart array as stored: a little-endian uint32 offset each
 }
 
 func decodeBlock(data []byte) (*block, error) {
@@ -99,8 +99,8 @@ func decodeBlock(data []byte) (*block, error) {
 	return b, nil
 }
 
-// decode points b at the entries of data, which it borrows, and parses
-// the restart array into b's own, reused when it is large enough.
+// decode points b at the entries and the restart array of data, which it
+// borrows, checking that every restart lies within the entries.
 func (b *block) decode(data []byte) error {
 	if len(data) < 4 {
 		return fmt.Errorf("sstable: block too short (%d bytes)", len(data))
@@ -111,19 +111,18 @@ func (b *block) decode(data []byte) error {
 	if n == 0 || restartsStart < 0 {
 		return fmt.Errorf("sstable: bad restart count %d for %d-byte block", n, len(data))
 	}
-	if cap(b.restarts) < int(n) {
-		b.restarts = make([]uint32, n)
-	}
-	b.restarts = b.restarts[:n]
-	for i := range b.restarts {
-		b.restarts[i] = binary.LittleEndian.Uint32(data[restartsStart+4*i:])
-		if int(b.restarts[i]) > restartsStart {
-			return fmt.Errorf("sstable: restart %d out of range", b.restarts[i])
+	restarts := data[restartsStart:restartsEnd]
+	for i := 0; i < len(restarts); i += 4 {
+		if r := binary.LittleEndian.Uint32(restarts[i:]); r > uint32(restartsStart) {
+			return fmt.Errorf("sstable: restart %d out of range", r)
 		}
 	}
-	b.data = data[:restartsStart]
+	*b = block{data: data[:restartsStart], restarts: restarts}
 	return nil
 }
+
+// restart is the offset of restart point i in b.data.
+func (b *block) restart(i int) int { return int(binary.LittleEndian.Uint32(b.restarts[4*i:])) }
 
 // blockIter iterates a decoded block. It implements kv.Iterator.
 type blockIter struct {
@@ -157,8 +156,6 @@ var entryChecks = [...]string{
 	badValueLen: "bad value-length varint",
 	overrun:     "entry overruns block",
 }
-
-func newBlockIter(b *block) *blockIter { return &blockIter{b: b} }
 
 func (it *blockIter) Valid() bool { return it.valid && it.bad == 0 }
 
@@ -238,7 +235,7 @@ func (it *blockIter) corrupt(check entryCheck) {
 
 // seekToRestart positions parsing at restart point i.
 func (it *blockIter) seekToRestart(i int) {
-	it.next = int(it.b.restarts[i])
+	it.next = it.b.restart(i)
 	it.key = it.key[:0]
 	it.parseNext()
 }
@@ -249,7 +246,7 @@ func (it *blockIter) SeekToLast() {
 		it.valid = false
 		return
 	}
-	it.seekToRestart(len(it.b.restarts) - 1)
+	it.seekToRestart(len(it.b.restarts)/4 - 1)
 	for it.Valid() && it.next < len(it.b.data) {
 		it.parseNext()
 	}
@@ -269,8 +266,8 @@ func (it *blockIter) Prev() {
 		return
 	}
 	// Find the last restart strictly before the current entry.
-	ri := sort.Search(len(it.b.restarts), func(i int) bool {
-		return int(it.b.restarts[i]) >= target
+	ri := sort.Search(len(it.b.restarts)/4, func(i int) bool {
+		return it.b.restart(i) >= target
 	})
 	if ri > 0 {
 		ri--
@@ -290,7 +287,7 @@ func (it *blockIter) Prev() {
 func (it *blockIter) Seek(target kv.InternalKey) {
 	// Binary search the restart points for the last restart whose
 	// key is < target.
-	i := sort.Search(len(it.b.restarts), func(i int) bool {
+	i := sort.Search(len(it.b.restarts)/4, func(i int) bool {
 		k, ok := it.restartKey(i)
 		if !ok {
 			return true // treat corruption as >= to stop early
@@ -309,7 +306,7 @@ func (it *blockIter) Seek(target kv.InternalKey) {
 // restartKey decodes the full key stored at restart point i (shared
 // prefix is always zero at a restart).
 func (it *blockIter) restartKey(i int) (kv.InternalKey, bool) {
-	p := it.b.data[it.b.restarts[i]:]
+	p := it.b.data[it.b.restart(i):]
 	shared, n1 := binary.Uvarint(p)
 	if n1 <= 0 || shared != 0 {
 		return nil, false

@@ -29,7 +29,6 @@ func (c *Cache) getScratch() *blockScratch {
 func (c *Cache) putScratch(s *blockScratch) {
 	poisonBuf(s.buf)
 	if c != nil {
-		s.blk = block{restarts: s.blk.restarts}
 		c.scratches.Put(s)
 	}
 }

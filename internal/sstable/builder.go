@@ -216,9 +216,6 @@ func (b *Builder) EstimatedSize() int64 {
 	return int64(b.data.start) + int64(b.data.estimatedSize(b.buf)) + int64(b.index.estimatedSize(b.ixBuf)) + footerLen
 }
 
-// Entries returns the number of entries added so far.
-func (b *Builder) Entries() int { return b.meta.Entries }
-
 // Finish completes the table and returns its bytes and metadata. The
 // builder cannot be used again before Reset.
 func (b *Builder) Finish() ([]byte, Meta, error) {

@@ -91,9 +91,10 @@ type cacheKey struct {
 	offset uint64
 }
 
-// cacheEntry is a block (block set), a row (klen > 0: value holds the user
-// key, then the entry's value) or a separated value (slot is its key's
-// hash), linked into the ring of its segment and the chain of its file.
+// cacheEntry is a block (block set, and the entry is a blockEntry's), a row
+// (klen > 0: value holds the user key, then the entry's value) or a
+// separated value (slot is its key's hash), linked into the ring of its
+// segment and the chain of its file.
 type cacheEntry struct {
 	prev, next         *cacheEntry
 	filePrev, fileNext *cacheEntry
@@ -385,14 +386,14 @@ func (c *Cache) PutValue(ukey []byte, file, offset uint64, value []byte) {
 
 // entryFor returns an unlinked entry with an empty buffer of n bytes, its
 // size set. A full cache gives up its coldest entry for it, and the new
-// one takes over that entry and — a value's or row's, if it fits — its
-// buffer: a steady stream of like-sized values or rows allocates nothing.
-// Caller holds mu.
+// one takes over that entry, unless a block's (part of a blockEntry), and
+// its buffer, if it fits: a steady stream of like-sized values or rows
+// allocates nothing. Caller holds mu.
 func (c *Cache) entryFor(n int) *cacheEntry {
 	e := c.coldest()
-	if e != nil && c.used+int64(n)+valueOverhead > c.capacity {
-		c.remove(e)
-	} else {
+	if e == nil || c.used+int64(n)+valueOverhead <= c.capacity {
+		e = new(cacheEntry)
+	} else if c.remove(e); e.block != nil {
 		e = new(cacheEntry)
 	}
 	if !roomFor(e.value, n) {
@@ -518,38 +519,34 @@ func (c *Cache) rebind(e *cacheEntry, file uint64, value []byte) {
 	c.chain(e)
 }
 
-func (c *Cache) put(file, offset uint64, b *block) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	k := cacheKey{file, offset}
-	if c.items[k] != nil {
-		return
-	}
-	c.insert(&cacheEntry{key: k, block: b, size: b.charge()}, false)
+// blockEntry is a block's entry and the block in one allocation.
+type blockEntry struct {
+	cacheEntry
+	blk block
 }
 
 // charge is what a cached block costs the budget.
-func (b *block) charge() int64 { return int64(len(b.data)) + int64(4*len(b.restarts)) + 64 }
+func (b *block) charge() int64 { return int64(len(b.data)) + int64(len(b.restarts)) + 64 }
 
 // admit caches a copy of b, decoded in a buffer that will be reused (a
-// streaming iterator's window, a point read's scratch) — unless evict, only
-// if that evicts nothing: a store that fits the cache still ends up
-// resident, a scan over a bigger one leaves the hot blocks where they are.
-func (c *Cache) admit(file, offset uint64, b *block, evict bool) {
+// streaming iterator's window, a point read's scratch), the restarts in the
+// slack of the entries' size class if they fit, and returns it — unless
+// evict, only if that evicts nothing: a store that fits the cache still ends
+// up resident, a scan over a bigger one leaves the hot blocks where they are.
+func (c *Cache) admit(file, offset uint64, b *block, evict bool) *block {
 	if c == nil {
-		return
+		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	k, size := cacheKey{file, offset}, b.charge()
-	if c.items[k] != nil || !evict && c.used+size > c.capacity {
-		return
+	if c.items[cacheKey{file, offset}] != nil || !evict && c.used+b.charge() > c.capacity {
+		return nil
 	}
-	b = &block{data: append([]byte(nil), b.data...), restarts: append([]uint32(nil), b.restarts...)}
-	c.insert(&cacheEntry{key: k, block: b, size: size}, false)
+	data := append([]byte(nil), b.data...) // its capacity rounded up to a size class
+	e := &blockEntry{blk: block{data: data, restarts: append(data[len(data):], b.restarts...)}}
+	e.key, e.block, e.size = cacheKey{file, offset}, &e.blk, e.blk.charge()
+	c.insert(&e.cacheEntry, false)
+	return &e.blk
 }
 
 // EvictFile drops every cached block, value or row of the given file

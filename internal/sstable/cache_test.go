@@ -2,6 +2,7 @@ package sstable
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -89,9 +90,9 @@ func TestCacheAccountingUnderRandomOps(t *testing.T) {
 			ukey := []byte(fmt.Sprintf("key%03d", off))
 			switch rng.Intn(15) {
 			case 0, 1:
-				c.put(file, off, &block{data: buf[:rng.Intn(len(buf))], restarts: []uint32{0}})
+				c.admit(file, off, &block{data: buf[:rng.Intn(len(buf))], restarts: make([]byte, 4)}, true)
 			case 2:
-				c.admit(file, off, &block{data: buf[:rng.Intn(len(buf))], restarts: []uint32{0}}, false)
+				c.admit(file, off, &block{data: buf[:rng.Intn(len(buf))], restarts: make([]byte, 4)}, false)
 			case 3, 4:
 				c.get(file, off, rng.Intn(2) == 0)
 			case 5:
@@ -156,14 +157,14 @@ func TestCacheSweepLeavesProtectedAlone(t *testing.T) {
 	const capacity = 256 << 10
 	c := NewCache(capacity)
 	data := make([]byte, 4000)
-	mk := func() *block { return &block{data: data, restarts: []uint32{0}} }
+	mk := func() *block { return &block{data: data, restarts: make([]byte, 4)} }
 	hot := 0
 	for ; int64(hot+1)*mk().charge() <= capacity*protectedNum/protectedDen; hot++ {
-		c.put(1, uint64(hot), mk())
+		c.admit(1, uint64(hot), mk(), true)
 		c.get(1, uint64(hot), true)
 	}
 	for i := 0; int64(i)*mk().charge() < 10*capacity; i++ {
-		c.put(2, uint64(i), mk())
+		c.admit(2, uint64(i), mk(), true)
 	}
 	checkCache(t, c)
 	c.mu.Lock()
@@ -189,7 +190,7 @@ func zipfMissRatio(rows bool) float64 {
 	)
 	c := NewCache(2 << 20)
 	value := make([]byte, 1024-16-kv.TrailerLen)
-	blk := &block{data: make([]byte, perBlock*1024), restarts: []uint32{0}}
+	blk := &block{data: make([]byte, perBlock*1024), restarts: make([]byte, 4)}
 	gen, rng := ycsb.NewScrambledZipfian(keys), rand.New(rand.NewSource(1))
 	misses := 0
 	for i := 0; i < warm+measured; i++ {
@@ -204,7 +205,7 @@ func zipfMissRatio(rows bool) float64 {
 		switch b := c.get(1, off, !rows); {
 		case b == nil:
 			if !rows || !c.putRow(1, ukey, value, 1, kv.KindSet, false) {
-				c.put(1, off, blk)
+				c.admit(1, off, blk, true)
 			}
 			if i >= warm {
 				misses++
@@ -555,7 +556,7 @@ func TestRowFollowsItsKey(t *testing.T) {
 
 	// A cache without rows costs a writer nothing per entry.
 	empty := NewCache(64 << 10)
-	empty.put(1, 0, &block{data: value('b', 4000), restarts: []uint32{0}})
+	empty.admit(1, 0, &block{data: value('b', 4000), restarts: make([]byte, 4)}, true)
 	if b := NewBuilder().Carry(empty, 2); b.rows != nil {
 		t.Fatal("a builder carries rows for a cache that has none")
 	}
@@ -796,9 +797,9 @@ func TestOlderVersionNeverTakesARow(t *testing.T) {
 func TestRekeyFile(t *testing.T) {
 	c := NewCache(64 << 10)
 	data := make([]byte, 1000)
-	c.put(1, 0, &block{data: data, restarts: []uint32{0}})
-	c.put(1, 4096, &block{data: data, restarts: []uint32{0}})
-	c.put(2, 0, &block{data: data, restarts: []uint32{0}})
+	c.admit(1, 0, &block{data: data, restarts: make([]byte, 4)}, true)
+	c.admit(1, 4096, &block{data: data, restarts: make([]byte, 4)}, true)
+	c.admit(2, 0, &block{data: data, restarts: make([]byte, 4)}, true)
 	c.PutValue([]byte("v"), 1, 77, data)
 	c.putRow(1, []byte("k"), data, 5, kv.KindSet, true)
 	was, _ := stateOfRow(t, c, []byte("k"))
@@ -894,5 +895,81 @@ func TestRowSteadyStateAllocations(t *testing.T) {
 		if n := testing.AllocsPerRun(1, func() { c.getRow(1, ukey, kv.MaxSeqNum) }); n > 1 {
 			t.Errorf("a hit that reorders the segments allocates %.1f times", n)
 		}
+	}
+}
+
+// TestCachedBlockOutlivesItsWindow: a block admitted from a buffer that is
+// reused (a streaming window, a point read's scratch) is cached as a copy
+// of its entries and restart array — the restarts in the slack of the
+// entries' copy where they fit, else on their own, both seen here — and
+// charged as before (entries, four bytes a restart, 64): once the buffer is
+// overwritten the cached block still iterates, seeks and steps back over
+// its restarts as the block did. A restart past the entries still fails
+// decode.
+func TestCachedBlockOutlivesItsWindow(t *testing.T) {
+	var inSlack, apart bool
+	for n := 40; n < 200; n += 3 {
+		var bb blockBuilder
+		var win []byte
+		var keys []kv.InternalKey
+		for i := range n {
+			k := kv.MakeInternalKey(nil, []byte(fmt.Sprintf("key%04d", i)), kv.SeqNum(i+1), kv.KindSet)
+			keys = append(keys, k)
+			win = bb.add(win, k, []byte(fmt.Sprintf("value%04d", i)))
+		}
+		win = bb.finish(win)
+		raw := bytes.Clone(win)
+		restarts := (n + restartInterval - 1) / restartInterval
+		var w block
+		if err := w.decode(win); err != nil || len(w.restarts) != 4*restarts {
+			t.Fatalf("%d entries: decode: %d restart bytes, %v", n, len(w.restarts), err)
+		}
+		c := NewCache(1 << 20)
+		c.admit(1, 0, &w, false)
+		for i := range win {
+			win[i] = poison
+		}
+		b := c.get(1, 0, false)
+		if want := int64(len(w.data) + 4*restarts + 64); b == nil || c.Stats().UsedBytes != want {
+			t.Fatalf("%d entries: cached %v, charged %d bytes, want %d", n, b != nil, c.Stats().UsedBytes, want)
+		}
+		if cap(b.data) > len(b.data) && &b.data[:len(b.data)+1][len(b.data)] == &b.restarts[0] {
+			inSlack = true
+		} else {
+			apart = true
+		}
+		at := func(it *blockIter, i int, how string) {
+			t.Helper()
+			if !it.Valid() || kv.CompareInternal(it.Key(), keys[i]) != 0 || string(it.Value()) != fmt.Sprintf("value%04d", i) {
+				t.Fatalf("%d entries, %s: at %q = %q (valid %v, %v), want entry %d", n, how, it.Key(), it.Value(), it.Valid(), it.Error(), i)
+			}
+		}
+		it := newBlockIter(b)
+		i := 0
+		for it.SeekToFirst(); it.Valid(); it.Next() {
+			at(it, i, "forward")
+			i++
+		}
+		for j, k := range keys {
+			it.Seek(k)
+			at(it, j, "Seek")
+		}
+		i = len(keys) - 1
+		for it.SeekToLast(); it.Valid(); it.Prev() {
+			at(it, i, "backward")
+			i--
+		}
+		if i != -1 || it.Error() != nil {
+			t.Fatalf("%d entries: backward walk stopped before entry %d: %v", n, i, it.Error())
+		}
+
+		entries := len(raw) - 4 - 4*restarts
+		binary.LittleEndian.PutUint32(raw[entries+4*(restarts-1):], uint32(entries+1))
+		if _, err := decodeBlock(raw); err == nil {
+			t.Fatalf("%d entries: a restart past the entries decoded", n)
+		}
+	}
+	if !inSlack || !apart {
+		t.Fatalf("restarts in the entries' slack seen %v, on their own seen %v: want both", inSlack, apart)
 	}
 }

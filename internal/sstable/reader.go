@@ -162,21 +162,20 @@ func (t *Table) checkRaw(buf []byte, h blockHandle) ([]byte, error) {
 }
 
 // readBlock fetches a data block through the cache, a hit counting as a
-// touch, and caches it on a miss.
+// touch, and on a miss caches it, read in a scratch, and returns the copy.
 func (t *Table) readBlock(h blockHandle) (*block, error) {
 	if b := t.cache.get(t.fileNum, h.offset, true); b != nil {
 		return b, nil
 	}
-	raw, err := t.readRawFrom(t.r, h)
+	s, err := t.readScratch(h)
 	if err != nil {
 		return nil, err
 	}
-	b, err := decodeBlock(raw)
-	if err != nil {
-		return nil, fmt.Errorf("sstable: file %d: %w", t.fileNum, err)
+	defer t.cache.putScratch(s)
+	if b := t.cache.admit(t.fileNum, h.offset, &s.blk, true); b != nil {
+		return b, nil
 	}
-	t.cache.put(t.fileNum, h.offset, b)
-	return b, nil
+	return decodeBlock(bytes.Clone(s.buf[:h.length])) // no cache, or another read cached it first
 }
 
 // Get returns the entry for ukey visible at snapshot seq.
@@ -309,10 +308,10 @@ const streamAfter = 2
 // readahead bound; the windows after it grow from there as above.
 //
 // The iterator, its window and the first room of its keys live in s, the
-// caller's storage, which keeps its decode buffers when initialised again
+// caller's storage, which keeps the room of its keys when initialised again
 // for another table once closed; Close hands the window's pooled buffer back.
 func (t *Table) NewSpanIterator(s *SpanIter, readahead, span int, streamed *obs.Counter) kv.Iterator {
-	s.win = window{after: streamAfter, max: uint64(readahead), grow: streamAfter, span: span, streamed: streamed, peek: s.win.peek, blk: s.win.blk}
+	s.win = window{after: streamAfter, max: uint64(readahead), grow: streamAfter, span: span, streamed: streamed, peek: blockIter{key: s.win.peek.key}}
 	s.tableIter = tableIter{t: t, ix: blockIter{b: t.index, key: s.keys[0][:0]}, cur: blockIter{key: s.keys[1][:0]}, win: &s.win}
 	return &s.tableIter
 }
@@ -322,6 +321,12 @@ type SpanIter struct {
 	tableIter
 	win  window
 	keys [2][48]byte
+}
+
+// Release closes s and drops its table, blocks and window: only key room stays.
+func (s *SpanIter) Release() {
+	s.Close()
+	s.tableIter, s.win = tableIter{}, window{peek: blockIter{key: s.win.peek.key[:0]}}
 }
 
 // NewCompactionIterator returns an iterator for compaction input
@@ -382,7 +387,7 @@ type window struct {
 	pending  bool    // that refill is still to come: no byte bound
 	streamed *obs.Counter
 	peek     blockIter // reads the index ahead of the iterator
-	blk      block     // the block decoded last, reused block after block
+	blk      block     // the block decoded last, in buf
 }
 
 // tableIter chains the index iterator with per-block data iterators.

@@ -13,6 +13,8 @@ import (
 	"sealdb/internal/kv"
 )
 
+func newBlockIter(b *block) *blockIter { return &blockIter{b: b} }
+
 func buildTable(t *testing.T, entries map[string]string) ([]byte, Meta) {
 	t.Helper()
 	keys := make([]string, 0, len(entries))
@@ -347,15 +349,15 @@ func TestOneReaderReadsEveryFilterWidth(t *testing.T) {
 
 func TestCacheLRU(t *testing.T) {
 	c := NewCache(400) // each 100-byte block costs 168 with overhead
-	mk := func(n int) *block { return &block{data: make([]byte, n), restarts: []uint32{0}} }
-	c.put(1, 0, mk(100))
-	c.put(1, 1, mk(100))
+	mk := func(n int) *block { return &block{data: make([]byte, n), restarts: make([]byte, 4)} }
+	c.admit(1, 0, mk(100), true)
+	c.admit(1, 1, mk(100), true)
 	if c.get(1, 0, true) == nil {
 		t.Fatal("miss on cached block")
 	}
 	// Inserting a third 100-byte block (each entry ~168 bytes with
 	// overhead) evicts the LRU entry, which is (1,1).
-	c.put(1, 2, mk(100))
+	c.admit(1, 2, mk(100), true)
 	if c.get(1, 1, true) != nil {
 		t.Error("LRU entry not evicted")
 	}
@@ -365,7 +367,7 @@ func TestCacheLRU(t *testing.T) {
 	}
 	// nil cache is inert.
 	var nc *Cache
-	nc.put(1, 0, mk(10))
+	nc.admit(1, 0, mk(10), true)
 	if nc.get(1, 0, true) != nil {
 		t.Error("nil cache returned a block")
 	}
@@ -378,7 +380,7 @@ func TestCacheLRU(t *testing.T) {
 func TestCacheValues(t *testing.T) {
 	c := NewCache(4096)
 	val := func(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n) }
-	c.put(1, 0, &block{data: make([]byte, 1000), restarts: []uint32{0}})
+	c.admit(1, 0, &block{data: make([]byte, 1000), restarts: make([]byte, 4)}, true)
 	key := func(b byte) []byte { return []byte{'k', b} }
 	c.PutValue(key('a'), 2, 8, val(1000, 'a'))
 	c.PutValue(key('b'), 2, 1100, val(1000, 'b'))

@@ -293,7 +293,7 @@ func TestStreamingServesCachedBlockFromCache(t *testing.T) {
 	cache.mu.Lock()
 	cache.capacity = 1 << 20
 	cache.mu.Unlock()
-	cache.put(1, h.offset, warm)
+	cache.admit(1, h.offset, warm, true)
 	before := cache.Stats()
 	log.reads = nil
 
@@ -632,7 +632,7 @@ func closeTable(it kv.Iterator) { it.(*tableIter).Close() }
 
 // TestSpanIterServesTableAfterTable: one SpanIter, closed and initialised
 // again for each table in turn, as a sorted level steps through its tables,
-// returns each table exactly, and keeps the restart room it grew.
+// returns each table exactly, and keeps the key room its index peek grew.
 func TestSpanIterServesTableAfterTable(t *testing.T) {
 	cache := NewCache(1 << 20)
 	var s SpanIter
@@ -642,10 +642,10 @@ func TestSpanIterServesTableAfterTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		restarts := cap(s.win.blk.restarts)
+		peek := cap(s.win.peek.key)
 		it, i := tbl.NewSpanIterator(&s, 8192, 3, nil), 0
-		if cap(s.win.blk.restarts) != restarts {
-			t.Fatalf("round %d: initialising dropped the restart room", round)
+		if cap(s.win.peek.key) != peek || round > 0 && peek == 0 {
+			t.Fatalf("round %d: initialising dropped the peek's key room (%d bytes)", round, peek)
 		}
 		for it.Seek(kv.MakeSearchKey(nil, []byte(keys[0]), kv.MaxSeqNum)); it.Valid(); it.Next() {
 			if i >= len(keys) || string(it.Key().UserKey()) != keys[i] || string(it.Value()) != vals[keys[i]] {
