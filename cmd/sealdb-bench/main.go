@@ -43,7 +43,6 @@ func main() {
 		ops     = flag.Int("ops", 0, "read/YCSB operations per phase")
 		seed    = flag.Int64("seed", 1, "workload seed")
 		csvPath = flag.String("csv", "", "write figure series data (figs 2, 10, 11, 13) as CSV to this file")
-		gc      = flag.Bool("gc", false, "also run the dynamic-band GC ablation (DefragmentBands)")
 		latency = flag.Bool("latency", false, "also run the per-operation latency profile")
 		serve   = flag.String("serve", "", "serve /metrics and /debug for the store currently under test on this address (e.g. :8080)")
 
@@ -146,9 +145,6 @@ func main() {
 		if f = strings.TrimSpace(f); f != "" {
 			ids = append(ids, f)
 		}
-	}
-	if *gc {
-		ids = append(ids, "gc")
 	}
 	if *latency {
 		ids = append(ids, "latency")

@@ -47,7 +47,6 @@ func main() {
 		ops    = flag.Int("ops", 10000, "operations for -ycsb")
 		stats  = flag.Bool("stats", false, "print engine and device statistics")
 		verify = flag.Bool("verify", false, "run the integrity check (fsck) before exiting")
-		defrag = flag.Bool("defrag", false, "run the dynamic-band GC pass (sealdb mode only)")
 		serve  = flag.String("serve", "", "serve /metrics and /debug endpoints on this address (e.g. :8080) after running the operations")
 		seed   = flag.Int64("seed", 1, "workload seed")
 	)
@@ -138,14 +137,6 @@ func main() {
 			res.Reads, res.Updates, res.Inserts, res.Scans, res.RMWs)
 	}
 
-	if *defrag {
-		res, err := db.DefragmentBands()
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("defrag: moved %d sets (%s), fragments %s -> %s\n",
-			res.SetsMoved, human(res.BytesMoved), human(res.FragmentsBefore), human(res.FragmentsAfter))
-	}
 	if *verify {
 		if err := db.VerifyIntegrity(); err != nil {
 			fatal(fmt.Errorf("integrity check failed: %w", err))

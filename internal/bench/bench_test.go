@@ -22,7 +22,7 @@ func mustRun(t *testing.T, o Options, ids ...string) *Results {
 }
 
 // TestQuickScaleOutputMatchesGolden pins every byte `sealdb-bench -all
-// -gc -latency -sst 32768 -mb 10 -ops 800` prints: the golden was
+// -latency -sst 32768 -mb 10 -ops 800` prints: the golden was
 // recorded from the harness that re-ran each figure's loads, so the
 // views over shared loads must reproduce it exactly. A change that
 // moves a figure on purpose regenerates the golden (EXPERIMENTS.md).
@@ -55,8 +55,8 @@ func TestLoadCounts(t *testing.T) {
 		ids             []string
 		random, ordered int
 	}{
-		// 4 shared + 4 other Fig 3 bands + 3 YCSB + 1 GC + 3 latency.
-		{nil, 15, 4},
+		// 4 shared + 4 other Fig 3 bands + 3 YCSB + 3 latency.
+		{nil, 14, 4},
 		{[]string{"12"}, 3, 0},
 		{[]string{"2", "3"}, 5, 0},
 		{[]string{"11", "13"}, 1, 0},

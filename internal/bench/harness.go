@@ -68,7 +68,6 @@ type Results struct {
 	Stores  map[lsm.Mode]*StoreRun
 	Fig3    []BandSweepRow
 	Fig9    []YCSBStoreReport
-	GC      *GCAblationResult
 	Latency []LatencyRow
 }
 
@@ -122,12 +121,11 @@ var figures = []figure{
 		csv:   func(w io.Writer, r *Results) { WritePointsCSV(w, "band", r.Stores[lsm.ModeSEALDB].Bands) }},
 	{id: "14", stores: ablationStores, micro: true,
 		print: func(w io.Writer, r *Results) { printMicroRows(w, "Fig 14", r.runs(ablationStores)) }},
-	{id: "gc", run: runGCAblation, print: printGCAblation},
 	{id: "latency", run: runLatencyProfile, print: printLatency},
 }
 
 // Run produces the named figures — "table2", the paper's figure
-// numbers, "gc", "latency"; all of them when none is named — store by
+// numbers, "latency"; all of them when none is named — store by
 // store, not figure by figure: each mode a requested figure reads is
 // loaded once, one store open at a time, before the figures run what
 // needs stores of their own.

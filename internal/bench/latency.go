@@ -82,50 +82,3 @@ func printLatency(tw io.Writer, res *Results) {
 		fmt.Fprintf(tw, "%s\t%s\t%s\n", r.Store, latencySummary(r.Reads), latencySummary(r.Writes))
 	}
 }
-
-// GCAblationResult compares fragment state and cost before/after a
-// DefragmentBands pass — the evaluation of the paper's future-work GC.
-type GCAblationResult struct {
-	lsm.GCResult
-	// GCTime is the simulated device time the pass consumed.
-	GCTime time.Duration
-	// FragPctBefore/After are fragments as a share of occupied space
-	// (the Fig 13 metric).
-	FragPctBefore float64
-	FragPctAfter  float64
-}
-
-// runGCAblation loads SEALDB, measures fragments (Fig 13 style), runs
-// the defragmentation pass, and measures again.
-func runGCAblation(o Options, r *Results) error {
-	ld, err := o.load(o.config(lsm.ModeSEALDB), o.ValueSize, false, nil)
-	if err != nil {
-		return err
-	}
-	db := ld.db
-	defer db.Close()
-	mgr := db.Device().DBand
-	occBefore := float64(mgr.Frontier())
-
-	start := simTime(db)
-	gc, err := db.DefragmentBands()
-	if err != nil {
-		return err
-	}
-	res := &GCAblationResult{GCResult: gc, GCTime: simTime(db) - start}
-	res.FragPctBefore = ratio(float64(gc.FragmentsBefore), occBefore)
-	res.FragPctAfter = ratio(float64(gc.FragmentsAfter), float64(mgr.Frontier()))
-	if err := db.VerifyIntegrity(); err != nil {
-		return fmt.Errorf("integrity after GC: %w", err)
-	}
-	r.GC = res
-	return nil
-}
-
-// printGCAblation renders the GC ablation.
-func printGCAblation(w io.Writer, res *Results) {
-	r := res.GC
-	fmt.Fprintf(w, "GC ablation: moved %d sets (%.2f MiB) in %v simulated; fragments %.2f%% -> %.2f%% of occupied\n",
-		r.SetsMoved, float64(r.BytesMoved)/(1<<20), r.GCTime.Round(time.Millisecond),
-		100*r.FragPctBefore, 100*r.FragPctAfter)
-}

@@ -21,18 +21,3 @@ func TestLatencyProfileShapes(t *testing.T) {
 			seal.Writes.Mean(), ldb.Writes.Mean())
 	}
 }
-
-func TestGCAblation(t *testing.T) {
-	o := QuickOptions()
-	o.LoadMB = 16 // more churn, more fragments
-	res := mustRun(t, o, "gc").GC
-	if res.SetsMoved > 0 {
-		if res.FragmentsAfter >= res.FragmentsBefore {
-			t.Errorf("GC did not reduce fragments: %d -> %d",
-				res.FragmentsBefore, res.FragmentsAfter)
-		}
-		if res.GCTime <= 0 {
-			t.Error("GC consumed no simulated time")
-		}
-	}
-}

@@ -39,7 +39,6 @@ const (
 	OpBatch // multi-key atomic batch (exercises batch atomicity)
 	OpFlush
 	OpCompact
-	OpDefrag // one band-GC pass: relocate the set downstream of every fragment
 )
 
 // Op is one step of the scripted workload.
@@ -117,14 +116,14 @@ type Result struct {
 	// survived whole — legal, and evidence the all-or-nothing check
 	// is exercising both sides.
 	Resurrected int
-	// Flushes, Compactions, SetsMoved (by OpDefrag steps) and VlogGCRuns
-	// (value-log GC passes after commits) confirm the workload coverage.
-	Flushes, Compactions, SetsMoved, VlogGCRuns int64
+	// Flushes, Compactions and VlogGCRuns (value-log GC passes after
+	// commits) confirm the workload coverage.
+	Flushes, Compactions, VlogGCRuns int64
 }
 
 func (r Result) String() string {
-	return fmt.Sprintf("writes=%d cuts=%d create_cuts=%d resurrected=%d flushes=%d compactions=%d sets_moved=%d vlog_gc_runs=%d",
-		r.Writes, r.Cuts, r.CreateCuts, r.Resurrected, r.Flushes, r.Compactions, r.SetsMoved, r.VlogGCRuns)
+	return fmt.Sprintf("writes=%d cuts=%d create_cuts=%d resurrected=%d flushes=%d compactions=%d vlog_gc_runs=%d",
+		r.Writes, r.Cuts, r.CreateCuts, r.Resurrected, r.Flushes, r.Compactions, r.VlogGCRuns)
 }
 
 // model applies an op to the reference state.
@@ -165,9 +164,6 @@ func applyOp(db *lsm.DB, op *Op) error {
 		return db.FlushMemtable()
 	case OpCompact:
 		return db.CompactRange(nil, nil)
-	case OpDefrag:
-		_, err := db.DefragmentBands()
-		return err
 	}
 	return fmt.Errorf("crashtest: unknown op kind %d", op.Kind)
 }
@@ -196,7 +192,7 @@ func Run(t testing.TB, cfg Config) Result {
 		applyModel(final, &cfg.Ops[i])
 	}
 	stats := db.Stats()
-	res.Flushes, res.Compactions, res.SetsMoved, res.VlogGCRuns = stats.FlushCount, stats.CompactionCount, stats.GCMoves, stats.VlogGCRuns
+	res.Flushes, res.Compactions, res.VlogGCRuns = stats.FlushCount, stats.CompactionCount, stats.VlogGCRuns
 	if res.Flushes == 0 || res.Compactions == 0 {
 		t.Fatalf("crashtest: workload too small: %d flushes, %d compactions (need >= 1 of each)", res.Flushes, res.Compactions)
 	}

@@ -181,7 +181,7 @@ func keyRange(files []*version.FileMeta) (lo, hi []byte) {
 	return lo, hi
 }
 
-// writeOutputs places a job's output tables: as one set in one
+// writeOutputs places a compaction's output tables: as one set in one
 // contiguous extent when grouped, file by file otherwise. A set takes the
 // number of its first output, unique for the lifetime of the DB, as its
 // id, which is stamped into the outputs; its record is returned for the
@@ -455,8 +455,10 @@ func (d *DB) filterBits(level int) int {
 	return 10 + int(math.Round(float64(deepest-level)*math.Log(levelMultiplier)/(math.Ln2*math.Ln2)))
 }
 
-// finishTable finishes table num in d.builder, opened from its bytes if it
-// took a row along (openBuilt); the caller releases them. Caller holds d.mu.
+// finishTable finishes table num in d.builder; the caller releases its
+// bytes. A table that took a row along is about to be read, so it is
+// opened from those bytes, and its first read reads no footer, filter or
+// index. Caller holds d.mu.
 func (d *DB) finishTable(num uint64) (*version.FileMeta, []byte, error) {
 	data, meta, err := d.builder.Finish()
 	if err != nil {
@@ -465,7 +467,14 @@ func (d *DB) finishTable(num uint64) (*version.FileMeta, []byte, error) {
 	d.builtBytes.Add(meta.Size) // spanFor's mean entry
 	d.builtEntries.Add(int64(meta.Entries))
 	f := &version.FileMeta{Num: num, Size: meta.Size, Smallest: meta.Smallest, Largest: meta.Largest}
-	return f, data, d.openBuilt(f, data, meta.Rows > 0)
+	if meta.Rows > 0 {
+		t, err := sstable.OpenBuilt(data, d.backend.Handle(num), num, d.cache)
+		if err != nil {
+			return f, data, err
+		}
+		f.Reader.Store(t)
+	}
+	return f, data, nil
 }
 
 // putBufs releases tableBuf buffers that nothing references any more.

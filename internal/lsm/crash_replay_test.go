@@ -77,29 +77,6 @@ func TestCrashReplayLong(t *testing.T) {
 	t.Logf("crash replay (sealdb, long): %s", res)
 }
 
-// TestCrashReplayRelocation is a long script with a band-GC pass after
-// ops 875 and 1,300, so cuts land at every write inside a set
-// relocation: the copy's group write, the edit that swaps it in, and
-// what follows. Either set must recover whole. The script is seed 43's,
-// 1,650 ops long: seed 42's 1,500 ops leave no fragment in front of a
-// set at any op, and nor do seed 43's 1,500 since a level 0 that nothing
-// reads drains at 12 files.
-func TestCrashReplayRelocation(t *testing.T) {
-	cfg := longCrashConfig()
-	var ops []crashtest.Op
-	for i, op := range crashtest.Workload(43, 1650, 400) {
-		if ops = append(ops, op); i == 875 || i == 1300 {
-			ops = append(ops, crashtest.Op{Kind: crashtest.OpDefrag})
-		}
-	}
-	cfg.Ops = ops
-	res := crashtest.Run(t, cfg)
-	t.Logf("crash replay (sealdb, relocation): %s", res)
-	if res.SetsMoved == 0 {
-		t.Fatal("the clean pass relocated no set")
-	}
-}
-
 // mixedBatch builds the batch a value-log group has to carry whole: a
 // separated value, an inline one (under the tests' 64 B threshold) and
 // a tombstone, over keys of the crash workload's keyspace.

@@ -638,17 +638,3 @@ func (d *DB) openTable(f *version.FileMeta) (*sstable.Table, error) {
 	}
 	return t, nil
 }
-
-// openBuilt, if open, gives f, not yet installed, a reader opened from data,
-// its table's bytes still in hand, so that the table's first read reads no
-// footer, filter or index. Caller holds d.mu and keeps data.
-func (d *DB) openBuilt(f *version.FileMeta, data []byte, open bool) error {
-	if !open {
-		return nil
-	}
-	t, err := sstable.OpenBuilt(data, d.backend.Handle(f.Num), f.Num, d.cache)
-	if err == nil {
-		f.Reader.Store(t)
-	}
-	return err
-}

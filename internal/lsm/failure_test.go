@@ -1,7 +1,6 @@
 package lsm
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -209,125 +208,5 @@ func TestOpenRejectsBadGeometry(t *testing.T) {
 		if _, err := Open(cfg); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
-	}
-}
-
-// TestRelocationWriteFailureDegradesStore: a set relocation writes the
-// new set before it touches the old one, so a permanent failure of the
-// group write — on its first member or a later one — fails the pass and
-// stops the store accepting writes, and that is all: the current version
-// still maps every file, every key still answers, and the next open
-// finds a whole store that takes writes again.
-func TestRelocationWriteFailureDegradesStore(t *testing.T) {
-	for member := int64(1); member <= 2; member++ {
-		d, fd := newFaultDB(t, ModeSEALDB)
-		ref := loadRandom(t, d, 12000, 17) // churn: dead sets and fragments
-
-		// A relocation reads, then writes: its group write's members are
-		// the next device writes.
-		fd.Inject(faultfs.Rule{Op: faultfs.OpWrite, After: fd.WriteCount() + member - 1, Count: 1})
-		_, err := d.DefragmentBands()
-		var fe *faultfs.Error
-		if !errors.As(err, &fe) || fe.Temporary {
-			t.Fatalf("member %d: DefragmentBands = %v, want the injected permanent write error", member, err)
-		}
-		if err := d.Put([]byte("after"), []byte("x")); !errors.Is(err, ErrDegraded) {
-			t.Fatalf("member %d: Put after a failed relocation = %v, want ErrDegraded", member, err)
-		}
-		d.mu.Lock()
-		v := d.vs.Current()
-		for l := 0; l < d.cfg.NumLevels(); l++ {
-			for _, f := range v.Files[l] {
-				if _, err := d.backend.FileExtent(f.Num); err != nil {
-					t.Errorf("member %d: the failed relocation left L%d %s unmapped: %v", member, l, f, err)
-				}
-			}
-		}
-		d.mu.Unlock()
-		verifyAll(t, d, ref)
-
-		d.Close()
-		d2, err := OpenDevice(d.Config(), d.Device())
-		if err != nil {
-			t.Fatalf("member %d: reopen: %v", member, err)
-		}
-		if err := d2.VerifyIntegrity(); err != nil {
-			t.Fatalf("member %d: after reopen: %v", member, err)
-		}
-		loadRandomInto(t, d2, 500, 18, ref)
-		verifyAll(t, d2, ref)
-		if res, err := d2.DefragmentBands(); err != nil || res.SetsMoved == 0 {
-			t.Fatalf("member %d: relocation after reopen moved %d sets, %v", member, res.SetsMoved, err)
-		}
-		if err := d2.VerifyIntegrity(); err != nil {
-			t.Fatalf("member %d: after the repeated relocation: %v", member, err)
-		}
-		d2.Close()
-	}
-}
-
-// TestRelocationUnderLiveIterator: an iterator opened before a band-GC
-// pass reads the old copies of the sets the pass moves, so they must
-// outlive the pass: the iterator returns what a scan taken before it
-// did, the old files and extents sit parked in the read-state queue until
-// it closes, and only then does the space go back.
-func TestRelocationUnderLiveIterator(t *testing.T) {
-	d, err := Open(tinyConfig(ModeSEALDB))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	loadRandom(t, d, 12000, 17)
-	want, err := d.Scan(nil, 1<<30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parked := func() (files int, extents int64) {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		for _, s := range d.retiring {
-			files += len(s.retired.Files)
-		}
-		for _, e := range d.ownedExtents() {
-			if e.kind == ownedParked {
-				extents += e.len
-			}
-		}
-		return files, extents
-	}
-
-	it := d.NewIterator()
-	it.SeekToFirst()
-	res, err := d.DefragmentBands()
-	if err != nil || res.SetsMoved == 0 {
-		t.Fatalf("DefragmentBands moved %d sets, %v", res.SetsMoved, err)
-	}
-	files, extents := parked()
-	if files == 0 || extents < res.BytesMoved {
-		t.Fatalf("moved %d sets (%d bytes) under a live iterator but only %d files, %d extent bytes are parked", res.SetsMoved, res.BytesMoved, files, extents)
-	}
-	if err := d.VerifyIntegrity(); err != nil {
-		t.Fatalf("with the old sets parked: %v", err)
-	}
-	allocated := d.Device().DBand.AllocatedBytes()
-	i := 0
-	for ; it.Valid(); it.Next() {
-		if i >= len(want) || !bytes.Equal(it.Key(), want[i].Key) || !bytes.Equal(it.Value(), want[i].Value) {
-			t.Fatalf("entry %d after the pass: key %q, want the scan's", i, it.Key())
-		}
-		i++
-	}
-	if err := it.Error(); err != nil || i != len(want) {
-		t.Fatalf("iterator returned %d of %d entries, %v", i, len(want), err)
-	}
-	it.Close()
-	if files, left := parked(); files != 0 || left != 0 {
-		t.Fatalf("%d files, %d extent bytes still parked after Close", files, left)
-	}
-	if now := d.Device().DBand.AllocatedBytes(); now != allocated-extents {
-		t.Fatalf("allocator holds %d bytes after Close, %d with %d parked", now, allocated, extents)
-	}
-	if err := d.VerifyIntegrity(); err != nil {
-		t.Fatal(err)
 	}
 }

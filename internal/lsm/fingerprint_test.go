@@ -53,7 +53,7 @@ import (
 // cache's two segments and rows reproduce PR 21's constants: 1 MiB of
 // cache holds this store, so nothing is ever evicted). "smrdb" opens
 // four files and held; and PR 23's for the two dynamic-band modes, whose
-// stream calls DefragmentBands: a relocation is now a compaction that
+// stream then ran the band-GC pass: a relocation is now a compaction that
 // does not merge, so each moved member takes a fresh file number and the
 // swap edit is a few varint bytes longer (BytesWritten +6 and +4, BusyNS
 // -42 and -90 ns: the same writes at the same places, a few bytes more
@@ -61,8 +61,8 @@ import (
 // relocation now counts its set as created and the old one as dropped;
 // ReadOps, WriteOps, BytesRead, Seeks, Seq, Levels and Reads held); and
 // PR 24's for the same two modes: a relocated table's cached blocks follow
-// it to its new number (Cache.RekeyFile) where they used to be evicted
-// with the old one, so reads after a DefragmentBands pass find them
+// it to its new number (the cache re-keyed the file) where they used to be
+// evicted with the old one, so reads after a band-GC pass find them
 // ("sealdb" ReadOps -59, BytesRead -1.7 %, Seeks -61; "sealdb+vlog" -24,
 // -1.2 %, -25; writes, Seq, Levels and Reads held, and with that one
 // call taken out rows that follow their keys reproduce PR 23's constants
@@ -158,7 +158,7 @@ import (
 // the later event ids renumbered past the dropped ones, hash to these
 // values; every other field held in all five.
 // Re-recorded the Views hash of all five (and the invariantGoldens twin)
-// when Stats lost GCBytes, a second owner of sealdb_band_gc_bytes_total:
+// when Stats lost GCBytes, a second owner of the band-GC byte counter:
 // the parent's digests with " GCBytes:N" cut from the Stats line hash to
 // these values, plain and under the tag; every other field held.
 // Re-recorded the Journal and Counters hashes of all five (and the
@@ -171,11 +171,11 @@ import (
 // five, and "smrdb", which journaled none of them, kept its Journal hash.
 // Re-recorded the Journal hash of the two dynamic-band modes (and the
 // invariantGoldens twin) when set relocation became a job: run begins
-// each set_migration span as a root, no longer as a child of its band_gc
-// pass, and the parent's digests with that one parent link set to 0 hash
-// to these values. The passes here have at most three victims, so the
-// stream's DefragmentBands(3) became DefragmentBands() with every other
-// field held in all five.
+// each set-migration span as a root, no longer as a child of its band-GC
+// pass span, and the parent's digests with that one parent link set to 0
+// hash to these values. The passes here have at most three victims, so
+// the stream's pass lost its three-victim cap with every other field
+// held in all five.
 // Re-recorded ReadOps, BytesRead, Seeks and BusyNS of all five (and the
 // invariantGoldens twin) when fsck, the stream's last step, began to read
 // each table whole as compaction does instead of through the block cache
@@ -195,6 +195,17 @@ import (
 // became skipped_dropped. A parent carrying only the one-pass collector
 // reproduces every field of both constants; Levels and Reads held, and
 // the other four modes have no value log and are bit-identical.
+// Re-recorded for "sealdb" and "sealdb+vlog" (and the invariantGoldens
+// twin) when the band-GC pass was deleted and the stream lost its three
+// steps: without the relocations these modes write and read less
+// ("sealdb" ReadOps 1,834 -> 1,810, WriteOps 7,998 -> 7,970; "sealdb+vlog"
+// 1,332 -> 1,331 and 7,999 -> 7,997). Levels, Seq and Reads held. In the
+// same change the pass's two counters (moves and bytes) and its Stats
+// field went, which moves the Counters and Views hashes of all five. A
+// parent whose only edits delete the three steps and drop those two
+// counter lines and the Stats field from the digests reproduces every
+// field of all five constants, plain and under the tag; with the steps
+// deleted alone it reproduces every field but Counters and Views.
 // When a mismatch is intended, the failure message prints the new literal.
 type deviceFingerprint struct {
 	ReadOps, WriteOps       int64
@@ -209,11 +220,11 @@ type deviceFingerprint struct {
 }
 
 var fingerprintGoldens = map[string]deviceFingerprint{
-	"leveldb":      {ReadOps: 2509, WriteOps: 8416, BytesRead: 51691044, BytesWritten: 51841180, Seeks: 3870, BusyNS: 50533657012, Seq: 0x226d, Levels: "3,13,5,0,0,0,17", Journal: "233fe82e28acde6e", Counters: "e0d49bb8b18aa76c", Views: "6da3370665cfc574", Reads: "e7b228fbb77598be"},
-	"leveldb+sets": {ReadOps: 2121, WriteOps: 8319, BytesRead: 41954195, BytesWritten: 42797526, Seeks: 3326, BusyNS: 43233367867, Seq: 0x226d, Levels: "3,13,5,0,0,0,17", Journal: "138577b8c279de7b", Counters: "909c67253a0d5617", Views: "4d28be58b4a615e4", Reads: "e7b228fbb77598be"},
-	"smrdb":        {ReadOps: 513, WriteOps: 7525, BytesRead: 6779847, BytesWritten: 2779943, Seeks: 891, BusyNS: 6208151433, Seq: 0x226d, Levels: "1,3", Journal: "a33409d25ad9e9a2", Counters: "78a4462c9575a6da", Views: "30636fa34bc2be6d", Reads: "e7b228fbb77598be"},
-	"sealdb":       {ReadOps: 1834, WriteOps: 7998, BytesRead: 12483659, BytesWritten: 6918992, Seeks: 2478, BusyNS: 16503072570, Seq: 0x226d, Levels: "3,13,5,0,0,0,17", Journal: "fc22873e5eb2954d", Counters: "c72dafee2d22049d", Views: "e46fb8fd18f52022", Reads: "e7b228fbb77598be"},
-	"sealdb+vlog":  {ReadOps: 1332, WriteOps: 7999, BytesRead: 5868504, BytesWritten: 2642289, Seeks: 5301, BusyNS: 35696993288, Seq: 0x23e7, Levels: "3,5,0,0,0,0,7", Journal: "20c192d0bb287b97", Counters: "164a9817b35e701f", Views: "c9eda26d75733176", Reads: "e7b228fbb77598be"},
+	"leveldb":      {ReadOps: 2509, WriteOps: 8416, BytesRead: 51691044, BytesWritten: 51841180, Seeks: 3870, BusyNS: 50533657012, Seq: 0x226d, Levels: "3,13,5,0,0,0,17", Journal: "233fe82e28acde6e", Counters: "57262507841641b3", Views: "930d65cc397929b9", Reads: "e7b228fbb77598be"},
+	"leveldb+sets": {ReadOps: 2121, WriteOps: 8319, BytesRead: 41954195, BytesWritten: 42797526, Seeks: 3326, BusyNS: 43233367867, Seq: 0x226d, Levels: "3,13,5,0,0,0,17", Journal: "138577b8c279de7b", Counters: "1c113a0f9e592f3a", Views: "dd2cf2d999c3856a", Reads: "e7b228fbb77598be"},
+	"smrdb":        {ReadOps: 513, WriteOps: 7525, BytesRead: 6779847, BytesWritten: 2779943, Seeks: 891, BusyNS: 6208151433, Seq: 0x226d, Levels: "1,3", Journal: "a33409d25ad9e9a2", Counters: "cca10a7de57e7457", Views: "26587f4b7fa4b4df", Reads: "e7b228fbb77598be"},
+	"sealdb":       {ReadOps: 1810, WriteOps: 7970, BytesRead: 12113981, BytesWritten: 6548144, Seeks: 2444, BusyNS: 16349553234, Seq: 0x226d, Levels: "3,13,5,0,0,0,17", Journal: "14fac921f410651a", Counters: "320adbe139f74f83", Views: "c878a8e37be71045", Reads: "e7b228fbb77598be"},
+	"sealdb+vlog":  {ReadOps: 1331, WriteOps: 7997, BytesRead: 5853931, BytesWritten: 2627651, Seeks: 5297, BusyNS: 35671462947, Seq: 0x23e7, Levels: "3,5,0,0,0,0,7", Journal: "d840cd9623f0f153", Counters: "96109ed01ffd3083", Views: "5cc8fbe7ba3bdd4f", Reads: "e7b228fbb77598be"},
 }
 
 // invariantGoldens replaces a mode's constant under -tags
@@ -222,7 +233,7 @@ var fingerprintGoldens = map[string]deviceFingerprint{
 // so "sealdb+vlog" fetches some blocks at other times: its BusyNS and
 // Journal hash differ from the plain constant, every other field is equal.
 var invariantGoldens = map[string]deviceFingerprint{
-	"sealdb+vlog": {ReadOps: 1332, WriteOps: 7999, BytesRead: 5868504, BytesWritten: 2642289, Seeks: 5301, BusyNS: 35696639182, Seq: 0x23e7, Levels: "3,5,0,0,0,0,7", Journal: "b948cb989f8d4f4e", Counters: "164a9817b35e701f", Views: "c9eda26d75733176", Reads: "e7b228fbb77598be"},
+	"sealdb+vlog": {ReadOps: 1331, WriteOps: 7997, BytesRead: 5853931, BytesWritten: 2627651, Seeks: 5297, BusyNS: 35672276963, Seq: 0x23e7, Levels: "3,5,0,0,0,0,7", Journal: "fd1e40615bed6acb", Counters: "96109ed01ffd3083", Views: "5cc8fbe7ba3bdd4f", Reads: "e7b228fbb77598be"},
 }
 
 type fingerprintCase struct {
@@ -460,11 +471,6 @@ func runFingerprintStream(t *testing.T, cfg Config) deviceFingerprint {
 		case 4000:
 			snap.Release()
 			snap = nil
-		case 4400, 8400, 11000:
-			if cfg.Mode == ModeSEALDB {
-				_, err := d.DefragmentBands()
-				must("DefragmentBands", err)
-			}
 		case 4800, 7600, 9200, 11500:
 			if cfg.ValueThreshold > 0 {
 				_, _, err := vlogGC(d)

@@ -13,7 +13,6 @@ import (
 	"sealdb/internal/smr"
 	"sealdb/internal/sstable"
 	"sealdb/internal/storage"
-	"sealdb/internal/version"
 	"sealdb/internal/vlog"
 )
 
@@ -338,70 +337,6 @@ func TestRecoveryFreesLeakedRuns(t *testing.T) {
 	}
 }
 
-func TestDefragmentBands(t *testing.T) {
-	cfg := tinyConfig(ModeSEALDB)
-	d, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	// Heavy churn produces dead sets and fragments.
-	ref := loadRandom(t, d, 14000, 17)
-
-	before := d.Device().DBand.FragmentBytes(2 * cfg.SSTableSize)
-	res, err := d.DefragmentBands()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FragmentsBefore != before {
-		t.Errorf("FragmentsBefore %d != measured %d", res.FragmentsBefore, before)
-	}
-	if res.SetsMoved > 0 {
-		if res.BytesMoved == 0 {
-			t.Error("sets moved but no bytes accounted")
-		}
-		if res.FragmentsAfter >= res.FragmentsBefore {
-			t.Errorf("fragments did not shrink: %d -> %d", res.FragmentsBefore, res.FragmentsAfter)
-		}
-	}
-	// Correctness after relocation: all data readable, integrity
-	// holds, and the drive never saw an illegal write (AWA still 1).
-	verifyAll(t, d, ref)
-	if err := d.VerifyIntegrity(); err != nil {
-		t.Fatal(err)
-	}
-	if amp := d.Amplification(); amp.AWA != 1.0 {
-		t.Errorf("AWA %v after GC", amp.AWA)
-	}
-	moved := d.MetricsSnapshot().Counters["sealdb_band_gc_bytes_total"]
-	if st := d.Stats(); st.GCMoves != int64(res.SetsMoved) || moved != res.BytesMoved {
-		t.Errorf("stats GCMoves %d, sealdb_band_gc_bytes_total %d != result %d sets, %d bytes", st.GCMoves, moved, res.SetsMoved, res.BytesMoved)
-	}
-
-	// The store keeps working and recovering after a GC pass.
-	loadRandomInto(t, d, 2000, 18, ref)
-	verifyAll(t, d, ref)
-	dev := d.Device()
-	d.Close()
-	d2, err := OpenDevice(cfg, dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	verifyAll(t, d2, ref)
-	if err := d2.VerifyIntegrity(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDefragmentBandsWrongMode(t *testing.T) {
-	d, _ := Open(tinyConfig(ModeLevelDB))
-	defer d.Close()
-	if _, err := d.DefragmentBands(); err == nil {
-		t.Error("DefragmentBands accepted on a fixed-band store")
-	}
-}
-
 func TestCompactRangeOnEmptyStore(t *testing.T) {
 	d, _ := Open(tinyConfig(ModeSEALDB))
 	defer d.Close()
@@ -426,11 +361,7 @@ func ExampleDB_LevelProfile() {
 
 // TestTableReaderLivesWithItsFile: a table's reader is opened once per
 // FileMeta and goes where the FileMeta goes. Concurrent first reads of a
-// cold table all get the one reader published; a trivial move keeps it. A
-// relocated copy never inherits the member's reader, which names the number
-// the edit removes: the copy of an open member starts with a reader of its
-// own, opened from the bytes the relocation read, and that of a member no
-// read opened starts without one.
+// cold table all get the one reader published; a trivial move keeps it.
 func TestTableReaderLivesWithItsFile(t *testing.T) {
 	d, err := Open(tinyConfig(ModeSEALDB))
 	if err != nil {
@@ -483,76 +414,5 @@ func TestTableReaderLivesWithItsFile(t *testing.T) {
 	}
 	if moved := d.vs.Current().Files[1][0]; moved != f || moved.Reader.Load() != opened {
 		t.Errorf("the trivial move left L1 with %v holding %p, want %v holding %p", moved, moved.Reader.Load(), f, opened)
-	}
-
-	ref := loadRandom(t, d, 14000, 17)
-	verifyAll(t, d, ref)
-	// Every other table is open, the rest are as if no read reached them;
-	// a member's copy is found by its smallest key.
-	readerOf, before := map[string]*sstable.Table{}, map[*version.FileMeta]bool{}
-	v := d.vs.Current()
-	for l := range v.Files {
-		for i, f := range v.Files[l] {
-			tbl, err := d.openTable(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if i%2 == 1 {
-				tbl = nil
-				f.Reader.Store(nil)
-			}
-			readerOf[string(f.Smallest)], before[f] = tbl, true
-		}
-	}
-	held, _ := d.acquire()
-	res, err := d.DefragmentBands()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SetsMoved == 0 {
-		t.Fatal("set-up: DefragmentBands relocated nothing")
-	}
-	var copies []*version.FileMeta
-	for _, files := range d.vs.Current().Files {
-		for _, f := range files {
-			if !before[f] {
-				copies = append(copies, f)
-			}
-		}
-	}
-	var open []*version.FileMeta
-	for _, f := range copies {
-		old, got := readerOf[string(f.Smallest)], f.Reader.Load()
-		switch {
-		case old == nil && got != nil:
-			t.Errorf("copy %v of a table never opened starts with a reader", f)
-		case old != nil && (got == nil || got == old):
-			t.Errorf("copy %v of an open table holds %p, want a reader of its own (the member's was %p)", f, got, old)
-		case old != nil:
-			open = append(open, f)
-		}
-	}
-	if len(open) == 0 || len(open) == len(copies) {
-		t.Fatalf("set-up: %d of %d relocated members were open, want some of them", len(open), len(copies))
-	}
-	d.release(held)
-	if len(d.retiring) != 0 {
-		t.Fatalf("%d states still queued after the last reader left", len(d.retiring))
-	}
-	// The members' files are gone: a copy's reader reads its own file,
-	// under its own number.
-	for _, f := range open {
-		d.cache.EvictFile(f.Num)
-		if _, _, ok, err := f.Reader.Load().Get(f.Smallest.UserKey(), kv.MaxSeqNum); !ok || err != nil {
-			t.Fatalf("Get(%q) from the reader of copy %v: ok %v, %v", f.Smallest.UserKey(), f, ok, err)
-		}
-		used := d.cache.Stats().UsedBytes
-		if d.cache.EvictFile(f.Num); d.cache.Stats().UsedBytes >= used {
-			t.Errorf("the reader of copy %v cached its block under another number", f)
-		}
-	}
-	verifyAll(t, d, ref)
-	if err := d.VerifyIntegrity(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -10,15 +10,13 @@ import (
 )
 
 // job is one unit of maintenance work, built only when there is work to
-// do: a flush of a frozen memtable, a compaction, a value-log GC pass or
-// a set relocation. Exactly one of mem, c, victim and set is set;
-// building one allocates nothing.
+// do: a flush of a frozen memtable, a compaction or a value-log GC pass.
+// Exactly one of mem, c and victim is set; building one allocates nothing.
 type job struct {
 	mem    *memtable.MemTable // a flush: the memtable
 	logNum uint64             // a flush: the WAL recovery replays after it (0 keeps the recorded one)
 	c      *compaction        // a compaction
 	victim version.VlogSeg    // a vlog GC pass: the segment to collect
-	set    uint64             // a relocation: the set to move
 }
 
 // drainJobs runs the compactions of the levels draining at score due
@@ -74,9 +72,6 @@ func (d *DB) run(j job) (err error) {
 	case j.c != nil:
 		sp = d.journal.Begin("compaction", 0)
 		info, err = d.compact(j.c, sp)
-	case j.set != 0:
-		sp = d.journal.Begin("set_migration", 0)
-		err = d.relocateSet(j.set, sp)
 	default:
 		sp = d.journal.Begin("vlog_gc", 0)
 		err = d.collect(j.victim, sp)

@@ -42,9 +42,8 @@ func linearKey(i int) []byte { return fmt.Appendf(nil, "lk%03d", i) }
 // counter) to shared keys and now and then delete one; 4 readers Get
 // random keys; 2 scanners run Scan and ScanReverse, every key of the
 // range a scan covered counting as a read over the scan's interval
-// (found or not); and one goroutine flushes, compacts ranges, relocates
-// sets (SEALDB) and collects the value log (with separation on) until
-// the writers are done.
+// (found or not); and one goroutine flushes, compacts ranges and
+// collects the value log (with separation on) until the writers are done.
 func recordHistory(t *testing.T, cfg Config) []history.RegOp {
 	d, err := Open(cfg)
 	if err != nil {
@@ -194,17 +193,13 @@ func recordHistory(t *testing.T, cfg Config) []history.RegOp {
 			case <-time.After(time.Millisecond):
 			}
 			var err error
-			switch step % 4 {
+			switch step % 3 {
 			case 0:
 				err = d.FlushMemtable()
 			case 1:
 				lo := rng.Intn(linearKeys)
 				err = d.CompactRange(linearKey(lo), linearKey(lo+rng.Intn(16)))
 			case 2:
-				if cfg.Mode == ModeSEALDB {
-					_, err = d.DefragmentBands()
-				}
-			case 3:
 				if cfg.vlogEnabled() {
 					_, _, err = vlogGC(d)
 				}
@@ -225,8 +220,8 @@ func recordHistory(t *testing.T, cfg Config) []history.RegOp {
 	// Every Put and Delete is a one-entry batch, so fewer group commits
 	// than entries means a group carried several writers' batches.
 	groups, batches := d.metrics.writeLatency.Snapshot().Count, d.metrics.writes.Value()
-	t.Logf("%d ops recorded; %d batches in %d group commits; %d flushes, %d compactions, %d set moves, %d vlog GC passes",
-		len(ops), batches, groups, st.FlushCount, st.CompactionCount, st.GCMoves, st.VlogGCRuns)
+	t.Logf("%d ops recorded; %d batches in %d group commits; %d flushes, %d compactions, %d vlog GC passes",
+		len(ops), batches, groups, st.FlushCount, st.CompactionCount, st.VlogGCRuns)
 	if st.FlushCount == 0 || st.CompactionCount == 0 || cfg.vlogEnabled() && st.VlogGCRuns == 0 {
 		t.Errorf("maintenance did not run beside the clients: %+v", st)
 	}
@@ -238,9 +233,9 @@ func recordHistory(t *testing.T, cfg Config) []history.RegOp {
 
 // TestConcurrentHistoryIsLinearizable: Gets, scans and iterator steps
 // take no engine lock and read a published state at the visible
-// sequence number, so what concurrent clients see, flushes, compactions,
-// set relocations and value-log GC running underneath, must be a
-// linearizable register history per key. Run under -race too.
+// sequence number, so what concurrent clients see, flushes, compactions
+// and value-log GC running underneath, must be a linearizable register
+// history per key. Run under -race too.
 func TestConcurrentHistoryIsLinearizable(t *testing.T) {
 	for _, arm := range linearArms() {
 		t.Run(arm.name, func(t *testing.T) {

@@ -35,8 +35,8 @@ func declaredOrder(held, next string) bool {
 }
 
 // TestObservedLockOrderIsDeclared runs a store with a value log through
-// puts, flushes, compactions and a vlog GC pass, and a churned store
-// through band defragmentation, then holds every nesting the watchdog
+// puts, flushes, compactions and a vlog GC pass, and a SEALDB store
+// through churn that drops sets, then holds every nesting the watchdog
 // observed to the declared hierarchy: an undeclared nesting fails here
 // on any path that ran.
 func TestObservedLockOrderIsDeclared(t *testing.T) {
@@ -61,9 +61,6 @@ func TestObservedLockOrderIsDeclared(t *testing.T) {
 		t.Fatal(err)
 	}
 	loadRandom(t, d, 12000, 17) // churn: dead sets and fragments
-	if res, err := d.DefragmentBands(); err != nil || res.SetsMoved == 0 {
-		t.Fatalf("DefragmentBands = %+v, %v; want a set moved", res, err)
-	}
 	d.Close()
 
 	edges := invariant.LockOrderEdges()

@@ -7,9 +7,11 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"sealdb/internal/kv"
 	"sealdb/internal/memtable"
+	"sealdb/internal/smr"
 	"sealdb/internal/sstable"
 	"sealdb/internal/version"
 )
@@ -408,6 +410,86 @@ func TestIteratorsShareNoMerge(t *testing.T) {
 	defer c.Close()
 	if b.r != room || c.r == room || b == &room.it {
 		t.Fatal("the next Iterator did not borrow the spare room, or the one after it took it too")
+	}
+}
+
+// writeHook runs before ahead of every device write it passes on.
+type writeHook struct {
+	smr.Drive
+	before func()
+}
+
+func (h writeHook) WriteAt(p []byte, off int64) (time.Duration, error) {
+	h.before()
+	return h.Drive.WriteAt(p, off)
+}
+
+// TestIteratorsShareNoImmutableMemtable: an Iterator opened while a flush
+// writes the frozen memtable's table, the immutable memtable published in
+// the read state, merges that memtable too; Close hands the room back with
+// its immutable-memtable iterator stripped, as it strips the live one's.
+// The Iterator opens from the flush's device write, under the writer's
+// d.mu: NewIterator takes no engine lock, and nor does releasing a state
+// the DB still holds.
+func TestIteratorsShareNoImmutableMemtable(t *testing.T) {
+	cfg := streamConfig(ModeSEALDB, 4*kv.MiB)
+	var d *DB
+	var during func() // run once, at the first write while imm is published
+	cfg.WrapDrive = func(inner smr.Drive) smr.Drive {
+		return writeHook{inner, func() {
+			if during != nil && d.state.Load().imm != nil {
+				f := during
+				during = nil
+				f()
+			}
+		}}
+	}
+	var err error
+	if d, err = Open(cfg); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	ref := loadStream(t, d, 600)
+	for i := 0; i < 40; i++ { // the memtable the flush freezes is not empty
+		k := fmt.Sprintf("sk%06d", i*15)
+		ref[k] = string(bigValue(k, 200+i))
+		if err := d.Put([]byte(k), []byte(ref[k])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keys := sortedKeys(ref)
+	var room *readRoom
+	ran := false
+	during = func() {
+		ran = true
+		it := d.NewIterator()
+		room = it.r
+		defer it.Close()
+		// Errorf, not Fatalf: the writer holds d.mu and the storage write
+		// lock here.
+		i := 0
+		for it.SeekToFirst(); it.Valid(); it.Next() {
+			if i >= len(keys) || string(it.Key()) != keys[i] || string(it.Value()) != ref[keys[i]] {
+				t.Errorf("entry %d during the flush: key %q, want %q", i, it.Key(), keys[min(i, len(keys)-1)])
+				return
+			}
+			i++
+		}
+		if err := it.Error(); err != nil || i != len(keys) {
+			t.Errorf("the Iterator returned %d of %d entries, %v", i, len(keys), err)
+		}
+		if held := roomHolds(reflect.ValueOf(&room.imm), "room.imm", "", map[uintptr]bool{}); held == "" {
+			t.Error("an Iterator opened during the flush does not read the immutable memtable")
+		}
+	}
+	if err := d.FlushMemtable(); err != nil {
+		t.Fatal(err)
+	}
+	if !ran {
+		t.Fatal("the flush made no device write while the immutable memtable was published")
+	}
+	if held := roomHolds(reflect.ValueOf(room), "room", "", map[uintptr]bool{}); held != "" || d.spareRoom.Load() != room {
+		t.Fatalf("the closed Iterator's room keeps %s (spare %v)", held, d.spareRoom.Load() == room)
 	}
 }
 

@@ -24,7 +24,6 @@ const (
 	modelSnapshot
 	modelSnapCheck // probe a held snapshot, then release it
 	modelCompact
-	modelGC // band defragmentation, where the mode has dynamic bands
 	modelReopen
 )
 
@@ -46,7 +45,7 @@ type modelOp struct {
 }
 
 // modelGen generates the random schedule of puts, deletes, batches,
-// gets, scans, snapshots, reopens, manual compactions and GC passes.
+// gets, scans, snapshots, reopens and manual compactions.
 // It is a pure function of its seed — it tracks how many snapshots
 // the schedule holds itself — so the same stream can be replayed
 // against any number of stores.
@@ -100,10 +99,8 @@ func (g *modelGen) next() modelOp {
 			g.snaps--
 			return o
 		}
-	case op < 94:
-		return modelOp{kind: modelCompact}
 	case op < 96:
-		return modelOp{kind: modelGC}
+		return modelOp{kind: modelCompact}
 	default: // drops snapshots, which do not survive restarts
 		g.snaps = 0
 		return modelOp{kind: modelReopen}
@@ -139,9 +136,8 @@ func (o modelOp) batch() *Batch {
 }
 
 // TestModelBasedRandomOps drives a long random schedule of puts,
-// deletes, batches, gets, scans, snapshots, reopens, manual
-// compactions and (in SEALDB mode) GC passes against a map-based
-// model, across every mode. This is the repository's main
+// deletes, batches, gets, scans, snapshots, reopens and manual
+// compactions against a map-based model, across every mode. This is the repository's main
 // metamorphic/stress test.
 func TestModelBasedRandomOps(t *testing.T) {
 	for _, mode := range allModes() {
@@ -249,12 +245,6 @@ func testModelBasedRandomOps(t *testing.T, mode Mode) {
 		case modelCompact:
 			if err := d.CompactRange(nil, nil); err != nil {
 				t.Fatalf("step %d compact: %v", step, err)
-			}
-		case modelGC: // sealdb only
-			if mode == ModeSEALDB {
-				if _, err := d.DefragmentBands(); err != nil {
-					t.Fatalf("step %d gc: %v", step, err)
-				}
 			}
 		case modelReopen:
 			for _, sn := range snaps {
@@ -468,10 +458,6 @@ func TestCrossModeDifferential(t *testing.T) {
 			// files at several depths instead of settling into one.
 			lo := step % 4 * 750
 			err = s.d.CompactRange([]byte(fmt.Sprintf("mk%06d", lo)), []byte(fmt.Sprintf("mk%06d", lo+749)))
-		case modelGC:
-			if s.cfg.Mode == ModeSEALDB {
-				_, err = s.d.DefragmentBands()
-			}
 		case modelReopen:
 			for _, sn := range s.snaps {
 				sn.Release()

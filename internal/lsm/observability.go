@@ -20,7 +20,6 @@ type dbMetrics struct {
 	compactionWriteBytes     *obs.Counter
 	trivialMoves             *obs.Counter
 	setsCreated, setsDropped *obs.Counter
-	bandGCMoves, bandGCBytes *obs.Counter
 	walRotations             *obs.Counter
 	sstableCorrupt           *obs.Counter
 	sstableStreamed          *obs.Counter
@@ -55,8 +54,6 @@ func (d *DB) initObs() {
 	m.trivialMoves = d.reg.Counter("sealdb_trivial_move_total")
 	m.setsCreated = d.reg.Counter("sealdb_sets_created_total")
 	m.setsDropped = d.reg.Counter("sealdb_sets_dropped_total")
-	m.bandGCMoves = d.reg.Counter("sealdb_band_gc_moves_total")
-	m.bandGCBytes = d.reg.Counter("sealdb_band_gc_bytes_total")
 	m.walRotations = d.reg.Counter("sealdb_wal_rotations_total")
 	m.sstableCorrupt = d.reg.Counter("sealdb_sstable_corrupt_blocks_total")
 	m.sstableStreamed = d.reg.Counter("sealdb_sstable_streamed_blocks_total")
@@ -166,10 +163,9 @@ func (d *DB) MetricsSnapshot() *obs.Snapshot {
 }
 
 // Events returns the journaled engine events (flushes, compactions,
-// value-log appends and GC passes, set migrations, band GC, log
-// rotations, recovery's replays and repairs, corrupt blocks, reclaim
-// errors, degradation), oldest first. Timestamps are simulated device
-// nanoseconds.
+// value-log appends and GC passes, log rotations, recovery's replays and
+// repairs, corrupt blocks, reclaim errors, degradation), oldest first.
+// Timestamps are simulated device nanoseconds.
 func (d *DB) Events() []obs.Event {
 	return d.journal.Events()
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
 	"testing"
 
 	"sealdb/internal/faultfs"
@@ -418,90 +417,5 @@ func TestJustWrittenTableOpensWithItsRows(t *testing.T) {
 				t.Errorf("a write-only load left L%d %v open", l, f)
 			}
 		}
-	}
-}
-
-// TestRelocationKeepsResidency: DefragmentBands copies tables byte for byte
-// under new numbers, and what was cached of a table is cached of its copy.
-// The copies of open tables are open, so reads after the pass cost nothing,
-// while an iterator opened before it, pinned on the old numbers, reads the
-// old extents from the device and sees the same store.
-func TestRelocationKeepsResidency(t *testing.T) {
-	cfg := tinyConfig(ModeSEALDB)
-	cfg.BlockCacheSize = 8 * kv.MiB // holds the whole store
-	d, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	ref := loadRandom(t, d, 12000, 17)
-	// Every fourth key large enough to be cached as a row.
-	keys := make([]string, 0, len(ref))
-	for k := range ref {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for i := 0; i < len(keys); i += 4 {
-		ref[keys[i]] = string(bigValue(keys[i], 600))
-		if err := d.Put([]byte(keys[i]), []byte(ref[keys[i]])); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := d.FlushMemtable(); err != nil {
-		t.Fatal(err)
-	}
-	verifyAll(t, d, ref)
-	verifyAll(t, d, ref)
-	if reads, _ := readCost(d, func() { verifyAll(t, d, ref) }); reads != 0 {
-		t.Fatalf("set-up: a third pass over the store cost %d device reads", reads)
-	}
-	tables := map[uint64]bool{}
-	for _, loc := range d.TableLocations() {
-		tables[loc.Num] = true
-	}
-
-	// The seek may cache blocks no point read left behind: count what is
-	// resident after it.
-	it := d.NewIterator()
-	it.SeekToFirst()
-	resident := d.cache.Stats()
-	if resident.RowEntries == 0 {
-		t.Fatal("set-up: no rows")
-	}
-	res, err := d.DefragmentBands()
-	if err != nil || res.SetsMoved == 0 {
-		t.Fatalf("DefragmentBands moved %d sets, %v", res.SetsMoved, err)
-	}
-	copies := int64(0)
-	for _, loc := range d.TableLocations() {
-		if !tables[loc.Num] {
-			copies++
-		}
-	}
-	if st := d.cache.Stats(); st.Entries != resident.Entries || st.RowEntries != resident.RowEntries || st.UsedBytes != resident.UsedBytes {
-		t.Fatalf("relocating %d tables changed the residency: %+v -> %+v", copies, resident, st)
-	}
-	// Every table was open, so every copy opened from the bytes relocation read.
-	if reads, misses := readCost(d, func() { verifyAll(t, d, ref) }); misses != 0 || reads != 0 {
-		t.Fatalf("reads after relocating %d tables missed %d blocks and cost %d device reads", copies, misses, reads)
-	}
-
-	reads, _ := readCost(d, func() {
-		for _, k := range keys {
-			if !it.Valid() || string(it.Key()) != k || string(it.Value()) != ref[k] {
-				t.Fatalf("the pinned iterator is at %q (valid %v), want %q", it.Key(), it.Valid(), k)
-			}
-			it.Next()
-		}
-	})
-	if it.Valid() || it.Error() != nil {
-		t.Fatalf("the pinned iterator ran on past the last key: %v", it.Error())
-	}
-	if reads == 0 {
-		t.Fatal("the pinned iterator read nothing from the old extents")
-	}
-	it.Close()
-	if err := d.VerifyIntegrity(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -50,10 +50,6 @@ type Stats struct {
 	Gets    int64
 	GetHits int64
 
-	// GCMoves counts DefragmentBands set relocations, one per set
-	// actually moved.
-	GCMoves int64
-
 	// VlogAppendBytes counts the value-log bytes user batches were
 	// logged as (their groups: value records and commit frames);
 	// VlogGCRuns/VlogGCBytes count collection passes and the bytes of
@@ -122,7 +118,6 @@ func (d *DB) Stats() Stats {
 		TrivialMoves:         m.trivialMoves.Value(),
 		Gets:                 m.gets.Value(),
 		GetHits:              m.getHits.Value(),
-		GCMoves:              m.bandGCMoves.Value(),
 		VlogAppendBytes:      m.vlogAppendBytes.Value(),
 		VlogGCRuns:           m.vlogGCRuns.Value(),
 		VlogGCBytes:          m.vlogGCRelocated.Value(),

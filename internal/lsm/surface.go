@@ -60,8 +60,7 @@ func spreadDead(stride, off, length, dead int64, add func(band, n int64)) {
 // bandRowsLocked builds the per-band view: every band holding part of
 // an owned extent, with allocation bucketed by overlap, dead bytes
 // spread and owning sets attributed. Sorted by live ratio ascending,
-// then by band: the deadest bands, the defragmentation victims, come
-// first. Caller holds d.mu.
+// then by band: the deadest bands come first. Caller holds d.mu.
 func (d *DB) bandRowsLocked() []BandRow {
 	stride := d.cfg.BandSize
 	byBand := map[int64]*BandRow{}

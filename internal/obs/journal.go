@@ -83,9 +83,9 @@ type Span struct {
 	ev    Event
 }
 
-// Begin opens a span. parent (0 for none) links nested spans — e.g.
-// set migrations inside a band-GC pass. The returned span is owned by
-// one goroutine; call End exactly once.
+// Begin opens a span. parent (0 for none) links a nested span to the
+// span it runs inside. The returned span is owned by one goroutine; call
+// End exactly once.
 func (j *Journal) Begin(typ string, parent uint64) *Span {
 	if j == nil {
 		return nil

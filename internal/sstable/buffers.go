@@ -39,8 +39,8 @@ func (c *Cache) putScratch(s *blockScratch) {
 const poison = 0xdb
 
 // GetBuf returns an empty table-sized buffer with room for n bytes: the
-// one a Builder builds a table into, or one a compaction or a set
-// relocation reads whole tables into. It is recycled if the cache's pool
+// one a Builder builds a table into, or one a compaction or fsck reads
+// whole tables into. It is recycled if the cache's pool
 // has one that large, so its spare capacity holds old bytes, not zeros.
 // Hand it back with PutBuf.
 func (c *Cache) GetBuf(n int) []byte {

@@ -568,33 +568,6 @@ func (c *Cache) EvictFile(file uint64) {
 	c.remove(head)
 }
 
-// RekeyFile makes every cached block, value and row of file old one of file
-// fresh, a number nothing was cached under yet: the caller copied the file
-// byte for byte under that number. A reader still holding the old number
-// misses from then on and reads the old copy from the device.
-func (c *Cache) RekeyFile(old, fresh uint64) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	head := c.files[old]
-	if head == nil {
-		return
-	}
-	for e := head; e != nil; e = e.fileNext {
-		if e.block == nil { // a row or value: indexed by its key's hash
-			e.key.file = fresh
-			continue
-		}
-		delete(c.items, e.key)
-		e.key.file = fresh
-		c.items[e.key] = e
-	}
-	delete(c.files, old)
-	c.files[fresh] = head
-}
-
 // noteBloom records one bloom-filter outcome for a table sharing this
 // cache. Nil-safe (compaction readers run without a cache).
 func (c *Cache) noteBloom(passed, found bool) {

@@ -69,7 +69,7 @@ func checkCache(t *testing.T, c *Cache) {
 }
 
 // TestCacheAccountingUnderRandomOps: whatever the sequence of block, value
-// and row operations, re-homes, file re-keys and file evictions, used is
+// and row operations, re-homes and file evictions, used is
 // the sum of both segments' charges and never exceeds capacity, and every
 // entry is indexed, chained and counted exactly once.
 func TestCacheAccountingUnderRandomOps(t *testing.T) {
@@ -77,18 +77,12 @@ func TestCacheAccountingUnderRandomOps(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		c := NewCache(int64(8+rng.Intn(56)) << 10)
 		buf, huge := make([]byte, 4096), make([]byte, maxCachedValue)
-		// Twelve tables under numbers 1..12 until a re-key gives one a
-		// fresh number, as a relocation does.
-		var nums [12]uint64
-		for i := range nums {
-			nums[i] = uint64(1 + i)
-		}
-		fresh := uint64(1000)
 		for i := 0; i < 20000; i++ {
-			slot, off := rng.Intn(len(nums)), uint64(rng.Intn(40))
-			file, segment := nums[slot], uint64(101+slot)
+			// Twelve tables under numbers 1..12.
+			slot, off := rng.Intn(12), uint64(rng.Intn(40))
+			file, segment := uint64(1+slot), uint64(101+slot)
 			ukey := []byte(fmt.Sprintf("key%03d", off))
-			switch rng.Intn(15) {
+			switch rng.Intn(14) {
 			case 0, 1:
 				c.admit(file, off, &block{data: buf[:rng.Intn(len(buf))], restarts: make([]byte, 4)}, true)
 			case 2:
@@ -123,12 +117,6 @@ func TestCacheAccountingUnderRandomOps(t *testing.T) {
 					value = huge
 				}
 				c.rehome(file, bloomHash(ukey), kv.MakeInternalKey(nil, ukey, kv.SeqNum(rng.Intn(9)), kind), value)
-			case 14:
-				if rng.Intn(4) == 0 {
-					fresh++
-					c.RekeyFile(file, fresh)
-					nums[slot] = fresh
-				}
 			}
 			if i%64 == 0 {
 				checkCache(t, c)
@@ -139,9 +127,6 @@ func TestCacheAccountingUnderRandomOps(t *testing.T) {
 			t.Fatalf("seed %d: the op mix re-homed no row", seed)
 		}
 		for file := uint64(0); file < 120; file++ {
-			c.EvictFile(file)
-		}
-		for _, file := range nums {
 			c.EvictFile(file)
 		}
 		checkCache(t, c)
@@ -789,49 +774,6 @@ func TestOlderVersionNeverTakesARow(t *testing.T) {
 			t.Errorf("newest %v: GetEntry(k) = seq %d kind %v, %v, %v; want seq 9", newest, seq, kind, ok, err)
 		}
 		checkCache(t, cache)
-	}
-}
-
-// TestRekeyFile: every block, value and row of a file answers under the new
-// number and not under the old, where it lay, at no change in residency.
-func TestRekeyFile(t *testing.T) {
-	c := NewCache(64 << 10)
-	data := make([]byte, 1000)
-	c.admit(1, 0, &block{data: data, restarts: make([]byte, 4)}, true)
-	c.admit(1, 4096, &block{data: data, restarts: make([]byte, 4)}, true)
-	c.admit(2, 0, &block{data: data, restarts: make([]byte, 4)}, true)
-	c.PutValue([]byte("v"), 1, 77, data)
-	c.putRow(1, []byte("k"), data, 5, kv.KindSet, true)
-	was, _ := stateOfRow(t, c, []byte("k"))
-	before := c.Stats()
-	c.RekeyFile(1, 9)
-	c.RekeyFile(5, 10) // nothing cached: nothing to do
-	checkCache(t, c)
-	if st := c.Stats(); st != before {
-		t.Fatalf("re-key moved %+v to %+v", before, st)
-	}
-	if now, _ := stateOfRow(t, c, []byte("k")); now != (rowState{9, 5, was.protected, was.prev, was.next, was.size}) {
-		t.Fatalf("re-keyed row is %+v, was %+v", now, was)
-	}
-	if c.get(1, 0, false) != nil || c.get(1, 4096, false) != nil {
-		t.Fatal("the old number still answers")
-	}
-	if _, ok := c.GetValue(nil, []byte("v"), 1, 77); ok {
-		t.Fatal("the old number still answers for a value")
-	}
-	if c.get(9, 0, false) == nil || c.get(9, 4096, false) == nil || c.get(2, 0, false) == nil {
-		t.Fatal("a block did not follow its file, or another file's moved")
-	}
-	if _, ok := c.GetValue(nil, []byte("v"), 9, 77); !ok {
-		t.Fatal("the value did not follow its file")
-	}
-	if _, _, _, ok := c.getRow(9, []byte("k"), 5); !ok {
-		t.Fatal("the row did not follow its file")
-	}
-	c.EvictFile(9)
-	c.EvictFile(2)
-	if st := c.Stats(); st.Entries != 0 || st.UsedBytes != 0 {
-		t.Fatalf("evicting both files left %+v", st)
 	}
 }
 

@@ -109,10 +109,9 @@ type Amplification = lsm.Amplification
 type MetricsSnapshot = obs.Snapshot
 
 // Event is one entry of the store's observability journal (flushes,
-// compactions, value-log appends and GC passes, set migrations, band GC,
-// log rotations, recovery's replays and repairs, corrupt blocks, reclaim
-// errors, degradation), with timestamps in simulated device nanoseconds;
-// see DB.Events.
+// compactions, value-log appends and GC passes, log rotations, recovery's
+// replays and repairs, corrupt blocks, reclaim errors, degradation), with
+// timestamps in simulated device nanoseconds; see DB.Events.
 type Event = obs.Event
 
 // Errors returned by DB operations. ErrDegraded wraps every write

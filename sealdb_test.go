@@ -136,9 +136,6 @@ func TestPublicAPIMaintenance(t *testing.T) {
 	if err := db.VerifyIntegrity(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.DefragmentBands(); err != nil {
-		t.Fatal(err)
-	}
 	if err := db.CompactRange(nil, nil); err != nil {
 		t.Fatal(err)
 	}
