@@ -35,8 +35,11 @@ const (
 	KindDelete Kind = 0
 	// KindSet marks a regular value write.
 	KindSet Kind = 1
+	// KindPointer marks a value write whose value lives in the value
+	// log: the entry's value is the 16-byte vlog.Pointer to its record.
+	KindPointer Kind = 2
 
-	maxKind = KindSet
+	maxKind = KindPointer
 )
 
 func (k Kind) String() string {
@@ -45,6 +48,8 @@ func (k Kind) String() string {
 		return "DEL"
 	case KindSet:
 		return "SET"
+	case KindPointer:
+		return "PTR"
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }

@@ -91,7 +91,7 @@ func TestSearchKeySortsBeforeEntries(t *testing.T) {
 	ukey := []byte("k")
 	search := MakeSearchKey(nil, ukey, 50)
 	for seq := SeqNum(0); seq <= 100; seq += 10 {
-		for _, kind := range []Kind{KindDelete, KindSet} {
+		for _, kind := range []Kind{KindDelete, KindSet, KindPointer} {
 			entry := MakeInternalKey(nil, ukey, seq, kind)
 			c := CompareInternal(search, entry)
 			if seq <= 50 && c > 0 {
@@ -155,7 +155,7 @@ func TestCompareInternalTransitive(t *testing.T) {
 }
 
 func TestKindString(t *testing.T) {
-	if KindSet.String() != "SET" || KindDelete.String() != "DEL" {
+	if KindSet.String() != "SET" || KindDelete.String() != "DEL" || KindPointer.String() != "PTR" {
 		t.Error("Kind.String mismatch")
 	}
 	if Kind(9).String() != "Kind(9)" {

@@ -77,9 +77,9 @@ func (b *Batch) setSeq(seq kv.SeqNum) {
 // decodeBatch iterates an encoded batch, calling fn for each entry
 // with its assigned sequence number. Used by log replay and Apply. recs
 // are the value records of the value-log group the batch was logged in
-// (nil for a WAL record): each batchKindSeparated entry stands for the
-// next of them, and decodes as a Set of the record's key to a pointer
-// at it.
+// (nil for a WAL record): each one-byte KindPointer entry stands for the
+// next of them, and decodes as a KindPointer entry of the record's key
+// whose value is the pointer at it.
 func decodeBatch(rep []byte, recs []vlog.Record, fn func(seq kv.SeqNum, kind kv.Kind, key, value []byte) error) (kv.SeqNum, int, error) {
 	if len(rep) < batchHeaderLen {
 		return 0, 0, fmt.Errorf("lsm: batch too short (%d bytes)", len(rep))
@@ -93,14 +93,12 @@ func decodeBatch(rep []byte, recs []vlog.Record, fn func(seq kv.SeqNum, kind kv.
 		}
 		kind := kv.Kind(p[0])
 		p = p[1:]
-		if kind == batchKindSeparated {
+		if kind == kv.KindPointer {
 			if len(recs) == 0 {
 				return 0, 0, fmt.Errorf("lsm: separated entry %d has no value record in its group", i)
 			}
-			var stored [vlogPointerLen]byte
-			stored[0] = vlogTagPtr
-			vlog.AppendPointer(stored[1:1], recs[0].Ptr)
-			if err := fn(base+kv.SeqNum(i), kv.KindSet, recs[0].Key, stored[:]); err != nil {
+			var ptr [vlog.PointerSize]byte
+			if err := fn(base+kv.SeqNum(i), kind, recs[0].Key, vlog.AppendPointer(ptr[:0], recs[0].Ptr)); err != nil {
 				return 0, 0, err
 			}
 			recs = recs[1:]

@@ -23,6 +23,7 @@ import (
 	"sealdb/internal/kv"
 	"sealdb/internal/smr"
 	"sealdb/internal/version"
+	"sealdb/internal/vlog"
 )
 
 // Mode selects which of the paper's systems the engine behaves as.
@@ -142,9 +143,14 @@ type Config struct {
 	WrapDrive func(smr.Drive) smr.Drive
 	// ValueThreshold enables key–value separation: values of at least
 	// this many bytes are appended to the value log and the tree
-	// stores a fixed-size pointer instead, so large values stop
-	// riding through compactions. 0 (the default) disables the value
-	// log entirely and the tree stores every value inline.
+	// stores a fixed-size pointer entry (kv.KindPointer) instead, so
+	// large values stop riding through compactions. 0 (the default)
+	// disables the value log and the tree stores every value inline.
+	// An inline value is stored the same way under every threshold, so
+	// a store reopens under another one: new writes follow the new
+	// threshold and old entries read as they were written. The one
+	// refused reopen is at 0 over a store whose manifest lists
+	// value-log segments, which only the log can replay.
 	ValueThreshold int
 	// VlogSegSize is the value-log segment size (0 means one SSTable,
 	// so segments ride the dynamic-band free-list class unit).
@@ -239,20 +245,14 @@ func (c *Config) validate() error {
 		return fmt.Errorf("lsm: SMRDB needs MaxCompactionFiles >= 2")
 	case g.DeviceTimeScale < 0:
 		return fmt.Errorf("lsm: negative DeviceTimeScale")
-	case c.VlogThresholdTooSmall():
-		return fmt.Errorf("lsm: ValueThreshold %d must exceed the %d-byte pointer a separated value leaves behind", c.ValueThreshold, vlogPointerLen)
+	case c.vlogEnabled() && c.ValueThreshold <= vlog.PointerSize:
+		return fmt.Errorf("lsm: ValueThreshold %d must exceed the %d-byte pointer a separated value leaves behind", c.ValueThreshold, vlog.PointerSize)
 	case c.vlogEnabled() && c.VlogSegSize < 0:
 		return fmt.Errorf("lsm: negative VlogSegSize")
 	case c.vlogEnabled() && c.vlogSegSize() < int64(c.ValueThreshold)+64:
 		return fmt.Errorf("lsm: VlogSegSize %d cannot hold a threshold-sized record", c.vlogSegSize())
 	}
 	return nil
-}
-
-// VlogThresholdTooSmall reports a threshold so low that separation
-// would grow entries instead of shrinking them.
-func (c *Config) VlogThresholdTooSmall() bool {
-	return c.vlogEnabled() && c.ValueThreshold <= vlogPointerLen
 }
 
 // walSize returns the preallocated WAL extent size: a full memtable

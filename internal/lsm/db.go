@@ -222,6 +222,10 @@ func OpenDevice(cfg Config, dev *Device) (*DB, error) {
 		if err != nil {
 			return nil, err
 		}
+		if segs := len(vs.VlogSegs()); segs > 0 && !cfg.vlogEnabled() {
+			// Only the value log can replay what its groups hold.
+			return nil, fmt.Errorf("lsm: ValueThreshold 0 cannot reopen a store with %d value-log segments; reopen it with a threshold above 0", segs)
+		}
 		d.vs = vs
 		d.seq = vs.LastSeq()
 		d.publish(nil, version.Retired{}) // the first state: recovery's edits retire behind it
@@ -238,11 +242,9 @@ func OpenDevice(cfg Config, dev *Device) (*DB, error) {
 		// out again, so the mapping must be gone before WAL replay
 		// flushes or a new WAL is created.
 		d.sweepOrphans()
-		var groups []vlogGroup
-		if cfg.vlogEnabled() {
-			if groups, err = d.vlogRecover(); err != nil {
-				return nil, err
-			}
+		groups, err := d.vlogRecover()
+		if err != nil {
+			return nil, err
 		}
 		if err := d.recoverSetsAndLogs(groups); err != nil {
 			return nil, err
@@ -572,18 +574,20 @@ func (d *DB) openWAL(size int64) (old uint64, err error) {
 
 // stampReplayStart records in e where the next recovery's log replay
 // starts: the last sequence number already durable in tables, the WAL
-// to replay (logNum; 0 keeps the recorded one) and, with values
-// separated, the value log's replay head — the writer's position,
-// since every group before it is at or below LastSeq. The three always
-// travel together: a head left behind LastSeq would make the first
-// group replay finds a sequence gap. Caller holds d.mu, with nothing
-// committed since the memtable the edit covers was frozen.
+// to replay (logNum; 0 keeps the recorded one) and, once the value log
+// has a segment, its replay head — the writer's position, since every
+// group before it is at or below LastSeq. The three always travel
+// together: a head left behind LastSeq would make the first group
+// replay finds a sequence gap. Before the first segment there is no
+// group to skip, so a store that never separated a value writes the
+// manifest a store without the log writes. Caller holds d.mu, with
+// nothing committed since the memtable the edit covers was frozen.
 func (d *DB) stampReplayStart(e *version.Edit, logNum uint64) *version.Edit {
 	e.HasLastSeq, e.LastSeq = true, d.seq
 	if logNum != 0 {
 		e.HasLogNum, e.LogNum = true, logNum
 	}
-	if d.cfg.vlogEnabled() {
+	if d.vlog.w.Seg() != 0 {
 		e.HasVlogHead = true
 		e.VlogHead = version.VlogPos{Seg: d.vlog.w.Seg(), Off: d.vlog.w.Offset()}
 	}

@@ -206,6 +206,16 @@ import (
 // counter lines and the Stats field from the digests reproduces every
 // field of all five constants, plain and under the tag; with the steps
 // deleted alone it reproduces every field but Counters and Views.
+// Re-recorded for "sealdb+vlog" (and its invariantGoldens twin) when a
+// separated value became its own entry kind and inline values lost their
+// one-byte tag: every inline entry of the memtable, the WAL and the tables
+// is a byte shorter, so tables fill and compact at other points (WriteOps
+// 7,997 -> 7,986, BytesWritten 2,627,651 -> 2,587,781, ReadOps 1,331 ->
+// 1,305, Levels "3,5,0,0,0,0,7" -> "3,4,0,0,0,0,7", Seq 0x23e7 -> 0x23d6
+// with the collector's re-puts), and every other field but Reads moves
+// with them. Under the tag the twin now differs from the plain constant
+// in Seeks (5,245 against 5,246) and the Counters hash as well. The other
+// four modes store no tag and are bit-identical.
 // When a mismatch is intended, the failure message prints the new literal.
 type deviceFingerprint struct {
 	ReadOps, WriteOps       int64
@@ -224,16 +234,17 @@ var fingerprintGoldens = map[string]deviceFingerprint{
 	"leveldb+sets": {ReadOps: 2121, WriteOps: 8319, BytesRead: 41954195, BytesWritten: 42797526, Seeks: 3326, BusyNS: 43233367867, Seq: 0x226d, Levels: "3,13,5,0,0,0,17", Journal: "138577b8c279de7b", Counters: "1c113a0f9e592f3a", Views: "dd2cf2d999c3856a", Reads: "e7b228fbb77598be"},
 	"smrdb":        {ReadOps: 513, WriteOps: 7525, BytesRead: 6779847, BytesWritten: 2779943, Seeks: 891, BusyNS: 6208151433, Seq: 0x226d, Levels: "1,3", Journal: "a33409d25ad9e9a2", Counters: "cca10a7de57e7457", Views: "26587f4b7fa4b4df", Reads: "e7b228fbb77598be"},
 	"sealdb":       {ReadOps: 1810, WriteOps: 7970, BytesRead: 12113981, BytesWritten: 6548144, Seeks: 2444, BusyNS: 16349553234, Seq: 0x226d, Levels: "3,13,5,0,0,0,17", Journal: "14fac921f410651a", Counters: "320adbe139f74f83", Views: "c878a8e37be71045", Reads: "e7b228fbb77598be"},
-	"sealdb+vlog":  {ReadOps: 1331, WriteOps: 7997, BytesRead: 5853931, BytesWritten: 2627651, Seeks: 5297, BusyNS: 35671462947, Seq: 0x23e7, Levels: "3,5,0,0,0,0,7", Journal: "d840cd9623f0f153", Counters: "96109ed01ffd3083", Views: "5cc8fbe7ba3bdd4f", Reads: "e7b228fbb77598be"},
+	"sealdb+vlog":  {ReadOps: 1305, WriteOps: 7986, BytesRead: 5801862, BytesWritten: 2587781, Seeks: 5246, BusyNS: 35318477329, Seq: 0x23d6, Levels: "3,4,0,0,0,0,7", Journal: "37e127b4406bf0dc", Counters: "96575cb31a706a97", Views: "369580807776c211", Reads: "e7b228fbb77598be"},
 }
 
 // invariantGoldens replaces a mode's constant under -tags
 // sealdb_invariants where the tag's checks read the device: there a vlog
 // GC pass also looks up every record it skips as dropped by a compaction,
-// so "sealdb+vlog" fetches some blocks at other times: its BusyNS and
-// Journal hash differ from the plain constant, every other field is equal.
+// so "sealdb+vlog" fetches some blocks at other times: its Seeks, BusyNS
+// and Journal and Counters hashes differ from the plain constant, every
+// other field is equal.
 var invariantGoldens = map[string]deviceFingerprint{
-	"sealdb+vlog": {ReadOps: 1331, WriteOps: 7997, BytesRead: 5853931, BytesWritten: 2627651, Seeks: 5297, BusyNS: 35672276963, Seq: 0x23e7, Levels: "3,5,0,0,0,0,7", Journal: "fd1e40615bed6acb", Counters: "96109ed01ffd3083", Views: "5cc8fbe7ba3bdd4f", Reads: "e7b228fbb77598be"},
+	"sealdb+vlog": {ReadOps: 1305, WriteOps: 7986, BytesRead: 5801862, BytesWritten: 2587781, Seeks: 5245, BusyNS: 35311352355, Seq: 0x23d6, Levels: "3,4,0,0,0,0,7", Journal: "00b9aff53defafb6", Counters: "811d9389b6694cc2", Views: "369580807776c211", Reads: "e7b228fbb77598be"},
 }
 
 type fingerprintCase struct {

@@ -209,14 +209,14 @@ func (d *DB) verifyTable(f *version.FileMeta, served map[vlog.Pointer]string) er
 // pointers by re-putting, so a shadowed one may name a collected segment
 // until compaction drops it. Caller holds d.mu.
 func (d *DB) noteServed(served map[vlog.Pointer]string, ik kv.InternalKey, stored []byte) error {
-	if !d.cfg.vlogEnabled() || ik.Kind() != kv.KindSet || len(stored) == 0 || stored[0] != vlogTagPtr {
+	if ik.Kind() != kv.KindPointer {
 		return nil
 	}
 	newest, kind, _, found, err := d.lookup(d.state.Load(), ik.UserKey(), d.seq, nil)
-	if err != nil || !found || kind != kv.KindSet || !bytes.Equal(newest, stored) {
+	if err != nil || !found || kind != kv.KindPointer || !bytes.Equal(newest, stored) {
 		return err
 	}
-	p, err := vlog.DecodePointer(stored[1:])
+	p, err := vlog.DecodePointer(stored)
 	if err != nil {
 		return err
 	}

@@ -250,7 +250,7 @@ func TestVerifyIntegrityMatchesServedPointers(t *testing.T) {
 	} {
 		d.mu.Lock()
 		d.seq++
-		d.mem.Add(d.seq, kv.KindSet, []byte("a"), vlog.AppendPointer([]byte{vlogTagPtr}, c.p))
+		d.mem.Add(d.seq, kv.KindPointer, []byte("a"), vlog.AppendPointer(nil, c.p))
 		d.visible.Store(uint64(d.seq))
 		d.mu.Unlock()
 		if err := d.VerifyIntegrity(); err == nil || !strings.Contains(err.Error(), c.want) {

@@ -404,25 +404,25 @@ func (it *Iterator) Prev() {
 // key's visible entry shows it complete (LevelDB's FindPrevUserEntry).
 func (it *Iterator) settleBackward(upper []byte) {
 	it.ok = false
-	var user, val []byte // the run at hand's user key and, if it lives, its newest visible value
-	live := false
+	var user, val []byte  // the run at hand's user key and, if it lives, its newest visible value
+	kind := kv.KindDelete // the run's newest visible kind: it lives unless a tombstone
 	for ; it.r.m.Valid(); it.r.m.Prev() {
 		ik := it.r.m.Key()
 		u := ik.UserKey()
 		if ik.Seq() > it.seq || upper != nil && kv.CompareUser(u, upper) >= 0 {
 			continue
 		}
-		if live && kv.CompareUser(u, user) < 0 {
+		if kind != kv.KindDelete && kv.CompareUser(u, user) < 0 {
 			break
 		}
 		user = append(user[:0], u...)
-		if live = ik.Kind() != kv.KindDelete; live {
+		if kind = ik.Kind(); kind != kv.KindDelete {
 			val = append(val[:0], it.r.m.Value()...)
 		}
 	}
-	if live {
+	if kind != kv.KindDelete {
 		it.key = append(it.key[:0], user...)
-		it.ok = it.setValue(val) // false with it.err set on a chase error
+		it.ok = it.setValue(kind, val) // false with it.err set on a chase error
 		return
 	}
 	if err := it.r.m.Error(); err != nil {
@@ -445,7 +445,7 @@ func (it *Iterator) settle(prevUser []byte) {
 			prevUser = it.key
 			continue
 		}
-		it.ok = it.setValue(it.r.m.Value()) // false with it.err set on a chase error
+		it.ok = it.setValue(ik.Kind(), it.r.m.Value()) // false with it.err set on a chase error
 		return
 	}
 	if err := it.r.m.Error(); err != nil {
@@ -453,12 +453,12 @@ func (it *Iterator) settle(prevUser []byte) {
 	}
 }
 
-// setValue stores the emitted value, chasing a value-log pointer when
-// key–value separation is on. The iterator's read state keeps every
-// segment it references, so a pointer read here cannot race a value-log
-// GC drop. Returns false (with it.err set) on a chase error.
-func (it *Iterator) setValue(stored []byte) bool {
-	v, err := it.d.resolveValue(it.val, it.key, stored)
+// setValue stores the emitted value, an entry of kind, chasing it if it
+// is a value-log pointer. The iterator's read state keeps every segment
+// it references, so a pointer read here cannot race a value-log GC
+// drop. Returns false (with it.err set) on a chase error.
+func (it *Iterator) setValue(kind kv.Kind, stored []byte) bool {
+	v, err := it.d.resolveValue(it.val, it.key, kind, stored)
 	if err != nil {
 		it.err = err
 		return false

@@ -67,13 +67,13 @@ func (d *DB) run(j job) (err error) {
 	var sp *obs.Span
 	switch {
 	case j.mem != nil:
-		sp = d.journal.Begin("flush", 0)
+		sp = d.journal.Begin("flush")
 		info, err = d.flush(j.mem, j.logNum, sp)
 	case j.c != nil:
-		sp = d.journal.Begin("compaction", 0)
+		sp = d.journal.Begin("compaction")
 		info, err = d.compact(j.c, sp)
 	default:
-		sp = d.journal.Begin("vlog_gc", 0)
+		sp = d.journal.Begin("vlog_gc")
 		err = d.collect(j.victim, sp)
 	}
 	if err != nil {

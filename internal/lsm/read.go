@@ -53,10 +53,10 @@ func (d *DB) getAt(key []byte, snap *Snapshot, ot *opTrace) ([]byte, error) {
 	case err != nil:
 	case !found || kind == kv.KindDelete:
 		err = ErrNotFound
-	case file != nil && !d.cfg.vlogEnabled():
+	case file != nil && kind == kv.KindSet:
 		v = stored // a table read already handed out a private copy
 	default:
-		v, err = d.resolveValue(nil, key, stored)
+		v, err = d.resolveValue(nil, key, kind, stored)
 	}
 	d.metrics.gets.Inc()
 	if err == nil {
@@ -68,22 +68,19 @@ func (d *DB) getAt(key []byte, snap *Snapshot, ot *opTrace) ([]byte, error) {
 // lookup is the engine's one point-read traversal of state s, the
 // LevelDB read path: memtables, then level 0 newest to oldest, then
 // each deeper level. It returns the newest entry for key visible at seq
-// as stored in the tree (value-log tag byte and all), its kind, and the
-// SSTable that served it (nil for a memtable hit). User reads, the
-// value-log collector and fsck all go through it, so they probe the
-// same files in the same order. ot may be nil.
+// as stored in the tree (the pointer, for a KindPointer entry), its
+// kind, and the SSTable that served it (nil for a memtable hit). User
+// reads, the value-log collector and fsck all go through it, so they
+// probe the same files in the same order. ot may be nil.
 func (d *DB) lookup(s *readState, key []byte, seq kv.SeqNum, ot *opTrace) (stored []byte, kind kv.Kind, file *version.FileMeta, found bool, err error) {
 	si := ot.stageStart(stageReadMemtable)
-	v, deleted, hit := s.mem.Get(key, seq)
-	if !hit && s.imm != nil {
-		v, deleted, hit = s.imm.Get(key, seq)
+	stored, kind, found = s.mem.Get(key, seq)
+	if !found && s.imm != nil {
+		stored, kind, found = s.imm.Get(key, seq)
 	}
 	ot.stageEnd(si)
-	if hit {
-		if deleted {
-			return nil, kv.KindDelete, nil, true, nil
-		}
-		return v, kv.KindSet, nil, true, nil
+	if found {
+		return stored, kind, nil, true, nil
 	}
 	cur := s.v
 	for level := 0; level < d.cfg.NumLevels(); level++ {

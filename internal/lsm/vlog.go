@@ -14,33 +14,17 @@ import (
 	"sealdb/internal/vlog"
 )
 
-// Value tagging. When the value log is enabled (Config.ValueThreshold
-// > 0) every value the tree stores — memtable, WAL, SSTables — gets a
-// one-byte prefix: vlogTagInline followed by the value itself, or
-// vlogTagPtr followed by a fixed-size vlog.Pointer naming the segment
-// record that holds it. The read path strips or chases the tag
-// transparently; with the log disabled values are stored raw and no
-// tag exists.
-const (
-	vlogTagInline = 0x00
-	vlogTagPtr    = 0x01
+// A separated value is stored in the tree (memtable, WAL, SSTables) as
+// a kv.KindPointer entry whose value is the vlog.Pointer to its record;
+// an inline value is a KindSet entry stored as is, with the value log on
+// or off. A logged batch writes a separated entry as the one byte
+// KindPointer: replay rebuilds its key and pointer from the group's next
+// value record.
 
-	// vlogPointerLen is the stored size of a separated value: tag
-	// byte plus pointer. Separation only ever shrinks tree entries
-	// because validate() requires ValueThreshold to exceed it.
-	vlogPointerLen = 1 + vlog.PointerSize
-
-	// batchKindSeparated marks, in a logged batch, a Set whose key and
-	// value are the next value record of the batch's value-log group:
-	// the entry is that one byte, and replay rebuilds key and pointer
-	// from where the record sits. It never reaches the tree.
-	batchKindSeparated kv.Kind = 0x02
-
-	// vlogGCDeadBudget is the share of the sealed log's record bytes that
-	// may be dead before the collector runs (version.Set.VlogVictim): 0.25
-	// is the knee of the space/throughput trade on vlog_mixed (DESIGN.md).
-	vlogGCDeadBudget = 0.25
-)
+// vlogGCDeadBudget is the share of the sealed log's record bytes that
+// may be dead before the collector runs (version.Set.VlogVictim): 0.25
+// is the knee of the space/throughput trade on vlog_mixed (DESIGN.md).
+const vlogGCDeadBudget = 0.25
 
 // vlogState is the engine-side driver of the value log: the active
 // segment writer and the rotation/GC plumbing. Which segments exist and
@@ -224,12 +208,12 @@ func (d *DB) vlogTotals() (live, dead int64, segments int) {
 }
 
 // vlogBuildGroup rewrites a batch for logging with the value log on,
-// into reused buffers: every inline value gains its tag byte, and each
-// value at or above the threshold becomes a record of the writer's
-// open group, leaving a one-byte batchKindSeparated entry behind.
-// Returns the rewritten batch and the group's records; with no record
-// the batch is an ordinary WAL record. Caller holds d.mu; the batch
-// itself, sequence header included, is only read.
+// into a reused buffer: each value at or above the threshold becomes a
+// record of the writer's open group, leaving a one-byte KindPointer
+// entry behind, and every other entry is copied as is. Returns the
+// rewritten batch and the group's records; with no record the batch is
+// an ordinary WAL record. Caller holds d.mu; the batch itself, sequence
+// header included, is only read.
 func (d *DB) vlogBuildGroup(b *Batch) (rep []byte, recs []vlog.Record) {
 	w := &d.vlog.w
 	w.Begin()
@@ -237,66 +221,51 @@ func (d *DB) vlogBuildGroup(b *Batch) (rep []byte, recs []vlog.Record) {
 	p := b.rep[batchHeaderLen:]
 	for i := uint32(0); i < b.count; i++ {
 		klen, kn := binary.Uvarint(p[1:])
-		entry := p[:1+kn+int(klen)] // kind, key length, key
-		p = p[len(entry):]
-		if kv.Kind(entry[0]) != kv.KindSet {
-			rep = append(rep, entry...)
-			continue
+		n := 1 + kn + int(klen) // kind, key length, key
+		if kv.Kind(p[0]) == kv.KindSet {
+			vlen, vn := binary.Uvarint(p[n:])
+			if int(vlen) >= d.cfg.ValueThreshold {
+				w.Add(p[1+kn:n], p[n+vn:n+vn+int(vlen)])
+				rep = append(rep, byte(kv.KindPointer))
+				p = p[n+vn+int(vlen):]
+				continue
+			}
+			n += vn + int(vlen)
 		}
-		vlen, vn := binary.Uvarint(p)
-		value := p[vn : vn+int(vlen)]
-		p = p[vn+int(vlen):]
-		if int(vlen) >= d.cfg.ValueThreshold {
-			w.Add(entry[1+kn:], value)
-			rep = append(rep, byte(batchKindSeparated))
-			continue
-		}
-		rep = append(rep, entry...)
-		rep = binary.AppendUvarint(rep, vlen+1)
-		rep = append(rep, vlogTagInline)
-		rep = append(rep, value...)
+		rep = append(rep, p[:n]...)
+		p = p[n:]
 	}
 	d.vlog.rep = rep
 	return rep, w.Records()
 }
 
-// resolveValue maps key's stored tree value to the user value: with the
-// log disabled it is the identity; otherwise it strips the inline tag
-// or follows the pointer — to key's cache entry if it was filled from
-// that very record, else into its segment, filling the cache with the
-// checked bytes. The result is always a copy, built in dst's storage
-// (nil for a fresh slice). The caller holds a state that references
-// the pointer's segment.
-func (d *DB) resolveValue(dst, key, stored []byte) ([]byte, error) {
-	if !d.cfg.vlogEnabled() {
+// resolveValue maps key's stored tree value of kind to the user value:
+// an inline value as is, a pointer followed — to key's cache entry if it
+// was filled from that very record, else into its segment, filling the
+// cache with the checked bytes. The result is always a copy, built in
+// dst's storage (nil for a fresh slice). The caller holds a state that
+// references the pointer's segment.
+func (d *DB) resolveValue(dst, key []byte, kind kv.Kind, stored []byte) ([]byte, error) {
+	if kind != kv.KindPointer {
 		return append(dst[:0], stored...), nil
 	}
-	if len(stored) == 0 {
-		return dst[:0], nil
+	ptr, err := vlog.DecodePointer(stored)
+	if err != nil {
+		return nil, err
 	}
-	switch stored[0] {
-	case vlogTagInline:
-		return append(dst[:0], stored[1:]...), nil
-	case vlogTagPtr:
-		ptr, err := vlog.DecodePointer(stored[1:])
-		if err != nil {
-			return nil, err
-		}
-		if v, ok := d.cache.GetValue(dst, key, ptr.Seg, uint64(ptr.Off)); ok {
-			d.metrics.vlogCacheHits.Inc()
-			return v, nil
-		}
-		// Read the record into dst's storage, then slide the value, its
-		// tail, down to the front.
-		dst = slices.Grow(dst[:0], int(ptr.Len))[:ptr.Len]
-		_, v, err := d.vlogRead(dst, ptr)
-		if err != nil {
-			return nil, err
-		}
-		d.cache.PutValue(key, ptr.Seg, uint64(ptr.Off), v)
-		return dst[:copy(dst, v)], nil
+	if v, ok := d.cache.GetValue(dst, key, ptr.Seg, uint64(ptr.Off)); ok {
+		d.metrics.vlogCacheHits.Inc()
+		return v, nil
 	}
-	return nil, fmt.Errorf("lsm: unknown value tag %#x", stored[0])
+	// Read the record into dst's storage, then slide the value, its
+	// tail, down to the front.
+	dst = slices.Grow(dst[:0], int(ptr.Len))[:ptr.Len]
+	_, v, err := d.vlogRead(dst, ptr)
+	if err != nil {
+		return nil, err
+	}
+	d.cache.PutValue(key, ptr.Seg, uint64(ptr.Off), v)
+	return dst[:copy(dst, v)], nil
 }
 
 // vlogRead chases a pointer on the media: one segment read into buf
@@ -317,12 +286,12 @@ func (d *DB) vlogRead(buf []byte, p vlog.Pointer) (key, value []byte, err error)
 
 // vlogDeadValue inspects an entry of kind being dropped by compaction
 // and returns the record its stored value was the last reference to (ok
-// false for tombstones, inline values or when the log is off).
+// false for anything but a pointer).
 func (d *DB) vlogDeadValue(kind kv.Kind, stored []byte) (p vlog.Pointer, ok bool) {
-	if !d.cfg.vlogEnabled() || kind != kv.KindSet || len(stored) != vlogPointerLen || stored[0] != vlogTagPtr {
+	if kind != kv.KindPointer {
 		return p, false
 	}
-	p, err := vlog.DecodePointer(stored[1:])
+	p, err := vlog.DecodePointer(stored)
 	return p, err == nil
 }
 
@@ -336,13 +305,11 @@ func (d *DB) vlogBit(p vlog.Pointer) uint64 { return uint64(p.Off) / uint64(d.cf
 // that a record is still live. Caller holds d.mu.
 func (d *DB) vlogServing(key []byte, p vlog.Pointer) (bool, error) {
 	stored, kind, _, found, err := d.lookup(d.state.Load(), key, d.seq, nil)
-	if err != nil || !found || kind != kv.KindSet {
+	if err != nil || !found || kind != kv.KindPointer {
 		return false, err
 	}
-	var want [vlogPointerLen]byte
-	want[0] = vlogTagPtr
-	vlog.AppendPointer(want[1:1], p)
-	return bytes.Equal(stored, want[:]), nil
+	var want [vlog.PointerSize]byte
+	return bytes.Equal(stored, vlog.AppendPointer(want[:0], p)), nil
 }
 
 // collect is the collection pass body: one scan of the victim that

@@ -26,10 +26,10 @@ func pointerOf(t *testing.T, d *DB, key string) vlog.Pointer {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	stored, kind, _, found, err := d.lookup(d.state.Load(), []byte(key), d.seq, nil)
-	if err != nil || !found || kind != kv.KindSet || len(stored) != vlogPointerLen || stored[0] != vlogTagPtr {
+	if err != nil || !found || kind != kv.KindPointer {
 		t.Fatalf("key %q is not served by a pointer: found=%v kind=%v stored=%x err=%v", key, found, kind, stored, err)
 	}
-	p, err := vlog.DecodePointer(stored[1:])
+	p, err := vlog.DecodePointer(stored)
 	if err != nil {
 		t.Fatal(err)
 	}

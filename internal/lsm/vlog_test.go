@@ -14,6 +14,7 @@ import (
 	"sealdb/internal/invariant"
 	"sealdb/internal/kv"
 	"sealdb/internal/obs"
+	"sealdb/internal/platter"
 	"sealdb/internal/smr"
 	"sealdb/internal/version"
 	"sealdb/internal/vlog"
@@ -137,28 +138,100 @@ func TestVlogBasicReadWrite(t *testing.T) {
 	}
 }
 
-func TestVlogDisabledIsByteIdentical(t *testing.T) {
-	// With the threshold at zero no tagging may happen: the stored
-	// representation must match a plain put bit for bit so existing
-	// modes are untouched by the feature.
-	cfg := tinyConfig(ModeSEALDB)
-	d, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
+// TestVlogUnusedWritesTheSameDevice: a value log that never separates a
+// value costs nothing. An inline value is stored as a store without the
+// log stores it, and the value log's replay head enters the manifest only
+// once a segment exists, so a load of values all under the threshold
+// writes the device stream of a store with the log off.
+func TestVlogUnusedWritesTheSameDevice(t *testing.T) {
+	var stats [2]platter.Stats
+	for i, threshold := range []int{0, 1024} {
+		cfg := tinyConfig(ModeSEALDB)
+		cfg.ValueThreshold = threshold
+		d, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loadRandom(t, d, 20000, 7)
+		if err := d.CompactRange(nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		stats[i] = d.Device().Disk.Stats()
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	defer d.Close()
-	if err := d.Put([]byte("k"), []byte("v")); err != nil {
-		t.Fatal(err)
+	if stats[0] != stats[1] {
+		t.Fatalf("device stats differ:\n threshold 0:    %+v\n threshold 1024: %+v", stats[0], stats[1])
 	}
-	d.mu.Lock()
-	stored, _, _, ok, err := d.lookup(d.state.Load(), []byte("k"), d.seq, nil)
-	d.mu.Unlock()
-	if err != nil || !ok {
-		t.Fatalf("lookup: ok=%v err=%v", ok, err)
+}
+
+// TestVlogReopenUnderAnotherThreshold: a stored value's meaning comes
+// from its entry kind, not from the threshold a store is opened under.
+// Written with the log off, a store reopens with it on and reads every
+// value back, the small one that starts with the byte an old tag used
+// included. Written with the log on, it refuses to reopen with it off,
+// which could not replay the log, and reopens with it on afterwards.
+func TestVlogReopenUnderAnotherThreshold(t *testing.T) {
+	want := map[string][]byte{
+		"small":     []byte("\x01small-value"),
+		"flushed":   bigValue("flushed", 1000),
+		"unflushed": bigValue("unflushed", 1000),
 	}
-	if !bytes.Equal(stored, []byte("v")) {
-		t.Fatalf("stored = %q, want untagged %q", stored, "v")
+	config := func(threshold int) Config {
+		cfg := tinyConfig(ModeSEALDB)
+		cfg.ValueThreshold = threshold
+		return cfg
 	}
+	write := func(threshold int) *Device {
+		d, err := Open(config(threshold))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []string{"small", "flushed"} {
+			if err := d.Put([]byte(k), want[k]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.FlushMemtable(); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Put([]byte("unflushed"), want["unflushed"]); err != nil {
+			t.Fatal(err)
+		}
+		dev := d.Device()
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dev
+	}
+	check := func(threshold int, dev *Device) {
+		t.Helper()
+		d, err := OpenDevice(config(threshold), dev)
+		if err != nil {
+			t.Fatalf("reopen at %d: %v", threshold, err)
+		}
+		defer d.Close()
+		for k, v := range want {
+			if got, err := d.Get([]byte(k)); err != nil || !bytes.Equal(got, v) {
+				t.Fatalf("reopened at %d: Get(%q) = %d bytes %q, %v; want %d bytes", threshold, k, len(got), got[:min(len(got), 20)], err, len(v))
+			}
+		}
+		if err := d.VerifyIntegrity(); err != nil {
+			t.Fatalf("reopened at %d: VerifyIntegrity: %v", threshold, err)
+		}
+	}
+
+	check(512, write(0))
+
+	dev := write(512)
+	if d, err := OpenDevice(config(0), dev); err == nil {
+		d.Close()
+		t.Fatal("a store with value-log segments reopened with the log off")
+	} else if !strings.Contains(err.Error(), "ValueThreshold") {
+		t.Fatalf("refused reopen: %v, want an error naming ValueThreshold", err)
+	}
+	check(512, dev)
 }
 
 func TestVlogRecovery(t *testing.T) {
@@ -1147,7 +1220,7 @@ func TestVlogUnknownFormatFailsOpenUntouched(t *testing.T) {
 
 func TestVlogConfigValidation(t *testing.T) {
 	cfg := tinyConfig(ModeSEALDB)
-	cfg.ValueThreshold = vlogPointerLen // too small: separation would grow entries
+	cfg.ValueThreshold = vlog.PointerSize // too small: separation would grow entries
 	if _, err := Open(cfg); err == nil {
 		t.Fatal("Open accepted a threshold at the pointer size")
 	}

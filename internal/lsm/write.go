@@ -243,9 +243,9 @@ func (d *DB) logBatch(b *Batch, separated func(recs []vlog.Record, bytes int64))
 
 // treeSize returns the bytes a batch adds to the WAL and the memtable:
 // its encoded size, with every value headed for the value log counted
-// as the pointer that replaces it and every other value as tagged. Room
-// is made for that, not for the raw batch, or a 1 MiB Put would rotate
-// the WAL and flush a one-entry memtable for a 17-byte pointer.
+// as the pointer that replaces it. Room is made for that, not for the
+// raw batch, or a 1 MiB Put would rotate the WAL and flush a one-entry
+// memtable for a 16-byte pointer.
 func (d *DB) treeSize(b *Batch) int64 {
 	n := b.Size()
 	if !d.cfg.vlogEnabled() {
@@ -262,9 +262,7 @@ func (d *DB) treeSize(b *Batch) int64 {
 		vlen, vn := binary.Uvarint(p)
 		p = p[vn+int(vlen):]
 		if int(vlen) >= d.cfg.ValueThreshold {
-			n -= int64(vlen) - vlogPointerLen
-		} else {
-			n++
+			n -= int64(vlen) - vlog.PointerSize
 		}
 	}
 	return n

@@ -197,20 +197,22 @@ func (m *MemTable) Add(seq kv.SeqNum, kind kv.Kind, ukey, value []byte) {
 	m.size += int64(len(ik)) + int64(len(v)) + int64(h)*8 + 48
 }
 
-// Get looks up ukey at snapshot seq. It returns the value and ok=true
-// for a live entry, ok=true with deleted=true for a tombstone, and
-// ok=false when the memtable holds nothing visible for the key.
-func (m *MemTable) Get(ukey []byte, seq kv.SeqNum) (value []byte, deleted, ok bool) {
+// Get looks up ukey at snapshot seq. It returns ok=false when the
+// memtable holds nothing visible for the key, else the newest visible
+// entry's value and kind: KindDelete (with a nil value) for a
+// tombstone, KindSet for an inline value, KindPointer for a value-log
+// pointer.
+func (m *MemTable) Get(ukey []byte, seq kv.SeqNum) (value []byte, kind kv.Kind, ok bool) {
 	var buf [64]byte
 	search := kv.MakeSearchKey(buf[:0], ukey, seq)
 	n := m.findGreaterOrEqual(search, nil)
 	if n == nil || kv.CompareUser(n.key.UserKey(), ukey) != 0 {
-		return nil, false, false
+		return nil, 0, false
 	}
-	if n.key.Kind() == kv.KindDelete {
-		return nil, true, true
+	if kind = n.key.Kind(); kind == kv.KindDelete {
+		return nil, kind, true
 	}
-	return n.value, false, true
+	return n.value, kind, true
 }
 
 // ApproximateSize returns the memory consumed by entries, used to

@@ -34,10 +34,10 @@ func TestGetLatestVisible(t *testing.T) {
 		{100, "v4", false, true},
 	}
 	for _, c := range cases {
-		v, del, ok := m.Get([]byte("k"), c.seq)
-		if ok != c.ok || del != c.deleted || string(v) != c.want {
-			t.Errorf("Get@%d = (%q, del=%v, ok=%v), want (%q, %v, %v)",
-				c.seq, v, del, ok, c.want, c.deleted, c.ok)
+		v, kind, ok := m.Get([]byte("k"), c.seq)
+		if del := ok && kind == kv.KindDelete; ok != c.ok || del != c.deleted || string(v) != c.want {
+			t.Errorf("Get@%d = (%q, %v, ok=%v), want (%q, del=%v, %v)",
+				c.seq, v, kind, ok, c.want, c.deleted, c.ok)
 		}
 	}
 }
@@ -164,11 +164,11 @@ func TestAgainstReferenceModel(t *testing.T) {
 		}
 		for seq, snap := range history {
 			for kk, st := range snap {
-				v, del, ok := m.Get([]byte(kk), seq)
+				v, kind, ok := m.Get([]byte(kk), seq)
 				if !ok {
 					return false
 				}
-				if st.del != del {
+				if st.del != (kind == kv.KindDelete) {
 					return false
 				}
 				if !st.del && string(v) != st.val {
@@ -287,8 +287,8 @@ func TestOneWriterConcurrentReaders(t *testing.T) {
 				if r%2 == 0 {
 					for j := 0; j < 200; j++ {
 						i := 1 + rng.Intn(seen)
-						if v, del, ok := m.Get(key(i), kv.SeqNum(seen)); !ok || del || string(v) != fmt.Sprintf("v%d", i) {
-							errs <- fmt.Errorf("Get of entry %d at %d = %q, deleted %v, ok %v", i, seen, v, del, ok)
+						if v, kind, ok := m.Get(key(i), kv.SeqNum(seen)); !ok || kind != kv.KindSet || string(v) != fmt.Sprintf("v%d", i) {
+							errs <- fmt.Errorf("Get of entry %d at %d = %q, %v, ok %v", i, seen, v, kind, ok)
 							return
 						}
 					}

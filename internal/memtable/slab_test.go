@@ -57,9 +57,9 @@ func TestSlabEntriesStayValid(t *testing.T) {
 		if kind == kv.KindDelete {
 			continue
 		}
-		v, deleted, ok := m.Get(k, kv.SeqNum(i+1))
-		if !ok || deleted || !bytes.Equal(v, want) {
-			t.Fatalf("Get(entry %d) = %d bytes, deleted %v, ok %v", i, len(v), deleted, ok)
+		v, kind, ok := m.Get(k, kv.SeqNum(i+1))
+		if !ok || kind != kv.KindSet || !bytes.Equal(v, want) {
+			t.Fatalf("Get(entry %d) = %d bytes, %v, ok %v", i, len(v), kind, ok)
 		}
 		holds = append(holds, held{i: i, v: v})
 	}

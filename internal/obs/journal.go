@@ -83,10 +83,10 @@ type Span struct {
 	ev    Event
 }
 
-// Begin opens a span. parent (0 for none) links a nested span to the
-// span it runs inside. The returned span is owned by one goroutine; call
-// End exactly once.
-func (j *Journal) Begin(typ string, parent uint64) *Span {
+// Begin opens a root span. The returned span is owned by one goroutine;
+// call End exactly once. A nested span is journaled after the fact, with
+// its parent's id, by RecordSpan.
+func (j *Journal) Begin(typ string) *Span {
 	if j == nil {
 		return nil
 	}
@@ -94,16 +94,7 @@ func (j *Journal) Begin(typ string, parent uint64) *Span {
 	j.nextID++
 	id := j.nextID
 	j.mu.Unlock()
-	return &Span{j: j, ev: Event{ID: id, Parent: parent, Type: typ, StartNS: j.now()}}
-}
-
-// ID returns the span's event id (0 on a nil span), usable as the
-// parent of nested spans.
-func (s *Span) ID() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.ev.ID
+	return &Span{j: j, ev: Event{ID: id, Type: typ, StartNS: j.now()}}
 }
 
 // Set attaches a field to the span.

@@ -31,7 +31,7 @@ func TestCounterGaugeNilSafety(t *testing.T) {
 	}
 	var j *Journal
 	j.Record("x", nil)
-	sp := j.Begin("y", 0)
+	sp := j.Begin("y")
 	sp.Set("k", 1)
 	sp.End()
 	if len(j.Events()) != 0 || j.Dropped() != 0 {
@@ -186,28 +186,19 @@ func TestJournalRingAndSpans(t *testing.T) {
 	clock := int64(0)
 	j := NewJournal(4, func() int64 { clock += 10; return clock })
 
-	sp := j.Begin("pass", 0)
-	child := j.Begin("step", sp.ID())
-	child.Set("n", 1)
-	child.End()
+	sp := j.Begin("pass")
+	sp.Set("n", 1)
 	sp.End()
 
 	evs := j.Events()
-	if len(evs) != 2 {
+	if len(evs) != 1 {
 		t.Fatalf("events = %d", len(evs))
 	}
-	// The child ended first, so it is journaled first.
-	if evs[0].Type != "step" || evs[0].Parent != sp.ID() {
-		t.Errorf("child event = %+v", evs[0])
+	if evs[0].Type != "pass" || evs[0].Parent != 0 || evs[0].Fields["n"] != 1 {
+		t.Errorf("span event = %+v", evs[0])
 	}
-	if evs[0].Fields["n"] != 1 {
-		t.Errorf("child fields = %v", evs[0].Fields)
-	}
-	if evs[1].Type != "pass" || evs[1].Parent != 0 {
-		t.Errorf("parent event = %+v", evs[1])
-	}
-	if evs[1].StartNS >= evs[1].EndNS {
-		t.Errorf("span times = %d..%d", evs[1].StartNS, evs[1].EndNS)
+	if evs[0].StartNS >= evs[0].EndNS {
+		t.Errorf("span times = %d..%d", evs[0].StartNS, evs[0].EndNS)
 	}
 
 	// Overflow the ring: oldest events drop, newest survive.
@@ -218,8 +209,8 @@ func TestJournalRingAndSpans(t *testing.T) {
 	if len(evs) != 4 {
 		t.Fatalf("ring kept %d events, want 4", len(evs))
 	}
-	if j.Dropped() != 8 {
-		t.Errorf("dropped = %d, want 8", j.Dropped())
+	if j.Dropped() != 7 {
+		t.Errorf("dropped = %d, want 7", j.Dropped())
 	}
 	if last := evs[len(evs)-1]; last.Fields["i"] != 9 {
 		t.Errorf("newest event = %+v", last)
@@ -234,7 +225,7 @@ func TestJournalConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				sp := j.Begin("op", 0)
+				sp := j.Begin("op")
 				sp.Set("i", int64(i))
 				sp.End()
 				j.Events()

@@ -165,10 +165,10 @@ func separator(dst []byte, prev kv.InternalKey, next kv.InternalKey) kv.Internal
 		i++
 	}
 	if i < n && a[i] < 0xff && a[i]+1 < bkey[i] {
-		// a[:i+1] with its last byte incremented separates: give it
-		// the max trailer so it sorts before every real entry for
-		// that user key.
-		k := kv.MakeSearchKey(dst, a[:i+1], kv.MaxSeqNum)
+		// a[:i+1] with its last byte incremented separates: the max seq,
+		// which no entry carries, sorts it before every entry for that
+		// user key, so its kind decides nothing and KindSet will do.
+		k := kv.MakeInternalKey(dst, a[:i+1], kv.MaxSeqNum, kv.KindSet)
 		k[i]++
 		return k
 	}

@@ -58,9 +58,10 @@ var ErrCorrupt = errors.New("vlog: corrupt record")
 var ErrFormat = errors.New("vlog: unsupported segment format")
 
 // FormatVersion is the segment format this package reads and writes.
-// Version 1 (headerless, bare records, pointers logged in the WAL) is
+// Version 1 (headerless, bare records, pointers logged in the WAL) and
+// version 2 (a tag byte before every inline value in a commit frame) are
 // not readable.
-const FormatVersion = 2
+const FormatVersion = 3
 
 // HeaderSize is the length of the segment header; the first group
 // starts right after it.
